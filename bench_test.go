@@ -345,24 +345,19 @@ func BenchmarkConsensus(b *testing.B) {
 	}
 }
 
-// highFanoutSession picks the session discipline for the high-fanout
-// benchmarks: the HADES_SESSION=unbatched environment variable selects
-// the legacy one-op-per-round discipline, anything else the batched +
-// pipelined default. The benchmark names stay identical either way, so
-// `hades-bench -diff unbatched.json batched.json` compares them
-// directly.
+// highFanoutSession is the session discipline of the high-fanout
+// benchmarks: batched and pipelined. (What batching buys over one op
+// per round is recorded by the benchmark's replication.batch8_op_ns
+// against semi_active_op_ns rows — see bench/.)
 func highFanoutSession() session.Params {
-	if os.Getenv("HADES_SESSION") == "unbatched" {
-		return session.Params{MaxBatch: 1, FlushInterval: session.DefaultFlushInterval, PipelineDepth: 1}
-	}
 	return session.Params{MaxBatch: 8, FlushInterval: 500 * us, PipelineDepth: 4}
 }
 
 // benchTrace picks the tracing configuration for the high-fanout
 // benchmarks: HADES_TRACE=off disables the tracer entirely, zero/one
 // pin the sample rate for A/B runs, and anything else leaves the
-// cluster default (sample 10%). The CI tracing overhead gate lives in
-// trace_overhead_test.go — cross-process benchmark diffs cannot
+// cluster default (sample 10%). The CI overhead gate lives in
+// observability_overhead_test.go — cross-process benchmark diffs cannot
 // resolve single-digit percentages.
 func benchTrace() *cluster.TraceParams {
 	switch os.Getenv("HADES_TRACE") {
@@ -389,8 +384,6 @@ var highFanoutKeys = func() []string {
 // BenchmarkHighFanoutKV is the batching/pipelining workload: one
 // client bursting 32 keys per millisecond over a 4-shard plane — the
 // shape where per-op wire messages and replication rounds dominate.
-// Run it twice (HADES_SESSION=unbatched, then default) and diff the
-// baselines to see the op-batching + pipelining win.
 func BenchmarkHighFanoutKV(b *testing.B) {
 	params := highFanoutSession()
 	for i := 0; i < b.N; i++ {
@@ -408,10 +401,8 @@ func BenchmarkHighFanoutKV(b *testing.B) {
 				c.At(vtime.Time(t), func() { cl.Submit(key, cmd) })
 			}
 		}
-		// The horizon leaves the unbatched discipline room to drain: one
-		// wire message per op saturates the client's per-message cost,
-		// so its backlog outlives the 100 ms burst window by ~250 ms.
-		// The batched run drains early and fast-forwards the idle tail.
+		// The run drains soon after the 100 ms burst window and
+		// fast-forwards the idle tail of the horizon.
 		c.Run(600 * ms)
 		if cl.Stats.Acked != cl.Stats.Submitted {
 			b.Fatalf("acked %d of %d", cl.Stats.Acked, cl.Stats.Submitted)

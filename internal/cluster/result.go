@@ -335,11 +335,7 @@ func (c *Cluster) ResultNow() Result {
 			Latency:  g.LatencyStats(),
 		})
 	}
-	for _, ev := range c.log.Events() {
-		if faultTimelineKind(ev.Kind) {
-			r.Faults = append(r.Faults, ev)
-		}
-	}
+	r.Faults = c.log.Filter(func(ev monitor.Event) bool { return faultTimelineKind(ev.Kind) })
 	return r
 }
 

@@ -12,6 +12,7 @@ import (
 	"hades/internal/netsim"
 	"hades/internal/rbcast"
 	"hades/internal/replication"
+	"hades/internal/session"
 	"hades/internal/simkern"
 	"hades/internal/trace"
 	"hades/internal/vtime"
@@ -22,11 +23,6 @@ import (
 // so a publisher never collides with either in the replicated dedup
 // table.
 const TagSpace = uint64(1) << 33
-
-// DefaultRetryEvery is the publisher's retransmit period while a
-// reliable publish is unacked (primary down, quorum lost, copy cut by
-// a partition).
-const DefaultRetryEvery = 5 * vtime.Millisecond
 
 // GroupRef names one shard's replication group to the plane.
 type GroupRef struct {
@@ -50,8 +46,6 @@ type Config struct {
 	// Nodes is the cluster universe: every node eligible to host a
 	// publisher or subscriber, and the best-effort broadcast group.
 	Nodes []int
-	// RetryEvery overrides the reliable publisher's retransmit period.
-	RetryEvery vtime.Duration
 	// BestEffortF is the rbcast omission degree (default 1).
 	BestEffortF int
 }
@@ -107,7 +101,6 @@ type pubAttempt struct {
 	outstanding int
 	acked       bool
 	finished    bool
-	retries     int
 	done        func()
 }
 
@@ -181,6 +174,11 @@ type Plane struct {
 	eng *simkern.Engine
 	net *netsim.Network
 	cfg Config
+	// sess runs the retry discipline of reliable publishes and late-
+	// joiner catch-up: retransmit while unacked (primary down, quorum
+	// lost, copy cut by a partition), park on an exhausted budget,
+	// resubmit on the owning groups' views and on partition heals.
+	sess *session.Engine
 
 	topics map[string]*Topic
 	order  []*Topic
@@ -217,9 +215,6 @@ func NewPlane(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Plane, err
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("pubsub: plane %q needs a node universe", cfg.Name)
 	}
-	if cfg.RetryEvery <= 0 {
-		cfg.RetryEvery = DefaultRetryEvery
-	}
 	if cfg.BestEffortF <= 0 {
 		cfg.BestEffortF = 1
 	}
@@ -227,6 +222,7 @@ func NewPlane(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Plane, err
 		eng:       eng,
 		net:       net,
 		cfg:       cfg,
+		sess:      session.New(eng),
 		topics:    make(map[string]*Topic),
 		groups:    make(map[int]*groupState),
 		subsAt:    make(map[int][]*Subscriber),
@@ -286,7 +282,9 @@ func (p *Plane) Topic(name string, qos QoS) (*Topic, error) {
 
 // group lazily builds the server state of one owning group: request
 // port on every replica, apply hook, durable-history state transfer,
-// and the view/merge watchers.
+// the view/merge watchers, and the session engine's resubmission
+// triggers (after onView, which clears the in-pipeline guard a
+// resubmitted publish must get past).
 func (p *Plane) group(shard int) (*groupState, error) {
 	if gs := p.groups[shard]; gs != nil {
 		return gs, nil
@@ -321,6 +319,10 @@ func (p *Plane) group(shard int) (*groupState, error) {
 		func(node int, data any) { gs.restore(node, data) })
 	ref.Mem.OnChange(func(v membership.View) { gs.onView(v) })
 	ref.Mem.OnMerge(func(mg membership.Merge) { gs.onMerge(mg) })
+	p.sess.WireViews(ref.Mem)
+	if len(p.groups) == 0 {
+		p.sess.WireHeals(p.net)
+	}
 	p.groups[shard] = gs
 	return gs, nil
 }
@@ -465,8 +467,9 @@ func (pub *Publisher) Unacked() int { return len(pub.published) - pub.acked }
 func (pub *Publisher) OnAck(fn func(seq uint64)) { pub.onAck = fn }
 
 // Publish produces one sample. Reliable topics submit it to the
-// owning group and retransmit until acked; best-effort topics
-// broadcast fire-and-forget — neither path ever blocks the caller.
+// owning group as a session call that retires at the ack; best-effort
+// topics broadcast fire-and-forget — neither path ever blocks the
+// caller.
 func (pub *Publisher) Publish(value int64) uint64 { return pub.PublishDone(value, nil) }
 
 // PublishDone is Publish with a completion callback: invoked at the
@@ -495,18 +498,13 @@ func (pub *Publisher) PublishDone(value int64, done func()) uint64 {
 
 	att.wire = att.ref.Span("pub.wire", trace.LayerWire)
 	pub.pending[s.Seq] = att
-	pub.send(att)
-	var rearm func()
-	rearm = func() {
-		if att.acked {
-			return
-		}
-		att.retries++
-		att.ref.Instant("retry %d", att.retries)
-		pub.send(att)
-		p.eng.After(p.cfg.RetryEvery, eventq.ClassApp, rearm)
-	}
-	p.eng.After(p.cfg.RetryEvery, eventq.ClassApp, rearm)
+	p.sess.Go(session.Spec{
+		Label:  fmt.Sprintf("pubsub.%s.p%d#%d", s.Topic, s.Pub, s.Seq),
+		Node:   pub.node,
+		Traces: []trace.Ref{att.ref},
+		Send:   func(int) { pub.send(att) },
+		Done:   func() bool { return att.acked },
+	})
 	return s.Seq
 }
 
@@ -536,7 +534,7 @@ type Subscriber struct {
 
 	joinAt vtime.Time
 	active bool
-	// caughtUp stops the late joiner's catch-up retransmit loop.
+	// caughtUp retires the late joiner's catch-up call.
 	caughtUp bool
 
 	seen       map[sampleKey]bool
@@ -592,16 +590,18 @@ func (s *Subscriber) join() {
 			"subscriber %d joined late", s.id)
 	}
 	if s.t.qos.Durable {
-		s.catchup()
+		p.sess.Go(session.Spec{
+			Label: fmt.Sprintf("pubsub.%s.catchup#%d", s.t.name, s.id),
+			Node:  s.node,
+			Send:  func(int) { s.catchup() },
+			Done:  func() bool { return s.caughtUp },
+		})
 	}
 }
 
-// catchup requests the durable history from the owning primary,
-// retransmitting until the catch-up ack lands.
+// catchup requests the durable history from the owning primary; the
+// session call re-sends it until the catch-up ack lands.
 func (s *Subscriber) catchup() {
-	if s.caughtUp {
-		return
-	}
 	p := s.p
 	target := s.t.gs.ref.Rep.Primary()
 	env := catchupMsg{Topic: s.t.name, Sub: s.id, From: s.node}
@@ -610,7 +610,6 @@ func (s *Subscriber) catchup() {
 	} else {
 		_, _ = p.net.Send(s.node, target, p.reqPort(), env, 24)
 	}
-	p.eng.After(p.cfg.RetryEvery, eventq.ClassApp, func() { s.catchup() })
 }
 
 // deliver records one sample arrival (dedup first, then deadline QoS,

@@ -222,13 +222,24 @@ func (s *Service) receive(node int, m *netsim.Message) {
 }
 
 // accept schedules delivery for a first-seen copy; returns false on
-// duplicates (integrity).
+// duplicates (integrity). A copy that arrives past its delivery instant
+// (the network overran the round bound Δ was sized from) is delivered
+// at once and recorded as a violation: agreement holds — every node
+// that sees the message still delivers it — and only this node's
+// timeliness is lost.
 func (s *Service) accept(node int, f flood, deliverAt vtime.Time) bool {
 	k := copyKey{msgID: msgID{origin: f.Origin, seq: f.Seq}, node: node}
 	if s.seen[k] {
 		return false
 	}
 	s.seen[k] = true
+	if now := s.eng.Now(); deliverAt < now {
+		if log := s.eng.Log(); log != nil {
+			log.Recordf(now, monitor.KindNetworkOmission, node, s.port,
+				"origin=n%d seq=%d copy arrived %s past the delivery bound", f.Origin, f.Seq, now.Sub(deliverAt))
+		}
+		deliverAt = now
+	}
 	s.eng.At(deliverAt, eventq.ClassApp, func() {
 		if s.net.NodeDown(node) {
 			return

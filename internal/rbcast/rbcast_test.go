@@ -1,6 +1,7 @@
 package rbcast
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -218,5 +219,60 @@ func TestEpochMemberRestriction(t *testing.T) {
 	}
 	if svc.Epoch() != 2 {
 		t.Fatalf("epoch %d, want 2", svc.Epoch())
+	}
+}
+
+// slowTo delays every message bound for one node past any round bound.
+type slowTo struct {
+	node  int
+	extra vtime.Duration
+}
+
+func (s *slowTo) Judge(m *netsim.Message) netsim.Verdict {
+	if m.To == s.node {
+		return netsim.Verdict{Fate: netsim.FateDelay, Extra: s.extra}
+	}
+	return netsim.Verdict{Fate: netsim.FateDeliver}
+}
+
+// TestLateCopyDeliversWithViolation: a copy that overruns Δ (the
+// network broke the bound the round was sized from) must not panic the
+// engine by scheduling its delivery in the past. It is delivered on
+// arrival — agreement holds — and the overrun is one recorded
+// violation naming the message and the lateness; the relayed duplicate
+// that follows adds neither a delivery nor a second violation.
+func TestLateCopyDeliversWithViolation(t *testing.T) {
+	eng, net, svc := rig(t, 3, 1)
+	net.SetFault(&slowTo{node: 2, extra: 2 * svc.Delta()})
+	got := map[int]Delivery{}
+	for i := 0; i < 3; i++ {
+		node := i
+		svc.OnDeliver(node, func(d Delivery) {
+			if _, dup := got[node]; dup {
+				t.Errorf("node %d delivered twice", node)
+			}
+			got[node] = d
+		})
+	}
+	seq, promised := svc.Broadcast(0, "late")
+	eng.RunUntilIdle()
+	if len(got) != 3 {
+		t.Fatalf("delivered at %d/3 nodes: the late copy was lost", len(got))
+	}
+	if got[0].At != promised || got[1].At != promised {
+		t.Fatalf("on-time nodes delivered at %s and %s, promised %s", got[0].At, got[1].At, promised)
+	}
+	late := got[2]
+	if late.At <= promised || late.Latency != late.At.Sub(0) {
+		t.Fatalf("late copy delivered at %s (latency %s), promised %s", late.At, late.Latency, promised)
+	}
+	viol := eng.Log().Violations()
+	if len(viol) != 1 {
+		t.Fatalf("%d violations recorded, want exactly 1: %v", len(viol), viol)
+	}
+	v := viol[0]
+	want := fmt.Sprintf("origin=n0 seq=%d copy arrived %s past the delivery bound", seq, late.At.Sub(promised))
+	if v.Kind != monitor.KindNetworkOmission || v.Node != 2 || v.At != late.At || v.Detail != want {
+		t.Fatalf("violation %+v, want a NET-OMISSION at n2 at %s saying %q", v, late.At, want)
 	}
 }

@@ -2,8 +2,7 @@
 // reproduction: a persisted JSON document distilling one run —
 // offered vs. achieved throughput, latency percentiles per op class
 // and shard, per-shard service counters, SLO outcomes and the fault
-// timeline — plus a baseline diff engine with per-stat thresholds in
-// the style of the benchmark baseline runner (internal/benchparse).
+// timeline — plus a baseline diff engine with per-stat thresholds.
 //
 // Every field is sourced from virtual-time data, every slice is
 // deterministically ordered and every number is either an integer or

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hades/internal/cluster"
-	"hades/internal/load"
 	"hades/internal/pubsub"
 	"hades/internal/vtime"
 )
@@ -143,98 +142,22 @@ func (s Spec) validatePubSub(loadNames map[string]bool) error {
 			return fmt.Errorf("scenario %q: pubsub subscriber %d joins at %gms, past the %gms horizon", s.Name, i, sb.JoinAtMs, s.HorizonMs)
 		}
 	}
-	for i, ls := range ps.Load {
-		if ls.Name == "" {
-			return fmt.Errorf("scenario %q: pubsub load %d unnamed", s.Name, i)
-		}
-		if loadNames[ls.Name] {
-			return fmt.Errorf("scenario %q: duplicate load %q (metric series would collide)", s.Name, ls.Name)
-		}
-		loadNames[ls.Name] = true
-		switch ls.Mode {
-		case "", "closed", "open":
-		default:
-			return fmt.Errorf("scenario %q: pubsub load %q has unknown mode %q (want closed or open)", s.Name, ls.Name, ls.Mode)
-		}
-		switch ls.Workload {
-		case "", "pubsub":
-		default:
-			return fmt.Errorf("scenario %q: pubsub load %q has workload %q (a pubsub-block load always publishes)", s.Name, ls.Name, ls.Workload)
-		}
-		if len(ls.Nodes) == 0 {
-			return fmt.Errorf("scenario %q: pubsub load %q names no publisher nodes", s.Name, ls.Name)
-		}
-		seen := map[int]bool{}
-		for _, n := range ls.Nodes {
-			if n < 0 || n >= s.Nodes {
-				return fmt.Errorf("scenario %q: pubsub load %q on unknown node %d (have %d)", s.Name, ls.Name, n, s.Nodes)
-			}
-			if seen[n] {
-				return fmt.Errorf("scenario %q: pubsub load %q lists node %d twice", s.Name, ls.Name, n)
-			}
-			seen[n] = true
-		}
-		if len(ls.Keys) == 0 {
-			return fmt.Errorf("scenario %q: pubsub load %q names no topics in keys", s.Name, ls.Name)
-		}
-		for _, k := range ls.Keys {
-			if !topics[k] {
-				return fmt.Errorf("scenario %q: pubsub load %q targets undeclared topic %q", s.Name, ls.Name, k)
-			}
-		}
-		if ls.StartMs < 0 || ls.EndMs < 0 {
-			return fmt.Errorf("scenario %q: pubsub load %q has a negative window bound [%gms, %gms]", s.Name, ls.Name, ls.StartMs, ls.EndMs)
-		}
-		cfg := ls.config(1, s.Horizon())
-		cfg.Workload = load.Pub
-		if err := cfg.Validate(); err != nil {
-			return fmt.Errorf("scenario %q: %v", s.Name, err)
-		}
-	}
-	return nil
+	block := pubsubLoads
+	block.topics = topics
+	return s.validateLoads(block, ps.Load, loadNames)
 }
 
-// validateGroupLoads rejects malformed group-attached generators: a
-// group load drives the group's replicated machine directly (submit at
-// the current primary, complete at the first fresh apply), so it needs
-// a replication style, only speaks the kv shape, and names no client
-// nodes. loadNames carries the names declared elsewhere in the spec.
+// validateGroupLoads rejects malformed group-attached generators; a
+// group with nothing replicated has nothing to drive.
 func (s Spec) validateGroupLoads(loadNames map[string]bool) error {
 	for _, g := range s.Groups {
-		for j, ls := range g.Load {
-			if g.Style == "" {
-				return fmt.Errorf("scenario %q: group %q attaches load but has no replication style (nothing to drive)", s.Name, g.Name)
-			}
-			if ls.Name == "" {
-				return fmt.Errorf("scenario %q: group %q load %d unnamed", s.Name, g.Name, j)
-			}
-			if loadNames[ls.Name] {
-				return fmt.Errorf("scenario %q: duplicate load %q (metric series would collide)", s.Name, ls.Name)
-			}
-			loadNames[ls.Name] = true
-			switch ls.Mode {
-			case "", "closed", "open":
-			default:
-				return fmt.Errorf("scenario %q: group load %q has unknown mode %q (want closed or open)", s.Name, ls.Name, ls.Mode)
-			}
-			switch ls.Workload {
-			case "", "kv":
-			default:
-				return fmt.Errorf("scenario %q: group load %q has workload %q (a plain replication group only serves kv commands)", s.Name, ls.Name, ls.Workload)
-			}
-			if len(ls.Nodes) > 0 {
-				return fmt.Errorf("scenario %q: group load %q names client nodes (group loads submit at the current primary; drop the nodes field)", s.Name, ls.Name)
-			}
-			if ls.StartMs < 0 || ls.EndMs < 0 {
-				return fmt.Errorf("scenario %q: group load %q has a negative window bound [%gms, %gms]", s.Name, ls.Name, ls.StartMs, ls.EndMs)
-			}
-			cfg := ls.config(1, s.Horizon())
-			if len(cfg.Keys) == 0 {
-				cfg.Keys = []string{"cmd"}
-			}
-			if err := cfg.Validate(); err != nil {
-				return fmt.Errorf("scenario %q: group %q: %v", s.Name, g.Name, err)
-			}
+		if len(g.Load) > 0 && g.Style == "" {
+			return fmt.Errorf("scenario %q: group %q attaches load but has no replication style (nothing to drive)", s.Name, g.Name)
+		}
+		block := groupLoads
+		block.kind = fmt.Sprintf("group %q load", g.Name)
+		if err := s.validateLoads(block, g.Load, loadNames); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -267,16 +190,10 @@ func (s Spec) buildPubSub(c *cluster.Cluster, set *cluster.ShardSet) error {
 		if err != nil {
 			return fmt.Errorf("scenario %q: %v", s.Name, err)
 		}
-		every := msd(pb.SubmitEveryMs)
-		i := 0
-		for t := vtime.Duration(0); t < s.Horizon(); t += every {
-			if pb.Count > 0 && i >= pb.Count {
-				break
-			}
+		s.every(c, pb.SubmitEveryMs, pb.Count, func(i int) func() {
 			v := int64(i + 1)
-			i++
-			c.At(vtime.Time(t), func() { pub.Publish(v) })
-		}
+			return func() { pub.Publish(v) }
+		})
 	}
 	for _, sb := range ps.Subscribers {
 		sub, err := set.SubscriberAt(sb.Topic, sb.Node)
@@ -297,8 +214,7 @@ func (s Spec) buildPubSub(c *cluster.Cluster, set *cluster.ShardSet) error {
 		if ls.Disabled {
 			continue
 		}
-		cfg := ls.config(loadSeed(s.Seed, base+i), s.Horizon())
-		cfg.Workload = load.Pub
+		cfg := pubsubLoads.config(ls, loadSeed(s.Seed, base+i), s.Horizon())
 		set.AttachLoad(cfg, append([]int(nil), ls.Nodes...))
 	}
 	return nil

@@ -8,7 +8,9 @@ import (
 	"hades/internal/cluster"
 	"hades/internal/monitor"
 	"hades/internal/pubsub"
+	"hades/internal/session"
 	"hades/internal/trace"
+	"hades/internal/vtime"
 )
 
 // pubsubBase clones the sensor-fan-out builtin deeply enough to mutate
@@ -33,7 +35,8 @@ func pubsubBase(t *testing.T) Spec {
 
 // TestPubSubSpecValidation rejects malformed pubsub blocks loudly —
 // QoS contract violations, endpoints on undeclared topics or unknown
-// nodes, colliding generator names — and accepts the builtin.
+// nodes — and accepts the builtin. (The block's load generators are
+// TestLoadSpecValidation's pubsub placement.)
 func TestPubSubSpecValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -93,16 +96,6 @@ func TestPubSubSpecValidation(t *testing.T) {
 		{"join past horizon", func(s *Spec) {
 			s.PubSub.Subscribers[0].JoinAtMs = s.HorizonMs + 1
 		}, "past the"},
-		{"load undeclared topic", func(s *Spec) {
-			s.PubSub.Load[0].Keys = []string{"ghost"}
-		}, "undeclared topic \"ghost\""},
-		{"load kv workload", func(s *Spec) {
-			s.PubSub.Load[0].Workload = "kv"
-		}, "always publishes"},
-		{"load name collides across blocks", func(s *Spec) {
-			s.Shards.Load = []LoadSpec{{Name: "storm", Nodes: []int{6},
-				Sessions: 1, Keys: []string{"alpha"}}}
-		}, "duplicate load \"storm\""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -117,67 +110,6 @@ func TestPubSubSpecValidation(t *testing.T) {
 			}
 			if err == nil {
 				t.Fatal("invalid pubsub block accepted")
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q missing %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestGroupLoadValidation covers the group-attached generator rules: a
-// replication style is required, only the kv shape applies, and node
-// lists are rejected (submission is always at the current primary).
-func TestGroupLoadValidation(t *testing.T) {
-	base := func(t *testing.T) Spec {
-		t.Helper()
-		spec, err := Builtin("membership-churn")
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Groups = append([]GroupSpec(nil), spec.Groups...)
-		return spec
-	}
-	cases := []struct {
-		name    string
-		mutate  func(*Spec)
-		wantErr string
-	}{
-		{"valid keyless", func(s *Spec) {
-			s.Groups[0].Load = []LoadSpec{{Name: "g", Sessions: 4, ThinkMs: 2}}
-		}, ""},
-		{"no style", func(s *Spec) {
-			s.Groups[0].Style = ""
-			s.Groups[0].SubmitEveryMs = 0
-			s.Groups[0].Load = []LoadSpec{{Name: "g", Sessions: 4, ThinkMs: 2}}
-		}, "no replication style"},
-		{"txn workload", func(s *Spec) {
-			s.Groups[0].Load = []LoadSpec{{Name: "g", Workload: "txn", Sessions: 4, ThinkMs: 2,
-				Keys: []string{"a", "b"}}}
-		}, "only serves kv commands"},
-		{"nodes rejected", func(s *Spec) {
-			s.Groups[0].Load = []LoadSpec{{Name: "g", Nodes: []int{3}, Sessions: 4, ThinkMs: 2}}
-		}, "drop the nodes field"},
-		{"duplicate name", func(s *Spec) {
-			s.Groups[0].Load = []LoadSpec{
-				{Name: "g", Sessions: 4, ThinkMs: 2},
-				{Name: "g", Sessions: 2, ThinkMs: 2},
-			}
-		}, "duplicate load \"g\""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			spec := base(t)
-			tc.mutate(&spec)
-			_, err := spec.withDefaults()
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("valid group load rejected: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatal("invalid group load accepted")
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q missing %q", err, tc.wantErr)
@@ -461,6 +393,95 @@ func TestLateJoinerThroughPartitionMerge(t *testing.T) {
 				if got := len(sub.Deliveries()); got != 60 {
 					t.Fatalf("seed %d: from-start sub delivered %d of 60", seed, got)
 				}
+			}
+		}
+	}
+}
+
+// TestReliablePublishParksThroughPartition: a reliable publish issued
+// into a 200ms partition that segments the owning group's serving
+// quorum away from the publisher rides the session discipline — one
+// retry budget of copies, then parked and silent until the backoff
+// re-probe grants the next budget — instead of retransmitting every
+// timeout for as long as the partition lasts. The heal resubmits the
+// parked publish and it is delivered exactly once.
+func TestReliablePublishParksThroughPartition(t *testing.T) {
+	const splitMs, healMs = 100, 300
+	base := Spec{
+		Name: "publish-park", Nodes: 6, Costs: "default",
+		Scheduler: "EDF", Policy: "none", HorizonMs: 400,
+		Shards: &ShardsSpec{
+			Count: 1, ReplicasPer: 3, Style: "semi-active",
+			Routes: map[string]int{"t": 0},
+		},
+		PubSub: &PubSubSpec{
+			Topics: []TopicSpec{{Name: "t"}},
+			// One sample before the split, one 5ms into it.
+			Publishers:  []PublisherSpec{{Topic: "t", Node: 3, SubmitEveryMs: splitMs + 5, Count: 2}},
+			Subscribers: []SubscriberSpec{{Topic: "t", Node: 4}, {Topic: "t", Node: 5}},
+		},
+		Faults: []FaultSpec{
+			// The primary keeps quorum on the far side, so no failover
+			// rescues the publisher: its copies can only be dropped.
+			{Kind: "partition", Partition: [][]int{{0, 1}, {2, 3, 4, 5}}, AtMs: splitMs, HealMs: healMs},
+		},
+		Tasks: []TaskSpec{
+			{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
+				Stages: []StageSpec{{Name: "check", Node: 4, WCETUs: 300}}},
+		},
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		spec := base
+		spec.Seed = seed
+		spec, err := spec.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clu, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clu.Run(spec.Horizon())
+
+		split, heal := vtime.Time(msd(splitMs)), vtime.Time(msd(healMs))
+		copies, budgets, parks, healed := 0, 1, 0, false
+		for _, ev := range clu.Log().Events() {
+			cutOff := ev.At >= split && ev.At < heal
+			switch {
+			case ev.Kind == monitor.KindMessageSend && ev.Node == 3 && strings.HasSuffix(ev.Subject, ".req") && cutOff:
+				copies++
+			case ev.Kind == monitor.KindRetry && strings.Contains(ev.Detail, "parked") && cutOff:
+				parks++
+			case ev.Kind == monitor.KindResubmit && cutOff:
+				budgets++ // a backoff re-probe: one fresh budget
+			case ev.Kind == monitor.KindResubmit && ev.At >= heal && ev.Detail != "after backoff":
+				healed = true
+			}
+		}
+		budget := session.DefaultMaxRetries + 1
+		if parks == 0 {
+			t.Fatalf("seed %d: the cut-off publish never parked", seed)
+		}
+		if copies == 0 || copies > budget*budgets {
+			t.Fatalf("seed %d: %d copies sent while cut off, want 1..%d (%d budgets of %d)", seed, copies, budget*budgets, budgets, budget)
+		}
+		// The retired loop sent one copy per timeout for the whole window.
+		if cadence := int(msd(healMs-splitMs-5) / session.DefaultTimeout); copies >= cadence {
+			t.Fatalf("seed %d: %d copies while cut off — no fewer than the %d of an every-timeout loop", seed, copies, cadence)
+		}
+		if !healed {
+			t.Fatalf("seed %d: no Resubmit record at the heal or the merge view", seed)
+		}
+		p := clu.ShardSets()[0].PubSubPlane()
+		if err := p.Verify(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := p.CheckComplete("t"); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, sub := range p.Subscribers("t") {
+			if got := len(sub.Deliveries()); got != 2 {
+				t.Fatalf("seed %d: subscriber %d took %d deliveries of 2 samples", seed, sub.ID(), got)
 			}
 		}
 	}

@@ -19,11 +19,13 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 
 	"hades/internal/cluster"
 	"hades/internal/dispatcher"
@@ -149,13 +151,12 @@ type HotspotShiftSpec struct {
 
 // ShardClientSpec declares one request client of a sharded data
 // plane: a keyed workload submitted round-robin over Keys, one
-// request every SubmitEveryMs for the whole horizon — or, when
-// Arrival or Ramp is set, on an open-loop Poisson schedule.
+// request every SubmitEveryMs for the whole horizon. (Open-loop and
+// closed-loop populations are the load blocks' job.)
 type ShardClientSpec struct {
 	Node int      `json:"node"`
 	Keys []string `json:"keys"`
-	// SubmitEveryMs is the fixed submission interval. Mutually
-	// exclusive with the open-loop knobs below.
+	// SubmitEveryMs is the fixed submission interval.
 	SubmitEveryMs float64 `json:"submitEveryMs"`
 	// Count replicates this client on Count consecutive nodes starting
 	// at Node (0 and 1 both mean a single client) — scaling the
@@ -175,46 +176,6 @@ type ShardClientSpec struct {
 	// RetryTimeoutMs and MaxRetries override the client defaults.
 	RetryTimeoutMs float64 `json:"retryTimeoutMs,omitempty"`
 	MaxRetries     int     `json:"maxRetries,omitempty"`
-	// Arrival switches the client to the open-loop discipline: instead
-	// of one request every SubmitEveryMs, requests arrive on a Poisson
-	// schedule at Arrival ops/sec (exponential inter-arrivals on the
-	// virtual clock, drawn at build time from a seed derived from the
-	// scenario seed and the node — the engine's random stream is never
-	// touched). Mutually exclusive with SubmitEveryMs.
-	Arrival float64 `json:"arrival,omitempty"`
-	// Ramp schedules open-loop arrival-rate changes; setting a ramp
-	// (with or without Arrival) selects the open-loop discipline.
-	Ramp []RampStepSpec `json:"ramp,omitempty"`
-	// HotspotShift rotates the zipf rank→key mapping mid-run. Requires
-	// ZipfSkew and the open-loop discipline (a fixed schedule's picker
-	// has no notion of time).
-	HotspotShift []HotspotShiftSpec `json:"hotspotShift,omitempty"`
-}
-
-// openLoop reports whether the client runs the open-loop discipline.
-func (cs ShardClientSpec) openLoop() bool {
-	return cs.Arrival != 0 || len(cs.Ramp) > 0
-}
-
-// loadConfig lowers an open-loop shard client to the load-plane
-// configuration that drives one node's client.
-func (cs ShardClientSpec) loadConfig(seed int64, node int, horizon vtime.Duration) load.Config {
-	cfg := load.Config{
-		Name:     fmt.Sprintf("client-n%d", node),
-		Mode:     load.Open,
-		Rate:     cs.Arrival,
-		Keys:     cs.Keys,
-		ZipfSkew: cs.ZipfSkew,
-		Seed:     seed*1000003 + int64(node),
-		End:      vtime.Time(horizon),
-	}
-	for _, st := range cs.Ramp {
-		cfg.Ramp = append(cfg.Ramp, load.RampStep{At: vtime.Time(msd(st.AtMs)), Rate: st.Rate})
-	}
-	for _, hs := range cs.HotspotShift {
-		cfg.HotspotShift = append(cfg.HotspotShift, load.HotspotShift{At: vtime.Time(msd(hs.AtMs)), Shift: hs.Shift})
-	}
-	return cfg
 }
 
 // nodes expands the Count knob to the concrete node list the spec
@@ -393,10 +354,53 @@ type LoadSpec struct {
 	Disabled bool `json:"disabled,omitempty"`
 }
 
+// loadBlock is where a load generator is declared. The shards, pubsub
+// and groups blocks share one LoadSpec, one validator and one lowering;
+// this carries what differs between them.
+type loadBlock struct {
+	// kind is the subject of the block's error messages.
+	kind string
+	// workloads lists the accepted workload names besides the empty
+	// default; otherwise says why any other is refused.
+	workloads []string
+	otherwise string
+	// publishes marks the pubsub block: its generators publish, and
+	// their Keys must name topics.
+	publishes bool
+	// endpoint names what Nodes host ("client", "publisher"); empty
+	// means the block takes no nodes at all.
+	endpoint string
+	// keyless lets Keys stay empty (replicated group state is keyless;
+	// the cluster synthesizes the single command stream).
+	keyless bool
+
+	// Filled in per spec, for validation only: the nodes a generator's
+	// clients may not share, and the declared topics.
+	replicas map[int]int
+	topics   map[string]bool
+}
+
+var (
+	// shardsLoads: kv or txn generators on client nodes that host no
+	// replica.
+	shardsLoads = loadBlock{kind: "load", workloads: []string{"kv", "txn"},
+		otherwise: "want kv or txn; pubsub loads live in the pubsub block", endpoint: "client"}
+	// pubsubLoads: generators that publish to declared topics from any
+	// node — publishers co-locate with replicas legally.
+	pubsubLoads = loadBlock{kind: "pubsub load", workloads: []string{"pubsub"},
+		otherwise: "a pubsub-block load always publishes", publishes: true, endpoint: "publisher"}
+	// groupLoads: a group load drives the group's replicated machine
+	// directly (submit at the current primary, complete at the first
+	// fresh apply), so it only speaks the kv shape and names no client
+	// nodes.
+	groupLoads = loadBlock{kind: "group load", workloads: []string{"kv"},
+		otherwise: "a plain replication group only serves kv commands", keyless: true}
+)
+
 // config lowers the spec to the load-plane configuration. The horizon
 // bounds the default submission window; the seed (already derived per
 // generator) feeds the generator's local random sources.
-func (ls LoadSpec) config(seed int64, horizon vtime.Duration) load.Config {
+func (b loadBlock) config(ls LoadSpec, seed int64, horizon vtime.Duration) load.Config {
 	end := vtime.Time(horizon)
 	if ls.EndMs > 0 {
 		end = vtime.Time(msd(ls.EndMs))
@@ -419,7 +423,7 @@ func (ls LoadSpec) config(seed int64, horizon vtime.Duration) load.Config {
 	if ls.Workload == "txn" {
 		cfg.Workload = load.Txn
 	}
-	if ls.Workload == "pubsub" {
+	if b.publishes {
 		cfg.Workload = load.Pub
 	}
 	for _, st := range ls.Ramp {
@@ -429,6 +433,70 @@ func (ls LoadSpec) config(seed int64, horizon vtime.Duration) load.Config {
 		cfg.HotspotShift = append(cfg.HotspotShift, load.HotspotShift{At: vtime.Time(msd(hs.AtMs)), Shift: hs.Shift})
 	}
 	return cfg
+}
+
+// validateLoads rejects the malformed generators of one block loudly.
+// names carries every generator name declared so far in the spec:
+// names key metric series and report rows, so they must be unique
+// across the shards, groups and pubsub blocks.
+func (s Spec) validateLoads(b loadBlock, loads []LoadSpec, names map[string]bool) error {
+	for i, ls := range loads {
+		if ls.Name == "" {
+			return fmt.Errorf("scenario %q: %s %d unnamed", s.Name, b.kind, i)
+		}
+		if names[ls.Name] {
+			return fmt.Errorf("scenario %q: duplicate load %q (metric series would collide)", s.Name, ls.Name)
+		}
+		names[ls.Name] = true
+		switch ls.Mode {
+		case "", "closed", "open":
+		default:
+			return fmt.Errorf("scenario %q: %s %q has unknown mode %q (want closed or open)", s.Name, b.kind, ls.Name, ls.Mode)
+		}
+		if ls.Workload != "" && !slices.Contains(b.workloads, ls.Workload) {
+			return fmt.Errorf("scenario %q: %s %q has unknown workload %q (%s)", s.Name, b.kind, ls.Name, ls.Workload, b.otherwise)
+		}
+		if b.endpoint == "" && len(ls.Nodes) > 0 {
+			return fmt.Errorf("scenario %q: %s %q names client nodes (it submits at the group's current primary; drop the nodes field)", s.Name, b.kind, ls.Name)
+		}
+		if b.endpoint != "" && len(ls.Nodes) == 0 {
+			return fmt.Errorf("scenario %q: %s %q names no %s nodes", s.Name, b.kind, ls.Name, b.endpoint)
+		}
+		seen := map[int]bool{}
+		for _, n := range ls.Nodes {
+			if n < 0 || n >= s.Nodes {
+				return fmt.Errorf("scenario %q: %s %q on unknown node %d (have %d)", s.Name, b.kind, ls.Name, n, s.Nodes)
+			}
+			if _, replica := b.replicas[n]; replica {
+				return fmt.Errorf("scenario %q: %s %q on node %d collides with a shard replica", s.Name, b.kind, ls.Name, n)
+			}
+			if seen[n] {
+				return fmt.Errorf("scenario %q: %s %q lists node %d twice", s.Name, b.kind, ls.Name, n)
+			}
+			seen[n] = true
+		}
+		if b.publishes {
+			if len(ls.Keys) == 0 {
+				return fmt.Errorf("scenario %q: %s %q names no topics in keys", s.Name, b.kind, ls.Name)
+			}
+			for _, k := range ls.Keys {
+				if !b.topics[k] {
+					return fmt.Errorf("scenario %q: %s %q targets undeclared topic %q", s.Name, b.kind, ls.Name, k)
+				}
+			}
+		}
+		if ls.StartMs < 0 || ls.EndMs < 0 {
+			return fmt.Errorf("scenario %q: %s %q has a negative window bound [%gms, %gms]", s.Name, b.kind, ls.Name, ls.StartMs, ls.EndMs)
+		}
+		cfg := b.config(ls, 1, s.Horizon())
+		if b.keyless && len(cfg.Keys) == 0 {
+			cfg.Keys = []string{"cmd"}
+		}
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("scenario %q: %s: %v", s.Name, b.kind, err)
+		}
+	}
+	return nil
 }
 
 // loadSeed derives generator i's seed from the scenario seed — a
@@ -553,8 +621,15 @@ func Load(path string) (Spec, error) {
 	if err != nil {
 		return s, fmt.Errorf("scenario: %w", err)
 	}
-	if err := json.Unmarshal(data, &s); err != nil {
+	// Strict decoding: a misspelt or retired key is an error that names
+	// it, not a knob silently left at its default.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return s, fmt.Errorf("scenario: parsing %s: %w", path, err)
+	}
+	if dec.More() {
+		return s, fmt.Errorf("scenario: parsing %s: trailing data after the scenario object", path)
 	}
 	return s.withDefaults()
 }
@@ -1059,16 +1134,9 @@ func (s Spec) withDefaults() (Spec, error) {
 			return s, fmt.Errorf("scenario %q: group %q submits from unknown node %d", s.Name, g.Name, g.SubmitFrom)
 		}
 	}
-	if err := s.validateShards(); err != nil {
-		return s, err
-	}
-	// Load-generator names key metric series and report rows, so they
-	// must be unique across the shards, groups and pubsub blocks.
 	loadNames := map[string]bool{}
-	if s.Shards != nil {
-		for _, ls := range s.Shards.Load {
-			loadNames[ls.Name] = true
-		}
+	if err := s.validateShards(loadNames); err != nil {
+		return s, err
 	}
 	if err := s.validateGroupLoads(loadNames); err != nil {
 		return s, err
@@ -1122,8 +1190,9 @@ func (s Spec) withDefaults() (Spec, error) {
 
 // validateShards rejects malformed sharded-data-plane specs with loud
 // errors: zero shards, overlapping replica sets, keys routed to
-// undeclared groups, colliding or out-of-range clients.
-func (s Spec) validateShards() error {
+// undeclared groups, colliding or out-of-range clients. loadNames
+// collects the block's generator names.
+func (s Spec) validateShards(loadNames map[string]bool) error {
 	sp := s.Shards
 	if sp == nil {
 		return nil
@@ -1215,20 +1284,8 @@ func (s Spec) validateShards() error {
 		if len(cl.Keys) == 0 {
 			return fmt.Errorf("scenario %q: shard client %d has no keys", s.Name, i)
 		}
-		if cl.openLoop() {
-			if cl.SubmitEveryMs != 0 {
-				return fmt.Errorf("scenario %q: shard client %d mixes submitEveryMs with the open-loop arrival knobs (pick one discipline)", s.Name, i)
-			}
-			if err := cl.loadConfig(1, cl.Node, s.Horizon()).Validate(); err != nil {
-				return fmt.Errorf("scenario %q: shard client %d: %v", s.Name, i, err)
-			}
-		} else {
-			if len(cl.HotspotShift) > 0 {
-				return fmt.Errorf("scenario %q: shard client %d sets hotspotShift without an open-loop arrival (a fixed schedule cannot shift)", s.Name, i)
-			}
-			if cl.SubmitEveryMs <= 0 {
-				return fmt.Errorf("scenario %q: shard client %d needs a positive submitEveryMs", s.Name, i)
-			}
+		if cl.SubmitEveryMs <= 0 {
+			return fmt.Errorf("scenario %q: shard client %d needs a positive submitEveryMs", s.Name, i)
 		}
 		switch cl.Policy {
 		case "", "queue", "fail-fast":
@@ -1260,49 +1317,9 @@ func (s Spec) validateShards() error {
 			return fmt.Errorf("scenario %q: txn client %d has negative timing parameters", s.Name, i)
 		}
 	}
-	loadNames := map[string]bool{}
-	for i, ls := range sp.Load {
-		if ls.Name == "" {
-			return fmt.Errorf("scenario %q: load %d unnamed", s.Name, i)
-		}
-		if loadNames[ls.Name] {
-			return fmt.Errorf("scenario %q: duplicate load %q (metric series would collide)", s.Name, ls.Name)
-		}
-		loadNames[ls.Name] = true
-		switch ls.Mode {
-		case "", "closed", "open":
-		default:
-			return fmt.Errorf("scenario %q: load %q has unknown mode %q (want closed or open)", s.Name, ls.Name, ls.Mode)
-		}
-		switch ls.Workload {
-		case "", "kv", "txn":
-		default:
-			return fmt.Errorf("scenario %q: load %q has unknown workload %q (want kv or txn; pubsub loads live in the pubsub block)", s.Name, ls.Name, ls.Workload)
-		}
-		if len(ls.Nodes) == 0 {
-			return fmt.Errorf("scenario %q: load %q names no client nodes", s.Name, ls.Name)
-		}
-		seen := map[int]bool{}
-		for _, n := range ls.Nodes {
-			if n < 0 || n >= s.Nodes {
-				return fmt.Errorf("scenario %q: load %q on unknown node %d (have %d)", s.Name, ls.Name, n, s.Nodes)
-			}
-			if _, replica := owner[n]; replica {
-				return fmt.Errorf("scenario %q: load %q on node %d collides with a shard replica", s.Name, ls.Name, n)
-			}
-			if seen[n] {
-				return fmt.Errorf("scenario %q: load %q lists node %d twice", s.Name, ls.Name, n)
-			}
-			seen[n] = true
-		}
-		if ls.StartMs < 0 || ls.EndMs < 0 {
-			return fmt.Errorf("scenario %q: load %q has a negative window bound [%gms, %gms]", s.Name, ls.Name, ls.StartMs, ls.EndMs)
-		}
-		if err := ls.config(1, s.Horizon()).Validate(); err != nil {
-			return fmt.Errorf("scenario %q: %v", s.Name, err)
-		}
-	}
-	return nil
+	block := shardsLoads
+	block.replicas = owner
+	return s.validateLoads(block, sp.Load, loadNames)
 }
 
 // placementKeyKnown reports whether key names a task ("task") or one
@@ -1549,22 +1566,11 @@ func (s Spec) Build() (*cluster.Cluster, error) {
 					MaxRetries:   cs.MaxRetries,
 					Policy:       shardPolicy(cs.Policy),
 				})
-				if cs.openLoop() {
-					// AttachLoad reuses the client just registered on
-					// the node; the Poisson schedule replaces the fixed
-					// interval entirely.
-					set.AttachLoad(cs.loadConfig(s.Seed, node, s.Horizon()), []int{node})
-					continue
-				}
-				every := msd(cs.SubmitEveryMs)
 				pick := cs.picker(s.Seed, node)
-				i := 0
-				for t := vtime.Duration(0); t < s.Horizon(); t += every {
-					key := pick(i)
-					cmd := int64(i + 1)
-					i++
-					c.At(vtime.Time(t), func() { cl.Submit(key, cmd) })
-				}
+				s.every(c, cs.SubmitEveryMs, 0, func(i int) func() {
+					key, cmd := pick(i), int64(i+1)
+					return func() { cl.Submit(key, cmd) }
+				})
 			}
 		}
 		for _, ts := range sp.Txns {
@@ -1574,22 +1580,18 @@ func (s Spec) Build() (*cluster.Cluster, error) {
 				RetryTimeout: msd(ts.RetryTimeoutMs),
 				MaxRetries:   ts.MaxRetries,
 			})
-			every := msd(ts.SubmitEveryMs)
 			accounts := ts.Accounts
-			i := 0
-			for t := vtime.Duration(0); t < s.Horizon(); t += every {
-				src := accounts[i%len(accounts)]
-				dst := accounts[(i+1)%len(accounts)]
+			s.every(c, ts.SubmitEveryMs, 0, func(i int) func() {
+				src, dst := accounts[i%len(accounts)], accounts[(i+1)%len(accounts)]
 				amount := int64(i + 1)
-				i++
-				c.At(vtime.Time(t), func() { tc.Transfer(src, dst, amount) })
-			}
+				return func() { tc.Transfer(src, dst, amount) }
+			})
 		}
 		for i, ls := range sp.Load {
 			if ls.Disabled {
 				continue
 			}
-			set.AttachLoad(ls.config(loadSeed(s.Seed, i), s.Horizon()), append([]int(nil), ls.Nodes...))
+			set.AttachLoad(shardsLoads.config(ls, loadSeed(s.Seed, i), s.Horizon()), append([]int(nil), ls.Nodes...))
 		}
 		if s.PubSub != nil {
 			if err := s.buildPubSub(c, set); err != nil {
@@ -1618,24 +1620,33 @@ func (s Spec) Build() (*cluster.Cluster, error) {
 			StorageLatency:  us(storeLat),
 		}, nil)
 		if gs.SubmitEveryMs > 0 {
-			every := msd(gs.SubmitEveryMs)
 			from := gs.SubmitFrom
-			seq := int64(0)
-			for t := vtime.Duration(0); t < s.Horizon(); t += every {
-				seq++
-				cmd := seq
-				c.At(vtime.Time(t), func() { rep.Submit(from, cmd) })
-			}
+			s.every(c, gs.SubmitEveryMs, 0, func(i int) func() {
+				cmd := int64(i + 1)
+				return func() { rep.Submit(from, cmd) }
+			})
 		}
 		for j, ls := range gs.Load {
 			if ls.Disabled {
 				continue
 			}
-			cfg := ls.config(groupLoadSeed(s.Seed, gi, j), s.Horizon())
-			g.AttachLoad(cfg)
+			g.AttachLoad(groupLoads.config(ls, groupLoadSeed(s.Seed, gi, j), s.Horizon()))
 		}
 	}
 	return c, nil
+}
+
+// every lays out one fixed-interval driver: lay(i) is called at build
+// time, in order, for each instant i·everyMs before the horizon (at
+// most count of them when count > 0) and returns the submission to run
+// at that instant.
+func (s Spec) every(c *cluster.Cluster, everyMs float64, count int, lay func(i int) func()) {
+	step := msd(everyMs)
+	i := 0
+	for t := vtime.Duration(0); t < s.Horizon() && (count <= 0 || i < count); t += step {
+		c.At(vtime.Time(t), lay(i))
+		i++
+	}
 }
 
 // replicationStyle maps the JSON style name (already validated).

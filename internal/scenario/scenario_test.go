@@ -113,20 +113,50 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := Load("/nonexistent/file.json"); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
+	const task = `"tasks": [{"name": "a", "cBeforeUs": 500, "deadlineMs": 10, "periodMs": 10}]`
+	const shards = `"nodes": 8, "shards": {"count": 2, "replicasPer": 3, "clients": [%s]}`
+	cases := []struct {
+		name, data string
+		wantErr    string // "" = accepted
+	}{
+		{"malformed JSON", "{not json", "parsing"},
+		{"taskless", `{"name":"x"}`, "no tasks"},
+		{"well-formed", `{"name":"x", ` + task + `}`, ""},
+		// Strict decoding: a key the format does not define is an error
+		// that names it, at any depth — never a knob silently ignored.
+		{"misspelt top-level key", `{"name":"x", "horizon": 100, ` + task + `}`, `unknown field "horizon"`},
+		{"misspelt nested key", `{"name":"x", "tasks": [{"name": "a", "cBeforeUs": 500, "deadlineMs": 10, "periodsMs": 10}]}`,
+			`unknown field "periodsMs"`},
+		{"trailing data", `{"name":"x", ` + task + `} {"name":"y"}`, "trailing data"},
+		// The open-loop knobs retired from shard clients (load blocks own
+		// that discipline) are rejected by name, not dropped.
+		{"retired client arrival", `{"name":"x", ` + fmt.Sprintf(shards,
+			`{"node": 6, "keys": ["k"], "arrival": 300}`) + `}`, `unknown field "arrival"`},
+		{"retired client ramp", `{"name":"x", ` + fmt.Sprintf(shards,
+			`{"node": 6, "keys": ["k"], "submitEveryMs": 2, "ramp": [{"atMs": 100, "rate": 400}]}`) + `}`, `unknown field "ramp"`},
+		{"retired client hotspotShift", `{"name":"x", ` + fmt.Sprintf(shards,
+			`{"node": 6, "keys": ["k"], "submitEveryMs": 2, "zipfSkew": 1.1, "hotspotShift": [{"atMs": 100, "shift": 1}]}`) + `}`,
+			`unknown field "hotspotShift"`},
+		{"fixed-interval client", `{"name":"x", ` + fmt.Sprintf(shards,
+			`{"node": 6, "keys": ["k"], "submitEveryMs": 2}`) + `}`, ""},
 	}
-	if _, err := Load(bad); err == nil {
-		t.Fatal("malformed JSON accepted")
-	}
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, []byte(`{"name":"x"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(empty); err == nil {
-		t.Fatal("taskless scenario accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "s.json")
+			if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Load(path)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("well-formed scenario rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %v, want one naming %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package session is the single calibrated session discipline of the
 // data plane: every client-facing submission path (keyed requests,
-// transaction begins, the coordinator's PREPARE/decision/query loops)
-// drives its attempts through one Engine instead of re-implementing
-// timeout/retry, redirect-following, stale-view handling and
-// park-and-resubmit per layer.
+// transaction begins, the coordinator's PREPARE/decision/query loops,
+// reliable pub/sub publishes and late-joiner catch-up) drives its
+// attempts through one Engine instead of re-implementing timeout/retry,
+// redirect-following, stale-view handling and park-and-resubmit per
+// layer.
 //
 // The discipline is the PR 4 queue policy, factored out:
 //
@@ -38,10 +39,34 @@ import (
 	"hades/internal/vtime"
 )
 
+// The one retry calibration of the data plane, selected by a zero
+// Spec.Timeout / Spec.MaxRetries: the timeout comfortably covers one
+// request round trip (two link crossings, the receive paths and the
+// execution cost), and the budget spans one uncontended view-change
+// bound, so a plain crash failover is ridden out by retries alone and
+// only genuine partition windows park calls.
+const (
+	DefaultTimeout    = 5 * vtime.Millisecond
+	DefaultMaxRetries = 8
+)
+
 // backoffFactor scales the retry timeout into the deep re-probe delay
 // of a parked call (the PR 4 calibration: view installs and heals are
 // the prompt triggers; the backoff is the safety net).
 const backoffFactor = 5
+
+// Counters is the one observer of the state machine: every call whose
+// Spec points at it counts its timeouts, retries, parks, resubmissions,
+// redirects and explicit failure verdicts there. Adapters embed it in
+// their statistics.
+type Counters struct {
+	Redirects   int // Call.Redirect: server redirects + router republications
+	Timeouts    int // reply timeouts observed
+	Retries     int // re-dispatches after a failed attempt
+	Blocked     int // Call.Fail: explicit verdicts (stale-view rejections)
+	Queued      int // park events (queue policy)
+	Resubmitted int // dispatches of parked calls after a view/heal/backoff
+}
 
 // Spec parameterises one retried call. Send and the optional hooks are
 // the adapter's: the engine owns the state machine, the adapter owns
@@ -51,9 +76,11 @@ type Spec struct {
 	Label string
 	// Node is the processor monitor records are attributed to.
 	Node int
-	// Timeout is the per-attempt reply timeout.
+	// Timeout is the per-attempt reply timeout (0 selects
+	// DefaultTimeout).
 	Timeout vtime.Duration
-	// MaxRetries bounds consecutive timeouts before the policy applies.
+	// MaxRetries bounds consecutive timeouts before the policy applies
+	// (0 selects DefaultMaxRetries).
 	MaxRetries int
 	// FailFast abandons the call on exhaustion instead of parking it.
 	FailFast bool
@@ -63,13 +90,10 @@ type Spec struct {
 	// (re)send and at every timeout, so loops whose completion is
 	// observed out-of-band (votes, acks) retire without a Finish call.
 	Done func() bool
-	// OnTimeout, OnRetry, OnPark, OnResubmit and OnFail observe the
-	// state machine for the adapter's statistics (all optional).
-	OnTimeout  func()
-	OnRetry    func()
-	OnPark     func()
-	OnResubmit func()
-	OnFail     func()
+	// Counters, when set, receives the call's state-machine counts.
+	Counters *Counters
+	// OnFail, when set, runs when fail-fast abandons the call.
+	OnFail func()
 	// Traces are the causal traces riding this call (one per op in a
 	// batched submission): the engine records retries, parks,
 	// resubmissions and redirects as instants on each, so a trace keeps
@@ -124,6 +148,13 @@ func (c *Call) Finished() bool { return c.state == csDone || c.state == csFailed
 type Engine struct {
 	eng   *simkern.Engine
 	calls []*Call
+	// compactAt is the len(calls) at which Go next sweeps retired calls
+	// out: twice the live set found by the last sweep plus slack, so the
+	// sweep is amortised O(1) per call and the slice tracks the live set
+	// even on a run that never pokes.
+	compactAt int
+	// uncounted absorbs the counts of calls that name no Counters.
+	uncounted Counters
 }
 
 // New builds an engine on the simulation kernel. Wire its resubmission
@@ -147,10 +178,40 @@ func (e *Engine) WireHeals(net *netsim.Network) {
 
 // Go starts one retried call: the first attempt fires immediately.
 func (e *Engine) Go(s Spec) *Call {
+	if s.Timeout <= 0 {
+		s.Timeout = DefaultTimeout
+	}
+	if s.MaxRetries <= 0 {
+		s.MaxRetries = DefaultMaxRetries
+	}
+	if s.Counters == nil {
+		s.Counters = &e.uncounted
+	}
+	if len(e.calls) >= e.compactAt {
+		e.sweep(func(c *Call) bool { return !c.Finished() })
+	}
 	c := &Call{e: e, s: s}
 	e.calls = append(e.calls, c)
 	e.dispatch(c)
 	return c
+}
+
+// sweep keeps the calls keep accepts and lets go of the rest — their
+// slots are cleared so a retired call and the closures it holds become
+// collectable. Calls that keep itself starts (a resumed send answered
+// synchronously) queue behind the survivors.
+func (e *Engine) sweep(keep func(*Call) bool) {
+	calls := e.calls
+	e.calls = nil
+	live := calls[:0]
+	for _, c := range calls {
+		if keep(c) {
+			live = append(live, c)
+		}
+	}
+	clear(calls[len(live):])
+	e.calls = append(live, e.calls...)
+	e.compactAt = 2*len(e.calls) + 64
 }
 
 // dispatch fires one attempt and arms its reply timeout.
@@ -174,9 +235,7 @@ func (e *Engine) dispatch(c *Call) {
 			c.state = csDone
 			return
 		}
-		if c.s.OnTimeout != nil {
-			c.s.OnTimeout()
-		}
+		c.s.Counters.Timeouts++
 		e.fail(c, "timeout")
 	})
 }
@@ -187,9 +246,7 @@ func (e *Engine) dispatch(c *Call) {
 func (e *Engine) fail(c *Call, why string) {
 	c.retries++
 	if c.retries <= c.s.MaxRetries {
-		if c.s.OnRetry != nil {
-			c.s.OnRetry()
-		}
+		c.s.Counters.Retries++
 		if log := e.eng.Log(); log != nil {
 			log.Recordf(e.eng.Now(), monitor.KindRetry, c.s.Node, c.s.Label, "%s retry %d/%d", why, c.retries, c.s.MaxRetries)
 		}
@@ -207,9 +264,7 @@ func (e *Engine) fail(c *Call, why string) {
 	}
 	c.state = csParked
 	c.attempt++
-	if c.s.OnPark != nil {
-		c.s.OnPark()
-	}
+	c.s.Counters.Queued++
 	if log := e.eng.Log(); log != nil {
 		log.Recordf(e.eng.Now(), monitor.KindRetry, c.s.Node, c.s.Label, "%s: parked after %d retries", why, c.retries)
 	}
@@ -229,9 +284,7 @@ func (e *Engine) fail(c *Call, why string) {
 
 // resume re-dispatches one parked call with a fresh retry budget.
 func (e *Engine) resume(c *Call, why string) {
-	if c.s.OnResubmit != nil {
-		c.s.OnResubmit()
-	}
+	c.s.Counters.Resubmitted++
 	if log := e.eng.Log(); log != nil {
 		log.Recordf(e.eng.Now(), monitor.KindResubmit, c.s.Node, c.s.Label, "after %s", why)
 	}
@@ -256,6 +309,7 @@ func (c *Call) Redirect(detail string) {
 	if c.Finished() || c.state == csParked {
 		return
 	}
+	c.s.Counters.Redirects++
 	if log := c.e.eng.Log(); log != nil {
 		log.Recordf(c.e.eng.Now(), monitor.KindRedirect, c.s.Node, c.s.Label, "%s", detail)
 	}
@@ -270,6 +324,7 @@ func (c *Call) Fail(why string) {
 	if c.state != csInflight {
 		return
 	}
+	c.s.Counters.Blocked++
 	c.e.fail(c, why)
 }
 
@@ -277,21 +332,19 @@ func (c *Call) Fail(why string) {
 // partition heals — and compacts retired calls on the way, so the scan
 // stays proportional to the live set.
 func (e *Engine) Poke(why string) {
-	live := e.calls[:0]
-	for _, c := range e.calls {
+	e.sweep(func(c *Call) bool {
 		if c.Finished() {
-			continue
+			return false
 		}
 		if c.s.Done != nil && c.s.Done() {
 			c.state = csDone
-			continue
+			return false
 		}
-		live = append(live, c)
 		if c.state == csParked {
 			e.resume(c, why)
 		}
-	}
-	e.calls = live
+		return true
+	})
 }
 
 // Live returns the number of unretired calls (test hook).

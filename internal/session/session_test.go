@@ -23,43 +23,42 @@ func testEngine() *simkern.Engine {
 func TestCallRetriesThenParksAndResumesOnPoke(t *testing.T) {
 	eng := testEngine()
 	s := New(eng)
-	var sends, timeouts, retries, parks, resubmits int
+	var sends int
+	var n Counters
 	s.Go(Spec{
 		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 2,
-		Send:       func(int) { sends++ },
-		OnTimeout:  func() { timeouts++ },
-		OnRetry:    func() { retries++ },
-		OnPark:     func() { parks++ },
-		OnResubmit: func() { resubmits++ },
+		Send:     func(int) { sends++ },
+		Counters: &n,
 	})
 	// No reply ever arrives: 1 initial + 2 retries, then park.
 	eng.Run(vtime.Time(4 * ms))
-	if sends != 3 || retries != 2 || parks != 1 {
-		t.Fatalf("sends=%d retries=%d parks=%d, want 3/2/1", sends, retries, parks)
+	if sends != 3 || n.Retries != 2 || n.Queued != 1 {
+		t.Fatalf("sends=%d retries=%d parks=%d, want 3/2/1", sends, n.Retries, n.Queued)
 	}
-	if timeouts != 3 {
-		t.Fatalf("timeouts=%d, want 3", timeouts)
+	if n.Timeouts != 3 {
+		t.Fatalf("timeouts=%d, want 3", n.Timeouts)
 	}
 	// A poke (view install) resumes with a fresh budget.
 	eng.After(0, eventq.ClassApp, func() { s.Poke("view") })
 	eng.Run(vtime.Time(4500 * us))
-	if resubmits != 1 || sends != 4 {
-		t.Fatalf("resubmits=%d sends=%d after poke, want 1/4", resubmits, sends)
+	if n.Resubmitted != 1 || sends != 4 {
+		t.Fatalf("resubmits=%d sends=%d after poke, want 1/4", n.Resubmitted, sends)
 	}
 }
 
 func TestParkedCallResumesOnBackoffWithoutPoke(t *testing.T) {
 	eng := testEngine()
 	s := New(eng)
-	var sends, resubmits int
+	var sends int
+	var n Counters
 	s.Go(Spec{
-		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 0,
-		Send:       func(int) { sends++ },
-		OnResubmit: func() { resubmits++ },
+		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 1,
+		Send:     func(int) { sends++ },
+		Counters: &n,
 	})
-	// Parks at 1ms; the 5×timeout backoff re-probes at 6ms.
+	// Parks at 2ms; the 5×timeout backoff re-probes at 7ms.
 	eng.Run(vtime.Time(10 * ms))
-	if resubmits == 0 {
+	if n.Resubmitted == 0 {
 		t.Fatalf("parked call never resumed via backoff (sends=%d)", sends)
 	}
 }
@@ -67,16 +66,16 @@ func TestParkedCallResumesOnBackoffWithoutPoke(t *testing.T) {
 func TestFinishInvalidatesPendingTimeout(t *testing.T) {
 	eng := testEngine()
 	s := New(eng)
-	var timeouts int
+	var n Counters
 	c := s.Go(Spec{
 		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 3,
-		Send:      func(int) {},
-		OnTimeout: func() { timeouts++ },
+		Send:     func(int) {},
+		Counters: &n,
 	})
 	eng.After(500*us, eventq.ClassApp, func() { c.Finish() })
 	eng.Run(vtime.Time(10 * ms))
-	if timeouts != 0 {
-		t.Fatalf("timeouts=%d after Finish, want 0", timeouts)
+	if n.Timeouts != 0 {
+		t.Fatalf("timeouts=%d after Finish, want 0", n.Timeouts)
 	}
 	if !c.Finished() {
 		t.Fatal("call not finished")
@@ -89,12 +88,13 @@ func TestFinishInvalidatesPendingTimeout(t *testing.T) {
 func TestRedirectDoesNotConsumeRetryBudget(t *testing.T) {
 	eng := testEngine()
 	s := New(eng)
-	var sends, retries int
+	var sends int
+	var n Counters
 	var c *Call
 	c = s.Go(Spec{
 		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 1,
-		Send:    func(int) { sends++ },
-		OnRetry: func() { retries++ },
+		Send:     func(int) { sends++ },
+		Counters: &n,
 	})
 	// Redirect three times quickly: each re-dispatches without touching
 	// the retry counter.
@@ -102,29 +102,30 @@ func TestRedirectDoesNotConsumeRetryBudget(t *testing.T) {
 		eng.At(vtime.Time(vtime.Duration(i)*100*us), eventq.ClassApp, func() { c.Redirect("redirect") })
 	}
 	eng.Run(vtime.Time(350 * us))
-	if sends != 4 || retries != 0 {
-		t.Fatalf("sends=%d retries=%d, want 4/0", sends, retries)
+	if sends != 4 || n.Retries != 0 || n.Redirects != 3 {
+		t.Fatalf("sends=%d retries=%d redirects=%d, want 4/0/3", sends, n.Retries, n.Redirects)
 	}
 	// Superseded attempts' timeouts must not fire.
 	eng.Run(vtime.Time(1200 * us))
-	if retries > 1 {
-		t.Fatalf("stale timeouts fired: retries=%d", retries)
+	if n.Retries > 1 {
+		t.Fatalf("stale timeouts fired: retries=%d", n.Retries)
 	}
 }
 
 func TestFailFastAbandonsAfterBudget(t *testing.T) {
 	eng := testEngine()
 	s := New(eng)
-	var fails, parks int
+	var fails int
+	var n Counters
 	c := s.Go(Spec{
 		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 1, FailFast: true,
-		Send:   func(int) {},
-		OnFail: func() { fails++ },
-		OnPark: func() { parks++ },
+		Send:     func(int) {},
+		OnFail:   func() { fails++ },
+		Counters: &n,
 	})
 	eng.Run(vtime.Time(10 * ms))
-	if fails != 1 || parks != 0 || !c.Finished() {
-		t.Fatalf("fails=%d parks=%d finished=%v, want 1/0/true", fails, parks, c.Finished())
+	if fails != 1 || n.Queued != 0 || !c.Finished() {
+		t.Fatalf("fails=%d parks=%d finished=%v, want 1/0/true", fails, n.Queued, c.Finished())
 	}
 }
 
@@ -149,18 +150,121 @@ func TestDonePredicateRetiresWithoutFinish(t *testing.T) {
 func TestExplicitFailConsumesBudgetLikeTimeout(t *testing.T) {
 	eng := testEngine()
 	s := New(eng)
-	var sends, parks int
+	var sends int
+	var n Counters
 	var c *Call
 	c = s.Go(Spec{
 		Label: "call", Node: 0, Timeout: 10 * ms, MaxRetries: 1,
-		Send:   func(int) { sends++ },
-		OnPark: func() { parks++ },
+		Send:     func(int) { sends++ },
+		Counters: &n,
 	})
 	eng.After(1*ms, eventq.ClassApp, func() { c.Fail("blocked") })
 	eng.After(2*ms, eventq.ClassApp, func() { c.Fail("blocked") })
 	eng.Run(vtime.Time(5 * ms))
-	if sends != 2 || parks != 1 {
-		t.Fatalf("sends=%d parks=%d, want 2/1", sends, parks)
+	if sends != 2 || n.Queued != 1 {
+		t.Fatalf("sends=%d parks=%d, want 2/1", sends, n.Queued)
+	}
+}
+
+// TestCounters drives one call through each path of the state machine
+// and checks the single observer counted exactly that path; a call
+// naming no Counters runs the same discipline unobserved.
+func TestCounters(t *testing.T) {
+	cases := []struct {
+		name  string
+		drive func(eng *simkern.Engine, s *Engine, c *Call)
+		until vtime.Duration
+		want  Counters
+	}{
+		{"answered in time", func(eng *simkern.Engine, _ *Engine, c *Call) {
+			eng.After(500*us, eventq.ClassApp, c.Finish)
+		}, 10 * ms, Counters{}},
+		{"one timeout, one retry", func(eng *simkern.Engine, _ *Engine, c *Call) {
+			eng.After(1500*us, eventq.ClassApp, c.Finish)
+		}, 10 * ms, Counters{Timeouts: 1, Retries: 1}},
+		{"budget exhausted parks", func(*simkern.Engine, *Engine, *Call) {},
+			3500 * us, Counters{Timeouts: 3, Retries: 2, Queued: 1}},
+		{"poke resubmits the parked call", func(eng *simkern.Engine, s *Engine, c *Call) {
+			eng.After(3200*us, eventq.ClassApp, func() { s.Poke("view") })
+			eng.After(3400*us, eventq.ClassApp, c.Finish)
+		}, 10 * ms, Counters{Timeouts: 3, Retries: 2, Queued: 1, Resubmitted: 1}},
+		{"redirect keeps the budget", func(eng *simkern.Engine, _ *Engine, c *Call) {
+			eng.After(200*us, eventq.ClassApp, func() { c.Redirect("server: n0 -> n1") })
+			eng.After(400*us, eventq.ClassApp, c.Finish)
+		}, 10 * ms, Counters{Redirects: 1}},
+		{"blocked verdict consumes a retry", func(eng *simkern.Engine, _ *Engine, c *Call) {
+			eng.After(200*us, eventq.ClassApp, func() { c.Fail("blocked") })
+			eng.After(400*us, eventq.ClassApp, c.Finish)
+		}, 10 * ms, Counters{Blocked: 1, Retries: 1}},
+		{"verdicts on a parked call count nothing", func(eng *simkern.Engine, _ *Engine, c *Call) {
+			eng.After(3200*us, eventq.ClassApp, func() { c.Redirect("late"); c.Fail("late") })
+		}, 3500 * us, Counters{Timeouts: 3, Retries: 2, Queued: 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := testEngine()
+			s := New(eng)
+			var got Counters
+			spec := Spec{Label: "call", Timeout: 1 * ms, MaxRetries: 2, Send: func(int) {}}
+			s.Go(spec) // unobserved twin: same path, no Counters
+			spec.Counters = &got
+			tc.drive(eng, s, s.Go(spec))
+			eng.Run(vtime.Time(tc.until))
+			if got != tc.want {
+				t.Fatalf("counters %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestZeroSpecSelectsTheCalibration: a Spec that names no timeout and
+// no budget runs at the one session calibration.
+func TestZeroSpecSelectsTheCalibration(t *testing.T) {
+	eng := testEngine()
+	s := New(eng)
+	var n Counters
+	s.Go(Spec{Label: "call", Send: func(int) {}, Counters: &n})
+	eng.Run(vtime.Time(DefaultTimeout*vtime.Duration(DefaultMaxRetries+1)) - 1)
+	if n.Timeouts != DefaultMaxRetries || n.Queued != 0 {
+		t.Fatalf("before the last timeout: %+v, want %d timeouts and no park", n, DefaultMaxRetries)
+	}
+	eng.Run(vtime.Time(DefaultTimeout * vtime.Duration(DefaultMaxRetries+1)))
+	if n.Retries != DefaultMaxRetries || n.Queued != 1 {
+		t.Fatalf("after the last timeout: %+v, want %d retries then one park", n, DefaultMaxRetries)
+	}
+}
+
+// TestGoCompactsWithoutPoke: a fault-free run never pokes (no views, no
+// heals), so Go itself must let go of retired calls — the backing slice
+// tracks the live set, not the run's history.
+func TestGoCompactsWithoutPoke(t *testing.T) {
+	eng := testEngine()
+	s := New(eng)
+	const total = 10_000
+	for i := 0; i < total; i++ {
+		eng.At(vtime.Time(vtime.Duration(i)*20*us), eventq.ClassApp, func() {
+			var c *Call
+			c = s.Go(Spec{Label: "call", Send: func(int) {
+				eng.After(300*us, eventq.ClassApp, func() { c.Finish() })
+			}})
+		})
+	}
+	peak := 0
+	eng.At(vtime.Time(total/2*20*us), eventq.ClassApp, func() { peak = cap(s.calls) })
+	eng.RunUntilIdle()
+	if s.Live() != 0 {
+		t.Fatalf("%d calls left live", s.Live())
+	}
+	// 300us of 20us arrivals keeps ~15 calls live; the slice may hold
+	// twice that plus the sweep slack, doubled once by append.
+	const bound = 2 * (2*16 + 64)
+	if peak > bound || cap(s.calls) > bound {
+		t.Fatalf("backing slice holds %d slots mid-run, %d at the end, for ~15 live calls (want <= %d)", peak, cap(s.calls), bound)
+	}
+	for _, c := range s.calls[len(s.calls):cap(s.calls)] {
+		if c != nil {
+			t.Fatal("swept slot still references a retired call")
+		}
 	}
 }
 

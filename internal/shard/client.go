@@ -33,16 +33,6 @@ func (p Policy) String() string {
 	return "queue"
 }
 
-// Default client parameters: the retry timeout comfortably covers one
-// request round trip (two link crossings, the receive paths and the
-// execution cost), and the retry budget spans one uncontended
-// view-change bound, so a plain crash failover is ridden out by
-// retries alone and only genuine partition windows park requests.
-const (
-	DefaultRetryTimeout = 5 * vtime.Millisecond
-	DefaultMaxRetries   = 8
-)
-
 // ClientParams parameterises one client.
 type ClientParams struct {
 	// Node is the client's processor (one client per node and per
@@ -51,12 +41,11 @@ type ClientParams struct {
 	// RespPort is the port responses arrive on; it must match the
 	// shard groups' response port (empty selects the shared default).
 	RespPort string
-	// RetryTimeout is the per-attempt reply timeout (0 selects
-	// DefaultRetryTimeout).
+	// RetryTimeout is the per-attempt reply timeout and MaxRetries the
+	// consecutive timeouts before the policy applies (0 selects the
+	// session calibration).
 	RetryTimeout vtime.Duration
-	// MaxRetries bounds consecutive timeouts before the policy applies
-	// (0 selects DefaultMaxRetries).
-	MaxRetries int
+	MaxRetries   int
 	// Policy selects queueing or failing fast on exhaustion.
 	Policy Policy
 	// Session sets the throughput knobs: op batching per shard and
@@ -65,22 +54,16 @@ type ClientParams struct {
 	Session session.Params
 }
 
-// ClientStats counts one client's request outcomes. The retry-shaped
-// counters (Timeouts, Retries, Queued, Resubmitted, Blocked,
-// Redirects) count batch-level events — with batching off every batch
-// is one op and they coincide with per-op counts.
+// ClientStats counts one client's request outcomes. The embedded
+// session counters count batch-level events — with batching off every
+// batch is one op and they coincide with per-op counts.
 type ClientStats struct {
-	Submitted   int
-	Acked       int
-	Redirects   int // redirect responses + router-republish redirects
-	Timeouts    int // reply timeouts observed
-	Retries     int // re-dispatches after a timeout
-	Blocked     int // stale-view rejections received
-	Queued      int // park events (queue policy)
-	Resubmitted int // dispatches of parked batches after a view/heal
-	FailedFast  int // requests abandoned by the fail-fast policy
-	SumLatency  vtime.Duration
-	MaxLatency  vtime.Duration
+	Submitted int
+	Acked     int
+	session.Counters
+	FailedFast int // requests abandoned by the fail-fast policy
+	SumLatency vtime.Duration
+	MaxLatency vtime.Duration
 }
 
 // AvgLatency returns the mean submit-to-ack latency (queue and
@@ -193,12 +176,6 @@ func NewClient(eng *simkern.Engine, net *netsim.Network, router *Router, params 
 	if params.RespPort == "" {
 		params.RespPort = respPort
 	}
-	if params.RetryTimeout <= 0 {
-		params.RetryTimeout = DefaultRetryTimeout
-	}
-	if params.MaxRetries <= 0 {
-		params.MaxRetries = DefaultMaxRetries
-	}
 	c := &Client{eng: eng, net: net, router: router, p: params,
 		sess:    session.New(eng),
 		reqs:    make(map[uint64]*request),
@@ -238,7 +215,7 @@ func (c *Client) SetOnAck(fn func(Ack)) {
 	}
 }
 
-// Params returns the client's effective parameters.
+// Params returns the client's parameters.
 func (c *Client) Params() ClientParams { return c.p }
 
 // BatchStats returns the client's batcher counters (sizes, flush
@@ -323,11 +300,8 @@ func (c *Client) launch(lane string, ops []*request) {
 			}
 			_, _ = c.net.Send(c.p.Node, b.target, g.ReqPort(), env, 48*len(b.ops))
 		},
-		OnTimeout:  func() { c.Stats.Timeouts++ },
-		OnRetry:    func() { c.Stats.Retries++ },
-		OnPark:     func() { c.Stats.Queued++ },
-		OnResubmit: func() { c.Stats.Resubmitted++ },
-		OnFail:     func() { c.failBatch(b) },
+		Counters: &c.Stats.Counters,
+		OnFail:   func() { c.failBatch(b) },
 	})
 }
 
@@ -407,7 +381,6 @@ func (c *Client) redirectInflight(g *Group) {
 		if !b.call.Inflight() || b.shard != g.Index() || b.target == p {
 			return
 		}
-		c.Stats.Redirects++
 		b.call.Redirect(fmt.Sprintf("republish: n%d -> n%d", b.target, p))
 	})
 }
@@ -453,13 +426,11 @@ func (c *Client) handleResp(m *netsim.Message) {
 		if !b.call.Inflight() || env.Attempt != b.call.Attempt() {
 			return // a superseded attempt's verdict; the live one decides
 		}
-		c.Stats.Redirects++
 		b.call.Redirect(fmt.Sprintf("server: n%d -> n%d", b.target, env.Primary))
 	case respBlocked:
 		if !b.call.Inflight() || env.Attempt != b.call.Attempt() {
 			return // a superseded attempt's verdict; the live one decides
 		}
-		c.Stats.Blocked++
 		b.call.Fail("blocked")
 	}
 }

@@ -12,16 +12,10 @@ import (
 	"hades/internal/vtime"
 )
 
-// Default client parameters: the retry timeout and budget mirror the
-// data-plane client's calibration; the default deadline comfortably
-// covers one fault-free two-phase commit round (two coordinator hops
-// plus the prepare/vote/decision round trips) with slack for one
-// crash-failover window.
-const (
-	DefaultRetryTimeout = 5 * vtime.Millisecond
-	DefaultMaxRetries   = 8
-	DefaultDeadline     = 30 * vtime.Millisecond
-)
+// DefaultDeadline comfortably covers one fault-free two-phase commit
+// round (two coordinator hops plus the prepare/vote/decision round
+// trips) with slack for one crash-failover window.
+const DefaultDeadline = 30 * vtime.Millisecond
 
 // ClientParams parameterises one transaction client.
 type ClientParams struct {
@@ -29,12 +23,11 @@ type ClientParams struct {
 	// and per data plane; it may not share a node with a request client
 	// — the cluster layer enforces it).
 	Node int
-	// RetryTimeout is the per-attempt reply timeout (0 selects the
-	// default).
+	// RetryTimeout is the per-attempt reply timeout and MaxRetries the
+	// consecutive timeouts before a submission parks (0 selects the
+	// session calibration).
 	RetryTimeout vtime.Duration
-	// MaxRetries bounds consecutive timeouts before a submission parks
-	// (0 selects the default).
-	MaxRetries int
+	MaxRetries   int
 	// Deadline is the default relative transaction deadline used by
 	// Begin (0 selects DefaultDeadline).
 	Deadline vtime.Duration
@@ -49,14 +42,9 @@ type ClientStats struct {
 	// a structured cause carried end-to-end from wherever it fired
 	// (client queue, coordinator timer, participant lock wait).
 	DeadlineAborts int
-	Redirects      int
-	Timeouts       int
-	Retries        int
-	Blocked        int
-	Queued         int
-	Resubmitted    int
-	SumLatency     vtime.Duration
-	MaxLatency     vtime.Duration
+	session.Counters
+	SumLatency vtime.Duration
+	MaxLatency vtime.Duration
 }
 
 // AvgLatency returns the mean commit-call-to-outcome latency over
@@ -160,12 +148,6 @@ type Client struct {
 // through the plane's session engine (any new agreed view, partition
 // heals).
 func NewClient(p *Plane, params ClientParams) *Client {
-	if params.RetryTimeout <= 0 {
-		params.RetryTimeout = DefaultRetryTimeout
-	}
-	if params.MaxRetries <= 0 {
-		params.MaxRetries = DefaultMaxRetries
-	}
 	if params.Deadline <= 0 {
 		params.Deadline = DefaultDeadline
 	}
@@ -179,7 +161,7 @@ func NewClient(p *Plane, params ClientParams) *Client {
 // Node returns the client's processor.
 func (c *Client) Node() int { return c.c.Node }
 
-// Params returns the client's effective parameters.
+// Params returns the client's parameters.
 func (c *Client) Params() ClientParams { return c.c }
 
 // Begin opens a transaction with the client's default relative
@@ -284,12 +266,9 @@ func (c *Client) dispatch(t *Txn) {
 			env := beginEnv{ID: t.id, Ops: t.ops, Deadline: t.deadline, Client: c.c.Node, Attempt: attempt, Trace: t.trace.Ref()}
 			c.p.send(c.c.Node, t.target, c.p.coordPort(), env, 64)
 		},
-		Traces:     []trace.Ref{t.trace.Ref()},
-		Done:       func() bool { return t.status != StatusPending },
-		OnTimeout:  func() { c.Stats.Timeouts++ },
-		OnRetry:    func() { c.Stats.Retries++ },
-		OnPark:     func() { c.Stats.Queued++ },
-		OnResubmit: func() { c.Stats.Resubmitted++ },
+		Traces:   []trace.Ref{t.trace.Ref()},
+		Done:     func() bool { return t.status != StatusPending },
+		Counters: &c.Stats.Counters,
 	})
 }
 
@@ -323,13 +302,11 @@ func (c *Client) handleResp(m *netsim.Message) {
 		if !t.call.Inflight() || env.Attempt != t.call.Attempt() {
 			return // a superseded attempt's verdict
 		}
-		c.Stats.Redirects++
 		t.call.Redirect(fmt.Sprintf("server: n%d -> n%d", t.target, env.Primary))
 	case respBlocked:
 		if !t.call.Inflight() || env.Attempt != t.call.Attempt() {
 			return
 		}
-		c.Stats.Blocked++
 		t.call.Fail("blocked")
 	}
 }

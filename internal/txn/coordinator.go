@@ -15,15 +15,6 @@ import (
 	"hades/internal/vtime"
 )
 
-// prepareTimeout and prepareRetries bound one PREPARE/decision send
-// before the queue policy parks it: the timeout covers a request round
-// trip, the budget one uncontended view change — the same calibration
-// the data-plane client uses.
-const (
-	prepareTimeout = 5 * vtime.Millisecond
-	prepareRetries = 8
-)
-
 // decisionTagSpace offsets the coordinator's decision-log dedup tags
 // away from both the data-plane clients and the transaction writes.
 const decisionTagSpace = uint64(1) << 33

@@ -337,16 +337,14 @@ func (p *Plane) send(from, to int, port string, payload any, size int) {
 
 // protoLoop starts one fire-and-observe protocol loop (PREPARE,
 // decision distribution, decision query) on the plane's session
-// engine: the shared retry discipline with completion observed
-// out-of-band through done.
+// engine: the shared retry discipline at the session calibration, with
+// completion observed out-of-band through done.
 func (p *Plane) protoLoop(label string, node int, send func(), done func() bool) {
 	p.sess.Go(session.Spec{
-		Label:      label,
-		Node:       node,
-		Timeout:    prepareTimeout,
-		MaxRetries: prepareRetries,
-		Send:       func(int) { send() },
-		Done:       done,
+		Label: label,
+		Node:  node,
+		Send:  func(int) { send() },
+		Done:  done,
 	})
 }
 

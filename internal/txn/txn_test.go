@@ -3,6 +3,7 @@ package txn
 import (
 	"testing"
 
+	"hades/internal/session"
 	"hades/internal/vtime"
 )
 
@@ -77,7 +78,7 @@ func TestCopyReads(t *testing.T) {
 }
 
 func TestDefaultsSane(t *testing.T) {
-	if DefaultDeadline <= DefaultRetryTimeout {
+	if DefaultDeadline <= session.DefaultTimeout {
 		t.Fatal("default deadline does not cover even one retry timeout")
 	}
 	if loopbackDelay >= vtime.Millisecond {
