@@ -15,7 +15,6 @@ import (
 	"hades/internal/clocksync"
 	"hades/internal/cluster"
 	"hades/internal/consensus"
-	"hades/internal/core"
 	"hades/internal/dispatcher"
 	"hades/internal/eventq"
 	"hades/internal/expkit"
@@ -79,7 +78,7 @@ func BenchmarkDispatcherCosts(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1, Costs: dispatcher.DefaultCostBook(), LogLimit: 1})
+		sys := cluster.New(cluster.Config{Seed: 1, Costs: dispatcher.DefaultCostBook(), LogLimit: 1})
 		app := sys.NewApp("a", sched.NewRM(), nil)
 		if err := app.AddTask(task); err != nil {
 			b.Fatal(err)
@@ -102,7 +101,8 @@ func BenchmarkKernelActivities(b *testing.B) {
 		Precede("a", "b").
 		MustBuild()
 	for i := 0; i < b.N; i++ {
-		sys := core.NewSystem(core.Config{Nodes: 2, Seed: 1, Costs: dispatcher.DefaultCostBook(), LogLimit: 1})
+		sys := cluster.New(cluster.Config{Seed: 1, Costs: dispatcher.DefaultCostBook(), LogLimit: 1})
+		sys.AddNodes(2)
 		app := sys.NewApp("l", sched.NewRM(), nil)
 		if err := app.AddTask(task); err != nil {
 			b.Fatal(err)
@@ -192,7 +192,7 @@ func BenchmarkResourceProtocols(b *testing.B) {
 
 func runInversion(b *testing.B, policy dispatcher.ResourcePolicy) {
 	b.Helper()
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1, LogLimit: 1})
+	sys := cluster.New(cluster.Config{Seed: 1, LogLimit: 1})
 	app := sys.NewApp("inv", sched.NewDM(), policy)
 	app.MustAddTask(heug.NewTask("low", heug.SporadicEvery(50*ms)).
 		WithDeadline(45*ms).
@@ -458,7 +458,8 @@ func BenchmarkHighFanoutTxn(b *testing.B) {
 func BenchmarkSimulationThroughput(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		sys := core.NewSystem(core.Config{Nodes: 3, Seed: 1, Costs: dispatcher.DefaultCostBook(), LogLimit: 1})
+		sys := cluster.New(cluster.Config{Seed: 1, Costs: dispatcher.DefaultCostBook(), LogLimit: 1})
+		sys.AddNodes(3)
 		app := sys.NewApp("t", sched.NewEDF(20*us), sched.NewSRP())
 		for j, p := range []vtime.Duration{5 * ms, 7 * ms, 11 * ms, 13 * ms} {
 			st := heug.SpuriTask{
@@ -477,6 +478,8 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 			}
 		}
 		sys.Run(200 * ms)
+		// Includes the 40 metrics-scrape ticks Cluster.Run arms (1% of
+		// the total): the plane is on in every real run.
 		events = sys.Engine().EventsFired()
 	}
 	b.ReportMetric(float64(events), "events/run")

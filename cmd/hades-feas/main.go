@@ -29,18 +29,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var (
-		spec scenario.Spec
-		err  error
-	)
-	switch {
-	case *builtin != "":
-		spec, err = scenario.Builtin(*builtin)
-	case *file != "":
-		spec, err = scenario.Load(*file)
-	default:
-		err = fmt.Errorf("need -builtin <name> or -scenario <file>")
-	}
+	spec, err := scenario.Open(*builtin, *file)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

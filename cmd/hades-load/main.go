@@ -57,19 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runCheck(fs.Args(), stdout, stderr)
 	}
 
-	if (*builtin == "") == (*scenPath == "") {
-		fmt.Fprintln(stderr, "hades-load: need exactly one of -builtin or -scenario")
-		return 2
-	}
-	var (
-		spec scenario.Spec
-		err  error
-	)
-	if *builtin != "" {
-		spec, err = scenario.Builtin(*builtin)
-	} else {
-		spec, err = scenario.Load(*scenPath)
-	}
+	spec, err := scenario.Open(*builtin, *scenPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "hades-load: %v\n", err)
 		return 2

@@ -33,6 +33,7 @@ import (
 	"os"
 	"strings"
 
+	"hades/internal/cluster"
 	"hades/internal/scenario"
 	"hades/internal/trace"
 )
@@ -70,18 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, strings.Join(scenario.BuiltinNames(), "\n"))
 		return 0
 	}
-	var (
-		spec scenario.Spec
-		err  error
-	)
-	switch {
-	case *builtin != "":
-		spec, err = scenario.Builtin(*builtin)
-	case *file != "":
-		spec, err = scenario.Load(*file)
-	default:
-		err = fmt.Errorf("need -builtin <name> or -scenario <file> (see -builtins)")
-	}
+	spec, err := scenario.Open(*builtin, *file)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -221,7 +211,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	qosFailed := false
 	if *pubsubRep {
 		any := false
 		for _, set := range clu.ShardSets() {
@@ -244,9 +233,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 						sub.Node(), t.Name(), len(sub.Deliveries()), sub.Suppressed(), late)
 				}
 			}
-			if err := p.Verify(); err != nil {
+			if err := set.CheckPubSub(); err != nil {
 				fmt.Fprintf(stdout, "  QOS VIOLATION: %v\n", err)
-				qosFailed = true
 			} else {
 				fmt.Fprintln(stdout, "  qos: deliveries exactly-once per subscriber, history within depth, deadline misses accounted")
 			}
@@ -315,13 +303,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote %d series (%d scrapes) to %s (inspect with hades-metrics)\n",
 			len(ex.Series), ex.Scrapes, *metricsOut)
 	}
-	// The QoS verdict gates the exit code after every requested export
-	// has been written, so CI keeps the artifacts of a failing run.
-	if qosFailed {
+	// The audits gate the exit code whether or not their report was
+	// requested, and only after every requested export has been written,
+	// so CI keeps the artifacts of a failing run.
+	if err := verify(clu); err != nil {
+		fmt.Fprintf(stderr, "hades-sim: verification failed: %v\n", err)
 		return 1
 	}
 	return 0
 }
+
+// verify is the end-of-run audit; tests swap it to force a failure.
+var verify = (*cluster.Cluster).Verify
 
 func orNone(s string) string {
 	if s == "" {

@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"hades/internal/cluster"
 	"hades/internal/trace"
 )
 
@@ -172,5 +174,46 @@ func TestTraceExportDeterminism(t *testing.T) {
 				t.Fatalf("exported trace JSON differs between identical runs (%d vs %d bytes)", len(out[0]), len(out[1]))
 			}
 		})
+	}
+}
+
+// TestAuditGatesExitCode: a failed end-of-run audit exits 1 whatever
+// reports were requested, and only after the exports were written.
+func TestAuditGatesExitCode(t *testing.T) {
+	defer func(v func(*cluster.Cluster) error) { verify = v }(verify)
+	verify = func(*cluster.Cluster) error { return errors.New("torn transaction (forced)") }
+
+	tmp := t.TempDir()
+	tracePath, metricsPath := filepath.Join(tmp, "t.json"), filepath.Join(tmp, "m.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-builtin", "bank-transfer", "-trace", tracePath, "-metrics", metricsPath}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit code = %d with a failing audit, want 1\nstderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "torn transaction (forced)") {
+		t.Errorf("stderr does not name the failed audit:\n%s", stderr.String())
+	}
+	for _, path := range []string{tracePath, metricsPath} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s not written before the audit failed the run (%v)", filepath.Base(path), err)
+		}
+	}
+}
+
+// TestPassiveShardsExitZero: passive shards lose acknowledged work by
+// design, so the exactly-once audit does not gate their exit code.
+func TestPassiveShardsExitZero(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "passive.json")
+	spec := `{"name":"passive-kv","nodes":3,"seed":1,"scheduler":"EDF","horizonMs":100,
+		"shards":{"count":1,"replicasPer":2,"style":"passive",
+			"clients":[{"node":2,"keys":["a","b"],"submitEveryMs":2}]}}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-scenario", path, "-shards"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "style=passive") {
+		t.Errorf("the run was not passive:\n%s", stdout.String())
 	}
 }

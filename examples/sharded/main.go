@@ -81,7 +81,7 @@ func main() {
 	fmt.Printf("client: %d submitted, %d acked, %d redirects, %d retries, %d queued, %d resubmitted\n",
 		st.Submitted, st.Acked, st.Redirects, st.Retries, st.Queued, st.Resubmitted)
 	fmt.Printf("latency: avg %s, max %s (timeouts and queue time included)\n", st.AvgLatency(), st.MaxLatency)
-	if err := set.Check(); err != nil {
+	if err := c.Verify(); err != nil {
 		fmt.Printf("CONSISTENCY VIOLATION: %v\n", err)
 		return
 	}

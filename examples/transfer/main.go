@@ -86,7 +86,7 @@ func main() {
 	fmt.Printf("client: %d begun, %d committed, %d aborted (%d on deadlines), %d retries, %d parked\n",
 		st.Begun, st.Committed, st.Aborted, st.DeadlineAborts, st.Retries, st.Queued)
 	fmt.Printf("latency: avg %s, max %s (lock waits and fault windows included)\n", st.AvgLatency(), st.MaxLatency)
-	if err := set.CheckTxns(); err != nil {
+	if err := c.Verify(); err != nil {
 		fmt.Printf("ATOMICITY VIOLATION: %v\n", err)
 		return
 	}

@@ -38,20 +38,6 @@ import (
 	"hades/internal/vtime"
 )
 
-// NetParams tunes the simulated network receive path (the NetMsg task
-// of §3.1). A nil Config.Net selects netsim's defaults (25 µs ATM
-// interrupt, 35 µs protocol processing at a near-kernel priority); a
-// non-nil value is used verbatim, zero fields included, so idealised
-// zero-overhead receive paths stay expressible.
-type NetParams struct {
-	// WAtm is the ATM card interrupt handler WCET (w_atm, §4.2).
-	WAtm vtime.Duration
-	// WProto is the protocol (NetMsg task) processing WCET per message.
-	WProto vtime.Duration
-	// PrioNet is the priority of the NetMsg protocol task.
-	PrioNet int
-}
-
 // TraceParams tunes the causal tracing plane. A nil Config.Trace
 // enables tracing at DefaultSampleRate; a non-nil value is used
 // verbatim, so SampleRate 0 means "histograms for all, full span trees
@@ -104,8 +90,6 @@ type Config struct {
 	// (idealised comparisons). Use dispatcher.DefaultCostBook for
 	// realistic costs.
 	Costs dispatcher.CostBook
-	// Net tunes the network receive path; nil selects defaults.
-	Net *NetParams
 	// LogLimit bounds the event log: 0 selects a generous default,
 	// negative disables the bound entirely.
 	LogLimit int
@@ -162,6 +146,12 @@ type Cluster struct {
 	loads     []*load.Generator
 	started   map[string]bool
 	built     bool
+
+	// Operational modes (see modes.go): mode name → task set, the active
+	// mode, and the epoch its generators run under.
+	modes     map[string][]string
+	mode      string
+	modeEpoch int
 }
 
 // DefaultLinkDMin and DefaultLinkDMax bound point-to-point delays when
@@ -193,6 +183,7 @@ func New(cfg Config) *Cluster {
 		log:     log,
 		eng:     simkern.NewEngine(log, cfg.Seed),
 		started: make(map[string]bool),
+		modes:   make(map[string][]string),
 	}
 	rate, disabled := DefaultSampleRate, false
 	if cfg.Trace != nil {
@@ -288,11 +279,7 @@ func (c *Cluster) build() {
 		c.mesh = &linkDecl{dMin: DefaultLinkDMin, dMax: DefaultLinkDMax}
 	}
 	if c.mesh != nil || len(c.links) > 0 {
-		ncfg := netsim.DefaultConfig()
-		if c.cfg.Net != nil {
-			ncfg = netsim.Config{WAtm: c.cfg.Net.WAtm, WProto: c.cfg.Net.WProto, PrioNet: c.cfg.Net.PrioNet}
-		}
-		c.net = netsim.New(c.eng, ncfg)
+		c.net = netsim.New(c.eng, netsim.DefaultConfig())
 		if c.mesh != nil {
 			c.net.ConnectAll(c.nodes, c.mesh.dMin, c.mesh.dMax)
 		}

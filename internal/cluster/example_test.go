@@ -1,9 +1,9 @@
-package core_test
+package cluster_test
 
 import (
 	"fmt"
 
-	"hades/internal/core"
+	"hades/internal/cluster"
 	"hades/internal/dispatcher"
 	"hades/internal/heug"
 	"hades/internal/sched"
@@ -14,7 +14,7 @@ import (
 // declare an application under a scheduling policy, add a HEUG task,
 // and run — the executable version of the README's quickstart.
 func Example() {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1, Costs: dispatcher.DefaultCostBook()})
+	sys := cluster.New(cluster.Config{Seed: 1, Costs: dispatcher.DefaultCostBook()})
 	app := sys.NewApp("demo", sched.NewEDF(20*vtime.Microsecond), sched.NewSRP())
 
 	task := heug.NewTask("sense", heug.PeriodicEvery(10*vtime.Millisecond)).
@@ -33,11 +33,11 @@ func Example() {
 	// Output: completions=10 misses=0
 }
 
-// ExampleSystem_SwitchMode demonstrates operational modes: a failure
+// ExampleCluster_SwitchMode demonstrates operational modes: a failure
 // response switches from the normal task set to a degraded one,
 // aborting what was mid-flight.
-func ExampleSystem_SwitchMode() {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1})
+func ExampleCluster_SwitchMode() {
+	sys := cluster.New(cluster.Config{Seed: 1})
 	app := sys.NewApp("modes", sched.NewEDF(0), nil)
 	app.MustAddTask(heug.NewTask("full", heug.PeriodicEvery(20*vtime.Millisecond)).
 		WithDeadline(20*vtime.Millisecond).

@@ -1,19 +1,14 @@
-package core_test
+package cluster_test
 
 import (
 	"strings"
 	"testing"
 
-	"hades/internal/core"
+	"hades/internal/cluster"
 	"hades/internal/dispatcher"
 	"hades/internal/heug"
 	"hades/internal/sched"
 	"hades/internal/vtime"
-)
-
-const (
-	us = vtime.Microsecond
-	ms = vtime.Millisecond
 )
 
 func simpleTask(name string, arrival heug.Arrival, node int, wcet, deadline vtime.Duration) *heug.Task {
@@ -24,7 +19,7 @@ func simpleTask(name string, arrival heug.Arrival, node int, wcet, deadline vtim
 }
 
 func TestPeriodicGeneratorFollowsLaw(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1})
+	sys := cluster.New(cluster.Config{Seed: 1})
 	app := sys.NewApp("a", sched.NewRM(), nil)
 	app.MustAddTask(simpleTask("p", heug.PeriodicEvery(10*ms), 0, 500*us, 10*ms))
 	app.Seal()
@@ -42,7 +37,7 @@ func TestPeriodicGeneratorFollowsLaw(t *testing.T) {
 }
 
 func TestPeriodicRejectsWrongLaw(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1})
+	sys := cluster.New(cluster.Config{Seed: 1})
 	app := sys.NewApp("a", sched.NewRM(), nil)
 	app.MustAddTask(simpleTask("s", heug.SporadicEvery(10*ms), 0, 500*us, 10*ms))
 	app.Seal()
@@ -55,7 +50,7 @@ func TestPeriodicRejectsWrongLaw(t *testing.T) {
 }
 
 func TestSporadicWithGapsKeepsLaw(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1})
+	sys := cluster.New(cluster.Config{Seed: 1})
 	app := sys.NewApp("a", sched.NewRM(), nil)
 	app.MustAddTask(simpleTask("s", heug.SporadicEvery(10*ms), 0, 500*us, 10*ms))
 	app.Seal()
@@ -74,7 +69,7 @@ func TestSporadicWithGapsKeepsLaw(t *testing.T) {
 }
 
 func TestActivateOnCond(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1})
+	sys := cluster.New(cluster.Config{Seed: 1})
 	app := sys.NewApp("a", sched.NewRM(), nil)
 	app.MustAddTask(simpleTask("alarm", heug.AperiodicLaw(), 0, 100*us, 5*ms))
 	setter := heug.NewTask("setter", heug.AperiodicLaw()).
@@ -100,7 +95,7 @@ func TestActivateOnCond(t *testing.T) {
 }
 
 func TestMultiAppIsolationBands(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1, Costs: dispatcher.DefaultCostBook()})
+	sys := cluster.New(cluster.Config{Seed: 1, Costs: dispatcher.DefaultCostBook()})
 	g := sys.NewApp("g", sched.NewEDF(10*us), nil)
 	g.MustAddTask(simpleTask("crit", heug.PeriodicEvery(10*ms), 0, 3*ms, 10*ms))
 	g.Seal()
@@ -124,7 +119,7 @@ func TestMultiAppIsolationBands(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1})
+	sys := cluster.New(cluster.Config{Seed: 1})
 	app := sys.NewApp("a", sched.NewRM(), nil)
 	app.MustAddTask(simpleTask("x", heug.PeriodicEvery(10*ms), 0, 1*ms, 10*ms))
 	app.Seal()
@@ -141,7 +136,7 @@ func TestReportString(t *testing.T) {
 }
 
 func TestRunIsResumable(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1})
+	sys := cluster.New(cluster.Config{Seed: 1})
 	app := sys.NewApp("a", sched.NewRM(), nil)
 	app.MustAddTask(simpleTask("x", heug.PeriodicEvery(10*ms), 0, 1*ms, 10*ms))
 	app.Seal()
@@ -159,11 +154,12 @@ func TestRunIsResumable(t *testing.T) {
 }
 
 func TestSingleNodeHasNoNetwork(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1})
+	sys := cluster.New(cluster.Config{Seed: 1})
 	if sys.Network() != nil {
 		t.Fatal("single-node system grew a network")
 	}
-	multi := core.NewSystem(core.Config{Nodes: 3, Seed: 1})
+	multi := cluster.New(cluster.Config{Seed: 1})
+	multi.AddNodes(3)
 	if multi.Network() == nil {
 		t.Fatal("multi-node system has no network")
 	}
@@ -173,7 +169,7 @@ func TestSingleNodeHasNoNetwork(t *testing.T) {
 }
 
 func TestAddSpuriIntegration(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1})
+	sys := cluster.New(cluster.Config{Seed: 1})
 	app := sys.NewApp("a", sched.NewEDF(10*us), sched.NewSRP())
 	err := app.AddSpuri(heug.SpuriTask{
 		Name: "st", CBefore: 200 * us, CS: 100 * us, CAfter: 100 * us,
@@ -193,7 +189,7 @@ func TestAddSpuriIntegration(t *testing.T) {
 }
 
 func TestDuplicateTaskRejected(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1})
+	sys := cluster.New(cluster.Config{Seed: 1})
 	app := sys.NewApp("a", sched.NewRM(), nil)
 	task := simpleTask("dup", heug.PeriodicEvery(10*ms), 0, 1*ms, 10*ms)
 	app.MustAddTask(task)

@@ -9,7 +9,9 @@ import (
 	"hades/internal/txn"
 )
 
-// LoadResult is one attached load generator's account in the Result.
+// LoadResult is one attached load generator's account in the Result. A
+// declared row: it renders the config's Mode/Workload enums as strings
+// next to the generator's counters.
 type LoadResult struct {
 	Name     string
 	Mode     string

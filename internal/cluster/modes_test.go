@@ -1,17 +1,17 @@
-package core_test
+package cluster_test
 
 import (
 	"testing"
 
-	"hades/internal/core"
+	"hades/internal/cluster"
 	"hades/internal/heug"
 	"hades/internal/sched"
 	"hades/internal/vtime"
 )
 
-func modesRig(t *testing.T) *core.System {
+func modesRig(t *testing.T) *cluster.Cluster {
 	t.Helper()
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 2})
+	sys := cluster.New(cluster.Config{Seed: 2})
 	app := sys.NewApp("a", sched.NewEDF(10*us), nil)
 	app.MustAddTask(simpleTask("full", heug.PeriodicEvery(10*ms), 0, 2*ms, 10*ms))
 	app.MustAddTask(simpleTask("aux", heug.PeriodicEvery(20*ms), 0, 1*ms, 20*ms))
@@ -56,7 +56,7 @@ func TestModeSwitchStopsOldStartsNew(t *testing.T) {
 	if _, err := sys.SwitchMode("safe", false); err != nil {
 		t.Fatal(err)
 	}
-	before := sys.ReportNow()
+	before := sys.ResultNow()
 	fullBefore := taskActivations(before, "full")
 	rep := sys.Run(100 * ms)
 	if got := taskActivations(rep, "full"); got != fullBefore {
@@ -71,7 +71,7 @@ func TestModeSwitchStopsOldStartsNew(t *testing.T) {
 }
 
 func TestModeSwitchAbortsLiveInstances(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 2})
+	sys := cluster.New(cluster.Config{Seed: 2})
 	app := sys.NewApp("a", sched.NewEDF(10*us), nil)
 	// A long-running task that will be mid-flight at the switch.
 	app.MustAddTask(simpleTask("slow", heug.PeriodicEvery(50*ms), 0, 30*ms, 50*ms))
@@ -123,7 +123,7 @@ func TestModeErrors(t *testing.T) {
 // detector suspicion triggers the switch to a degraded mode — the
 // "switching of modes of operation in case of failure" mechanism.
 func TestFailureTriggeredModeSwitch(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 2})
+	sys := cluster.New(cluster.Config{Seed: 2})
 	app := sys.NewApp("a", sched.NewEDF(10*us), nil)
 	app.MustAddTask(simpleTask("primary", heug.PeriodicEvery(10*ms), 0, 1*ms, 10*ms))
 	app.MustAddTask(simpleTask("backuptask", heug.PeriodicEvery(10*ms), 0, 1*ms, 10*ms))
@@ -152,11 +152,63 @@ func TestFailureTriggeredModeSwitch(t *testing.T) {
 	}
 }
 
-func taskActivations(rep core.Report, name string) int {
-	for _, tr := range rep.Tasks {
-		if tr.Name == name {
-			return tr.Activations
+func taskActivations(rep cluster.Result, name string) int {
+	tr, _ := rep.Task(name)
+	return tr.Activations
+}
+
+// TestModeSwitchAcrossNodes switches modes on a three-node cluster: the
+// normal mode's pipeline crosses node 0 → node 1 and is mid-flight on
+// the far node at the switch; the degraded mode runs local control on
+// nodes 0 and 2 only.
+func TestModeSwitchAcrossNodes(t *testing.T) {
+	c := cluster.New(cluster.Config{Seed: 2})
+	c.AddNodes(3)
+	app := c.NewApp("a", sched.NewEDF(10*us), nil)
+	app.MustAddTask(heug.NewTask("pipeline", heug.PeriodicEvery(50*ms)).
+		WithDeadline(50*ms).
+		Code("sense", heug.CodeEU{Node: 0, WCET: 1 * ms}).
+		Code("actuate", heug.CodeEU{Node: 1, WCET: 30 * ms}).
+		Precede("sense", "actuate").
+		MustBuild())
+	app.MustAddTask(simpleTask("local0", heug.PeriodicEvery(10*ms), 0, 500*us, 10*ms))
+	app.MustAddTask(simpleTask("local2", heug.SporadicEvery(10*ms), 2, 500*us, 10*ms))
+	if err := c.DefineMode("normal", "pipeline"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DefineMode("degraded", "local0", "local2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnterMode("normal"); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Run(10 * ms) // pipeline#1 has crossed the network and runs on node 1
+	if before.Net.Delivered == 0 {
+		t.Fatal("pipeline never crossed the network before the switch")
+	}
+	aborted, err := c.SwitchMode("degraded", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aborted != 1 {
+		t.Fatalf("aborted %d instances, want the one in flight on node 1", aborted)
+	}
+	rep := c.Run(100 * ms)
+	if got, was := taskActivations(rep, "pipeline"), taskActivations(before, "pipeline"); got != was {
+		t.Fatalf("pipeline still activating after the switch: %d -> %d", was, got)
+	}
+	if tr, _ := rep.Task("pipeline"); tr.Completions != 0 {
+		t.Fatalf("aborted pipeline instance completed %d time(s)", tr.Completions)
+	}
+	if rep.Stats.Orphans == 0 {
+		t.Fatal("no orphan thread recorded for the instance aborted on node 1")
+	}
+	for _, name := range []string{"local0", "local2"} {
+		if tr, _ := rep.Task(name); tr.Completions < 9 || tr.Misses != 0 {
+			t.Fatalf("%s in degraded mode: %+v", name, tr)
 		}
 	}
-	return 0
+	if c.CurrentMode() != "degraded" {
+		t.Fatal("mode not switched")
+	}
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+
 	"hades/internal/report"
 )
 
@@ -122,31 +124,16 @@ func throughputSeries(r Result) []report.ThroughputPoint {
 		add("load."+l.Name+".offered", true)
 		add("load."+l.Name+".acked", false)
 	}
-	// Scrape instants arrive in chronological order per series; a
-	// second generator only revisits existing instants, so `order` is
-	// already sorted — but sort defensively against partial windows.
-	for i := 1; i < len(order); i++ {
-		if order[i] < order[i-1] {
-			sortInt64s(order)
-			break
-		}
-	}
+	// Scrape instants arrive in chronological order per series and a
+	// second generator mostly revisits existing instants; sorting covers
+	// partial windows (a ring that evicted one series' early points).
+	slices.Sort(order)
 	out := make([]report.ThroughputPoint, 0, len(order))
 	for _, t := range order {
 		c := byT[t]
 		out = append(out, report.ThroughputPoint{T: t, Offered: c.offered, Achieved: c.acked})
 	}
 	return out
-}
-
-// sortInt64s is a tiny insertion sort (series windows are short and
-// almost sorted).
-func sortInt64s(a []int64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // ReportNow builds the report at the current instant: ResultNow

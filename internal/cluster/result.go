@@ -1,9 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strconv"
+	"maps"
+	"slices"
 	"strings"
 
 	"hades/internal/dispatcher"
@@ -12,7 +13,10 @@ import (
 	"hades/internal/monitor"
 	"hades/internal/netsim"
 	"hades/internal/pubsub"
+	"hades/internal/session"
+	"hades/internal/shard"
 	"hades/internal/trace"
+	"hades/internal/txn"
 	"hades/internal/vtime"
 )
 
@@ -60,7 +64,8 @@ type Result struct {
 // trace of the scope, plus the mean time spent per layer. The layer
 // breakdown partitions the end-to-end time exactly (the trace plane
 // attributes every instant of a trace to its highest-priority active
-// layer), so the layer means sum to Mean up to integer rounding.
+// layer), so the layer means sum to Mean up to integer rounding. A
+// declared row: the tracer keeps layer sums, this holds their means.
 type LatencyResult struct {
 	Class string
 	Shard int // -1 aggregates all shards
@@ -87,24 +92,22 @@ type ShardResult struct {
 	Index   int
 	Nodes   []int
 	Primary int
-	// Requests counts client requests arriving at replicas; Served the
-	// OK responses; Redirects the bounces to the current primary;
-	// Blocked the stale-view (no local quorum) rejections; Duplicates
-	// the retried requests answered from the replicated dedup cache.
-	Requests   int
-	Served     int
-	Redirects  int
-	Blocked    int
+	// GroupStats is the group's own request-path account (requests,
+	// OK responses, redirects, stale-view rejections).
+	shard.GroupStats
+	// Duplicates counts retried requests answered from the replicated
+	// dedup cache; Applied is the primary state machine's apply counter.
 	Duplicates int
-	// Applied is the primary state machine's apply counter.
-	Applied int64
+	Applied    int64
 	// Txn aggregates the shard's transaction-layer roles (zero when the
 	// set's transaction plane was never created).
 	Txn TxnShardResult
 }
 
 // TxnShardResult is one shard's transaction coordinator/participant
-// record.
+// record. It stays a declared row: it draws from txn.CoordStats and
+// txn.PartStats, whose Commits/Aborts names clash, so embedding both
+// would make Txn.Commits ambiguous.
 type TxnShardResult struct {
 	// Begins, Commits, Aborts and DeadlineAborts count this shard's
 	// coordinator decisions (transactions hashed onto it).
@@ -125,29 +128,12 @@ type TxnShardResult struct {
 	MaxDecisionBatch int
 }
 
-// ClientResult is one shard client's request-layer record.
+// ClientResult is one shard client's request-layer record: the client's
+// own counters and its batcher's, as the planes keep them.
 type ClientResult struct {
-	Node        int
-	Submitted   int
-	Acked       int
-	Redirects   int
-	Timeouts    int
-	Retries     int
-	Blocked     int
-	Queued      int
-	Resubmitted int
-	FailedFast  int
-	AvgLatency  vtime.Duration
-	MaxLatency  vtime.Duration
-	// Batches counts flushed submissions (each one wire message
-	// carrying one or more ops); MaxBatchOps is the largest batch;
-	// Stalls the flushes deferred by the pipeline-depth limit.
-	Batches     int
-	MaxBatchOps int
-	Stalls      int
-	// SizeHist renders the batch-size histogram ("1:3 4:2" = three
-	// singletons, two 4-op batches; "-" when no batch flushed).
-	SizeHist string
+	Node int
+	shard.ClientStats
+	session.BatchStats
 	// Depth renders the deepest pipeline reached per shard lane
 	// ("s0:2 s1:1"; "-" when nothing was in flight).
 	Depth string
@@ -155,22 +141,15 @@ type ClientResult struct {
 
 // TxnClientResult is one transaction client's record.
 type TxnClientResult struct {
-	Node           int
-	Begun          int
-	Committed      int
-	Aborted        int
-	DeadlineAborts int
-	Retries        int
-	Queued         int
-	Resubmitted    int
-	AvgLatency     vtime.Duration
-	MaxLatency     vtime.Duration
+	Node int
+	txn.ClientStats
 }
 
 // GroupResult is one membership group's runtime record: the agreed
 // view history, view-change latency statistics (each install is also
 // recorded in the monitor log as a ViewInstall event) and the attached
-// replica groups' failover counters.
+// replica groups' failover counters. A declared row: every field is an
+// aggregate over the service's installs, merges and replica groups.
 type GroupResult struct {
 	Name string
 	// Views is the agreed, totally ordered view sequence.
@@ -251,10 +230,7 @@ func (c *Cluster) ResultNow() Result {
 				Index:      sg.Index(),
 				Nodes:      sg.Nodes(),
 				Primary:    rep.Primary(),
-				Requests:   sg.Stats.Requests,
-				Served:     sg.Stats.Served,
-				Redirects:  sg.Stats.Redirects,
-				Blocked:    sg.Stats.Blocked,
+				GroupStats: sg.Stats,
 				Duplicates: rep.Duplicates,
 				Applied:    rep.Machine(rep.Primary()).Applied,
 			}
@@ -277,45 +253,18 @@ func (c *Cluster) ResultNow() Result {
 		}
 		if set.txnPlane != nil {
 			for _, tc := range set.txnPlane.Clients() {
-				st := tc.Stats
-				r.TxnClients = append(r.TxnClients, TxnClientResult{
-					Node:           tc.Node(),
-					Begun:          st.Begun,
-					Committed:      st.Committed,
-					Aborted:        st.Aborted,
-					DeadlineAborts: st.DeadlineAborts,
-					Retries:        st.Retries,
-					Queued:         st.Queued,
-					Resubmitted:    st.Resubmitted,
-					AvgLatency:     st.AvgLatency(),
-					MaxLatency:     st.MaxLatency,
-				})
+				r.TxnClients = append(r.TxnClients, TxnClientResult{Node: tc.Node(), ClientStats: tc.Stats})
 			}
 		}
 		if set.pubsub != nil {
 			r.PubSub = append(r.PubSub, set.pubsub.Stats()...)
 		}
 		for _, cl := range set.clients {
-			st := cl.Stats
 			bs := cl.BatchStats()
+			bs.SizeHist = maps.Clone(bs.SizeHist) // a snapshot, not the live batcher's map
 			r.Clients = append(r.Clients, ClientResult{
-				Node:        cl.Node(),
-				Submitted:   st.Submitted,
-				Acked:       st.Acked,
-				Redirects:   st.Redirects,
-				Timeouts:    st.Timeouts,
-				Retries:     st.Retries,
-				Blocked:     st.Blocked,
-				Queued:      st.Queued,
-				Resubmitted: st.Resubmitted,
-				FailedFast:  st.FailedFast,
-				AvgLatency:  st.AvgLatency(),
-				MaxLatency:  st.MaxLatency,
-				Batches:     int(bs.Batches),
-				MaxBatchOps: bs.MaxBatchOps,
-				Stalls:      int(bs.Stalls),
-				SizeHist:    bs.HistString(),
-				Depth:       depthString(cl.MaxInflight()),
+				Node: cl.Node(), ClientStats: cl.Stats, BatchStats: bs,
+				Depth: depthString(cl.MaxInflight()),
 			})
 		}
 	}
@@ -335,7 +284,7 @@ func (c *Cluster) ResultNow() Result {
 			Latency:  g.LatencyStats(),
 		})
 	}
-	r.Faults = c.log.Filter(func(ev monitor.Event) bool { return faultTimelineKind(ev.Kind) })
+	r.Faults = c.log.FilterKind(faultTimelineKind)
 	return r
 }
 
@@ -376,27 +325,15 @@ func latencyFromScope(st trace.ScopeStats) LatencyResult {
 	return lr
 }
 
-// depthString renders a per-lane maximum-in-flight map in a
-// deterministic order (lanes named "s<idx>" sort by shard index, any
-// other lane name lexicographically after them).
+// depthString renders a per-lane maximum-in-flight map in shard-index
+// order (lanes are named "s<idx>", so shorter-then-lexicographic is
+// numeric).
 func depthString(m map[string]int) string {
 	if len(m) == 0 {
 		return "-"
 	}
-	lanes := make([]string, 0, len(m))
-	for lane := range m {
-		lanes = append(lanes, lane)
-	}
-	sort.Slice(lanes, func(i, j int) bool {
-		a, errA := strconv.Atoi(strings.TrimPrefix(lanes[i], "s"))
-		b, errB := strconv.Atoi(strings.TrimPrefix(lanes[j], "s"))
-		if errA == nil && errB == nil {
-			return a < b
-		}
-		if (errA == nil) != (errB == nil) {
-			return errA == nil
-		}
-		return lanes[i] < lanes[j]
+	lanes := slices.SortedFunc(maps.Keys(m), func(a, b string) int {
+		return cmp.Or(cmp.Compare(len(a), len(b)), cmp.Compare(a, b))
 	})
 	var sb strings.Builder
 	for i, lane := range lanes {
@@ -451,44 +388,39 @@ func (g *Group) result() GroupResult {
 	return gr
 }
 
+// find returns the first row satisfying match.
+func find[T any](rows []T, match func(T) bool) (T, bool) {
+	if i := slices.IndexFunc(rows, match); i >= 0 {
+		return rows[i], true
+	}
+	var zero T
+	return zero, false
+}
+
 // Task returns the named task's statistics.
 func (r Result) Task(name string) (TaskResult, bool) {
-	for _, t := range r.Tasks {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return TaskResult{}, false
+	return find(r.Tasks, func(t TaskResult) bool { return t.Name == name })
 }
 
 // Shard returns the named shard group's record.
 func (r Result) Shard(name string) (ShardResult, bool) {
-	for _, s := range r.Shards {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return ShardResult{}, false
-}
-
-// Client returns the shard client record of the given node.
-func (r Result) Client(node int) (ClientResult, bool) {
-	for _, c := range r.Clients {
-		if c.Node == node {
-			return c, true
-		}
-	}
-	return ClientResult{}, false
+	return find(r.Shards, func(s ShardResult) bool { return s.Name == name })
 }
 
 // Group returns the named membership group's record.
 func (r Result) Group(name string) (GroupResult, bool) {
-	for _, g := range r.Groups {
-		if g.Name == name {
-			return g, true
-		}
-	}
-	return GroupResult{}, false
+	return find(r.Groups, func(g GroupResult) bool { return g.Name == name })
+}
+
+// LatencyOf returns the latency record of one op class on one shard
+// (pass shard -1 for the all-shards aggregate).
+func (r Result) LatencyOf(class string, shardIdx int) (LatencyResult, bool) {
+	return find(r.Latency, func(l LatencyResult) bool { return l.Class == class && l.Shard == shardIdx })
+}
+
+// TxnClient returns the transaction client record of the given node.
+func (r Result) TxnClient(node int) (TxnClientResult, bool) {
+	return find(r.TxnClients, func(c TxnClientResult) bool { return c.Node == node })
 }
 
 // String renders the result as a compact table.
@@ -536,15 +468,15 @@ func (r Result) String() string {
 	}
 	for _, c := range r.Clients {
 		out += fmt.Sprintf("  client n%-3d sub=%-5d ack=%-5d redirect=%-4d retry=%-4d queued=%-4d resub=%-4d failed=%-4d avgLat=%-12s maxLat=%s\n",
-			c.Node, c.Submitted, c.Acked, c.Redirects, c.Retries, c.Queued, c.Resubmitted, c.FailedFast, c.AvgLatency, c.MaxLatency)
+			c.Node, c.Submitted, c.Acked, c.Redirects, c.Retries, c.Queued, c.Resubmitted, c.FailedFast, c.AvgLatency(), c.MaxLatency)
 		if c.Batches > 0 {
 			out += fmt.Sprintf("    batch: flushed=%d maxOps=%d stalls=%d hist=[%s] depth=[%s]\n",
-				c.Batches, c.MaxBatchOps, c.Stalls, c.SizeHist, c.Depth)
+				c.Batches, c.MaxBatchOps, c.Stalls, c.HistString(), c.Depth)
 		}
 	}
 	for _, t := range r.TxnClients {
 		out += fmt.Sprintf("  txn    n%-3d begun=%-4d committed=%-4d aborted=%-4d deadline=%-4d retry=%-4d queued=%-4d resub=%-4d avgLat=%-12s maxLat=%s\n",
-			t.Node, t.Begun, t.Committed, t.Aborted, t.DeadlineAborts, t.Retries, t.Queued, t.Resubmitted, t.AvgLatency, t.MaxLatency)
+			t.Node, t.Begun, t.Committed, t.Aborted, t.DeadlineAborts, t.Retries, t.Queued, t.Resubmitted, t.AvgLatency(), t.MaxLatency)
 	}
 	for _, l := range r.Loads {
 		capped := ""
@@ -583,25 +515,4 @@ func (r Result) String() string {
 		}
 	}
 	return out
-}
-
-// LatencyOf returns the latency record of one op class on one shard
-// (pass shard -1 for the all-shards aggregate).
-func (r Result) LatencyOf(class string, shard int) (LatencyResult, bool) {
-	for _, l := range r.Latency {
-		if l.Class == class && l.Shard == shard {
-			return l, true
-		}
-	}
-	return LatencyResult{}, false
-}
-
-// TxnClient returns the transaction client record of the given node.
-func (r Result) TxnClient(node int) (TxnClientResult, bool) {
-	for _, c := range r.TxnClients {
-		if c.Node == node {
-			return c, true
-		}
-	}
-	return TxnClientResult{}, false
 }

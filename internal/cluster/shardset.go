@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"hades/internal/pubsub"
@@ -229,6 +230,24 @@ func (s *ShardSet) ClientWith(p shard.ClientParams) *shard.Client {
 // authoritative history, in per-key submission order (see
 // shard.Verify).
 func (s *ShardSet) Check() error { return shard.Verify(s.router, s.clients) }
+
+// Verify audits the run so far against every data plane's safety
+// contract and joins what fails: per shard set, the exactly-once audit
+// (Check — semi-active sets only, since passive replication loses
+// acknowledged work since the last checkpoint by design and
+// shard.Verify rejects it by contract), the atomic-commitment audit
+// (CheckTxns) and the pub/sub delivery audit (CheckPubSub). A cluster
+// without shard sets passes vacuously.
+func (c *Cluster) Verify() error {
+	var errs []error
+	for _, s := range c.shardSets {
+		if s.shards[0].Replication().Style() == replication.SemiActive {
+			errs = append(errs, s.Check())
+		}
+		errs = append(errs, s.CheckTxns(), s.CheckPubSub())
+	}
+	return errors.Join(errs...)
+}
 
 // TxnPlane returns the set's transaction layer (coordinator and
 // participant roles on every shard group), creating it on first use.

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"hades/internal/core"
+	"hades/internal/cluster"
 	"hades/internal/dispatcher"
 	"hades/internal/heug"
 	"hades/internal/monitor"
@@ -30,7 +30,7 @@ const (
 //	then:     Trm(t2) is enqueued; EDF ignores it (no reordering among
 //	          the survivors); t1, now highest, resumes and completes.
 func TestFigure2EDFCooperation(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1})
+	sys := cluster.New(cluster.Config{Seed: 1})
 	edf := sched.NewEDF(20 * us)
 	app := sys.NewApp("fig2", edf, nil)
 
@@ -110,8 +110,8 @@ func mustContainInOrder(t *testing.T, trace string, parts ...string) {
 // the trace keeps its shape and response times grow by the accounted
 // overheads only.
 func TestFigure2WithCosts(t *testing.T) {
-	run := func(costs dispatcher.CostBook) core.Report {
-		sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1, Costs: costs})
+	run := func(costs dispatcher.CostBook) cluster.Result {
+		sys := cluster.New(cluster.Config{Seed: 1, Costs: costs})
 		app := sys.NewApp("fig2", sched.NewEDF(20*us), nil)
 		t1 := heug.NewTask("t1", heug.AperiodicLaw()).
 			WithDeadline(20*ms).

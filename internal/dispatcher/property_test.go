@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"hades/internal/core"
+	"hades/internal/cluster"
 	"hades/internal/dispatcher"
 	"hades/internal/feasibility"
 	"hades/internal/heug"
@@ -16,10 +16,10 @@ import (
 
 // buildRandomSystem assembles a random sporadic workload under EDF+SRP
 // with full costs and runs it, returning the system.
-func buildRandomSystem(seed int64, u float64, horizon vtime.Duration) *core.System {
+func buildRandomSystem(seed int64, u float64, horizon vtime.Duration) *cluster.Cluster {
 	rng := rand.New(rand.NewSource(seed))
 	tasks := feasibility.Generate(rng, feasibility.DefaultGenConfig(4, u))
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: seed, Costs: dispatcher.DefaultCostBook()})
+	sys := cluster.New(cluster.Config{Seed: seed, Costs: dispatcher.DefaultCostBook()})
 	app := sys.NewApp("w", sched.NewEDF(20*us), sched.NewSRP())
 	for _, ft := range tasks {
 		if err := app.AddSpuri(feasibility.ToSpuri(ft, tasks, 0)); err != nil {
@@ -98,7 +98,7 @@ func TestPropertyResponseLowerBound(t *testing.T) {
 		seed := int64(seedRaw) + 2000
 		rng := rand.New(rand.NewSource(seed))
 		tasks := feasibility.Generate(rng, feasibility.DefaultGenConfig(3, 0.5))
-		sys := core.NewSystem(core.Config{Nodes: 1, Seed: seed})
+		sys := cluster.New(cluster.Config{Seed: seed})
 		app := sys.NewApp("w", sched.NewEDF(0), nil)
 		for _, ft := range tasks {
 			if err := app.AddSpuri(feasibility.ToSpuri(ft, tasks, 0)); err != nil {
@@ -142,7 +142,7 @@ func TestPropertyResponseLowerBound(t *testing.T) {
 // threshold, as it must.)
 func TestPreemptionThresholdAblation(t *testing.T) {
 	run := func(pt int) (pingResp vtime.Duration, longDone int) {
-		sys := core.NewSystem(core.Config{Nodes: 1, Seed: 9, Costs: dispatcher.DefaultCostBook()})
+		sys := cluster.New(cluster.Config{Seed: 9, Costs: dispatcher.DefaultCostBook()})
 		app := sys.NewApp("a", sched.NewBestEffort(0), nil)
 		long := heug.NewTask("long", heug.PeriodicEvery(50*ms)).
 			WithDeadline(50*ms).
@@ -189,7 +189,7 @@ func TestPreemptionThresholdAblation(t *testing.T) {
 // run at pt = prio_max: the start/end segments of an EU cannot be
 // preempted by application threads (only interrupts).
 func TestKernelCallNonPreemptible(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 9, Costs: dispatcher.CostBook{
+	sys := cluster.New(cluster.Config{Seed: 9, Costs: dispatcher.CostBook{
 		StartAction: 1 * ms, // grotesquely long kernel call, to probe
 		EndAction:   1 * ms,
 	}})

@@ -11,6 +11,7 @@ package monitor
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -324,27 +325,38 @@ func (l *Log) each(visit func(Event)) {
 	}
 }
 
-// Filter returns the events matching pred, in order.
-func (l *Log) Filter(pred func(Event) bool) []Event {
+// FilterKind returns the events whose kind satisfies pred, in order.
+// pred is asked once per kind, not once per event, and the scan reads
+// events in place: a full log is tens of megabytes, and a Result walks
+// it after every run.
+func (l *Log) FilterKind(pred func(Kind) bool) []Event {
 	if l == nil {
 		return nil
 	}
+	var want [256]bool
+	for k := range want {
+		want[k] = pred(Kind(k))
+	}
 	var out []Event
-	l.each(func(e Event) {
-		if pred(e) {
-			out = append(out, e)
+	scan := func(seg []Event) {
+		for i := range seg {
+			if want[seg[i].Kind] {
+				out = append(out, seg[i])
+			}
 		}
-	})
+	}
+	if l.ring {
+		scan(l.events[l.start:])
+		scan(l.events[:l.start])
+	} else {
+		scan(l.events)
+	}
 	return out
 }
 
 // ByKind returns the events of the given kinds, in order.
 func (l *Log) ByKind(kinds ...Kind) []Event {
-	want := make(map[Kind]bool, len(kinds))
-	for _, k := range kinds {
-		want[k] = true
-	}
-	return l.Filter(func(e Event) bool { return want[e.Kind] })
+	return l.FilterKind(func(k Kind) bool { return slices.Contains(kinds, k) })
 }
 
 // Violations returns all recorded property violations. In ring mode
@@ -358,7 +370,7 @@ func (l *Log) Violations() []Event {
 		copy(out, l.viol)
 		return out
 	}
-	return l.Filter(func(e Event) bool { return e.Kind.IsViolation() })
+	return l.FilterKind(Kind.IsViolation)
 }
 
 // CountKind returns the number of events of kind k.

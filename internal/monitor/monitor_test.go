@@ -61,11 +61,17 @@ func TestRingLogRetainsRecent(t *testing.T) {
 			t.Fatalf("ring retained %v, want the last three in order", ev)
 		}
 	}
+	// A kind scan unwinds the wrapped ring the same way.
+	l.Record(Event{At: 8, Kind: KindThreadFinish})
+	got := l.ByKind(KindActivation)
+	if len(got) != 2 || got[0].At != 6 || got[1].At != 7 {
+		t.Fatalf("ByKind on a wrapped ring = %v, want t=6 then t=7", got)
+	}
 	var sb strings.Builder
 	if err := l.WriteTrace(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "5 events dropped") {
+	if !strings.Contains(sb.String(), "6 events dropped") {
 		t.Fatalf("trace missing drop note: %q", sb.String())
 	}
 }

@@ -634,6 +634,18 @@ func Load(path string) (Spec, error) {
 	return s.withDefaults()
 }
 
+// Open resolves a command line's scenario selection: exactly one of a
+// built-in name and a JSON file path.
+func Open(builtin, path string) (Spec, error) {
+	switch {
+	case (builtin == "") == (path == ""):
+		return Spec{}, fmt.Errorf("scenario: need exactly one of -builtin <name> or -scenario <file>")
+	case builtin != "":
+		return Builtin(builtin)
+	}
+	return Load(path)
+}
+
 // Builtin returns a named built-in scenario.
 func Builtin(name string) (Spec, error) {
 	s, ok := builtins[name]

@@ -987,3 +987,29 @@ func TestMembershipBoundFeedsAdmission(t *testing.T) {
 		t.Fatal("task set without room for a failover window admitted")
 	}
 }
+
+// TestOpen: the CLIs' shared scenario selection takes exactly one
+// source and passes the chosen loader's error through.
+func TestOpen(t *testing.T) {
+	misspelt := filepath.Join(t.TempDir(), "misspelt.json")
+	if err := os.WriteFile(misspelt, []byte(`{"name":"x","nodes":1,"horizonMillis":5}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, builtin, path, wantErr string
+	}{
+		{name: "builtin", builtin: "spuri-example"},
+		{name: "both", builtin: "spuri-example", path: misspelt, wantErr: "exactly one"},
+		{name: "neither", wantErr: "exactly one"},
+		{name: "unknown builtin", builtin: "no-such", wantErr: `unknown builtin "no-such"`},
+		{name: "strict decode", path: misspelt, wantErr: `unknown field "horizonMillis"`},
+	} {
+		spec, err := Open(tc.builtin, tc.path)
+		switch {
+		case tc.wantErr == "" && (err != nil || spec.Name != tc.builtin):
+			t.Errorf("%s: got (%q, %v)", tc.name, spec.Name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}

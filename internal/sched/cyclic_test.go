@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"hades/internal/core"
+	"hades/internal/cluster"
 	"hades/internal/heug"
 	"hades/internal/sched"
 	"hades/internal/vtime"
@@ -74,7 +74,7 @@ func TestCyclicRejectsMultiEU(t *testing.T) {
 }
 
 func TestCyclicExecutionFollowsPlan(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1})
+	sys := cluster.New(cluster.Config{Seed: 1})
 	cyc := sched.NewCyclic(5 * us)
 	app := sys.NewApp("cyclic", cyc, nil)
 	app.MustAddTask(cyclicTask("a", 10*ms, 2*ms, 0))
@@ -106,7 +106,7 @@ func TestCyclicExecutionFollowsPlan(t *testing.T) {
 }
 
 func TestCyclicWithOffsets(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 1})
+	sys := cluster.New(cluster.Config{Seed: 1})
 	cyc := sched.NewCyclic(0)
 	app := sys.NewApp("cyclic", cyc, nil)
 	app.MustAddTask(cyclicTask("a", 10*ms, 3*ms, 0))

@@ -3,7 +3,7 @@ package sched_test
 import (
 	"testing"
 
-	"hades/internal/core"
+	"hades/internal/cluster"
 	"hades/internal/dispatcher"
 	"hades/internal/heug"
 	"hades/internal/monitor"
@@ -51,7 +51,7 @@ func TestDMAssignsByDeadline(t *testing.T) {
 }
 
 func TestEDFPicksEarliestDeadline(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 3})
+	sys := cluster.New(cluster.Config{Seed: 3})
 	app := sys.NewApp("edf", sched.NewEDF(10*us), nil)
 	mk := func(name string, d vtime.Duration) *heug.Task {
 		return heug.NewTask(name, heug.AperiodicLaw()).
@@ -101,7 +101,7 @@ func TestEDFIsDeadlineOptimalWhereRMFails(t *testing.T) {
 		return []*heug.Task{t1, t2}
 	}
 	run := func(policy dispatcher.Scheduler) int {
-		sys := core.NewSystem(core.Config{Nodes: 1, Seed: 3})
+		sys := cluster.New(cluster.Config{Seed: 3})
 		app := sys.NewApp("a", policy, nil)
 		for _, task := range build() {
 			app.MustAddTask(task)
@@ -123,7 +123,7 @@ func TestEDFIsDeadlineOptimalWhereRMFails(t *testing.T) {
 // inversionScenario runs the canonical priority-inversion workload:
 // L (low, long critical section on R), M (medium, long pure compute),
 // H (high, needs R). Returns H's max response time and the system.
-func inversionScenario(t *testing.T, policy dispatcher.ResourcePolicy) (vtime.Duration, *core.System) {
+func inversionScenario(t *testing.T, policy dispatcher.ResourcePolicy) (vtime.Duration, *cluster.Cluster) {
 	t.Helper()
 	low := heug.NewTask("low", heug.SporadicEvery(200*ms)).
 		WithDeadline(100*ms).
@@ -139,7 +139,7 @@ func inversionScenario(t *testing.T, policy dispatcher.ResourcePolicy) (vtime.Du
 		Code("use", heug.CodeEU{Node: 0, WCET: 1 * ms,
 			Resources: []heug.ResourceReq{{Resource: "R", Mode: heug.Exclusive}}}).
 		MustBuild()
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 3})
+	sys := cluster.New(cluster.Config{Seed: 3})
 	app := sys.NewApp("inv", sched.NewDM(), policy)
 	app.MustAddTask(low)
 	app.MustAddTask(mid)
@@ -228,7 +228,7 @@ func TestPCPCeilings(t *testing.T) {
 }
 
 func TestSpringAdmissionRejectsOverload(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 3})
+	sys := cluster.New(cluster.Config{Seed: 3})
 	spring := sched.NewSpring(15*us, 50*us, sys.Engine().Now)
 	app := sys.NewApp("plan", spring, nil)
 	mk := func(name string, c, d vtime.Duration) *heug.Task {
@@ -257,7 +257,7 @@ func TestSpringAdmissionRejectsOverload(t *testing.T) {
 }
 
 func TestSpringGuaranteedJobsAllComplete(t *testing.T) {
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 3})
+	sys := cluster.New(cluster.Config{Seed: 3})
 	spring := sched.NewSpring(15*us, 50*us, sys.Engine().Now)
 	app := sys.NewApp("plan", spring, nil)
 	for i := 0; i < 5; i++ {
@@ -283,7 +283,7 @@ func TestBestEffortCohabitation(t *testing.T) {
 	// A guaranteed EDF app cohabits with a best-effort app (§2.2.1's
 	// second cohabitation option): the best-effort load must not
 	// disturb the guaranteed app's deadlines.
-	sys := core.NewSystem(core.Config{Nodes: 1, Seed: 3})
+	sys := cluster.New(cluster.Config{Seed: 3})
 	guaranteed := sys.NewApp("guaranteed", sched.NewEDF(10*us), nil)
 	guaranteed.MustAddTask(heug.NewTask("critical", heug.PeriodicEvery(10*ms)).
 		WithDeadline(10*ms).

@@ -347,6 +347,7 @@ func (c *Client) failBatch(b *batch) {
 	}
 	for _, r := range b.ops {
 		r.state = stFailed
+		delete(c.reqs, r.seq)
 		c.Stats.FailedFast++
 		c.Failed = append(c.Failed, r.seq)
 		r.trace.Violate("failed fast: retry budget exhausted")
@@ -405,6 +406,7 @@ func (c *Client) handleResp(m *netsim.Message) {
 				continue
 			}
 			r.state = stAcked
+			delete(c.reqs, r.seq)
 			lat := now.Sub(r.submittedAt)
 			c.mAck.ObserveD(lat)
 			c.Stats.Acked++
