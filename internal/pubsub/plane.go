@@ -698,7 +698,7 @@ func (p *Plane) handlePub(gs *groupState, node int, env pubMsg) {
 	}
 	tag := sampleTag(att.s)
 	if sm := gs.ref.Rep.Machine(node); sm != nil {
-		if _, dup := sm.Seen[tag]; dup {
+		if _, dup := sm.Lookup(tag); dup {
 			// A retry of a sample the machine already applied: answer
 			// from the dedup table, never re-apply.
 			gs.dups++

@@ -37,6 +37,12 @@
 // newer one is discarded (counted in Flushed) instead of applied — no
 // replica acts on a pre-partition update the new primary never saw,
 // the virtual-synchrony discipline at the state-machine layer.
+//
+// The exactly-once dedup table rides with the state on every checkpoint
+// and join transfer, but its durability comes from replication alone:
+// what a checkpoint leaves on stable storage is the state (State,
+// Applied, the view and which table prefix it covers — ckptRecord), not
+// the table.
 package replication
 
 import (
@@ -92,17 +98,45 @@ type ClientSeq struct {
 type StateMachine struct {
 	State   int64
 	Applied int64
-	// Seen is the replicated deduplication table: the result of every
+	// seen is the replicated deduplication table: the result of every
 	// tagged request this machine has applied, so a retried request
 	// (client timeout racing a slow reply, a redirect after failover)
 	// is answered from the cache instead of applied twice. It moves
 	// with the state: checkpoints and join state transfers carry it, so
 	// exactly-once survives exactly as far as the state itself does.
-	Seen map[ClientSeq]int64
+	seen map[ClientSeq]int64
+	// journal lists seen in apply order. Only replicas of a passive
+	// group keep it, so that a checkpoint ships the table as a slice
+	// header and a backup inserts just the suffix it lacks. epoch names
+	// the journal's lineage: two journals of one epoch are prefixes of
+	// one another, so (epoch, length) identifies a table exactly. owns
+	// is set on the machine that minted the epoch, the only one whose
+	// appends may land in the journal's backing array; every other
+	// holder has a slice clipped to its length, and takes a fresh epoch
+	// (and, through append, a fresh array) before it adds an entry.
+	journal []seenEntry
+	epoch   uint64
+	owns    bool
 	// Corrupt, when non-nil, perturbs results (a coherent value
 	// failure, §2.1).
 	Corrupt func(int64) int64
 }
+
+// seenEntry is one dedup-table entry as the journal and the wire carry it.
+type seenEntry struct {
+	Tag    ClientSeq
+	Result int64
+}
+
+// Lookup returns the cached result of a tagged request this machine's
+// state already reflects.
+func (sm *StateMachine) Lookup(tag ClientSeq) (result int64, ok bool) {
+	result, ok = sm.seen[tag]
+	return result, ok
+}
+
+// SeenLen returns the number of entries in the dedup table.
+func (sm *StateMachine) SeenLen() int { return len(sm.seen) }
 
 // Apply executes one command.
 func (sm *StateMachine) Apply(cmd int64) int64 {
@@ -149,8 +183,16 @@ type Group struct {
 	stores   map[int]*storage.Store
 	primary  int // index into cfg.Replicas
 	nextReq  uint64
+	// epochs numbers the dedup-journal lineages minted so far (passive).
+	epochs uint64
 
-	// replies collects per-request replies for voting (active).
+	// Port names and the stable-store key, built once: they are used on
+	// every send and every checkpoint.
+	reqPort, ckptPort, ckptKey string
+	// stored is the completion callback of every stable-store write.
+	stored func(error)
+
+	// replies collects per-request replies for voting (active only).
 	replies map[uint64][]Reply
 	voted   map[uint64]bool
 	onReply func(reqID uint64, result int64, unanimous bool)
@@ -168,6 +210,9 @@ type Group struct {
 	// Duplicates counts tagged requests suppressed by the replicated
 	// dedup table (answered from cache instead of re-applied).
 	Duplicates int
+	// StoreErrors counts checkpoint writes the stable store refused or
+	// tore (a crashed store, an unencodable record).
+	StoreErrors int
 	// onApply observes every fresh state-machine apply (suppressed
 	// duplicates excluded) at every replica — the sharding layer builds
 	// its per-replica apply logs from it and the transaction layer
@@ -228,24 +273,109 @@ type batchMsg struct {
 // ckptMsg carries a passive checkpoint, tagged with the view the
 // checkpointing primary had installed when it was taken. Seen is the
 // dedup table frozen at the same instant as the state, so a promoted
-// backup suppresses exactly the duplicates its restored state covers.
+// backup suppresses exactly the duplicates its restored state covers:
+// the sender's journal clipped to its length at that instant (the
+// prefix of a journal never changes, so freezing it copies nothing),
+// with Epoch naming its lineage. A semi-active or active donor keeps no
+// journal and lists its table here for the join transfer instead.
 type ckptMsg struct {
 	State   int64
 	Applied int64
 	View    uint64
-	Seen    map[ClientSeq]int64
+	Epoch   uint64
+	Seen    []seenEntry
 }
 
-// copySeen freezes a dedup table for shipping (checkpoint, snapshot).
-func copySeen(in map[ClientSeq]int64) map[ClientSeq]int64 {
-	if len(in) == 0 {
-		return nil
+// ckptRecord is what a checkpoint leaves on stable storage: the state
+// and which table prefix it covers, a constant-size record.
+type ckptRecord struct {
+	State   int64
+	Applied int64
+	View    uint64
+	Epoch   uint64
+	SeenLen int
+}
+
+// remember enters one fresh tagged apply into sm's dedup table. On a
+// passive group it also journals it, first taking a fresh epoch if the
+// journal at hand is another machine's (a promoted backup, a restored
+// ex-primary): the append then reallocates, because a foreign journal
+// is clipped to its length, so the lineages never share a tail.
+func (g *Group) remember(sm *StateMachine, tag ClientSeq, res int64) {
+	if sm.seen == nil {
+		sm.seen = make(map[ClientSeq]int64)
 	}
-	out := make(map[ClientSeq]int64, len(in))
-	for k, v := range in {
-		out[k] = v
+	sm.seen[tag] = res
+	if g.cfg.Style != Passive {
+		return
 	}
-	return out
+	if !sm.owns {
+		g.epochs++
+		sm.epoch, sm.owns = g.epochs, true
+	}
+	sm.journal = append(sm.journal, seenEntry{Tag: tag, Result: res})
+}
+
+// freeze captures node's state and dedup table for shipping, tagged
+// with its installed view.
+func (g *Group) freeze(node int) ckptMsg {
+	sm := g.machines[node]
+	ck := ckptMsg{State: sm.State, Applied: sm.Applied, View: g.viewAt(node), Epoch: sm.epoch}
+	if g.cfg.Style == Passive {
+		ck.Seen = sm.journal[:len(sm.journal):len(sm.journal)]
+		return ck
+	}
+	// No journal off the passive style (nothing checkpoints there): list
+	// the map, once per join. The receiver rebuilds a map from it, so
+	// the iteration order shows nowhere.
+	if len(sm.seen) > 0 {
+		ck.Seen = make([]seenEntry, 0, len(sm.seen))
+		for tag, res := range sm.seen {
+			ck.Seen = append(ck.Seen, seenEntry{Tag: tag, Result: res})
+		}
+	}
+	return ck
+}
+
+// adopt makes a shipped checkpoint node's state and dedup table. A
+// passive replica whose table is a prefix of the same lineage inserts
+// only the entries it lacks; one that is ahead of it (a checkpoint
+// overtaken on the wire, a donor that trails the joiner) drops its own
+// tail; any other lineage — the first checkpoint, a newly promoted
+// primary's, a transfer to a stale ex-primary — is rebuilt from the
+// whole journal.
+func (g *Group) adopt(node int, ck ckptMsg) {
+	sm := g.machines[node]
+	sm.State, sm.Applied = ck.State, ck.Applied
+	have, n := len(sm.journal), len(ck.Seen)
+	switch {
+	case g.cfg.Style != Passive || ck.Epoch != sm.epoch:
+		sm.seen = nil
+		if n > 0 {
+			sm.seen = make(map[ClientSeq]int64, n)
+		}
+		for _, e := range ck.Seen {
+			sm.seen[e.Tag] = e.Result
+		}
+	case n >= have:
+		for _, e := range ck.Seen[have:] {
+			sm.seen[e.Tag] = e.Result
+		}
+	default:
+		for _, e := range sm.journal[n:] {
+			delete(sm.seen, e.Tag)
+		}
+	}
+	if g.cfg.Style == Passive {
+		sm.journal, sm.epoch, sm.owns = ck.Seen, ck.Epoch, false
+	}
+}
+
+// persist writes a checkpoint's record to node's stable store.
+func (g *Group) persist(node int, ck ckptMsg) {
+	g.stores[node].Write(g.ckptKey, ckptRecord{
+		State: ck.State, Applied: ck.Applied, View: ck.View, Epoch: ck.Epoch, SeenLen: len(ck.Seen),
+	}, g.stored)
 }
 
 // NewGroup builds a replica group over a membership service. mem may
@@ -291,6 +421,14 @@ func NewGroup(eng *simkern.Engine, net *netsim.Network, mem *membership.Service,
 		voted:    make(map[uint64]bool),
 		acked:    make(map[uint64]bool),
 		onReply:  onReply,
+		reqPort:  "repl." + cfg.Name + ".req",
+		ckptPort: "repl." + cfg.Name + ".ckpt",
+		ckptKey:  "ckpt." + cfg.Name,
+	}
+	g.stored = func(err error) {
+		if err != nil {
+			g.StoreErrors++
+		}
 	}
 	g.mRound = eng.Metrics().Counter("repl.rounds")
 	eng.Metrics().GaugeFunc("repl.open", func() int64 { return int64(g.open) })
@@ -300,8 +438,8 @@ func NewGroup(eng *simkern.Engine, net *netsim.Network, mem *membership.Service,
 	}
 	for _, r := range cfg.Replicas {
 		node := r
-		net.Bind(node, g.port("req"), func(m *netsim.Message) { g.handleRequest(node, m) })
-		net.Bind(node, g.port("ckpt"), func(m *netsim.Message) { g.handleCheckpoint(node, m) })
+		net.Bind(node, g.reqPort, func(m *netsim.Message) { g.handleRequest(node, m) })
+		net.Bind(node, g.ckptPort, func(m *netsim.Message) { g.handleCheckpoint(node, m) })
 	}
 	if mem != nil {
 		mem.OnChange(g.handleView)
@@ -309,8 +447,6 @@ func NewGroup(eng *simkern.Engine, net *netsim.Network, mem *membership.Service,
 	}
 	return g, nil
 }
-
-func (g *Group) port(kind string) string { return "repl." + g.cfg.Name + "." + kind }
 
 // viewAt returns node's installed membership view ID (0 without a
 // membership service, or for nodes outside the group such as clients).
@@ -401,9 +537,8 @@ func (g *Group) snapshotState(donor, joiner int) any {
 	if src < 0 {
 		return nil // no live replica holds usable state
 	}
-	sm := g.machines[src]
-	ck := ckptMsg{State: sm.State, Applied: sm.Applied, View: g.viewAt(src), Seen: copySeen(sm.Seen)}
-	g.stores[src].Write(fmt.Sprintf("ckpt.%s", g.cfg.Name), ck, func(error) {})
+	ck := g.freeze(src)
+	g.persist(src, ck)
 	return ck
 }
 
@@ -414,10 +549,8 @@ func (g *Group) restoreState(node int, data any) {
 	if !ok || g.machines[node] == nil {
 		return
 	}
-	sm := g.machines[node]
-	sm.State, sm.Applied = ck.State, ck.Applied
-	sm.Seen = copySeen(ck.Seen)
-	g.stores[node].Write(fmt.Sprintf("ckpt.%s", g.cfg.Name), ck, func(error) {})
+	g.adopt(node, ck)
+	g.persist(node, ck)
 }
 
 // Machine returns a replica's state machine (test/fault-injection hook).
@@ -456,7 +589,7 @@ type BatchItem struct {
 // scheduling cost. Each item keeps its own request ID, reply and dedup
 // tag, so exactly-once and retry-from-cache hold op-by-op — a retried
 // batch whose items were partially applied before a failover is
-// answered item-by-item from the replicated Seen table. Returns the
+// answered item-by-item from the replicated dedup table. Returns the
 // request IDs, item order.
 func (g *Group) SubmitBatch(from int, items []BatchItem) []uint64 {
 	ids := make([]uint64, len(items))
@@ -480,7 +613,7 @@ func (g *Group) SubmitBatch(from int, items []BatchItem) []uint64 {
 				g.execute(r, msg)
 				continue
 			}
-			if _, err := g.net.Send(from, r, g.port("req"), msg, size); err != nil {
+			if _, err := g.net.Send(from, r, g.reqPort, msg, size); err != nil {
 				continue
 			}
 		}
@@ -488,7 +621,7 @@ func (g *Group) SubmitBatch(from int, items []BatchItem) []uint64 {
 		p := g.Primary()
 		if p == from {
 			g.execute(p, msg)
-		} else if _, err := g.net.Send(from, p, g.port("req"), msg, size); err != nil {
+		} else if _, err := g.net.Send(from, p, g.reqPort, msg, size); err != nil {
 			return ids
 		}
 	}
@@ -537,7 +670,7 @@ func (g *Group) execute(node int, msg batchMsg) {
 // hooks, reply, passive checkpoint cadence.
 func (g *Group) applyOne(node int, sm *StateMachine, item reqMsg) {
 	if item.Tag != (ClientSeq{}) {
-		if cached, dup := sm.Seen[item.Tag]; dup {
+		if cached, dup := sm.Lookup(item.Tag); dup {
 			g.Duplicates++
 			g.reply(node, item.ID, cached)
 			return
@@ -545,10 +678,7 @@ func (g *Group) applyOne(node int, sm *StateMachine, item reqMsg) {
 	}
 	res := sm.Apply(item.Cmd)
 	if item.Tag != (ClientSeq{}) {
-		if sm.Seen == nil {
-			sm.Seen = make(map[ClientSeq]int64)
-		}
-		sm.Seen[item.Tag] = res
+		g.remember(sm, item.Tag, res)
 	}
 	for _, fn := range g.onApply {
 		fn(node, item.ID, res)
@@ -569,10 +699,9 @@ func (g *Group) applyOne(node int, sm *StateMachine, item reqMsg) {
 // would let a fast corrupt replica tie the vote; requiring matching
 // majority replies masks up to ⌊(n-1)/2⌋ value faults.
 func (g *Group) reply(node int, reqID uint64, result int64) {
-	r := Reply{Replica: node, ReqID: reqID, Result: result, At: g.eng.Now()}
-	g.replies[reqID] = append(g.replies[reqID], r)
 	switch g.cfg.Style {
 	case Active:
+		g.replies[reqID] = append(g.replies[reqID], Reply{Replica: node, ReqID: reqID, Result: result, At: g.eng.Now()})
 		if g.voted[reqID] {
 			return
 		}
@@ -629,14 +758,13 @@ func tally(replies []Reply) (winner int64, count, distinct int) {
 // checkpoint propagates the primary's state to backups and stable
 // storage (passive style).
 func (g *Group) checkpoint(primary int) {
-	sm := g.machines[primary]
-	ck := ckptMsg{State: sm.State, Applied: sm.Applied, View: g.viewAt(primary), Seen: copySeen(sm.Seen)}
-	g.stores[primary].Write(fmt.Sprintf("ckpt.%s", g.cfg.Name), ck, func(error) {})
+	ck := g.freeze(primary)
+	g.persist(primary, ck)
 	for _, r := range g.cfg.Replicas {
 		if r == primary {
 			continue
 		}
-		if _, err := g.net.Send(primary, r, g.port("ckpt"), ck, 24); err != nil {
+		if _, err := g.net.Send(primary, r, g.ckptPort, ck, 24); err != nil {
 			continue
 		}
 	}
@@ -653,10 +781,8 @@ func (g *Group) handleCheckpoint(node int, m *netsim.Message) {
 	if g.staleSender(node, m.From, ck.View) {
 		return
 	}
-	sm := g.machines[node]
-	if ck.Applied > sm.Applied || g.cfg.Style == Passive {
-		sm.State, sm.Applied = ck.State, ck.Applied
-		sm.Seen = copySeen(ck.Seen)
+	if ck.Applied > g.machines[node].Applied || g.cfg.Style == Passive {
+		g.adopt(node, ck)
 	}
-	g.stores[node].Write(fmt.Sprintf("ckpt.%s", g.cfg.Name), ck, func(error) {})
+	g.persist(node, ck)
 }

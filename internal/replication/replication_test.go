@@ -23,7 +23,7 @@ type rigT struct {
 	mem *membership.Service
 }
 
-func rig(t *testing.T, n int) rigT {
+func rig(t testing.TB, n int) rigT {
 	t.Helper()
 	eng := simkern.NewEngine(monitor.NewLog(0), 53)
 	nodes := make([]int, n)
@@ -370,7 +370,7 @@ func TestStaleCheckpointFlushedAtViewBoundary(t *testing.T) {
 	// node 0 — the isolated ex-primary's stale checkpoint reaches a
 	// majority backup.
 	before := g.Machine(2).Applied
-	if _, err := r.net.Send(0, 2, g.port("ckpt"), ckptMsg{State: -777, Applied: 999, View: 1}, 24); err != nil {
+	if _, err := r.net.Send(0, 2, g.ckptPort, ckptMsg{State: -777, Applied: 999, View: 1}, 24); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.Run(vtime.Time(103 * ms))
@@ -469,8 +469,8 @@ func TestDedupSurvivesJoinTransferThenMergeView(t *testing.T) {
 	if len(r.mem.Transfers) != 1 {
 		t.Fatalf("transfers after rejoin %+v, want 1", r.mem.Transfers)
 	}
-	if len(g.Machine(2).Seen) != 1 {
-		t.Fatalf("join transfer dropped the dedup table: %d entries, want 1", len(g.Machine(2).Seen))
+	if g.Machine(2).SeenLen() != 1 {
+		t.Fatalf("join transfer dropped the dedup table: %d entries, want 1", g.Machine(2).SeenLen())
 	}
 	// Immediately partition the same replica off; the majority excludes
 	// it, and the heal re-admits it through a merge view with a second
@@ -484,8 +484,8 @@ func TestDedupSurvivesJoinTransferThenMergeView(t *testing.T) {
 	if got := len(r.mem.Transfers); got != 2 {
 		t.Fatalf("transfers after merge %d, want 2 (join + merge re-admission)", got)
 	}
-	if len(g.Machine(2).Seen) != 1 {
-		t.Fatalf("merge transfer dropped the dedup table: %d entries, want 1", len(g.Machine(2).Seen))
+	if g.Machine(2).SeenLen() != 1 {
+		t.Fatalf("merge transfer dropped the dedup table: %d entries, want 1", g.Machine(2).SeenLen())
 	}
 	// The retry of the pre-crash request must be a cache hit everywhere
 	// — including at the twice-restored replica.
@@ -517,8 +517,8 @@ func TestDedupTravelsWithPassiveCheckpoint(t *testing.T) {
 		})
 	}
 	r.eng.Run(vtime.Time(20 * ms))
-	if len(g.Machine(1).Seen) != 5 {
-		t.Fatalf("backup dedup table has %d entries after the checkpoint, want 5", len(g.Machine(1).Seen))
+	if g.Machine(1).SeenLen() != 5 {
+		t.Fatalf("backup dedup table has %d entries after the checkpoint, want 5", g.Machine(1).SeenLen())
 	}
 	// Crash the primary; the promoted backup must suppress a retry of
 	// a checkpointed request.

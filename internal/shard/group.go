@@ -175,7 +175,7 @@ type Group struct {
 	// holed marks replicas whose apply log has a hole: they were down,
 	// or excluded from an agreed view while alive (a partition-isolated
 	// replica misses the majority's applies, and the merge state
-	// transfer restores State/Seen but does not backfill the log).
+	// transfer restores the state and dedup table but not the log).
 	holed map[int]bool
 
 	// Stats counts the routing outcomes for the harness.
