@@ -16,7 +16,7 @@ func genReport(t *testing.T, builtin, name string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
 	var out, errb bytes.Buffer
-	if code := run([]string{"-builtin", builtin, "-out", path}, &out, &errb); code != 0 {
+	if code := run([]string{"load", "-builtin", builtin, "-out", path}, &out, &errb); code != 0 {
 		t.Fatalf("run exited %d: %s", code, errb.String())
 	}
 	return path
@@ -65,22 +65,22 @@ func TestReportDeterministic(t *testing.T) {
 	}
 }
 
-func TestCheckFlag(t *testing.T) {
+func TestCheckReport(t *testing.T) {
 	path := genReport(t, "load-ramp", "r.json")
 	var out, errb bytes.Buffer
-	if code := run([]string{"-check", path}, &out, &errb); code != 0 {
-		t.Fatalf("-check on a fresh report exited %d: %s", code, errb.String())
+	if code := run([]string{"check", path}, &out, &errb); code != 0 {
+		t.Fatalf("check on a fresh report exited %d: %s", code, errb.String())
 	}
 	if !strings.HasPrefix(out.String(), "ok:") {
-		t.Fatalf("-check output %q", out.String())
+		t.Fatalf("check output %q", out.String())
 	}
 	// A malformed file fails the check.
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte(`{"name":"x"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code := run([]string{"-check", bad}, &out, &errb); code == 0 {
-		t.Fatal("-check accepted a report without a horizon")
+	if code := run([]string{"check", bad}, &out, &errb); code == 0 {
+		t.Fatal("check accepted a report without a horizon")
 	}
 }
 
@@ -90,7 +90,7 @@ func TestCheckFlag(t *testing.T) {
 func TestDiffGate(t *testing.T) {
 	path := genReport(t, "load-ramp", "new.json")
 	var out, errb bytes.Buffer
-	if code := run([]string{"-diff", path, path}, &out, &errb); code != 0 {
+	if code := run([]string{"diff", path, path}, &out, &errb); code != 0 {
 		t.Fatalf("self-diff exited %d: %s\n%s", code, errb.String(), out.String())
 	}
 
@@ -108,7 +108,7 @@ func TestDiffGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if code := run([]string{"-diff", base, path}, &out, &errb); code != 1 {
+	if code := run([]string{"diff", base, path}, &out, &errb); code != 1 {
 		t.Fatalf("injected p99 regression exited %d, want 1\n%s", code, out.String())
 	}
 	if !strings.Contains(out.String(), "REGRESSIONS") {
@@ -116,7 +116,7 @@ func TestDiffGate(t *testing.T) {
 	}
 	// Loosened threshold: +100% is allowed at 1.5.
 	out.Reset()
-	if code := run([]string{"-diff", "-threshold", "1.5", base, path}, &out, &errb); code != 0 {
+	if code := run([]string{"diff", "-threshold", "1.5", base, path}, &out, &errb); code != 0 {
 		t.Fatalf("loose-threshold diff exited %d\n%s", code, out.String())
 	}
 }
@@ -126,7 +126,7 @@ func TestDiffGate(t *testing.T) {
 func TestBaselineFlag(t *testing.T) {
 	base := genReport(t, "load-ramp", "base.json")
 	var out, errb bytes.Buffer
-	if code := run([]string{"-builtin", "load-ramp", "-baseline", base,
+	if code := run([]string{"load", "-builtin", "load-ramp", "-baseline", base,
 		"-out", filepath.Join(t.TempDir(), "fresh.json")}, &out, &errb); code != 0 {
 		t.Fatalf("-baseline against an identical run exited %d: %s\n%s", code, errb.String(), out.String())
 	}
@@ -145,7 +145,7 @@ func TestBaselineFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if code := run([]string{"-builtin", "load-ramp", "-baseline", base,
+	if code := run([]string{"load", "-builtin", "load-ramp", "-baseline", base,
 		"-out", filepath.Join(t.TempDir(), "fresh.json")}, &out, &errb); code != 1 {
 		t.Fatalf("-baseline with a doctored baseline exited %d, want 1\n%s", code, out.String())
 	}
@@ -153,16 +153,16 @@ func TestBaselineFlag(t *testing.T) {
 
 func TestArgErrors(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{}, &out, &errb); code != 2 {
+	if code := run([]string{"load"}, &out, &errb); code != 2 {
 		t.Fatalf("no inputs exited %d, want 2", code)
 	}
-	if code := run([]string{"-builtin", "load-ramp", "-scenario", "x.json"}, &out, &errb); code != 2 {
+	if code := run([]string{"load", "-builtin", "load-ramp", "-scenario", "x.json"}, &out, &errb); code != 2 {
 		t.Fatalf("both inputs exited %d, want 2", code)
 	}
-	if code := run([]string{"-builtin", "no-such-builtin"}, &out, &errb); code != 2 {
+	if code := run([]string{"load", "-builtin", "no-such-builtin"}, &out, &errb); code != 2 {
 		t.Fatalf("unknown builtin exited %d, want 2", code)
 	}
-	if code := run([]string{"-diff", "only-one.json"}, &out, &errb); code != 2 {
+	if code := run([]string{"diff", "only-one.json"}, &out, &errb); code != 2 {
 		t.Fatalf("one-file diff exited %d, want 2", code)
 	}
 }

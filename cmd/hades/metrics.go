@@ -1,81 +1,40 @@
-// Command hades-metrics inspects the metrics timeline exported by
-// hades-sim -metrics: it validates the file, renders a text timeline
-// of every series, reports the SLO probe outcomes (breach windows
-// with onset/clear instants), and names the hottest keys and the hot
-// shard from the space-saving sketch.
-//
-// Usage:
-//
-//	hades-sim -builtin hot-shard -metrics m.json
-//	hades-metrics m.json                # text timeline of every series
-//	hades-metrics -slo m.json           # SLO rules and breach windows
-//	hades-metrics -top 5 m.json         # hottest keys + hot shard
-//	hades-metrics -check m.json         # exit 0 iff well-formed with scrapes
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"hades/internal/metrics"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("hades-metrics", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// metricsCmd inspects the metrics timeline exported by hades run
+// -metrics: a text timeline of every series by default, the SLO probe
+// outcomes (breach windows with onset/clear instants) with -slo, the
+// hottest keys and the hot shard from the space-saving sketch with -top.
+func metricsCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlags("metrics", stderr)
 	var (
-		check = fs.Bool("check", false, "validate only: exit 0 iff the file parses and holds at least one scraped series")
-		slo   = fs.Bool("slo", false, "print the SLO probe report: rules, evals, breach windows")
-		top   = fs.Int("top", 0, "print the N hottest keys and the hot shard")
+		slo = fs.Bool("slo", false, "print the SLO probe report: rules, evals, breach windows")
+		top = fs.Int("top", 0, "print the N hottest keys and the hot shard")
 	)
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "hades-metrics: need exactly one metrics file (exported with hades-sim -metrics)")
-		return 1
-	}
-	path := fs.Arg(0)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "hades-metrics: %v\n", err)
-		return 1
+	if fs.Parse(args) != nil {
+		return exitUsage
 	}
 	var doc metrics.Export
-	if err := json.Unmarshal(data, &doc); err != nil {
-		fmt.Fprintf(stderr, "hades-metrics: %s is not a metrics export: %v\n", path, err)
-		return 1
+	if err := readOperand(fs, "metrics", &doc); err != nil {
+		return cannot(stderr, "metrics", err)
 	}
-	if *check {
-		if len(doc.Series) == 0 || doc.Scrapes == 0 {
-			fmt.Fprintf(stderr, "hades-metrics: %s parses but holds no scraped series\n", path)
-			return 1
-		}
-		fmt.Fprintf(stdout, "ok: %d series, %d scrapes every %.1fms, %d slo rule(s), %d hot key(s)\n",
-			len(doc.Series), doc.Scrapes, ms(doc.IntervalNs), len(doc.SLO), len(doc.TopKeys))
-		return 0
-	}
-	did := false
 	if *slo {
 		sloReport(stdout, &doc)
-		did = true
 	}
 	if *top > 0 {
 		topReport(stdout, &doc, *top)
-		did = true
 	}
-	if !did {
+	if !*slo && *top <= 0 {
 		timeline(stdout, &doc)
 	}
-	return 0
+	return exitOK
 }
 
 func ms(ns int64) float64 { return float64(ns) / 1e6 }

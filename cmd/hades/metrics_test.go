@@ -11,8 +11,8 @@ import (
 	"hades/internal/metrics"
 )
 
-// writeSample marshals a small hand-built export and returns its path.
-func writeSample(t *testing.T) string {
+// writeMetricsSample marshals a small hand-built export and returns its path.
+func writeMetricsSample(t *testing.T) string {
 	t.Helper()
 	doc := metrics.Export{
 		IntervalNs: 5_000_000, Capacity: 256, Scrapes: 3,
@@ -48,59 +48,27 @@ func writeSample(t *testing.T) string {
 	return path
 }
 
-func TestRun(t *testing.T) {
-	sample := writeSample(t)
-	garbage := filepath.Join(t.TempDir(), "garbage.json")
-	if err := os.WriteFile(garbage, []byte("not json at all"), 0o644); err != nil {
-		t.Fatal(err)
+// TestMetrics table-tests hades metrics.
+func TestMetrics(t *testing.T) {
+	sample := writeMetricsSample(t)
+	cases := []cliCase{
+		{"no args", []string{"metrics"}, 2, "", "need exactly one metrics file"},
+		{"two args", []string{"metrics", sample, sample}, 2, "", "need exactly one metrics file"},
+		{"missing file", []string{"metrics", filepath.Join(t.TempDir(), "nope.json")}, 2, "", "hades metrics:"},
+		{"slo report", []string{"metrics", "-slo", sample}, 0, "breach onset 10.0ms, cleared 15.0ms", ""},
+		{"top report", []string{"metrics", "-top", "2", sample}, 0, "hot shard: 0", ""},
+		{"timeline", []string{"metrics", sample}, 0, "kv.ack.latency", ""},
 	}
-	empty := filepath.Join(t.TempDir(), "empty.json")
-	if err := os.WriteFile(empty, []byte(`{"interval_ns":5000000,"capacity":256,"scrapes":0,"series":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name       string
-		args       []string
-		wantCode   int
-		wantStdout string
-		wantStderr string
-	}{
-		{"check ok", []string{"-check", sample}, 0, "ok: 2 series, 3 scrapes", ""},
-		{"check garbage", []string{"-check", garbage}, 1, "", "not a metrics export"},
-		{"check empty", []string{"-check", empty}, 1, "", "holds no scraped series"},
-		{"check missing file", []string{"-check", filepath.Join(t.TempDir(), "nope.json")}, 1, "", "hades-metrics:"},
-		{"no args", nil, 1, "", "need exactly one metrics file"},
-		{"two args", []string{sample, sample}, 1, "", "need exactly one metrics file"},
-		{"slo report", []string{"-slo", sample}, 0, "breach onset 10.0ms, cleared 15.0ms", ""},
-		{"top report", []string{"-top", "2", sample}, 0, "hot shard: 0", ""},
-		{"timeline", []string{sample}, 0, "kv.ack.latency", ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			code := run(tc.args, &stdout, &stderr)
-			if code != tc.wantCode {
-				t.Fatalf("exit code = %d, want %d\nstdout:\n%s\nstderr:\n%s",
-					code, tc.wantCode, stdout.String(), stderr.String())
-			}
-			if tc.wantStdout != "" && !strings.Contains(stdout.String(), tc.wantStdout) {
-				t.Errorf("stdout missing %q:\n%s", tc.wantStdout, stdout.String())
-			}
-			if tc.wantStderr != "" && !strings.Contains(stderr.String(), tc.wantStderr) {
-				t.Errorf("stderr missing %q:\n%s", tc.wantStderr, stderr.String())
-			}
-		})
-	}
+	runCases(t, cases)
 }
 
 // TestReportsDetail pins the report contents: the timeline marks ring
 // evictions and histogram worst-p99; -top shows the admission error
 // bound; -slo prints the rule expression.
 func TestReportsDetail(t *testing.T) {
-	sample := writeSample(t)
+	sample := writeMetricsSample(t)
 	var out bytes.Buffer
-	if code := run([]string{sample}, &out, &out); code != 0 {
+	if code := run([]string{"metrics", sample}, &out, &out); code != 0 {
 		t.Fatalf("timeline failed:\n%s", out.String())
 	}
 	for _, want := range []string{"(+2 points evicted)", "worst-p99=9.00ms", "counter", "hist"} {
@@ -109,7 +77,7 @@ func TestReportsDetail(t *testing.T) {
 		}
 	}
 	out.Reset()
-	if code := run([]string{"-top", "3", sample}, &out, &out); code != 0 {
+	if code := run([]string{"metrics", "-top", "3", sample}, &out, &out); code != 0 {
 		t.Fatalf("-top failed:\n%s", out.String())
 	}
 	for _, want := range []string{"alpha", "~19 touch(es)", "(±1)", "hot shard: 0 (22 of 26"} {
@@ -118,7 +86,7 @@ func TestReportsDetail(t *testing.T) {
 		}
 	}
 	out.Reset()
-	if code := run([]string{"-slo", sample}, &out, &out); code != 0 {
+	if code := run([]string{"metrics", "-slo", sample}, &out, &out); code != 0 {
 		t.Fatalf("-slo failed:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "p99(kv.ack.latency) <= 5e+06") {

@@ -1,55 +1,28 @@
-// Command hades-sim runs a HADES scenario — a task set under a chosen
-// scheduler and resource protocol on a described cluster (nodes,
-// bounded-delay links, placement, fault schedules) — and reports
-// per-task statistics, violations and (optionally) the full event
-// trace. Distributed and faulty workloads are pure data: see the
-// distributed-pipeline builtin for the JSON shape.
-//
-// Usage:
-//
-//	hades-sim -builtin spuri-example
-//	hades-sim -builtin distributed-pipeline
-//	hades-sim -builtin inversion -events
-//	hades-sim -builtin partition-split -views -partition
-//	hades-sim -builtin sharded-kv -shards -percentiles
-//	hades-sim -builtin bank-transfer -txns -trace out.json
-//	hades-sim -builtin hot-shard -metrics m.json
-//	hades-sim -builtin sensor-fan-out -pubsub
-//	hades-sim -scenario myset.json
-//	hades-sim -list                  # list built-in scenarios
-//
-// -trace exports the run's retained causal traces as Chrome
-// trace-event JSON, loadable in Perfetto (https://ui.perfetto.dev) or
-// chrome://tracing; -percentiles prints the per-shard, per-op-class
-// latency percentile table with the layer breakdown; -metrics exports
-// the virtual-time metrics timeline (per-interval series, SLO breach
-// windows, hot keys) as JSON for hades-metrics.
 package main
 
 import (
-	"flag"
+	"cmp"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"hades/internal/cluster"
-	"hades/internal/scenario"
 	"hades/internal/trace"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is the testable entry point: parses args, executes the scenario
-// and writes reports to stdout, errors to stderr.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("hades-sim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// runCmd runs a scenario — a task set under a chosen scheduler and
+// resource protocol on a described cluster (nodes, bounded-delay links,
+// placement, fault schedules) — and reports per-task statistics,
+// violations and whichever plane reports were asked for. -trace exports
+// the run's retained causal traces as Chrome trace-event JSON, loadable
+// in Perfetto (https://ui.perfetto.dev) or chrome://tracing; -metrics
+// exports the virtual-time metrics timeline (per-interval series, SLO
+// breach windows, hot keys) as JSON for hades metrics.
+func runCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlags("run", stderr)
 	var (
-		builtin     = fs.String("builtin", "", "built-in scenario name")
-		file        = fs.String("scenario", "", "scenario JSON file")
+		open        = scenarioFlags(fs)
 		traceOut    = fs.String("trace", "", "export retained causal traces as Chrome trace-event JSON to this file (Perfetto-loadable)")
 		metricsOut  = fs.String("metrics", "", "export the metrics timeline (per-interval series, SLO breaches, hot keys) as JSON to this file")
 		percentiles = fs.Bool("percentiles", false, "print the per-shard, per-op-class latency percentile table")
@@ -60,31 +33,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shardRep    = fs.Bool("shards", false, "print the sharded data plane routing report")
 		txnRep      = fs.Bool("txns", false, "print the cross-shard transaction report")
 		pubsubRep   = fs.Bool("pubsub", false, "print the pub/sub plane report (per-topic QoS stats and delivery verdict)")
-		listThem    = fs.Bool("builtins", false, "list built-in scenarios and exit")
-		listAlt     = fs.Bool("list", false, "alias for -builtins")
 	)
-	if err := fs.Parse(args); err != nil {
-		return 1
+	if fs.Parse(args) != nil {
+		return exitUsage
 	}
-
-	if *listThem || *listAlt {
-		fmt.Fprintln(stdout, strings.Join(scenario.BuiltinNames(), "\n"))
-		return 0
-	}
-	spec, err := scenario.Open(*builtin, *file)
+	spec, clu, rep, err := simulate(open)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return cannot(stderr, "run", err)
 	}
-
-	clu, err := spec.Build()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	rep := clu.Run(spec.Horizon())
 	fmt.Fprintf(stdout, "scenario %q: %d node(s), %d link(s), %d fault(s), scheduler %s, policy %s, costs %s\n",
-		spec.Name, spec.Nodes, len(spec.Links), len(spec.Faults), spec.Scheduler, orNone(spec.Policy), orDefault(spec.Costs))
+		spec.Name, spec.Nodes, len(spec.Links), len(spec.Faults), spec.Scheduler, cmp.Or(spec.Policy, "none"), cmp.Or(spec.Costs, "default"))
 	fmt.Fprint(stdout, rep)
 	if len(rep.Violations) > 0 {
 		fmt.Fprintf(stdout, "violations (%d):\n", len(rep.Violations))
@@ -95,8 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *percentiles {
 		tr := clu.Tracer()
 		if tr == nil {
-			fmt.Fprintln(stderr, "hades-sim: -percentiles needs tracing enabled (the scenario disabled it)")
-			return 1
+			return cannot(stderr, "run", errors.New("-percentiles needs tracing enabled (the scenario disabled it)"))
 		}
 		started, finished, retained, violating := tr.Counts()
 		fmt.Fprintf(stdout, "--- latency percentiles (traces: started=%d finished=%d retained=%d violating=%d, sample rate %g) ---\n",
@@ -252,29 +209,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *events {
 		fmt.Fprintln(stdout, "--- events ---")
 		if err := clu.Log().WriteTrace(stdout); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return cannot(stderr, "run", err)
 		}
 	}
 	if *traceOut != "" {
 		tr := clu.Tracer()
 		if tr == nil {
-			fmt.Fprintln(stderr, "hades-sim: -trace needs tracing enabled (the scenario disabled it)")
-			return 1
+			return cannot(stderr, "run", errors.New("-trace needs tracing enabled (the scenario disabled it)"))
 		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(stderr, "hades-sim: cannot write trace file: %v\n", err)
-			return 1
-		}
-		werr := trace.WriteChrome(f, tr.Retained())
-		cerr := f.Close()
-		if werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "hades-sim: writing %s: %v\n", *traceOut, werr)
-			return 1
+		write := func(w io.Writer) error { return trace.WriteChrome(w, tr.Retained()) }
+		if err := export(*traceOut, "trace", write); err != nil {
+			return cannot(stderr, "run", err)
 		}
 		_, _, retained, _ := tr.Counts()
 		fmt.Fprintf(stdout, "wrote %d trace(s) to %s (load in https://ui.perfetto.dev)\n", retained, *traceOut)
@@ -282,50 +227,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *metricsOut != "" {
 		reg := clu.Metrics()
 		if reg == nil {
-			fmt.Fprintln(stderr, "hades-sim: -metrics needs the metrics plane enabled (the scenario disabled it)")
-			return 1
+			return cannot(stderr, "run", errors.New("-metrics needs the metrics plane enabled (the scenario disabled it)"))
 		}
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fmt.Fprintf(stderr, "hades-sim: cannot write metrics file: %v\n", err)
-			return 1
-		}
-		werr := reg.WriteJSON(f)
-		cerr := f.Close()
-		if werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "hades-sim: writing %s: %v\n", *metricsOut, werr)
-			return 1
+		if err := export(*metricsOut, "metrics", reg.WriteJSON); err != nil {
+			return cannot(stderr, "run", err)
 		}
 		ex := reg.Export()
-		fmt.Fprintf(stdout, "wrote %d series (%d scrapes) to %s (inspect with hades-metrics)\n",
+		fmt.Fprintf(stdout, "wrote %d series (%d scrapes) to %s (inspect with hades metrics)\n",
 			len(ex.Series), ex.Scrapes, *metricsOut)
 	}
 	// The audits gate the exit code whether or not their report was
 	// requested, and only after every requested export has been written,
 	// so CI keeps the artifacts of a failing run.
 	if err := verify(clu); err != nil {
-		fmt.Fprintf(stderr, "hades-sim: verification failed: %v\n", err)
-		return 1
+		fmt.Fprintf(stderr, "hades run: verification failed: %v\n", err)
+		return exitBad
 	}
-	return 0
+	return exitOK
+}
+
+// export creates path, lets write fill it and closes it; what names
+// the artifact.
+func export(path, what string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("cannot write %s file: %v", what, err)
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("writing %s: %v", path, err)
+	}
+	return nil
 }
 
 // verify is the end-of-run audit; tests swap it to force a failure.
 var verify = (*cluster.Cluster).Verify
-
-func orNone(s string) string {
-	if s == "" {
-		return "none"
-	}
-	return s
-}
-
-func orDefault(s string) string {
-	if s == "" {
-		return "default"
-	}
-	return s
-}

@@ -13,88 +13,67 @@ import (
 	"hades/internal/trace"
 )
 
-// TestRunFlags table-tests the CLI surface: exit codes, error text and
+// TestRunFlags table-tests hades run: exit codes, error text and
 // success output for the observability flags.
 func TestRunFlags(t *testing.T) {
 	tmp := t.TempDir()
-	cases := []struct {
-		name       string
-		args       []string
-		wantCode   int
-		wantStdout string // substring, "" to skip
-		wantStderr string // substring, "" to skip
-	}{
+	cases := []cliCase{
 		{
 			name:       "list builtins",
-			args:       []string{"-list"},
+			args:       []string{"list"},
 			wantCode:   0,
 			wantStdout: "bank-transfer",
 		},
 		{
 			name:       "unknown builtin",
-			args:       []string{"-builtin", "no-such-scenario"},
-			wantCode:   1,
+			args:       []string{"run", "-builtin", "no-such-scenario"},
+			wantCode:   2,
 			wantStderr: "no-such-scenario",
 		},
 		{
 			name:       "missing scenario file",
-			args:       []string{"-scenario", filepath.Join(tmp, "absent.json")},
-			wantCode:   1,
+			args:       []string{"run", "-scenario", filepath.Join(tmp, "absent.json")},
+			wantCode:   2,
 			wantStderr: "absent.json",
 		},
 		{
 			name:       "unwritable trace path",
-			args:       []string{"-builtin", "sharded-kv", "-trace", filepath.Join(tmp, "no-such-dir", "out.json")},
-			wantCode:   1,
+			args:       []string{"run", "-builtin", "sharded-kv", "-trace", filepath.Join(tmp, "no-such-dir", "out.json")},
+			wantCode:   2,
 			wantStderr: "cannot write trace file",
 		},
 		{
 			name:       "trace export",
-			args:       []string{"-builtin", "bank-transfer", "-trace", filepath.Join(tmp, "bt.json")},
+			args:       []string{"run", "-builtin", "bank-transfer", "-trace", filepath.Join(tmp, "bt.json")},
 			wantCode:   0,
 			wantStdout: "trace(s) to",
 		},
 		{
 			name:       "percentiles report",
-			args:       []string{"-builtin", "bank-transfer", "-percentiles"},
+			args:       []string{"run", "-builtin", "bank-transfer", "-percentiles"},
 			wantCode:   0,
 			wantStdout: "latency percentiles",
 		},
 		{
 			name:       "metrics export",
-			args:       []string{"-builtin", "hot-shard", "-metrics", filepath.Join(tmp, "m.json")},
+			args:       []string{"run", "-builtin", "hot-shard", "-metrics", filepath.Join(tmp, "m.json")},
 			wantCode:   0,
 			wantStdout: "series (80 scrapes) to",
 		},
 		{
 			name:       "unwritable metrics path",
-			args:       []string{"-builtin", "hot-shard", "-metrics", filepath.Join(tmp, "no-such-dir", "m.json")},
-			wantCode:   1,
+			args:       []string{"run", "-builtin", "hot-shard", "-metrics", filepath.Join(tmp, "no-such-dir", "m.json")},
+			wantCode:   2,
 			wantStderr: "cannot write metrics file",
 		},
 		{
 			name:       "bad flag",
-			args:       []string{"-no-such-flag"},
-			wantCode:   1,
+			args:       []string{"run", "-no-such-flag"},
+			wantCode:   2,
 			wantStderr: "flag provided but not defined",
 		},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			code := run(tc.args, &stdout, &stderr)
-			if code != tc.wantCode {
-				t.Fatalf("exit code = %d, want %d\nstdout:\n%s\nstderr:\n%s",
-					code, tc.wantCode, stdout.String(), stderr.String())
-			}
-			if tc.wantStdout != "" && !strings.Contains(stdout.String(), tc.wantStdout) {
-				t.Errorf("stdout missing %q:\n%s", tc.wantStdout, stdout.String())
-			}
-			if tc.wantStderr != "" && !strings.Contains(stderr.String(), tc.wantStderr) {
-				t.Errorf("stderr missing %q:\n%s", tc.wantStderr, stderr.String())
-			}
-		})
-	}
+	runCases(t, cases)
 }
 
 // TestTraceExportIsLoadable runs a builtin with -trace and checks the
@@ -104,7 +83,7 @@ func TestRunFlags(t *testing.T) {
 func TestTraceExportIsLoadable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bt.json")
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-builtin", "bank-transfer", "-trace", path}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"run", "-builtin", "bank-transfer", "-trace", path}, &stdout, &stderr); code != 0 {
 		t.Fatalf("run failed (%d): %s", code, stderr.String())
 	}
 	data, err := os.ReadFile(path)
@@ -161,7 +140,7 @@ func TestTraceExportDeterminism(t *testing.T) {
 			for i := range out {
 				path := filepath.Join(tmp, "run.json")
 				var stdout, stderr bytes.Buffer
-				if code := run([]string{"-builtin", builtin, "-trace", path}, &stdout, &stderr); code != 0 {
+				if code := run([]string{"run", "-builtin", builtin, "-trace", path}, &stdout, &stderr); code != 0 {
 					t.Fatalf("run %d failed: %s", i, stderr.String())
 				}
 				data, err := os.ReadFile(path)
@@ -186,7 +165,7 @@ func TestAuditGatesExitCode(t *testing.T) {
 	tmp := t.TempDir()
 	tracePath, metricsPath := filepath.Join(tmp, "t.json"), filepath.Join(tmp, "m.json")
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-builtin", "bank-transfer", "-trace", tracePath, "-metrics", metricsPath}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"run", "-builtin", "bank-transfer", "-trace", tracePath, "-metrics", metricsPath}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit code = %d with a failing audit, want 1\nstderr:\n%s", code, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "torn transaction (forced)") {
@@ -210,7 +189,7 @@ func TestPassiveShardsExitZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-scenario", path, "-shards"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"run", "-scenario", path, "-shards"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "style=passive") {

@@ -1,31 +1,13 @@
-// Command hades-trace inspects Chrome trace-event JSON exported by
-// hades-sim -trace: it validates the file, lists the slowest traces,
-// and renders a per-trace waterfall of the span tree — a terminal
-// companion to loading the file in Perfetto.
-//
-// Usage:
-//
-//	hades-sim -builtin bank-transfer -trace out.json
-//	hades-trace out.json                 # slowest-10 report + waterfalls
-//	hades-trace -top 3 out.json
-//	hades-trace -check out.json          # exit 0 iff well-formed with spans
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 
 	"hades/internal/trace"
 )
-
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
 
 // span is one X event regrouped under its trace.
 type span struct {
@@ -58,43 +40,24 @@ func (t *traceRec) root() (span, bool) {
 	return best, found
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("hades-trace", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		check = fs.Bool("check", false, "validate only: exit 0 iff the file parses as Chrome trace JSON with at least one span")
-		top   = fs.Int("top", 10, "number of slowest traces to report")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "hades-trace: need exactly one trace file (exported with hades-sim -trace)")
-		return 1
-	}
-	path := fs.Arg(0)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "hades-trace: %v\n", err)
-		return 1
+// traceCmd inspects Chrome trace-event JSON exported by hades run
+// -trace: it lists the slowest traces and renders a per-trace waterfall
+// of the span tree — a terminal companion to loading the file in
+// Perfetto.
+func traceCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlags("trace", stderr)
+	top := fs.Int("top", 10, "number of slowest traces to report")
+	if fs.Parse(args) != nil {
+		return exitUsage
 	}
 	var doc trace.ChromeDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		fmt.Fprintf(stderr, "hades-trace: %s is not Chrome trace JSON: %v\n", path, err)
-		return 1
+	if err := readOperand(fs, "trace", &doc); err != nil {
+		return cannot(stderr, "trace", err)
 	}
 	traces, spans := regroup(doc)
-	if *check {
-		if spans == 0 {
-			fmt.Fprintf(stderr, "hades-trace: %s parses but holds no spans\n", path)
-			return 1
-		}
-		fmt.Fprintf(stdout, "ok: %d trace(s), %d span(s)\n", len(traces), spans)
-		return 0
-	}
 	if len(traces) == 0 {
-		fmt.Fprintf(stderr, "hades-trace: %s holds no traces\n", path)
-		return 1
+		fmt.Fprintf(stderr, "hades trace: %s holds no traces\n", fs.Arg(0))
+		return exitBad
 	}
 	sort.Slice(traces, func(i, j int) bool {
 		ri, _ := traces[i].root()
@@ -104,15 +67,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return traces[i].id < traces[j].id
 	})
-	n := *top
-	if n > len(traces) {
-		n = len(traces)
-	}
+	n := max(0, min(*top, len(traces)))
 	fmt.Fprintf(stdout, "%d trace(s), %d span(s); %s; slowest %d:\n", len(traces), spans, rootSummary(traces), n)
 	for _, t := range traces[:n] {
 		waterfall(stdout, t)
 	}
-	return 0
+	return exitOK
 }
 
 // rootSummary renders end-to-end latency percentiles over the traces'

@@ -242,9 +242,6 @@ func (c *Cluster) AddNodes(n int) []int {
 	return ids
 }
 
-// NumNodes returns the number of registered nodes.
-func (c *Cluster) NumNodes() int { return len(c.nodes) }
-
 // Connect declares a bidirectional link between nodes a and b with
 // transmission delay bounds [dMin, dMax].
 func (c *Cluster) Connect(a, b int, dMin, dMax vtime.Duration) {

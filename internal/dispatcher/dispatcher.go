@@ -155,9 +155,6 @@ func (d *Dispatcher) Costs() CostBook { return d.costs }
 // Stats returns a snapshot of the dispatcher counters.
 func (d *Dispatcher) Stats() Stats { return d.stats }
 
-// Apps returns the registered applications in registration order.
-func (d *Dispatcher) Apps() []*App { return d.apps }
-
 // node returns the state for a processor id, creating it lazily for
 // processors added after New.
 func (d *Dispatcher) node(id int) *nodeState {

@@ -37,9 +37,6 @@ func (in *Instance) Name() string { return fmt.Sprintf("%s#%d", in.TR.Task.Name,
 // the instance was cancelled).
 func (in *Instance) Completed() bool { return in.completed }
 
-// Missed reports whether the instance missed its deadline.
-func (in *Instance) Missed() bool { return in.missed }
-
 // Cancelled reports whether the instance was aborted.
 func (in *Instance) Cancelled() bool { return in.cancelled }
 

@@ -1,8 +1,8 @@
 // Package expkit implements the reproduction experiments indexed in
 // DESIGN.md §4: one function per paper figure/table plus the ablations,
-// each returning a printable Table. cmd/hades-exp and the top-level
-// benchmarks are thin wrappers over this package, so the experiment
-// logic lives in exactly one place.
+// each returning a printable Table. The hades exp subcommand and the
+// top-level benchmarks are thin wrappers over this package, so the
+// experiment logic lives in exactly one place.
 package expkit
 
 import (
@@ -68,9 +68,6 @@ type Options struct {
 	// Seed is the base seed for all randomised experiments.
 	Seed int64
 }
-
-// DefaultOptions returns the full-scale configuration.
-func DefaultOptions() Options { return Options{Seed: 1} }
 
 // Runner is one experiment entry point.
 type Runner func(Options) Table

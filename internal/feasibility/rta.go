@@ -1,7 +1,6 @@
 package feasibility
 
 import (
-	"fmt"
 	"sort"
 
 	"hades/internal/vtime"
@@ -117,17 +116,4 @@ func fixpoint(sorted []Task, i int, blocking vtime.Duration, ov *Overheads) (vti
 		r = next
 	}
 	return r, false
-}
-
-// Pessimism compares two overhead books on the same task set: it
-// reports the sets admitted under precise costs but rejected under crude
-// (inflated) ones — the paper's §2.2.2 argument that imprecise cost
-// information "leads to a negative answer from the scheduling test,
-// forbidding the execution of the application in spite of its actual
-// feasibility".
-func Pessimism(tasks []Task, precise, crude *Overheads) (admitPrecise, admitCrude bool, detail string) {
-	vp := EDFSpuri(tasks, precise)
-	vc := EDFSpuri(tasks, crude)
-	detail = fmt.Sprintf("precise: %v, crude: %v", vp.Feasible, vc.Feasible)
-	return vp.Feasible, vc.Feasible, detail
 }

@@ -210,10 +210,9 @@ type Service struct {
 	blockedTotal  map[int]vtime.Duration
 	lastHeal      vtime.Time
 
-	onInstall map[int][]func(View)
-	onChange  []func(View)
-	onMerge   []func(Merge)
-	states    []stateHook
+	onChange []func(View)
+	onMerge  []func(Merge)
+	states   []stateHook
 
 	// Installs, Transfers and Merges record every event for the harness.
 	Installs  []Install
@@ -282,7 +281,6 @@ func New(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Service, error)
 		blockedSince:  make(map[int]vtime.Time),
 		blockedMark:   make(map[int]bool),
 		blockedTotal:  make(map[int]vtime.Duration),
-		onInstall:     make(map[int][]func(View)),
 		mSuspicions:   eng.Metrics().Counter("member.suspicions"),
 		mInstallLat:   eng.Metrics().Hist("member.install.latency"),
 	}
@@ -415,11 +413,6 @@ func (s *Service) History(node int) []View {
 	out := make([]View, len(s.history[node]))
 	copy(out, s.history[node])
 	return out
-}
-
-// OnInstall registers a handler fired whenever node installs a view.
-func (s *Service) OnInstall(node int, fn func(View)) {
-	s.onInstall[node] = append(s.onInstall[node], fn)
 }
 
 // OnChange registers a handler fired once per agreed view, at the
@@ -941,9 +934,6 @@ func (s *Service) install(node int, v View, at, trigger vtime.Time, reason strin
 	}
 	if log := s.eng.Log(); log != nil {
 		log.Recordf(at, monitor.KindViewChange, node, s.cfg.Name, "%s %s lat=%s", v, reason, in.Latency)
-	}
-	for _, fn := range s.onInstall[node] {
-		fn(v)
 	}
 }
 

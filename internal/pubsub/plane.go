@@ -442,7 +442,6 @@ type Publisher struct {
 	pending   map[uint64]*pubAttempt // seq → attempt, reliable path
 	published []Sample
 	acked     int
-	onAck     func(seq uint64)
 }
 
 // Node returns the publisher's node.
@@ -462,9 +461,6 @@ func (pub *Publisher) Acked() int { return pub.acked }
 
 // Unacked returns the count of publishes still in flight.
 func (pub *Publisher) Unacked() int { return len(pub.published) - pub.acked }
-
-// OnAck registers a completion callback (per-seq).
-func (pub *Publisher) OnAck(fn func(seq uint64)) { pub.onAck = fn }
 
 // Publish produces one sample. Reliable topics submit it to the
 // owning group as a session call that retires at the ack; best-effort
@@ -848,9 +844,6 @@ func (p *Plane) handleAck(node int, m *netsim.Message) {
 	if att.done != nil {
 		att.done()
 	}
-	if pub.onAck != nil {
-		pub.onAck(att.s.Seq)
-	}
 }
 
 // handleDeliver dispatches one fan-out (or replay) arrival at a
@@ -892,9 +885,6 @@ func (p *Plane) onBE(node int, d rbcast.Delivery) {
 			att.pub.t.acked++
 			if att.done != nil {
 				att.done()
-			}
-			if att.pub.onAck != nil {
-				att.pub.onAck(att.s.Seq)
 			}
 		}
 	}

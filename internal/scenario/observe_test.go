@@ -189,3 +189,5 @@ func TestZeroRateStillRetainsViolations(t *testing.T) {
 }
 
 func iptr(i int) *int { return &i }
+
+func fptr(f float64) *float64 { return &f }

@@ -112,8 +112,8 @@ func (s Spec) validatePubSub(loadNames map[string]bool) error {
 		if !topics[pb.Topic] {
 			return fmt.Errorf("scenario %q: pubsub publisher %d on undeclared topic %q", s.Name, i, pb.Topic)
 		}
-		if pb.Node < 0 || pb.Node >= s.Nodes {
-			return fmt.Errorf("scenario %q: pubsub publisher %d on unknown node %d (have %d)", s.Name, i, pb.Node, s.Nodes)
+		if err := s.knownNode(pb.Node, "pubsub publisher %d on", i); err != nil {
+			return err
 		}
 		if pb.SubmitEveryMs <= 0 {
 			return fmt.Errorf("scenario %q: pubsub publisher %d needs a positive submitEveryMs", s.Name, i)
@@ -127,8 +127,8 @@ func (s Spec) validatePubSub(loadNames map[string]bool) error {
 		if !topics[sb.Topic] {
 			return fmt.Errorf("scenario %q: pubsub subscriber %d on undeclared topic %q", s.Name, i, sb.Topic)
 		}
-		if sb.Node < 0 || sb.Node >= s.Nodes {
-			return fmt.Errorf("scenario %q: pubsub subscriber %d on unknown node %d (have %d)", s.Name, i, sb.Node, s.Nodes)
+		if err := s.knownNode(sb.Node, "pubsub subscriber %d on", i); err != nil {
+			return err
 		}
 		key := fmt.Sprintf("%s@%d", sb.Topic, sb.Node)
 		if subsAt[key] {

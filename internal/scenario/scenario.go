@@ -1,7 +1,8 @@
-// Package scenario defines the JSON scenario format shared by the
-// hades-sim and hades-feas command-line tools: a §5.1-style task set
-// plus platform, topology, placement, fault-injection and policy
-// choices, loadable from a file or from the built-in catalogue.
+// Package scenario defines the JSON scenario format the hades command
+// runs, reports on and analyses: a §5.1-style task set plus platform,
+// topology, placement, fault-injection and policy choices, loadable
+// from a file or from the built-in catalogue (builtins/*.json, read
+// through the same strict decoder).
 //
 // A scenario builds onto the cluster runtime layer, so distributed and
 // faulty workloads are data, not code: "nodes" sizes the platform,
@@ -20,12 +21,13 @@ package scenario
 
 import (
 	"bytes"
+	"embed"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
-	"slices"
+	"strings"
 
 	"hades/internal/cluster"
 	"hades/internal/dispatcher"
@@ -360,12 +362,13 @@ type LoadSpec struct {
 type loadBlock struct {
 	// kind is the subject of the block's error messages.
 	kind string
-	// workloads lists the accepted workload names besides the empty
-	// default; otherwise says why any other is refused.
-	workloads []string
+	// workloads maps the block's accepted workload names (the empty
+	// default included) to the op shape; otherwise says why any other
+	// is refused.
+	workloads map[string]load.Workload
 	otherwise string
-	// publishes marks the pubsub block: its generators publish, and
-	// their Keys must name topics.
+	// publishes marks the pubsub block: its generators' Keys must name
+	// topics.
 	publishes bool
 	// endpoint names what Nodes host ("client", "publisher"); empty
 	// means the block takes no nodes at all.
@@ -383,18 +386,35 @@ type loadBlock struct {
 var (
 	// shardsLoads: kv or txn generators on client nodes that host no
 	// replica.
-	shardsLoads = loadBlock{kind: "load", workloads: []string{"kv", "txn"},
+	shardsLoads = loadBlock{kind: "load", workloads: map[string]load.Workload{"": load.KV, "kv": load.KV, "txn": load.Txn},
 		otherwise: "want kv or txn; pubsub loads live in the pubsub block", endpoint: "client"}
 	// pubsubLoads: generators that publish to declared topics from any
 	// node — publishers co-locate with replicas legally.
-	pubsubLoads = loadBlock{kind: "pubsub load", workloads: []string{"pubsub"},
+	pubsubLoads = loadBlock{kind: "pubsub load", workloads: map[string]load.Workload{"": load.Pub, "pubsub": load.Pub},
 		otherwise: "a pubsub-block load always publishes", publishes: true, endpoint: "publisher"}
 	// groupLoads: a group load drives the group's replicated machine
 	// directly (submit at the current primary, complete at the first
 	// fresh apply), so it only speaks the kv shape and names no client
 	// nodes.
-	groupLoads = loadBlock{kind: "group load", workloads: []string{"kv"},
+	groupLoads = loadBlock{kind: "group load", workloads: map[string]load.Workload{"": load.KV, "kv": load.KV},
 		otherwise: "a plain replication group only serves kv commands", keyless: true}
+)
+
+// The name tables below are each enum's single source: validation
+// accepts exactly their keys and Build indexes them. An empty name is
+// the documented default where one exists.
+var (
+	loadModes = map[string]load.Mode{"": load.Closed, "closed": load.Closed, "open": load.Open}
+	// groupStyles has no default: a group without a style replicates
+	// nothing.
+	groupStyles = map[string]replication.Style{
+		"passive": replication.Passive, "semi-active": replication.SemiActive, "active": replication.Active}
+	// shardStyles defaults to semi-active, the style the exactly-once
+	// audit requires; "active" has no primary to route to.
+	shardStyles = map[string]replication.Style{
+		"": replication.SemiActive, "semi-active": replication.SemiActive, "passive": replication.Passive}
+	clientPolicies = map[string]shard.Policy{
+		"": shard.QueueOnFailure, "queue": shard.QueueOnFailure, "fail-fast": shard.FailFast}
 )
 
 // config lowers the spec to the load-plane configuration. The horizon
@@ -407,6 +427,8 @@ func (b loadBlock) config(ls LoadSpec, seed int64, horizon vtime.Duration) load.
 	}
 	cfg := load.Config{
 		Name:     ls.Name,
+		Mode:     loadModes[ls.Mode],
+		Workload: b.workloads[ls.Workload],
 		Sessions: ls.Sessions,
 		Think:    msd(ls.ThinkMs),
 		Rate:     ls.Arrival,
@@ -416,15 +438,6 @@ func (b loadBlock) config(ls LoadSpec, seed int64, horizon vtime.Duration) load.
 		Start:    vtime.Time(msd(ls.StartMs)),
 		End:      end,
 		MaxOps:   ls.MaxOps,
-	}
-	if ls.Mode == "open" {
-		cfg.Mode = load.Open
-	}
-	if ls.Workload == "txn" {
-		cfg.Workload = load.Txn
-	}
-	if b.publishes {
-		cfg.Workload = load.Pub
 	}
 	for _, st := range ls.Ramp {
 		cfg.Ramp = append(cfg.Ramp, load.RampStep{At: vtime.Time(msd(st.AtMs)), Rate: st.Rate})
@@ -448,12 +461,10 @@ func (s Spec) validateLoads(b loadBlock, loads []LoadSpec, names map[string]bool
 			return fmt.Errorf("scenario %q: duplicate load %q (metric series would collide)", s.Name, ls.Name)
 		}
 		names[ls.Name] = true
-		switch ls.Mode {
-		case "", "closed", "open":
-		default:
+		if _, ok := loadModes[ls.Mode]; !ok {
 			return fmt.Errorf("scenario %q: %s %q has unknown mode %q (want closed or open)", s.Name, b.kind, ls.Name, ls.Mode)
 		}
-		if ls.Workload != "" && !slices.Contains(b.workloads, ls.Workload) {
+		if _, ok := b.workloads[ls.Workload]; !ok {
 			return fmt.Errorf("scenario %q: %s %q has unknown workload %q (%s)", s.Name, b.kind, ls.Name, ls.Workload, b.otherwise)
 		}
 		if b.endpoint == "" && len(ls.Nodes) > 0 {
@@ -464,8 +475,8 @@ func (s Spec) validateLoads(b loadBlock, loads []LoadSpec, names map[string]bool
 		}
 		seen := map[int]bool{}
 		for _, n := range ls.Nodes {
-			if n < 0 || n >= s.Nodes {
-				return fmt.Errorf("scenario %q: %s %q on unknown node %d (have %d)", s.Name, b.kind, ls.Name, n, s.Nodes)
+			if err := s.knownNode(n, "%s %q on", b.kind, ls.Name); err != nil {
+				return err
 			}
 			if _, replica := b.replicas[n]; replica {
 				return fmt.Errorf("scenario %q: %s %q on node %d collides with a shard replica", s.Name, b.kind, ls.Name, n)
@@ -616,20 +627,25 @@ type Spec struct {
 
 // Load reads a scenario from a JSON file.
 func Load(path string) (Spec, error) {
-	var s Spec
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return s, fmt.Errorf("scenario: %w", err)
+		return Spec{}, fmt.Errorf("scenario: %w", err)
 	}
-	// Strict decoding: a misspelt or retired key is an error that names
-	// it, not a knob silently left at its default.
+	return decode(data, path)
+}
+
+// decode is the one door to a Spec, for user files and builtins alike.
+// Decoding is strict: a misspelt or retired key is an error that names
+// it, not a knob silently left at its default.
+func decode(data []byte, origin string) (Spec, error) {
+	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
-		return s, fmt.Errorf("scenario: parsing %s: %w", path, err)
+		return s, fmt.Errorf("scenario: parsing %s: %w", origin, err)
 	}
 	if dec.More() {
-		return s, fmt.Errorf("scenario: parsing %s: trailing data after the scenario object", path)
+		return s, fmt.Errorf("scenario: parsing %s: trailing data after the scenario object", origin)
 	}
 	return s.withDefaults()
 }
@@ -646,363 +662,34 @@ func Open(builtin, path string) (Spec, error) {
 	return Load(path)
 }
 
-// Builtin returns a named built-in scenario.
+// builtinFS is the catalogue: one scenario file per builtin, named
+// after it. builtins/README.md says why each looks the way it does.
+//
+//go:embed builtins/*.json
+var builtinFS embed.FS
+
+// Builtin returns a named built-in scenario, decoded afresh on every
+// call so no caller can mutate what the next one gets.
 func Builtin(name string) (Spec, error) {
-	s, ok := builtins[name]
-	if !ok {
+	origin := "builtins/" + name + ".json"
+	data, err := builtinFS.ReadFile(origin)
+	if err != nil {
 		return Spec{}, fmt.Errorf("scenario: unknown builtin %q (have %v)", name, BuiltinNames())
 	}
-	return s.withDefaults()
+	return decode(data, origin)
 }
 
-// BuiltinNames lists the catalogue.
+// BuiltinNames lists the catalogue, sorted.
 func BuiltinNames() []string {
-	return []string{"spuri-example", "inversion", "overload", "distributed-pipeline", "membership-churn", "partition-split", "sharded-kv", "bank-transfer", "hot-shard", "load-ramp", "sensor-fan-out"}
-}
-
-var builtins = map[string]Spec{
-	// The §5 running example: three sporadic tasks sharing S under
-	// EDF+SRP.
-	"spuri-example": {
-		Name: "spuri-example", Nodes: 1, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "SRP", HorizonMs: 500,
-		Tasks: []TaskSpec{
-			{Name: "tau1", CBeforeUs: 300, CSUs: 200, CAfterUs: 500, Resource: "S", DeadlineMs: 5, PeriodMs: 10},
-			{Name: "tau2", CBeforeUs: 800, CSUs: 400, CAfterUs: 800, Resource: "S", DeadlineMs: 12, PeriodMs: 20},
-			{Name: "tau3", CBeforeUs: 2000, CSUs: 0, CAfterUs: 0, DeadlineMs: 40, PeriodMs: 50},
-		},
-	},
-	// The canonical priority-inversion workload (experiment X2).
-	"inversion": {
-		Name: "inversion", Nodes: 1, Seed: 1, Costs: "default",
-		Scheduler: "DM", Policy: "SRP", HorizonMs: 500,
-		Tasks: []TaskSpec{
-			{Name: "low", CBeforeUs: 0, CSUs: 8000, CAfterUs: 0, Resource: "R", DeadlineMs: 45, PeriodMs: 50},
-			{Name: "mid", CBeforeUs: 15000, CSUs: 0, CAfterUs: 0, DeadlineMs: 40, PeriodMs: 50},
-			{Name: "high", CBeforeUs: 0, CSUs: 1000, CAfterUs: 0, Resource: "R", DeadlineMs: 20, PeriodMs: 50},
-		},
-	},
-	// A deliberately overloaded set: misses expected.
-	"overload": {
-		Name: "overload", Nodes: 1, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "SRP", HorizonMs: 300,
-		Tasks: []TaskSpec{
-			{Name: "a", CBeforeUs: 6000, CSUs: 0, CAfterUs: 0, DeadlineMs: 10, PeriodMs: 10},
-			{Name: "b", CBeforeUs: 6000, CSUs: 0, CAfterUs: 0, DeadlineMs: 10, PeriodMs: 10},
-		},
-	},
-	// A three-node sensing pipeline over explicit bounded-delay links,
-	// with a deterministic omission fault on the remote precedence
-	// port: the distributed-and-faulty workload as pure data.
-	"distributed-pipeline": {
-		Name: "distributed-pipeline", Nodes: 3, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 500,
-		Links: []LinkSpec{
-			{A: 0, B: 1, DMinUs: 100, DMaxUs: 250},
-			{A: 1, B: 2, DMinUs: 150, DMaxUs: 400},
-			{A: 0, B: 2, DMinUs: 100, DMaxUs: 300},
-		},
-		Faults: []FaultSpec{
-			{Kind: "drop-every", K: 25, Port: "heug.prec"},
-		},
-		Tasks: []TaskSpec{
-			{Name: "acquire", Law: "periodic", DeadlineMs: 18, PeriodMs: 20,
-				Stages: []StageSpec{
-					{Name: "sample", Node: 0, WCETUs: 400},
-					{Name: "fuse", Node: 1, WCETUs: 900},
-					{Name: "commit", Node: 2, WCETUs: 300},
-				}},
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 50, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 1, WCETUs: 600},
-				}},
-		},
-	},
-	// Partition split: the primary of a passive replicated state
-	// machine is cut off from the rest of the cluster (a network
-	// segmentation, not a crash). The majority side holds quorum of
-	// the previous view, installs the removal view and promotes a new
-	// primary; the isolated minority installs nothing and promotes
-	// nothing (split-brain safety). At heal the minority is
-	// re-admitted through a merge view with a state transfer, and
-	// in-flight old-view traffic is flushed at the boundary.
-	"partition-split": {
-		Name: "partition-split", Nodes: 4, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 400,
-		Groups: []GroupSpec{
-			{Name: "sm", Nodes: []int{0, 1, 2}, Style: "passive",
-				CheckpointEvery: 5, SubmitEveryMs: 2, SubmitFrom: 3},
-		},
-		Faults: []FaultSpec{
-			// The client (node 3) stays with the majority side.
-			{Kind: "partition", Partition: [][]int{{0}, {1, 2, 3}}, AtMs: 60, HealMs: 200},
-		},
-		Tasks: []TaskSpec{
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 3, WCETUs: 300},
-				}},
-		},
-	},
-	// Sharded KV: a keyspace consistent-hashed over two semi-active
-	// replication groups, driven by a client that survives a primary
-	// crash on one shard AND a primary partition on the other — the
-	// request layer redirects to promoted replicas, retries through
-	// the failover windows, and queued split-window requests land
-	// after the merge, applied exactly once (per-key linearizability
-	// is asserted by the scenario test across seeds). The client stays
-	// on the majority side of the split (the fencing caveat).
-	"sharded-kv": {
-		Name: "sharded-kv", Nodes: 7, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 400,
-		Observe: &ObserveSpec{TraceSampleRate: fptr(1.0), RetainViolations: true},
-		Shards: &ShardsSpec{
-			Count: 2, ReplicasPer: 3, Style: "semi-active",
-			Session: &SessionSpec{MaxBatch: 4, FlushIntervalMs: 0.5, PipelineDepth: 2},
-			Clients: []ShardClientSpec{
-				{Node: 6, SubmitEveryMs: 2, Policy: "queue",
-					Keys: []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
-			},
-		},
-		Faults: []FaultSpec{
-			// Shard 0's primary crashes and later rejoins.
-			{Kind: "crash", Node: 0, AtMs: 60, RecoverMs: 260},
-			// Shard 1's primary is segmented off alone; the client
-			// (node 6) stays with the majority.
-			{Kind: "partition", Partition: [][]int{{3}, {0, 1, 2, 4, 5, 6}}, AtMs: 140, HealMs: 240},
-		},
-		Tasks: []TaskSpec{
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 6, WCETUs: 300},
-				}},
-		},
-	},
-	// Bank transfer: cross-shard atomic transactions (2PC over the
-	// sharded data plane) under a combined primary crash AND a
-	// partition that segments one shard's serving quorum away from the
-	// clients. Two transaction clients transfer between shared accounts
-	// spread over both shards, every transaction carrying a 30 ms
-	// deadline: transfers that cannot prepare across the fault windows
-	// deterministically abort and release their locks; the rest commit
-	// atomically. The scenario test asserts, across seeds, that
-	// committed transfers are all-or-nothing in both shards'
-	// authoritative histories, aborted ones leave no partial writes,
-	// and no lock outlives its deadline (txn.Verify).
-	"bank-transfer": {
-		Name: "bank-transfer", Nodes: 8, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 400,
-		Observe: &ObserveSpec{TraceSampleRate: fptr(1.0), RetainViolations: true},
-		Shards: &ShardsSpec{
-			Count: 2, ReplicasPer: 3, Style: "semi-active",
-			Session: &SessionSpec{MaxBatch: 4, FlushIntervalMs: 0.5, PipelineDepth: 2},
-			Txns: []TxnClientSpec{
-				{Node: 6, SubmitEveryMs: 3, DeadlineMs: 30,
-					Accounts: []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
-				{Node: 7, SubmitEveryMs: 4, DeadlineMs: 30,
-					Accounts: []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
-			},
-		},
-		Faults: []FaultSpec{
-			// Shard 0's primary crashes and later rejoins.
-			{Kind: "crash", Node: 0, AtMs: 60, RecoverMs: 260},
-			// Shard 1's serving quorum {3,4} is segmented away from the
-			// clients (its primary keeps quorum on the far side, so no
-			// failover rescues client-side traffic): transactions
-			// touching shard 1 can only deadline-abort until the heal.
-			{Kind: "partition", Partition: [][]int{{3, 4}, {0, 1, 2, 5, 6, 7}}, AtMs: 140, HealMs: 240},
-		},
-		Tasks: []TaskSpec{
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 6, WCETUs: 300},
-				}},
-		},
-	},
-
-	// Hot shard: two zipf-skewed clients hammer a keyspace whose
-	// hottest key is pinned to shard 0, whose primary then crashes —
-	// the metrics plane's per-key sketch names the hot key, the
-	// per-shard counters show the load imbalance, and the ack-latency
-	// SLO probe records a breach that opens in the failover window and
-	// clears after recovery. The companion scenario test and
-	// `hades-metrics -top` both read the answer from the export.
-	"hot-shard": {
-		Name: "hot-shard", Nodes: 8, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 400,
-		Observe: &ObserveSpec{
-			TraceSampleRate: fptr(1.0), RetainViolations: true,
-			Metrics: &MetricsSpec{
-				SLO: []SLORuleSpec{
-					// Healthy p99 sits near 1.3ms; the failover burst acks
-					// a ~10ms backlog inside one scrape interval, so the
-					// rule trips immediately and clears next interval.
-					{Name: "ack-p99", Metric: "kv.ack.latency", Stat: "p99",
-						Op: "<=", ThresholdMs: 5},
-					{Name: "no-drops", Metric: "net.drops", Op: "<=", Threshold: 0},
-				},
-			},
-		},
-		Shards: &ShardsSpec{
-			Count: 2, ReplicasPer: 3, Style: "semi-active",
-			Session: &SessionSpec{MaxBatch: 4, FlushIntervalMs: 0.5, PipelineDepth: 2},
-			// Pin the hot head of the zipf ranking to shard 0, the one
-			// whose primary crashes below.
-			Routes: map[string]int{"alpha": 0},
-			Clients: []ShardClientSpec{
-				{Node: 6, Count: 2, SubmitEveryMs: 2, Policy: "queue", ZipfSkew: 1.2,
-					Keys: []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
-			},
-		},
-		Faults: []FaultSpec{
-			// The hot shard's primary crashes and later rejoins: ack
-			// latency spikes through the failover window.
-			{Kind: "crash", Node: 0, AtMs: 60, RecoverMs: 260},
-		},
-		Tasks: []TaskSpec{
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 6, WCETUs: 300},
-				}},
-		},
-	},
-
-	// Load ramp: the load harness as data. An open-loop generator's
-	// Poisson arrival rate climbs mid-run while a hotspot shift moves
-	// the zipf-hot key from "alpha" (pinned to shard 0) to the next
-	// rank (hashed to shard 1) — the offered-vs-achieved throughput
-	// series records the ramp, the hot-shard sketch records the move.
-	// A second, closed-loop generator keeps a fixed session population
-	// thinking between acks on the other client node. The per-run
-	// report (hades-load) distills both.
-	"load-ramp": {
-		Name: "load-ramp", Nodes: 8, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 400,
-		Observe: &ObserveSpec{TraceSampleRate: fptr(1.0), RetainViolations: true},
-		Shards: &ShardsSpec{
-			Count: 2, ReplicasPer: 3, Style: "semi-active",
-			Session: &SessionSpec{MaxBatch: 4, FlushIntervalMs: 0.5, PipelineDepth: 2},
-			// Pin the zipf head to shard 0 so the mid-run shift to the
-			// next rank provably changes the serving shard.
-			Routes: map[string]int{"alpha": 0, "bravo": 1},
-			Load: []LoadSpec{
-				{Name: "ramp", Mode: "open", Nodes: []int{6},
-					Arrival: 400,
-					Ramp: []RampStepSpec{
-						{AtMs: 150, Rate: 1200},
-						{AtMs: 320, Rate: 600},
-					},
-					ZipfSkew:     1.2,
-					HotspotShift: []HotspotShiftSpec{{AtMs: 200, Shift: 1}},
-					Keys:         []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
-				{Name: "think", Mode: "closed", Nodes: []int{7},
-					Sessions: 16, ThinkMs: 5,
-					Keys: []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}},
-			},
-		},
-		Tasks: []TaskSpec{
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 6, WCETUs: 300},
-				}},
-		},
-	},
-
-	// Sensor fan-out: the pub/sub plane under fan-out, a bursty
-	// best-effort storm and a crash of the durable topic's owning
-	// primary. "telemetry" is reliable+durable (history 8, 30ms
-	// deadline): a fixed-rate publisher feeds four from-start
-	// subscribers plus a late joiner that catches up from the
-	// replicated history after the crashed primary has rejoined —
-	// exactly-once delivery and convergence to the last 8 samples are
-	// asserted by the scenario test across seeds. "sensors" is
-	// best-effort: an open-loop generator storms it from two nodes
-	// (publish latency = broadcast delivery, never a replicated round),
-	// and every deadline miss on telemetry surfaces as a monitor
-	// violation.
-	"sensor-fan-out": {
-		Name: "sensor-fan-out", Nodes: 8, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 1000,
-		Observe: &ObserveSpec{TraceSampleRate: fptr(1.0), RetainViolations: true},
-		Shards: &ShardsSpec{
-			Count: 2, ReplicasPer: 3, Style: "semi-active",
-			// Pin the durable topic to shard 0 (whose primary crashes
-			// below) and the best-effort topic to shard 1.
-			Routes: map[string]int{"telemetry": 0, "sensors": 1},
-		},
-		PubSub: &PubSubSpec{
-			Topics: []TopicSpec{
-				// The 10ms deadline clears the healthy path (p50 ≈ 0.8ms)
-				// but not the failover window: the crash below produces
-				// real DeadlineMiss events for the monitor plane.
-				{Name: "telemetry", Reliability: "reliable", DeadlineMs: 10, HistoryDepth: 8, Durable: true},
-				{Name: "sensors", Reliability: "bestEffort"},
-			},
-			Publishers: []PublisherSpec{
-				{Topic: "telemetry", Node: 6, SubmitEveryMs: 2, Count: 300},
-			},
-			Subscribers: []SubscriberSpec{
-				{Topic: "telemetry", Node: 3},
-				{Topic: "telemetry", Node: 4},
-				{Topic: "telemetry", Node: 5},
-				{Topic: "telemetry", Node: 7},
-				// Joins after the publisher went quiet and the crashed
-				// primary rejoined: converges to the last 8 samples.
-				{Topic: "telemetry", Node: 6, JoinAtMs: 700},
-				{Topic: "sensors", Node: 1},
-				{Topic: "sensors", Node: 2},
-				{Topic: "sensors", Node: 7},
-			},
-			Load: []LoadSpec{
-				// Each broadcast floods F+1 rounds to every node, so the
-				// burst rate is sized to keep the receive CPUs below
-				// saturation (≈8 flood copies per node per publish).
-				{Name: "storm", Mode: "open", Nodes: []int{6, 7},
-					Arrival: 300, EndMs: 800,
-					Ramp: []RampStepSpec{
-						{AtMs: 400, Rate: 1000},
-						{AtMs: 550, Rate: 200},
-					},
-					Keys: []string{"sensors"}},
-			},
-		},
-		Faults: []FaultSpec{
-			// The durable topic's owning primary crashes mid-publish and
-			// rejoins with a state transfer carrying the history ring.
-			{Kind: "crash", Node: 0, AtMs: 300, RecoverMs: 600},
-		},
-		Tasks: []TaskSpec{
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 7, WCETUs: 300},
-				}},
-		},
-	},
-
-	// Membership churn: a passive replicated state machine over a
-	// three-member view-synchronous group, fed by a client on node 3;
-	// the primary crashes mid-run and recovers later, exercising the
-	// whole cycle — suspicion → agreed view change → failover in the
-	// same view at every replica → rejoin with state transfer.
-	"membership-churn": {
-		Name: "membership-churn", Nodes: 4, Seed: 1, Costs: "default",
-		Scheduler: "EDF", Policy: "none", HorizonMs: 400,
-		Groups: []GroupSpec{
-			{Name: "sm", Nodes: []int{0, 1, 2}, Style: "passive",
-				CheckpointEvery: 5, SubmitEveryMs: 2, SubmitFrom: 3},
-		},
-		Faults: []FaultSpec{
-			// Crash mid-checkpoint-interval so the passive style shows
-			// its characteristic lost work.
-			{Kind: "crash", Node: 0, AtMs: 65, RecoverMs: 200},
-		},
-		Tasks: []TaskSpec{
-			{Name: "watchdog", Law: "periodic", DeadlineMs: 40, PeriodMs: 50,
-				Stages: []StageSpec{
-					{Name: "check", Node: 3, WCETUs: 300},
-				}},
-		},
-	},
+	entries, err := builtinFS.ReadDir("builtins")
+	if err != nil {
+		panic(err) // the embed pattern guarantees the directory
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = strings.TrimSuffix(e.Name(), ".json")
+	}
+	return names
 }
 
 func (s Spec) withDefaults() (Spec, error) {
@@ -1035,21 +722,28 @@ func (s Spec) withDefaults() (Spec, error) {
 			if st.WCETUs <= 0 {
 				return s, fmt.Errorf("scenario %q: task %q stage %q needs positive wcet", s.Name, t.Name, st.Name)
 			}
-			if st.Node < 0 || st.Node >= s.Nodes {
-				return s, fmt.Errorf("scenario %q: task %q stage %q on unknown node %d (have %d)", s.Name, t.Name, st.Name, st.Node, s.Nodes)
+			if err := s.knownNode(st.Node, "task %q stage %q on", t.Name, st.Name); err != nil {
+				return s, err
 			}
 		}
 	}
 	for _, l := range s.Links {
-		if l.A < 0 || l.A >= s.Nodes || l.B < 0 || l.B >= s.Nodes || l.A == l.B {
-			return s, fmt.Errorf("scenario %q: bad link %d-%d (nodes=%d)", s.Name, l.A, l.B, s.Nodes)
+		for _, n := range []int{l.A, l.B} {
+			if err := s.knownNode(n, "link %d-%d to", l.A, l.B); err != nil {
+				return s, err
+			}
+		}
+		if l.A == l.B {
+			return s, fmt.Errorf("scenario %q: link %d-%d joins a node to itself", s.Name, l.A, l.B)
 		}
 		if l.DMinUs < 0 || l.DMaxUs < l.DMinUs {
 			return s, fmt.Errorf("scenario %q: link %d-%d has bad delay bounds [%g,%g]", s.Name, l.A, l.B, l.DMinUs, l.DMaxUs)
 		}
 	}
-	if len(s.Faults) > 0 && s.Nodes < 2 && len(s.Links) == 0 {
-		return s, fmt.Errorf("scenario %q: faults need a network (nodes > 1 or links)", s.Name)
+	if len(s.Faults) > 0 {
+		if err := s.networked("faults need"); err != nil {
+			return s, err
+		}
 	}
 	for _, f := range s.Faults {
 		if f.AtMs < 0 {
@@ -1061,8 +755,8 @@ func (s Spec) withDefaults() (Spec, error) {
 				return s, fmt.Errorf("scenario %q: drop-every fault needs k >= 1 (got %d)", s.Name, f.K)
 			}
 		case "drop-from", "crash":
-			if f.Node < 0 || f.Node >= s.Nodes {
-				return s, fmt.Errorf("scenario %q: %s fault on unknown node %d (have %d)", s.Name, f.Kind, f.Node, s.Nodes)
+			if err := s.knownNode(f.Node, "%s fault on", f.Kind); err != nil {
+				return s, err
 			}
 			if f.Kind == "crash" && f.RecoverMs != 0 && f.RecoverMs <= f.AtMs {
 				return s, fmt.Errorf("scenario %q: crash of node %d recovers at %gms, not after the crash at %gms", s.Name, f.Node, f.RecoverMs, f.AtMs)
@@ -1081,8 +775,8 @@ func (s Spec) withDefaults() (Spec, error) {
 					return s, fmt.Errorf("scenario %q: partition fault has an empty side", s.Name)
 				}
 				for _, n := range side {
-					if n < 0 || n >= s.Nodes {
-						return s, fmt.Errorf("scenario %q: partition side names unknown node %d (have %d)", s.Name, n, s.Nodes)
+					if err := s.knownNode(n, "partition side names"); err != nil {
+						return s, err
 					}
 					if seen[n] {
 						return s, fmt.Errorf("scenario %q: partition lists node %d in two sides", s.Name, n)
@@ -1106,44 +800,35 @@ func (s Spec) withDefaults() (Spec, error) {
 			return s, fmt.Errorf("scenario %q: duplicate group %q", s.Name, g.Name)
 		}
 		groupNames[g.Name] = true
-		if s.Nodes < 2 && len(s.Links) == 0 {
-			return s, fmt.Errorf("scenario %q: group %q needs a network (nodes > 1 or links)", s.Name, g.Name)
+		if err := s.networked("group %q needs", g.Name); err != nil {
+			return s, err
 		}
 		if len(g.Nodes) < 2 {
 			return s, fmt.Errorf("scenario %q: group %q needs at least 2 nodes", s.Name, g.Name)
 		}
 		members := map[int]bool{}
 		for _, n := range g.Nodes {
-			if n < 0 || n >= s.Nodes {
-				return s, fmt.Errorf("scenario %q: group %q member %d unknown (have %d nodes)", s.Name, g.Name, n, s.Nodes)
+			if err := s.knownNode(n, "group %q member", g.Name); err != nil {
+				return s, err
 			}
 			if members[n] {
 				return s, fmt.Errorf("scenario %q: group %q lists member %d twice", s.Name, g.Name, n)
 			}
 			members[n] = true
 		}
-		switch g.Style {
-		case "", "passive", "semi-active", "active":
-		default:
+		if _, ok := groupStyles[g.Style]; !ok && g.Style != "" {
 			return s, fmt.Errorf("scenario %q: group %q has unknown style %q", s.Name, g.Name, g.Style)
 		}
 		if g.Style == "" && g.SubmitEveryMs > 0 {
 			return s, fmt.Errorf("scenario %q: group %q submits requests but has no replication style", s.Name, g.Name)
 		}
 		for _, r := range g.Replicas {
-			found := false
-			for _, n := range g.Nodes {
-				if n == r {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !members[r] {
 				return s, fmt.Errorf("scenario %q: group %q replica %d not a member", s.Name, g.Name, r)
 			}
 		}
-		if g.SubmitFrom < 0 || g.SubmitFrom >= s.Nodes {
-			return s, fmt.Errorf("scenario %q: group %q submits from unknown node %d", s.Name, g.Name, g.SubmitFrom)
+		if err := s.knownNode(g.SubmitFrom, "group %q submits from", g.Name); err != nil {
+			return s, err
 		}
 	}
 	loadNames := map[string]bool{}
@@ -1190,8 +875,8 @@ func (s Spec) withDefaults() (Spec, error) {
 		}
 	}
 	for key, node := range s.Placement {
-		if node < 0 || node >= s.Nodes {
-			return s, fmt.Errorf("scenario %q: placement %q on unknown node %d (have %d)", s.Name, key, node, s.Nodes)
+		if err := s.knownNode(node, "placement %q on", key); err != nil {
+			return s, err
 		}
 		if !s.placementKeyKnown(key) {
 			return s, fmt.Errorf("scenario %q: placement %q names no task or task/stage", s.Name, key)
@@ -1209,17 +894,16 @@ func (s Spec) validateShards(loadNames map[string]bool) error {
 	if sp == nil {
 		return nil
 	}
-	if s.Nodes < 2 && len(s.Links) == 0 {
-		return fmt.Errorf("scenario %q: shards need a network (nodes > 1 or links)", s.Name)
+	if err := s.networked("shards need"); err != nil {
+		return err
 	}
 	if sp.Count < 1 {
 		return fmt.Errorf("scenario %q: shards spec declares zero shards (count=%d)", s.Name, sp.Count)
 	}
-	switch sp.Style {
-	case "", "semi-active", "passive":
-	case "active":
-		return fmt.Errorf("scenario %q: shard style \"active\" has no primary to route to", s.Name)
-	default:
+	if _, ok := shardStyles[sp.Style]; !ok {
+		if sp.Style == "active" {
+			return fmt.Errorf("scenario %q: shard style \"active\" has no primary to route to", s.Name)
+		}
 		return fmt.Errorf("scenario %q: unknown shard style %q", s.Name, sp.Style)
 	}
 	owner := map[int]int{} // node → shard index
@@ -1232,8 +916,8 @@ func (s Spec) validateShards(loadNames map[string]bool) error {
 				return fmt.Errorf("scenario %q: shard group %d needs at least 2 replicas (got %d)", s.Name, i, len(g))
 			}
 			for _, n := range g {
-				if n < 0 || n >= s.Nodes {
-					return fmt.Errorf("scenario %q: shard group %d names unknown node %d (have %d)", s.Name, i, n, s.Nodes)
+				if err := s.knownNode(n, "shard group %d names", i); err != nil {
+					return err
 				}
 				if prev, dup := owner[n]; dup {
 					return fmt.Errorf("scenario %q: node %d is a replica of shard groups %d and %d (overlapping group membership)", s.Name, n, prev, i)
@@ -1282,8 +966,8 @@ func (s Spec) validateShards(loadNames map[string]bool) error {
 			return fmt.Errorf("scenario %q: shard client %d has negative zipfSkew %g", s.Name, i, cl.ZipfSkew)
 		}
 		for _, node := range cl.nodes() {
-			if node < 0 || node >= s.Nodes {
-				return fmt.Errorf("scenario %q: shard client %d on unknown node %d (have %d)", s.Name, i, node, s.Nodes)
+			if err := s.knownNode(node, "shard client %d on", i); err != nil {
+				return err
 			}
 			if _, replica := owner[node]; replica {
 				return fmt.Errorf("scenario %q: shard client %d on node %d collides with a shard replica", s.Name, i, node)
@@ -1299,9 +983,7 @@ func (s Spec) validateShards(loadNames map[string]bool) error {
 		if cl.SubmitEveryMs <= 0 {
 			return fmt.Errorf("scenario %q: shard client %d needs a positive submitEveryMs", s.Name, i)
 		}
-		switch cl.Policy {
-		case "", "queue", "fail-fast":
-		default:
+		if _, ok := clientPolicies[cl.Policy]; !ok {
 			return fmt.Errorf("scenario %q: shard client %d has unknown policy %q", s.Name, i, cl.Policy)
 		}
 		if cl.RetryTimeoutMs < 0 || cl.MaxRetries < 0 {
@@ -1309,8 +991,8 @@ func (s Spec) validateShards(loadNames map[string]bool) error {
 		}
 	}
 	for i, tc := range sp.Txns {
-		if tc.Node < 0 || tc.Node >= s.Nodes {
-			return fmt.Errorf("scenario %q: txn client %d on unknown node %d (have %d)", s.Name, i, tc.Node, s.Nodes)
+		if err := s.knownNode(tc.Node, "txn client %d on", i); err != nil {
+			return err
 		}
 		if _, replica := owner[tc.Node]; replica {
 			return fmt.Errorf("scenario %q: txn client %d on node %d collides with a shard replica", s.Name, i, tc.Node)
@@ -1334,6 +1016,24 @@ func (s Spec) validateShards(loadNames map[string]bool) error {
 	return s.validateLoads(block, sp.Load, loadNames)
 }
 
+// knownNode rejects a node index outside [0, s.Nodes). who is the
+// message's subject up to its preposition ("shard client 2 on").
+func (s Spec) knownNode(n int, who string, args ...any) error {
+	if n >= 0 && n < s.Nodes {
+		return nil
+	}
+	return fmt.Errorf("scenario %q: %s unknown node %d (have %d)", s.Name, fmt.Sprintf(who, args...), n, s.Nodes)
+}
+
+// networked rejects a spec with nothing to carry messages between
+// nodes. who is the subject and its verb ("shards need").
+func (s Spec) networked(who string, args ...any) error {
+	if s.Nodes > 1 || len(s.Links) > 0 {
+		return nil
+	}
+	return fmt.Errorf("scenario %q: %s a network (nodes > 1 or links)", s.Name, fmt.Sprintf(who, args...))
+}
+
 // placementKeyKnown reports whether key names a task ("task") or one
 // of its stages ("task/stage").
 func (s Spec) placementKeyKnown(key string) bool {
@@ -1349,9 +1049,6 @@ func (s Spec) placementKeyKnown(key string) bool {
 	}
 	return false
 }
-
-// fptr lifts a literal into the optional-field pointer form.
-func fptr(f float64) *float64 { return &f }
 
 func us(f float64) vtime.Duration { return vtime.Duration(f * float64(vtime.Microsecond)) }
 func msd(f float64) vtime.Duration {
@@ -1553,7 +1250,7 @@ func (s Spec) Build() (*cluster.Cluster, error) {
 	if sp := s.Shards; sp != nil {
 		cfg := cluster.ShardConfig{
 			Groups:          sp.Groups,
-			Style:           shardStyle(sp.Style),
+			Style:           shardStyles[sp.Style],
 			VNodes:          sp.VNodes,
 			Routes:          sp.Routes,
 			WExec:           us(sp.WExecUs),
@@ -1576,7 +1273,7 @@ func (s Spec) Build() (*cluster.Cluster, error) {
 					Node:         node,
 					RetryTimeout: msd(cs.RetryTimeoutMs),
 					MaxRetries:   cs.MaxRetries,
-					Policy:       shardPolicy(cs.Policy),
+					Policy:       clientPolicies[cs.Policy],
 				})
 				pick := cs.picker(s.Seed, node)
 				s.every(c, cs.SubmitEveryMs, 0, func(i int) func() {
@@ -1626,7 +1323,7 @@ func (s Spec) Build() (*cluster.Cluster, error) {
 		}
 		rep := g.Replicate(replication.Config{
 			Replicas:        gs.Replicas,
-			Style:           replicationStyle(gs.Style),
+			Style:           groupStyles[gs.Style],
 			WExec:           us(wexec),
 			CheckpointEvery: gs.CheckpointEvery,
 			StorageLatency:  us(storeLat),
@@ -1659,36 +1356,6 @@ func (s Spec) every(c *cluster.Cluster, everyMs float64, count int, lay func(i i
 		c.At(vtime.Time(t), lay(i))
 		i++
 	}
-}
-
-// replicationStyle maps the JSON style name (already validated).
-func replicationStyle(name string) replication.Style {
-	switch name {
-	case "semi-active":
-		return replication.SemiActive
-	case "active":
-		return replication.Active
-	default:
-		return replication.Passive
-	}
-}
-
-// shardStyle maps the shard style name (already validated; the shard
-// default is semi-active, the style the exactly-once verification
-// requires).
-func shardStyle(name string) replication.Style {
-	if name == "passive" {
-		return replication.Passive
-	}
-	return replication.SemiActive
-}
-
-// shardPolicy maps the client policy name (already validated).
-func shardPolicy(name string) shard.Policy {
-	if name == "fail-fast" {
-		return shard.FailFast
-	}
-	return shard.QueueOnFailure
 }
 
 // Horizon returns the simulation horizon.

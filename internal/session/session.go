@@ -135,10 +135,6 @@ func (c *Call) Attempt() int { return c.attempt }
 // Inflight reports whether an attempt is outstanding.
 func (c *Call) Inflight() bool { return c.state == csInflight }
 
-// Parked reports whether the call is parked awaiting a resubmission
-// trigger.
-func (c *Call) Parked() bool { return c.state == csParked }
-
 // Finished reports whether the call retired (done or failed).
 func (c *Call) Finished() bool { return c.state == csDone || c.state == csFailed }
 

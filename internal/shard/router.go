@@ -92,10 +92,3 @@ func (r *Router) ShardFor(key string) int {
 
 // GroupFor resolves the shard group owning key.
 func (r *Router) GroupFor(key string) *Group { return r.groups[r.ShardFor(key)] }
-
-// PrimaryFor resolves the node a request for key should be sent to
-// right now: the owning group's current primary.
-func (r *Router) PrimaryFor(key string) (int, *Group) {
-	g := r.GroupFor(key)
-	return g.Replication().Primary(), g
-}

@@ -87,13 +87,6 @@ func (p *Processor) Name() string { return p.name }
 // Engine returns the owning engine.
 func (p *Processor) Engine() *Engine { return p.eng }
 
-// Running returns the thread currently holding the CPU, or nil when the
-// CPU is idle or in an interrupt handler.
-func (p *Processor) Running() *Thread { return p.running }
-
-// InInterrupt reports whether an interrupt handler currently holds the CPU.
-func (p *Processor) InInterrupt() bool { return p.inIRQ }
-
 // BusyTime returns the cumulative CPU time consumed by thread segments.
 func (p *Processor) BusyTime() vtime.Duration { return p.busyTime }
 
@@ -316,7 +309,6 @@ func (p *Processor) dispatch(t *Thread) {
 	p.effStart = now.Add(cost)
 	if !t.started {
 		t.started = true
-		t.firstRunAt = now
 		p.eng.record(monitor.KindThreadStart, p.id, t.name, fmt.Sprintf("prio=%d", t.prio))
 		if t.OnFirstRun != nil {
 			t.OnFirstRun()

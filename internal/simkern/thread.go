@@ -41,10 +41,9 @@ type Thread struct {
 	readyIdx int    // index in processor ready set, -1 when not ready
 	readySeq uint64 // FIFO tie-break within a priority level
 
-	started    bool
-	finished   bool
-	firstRunAt vtime.Time
-	cpuTime    vtime.Duration
+	started  bool
+	finished bool
+	cpuTime  vtime.Duration
 
 	// OnFirstRun fires when the thread first receives the CPU.
 	OnFirstRun func()
@@ -79,15 +78,8 @@ func (t *Thread) Finished() bool { return t.finished }
 // Started reports whether the thread has ever held the CPU.
 func (t *Thread) Started() bool { return t.started }
 
-// FirstRunAt returns the instant the thread first held the CPU. Only
-// meaningful once Started.
-func (t *Thread) FirstRunAt() vtime.Time { return t.firstRunAt }
-
 // CPUTime returns the CPU time consumed so far.
 func (t *Thread) CPUTime() vtime.Duration { return t.cpuTime }
-
-// Ready reports whether the thread is currently in the ready set.
-func (t *Thread) IsReady() bool { return t.readyIdx >= 0 }
 
 // AddSegment appends a CPU demand to the thread. Must not be called after
 // the thread finished.

@@ -159,14 +159,6 @@ func (s SpanRef) Name() string {
 	return s.tr.spans[s.idx].name
 }
 
-// SpanLayer returns the span's breakdown layer.
-func (s SpanRef) SpanLayer() Layer {
-	if !s.live() {
-		return LayerOther
-	}
-	return s.tr.spans[s.idx].layer
-}
-
 // Interval returns the span's start and end times (end is meaningful
 // once closed).
 func (s SpanRef) Interval() (vtime.Time, vtime.Time) {
@@ -441,14 +433,6 @@ func (tr *Trace) Spans() []SpanRef {
 		out[i] = SpanRef{tr: tr, id: tr.id, idx: int32(i)}
 	}
 	return out
-}
-
-// Marks returns the trace's point events.
-func (tr *Trace) Marks() []Mark {
-	if tr == nil {
-		return nil
-	}
-	return tr.marks
 }
 
 // Violations returns the trace's violation marks.
