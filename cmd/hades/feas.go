@@ -29,7 +29,10 @@ func feasCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	tasks := spec.AnalysisTasks()
-	book := spec.CostBook()
+	book, err := spec.CostBook()
+	if err != nil {
+		return cannot(stderr, "feas", err)
+	}
 	ov := &feasibility.Overheads{Book: book, SchedCost: 20 * vtime.Microsecond}
 
 	fmt.Fprintf(stdout, "task set %q (n=%d, U=%.4f):\n", spec.Name, len(tasks), feasibility.Utilization(tasks))

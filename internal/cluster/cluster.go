@@ -518,6 +518,13 @@ func (c *Cluster) Group(name string, nodes ...int) *Group {
 	if c.net == nil {
 		panic("cluster: Group needs a network (declare links or multiple nodes)")
 	}
+	// The name scopes the group's membership ports: two services under
+	// one name would deliver into each other and exclude live members.
+	for _, prev := range c.groups {
+		if prev.svc.Name() == name {
+			panic(fmt.Sprintf("cluster: group %q already exists (a shard set names its groups <set name><index>)", name))
+		}
+	}
 	svc, err := membership.New(c.eng, c.net, membership.Config{Name: name, Nodes: nodes})
 	if err != nil {
 		panic(err)

@@ -3,7 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
+	"hades/internal/membership"
 	"hades/internal/pubsub"
 	"hades/internal/replication"
 	"hades/internal/session"
@@ -95,56 +97,19 @@ func (c *Cluster) ShardsWith(n, replicasPer int, cfg ShardConfig) *ShardSet {
 	if cfg.Style == 0 {
 		cfg.Style = replication.SemiActive
 	}
-	groups := cfg.Groups
-	if len(groups) == 0 {
-		if n < 1 {
-			panic(fmt.Sprintf("cluster: Shards(%d, %d): need at least 1 shard", n, replicasPer))
-		}
-		if replicasPer < 2 {
-			panic(fmt.Sprintf("cluster: Shards(%d, %d): need at least 2 replicas per shard", n, replicasPer))
-		}
-		if n*replicasPer > len(c.nodes) {
-			panic(fmt.Sprintf("cluster: Shards(%d, %d) needs %d nodes, have %d", n, replicasPer, n*replicasPer, len(c.nodes)))
-		}
-		for i := 0; i < n; i++ {
-			var set []int
-			for r := 0; r < replicasPer; r++ {
-				set = append(set, i*replicasPer+r)
-			}
-			groups = append(groups, set)
-		}
-	} else {
-		// Explicit layouts get the same loud validation the scenario
-		// layer gives the JSON path: disjoint, in-range, replicated.
-		owner := make(map[int]int)
-		for i, g := range groups {
-			if len(g) < 2 {
-				panic(fmt.Sprintf("cluster: shard group %d needs at least 2 replicas (got %d)", i, len(g)))
-			}
-			for _, node := range g {
-				if node < 0 || node >= len(c.nodes) {
-					panic(fmt.Sprintf("cluster: shard group %d names unknown node %d (have %d)", i, node, len(c.nodes)))
-				}
-				if prev, dup := owner[node]; dup {
-					panic(fmt.Sprintf("cluster: node %d is a replica of shard groups %d and %d (overlapping group membership)", node, prev, i))
-				}
-				owner[node] = i
-			}
-		}
+	if len(cfg.Groups) > 0 {
+		n = len(cfg.Groups)
 	}
-	wexec := cfg.WExec
-	if wexec <= 0 {
-		wexec = 100 * vtime.Microsecond
+	groups, err := ShardLayout(n, replicasPer, cfg.Groups, len(c.nodes))
+	if err != nil {
+		panic(fmt.Sprintf("cluster: %v", err))
 	}
-	storeLat := cfg.StorageLatency
-	if storeLat <= 0 {
-		storeLat = 20 * vtime.Microsecond
-	}
+	wexec, storeLat := ReplicaTimings(cfg.WExec, cfg.StorageLatency)
 	respPort := "shard." + cfg.Name + ".resp"
 	ring := shard.NewRing(len(groups), cfg.VNodes)
 	sgroups := make([]*shard.Group, 0, len(groups))
 	for i, nodes := range groups {
-		name := fmt.Sprintf("%s%d", cfg.Name, i)
+		name := ShardGroupName(cfg.Name, i)
 		mg := c.Group(name, nodes...)
 		sg, err := shard.NewGroup(c.eng, c.net, mg.svc, shard.GroupConfig{
 			Name:     name,
@@ -176,6 +141,72 @@ func (c *Cluster) ShardsWith(n, replicasPer int, cfg ShardConfig) *ShardSet {
 	return set
 }
 
+// ShardGroupName names shard i of the named set: the membership group
+// ShardsWith creates for it, and so the scope of its ports.
+func ShardGroupName(set string, i int) string { return fmt.Sprintf("%s%d", set, i) }
+
+// ShardLayout is the one rule for where a sharded data plane's replicas
+// sit: count shards of replicasPer consecutive nodes each (shard i owns
+// [i·replicasPer, (i+1)·replicasPer)), or the explicit sets when given —
+// which must then number count and be disjoint. Every set holds at
+// least two nodes of the platform that a membership group can span.
+// ShardsWith panics with its error; the scenario layer reports it
+// against the file.
+func ShardLayout(count, replicasPer int, explicit [][]int, nodes int) ([][]int, error) {
+	if count < 1 {
+		return nil, fmt.Errorf("shards spec declares zero shards (count=%d)", count)
+	}
+	groups := explicit
+	if len(groups) == 0 {
+		if replicasPer < 2 {
+			return nil, fmt.Errorf("shards need replicasPer >= 2 (got %d)", replicasPer)
+		}
+		// Dividing keeps a huge count from overflowing the product.
+		if count > nodes/replicasPer {
+			return nil, fmt.Errorf("%d shards × %d replicas need %d nodes, have %d", count, replicasPer, count*replicasPer, nodes)
+		}
+		groups = make([][]int, count)
+		for i := range groups {
+			for r := 0; r < replicasPer; r++ {
+				groups[i] = append(groups[i], i*replicasPer+r)
+			}
+		}
+	} else if len(groups) != count {
+		return nil, fmt.Errorf("shards declare count=%d but %d explicit groups", count, len(groups))
+	}
+	owner := make(map[int]int)
+	for i, g := range groups {
+		if len(g) < 2 {
+			return nil, fmt.Errorf("shard group %d needs at least 2 replicas (got %d)", i, len(g))
+		}
+		for _, node := range g {
+			if node < 0 || node >= nodes {
+				return nil, fmt.Errorf("shard group %d names unknown node %d (have %d)", i, node, nodes)
+			}
+			if node > membership.MaxNode {
+				return nil, fmt.Errorf("shard group %d on node %d: replication groups span nodes 0–%d", i, node, membership.MaxNode)
+			}
+			if prev, dup := owner[node]; dup {
+				return nil, fmt.Errorf("node %d is a replica of shard groups %d and %d (overlapping group membership)", node, prev, i)
+			}
+			owner[node] = i
+		}
+	}
+	return groups, nil
+}
+
+// ReplicaTimings resolves a replica group's execution and stable-storage
+// latencies: a non-positive value selects the default, 100 µs and 20 µs.
+func ReplicaTimings(wexec, storeLat vtime.Duration) (vtime.Duration, vtime.Duration) {
+	if wexec <= 0 {
+		wexec = 100 * vtime.Microsecond
+	}
+	if storeLat <= 0 {
+		storeLat = 20 * vtime.Microsecond
+	}
+	return wexec, storeLat
+}
+
 // Name returns the set's name prefix.
 func (s *ShardSet) Name() string { return s.name }
 
@@ -205,22 +236,9 @@ func (s *ShardSet) ClientWith(p shard.ClientParams) *shard.Client {
 	if p.Session == (session.Params{}) {
 		p.Session = s.session // set-level default; explicit knobs win
 	}
-	if p.Node < 0 || p.Node >= len(s.c.nodes) {
-		panic(fmt.Sprintf("cluster: shard client on unknown node %d", p.Node))
-	}
-	if s.clientNodes[p.Node] {
-		panic(fmt.Sprintf("cluster: node %d already has a shard client", p.Node))
-	}
-	for _, g := range s.shards {
-		for _, n := range g.Nodes() {
-			if n == p.Node {
-				panic(fmt.Sprintf("cluster: shard client on node %d collides with replica of %q", p.Node, g.Name()))
-			}
-		}
-	}
+	s.place(p.Node, "shard client")
 	p.RespPort = s.respPort
 	cl := shard.NewClient(s.c.eng, s.c.net, s.router, p)
-	s.clientNodes[p.Node] = true
 	s.clients = append(s.clients, cl)
 	return cl
 }
@@ -270,22 +288,25 @@ func (s *ShardSet) TxnClientAt(node int) *txn.Client {
 // co-locating one with a replica or another client of this set would
 // collide on serving duties and dedup-tag spaces.
 func (s *ShardSet) TxnClientWith(p txn.ClientParams) *txn.Client {
-	if p.Node < 0 || p.Node >= len(s.c.nodes) {
-		panic(fmt.Sprintf("cluster: txn client on unknown node %d", p.Node))
+	s.place(p.Node, "txn client")
+	return txn.NewClient(s.TxnPlane(), p)
+}
+
+// place claims node for one client of this set: an existing node that
+// hosts no other client of the set and none of its replicas.
+func (s *ShardSet) place(node int, what string) {
+	if node < 0 || node >= len(s.c.nodes) {
+		panic(fmt.Sprintf("cluster: %s on unknown node %d", what, node))
 	}
-	if s.clientNodes[p.Node] {
-		panic(fmt.Sprintf("cluster: node %d already has a client of shard set %q", p.Node, s.name))
+	if s.clientNodes[node] {
+		panic(fmt.Sprintf("cluster: node %d already has a client of shard set %q", node, s.name))
 	}
 	for _, g := range s.shards {
-		for _, n := range g.Nodes() {
-			if n == p.Node {
-				panic(fmt.Sprintf("cluster: txn client on node %d collides with replica of %q", p.Node, g.Name()))
-			}
+		if slices.Contains(g.Nodes(), node) {
+			panic(fmt.Sprintf("cluster: %s on node %d collides with replica of %q", what, node, g.Name()))
 		}
 	}
-	cl := txn.NewClient(s.TxnPlane(), p)
-	s.clientNodes[p.Node] = true
-	return cl
+	s.clientNodes[node] = true
 }
 
 // CheckTxns verifies the atomic-commitment contract of the run so

@@ -36,6 +36,21 @@ func (s SpuriTask) Utilization() float64 {
 	return float64(s.C()) / float64(s.PseudoPeriod)
 }
 
+// Validate checks the shape ToHEUG can translate: some computation
+// time, and a critical section exactly when a resource is named.
+func (s SpuriTask) Validate() error {
+	if s.C() <= 0 {
+		return fmt.Errorf("heug: spuri task %q has no computation time", s.Name)
+	}
+	if s.CS > 0 && s.Resource == "" {
+		return fmt.Errorf("heug: spuri task %q has a critical section but no resource", s.Name)
+	}
+	if s.CS == 0 && s.Resource != "" {
+		return fmt.Errorf("heug: spuri task %q names resource %q but has no critical section", s.Name, s.Resource)
+	}
+	return nil
+}
+
 // ToHEUG performs the Figure 3 translation: the Spuri task becomes a
 // three-unit chain
 //
@@ -50,14 +65,8 @@ func (s SpuriTask) Utilization() float64 {
 // Units with zero cost are elided (a task that uses no resource becomes a
 // single unit), so the translation is total on well-formed SpuriTasks.
 func (s SpuriTask) ToHEUG() (*Task, error) {
-	if s.C() <= 0 {
-		return nil, fmt.Errorf("heug: spuri task %q has no computation time", s.Name)
-	}
-	if s.CS > 0 && s.Resource == "" {
-		return nil, fmt.Errorf("heug: spuri task %q has a critical section but no resource", s.Name)
-	}
-	if s.CS == 0 && s.Resource != "" {
-		return nil, fmt.Errorf("heug: spuri task %q names resource %q but has no critical section", s.Name, s.Resource)
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
 	b := NewTask(s.Name, SporadicEvery(s.PseudoPeriod)).WithDeadline(s.Deadline)
 	var chain []string

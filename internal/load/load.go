@@ -196,7 +196,18 @@ func (c Config) Validate() error {
 	if c.MaxOps < 0 {
 		return fmt.Errorf("load %q: negative maxOps %d", c.Name, c.MaxOps)
 	}
+	if c.Mode == Closed && c.Sessions > c.maxOps() {
+		return fmt.Errorf("load %q: %d sessions but at most %d ops (every session submits at least once; raise maxOps)", c.Name, c.Sessions, c.maxOps())
+	}
 	return nil
+}
+
+// maxOps is the cap in force: MaxOps, or DefaultMaxOps when left zero.
+func (c Config) maxOps() int {
+	if c.MaxOps == 0 {
+		return DefaultMaxOps
+	}
+	return c.MaxOps
 }
 
 // Sinks wire a generator into the cluster. The cluster layer supplies
@@ -254,11 +265,7 @@ func New(cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Generator{cfg: cfg, maxOps: cfg.MaxOps}
-	if g.maxOps == 0 {
-		g.maxOps = DefaultMaxOps
-	}
-	return g, nil
+	return &Generator{cfg: cfg, maxOps: cfg.maxOps()}, nil
 }
 
 // Config returns the generator's configuration.
@@ -276,10 +283,42 @@ func (g *Generator) shiftAt(t vtime.Time) int {
 	return shift
 }
 
+// Zipf is the skewed rank draw every zipf-keyed workload shares — the
+// generators here and the scenario layer's fixed-interval clients: rank
+// i of n carries weight 1/(i+1)^skew, so rank 0 is the hottest.
+type Zipf struct {
+	weights []float64
+	total   float64
+}
+
+// NewZipf weighs n ranks by the exponent skew.
+func NewZipf(n int, skew float64) Zipf {
+	z := Zipf{weights: make([]float64, n)}
+	for i := range z.weights {
+		z.weights[i] = 1 / math.Pow(float64(i+1), skew)
+		z.total += z.weights[i]
+	}
+	return z
+}
+
+// Rank draws one rank by inverse CDF. It consumes exactly one Float64
+// from rng, so a caller's stream stays a pure function of its draw
+// count.
+func (z Zipf) Rank(rng *rand.Rand) int {
+	u := rng.Float64() * z.total
+	for i, w := range z.weights {
+		u -= w
+		if u < 0 {
+			return i
+		}
+	}
+	return len(z.weights) - 1
+}
+
 // keyPicker builds a deterministic key chooser over its own source:
-// zipf inverse-CDF when skewed (declaration order = rank), uniform
-// rotation otherwise. The rank→key mapping rotates by the hotspot
-// shift in force at the submission instant.
+// a Zipf draw when skewed (declaration order = rank), uniform rotation
+// otherwise. The rank→key mapping rotates by the hotspot shift in force
+// at the submission instant.
 func (g *Generator) keyPicker(rng *rand.Rand) func(at vtime.Time) string {
 	keys := g.cfg.Keys
 	if g.cfg.ZipfSkew == 0 || len(keys) < 2 {
@@ -290,23 +329,9 @@ func (g *Generator) keyPicker(rng *rand.Rand) func(at vtime.Time) string {
 			return k
 		}
 	}
-	weights := make([]float64, len(keys))
-	total := 0.0
-	for i := range keys {
-		weights[i] = 1 / math.Pow(float64(i+1), g.cfg.ZipfSkew)
-		total += weights[i]
-	}
+	z := NewZipf(len(keys), g.cfg.ZipfSkew)
 	return func(at vtime.Time) string {
-		u := rng.Float64() * total
-		rank := len(keys) - 1
-		for i, w := range weights {
-			u -= w
-			if u < 0 {
-				rank = i
-				break
-			}
-		}
-		return keys[(rank+g.shiftAt(at))%len(keys)]
+		return keys[(z.Rank(rng)+g.shiftAt(at))%len(keys)]
 	}
 }
 

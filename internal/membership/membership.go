@@ -67,13 +67,17 @@ import (
 	"hades/internal/vtime"
 )
 
+// MaxNode is the largest node id a group may span: views are encoded
+// as int64 bitmasks for consensus.
+const MaxNode = 62
+
 // Config parameterises one membership group.
 type Config struct {
 	// Name scopes the group's network ports; distinct groups need
 	// distinct names.
 	Name string
 	// Nodes is the universe of potential members (node ids must be in
-	// [0, 62]: views are encoded as int64 bitmasks for consensus).
+	// [0, MaxNode]).
 	Nodes []int
 	// F is the number of crash/omission failures tolerated per
 	// agreement round; 0 selects 1.
@@ -233,8 +237,8 @@ func New(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Service, error)
 	}
 	seen := make(map[int]bool, len(cfg.Nodes))
 	for _, n := range cfg.Nodes {
-		if n < 0 || n > 62 {
-			return nil, fmt.Errorf("membership: node id %d outside [0,62]", n)
+		if n < 0 || n > MaxNode {
+			return nil, fmt.Errorf("membership: node id %d outside [0,%d]", n, MaxNode)
 		}
 		if seen[n] {
 			return nil, fmt.Errorf("membership: duplicate node id %d in group %q", n, cfg.Name)

@@ -1,0 +1,147 @@
+package scenario
+
+import (
+	"fmt"
+
+	"hades/internal/cluster"
+	"hades/internal/load"
+	"hades/internal/membership"
+	"hades/internal/replication"
+)
+
+// GroupSpec declares one view-synchronous membership group, optionally
+// carrying a replicated state machine driven with periodic requests:
+//
+//   - Nodes is the member universe watched by the group's detector;
+//   - Style ("passive", "semi-active", "active"), when set, attaches a
+//     replica group whose failover follows the installed views;
+//   - Replicas defaults to Nodes (promotion order = declaration order);
+//   - SubmitEveryMs, when positive, submits one request every interval
+//     from node SubmitFrom for the whole horizon.
+type GroupSpec struct {
+	Name             string  `json:"name"`
+	Nodes            []int   `json:"nodes"`
+	Style            string  `json:"style,omitempty"`
+	Replicas         []int   `json:"replicas,omitempty"`
+	CheckpointEvery  int     `json:"checkpointEvery,omitempty"`
+	WExecUs          float64 `json:"wExecUs,omitempty"`
+	StorageLatencyUs float64 `json:"storageLatencyUs,omitempty"`
+	SubmitEveryMs    float64 `json:"submitEveryMs,omitempty"`
+	SubmitFrom       int     `json:"submitFrom,omitempty"`
+	// Load attaches declarative generators straight to the group's
+	// replicated machine (kv shape only: submissions go to the current
+	// primary, an op completes at its first fresh apply) — the load
+	// harness without a sharded data plane. Requires a Style.
+	Load []LoadSpec `json:"load,omitempty"`
+}
+
+// groupStyles is the group replication-style enum's single source (see
+// named). It has no default: a group without a style replicates
+// nothing.
+var groupStyles = map[string]replication.Style{
+	"passive": replication.Passive, "semi-active": replication.SemiActive, "active": replication.Active}
+
+// validateGroups rejects malformed membership groups — names that
+// collide (with each other or with the shard set's own groups, whose
+// membership ports they would share), members off the platform,
+// replicas outside the membership, a driver or generators with nothing
+// replicated to drive. loadNames collects the generator names.
+func (s Spec) validateGroups(loadNames map[string]bool) error {
+	names, minted := map[string]bool{}, map[string]bool{}
+	if s.Shards != nil {
+		for i := 0; i < s.Shards.Count; i++ {
+			minted[cluster.ShardGroupName(shardSet, i)] = true
+		}
+	}
+	for _, g := range s.Groups {
+		if g.Name == "" {
+			return fmt.Errorf("scenario %q: unnamed group", s.Name)
+		}
+		if names[g.Name] {
+			return fmt.Errorf("scenario %q: duplicate group %q", s.Name, g.Name)
+		}
+		if minted[g.Name] {
+			return fmt.Errorf("scenario %q: group %q takes the name of one of the shards block's own groups (%s…) and would share its membership ports; rename it",
+				s.Name, g.Name, cluster.ShardGroupName(shardSet, 0))
+		}
+		names[g.Name] = true
+		if err := s.networked("group %q needs", g.Name); err != nil {
+			return err
+		}
+		if len(g.Nodes) < 2 {
+			return fmt.Errorf("scenario %q: group %q needs at least 2 nodes", s.Name, g.Name)
+		}
+		members := map[int]bool{}
+		for _, n := range g.Nodes {
+			if err := s.knownNode(n, "group %q member", g.Name); err != nil {
+				return err
+			}
+			if n > membership.MaxNode {
+				return fmt.Errorf("scenario %q: group %q member %d: groups span nodes 0–%d", s.Name, g.Name, n, membership.MaxNode)
+			}
+			if members[n] {
+				return fmt.Errorf("scenario %q: group %q lists member %d twice", s.Name, g.Name, n)
+			}
+			members[n] = true
+		}
+		if g.Style != "" {
+			if _, err := named(s, groupStyles, g.Style, "group %q has unknown style", g.Name); err != nil {
+				return err
+			}
+		} else if g.SubmitEveryMs > 0 || len(g.Load) > 0 {
+			return fmt.Errorf("scenario %q: group %q submits requests or attaches load but has no replication style (nothing to drive)", s.Name, g.Name)
+		}
+		for _, r := range g.Replicas { // each member at most once: a replica leaves the set
+			if !members[r] {
+				return fmt.Errorf("scenario %q: group %q replica %d not a member, or listed twice", s.Name, g.Name, r)
+			}
+			delete(members, r)
+		}
+		if len(g.Replicas) == 1 {
+			return fmt.Errorf("scenario %q: group %q needs at least 2 replicas (or none: every member)", s.Name, g.Name)
+		}
+		if err := s.knownNode(g.SubmitFrom, "group %q submits from", g.Name); err != nil {
+			return err
+		}
+		if g.SubmitEveryMs > 0 {
+			if err := s.fixedDriver(g.SubmitEveryMs, 0, "group %q", g.Name); err != nil {
+				return err
+			}
+		}
+		block := groupLoads
+		block.kind = fmt.Sprintf("group %q load", g.Name)
+		if err := s.validateLoads(block, g.Load, loadNames); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// attachGroups lowers the membership groups, declaration order: the
+// group, its replicated machine when it has a style, the fixed-interval
+// request driver, then the group's generators.
+func (s Spec) attachGroups(c *cluster.Cluster) {
+	for gi, gs := range s.Groups {
+		g := c.Group(gs.Name, gs.Nodes...)
+		if gs.Style == "" {
+			continue
+		}
+		wexec, storeLat := cluster.ReplicaTimings(us(gs.WExecUs), us(gs.StorageLatencyUs))
+		rep := g.Replicate(replication.Config{
+			Replicas:        gs.Replicas,
+			Style:           groupStyles[gs.Style],
+			WExec:           wexec,
+			CheckpointEvery: gs.CheckpointEvery,
+			StorageLatency:  storeLat,
+		}, nil)
+		if gs.SubmitEveryMs > 0 {
+			from := gs.SubmitFrom
+			s.every(c, gs.SubmitEveryMs, 0, func(i int) func() {
+				cmd := int64(i + 1)
+				return func() { rep.Submit(from, cmd) }
+			})
+		}
+		s.attachLoads(groupLoads, gs.Load, func(j int) int64 { return groupLoadSeed(s.Seed, gi, j) },
+			func(cfg load.Config, _ []int) *load.Generator { return g.AttachLoad(cfg) })
+	}
+}

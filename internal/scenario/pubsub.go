@@ -115,11 +115,11 @@ func (s Spec) validatePubSub(loadNames map[string]bool) error {
 		if err := s.knownNode(pb.Node, "pubsub publisher %d on", i); err != nil {
 			return err
 		}
-		if pb.SubmitEveryMs <= 0 {
-			return fmt.Errorf("scenario %q: pubsub publisher %d needs a positive submitEveryMs", s.Name, i)
-		}
 		if pb.Count < 0 {
 			return fmt.Errorf("scenario %q: pubsub publisher %d has negative count %d", s.Name, i, pb.Count)
+		}
+		if err := s.fixedDriver(pb.SubmitEveryMs, pb.Count, "pubsub publisher %d", i); err != nil {
+			return err
 		}
 	}
 	subsAt := map[string]bool{}
@@ -147,35 +147,16 @@ func (s Spec) validatePubSub(loadNames map[string]bool) error {
 	return s.validateLoads(block, ps.Load, loadNames)
 }
 
-// validateGroupLoads rejects malformed group-attached generators; a
-// group with nothing replicated has nothing to drive.
-func (s Spec) validateGroupLoads(loadNames map[string]bool) error {
-	for _, g := range s.Groups {
-		if len(g.Load) > 0 && g.Style == "" {
-			return fmt.Errorf("scenario %q: group %q attaches load but has no replication style (nothing to drive)", s.Name, g.Name)
-		}
-		block := groupLoads
-		block.kind = fmt.Sprintf("group %q load", g.Name)
-		if err := s.validateLoads(block, g.Load, loadNames); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// groupLoadSeed derives a group generator's seed: a stream disjoint
-// from the shard-plane loads' (loadSeed) and the client pickers'.
-func groupLoadSeed(seed int64, group, i int) int64 {
-	return seed*1000003 + int64(group+1)*15485863 + int64(i+1)*104729
-}
-
-// buildPubSub lowers the pubsub block onto the already-built shard
+// attachPubSub lowers the pubsub block onto the already-built shard
 // set: declare topics, register endpoints, lay out the publishers'
 // fixed submission schedules and attach the pubsub load generators.
 // The spec is already validated; residual errors (all reachable only
 // through spec skew) surface loudly.
-func (s Spec) buildPubSub(c *cluster.Cluster, set *cluster.ShardSet) error {
+func (s Spec) attachPubSub(c *cluster.Cluster, set *cluster.ShardSet) error {
 	ps := s.PubSub
+	if ps == nil {
+		return nil
+	}
 	for _, ts := range ps.Topics {
 		q, err := ts.qos()
 		if err != nil {
@@ -200,22 +181,14 @@ func (s Spec) buildPubSub(c *cluster.Cluster, set *cluster.ShardSet) error {
 		if err != nil {
 			return fmt.Errorf("scenario %q: %v", s.Name, err)
 		}
-		if sb.JoinAtMs > 0 {
-			if err := sub.SetJoinAt(vtime.Time(msd(sb.JoinAtMs))); err != nil {
+		if at := msd(sb.JoinAtMs); at > 0 {
+			if err := sub.SetJoinAt(vtime.Time(at)); err != nil {
 				return fmt.Errorf("scenario %q: %v", s.Name, err)
 			}
 		}
 	}
-	base := 0
-	if s.Shards != nil {
-		base = len(s.Shards.Load)
-	}
-	for i, ls := range ps.Load {
-		if ls.Disabled {
-			continue
-		}
-		cfg := pubsubLoads.config(ls, loadSeed(s.Seed, base+i), s.Horizon())
-		set.AttachLoad(cfg, append([]int(nil), ls.Nodes...))
-	}
+	// The block's generators take their seeds on from the shards block's.
+	base := len(s.Shards.Load)
+	s.attachLoads(pubsubLoads, ps.Load, func(i int) int64 { return loadSeed(s.Seed, base+i) }, set.AttachLoad)
 	return nil
 }
