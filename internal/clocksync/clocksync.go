@@ -235,9 +235,7 @@ func (s *Service) converge() {
 	s.rounds++
 	p := s.Precision()
 	s.History = append(s.History, p)
-	if log := s.eng.Log(); log != nil {
-		log.Recordf(now, monitor.KindClockSyncRound, -1, "clocksync", "round=%d precision=%s", s.rounds, p)
-	}
+	s.eng.Recordf(monitor.KindClockSyncRound, -1, "clocksync", "round=%d precision=%s", s.rounds, p)
 }
 
 // Precision returns the current maximum logical-clock skew between any

@@ -94,8 +94,9 @@ type Config struct {
 	// negative disables the bound entirely.
 	LogLimit int
 	// RingLog keeps the most recent LogLimit events instead of the
-	// first (violations are retained either way); the default head mode
-	// preserves the run's prefix.
+	// first; the default head mode preserves the run's prefix. Every
+	// violation and fault-timeline event is retained in both modes,
+	// outside the bound.
 	RingLog bool
 	// CancelOnMiss aborts instances at their deadline (orphan
 	// handling); the default false records misses only.
@@ -425,58 +426,55 @@ func (a *App) Raw() *dispatcher.App { return a.app }
 // the task's declared periodic arrival law (offset, then every
 // period). Spawn does this automatically for periodic tasks.
 func (c *Cluster) StartPeriodic(task string) error {
-	c.build()
-	tr, ok := c.disp.Task(task)
-	if !ok {
-		return fmt.Errorf("cluster: unknown task %q", task)
-	}
-	law := tr.Task.Arrival
-	if law.Kind != heug.Periodic {
-		return fmt.Errorf("cluster: task %q is not periodic", task)
-	}
-	if c.started[task] {
-		return fmt.Errorf("cluster: task %q already driven", task)
-	}
-	c.started[task] = true
-	var fire func()
-	fire = func() {
-		_, _ = c.disp.Activate(task) // arrival-law monitoring inside
-		c.eng.After(law.Period, eventq.ClassDispatch, fire)
-	}
-	c.eng.After(law.Offset, eventq.ClassDispatch, fire)
-	return nil
+	return c.start(task, heug.Periodic, nil)
 }
 
 // StartSporadic activates a sporadic task every pseudo-period plus a
 // caller-supplied extra gap per instance (nil = worst-case rate). The
 // pattern is deterministic given the engine seed if extraGap uses it.
 func (c *Cluster) StartSporadic(task string, extraGap func(k uint64) vtime.Duration) error {
+	return c.start(task, heug.Sporadic, extraGap)
+}
+
+// start claims a task of the given arrival kind for one standing
+// activation source and arms it.
+func (c *Cluster) start(task string, kind heug.ArrivalKind, extraGap func(k uint64) vtime.Duration) error {
 	c.build()
 	tr, ok := c.disp.Task(task)
 	if !ok {
 		return fmt.Errorf("cluster: unknown task %q", task)
 	}
 	law := tr.Task.Arrival
-	if law.Kind != heug.Sporadic {
-		return fmt.Errorf("cluster: task %q is not sporadic", task)
+	if law.Kind != kind {
+		return fmt.Errorf("cluster: task %q is not %s", task, kind)
 	}
 	if c.started[task] {
 		return fmt.Errorf("cluster: task %q already driven", task)
 	}
 	c.started[task] = true
+	c.drive(task, law.Offset, law.Period, extraGap, nil)
+	return nil
+}
+
+// drive is the one activation loop: a first activation after delay,
+// then one every period plus extraGap(k) after the k-th (nil = none),
+// for as long as live holds (nil = for the whole run).
+func (c *Cluster) drive(task string, delay, period vtime.Duration, extraGap func(k uint64) vtime.Duration, live func() bool) {
 	var k uint64
 	var fire func()
 	fire = func() {
-		_, _ = c.disp.Activate(task)
+		if live != nil && !live() {
+			return
+		}
+		_, _ = c.disp.Activate(task) // arrival-law monitoring inside
 		k++
-		gap := law.Period
+		gap := period
 		if extraGap != nil {
 			gap += extraGap(k)
 		}
 		c.eng.After(gap, eventq.ClassDispatch, fire)
 	}
-	c.eng.After(law.Offset, eventq.ClassDispatch, fire)
-	return nil
+	c.eng.After(delay, eventq.ClassDispatch, fire)
 }
 
 // StartSporadicWorstCase activates a sporadic task at its maximum

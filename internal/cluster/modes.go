@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"hades/internal/eventq"
 	"hades/internal/heug"
 	"hades/internal/monitor"
 )
@@ -45,7 +44,7 @@ func (c *Cluster) EnterMode(name string) error {
 		return fmt.Errorf("cluster: unknown mode %q", name)
 	}
 	c.mode = name
-	c.log.Recordf(c.eng.Now(), monitor.KindFailover, -1, "mode", "enter %q", name)
+	c.eng.Recordf(monitor.KindFailover, -1, "mode", "enter %q", name)
 	for _, task := range tasks {
 		tr, _ := c.disp.Task(task)
 		if law := tr.Task.Arrival; law.Kind != heug.Aperiodic { // aperiodic: event-driven only
@@ -72,7 +71,7 @@ func (c *Cluster) SwitchMode(name string, abortLive bool) (int, error) {
 			aborted += c.disp.CancelLive(task, "mode switch")
 		}
 	}
-	c.log.Recordf(c.eng.Now(), monitor.KindFailover, -1, "mode",
+	c.eng.Recordf(monitor.KindFailover, -1, "mode",
 		"switch %q -> %q (aborted %d)", c.mode, name, aborted)
 	return aborted, c.EnterMode(name)
 }
@@ -81,19 +80,11 @@ func (c *Cluster) SwitchMode(name string, abortLive bool) (int, error) {
 // that ends at the next SwitchMode.
 func (c *Cluster) startGenerator(task string, law heug.Arrival) {
 	epoch := c.modeEpoch
-	var fire func()
-	fire = func() {
-		if epoch != c.modeEpoch {
-			return
-		}
-		_, _ = c.disp.Activate(task)
-		c.eng.After(law.Period, eventq.ClassDispatch, fire)
-	}
 	// First activation: immediately if the mode is entered mid-run,
 	// respecting the offset only at time zero.
 	delay := law.Offset
 	if c.eng.Now() > 0 {
 		delay = 0
 	}
-	c.eng.After(delay, eventq.ClassDispatch, fire)
+	c.drive(task, delay, law.Period, nil, func() bool { return epoch == c.modeEpoch })
 }

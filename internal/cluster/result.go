@@ -46,8 +46,8 @@ type Result struct {
 	PubSub []pubsub.TopicStats
 	// Faults is the run's fault timeline: the monitor events recording
 	// injected failures, detections, failovers, partitions, merges and
-	// SLO breach boundaries, time order (subject to the log's bound —
-	// a non-zero LogDropped means the timeline may be incomplete).
+	// SLO breach boundaries, in record order — complete whatever the
+	// log's bound did to the event window.
 	Faults []monitor.Event
 	// Metrics is the virtual-time metrics timeline (nil when the plane
 	// is disabled): every series' retained points, the SLO rule records
@@ -284,20 +284,8 @@ func (c *Cluster) ResultNow() Result {
 			Latency:  g.LatencyStats(),
 		})
 	}
-	r.Faults = c.log.FilterKind(faultTimelineKind)
+	r.Faults = c.log.Faults()
 	return r
-}
-
-// faultTimelineKind selects the monitor kinds that belong on a run's
-// fault timeline.
-func faultTimelineKind(k monitor.Kind) bool {
-	switch k {
-	case monitor.KindFailureInjected, monitor.KindFailureDetected,
-		monitor.KindFailover, monitor.KindPartition, monitor.KindMerge,
-		monitor.KindSLOBreach, monitor.KindSLOClear:
-		return true
-	}
-	return false
 }
 
 // latencyFromScope converts one tracer scope into the Result row,

@@ -1,12 +1,14 @@
 package cluster_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"hades/internal/cluster"
 	"hades/internal/replication"
 	"hades/internal/scenario"
+	"hades/internal/txn"
 	"hades/internal/vtime"
 )
 
@@ -51,6 +53,25 @@ func TestResultRowsArePlaneStats(t *testing.T) {
 	}
 }
 
+// committedWrite returns a committed transaction's record and the index
+// of one of its writes.
+func committedWrite(t *testing.T, p *txn.Plane) (*txn.Record, int) {
+	t.Helper()
+	for _, cl := range p.Clients() {
+		for i := range cl.Done {
+			rec := &cl.Done[i]
+			if rec.Status != txn.StatusCommitted {
+				continue
+			}
+			if w := slices.IndexFunc(rec.Ops, func(op txn.Op) bool { return op.Kind == txn.OpWrite }); w >= 0 {
+				return rec, w
+			}
+		}
+	}
+	t.Fatal("no committed write to doctor")
+	return nil, 0
+}
+
 // TestClusterVerify: one call audits every plane the run declared, and
 // skips the exactly-once audit where the replication style voids it.
 func TestClusterVerify(t *testing.T) {
@@ -68,16 +89,49 @@ func TestClusterVerify(t *testing.T) {
 		t.Errorf("doctored ack n6#1 not reported: %v", err)
 	}
 
+	// Both audits read one index of the authoritative histories
+	// (shard.Group.History): the atomic-commitment audit still names a
+	// committed write the history contradicts, and one the history lost.
+	c, _ = runBuiltin(t, "bank-transfer")
+	set := c.ShardSets()[0]
+	rec, w := committedWrite(t, set.TxnPlane())
+	rec.Ops[w].Cmd++
+	if err := c.Verify(); err == nil || !strings.Contains(err.Error(), "history holds") || !strings.Contains(err.Error(), rec.ID.String()) {
+		t.Errorf("doctored committed write of %s not reported: %v", rec.ID, err)
+	}
+	rec.Ops[w].Cmd--
+	rec.Ops[w].Seq += 1 << 40
+	if err := c.Verify(); err == nil || !strings.Contains(err.Error(), "torn transaction") {
+		t.Errorf("committed write missing from the history not reported: %v", err)
+	}
+	rec.Ops[w].Seq -= 1 << 40
+	if err := c.Verify(); err != nil {
+		t.Errorf("restored records: %v", err)
+	}
+	for _, g := range set.Groups() {
+		h, err := g.History()
+		if err != nil || len(h.Log) == 0 {
+			t.Fatalf("%s: history of %d applies, err %v", g.Name(), len(h.Log), err)
+		}
+		first := h.Log[0]
+		if a, n := h.Find(first.Client, first.Seq); n != 1 || a != first {
+			t.Errorf("%s: Find(%d, %d) = %+v x%d, want the log's first apply once", g.Name(), first.Client, first.Seq, a, n)
+		}
+		if _, n := h.Find(first.Client, 1<<40); n != 0 {
+			t.Errorf("%s: a request never applied found %d times", g.Name(), n)
+		}
+	}
+
 	p := cluster.New(cluster.Config{Seed: 3})
 	p.AddNodes(3)
-	set := p.ShardsWith(1, 2, cluster.ShardConfig{Style: replication.Passive})
-	pc := set.ClientAt(2)
+	pset := p.ShardsWith(1, 2, cluster.ShardConfig{Style: replication.Passive})
+	pc := pset.ClientAt(2)
 	submitEvery(p, pc, 2*ms, 0, vtime.Time(40*ms))
 	p.Run(80 * ms)
 	if pc.Stats.Acked == 0 {
 		t.Fatal("passive set served nothing")
 	}
-	if set.Check() == nil {
+	if pset.Check() == nil {
 		t.Fatal("the exactly-once audit accepted a passive set; Verify's skip is untested")
 	}
 	if err := p.Verify(); err != nil {

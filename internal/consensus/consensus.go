@@ -12,7 +12,8 @@
 package consensus
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"hades/internal/eventq"
 	"hades/internal/netsim"
@@ -118,7 +119,7 @@ func (c *Instance) runRound(r int) {
 		if set == nil || c.net.NodeDown(src) {
 			continue
 		}
-		vals := keysOf(set)
+		vals := slices.Sorted(maps.Keys(set))
 		for _, dst := range c.cfg.Nodes {
 			if dst == src {
 				continue
@@ -162,7 +163,7 @@ func (c *Instance) decide() {
 		if set == nil || c.net.NodeDown(n) {
 			continue
 		}
-		vals := keysOf(set)
+		vals := slices.Sorted(maps.Keys(set))
 		res := Result{Node: n, Decision: vals[0], DecidedAt: now, Rounds: c.round}
 		c.decided[n] = res
 		if c.done != nil {
@@ -173,23 +174,10 @@ func (c *Instance) decide() {
 
 // Decisions returns the decisions of all nodes that decided.
 func (c *Instance) Decisions() map[int]Result {
-	out := make(map[int]Result, len(c.decided))
-	for k, v := range c.decided {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(c.decided)
 }
 
 // Bound returns the decision-time bound (f+1)·R.
 func (c *Instance) Bound() vtime.Duration {
 	return vtime.Duration(c.cfg.F+1) * c.cfg.Round
-}
-
-func keysOf(set map[int64]bool) []int64 {
-	vals := make([]int64, 0, len(set))
-	for v := range set {
-		vals = append(vals, v)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	return vals
 }

@@ -255,7 +255,7 @@ func (d *Dispatcher) Activate(taskName string) (*Instance, error) {
 
 	if viol, detail := tr.checkArrival(now); viol {
 		d.stats.ArrivalViolations++
-		d.record(monitor.KindArrivalLawViolation, tr.primaryNode(), taskName, detail)
+		d.eng.Recordf(monitor.KindArrivalLawViolation, tr.primaryNode(), taskName, "%s", detail)
 		if tr.App.RejectOnArrivalViolation {
 			d.stats.Rejections++
 			return nil, fmt.Errorf("%w: task %q: %s", ErrArrivalViolation, taskName, detail)
@@ -265,7 +265,7 @@ func (d *Dispatcher) Activate(taskName string) (*Instance, error) {
 
 	if tr.Admit != nil && !tr.Admit(now) {
 		d.stats.Rejections++
-		d.record(monitor.KindNotification, tr.primaryNode(), taskName, "activation rejected by guarantee test")
+		d.eng.Recordf(monitor.KindNotification, tr.primaryNode(), taskName, "activation rejected by guarantee test")
 		return nil, fmt.Errorf("%w: task %q at %s", ErrAdmissionRejected, taskName, now)
 	}
 	return d.buildInstance(tr), nil
@@ -302,7 +302,7 @@ func (d *Dispatcher) SetCond(name string) {
 		return
 	}
 	cv.set = true
-	d.record(monitor.KindCondSet, -1, name, "")
+	d.eng.Recordf(monitor.KindCondSet, -1, name, "")
 	waiters := cv.waiters
 	cv.waiters = nil
 	for _, th := range waiters {
@@ -330,7 +330,7 @@ func (d *Dispatcher) ClearCond(name string) {
 		return
 	}
 	cv.set = false
-	d.record(monitor.KindCondClear, -1, name, "")
+	d.eng.Recordf(monitor.KindCondClear, -1, name, "")
 }
 
 // CondSet reports the current value of a condition variable.
@@ -343,12 +343,4 @@ func (d *Dispatcher) cond(name string) *condVar {
 		d.conds[name] = cv
 	}
 	return cv
-}
-
-func (d *Dispatcher) record(kind monitor.Kind, node int, subject, detail string) {
-	log := d.eng.Log()
-	if log == nil {
-		return
-	}
-	log.Record(monitor.Event{At: d.eng.Now(), Kind: kind, Node: node, Subject: subject, Detail: detail})
 }

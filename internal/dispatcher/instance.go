@@ -78,7 +78,7 @@ func (d *Dispatcher) buildInstance(tr *TaskRuntime) *Instance {
 		inst.AbsDeadline = now.Add(task.Deadline)
 	}
 	d.live[instKey{task.Name, inst.Seq}] = inst
-	d.record(monitor.KindActivation, tr.primaryNode(), inst.Name(), fmt.Sprintf("D=%s", task.Deadline))
+	d.eng.Recordf(monitor.KindActivation, tr.primaryNode(), inst.Name(), "D=%s", task.Deadline)
 
 	inst.Threads = make([]*Thread, len(task.EUs))
 	for i, eu := range task.EUs {
@@ -98,7 +98,7 @@ func (d *Dispatcher) buildInstance(tr *TaskRuntime) *Instance {
 				t.latestEv = nil
 				if !t.started() && t.state != threadDone && t.state != threadOrphaned {
 					d.stats.LatestMisses++
-					d.record(monitor.KindLatestStartMiss, t.Node(), t.Name(), fmt.Sprintf("latest=%s", t.latest))
+					d.eng.Recordf(monitor.KindLatestStartMiss, t.Node(), t.Name(), "latest=%s", t.latest)
 				}
 			})
 		}
@@ -141,8 +141,8 @@ func (d *Dispatcher) deadlinePassed(inst *Instance) {
 	inst.missed = true
 	inst.TR.Misses++
 	d.stats.DeadlineMisses++
-	d.record(monitor.KindDeadlineMiss, inst.TR.primaryNode(), inst.Name(),
-		fmt.Sprintf("deadline=%s", inst.AbsDeadline))
+	d.eng.Recordf(monitor.KindDeadlineMiss, inst.TR.primaryNode(), inst.Name(),
+		"deadline=%s", inst.AbsDeadline)
 	if d.CancelOnMiss {
 		d.cancelInstance(inst, "deadline miss")
 	}
@@ -164,7 +164,7 @@ func (d *Dispatcher) cancelInstance(inst *Instance, reason string) {
 		}
 		th.state = threadOrphaned
 		d.stats.Orphans++
-		d.record(monitor.KindOrphanThread, th.Node(), th.Name(), reason)
+		d.eng.Recordf(monitor.KindOrphanThread, th.Node(), th.Name(), "%s", reason)
 		if th.kthread != nil && !th.kthread.Finished() {
 			th.kthread.Suspend()
 		}
@@ -241,7 +241,7 @@ func (d *Dispatcher) finalizeInstance(inst *Instance) {
 		}
 		// A completion after the deadline that the deadline timer
 		// already flagged is not double-counted.
-		d.record(monitor.KindTaskComplete, tr.primaryNode(), inst.Name(), fmt.Sprintf("resp=%s", resp))
+		d.eng.Recordf(monitor.KindTaskComplete, tr.primaryNode(), inst.Name(), "resp=%s", resp)
 	}
 	cbs := inst.onComplete
 	inst.onComplete = nil

@@ -47,7 +47,7 @@ func (d *Dispatcher) sendRemote(src *Thread, ei int) {
 	m, err := d.net.Send(from, to, remotePort, payload, 64+16*len(params))
 	if err != nil {
 		d.stats.NetworkOmissions++
-		d.record(monitor.KindNetworkOmission, from, src.Name(), "no link to n"+fmt.Sprint(to))
+		d.eng.Recordf(monitor.KindNetworkOmission, from, src.Name(), "no link to n%d", to)
 		return
 	}
 	dmax, _ := d.net.DelayBound(from, to)
@@ -56,8 +56,8 @@ func (d *Dispatcher) sendRemote(src *Thread, ei int) {
 	ev := d.eng.After(bound, eventq.ClassDispatch, func() {
 		delete(d.pendingRemote, m.ID)
 		d.stats.NetworkOmissions++
-		d.record(monitor.KindNetworkOmission, to, destName,
-			fmt.Sprintf("remote precedence from %s not satisfied within %s", src.Name(), bound))
+		d.eng.Recordf(monitor.KindNetworkOmission, to, destName,
+			"remote precedence from %s not satisfied within %s", src.Name(), bound)
 	})
 	d.pendingRemote[m.ID] = ev
 }
@@ -76,7 +76,7 @@ func (d *Dispatcher) receiveRemote(m *netsim.Message) {
 	if inst == nil || inst.cancelled {
 		// The instance is gone (completed late, cancelled, or orphaned):
 		// the delivery is an orphan message.
-		d.record(monitor.KindMessageDrop, m.To, pl.Task, fmt.Sprintf("#%d orphan delivery", pl.Seq))
+		d.eng.Recordf(monitor.KindMessageDrop, m.To, pl.Task, "#%d orphan delivery", pl.Seq)
 		return
 	}
 	dest := inst.Threads[pl.ToEU]

@@ -1,7 +1,6 @@
 package dispatcher
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -67,7 +66,7 @@ func (d *Dispatcher) tryGrant(th *Thread) bool {
 		r := d.resourceOn(th.Node(), req.Resource)
 		r.holds = append(r.holds, hold{th: th, mode: req.Mode})
 		th.held = append(th.held, req.Resource)
-		d.record(monitor.KindResourceGrant, th.Node(), req.Resource, th.Name()+" "+req.Mode.String())
+		d.eng.Recordf(monitor.KindResourceGrant, th.Node(), req.Resource, "%s %s", th.Name(), req.Mode)
 	}
 	th.inst.TR.App.policy.OnGrant(th)
 	d.removeWaiter(th)
@@ -93,7 +92,7 @@ func (d *Dispatcher) releaseResources(th *Thread) {
 				break
 			}
 		}
-		d.record(monitor.KindResourceRelease, th.Node(), name, th.Name())
+		d.eng.Recordf(monitor.KindResourceRelease, th.Node(), name, "%s", th.Name())
 	}
 	th.held = nil
 	th.inst.TR.App.policy.OnRelease(th)
@@ -237,7 +236,7 @@ func (d *Dispatcher) checkDeadlock(start *Thread) {
 			names[i] = t.Name()
 		}
 		d.stats.Deadlocks++
-		d.record(monitor.KindDeadlock, start.Node(), start.Name(),
-			fmt.Sprintf("cycle: %s", strings.Join(names, " -> ")))
+		d.eng.Recordf(monitor.KindDeadlock, start.Node(), start.Name(),
+			"cycle: %s", strings.Join(names, " -> "))
 	}
 }

@@ -35,7 +35,7 @@ func (a *App) notify(kind NotifKind, th *Thread, res string) {
 		a.hosts[node] = h
 	}
 	n := Notification{Kind: kind, At: a.disp.eng.Now(), Thread: th, Resource: res}
-	a.disp.record(monitor.KindNotification, node, kind.String(), th.Name())
+	a.disp.eng.Recordf(monitor.KindNotification, node, kind.String(), "%s", th.Name())
 	h.queue = append(h.queue, n)
 	if !h.busy {
 		h.busy = true
@@ -71,7 +71,7 @@ func (h *schedHost) processNext() {
 		OnDone: func() {
 			n := h.queue[0]
 			h.queue = h.queue[1:]
-			d.record(monitor.KindSchedulerRun, h.node, h.app.sched.Name(), n.Kind.String()+" "+n.Thread.Name())
+			d.eng.Recordf(monitor.KindSchedulerRun, h.node, h.app.sched.Name(), "%s %s", n.Kind, n.Thread.Name())
 			h.app.sched.Handle(n, d)
 		},
 	})

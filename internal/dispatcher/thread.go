@@ -286,8 +286,8 @@ func (d *Dispatcher) finishCode(th *Thread) {
 
 	if c.ActualWork != nil && th.actual < c.WCET {
 		d.stats.EarlyTerminations++
-		d.record(monitor.KindEarlyTermination, th.Node(), th.Name(),
-			fmt.Sprintf("actual=%s wcet=%s", th.actual, c.WCET))
+		d.eng.Recordf(monitor.KindEarlyTermination, th.Node(), th.Name(),
+			"actual=%s wcet=%s", th.actual, c.WCET)
 	}
 	if th.latestEv != nil {
 		d.eng.Cancel(th.latestEv)
@@ -304,7 +304,7 @@ func (d *Dispatcher) finishCode(th *Thread) {
 	d.crossEdges(th)
 	// 4. Trm notification.
 	th.inst.TR.App.notify(NotifTrm, th, "")
-	d.record(monitor.KindThreadFinish, th.Node(), th.Name(), "")
+	d.eng.Recordf(monitor.KindThreadFinish, th.Node(), th.Name(), "")
 	// 5. Instance bookkeeping.
 	d.threadFinished(th)
 }
@@ -351,7 +351,7 @@ func (d *Dispatcher) startInv(th *Thread) {
 		OnDone: func() {
 			inst, err := d.activateFrom(inv.Target, th.inputs)
 			if err != nil {
-				d.record(monitor.KindNotification, inv.Node, th.Name(), "invocation failed: "+err.Error())
+				d.eng.Recordf(monitor.KindNotification, inv.Node, th.Name(), "invocation failed: %v", err)
 				return
 			}
 			if inv.Sync && !inst.Completed() {
@@ -425,7 +425,7 @@ func (d *Dispatcher) finishInv(th *Thread) {
 	th.state = threadDone
 	th.finishedAt = d.eng.Now()
 	d.crossEdges(th)
-	d.record(monitor.KindThreadFinish, th.Node(), th.Name(), "inv")
+	d.eng.Recordf(monitor.KindThreadFinish, th.Node(), th.Name(), "inv")
 	d.threadFinished(th)
 }
 
@@ -444,7 +444,7 @@ func (d *Dispatcher) SetPriority(th *Thread, prio int) {
 	if th.kthread != nil && !th.kthread.Finished() {
 		th.kthread.SetPriority(prio)
 	} else {
-		d.record(monitor.KindPriorityChange, th.Node(), th.Name(), fmt.Sprintf("->%d (waiting)", prio))
+		d.eng.Recordf(monitor.KindPriorityChange, th.Node(), th.Name(), "->%d (waiting)", prio)
 	}
 }
 
@@ -459,7 +459,7 @@ func (d *Dispatcher) SetPriority(th *Thread, prio int) {
 // beyond the analysed bound); one that has already started cannot be.
 func (d *Dispatcher) SetEarliest(th *Thread, at vtime.Time) {
 	th.earliest = at
-	d.record(monitor.KindEarliestChange, th.Node(), th.Name(), at.String())
+	d.eng.Recordf(monitor.KindEarliestChange, th.Node(), th.Name(), "%s", at)
 	if th.earliestEv != nil {
 		d.eng.Cancel(th.earliestEv)
 		th.earliestEv = nil

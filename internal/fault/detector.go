@@ -193,9 +193,7 @@ func (d *Detector) suspect(obs, peer int, silent vtime.Duration) {
 	d.suspected[obs][peer] = true
 	s := Suspicion{Observer: obs, Suspect: peer, At: d.eng.Now(), SinceLast: silent}
 	d.Suspicions = append(d.Suspicions, s)
-	if log := d.eng.Log(); log != nil {
-		log.Recordf(s.At, monitor.KindFailureDetected, obs, fmt.Sprintf("n%d", peer), "silent=%s", silent)
-	}
+	d.eng.Recordf(monitor.KindFailureDetected, obs, fmt.Sprintf("n%d", peer), "silent=%s", silent)
 	if d.onSuspect != nil {
 		d.onSuspect(s)
 	}
@@ -224,9 +222,7 @@ func (d *Detector) rehabilitate(obs, peer int) {
 	d.suspected[obs][peer] = false
 	r := Rehabilitation{Observer: obs, Peer: peer, At: d.eng.Now()}
 	d.Rehabilitations = append(d.Rehabilitations, r)
-	if log := d.eng.Log(); log != nil {
-		log.Recordf(r.At, monitor.KindRehabilitation, obs, fmt.Sprintf("n%d", peer), "")
-	}
+	d.eng.Recordf(monitor.KindRehabilitation, obs, fmt.Sprintf("n%d", peer), "")
 	if d.onRehab != nil {
 		d.onRehab(obs, peer)
 	}

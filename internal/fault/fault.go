@@ -27,16 +27,12 @@ import (
 func CrashAt(eng *simkern.Engine, net *netsim.Network, node int, t, recoverAt vtime.Time) {
 	eng.At(t, eventq.ClassApp, func() {
 		net.SetNodeDown(node, true)
-		if log := eng.Log(); log != nil {
-			log.Recordf(t, monitor.KindFailureInjected, node, "crash", "")
-		}
+		eng.Recordf(monitor.KindFailureInjected, node, "crash", "")
 	})
 	if recoverAt > t {
 		eng.At(recoverAt, eventq.ClassApp, func() {
 			net.SetNodeDown(node, false)
-			if log := eng.Log(); log != nil {
-				log.Recordf(recoverAt, monitor.KindFailureInjected, node, "recover", "")
-			}
+			eng.Recordf(monitor.KindFailureInjected, node, "recover", "")
 		})
 	}
 }
@@ -48,9 +44,7 @@ func CrashAt(eng *simkern.Engine, net *netsim.Network, node int, t, recoverAt vt
 func PartitionAt(eng *simkern.Engine, net *netsim.Network, t, healAt vtime.Time, sides ...[]int) {
 	eng.At(t, eventq.ClassApp, func() {
 		net.SetPartition(sides...)
-		if log := eng.Log(); log != nil {
-			log.Recordf(t, monitor.KindFailureInjected, -1, "partition", "%v", sides)
-		}
+		eng.Recordf(monitor.KindFailureInjected, -1, "partition", "%v", sides)
 	})
 	if healAt > t {
 		HealAt(eng, net, healAt)
@@ -61,9 +55,7 @@ func PartitionAt(eng *simkern.Engine, net *netsim.Network, t, healAt vtime.Time,
 func HealAt(eng *simkern.Engine, net *netsim.Network, t vtime.Time) {
 	eng.At(t, eventq.ClassApp, func() {
 		net.Heal()
-		if log := eng.Log(); log != nil {
-			log.Recordf(t, monitor.KindFailureInjected, -1, "heal", "")
-		}
+		eng.Recordf(monitor.KindFailureInjected, -1, "heal", "")
 	})
 }
 

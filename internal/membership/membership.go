@@ -54,7 +54,8 @@ package membership
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"hades/internal/consensus"
 	"hades/internal/eventq"
@@ -332,7 +333,7 @@ func (s *Service) Start() {
 	}
 	s.started = true
 	now := s.eng.Now()
-	v0 := View{ID: 1, Members: sortedCopy(s.cfg.Nodes)}
+	v0 := View{ID: 1, Members: slices.Sorted(slices.Values(s.cfg.Nodes))}
 	s.agreed = append(s.agreed, v0)
 	s.rb.SetEpoch(v0.ID, v0.Members)
 	for _, n := range v0.Members {
@@ -348,7 +349,7 @@ func (s *Service) Start() {
 func (s *Service) Detector() *fault.Detector { return s.det }
 
 // Nodes returns the universe of potential members.
-func (s *Service) Nodes() []int { return sortedCopy(s.cfg.Nodes) }
+func (s *Service) Nodes() []int { return slices.Sorted(slices.Values(s.cfg.Nodes)) }
 
 // Name returns the group name.
 func (s *Service) Name() string { return s.cfg.Name }
@@ -581,19 +582,14 @@ func (s *Service) majorityCohort(v View) []int {
 	if len(bySide) == 0 {
 		return live // no member is behind the partition
 	}
-	sides := make([]int, 0, len(bySide))
-	for sd := range bySide {
-		sides = append(sides, sd)
-	}
-	sort.Ints(sides)
 	var best []int
-	for _, sd := range sides {
+	for _, sd := range slices.Sorted(maps.Keys(bySide)) {
 		cohort := append(append([]int{}, bySide[sd]...), unlisted...)
 		if len(cohort) >= need && len(cohort) > len(best) {
 			best = cohort
 		}
 	}
-	sort.Ints(best)
+	slices.Sort(best)
 	return best
 }
 
@@ -617,10 +613,8 @@ func (s *Service) beginQuorumOutage(cur View) {
 	}
 	s.noQuorum = true
 	s.noQuorumSince = s.eng.Now()
-	if log := s.eng.Log(); log != nil {
-		log.Recordf(s.noQuorumSince, monitor.KindQuorumBlocked, -1, s.cfg.Name,
-			"no side holds %d of %s", len(liveOf(s.net, cur))/2+1, cur)
-	}
+	s.eng.Recordf(monitor.KindQuorumBlocked, -1, s.cfg.Name,
+		"no side holds %d of %s", len(liveOf(s.net, cur))/2+1, cur)
 }
 
 // endQuorumOutage closes the no-quorum span (idempotent).
@@ -679,7 +673,7 @@ func (s *Service) maybeChange() {
 		}
 		first = false
 	}
-	for _, suspect := range sortedKeys2(s.pendingRemove) {
+	for _, suspect := range slices.Sorted(maps.Keys(s.pendingRemove)) {
 		if !cur.Contains(suspect) {
 			delete(s.pendingRemove, suspect)
 			continue
@@ -689,7 +683,7 @@ func (s *Service) maybeChange() {
 		// act only on suspicions held by the majority cohort.
 		observers := s.pendingRemove[suspect]
 		actionable := false
-		for _, o := range sortedKeys(observers) {
+		for _, o := range slices.Sorted(maps.Keys(observers)) {
 			if !cur.Contains(o) || !s.det.Suspected(o, suspect) {
 				delete(observers, o)
 				continue
@@ -707,7 +701,7 @@ func (s *Service) maybeChange() {
 			removes = append(removes, suspect)
 		}
 	}
-	for _, n := range sortedKeys(s.pendingJoin) {
+	for _, n := range slices.Sorted(maps.Keys(s.pendingJoin)) {
 		switch {
 		case cur.Contains(n) || s.net.NodeDown(n):
 			delete(s.pendingJoin, n)
@@ -727,12 +721,12 @@ func (s *Service) maybeChange() {
 	// point of the service.
 	proposals := make(map[int]int64)
 	for _, m := range cohort {
-		if containsInt(removes, m) {
+		if slices.Contains(removes, m) {
 			continue
 		}
 		var mask int64
 		for _, x := range cur.Members {
-			if containsInt(removes, x) {
+			if slices.Contains(removes, x) {
 				continue
 			}
 			if x != m && s.det.Suspected(m, x) {
@@ -775,7 +769,7 @@ func (s *Service) maybeChange() {
 		// the decider sits in a current majority cohort — a partition
 		// striking mid-round must not let a minority-side estimate
 		// become the agreed view.
-		if !containsInt(s.majorityCohort(s.agreed[len(s.agreed)-1]), res.Node) {
+		if !slices.Contains(s.majorityCohort(s.agreed[len(s.agreed)-1]), res.Node) {
 			return
 		}
 		decided = true
@@ -812,7 +806,7 @@ func (s *Service) finishChange(id uint64, members []int, trigger vtime.Time, rea
 	// stranded on a minority side would install the view only there.
 	origin := -1
 	for _, m := range members {
-		if !s.net.NodeDown(m) && (cohort == nil || containsInt(cohort, m)) {
+		if !s.net.NodeDown(m) && (cohort == nil || slices.Contains(cohort, m)) {
 			origin = m
 			break
 		}
@@ -841,7 +835,7 @@ func (s *Service) deliverView(node int, d rbcast.Delivery) {
 	if !ok {
 		return
 	}
-	v := View{ID: vm.ID, Members: sortedCopy(vm.Members)}
+	v := View{ID: vm.ID, Members: slices.Sorted(slices.Values(vm.Members))}
 	s.completeChange(v, vm, d.At)
 	if !v.Contains(node) {
 		return // removed (or never-member) nodes do not install
@@ -909,9 +903,7 @@ func (s *Service) completeChange(v View, vm viewMsg, at vtime.Time) {
 			mg.Latency = at.Sub(mg.HealAt)
 		}
 		s.Merges = append(s.Merges, mg)
-		if log := s.eng.Log(); log != nil {
-			log.Recordf(at, monitor.KindMerge, -1, s.cfg.Name, "%s readmits %v lat=%s", v, readmitted, mg.Latency)
-		}
+		s.eng.Recordf(monitor.KindMerge, -1, s.cfg.Name, "%s readmits %v lat=%s", v, readmitted, mg.Latency)
 		for _, fn := range s.onMerge {
 			fn(mg)
 		}
@@ -936,9 +928,7 @@ func (s *Service) install(node int, v View, at, trigger vtime.Time, reason strin
 	if v.ID != 1 {
 		s.mInstallLat.ObserveD(in.Latency) // initial view: no change latency
 	}
-	if log := s.eng.Log(); log != nil {
-		log.Recordf(at, monitor.KindViewChange, node, s.cfg.Name, "%s %s lat=%s", v, reason, in.Latency)
-	}
+	s.eng.Recordf(monitor.KindViewChange, node, s.cfg.Name, "%s %s lat=%s", v, reason, in.Latency)
 }
 
 // transferState ships every registered application state from a live
@@ -984,9 +974,7 @@ func (s *Service) receiveTransfer(node int, m *netsim.Message) {
 		h.restore(node, xm.Data)
 		tr := Transfer{Key: xm.Key, From: m.From, To: node, At: s.eng.Now()}
 		s.Transfers = append(s.Transfers, tr)
-		if log := s.eng.Log(); log != nil {
-			log.Recordf(tr.At, monitor.KindStateTransfer, node, s.cfg.Name, "key=%s from=n%d view=%d", xm.Key, m.From, xm.ViewID)
-		}
+		s.eng.Recordf(monitor.KindStateTransfer, node, s.cfg.Name, "key=%s from=n%d view=%d", xm.Key, m.From, xm.ViewID)
 	}
 }
 
@@ -1023,31 +1011,6 @@ func membersOf(mask int64) []int {
 	return out
 }
 
-func sortedCopy(in []int) []int {
-	out := make([]int, len(in))
-	copy(out, in)
-	sort.Ints(out)
-	return out
-}
-
-func sortedKeys(m map[int]vtime.Time) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedKeys2(m map[int]map[int]vtime.Time) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // liveOf returns the not-known-crashed members of v.
 func liveOf(net *netsim.Network, v View) []int {
 	var out []int
@@ -1067,13 +1030,4 @@ func reachableFrom(net *netsim.Network, cohort []int, node int) bool {
 		}
 	}
 	return len(cohort) == 0
-}
-
-func containsInt(s []int, x int) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

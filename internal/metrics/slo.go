@@ -203,10 +203,8 @@ func (r *Registry) evaluate(p *probe, t vtime.Time) {
 		if p.open == 0 && p.bad >= p.r.For {
 			p.breaches = append(p.breaches, Breach{Rule: p.r.Name, Onset: t, Intervals: p.bad, Worst: v})
 			p.open = len(p.breaches)
-			if r.opt.Log != nil {
-				r.opt.Log.Recordf(t, monitor.KindSLOBreach, -1, p.r.Name,
-					"%s: observed %g (%d violating intervals)", p.r.Expr(), v, p.bad)
-			}
+			r.opt.Log.Recordf(t, monitor.KindSLOBreach, -1, p.r.Name,
+				"%s: observed %g (%d violating intervals)", p.r.Expr(), v, p.bad)
 			return
 		}
 		if p.open > 0 {
@@ -224,11 +222,9 @@ func (r *Registry) evaluate(p *probe, t vtime.Time) {
 		b := &p.breaches[p.open-1]
 		b.Clear = t
 		p.open = 0
-		if r.opt.Log != nil {
-			r.opt.Log.Recordf(t, monitor.KindSLOClear, -1, p.r.Name,
-				"%s: cleared after %s (onset %s, %d intervals, worst %g)",
-				p.r.Expr(), b.Clear.Sub(b.Onset), b.Onset, b.Intervals, b.Worst)
-		}
+		r.opt.Log.Recordf(t, monitor.KindSLOClear, -1, p.r.Name,
+			"%s: cleared after %s (onset %s, %d intervals, worst %g)",
+			p.r.Expr(), b.Clear.Sub(b.Onset), b.Onset, b.Intervals, b.Worst)
 	}
 }
 

@@ -185,6 +185,18 @@ func (k Kind) IsViolation() bool {
 	return false
 }
 
+// IsFault reports whether the kind belongs on a run's fault timeline:
+// injected failures, detections, failovers, partitions, merges and SLO
+// breach boundaries.
+func (k Kind) IsFault() bool {
+	switch k {
+	case KindFailureInjected, KindFailureDetected, KindFailover,
+		KindPartition, KindMerge, KindSLOBreach, KindSLOClear:
+		return true
+	}
+	return false
+}
+
 // Event is one record in the log.
 type Event struct {
 	At      vtime.Time
@@ -211,74 +223,101 @@ func (e Event) String() string {
 // Log collects events in order. It is not safe for concurrent use: a HADES
 // run is single-threaded by design (determinism), so the log needs no lock.
 //
-// Two bounded modes exist. Head mode (NewLog) keeps the *first* limit
-// events — right for regenerating a figure from a run's opening, wrong
-// for diagnosing a long run, where violations cluster at the end and
-// the interesting tail is exactly what gets dropped. Ring mode
-// (NewRingLog) keeps the most *recent* limit events, and violations
-// are additionally retained forever regardless of the ring's churn.
+// A positive limit bounds the retained *window* in one of two modes.
+// Head mode (NewLog) keeps the first limit events — right for
+// regenerating a figure from a run's opening. Ring mode (NewRingLog)
+// keeps the most recent limit events — right for diagnosing a long
+// run's tail. In both modes every violation and every fault-timeline
+// event is also kept on a side list the bound never touches, so
+// Violations and Faults are complete however full the window is or
+// however far the ring has churned.
 type Log struct {
 	events   []Event
 	capLimit int // 0 = unlimited
 	dropped  int
 	ring     bool
-	start    int     // ring mode: index of the oldest retained event
-	viol     []Event // ring mode: every violation, never dropped
+	start    int // ring mode: index of the oldest retained event
+	// Never evicted, in record order.
+	viol   []Event
+	faults []Event
 }
 
-// NewLog returns an empty log. limit, when positive, bounds memory by
-// keeping only the first limit events (the count of dropped events is
-// still tracked).
+// NewLog returns an empty head-mode log. limit, when positive, bounds
+// the window to the first limit events; what arrives later is counted
+// in Dropped and, unless it is a violation or a fault-timeline event,
+// discarded.
 func NewLog(limit int) *Log { return &Log{capLimit: limit} }
 
 // NewRingLog returns an empty ring-mode log: limit, when positive,
-// bounds memory by keeping the most recent limit events; violations
-// are always retained (Violations stays complete however far the ring
-// has churned). The drop counter counts non-violation events pushed
-// out of the ring.
+// bounds the window to the most recent limit events. The drop counter
+// counts non-violation events pushed out of the ring.
 func NewRingLog(limit int) *Log { return &Log{capLimit: limit, ring: true} }
 
 // Ring reports whether the log retains the most recent events (ring
 // mode) rather than the first.
 func (l *Log) Ring() bool { return l != nil && l.ring }
 
+// full reports whether the window has reached its bound.
+func (l *Log) full() bool { return l.capLimit > 0 && len(l.events) >= l.capLimit }
+
 // Record appends an event.
 func (l *Log) Record(e Event) {
 	if l == nil {
 		return
 	}
-	if l.ring {
-		if e.Kind.IsViolation() {
-			l.viol = append(l.viol, e)
-		}
-		if l.capLimit > 0 && len(l.events) >= l.capLimit {
-			if !l.events[l.start].Kind.IsViolation() {
-				l.dropped++
-			}
-			l.events[l.start] = e
-			l.start = (l.start + 1) % l.capLimit
-			return
-		}
+	switch {
+	case e.Kind.IsViolation():
+		l.viol = append(l.viol, e)
+	case e.Kind.IsFault():
+		l.faults = append(l.faults, e)
+	}
+	switch {
+	case !l.full():
 		l.events = append(l.events, e)
-		return
-	}
-	if l.capLimit > 0 && len(l.events) >= l.capLimit {
+	case l.ring:
+		if !l.events[l.start].Kind.IsViolation() {
+			l.dropped++
+		}
+		l.events[l.start] = e
+		l.start = (l.start + 1) % l.capLimit
+	default:
 		l.dropped++
-		return
 	}
-	l.events = append(l.events, e)
 }
 
-// Recordf appends an event built from the arguments.
+// Recordf appends an event built from the arguments. An event nothing
+// would keep — a full head-mode window, a kind off the side lists — is
+// counted in Dropped before its detail is formatted, not after.
 func (l *Log) Recordf(at vtime.Time, kind Kind, node int, subject, format string, args ...any) {
 	if l == nil {
 		return
 	}
-	detail := format
-	if len(args) > 0 {
-		detail = fmt.Sprintf(format, args...)
+	if !l.ring && l.full() && !kind.IsViolation() && !kind.IsFault() {
+		l.dropped++
+		return
 	}
-	l.Record(Event{At: at, Kind: kind, Node: node, Subject: subject, Detail: detail})
+	l.Record(Event{At: at, Kind: kind, Node: node, Subject: subject, Detail: render(format, args)})
+}
+
+// render formats an event detail. A bare format is the detail, and
+// ("%s", x) with a ready-made string or a virtual-time value skips
+// Sprintf's copy: a retained event then shares the caller's string
+// (or x.String()'s) instead of holding a second one.
+func render(format string, args []any) string {
+	switch {
+	case len(args) == 0:
+		return format
+	case len(args) == 1 && format == "%s":
+		switch x := args[0].(type) {
+		case string:
+			return x
+		case vtime.Duration:
+			return x.String()
+		case vtime.Time:
+			return x.String()
+		}
+	}
+	return fmt.Sprintf(format, args...)
 }
 
 // Len returns the number of retained events.
@@ -311,31 +350,23 @@ func (l *Log) Events() []Event {
 // each visits retained events in chronological order (unwinding the
 // ring when it has wrapped).
 func (l *Log) each(visit func(Event)) {
-	if l.ring && l.start > 0 {
-		for _, e := range l.events[l.start:] {
-			visit(e)
-		}
-		for _, e := range l.events[:l.start] {
-			visit(e)
-		}
-		return
+	for _, e := range l.events[l.start:] { // start is 0 until a ring wraps
+		visit(e)
 	}
-	for _, e := range l.events {
+	for _, e := range l.events[:l.start] {
 		visit(e)
 	}
 }
 
-// FilterKind returns the events whose kind satisfies pred, in order.
-// pred is asked once per kind, not once per event, and the scan reads
-// events in place: a full log is tens of megabytes, and a Result walks
-// it after every run.
-func (l *Log) FilterKind(pred func(Kind) bool) []Event {
+// ByKind returns the retained events of the given kinds, in order. The
+// scan reads events in place — a full window is tens of megabytes.
+func (l *Log) ByKind(kinds ...Kind) []Event {
 	if l == nil {
 		return nil
 	}
 	var want [256]bool
-	for k := range want {
-		want[k] = pred(Kind(k))
+	for _, k := range kinds {
+		want[k] = true
 	}
 	var out []Event
 	scan := func(seg []Event) {
@@ -345,32 +376,27 @@ func (l *Log) FilterKind(pred func(Kind) bool) []Event {
 			}
 		}
 	}
-	if l.ring {
-		scan(l.events[l.start:])
-		scan(l.events[:l.start])
-	} else {
-		scan(l.events)
-	}
+	scan(l.events[l.start:])
+	scan(l.events[:l.start])
 	return out
 }
 
-// ByKind returns the events of the given kinds, in order.
-func (l *Log) ByKind(kinds ...Kind) []Event {
-	return l.FilterKind(func(k Kind) bool { return slices.Contains(kinds, k) })
-}
-
-// Violations returns all recorded property violations. In ring mode
-// the list is complete even when the ring has churned past them.
+// Violations returns every recorded property violation, in record
+// order — including those the window refused or has since evicted.
 func (l *Log) Violations() []Event {
 	if l == nil {
 		return nil
 	}
-	if l.ring {
-		out := make([]Event, len(l.viol))
-		copy(out, l.viol)
-		return out
+	return slices.Clone(l.viol)
+}
+
+// Faults returns the run's fault timeline — every recorded event whose
+// kind IsFault, in record order — complete like Violations.
+func (l *Log) Faults() []Event {
+	if l == nil {
+		return nil
 	}
-	return l.FilterKind(Kind.IsViolation)
+	return slices.Clone(l.faults)
 }
 
 // CountKind returns the number of events of kind k.

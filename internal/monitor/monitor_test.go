@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -42,6 +43,51 @@ func TestLogLimit(t *testing.T) {
 	}
 	if l.Ring() {
 		t.Fatal("NewLog must not be ring mode")
+	}
+}
+
+// TestHeadLogKeepsLateViolationsAndFaults: a violation or a
+// fault-timeline event that arrives after the head window filled is
+// refused by the window — counted in Dropped like any other — but kept
+// on the side lists, so Violations and Faults stay complete.
+func TestHeadLogKeepsLateViolationsAndFaults(t *testing.T) {
+	l := NewLog(2)
+	for i := 0; i < 3; i++ {
+		l.Record(Event{At: vtime.Time(i), Kind: KindActivation})
+	}
+	l.Record(Event{At: 3, Kind: KindDeadlineMiss, Subject: "late"})
+	l.Recordf(4, KindFailover, 1, "grp", "from=n%d", 0)
+	if v := l.Violations(); len(v) != 1 || v[0].Subject != "late" {
+		t.Fatalf("Violations = %v, want the miss recorded past the cap", v)
+	}
+	if f := l.Faults(); len(f) != 1 || f[0].Kind != KindFailover || f[0].Detail != "from=n0" {
+		t.Fatalf("Faults = %v, want the failover recorded past the cap", f)
+	}
+	if l.Len() != 2 || l.Dropped() != 3 {
+		t.Fatalf("Len=%d Dropped=%d, want 2 and 3: the window itself is unchanged", l.Len(), l.Dropped())
+	}
+	if ev := l.Events(); ev[0].At != 0 || ev[1].At != 1 {
+		t.Fatalf("window = %v, want the first two events", ev)
+	}
+	// The returned slices are copies.
+	l.Violations()[0].Subject = "scribbled"
+	if l.Violations()[0].Subject != "late" {
+		t.Fatal("Violations handed out the log's own slice")
+	}
+}
+
+// TestFaultsSurviveRingChurn: the fault timeline is complete in ring
+// mode too, and in-window faults are not reported twice.
+func TestFaultsSurviveRingChurn(t *testing.T) {
+	l := NewRingLog(2)
+	l.Record(Event{At: 1, Kind: KindFailureInjected, Subject: "crash"})
+	for i := 0; i < 5; i++ {
+		l.Record(Event{At: vtime.Time(10 + i), Kind: KindActivation})
+	}
+	l.Record(Event{At: 99, Kind: KindPartition, Subject: "net"})
+	f := l.Faults()
+	if len(f) != 2 || f[0].Subject != "crash" || f[1].Subject != "net" {
+		t.Fatalf("Faults = %v, want the churned-out crash then the partition", f)
 	}
 }
 
@@ -96,11 +142,41 @@ func TestRingLogKeepsViolations(t *testing.T) {
 	}
 }
 
+// TestRecordfDetailIsSprintf: the shortcuts Recordf takes around
+// Sprintf render the same bytes Sprintf would.
+func TestRecordfDetailIsSprintf(t *testing.T) {
+	cases := []struct {
+		format string
+		args   []any
+	}{
+		{"plain, 100% literal", nil},
+		{"%s", []any{"ready-made"}},
+		{"%s", []any{1500 * vtime.Microsecond}},
+		{"%s", []any{vtime.Time(2500)}},
+		{"%s", []any{KindDeadlineMiss}},
+		{"%s", []any{42}},
+		{"%d->%d", []any{3, 4}},
+	}
+	l := NewLog(0)
+	for _, c := range cases {
+		l.Recordf(0, KindActivation, 0, "s", c.format, c.args...)
+	}
+	for i, e := range l.Events() {
+		want := cases[i].format
+		if len(cases[i].args) > 0 {
+			want = fmt.Sprintf(cases[i].format, cases[i].args...)
+		}
+		if e.Detail != want {
+			t.Errorf("Recordf(%q, %v): detail %q, want %q", cases[i].format, cases[i].args, e.Detail, want)
+		}
+	}
+}
+
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
 	l.Record(Event{})
 	l.Recordf(0, KindActivation, 0, "x", "y")
-	if l.Len() != 0 || l.Dropped() != 0 || l.Events() != nil {
+	if l.Len() != 0 || l.Dropped() != 0 || l.Events() != nil || l.Violations() != nil || l.Faults() != nil {
 		t.Fatal("nil log must be inert")
 	}
 }
@@ -125,8 +201,15 @@ func TestViolationClassification(t *testing.T) {
 	}
 	normals := []Kind{KindActivation, KindThreadStart, KindNotification, KindCheckpoint}
 	for _, k := range normals {
-		if k.IsViolation() {
-			t.Errorf("%s wrongly classified as violation", k)
+		if k.IsViolation() || k.IsFault() {
+			t.Errorf("%s wrongly classified as violation or fault", k)
+		}
+	}
+	faults := []Kind{KindFailureInjected, KindFailureDetected, KindFailover,
+		KindPartition, KindMerge, KindSLOBreach, KindSLOClear}
+	for _, k := range faults {
+		if !k.IsFault() || k.IsViolation() {
+			t.Errorf("%s must be a fault-timeline kind and not a violation", k)
 		}
 	}
 }

@@ -73,9 +73,6 @@ type Message struct {
 
 	SentAt      vtime.Time
 	DeliveredAt vtime.Time // set on delivery
-
-	// Deps carries dependency-tracking identifiers (service [NMT97]).
-	Deps []uint64
 }
 
 // Config holds the NetMsg receive-path parameters.
@@ -204,7 +201,7 @@ func (n *Network) SetPartition(sides ...[]int) {
 		}
 	}
 	n.side = side
-	n.eng.Log().Recordf(n.eng.Now(), monitor.KindPartition, -1, "net", "split %v", sides)
+	n.eng.Recordf(monitor.KindPartition, -1, "net", "split %v", sides)
 	for _, w := range n.partWatch {
 		w(true)
 	}
@@ -227,7 +224,7 @@ func (n *Network) Heal() {
 		return
 	}
 	n.side = nil
-	n.eng.Log().Recordf(n.eng.Now(), monitor.KindPartition, -1, "net", "heal")
+	n.eng.Recordf(monitor.KindPartition, -1, "net", "heal")
 	for _, w := range n.partWatch {
 		w(false)
 	}
@@ -325,19 +322,18 @@ func (n *Network) Send(from, to int, port string, payload any, size int) (*Messa
 	n.nextID++
 	m := &Message{ID: n.nextID, From: from, To: to, Port: port, Payload: payload, Size: size, SentAt: n.eng.Now()}
 	n.stats.Sent++
-	log := n.eng.Log()
-	log.Recordf(n.eng.Now(), monitor.KindMessageSend, from, port, "to=n%d id=%d", to, m.ID)
+	n.eng.Recordf(monitor.KindMessageSend, from, port, "to=n%d id=%d", to, m.ID)
 
 	if n.down[from] || n.down[to] {
 		n.stats.Dropped++
-		log.Recordf(n.eng.Now(), monitor.KindMessageDrop, to, port, "id=%d node down", m.ID)
+		n.eng.Recordf(monitor.KindMessageDrop, to, port, "id=%d node down", m.ID)
 		n.noteDrop(m, "node down")
 		return m, nil
 	}
 	if n.Partitioned(from, to) {
 		n.stats.Dropped++
 		n.stats.PartDropped++
-		log.Recordf(n.eng.Now(), monitor.KindMessageDrop, to, port, "id=%d partitioned", m.ID)
+		n.eng.Recordf(monitor.KindMessageDrop, to, port, "id=%d partitioned", m.ID)
 		n.noteDrop(m, "partitioned")
 		return m, nil
 	}
@@ -350,7 +346,7 @@ func (n *Network) Send(from, to int, port string, payload any, size int) (*Messa
 		switch v := n.fault.Judge(m); v.Fate {
 		case FateDrop:
 			n.stats.Dropped++
-			log.Recordf(n.eng.Now(), monitor.KindMessageDrop, to, port, "id=%d omission", m.ID)
+			n.eng.Recordf(monitor.KindMessageDrop, to, port, "id=%d omission", m.ID)
 			n.noteDrop(m, "omission")
 			return m, nil
 		case FateDelay:
@@ -393,7 +389,7 @@ func (n *Network) Multicast(from int, tos []int, port string, payload any, size 
 func (n *Network) receive(m *Message) {
 	if n.down[m.To] {
 		n.stats.Dropped++
-		n.eng.Log().Recordf(n.eng.Now(), monitor.KindMessageDrop, m.To, m.Port, "id=%d receiver down", m.ID)
+		n.eng.Recordf(monitor.KindMessageDrop, m.To, m.Port, "id=%d receiver down", m.ID)
 		n.noteDrop(m, "receiver down")
 		return
 	}
@@ -402,7 +398,7 @@ func (n *Network) receive(m *Message) {
 		// starts are lost with the segment.
 		n.stats.Dropped++
 		n.stats.PartDropped++
-		n.eng.Log().Recordf(n.eng.Now(), monitor.KindMessageDrop, m.To, m.Port, "id=%d partitioned in flight", m.ID)
+		n.eng.Recordf(monitor.KindMessageDrop, m.To, m.Port, "id=%d partitioned in flight", m.ID)
 		n.noteDrop(m, "partitioned in flight")
 		return
 	}
@@ -427,7 +423,7 @@ func (n *Network) receive(m *Message) {
 func (n *Network) deliver(m *Message) {
 	m.DeliveredAt = n.eng.Now()
 	n.stats.Delivered++
-	n.eng.Log().Recordf(n.eng.Now(), monitor.KindMessageRecv, m.To, m.Port, "from=n%d id=%d lat=%s", m.From, m.ID, m.DeliveredAt.Sub(m.SentAt))
+	n.eng.Recordf(monitor.KindMessageRecv, m.To, m.Port, "from=n%d id=%d lat=%s", m.From, m.ID, m.DeliveredAt.Sub(m.SentAt))
 	if hs := n.handlers[m.To]; hs != nil {
 		if h := hs[m.Port]; h != nil {
 			h(m)
@@ -435,7 +431,7 @@ func (n *Network) deliver(m *Message) {
 		}
 	}
 	// Unbound port: drop quietly but record, so tests can assert.
-	n.eng.Log().Recordf(n.eng.Now(), monitor.KindMessageDrop, m.To, m.Port, "id=%d no handler", m.ID)
+	n.eng.Recordf(monitor.KindMessageDrop, m.To, m.Port, "id=%d no handler", m.ID)
 }
 
 // noteDrop links message loss back into the causal tracing plane: a

@@ -581,10 +581,8 @@ func (s *Subscriber) SetJoinAt(t vtime.Time) error {
 func (s *Subscriber) join() {
 	p := s.p
 	s.active = true
-	if log := p.eng.Log(); log != nil {
-		log.Recordf(p.eng.Now(), monitor.KindCatchUp, s.node, "pubsub."+s.t.name,
-			"subscriber %d joined late", s.id)
-	}
+	p.eng.Recordf(monitor.KindCatchUp, s.node, "pubsub."+s.t.name,
+		"subscriber %d joined late", s.id)
 	if s.t.qos.Durable {
 		p.sess.Go(session.Spec{
 			Label: fmt.Sprintf("pubsub.%s.catchup#%d", s.t.name, s.id),
@@ -637,10 +635,8 @@ func (s *Subscriber) deliver(sample Sample, replay bool, att *pubAttempt) {
 	} else if dl := s.t.qos.Deadline; dl > 0 && lat > dl {
 		s.t.deadlineMiss++
 		s.t.mMiss.Inc()
-		if log := p.eng.Log(); log != nil {
-			log.Recordf(now, monitor.KindDeadlineMiss, s.node, "pubsub."+s.t.name,
-				"sample p%d#%d latency %s > bound %s", sample.Pub, sample.Seq, lat, dl)
-		}
+		p.eng.Recordf(monitor.KindDeadlineMiss, s.node, "pubsub."+s.t.name,
+			"sample p%d#%d latency %s > bound %s", sample.Pub, sample.Seq, lat, dl)
 	}
 	if att != nil {
 		if att.outstanding > 0 {
@@ -732,10 +728,8 @@ func (p *Plane) handleCatchup(gs *groupState, node int, env catchupMsg) {
 	for _, s := range h {
 		p.sendDeliver(node, sub, s, true, trace.SpanRef{}, nil)
 	}
-	if log := p.eng.Log(); log != nil {
-		log.Recordf(p.eng.Now(), monitor.KindCatchUp, node, "pubsub."+env.Topic,
-			"replayed %d samples to late joiner %d@n%d", len(h), env.Sub, sub.node)
-	}
+	p.eng.Recordf(monitor.KindCatchUp, node, "pubsub."+env.Topic,
+		"replayed %d samples to late joiner %d@n%d", len(h), env.Sub, sub.node)
 	if node == sub.node {
 		sub.caughtUp = true
 		return
@@ -913,10 +907,8 @@ func (gs *groupState) onView(v membership.View) {
 			if sub.backlog > 0 && p.net.NodeDown(sub.node) {
 				t.dropped += sub.backlog
 				t.mDrop.Add(int64(sub.backlog))
-				if log := p.eng.Log(); log != nil {
-					log.Recordf(p.eng.Now(), monitor.KindSampleDrop, sub.node, "pubsub."+t.name,
-						"dropped %d backlogged samples at %s (subscriber %d down)", sub.backlog, v, sub.id)
-				}
+				p.eng.Recordf(monitor.KindSampleDrop, sub.node, "pubsub."+t.name,
+					"dropped %d backlogged samples at %s (subscriber %d down)", sub.backlog, v, sub.id)
 				sub.backlog = 0
 			}
 		}
@@ -952,10 +944,8 @@ func (gs *groupState) onMerge(_ membership.Merge) {
 			replayed++
 		}
 		if replayed > 0 {
-			if log := p.eng.Log(); log != nil {
-				log.Recordf(p.eng.Now(), monitor.KindCatchUp, prim, "pubsub."+t.name,
-					"merge replay: %d samples to %d subscribers", len(h), replayed)
-			}
+			p.eng.Recordf(monitor.KindCatchUp, prim, "pubsub."+t.name,
+				"merge replay: %d samples to %d subscribers", len(h), replayed)
 		}
 	}
 }

@@ -234,10 +234,8 @@ func (s *Service) accept(node int, f flood, deliverAt vtime.Time) bool {
 	}
 	s.seen[k] = true
 	if now := s.eng.Now(); deliverAt < now {
-		if log := s.eng.Log(); log != nil {
-			log.Recordf(now, monitor.KindNetworkOmission, node, s.port,
-				"origin=n%d seq=%d copy arrived %s past the delivery bound", f.Origin, f.Seq, now.Sub(deliverAt))
-		}
+		s.eng.Recordf(monitor.KindNetworkOmission, node, s.port,
+			"origin=n%d seq=%d copy arrived %s past the delivery bound", f.Origin, f.Seq, now.Sub(deliverAt))
 		deliverAt = now
 	}
 	s.eng.At(deliverAt, eventq.ClassApp, func() {
@@ -248,9 +246,7 @@ func (s *Service) accept(node int, f flood, deliverAt vtime.Time) bool {
 			// Virtual-synchrony flush: the view boundary passed (or the
 			// node left the view) before this copy's delivery instant.
 			s.Flushed++
-			if log := s.eng.Log(); log != nil {
-				log.Recordf(deliverAt, monitor.KindFlush, node, s.port, "origin=n%d seq=%d epoch=%d<%d", f.Origin, f.Seq, f.Epoch, s.epoch)
-			}
+			s.eng.Recordf(monitor.KindFlush, node, s.port, "origin=n%d seq=%d epoch=%d<%d", f.Origin, f.Seq, f.Epoch, s.epoch)
 			return
 		}
 		d := Delivery{
@@ -263,9 +259,7 @@ func (s *Service) accept(node int, f flood, deliverAt vtime.Time) bool {
 		s.Deliveries = append(s.Deliveries, d)
 		dk := msgID{origin: f.Origin, seq: f.Seq}
 		s.delivered[dk] = append(s.delivered[dk], node)
-		if log := s.eng.Log(); log != nil {
-			log.Recordf(deliverAt, monitor.KindDelivery, node, s.port, "origin=n%d seq=%d", f.Origin, f.Seq)
-		}
+		s.eng.Recordf(monitor.KindDelivery, node, s.port, "origin=n%d seq=%d", f.Origin, f.Seq)
 		if h := s.handlers[node]; h != nil {
 			h(d)
 		}

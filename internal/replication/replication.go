@@ -472,9 +472,7 @@ func (g *Group) staleSender(node, from int, view uint64) bool {
 		return false
 	}
 	g.Flushed++
-	if log := g.eng.Log(); log != nil {
-		log.Recordf(g.eng.Now(), monitor.KindFlush, node, g.cfg.Name, "from=n%d view=%d<%d", from, view, cv.ID)
-	}
+	g.eng.Recordf(monitor.KindFlush, node, g.cfg.Name, "from=n%d view=%d<%d", from, view, cv.ID)
 	return true
 }
 
@@ -507,9 +505,7 @@ func (g *Group) handleView(v membership.View) {
 		fo := Failover{From: cur, To: cand, At: g.eng.Now(), InView: v.ID, LostSince: lost}
 		g.Failovers = append(g.Failovers, fo)
 		g.LostWork += lost
-		if log := g.eng.Log(); log != nil {
-			log.Recordf(fo.At, monitor.KindFailover, cand, g.cfg.Name, "from=n%d view=%d lost=%d", cur, v.ID, lost)
-		}
+		g.eng.Recordf(monitor.KindFailover, cand, g.cfg.Name, "from=n%d view=%d lost=%d", cur, v.ID, lost)
 		return
 	}
 }
@@ -768,9 +764,7 @@ func (g *Group) checkpoint(primary int) {
 			continue
 		}
 	}
-	if log := g.eng.Log(); log != nil {
-		log.Recordf(g.eng.Now(), monitor.KindCheckpoint, primary, g.cfg.Name, "applied=%d", ck.Applied)
-	}
+	g.eng.Recordf(monitor.KindCheckpoint, primary, g.cfg.Name, "applied=%d", ck.Applied)
 }
 
 func (g *Group) handleCheckpoint(node int, m *netsim.Message) {

@@ -23,8 +23,8 @@ type ObserveSpec struct {
 	// selects the cluster default).
 	LogLimit *int `json:"logLimit,omitempty"`
 	// RetainViolations switches the log to ring mode: the most recent
-	// LogLimit events are kept instead of the first, and violation
-	// events are never dropped however far the ring churns.
+	// LogLimit events are kept instead of the first. Violations and
+	// fault-timeline events are never dropped in either mode.
 	RetainViolations bool `json:"retainViolations,omitempty"`
 	// Metrics tunes the virtual-time metrics plane (omitted keeps the
 	// plane on with its defaults).

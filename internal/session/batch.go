@@ -259,10 +259,8 @@ func (b *Batcher[T]) flush(laneName string, l *lane[T], full, force bool) {
 		if !force && depth > 0 && l.inflight >= depth {
 			b.Stats.Stalls++
 			b.mStalls.Inc()
-			if log := b.eng.Log(); log != nil {
-				log.Recordf(b.eng.Now(), monitor.KindPipeline, b.node, b.label,
-					"%s stalled at depth %d (%d pending)", laneName, l.inflight, len(l.pending))
-			}
+			b.eng.Recordf(monitor.KindPipeline, b.node, b.label,
+				"%s stalled at depth %d (%d pending)", laneName, l.inflight, len(l.pending))
 			b.tryFlushTimer(laneName, l)
 			return
 		}
@@ -279,17 +277,15 @@ func (b *Batcher[T]) flush(laneName string, l *lane[T], full, force bool) {
 		}
 		b.Stats.record(n)
 		b.mFill.Observe(int64(n))
+		cause := "timer"
 		if full || n == max {
+			cause = "full"
 			b.Stats.FullFlushes++
 		} else {
 			b.Stats.TimerFlushes++
 		}
-		if log := b.eng.Log(); log != nil && b.params.Batching() {
-			cause := "timer"
-			if full || n == max {
-				cause = "full"
-			}
-			log.Recordf(b.eng.Now(), monitor.KindBatchFlush, b.node, b.label,
+		if b.params.Batching() {
+			b.eng.Recordf(monitor.KindBatchFlush, b.node, b.label,
 				"%s flush %d ops (%s, depth %d)", laneName, n, cause, l.inflight)
 		}
 		b.emit(laneName, batch)

@@ -243,9 +243,7 @@ func (e *Engine) fail(c *Call, why string) {
 	c.retries++
 	if c.retries <= c.s.MaxRetries {
 		c.s.Counters.Retries++
-		if log := e.eng.Log(); log != nil {
-			log.Recordf(e.eng.Now(), monitor.KindRetry, c.s.Node, c.s.Label, "%s retry %d/%d", why, c.retries, c.s.MaxRetries)
-		}
+		e.eng.Recordf(monitor.KindRetry, c.s.Node, c.s.Label, "%s retry %d/%d", why, c.retries, c.s.MaxRetries)
 		c.s.instant("%s retry %d/%d", why, c.retries, c.s.MaxRetries)
 		e.dispatch(c)
 		return
@@ -261,9 +259,7 @@ func (e *Engine) fail(c *Call, why string) {
 	c.state = csParked
 	c.attempt++
 	c.s.Counters.Queued++
-	if log := e.eng.Log(); log != nil {
-		log.Recordf(e.eng.Now(), monitor.KindRetry, c.s.Node, c.s.Label, "%s: parked after %d retries", why, c.retries)
-	}
+	e.eng.Recordf(monitor.KindRetry, c.s.Node, c.s.Label, "%s: parked after %d retries", why, c.retries)
 	c.s.instant("parked after %d retries (%s)", c.retries, why)
 	// Backoff safety net: view installs and heals resubmit parked calls
 	// promptly, but a call can park after the last such trigger (its
@@ -281,9 +277,7 @@ func (e *Engine) fail(c *Call, why string) {
 // resume re-dispatches one parked call with a fresh retry budget.
 func (e *Engine) resume(c *Call, why string) {
 	c.s.Counters.Resubmitted++
-	if log := e.eng.Log(); log != nil {
-		log.Recordf(e.eng.Now(), monitor.KindResubmit, c.s.Node, c.s.Label, "after %s", why)
-	}
+	e.eng.Recordf(monitor.KindResubmit, c.s.Node, c.s.Label, "after %s", why)
 	c.s.instant("resubmit after %s", why)
 	c.retries = 0
 	e.dispatch(c)
@@ -306,9 +300,7 @@ func (c *Call) Redirect(detail string) {
 		return
 	}
 	c.s.Counters.Redirects++
-	if log := c.e.eng.Log(); log != nil {
-		log.Recordf(c.e.eng.Now(), monitor.KindRedirect, c.s.Node, c.s.Label, "%s", detail)
-	}
+	c.e.eng.Recordf(monitor.KindRedirect, c.s.Node, c.s.Label, "%s", detail)
 	c.s.instant("redirect: %s", detail)
 	c.e.dispatch(c)
 }

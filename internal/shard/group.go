@@ -276,11 +276,6 @@ func (g *Group) Membership() *membership.Service { return g.mem }
 // ReqPort returns the port replicas accept client requests on.
 func (g *Group) ReqPort() string { return "shard." + g.name + ".req" }
 
-// ApplyLog returns the fresh applies observed at one replica, in order.
-func (g *Group) ApplyLog(node int) []Applied {
-	return append([]Applied(nil), g.logs[node]...)
-}
-
 // AuthoritativeNode returns the replica whose apply log is the
 // authoritative history: the current primary, or — if the primary's
 // log is holed (it was down, or view-excluded while partitioned;
@@ -314,9 +309,7 @@ func (g *Group) handleRequest(node int, m *netsim.Message) {
 		// its installed view, so it must not serve — an ack here could
 		// be overwritten by the authoritative majority at the merge.
 		g.Stats.Blocked++
-		if log := g.eng.Log(); log != nil {
-			log.Recordf(g.eng.Now(), monitor.KindQuorumBlocked, node, g.name, "rejected c%d b%d (%d ops): no quorum", env.Client, env.Batch, len(env.Ops))
-		}
+		g.eng.Recordf(monitor.KindQuorumBlocked, node, g.name, "rejected c%d b%d (%d ops): no quorum", env.Client, env.Batch, len(env.Ops))
 		for _, op := range env.Ops {
 			op.Trace.Instant("blocked at n%d: no quorum", node)
 		}
@@ -325,9 +318,7 @@ func (g *Group) handleRequest(node int, m *netsim.Message) {
 	}
 	if p := g.rep.Primary(); node != p {
 		g.Stats.Redirects++
-		if log := g.eng.Log(); log != nil {
-			log.Recordf(g.eng.Now(), monitor.KindRedirect, node, g.name, "c%d b%d -> n%d", env.Client, env.Batch, p)
-		}
+		g.eng.Recordf(monitor.KindRedirect, node, g.name, "c%d b%d -> n%d", env.Client, env.Batch, p)
 		g.respond(node, m.From, respEnv{Shard: g.name, Batch: env.Batch, Attempt: env.Attempt, Kind: respRedirect, Primary: p})
 		return
 	}

@@ -29,25 +29,15 @@ func Verify(r *Router, clients []*Client) error {
 			return fmt.Errorf("shard: verify needs semi-active shards (group %q is %s)", g.Name(), s)
 		}
 	}
-	// Authoritative logs, indexed per group once.
-	type entryKey struct {
-		client int
-		seq    uint64
-	}
-	logs := make([]map[entryKey]Applied, len(r.Groups()))
-	counts := make([]map[entryKey]int, len(r.Groups()))
+	hist := make([]*History, len(r.Groups()))
 	for i, g := range r.Groups() {
-		node, ok := g.AuthoritativeNode()
-		if !ok {
-			return fmt.Errorf("shard: group %q has no hole-free replica to verify against", g.Name())
+		h, err := g.History()
+		if err != nil {
+			return fmt.Errorf("shard: %w", err)
 		}
-		logs[i] = make(map[entryKey]Applied)
-		counts[i] = make(map[entryKey]int)
+		hist[i] = h
 		lastSeq := make(map[string]map[int]uint64) // key → client → last seq
-		for _, a := range g.ApplyLog(node) {
-			k := entryKey{client: a.Client, seq: a.Seq}
-			counts[i][k]++
-			logs[i][k] = a
+		for _, a := range h.Log {
 			perKey := lastSeq[a.Key]
 			if perKey == nil {
 				perKey = make(map[int]uint64)
@@ -63,8 +53,8 @@ func Verify(r *Router, clients []*Client) error {
 	for _, c := range clients {
 		for _, ack := range c.Acks {
 			idx := r.ShardFor(ack.Key)
-			k := entryKey{client: c.Node(), seq: ack.Seq}
-			switch n := counts[idx][k]; {
+			a, n := hist[idx].Find(c.Node(), ack.Seq)
+			switch {
 			case n == 0:
 				return fmt.Errorf("shard: acked request n%d#%d (key %q) missing from group %q history (acknowledged write lost)",
 					c.Node(), ack.Seq, ack.Key, r.Groups()[idx].Name())
@@ -72,7 +62,6 @@ func Verify(r *Router, clients []*Client) error {
 				return fmt.Errorf("shard: acked request n%d#%d (key %q) applied %d times in group %q (exactly-once violated)",
 					c.Node(), ack.Seq, ack.Key, n, r.Groups()[idx].Name())
 			}
-			a := logs[idx][k]
 			if a.Result != ack.Result || a.Key != ack.Key {
 				return fmt.Errorf("shard: acked request n%d#%d: client saw (key %q, result %d), history holds (key %q, result %d)",
 					c.Node(), ack.Seq, ack.Key, ack.Result, a.Key, a.Result)
@@ -80,4 +69,48 @@ func Verify(r *Router, clients []*Client) error {
 		}
 	}
 	return nil
+}
+
+// History is one group's authoritative history — the apply log of a
+// hole-free replica — indexed by request. Both run audits (Verify here
+// and txn.Verify) read it, so they judge one set of histories.
+type History struct {
+	// Log is the authoritative apply log, in apply order. It is the
+	// group's own slice: read it, do not keep or change it.
+	Log   []Applied
+	byReq map[reqKey]reqApplies
+}
+
+// reqKey names one client request; reqApplies is how often it was
+// applied and the last such apply.
+type reqKey struct {
+	client int
+	seq    uint64
+}
+
+type reqApplies struct {
+	last Applied
+	n    int
+}
+
+// History indexes the group's authoritative apply log. It fails when
+// no replica's log is hole-free.
+func (g *Group) History() (*History, error) {
+	node, ok := g.AuthoritativeNode()
+	if !ok {
+		return nil, fmt.Errorf("group %q has no hole-free replica to verify against", g.Name())
+	}
+	h := &History{Log: g.logs[node], byReq: make(map[reqKey]reqApplies, len(g.logs[node]))}
+	for _, a := range h.Log {
+		k := reqKey{client: a.Client, seq: a.Seq}
+		h.byReq[k] = reqApplies{last: a, n: h.byReq[k].n + 1}
+	}
+	return h, nil
+}
+
+// Find returns how many times the history applied request (client,
+// seq), and the last such apply.
+func (h *History) Find(client int, seq uint64) (Applied, int) {
+	r := h.byReq[reqKey{client: client, seq: seq}]
+	return r.last, r.n
 }

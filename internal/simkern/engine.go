@@ -165,9 +165,9 @@ func (e *Engine) nextReadySeq() uint64 {
 	return e.readySeq
 }
 
-func (e *Engine) record(kind monitor.Kind, node int, subject, detail string) {
-	if e.log == nil {
-		return
-	}
-	e.log.Record(monitor.Event{At: e.now, Kind: kind, Node: node, Subject: subject, Detail: detail})
+// Recordf is the one write door into the monitor log: it stamps the
+// event with the current instant and formats the detail only if the
+// log will keep it. A nil log records nothing.
+func (e *Engine) Recordf(kind monitor.Kind, node int, subject, format string, args ...any) {
+	e.log.Recordf(e.now, kind, node, subject, format, args...)
 }

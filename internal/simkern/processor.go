@@ -149,7 +149,7 @@ func (p *Processor) RaiseIRQ(source string, wcet vtime.Duration, handler func())
 	if wcet > st.MaxWCET {
 		st.MaxWCET = wcet
 	}
-	p.eng.record(monitor.KindInterrupt, p.id, source, wcet.String())
+	p.eng.Recordf(monitor.KindInterrupt, p.id, source, "%s", wcet)
 	p.irqQueue = append(p.irqQueue, &irq{source: source, wcet: wcet, handler: handler})
 	p.resched()
 }
@@ -228,7 +228,7 @@ func (p *Processor) haltRunning(preempt bool) {
 	p.lastDispatch = t
 	if preempt {
 		p.preempts++
-		p.eng.record(monitor.KindThreadPreempt, p.id, t.name, "")
+		p.eng.Recordf(monitor.KindThreadPreempt, p.id, t.name, "")
 		if t.OnPreempt != nil {
 			t.OnPreempt()
 		}
@@ -258,7 +258,7 @@ func (p *Processor) resched() {
 			best := p.pickBest()
 			if best != nil && best != h && best.effPrio() > h.currentPT() {
 				p.preempts++
-				p.eng.record(monitor.KindThreadPreempt, p.id, h.name, "")
+				p.eng.Recordf(monitor.KindThreadPreempt, p.id, h.name, "")
 				if h.OnPreempt != nil {
 					h.OnPreempt()
 				}
@@ -302,21 +302,21 @@ func (p *Processor) dispatch(t *Thread) {
 		p.switches++
 		p.switchTime += cost
 		if p.lastDispatch != nil || cost > 0 {
-			p.eng.record(monitor.KindContextSwitch, p.id, t.name, cost.String())
+			p.eng.Recordf(monitor.KindContextSwitch, p.id, t.name, "%s", cost)
 		}
 	}
 	p.running = t
 	p.effStart = now.Add(cost)
 	if !t.started {
 		t.started = true
-		p.eng.record(monitor.KindThreadStart, p.id, t.name, fmt.Sprintf("prio=%d", t.prio))
+		p.eng.Recordf(monitor.KindThreadStart, p.id, t.name, "prio=%d", t.prio)
 		if t.OnFirstRun != nil {
 			t.OnFirstRun()
 		}
 	} else if cost > 0 || p.lastDispatch != t {
 		// Continuing the same thread straight after an interrupt is
 		// not a context switch and gets no Resume event.
-		p.eng.record(monitor.KindThreadResume, p.id, t.name, "")
+		p.eng.Recordf(monitor.KindThreadResume, p.id, t.name, "")
 	}
 	p.completion = p.eng.At(p.effStart.Add(seg.remaining), eventq.ClassKernel, func() {
 		p.segmentDone(t)

@@ -388,3 +388,53 @@ func TestBusyAccounting(t *testing.T) {
 		t.Fatalf("busy %s, want 50us", p.BusyTime())
 	}
 }
+
+// countedArg counts how often the log renders it.
+type countedArg struct{ calls *int }
+
+func (c countedArg) String() string { *c.calls++; return "rendered" }
+
+// TestRecordfFormatsOnlyWhatIsKept: the one record door stamps the
+// firing instant and never formats an event the log refuses — a full
+// head window drops it uncounted by String(); with room, or in ring
+// mode, or for a kind the side lists keep, it is rendered exactly once.
+func TestRecordfFormatsOnlyWhatIsKept(t *testing.T) {
+	calls := 0
+	arg := countedArg{&calls}
+	at := func(eng *Engine, kind monitor.Kind) {
+		eng.At(vtime.Time(7*us), eventq.ClassApp, func() { eng.Recordf(kind, 2, "subj", "x=%s", arg) })
+		eng.RunUntilIdle()
+	}
+
+	head := monitor.NewLog(1)
+	eng := NewEngine(head, 1)
+	at(eng, monitor.KindMessageSend)
+	want := monitor.Event{At: vtime.Time(7 * us), Kind: monitor.KindMessageSend, Node: 2, Subject: "subj", Detail: "x=rendered"}
+	if ev := head.Events(); calls != 1 || len(ev) != 1 || ev[0] != want {
+		t.Fatalf("with room: %d String() calls, events %v; want one call and %v", calls, ev, want)
+	}
+	eng.Recordf(monitor.KindMessageSend, 2, "subj", "x=%s", arg)
+	if calls != 1 || head.Len() != 1 || head.Dropped() != 1 {
+		t.Fatalf("full head log: %d String() calls, Len=%d Dropped=%d; want the event counted, not formatted",
+			calls, head.Len(), head.Dropped())
+	}
+	eng.Recordf(monitor.KindDeadlineMiss, 2, "subj", "x=%s", arg)
+	if v := head.Violations(); calls != 2 || len(v) != 1 || v[0].Detail != "x=rendered" || head.Dropped() != 2 {
+		t.Fatalf("late violation: %d String() calls, Violations %v, Dropped=%d", calls, v, head.Dropped())
+	}
+
+	calls = 0
+	ring := monitor.NewRingLog(1)
+	eng = NewEngine(ring, 1)
+	at(eng, monitor.KindMessageSend)
+	eng.Recordf(monitor.KindMessageRecv, 2, "subj", "x=%s", arg)
+	if ev := ring.Events(); calls != 2 || len(ev) != 1 || ev[0].Kind != monitor.KindMessageRecv || ring.Dropped() != 1 {
+		t.Fatalf("ring log: %d String() calls, events %v, Dropped=%d; want the newest kept", calls, ev, ring.Dropped())
+	}
+
+	calls = 0
+	at(NewEngine(nil, 1), monitor.KindMessageSend)
+	if calls != 0 {
+		t.Fatalf("nil log: %d String() calls, want none", calls)
+	}
+}

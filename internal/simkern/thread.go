@@ -104,7 +104,7 @@ func (t *Thread) Ready() {
 	if t.currentSegment() == nil {
 		panic(fmt.Sprintf("simkern: readying thread %q with no segments", t.name))
 	}
-	t.proc.eng.record(monitor.KindThreadReady, t.proc.id, t.name, fmt.Sprintf("prio=%d", t.prio))
+	t.proc.eng.Recordf(monitor.KindThreadReady, t.proc.id, t.name, "prio=%d", t.prio)
 	t.proc.makeReady(t)
 }
 
@@ -124,7 +124,7 @@ func (t *Thread) SetPriority(prio int) {
 	if t.prio == prio {
 		return
 	}
-	t.proc.eng.record(monitor.KindPriorityChange, t.proc.id, t.name, fmt.Sprintf("%d->%d", t.prio, prio))
+	t.proc.eng.Recordf(monitor.KindPriorityChange, t.proc.id, t.name, "%d->%d", t.prio, prio)
 	t.prio = prio
 	if t.readyIdx >= 0 {
 		if t.proc.running == t {

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"hades/internal/eventq"
@@ -188,23 +189,13 @@ func (c *Coordinator) snapshotDecided(donor, joiner int) any {
 	if c.p.net.NodeDown(src) {
 		src = donor
 	}
-	return copyDecided(c.decided[src])
+	return maps.Clone(c.decided[src])
 }
 
 func (c *Coordinator) restoreDecided(node int, data any) {
-	d, ok := data.(map[ID]bool)
-	if !ok || d == nil {
-		return
+	if d, ok := data.(map[ID]bool); ok {
+		c.decided[node] = maps.Clone(d)
 	}
-	c.decided[node] = copyDecided(d)
-}
-
-func copyDecided(in map[ID]bool) map[ID]bool {
-	out := make(map[ID]bool, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
 }
 
 // handle dispatches one protocol message arriving at replica node.
@@ -278,7 +269,6 @@ func (c *Coordinator) admit(env beginEnv) *coordTxn {
 		deadline: env.Deadline,
 		client:   env.Client,
 		attempt:  env.Attempt,
-		reads:    make(map[string]int64),
 		trace:    env.Trace,
 	}
 	byShard := make(map[int]*partState)
@@ -323,9 +313,7 @@ func (c *Coordinator) sendPrepare(ct *coordTxn, ps *partState) {
 		func() {
 			from := c.g.Replication().Primary()
 			to := c.p.router.Groups()[ps.shard].Replication().Primary()
-			if log := c.p.eng.Log(); log != nil {
-				log.Recordf(c.p.eng.Now(), monitor.KindPrepare, from, ct.id.String(), "-> shard %d (n%d)", ps.shard, to)
-			}
+			c.p.eng.Recordf(monitor.KindPrepare, from, ct.id.String(), "-> shard %d (n%d)", ps.shard, to)
 			c.p.send(from, to, c.p.partPort(), env, 48)
 		},
 		func() bool { return ps.voted || ct.decided })
@@ -343,8 +331,10 @@ func (c *Coordinator) handleVote(node int, env voteEnv) {
 	}
 	ps.voted, ps.yes, ps.reason = true, env.Yes, env.Reason
 	ps.prepSpan.End()
-	for k, v := range env.Reads {
-		ct.reads[k] = v
+	if ct.reads == nil {
+		ct.reads = maps.Clone(env.Reads) // no reads, no map
+	} else {
+		maps.Copy(ct.reads, env.Reads)
 	}
 	if !env.Yes {
 		ct.byDeadline = env.Deadline
@@ -381,7 +371,9 @@ func (c *Coordinator) decide(ct *coordTxn, commit bool, reason string) {
 	}
 	ct.decided, ct.commit, ct.reason = true, commit, reason
 	ct.decidedAt = c.p.eng.Now()
+	verdict := "abort"
 	if commit {
+		verdict = "commit"
 		c.Stats.Commits++
 		c.mCommits.Inc()
 	} else {
@@ -391,13 +383,7 @@ func (c *Coordinator) decide(ct *coordTxn, commit bool, reason string) {
 			c.Stats.DeadlineAborts++
 		}
 	}
-	if log := c.p.eng.Log(); log != nil {
-		verdict := "abort"
-		if commit {
-			verdict = "commit"
-		}
-		log.Recordf(ct.decidedAt, monitor.KindDecide, c.g.Replication().Primary(), ct.id.String(), "%s %s", verdict, reason)
-	}
+	c.p.eng.Recordf(monitor.KindDecide, c.g.Replication().Primary(), ct.id.String(), "%s %s", verdict, reason)
 	ct.logSpan = ct.trace.Span("2pc.decision.log", trace.LayerReplicate)
 	cmd := int64(ct.id.Num) * 2
 	if commit {
@@ -509,7 +495,7 @@ func (c *Coordinator) reply(from int, ct *coordTxn) {
 		Committed: ct.commit,
 		Reason:    ct.reason,
 		Deadline:  ct.byDeadline,
-		Reads:     copyReads(ct.reads),
+		Reads:     maps.Clone(ct.reads), // frozen for shipping
 	}
 	c.p.send(from, ct.client, c.p.respPort(), env, 40)
 }

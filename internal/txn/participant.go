@@ -201,9 +201,7 @@ func (pa *Participant) handlePrepare(node, from int, env prepareEnv) {
 		pa.Stats.LockWaits++
 		pr.lockSpan = pr.trace.Span(fmt.Sprintf("lock.wait.s%d", pa.shard), trace.LayerLock)
 		pa.waiters = append(pa.waiters, pr)
-		if log := pa.p.eng.Log(); log != nil {
-			log.Recordf(now, monitor.KindLockWait, node, pr.id.String(), "shard %d: conflict on %v", pa.shard, pr.keys())
-		}
+		pa.p.eng.Recordf(monitor.KindLockWait, node, pr.id.String(), "shard %d: conflict on %v", pa.shard, pr.keys())
 	}
 	pa.p.eng.At(env.Deadline, eventq.ClassApp, func() { pa.atDeadline(pr) })
 }
@@ -230,9 +228,7 @@ func (pa *Participant) granted(node, from int, pr *prep) {
 	pr.state = prepHeld
 	pr.votedYes = true
 	pr.lockSpan.End()
-	if log := pa.p.eng.Log(); log != nil {
-		log.Recordf(pa.p.eng.Now(), monitor.KindPrepare, node, pr.id.String(), "shard %d: locked %v", pa.shard, pr.keys())
-	}
+	pa.p.eng.Recordf(monitor.KindPrepare, node, pr.id.String(), "shard %d: locked %v", pa.shard, pr.keys())
 	pa.vote(node, from, pr, true, "", false)
 }
 
@@ -284,19 +280,15 @@ func (pa *Participant) atDeadline(pr *prep) {
 		pr.trace.Instant("shard %d: lock wait exceeded deadline", pa.shard)
 		pa.Stats.Aborts++
 		node := pa.g.Replication().Primary()
-		if log := pa.p.eng.Log(); log != nil {
-			log.Recordf(pa.p.eng.Now(), monitor.KindTxnAbort, node, pr.id.String(), "shard %d: lock wait exceeded deadline", pa.shard)
-		}
+		pa.p.eng.Recordf(monitor.KindTxnAbort, node, pr.id.String(), "shard %d: lock wait exceeded deadline", pa.shard)
 		coordPrimary := pa.p.router.Groups()[pr.coord].Replication().Primary()
 		pa.vote(node, coordPrimary, pr, false, "lock wait exceeded deadline", true)
 	case prepHeld:
 		pa.release(pr)
 		pr.state = prepReleased
 		pa.Stats.DeadlineReleases++
-		if log := pa.p.eng.Log(); log != nil {
-			log.Recordf(pa.p.eng.Now(), monitor.KindLockWait, pa.g.Replication().Primary(), pr.id.String(),
-				"shard %d: released at deadline, decision pending", pa.shard)
-		}
+		pa.p.eng.Recordf(monitor.KindLockWait, pa.g.Replication().Primary(), pr.id.String(),
+			"shard %d: released at deadline, decision pending", pa.shard)
 		env := queryEnv{ID: pr.id, Shard: pa.shard, Deadline: pr.deadline}
 		pa.p.protoLoop(fmt.Sprintf("query.%s.s%d", pr.id, pa.shard), pa.g.Replication().Primary(),
 			func() {
@@ -393,9 +385,7 @@ func (pa *Participant) handleDecision(node, from int, env decisionEnv) {
 	if !env.Commit {
 		pa.release(pr)
 		pa.Stats.Aborts++
-		if log := pa.p.eng.Log(); log != nil {
-			log.Recordf(pa.p.eng.Now(), monitor.KindTxnAbort, node, pr.id.String(), "shard %d: decision abort", pa.shard)
-		}
+		pa.p.eng.Recordf(monitor.KindTxnAbort, node, pr.id.String(), "shard %d: decision abort", pa.shard)
 		pa.p.send(node, from, pa.p.coordPort(), ackEnv{ID: env.ID, Shard: pa.shard}, 24)
 		return
 	}

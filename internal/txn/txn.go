@@ -347,15 +347,3 @@ func (p *Plane) protoLoop(label string, node int, send func(), done func() bool)
 		Done:  done,
 	})
 }
-
-// copyReads freezes a read-result map for shipping.
-func copyReads(in map[string]int64) map[string]int64 {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}

@@ -65,18 +65,6 @@ func TestCoordTxnReplyable(t *testing.T) {
 	}
 }
 
-func TestCopyReads(t *testing.T) {
-	if copyReads(nil) != nil {
-		t.Fatal("nil map not preserved")
-	}
-	in := map[string]int64{"a": 1}
-	out := copyReads(in)
-	out["a"] = 2
-	if in["a"] != 1 {
-		t.Fatal("copy aliases the input")
-	}
-}
-
 func TestDefaultsSane(t *testing.T) {
 	if DefaultDeadline <= session.DefaultTimeout {
 		t.Fatal("default deadline does not cover even one retry timeout")

@@ -24,24 +24,13 @@ import (
 // set of histories.
 func Verify(p *Plane) error {
 	groups := p.router.Groups()
-	type entryKey struct {
-		client int
-		seq    uint64
-	}
-	counts := make([]map[entryKey]int, len(groups))
-	cmds := make([]map[entryKey]shard.Applied, len(groups))
+	hist := make([]*shard.History, len(groups))
 	for i, g := range groups {
-		node, ok := g.AuthoritativeNode()
-		if !ok {
-			return fmt.Errorf("txn: group %q has no hole-free replica to verify against", g.Name())
+		h, err := g.History()
+		if err != nil {
+			return fmt.Errorf("txn: %w", err)
 		}
-		counts[i] = make(map[entryKey]int)
-		cmds[i] = make(map[entryKey]shard.Applied)
-		for _, a := range g.ApplyLog(node) {
-			k := entryKey{client: a.Client, seq: a.Seq}
-			counts[i][k]++
-			cmds[i][k] = a
-		}
+		hist[i] = h
 	}
 	for _, c := range p.clients {
 		for _, rec := range c.Done {
@@ -49,8 +38,7 @@ func Verify(p *Plane) error {
 				if op.Kind != OpWrite {
 					continue
 				}
-				k := entryKey{client: rec.ID.Client, seq: op.Seq}
-				n := counts[op.Shard][k]
+				a, n := hist[op.Shard].Find(rec.ID.Client, op.Seq)
 				switch rec.Status {
 				case StatusCommitted:
 					if n == 0 {
@@ -61,7 +49,7 @@ func Verify(p *Plane) error {
 						return fmt.Errorf("txn: committed %s write %q (seq %d) applied %d times in group %q (exactly-once violated)",
 							rec.ID, op.Key, op.Seq, n, groups[op.Shard].Name())
 					}
-					if a := cmds[op.Shard][k]; a.Cmd != op.Cmd || a.Key != op.Key {
+					if a.Cmd != op.Cmd || a.Key != op.Key {
 						return fmt.Errorf("txn: committed %s write %q: history holds (key %q, cmd %d), client wrote (key %q, cmd %d)",
 							rec.ID, op.Key, a.Key, a.Cmd, op.Key, op.Cmd)
 					}
