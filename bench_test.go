@@ -100,6 +100,7 @@ func BenchmarkKernelActivities(b *testing.B) {
 		Code("b", heug.CodeEU{Node: 0, WCET: 50 * us}).
 		Precede("a", "b").
 		MustBuild()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sys := cluster.New(cluster.Config{Seed: 1, Costs: dispatcher.DefaultCostBook(), LogLimit: 1})
 		sys.AddNodes(2)
@@ -457,6 +458,7 @@ func BenchmarkHighFanoutTxn(b *testing.B) {
 // F1 architecture workload, reporting virtual events per host-second.
 func BenchmarkSimulationThroughput(b *testing.B) {
 	var events uint64
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sys := cluster.New(cluster.Config{Seed: 1, Costs: dispatcher.DefaultCostBook(), LogLimit: 1})
 		sys.AddNodes(3)

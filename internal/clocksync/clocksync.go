@@ -21,7 +21,7 @@ package clocksync
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"hades/internal/eventq"
 	"hades/internal/monitor"
@@ -227,7 +227,7 @@ func (s *Service) converge() {
 		if len(ests) <= 2*s.cfg.F {
 			continue // not enough readings this round
 		}
-		sort.Slice(ests, func(i, j int) bool { return ests[i] < ests[j] })
+		slices.Sort(ests)
 		trimmed := ests[s.cfg.F : len(ests)-s.cfg.F]
 		mid := trimmed[0] + (trimmed[len(trimmed)-1]-trimmed[0])/2
 		c.correction += mid.Sub(c.Logical(now))

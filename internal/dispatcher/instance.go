@@ -1,7 +1,7 @@
 package dispatcher
 
 import (
-	"fmt"
+	"strconv"
 
 	"hades/internal/eventq"
 	"hades/internal/monitor"
@@ -14,6 +14,8 @@ import (
 type Instance struct {
 	TR  *TaskRuntime
 	Seq uint64
+
+	name string // "task#seq", rendered once
 
 	ActivatedAt vtime.Time
 	AbsDeadline vtime.Time // Infinity when the task has no deadline
@@ -31,7 +33,7 @@ type Instance struct {
 }
 
 // Name returns "task#seq".
-func (in *Instance) Name() string { return fmt.Sprintf("%s#%d", in.TR.Task.Name, in.Seq) }
+func (in *Instance) Name() string { return in.name }
 
 // Completed reports whether every unit of the instance has finished (or
 // the instance was cancelled).
@@ -67,9 +69,12 @@ func (d *Dispatcher) buildInstance(tr *TaskRuntime) *Instance {
 	d.stats.Activations++
 	task := tr.Task
 
+	var buf [64]byte
+	name := strconv.AppendUint(append(append(buf[:0], task.Name...), '#'), tr.seq, 10)
 	inst := &Instance{
 		TR:          tr,
 		Seq:         tr.seq,
+		name:        string(name),
 		ActivatedAt: now,
 		AbsDeadline: vtime.Infinity,
 		remaining:   len(task.EUs),
@@ -86,7 +91,7 @@ func (d *Dispatcher) buildInstance(tr *TaskRuntime) *Instance {
 	}
 
 	if inst.AbsDeadline != vtime.Infinity {
-		inst.deadlineEv = d.eng.At(inst.AbsDeadline, eventq.ClassDispatch, func() {
+		inst.deadlineEv = d.eng.Timer(inst.AbsDeadline, eventq.ClassDispatch, func() {
 			inst.deadlineEv = nil
 			d.deadlinePassed(inst)
 		})
@@ -94,7 +99,7 @@ func (d *Dispatcher) buildInstance(tr *TaskRuntime) *Instance {
 	for _, th := range inst.Threads {
 		if th.latest != vtime.Infinity {
 			t := th
-			t.latestEv = d.eng.At(t.latest, eventq.ClassDispatch, func() {
+			t.latestEv = d.eng.Timer(t.latest, eventq.ClassDispatch, func() {
 				t.latestEv = nil
 				if !t.started() && t.state != threadDone && t.state != threadOrphaned {
 					d.stats.LatestMisses++

@@ -52,11 +52,11 @@ func (d *Dispatcher) sendRemote(src *Thread, ei int) {
 	}
 	dmax, _ := d.net.DelayBound(from, to)
 	bound := dmax + d.net.WorstCaseReceivePath() + d.OmissionSlack
-	destName := fmt.Sprintf("%s.%s", src.inst.Name(), destEU.Name)
-	ev := d.eng.After(bound, eventq.ClassDispatch, func() {
+	dest := src.inst.Threads[e.To]
+	ev := d.eng.Timer(d.eng.Now().Add(bound), eventq.ClassDispatch, func() {
 		delete(d.pendingRemote, m.ID)
 		d.stats.NetworkOmissions++
-		d.eng.Recordf(monitor.KindNetworkOmission, to, destName,
+		d.eng.Recordf(monitor.KindNetworkOmission, to, dest.name,
 			"remote precedence from %s not satisfied within %s", src.Name(), bound)
 	})
 	d.pendingRemote[m.ID] = ev

@@ -1,7 +1,8 @@
 package dispatcher
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"hades/internal/heug"
@@ -113,11 +114,8 @@ func (d *Dispatcher) wakeWaiters(ns *nodeState) {
 			pending = append(pending, w)
 		}
 	}
-	sort.SliceStable(pending, func(i, j int) bool {
-		if pending[i].prio != pending[j].prio {
-			return pending[i].prio > pending[j].prio
-		}
-		return pending[i].seqNo < pending[j].seqNo
+	slices.SortStableFunc(pending, func(a, b *Thread) int {
+		return cmp.Or(cmp.Compare(b.prio, a.prio), cmp.Compare(a.seqNo, b.seqNo))
 	})
 	for _, w := range pending {
 		if w.state == threadWaitResources {
@@ -154,7 +152,7 @@ func (d *Dispatcher) conflictingHolders(th *Thread) []*Thread {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seqNo < out[j].seqNo })
+	slices.SortFunc(out, func(a, b *Thread) int { return cmp.Compare(a.seqNo, b.seqNo) })
 	return out
 }
 

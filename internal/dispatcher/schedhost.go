@@ -1,7 +1,7 @@
 package dispatcher
 
 import (
-	"fmt"
+	"strconv"
 
 	"hades/internal/monitor"
 	"hades/internal/simkern"
@@ -61,9 +61,12 @@ func (h *schedHost) processNext() {
 	}
 	d := h.app.disp
 	h.seq++
-	name := fmt.Sprintf("sched.%s@n%d#%d", h.app.Name, h.node, h.seq)
+	var buf [64]byte
+	name := append(append(buf[:0], "sched."...), h.app.Name...)
+	name = strconv.AppendInt(append(name, "@n"...), int64(h.node), 10)
+	name = strconv.AppendUint(append(name, '#'), h.seq, 10)
 	proc := d.node(h.node).proc
-	k := proc.NewThread(name, PrioScheduler)
+	k := proc.NewThread(string(name), PrioScheduler)
 	k.AddSegment(simkern.Segment{
 		Name: "notif",
 		Work: h.app.sched.Cost(),

@@ -1,8 +1,6 @@
 package dispatcher
 
 import (
-	"fmt"
-
 	"hades/internal/eventq"
 	"hades/internal/heug"
 	"hades/internal/monitor"
@@ -145,7 +143,7 @@ func (d *Dispatcher) newThread(inst *Instance, i int, eu *heug.EU) *Thread {
 		inst:      inst,
 		euIdx:     i,
 		eu:        eu,
-		name:      fmt.Sprintf("%s.%s", inst.Name(), eu.Name),
+		name:      inst.name + "." + eu.Name,
 		seqNo:     threadSeq,
 		state:     threadWaitPreds,
 		predsLeft: len(inst.TR.Task.Preds(i)),
@@ -202,7 +200,7 @@ func (d *Dispatcher) evaluate(th *Thread) {
 	if now < th.earliest {
 		th.state = threadWaitEarliest
 		if th.earliestEv == nil {
-			th.earliestEv = d.eng.At(th.earliest, eventq.ClassDispatch, func() {
+			th.earliestEv = d.eng.Timer(th.earliest, eventq.ClassDispatch, func() {
 				th.earliestEv = nil
 				d.evaluate(th)
 			})
@@ -474,7 +472,7 @@ func (d *Dispatcher) SetEarliest(th *Thread, at vtime.Time) {
 		}
 		th.kthread.Suspend()
 		th.state = threadWaitEarliest
-		th.earliestEv = d.eng.At(at, eventq.ClassDispatch, func() {
+		th.earliestEv = d.eng.Timer(at, eventq.ClassDispatch, func() {
 			th.earliestEv = nil
 			if th.state == threadWaitEarliest && !th.inst.cancelled {
 				th.state = threadReady

@@ -1,0 +1,40 @@
+//go:build !race
+
+// The allocation gates live apart from the other tests because the race
+// detector instruments allocation: under -race they would measure the
+// detector, so that job does not build them (CI runs them by name in
+// build-and-test, step "engine core allocates nothing per event").
+
+package eventq
+
+import (
+	"testing"
+
+	"hades/internal/vtime"
+)
+
+func TestAllocsRecycledPushPop(t *testing.T) {
+	var q Queue
+	fire := func() {}
+	at := vtime.Time(0)
+	cycle := func() {
+		// A standing depth of 64 with one cancel per eight events, so
+		// sift, lazy reclaim and the free list are all on the path.
+		for i := 0; i < 8; i++ {
+			at++
+			e := q.PushRecycled(at+vtime.Time(i*7919%64), ClassApp, fire)
+			if i == 0 {
+				q.Cancel(e)
+			}
+		}
+		for q.Len() > 64 {
+			q.Release(q.Pop())
+		}
+	}
+	for i := 0; i < 100; i++ {
+		cycle() // warm-up: heap and free list reach their working size
+	}
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Errorf("recycled push/pop: %v allocs per cycle, want 0", n)
+	}
+}

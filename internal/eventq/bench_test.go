@@ -21,12 +21,42 @@ func BenchmarkPushPop(b *testing.B) {
 	}
 }
 
+// BenchmarkPushRecycledPop is BenchmarkPushPop through the recycled
+// door, released after each pop as the engine does after Fire: the
+// same heap work, no record allocated once the free list is warm.
+func BenchmarkPushRecycledPop(b *testing.B) {
+	var q Queue
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		q.PushRecycled(vtime.Time(rng.Int63n(1000000)), ClassApp, nil)
+		if q.Len() > 1024 {
+			for q.Len() > 0 {
+				q.Release(q.Pop())
+			}
+		}
+	}
+}
+
 func BenchmarkPushCancel(b *testing.B) {
 	var q Queue
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := q.Push(vtime.Time(i), ClassApp, nil)
 		q.Cancel(e)
+	}
+}
+
+// BenchmarkPushRecycledCancel is the processor's segment completion
+// under preemption: armed through the recycled door, cancelled, and
+// the dead record reclaimed when it surfaces.
+func BenchmarkPushRecycledCancel(b *testing.B) {
+	var q Queue
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := q.PushRecycled(vtime.Time(i), ClassKernel, nil)
+		q.Cancel(e)
+		q.Peek()
 	}
 }
 
@@ -66,6 +96,7 @@ func BenchmarkTimerWheelPattern(b *testing.B) {
 	var q Queue
 	rng := rand.New(rand.NewSource(2))
 	var pending []*Event
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		pending = append(pending, q.Push(vtime.Time(i+rng.Intn(100)), ClassDispatch, nil))
 		if len(pending) > 64 {

@@ -8,6 +8,22 @@
 // Events at equal instants are therefore ordered by an explicit class
 // (interrupts before dispatching before application work) and then by
 // insertion sequence, never by map iteration or goroutine scheduling.
+//
+// There are two doors in, and they differ only in who owns the record:
+//
+//   - Push returns a handle that may be cancelled at any time, before or
+//     after the event fired. Its record is never reused, so a stale
+//     handle is harmless: "cancel after fire is a no-op" holds for ever.
+//   - PushRecycled draws the record from the queue's free list and
+//     Release puts it back once the event has fired (a cancelled one is
+//     put back when its dead slot is reclaimed). The steady state then
+//     allocates nothing per event. The price is the ownership rule: the
+//     handle dies when the event fires or is cancelled, and whoever
+//     holds it must drop it there. simkern.Engine keeps that rule
+//     behind its fire-and-forget At/After, which return no handle.
+//
+// Both doors draw seq from the same counter, so mixing them does not
+// disturb the (At, Class, seq) order.
 package eventq
 
 import "hades/internal/vtime"
@@ -40,13 +56,15 @@ type Event struct {
 	Class Class
 	Fire  func()
 
-	seq   uint64
-	index int  // heap index, -1 once popped or compacted away
-	dead  bool // lazily cancelled, possibly still occupying a heap slot
+	seq      uint64
+	index    int  // heap index, -1 once popped or compacted away, -2 on the free list
+	dead     bool // lazily cancelled, possibly still occupying a heap slot
+	recycled bool // from PushRecycled: goes back to the free list, never to the GC
 }
 
 // Cancelled reports whether Cancel was called on the event (or it fired).
-func (e *Event) Cancelled() bool { return e.dead || e.index == -1 }
+// It means nothing on a PushRecycled handle past its fire or cancel.
+func (e *Event) Cancelled() bool { return e.dead || e.index < 0 }
 
 // Queue is a deterministic min-heap of events. The zero value is ready to
 // use.
@@ -60,21 +78,54 @@ func (e *Event) Cancelled() bool { return e.dead || e.index == -1 }
 type Queue struct {
 	heap []*Event
 	seq  uint64
-	dead int // cancelled events still occupying heap slots
+	dead int      // cancelled events still occupying heap slots
+	free []*Event // recycled records out of the heap, ready for PushRecycled
 }
 
 // Len returns the number of pending (non-cancelled) events.
 func (q *Queue) Len() int { return len(q.heap) - q.dead }
 
 // Push schedules fire at instant at with the given class and returns a
-// handle that can cancel it.
+// handle that can cancel it. The handle stays safe to cancel for ever:
+// the record is never reused.
 func (q *Queue) Push(at vtime.Time, class Class, fire func()) *Event {
+	return q.push(&Event{}, at, class, fire)
+}
+
+// PushRecycled is Push on a record from the free list. The handle is
+// the caller's only until the event fires or is cancelled; after that
+// the record belongs to the queue again and will be some other event.
+func (q *Queue) PushRecycled(at vtime.Time, class Class, fire func()) *Event {
+	if n := len(q.free); n > 0 {
+		e := q.free[n-1]
+		q.free[n-1] = nil
+		q.free = q.free[:n-1]
+		return q.push(e, at, class, fire)
+	}
+	return q.push(&Event{recycled: true}, at, class, fire)
+}
+
+func (q *Queue) push(e *Event, at vtime.Time, class Class, fire func()) *Event {
 	q.seq++
-	e := &Event{At: at, Class: class, Fire: fire, seq: q.seq}
+	e.At, e.Class, e.Fire, e.seq = at, class, fire, q.seq
 	q.heap = append(q.heap, e)
 	e.index = len(q.heap) - 1
 	q.up(e.index)
 	return e
+}
+
+// Release hands a popped event back once it has fired. A PushRecycled
+// record drops its closure and joins the free list; a Push record is
+// left to its handle, and so is anything not just out of the heap
+// (still queued, or released already).
+func (q *Queue) Release(e *Event) {
+	if !e.recycled || e.index != -1 {
+		return
+	}
+	e.Fire = nil
+	e.dead = false
+	e.index = -2
+	q.free = append(q.free, e)
 }
 
 // Cancel marks e dead; its heap slot is reclaimed lazily. Cancelling
@@ -101,6 +152,7 @@ func (q *Queue) compact() {
 	for _, e := range q.heap {
 		if e.dead {
 			e.index = -1
+			q.Release(e)
 			continue
 		}
 		live = append(live, e)
@@ -122,7 +174,7 @@ func (q *Queue) compact() {
 // skipDead discards dead events surfacing at the root.
 func (q *Queue) skipDead() {
 	for len(q.heap) > 0 && q.heap[0].dead {
-		q.removeRoot()
+		q.Release(q.removeRoot())
 		q.dead--
 	}
 }

@@ -183,3 +183,115 @@ func TestCancelCompleteness(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Model test for the two doors together: a seeded mix of Push,
+// PushRecycled, Cancel and Pop (+Release, as the engine does after
+// Fire) against a reference that keeps every live event in a slice
+// and sorts it. Pops must agree event for event, Len must be exact
+// after every step, and the free list may never hold more records
+// than the heap had slots at its peak — recycling reuses, it does not
+// hoard.
+func TestModelAgainstSortedReference(t *testing.T) {
+	type ref struct {
+		at    vtime.Time
+		class Class
+		id    int // payload identity, carried by the Fire closure
+		ev    *Event
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var q Queue
+		var live []ref
+		fired := -1
+		ids, peak := 0, 0
+		for step := 0; step < 4000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5: // schedule, through either door
+				r := ref{at: vtime.Time(rng.Int63n(200)), class: Class(1 + rng.Intn(5)), id: ids}
+				id := ids
+				ids++
+				fire := func() { fired = id }
+				if rng.Intn(2) == 0 {
+					r.ev = q.Push(r.at, r.class, fire)
+				} else {
+					r.ev = q.PushRecycled(r.at, r.class, fire)
+				}
+				live = append(live, r)
+			case op < 7 && len(live) > 0: // cancel a live one
+				i := rng.Intn(len(live))
+				q.Cancel(live[i].ev)
+				live = append(live[:i], live[i+1:]...)
+			case len(live) > 0: // pop: the reference picks by sort
+				// live is in push order and the sort is stable, so ties
+				// on (At, Class) resolve by seq as the heap's do.
+				sort.SliceStable(live, func(i, j int) bool {
+					if live[i].at != live[j].at {
+						return live[i].at < live[j].at
+					}
+					if live[i].class != live[j].class {
+						return live[i].class < live[j].class
+					}
+					return live[i].id < live[j].id
+				})
+				want := live[0]
+				live = live[1:]
+				ev := q.Pop()
+				if ev != want.ev || ev.At != want.at || ev.Class != want.class {
+					t.Fatalf("seed %d step %d: popped (%d,%d), want (%d,%d)", seed, step, ev.At, ev.Class, want.at, want.class)
+				}
+				ev.Fire()
+				if fired != want.id {
+					t.Fatalf("seed %d step %d: fired payload %d, want %d", seed, step, fired, want.id)
+				}
+				q.Release(ev)
+			}
+			if q.Len() != len(live) {
+				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, q.Len(), len(live))
+			}
+			peak = max(peak, len(q.heap)) // slots, lazily cancelled ones included
+			if len(q.free) > peak {
+				t.Fatalf("seed %d step %d: free list %d longer than peak depth %d", seed, step, len(q.free), peak)
+			}
+		}
+		if q.Pop() == nil != (len(live) == 0) {
+			t.Fatalf("seed %d: queue and reference disagree on empty", seed)
+		}
+	}
+}
+
+// A recycled record really is reused, a Push record never is, and
+// Release is harmless on anything that is not a just-popped recycled
+// record.
+func TestRecycledRecordReuse(t *testing.T) {
+	var q Queue
+	a := q.PushRecycled(1, ClassApp, nil)
+	q.Release(a) // still queued: not released
+	if q.Pop() != a {
+		t.Fatal("released a queued event")
+	}
+	q.Release(a)
+	q.Release(a) // twice: one free-list entry
+	if len(q.free) != 1 {
+		t.Fatalf("free list = %d after double release, want 1", len(q.free))
+	}
+	q.Cancel(a) // stale handle on a free record: no-op
+	if q.Len() != 0 {
+		t.Fatal("cancelling a free record changed Len")
+	}
+	if b := q.PushRecycled(2, ClassApp, nil); b != a {
+		t.Fatal("free record not reused")
+	}
+	q.Cancel(a) // cancelled in the heap: reclaimed when it surfaces
+	if q.Pop() != nil || len(q.free) != 1 {
+		t.Fatalf("cancelled recycled record not reclaimed (free=%d)", len(q.free))
+	}
+	p := q.Push(3, ClassApp, nil)
+	q.Release(q.Pop())
+	if len(q.free) != 1 {
+		t.Fatal("a Push record reached the free list")
+	}
+	q.Cancel(p) // cancel after fire stays a no-op
+	if q.PushRecycled(4, ClassApp, nil) == p {
+		t.Fatal("Push record recycled")
+	}
+}

@@ -28,6 +28,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"hades/internal/eventq"
 	"hades/internal/monitor"
@@ -413,7 +414,9 @@ func (n *Network) receive(m *Message) {
 			return
 		}
 		n.protoSeq++
-		th := p.NewThread(fmt.Sprintf("NetMsg#%d", n.protoSeq), n.cfg.PrioNet)
+		var buf [32]byte
+		name := strconv.AppendUint(append(buf[:0], "NetMsg#"...), n.protoSeq, 10)
+		th := p.NewThread(string(name), n.cfg.PrioNet)
 		th.AddSegment(simkern.Segment{Name: "proto", Work: n.cfg.WProto, PT: simkern.PrioMax})
 		th.OnComplete = func() { n.deliver(m) }
 		th.Ready()

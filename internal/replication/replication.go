@@ -46,8 +46,10 @@
 package replication
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"hades/internal/membership"
 	"hades/internal/metrics"
@@ -648,7 +650,11 @@ func (g *Group) execute(node int, msg batchMsg) {
 		return
 	}
 	proc := g.eng.Processors()[node]
-	th := proc.NewThread(fmt.Sprintf("repl.%s.exec#%d@n%d", g.cfg.Name, msg.Items[0].ID, node), simkern.PrioMax-5000)
+	var buf [64]byte
+	name := append(append(buf[:0], "repl."...), g.cfg.Name...)
+	name = strconv.AppendUint(append(name, ".exec#"...), msg.Items[0].ID, 10)
+	name = strconv.AppendInt(append(name, "@n"...), int64(node), 10)
+	th := proc.NewThread(string(name), simkern.PrioMax-5000)
 	th.AddSegment(simkern.Segment{Name: "exec", Work: g.cfg.WExec, PT: simkern.PrioMax - 5000})
 	th.OnComplete = func() {
 		if g.net.NodeDown(node) {
@@ -742,11 +748,8 @@ func tally(replies []Reply) (winner int64, count, distinct int) {
 	for v, n := range counts {
 		all = append(all, kv{v, n})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].v < all[j].v
+	slices.SortFunc(all, func(a, b kv) int {
+		return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.v, b.v))
 	})
 	return all[0].v, all[0].n, len(all)
 }

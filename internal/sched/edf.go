@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"hades/internal/dispatcher"
 	"hades/internal/heug"
@@ -82,7 +83,7 @@ func (e *EDF) reorder(node int, prim dispatcher.Primitive) {
 		}
 	}
 	e.live[node] = l
-	sort.SliceStable(l, func(i, j int) bool { return l[i].AbsDeadline() < l[j].AbsDeadline() })
+	slices.SortStableFunc(l, func(a, b *dispatcher.Thread) int { return cmp.Compare(a.AbsDeadline(), b.AbsDeadline()) })
 	for rank, t := range l {
 		prio := BaseGuaranteed + len(l) - rank
 		if prio != t.Priority() {

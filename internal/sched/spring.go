@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"hades/internal/dispatcher"
 	"hades/internal/heug"
@@ -101,7 +102,7 @@ func (s *Spring) Admit(task *heug.Task, at vtime.Time) bool {
 func (s *Spring) feasible(plan []*springJob, at vtime.Time) bool {
 	sorted := make([]*springJob, len(plan))
 	copy(sorted, plan)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].deadline < sorted[j].deadline })
+	slices.SortStableFunc(sorted, byDeadline)
 	t := at
 	for _, j := range sorted {
 		t = t.Add(j.work)
@@ -179,7 +180,7 @@ func (s *Spring) replan(prim dispatcher.Primitive) {
 	s.prune()
 	sorted := make([]*springJob, len(s.jobs))
 	copy(sorted, s.jobs)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].deadline < sorted[j].deadline })
+	slices.SortStableFunc(sorted, byDeadline)
 	t := s.now()
 	for _, j := range sorted {
 		if anyStarted(j.threads) {
@@ -205,3 +206,6 @@ func anyStarted(threads []*dispatcher.Thread) bool {
 	}
 	return false
 }
+
+// byDeadline is the heuristic H: minimum deadline first.
+func byDeadline(a, b *springJob) int { return cmp.Compare(a.deadline, b.deadline) }

@@ -3,12 +3,44 @@ package simkern
 import (
 	"testing"
 
+	"hades/internal/eventq"
 	"hades/internal/vtime"
 )
+
+// BenchmarkEngineDoors prices the two ways into the event queue on a
+// self-rescheduling event at a standing depth of 64: At/After recycle
+// the record after Fire, Timer allocates one per event and leaves it
+// to its handle.
+func BenchmarkEngineDoors(b *testing.B) {
+	run := func(b *testing.B, schedule func(eng *Engine, fn func())) {
+		eng := NewEngine(nil, 1)
+		left := b.N
+		var fn func()
+		fn = func() {
+			if left--; left > 0 {
+				schedule(eng, fn)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			eng.After(vtime.Duration(i), eventq.ClassApp, func() {})
+		}
+		schedule(eng, fn)
+		b.ReportAllocs()
+		b.ResetTimer()
+		eng.RunUntilIdle()
+	}
+	b.Run("After", func(b *testing.B) {
+		run(b, func(eng *Engine, fn func()) { eng.After(vtime.Microsecond, eventq.ClassApp, fn) })
+	})
+	b.Run("Timer", func(b *testing.B) {
+		run(b, func(eng *Engine, fn func()) { eng.Timer(eng.Now().Add(vtime.Microsecond), eventq.ClassApp, fn) })
+	})
+}
 
 // BenchmarkContextSwitchStorm measures the kernel's preemption path: two
 // threads alternating via priority flips.
 func BenchmarkContextSwitchStorm(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng := NewEngine(nil, 1)
 		p := eng.AddProcessor("n0", 2*vtime.Microsecond)
@@ -36,6 +68,7 @@ func BenchmarkContextSwitchStorm(b *testing.B) {
 
 // BenchmarkInterruptLoad measures the IRQ path under a 10 kHz source.
 func BenchmarkInterruptLoad(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng := NewEngine(nil, 1)
 		p := eng.AddProcessor("n0", 0)

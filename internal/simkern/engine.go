@@ -8,7 +8,10 @@
 // deterministic discrete-event engine:
 //
 //   - a virtual clock and event queue (predictability becomes determinism:
-//     a run is a pure function of its inputs and seed);
+//     a run is a pure function of its inputs and seed), with two doors:
+//     At/After are fire-and-forget and their record is recycled after
+//     Fire; Timer is cancellable, its record is never reused, and the
+//     holder drops the handle when it fires;
 //   - mono-processor nodes with preemptive priority scheduling and
 //     preemption thresholds (§3.1.2);
 //   - threads made of segments, each with its own preemption threshold, so
@@ -102,24 +105,45 @@ func (e *Engine) QueueLen() int { return e.queue.Len() }
 // Processors returns the registered processors in creation order.
 func (e *Engine) Processors() []*Processor { return e.procs }
 
-// At schedules fn at absolute instant t. Scheduling in the past panics:
-// in a predictable system causality violations are programming errors.
-func (e *Engine) At(t vtime.Time, class eventq.Class, fn func()) *eventq.Event {
-	if t < e.now {
-		panic(fmt.Sprintf("simkern: scheduling event in the past (%s < %s)", t, e.now))
-	}
-	return e.queue.Push(t, class, fn)
-}
+// At schedules fn at absolute instant t, fire and forget: there is no
+// handle, so the event's record can be recycled the moment fn returns
+// and the steady state allocates nothing per event. Scheduling in the
+// past panics: in a predictable system causality violations are
+// programming errors.
+func (e *Engine) At(t vtime.Time, class eventq.Class, fn func()) { e.at(t, class, fn) }
 
-// After schedules fn d from now.
-func (e *Engine) After(d vtime.Duration, class eventq.Class, fn func()) *eventq.Event {
+// After schedules fn d from now, fire and forget like At.
+func (e *Engine) After(d vtime.Duration, class eventq.Class, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("simkern: negative delay %s", d))
 	}
-	return e.At(e.now.Add(d), class, fn)
+	e.at(e.now.Add(d), class, fn)
 }
 
-// Cancel cancels a scheduled event.
+// Timer schedules fn at absolute instant t and returns a handle for
+// Cancel. A timer's record is never recycled, so cancelling after it
+// fired is a no-op however late; the holder drops the handle when the
+// timer fires.
+func (e *Engine) Timer(t vtime.Time, class eventq.Class, fn func()) *eventq.Event {
+	e.checkNotPast(t)
+	return e.queue.Push(t, class, fn)
+}
+
+// at is At with the recycled record's handle, for a holder that drops
+// it both when the event fires and when it cancels (the processor's
+// segment completion).
+func (e *Engine) at(t vtime.Time, class eventq.Class, fn func()) *eventq.Event {
+	e.checkNotPast(t)
+	return e.queue.PushRecycled(t, class, fn)
+}
+
+func (e *Engine) checkNotPast(t vtime.Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("simkern: scheduling event in the past (%s < %s)", t, e.now))
+	}
+}
+
+// Cancel cancels a Timer.
 func (e *Engine) Cancel(ev *eventq.Event) { e.queue.Cancel(ev) }
 
 // Stop makes Run return after the currently firing event.
@@ -153,6 +177,7 @@ func (e *Engine) Run(until vtime.Time) vtime.Time {
 		e.now = ev.At
 		e.fired++
 		ev.Fire()
+		e.queue.Release(ev)
 	}
 }
 

@@ -23,11 +23,17 @@ type Processor struct {
 	// progress (after any context-switch cost). If the segment is
 	// preempted before effStart, it made no progress.
 	effStart     vtime.Time
-	completion   *eventq.Event
-	lastDispatch *Thread // previously running thread, to decide switch cost
+	completion   *eventq.Event // recycled record: dropped on fire and on cancel
+	completing   *Thread       // whose segment the pending completion ends
+	lastDispatch *Thread       // previously running thread, to decide switch cost
 
-	irqQueue []*irq
-	inIRQ    bool
+	// Pending interrupts are irqs[irqHead:], by value; a popped slot is
+	// zeroed so the queue does not keep its handler (and the message
+	// that captured) reachable, and a drained queue starts over at 0.
+	irqs       []irq
+	irqHead    int
+	inIRQ      bool
+	irqHandler func() // handler of the interrupt in service
 	// irqHalted remembers the thread an interrupt displaced: after the
 	// drain it resumes unless a ready thread exceeds its preemption
 	// threshold — an interrupt must not defeat threshold semantics.
@@ -45,6 +51,10 @@ type Processor struct {
 
 	// Periodic clock tick (the §4.2 clock interrupt).
 	ticks uint64
+
+	// Bound once here so that a dispatch, an interrupt and a tick
+	// schedule their kernel events without building a closure each.
+	onSegDone, onIRQDone, onTick func()
 }
 
 type irq struct {
@@ -74,6 +84,9 @@ func (e *Engine) AddProcessor(name string, switchCost vtime.Duration) *Processor
 		switchCost: switchCost,
 		irqStats:   make(map[string]*IRQStats),
 	}
+	p.onSegDone = p.segmentDone
+	p.onIRQDone = p.irqDone
+	p.onTick = func() { p.ticks++ }
 	e.procs = append(e.procs, p)
 	return p
 }
@@ -117,7 +130,7 @@ func (p *Processor) StartClockTick(period, wcet vtime.Duration) {
 	}
 	var tick func()
 	tick = func() {
-		p.RaiseIRQ("clock", wcet, func() { p.ticks++ })
+		p.RaiseIRQ("clock", wcet, p.onTick)
 		p.eng.After(period, eventq.ClassInterrupt, tick)
 	}
 	p.eng.After(period, eventq.ClassInterrupt, tick)
@@ -150,7 +163,7 @@ func (p *Processor) RaiseIRQ(source string, wcet vtime.Duration, handler func())
 		st.MaxWCET = wcet
 	}
 	p.eng.Recordf(monitor.KindInterrupt, p.id, source, "%s", wcet)
-	p.irqQueue = append(p.irqQueue, &irq{source: source, wcet: wcet, handler: handler})
+	p.irqs = append(p.irqs, irq{source: source, wcet: wcet, handler: handler})
 	p.resched()
 }
 
@@ -244,7 +257,7 @@ func (p *Processor) resched() {
 	if p.inIRQ {
 		return // decision deferred until the IRQ drain completes
 	}
-	if len(p.irqQueue) > 0 {
+	if p.irqHead < len(p.irqs) {
 		if p.running != nil && p.irqHalted == nil {
 			p.irqHalted = p.running
 		}
@@ -318,13 +331,19 @@ func (p *Processor) dispatch(t *Thread) {
 		// not a context switch and gets no Resume event.
 		p.eng.Recordf(monitor.KindThreadResume, p.id, t.name, "")
 	}
-	p.completion = p.eng.At(p.effStart.Add(seg.remaining), eventq.ClassKernel, func() {
-		p.segmentDone(t)
-	})
+	p.armCompletion(t, seg.remaining)
+}
+
+// armCompletion schedules the end of t's current segment, remaining
+// from effStart.
+func (p *Processor) armCompletion(t *Thread, remaining vtime.Duration) {
+	p.completing = t
+	p.completion = p.eng.at(p.effStart.Add(remaining), eventq.ClassKernel, p.onSegDone)
 }
 
 // segmentDone fires when the running thread finishes its current segment.
-func (p *Processor) segmentDone(t *Thread) {
+func (p *Processor) segmentDone() {
+	t := p.completing
 	if p.running != t {
 		panic("simkern: segment completion for non-running thread")
 	}
@@ -333,7 +352,7 @@ func (p *Processor) segmentDone(t *Thread) {
 	t.cpuTime += seg.remaining
 	seg.remaining = 0
 	p.completion = nil
-	cb := seg.onDone
+	cb := seg.OnDone
 	t.segIdx++
 	if t.currentSegment() == nil {
 		// Thread finished all work.
@@ -360,10 +379,7 @@ func (p *Processor) segmentDone(t *Thread) {
 	}
 	if p.running == t { // callback may have suspended t
 		p.effStart = p.eng.now
-		segNext := t.currentSegment()
-		p.completion = p.eng.At(p.effStart.Add(segNext.remaining), eventq.ClassKernel, func() {
-			p.segmentDone(t)
-		})
+		p.armCompletion(t, t.currentSegment().remaining)
 		p.resched0()
 	}
 }
@@ -398,17 +414,25 @@ func (p *Processor) removeReadyNoResched(t *Thread) {
 
 // startIRQ begins executing the oldest pending interrupt.
 func (p *Processor) startIRQ() {
-	q := p.irqQueue[0]
-	p.irqQueue = p.irqQueue[1:]
+	q := p.irqs[p.irqHead]
+	p.irqs[p.irqHead] = irq{}
+	if p.irqHead++; p.irqHead == len(p.irqs) {
+		p.irqs, p.irqHead = p.irqs[:0], 0
+	}
 	p.inIRQ = true
 	p.irqTime += q.wcet
-	p.eng.After(q.wcet, eventq.ClassKernel, func() {
-		p.inIRQ = false
-		if q.handler != nil {
-			q.handler()
-		}
-		// lastDispatch is preserved: resuming the interrupted thread
-		// costs a switch only if a different thread is chosen.
-		p.resched()
-	})
+	p.irqHandler = q.handler
+	p.eng.After(q.wcet, eventq.ClassKernel, p.onIRQDone)
+}
+
+// irqDone fires when the interrupt in service finishes its CPU segment.
+func (p *Processor) irqDone() {
+	p.inIRQ = false
+	if h := p.irqHandler; h != nil {
+		p.irqHandler = nil
+		h()
+	}
+	// lastDispatch is preserved: resuming the interrupted thread
+	// costs a switch only if a different thread is chosen.
+	p.resched()
 }

@@ -1,6 +1,7 @@
 package simkern
 
 import (
+	"slices"
 	"testing"
 
 	"hades/internal/eventq"
@@ -436,5 +437,83 @@ func TestRecordfFormatsOnlyWhatIsKept(t *testing.T) {
 	at(NewEngine(nil, 1), monitor.KindMessageSend)
 	if calls != 0 {
 		t.Fatalf("nil log: %d String() calls, want none", calls)
+	}
+}
+
+// A Timer's record is never recycled, so a handle kept past its fire
+// cannot reach one of the records At/After reuse: cancelling it late
+// cancels nothing.
+func TestTimerCancelAfterFireIsNoOp(t *testing.T) {
+	eng := newEng()
+	timerFired := 0
+	stale := eng.Timer(vtime.Time(us), eventq.ClassApp, func() { timerFired++ })
+	eng.RunUntilIdle()
+	if timerFired != 1 {
+		t.Fatalf("timer fired %d times, want 1", timerFired)
+	}
+	const n = 10000
+	fired := make([]int, n)
+	for i := 0; i < n; i++ {
+		// Spread over instants and drained in between, so the fire-and-
+		// forget records are recycled many times over.
+		eng.After(vtime.Duration(1+i%7)*us, eventq.ClassApp, func() { fired[i]++ })
+		if i%100 == 99 {
+			eng.Run(eng.Now().Add(3 * us))
+		}
+	}
+	eng.Cancel(stale)
+	eng.RunUntilIdle()
+	eng.Cancel(stale)
+	for i, c := range fired {
+		if c != 1 {
+			t.Fatalf("event %d fired %d times, want 1", i, c)
+		}
+	}
+	if timerFired != 1 {
+		t.Fatalf("timer fired again (%d)", timerFired)
+	}
+}
+
+// A cancelled Timer does not fire, and cancelling it twice is a no-op.
+func TestTimerCancel(t *testing.T) {
+	eng := newEng()
+	fired := false
+	ev := eng.Timer(vtime.Time(10*us), eventq.ClassDispatch, func() { fired = true })
+	eng.Cancel(ev)
+	eng.Cancel(ev)
+	eng.RunUntilIdle()
+	if fired {
+		t.Fatal("cancelled timer fired")
+	}
+}
+
+// The inline buffer holds three segments; a fourth and fifth move the
+// thread's segments to the heap, and all still run in order — also
+// when the overflow happens from a segment callback, mid-run.
+func TestSegmentsBeyondInlineBuffer(t *testing.T) {
+	eng := newEng()
+	p := eng.AddProcessor("n0", 0)
+	var order []string
+	th := p.NewThread("five", 5)
+	mark := func(s string) func() { return func() { order = append(order, s) } }
+	th.AddSegment(Segment{Name: "s1", Work: 10 * us, OnDone: mark("s1")})
+	th.AddSegment(Segment{Name: "s2", Work: 10 * us, OnDone: func() {
+		order = append(order, "s2")
+		th.AddSegment(Segment{Name: "s5", Work: 10 * us, OnDone: mark("s5")})
+	}})
+	th.AddSegment(Segment{Name: "s3", Work: 10 * us, OnDone: mark("s3")})
+	th.AddSegment(Segment{Name: "s4", Work: 10 * us, OnDone: mark("s4")})
+	th.OnComplete = mark("done")
+	if got := th.RemainingWork(); got != 40*us {
+		t.Fatalf("RemainingWork = %s, want 40us", got)
+	}
+	th.Ready()
+	eng.RunUntilIdle()
+	want := []string{"s1", "s2", "s3", "s4", "s5", "done"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+	if eng.Now() != vtime.Time(50*us) || th.CPUTime() != 50*us {
+		t.Fatalf("finished at %s after %s of CPU, want 50us both", eng.Now(), th.CPUTime())
 	}
 }

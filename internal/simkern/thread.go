@@ -24,7 +24,6 @@ type Segment struct {
 	OnDone func()
 
 	remaining vtime.Duration
-	onDone    func()
 }
 
 // Thread is a kernel-level thread. In HADES a thread executes exactly one
@@ -35,7 +34,12 @@ type Thread struct {
 	name string
 	prio int
 
-	segs   []*Segment
+	// Segments live by value, the first three in segBuf (no caller adds
+	// more before Ready), so a thread is one allocation. A *Segment
+	// into segs is good until the next AddSegment: take it by index and
+	// do not hold it across a callback.
+	segs   []Segment
+	segBuf [3]Segment
 	segIdx int
 
 	readyIdx int    // index in processor ready set, -1 when not ready
@@ -59,7 +63,9 @@ func (p *Processor) NewThread(name string, prio int) *Thread {
 	if prio < PrioMin || prio > PrioMax {
 		panic(fmt.Sprintf("simkern: priority %d out of range for thread %q", prio, name))
 	}
-	return &Thread{proc: p, name: name, prio: prio, readyIdx: -1}
+	t := &Thread{proc: p, name: name, prio: prio, readyIdx: -1}
+	t.segs = t.segBuf[:0]
+	return t
 }
 
 // Name returns the thread's name.
@@ -90,8 +96,8 @@ func (t *Thread) AddSegment(s Segment) *Thread {
 	if s.Work < 0 {
 		panic(fmt.Sprintf("simkern: negative segment work for thread %q", t.name))
 	}
-	seg := &Segment{Name: s.Name, Work: s.Work, PT: s.PT, remaining: s.Work, onDone: s.OnDone}
-	t.segs = append(t.segs, seg)
+	s.remaining = s.Work
+	t.segs = append(t.segs, s)
 	return t
 }
 
@@ -149,7 +155,7 @@ func (t *Thread) currentSegment() *Segment {
 	if t.segIdx >= len(t.segs) {
 		return nil
 	}
-	return t.segs[t.segIdx]
+	return &t.segs[t.segIdx]
 }
 
 // currentPT returns the preemption threshold in effect: the segment's

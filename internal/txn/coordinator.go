@@ -1,9 +1,10 @@
 package txn
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 
 	"hades/internal/eventq"
 	"hades/internal/metrics"
@@ -281,7 +282,7 @@ func (c *Coordinator) admit(env beginEnv) *coordTxn {
 		}
 		ps.ops = append(ps.ops, op)
 	}
-	sort.Slice(ct.parts, func(i, j int) bool { return ct.parts[i].shard < ct.parts[j].shard })
+	slices.SortFunc(ct.parts, func(a, b *partState) int { return cmp.Compare(a.shard, b.shard) })
 	c.pending[env.ID] = ct
 	c.Stats.Begins++
 	now := c.p.eng.Now()

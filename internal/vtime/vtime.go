@@ -80,31 +80,37 @@ func (d Duration) String() string {
 	if d == Forever {
 		return "+inf"
 	}
-	neg := ""
+	// Rendered into a stack buffer: the returned string is the only
+	// allocation (the longest rendering, "-9223372036.855s", fits).
+	var buf [32]byte
+	b := buf[:0]
 	if d < 0 {
-		neg, d = "-", -d
+		b, d = append(b, '-'), -d
 	}
 	switch {
 	case d < Microsecond:
-		return neg + strconv.FormatInt(int64(d), 10) + "ns"
+		b = append(strconv.AppendInt(b, int64(d), 10), "ns"...)
 	case d < Millisecond:
-		return neg + trimFloat(float64(d)/float64(Microsecond)) + "us"
+		b = append(appendTrimmed(b, float64(d)/float64(Microsecond)), "us"...)
 	case d < Second:
-		return neg + trimFloat(float64(d)/float64(Millisecond)) + "ms"
+		b = append(appendTrimmed(b, float64(d)/float64(Millisecond)), "ms"...)
 	default:
-		return neg + trimFloat(float64(d)/float64(Second)) + "s"
+		b = append(appendTrimmed(b, float64(d)/float64(Second)), "s"...)
 	}
+	return string(b)
 }
 
-func trimFloat(f float64) string {
-	s := strconv.FormatFloat(f, 'f', 3, 64)
-	for len(s) > 0 && s[len(s)-1] == '0' {
-		s = s[:len(s)-1]
+// appendTrimmed appends f with three decimals, then drops trailing
+// zeros and a bare decimal point ("1.500" -> "1.5", "2.000" -> "2").
+func appendTrimmed(b []byte, f float64) []byte {
+	b = strconv.AppendFloat(b, f, 'f', 3, 64)
+	for b[len(b)-1] == '0' { // stops at the '.' at the latest
+		b = b[:len(b)-1]
 	}
-	if len(s) > 0 && s[len(s)-1] == '.' {
-		s = s[:len(s)-1]
+	if b[len(b)-1] == '.' {
+		b = b[:len(b)-1]
 	}
-	return s
+	return b
 }
 
 // Max returns the later of a and b.

@@ -1,6 +1,9 @@
 package vtime
 
 import (
+	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -60,6 +63,95 @@ func TestDurationString(t *testing.T) {
 	for _, tt := range tests {
 		if got := tt.d.String(); got != tt.want {
 			t.Errorf("(%d).String() = %q, want %q", int64(tt.d), got, tt.want)
+		}
+	}
+}
+
+// oracleString is Duration.String as it was before it rendered into a
+// stack buffer: FormatFloat, trim, concatenate. Every monitor log and
+// golden was written through it, so String must agree with it byte for
+// byte.
+func oracleString(d Duration) string {
+	if d == Forever {
+		return "+inf"
+	}
+	neg := ""
+	if d < 0 {
+		neg, d = "-", -d
+	}
+	switch {
+	case d < Microsecond:
+		return neg + strconv.FormatInt(int64(d), 10) + "ns"
+	case d < Millisecond:
+		return neg + oracleTrimFloat(float64(d)/float64(Microsecond)) + "us"
+	case d < Second:
+		return neg + oracleTrimFloat(float64(d)/float64(Millisecond)) + "ms"
+	default:
+		return neg + oracleTrimFloat(float64(d)/float64(Second)) + "s"
+	}
+}
+
+func oracleTrimFloat(f float64) string {
+	s := strconv.FormatFloat(f, 'f', 3, 64)
+	for len(s) > 0 && s[len(s)-1] == '0' {
+		s = s[:len(s)-1]
+	}
+	if len(s) > 0 && s[len(s)-1] == '.' {
+		s = s[:len(s)-1]
+	}
+	return s
+}
+
+func TestDurationStringMatchesOracle(t *testing.T) {
+	check := func(d Duration) {
+		t.Helper()
+		if got, want := d.String(), oracleString(d); got != want {
+			t.Fatalf("(%d).String() = %q, oracle %q", int64(d), got, want)
+		}
+		if got, want := Time(d).String(), oracleString(d); got != want {
+			t.Fatalf("Time(%d).String() = %q, oracle %q", int64(d), got, want)
+		}
+	}
+	// Sentinels and the extremes of the range.
+	for _, d := range []Duration{0, 1, -1, Forever, Forever - 1, -Forever, math.MinInt64, math.MinInt64 + 1} {
+		check(d)
+	}
+	// Unit boundaries and the 3-decimal rounding edges around them
+	// (x.9994 rounds down, x.9995 up to the next integer, 999.9995us
+	// prints as "1000us", not "1ms").
+	for _, unit := range []Duration{Microsecond, Millisecond, Second, 1000 * Second} {
+		for _, k := range []Duration{1, 2, 9, 10, 999, 1000} {
+			for delta := Duration(-2); delta <= 2; delta++ {
+				for _, frac := range []Duration{0, unit / 2000, unit / 1000, unit * 4 / 10000, unit * 5 / 10000, unit * 9995 / 10000} {
+					d := k*unit + frac + delta
+					check(d)
+					check(-d)
+				}
+			}
+		}
+	}
+	// A dense sweep through the nanosecond and microsecond ranges, then
+	// seeded samples at every magnitude.
+	for d := Duration(-3000); d <= 30_000; d++ {
+		check(d)
+	}
+	for d := Duration(30_000); d <= 2_100_000; d += 37 {
+		check(d)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20_000; i++ {
+		d := Duration(rng.Int63() >> uint(rng.Intn(63)))
+		check(d)
+		check(-d)
+	}
+}
+
+var stringSink string
+
+func TestDurationStringAllocatesOnce(t *testing.T) {
+	for _, d := range []Duration{500, 1500, 2500 * Microsecond, -3 * Second} {
+		if n := testing.AllocsPerRun(100, func() { stringSink = d.String() }); n > 1 {
+			t.Errorf("(%d).String(): %v allocs, want at most 1", int64(d), n)
 		}
 	}
 }
