@@ -11,20 +11,10 @@ import (
 // PubSub carries no plane at all — no ports, hooks or metric series.
 func (s *ShardSet) PubSub() *pubsub.Plane {
 	if s.pubsub == nil {
-		refs := make([]pubsub.GroupRef, 0, len(s.shards))
-		for _, g := range s.shards {
-			refs = append(refs, pubsub.GroupRef{
-				Index: g.Index(),
-				Name:  g.Name(),
-				Nodes: g.Nodes(),
-				Rep:   g.Replication(),
-				Mem:   g.Membership(),
-			})
-		}
 		p, err := pubsub.NewPlane(s.c.eng, s.c.net, pubsub.Config{
 			Name:     s.name,
 			ShardFor: s.router.ShardFor,
-			Groups:   refs,
+			Groups:   s.shards,
 			Nodes:    append([]int(nil), s.c.nodes...),
 		})
 		if err != nil {

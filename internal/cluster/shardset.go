@@ -286,7 +286,7 @@ func (s *ShardSet) TxnClientAt(node int) *txn.Client {
 // TxnClientWith creates a transaction client with explicit parameters.
 // Like request clients, transaction clients get a node of their own:
 // co-locating one with a replica or another client of this set would
-// collide on serving duties and dedup-tag spaces.
+// collide on serving duties.
 func (s *ShardSet) TxnClientWith(p txn.ClientParams) *txn.Client {
 	s.place(p.Node, "txn client")
 	return txn.NewClient(s.TxnPlane(), p)

@@ -250,7 +250,6 @@ type Generator struct {
 	s     Sinks
 	Stats Stats
 
-	shiftIdx int // consumed HotspotShift steps
 	mOffered *metrics.Counter
 	mAcked   *metrics.Counter
 	mLat     *metrics.Hist

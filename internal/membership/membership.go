@@ -89,9 +89,6 @@ type Config struct {
 	// ConsensusRound overrides the consensus round length (0 = sized
 	// from the network delay bounds).
 	ConsensusRound vtime.Duration
-	// RbcastRound overrides the broadcast round length (0 = sized from
-	// the network delay bounds).
-	RbcastRound vtime.Duration
 	// WProc is the per-message processing cost charged on members.
 	WProc vtime.Duration
 	// TransferBytes is the on-wire size of one state-transfer snapshot
@@ -268,9 +265,6 @@ func New(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Service, error)
 	cfg.Detector = dcfg
 
 	rcfg := rbcast.DefaultConfig(net, cfg.Nodes, cfg.F)
-	if cfg.RbcastRound > 0 {
-		rcfg.Round = cfg.RbcastRound
-	}
 	rcfg.WProc = cfg.WProc
 
 	s := &Service{

@@ -309,6 +309,19 @@ func (n *Network) Bind(proc int, port string, h func(*Message)) {
 	m[port] = h
 }
 
+// Local hands m to the handler bound for node on port — the last step
+// of the receive path — and reports whether one was bound. There are no
+// self-links, so a sender co-located with its receiver calls this
+// instead of Send, after whatever delay it charges for the local
+// dispatch; nothing is counted or recorded here.
+func (n *Network) Local(node int, port string, m *Message) bool {
+	h := n.handlers[node][port]
+	if h != nil {
+		h(m)
+	}
+	return h != nil
+}
+
 // ErrNoLink is returned when sending between unconnected processors.
 var ErrNoLink = errors.New("netsim: processors not connected")
 
@@ -326,16 +339,12 @@ func (n *Network) Send(from, to int, port string, payload any, size int) (*Messa
 	n.eng.Recordf(monitor.KindMessageSend, from, port, "to=n%d id=%d", to, m.ID)
 
 	if n.down[from] || n.down[to] {
-		n.stats.Dropped++
-		n.eng.Recordf(monitor.KindMessageDrop, to, port, "id=%d node down", m.ID)
-		n.noteDrop(m, "node down")
+		n.drop(m, "node down")
 		return m, nil
 	}
 	if n.Partitioned(from, to) {
-		n.stats.Dropped++
 		n.stats.PartDropped++
-		n.eng.Recordf(monitor.KindMessageDrop, to, port, "id=%d partitioned", m.ID)
-		n.noteDrop(m, "partitioned")
+		n.drop(m, "partitioned")
 		return m, nil
 	}
 
@@ -346,9 +355,7 @@ func (n *Network) Send(from, to int, port string, payload any, size int) (*Messa
 	if n.fault != nil {
 		switch v := n.fault.Judge(m); v.Fate {
 		case FateDrop:
-			n.stats.Dropped++
-			n.eng.Recordf(monitor.KindMessageDrop, to, port, "id=%d omission", m.ID)
-			n.noteDrop(m, "omission")
+			n.drop(m, "omission")
 			return m, nil
 		case FateDelay:
 			n.stats.Late++
@@ -389,18 +396,14 @@ func (n *Network) Multicast(from int, tos []int, port string, payload any, size 
 // protocol thread, then the port handler.
 func (n *Network) receive(m *Message) {
 	if n.down[m.To] {
-		n.stats.Dropped++
-		n.eng.Recordf(monitor.KindMessageDrop, m.To, m.Port, "id=%d receiver down", m.ID)
-		n.noteDrop(m, "receiver down")
+		n.drop(m, "receiver down")
 		return
 	}
 	if n.Partitioned(m.From, m.To) {
 		// The cut is instantaneous: copies in flight when the partition
 		// starts are lost with the segment.
-		n.stats.Dropped++
 		n.stats.PartDropped++
-		n.eng.Recordf(monitor.KindMessageDrop, m.To, m.Port, "id=%d partitioned in flight", m.ID)
-		n.noteDrop(m, "partitioned in flight")
+		n.drop(m, "partitioned in flight")
 		return
 	}
 	procs := n.eng.Processors()
@@ -427,23 +430,21 @@ func (n *Network) deliver(m *Message) {
 	m.DeliveredAt = n.eng.Now()
 	n.stats.Delivered++
 	n.eng.Recordf(monitor.KindMessageRecv, m.To, m.Port, "from=n%d id=%d lat=%s", m.From, m.ID, m.DeliveredAt.Sub(m.SentAt))
-	if hs := n.handlers[m.To]; hs != nil {
-		if h := hs[m.Port]; h != nil {
-			h(m)
-			return
-		}
+	if !n.Local(m.To, m.Port, m) {
+		// Unbound port: drop quietly but record, so tests can assert.
+		n.eng.Recordf(monitor.KindMessageDrop, m.To, m.Port, "id=%d no handler", m.ID)
 	}
-	// Unbound port: drop quietly but record, so tests can assert.
-	n.eng.Recordf(monitor.KindMessageDrop, m.To, m.Port, "id=%d no handler", m.ID)
 }
 
-// noteDrop links message loss back into the causal tracing plane: a
-// dropped payload implementing trace.Carrier marks every trace it
-// carries violating, which forces full-history retention regardless of
-// the sample rate — the "every omission carries its causal history"
-// rule. Purely observational; the retry machinery above this layer is
-// untouched.
-func (n *Network) noteDrop(m *Message, why string) {
+// drop accounts one lost message: the counter, the monitor record, and
+// the link back into the causal tracing plane — a dropped payload
+// implementing trace.Carrier marks every trace it carries violating,
+// which forces full-history retention regardless of the sample rate
+// (the "every omission carries its causal history" rule). Purely
+// observational; the retry machinery above this layer is untouched.
+func (n *Network) drop(m *Message, why string) {
+	n.stats.Dropped++
+	n.eng.Recordf(monitor.KindMessageDrop, m.To, m.Port, "id=%d %s", m.ID, why)
 	c, ok := m.Payload.(trace.Carrier)
 	if !ok {
 		return

@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 
+	"hades/internal/eventq"
 	"hades/internal/monitor"
 	"hades/internal/simkern"
 	"hades/internal/vtime"
@@ -311,4 +312,60 @@ func TestPartitionRejectsNodeInTwoSides(t *testing.T) {
 		}
 	}()
 	n.SetPartition([]int{0, 1}, []int{1, 2})
+}
+
+// TestDropReasons: each of the five ways a message is lost bumps Dropped
+// once, records one KindMessageDrop whose detail is "id=<n> <reason>" on
+// the receiver's port, and only the two partition cuts count as
+// PartDropped.
+func TestDropReasons(t *testing.T) {
+	for _, tc := range []struct {
+		why   string
+		part  int
+		cause func(eng *simkern.Engine, n *Network)
+	}{
+		{"node down", 0, func(_ *simkern.Engine, n *Network) { n.SetNodeDown(2, true) }},
+		{"partitioned", 1, func(_ *simkern.Engine, n *Network) { n.SetPartition([]int{0, 1}, []int{2, 3}) }},
+		{"omission", 0, func(_ *simkern.Engine, n *Network) { n.SetFault(alwaysDrop{}) }},
+		{"receiver down", 0, func(eng *simkern.Engine, n *Network) {
+			eng.At(eng.Now().Add(1*us), eventq.ClassApp, func() { n.SetNodeDown(2, true) })
+		}},
+		{"partitioned in flight", 1, func(eng *simkern.Engine, n *Network) {
+			n.PartitionAt(eng.Now().Add(1*us), []int{0, 1}, []int{2, 3})
+		}},
+	} {
+		t.Run(tc.why, func(t *testing.T) {
+			eng, n := fourNodes(t)
+			n.Bind(2, "app", func(*Message) { t.Error("a dropped message was delivered") })
+			tc.cause(eng, n) // at once, or 1us from now with the copy in flight
+			_, _ = n.Send(0, 2, "app", 1, 8)
+			eng.RunUntilIdle()
+			if st := n.Stats(); st.Dropped != 1 || st.PartDropped != tc.part || n.Inflight() != 0 {
+				t.Fatalf("stats %+v, inflight %d", st, n.Inflight())
+			}
+			drops := eng.Log().ByKind(monitor.KindMessageDrop)
+			if len(drops) != 1 || drops[0].Node != 2 || drops[0].Subject != "app" || drops[0].Detail != "id=1 "+tc.why {
+				t.Fatalf("drop records %+v, want one on n2/app with detail %q", drops, "id=1 "+tc.why)
+			}
+		})
+	}
+}
+
+// TestLocalDispatch: Local reaches the handler Bind registered, in the
+// caller's own instant and with no network accounting, and reports an
+// unbound port instead of dropping.
+func TestLocalDispatch(t *testing.T) {
+	eng, n := twoNodes(t, DefaultConfig())
+	var got *Message
+	n.Bind(1, "app", func(m *Message) { got = m })
+	m := &Message{From: 1, To: 1, Port: "app", Payload: "self"}
+	if !n.Local(1, "app", m) || got != m {
+		t.Fatalf("bound handler not reached: got %+v", got)
+	}
+	if n.Local(1, "nobody-listens", m) || n.Local(0, "app", m) {
+		t.Fatal("Local reported a handler where none is bound")
+	}
+	if st := n.Stats(); st != (Stats{}) || eng.Log().Len() != 0 {
+		t.Fatalf("Local touched the network's books: %+v, %d events", st, eng.Log().Len())
+	}
 }

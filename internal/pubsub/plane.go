@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -13,27 +14,11 @@ import (
 	"hades/internal/rbcast"
 	"hades/internal/replication"
 	"hades/internal/session"
+	"hades/internal/shard"
 	"hades/internal/simkern"
 	"hades/internal/trace"
 	"hades/internal/vtime"
 )
-
-// TagSpace offsets pub/sub dedup tags away from the data-plane
-// clients' (client+1) and the transaction layer's (1<<32) tag spaces,
-// so a publisher never collides with either in the replicated dedup
-// table.
-const TagSpace = uint64(1) << 33
-
-// GroupRef names one shard's replication group to the plane.
-type GroupRef struct {
-	// Index is the shard's ring position, Name its monitor label.
-	Index int
-	Name  string
-	// Nodes are the replica nodes in promotion order.
-	Nodes []int
-	Rep   *replication.Group
-	Mem   *membership.Service
-}
 
 // Config parameterises one plane.
 type Config struct {
@@ -41,8 +26,8 @@ type Config struct {
 	Name string
 	// ShardFor maps a topic name onto the ring.
 	ShardFor func(topic string) int
-	// Groups are the ring's replication groups, ring order.
-	Groups []GroupRef
+	// Groups are the ring's shard groups, ring order.
+	Groups []*shard.Group
 	// Nodes is the cluster universe: every node eligible to host a
 	// publisher or subscriber, and the best-effort broadcast group.
 	Nodes []int
@@ -67,6 +52,12 @@ type Topic struct {
 	mPub, mDeliver, mDrop *metrics.Counter
 	mMiss                 *metrics.Counter
 	mLat                  *metrics.Hist
+
+	// applied counts the samples this plane's apply hook admitted (first
+	// apply anywhere in the owning group); ackedUnapplied the acks
+	// answered from a dedup entry no such apply stands behind. Verify
+	// holds acked ≤ applied and ackedUnapplied = 0.
+	applied, ackedUnapplied int
 }
 
 // Name returns the topic name.
@@ -102,6 +93,11 @@ type pubAttempt struct {
 	acked       bool
 	finished    bool
 	done        func()
+
+	// applied is set by the plane's apply hook the first time the sample
+	// applies anywhere — the plane's own account of what it admitted, as
+	// opposed to the tag being present in the machine's dedup table.
+	applied bool
 }
 
 // maybeFinish closes the publish trace once the ack landed and every
@@ -117,10 +113,9 @@ func (a *pubAttempt) maybeFinish() {
 
 // groupState is the plane's per-owning-group server state.
 type groupState struct {
-	p        *Plane
-	ref      GroupRef
-	replicas map[int]bool
-	topics   []*Topic
+	p      *Plane
+	g      *shard.Group
+	topics []*Topic
 	// pending maps replication request ids to their publish attempts;
 	// inflight suppresses duplicate submissions of a tag already in
 	// the replication pipeline.
@@ -259,8 +254,7 @@ func (p *Plane) Topic(name string, qos QoS) (*Topic, error) {
 	if err := qos.Validate(name); err != nil {
 		return nil, err
 	}
-	shard := p.cfg.ShardFor(name)
-	t := &Topic{name: name, qos: qos, shard: shard}
+	t := &Topic{name: name, qos: qos, shard: p.cfg.ShardFor(name)}
 	m := p.eng.Metrics()
 	t.mPub = m.Counter("pubsub." + name + ".published")
 	t.mDeliver = m.Counter("pubsub." + name + ".delivered")
@@ -268,7 +262,7 @@ func (p *Plane) Topic(name string, qos QoS) (*Topic, error) {
 	t.mMiss = m.Counter("pubsub." + name + ".deadline_miss")
 	t.mLat = m.Hist("pubsub." + name + ".latency")
 	if qos.Reliability == Reliable {
-		gs, err := p.group(shard)
+		gs, err := p.group(t.shard)
 		if err != nil {
 			return nil, err
 		}
@@ -285,45 +279,38 @@ func (p *Plane) Topic(name string, qos QoS) (*Topic, error) {
 // the view/merge watchers, and the session engine's resubmission
 // triggers (after onView, which clears the in-pipeline guard a
 // resubmitted publish must get past).
-func (p *Plane) group(shard int) (*groupState, error) {
-	if gs := p.groups[shard]; gs != nil {
+func (p *Plane) group(idx int) (*groupState, error) {
+	if gs := p.groups[idx]; gs != nil {
 		return gs, nil
 	}
-	var ref GroupRef
-	found := false
-	for _, g := range p.cfg.Groups {
-		if g.Index == shard {
-			ref, found = g, true
-			break
-		}
+	i := slices.IndexFunc(p.cfg.Groups, func(g *shard.Group) bool { return g.Index() == idx })
+	if i < 0 {
+		return nil, fmt.Errorf("pubsub: plane %q has no replication group at ring position %d", p.cfg.Name, idx)
 	}
-	if !found {
-		return nil, fmt.Errorf("pubsub: plane %q has no replication group at ring position %d", p.cfg.Name, shard)
-	}
+	g := p.cfg.Groups[i]
+	mem := g.Membership()
 	gs := &groupState{
 		p:        p,
-		ref:      ref,
-		replicas: make(map[int]bool, len(ref.Nodes)),
+		g:        g,
 		pending:  make(map[uint64]*pubAttempt),
 		inflight: make(map[replication.ClientSeq]bool),
 		hist:     make(map[int]map[string][]Sample),
 	}
-	for _, n := range ref.Nodes {
-		gs.replicas[n] = true
+	for _, n := range g.Nodes() {
 		node := n
 		p.net.Bind(node, p.reqPort(), func(m *netsim.Message) { p.handleReq(gs, node, m) })
 	}
-	ref.Rep.OnApplyHook(func(node int, reqID uint64, _ int64) { p.onApply(gs, node, reqID) })
-	ref.Mem.RegisterState("pubsub."+p.cfg.Name+"."+ref.Name,
+	g.Replication().OnApplyHook(func(node int, reqID uint64, _ int64) { p.onApply(gs, node, reqID) })
+	mem.RegisterState("pubsub."+p.cfg.Name+"."+g.Name(),
 		func(donor, _ int) any { return gs.snapshot(donor) },
 		func(node int, data any) { gs.restore(node, data) })
-	ref.Mem.OnChange(func(v membership.View) { gs.onView(v) })
-	ref.Mem.OnMerge(func(mg membership.Merge) { gs.onMerge(mg) })
-	p.sess.WireViews(ref.Mem)
+	mem.OnChange(func(v membership.View) { gs.onView(v) })
+	mem.OnMerge(func(mg membership.Merge) { gs.onMerge(mg) })
+	p.sess.WireViews(mem)
 	if len(p.groups) == 0 {
 		p.sess.WireHeals(p.net)
 	}
-	p.groups[shard] = gs
+	p.groups[idx] = gs
 	return gs, nil
 }
 
@@ -508,7 +495,7 @@ func (pub *Publisher) PublishDone(value int64, done func()) uint64 {
 // group's current primary.
 func (pub *Publisher) send(att *pubAttempt) {
 	p := pub.p
-	target := pub.t.gs.ref.Rep.Primary()
+	target := pub.t.gs.g.Replication().Primary()
 	env := pubMsg{Topic: pub.t.name, Value: att.s.Value, From: pub.node, Att: att}
 	if target == pub.node {
 		// Co-located with the primary: a direct call, no wire hop.
@@ -597,7 +584,7 @@ func (s *Subscriber) join() {
 // session call re-sends it until the catch-up ack lands.
 func (s *Subscriber) catchup() {
 	p := s.p
-	target := s.t.gs.ref.Rep.Primary()
+	target := s.t.gs.g.Replication().Primary()
 	env := catchupMsg{Topic: s.t.name, Sub: s.id, From: s.node}
 	if target == s.node {
 		p.handleReq(s.t.gs, target, &netsim.Message{From: s.node, Payload: env})
@@ -675,25 +662,30 @@ func (p *Plane) handlePub(gs *groupState, node int, env pubMsg) {
 		return
 	}
 	gs.requests++
-	if !gs.ref.Mem.HasQuorum(node) {
-		// Stale-view rejection: serving from a minority could ack a
-		// sample the merge view discards. The publisher's retry loop
-		// finds the majority primary.
+	// A refused publish gets no reply: the publisher's retry loop finds
+	// the majority primary. (Never Down: handleReq dropped that.)
+	switch verdict, prim := gs.g.Gate(node); verdict {
+	case shard.NoQuorum:
 		gs.blocked++
 		att.ref.Instant("blocked at n%d: no quorum", node)
 		return
-	}
-	if prim := gs.ref.Rep.Primary(); node != prim {
+	case shard.NotPrimary:
 		gs.redirects++
 		att.ref.Instant("not primary at n%d (primary n%d)", node, prim)
 		return
 	}
+	rep := gs.g.Replication()
 	tag := sampleTag(att.s)
-	if sm := gs.ref.Rep.Machine(node); sm != nil {
+	if sm := rep.Machine(node); sm != nil {
 		if _, dup := sm.Lookup(tag); dup {
 			// A retry of a sample the machine already applied: answer
-			// from the dedup table, never re-apply.
+			// from the dedup table, never re-apply. The entry must be
+			// this plane's: a tag present without an apply behind it is
+			// another writer's, and the sample was never fanned out.
 			gs.dups++
+			if !att.applied {
+				t.ackedUnapplied++
+			}
 			p.sendAck(node, att)
 			return
 		}
@@ -704,15 +696,14 @@ func (p *Plane) handlePub(gs *groupState, node int, env pubMsg) {
 	gs.inflight[tag] = true
 	att.server = node
 	att.wire.End()
-	att.repl = att.ref.Span("replicate."+gs.ref.Name, trace.LayerReplicate)
-	reqID := gs.ref.Rep.SubmitTagged(node, env.Value, tag)
+	att.repl = att.ref.Span("replicate."+gs.g.Name(), trace.LayerReplicate)
+	reqID := rep.SubmitTagged(node, env.Value, tag)
 	gs.pending[reqID] = att
 }
 
-// sampleTag is the sample's replicated dedup tag: the pub/sub tag
-// space keeps it disjoint from kv clients and the transaction layer.
+// sampleTag is the sample's replicated dedup tag.
 func sampleTag(s Sample) replication.ClientSeq {
-	return replication.ClientSeq{Client: TagSpace | (s.Pub + 1), Seq: s.Seq}
+	return replication.Tag(replication.TagPubSub, s.Pub, s.Seq)
 }
 
 // handleCatchup replays the durable history ring to a late joiner.
@@ -721,7 +712,7 @@ func (p *Plane) handleCatchup(gs *groupState, node int, env catchupMsg) {
 		return
 	}
 	sub := p.subs[env.Sub]
-	if sub.caughtUp || !gs.ref.Mem.HasQuorum(node) || node != gs.ref.Rep.Primary() {
+	if verdict, _ := gs.g.Gate(node); sub.caughtUp || verdict != shard.Serve {
 		return
 	}
 	h := gs.hist[node][env.Topic]
@@ -753,6 +744,10 @@ func (p *Plane) onApply(gs *groupState, node int, reqID uint64) {
 	// The tag landed in the replicated dedup table: retries are now
 	// answered from it, so the in-pipeline guard can retire.
 	delete(gs.inflight, sampleTag(att.s))
+	if !att.applied {
+		att.applied = true
+		t.applied++
+	}
 	if t.qos.Durable {
 		byTopic := gs.hist[node]
 		if byTopic == nil {
@@ -921,7 +916,7 @@ func (gs *groupState) onView(v membership.View) {
 // others already saw.
 func (gs *groupState) onMerge(_ membership.Merge) {
 	p := gs.p
-	prim := gs.ref.Rep.Primary()
+	prim := gs.g.Replication().Primary()
 	if p.net.NodeDown(prim) {
 		return
 	}
@@ -997,7 +992,7 @@ func (t *Topic) Stats() TopicStats {
 		Dropped: t.dropped, DeadlineMiss: t.deadlineMiss,
 	}
 	if t.gs != nil && t.qos.Durable {
-		st.HistoryLen = len(t.gs.hist[t.gs.ref.Rep.Primary()][t.name])
+		st.HistoryLen = len(t.gs.hist[t.gs.g.Replication().Primary()][t.name])
 	}
 	return st
 }

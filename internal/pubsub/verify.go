@@ -11,6 +11,10 @@ import (
 //   - no subscriber ever recorded the same sample twice (dedup held);
 //   - every delivered sample was actually published (no fabrication);
 //   - every ack corresponds to a published sample;
+//   - every ack of a reliable sample has an apply behind it: the plane's
+//     apply hook admitted the sample on the owning group (acked ≤
+//     applied), and no ack was answered from a dedup entry the plane
+//     never wrote — the tag of another writer sharing the machine;
 //   - durable history rings never exceed their declared depth.
 //
 // Completeness (every published sample reaching every subscriber) is
@@ -57,8 +61,12 @@ func (p *Plane) Verify() error {
 			errs = append(errs, fmt.Sprintf("topic %q: acked account mismatch (%d per-publisher vs %d topic)",
 				t.name, acked, t.acked))
 		}
+		if t.gs != nil && (t.acked > t.applied || t.ackedUnapplied > 0) {
+			errs = append(errs, fmt.Sprintf("topic %q: %d publishes acked but only %d applied (%d answered from a dedup entry this plane never wrote)",
+				t.name, t.acked, t.applied, t.ackedUnapplied))
+		}
 		if t.gs != nil && t.qos.Durable {
-			for _, node := range t.gs.ref.Nodes {
+			for _, node := range t.gs.g.Nodes() {
 				if h := t.gs.hist[node][t.name]; len(h) > t.qos.HistoryDepth {
 					errs = append(errs, fmt.Sprintf("topic %q: history at n%d holds %d > depth %d",
 						t.name, node, len(h), t.qos.HistoryDepth))
@@ -101,7 +109,7 @@ func (p *Plane) CheckComplete(topic string) error {
 		if sub.joinAt > 0 {
 			// A late joiner converges to the history window, not the
 			// full stream.
-			prim := t.gs.ref.Rep.Primary()
+			prim := t.gs.g.Replication().Primary()
 			for _, s := range t.gs.hist[prim][t.name] {
 				if !sub.seen[s.key()] {
 					errs = append(errs, fmt.Sprintf("late joiner %d missing history sample p%d#%d", sub.id, s.Pub, s.Seq))

@@ -43,6 +43,23 @@
 // what a checkpoint leaves on stable storage is the state (State,
 // Applied, the view and which table prefix it covers — ckptRecord), not
 // the table.
+//
+// Several planes write into one group's machine, so the table's key
+// space is partitioned here and nowhere else (Tag is the only
+// constructor of a non-zero ClientSeq):
+//
+//	space           owner                        id               seq
+//	TagKV           shard.Group.handleRequest    client node      the client's op number
+//	TagTxnWrite     shard.Group.SubmitKeyed      txn client node  the client-wide write number
+//	TagTxnDecision  txn.Coordinator.decide       txn client node  the transaction number
+//	TagPubSub       pubsub.Plane.handlePub       publisher id     the sample number
+//
+// A dedup hit answers from the table and skips the apply hooks
+// (OnApplyHook): to the machine it is a retry of work already done. That
+// is what makes a collision between two writers silent rather than loud
+// — the second writer's request is "answered", its plane's hook never
+// fires, and no replica diverges — and why the spaces must be disjoint
+// by construction, not by convention.
 package replication
 
 import (
@@ -89,10 +106,50 @@ func (s Style) String() string {
 
 // ClientSeq identifies one client request for exactly-once
 // deduplication: the client's identity plus its per-client sequence
-// number. The zero value tags untracked (at-least-once) requests.
+// number. The zero value tags untracked (at-least-once) requests. Build
+// one with Tag.
 type ClientSeq struct {
 	Client uint64
 	Seq    uint64
+}
+
+// TagSpace names one plane's region of a group's dedup table (the table
+// in the package comment).
+type TagSpace uint8
+
+// The tag spaces, one per kind of writer into a replicated machine.
+const (
+	TagKV TagSpace = iota
+	TagTxnWrite
+	TagTxnDecision
+	TagPubSub
+	numTagSpaces
+)
+
+// tagPrefix is each space's bits of ClientSeq.Client above the low 32,
+// which hold id+1. The first three are what their planes wrote before
+// the namespace had an owner, so old and new runs key their tables
+// alike.
+var tagPrefix = [numTagSpaces]uint64{
+	TagKV:          0,
+	TagTxnWrite:    1 << 32,
+	TagTxnDecision: 1 << 33,
+	TagPubSub:      1 << 34,
+}
+
+// maxTagID is the largest id a space holds: id+1 must fit the low 32
+// bits.
+const maxTagID = 1<<32 - 2
+
+// Tag builds the dedup tag of request seq from writer id in space — the
+// one place a ClientSeq is laid out, so two planes sharing a machine
+// cannot pick the same key. It panics on an unknown space or an id past
+// maxTagID: wrapping either would land in another writer's region.
+func Tag(space TagSpace, id, seq uint64) ClientSeq {
+	if space >= numTagSpaces || id > maxTagID {
+		panic(fmt.Sprintf("replication: tag (space %d, id %d) outside the namespace", space, id))
+	}
+	return ClientSeq{Client: tagPrefix[space] | (id + 1), Seq: seq}
 }
 
 // StateMachine is the deterministic replicated service: state' = f(state,

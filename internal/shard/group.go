@@ -294,20 +294,69 @@ func (g *Group) AuthoritativeNode() (int, bool) {
 	return -1, false
 }
 
+// Verdict is the serving gate's answer for one replica.
+type Verdict uint8
+
+// The gate's verdicts, in the order Gate rules them out.
+const (
+	// Serve: the replica is up, holds a local quorum and is primary.
+	Serve Verdict = iota + 1
+	// Down: the replica is crashed; it neither serves nor answers.
+	Down
+	// NoQuorum: the replica cannot reach a majority of its installed view.
+	NoQuorum
+	// NotPrimary: the replica is a healthy backup.
+	NotPrimary
+)
+
+// Gate decides whether replica node may serve a request of any plane
+// riding this group, and names the primary the group currently has (the
+// redirect target when the verdict is NotPrimary). It is the one
+// spelling of the rule; what a caller does with a refusal — answer
+// blocked, redirect, or stay silent and let the sender's retry find the
+// primary — is that caller's protocol.
+//
+// The order is part of the rule. Down comes first: a crashed node has no
+// view to reason from. Quorum comes before primaryship because a replica
+// on the minority side of a partition still believes the primary it last
+// agreed on — possibly itself. Were it to serve, it would ack work the
+// majority never saw and the merge view discards; were it to redirect,
+// it would send the client to a primary the majority may have replaced.
+// Only a replica that can reach a majority of its view knows who the
+// primary is. (A stale primary whose detector has not yet timed out
+// still passes — the fencing window ROADMAP item 4(a)'s lease closes,
+// here and nowhere else.)
+func (g *Group) Gate(node int) (Verdict, int) {
+	p := g.rep.Primary()
+	switch {
+	case g.net.NodeDown(node):
+		return Down, p
+	case !g.mem.HasQuorum(node):
+		return NoQuorum, p
+	case node != p:
+		return NotPrimary, p
+	}
+	return Serve, p
+}
+
 // handleRequest serves one client batch arriving at replica node: the
-// routing decision (quorum, primaryship) is made once for the batch,
-// and an admitted batch enters the replicated machine as one round
-// whose items keep their per-op dedup tags.
+// routing decision is made once for the batch, and an admitted batch
+// enters the replicated machine as one round whose items keep their
+// per-op dedup tags.
 func (g *Group) handleRequest(node int, m *netsim.Message) {
 	env, ok := m.Payload.(batchEnv)
-	if !ok || g.net.NodeDown(node) || len(env.Ops) == 0 {
+	if !ok || len(env.Ops) == 0 {
+		return
+	}
+	verdict, primary := g.Gate(node)
+	if verdict == Down {
 		return
 	}
 	g.Stats.Requests += len(env.Ops)
-	if !g.mem.HasQuorum(node) {
-		// Stale-view rejection: this replica cannot reach a majority of
-		// its installed view, so it must not serve — an ack here could
-		// be overwritten by the authoritative majority at the merge.
+	switch verdict {
+	case NoQuorum:
+		// Stale-view rejection: an ack here could be overwritten by the
+		// authoritative majority at the merge.
 		g.Stats.Blocked++
 		g.eng.Recordf(monitor.KindQuorumBlocked, node, g.name, "rejected c%d b%d (%d ops): no quorum", env.Client, env.Batch, len(env.Ops))
 		for _, op := range env.Ops {
@@ -315,11 +364,10 @@ func (g *Group) handleRequest(node int, m *netsim.Message) {
 		}
 		g.respond(node, m.From, respEnv{Shard: g.name, Batch: env.Batch, Attempt: env.Attempt, Kind: respBlocked})
 		return
-	}
-	if p := g.rep.Primary(); node != p {
+	case NotPrimary:
 		g.Stats.Redirects++
-		g.eng.Recordf(monitor.KindRedirect, node, g.name, "c%d b%d -> n%d", env.Client, env.Batch, p)
-		g.respond(node, m.From, respEnv{Shard: g.name, Batch: env.Batch, Attempt: env.Attempt, Kind: respRedirect, Primary: p})
+		g.eng.Recordf(monitor.KindRedirect, node, g.name, "c%d b%d -> n%d", env.Client, env.Batch, primary)
+		g.respond(node, m.From, respEnv{Shard: g.name, Batch: env.Batch, Attempt: env.Attempt, Kind: respRedirect, Primary: primary})
 		return
 	}
 	pb := &pendingBatch{env: env, from: m.From, remaining: len(env.Ops), results: make([]opResult, len(env.Ops))}
@@ -327,7 +375,7 @@ func (g *Group) handleRequest(node int, m *netsim.Message) {
 	for i, op := range env.Ops {
 		items[i] = replication.BatchItem{
 			Cmd: op.Cmd,
-			Tag: replication.ClientSeq{Client: uint64(env.Client) + 1, Seq: op.Seq},
+			Tag: replication.Tag(replication.TagKV, uint64(env.Client), op.Seq),
 		}
 		pb.results[i].Seq = op.Seq
 	}
@@ -374,24 +422,14 @@ func (g *Group) KeyValue(node int, key string) (int64, bool) {
 	return v, ok
 }
 
-// TxnTagSpace offsets transaction-write dedup tags away from the data
-// plane clients' tag space, so a transaction client and a request
-// client never collide in the replicated dedup table.
-const TxnTagSpace = uint64(1) << 32
-
-// TxnTag builds the dedup tag of one transactional write.
-func TxnTag(client int, seq uint64) replication.ClientSeq {
-	return replication.ClientSeq{Client: TxnTagSpace | (uint64(client) + 1), Seq: seq}
-}
-
 // SubmitKeyed routes one keyed command into the shard's replicated
 // machine on behalf of the transaction layer: submitted at the current
-// primary, deduplicated under the transaction tag space, and recorded
+// primary, deduplicated in the transaction-write tag space, and recorded
 // in the per-replica apply logs under the owning client's identity —
 // the same histories Verify and txn.Verify audit. It returns the
 // replication request id so the caller can observe the apply.
 func (g *Group) SubmitKeyed(key string, cmd int64, client int, seq uint64, tr trace.Ref) uint64 {
-	id := g.rep.SubmitTagged(g.rep.Primary(), cmd, TxnTag(client, seq))
+	id := g.rep.SubmitTagged(g.rep.Primary(), cmd, replication.Tag(replication.TagTxnWrite, uint64(client), seq))
 	// No batch: the transaction layer answers its own client.
 	g.pending[id] = &pendingOp{
 		op: batchOp{Key: key, Cmd: cmd, Seq: seq}, client: client,

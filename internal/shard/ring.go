@@ -19,7 +19,7 @@
 // them twice, and the per-replica apply logs let a harness assert
 // per-key linearizability (Verify). A primary stranded on a minority
 // side stops serving once its detector reveals it cannot reach a
-// majority (membership.HasQuorum — the stale-view rejection); inside
+// majority (Group.Gate — the stale-view rejection); inside
 // the detection window it can still acknowledge requests the merge
 // will overwrite, which is why harness scenarios keep clients on the
 // majority side of a split (the classic fencing caveat).

@@ -152,7 +152,7 @@ func NewClient(p *Plane, params ClientParams) *Client {
 		params.Deadline = DefaultDeadline
 	}
 	c := &Client{p: p, c: params, mCommitLat: p.eng.Metrics().Hist("txn.commit.latency")}
-	p.bind(params.Node, p.respPort(), c.handleResp)
+	p.net.Bind(params.Node, p.respPort(), c.handleResp)
 	p.router.OnRepublish(c.redirectInflight)
 	p.clients = append(p.clients, c)
 	return c

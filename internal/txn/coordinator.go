@@ -17,10 +17,6 @@ import (
 	"hades/internal/vtime"
 )
 
-// decisionTagSpace offsets the coordinator's decision-log dedup tags
-// away from both the data-plane clients and the transaction writes.
-const decisionTagSpace = uint64(1) << 33
-
 // CoordStats counts one coordinator shard's outcomes.
 type CoordStats struct {
 	// Begins counts transaction submissions accepted (first receipt).
@@ -164,7 +160,7 @@ func newCoordinator(p *Plane, g *shard.Group, idx int) *Coordinator {
 	}
 	for _, n := range g.Nodes() {
 		node := n
-		p.bind(node, p.coordPort(), func(m *netsim.Message) { c.handle(node, m) })
+		p.net.Bind(node, p.coordPort(), func(m *netsim.Message) { c.handle(node, m) })
 	}
 	g.Replication().OnApplyHook(c.onApply)
 	// A rejoining replica missed the decision entries applied while it
@@ -218,14 +214,14 @@ func (c *Coordinator) handle(node int, m *netsim.Message) {
 
 // handleBegin serves one client submission (or retry) at replica node.
 func (c *Coordinator) handleBegin(node, from int, env beginEnv) {
-	if !c.g.Membership().HasQuorum(node) {
+	switch verdict, primary := c.g.Gate(node); verdict { // never Down: handle dropped that
+	case shard.NoQuorum:
 		c.Stats.Blocked++
 		c.p.send(node, from, c.p.respPort(), outcomeEnv{ID: env.ID, Attempt: env.Attempt, Kind: respBlocked}, 32)
 		return
-	}
-	if p := c.g.Replication().Primary(); node != p {
+	case shard.NotPrimary:
 		c.Stats.Redirects++
-		c.p.send(node, from, c.p.respPort(), outcomeEnv{ID: env.ID, Attempt: env.Attempt, Kind: respRedirect, Primary: p}, 32)
+		c.p.send(node, from, c.p.respPort(), outcomeEnv{ID: env.ID, Attempt: env.Attempt, Kind: respRedirect, Primary: primary}, 32)
 		return
 	}
 	ct := c.pending[env.ID]
@@ -390,7 +386,7 @@ func (c *Coordinator) decide(ct *coordTxn, commit bool, reason string) {
 	if commit {
 		cmd++
 	}
-	tag := replication.ClientSeq{Client: decisionTagSpace | (uint64(ct.id.Client) + 1), Seq: ct.id.Num}
+	tag := replication.Tag(replication.TagTxnDecision, uint64(ct.id.Client), ct.id.Num)
 	c.logDecision(decisionItem{rec: decisionRec{id: ct.id, commit: commit}, cmd: cmd, tag: tag})
 }
 

@@ -135,7 +135,7 @@ func newParticipant(p *Plane, g *shard.Group, idx int) *Participant {
 	}
 	for _, n := range g.Nodes() {
 		node := n
-		p.bind(node, p.partPort(), func(m *netsim.Message) { pa.handle(node, m) })
+		p.net.Bind(node, p.partPort(), func(m *netsim.Message) { pa.handle(node, m) })
 	}
 	g.Replication().OnApplyHook(pa.onApply)
 	// All participants sample into one gauge: the metrics plane sums
@@ -169,10 +169,10 @@ func (pa *Participant) handle(node int, m *netsim.Message) {
 }
 
 // handlePrepare serves one PREPARE (or its retry) at replica node.
-// Only the current primary with a local quorum serves; other replicas
-// stay silent and the coordinator's retry loop re-resolves.
+// A replica the serving gate refuses stays silent and the coordinator's
+// retry loop re-resolves.
 func (pa *Participant) handlePrepare(node, from int, env prepareEnv) {
-	if node != pa.g.Replication().Primary() || !pa.g.Membership().HasQuorum(node) {
+	if verdict, _ := pa.g.Gate(node); verdict != shard.Serve {
 		return
 	}
 	pr := pa.preps[env.ID]

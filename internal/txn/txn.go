@@ -235,10 +235,6 @@ type Plane struct {
 	parts   []*Participant
 	clients []*Client
 
-	// local maps node → port → handler for loopback delivery (netsim
-	// has no self-links).
-	local map[int]map[string]func(*netsim.Message)
-
 	// sess runs the retry discipline for every role of the plane
 	// (client submissions, PREPARE/decision/query loops) — one engine,
 	// poked by view installs and partition heals.
@@ -257,7 +253,6 @@ func NewPlane(eng *simkern.Engine, net *netsim.Network, router *shard.Router, na
 		net:    net,
 		router: router,
 		name:   name,
-		local:  make(map[int]map[string]func(*netsim.Message)),
 		sess:   session.New(eng),
 	}
 	for i, g := range router.Groups() {
@@ -302,19 +297,9 @@ func (p *Plane) coordPort() string { return "txn." + p.name + ".coord" }
 func (p *Plane) partPort() string  { return "txn." + p.name + ".part" }
 func (p *Plane) respPort() string  { return "txn." + p.name + ".resp" }
 
-// bind registers a handler with the network and the loopback table.
-func (p *Plane) bind(node int, port string, h func(*netsim.Message)) {
-	p.net.Bind(node, port, h)
-	m := p.local[node]
-	if m == nil {
-		m = make(map[string]func(*netsim.Message))
-		p.local[node] = m
-	}
-	m[port] = h
-}
-
 // send transmits one protocol message, falling back to a loopback
-// dispatch when sender and receiver are the same node.
+// dispatch (netsim has no self-links) when sender and receiver are the
+// same node.
 func (p *Plane) send(from, to int, port string, payload any, size int) {
 	if from != to {
 		_, _ = p.net.Send(from, to, port, payload, size)
@@ -327,11 +312,7 @@ func (p *Plane) send(from, to int, port string, payload any, size int) {
 		if p.net.NodeDown(to) {
 			return
 		}
-		h := p.local[to][port]
-		if h == nil {
-			return
-		}
-		h(&netsim.Message{From: from, To: to, Port: port, Payload: payload, Size: size, SentAt: p.eng.Now()})
+		p.net.Local(to, port, &netsim.Message{From: from, To: to, Port: port, Payload: payload, Size: size, SentAt: p.eng.Now()})
 	})
 }
 
