@@ -5,6 +5,7 @@ import (
 
 	"hades/internal/load"
 	"hades/internal/pubsub"
+	"hades/internal/replication"
 	"hades/internal/shard"
 	"hades/internal/txn"
 )
@@ -45,27 +46,14 @@ func (s *ShardSet) AttachLoad(cfg load.Config, nodes []int) *load.Generator {
 	switch cfg.Workload {
 	case load.KV:
 		clients := make([]*shard.Client, 0, len(nodes))
-		pending := make(map[*shard.Client]map[uint64]func())
 		for _, n := range nodes {
-			cl := s.kvClientFor(n)
-			m := make(map[uint64]func())
-			pending[cl] = m
-			cl.SetOnAck(func(a shard.Ack) {
-				if fn, ok := m[a.Seq]; ok {
-					delete(m, a.Seq)
-					fn()
-				}
-			})
-			clients = append(clients, cl)
+			clients = append(clients, s.kvClientFor(n))
 		}
 		rr := 0
 		sinks.SubmitKV = func(key string, cmd int64, done func()) {
 			cl := clients[rr%len(clients)]
 			rr++
-			seq := cl.Submit(key, cmd)
-			if done != nil {
-				pending[cl][seq] = done
-			}
+			cl.SubmitDone(key, cmd, done)
 		}
 	case load.Txn:
 		clients := make([]*txn.Client, 0, len(nodes))
@@ -153,21 +141,30 @@ func (g *Group) AttachLoad(cfg load.Config) *load.Generator {
 		panic(err)
 	}
 	rep := g.rep[0]
-	pending := make(map[uint64]func())
-	rep.OnApplyHook(func(_ int, reqID uint64, _ int64) {
-		if fn, ok := pending[reqID]; ok {
-			delete(pending, reqID)
-			fn()
-		}
-	})
 	sinks := load.Sinks{At: g.c.At, Now: g.c.eng.Now, Metrics: g.c.metrics}
 	sinks.SubmitKV = func(_ string, cmd int64, done func()) {
-		id := rep.Submit(rep.Primary(), cmd)
-		if done != nil {
-			pending[id] = done
+		if done == nil {
+			rep.Submit(rep.Primary(), cmd)
+			return
 		}
+		rep.SubmitOwned(rep.Primary(), []replication.BatchItem{{Cmd: cmd, Owner: &firstApply{done: done}}})
 	}
 	gen.Start(sinks)
 	g.c.loads = append(g.c.loads, gen)
 	return gen
 }
+
+// firstApply completes a group-load op at its first fresh apply
+// anywhere in the group.
+type firstApply struct{ done func() }
+
+// Applied runs done once.
+func (f *firstApply) Applied(int, int64) {
+	if done := f.done; done != nil {
+		f.done = nil
+		done()
+	}
+}
+
+// Replied is not the op's completion: the apply is.
+func (*firstApply) Replied(int64, bool) {}

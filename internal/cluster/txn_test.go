@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hades/internal/cluster"
+	"hades/internal/monitor"
 	"hades/internal/txn"
 	"hades/internal/vtime"
 )
@@ -221,6 +222,34 @@ func TestTxnSurvivesCoordinatorCrash(t *testing.T) {
 	}
 	if err := set.Check(); err != nil {
 		t.Fatalf("data-plane check: %v", err)
+	}
+}
+
+// TestTxnRedirectsCountedOnce: a coordinator-primary crash redirects
+// in-flight submissions (the router republishes the promoted primary),
+// and the client counts each redirect once — as many as its session
+// calls recorded.
+func TestTxnRedirectsCountedOnce(t *testing.T) {
+	c := cluster.New(cluster.Config{Seed: 113})
+	c.AddNodes(7) // 2 shards × 3 replicas + txn client
+	c.ConnectAll(100*us, 300*us)
+	set := c.Shards(2, 3)
+	cl := set.TxnClientAt(6)
+	transferEvery(c, cl, accounts, 3*ms, 0, vtime.Time(200*ms))
+	c.Crash(0, vtime.Time(50*ms), 0) // shard0's primary, no recovery
+	c.Run(400 * ms)
+
+	recorded := 0
+	for _, e := range c.Log().ByKind(monitor.KindRedirect) {
+		if e.Node == cl.Node() {
+			recorded++
+		}
+	}
+	if recorded == 0 {
+		t.Fatal("the crash redirected no in-flight submission")
+	}
+	if cl.Stats.Redirects != recorded {
+		t.Fatalf("client counted %d redirects, its calls recorded %d", cl.Stats.Redirects, recorded)
 	}
 }
 

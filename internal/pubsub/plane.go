@@ -53,8 +53,8 @@ type Topic struct {
 	mMiss                 *metrics.Counter
 	mLat                  *metrics.Hist
 
-	// applied counts the samples this plane's apply hook admitted (first
-	// apply anywhere in the owning group); ackedUnapplied the acks
+	// applied counts the samples this plane's publish attempts saw apply
+	// (first apply anywhere in the owning group); ackedUnapplied the acks
 	// answered from a dedup entry no such apply stands behind. Verify
 	// holds acked ≤ applied and ackedUnapplied = 0.
 	applied, ackedUnapplied int
@@ -71,8 +71,9 @@ func (t *Topic) Shard() int { return t.shard }
 
 // pubAttempt tracks one publish end to end: the publisher owns it, the
 // serving replica and the subscribers advance it (single-process
-// simulation: the struct pointer is the cross-node handoff, exactly
-// like the shard plane's pending tables).
+// simulation: the struct pointer is the cross-node handoff). It is the
+// replication.Owner of every submission of its sample, so the owning
+// group hands each apply back to it.
 type pubAttempt struct {
 	pub *Publisher
 	s   Sample
@@ -94,11 +95,19 @@ type pubAttempt struct {
 	finished    bool
 	done        func()
 
-	// applied is set by the plane's apply hook the first time the sample
-	// applies anywhere — the plane's own account of what it admitted, as
-	// opposed to the tag being present in the machine's dedup table.
+	// applied is set the first time the sample applies anywhere — the
+	// plane's own account of what it admitted, as opposed to the tag
+	// being present in the machine's dedup table.
 	applied bool
 }
+
+// Applied runs the plane's apply at a replica that freshly applied the
+// sample.
+func (a *pubAttempt) Applied(node int, _ int64) { a.pub.p.onApply(node, a) }
+
+// Replied: a publish is acked from its serving replica's apply, not from
+// the replication reply.
+func (*pubAttempt) Replied(int64, bool) {}
 
 // maybeFinish closes the publish trace once the ack landed and every
 // counted fan-out delivery arrived. Exactly one path flips finished,
@@ -116,10 +125,8 @@ type groupState struct {
 	p      *Plane
 	g      *shard.Group
 	topics []*Topic
-	// pending maps replication request ids to their publish attempts;
-	// inflight suppresses duplicate submissions of a tag already in
-	// the replication pipeline.
-	pending  map[uint64]*pubAttempt
+	// inflight suppresses duplicate submissions of a tag already in the
+	// replication pipeline.
 	inflight map[replication.ClientSeq]bool
 	// hist is each replica's durable history: node → topic → the last
 	// HistoryDepth samples in apply order. Identical at every replica
@@ -131,8 +138,8 @@ type groupState struct {
 }
 
 // Messages. Payload structs carry attempt pointers: the plane is a
-// single-process simulation, and the pointer is the propagation format
-// the shard plane already established for pending state.
+// single-process simulation, and the pointer is the propagation format,
+// as it is for replication's per-op records.
 type (
 	pubMsg struct {
 		Topic string
@@ -160,7 +167,8 @@ type (
 		Sub   int
 	}
 	beMsg struct {
-		S Sample
+		S   Sample
+		Att *pubAttempt
 	}
 )
 
@@ -187,8 +195,7 @@ type Plane struct {
 	ackBound map[int]bool
 	subBound map[int]bool
 
-	be        *rbcast.Service
-	bePending map[uint64]*pubAttempt
+	be *rbcast.Service
 
 	nodeSet map[int]bool
 	started bool
@@ -214,17 +221,16 @@ func NewPlane(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Plane, err
 		cfg.BestEffortF = 1
 	}
 	p := &Plane{
-		eng:       eng,
-		net:       net,
-		cfg:       cfg,
-		sess:      session.New(eng),
-		topics:    make(map[string]*Topic),
-		groups:    make(map[int]*groupState),
-		subsAt:    make(map[int][]*Subscriber),
-		ackBound:  make(map[int]bool),
-		subBound:  make(map[int]bool),
-		bePending: make(map[uint64]*pubAttempt),
-		nodeSet:   make(map[int]bool, len(cfg.Nodes)),
+		eng:      eng,
+		net:      net,
+		cfg:      cfg,
+		sess:     session.New(eng),
+		topics:   make(map[string]*Topic),
+		groups:   make(map[int]*groupState),
+		subsAt:   make(map[int][]*Subscriber),
+		ackBound: make(map[int]bool),
+		subBound: make(map[int]bool),
+		nodeSet:  make(map[int]bool, len(cfg.Nodes)),
 	}
 	for _, n := range cfg.Nodes {
 		p.nodeSet[n] = true
@@ -275,7 +281,7 @@ func (p *Plane) Topic(name string, qos QoS) (*Topic, error) {
 }
 
 // group lazily builds the server state of one owning group: request
-// port on every replica, apply hook, durable-history state transfer,
+// port on every replica, durable-history state transfer,
 // the view/merge watchers, and the session engine's resubmission
 // triggers (after onView, which clears the in-pipeline guard a
 // resubmitted publish must get past).
@@ -292,7 +298,6 @@ func (p *Plane) group(idx int) (*groupState, error) {
 	gs := &groupState{
 		p:        p,
 		g:        g,
-		pending:  make(map[uint64]*pubAttempt),
 		inflight: make(map[replication.ClientSeq]bool),
 		hist:     make(map[int]map[string][]Sample),
 	}
@@ -300,7 +305,6 @@ func (p *Plane) group(idx int) (*groupState, error) {
 		node := n
 		p.net.Bind(node, p.reqPort(), func(m *netsim.Message) { p.handleReq(gs, node, m) })
 	}
-	g.Replication().OnApplyHook(func(node int, reqID uint64, _ int64) { p.onApply(gs, node, reqID) })
 	mem.RegisterState("pubsub."+p.cfg.Name+"."+g.Name(),
 		func(donor, _ int) any { return gs.snapshot(donor) },
 		func(node int, data any) { gs.restore(node, data) })
@@ -322,7 +326,7 @@ func (p *Plane) PublisherAt(topic string, node int) (*Publisher, error) {
 	if err != nil {
 		return nil, err
 	}
-	pub := &Publisher{p: p, t: t, id: uint64(len(p.pubs)), node: node, pending: make(map[uint64]*pubAttempt)}
+	pub := &Publisher{p: p, t: t, id: uint64(len(p.pubs)), node: node}
 	if !p.ackBound[node] {
 		p.ackBound[node] = true
 		n := node
@@ -426,7 +430,6 @@ type Publisher struct {
 	node int
 
 	seq       uint64
-	pending   map[uint64]*pubAttempt // seq → attempt, reliable path
 	published []Sample
 	acked     int
 }
@@ -474,13 +477,11 @@ func (pub *Publisher) PublishDone(value int64, done func()) uint64 {
 		if p.be == nil {
 			panic("pubsub: best-effort publish before plane start")
 		}
-		bseq, _ := p.be.Broadcast(pub.node, beMsg{S: s})
-		p.bePending[bseq] = att
+		p.be.Broadcast(pub.node, beMsg{S: s, Att: att})
 		return s.Seq
 	}
 
 	att.wire = att.ref.Span("pub.wire", trace.LayerWire)
-	pub.pending[s.Seq] = att
 	p.sess.Go(session.Spec{
 		Label:  fmt.Sprintf("pubsub.%s.p%d#%d", s.Topic, s.Pub, s.Seq),
 		Node:   pub.node,
@@ -697,8 +698,7 @@ func (p *Plane) handlePub(gs *groupState, node int, env pubMsg) {
 	att.server = node
 	att.wire.End()
 	att.repl = att.ref.Span("replicate."+gs.g.Name(), trace.LayerReplicate)
-	reqID := rep.SubmitTagged(node, env.Value, tag)
-	gs.pending[reqID] = att
+	rep.SubmitOwned(node, []replication.BatchItem{{Cmd: env.Value, Tag: tag, Owner: att}})
 }
 
 // sampleTag is the sample's replicated dedup tag.
@@ -728,19 +728,13 @@ func (p *Plane) handleCatchup(gs *groupState, node int, env catchupMsg) {
 	_, _ = p.net.Send(node, sub.node, p.subPort(), catchupAck{Topic: env.Topic, Sub: env.Sub}, 16)
 }
 
-// onApply is the owning group's apply hook: every replica that freshly
-// applies a sample appends it to its durable history and fans it out
+// onApply is the plane's side of a sample's apply: every replica that
+// freshly applies it appends it to its durable history and fans it out
 // to the registered subscribers. The serving replica additionally acks
 // the publisher and opens the fan-out trace spans.
-func (p *Plane) onApply(gs *groupState, node int, reqID uint64) {
-	att := gs.pending[reqID]
-	if att == nil {
-		return
-	}
-	t := p.topics[att.s.Topic]
-	if t == nil {
-		return
-	}
+func (p *Plane) onApply(node int, att *pubAttempt) {
+	t := att.pub.t
+	gs := t.gs
 	// The tag landed in the replicated dedup table: retries are now
 	// answered from it, so the in-pipeline guard can retire.
 	delete(gs.inflight, sampleTag(att.s))
@@ -826,7 +820,6 @@ func (p *Plane) handleAck(node int, m *netsim.Message) {
 	}
 	att.acked = true
 	pub := att.pub
-	delete(pub.pending, att.s.Seq)
 	pub.acked++
 	pub.t.acked++
 	att.maybeFinish()
@@ -863,18 +856,15 @@ func (p *Plane) onBE(node int, d rbcast.Delivery) {
 	if !ok {
 		return
 	}
-	if node == d.Origin {
-		if att := p.bePending[d.Seq]; att != nil {
-			delete(p.bePending, d.Seq)
-			att.wire.End()
-			att.acked = true
-			att.outstanding = 0
-			att.maybeFinish()
-			att.pub.acked++
-			att.pub.t.acked++
-			if att.done != nil {
-				att.done()
-			}
+	if att := env.Att; node == d.Origin && !att.acked {
+		att.wire.End()
+		att.acked = true
+		att.outstanding = 0
+		att.maybeFinish()
+		att.pub.acked++
+		att.pub.t.acked++
+		if att.done != nil {
+			att.done()
 		}
 	}
 	for _, sub := range p.subsAt[node] {

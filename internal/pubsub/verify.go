@@ -11,8 +11,8 @@ import (
 //   - no subscriber ever recorded the same sample twice (dedup held);
 //   - every delivered sample was actually published (no fabrication);
 //   - every ack corresponds to a published sample;
-//   - every ack of a reliable sample has an apply behind it: the plane's
-//     apply hook admitted the sample on the owning group (acked ≤
+//   - every ack of a reliable sample has an apply behind it: the sample
+//     applied on the owning group through its own publish attempt (acked ≤
 //     applied), and no ack was answered from a dedup entry the plane
 //     never wrote — the tag of another writer sharing the machine;
 //   - durable history rings never exceed their declared depth.

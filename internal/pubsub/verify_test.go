@@ -11,7 +11,7 @@ import (
 )
 
 // TestVerifyAckedImpliesApplied: a reliable publish may be acked only
-// for a sample the plane's own apply hook admitted. Another writer's
+// for a sample that applied through its own publish attempt. Another writer's
 // entry planted under a sample's dedup tag makes the machine answer the
 // publish as a retry — acked, never fanned out — and Verify names it;
 // without the plant the same run passes.

@@ -43,30 +43,39 @@ type oracle struct {
 	g      *Group
 	table  map[int]map[ClientSeq]int64
 	frozen map[lineage]map[ClientSeq]int64 // table at every state a replica ever reached
-	tagOf  map[uint64]ClientSeq
 	checks int
 }
+
+// watched is the Owner of one op the oracle submitted: every fresh
+// apply enters the old-style table and is checked against the journal.
+type watched struct {
+	o   *oracle
+	tag ClientSeq
+}
+
+func (w watched) Applied(node int, res int64) {
+	o := w.o
+	if w.tag != (ClientSeq{}) {
+		if _, dup := o.table[node][w.tag]; dup {
+			o.t.Fatalf("n%d applied %v twice: the table it was holding should have suppressed it", node, w.tag)
+		}
+		if o.table[node] == nil {
+			o.table[node] = make(map[ClientSeq]int64)
+		}
+		o.table[node][w.tag] = res
+	}
+	o.frozen[lineageOf(o.g.Machine(node))] = copySeen(o.table[node])
+	o.check(node, "apply")
+}
+
+func (watched) Replied(int64, bool) {}
 
 func watch(t *testing.T, r rigT, g *Group) *oracle {
 	o := &oracle{
 		t: t, g: g,
 		table:  make(map[int]map[ClientSeq]int64),
 		frozen: map[lineage]map[ClientSeq]int64{{}: nil},
-		tagOf:  make(map[uint64]ClientSeq),
 	}
-	g.OnApplyHook(func(node int, reqID uint64, res int64) {
-		if tag := o.tagOf[reqID]; tag != (ClientSeq{}) {
-			if _, dup := o.table[node][tag]; dup {
-				t.Fatalf("n%d applied %v twice: the table it was holding should have suppressed it", node, tag)
-			}
-			if o.table[node] == nil {
-				o.table[node] = make(map[ClientSeq]int64)
-			}
-			o.table[node][tag] = res
-		}
-		o.frozen[lineageOf(g.Machine(node))] = copySeen(o.table[node])
-		o.check(node, "apply")
-	})
 	for _, node := range g.cfg.Replicas {
 		r.net.Bind(node, g.ckptPort, func(m *netsim.Message) {
 			g.handleCheckpoint(node, m)
@@ -108,10 +117,13 @@ func (o *oracle) check(node int, what string) {
 	}
 }
 
-// submit issues one tagged op whose command is a function of its tag.
-func (o *oracle) submit(from int, tag ClientSeq) {
-	id := o.g.SubmitTagged(from, int64(tag.Client*1_000_000+tag.Seq), tag)
-	o.tagOf[id] = tag
+// submit issues one op under the oracle's watch; a tagged op's command
+// is a function of its tag.
+func (o *oracle) submit(from int, cmd int64, tag ClientSeq) {
+	if tag != (ClientSeq{}) {
+		cmd = int64(tag.Client*1_000_000 + tag.Seq)
+	}
+	o.g.SubmitBatch(from, []BatchItem{{Cmd: cmd, Tag: tag, Owner: watched{o, tag}}})
 }
 
 // TestJournalMatchesFullCopyOracle drives seeded random schedules of
@@ -158,12 +170,12 @@ func TestJournalMatchesFullCopyOracle(t *testing.T) {
 				case k < 2 && len(issued) > 0:
 					tag = issued[rng.Intn(len(issued))]
 				case k == 2:
-					r.eng.At(vtime.Time(at), eventq.ClassApp, func() { g.Submit(3, -int64(at)-1) })
+					r.eng.At(vtime.Time(at), eventq.ClassApp, func() { o.submit(3, -int64(at)-1, ClientSeq{}) })
 					continue
 				default:
 					issued = append(issued, tag)
 				}
-				r.eng.At(vtime.Time(at), eventq.ClassApp, func() { o.submit(3, tag) })
+				r.eng.At(vtime.Time(at), eventq.ClassApp, func() { o.submit(3, 0, tag) })
 			}
 			r.eng.Run(vtime.Time(episodes*episode + 50*ms))
 
@@ -274,8 +286,8 @@ func TestPromotedBackupDoesNotAliasJournal(t *testing.T) {
 	// Interleaved: the stale primary finishes work it had in hand, the
 	// promoted backup serves new requests (no checkpoint falls due).
 	for i := 0; i < 3; i++ {
-		g.applyOne(0, old, reqMsg{ID: uint64(100 + i), Cmd: 1, Tag: ClientSeq{Client: 5, Seq: uint64(i + 1)}})
-		g.applyOne(1, promoted, reqMsg{ID: uint64(200 + i), Cmd: 2, Tag: ClientSeq{Client: 6, Seq: uint64(i + 1)}})
+		g.applyOne(0, old, &op{id: uint64(100 + i), cmd: 1, tag: ClientSeq{Client: 5, Seq: uint64(i + 1)}})
+		g.applyOne(1, promoted, &op{id: uint64(200 + i), cmd: 2, tag: ClientSeq{Client: 6, Seq: uint64(i + 1)}})
 	}
 	if old.epoch == promoted.epoch {
 		t.Fatalf("promoted backup kept the old primary's epoch %d", old.epoch)
@@ -333,7 +345,7 @@ func checkpointRound(r rigT, g *Group, round int) {
 	sm := g.Machine(0)
 	for i := 0; i < g.cfg.CheckpointEvery; i++ {
 		seq := uint64(round*g.cfg.CheckpointEvery + i + 1)
-		g.applyOne(0, sm, reqMsg{ID: seq, Cmd: int64(seq), Tag: ClientSeq{Client: 2, Seq: seq}})
+		g.applyOne(0, sm, &op{id: seq, cmd: int64(seq), tag: ClientSeq{Client: 2, Seq: seq}})
 	}
 	r.eng.Run(r.eng.Now().Add(ms))
 }
@@ -433,23 +445,34 @@ func TestCheckpointReachesStableStorage(t *testing.T) {
 	}
 }
 
-// TestRepliesOnlyKeptForVoting: per-request reply lists exist for the
-// active style's vote; the styles with an authoritative primary keep
-// none.
+// TestRepliesOnlyKeptForVoting: an op's record collects per-replica
+// results for the active style's vote only; the styles with an
+// authoritative primary keep none. Every record is answered once.
 func TestRepliesOnlyKeptForVoting(t *testing.T) {
 	for _, c := range []struct {
 		style Style
-		want  int
-	}{{Active, 10}, {SemiActive, 0}, {Passive, 0}} {
+		votes int // per record, every replica answering
+	}{{Active, 3}, {SemiActive, 0}, {Passive, 0}} {
 		r := rig(t, 4)
 		g, results := newGroup(t, r, c.style, []int{0, 1, 2})
+		records := map[*op]bool{}
+		for _, node := range g.cfg.Replicas {
+			r.net.Bind(node, g.reqPort, func(m *netsim.Message) {
+				for i := range m.Payload.(batchMsg).Ops {
+					records[&m.Payload.(batchMsg).Ops[i]] = true
+				}
+				g.handleRequest(node, m)
+			})
+		}
 		drive(r, g, 3, 10)
 		r.eng.Run(vtime.Time(50 * ms))
-		if len(*results) != 10 {
-			t.Fatalf("%s: %d results, want 10", c.style, len(*results))
+		if len(*results) != 10 || len(records) != 10 {
+			t.Fatalf("%s: %d results over %d records, want 10 and 10", c.style, len(*results), len(records))
 		}
-		if len(g.replies) != c.want {
-			t.Fatalf("%s: reply lists kept for %d requests, want %d", c.style, len(g.replies), c.want)
+		for o := range records {
+			if len(o.votes) != c.votes || !o.answered {
+				t.Fatalf("%s: op %d kept %d votes (answered %v), want %d", c.style, o.id, len(o.votes), o.answered, c.votes)
+			}
 		}
 	}
 }

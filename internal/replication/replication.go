@@ -54,12 +54,20 @@
 //	TagTxnDecision  txn.Coordinator.decide       txn client node  the transaction number
 //	TagPubSub       pubsub.Plane.handlePub       publisher id     the sample number
 //
-// A dedup hit answers from the table and skips the apply hooks
-// (OnApplyHook): to the machine it is a retry of work already done. That
-// is what makes a collision between two writers silent rather than loud
-// — the second writer's request is "answered", its plane's hook never
-// fires, and no replica diverges — and why the spaces must be disjoint
+// A dedup hit answers from the table and never reaches the op's Owner's
+// Applied: to the machine it is a retry of work already done. That is
+// what makes a collision between two writers silent rather than loud —
+// the second writer's request is "answered", its plane never sees an
+// apply, and no replica diverges — and why the spaces must be disjoint
 // by construction, not by convention.
+//
+// Each submitted op is one record (op), shared by every replica's copy
+// of its batch — the single-process simulation's wire format is the
+// pointer. The record carries the plane's Owner, which the group calls
+// back at each fresh apply and at the authoritative answer, and the
+// group's own per-op state (answered, the active style's votes). No
+// table keyed by request id exists on either side: a record is garbage
+// once the last message and thread that carry its batch are.
 package replication
 
 import (
@@ -223,12 +231,16 @@ type Config struct {
 	StorageLatency vtime.Duration
 }
 
-// Reply is one replica's answer to a request.
-type Reply struct {
-	Replica int
-	ReqID   uint64
-	Result  int64
-	At      vtime.Time
+// Owner is the plane-side record of one submitted op: the group hands
+// the op back to it instead of announcing a bare request id.
+type Owner interface {
+	// Applied runs at every replica that freshly applies the op (a dedup
+	// hit is not an apply), in apply order, before the replica replies.
+	Applied(node int, result int64)
+	// Replied runs at every authoritative answer: each reply of the
+	// primary (a retry straddling a failover can draw two) or the active
+	// style's vote, once.
+	Replied(result int64, unanimous bool)
 }
 
 // Group is a running replica group.
@@ -251,9 +263,7 @@ type Group struct {
 	// stored is the completion callback of every stable-store write.
 	stored func(error)
 
-	// replies collects per-request replies for voting (active only).
-	replies map[uint64][]Reply
-	voted   map[uint64]bool
+	// onReply answers the ops submitted without an Owner.
 	onReply func(reqID uint64, result int64, unanimous bool)
 
 	// sinceCheckpoint counts requests since the last passive checkpoint.
@@ -272,32 +282,15 @@ type Group struct {
 	// StoreErrors counts checkpoint writes the stable store refused or
 	// tore (a crashed store, an unencodable record).
 	StoreErrors int
-	// onApply observes every fresh state-machine apply (suppressed
-	// duplicates excluded) at every replica — the sharding layer builds
-	// its per-replica apply logs from it and the transaction layer
-	// mirrors coordinator decisions through it. Register with
-	// OnApplyHook; hooks fire in registration order.
-	onApply []func(node int, reqID uint64, result int64)
 
 	// Round occupancy, sampled by the metrics plane: open counts
 	// requests submitted but not yet authoritatively answered (votes
 	// completed / primary replies landed). Requests whose answer never
 	// lands — lost to a passive failover or an unreachable majority —
 	// stay counted, so a fault window shows as a plateau in the
-	// "repl.open" gauge rather than vanishing. acked guards the
-	// decrement against the primary answering the same request twice
-	// (dedup-cache replies after a retry straddles a failover).
+	// "repl.open" gauge rather than vanishing.
 	open   int
-	acked  map[uint64]bool
 	mRound *metrics.Counter
-}
-
-// OnApplyHook registers an observer of every fresh state-machine apply
-// (suppressed duplicates excluded) at every replica. Multiple layers
-// may subscribe to one group (the shard layer's apply logs and the
-// transaction layer's decision mirror share the replicated machine).
-func (g *Group) OnApplyHook(fn func(node int, reqID uint64, result int64)) {
-	g.onApply = append(g.onApply, fn)
 }
 
 // Failover records one primary/leader promotion. The failover latency
@@ -311,22 +304,30 @@ type Failover struct {
 	LostSince int64 // applied-counter gap (passive only)
 }
 
-// reqMsg is one request inside a batch. Tag carries the client
-// identity for exactly-once dedup (zero = untracked).
-type reqMsg struct {
-	ID  uint64
-	Cmd int64
-	Tag ClientSeq
+// op is one request's record. Tag carries the client identity for
+// exactly-once dedup (zero = untracked); owner is the plane's record,
+// nil for submissions NewGroup's onReply answers. answered is set at
+// the first authoritative answer and votes collects the active style's
+// per-replica results.
+type op struct {
+	id       uint64
+	cmd      int64
+	tag      ClientSeq
+	owner    Owner
+	answered bool
+	votes    []int64
 }
 
 // batchMsg crosses the wire for request dissemination: one envelope,
 // one execution thread, many requests — the per-request overhead the
-// session layer's batching amortizes. View is the sender's installed
-// membership view at send time (0 for clients outside the group, which
-// are not view-synchronized). Unbatched submissions are batches of 1.
+// session layer's batching amortizes. Ops is one backing array of
+// records, allocated at submission; every replica's copy of the batch
+// points at it. View is the sender's installed membership view at send
+// time (0 for clients outside the group, which are not
+// view-synchronized). Unbatched submissions are batches of 1.
 type batchMsg struct {
-	Items []reqMsg
-	View  uint64
+	Ops  []op
+	View uint64
 }
 
 // ckptMsg carries a passive checkpoint, tagged with the view the
@@ -442,7 +443,9 @@ func (g *Group) persist(node int, ck ckptMsg) {
 // Passive and SemiActive require it — their promotion is driven by
 // installed views. When mem is non-nil the group also registers its
 // state machine with the membership join protocol, so a rejoining
-// replica is restored from a live donor through stable storage.
+// replica is restored from a live donor through stable storage. onReply
+// (may be nil) receives the authoritative answers of the ops submitted
+// without an Owner, by request id.
 func NewGroup(eng *simkern.Engine, net *netsim.Network, mem *membership.Service, cfg Config,
 	onReply func(reqID uint64, result int64, unanimous bool)) (*Group, error) {
 	if len(cfg.Replicas) < 2 {
@@ -476,9 +479,6 @@ func NewGroup(eng *simkern.Engine, net *netsim.Network, mem *membership.Service,
 		cfg:      cfg,
 		machines: make(map[int]*StateMachine),
 		stores:   make(map[int]*storage.Store),
-		replies:  make(map[uint64][]Reply),
-		voted:    make(map[uint64]bool),
-		acked:    make(map[uint64]bool),
 		onReply:  onReply,
 		reqPort:  "repl." + cfg.Name + ".req",
 		ckptPort: "repl." + cfg.Name + ".ckpt",
@@ -632,10 +632,13 @@ func (g *Group) SubmitTagged(from int, cmd int64, tag ClientSeq) uint64 {
 	return g.SubmitBatch(from, []BatchItem{{Cmd: cmd, Tag: tag}})[0]
 }
 
-// BatchItem is one request of a batched submission.
+// BatchItem is one request of a batched submission. Owner, when set,
+// is handed the request back at its applies and answers (NewGroup's
+// onReply is then not called for it).
 type BatchItem struct {
-	Cmd int64
-	Tag ClientSeq
+	Cmd   int64
+	Tag   ClientSeq
+	Owner Owner
 }
 
 // SubmitBatch issues many requests as ONE replicated round: one wire
@@ -648,14 +651,23 @@ type BatchItem struct {
 // request IDs, item order.
 func (g *Group) SubmitBatch(from int, items []BatchItem) []uint64 {
 	ids := make([]uint64, len(items))
-	msg := batchMsg{Items: make([]reqMsg, len(items)), View: g.viewAt(from)}
+	for i := range ids {
+		ids[i] = g.nextReq + 1 + uint64(i)
+	}
+	g.SubmitOwned(from, items)
+	return ids
+}
+
+// SubmitOwned is SubmitBatch for items that carry their Owner: each is
+// answered through its owner, so no request ids come back.
+func (g *Group) SubmitOwned(from int, items []BatchItem) {
+	if len(items) == 0 {
+		return
+	}
+	msg := batchMsg{Ops: make([]op, len(items)), View: g.viewAt(from)}
 	for i, it := range items {
 		g.nextReq++
-		ids[i] = g.nextReq
-		msg.Items[i] = reqMsg{ID: g.nextReq, Cmd: it.Cmd, Tag: it.Tag}
-	}
-	if len(items) == 0 {
-		return ids
+		msg.Ops[i] = op{id: g.nextReq, cmd: it.Cmd, tag: it.Tag, owner: it.Owner}
 	}
 	g.mRound.Inc()
 	g.open += len(items)
@@ -677,10 +689,9 @@ func (g *Group) SubmitBatch(from int, items []BatchItem) []uint64 {
 		if p == from {
 			g.execute(p, msg)
 		} else if _, err := g.net.Send(from, p, g.reqPort, msg, size); err != nil {
-			return ids
+			return
 		}
 	}
-	return ids
 }
 
 func (g *Group) handleRequest(node int, m *netsim.Message) {
@@ -709,7 +720,7 @@ func (g *Group) execute(node int, msg batchMsg) {
 	proc := g.eng.Processors()[node]
 	var buf [64]byte
 	name := append(append(buf[:0], "repl."...), g.cfg.Name...)
-	name = strconv.AppendUint(append(name, ".exec#"...), msg.Items[0].ID, 10)
+	name = strconv.AppendUint(append(name, ".exec#"...), msg.Ops[0].id, 10)
 	name = strconv.AppendInt(append(name, "@n"...), int64(node), 10)
 	th := proc.NewThread(string(name), simkern.PrioMax-5000)
 	th.AddSegment(simkern.Segment{Name: "exec", Work: g.cfg.WExec, PT: simkern.PrioMax - 5000})
@@ -718,31 +729,31 @@ func (g *Group) execute(node int, msg batchMsg) {
 			return
 		}
 		sm := g.machines[node]
-		for _, item := range msg.Items {
-			g.applyOne(node, sm, item)
+		for i := range msg.Ops {
+			g.applyOne(node, sm, &msg.Ops[i])
 		}
 	}
 	th.Ready()
 }
 
 // applyOne applies one batch item at one replica: dedup, apply, record,
-// hooks, reply, passive checkpoint cadence.
-func (g *Group) applyOne(node int, sm *StateMachine, item reqMsg) {
-	if item.Tag != (ClientSeq{}) {
-		if cached, dup := sm.Lookup(item.Tag); dup {
+// owner, reply, passive checkpoint cadence.
+func (g *Group) applyOne(node int, sm *StateMachine, o *op) {
+	if o.tag != (ClientSeq{}) {
+		if cached, dup := sm.Lookup(o.tag); dup {
 			g.Duplicates++
-			g.reply(node, item.ID, cached)
+			g.reply(node, o, cached)
 			return
 		}
 	}
-	res := sm.Apply(item.Cmd)
-	if item.Tag != (ClientSeq{}) {
-		g.remember(sm, item.Tag, res)
+	res := sm.Apply(o.cmd)
+	if o.tag != (ClientSeq{}) {
+		g.remember(sm, o.tag, res)
 	}
-	for _, fn := range g.onApply {
-		fn(node, item.ID, res)
+	if o.owner != nil {
+		o.owner.Applied(node, res)
 	}
-	g.reply(node, item.ID, res)
+	g.reply(node, o, res)
 	if g.cfg.Style == Passive && node == g.Primary() {
 		g.sinceCheckpoint++
 		if g.sinceCheckpoint >= g.cfg.CheckpointEvery {
@@ -757,45 +768,51 @@ func (g *Group) applyOne(node int, sm *StateMachine, item reqMsg) {
 // masking condition. Waiting for a bare quorum of *any* two replies
 // would let a fast corrupt replica tie the vote; requiring matching
 // majority replies masks up to ⌊(n-1)/2⌋ value faults.
-func (g *Group) reply(node int, reqID uint64, result int64) {
+func (g *Group) reply(node int, o *op, result int64) {
 	switch g.cfg.Style {
 	case Active:
-		g.replies[reqID] = append(g.replies[reqID], Reply{Replica: node, ReqID: reqID, Result: result, At: g.eng.Now()})
-		if g.voted[reqID] {
+		o.votes = append(o.votes, result)
+		if o.answered {
 			return
 		}
 		need := len(g.cfg.Replicas)/2 + 1
-		if winner, n, distinct := tally(g.replies[reqID]); n >= need {
-			g.voted[reqID] = true
+		if winner, n, distinct := tally(o.votes); n >= need {
+			o.answered = true
 			g.open--
 			// unanimous reflects the replies seen at vote time; a
 			// divergent replica that answers before the majority
 			// forms is caught here.
-			unanimous := distinct == 1
-			if g.onReply != nil {
-				g.onReply(reqID, winner, unanimous)
-			}
+			g.answer(o, winner, distinct == 1)
 		}
 	case Passive, SemiActive:
 		// The primary's (leader's) reply is authoritative.
 		if node == g.Primary() {
-			if !g.acked[reqID] {
-				g.acked[reqID] = true
+			if !o.answered {
+				o.answered = true
 				g.open--
 			}
-			if g.onReply != nil {
-				g.onReply(reqID, result, true)
-			}
+			g.answer(o, result, true)
 		}
+	}
+}
+
+// answer hands one authoritative answer to the op's owner, or to
+// onReply when it has none.
+func (g *Group) answer(o *op, result int64, unanimous bool) {
+	switch {
+	case o.owner != nil:
+		o.owner.Replied(result, unanimous)
+	case g.onReply != nil:
+		g.onReply(o.id, result, unanimous)
 	}
 }
 
 // tally returns the most frequent result, its count, and the number of
 // distinct results (ties broken by value, deterministically).
-func tally(replies []Reply) (winner int64, count, distinct int) {
-	counts := make(map[int64]int, len(replies))
-	for _, r := range replies {
-		counts[r.Result]++
+func tally(votes []int64) (winner int64, count, distinct int) {
+	counts := make(map[int64]int, len(votes))
+	for _, v := range votes {
+		counts[v]++
 	}
 	type kv struct {
 		v int64

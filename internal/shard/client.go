@@ -110,6 +110,8 @@ type request struct {
 	shard       int
 	submittedAt vtime.Time
 	state       reqState
+	// done, when set, runs at the request's ack.
+	done func()
 
 	// trace is the request's causal trace; the spans mark its layer
 	// transitions (per-key queue → batcher → wire) on the client side,
@@ -158,11 +160,6 @@ type Client struct {
 	Acks   []Ack
 	Failed []uint64
 
-	// onAck, when set, observes every acknowledged request as it lands
-	// — the load plane's closed-loop sessions hang their think-time
-	// continuation off it.
-	onAck func(Ack)
-
 	// mAck is the per-interval ack-latency histogram (nil-safe when
 	// the metrics plane is off).
 	mAck *metrics.Hist
@@ -197,24 +194,6 @@ func NewClient(eng *simkern.Engine, net *netsim.Network, router *Router, params 
 // Node returns the client's processor.
 func (c *Client) Node() int { return c.p.Node }
 
-// SetOnAck registers a callback invoked for every acknowledged
-// request, after the client's own bookkeeping. Callbacks chain: a
-// second registration runs after the first.
-func (c *Client) SetOnAck(fn func(Ack)) {
-	if fn == nil {
-		return
-	}
-	prev := c.onAck
-	if prev == nil {
-		c.onAck = fn
-		return
-	}
-	c.onAck = func(a Ack) {
-		prev(a)
-		fn(a)
-	}
-}
-
 // Params returns the client's parameters.
 func (c *Client) Params() ClientParams { return c.p }
 
@@ -232,7 +211,12 @@ func (c *Client) MaxInflight() map[string]int { return c.batcher.MaxInflight() }
 // order (per-key FIFO — a later request waits for the earlier one's
 // outcome), while distinct keys proceed in parallel, batched per
 // owning shard.
-func (c *Client) Submit(key string, cmd int64) uint64 {
+func (c *Client) Submit(key string, cmd int64) uint64 { return c.SubmitDone(key, cmd, nil) }
+
+// SubmitDone is Submit with a completion callback, invoked at the
+// request's ack after the client's own bookkeeping. A request the
+// fail-fast policy abandons never completes.
+func (c *Client) SubmitDone(key string, cmd int64, done func()) uint64 {
 	c.seq++
 	r := &request{
 		key:         key,
@@ -240,6 +224,7 @@ func (c *Client) Submit(key string, cmd int64) uint64 {
 		seq:         c.seq,
 		shard:       c.router.ShardFor(key),
 		submittedAt: c.eng.Now(),
+		done:        done,
 	}
 	c.reqs[r.seq] = r
 	c.Stats.Submitted++
@@ -414,13 +399,12 @@ func (c *Client) handleResp(m *netsim.Message) {
 			if lat > c.Stats.MaxLatency {
 				c.Stats.MaxLatency = lat
 			}
-			ack := Ack{Key: r.key, Seq: r.seq, Cmd: r.cmd, Result: res.Result, At: now, Latency: lat}
-			c.Acks = append(c.Acks, ack)
+			c.Acks = append(c.Acks, Ack{Key: r.key, Seq: r.seq, Cmd: r.cmd, Result: res.Result, At: now, Latency: lat})
 			r.wspan.End()
 			r.trace.Finish()
 			c.finishKey(r)
-			if c.onAck != nil {
-				c.onAck(ack)
+			if r.done != nil {
+				r.done()
 			}
 		}
 		c.retire(b)

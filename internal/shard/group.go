@@ -119,18 +119,35 @@ type pendingBatch struct {
 	responded bool
 }
 
-// pendingOp tracks one accepted op through the replication layer: its
-// identity for the apply logs, and the batch its reply completes
-// (nil for transaction-layer submissions, which answer their own
-// client).
+// pendingOp is one accepted op's record, the replication.Owner its
+// group hands the op back to: its identity for the apply logs, and the
+// batch its reply completes (nil for transaction-layer submissions,
+// which answer their own client — applied is then the transaction
+// layer's continuation, run once after the first apply is logged, with
+// the write's key and sequence number).
 type pendingOp struct {
-	op     batchOp
-	client int
-	batch  *pendingBatch
-	idx    int
-	done   bool
-	span   trace.SpanRef // the op's replication-round span
+	g       *Group
+	op      batchOp
+	client  int
+	batch   *pendingBatch
+	idx     int
+	done    bool
+	span    trace.SpanRef // the op's replication-round span
+	applied func(key string, seq uint64)
 }
+
+// Applied logs one fresh apply at node, then runs the transaction
+// layer's continuation on the op's first apply anywhere.
+func (po *pendingOp) Applied(node int, result int64) {
+	po.g.recordApply(node, po, result)
+	if fn := po.applied; fn != nil {
+		po.applied = nil
+		fn(po.op.Key, po.op.Seq)
+	}
+}
+
+// Replied retires the op at the primary's authoritative reply.
+func (po *pendingOp) Replied(result int64, _ bool) { po.g.finish(po, result) }
 
 // GroupConfig parameterises one shard group.
 type GroupConfig struct {
@@ -166,8 +183,7 @@ type Group struct {
 	replSpan  string
 	applySpan string
 
-	pending map[uint64]*pendingOp
-	logs    map[int][]Applied
+	logs map[int][]Applied
 	// kv is each replica's keyed view: the last applied write's command
 	// per key, derived from the apply log (the transaction layer reads
 	// it at prepare time).
@@ -220,7 +236,6 @@ func NewGroup(eng *simkern.Engine, net *netsim.Network, mem *membership.Service,
 		index:    cfg.Index,
 		respPort: cfg.RespPort,
 		nodes:    append([]int(nil), cfg.Replication.Replicas...),
-		pending:  make(map[uint64]*pendingOp),
 		logs:     make(map[int][]Applied),
 		kv:       make(map[int]map[string]int64),
 		holed:    make(map[int]bool),
@@ -230,12 +245,11 @@ func NewGroup(eng *simkern.Engine, net *netsim.Network, mem *membership.Service,
 	g.mOps = eng.Metrics().Counter("shard.ops." + g.name)
 	g.mKeys = eng.Metrics().Keys()
 	eng.Metrics().GaugeFunc("shard.queue."+g.name, func() int64 { return int64(g.open) })
-	rep, err := replication.NewGroup(eng, net, mem, cfg.Replication, g.finish)
+	rep, err := replication.NewGroup(eng, net, mem, cfg.Replication, nil)
 	if err != nil {
 		return nil, err
 	}
 	g.rep = rep
-	rep.OnApplyHook(g.recordApply)
 	for _, n := range g.nodes {
 		node := n
 		net.Bind(node, g.ReqPort(), func(m *netsim.Message) { g.handleRequest(node, m) })
@@ -372,32 +386,28 @@ func (g *Group) handleRequest(node int, m *netsim.Message) {
 	}
 	pb := &pendingBatch{env: env, from: m.From, remaining: len(env.Ops), results: make([]opResult, len(env.Ops))}
 	items := make([]replication.BatchItem, len(env.Ops))
+	ops := make([]pendingOp, len(env.Ops))
 	for i, op := range env.Ops {
+		ops[i] = pendingOp{g: g, op: op, client: env.Client, batch: pb, idx: i}
 		items[i] = replication.BatchItem{
-			Cmd: op.Cmd,
-			Tag: replication.Tag(replication.TagKV, uint64(env.Client), op.Seq),
+			Cmd:   op.Cmd,
+			Tag:   replication.Tag(replication.TagKV, uint64(env.Client), op.Seq),
+			Owner: &ops[i],
 		}
 		pb.results[i].Seq = op.Seq
 	}
-	ids := g.rep.SubmitBatch(node, items)
-	for i, id := range ids {
-		g.pending[id] = &pendingOp{
-			op: env.Ops[i], client: env.Client, batch: pb, idx: i,
-			span: env.Ops[i].Trace.Span(g.replSpan, trace.LayerReplicate),
-		}
+	g.rep.SubmitOwned(node, items)
+	for i, op := range env.Ops {
+		ops[i].span = op.Trace.Span(g.replSpan, trace.LayerReplicate)
 		g.open++
 		g.mOps.Inc()
-		g.mKeys.Touch(env.Ops[i].Key, g.index)
+		g.mKeys.Touch(op.Key, g.index)
 	}
 }
 
-// recordApply appends one fresh apply to node's log (replication's
-// OnApply hook; suppressed duplicates never reach it).
-func (g *Group) recordApply(node int, reqID uint64, result int64) {
-	po := g.pending[reqID]
-	if po == nil {
-		return // a direct Submit, not a routed client request
-	}
+// recordApply appends one fresh apply to node's log (suppressed
+// duplicates never reach it).
+func (g *Group) recordApply(node int, po *pendingOp, result int64) {
 	g.logs[node] = append(g.logs[node], Applied{
 		Key:    po.op.Key,
 		Client: po.client,
@@ -426,27 +436,24 @@ func (g *Group) KeyValue(node int, key string) (int64, bool) {
 // machine on behalf of the transaction layer: submitted at the current
 // primary, deduplicated in the transaction-write tag space, and recorded
 // in the per-replica apply logs under the owning client's identity —
-// the same histories Verify and txn.Verify audit. It returns the
-// replication request id so the caller can observe the apply.
-func (g *Group) SubmitKeyed(key string, cmd int64, client int, seq uint64, tr trace.Ref) uint64 {
-	id := g.rep.SubmitTagged(g.rep.Primary(), cmd, replication.Tag(replication.TagTxnWrite, uint64(client), seq))
+// the same histories Verify and txn.Verify audit. applied(key, seq)
+// runs once, right after the write's first apply anywhere is logged.
+func (g *Group) SubmitKeyed(key string, cmd int64, client int, seq uint64, tr trace.Ref, applied func(key string, seq uint64)) {
 	// No batch: the transaction layer answers its own client.
-	g.pending[id] = &pendingOp{
-		op: batchOp{Key: key, Cmd: cmd, Seq: seq}, client: client,
-		span: tr.Span(g.applySpan, trace.LayerReplicate),
-	}
+	po := &pendingOp{g: g, op: batchOp{Key: key, Cmd: cmd, Seq: seq}, client: client, applied: applied}
+	g.rep.SubmitOwned(g.rep.Primary(), []replication.BatchItem{{
+		Cmd: cmd, Tag: replication.Tag(replication.TagTxnWrite, uint64(client), seq), Owner: po,
+	}})
+	po.span = tr.Span(g.applySpan, trace.LayerReplicate)
 	g.open++
 	g.mOps.Inc()
 	g.mKeys.Touch(key, g.index)
-	return id
 }
 
-// finish is the replication reply hook: the primary's (authoritative)
-// reply retires one op, and the batch answers its client when its last
-// op retires.
-func (g *Group) finish(reqID uint64, result int64, _ bool) {
-	po := g.pending[reqID]
-	if po == nil || po.done {
+// finish retires one op at the primary's (authoritative) reply, and
+// the batch answers its client when its last op retires.
+func (g *Group) finish(po *pendingOp, result int64) {
+	if po.done {
 		return
 	}
 	po.done = true

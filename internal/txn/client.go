@@ -280,7 +280,6 @@ func (c *Client) redirectInflight(g *shard.Group) {
 		return
 	}
 	if p := g.Replication().Primary(); p != t.target {
-		c.Stats.Redirects++
 		t.call.Redirect(fmt.Sprintf("republish: n%d -> n%d", t.target, p))
 	}
 }

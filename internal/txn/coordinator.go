@@ -48,10 +48,10 @@ type partState struct {
 	decSpan  trace.SpanRef
 }
 
-// coordTxn is one transaction's coordinator-side state. Like the shard
-// layer's pending table it lives on the (conceptually replicated) role
-// object shared by the group's replicas; the decision itself is
-// additionally logged through the replicated machine.
+// coordTxn is one transaction's coordinator-side state. It lives on the
+// (conceptually replicated) role object shared by the group's replicas;
+// the decision itself is additionally logged through the replicated
+// machine.
 type coordTxn struct {
 	id       ID
 	ops      []Op
@@ -84,19 +84,25 @@ func (ct *coordTxn) part(idx int) *partState {
 	return nil
 }
 
-// decisionRec maps one replicated decision-log apply back to its
-// transaction (the apply stream carries only request ids).
-type decisionRec struct {
-	id     ID
-	commit bool
+// logRound is one group-commit round of the decision log: left counts
+// its decisions not yet applied anywhere. The first apply of its last
+// decision retires the round (gc.Complete), releasing the next
+// coalesced batch.
+type logRound struct {
+	c    *Coordinator
+	left int
 }
 
-// decisionItem is one decision awaiting its (group-committed)
-// replicated log round.
-type decisionItem struct {
-	rec decisionRec
-	cmd int64
-	tag replication.ClientSeq
+// decisionEntry is one decision on its way into the replicated log: an
+// item of the group-commit batcher until its round flushes, then the
+// replication.Owner its applies come back to (the batcher hands each
+// round a slice of its own, so the entries stay where they are). logged
+// is set at its first apply anywhere.
+type decisionEntry struct {
+	round  *logRound
+	id     ID
+	commit bool
+	logged bool
 }
 
 // Coordinator is the transaction-coordinator role of one shard group:
@@ -110,24 +116,14 @@ type Coordinator struct {
 
 	pending map[ID]*coordTxn
 	// decided mirrors the replicated decision log at every replica:
-	// node → transaction → commit. Maintained from the apply stream
-	// (so it survives primary failover — followers applied the same
-	// decision entries) and shipped to rejoining replicas through the
+	// node → transaction → commit. Maintained from the decision entries'
+	// applies (so it survives primary failover — followers applied the
+	// same entries) and shipped to rejoining replicas through the
 	// membership state transfer.
 	decided map[int]map[ID]bool
-	// pendingDecision resolves decision-log applies (request ids) back
-	// to transactions.
-	pendingDecision map[uint64]decisionRec
 	// gc group-commits the decision log: one replicated round carries
 	// many COMMIT/ABORT records (built lazily from the plane's knobs).
-	gc *session.Batcher[decisionItem]
-	// decisionRound maps each in-flight decision's request id to its
-	// group-commit round; roundLeft counts a round's not-yet-applied
-	// decisions. The first apply of a round's last decision retires the
-	// round (gc.Complete), releasing the next coalesced batch.
-	decisionRound map[uint64]int
-	roundLeft     map[int]int
-	nextRound     int
+	gc *session.Batcher[decisionEntry]
 
 	// Metrics-plane decision counters (nil-safe when the plane is
 	// off); the abort rate is the per-interval delta of mAborts.
@@ -147,22 +143,18 @@ type Coordinator struct {
 // binds its port on every replica.
 func newCoordinator(p *Plane, g *shard.Group, idx int) *Coordinator {
 	c := &Coordinator{
-		p:               p,
-		g:               g,
-		shard:           idx,
-		pending:         make(map[ID]*coordTxn),
-		decided:         make(map[int]map[ID]bool),
-		pendingDecision: make(map[uint64]decisionRec),
-		decisionRound:   make(map[uint64]int),
-		roundLeft:       make(map[int]int),
-		mCommits:        p.eng.Metrics().Counter("txn.commits"),
-		mAborts:         p.eng.Metrics().Counter("txn.aborts"),
+		p:        p,
+		g:        g,
+		shard:    idx,
+		pending:  make(map[ID]*coordTxn),
+		decided:  make(map[int]map[ID]bool),
+		mCommits: p.eng.Metrics().Counter("txn.commits"),
+		mAborts:  p.eng.Metrics().Counter("txn.aborts"),
 	}
 	for _, n := range g.Nodes() {
 		node := n
 		p.net.Bind(node, p.coordPort(), func(m *netsim.Message) { c.handle(node, m) })
 	}
-	g.Replication().OnApplyHook(c.onApply)
 	// A rejoining replica missed the decision entries applied while it
 	// was away; the join/merge state transfer ships the mirror with the
 	// rest of the group state.
@@ -231,7 +223,7 @@ func (c *Coordinator) handleBegin(node, from int, env beginEnv) {
 		ct.client, ct.attempt = env.Client, env.Attempt
 	}
 	// Reply only once the decision has both applied in the replicated
-	// log (distributed is set by the apply stream — log-then-send) and,
+	// log (distributed is set at its first apply — log-then-send) and,
 	// for commits, been acknowledged by every participant. A retry
 	// landing in the submit-to-apply window gets no answer and retries.
 	if ct.decided && ct.distributed && ct.replyable() {
@@ -382,12 +374,7 @@ func (c *Coordinator) decide(ct *coordTxn, commit bool, reason string) {
 	}
 	c.p.eng.Recordf(monitor.KindDecide, c.g.Replication().Primary(), ct.id.String(), "%s %s", verdict, reason)
 	ct.logSpan = ct.trace.Span("2pc.decision.log", trace.LayerReplicate)
-	cmd := int64(ct.id.Num) * 2
-	if commit {
-		cmd++
-	}
-	tag := replication.Tag(replication.TagTxnDecision, uint64(ct.id.Client), ct.id.Num)
-	c.logDecision(decisionItem{rec: decisionRec{id: ct.id, commit: commit}, cmd: cmd, tag: tag})
+	c.logDecision(decisionEntry{id: ct.id, commit: commit})
 }
 
 // logDecision routes one decision into the replicated log through the
@@ -398,61 +385,61 @@ func (c *Coordinator) decide(ct *coordTxn, commit bool, reason string) {
 // apply — so amortization appears exactly when the log is loaded. The
 // flush timer is only the fallback for a round lost to a crash, after
 // which the log degrades to timer-paced rounds rather than wedging.
-func (c *Coordinator) logDecision(item decisionItem) {
+func (c *Coordinator) logDecision(e decisionEntry) {
 	if c.gc == nil {
 		gc := c.p.groupCommit
 		gc.PipelineDepth = 1
-		c.gc = session.NewBatcher[decisionItem](c.p.eng, gc,
+		c.gc = session.NewBatcher[decisionEntry](c.p.eng, gc,
 			fmt.Sprintf("txn.%s.gc", c.g.Name()), c.g.Replication().Primary(),
-			func(lane string, items []decisionItem) {
-				batch := make([]replication.BatchItem, len(items))
-				for i, it := range items {
-					batch[i] = replication.BatchItem{Cmd: it.cmd, Tag: it.tag}
+			func(lane string, entries []decisionEntry) {
+				round := &logRound{c: c, left: len(entries)}
+				batch := make([]replication.BatchItem, len(entries))
+				for i := range entries {
+					e := &entries[i]
+					e.round = round
+					cmd := int64(e.id.Num) * 2
+					if e.commit {
+						cmd++
+					}
+					batch[i] = replication.BatchItem{
+						Cmd:   cmd,
+						Tag:   replication.Tag(replication.TagTxnDecision, uint64(e.id.Client), e.id.Num),
+						Owner: e,
+					}
 				}
-				ids := c.g.Replication().SubmitBatch(c.g.Replication().Primary(), batch)
-				round := c.nextRound
-				c.nextRound++
-				c.roundLeft[round] = len(ids)
-				for i, id := range ids {
-					c.pendingDecision[id] = items[i].rec
-					c.decisionRound[id] = round
-				}
+				c.g.Replication().SubmitOwned(c.g.Replication().Primary(), batch)
 				c.GroupCommits++
-				if len(items) > c.MaxDecisionBatch {
-					c.MaxDecisionBatch = len(items)
+				if len(entries) > c.MaxDecisionBatch {
+					c.MaxDecisionBatch = len(entries)
 				}
 			})
 		c.gc.EagerIdle = true
 	}
-	c.gc.Add("dec", item)
+	c.gc.Add("dec", e)
 }
 
-// onApply mirrors decision-log applies at every replica and, on the
-// first apply anywhere, distributes the decision (log-then-send: the
-// decision is in the replicated lineage before any participant acts).
-func (c *Coordinator) onApply(node int, reqID uint64, _ int64) {
-	rec, ok := c.pendingDecision[reqID]
-	if !ok {
-		return
-	}
+// Applied mirrors the decision at every replica that applies it and, on
+// the first apply anywhere, distributes it (log-then-send: the decision
+// is in the replicated lineage before any participant acts).
+func (e *decisionEntry) Applied(node int, _ int64) {
+	c := e.round.c
 	d := c.decided[node]
 	if d == nil {
 		d = make(map[ID]bool)
 		c.decided[node] = d
 	}
-	d[rec.id] = rec.commit
+	d[e.id] = e.commit
 	// First apply of this decision anywhere retires it from its
 	// group-commit round; the round's last retirement frees the log for
 	// the next coalesced batch.
-	if round, ok := c.decisionRound[reqID]; ok {
-		delete(c.decisionRound, reqID)
-		c.roundLeft[round]--
-		if c.roundLeft[round] == 0 {
-			delete(c.roundLeft, round)
+	if !e.logged {
+		e.logged = true
+		e.round.left--
+		if e.round.left == 0 {
 			c.gc.Complete("dec")
 		}
 	}
-	ct := c.pending[rec.id]
+	ct := c.pending[e.id]
 	if ct != nil && ct.decided && !ct.distributed {
 		ct.logSpan.End()
 		c.distribute(ct)
@@ -461,6 +448,9 @@ func (c *Coordinator) onApply(node int, reqID uint64, _ int64) {
 		}
 	}
 }
+
+// Replied: the decision's answer is its apply, not the primary's reply.
+func (*decisionEntry) Replied(int64, bool) {}
 
 // distribute starts (once) the retrying decision sends towards every
 // participant and, for aborts, towards any shard that never voted.

@@ -82,16 +82,13 @@ func (pr *prep) keys() []string {
 	return out
 }
 
-// applyRef resolves one outstanding write apply.
-type applyRef struct {
-	id  ID
-	key string
-}
-
-// overlayVal is one committed write awaiting its apply.
+// overlayVal is one committed write awaiting its apply: its command and
+// its client-wide write number, which names the write among its
+// client's.
 type overlayVal struct {
-	cmd   int64
-	reqID uint64
+	cmd    int64
+	client int
+	seq    uint64
 }
 
 // Participant is the transaction-participant role of one shard group:
@@ -108,9 +105,6 @@ type Participant struct {
 	locks   map[string]ID
 	waiters []*prep
 	preps   map[ID]*prep
-	// applyWait resolves write applies (request ids) back to their
-	// transaction and key.
-	applyWait map[uint64]applyRef
 	// overlay holds committed-but-not-yet-applied write values: a
 	// waiter granted in the instant a commit releases its locks must
 	// read the committed value, not the pre-apply state (the keyed view
@@ -125,19 +119,17 @@ type Participant struct {
 // binds its port on every replica.
 func newParticipant(p *Plane, g *shard.Group, idx int) *Participant {
 	pa := &Participant{
-		p:         p,
-		g:         g,
-		shard:     idx,
-		locks:     make(map[string]ID),
-		preps:     make(map[ID]*prep),
-		applyWait: make(map[uint64]applyRef),
-		overlay:   make(map[string]overlayVal),
+		p:       p,
+		g:       g,
+		shard:   idx,
+		locks:   make(map[string]ID),
+		preps:   make(map[ID]*prep),
+		overlay: make(map[string]overlayVal),
 	}
 	for _, n := range g.Nodes() {
 		node := n
 		p.net.Bind(node, p.partPort(), func(m *netsim.Message) { pa.handle(node, m) })
 	}
-	g.Replication().OnApplyHook(pa.onApply)
 	// All participants sample into one gauge: the metrics plane sums
 	// per-name funcs, so "txn.lockwait.depth" is the plane-wide count
 	// of prepares queued behind a lock.
@@ -399,13 +391,13 @@ func (pa *Participant) handleDecision(node, from int, env decisionEnv) {
 	// overlay) BEFORE releasing the locks: a waiter granted by the
 	// release must read this transaction's committed values, not the
 	// pre-apply state.
+	applied := func(key string, seq uint64) { pa.writeApplied(pr, key, seq) }
 	for _, op := range pr.ops {
 		if op.Kind != OpWrite {
 			continue
 		}
-		reqID := pa.g.SubmitKeyed(op.Key, op.Cmd, pr.id.Client, op.Seq, pr.trace)
-		pa.applyWait[reqID] = applyRef{id: pr.id, key: op.Key}
-		pa.overlay[op.Key] = overlayVal{cmd: op.Cmd, reqID: reqID}
+		pa.g.SubmitKeyed(op.Key, op.Cmd, pr.id.Client, op.Seq, pr.trace, applied)
+		pa.overlay[op.Key] = overlayVal{cmd: op.Cmd, client: pr.id.Client, seq: op.Seq}
 		pr.applying++
 	}
 	pa.release(pr)
@@ -415,21 +407,16 @@ func (pa *Participant) handleDecision(node, from int, env decisionEnv) {
 	}
 }
 
-// onApply retires outstanding write applies (first apply anywhere in
-// the group — the keyed view now holds the value, so the overlay entry
-// drops); when a transaction's last write lands, the commit is acked
-// to the coordinator's current primary.
-func (pa *Participant) onApply(node int, reqID uint64, _ int64) {
-	ref, ok := pa.applyWait[reqID]
-	if !ok {
-		return
+// writeApplied retires one outstanding write at its first apply
+// anywhere in the group (the keyed view now holds the value, so the
+// overlay entry drops, unless a later write on the key replaced it);
+// when a transaction's last write lands, the commit is acked to the
+// coordinator's current primary.
+func (pa *Participant) writeApplied(pr *prep, key string, seq uint64) {
+	if ov, ok := pa.overlay[key]; ok && ov.client == pr.id.Client && ov.seq == seq {
+		delete(pa.overlay, key)
 	}
-	delete(pa.applyWait, reqID)
-	if ov, ok := pa.overlay[ref.key]; ok && ov.reqID == reqID {
-		delete(pa.overlay, ref.key)
-	}
-	pr := pa.preps[ref.id]
-	if pr == nil || pr.acked {
+	if pr.acked {
 		return
 	}
 	pr.applying--
@@ -439,5 +426,5 @@ func (pa *Participant) onApply(node int, reqID uint64, _ int64) {
 	pr.acked = true
 	from := pa.g.Replication().Primary()
 	to := pa.p.router.Groups()[pr.coord].Replication().Primary()
-	pa.p.send(from, to, pa.p.coordPort(), ackEnv{ID: ref.id, Shard: pa.shard}, 24)
+	pa.p.send(from, to, pa.p.coordPort(), ackEnv{ID: pr.id, Shard: pa.shard}, 24)
 }
