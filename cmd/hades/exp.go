@@ -9,7 +9,7 @@ import (
 )
 
 // expCmd regenerates the tables and figures of the HADES reproduction
-// (see DESIGN.md §4 for the experiment index): everything at full scale
+// (`hades exp -list` prints the experiment index): everything at full scale
 // by default, one experiment with -run, reduced sample counts with
 // -quick.
 func expCmd(args []string, stdout, stderr io.Writer) int {

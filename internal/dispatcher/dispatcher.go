@@ -333,9 +333,6 @@ func (d *Dispatcher) ClearCond(name string) {
 	d.eng.Recordf(monitor.KindCondClear, -1, name, "")
 }
 
-// CondSet reports the current value of a condition variable.
-func (d *Dispatcher) CondSet(name string) bool { return d.cond(name).set }
-
 func (d *Dispatcher) cond(name string) *condVar {
 	cv := d.conds[name]
 	if cv == nil {

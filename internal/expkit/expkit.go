@@ -1,8 +1,8 @@
-// Package expkit implements the reproduction experiments indexed in
-// DESIGN.md §4: one function per paper figure/table plus the ablations,
-// each returning a printable Table. The hades exp subcommand and the
-// top-level benchmarks are thin wrappers over this package, so the
-// experiment logic lives in exactly one place.
+// Package expkit implements the reproduction experiments that
+// `hades exp -list` indexes: one function per paper figure/table plus
+// the ablations, each returning a printable Table. The hades exp
+// subcommand and the top-level BenchmarkExperiments are thin wrappers
+// over Run, so the experiment logic lives in exactly one place.
 package expkit
 
 import (

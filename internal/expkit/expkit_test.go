@@ -1,9 +1,13 @@
 package expkit
 
 import (
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
+
+	"hades/internal/dispatcher"
+	"hades/internal/feasibility"
 )
 
 // quickOpts runs every experiment at reduced scale; the assertions below
@@ -162,6 +166,12 @@ func TestS5SafetyClaim(t *testing.T) {
 	if !sawNaiveOnlyMiss {
 		t.Fatal("no naive-only set missed: the experiment shows no separation")
 	}
+	// A zero in miss(integrated) must come from a run that activated
+	// its set, not from a simulation that never started it.
+	tasks := feasibility.Generate(rand.New(rand.NewSource(7)), feasibility.DefaultGenConfig(5, 0.6))
+	if rep := SimulateEDFSRP(tasks, dispatcher.DefaultCostBook(), 250*ms, 1); rep.Stats.Activations == 0 {
+		t.Fatal("SimulateEDFSRP activated nothing")
+	}
 }
 
 func TestX1EDFDominatesRM(t *testing.T) {
@@ -235,6 +245,9 @@ func TestX5ReplicationShape(t *testing.T) {
 	for i := range tbl.Rows {
 		byStyle[cell(t, tbl, i, "style")] = tbl.Rows[i]
 	}
+	if byStyle["passive"][1] == "-" {
+		t.Error("passive replication never failed over after the primary crash")
+	}
 	if byStyle["passive"][2] == "0" {
 		t.Error("passive failover lost no work despite mid-interval crash")
 	}
@@ -275,6 +288,9 @@ func TestX7ConsensusRounds(t *testing.T) {
 		if cell(t, tbl, i, "agreement") != "true" {
 			t.Errorf("f=%d: disagreement", f)
 		}
+		if d := cell(t, tbl, i, "decided"); d != "4/4" {
+			t.Errorf("f=%d: decided %s, want every survivor (4/4)", f, d)
+		}
 	}
 }
 
@@ -293,9 +309,16 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestRunAll also holds determinism: two runs of the registry at one
+// seed render byte-identical tables.
 func TestRunAll(t *testing.T) {
-	tables := RunAll(quickOpts)
-	if len(tables) != len(IDs()) {
-		t.Fatalf("RunAll returned %d tables", len(tables))
+	first, second := RunAll(quickOpts), RunAll(quickOpts)
+	if len(first) != len(IDs()) {
+		t.Fatalf("RunAll returned %d tables", len(first))
+	}
+	for i := range first {
+		if a, b := first[i].String(), second[i].String(); a != b {
+			t.Errorf("%s differs between two runs at seed %d:\n%s\n---\n%s", first[i].ID, quickOpts.Seed, a, b)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package rbcast
 
 import (
-	"fmt"
 	"testing"
 
 	"hades/internal/monitor"
@@ -10,15 +9,8 @@ import (
 	"hades/internal/vtime"
 )
 
-// legacyStringKey is the pre-optimisation key: a formatted string built
-// once per hop on the flooding hot path. Kept here only so the
-// benchmarks can show what the comparable-struct key buys.
-func legacyStringKey(origin int, seq uint64, node int) string {
-	return fmt.Sprintf("%d/%d@%d", origin, seq, node)
-}
-
 // BenchmarkSeenKeyStruct measures the seen-set bookkeeping with the
-// comparable struct key (the current implementation).
+// comparable struct key.
 func BenchmarkSeenKeyStruct(b *testing.B) {
 	seen := make(map[copyKey]bool, 4096)
 	b.ReportAllocs()
@@ -29,22 +21,6 @@ func BenchmarkSeenKeyStruct(b *testing.B) {
 		}
 		if len(seen) >= 4096 {
 			seen = make(map[copyKey]bool, 4096)
-		}
-	}
-}
-
-// BenchmarkSeenKeyString measures the same bookkeeping with the legacy
-// fmt.Sprintf string key, for comparison.
-func BenchmarkSeenKeyString(b *testing.B) {
-	seen := make(map[string]bool, 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := legacyStringKey(i%8, uint64(i), (i+1)%8)
-		if !seen[k] {
-			seen[k] = true
-		}
-		if len(seen) >= 4096 {
-			seen = make(map[string]bool, 4096)
 		}
 	}
 }

@@ -87,6 +87,3 @@ func (r *Router) ShardFor(key string) int {
 	}
 	return r.ring.Shard(key)
 }
-
-// GroupFor resolves the shard group owning key.
-func (r *Router) GroupFor(key string) *Group { return r.groups[r.ShardFor(key)] }

@@ -4,11 +4,12 @@ package hades_test
 // tracing and virtual-time metrics).
 //
 // TestObservabilityOverheadGate is the CI gate behind the planes' cost
-// budgets on the high-fanout KV workload: tracing at the default sample
-// rate, the always-on metrics plane (instruments wired through every
-// layer, scrapes every 5ms of virtual time), and the two together — the
-// whole-stack number, because separate budgets compose to something
-// nobody has measured unless it is measured. Comparing two independent
+// budgets on the high-fanout KV workload (highFanoutKV, bench_test.go):
+// tracing at the default sample rate, the always-on metrics plane
+// (instruments wired through every layer, scrapes every 5ms of virtual
+// time), and the two together — the whole-stack number, because
+// separate budgets compose to something nobody has measured unless it
+// is measured. Comparing two independent
 // `go test -bench` processes cannot resolve single-digit percentages —
 // run-to-run machine drift alone moves ns/op by 10-30% — so each leg is
 // a *paired* ratio: off and on alternate within one process, every
@@ -39,7 +40,6 @@ import (
 	"hades/internal/cluster"
 	"hades/internal/metrics"
 	"hades/internal/monitor"
-	"hades/internal/vtime"
 )
 
 // planeBudget is each observability plane's cost contract: on at its
@@ -54,27 +54,12 @@ const planeBudget = 0.05
 // path.
 const overheadNoiseAllowance = 0.03
 
-// runHighFanoutKV runs the high-fanout KV workload once under the given
-// tracing and metrics parameters (nil = the cluster default) and
-// returns its wall-clock runtime.
-func runHighFanoutKV(tp *cluster.TraceParams, mp *cluster.MetricsParams) time.Duration {
+// timeHighFanoutKV runs highFanoutKV once under the given tracing and
+// metrics parameters (nil = the cluster default) and returns its
+// wall-clock runtime.
+func timeHighFanoutKV(tp *cluster.TraceParams, mp *cluster.MetricsParams) time.Duration {
 	t0 := time.Now()
-	params := highFanoutSession()
-	c := cluster.New(cluster.Config{Seed: 61, Trace: tp, Metrics: mp})
-	c.AddNodes(9)
-	c.ConnectAll(100*us, 300*us)
-	set := c.ShardsWith(4, 2, cluster.ShardConfig{Session: params})
-	cl := set.ClientAt(8)
-	n := 0
-	for t := vtime.Duration(0); t < 100*ms; t += 2 * ms {
-		for _, k := range highFanoutKeys {
-			key := k
-			n++
-			cmd := int64(n)
-			c.At(vtime.Time(t), func() { cl.Submit(key, cmd) })
-		}
-	}
-	c.Run(600 * ms)
+	_, _, cl := highFanoutKV(cluster.Config{Trace: tp, Metrics: mp})
 	if cl.Stats.Acked != cl.Stats.Submitted {
 		panic("overhead workload: ack mismatch")
 	}
@@ -115,12 +100,12 @@ func TestObservabilityOverheadGate(t *testing.T) {
 		off, on func() time.Duration
 		budget  float64
 	}{
-		{"trace", func() time.Duration { return runHighFanoutKV(traceOff, nil) },
-			func() time.Duration { return runHighFanoutKV(nil, nil) }, planeBudget},
-		{"metrics", func() time.Duration { return runHighFanoutKV(nil, metricsOff) },
-			func() time.Duration { return runHighFanoutKV(nil, nil) }, planeBudget},
-		{"both", func() time.Duration { return runHighFanoutKV(traceOff, metricsOff) },
-			func() time.Duration { return runHighFanoutKV(nil, nil) }, 2 * planeBudget},
+		{"trace", func() time.Duration { return timeHighFanoutKV(traceOff, nil) },
+			func() time.Duration { return timeHighFanoutKV(nil, nil) }, planeBudget},
+		{"metrics", func() time.Duration { return timeHighFanoutKV(nil, metricsOff) },
+			func() time.Duration { return timeHighFanoutKV(nil, nil) }, planeBudget},
+		{"both", func() time.Duration { return timeHighFanoutKV(traceOff, metricsOff) },
+			func() time.Duration { return timeHighFanoutKV(nil, nil) }, 2 * planeBudget},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			ratio := pairedOverhead(reps, leg.off, leg.on)
@@ -145,22 +130,7 @@ func TestTracingPassive(t *testing.T) {
 		retries int
 	}
 	run := func(tp *cluster.TraceParams) fingerprint {
-		params := highFanoutSession()
-		c := cluster.New(cluster.Config{Seed: 61, Trace: tp})
-		c.AddNodes(9)
-		c.ConnectAll(100*us, 300*us)
-		set := c.ShardsWith(4, 2, cluster.ShardConfig{Session: params})
-		cl := set.ClientAt(8)
-		n := 0
-		for tt := vtime.Duration(0); tt < 100*ms; tt += 2 * ms {
-			for _, k := range highFanoutKeys {
-				key := k
-				n++
-				cmd := int64(n)
-				c.At(vtime.Time(tt), func() { cl.Submit(key, cmd) })
-			}
-		}
-		c.Run(600 * ms)
+		c, _, cl := highFanoutKV(cluster.Config{Trace: tp})
 		return fingerprint{events: len(c.Log().Events()), acked: cl.Stats.Acked, retries: cl.Stats.Retries}
 	}
 	off := run(&cluster.TraceParams{Disabled: true})
@@ -187,22 +157,7 @@ func TestMetricsPassive(t *testing.T) {
 		retries int
 	}
 	run := func(mp *cluster.MetricsParams) (fingerprint, *cluster.Cluster) {
-		params := highFanoutSession()
-		c := cluster.New(cluster.Config{Seed: 61, Metrics: mp})
-		c.AddNodes(9)
-		c.ConnectAll(100*us, 300*us)
-		set := c.ShardsWith(4, 2, cluster.ShardConfig{Session: params})
-		cl := set.ClientAt(8)
-		n := 0
-		for tt := vtime.Duration(0); tt < 100*ms; tt += 2 * ms {
-			for _, k := range highFanoutKeys {
-				key := k
-				n++
-				cmd := int64(n)
-				c.At(vtime.Time(tt), func() { cl.Submit(key, cmd) })
-			}
-		}
-		c.Run(600 * ms)
+		c, _, cl := highFanoutKV(cluster.Config{Metrics: mp})
 		h := fnv.New64a()
 		events := 0
 		for _, e := range c.Log().Events() {
