@@ -13,12 +13,14 @@ import (
 // feasCmd runs the feasibility tests of §5 on a scenario's task set: the
 // naive Spuri EDF+SRP processor-demand test, the §5.3 cost-integrated
 // variant, fixed-priority response-time analysis, and the Liu–Layland
-// bound — then, with -validate, checks the verdicts by simulation.
+// bound — then, with -validate, checks the cost-integrated verdict by
+// simulating the analysis task set (expkit.SimulateEDFSRP), which is
+// not the scenario's own run: see the flag's help.
 func feasCmd(args []string, stdout, stderr io.Writer) int {
 	fs := newFlags("feas", stderr)
 	var (
 		open     = scenarioFlags(fs)
-		validate = fs.Bool("validate", false, "also run the costed simulation")
+		validate = fs.Bool("validate", false, "also simulate the analysis task set with the full cost book: one node, EDF+SRP, each C split evenly around its critical section (not the scenario's own nodes, scheduler or split)")
 	)
 	if fs.Parse(args) != nil {
 		return exitUsage

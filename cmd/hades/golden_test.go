@@ -55,9 +55,10 @@ func TestCommittedBaselines(t *testing.T) {
 
 // TestRunGolden holds, as SHA-256 digests in testdata/golden.txt, the
 // stdout of hades run with every report on for every builtin, and the
-// monitor log alone for every builtin at seeds 1–5 (-short: seed 1).
-// Regenerate them only with -update, and only when behaviour is meant
-// to move.
+// monitor log alone for every builtin at seeds 1–5 (-short: seed 1);
+// each of those seeded runs must also pass Cluster.Verify. Regenerate
+// the digests only with -update, and only when behaviour is meant to
+// move.
 func TestRunGolden(t *testing.T) {
 	got := map[string]string{}
 	var keys []string
@@ -93,6 +94,9 @@ func TestRunGolden(t *testing.T) {
 				clu.Run(spec.Horizon())
 				if err := clu.Log().WriteTrace(w); err != nil {
 					t.Fatal(err)
+				}
+				if err := clu.Verify(); err != nil {
+					t.Errorf("%s at seed %d: audits failed: %v", name, seed, err)
 				}
 			})
 		}

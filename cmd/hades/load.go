@@ -53,6 +53,13 @@ func loadCmd(args []string, stdout, stderr io.Writer) int {
 	} else if err := doc.WriteJSON(stdout); err != nil {
 		return cannot(stderr, "load", err)
 	}
+	// As in hades run: the audits gate the exit code after the report is
+	// written, so a failing run keeps its artifact but never passes as a
+	// baseline.
+	if err := verify(clu); err != nil {
+		fmt.Fprintf(stderr, "hades load: verification failed: %v\n", err)
+		return exitBad
+	}
 
 	if *baseline == "" {
 		return exitOK

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"hades/internal/cluster"
 	"hades/internal/report"
 )
 
@@ -148,6 +150,29 @@ func TestBaselineFlag(t *testing.T) {
 	if code := run([]string{"load", "-builtin", "load-ramp", "-baseline", base,
 		"-out", filepath.Join(t.TempDir(), "fresh.json")}, &out, &errb); code != 1 {
 		t.Fatalf("-baseline with a doctored baseline exited %d, want 1\n%s", code, out.String())
+	}
+}
+
+// TestLoadAuditGatesExitCode: a load run whose audits fail still writes
+// its report, names the failure on stderr and exits 1 — before any
+// -baseline gate could pass it.
+func TestLoadAuditGatesExitCode(t *testing.T) {
+	base, path := genReport(t, "load-ramp", "base.json"), filepath.Join(t.TempDir(), "r.json")
+	defer func(v func(*cluster.Cluster) error) { verify = v }(verify)
+	verify = func(*cluster.Cluster) error { return errors.New("lost ack (forced)") }
+
+	var out, errb bytes.Buffer
+	if code := run([]string{"load", "-builtin", "load-ramp", "-baseline", base, "-out", path}, &out, &errb); code != 1 {
+		t.Fatalf("exit code = %d with a failing audit, want 1\nstderr:\n%s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "lost ack (forced)") {
+		t.Errorf("stderr does not name the failed audit:\n%s", errb.String())
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Errorf("report not written before the audit failed the run (%v)", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("the baseline gate ran after a failed audit:\n%s", out.String())
 	}
 }
 

@@ -544,14 +544,21 @@ func (c *Cluster) Groups() []*Group { return c.groups }
 
 // Replicate attaches a replica group whose failover is driven by this
 // group's installed views. Zero-value cfg fields default: Name to the
-// group name, Replicas to the full member set. The returned group is
-// ready: submit requests with Submit.
+// group name, Replicas to the full member set, WExec and StorageLatency
+// to the cluster's replica costs. The returned group is ready: submit
+// requests with Submit.
 func (g *Group) Replicate(cfg replication.Config, onReply func(reqID uint64, result int64, unanimous bool)) *replication.Group {
 	if cfg.Name == "" {
 		cfg.Name = g.svc.Name()
 	}
 	if len(cfg.Replicas) == 0 {
 		cfg.Replicas = g.svc.Nodes()
+	}
+	if cfg.WExec == 0 {
+		cfg.WExec = replicaWExec
+	}
+	if cfg.StorageLatency == 0 {
+		cfg.StorageLatency = replicaStorageLatency
 	}
 	r, err := replication.NewGroup(g.c.eng, g.c.net, g.svc, cfg, onReply)
 	if err != nil {
@@ -628,11 +635,11 @@ func (c *Cluster) DropFrom(nodes []int, port string) {
 	c.InjectFault(&fault.OmissionFrom{Nodes: set, Port: port})
 }
 
-// DropRandom drops or delays messages with the given probabilities,
-// drawing from the engine's seeded source (deterministic per run).
-func (c *Cluster) DropRandom(dropProb, delayProb float64, maxExtra vtime.Duration) {
+// DropRandom drops each message with the given probability, drawing
+// from the engine's seeded source (deterministic per run).
+func (c *Cluster) DropRandom(dropProb float64) {
 	c.build()
-	c.InjectFault(&fault.RandomFaults{Eng: c.eng, DropProb: dropProb, DelayProb: delayProb, MaxExtra: maxExtra})
+	c.InjectFault(&fault.RandomFaults{Eng: c.eng, DropProb: dropProb})
 }
 
 // Run seals every application, starts the generators of spawned

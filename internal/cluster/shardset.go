@@ -15,9 +15,10 @@ import (
 )
 
 // ShardConfig tunes a sharded data plane declared with ShardsWith.
-// The zero value selects semi-active replication, DefaultVNodes ring
-// points per shard, consecutive node layout and the replication
-// defaults.
+// The zero value selects semi-active replication, consecutive node
+// layout and the replication defaults. The ring always holds
+// shard.DefaultVNodes points per shard, and every replica costs 100 µs
+// per execution and 20 µs per stable-storage write.
 type ShardConfig struct {
 	// Name prefixes the shard group names ("shard" → shard0, shard1…).
 	Name string
@@ -27,15 +28,11 @@ type ShardConfig struct {
 	// Style selects the replication protocol (default SemiActive; the
 	// client layer's exactly-once verification requires it).
 	Style replication.Style
-	// VNodes is the ring's virtual-node count per shard.
-	VNodes int
 	// Routes pins keys to shard indices, bypassing the hash.
 	Routes map[string]int
-	// WExec, CheckpointEvery and StorageLatency configure the replicas
-	// (zero selects 100 µs, the replication default, and 20 µs).
-	WExec           vtime.Duration
+	// CheckpointEvery is the passive checkpoint interval in requests
+	// (0 selects the replication default).
 	CheckpointEvery int
-	StorageLatency  vtime.Duration
 	// Session sets the default throughput knobs of clients created on
 	// this set (op batching per shard, pipelined in-flight batches);
 	// a client's own non-zero ClientParams.Session wins. The zero value
@@ -104,9 +101,8 @@ func (c *Cluster) ShardsWith(n, replicasPer int, cfg ShardConfig) *ShardSet {
 	if err != nil {
 		panic(fmt.Sprintf("cluster: %v", err))
 	}
-	wexec, storeLat := ReplicaTimings(cfg.WExec, cfg.StorageLatency)
 	respPort := "shard." + cfg.Name + ".resp"
-	ring := shard.NewRing(len(groups), cfg.VNodes)
+	ring := shard.NewRing(len(groups), shard.DefaultVNodes)
 	sgroups := make([]*shard.Group, 0, len(groups))
 	for i, nodes := range groups {
 		name := ShardGroupName(cfg.Name, i)
@@ -119,9 +115,9 @@ func (c *Cluster) ShardsWith(n, replicasPer int, cfg ShardConfig) *ShardSet {
 				Name:            name,
 				Replicas:        nodes,
 				Style:           cfg.Style,
-				WExec:           wexec,
+				WExec:           replicaWExec,
 				CheckpointEvery: cfg.CheckpointEvery,
-				StorageLatency:  storeLat,
+				StorageLatency:  replicaStorageLatency,
 			},
 		})
 		if err != nil {
@@ -195,17 +191,12 @@ func ShardLayout(count, replicasPer int, explicit [][]int, nodes int) ([][]int, 
 	return groups, nil
 }
 
-// ReplicaTimings resolves a replica group's execution and stable-storage
-// latencies: a non-positive value selects the default, 100 µs and 20 µs.
-func ReplicaTimings(wexec, storeLat vtime.Duration) (vtime.Duration, vtime.Duration) {
-	if wexec <= 0 {
-		wexec = 100 * vtime.Microsecond
-	}
-	if storeLat <= 0 {
-		storeLat = 20 * vtime.Microsecond
-	}
-	return wexec, storeLat
-}
+// The replica costs of every group the cluster replicates: one
+// request's execution on a replica, and one copy's stable-storage write.
+const (
+	replicaWExec          = 100 * vtime.Microsecond
+	replicaStorageLatency = 20 * vtime.Microsecond
+)
 
 // Name returns the set's name prefix.
 func (s *ShardSet) Name() string { return s.name }

@@ -83,18 +83,21 @@ type Config struct {
 	// F is the number of crash/omission failures tolerated per
 	// agreement round; 0 selects 1.
 	F int
-	// Detector configures the heartbeat detector; a zero Period
-	// selects fault.DefaultDetectorConfig over Nodes.
-	Detector fault.DetectorConfig
 	// ConsensusRound overrides the consensus round length (0 = sized
 	// from the network delay bounds).
 	ConsensusRound vtime.Duration
-	// WProc is the per-message processing cost charged on members.
-	WProc vtime.Duration
-	// TransferBytes is the on-wire size of one state-transfer snapshot
-	// (informational; 0 selects 64).
-	TransferBytes int
 }
+
+// viewChangeWProc is the per-message CPU cost a view change's relays
+// and consensus rounds charge on members. It is zero: view changes are
+// free of protocol CPU, although rbcast's and consensus's own defaults
+// are 10 µs and 8 µs. Charging them would move every view-change
+// latency; whether view-change traffic is admitted interference is a
+// modelling decision of its own, not a default to change in passing.
+const viewChangeWProc vtime.Duration = 0
+
+// transferBytes is the on-wire size of one state-transfer snapshot.
+const transferBytes = 64
 
 // View is one agreed membership epoch: a totally ordered sequence
 // number and the agreed member set (sorted).
@@ -189,6 +192,9 @@ type Service struct {
 	cfg Config
 	det *fault.Detector
 	rb  *rbcast.Service
+	// beat is the detector's heartbeat period: the check period in
+	// DetectionBound and the retry delay of a blocked change.
+	beat vtime.Duration
 
 	started bool
 	agreed  []View          // the totally ordered agreed view sequence
@@ -249,28 +255,19 @@ func New(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Service, error)
 	if cfg.F >= len(cfg.Nodes) {
 		return nil, fmt.Errorf("membership: F=%d needs more than F nodes (have %d)", cfg.F, len(cfg.Nodes))
 	}
-	if cfg.TransferBytes <= 0 {
-		cfg.TransferBytes = 64
-	}
-	dcfg := cfg.Detector
-	if dcfg.Period == 0 {
-		dcfg = fault.DefaultDetectorConfig(cfg.Nodes)
-	}
-	dcfg.Nodes = cfg.Nodes
-	if dcfg.Port == "" {
-		// Scope the heartbeats per group: two groups sharing a node
-		// must not steal each other's heartbeat bindings.
-		dcfg.Port = "m." + cfg.Name + ".beat"
-	}
-	cfg.Detector = dcfg
+	dcfg := fault.DefaultDetectorConfig(cfg.Nodes)
+	// Scope the heartbeats per group: two groups sharing a node must not
+	// steal each other's heartbeat bindings.
+	dcfg.Port = "m." + cfg.Name + ".beat"
 
 	rcfg := rbcast.DefaultConfig(net, cfg.Nodes, cfg.F)
-	rcfg.WProc = cfg.WProc
+	rcfg.WProc = viewChangeWProc
 
 	s := &Service{
 		eng:           eng,
 		net:           net,
 		cfg:           cfg,
+		beat:          dcfg.Period,
 		rb:            rbcast.New(eng, net, "m."+cfg.Name, rcfg),
 		current:       make(map[int]View),
 		history:       make(map[int][]View),
@@ -475,7 +472,7 @@ func (s *Service) DetectionBound() vtime.Duration {
 			}
 		}
 	}
-	return worst + s.cfg.Detector.Period
+	return worst + s.beat
 }
 
 // AgreementBound returns the suspicion-to-install latency of one
@@ -594,7 +591,7 @@ func (s *Service) armRetry() {
 		return
 	}
 	s.retryArmed = true
-	s.eng.After(s.cfg.Detector.Period, eventq.ClassApp, func() {
+	s.eng.After(s.beat, eventq.ClassApp, func() {
 		s.retryArmed = false
 		s.maybeChange()
 	})
@@ -751,7 +748,7 @@ func (s *Service) maybeChange() {
 		Nodes: cur.Members,
 		F:     f,
 		Round: s.consensusRound(),
-		WProc: s.cfg.WProc,
+		WProc: viewChangeWProc,
 	}
 	decided := false
 	trig := trigger
@@ -945,7 +942,7 @@ func (s *Service) transferState(prev, v View, joined []int) {
 			if data == nil {
 				continue
 			}
-			if _, err := s.net.Send(donor, j, s.xferPort(), xferMsg{Key: h.key, ViewID: v.ID, Data: data}, s.cfg.TransferBytes); err != nil {
+			if _, err := s.net.Send(donor, j, s.xferPort(), xferMsg{Key: h.key, ViewID: v.ID, Data: data}, transferBytes); err != nil {
 				continue
 			}
 		}

@@ -31,9 +31,10 @@ type Config struct {
 	// Nodes is the cluster universe: every node eligible to host a
 	// publisher or subscriber, and the best-effort broadcast group.
 	Nodes []int
-	// BestEffortF is the rbcast omission degree (default 1).
-	BestEffortF int
 }
+
+// bestEffortF is the omission degree of the best-effort broadcast.
+const bestEffortF = 1
 
 // Topic is one declared topic.
 type Topic struct {
@@ -217,9 +218,6 @@ func NewPlane(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Plane, err
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("pubsub: plane %q needs a node universe", cfg.Name)
 	}
-	if cfg.BestEffortF <= 0 {
-		cfg.BestEffortF = 1
-	}
 	p := &Plane{
 		eng:      eng,
 		net:      net,
@@ -391,7 +389,7 @@ func (p *Plane) Start() {
 		}
 	}
 	if needBE {
-		cfg := rbcast.DefaultConfig(p.net, p.cfg.Nodes, p.cfg.BestEffortF)
+		cfg := rbcast.DefaultConfig(p.net, p.cfg.Nodes, bestEffortF)
 		// The default round budgets one message's worst-case path.
 		// Best-effort topics ride under open-loop storms where flood
 		// copies queue behind each other on the receive CPUs, so pad the
@@ -497,13 +495,7 @@ func (pub *Publisher) PublishDone(value int64, done func()) uint64 {
 func (pub *Publisher) send(att *pubAttempt) {
 	p := pub.p
 	target := pub.t.gs.g.Replication().Primary()
-	env := pubMsg{Topic: pub.t.name, Value: att.s.Value, From: pub.node, Att: att}
-	if target == pub.node {
-		// Co-located with the primary: a direct call, no wire hop.
-		p.handleReq(pub.t.gs, target, &netsim.Message{From: pub.node, Payload: env})
-		return
-	}
-	_, _ = p.net.Send(pub.node, target, p.reqPort(), env, 48)
+	p.send(pub.node, target, p.reqPort(), pubMsg{Topic: pub.t.name, Value: att.s.Value, From: pub.node, Att: att}, 48)
 }
 
 // ---------------------------------------------------------------------
@@ -586,12 +578,7 @@ func (s *Subscriber) join() {
 func (s *Subscriber) catchup() {
 	p := s.p
 	target := s.t.gs.g.Replication().Primary()
-	env := catchupMsg{Topic: s.t.name, Sub: s.id, From: s.node}
-	if target == s.node {
-		p.handleReq(s.t.gs, target, &netsim.Message{From: s.node, Payload: env})
-	} else {
-		_, _ = p.net.Send(s.node, target, p.reqPort(), env, 24)
-	}
+	p.send(s.node, target, p.reqPort(), catchupMsg{Topic: s.t.name, Sub: s.id, From: s.node}, 24)
 }
 
 // deliver records one sample arrival (dedup first, then deadline QoS,
@@ -721,11 +708,7 @@ func (p *Plane) handleCatchup(gs *groupState, node int, env catchupMsg) {
 	}
 	p.eng.Recordf(monitor.KindCatchUp, node, "pubsub."+env.Topic,
 		"replayed %d samples to late joiner %d@n%d", len(h), env.Sub, sub.node)
-	if node == sub.node {
-		sub.caughtUp = true
-		return
-	}
-	_, _ = p.net.Send(node, sub.node, p.subPort(), catchupAck{Topic: env.Topic, Sub: env.Sub}, 16)
+	p.send(node, sub.node, p.subPort(), catchupAck{Topic: env.Topic, Sub: env.Sub}, 16)
 }
 
 // onApply is the plane's side of a sample's apply: every replica that
@@ -790,22 +773,23 @@ func (p *Plane) onApply(node int, att *pubAttempt) {
 
 // sendAck answers the publisher from replica node.
 func (p *Plane) sendAck(node int, att *pubAttempt) {
-	if att.pub.node == node {
-		p.handleAck(node, &netsim.Message{From: node, Payload: ackMsg{Att: att}})
-		return
-	}
-	_, _ = p.net.Send(node, att.pub.node, p.ackPort(), ackMsg{Att: att}, 24)
+	p.send(node, att.pub.node, p.ackPort(), ackMsg{Att: att}, 24)
 }
 
-// sendDeliver ships one sample to one subscriber (direct call when
-// co-located with the sending replica).
+// sendDeliver ships one sample to one subscriber.
 func (p *Plane) sendDeliver(from int, sub *Subscriber, s Sample, replay bool, span trace.SpanRef, att *pubAttempt) {
-	env := deliverMsg{S: s, Sub: sub.id, Replay: replay, Span: span, Att: att}
-	if from == sub.node {
-		p.handleDeliver(from, &netsim.Message{From: from, Payload: env})
+	p.send(from, sub.node, p.subPort(), deliverMsg{S: s, Sub: sub.id, Replay: replay, Span: span, Att: att}, 48)
+}
+
+// send is the plane's one hop: over the wire, or — sender and receiver
+// on one node — straight into the handler bound there, synchronously
+// and with no wire cost (there are no self-links).
+func (p *Plane) send(from, to int, port string, payload any, size int) {
+	if from == to {
+		p.net.Local(to, port, &netsim.Message{From: from, To: to, Port: port, Payload: payload, Size: size})
 		return
 	}
-	_, _ = p.net.Send(from, sub.node, p.subPort(), env, 48)
+	_, _ = p.net.Send(from, to, port, payload, size)
 }
 
 // handleAck completes one reliable publish at the publisher's node.

@@ -14,8 +14,8 @@ import (
 
 // TestRejectCorpus: every file under testdata/reject is a scenario an
 // earlier loader accepted and that then panicked in the builder, hung
-// Build, cross-wired two groups or ran under the wrong enum value. Load
-// must refuse each, naming what is wrong.
+// Build, cross-wired two groups, ran under the wrong enum value or set a
+// key since retired. Load must refuse each, naming what is wrong.
 func TestRejectCorpus(t *testing.T) {
 	want := map[string]string{
 		"task-node.json":                   `task "t" on unknown node 7`,
@@ -28,6 +28,7 @@ func TestRejectCorpus(t *testing.T) {
 		"scheduler-typo.json":              `unknown scheduler "EDFF" (want one of DM, EDF, RM, Spring, best-effort)`,
 		"policy-typo.json":                 `unknown policy "SRPP" (want one of PCP, SRP, none)`,
 		"group-shard-name.json":            `group "shard0" takes the name of one of the shards block's own groups`,
+		"retired-key.json":                 `unknown field "vnodes"`,
 	}
 	files, err := filepath.Glob("testdata/reject/*.json")
 	if err != nil {

@@ -12,24 +12,22 @@ import (
 //   - "drop-every": drop every K-th message on Port (omission);
 //   - "drop-from": drop all messages Node sends on Port (a fully
 //     send-omission-faulty process);
-//   - "random": drop/delay with the given probabilities from the
-//     seeded source;
+//   - "random": drop each message with probability DropProb, drawn
+//     from the seeded source;
 //   - "crash": node crash at AtMs, recovering at RecoverMs (0 = never);
 //   - "partition": split the declared nodes into Partition sides at
 //     AtMs (cross-side traffic drops, in-flight included), healing at
 //     HealMs (0 = never). Nodes in no side keep full connectivity.
 type FaultSpec struct {
-	Kind       string  `json:"kind"`
-	Node       int     `json:"node,omitempty"`
-	K          int     `json:"k,omitempty"`
-	Port       string  `json:"port,omitempty"`
-	AtMs       float64 `json:"atMs,omitempty"`
-	RecoverMs  float64 `json:"recoverMs,omitempty"`
-	HealMs     float64 `json:"healMs,omitempty"`
-	Partition  [][]int `json:"partition,omitempty"`
-	DropProb   float64 `json:"dropProb,omitempty"`
-	DelayProb  float64 `json:"delayProb,omitempty"`
-	MaxExtraUs float64 `json:"maxExtraUs,omitempty"`
+	Kind      string  `json:"kind"`
+	Node      int     `json:"node,omitempty"`
+	K         int     `json:"k,omitempty"`
+	Port      string  `json:"port,omitempty"`
+	AtMs      float64 `json:"atMs,omitempty"`
+	RecoverMs float64 `json:"recoverMs,omitempty"`
+	HealMs    float64 `json:"healMs,omitempty"`
+	Partition [][]int `json:"partition,omitempty"`
+	DropProb  float64 `json:"dropProb,omitempty"`
 }
 
 // faultKinds is the fault-kind enum's single source (see named): each
@@ -53,12 +51,12 @@ var faultKinds = map[string]struct {
 	},
 	"random": {
 		func(s Spec, f FaultSpec) error {
-			if f.DropProb < 0 || f.DelayProb < 0 || f.DropProb+f.DelayProb > 1 || f.MaxExtraUs < 0 {
-				return fmt.Errorf("scenario %q: random fault needs probabilities in [0,1] with dropProb+delayProb <= 1 and a maxExtraUs >= 0", s.Name)
+			if f.DropProb < 0 || f.DropProb > 1 {
+				return fmt.Errorf("scenario %q: random fault needs dropProb in [0,1] (got %g)", s.Name, f.DropProb)
 			}
 			return nil
 		},
-		func(c *cluster.Cluster, f FaultSpec) { c.DropRandom(f.DropProb, f.DelayProb, us(f.MaxExtraUs)) },
+		func(c *cluster.Cluster, f FaultSpec) { c.DropRandom(f.DropProb) },
 	},
 	"crash": {
 		func(s Spec, f FaultSpec) error {

@@ -16,18 +16,18 @@ import (
 //   - Style ("passive", "semi-active", "active"), when set, attaches a
 //     replica group whose failover follows the installed views;
 //   - Replicas defaults to Nodes (promotion order = declaration order);
+//     their execution and stable-storage costs are the cluster's
+//     constants;
 //   - SubmitEveryMs, when positive, submits one request every interval
 //     from node SubmitFrom for the whole horizon.
 type GroupSpec struct {
-	Name             string  `json:"name"`
-	Nodes            []int   `json:"nodes"`
-	Style            string  `json:"style,omitempty"`
-	Replicas         []int   `json:"replicas,omitempty"`
-	CheckpointEvery  int     `json:"checkpointEvery,omitempty"`
-	WExecUs          float64 `json:"wExecUs,omitempty"`
-	StorageLatencyUs float64 `json:"storageLatencyUs,omitempty"`
-	SubmitEveryMs    float64 `json:"submitEveryMs,omitempty"`
-	SubmitFrom       int     `json:"submitFrom,omitempty"`
+	Name            string  `json:"name"`
+	Nodes           []int   `json:"nodes"`
+	Style           string  `json:"style,omitempty"`
+	Replicas        []int   `json:"replicas,omitempty"`
+	CheckpointEvery int     `json:"checkpointEvery,omitempty"`
+	SubmitEveryMs   float64 `json:"submitEveryMs,omitempty"`
+	SubmitFrom      int     `json:"submitFrom,omitempty"`
 	// Load attaches declarative generators straight to the group's
 	// replicated machine (kv shape only: submissions go to the current
 	// primary, an op completes at its first fresh apply) — the load
@@ -126,13 +126,10 @@ func (s Spec) attachGroups(c *cluster.Cluster) {
 		if gs.Style == "" {
 			continue
 		}
-		wexec, storeLat := cluster.ReplicaTimings(us(gs.WExecUs), us(gs.StorageLatencyUs))
 		rep := g.Replicate(replication.Config{
 			Replicas:        gs.Replicas,
 			Style:           groupStyles[gs.Style],
-			WExec:           wexec,
 			CheckpointEvery: gs.CheckpointEvery,
-			StorageLatency:  storeLat,
 		}, nil)
 		if gs.SubmitEveryMs > 0 {
 			from := gs.SubmitFrom

@@ -539,7 +539,7 @@ func TestFaultValidationRejectsSilentNoOps(t *testing.T) {
 		{"drop-every without k", twoNode(FaultSpec{Kind: "drop-every"})},
 		{"crash on unknown node", twoNode(FaultSpec{Kind: "crash", Node: 5, AtMs: 10})},
 		{"drop-from on unknown node", twoNode(FaultSpec{Kind: "drop-from", Node: -1})},
-		{"random with bad probabilities", twoNode(FaultSpec{Kind: "random", DropProb: 0.8, DelayProb: 0.8})},
+		{"random with bad probabilities", twoNode(FaultSpec{Kind: "random", DropProb: 1.5})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

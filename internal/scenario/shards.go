@@ -36,9 +36,6 @@ type ShardClientSpec struct {
 	// Policy is "queue" (default: park exhausted requests, resubmit
 	// after a view change or heal) or "fail-fast".
 	Policy string `json:"policy,omitempty"`
-	// RetryTimeoutMs and MaxRetries override the client defaults.
-	RetryTimeoutMs float64 `json:"retryTimeoutMs,omitempty"`
-	MaxRetries     int     `json:"maxRetries,omitempty"`
 }
 
 // TxnClientSpec declares one transaction client of a sharded data
@@ -56,10 +53,6 @@ type TxnClientSpec struct {
 	// client default): a transaction not committed by its deadline
 	// deterministically aborts and releases its locks.
 	DeadlineMs float64 `json:"deadlineMs,omitempty"`
-	// RetryTimeoutMs and MaxRetries override the submission retry
-	// discipline.
-	RetryTimeoutMs float64 `json:"retryTimeoutMs,omitempty"`
-	MaxRetries     int     `json:"maxRetries,omitempty"`
 }
 
 // SessionSpec tunes the data plane's session throughput knobs: op
@@ -98,15 +91,13 @@ type ShardsSpec struct {
 	// Style is "semi-active" (default) or "passive"; "active" has no
 	// primary to route to and is rejected.
 	Style string `json:"style,omitempty"`
-	// VNodes is the ring's virtual-node count per shard (0 = default).
-	VNodes int `json:"vnodes,omitempty"`
 	// Routes pins keys to shard indices, bypassing the hash; a route
 	// to an index outside [0, Count) is an error.
 	Routes map[string]int `json:"routes,omitempty"`
-	// WExecUs, CheckpointEvery, StorageLatencyUs configure the replicas.
-	WExecUs          float64 `json:"wExecUs,omitempty"`
-	CheckpointEvery  int     `json:"checkpointEvery,omitempty"`
-	StorageLatencyUs float64 `json:"storageLatencyUs,omitempty"`
+	// CheckpointEvery is the passive checkpoint interval in requests
+	// (0 selects the replication default). The replicas' execution and
+	// stable-storage costs are the cluster's constants.
+	CheckpointEvery int `json:"checkpointEvery,omitempty"`
 	// Session, when present, turns on op batching/pipelining for the
 	// plane's clients and group commit for its transaction
 	// coordinators; omitted means the unbatched legacy discipline. It
@@ -131,9 +122,6 @@ var (
 	clientPolicies = map[string]shard.Policy{
 		"": shard.QueueOnFailure, "queue": shard.QueueOnFailure, "fail-fast": shard.FailFast}
 )
-
-// maxVNodes bounds the ring, which holds count × vnodes points.
-const maxVNodes = 4096
 
 // shardSet names the scenario's one sharded data plane; its groups are
 // cluster.ShardGroupName(shardSet, i).
@@ -197,9 +185,6 @@ func (s Spec) validateShards(loadNames map[string]bool) error {
 	if _, err := named(s, shardStyles, sp.Style, "unknown shard style"); err != nil {
 		return err
 	}
-	if sp.VNodes > maxVNodes {
-		return fmt.Errorf("scenario %q: shards vnodes %d (at most %d per shard)", s.Name, sp.VNodes, maxVNodes)
-	}
 	for key, idx := range sp.Routes {
 		if idx < 0 || idx >= sp.Count {
 			return fmt.Errorf("scenario %q: key %q routed to undeclared shard group %d (have %d)", s.Name, key, idx, sp.Count)
@@ -246,9 +231,6 @@ func (s Spec) validateShards(loadNames map[string]bool) error {
 		if _, err := named(s, clientPolicies, cl.Policy, "shard client %d has unknown policy", i); err != nil {
 			return err
 		}
-		if cl.RetryTimeoutMs < 0 || cl.MaxRetries < 0 {
-			return fmt.Errorf("scenario %q: shard client %d has negative retry parameters", s.Name, i)
-		}
 	}
 	for i, tc := range sp.Txns {
 		if err := s.claim(at, tc.Node, txnClient, false, "txn client %d", i); err != nil {
@@ -260,8 +242,8 @@ func (s Spec) validateShards(loadNames map[string]bool) error {
 		if err := s.fixedDriver(tc.SubmitEveryMs, 0, "txn client %d", i); err != nil {
 			return err
 		}
-		if tc.DeadlineMs < 0 || tc.RetryTimeoutMs < 0 || tc.MaxRetries < 0 {
-			return fmt.Errorf("scenario %q: txn client %d has negative timing parameters", s.Name, i)
+		if tc.DeadlineMs < 0 {
+			return fmt.Errorf("scenario %q: txn client %d has negative timing: deadlineMs %g", s.Name, i, tc.DeadlineMs)
 		}
 	}
 	block := shardsLoads
@@ -298,11 +280,8 @@ func (s Spec) attachShards(c *cluster.Cluster) error {
 		Name:            shardSet,
 		Groups:          sp.Groups,
 		Style:           shardStyles[sp.Style],
-		VNodes:          sp.VNodes,
 		Routes:          sp.Routes,
-		WExec:           us(sp.WExecUs),
 		CheckpointEvery: sp.CheckpointEvery,
-		StorageLatency:  us(sp.StorageLatencyUs),
 	}
 	if se := sp.Session; se != nil {
 		knobs := session.Params{
@@ -317,12 +296,7 @@ func (s Spec) attachShards(c *cluster.Cluster) error {
 	for _, cs := range sp.Clients {
 		for k := 0; k < max(cs.Count, 1); k++ {
 			node := cs.Node + k
-			cl := set.ClientWith(shard.ClientParams{
-				Node:         node,
-				RetryTimeout: msd(cs.RetryTimeoutMs),
-				MaxRetries:   cs.MaxRetries,
-				Policy:       clientPolicies[cs.Policy],
-			})
+			cl := set.ClientWith(shard.ClientParams{Node: node, Policy: clientPolicies[cs.Policy]})
 			pick := cs.picker(s.Seed, node)
 			s.every(c, cs.SubmitEveryMs, 0, func(i int) func() {
 				key, cmd := pick(i), int64(i+1)
@@ -331,12 +305,7 @@ func (s Spec) attachShards(c *cluster.Cluster) error {
 		}
 	}
 	for _, ts := range sp.Txns {
-		tc := set.TxnClientWith(txn.ClientParams{
-			Node:         ts.Node,
-			Deadline:     msd(ts.DeadlineMs),
-			RetryTimeout: msd(ts.RetryTimeoutMs),
-			MaxRetries:   ts.MaxRetries,
-		})
+		tc := set.TxnClientWith(txn.ClientParams{Node: ts.Node, Deadline: msd(ts.DeadlineMs)})
 		accounts := ts.Accounts
 		s.every(c, ts.SubmitEveryMs, 0, func(i int) func() {
 			src, dst := accounts[i%len(accounts)], accounts[(i+1)%len(accounts)]

@@ -41,11 +41,10 @@ type ClientParams struct {
 	// RespPort is the port responses arrive on; it must match the
 	// shard groups' response port (empty selects the shared default).
 	RespPort string
-	// RetryTimeout is the per-attempt reply timeout and MaxRetries the
-	// consecutive timeouts before the policy applies (0 selects the
-	// session calibration).
-	RetryTimeout vtime.Duration
-	MaxRetries   int
+	// MaxRetries is the consecutive timeouts before the policy applies
+	// (0 selects the session calibration, which also sets the reply
+	// timeout).
+	MaxRetries int
 	// Policy selects queueing or failing fast on exhaustion.
 	Policy Policy
 	// Session sets the throughput knobs: op batching per shard and
@@ -273,7 +272,6 @@ func (c *Client) launch(lane string, ops []*request) {
 	b.call = c.sess.Go(session.Spec{
 		Label:      c.batchLabel(b),
 		Node:       c.p.Node,
-		Timeout:    c.p.RetryTimeout,
 		MaxRetries: c.p.MaxRetries,
 		FailFast:   c.p.Policy == FailFast,
 		Traces:     traces,

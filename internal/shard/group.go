@@ -476,10 +476,8 @@ func (g *Group) finish(po *pendingOp, result int64) {
 	})
 }
 
-// respond sends one response back to the client node.
+// respond sends one response back to the client node (never the
+// replica's own: clients and replicas do not share nodes).
 func (g *Group) respond(from, to int, env respEnv) {
-	if from == to {
-		return // a co-located client would be a direct call; unsupported
-	}
 	_, _ = g.net.Send(from, to, g.respPort, env, 32)
 }

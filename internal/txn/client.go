@@ -23,11 +23,6 @@ type ClientParams struct {
 	// and per data plane; it may not share a node with a request client
 	// — the cluster layer enforces it).
 	Node int
-	// RetryTimeout is the per-attempt reply timeout and MaxRetries the
-	// consecutive timeouts before a submission parks (0 selects the
-	// session calibration).
-	RetryTimeout vtime.Duration
-	MaxRetries   int
 	// Deadline is the default relative transaction deadline used by
 	// Begin (0 selects DefaultDeadline).
 	Deadline vtime.Duration
@@ -257,10 +252,8 @@ func (c *Client) dispatch(t *Txn) {
 	t.qspan.End()
 	t.wspan = t.trace.Span("rpc.txn", trace.LayerWire)
 	t.call = c.p.sess.Go(session.Spec{
-		Label:      t.id.String(),
-		Node:       c.c.Node,
-		Timeout:    c.c.RetryTimeout,
-		MaxRetries: c.c.MaxRetries,
+		Label: t.id.String(),
+		Node:  c.c.Node,
 		Send: func(attempt int) {
 			t.target = g.Replication().Primary()
 			env := beginEnv{ID: t.id, Ops: t.ops, Deadline: t.deadline, Client: c.c.Node, Attempt: attempt, Trace: t.trace.Ref()}
