@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -56,7 +57,9 @@ func TestCommittedBaselines(t *testing.T) {
 // TestRunGolden holds, as SHA-256 digests in testdata/golden.txt, the
 // stdout of hades run with every report on for every builtin, and the
 // monitor log alone for every builtin at seeds 1–5 (-short: seed 1);
-// each of those seeded runs must also pass Cluster.Verify. Regenerate
+// each of those seeded runs must also pass Cluster.Verify, and no
+// retained, violation or fault detail may hold a "%!" marker — the
+// record renderer met an argument it does not format. Regenerate
 // the digests only with -update, and only when behaviour is meant to
 // move.
 func TestRunGolden(t *testing.T) {
@@ -97,6 +100,12 @@ func TestRunGolden(t *testing.T) {
 				}
 				if err := clu.Verify(); err != nil {
 					t.Errorf("%s at seed %d: audits failed: %v", name, seed, err)
+				}
+				log := clu.Log()
+				for _, e := range slices.Concat(log.Events(), log.Violations(), log.Faults()) {
+					if strings.Contains(e.Detail, "%!") {
+						t.Errorf("%s at seed %d: malformed detail in %q", name, seed, e)
+					}
 				}
 			})
 		}

@@ -67,7 +67,7 @@ func (d *Dispatcher) tryGrant(th *Thread) bool {
 		r := d.resourceOn(th.Node(), req.Resource)
 		r.holds = append(r.holds, hold{th: th, mode: req.Mode})
 		th.held = append(th.held, req.Resource)
-		d.eng.Recordf(monitor.KindResourceGrant, th.Node(), req.Resource, "%s %s", th.Name(), req.Mode)
+		d.eng.Recordf(monitor.KindResourceGrant, th.Node(), req.Resource, "%s %s", th.Name(), req.Mode.String())
 	}
 	th.inst.TR.App.policy.OnGrant(th)
 	d.removeWaiter(th)

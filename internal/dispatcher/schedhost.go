@@ -74,7 +74,7 @@ func (h *schedHost) processNext() {
 		OnDone: func() {
 			n := h.queue[0]
 			h.queue = h.queue[1:]
-			d.eng.Recordf(monitor.KindSchedulerRun, h.node, h.app.sched.Name(), "%s %s", n.Kind, n.Thread.Name())
+			d.eng.Recordf(monitor.KindSchedulerRun, h.node, h.app.sched.Name(), "%s %s", n.Kind.String(), n.Thread.Name())
 			h.app.sched.Handle(n, d)
 		},
 	})

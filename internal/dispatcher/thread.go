@@ -349,7 +349,7 @@ func (d *Dispatcher) startInv(th *Thread) {
 		OnDone: func() {
 			inst, err := d.activateFrom(inv.Target, th.inputs)
 			if err != nil {
-				d.eng.Recordf(monitor.KindNotification, inv.Node, th.Name(), "invocation failed: %v", err)
+				d.eng.Recordf(monitor.KindNotification, inv.Node, th.Name(), "invocation failed: %s", err.Error())
 				return
 			}
 			if inv.Sync && !inst.Completed() {

@@ -3,7 +3,7 @@
 // The allocation gates live apart from the other tests because the race
 // detector instruments allocation: under -race they would measure the
 // detector, so that job does not build them (CI runs them by name in
-// build-and-test, step "engine core allocates nothing per event").
+// build-and-test, step "engine core and record door allocate nothing").
 
 package eventq
 

@@ -192,6 +192,8 @@ type Service struct {
 	cfg Config
 	det *fault.Detector
 	rb  *rbcast.Service
+	// xferPort carries state transfers to joining replicas.
+	xferPort string
 	// beat is the detector's heartbeat period: the check period in
 	// DetectionBound and the retry delay of a blocked change.
 	beat vtime.Duration
@@ -267,6 +269,7 @@ func New(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Service, error)
 		eng:           eng,
 		net:           net,
 		cfg:           cfg,
+		xferPort:      "m." + cfg.Name + ".xfer",
 		beat:          dcfg.Period,
 		rb:            rbcast.New(eng, net, "m."+cfg.Name, rcfg),
 		current:       make(map[int]View),
@@ -285,7 +288,7 @@ func New(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Service, error)
 	for _, n := range cfg.Nodes {
 		node := n
 		s.rb.OnDeliver(node, func(d rbcast.Delivery) { s.deliverView(node, d) })
-		net.Bind(node, s.xferPort(), func(m *netsim.Message) { s.receiveTransfer(node, m) })
+		net.Bind(node, s.xferPort, func(m *netsim.Message) { s.receiveTransfer(node, m) })
 	}
 	// A crash ends a blocked (excluded-while-alive) span; a recovery
 	// while still excluded re-opens it (the node is blocked again, and
@@ -312,8 +315,6 @@ func New(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Service, error)
 	})
 	return s, nil
 }
-
-func (s *Service) xferPort() string { return "m." + s.cfg.Name + ".xfer" }
 
 // Start installs the initial view (all of cfg.Nodes) at every node and
 // starts the heartbeat detector. Register groups, state providers and
@@ -605,7 +606,7 @@ func (s *Service) beginQuorumOutage(cur View) {
 	s.noQuorum = true
 	s.noQuorumSince = s.eng.Now()
 	s.eng.Recordf(monitor.KindQuorumBlocked, -1, s.cfg.Name,
-		"no side holds %d of %s", len(liveOf(s.net, cur))/2+1, cur)
+		"no side holds %d of %s", len(liveOf(s.net, cur))/2+1, cur.String())
 }
 
 // endQuorumOutage closes the no-quorum span (idempotent).
@@ -894,7 +895,7 @@ func (s *Service) completeChange(v View, vm viewMsg, at vtime.Time) {
 			mg.Latency = at.Sub(mg.HealAt)
 		}
 		s.Merges = append(s.Merges, mg)
-		s.eng.Recordf(monitor.KindMerge, -1, s.cfg.Name, "%s readmits %v lat=%s", v, readmitted, mg.Latency)
+		s.eng.Recordf(monitor.KindMerge, -1, s.cfg.Name, "%s readmits %v lat=%s", v.String(), readmitted, mg.Latency)
 		for _, fn := range s.onMerge {
 			fn(mg)
 		}
@@ -919,7 +920,7 @@ func (s *Service) install(node int, v View, at, trigger vtime.Time, reason strin
 	if v.ID != 1 {
 		s.mInstallLat.ObserveD(in.Latency) // initial view: no change latency
 	}
-	s.eng.Recordf(monitor.KindViewChange, node, s.cfg.Name, "%s %s lat=%s", v, reason, in.Latency)
+	s.eng.Recordf(monitor.KindViewChange, node, s.cfg.Name, "%s %s lat=%s", v.String(), reason, in.Latency)
 }
 
 // transferState ships every registered application state from a live
@@ -942,7 +943,7 @@ func (s *Service) transferState(prev, v View, joined []int) {
 			if data == nil {
 				continue
 			}
-			if _, err := s.net.Send(donor, j, s.xferPort(), xferMsg{Key: h.key, ViewID: v.ID, Data: data}, transferBytes); err != nil {
+			if _, err := s.net.Send(donor, j, s.xferPort, xferMsg{Key: h.key, ViewID: v.ID, Data: data}, transferBytes); err != nil {
 				continue
 			}
 		}

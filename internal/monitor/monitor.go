@@ -299,27 +299,6 @@ func (l *Log) Recordf(at vtime.Time, kind Kind, node int, subject, format string
 	l.Record(Event{At: at, Kind: kind, Node: node, Subject: subject, Detail: render(format, args)})
 }
 
-// render formats an event detail. A bare format is the detail, and
-// ("%s", x) with a ready-made string or a virtual-time value skips
-// Sprintf's copy: a retained event then shares the caller's string
-// (or x.String()'s) instead of holding a second one.
-func render(format string, args []any) string {
-	switch {
-	case len(args) == 0:
-		return format
-	case len(args) == 1 && format == "%s":
-		switch x := args[0].(type) {
-		case string:
-			return x
-		case vtime.Duration:
-			return x.String()
-		case vtime.Time:
-			return x.String()
-		}
-	}
-	return fmt.Sprintf(format, args...)
-}
-
 // Len returns the number of retained events.
 func (l *Log) Len() int {
 	if l == nil {

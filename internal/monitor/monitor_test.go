@@ -1,7 +1,9 @@
 package monitor
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -142,20 +144,46 @@ func TestRingLogKeepsViolations(t *testing.T) {
 	}
 }
 
-// TestRecordfDetailIsSprintf: the shortcuts Recordf takes around
-// Sprintf render the same bytes Sprintf would.
+// TestRecordfDetailIsSprintf: Recordf's renderer writes the bytes
+// fmt.Sprintf would, for every argument type it accepts under every
+// verb the record sites use, and fmt's own notes for a wrong verb, a
+// missing or an extra argument. An argument outside the accepted set —
+// a fmt.Stringer or an error among them, which the record site must
+// render itself — shows as a visible marker instead, never as a panic.
 func TestRecordfDetailIsSprintf(t *testing.T) {
+	n, u := -1234567, uint64(1<<63+5)
 	cases := []struct {
 		format string
 		args   []any
 	}{
 		{"plain, 100% literal", nil},
 		{"%s", []any{"ready-made"}},
+		{"%v|%q|%s", []any{"a b", "quote\"d\n", ""}},
+		{"%d %v", []any{n, n}},
+		{"%d %d %d %d %d", []any{int8(-8), int16(-300), int32(-70000), int64(n), int64(-1 << 63)}},
+		{"%d %d %d %d %v %d", []any{uint(7), uint8(255), uint16(65535), uint32(1 << 31), u, uintptr(42)}},
+		{"%g %g %g %g %v", []any{0.25, -1e21, 1e-7, 123456.0, 3.0}},
+		{"%g %g %g", []any{math.Inf(1), math.Inf(-1), math.NaN()}},
 		{"%s", []any{1500 * vtime.Microsecond}},
+		{"%s %v %d", []any{-2 * vtime.Second, 999 * vtime.Nanosecond, 1500 * vtime.Microsecond}},
+		{"%s %s %s", []any{vtime.Forever, 1234567 * vtime.Millisecond, vtime.Duration(-1 << 62)}},
 		{"%s", []any{vtime.Time(2500)}},
-		{"%s", []any{KindDeadlineMiss}},
-		{"%s", []any{42}},
-		{"%d->%d", []any{3, 4}},
+		{"%s %v %d", []any{vtime.Infinity, vtime.Time(7 * vtime.Millisecond), vtime.Time(3)}},
+		{"%v %d", []any{[]int{1, -2, 300}, []int{4}}},
+		{"%v %v", []any{[]int(nil), []int{}}},
+		{"%v %s %q", []any{[]string{"a", "b c"}, []string{"x"}, []string{"q", ""}}},
+		{"%v", []any{[][]int{{0, 1}, {2}, {}}}},
+		{"100%% of %d%%", []any{5}},
+		{"from=n%d id=%d lat=%s", []any{3, uint64(1 << 40), 250 * vtime.Microsecond}},
+		{"%s: cleared after %s (onset %s, %d intervals, worst %g)",
+			[]any{"p99<5ms", 3 * vtime.Millisecond, vtime.Time(vtime.Second), 4, 7.125}},
+		// Wrong verbs, missing and extra arguments: fmt's notes.
+		{"%s %d %s %g", []any{42, "str", uint(9), 8 * vtime.Microsecond}},
+		{"%g %s %d", []any{vtime.Time(5), []int{1}, 2.5}},
+		{"%d and %s", []any{1}},
+		{"%d", []any{1, "extra", 2 * vtime.Microsecond}},
+		{"%v %d", []any{nil, nil}},
+		{"trailing %", []any{1}},
 	}
 	l := NewLog(0)
 	for _, c := range cases {
@@ -169,6 +197,12 @@ func TestRecordfDetailIsSprintf(t *testing.T) {
 		if e.Detail != want {
 			t.Errorf("Recordf(%q, %v): detail %q, want %q", cases[i].format, cases[i].args, e.Detail, want)
 		}
+	}
+
+	l.Recordf(0, KindActivation, 0, "s", "kind=%s err=%v n=%d", KindDeadlineMiss, errors.New("boom"), 3)
+	want := "kind=%!s(monitor.Kind) err=%!v(*errors.errorString) n=3"
+	if ev := l.Events(); ev[len(ev)-1].Detail != want {
+		t.Errorf("Stringer and error: detail %q, want %q", ev[len(ev)-1].Detail, want)
 	}
 }
 

@@ -178,6 +178,9 @@ type Plane struct {
 	eng *simkern.Engine
 	net *netsim.Network
 	cfg Config
+	// reqPort, ackPort and subPort scope the plane's wire protocol by
+	// its name.
+	reqPort, ackPort, subPort string
 	// sess runs the retry discipline of reliable publishes and late-
 	// joiner catch-up: retransmit while unacked (primary down, quorum
 	// lost, copy cut by a partition), park on an exhausted budget,
@@ -222,6 +225,9 @@ func NewPlane(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Plane, err
 		eng:      eng,
 		net:      net,
 		cfg:      cfg,
+		reqPort:  "pubsub." + cfg.Name + ".req",
+		ackPort:  "pubsub." + cfg.Name + ".ack",
+		subPort:  "pubsub." + cfg.Name + ".sub",
 		sess:     session.New(eng),
 		topics:   make(map[string]*Topic),
 		groups:   make(map[int]*groupState),
@@ -235,10 +241,6 @@ func NewPlane(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Plane, err
 	}
 	return p, nil
 }
-
-func (p *Plane) reqPort() string { return "pubsub." + p.cfg.Name + ".req" }
-func (p *Plane) ackPort() string { return "pubsub." + p.cfg.Name + ".ack" }
-func (p *Plane) subPort() string { return "pubsub." + p.cfg.Name + ".sub" }
 
 // Topic declares one topic under a QoS contract. Reliable topics bind
 // the owning group's server side on first use.
@@ -301,7 +303,7 @@ func (p *Plane) group(idx int) (*groupState, error) {
 	}
 	for _, n := range g.Nodes() {
 		node := n
-		p.net.Bind(node, p.reqPort(), func(m *netsim.Message) { p.handleReq(gs, node, m) })
+		p.net.Bind(node, p.reqPort, func(m *netsim.Message) { p.handleReq(gs, node, m) })
 	}
 	mem.RegisterState("pubsub."+p.cfg.Name+"."+g.Name(),
 		func(donor, _ int) any { return gs.snapshot(donor) },
@@ -328,7 +330,7 @@ func (p *Plane) PublisherAt(topic string, node int) (*Publisher, error) {
 	if !p.ackBound[node] {
 		p.ackBound[node] = true
 		n := node
-		p.net.Bind(n, p.ackPort(), func(m *netsim.Message) { p.handleAck(n, m) })
+		p.net.Bind(n, p.ackPort, func(m *netsim.Message) { p.handleAck(n, m) })
 	}
 	t.pubs = append(t.pubs, pub)
 	p.pubs = append(p.pubs, pub)
@@ -346,7 +348,7 @@ func (p *Plane) SubscriberAt(topic string, node int) (*Subscriber, error) {
 	if !p.subBound[node] {
 		p.subBound[node] = true
 		n := node
-		p.net.Bind(n, p.subPort(), func(m *netsim.Message) { p.handleDeliver(n, m) })
+		p.net.Bind(n, p.subPort, func(m *netsim.Message) { p.handleDeliver(n, m) })
 	}
 	t.subs = append(t.subs, s)
 	p.subs = append(p.subs, s)
@@ -495,7 +497,7 @@ func (pub *Publisher) PublishDone(value int64, done func()) uint64 {
 func (pub *Publisher) send(att *pubAttempt) {
 	p := pub.p
 	target := pub.t.gs.g.Replication().Primary()
-	p.send(pub.node, target, p.reqPort(), pubMsg{Topic: pub.t.name, Value: att.s.Value, From: pub.node, Att: att}, 48)
+	p.send(pub.node, target, p.reqPort, pubMsg{Topic: pub.t.name, Value: att.s.Value, From: pub.node, Att: att}, 48)
 }
 
 // ---------------------------------------------------------------------
@@ -578,7 +580,7 @@ func (s *Subscriber) join() {
 func (s *Subscriber) catchup() {
 	p := s.p
 	target := s.t.gs.g.Replication().Primary()
-	p.send(s.node, target, p.reqPort(), catchupMsg{Topic: s.t.name, Sub: s.id, From: s.node}, 24)
+	p.send(s.node, target, p.reqPort, catchupMsg{Topic: s.t.name, Sub: s.id, From: s.node}, 24)
 }
 
 // deliver records one sample arrival (dedup first, then deadline QoS,
@@ -708,7 +710,7 @@ func (p *Plane) handleCatchup(gs *groupState, node int, env catchupMsg) {
 	}
 	p.eng.Recordf(monitor.KindCatchUp, node, "pubsub."+env.Topic,
 		"replayed %d samples to late joiner %d@n%d", len(h), env.Sub, sub.node)
-	p.send(node, sub.node, p.subPort(), catchupAck{Topic: env.Topic, Sub: env.Sub}, 16)
+	p.send(node, sub.node, p.subPort, catchupAck{Topic: env.Topic, Sub: env.Sub}, 16)
 }
 
 // onApply is the plane's side of a sample's apply: every replica that
@@ -773,12 +775,12 @@ func (p *Plane) onApply(node int, att *pubAttempt) {
 
 // sendAck answers the publisher from replica node.
 func (p *Plane) sendAck(node int, att *pubAttempt) {
-	p.send(node, att.pub.node, p.ackPort(), ackMsg{Att: att}, 24)
+	p.send(node, att.pub.node, p.ackPort, ackMsg{Att: att}, 24)
 }
 
 // sendDeliver ships one sample to one subscriber.
 func (p *Plane) sendDeliver(from int, sub *Subscriber, s Sample, replay bool, span trace.SpanRef, att *pubAttempt) {
-	p.send(from, sub.node, p.subPort(), deliverMsg{S: s, Sub: sub.id, Replay: replay, Span: span, Att: att}, 48)
+	p.send(from, sub.node, p.subPort, deliverMsg{S: s, Sub: sub.id, Replay: replay, Span: span, Att: att}, 48)
 }
 
 // send is the plane's one hop: over the wire, or — sender and receiver
@@ -877,7 +879,7 @@ func (gs *groupState) onView(v membership.View) {
 				t.dropped += sub.backlog
 				t.mDrop.Add(int64(sub.backlog))
 				p.eng.Recordf(monitor.KindSampleDrop, sub.node, "pubsub."+t.name,
-					"dropped %d backlogged samples at %s (subscriber %d down)", sub.backlog, v, sub.id)
+					"dropped %d backlogged samples at %s (subscriber %d down)", sub.backlog, v.String(), sub.id)
 				sub.backlog = 0
 			}
 		}

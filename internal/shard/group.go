@@ -176,6 +176,7 @@ type Group struct {
 
 	name     string
 	index    int
+	reqPort  string
 	respPort string
 	nodes    []int
 	// replSpan/applySpan are the per-op trace span names, precomputed
@@ -234,6 +235,7 @@ func NewGroup(eng *simkern.Engine, net *netsim.Network, mem *membership.Service,
 		mem:      mem,
 		name:     cfg.Name,
 		index:    cfg.Index,
+		reqPort:  "shard." + cfg.Name + ".req",
 		respPort: cfg.RespPort,
 		nodes:    append([]int(nil), cfg.Replication.Replicas...),
 		logs:     make(map[int][]Applied),
@@ -288,7 +290,7 @@ func (g *Group) Replication() *replication.Group { return g.rep }
 func (g *Group) Membership() *membership.Service { return g.mem }
 
 // ReqPort returns the port replicas accept client requests on.
-func (g *Group) ReqPort() string { return "shard." + g.name + ".req" }
+func (g *Group) ReqPort() string { return g.reqPort }
 
 // AuthoritativeNode returns the replica whose apply log is the
 // authoritative history: the current primary, or — if the primary's

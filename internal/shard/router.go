@@ -59,7 +59,7 @@ func NewRouter(eng *simkern.Engine, ring *Ring, groups []*Group, routes map[stri
 func (r *Router) republish(idx int, v membership.View) {
 	g := r.groups[idx]
 	r.Republishes++
-	r.eng.Recordf(monitor.KindRepublish, g.Replication().Primary(), g.Name(), "%s primary=n%d", v, g.Replication().Primary())
+	r.eng.Recordf(monitor.KindRepublish, g.Replication().Primary(), g.Name(), "%s primary=n%d", v.String(), g.Replication().Primary())
 	for _, fn := range r.subs {
 		fn(g)
 	}

@@ -3,19 +3,23 @@
 // The allocation gates live apart from the other tests because the race
 // detector instruments allocation: under -race they would measure the
 // detector, so that job does not build them (CI runs them by name in
-// build-and-test, step "engine core allocates nothing per event").
+// build-and-test, step "engine core and record door allocate nothing").
 //
-// Every gate runs on a nil log after a warm-up. Priorities and WCETs
-// are kept under 256 so that boxing them for Recordf — evaluated at the
-// call site even when nothing records, ROADMAP item 1 — costs nothing
-// and the gates price the engine core alone.
+// Every gate but the kept-record one runs after a warm-up at production
+// settings: kernel-class priorities and microsecond WCETs, recorded into
+// a full head-mode log — the state of every long run once its window has
+// filled. Recordf boxes those values at the call site; the record door
+// keeps the boxes on the caller's stack, so a refused record costs the
+// engine nothing.
 
 package simkern
 
 import (
+	"fmt"
 	"testing"
 
 	"hades/internal/eventq"
+	"hades/internal/monitor"
 	"hades/internal/vtime"
 )
 
@@ -29,8 +33,16 @@ func gate(t *testing.T, what string, want float64, cycle func()) {
 	}
 }
 
+// fullLog returns a head-mode log whose window is already full, so it
+// refuses every record that is neither a violation nor a fault.
+func fullLog() *monitor.Log {
+	l := monitor.NewLog(1)
+	l.Recordf(0, monitor.KindActivation, 0, "first", "")
+	return l
+}
+
 func TestAllocsAfterFire(t *testing.T) {
-	eng := NewEngine(nil, 1)
+	eng := NewEngine(fullLog(), 1)
 	fn := func() {}
 	gate(t, "After -> fire", 0, func() {
 		eng.After(100, eventq.ClassApp, fn)
@@ -40,15 +52,15 @@ func TestAllocsAfterFire(t *testing.T) {
 }
 
 func TestAllocsRaiseIRQDrain(t *testing.T) {
-	eng := NewEngine(nil, 1)
+	eng := NewEngine(fullLog(), 1)
 	p := eng.AddProcessor("n0", 0)
 	handled := 0
 	h := func() { handled++ }
 	gate(t, "RaiseIRQ -> drain", 0, func() {
 		// Three at once: the second and third wait in the queue.
-		p.RaiseIRQ("atm", 100, h)
-		p.RaiseIRQ("atm", 100, h)
-		p.RaiseIRQ("clock", 50, nil)
+		p.RaiseIRQ("atm", 100*us, h)
+		p.RaiseIRQ("atm", 100*us, h)
+		p.RaiseIRQ("clock", 50*us, nil)
 		eng.RunUntilIdle()
 	})
 	if handled == 0 || p.irqHead != 0 || len(p.irqs) != 0 {
@@ -57,30 +69,30 @@ func TestAllocsRaiseIRQDrain(t *testing.T) {
 }
 
 func TestAllocsClockTick(t *testing.T) {
-	eng := NewEngine(nil, 1)
+	eng := NewEngine(fullLog(), 1)
 	p := eng.AddProcessor("n0", 0)
-	p.StartClockTick(200, 50)
-	gate(t, "clock tick", 0, func() { eng.Run(eng.Now().Add(2000)) })
+	p.StartClockTick(200*us, 50*us)
+	gate(t, "clock tick", 0, func() { eng.Run(eng.Now().Add(2000 * us)) })
 	if p.Ticks() == 0 {
 		t.Fatal("no tick handled")
 	}
 }
 
 func TestAllocsDispatchSegmentDone(t *testing.T) {
-	eng := NewEngine(nil, 1)
-	p := eng.AddProcessor("n0", 10)
+	eng := NewEngine(fullLog(), 1)
+	p := eng.AddProcessor("n0", 10*us)
 	// Two long-lived threads flip priorities: every cycle is a
 	// preemption (completion cancelled), two dispatches, and progress.
-	a := p.NewThread("a", 5).AddSegment(Segment{Work: vtime.Second})
-	b := p.NewThread("b", 4).AddSegment(Segment{Work: vtime.Second})
+	a := p.NewThread("a", PrioMax-2).AddSegment(Segment{Work: vtime.Second})
+	b := p.NewThread("b", PrioMax-3).AddSegment(Segment{Work: vtime.Second})
 	a.Ready()
 	b.Ready()
 	hi, lo := a, b
 	gate(t, "dispatch -> preempt -> dispatch", 0, func() {
 		hi, lo = lo, hi
-		hi.SetPriority(9)
-		lo.SetPriority(1)
-		eng.Run(eng.Now().Add(200))
+		hi.SetPriority(PrioMax - 2)
+		lo.SetPriority(PrioMax - 9)
+		eng.Run(eng.Now().Add(200 * us))
 	})
 	if p.Preemptions() == 0 {
 		t.Fatal("no preemption happened")
@@ -88,19 +100,54 @@ func TestAllocsDispatchSegmentDone(t *testing.T) {
 }
 
 func TestAllocsThreadLifecycle(t *testing.T) {
-	eng := NewEngine(nil, 1)
+	eng := NewEngine(fullLog(), 1)
 	p := eng.AddProcessor("n0", 0)
 	done := 0
 	onDone := func() { done++ }
 	gate(t, "3-segment thread lifecycle", 1, func() {
-		th := p.NewThread("t", 5)
-		th.AddSegment(Segment{Name: "start", Work: 10, PT: PrioMax})
-		th.AddSegment(Segment{Name: "body", Work: 100, OnDone: onDone})
-		th.AddSegment(Segment{Name: "end", Work: 10, PT: PrioMax})
+		th := p.NewThread("t", PrioMax-2)
+		th.AddSegment(Segment{Name: "start", Work: 10 * us, PT: PrioMax})
+		th.AddSegment(Segment{Name: "body", Work: 100 * us, OnDone: onDone})
+		th.AddSegment(Segment{Name: "end", Work: 10 * us, PT: PrioMax})
 		th.Ready()
 		eng.RunUntilIdle()
 		if !th.Finished() {
 			t.Fatal("thread did not finish")
 		}
 	})
+}
+
+// TestAllocsRefusedRecord: a record the log refuses costs nothing —
+// every argument type Recordf accepts stays boxed on the caller's stack.
+func TestAllocsRefusedRecord(t *testing.T) {
+	eng := NewEngine(fullLog(), 1)
+	n, f, d := 1000, 0.25, 1500*us
+	s, ints, strs, sides := "key", []int{300, 400}, []string{"a", "b"}, [][]int{{0, 1}, {2}}
+	gate(t, "refused record", 0, func() {
+		n++
+		f += 1.5
+		d += us
+		eng.Recordf(monitor.KindMessageSend, n, s, "%d %d %d %d %d %d %d %d %d %d %d %g %s %q %s %s %v %v %v",
+			n, int8(n), int16(n), int32(n), int64(n), uint(n), uint8(n), uint16(n), uint32(n), uint64(n), uintptr(n),
+			f, s, s, d, vtime.Time(d), ints, strs, sides)
+	})
+	if log := eng.Log(); log.Len() != 1 || log.Dropped() < 200 {
+		t.Fatalf("Len=%d Dropped=%d: the full window must refuse and count every record", log.Len(), log.Dropped())
+	}
+}
+
+// TestAllocsKeptRecord: a record the log keeps costs one allocation,
+// its Detail string, however many arguments it formats. The ring is
+// warmed past its bound, so its window does not grow.
+func TestAllocsKeptRecord(t *testing.T) {
+	eng := NewEngine(monitor.NewRingLog(8), 1)
+	n, id, lat := 1000, uint64(1<<40), 1500*us
+	gate(t, "kept record", 1, func() {
+		n++
+		lat += us
+		eng.Recordf(monitor.KindMessageRecv, n, "port", "from=n%d id=%d lat=%s", n, id, lat)
+	})
+	if ev := eng.Log().Events(); len(ev) != 8 || ev[7].Detail != fmt.Sprintf("from=n%d id=%d lat=%s", n, id, lat) {
+		t.Fatalf("ring holds %d events, newest %v", len(ev), ev[len(ev)-1])
+	}
 }

@@ -390,18 +390,13 @@ func TestBusyAccounting(t *testing.T) {
 	}
 }
 
-// countedArg counts how often the log renders it.
-type countedArg struct{ calls *int }
-
-func (c countedArg) String() string { *c.calls++; return "rendered" }
-
 // TestRecordfFormatsOnlyWhatIsKept: the one record door stamps the
-// firing instant and never formats an event the log refuses — a full
-// head window drops it uncounted by String(); with room, or in ring
-// mode, or for a kind the side lists keep, it is rendered exactly once.
+// firing instant and renders the detail of what the log keeps — with
+// room, in ring mode, or a kind the side lists keep — while a full head
+// window counts the rest as dropped. That a refused record is never
+// formatted is held by TestAllocsRefusedRecord: it costs nothing.
 func TestRecordfFormatsOnlyWhatIsKept(t *testing.T) {
-	calls := 0
-	arg := countedArg{&calls}
+	arg := 1500 * us
 	at := func(eng *Engine, kind monitor.Kind) {
 		eng.At(vtime.Time(7*us), eventq.ClassApp, func() { eng.Recordf(kind, 2, "subj", "x=%s", arg) })
 		eng.RunUntilIdle()
@@ -410,34 +405,28 @@ func TestRecordfFormatsOnlyWhatIsKept(t *testing.T) {
 	head := monitor.NewLog(1)
 	eng := NewEngine(head, 1)
 	at(eng, monitor.KindMessageSend)
-	want := monitor.Event{At: vtime.Time(7 * us), Kind: monitor.KindMessageSend, Node: 2, Subject: "subj", Detail: "x=rendered"}
-	if ev := head.Events(); calls != 1 || len(ev) != 1 || ev[0] != want {
-		t.Fatalf("with room: %d String() calls, events %v; want one call and %v", calls, ev, want)
+	want := monitor.Event{At: vtime.Time(7 * us), Kind: monitor.KindMessageSend, Node: 2, Subject: "subj", Detail: "x=1.5ms"}
+	if ev := head.Events(); len(ev) != 1 || ev[0] != want {
+		t.Fatalf("with room: events %v, want %v", ev, want)
 	}
 	eng.Recordf(monitor.KindMessageSend, 2, "subj", "x=%s", arg)
-	if calls != 1 || head.Len() != 1 || head.Dropped() != 1 {
-		t.Fatalf("full head log: %d String() calls, Len=%d Dropped=%d; want the event counted, not formatted",
-			calls, head.Len(), head.Dropped())
+	if head.Len() != 1 || head.Dropped() != 1 {
+		t.Fatalf("full head log: Len=%d Dropped=%d; want the event counted, not kept", head.Len(), head.Dropped())
 	}
 	eng.Recordf(monitor.KindDeadlineMiss, 2, "subj", "x=%s", arg)
-	if v := head.Violations(); calls != 2 || len(v) != 1 || v[0].Detail != "x=rendered" || head.Dropped() != 2 {
-		t.Fatalf("late violation: %d String() calls, Violations %v, Dropped=%d", calls, v, head.Dropped())
+	if v := head.Violations(); len(v) != 1 || v[0].Detail != "x=1.5ms" || head.Dropped() != 2 {
+		t.Fatalf("late violation: Violations %v, Dropped=%d", v, head.Dropped())
 	}
 
-	calls = 0
 	ring := monitor.NewRingLog(1)
 	eng = NewEngine(ring, 1)
 	at(eng, monitor.KindMessageSend)
 	eng.Recordf(monitor.KindMessageRecv, 2, "subj", "x=%s", arg)
-	if ev := ring.Events(); calls != 2 || len(ev) != 1 || ev[0].Kind != monitor.KindMessageRecv || ring.Dropped() != 1 {
-		t.Fatalf("ring log: %d String() calls, events %v, Dropped=%d; want the newest kept", calls, ev, ring.Dropped())
+	if ev := ring.Events(); len(ev) != 1 || ev[0].Kind != monitor.KindMessageRecv || ev[0].Detail != "x=1.5ms" || ring.Dropped() != 1 {
+		t.Fatalf("ring log: events %v, Dropped=%d; want the newest kept", ev, ring.Dropped())
 	}
 
-	calls = 0
-	at(NewEngine(nil, 1), monitor.KindMessageSend)
-	if calls != 0 {
-		t.Fatalf("nil log: %d String() calls, want none", calls)
-	}
+	at(NewEngine(nil, 1), monitor.KindMessageSend) // a nil log records nothing
 }
 
 // A Timer's record is never recycled, so a handle kept past its fire

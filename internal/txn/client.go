@@ -147,7 +147,7 @@ func NewClient(p *Plane, params ClientParams) *Client {
 		params.Deadline = DefaultDeadline
 	}
 	c := &Client{p: p, c: params, mCommitLat: p.eng.Metrics().Hist("txn.commit.latency")}
-	p.net.Bind(params.Node, p.respPort(), c.handleResp)
+	p.net.Bind(params.Node, p.respPort, c.handleResp)
 	p.router.OnRepublish(c.redirectInflight)
 	p.clients = append(p.clients, c)
 	return c
@@ -257,7 +257,7 @@ func (c *Client) dispatch(t *Txn) {
 		Send: func(attempt int) {
 			t.target = g.Replication().Primary()
 			env := beginEnv{ID: t.id, Ops: t.ops, Deadline: t.deadline, Client: c.c.Node, Attempt: attempt, Trace: t.trace.Ref()}
-			c.p.send(c.c.Node, t.target, c.p.coordPort(), env, 64)
+			c.p.send(c.c.Node, t.target, c.p.coordPort, env, 64)
 		},
 		Traces:   []trace.Ref{t.trace.Ref()},
 		Done:     func() bool { return t.status != StatusPending },

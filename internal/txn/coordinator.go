@@ -153,7 +153,7 @@ func newCoordinator(p *Plane, g *shard.Group, idx int) *Coordinator {
 	}
 	for _, n := range g.Nodes() {
 		node := n
-		p.net.Bind(node, p.coordPort(), func(m *netsim.Message) { c.handle(node, m) })
+		p.net.Bind(node, p.coordPort, func(m *netsim.Message) { c.handle(node, m) })
 	}
 	// A rejoining replica missed the decision entries applied while it
 	// was away; the join/merge state transfer ships the mirror with the
@@ -209,11 +209,11 @@ func (c *Coordinator) handleBegin(node, from int, env beginEnv) {
 	switch verdict, primary := c.g.Gate(node); verdict { // never Down: handle dropped that
 	case shard.NoQuorum:
 		c.Stats.Blocked++
-		c.p.send(node, from, c.p.respPort(), outcomeEnv{ID: env.ID, Attempt: env.Attempt, Kind: respBlocked}, 32)
+		c.p.send(node, from, c.p.respPort, outcomeEnv{ID: env.ID, Attempt: env.Attempt, Kind: respBlocked}, 32)
 		return
 	case shard.NotPrimary:
 		c.Stats.Redirects++
-		c.p.send(node, from, c.p.respPort(), outcomeEnv{ID: env.ID, Attempt: env.Attempt, Kind: respRedirect, Primary: primary}, 32)
+		c.p.send(node, from, c.p.respPort, outcomeEnv{ID: env.ID, Attempt: env.Attempt, Kind: respRedirect, Primary: primary}, 32)
 		return
 	}
 	ct := c.pending[env.ID]
@@ -303,7 +303,7 @@ func (c *Coordinator) sendPrepare(ct *coordTxn, ps *partState) {
 			from := c.g.Replication().Primary()
 			to := c.p.router.Groups()[ps.shard].Replication().Primary()
 			c.p.eng.Recordf(monitor.KindPrepare, from, ct.id.String(), "-> shard %d (n%d)", ps.shard, to)
-			c.p.send(from, to, c.p.partPort(), env, 48)
+			c.p.send(from, to, c.p.partPort, env, 48)
 		},
 		func() bool { return ps.voted || ct.decided })
 }
@@ -467,7 +467,7 @@ func (c *Coordinator) distribute(ct *coordTxn) {
 			func() {
 				from := c.g.Replication().Primary()
 				to := c.p.router.Groups()[p.shard].Replication().Primary()
-				c.p.send(from, to, c.p.partPort(), env, 24)
+				c.p.send(from, to, c.p.partPort, env, 24)
 			},
 			func() bool { return p.acked })
 	}
@@ -484,7 +484,7 @@ func (c *Coordinator) reply(from int, ct *coordTxn) {
 		Deadline:  ct.byDeadline,
 		Reads:     maps.Clone(ct.reads), // frozen for shipping
 	}
-	c.p.send(from, ct.client, c.p.respPort(), env, 40)
+	c.p.send(from, ct.client, c.p.respPort, env, 40)
 }
 
 // handleAck retires one participant's decision loop. Commit acks also
@@ -517,7 +517,7 @@ func (c *Coordinator) handleAck(env ackEnv) {
 func (c *Coordinator) handleQuery(node, from int, env queryEnv) {
 	c.Stats.Queries++
 	if commit, ok := c.decided[node][env.ID]; ok {
-		c.p.send(node, from, c.p.partPort(), decisionEnv{ID: env.ID, Commit: commit}, 24)
+		c.p.send(node, from, c.p.partPort, decisionEnv{ID: env.ID, Commit: commit}, 24)
 		return
 	}
 	ct := c.pending[env.ID]
@@ -527,7 +527,7 @@ func (c *Coordinator) handleQuery(node, from int, env queryEnv) {
 				// Applied in the replicated log (log-then-send); the
 				// submit-to-apply window answers nothing — the query
 				// loop retries.
-				c.p.send(node, from, c.p.partPort(), decisionEnv{ID: env.ID, Commit: ct.commit}, 24)
+				c.p.send(node, from, c.p.partPort, decisionEnv{ID: env.ID, Commit: ct.commit}, 24)
 			}
 			return
 		}
@@ -539,6 +539,6 @@ func (c *Coordinator) handleQuery(node, from int, env queryEnv) {
 	// Unknown transaction past its deadline: presumed abort (the
 	// decision log holds no commit, so no participant applied).
 	if !c.p.eng.Now().Before(env.Deadline) {
-		c.p.send(node, from, c.p.partPort(), decisionEnv{ID: env.ID, Commit: false}, 24)
+		c.p.send(node, from, c.p.partPort, decisionEnv{ID: env.ID, Commit: false}, 24)
 	}
 }

@@ -50,8 +50,10 @@ const (
 
 // prep tracks one transaction at one participant shard.
 type prep struct {
-	id       ID
-	ops      []Op
+	id  ID
+	ops []Op
+	// keys is the lock set: the distinct keys of ops, in op order.
+	keys     []string
 	deadline vtime.Time
 	coord    int
 	state    prepState
@@ -68,12 +70,12 @@ type prep struct {
 	lockSpan trace.SpanRef
 }
 
-// keys returns the prepare's lock set in op order (already
+// distinctKeys returns the lock set of ops in op order (already
 // deterministic: the client recorded ops in call order).
-func (pr *prep) keys() []string {
-	out := make([]string, 0, len(pr.ops))
-	seen := make(map[string]bool, len(pr.ops))
-	for _, op := range pr.ops {
+func distinctKeys(ops []Op) []string {
+	out := make([]string, 0, len(ops))
+	seen := make(map[string]bool, len(ops))
+	for _, op := range ops {
 		if !seen[op.Key] {
 			seen[op.Key] = true
 			out = append(out, op.Key)
@@ -128,7 +130,7 @@ func newParticipant(p *Plane, g *shard.Group, idx int) *Participant {
 	}
 	for _, n := range g.Nodes() {
 		node := n
-		p.net.Bind(node, p.partPort(), func(m *netsim.Message) { pa.handle(node, m) })
+		p.net.Bind(node, p.partPort, func(m *netsim.Message) { pa.handle(node, m) })
 	}
 	// All participants sample into one gauge: the metrics plane sums
 	// per-name funcs, so "txn.lockwait.depth" is the plane-wide count
@@ -180,11 +182,11 @@ func (pa *Participant) handlePrepare(node, from int, env prepareEnv) {
 	now := pa.p.eng.Now()
 	if !now.Before(env.Deadline) {
 		pa.Stats.VotesNo++
-		pa.p.send(node, from, pa.p.coordPort(),
+		pa.p.send(node, from, pa.p.coordPort,
 			voteEnv{ID: env.ID, Shard: pa.shard, Yes: false, Reason: "deadline passed", Deadline: true}, 32)
 		return
 	}
-	pr = &prep{id: env.ID, ops: env.Ops, deadline: env.Deadline, coord: env.Coord, state: prepWaiting, trace: env.Trace}
+	pr = &prep{id: env.ID, ops: env.Ops, keys: distinctKeys(env.Ops), deadline: env.Deadline, coord: env.Coord, state: prepWaiting, trace: env.Trace}
 	pa.preps[env.ID] = pr
 	pa.Stats.Prepares++
 	if pa.tryAcquire(pr) {
@@ -193,7 +195,7 @@ func (pa *Participant) handlePrepare(node, from int, env prepareEnv) {
 		pa.Stats.LockWaits++
 		pr.lockSpan = pr.trace.Span(fmt.Sprintf("lock.wait.s%d", pa.shard), trace.LayerLock)
 		pa.waiters = append(pa.waiters, pr)
-		pa.p.eng.Recordf(monitor.KindLockWait, node, pr.id.String(), "shard %d: conflict on %v", pa.shard, pr.keys())
+		pa.p.eng.Recordf(monitor.KindLockWait, node, pr.id.String(), "shard %d: conflict on %v", pa.shard, pr.keys)
 	}
 	pa.p.eng.At(env.Deadline, eventq.ClassApp, func() { pa.atDeadline(pr) })
 }
@@ -202,12 +204,12 @@ func (pa *Participant) handlePrepare(node, from int, env prepareEnv) {
 // are exclusive and all-or-nothing — partial acquisition under a
 // deadline regime would just manufacture deadlock windows).
 func (pa *Participant) tryAcquire(pr *prep) bool {
-	for _, k := range pr.keys() {
+	for _, k := range pr.keys {
 		if _, held := pa.locks[k]; held {
 			return false
 		}
 	}
-	for _, k := range pr.keys() {
+	for _, k := range pr.keys {
 		pa.locks[k] = pr.id
 	}
 	pr.lockedAt = pa.p.eng.Now()
@@ -220,7 +222,7 @@ func (pa *Participant) granted(node, from int, pr *prep) {
 	pr.state = prepHeld
 	pr.votedYes = true
 	pr.lockSpan.End()
-	pa.p.eng.Recordf(monitor.KindPrepare, node, pr.id.String(), "shard %d: locked %v", pa.shard, pr.keys())
+	pa.p.eng.Recordf(monitor.KindPrepare, node, pr.id.String(), "shard %d: locked %v", pa.shard, pr.keys)
 	pa.vote(node, from, pr, true, "", false)
 }
 
@@ -244,7 +246,7 @@ func (pa *Participant) vote(node, from int, pr *prep, yes bool, reason string, b
 	} else {
 		pa.Stats.VotesNo++
 	}
-	pa.p.send(node, from, pa.p.coordPort(),
+	pa.p.send(node, from, pa.p.coordPort,
 		voteEnv{ID: pr.id, Shard: pa.shard, Yes: yes, Reason: reason, Deadline: byDeadline, Reads: reads}, 40)
 }
 
@@ -286,7 +288,7 @@ func (pa *Participant) atDeadline(pr *prep) {
 			func() {
 				from := pa.g.Replication().Primary()
 				to := pa.p.router.Groups()[pr.coord].Replication().Primary()
-				pa.p.send(from, to, pa.p.coordPort(), env, 32)
+				pa.p.send(from, to, pa.p.coordPort, env, 32)
 			},
 			func() bool { return pr.state == prepDone })
 	}
@@ -297,7 +299,7 @@ func (pa *Participant) atDeadline(pr *prep) {
 func (pa *Participant) release(pr *prep) {
 	now := pa.p.eng.Now()
 	released := false
-	for _, k := range pr.keys() {
+	for _, k := range pr.keys {
 		if pa.locks[k] == pr.id {
 			delete(pa.locks, k)
 			released = true
@@ -361,13 +363,13 @@ func (pa *Participant) handleDecision(node, from int, env decisionEnv) {
 		// Abort of a transaction never prepared here (prepare lost or
 		// refused): nothing to undo.
 		if !env.Commit {
-			pa.p.send(node, from, pa.p.coordPort(), ackEnv{ID: env.ID, Shard: pa.shard}, 24)
+			pa.p.send(node, from, pa.p.coordPort, ackEnv{ID: env.ID, Shard: pa.shard}, 24)
 		}
 		return
 	}
 	if pr.state == prepDone {
 		if pr.acked || !pr.commit {
-			pa.p.send(node, from, pa.p.coordPort(), ackEnv{ID: env.ID, Shard: pa.shard}, 24)
+			pa.p.send(node, from, pa.p.coordPort, ackEnv{ID: env.ID, Shard: pa.shard}, 24)
 		}
 		return
 	}
@@ -378,7 +380,7 @@ func (pa *Participant) handleDecision(node, from int, env decisionEnv) {
 		pa.release(pr)
 		pa.Stats.Aborts++
 		pa.p.eng.Recordf(monitor.KindTxnAbort, node, pr.id.String(), "shard %d: decision abort", pa.shard)
-		pa.p.send(node, from, pa.p.coordPort(), ackEnv{ID: env.ID, Shard: pa.shard}, 24)
+		pa.p.send(node, from, pa.p.coordPort, ackEnv{ID: env.ID, Shard: pa.shard}, 24)
 		return
 	}
 	if prev == prepWaiting {
@@ -403,7 +405,7 @@ func (pa *Participant) handleDecision(node, from int, env decisionEnv) {
 	pa.release(pr)
 	if pr.applying == 0 { // read-only at this shard
 		pr.acked = true
-		pa.p.send(node, from, pa.p.coordPort(), ackEnv{ID: env.ID, Shard: pa.shard}, 24)
+		pa.p.send(node, from, pa.p.coordPort, ackEnv{ID: env.ID, Shard: pa.shard}, 24)
 	}
 }
 
@@ -426,5 +428,5 @@ func (pa *Participant) writeApplied(pr *prep, key string, seq uint64) {
 	pr.acked = true
 	from := pa.g.Replication().Primary()
 	to := pa.p.router.Groups()[pr.coord].Replication().Primary()
-	pa.p.send(from, to, pa.p.coordPort(), ackEnv{ID: pr.id, Shard: pa.shard}, 24)
+	pa.p.send(from, to, pa.p.coordPort, ackEnv{ID: pr.id, Shard: pa.shard}, 24)
 }

@@ -41,7 +41,7 @@
 package txn
 
 import (
-	"fmt"
+	"strconv"
 
 	"hades/internal/eventq"
 	"hades/internal/netsim"
@@ -60,7 +60,11 @@ type ID struct {
 }
 
 // String renders the id ("t6.3").
-func (id ID) String() string { return fmt.Sprintf("t%d.%d", id.Client, id.Num) }
+func (id ID) String() string {
+	var buf [48]byte
+	b := strconv.AppendInt(append(buf[:0], 't'), int64(id.Client), 10)
+	return string(strconv.AppendUint(append(b, '.'), id.Num, 10))
+}
 
 // Key returns the ring key the coordinator shard is chosen by.
 func (id ID) Key() string { return "txn:" + id.String() }
@@ -230,6 +234,9 @@ type Plane struct {
 	net    *netsim.Network
 	router *shard.Router
 	name   string
+	// coordPort, partPort and respPort scope the plane's wire protocol
+	// per shard set, so coexisting data planes do not collide.
+	coordPort, partPort, respPort string
 
 	coords  []*Coordinator
 	parts   []*Participant
@@ -254,6 +261,10 @@ func NewPlane(eng *simkern.Engine, net *netsim.Network, router *shard.Router, na
 		router: router,
 		name:   name,
 		sess:   session.New(eng),
+
+		coordPort: "txn." + name + ".coord",
+		partPort:  "txn." + name + ".part",
+		respPort:  "txn." + name + ".resp",
 	}
 	for i, g := range router.Groups() {
 		p.coords = append(p.coords, newCoordinator(p, g, i))
@@ -290,12 +301,6 @@ func (p *Plane) Clients() []*Client { return append([]*Client(nil), p.clients...
 // its id hashed on the existing ring (pinned key routes do not apply —
 // coordinator placement is not key ownership).
 func (p *Plane) coordShard(id ID) int { return p.router.Ring().Shard(id.Key()) }
-
-// coordPort, partPort and respPort scope the plane's wire protocol per
-// shard set, so coexisting data planes do not collide.
-func (p *Plane) coordPort() string { return "txn." + p.name + ".coord" }
-func (p *Plane) partPort() string  { return "txn." + p.name + ".part" }
-func (p *Plane) respPort() string  { return "txn." + p.name + ".resp" }
 
 // send transmits one protocol message, falling back to a loopback
 // dispatch (netsim has no self-links) when sender and receiver are the

@@ -37,12 +37,11 @@ func TestStatusStrings(t *testing.T) {
 // TestPrepKeysDeduplicated: a transaction reading and writing the same
 // key locks it once (the lock set is the distinct keys, op order).
 func TestPrepKeysDeduplicated(t *testing.T) {
-	pr := &prep{ops: []Op{
+	keys := distinctKeys([]Op{
 		{Kind: OpRead, Key: "a"},
 		{Kind: OpWrite, Key: "b"},
 		{Kind: OpWrite, Key: "a"},
-	}}
-	keys := pr.keys()
+	})
 	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
 		t.Fatalf("keys %v, want [a b]", keys)
 	}

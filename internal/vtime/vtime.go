@@ -77,27 +77,31 @@ func (d Duration) Millis() float64 { return float64(d) / float64(Millisecond) }
 
 // String renders the duration with a unit chosen for readability.
 func (d Duration) String() string {
-	if d == Forever {
-		return "+inf"
-	}
 	// Rendered into a stack buffer: the returned string is the only
 	// allocation (the longest rendering, "-9223372036.855s", fits).
 	var buf [32]byte
-	b := buf[:0]
+	return string(d.Append(buf[:0]))
+}
+
+// Append appends the String form of d to b and returns the extended
+// slice, so a caller building a longer text renders d in place.
+func (d Duration) Append(b []byte) []byte {
+	if d == Forever {
+		return append(b, "+inf"...)
+	}
 	if d < 0 {
 		b, d = append(b, '-'), -d
 	}
 	switch {
 	case d < Microsecond:
-		b = append(strconv.AppendInt(b, int64(d), 10), "ns"...)
+		return append(strconv.AppendInt(b, int64(d), 10), "ns"...)
 	case d < Millisecond:
-		b = append(appendTrimmed(b, float64(d)/float64(Microsecond)), "us"...)
+		return append(appendTrimmed(b, float64(d)/float64(Microsecond)), "us"...)
 	case d < Second:
-		b = append(appendTrimmed(b, float64(d)/float64(Millisecond)), "ms"...)
+		return append(appendTrimmed(b, float64(d)/float64(Millisecond)), "ms"...)
 	default:
-		b = append(appendTrimmed(b, float64(d)/float64(Second)), "s"...)
+		return append(appendTrimmed(b, float64(d)/float64(Second)), "s"...)
 	}
-	return string(b)
 }
 
 // appendTrimmed appends f with three decimals, then drops trailing
