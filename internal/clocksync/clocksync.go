@@ -81,14 +81,14 @@ type NodeClock struct {
 	estimates map[int]vtime.Time // peer → estimated logical clock at collect
 }
 
-// Hardware returns the raw hardware clock at real (virtual) time t.
-func (c *NodeClock) Hardware(t vtime.Time) vtime.Time {
+// hardware returns the raw hardware clock at real (virtual) time t.
+func (c *NodeClock) hardware(t vtime.Time) vtime.Time {
 	return vtime.Time(float64(t)*(1+c.drift)) + vtime.Time(c.offset)
 }
 
-// Logical returns the synchronised logical clock at real time t.
-func (c *NodeClock) Logical(t vtime.Time) vtime.Time {
-	return c.Hardware(t).Add(c.correction)
+// logical returns the synchronised logical clock at real time t.
+func (c *NodeClock) logical(t vtime.Time) vtime.Time {
+	return c.hardware(t).Add(c.correction)
 }
 
 // Node returns the processor ID.
@@ -128,9 +128,6 @@ func New(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Service, error)
 	}
 	return s, nil
 }
-
-// Clock returns a node's clock.
-func (s *Service) Clock(node int) *NodeClock { return s.clocks[node] }
 
 // Rounds returns the number of completed synchronisation rounds.
 func (s *Service) Rounds() int { return s.rounds }
@@ -173,12 +170,12 @@ func (s *Service) beginRound() {
 			continue
 		}
 		// Own estimate: exact.
-		c.estimates = map[int]vtime.Time{src: c.Logical(now)}
+		c.estimates = map[int]vtime.Time{src: c.logical(now)}
 		for _, dst := range s.cfg.Nodes {
 			if dst == src {
 				continue
 			}
-			reading := c.Logical(now)
+			reading := c.logical(now)
 			if c.byzantine != nil {
 				reading = c.byzantine(dst, reading)
 			}
@@ -230,7 +227,7 @@ func (s *Service) converge() {
 		slices.Sort(ests)
 		trimmed := ests[s.cfg.F : len(ests)-s.cfg.F]
 		mid := trimmed[0] + (trimmed[len(trimmed)-1]-trimmed[0])/2
-		c.correction += mid.Sub(c.Logical(now))
+		c.correction += mid.Sub(c.logical(now))
 	}
 	s.rounds++
 	p := s.Precision()
@@ -249,7 +246,7 @@ func (s *Service) Precision() vtime.Duration {
 		if c.byzantine != nil || s.net.NodeDown(n) {
 			continue
 		}
-		l := c.Logical(now)
+		l := c.logical(now)
 		if first {
 			lo, hi = l, l
 			first = false

@@ -107,7 +107,7 @@ func TestFailsBeyondByzantineBudget(t *testing.T) {
 	eng.Run(vtime.Time(2 * vtime.Second))
 	// Only one correct node left: precision over one node is 0 — check
 	// instead that its correction was dragged far from zero.
-	c := svc.Clock(3)
+	c := svc.clocks[3]
 	if c.correction > -ms && c.correction < ms {
 		t.Skipf("adversary failed to drag the correct clock (correction=%s)", c.correction)
 	}
@@ -154,14 +154,14 @@ func (o omitEvery) Judge(m *netsim.Message) netsim.Verdict {
 
 func TestHardwareClockModel(t *testing.T) {
 	c := &NodeClock{offset: 100 * us, drift: 1e-4}
-	h := c.Hardware(vtime.Time(vtime.Second))
+	h := c.hardware(vtime.Time(vtime.Second))
 	want := vtime.Time(vtime.Second + 100*vtime.Microsecond + vtime.Duration(1e-4*1e9))
 	diff := h - want
 	if diff < -10 || diff > 10 { // float rounding tolerance, ns
 		t.Fatalf("hardware clock %d, want %d", h, want)
 	}
 	c.correction = -50 * us
-	if l := c.Logical(vtime.Time(vtime.Second)); l != h.Add(-50*us) {
+	if l := c.logical(vtime.Time(vtime.Second)); l != h.Add(-50*us) {
 		t.Fatalf("logical %d", l)
 	}
 }

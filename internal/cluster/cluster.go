@@ -304,12 +304,6 @@ func (c *Cluster) Network() *netsim.Network {
 	return c.net
 }
 
-// Dispatcher returns the generic dispatcher, finalizing the platform.
-func (c *Cluster) Dispatcher() *dispatcher.Dispatcher {
-	c.build()
-	return c.disp
-}
-
 // Log returns the shared monitoring event log.
 func (c *Cluster) Log() *monitor.Log { return c.log }
 
@@ -354,16 +348,16 @@ func (c *Cluster) NewApp(name string, sch dispatcher.Scheduler, pol dispatcher.R
 	return a
 }
 
-// AddTask registers a HEUG task without driving it (activate it with
+// addTask registers a HEUG task without driving it (activate it with
 // ActivateAt/ActivateOnCond, or use Spawn for law-driven tasks).
-func (a *App) AddTask(t *heug.Task) error {
+func (a *App) addTask(t *heug.Task) error {
 	_, err := a.app.AddTask(t)
 	return err
 }
 
 // MustAddTask registers a task, panicking on error (static setup).
 func (a *App) MustAddTask(t *heug.Task) {
-	if err := a.AddTask(t); err != nil {
+	if err := a.addTask(t); err != nil {
 		panic(err)
 	}
 }
@@ -374,7 +368,7 @@ func (a *App) AddSpuri(st heug.SpuriTask) error {
 	if err != nil {
 		return err
 	}
-	return a.AddTask(t)
+	return a.addTask(t)
 }
 
 // Spawn registers a task and schedules it to be driven from Run
@@ -383,7 +377,7 @@ func (a *App) AddSpuri(st heug.SpuriTask) error {
 // aperiodic tasks are registered only (activate them with ActivateAt
 // or ActivateOnCond).
 func (a *App) Spawn(t *heug.Task) error {
-	if err := a.AddTask(t); err != nil {
+	if err := a.addTask(t); err != nil {
 		return err
 	}
 	if t.Arrival.Kind != heug.Aperiodic {
@@ -602,10 +596,10 @@ func (c *Cluster) HealAt(at vtime.Time) {
 	fault.HealAt(c.eng, c.net, at)
 }
 
-// InjectFault chains a custom fault hook after the ones already
+// injectFault chains a custom fault hook after the ones already
 // installed; the first non-deliver verdict wins. Hooks must be
 // deterministic given the engine's seeded source.
-func (c *Cluster) InjectFault(h netsim.FaultHook) {
+func (c *Cluster) injectFault(h netsim.FaultHook) {
 	c.build()
 	if c.net == nil {
 		panic("cluster: fault injection needs a network (declare links or multiple nodes)")
@@ -621,7 +615,7 @@ func (c *Cluster) DropEvery(k int, port string) {
 	if port != "" {
 		filter = func(m *netsim.Message) bool { return m.Port == port }
 	}
-	c.InjectFault(&fault.OmissionEvery{K: k, Filter: filter})
+	c.injectFault(&fault.OmissionEvery{K: k, Filter: filter})
 }
 
 // DropFrom drops all messages sent by the given nodes on the given
@@ -632,14 +626,14 @@ func (c *Cluster) DropFrom(nodes []int, port string) {
 	for _, n := range nodes {
 		set[n] = true
 	}
-	c.InjectFault(&fault.OmissionFrom{Nodes: set, Port: port})
+	c.injectFault(&fault.OmissionFrom{Nodes: set, Port: port})
 }
 
 // DropRandom drops each message with the given probability, drawing
 // from the engine's seeded source (deterministic per run).
 func (c *Cluster) DropRandom(dropProb float64) {
 	c.build()
-	c.InjectFault(&fault.RandomFaults{Eng: c.eng, DropProb: dropProb})
+	c.injectFault(&fault.RandomFaults{Eng: c.eng, DropProb: dropProb})
 }
 
 // Run seals every application, starts the generators of spawned

@@ -193,7 +193,7 @@ func TestDuplicateTaskRejected(t *testing.T) {
 	app := sys.NewApp("a", sched.NewRM(), nil)
 	task := simpleTask("dup", heug.PeriodicEvery(10*ms), 0, 1*ms, 10*ms)
 	app.MustAddTask(task)
-	if err := app.AddTask(task); err == nil {
+	if err := app.Spawn(task); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
 }

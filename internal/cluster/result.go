@@ -400,17 +400,6 @@ func (r Result) Group(name string) (GroupResult, bool) {
 	return find(r.Groups, func(g GroupResult) bool { return g.Name == name })
 }
 
-// LatencyOf returns the latency record of one op class on one shard
-// (pass shard -1 for the all-shards aggregate).
-func (r Result) LatencyOf(class string, shardIdx int) (LatencyResult, bool) {
-	return find(r.Latency, func(l LatencyResult) bool { return l.Class == class && l.Shard == shardIdx })
-}
-
-// TxnClient returns the transaction client record of the given node.
-func (r Result) TxnClient(node int) (TxnClientResult, bool) {
-	return find(r.TxnClients, func(c TxnClientResult) bool { return c.Node == node })
-}
-
 // String renders the result as a compact table.
 func (r Result) String() string {
 	out := fmt.Sprintf("t=%s activations=%d completions=%d misses=%d rejections=%d violations=%d\n",

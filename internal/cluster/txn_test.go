@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,9 +58,9 @@ func TestTxnHappyPath(t *testing.T) {
 			t.Fatalf("shard %s prepared nothing: %+v", name, sr.Txn)
 		}
 	}
-	tc, ok := res.TxnClient(4)
-	if !ok || tc.Committed != cl.Stats.Committed {
-		t.Fatalf("txn client result missing or wrong: %+v", tc)
+	i := slices.IndexFunc(res.TxnClients, func(c cluster.TxnClientResult) bool { return c.Node == 4 })
+	if i < 0 || res.TxnClients[i].Committed != cl.Stats.Committed {
+		t.Fatalf("txn client result missing or wrong: %+v", res.TxnClients)
 	}
 }
 

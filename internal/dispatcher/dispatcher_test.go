@@ -36,7 +36,7 @@ func TestPrecedenceChainExecutesInOrder(t *testing.T) {
 		Code("a", heug.CodeEU{Node: 0, WCET: 100 * us, Action: mk("a")}).
 		Code("b", heug.CodeEU{Node: 0, WCET: 100 * us, Action: mk("b")}).
 		Code("c", heug.CodeEU{Node: 0, WCET: 100 * us, Action: mk("c")}).
-		Chain("a", "b", "c").
+		Precede("a", "b").Precede("b", "c").
 		MustBuild()
 	sys, _ := newSingleNode(t, dispatcher.ZeroCostBook(), task)
 	sys.ActivateAt("chain", 0)
@@ -99,7 +99,7 @@ func TestExclusiveResourceSerialises(t *testing.T) {
 	sys, _ := newSingleNode(t, dispatcher.ZeroCostBook(), mkTask("ta"), mkTask("tb"))
 	sys.ActivateAt("ta", 0)
 	sys.ActivateAt("tb", vtime.Time(5*us))
-	sys.Run(100 * ms)
+	rep := sys.Run(100 * ms)
 	holds := 0
 	for _, e := range sys.Log().ByKind(monitor.KindResourceGrant, monitor.KindResourceRelease) {
 		if e.Kind == monitor.KindResourceGrant {
@@ -111,8 +111,8 @@ func TestExclusiveResourceSerialises(t *testing.T) {
 			holds--
 		}
 	}
-	if sys.Dispatcher().Stats().Completions != 2 {
-		t.Fatalf("completions %d", sys.Dispatcher().Stats().Completions)
+	if rep.Stats.Completions != 2 {
+		t.Fatalf("completions %d", rep.Stats.Completions)
 	}
 }
 
@@ -342,7 +342,7 @@ func TestAsyncInvocationActivatesTarget(t *testing.T) {
 		Code("pre", heug.CodeEU{Node: 0, WCET: 100 * us}).
 		Invoke("inv", heug.InvEU{Node: 0, Target: "callee", Sync: false}).
 		Code("post", heug.CodeEU{Node: 0, WCET: 100 * us}).
-		Chain("pre", "inv", "post").
+		Precede("pre", "inv").Precede("inv", "post").
 		MustBuild()
 	sys, _ := newSingleNode(t, dispatcher.DefaultCostBook(), callee, caller)
 	sys.ActivateAt("caller", 0)
@@ -546,7 +546,11 @@ func TestDeterministicEndToEnd(t *testing.T) {
 			}
 		}
 		rep := sys.Run(100 * ms)
-		return rep.String() + sys.Log().Summary()
+		var log strings.Builder
+		if err := sys.Log().WriteTrace(&log); err != nil {
+			t.Fatal(err)
+		}
+		return rep.String() + log.String()
 	}
 	a, b := run(), run()
 	if a != b {

@@ -35,18 +35,6 @@ type Instance struct {
 // Name returns "task#seq".
 func (in *Instance) Name() string { return in.name }
 
-// Completed reports whether every unit of the instance has finished (or
-// the instance was cancelled).
-func (in *Instance) Completed() bool { return in.completed }
-
-// Cancelled reports whether the instance was aborted.
-func (in *Instance) Cancelled() bool { return in.cancelled }
-
-// ResponseTime returns CompletedAt - ActivatedAt for completed instances.
-func (in *Instance) ResponseTime() vtime.Duration {
-	return in.CompletedAt.Sub(in.ActivatedAt)
-}
-
 // OnComplete registers a callback fired when the instance completes
 // (successfully or cancelled). Fired immediately if already complete.
 func (in *Instance) OnComplete(f func(*Instance)) {
@@ -239,7 +227,7 @@ func (d *Dispatcher) finalizeInstance(inst *Instance) {
 		tr := inst.TR
 		tr.Completions++
 		d.stats.Completions++
-		resp := inst.ResponseTime()
+		resp := inst.CompletedAt.Sub(inst.ActivatedAt)
 		tr.sumResponse += resp
 		if resp > tr.MaxResponse {
 			tr.MaxResponse = resp

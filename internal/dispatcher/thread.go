@@ -352,7 +352,7 @@ func (d *Dispatcher) startInv(th *Thread) {
 				d.eng.Recordf(monitor.KindNotification, inv.Node, th.Name(), "invocation failed: %s", err.Error())
 				return
 			}
-			if inv.Sync && !inst.Completed() {
+			if inv.Sync && !inst.completed {
 				th.waitInst = inst
 				th.state = threadWaitInstance
 				inst.OnComplete(func(*Instance) {

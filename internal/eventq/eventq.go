@@ -62,10 +62,6 @@ type Event struct {
 	recycled bool // from PushRecycled: goes back to the free list, never to the GC
 }
 
-// Cancelled reports whether Cancel was called on the event (or it fired).
-// It means nothing on a PushRecycled handle past its fire or cancel.
-func (e *Event) Cancelled() bool { return e.dead || e.index < 0 }
-
 // Queue is a deterministic min-heap of events. The zero value is ready to
 // use.
 //

@@ -69,7 +69,7 @@ func TestCancel(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatalf("Len = %d after cancel", q.Len())
 	}
-	if !e.Cancelled() {
+	if !e.dead {
 		t.Error("event not marked cancelled")
 	}
 	// Double-cancel is a no-op.

@@ -88,7 +88,7 @@ func TestF1GuaranteedAppsMeetDeadlines(t *testing.T) {
 }
 
 func TestF2TraceShape(t *testing.T) {
-	rep, lines := Figure2Trace(1)
+	rep, lines := figure2Trace(1)
 	if rep.Stats.DeadlineMisses != 0 {
 		t.Fatalf("misses %d", rep.Stats.DeadlineMisses)
 	}

@@ -111,9 +111,9 @@ func guaranteedMisses(rep cluster.Result) int {
 	return n
 }
 
-// Figure2Trace runs the Figure 2 scenario and returns the annotated
+// figure2Trace runs the Figure 2 scenario and returns the annotated
 // event sequence (also used by the F2 golden test and bench).
-func Figure2Trace(seed int64) (cluster.Result, []string) {
+func figure2Trace(seed int64) (cluster.Result, []string) {
 	sys := newCluster(1, seed, dispatcher.DefaultCostBook())
 	app := sys.NewApp("fig2", sched.NewEDF(20*us), nil)
 	t1 := heug.NewTask("t1", heug.AperiodicLaw()).
@@ -151,7 +151,7 @@ func Figure2Trace(seed int64) (cluster.Result, []string) {
 // runF2 reproduces Figure 2: the cooperation between the EDF scheduler
 // and the dispatcher, as an annotated trace.
 func runF2(opts Options) Table {
-	rep, lines := Figure2Trace(opts.Seed)
+	rep, lines := figure2Trace(opts.Seed)
 	tbl := Table{
 		ID:      "F2",
 		Title:   "Figure 2 — EDF scheduler/dispatcher cooperation trace",

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 
 	"hades/internal/eventq"
 	"hades/internal/monitor"
@@ -233,15 +232,3 @@ func (d *Detector) OnRehabilitate(fn func(observer, peer int)) { d.onRehab = fn 
 
 // Suspected reports whether observer currently suspects peer.
 func (d *Detector) Suspected(observer, peer int) bool { return d.suspected[observer][peer] }
-
-// SuspectsOf returns the peers observer currently suspects, sorted.
-func (d *Detector) SuspectsOf(observer int) []int {
-	var out []int
-	for p, s := range d.suspected[observer] {
-		if s {
-			out = append(out, p)
-		}
-	}
-	sort.Ints(out)
-	return out
-}

@@ -135,8 +135,10 @@ func TestDetectorRehabilitation(t *testing.T) {
 	if det.Suspected(0, 1) {
 		t.Fatal("recovered node still suspected")
 	}
-	if got := det.SuspectsOf(0); len(got) != 0 {
-		t.Fatalf("suspects = %v", got)
+	for peer, s := range det.suspected[0] {
+		if s {
+			t.Fatalf("still suspects n%d", peer)
+		}
 	}
 }
 
@@ -182,8 +184,10 @@ func TestRecoveredObserverDoesNotMassSuspect(t *testing.T) {
 	det.Start()
 	CrashAt(eng, net, 0, vtime.Time(30*ms), vtime.Time(130*ms))
 	eng.Run(vtime.Time(200 * ms))
-	if got := det.SuspectsOf(0); len(got) != 0 {
-		t.Fatalf("recovered observer falsely suspects %v", got)
+	for peer, s := range det.suspected[0] {
+		if s {
+			t.Fatalf("recovered observer falsely suspects n%d", peer)
+		}
 	}
 	for _, s := range det.Suspicions {
 		if s.Observer == 0 {

@@ -35,7 +35,7 @@ func srpBlocking(tasks []Task, l vtime.Duration, ov *Overheads) vtime.Duration {
 		}
 		cs := j.CS
 		if ov != nil {
-			cs = ov.InflateB(cs)
+			cs = ov.inflateB(cs)
 		}
 		if cs > blocking {
 			blocking = cs
@@ -85,7 +85,7 @@ func busyPeriod(tasks []Task, ov *Overheads) (vtime.Duration, bool) {
 			next += vtime.Duration(vtime.CeilDiv(l, t.T)) * effectiveC(t, ov)
 		}
 		if ov != nil {
-			next += ov.SchedDemand(tasks, l) + ov.KernelDemand(l) + ov.ViewChangeBlackout
+			next += ov.schedDemand(tasks, l) + ov.kernelDemand(l) + ov.ViewChangeBlackout
 		}
 		if next == l {
 			return l, true
@@ -148,7 +148,7 @@ func EDFSpuri(tasks []Task, ov *Overheads) Verdict {
 		checked++
 		need := demand(tasks, d, ov) + srpBlocking(tasks, d, ov)
 		if ov != nil {
-			need += ov.SchedDemand(tasks, d) + ov.KernelDemand(d) + ov.ViewChangeBlackout
+			need += ov.schedDemand(tasks, d) + ov.kernelDemand(d) + ov.ViewChangeBlackout
 		}
 		if need > d {
 			return Verdict{

@@ -46,9 +46,6 @@ type Task struct {
 	LocalEdges int
 }
 
-// Utilization returns C/T.
-func (t Task) Utilization() float64 { return float64(t.C) / float64(t.T) }
-
 // FromSpuri converts a §5.1 task to the analysis model.
 func FromSpuri(s heug.SpuriTask) Task {
 	n, edges := 0, 0
@@ -79,7 +76,7 @@ func FromSpuri(s heug.SpuriTask) Task {
 func Utilization(tasks []Task) float64 {
 	u := 0.0
 	for _, t := range tasks {
-		u += t.Utilization()
+		u += float64(t.C) / float64(t.T)
 	}
 	return u
 }
@@ -134,7 +131,7 @@ func (ov *Overheads) notifs(t Task) int64 {
 	return int64(2 * t.NumEU)
 }
 
-// InflateC implements the §5.3 WCET inflation: per Code_EU the start and
+// inflateC implements the §5.3 WCET inflation: per Code_EU the start and
 // end action costs, per local precedence constraint C_prec_local, per
 // instance the invocation bracket C_start_inv + C_end_inv, plus a
 // context-switch allowance. The instance runs NumEU+2 kernel threads
@@ -142,7 +139,7 @@ func (ov *Overheads) notifs(t Task) int64 {
 // dispatch-in and a switch-away, and each of its starts may preempt
 // another thread whose later *resume* is a third switch — hence the
 // conservative 3·(NumEU+2) switches charged to the instance itself.
-func (ov *Overheads) InflateC(t Task) vtime.Duration {
+func (ov *Overheads) inflateC(t Task) vtime.Duration {
 	b := ov.Book
 	c := t.C
 	n := vtime.Duration(t.NumEU)
@@ -153,21 +150,21 @@ func (ov *Overheads) InflateC(t Task) vtime.Duration {
 	return c
 }
 
-// InflateB implements the §5.3 blocking inflation: the blocking section
+// inflateB implements the §5.3 blocking inflation: the blocking section
 // carries its own start/end action costs (B'_i = B_i + C_start + C_end).
-func (ov *Overheads) InflateB(blocking vtime.Duration) vtime.Duration {
+func (ov *Overheads) inflateB(blocking vtime.Duration) vtime.Duration {
 	if blocking == 0 {
 		return 0
 	}
 	return blocking + ov.Book.StartAction + ov.Book.EndAction
 }
 
-// SchedDemand is the §5.3 scheduler term: the CPU consumed by scheduler
+// schedDemand is the §5.3 scheduler term: the CPU consumed by scheduler
 // notification processing during an interval of length l, at the
 // highest priority. Each notification costs C_sched plus three context
 // switches (into the scheduler thread, out of it, and the resume of
 // whatever application thread it preempted).
-func (ov *Overheads) SchedDemand(tasks []Task, l vtime.Duration) vtime.Duration {
+func (ov *Overheads) schedDemand(tasks []Task, l vtime.Duration) vtime.Duration {
 	if l <= 0 {
 		return 0
 	}
@@ -182,10 +179,10 @@ func (ov *Overheads) SchedDemand(tasks []Task, l vtime.Duration) vtime.Duration 
 	return sum
 }
 
-// KernelDemand is the §5.3 kernel term: clock-tick and network-interrupt
+// kernelDemand is the §5.3 kernel term: clock-tick and network-interrupt
 // CPU during an interval of length l, both modelled as sporadic
 // activities at the highest priority exactly as §4.2 prescribes.
-func (ov *Overheads) KernelDemand(l vtime.Duration) vtime.Duration {
+func (ov *Overheads) kernelDemand(l vtime.Duration) vtime.Duration {
 	if l <= 0 {
 		return 0
 	}
@@ -204,7 +201,7 @@ func effectiveC(t Task, ov *Overheads) vtime.Duration {
 	if ov == nil {
 		return t.C
 	}
-	return ov.InflateC(t)
+	return ov.inflateC(t)
 }
 
 // LiuLayland applies the classic RM sufficient utilisation bound

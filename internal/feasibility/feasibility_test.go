@@ -147,7 +147,7 @@ func TestCostIntegrationSection53(t *testing.T) {
 		SchedCost: 20 * us,
 	}
 	task := Task{Name: "x", C: 1 * ms, D: 5 * ms, T: 10 * ms, CS: 100 * us, Resource: "R", NumEU: 3, LocalEdges: 2}
-	c := ov.InflateC(task)
+	c := ov.inflateC(task)
 	book := ov.Book
 	want := task.C +
 		3*(book.StartAction+book.EndAction) +
@@ -157,10 +157,10 @@ func TestCostIntegrationSection53(t *testing.T) {
 	if c != want {
 		t.Fatalf("InflateC = %s, want %s", c, want)
 	}
-	if b := ov.InflateB(500 * us); b != 500*us+book.StartAction+book.EndAction {
+	if b := ov.inflateB(500 * us); b != 500*us+book.StartAction+book.EndAction {
 		t.Fatalf("InflateB wrong: %s", b)
 	}
-	if b := ov.InflateB(0); b != 0 {
+	if b := ov.inflateB(0); b != 0 {
 		t.Fatal("InflateB(0) must stay 0")
 	}
 }
@@ -172,14 +172,14 @@ func TestSchedAndKernelDemand(t *testing.T) {
 	}
 	tasks := []Task{{Name: "a", C: 1 * ms, D: 10 * ms, T: 10 * ms, NumEU: 1}}
 	// In 10ms: 1 activation, 2 notifications, each (10+3·2)us = 32us.
-	if d := ov.SchedDemand(tasks, 10*ms); d != 32*us {
+	if d := ov.schedDemand(tasks, 10*ms); d != 32*us {
 		t.Fatalf("SchedDemand = %s, want 32us", d)
 	}
 	// 10 ticks of 5us.
-	if d := ov.KernelDemand(10 * ms); d != 50*us {
+	if d := ov.kernelDemand(10 * ms); d != 50*us {
 		t.Fatalf("KernelDemand = %s, want 50us", d)
 	}
-	if d := ov.KernelDemand(0); d != 0 {
+	if d := ov.kernelDemand(0); d != 0 {
 		t.Fatal("KernelDemand(0) != 0")
 	}
 }
@@ -225,7 +225,7 @@ func TestCrudeCostsMorePessimistic(t *testing.T) {
 func TestUUniFastSumsToTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, u := range []float64{0.3, 0.7, 0.95} {
-		us := UUniFast(rng, 8, u)
+		us := uuniFast(rng, 8, u)
 		sum := 0.0
 		for _, x := range us {
 			if x < 0 {

@@ -45,9 +45,9 @@ func DefaultGenConfig(n int, u float64) GenConfig {
 	}
 }
 
-// UUniFast splits total utilisation u over n tasks without bias
+// uuniFast splits total utilisation u over n tasks without bias
 // (Bini & Buttazzo's standard generator).
-func UUniFast(rng *rand.Rand, n int, u float64) []float64 {
+func uuniFast(rng *rand.Rand, n int, u float64) []float64 {
 	out := make([]float64, n)
 	sum := u
 	for i := 1; i < n; i++ {
@@ -62,7 +62,7 @@ func UUniFast(rng *rand.Rand, n int, u float64) []float64 {
 // Generate draws one random task set. The generator is deterministic
 // given rng's state.
 func Generate(rng *rand.Rand, cfg GenConfig) []Task {
-	us := UUniFast(rng, cfg.N, cfg.U)
+	us := uuniFast(rng, cfg.N, cfg.U)
 	tasks := make([]Task, cfg.N)
 	logMin, logMax := math.Log(float64(cfg.PeriodMin)), math.Log(float64(cfg.PeriodMax))
 	for i := range tasks {

@@ -85,7 +85,7 @@ func fpBlocking(sorted []Task, i int, ov *Overheads) vtime.Duration {
 		}
 		cs := lp.CS
 		if ov != nil {
-			cs = ov.InflateB(cs)
+			cs = ov.inflateB(cs)
 		}
 		if cs > blocking {
 			blocking = cs
@@ -105,7 +105,7 @@ func fixpoint(sorted []Task, i int, blocking vtime.Duration, ov *Overheads) (vti
 			next += vtime.Duration(vtime.CeilDiv(r, hp.T)) * effectiveC(hp, ov)
 		}
 		if ov != nil {
-			next += ov.SchedDemand(sorted, r) + ov.KernelDemand(r)
+			next += ov.schedDemand(sorted, r) + ov.kernelDemand(r)
 		}
 		if next == r {
 			return r, true

@@ -33,7 +33,7 @@ func (b *Builder) WithDeadline(d vtime.Duration) *Builder {
 
 // Code appends a Code_EU under the given unit name.
 func (b *Builder) Code(name string, eu CodeEU) *Builder {
-	if b.task.EUIndex(name) >= 0 {
+	if b.task.euIndex(name) >= 0 {
 		b.errs = append(b.errs, fmt.Errorf("duplicate EU name %q", name))
 		return b
 	}
@@ -44,7 +44,7 @@ func (b *Builder) Code(name string, eu CodeEU) *Builder {
 
 // Invoke appends an Inv_EU under the given unit name.
 func (b *Builder) Invoke(name string, eu InvEU) *Builder {
-	if b.task.EUIndex(name) >= 0 {
+	if b.task.euIndex(name) >= 0 {
 		b.errs = append(b.errs, fmt.Errorf("duplicate EU name %q", name))
 		return b
 	}
@@ -56,7 +56,7 @@ func (b *Builder) Invoke(name string, eu InvEU) *Builder {
 // Precede adds a precedence constraint from unit `from` to unit `to`,
 // transferring the named parameters.
 func (b *Builder) Precede(from, to string, params ...string) *Builder {
-	fi, ti := b.task.EUIndex(from), b.task.EUIndex(to)
+	fi, ti := b.task.euIndex(from), b.task.euIndex(to)
 	if fi < 0 {
 		b.errs = append(b.errs, fmt.Errorf("precedence source %q not defined", from))
 		return b
@@ -69,8 +69,8 @@ func (b *Builder) Precede(from, to string, params ...string) *Builder {
 	return b
 }
 
-// Chain adds precedence constraints linking each named unit to the next.
-func (b *Builder) Chain(names ...string) *Builder {
+// chain adds precedence constraints linking each named unit to the next.
+func (b *Builder) chain(names ...string) *Builder {
 	for i := 0; i+1 < len(names); i++ {
 		b.Precede(names[i], names[i+1])
 	}

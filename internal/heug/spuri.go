@@ -31,11 +31,6 @@ type SpuriTask struct {
 // C returns the task's total worst-case computation time.
 func (s SpuriTask) C() vtime.Duration { return s.CBefore + s.CS + s.CAfter }
 
-// Utilization returns C/T.
-func (s SpuriTask) Utilization() float64 {
-	return float64(s.C()) / float64(s.PseudoPeriod)
-}
-
 // Validate checks the shape ToHEUG can translate: some computation
 // time, and a critical section exactly when a resource is named.
 func (s SpuriTask) Validate() error {
@@ -84,6 +79,6 @@ func (s SpuriTask) ToHEUG() (*Task, error) {
 	add(s.Name+".eu1", s.CBefore, nil)
 	add(s.Name+".eu2", s.CS, []ResourceReq{{Resource: s.Resource, Mode: Exclusive}})
 	add(s.Name+".eu3", s.CAfter, nil)
-	b.Chain(chain...)
+	b.chain(chain...)
 	return b.Build()
 }

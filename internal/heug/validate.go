@@ -147,32 +147,3 @@ func (t *Task) Validate() error {
 	t.validated = true
 	return nil
 }
-
-// TopoOrder returns a deterministic topological ordering of the EU
-// indices (valid only after Validate).
-func (t *Task) TopoOrder() []int {
-	n := len(t.EUs)
-	indeg := make([]int, n)
-	for i := range t.preds {
-		indeg[i] = len(t.preds[i])
-	}
-	var order []int
-	queue := make([]int, 0, n)
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, v := range t.succs[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
-	return order
-}

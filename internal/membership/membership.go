@@ -195,7 +195,7 @@ type Service struct {
 	// xferPort carries state transfers to joining replicas.
 	xferPort string
 	// beat is the detector's heartbeat period: the check period in
-	// DetectionBound and the retry delay of a blocked change.
+	// detectionBound and the retry delay of a blocked change.
 	beat vtime.Duration
 
 	started bool
@@ -459,9 +459,9 @@ func (s *Service) RegisterState(key string, snapshot func(donor, joiner int) any
 	s.states = append(s.states, stateHook{key: key, snapshot: snapshot, restore: restore})
 }
 
-// DetectionBound returns the worst-case crash-to-suspicion latency:
+// detectionBound returns the worst-case crash-to-suspicion latency:
 // the largest pairwise suspicion timeout plus one check period.
-func (s *Service) DetectionBound() vtime.Duration {
+func (s *Service) detectionBound() vtime.Duration {
 	var worst vtime.Duration
 	for _, o := range s.cfg.Nodes {
 		for _, p := range s.cfg.Nodes {
@@ -476,19 +476,19 @@ func (s *Service) DetectionBound() vtime.Duration {
 	return worst + s.beat
 }
 
-// AgreementBound returns the suspicion-to-install latency of one
+// agreementBound returns the suspicion-to-install latency of one
 // uncontended view change: the consensus decision bound plus the
 // broadcast delivery bound Δ.
-func (s *Service) AgreementBound() vtime.Duration {
+func (s *Service) agreementBound() vtime.Duration {
 	return vtime.Duration(s.cfg.F+1)*s.consensusRound() + s.rb.Delta()
 }
 
 // Bound returns the provable crash-to-install bound of one uncontended
-// view change: DetectionBound + AgreementBound. Queued changes (a
+// view change: detectionBound + agreementBound. Queued changes (a
 // suspicion arriving while another change is in flight) serialise and
-// may each add one AgreementBound.
+// may each add one agreementBound.
 func (s *Service) Bound() vtime.Duration {
-	return s.DetectionBound() + s.AgreementBound()
+	return s.detectionBound() + s.agreementBound()
 }
 
 func (s *Service) consensusRound() vtime.Duration {

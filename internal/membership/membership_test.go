@@ -96,8 +96,8 @@ func TestCrashInstallsAgreedViewWithinBound(t *testing.T) {
 		if lat := in.At.Sub(crashAt); lat > r.svc.Bound() {
 			t.Fatalf("crash-to-install latency %s above bound %s", lat, r.svc.Bound())
 		}
-		if in.Latency > r.svc.AgreementBound() {
-			t.Fatalf("suspicion-to-install latency %s above agreement bound %s", in.Latency, r.svc.AgreementBound())
+		if in.Latency > r.svc.agreementBound() {
+			t.Fatalf("suspicion-to-install latency %s above agreement bound %s", in.Latency, r.svc.agreementBound())
 		}
 	}
 	if installAt == 0 {

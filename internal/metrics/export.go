@@ -99,7 +99,7 @@ func (r *Registry) Export() *Export {
 		}
 		doc.SLO = append(doc.SLO, rd)
 	}
-	doc.TopKeys = r.topk.Hot()
+	doc.TopKeys = r.topk.hot()
 	return doc
 }
 

@@ -141,31 +141,17 @@ func (c *Counter) sample() int64 {
 	return v
 }
 
-// Gauge is a sampled level: each scrape records the set value plus the
-// sum of the registered source callbacks (several callbacks under one
-// name sum — per-shard depths aggregate naturally). Nil-safe.
+// Gauge is a sampled level. Gauges are sampled sources only: a gauge
+// has no value of its own, and each scrape records the sum of the
+// sources registered under its name with GaugeFunc (several sources
+// under one name sum — per-shard depths aggregate naturally).
 type Gauge struct {
-	v   int64
 	fns []func() int64
 	s   series
 }
 
-// Set stores the gauge level.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Add moves the gauge level.
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v += n
-	}
-}
-
 func (g *Gauge) sample() int64 {
-	v := g.v
+	var v int64
 	for _, fn := range g.fns {
 		v += fn()
 	}
@@ -346,14 +332,6 @@ func (r *Registry) CounterFunc(name string, fn func() int64) {
 	}
 	c := r.get(name, kindCounter).c
 	c.fns = append(c.fns, fn)
-}
-
-// Gauge returns the named gauge handle (nil when disabled).
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.get(name, kindGauge).g
 }
 
 // GaugeFunc adds a sampled source to the named gauge; several sources

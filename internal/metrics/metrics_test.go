@@ -61,17 +61,17 @@ func TestCounterDeltaGaugeLevelFuncSum(t *testing.T) {
 	opt.Interval = vtime.Millisecond
 	r := New(opt)
 	c := r.Counter("ops")
-	g := r.Gauge("depth")
+	depth := int64(7)
+	r.GaugeFunc("depth", func() int64 { return depth })
 	a, b := int64(3), int64(4)
 	r.GaugeFunc("fanned", func() int64 { return a })
 	r.GaugeFunc("fanned", func() int64 { return b })
 
 	c.Add(5)
-	g.Set(7)
 	r.ArmUntil(vtime.Time(2 * vtime.Millisecond))
 	s.runTo(vtime.Time(vtime.Millisecond))
 	c.Add(2)
-	g.Add(-3)
+	depth -= 3
 	a = 10
 	s.runTo(vtime.Time(2 * vtime.Millisecond))
 
@@ -80,9 +80,9 @@ func TestCounterDeltaGaugeLevelFuncSum(t *testing.T) {
 	if ops == nil || len(ops.Points) != 2 || ops.Points[0].V != 5 || ops.Points[1].V != 2 {
 		t.Fatalf("counter deltas wrong: %+v", ops)
 	}
-	depth := findSeries(ex, "depth")
-	if depth == nil || depth.Points[0].V != 7 || depth.Points[1].V != 4 {
-		t.Fatalf("gauge levels wrong: %+v", depth)
+	levels := findSeries(ex, "depth")
+	if levels == nil || levels.Points[0].V != 7 || levels.Points[1].V != 4 {
+		t.Fatalf("gauge levels wrong: %+v", levels)
 	}
 	fanned := findSeries(ex, "fanned")
 	if fanned == nil || fanned.Points[0].V != 7 || fanned.Points[1].V != 14 {
@@ -168,23 +168,24 @@ func TestSLOStreakOnsetClear(t *testing.T) {
 	opt.Log = log
 	opt.Rules = []Rule{{Name: "depth", Metric: "q", Op: OpLE, Threshold: 10, For: 2}}
 	r := New(opt)
-	g := r.Gauge("q")
+	var q int64
+	r.GaugeFunc("q", func() int64 { return q })
 	r.ArmUntil(vtime.Time(5 * vtime.Millisecond))
 
-	g.Set(50) // interval 1: violating (bad=1, no breach yet)
+	q = 50 // interval 1: violating (bad=1, no breach yet)
 	s.runTo(vtime.Time(vtime.Millisecond))
 	if n := len(r.Breaches()); n != 0 {
 		t.Fatalf("breach before the For streak: %d", n)
 	}
-	g.Set(60) // interval 2: violating (bad=2 → breach opens)
+	q = 60 // interval 2: violating (bad=2 → breach opens)
 	s.runTo(vtime.Time(2 * vtime.Millisecond))
 	br := r.Breaches()
 	if len(br) != 1 || br[0].Onset != vtime.Time(2*vtime.Millisecond) || br[0].Clear != 0 {
 		t.Fatalf("breach not opened at the second violating interval: %+v", br)
 	}
-	g.Set(70) // interval 3: still violating (extends, worst=70)
+	q = 70 // interval 3: still violating (extends, worst=70)
 	s.runTo(vtime.Time(3 * vtime.Millisecond))
-	g.Set(5) // interval 4: holds → clears
+	q = 5 // interval 4: holds → clears
 	s.runTo(vtime.Time(4 * vtime.Millisecond))
 
 	br = r.Breaches()
@@ -235,14 +236,14 @@ func TestSLONoDataClears(t *testing.T) {
 
 // TestTopKEvictionDeterminism: over-capacity keys evict the smallest,
 // oldest-admitted entry; counts inherit the evicted floor and report
-// the error bound; ties in Hot() order by key.
+// the error bound; ties in hot() order by key.
 func TestTopKEvictionDeterminism(t *testing.T) {
 	k := newTopK(2)
 	k.Touch("a", 0)
 	k.Touch("a", 0)
 	k.Touch("b", 1) // a:2, b:1
 	k.Touch("c", 0) // evicts b (min=1): c admitted with count=2, err=1
-	hot := k.Hot()
+	hot := k.hot()
 	if len(hot) != 2 {
 		t.Fatalf("want 2 entries: %+v", hot)
 	}
@@ -252,15 +253,12 @@ func TestTopKEvictionDeterminism(t *testing.T) {
 	if hot[1].Key != "c" || hot[1].Count != 2 || hot[1].Err != 1 {
 		t.Fatalf("evicting entry must inherit the floor: %+v", hot[1])
 	}
-	if k.Touches() != 4 {
-		t.Fatalf("touches = %d, want 4", k.Touches())
-	}
 	// Equal counts order by key for a deterministic export.
 	k2 := newTopK(4)
 	k2.Touch("z", 0)
 	k2.Touch("m", 0)
 	k2.Touch("a", 0)
-	h2 := k2.Hot()
+	h2 := k2.hot()
 	if h2[0].Key != "a" || h2[1].Key != "m" || h2[2].Key != "z" {
 		t.Fatalf("tie-break not by key: %+v", h2)
 	}
@@ -271,16 +269,13 @@ func TestTopKEvictionDeterminism(t *testing.T) {
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
-	g := r.Gauge("x")
 	h := r.Hist("x")
 	k := r.Keys()
-	if c != nil || g != nil || h != nil || k != nil {
+	if c != nil || h != nil || k != nil {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	h.ObserveD(vtime.Millisecond)
 	k.Touch("a", 0)
@@ -310,5 +305,5 @@ func TestKindClashPanics(t *testing.T) {
 			t.Fatal("kind clash did not panic")
 		}
 	}()
-	r.Gauge("x")
+	r.GaugeFunc("x", func() int64 { return 0 })
 }

@@ -1,7 +1,7 @@
 package metrics
 
 // TopK is a space-saving heavy-hitters sketch over keys: bounded
-// memory, every key whose true frequency exceeds touches/k is
+// memory, every key whose true frequency exceeds 1/k of all touches is
 // guaranteed present, and each entry carries the overestimation bound
 // it was admitted with. Eviction is deterministic: the lowest-count
 // entry, oldest admission first — same touch sequence, same sketch.
@@ -10,7 +10,6 @@ type TopK struct {
 	k       int
 	byKey   map[string]*tkEntry
 	entries []*tkEntry // admission order, for deterministic min scans
-	touches int64
 }
 
 // tkEntry is one tracked key.
@@ -30,7 +29,6 @@ func (t *TopK) Touch(key string, shard int) {
 	if t == nil {
 		return
 	}
-	t.touches++
 	if e := t.byKey[key]; e != nil {
 		e.count++
 		e.shard = shard
@@ -55,14 +53,6 @@ func (t *TopK) Touch(key string, shard int) {
 	min.key, min.shard, min.err, min.count = key, shard, min.count, min.count+1
 }
 
-// Touches returns the total number of recorded accesses.
-func (t *TopK) Touches() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.touches
-}
-
 // HotKey is one exported sketch entry.
 type HotKey struct {
 	Key   string `json:"key"`
@@ -71,9 +61,9 @@ type HotKey struct {
 	Err   int64  `json:"err,omitempty"`
 }
 
-// Hot returns the tracked keys, hottest first (count descending, key
+// hot returns the tracked keys, hottest first (count descending, key
 // ascending on ties — deterministic).
-func (t *TopK) Hot() []HotKey {
+func (t *TopK) hot() []HotKey {
 	if t == nil {
 		return nil
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 
 	"hades/internal/vtime"
@@ -174,9 +173,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// IsViolation reports whether the kind records a detected property
+// isViolation reports whether the kind records a detected property
 // violation rather than a normal scheduling event.
-func (k Kind) IsViolation() bool {
+func (k Kind) isViolation() bool {
 	switch k {
 	case KindDeadlineMiss, KindArrivalLawViolation, KindEarlyTermination,
 		KindOrphanThread, KindDeadlock, KindNetworkOmission, KindLatestStartMiss:
@@ -185,10 +184,10 @@ func (k Kind) IsViolation() bool {
 	return false
 }
 
-// IsFault reports whether the kind belongs on a run's fault timeline:
+// isFault reports whether the kind belongs on a run's fault timeline:
 // injected failures, detections, failovers, partitions, merges and SLO
 // breach boundaries.
-func (k Kind) IsFault() bool {
+func (k Kind) isFault() bool {
 	switch k {
 	case KindFailureInjected, KindFailureDetected, KindFailover,
 		KindPartition, KindMerge, KindSLOBreach, KindSLOClear:
@@ -266,16 +265,16 @@ func (l *Log) Record(e Event) {
 		return
 	}
 	switch {
-	case e.Kind.IsViolation():
+	case e.Kind.isViolation():
 		l.viol = append(l.viol, e)
-	case e.Kind.IsFault():
+	case e.Kind.isFault():
 		l.faults = append(l.faults, e)
 	}
 	switch {
 	case !l.full():
 		l.events = append(l.events, e)
 	case l.ring:
-		if !l.events[l.start].Kind.IsViolation() {
+		if !l.events[l.start].Kind.isViolation() {
 			l.dropped++
 		}
 		l.events[l.start] = e
@@ -292,7 +291,7 @@ func (l *Log) Recordf(at vtime.Time, kind Kind, node int, subject, format string
 	if l == nil {
 		return
 	}
-	if !l.ring && l.full() && !kind.IsViolation() && !kind.IsFault() {
+	if !l.ring && l.full() && !kind.isViolation() && !kind.isFault() {
 		l.dropped++
 		return
 	}
@@ -370,7 +369,7 @@ func (l *Log) Violations() []Event {
 }
 
 // Faults returns the run's fault timeline — every recorded event whose
-// kind IsFault, in record order — complete like Violations.
+// kind isFault, in record order — complete like Violations.
 func (l *Log) Faults() []Event {
 	if l == nil {
 		return nil
@@ -411,32 +410,4 @@ func (l *Log) WriteTrace(w io.Writer) error {
 		note()
 	}
 	return err
-}
-
-// Summary aggregates the log into per-kind counts, rendered sorted by
-// count descending then name, for stable output.
-func (l *Log) Summary() string {
-	counts := map[Kind]int{}
-	for _, e := range l.events {
-		counts[e.Kind]++
-	}
-	type kc struct {
-		k Kind
-		n int
-	}
-	all := make([]kc, 0, len(counts))
-	for k, n := range counts {
-		all = append(all, kc{k, n})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].k.String() < all[j].k.String()
-	})
-	var b strings.Builder
-	for _, e := range all {
-		fmt.Fprintf(&b, "%-18s %d\n", e.k, e.n)
-	}
-	return b.String()
 }

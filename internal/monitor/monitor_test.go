@@ -229,26 +229,26 @@ func TestViolationClassification(t *testing.T) {
 	violations := []Kind{KindDeadlineMiss, KindArrivalLawViolation, KindEarlyTermination,
 		KindOrphanThread, KindDeadlock, KindNetworkOmission, KindLatestStartMiss}
 	for _, k := range violations {
-		if !k.IsViolation() {
+		if !k.isViolation() {
 			t.Errorf("%s not classified as violation", k)
 		}
 	}
 	normals := []Kind{KindActivation, KindThreadStart, KindNotification, KindCheckpoint}
 	for _, k := range normals {
-		if k.IsViolation() || k.IsFault() {
+		if k.isViolation() || k.isFault() {
 			t.Errorf("%s wrongly classified as violation or fault", k)
 		}
 	}
 	faults := []Kind{KindFailureInjected, KindFailureDetected, KindFailover,
 		KindPartition, KindMerge, KindSLOBreach, KindSLOClear}
 	for _, k := range faults {
-		if !k.IsFault() || k.IsViolation() {
+		if !k.isFault() || k.isViolation() {
 			t.Errorf("%s must be a fault-timeline kind and not a violation", k)
 		}
 	}
 }
 
-func TestWriteTraceAndSummary(t *testing.T) {
+func TestWriteTrace(t *testing.T) {
 	l := NewLog(0)
 	l.Recordf(10, KindActivation, 0, "a", "")
 	l.Recordf(20, KindActivation, 0, "b", "")
@@ -259,10 +259,6 @@ func TestWriteTraceAndSummary(t *testing.T) {
 	}
 	if got := strings.Count(sb.String(), "\n"); got != 3 {
 		t.Fatalf("trace lines = %d", got)
-	}
-	sum := l.Summary()
-	if !strings.Contains(sum, "Atv") || !strings.Contains(sum, "2") {
-		t.Fatalf("summary %q", sum)
 	}
 }
 

@@ -375,23 +375,6 @@ func (n *Network) Send(from, to int, port string, payload any, size int) (*Messa
 	return m, nil
 }
 
-// Multicast sends the same payload to every processor in tos (excluding
-// the sender if present). It returns the messages actually submitted.
-func (n *Network) Multicast(from int, tos []int, port string, payload any, size int) ([]*Message, error) {
-	var out []*Message
-	for _, to := range tos {
-		if to == from {
-			continue
-		}
-		m, err := n.Send(from, to, port, payload, size)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
 // receive runs the paper's receive path: ATM interrupt, then the NetMsg
 // protocol thread, then the port handler.
 func (n *Network) receive(m *Message) {

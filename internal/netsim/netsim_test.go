@@ -150,31 +150,6 @@ func TestPerformanceFault(t *testing.T) {
 	}
 }
 
-func TestMulticast(t *testing.T) {
-	eng := simkern.NewEngine(monitor.NewLog(0), 5)
-	for i := 0; i < 4; i++ {
-		eng.AddProcessor("n", 0)
-	}
-	n := New(eng, DefaultConfig())
-	n.ConnectAll([]int{0, 1, 2, 3}, 50*us, 100*us)
-	got := map[int]bool{}
-	for i := 1; i < 4; i++ {
-		node := i
-		n.Bind(node, "mc", func(*Message) { got[node] = true })
-	}
-	msgs, err := n.Multicast(0, []int{0, 1, 2, 3}, "mc", "x", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 3 {
-		t.Fatalf("multicast sent %d, want 3 (self excluded)", len(msgs))
-	}
-	eng.RunUntilIdle()
-	if len(got) != 3 {
-		t.Fatalf("delivered to %d nodes", len(got))
-	}
-}
-
 func TestUnboundPortDropsQuietly(t *testing.T) {
 	eng, n := twoNodes(t, DefaultConfig())
 	_, _ = n.Send(0, 1, "nobody-listens", 1, 8)

@@ -449,8 +449,8 @@ func (pub *Publisher) Published() []Sample { return append([]Sample(nil), pub.pu
 // Acked returns the count of completed publishes.
 func (pub *Publisher) Acked() int { return pub.acked }
 
-// Unacked returns the count of publishes still in flight.
-func (pub *Publisher) Unacked() int { return len(pub.published) - pub.acked }
+// unacked returns the count of publishes still in flight.
+func (pub *Publisher) unacked() int { return len(pub.published) - pub.acked }
 
 // Publish produces one sample. Reliable topics submit it to the
 // owning group as a session call that retires at the ack; best-effort
@@ -998,24 +998,6 @@ func (p *Plane) Publishers(topic string) []*Publisher {
 		return nil
 	}
 	return append([]*Publisher(nil), t.pubs...)
-}
-
-// DeliveryLog renders every subscriber's delivery sequence as one
-// deterministic text block — the byte-comparison surface for the
-// determinism tests.
-func (p *Plane) DeliveryLog() string {
-	var sb strings.Builder
-	for _, s := range p.subs {
-		fmt.Fprintf(&sb, "sub %d topic %s node %d:\n", s.id, s.t.name, s.node)
-		for _, d := range s.deliveries {
-			flag := ""
-			if d.Replay {
-				flag = " replay"
-			}
-			fmt.Fprintf(&sb, "  p%d#%d v%d at %s lat %s%s\n", d.Pub, d.Seq, d.Value, d.At, d.Latency, flag)
-		}
-	}
-	return sb.String()
 }
 
 // sortedTopicNames returns the declared topic names, sorted (for

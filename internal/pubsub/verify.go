@@ -101,7 +101,7 @@ func (p *Plane) CheckComplete(topic string) error {
 	}
 	var errs []string
 	for _, pub := range t.pubs {
-		if n := pub.Unacked(); n > 0 {
+		if n := pub.unacked(); n > 0 {
 			errs = append(errs, fmt.Sprintf("publisher %d has %d unacked publishes", pub.id, n))
 		}
 	}

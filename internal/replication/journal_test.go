@@ -214,8 +214,8 @@ func TestStaleLineageRebuilds(t *testing.T) {
 			r.net.PartitionAt(vtime.Time(9*ms), []int{0}, []int{1, 2, 3})
 			r.eng.Run(vtime.Time(10 * ms))
 			old := g.Machine(0)
-			if old.SeenLen() != 7 || g.Machine(1).SeenLen() != 5 {
-				t.Fatalf("before the failover: primary holds %d entries, backup %d, want 7 and 5", old.SeenLen(), g.Machine(1).SeenLen())
+			if old.seenLen() != 7 || g.Machine(1).seenLen() != 5 {
+				t.Fatalf("before the failover: primary holds %d entries, backup %d, want 7 and 5", old.seenLen(), g.Machine(1).seenLen())
 			}
 			staleEpoch := old.epoch
 
@@ -234,9 +234,9 @@ func TestStaleLineageRebuilds(t *testing.T) {
 			if old.epoch != prim.epoch || (prim.epoch == staleEpoch) != (served == 0) || old.owns {
 				t.Fatalf("epochs: ex-primary %d (owns=%v), new primary %d, stale lineage %d", old.epoch, old.owns, prim.epoch, staleEpoch)
 			}
-			if !maps.Equal(old.seen, prim.seen) || old.SeenLen() != 5+served || len(old.journal) != 5+served {
+			if !maps.Equal(old.seen, prim.seen) || old.seenLen() != 5+served || len(old.journal) != 5+served {
 				t.Fatalf("re-admitted ex-primary holds %d entries (journal %d), the primary %d, want %d and equal",
-					old.SeenLen(), len(old.journal), prim.SeenLen(), 5+served)
+					old.seenLen(), len(old.journal), prim.seenLen(), 5+served)
 			}
 			for _, seq := range []int{6, 7} {
 				if _, ok := old.Lookup(tag(seq)); ok {
@@ -297,8 +297,8 @@ func TestPromotedBackupDoesNotAliasJournal(t *testing.T) {
 		sm     *StateMachine
 		client uint64 // whose tags its own appends carry
 	}{{"old primary", old, 5}, {"promoted backup", promoted, 6}} {
-		if len(c.sm.journal) != 8 || c.sm.SeenLen() != 8 {
-			t.Fatalf("%s: journal %d, table %d, want 8", c.name, len(c.sm.journal), c.sm.SeenLen())
+		if len(c.sm.journal) != 8 || c.sm.seenLen() != 8 {
+			t.Fatalf("%s: journal %d, table %d, want 8", c.name, len(c.sm.journal), c.sm.seenLen())
 		}
 		for i, e := range c.sm.journal {
 			if i < 5 && e != shipped[i] {
@@ -373,7 +373,7 @@ func TestCheckpointCostIsFlat(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		for _, n := range []int{1, 2} {
-			if got, want := g.Machine(n).SeenLen(), sm.SeenLen(); got != want {
+			if got, want := g.Machine(n).seenLen(), sm.seenLen(); got != want {
 				t.Fatalf("backup n%d holds %d entries after the rounds, the primary %d", n, got, want)
 			}
 		}
@@ -432,8 +432,8 @@ func TestCheckpointReachesStableStorage(t *testing.T) {
 			t.Fatalf("n%d: %v", n, err)
 		}
 		sm := g.Machine(n)
-		if rec.Applied != 200 || rec.State != sm.State || rec.SeenLen != sm.SeenLen() || rec.Epoch != sm.epoch {
-			t.Fatalf("n%d: stored %+v, machine applied=%d state=%d seen=%d epoch=%d", n, rec, sm.Applied, sm.State, sm.SeenLen(), sm.epoch)
+		if rec.Applied != 200 || rec.State != sm.State || rec.SeenLen != sm.seenLen() || rec.Epoch != sm.epoch {
+			t.Fatalf("n%d: stored %+v, machine applied=%d state=%d seen=%d epoch=%d", n, rec, sm.Applied, sm.State, sm.seenLen(), sm.epoch)
 		}
 	}
 

@@ -202,8 +202,8 @@ func (sm *StateMachine) Lookup(tag ClientSeq) (result int64, ok bool) {
 	return result, ok
 }
 
-// SeenLen returns the number of entries in the dedup table.
-func (sm *StateMachine) SeenLen() int { return len(sm.seen) }
+// seenLen returns the number of entries in the dedup table.
+func (sm *StateMachine) seenLen() int { return len(sm.seen) }
 
 // Apply executes one command.
 func (sm *StateMachine) Apply(cmd int64) int64 {

@@ -469,8 +469,8 @@ func TestDedupSurvivesJoinTransferThenMergeView(t *testing.T) {
 	if len(r.mem.Transfers) != 1 {
 		t.Fatalf("transfers after rejoin %+v, want 1", r.mem.Transfers)
 	}
-	if g.Machine(2).SeenLen() != 1 {
-		t.Fatalf("join transfer dropped the dedup table: %d entries, want 1", g.Machine(2).SeenLen())
+	if g.Machine(2).seenLen() != 1 {
+		t.Fatalf("join transfer dropped the dedup table: %d entries, want 1", g.Machine(2).seenLen())
 	}
 	// Immediately partition the same replica off; the majority excludes
 	// it, and the heal re-admits it through a merge view with a second
@@ -484,8 +484,8 @@ func TestDedupSurvivesJoinTransferThenMergeView(t *testing.T) {
 	if got := len(r.mem.Transfers); got != 2 {
 		t.Fatalf("transfers after merge %d, want 2 (join + merge re-admission)", got)
 	}
-	if g.Machine(2).SeenLen() != 1 {
-		t.Fatalf("merge transfer dropped the dedup table: %d entries, want 1", g.Machine(2).SeenLen())
+	if g.Machine(2).seenLen() != 1 {
+		t.Fatalf("merge transfer dropped the dedup table: %d entries, want 1", g.Machine(2).seenLen())
 	}
 	// The retry of the pre-crash request must be a cache hit everywhere
 	// — including at the twice-restored replica.
@@ -517,8 +517,8 @@ func TestDedupTravelsWithPassiveCheckpoint(t *testing.T) {
 		})
 	}
 	r.eng.Run(vtime.Time(20 * ms))
-	if g.Machine(1).SeenLen() != 5 {
-		t.Fatalf("backup dedup table has %d entries after the checkpoint, want 5", g.Machine(1).SeenLen())
+	if g.Machine(1).seenLen() != 5 {
+		t.Fatalf("backup dedup table has %d entries after the checkpoint, want 5", g.Machine(1).seenLen())
 	}
 	// Crash the primary; the promoted backup must suppress a retry of
 	// a checkpointed request.

@@ -3,9 +3,22 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"hades/internal/cluster"
 )
+
+// latencyOf returns the latency row of one op class on one shard (-1
+// for the all-shards aggregate).
+func latencyOf(rep cluster.Result, class string, shard int) (cluster.LatencyResult, bool) {
+	i := slices.IndexFunc(rep.Latency, func(l cluster.LatencyResult) bool { return l.Class == class && l.Shard == shard })
+	if i < 0 {
+		return cluster.LatencyResult{}, false
+	}
+	return rep.Latency[i], true
+}
 
 // TestObserveValidation rejects out-of-range observe blocks loudly and
 // accepts well-formed ones.
@@ -114,7 +127,7 @@ func TestLatencyRowsPerShardAndClass(t *testing.T) {
 			rep := clu.Run(spec.Horizon())
 			for _, class := range tc.classes {
 				for _, shard := range []int{0, 1, -1} {
-					l, ok := rep.LatencyOf(class, shard)
+					l, ok := latencyOf(rep, class, shard)
 					if !ok {
 						t.Errorf("no latency row for class %q shard %d", class, shard)
 						continue
@@ -172,7 +185,7 @@ func TestZeroRateStillRetainsViolations(t *testing.T) {
 	}
 	aborts := 0
 	for _, trc := range tr.Retained() {
-		if !trc.Violating() {
+		if len(trc.Violations()) == 0 {
 			t.Fatalf("non-violating trace %d retained at rate 0", trc.ID())
 		}
 		if trc.Class() == "txn.abort" {
@@ -183,7 +196,7 @@ func TestZeroRateStillRetainsViolations(t *testing.T) {
 		t.Fatal("no abort trace retained at rate 0")
 	}
 	// Histograms still cover the whole population, not just retained.
-	if l, ok := rep.LatencyOf("txn.commit", -1); !ok || l.Count == 0 {
+	if l, ok := latencyOf(rep, "txn.commit", -1); !ok || l.Count == 0 {
 		t.Fatal("histograms lost the unsampled commits")
 	}
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -271,7 +272,13 @@ func TestSensorFanOutDeterministic(t *testing.T) {
 		if err := trace.WriteChrome(&tr, clu.Tracer().Retained()); err != nil {
 			t.Fatal(err)
 		}
-		return p.DeliveryLog(), log.Bytes(), tr.Bytes()
+		var deliveries strings.Builder
+		for _, tp := range p.Topics() {
+			for _, s := range p.Subscribers(tp.Name()) {
+				fmt.Fprintf(&deliveries, "sub %d topic %s node %d: %+v\n", s.ID(), tp.Name(), s.Node(), s.Deliveries())
+			}
+		}
+		return deliveries.String(), log.Bytes(), tr.Bytes()
 	}
 	d1, l1, t1 := run()
 	d2, l2, t2 := run()
@@ -284,7 +291,7 @@ func TestSensorFanOutDeterministic(t *testing.T) {
 	if !bytes.Equal(t1, t2) {
 		t.Fatal("same seed produced different trace exports")
 	}
-	if !strings.Contains(d1, "replay") {
+	if !strings.Contains(d1, "Replay:true") {
 		t.Fatal("delivery log records no history replay (late joiner never caught up)")
 	}
 }

@@ -116,7 +116,7 @@ func (s Spec) validateTasks() error {
 			return fmt.Errorf("scenario %q: task %q mixes stages with cBefore/cs/cAfter", s.Name, t.Name)
 		}
 		if len(t.Stages) == 0 {
-			if err := t.Spuri().Validate(); err != nil {
+			if err := t.spuri().Validate(); err != nil {
 				return fmt.Errorf("scenario %q: %v", s.Name, err)
 			}
 		}
@@ -190,8 +190,8 @@ func (s Spec) attachTasks(c *cluster.Cluster) error {
 	return nil
 }
 
-// Spuri converts a non-staged task spec to the §5.1 model.
-func (t TaskSpec) Spuri() heug.SpuriTask {
+// spuri converts a non-staged task spec to the §5.1 model.
+func (t TaskSpec) spuri() heug.SpuriTask {
 	return heug.SpuriTask{
 		Name:         t.Name,
 		Node:         t.Node,
@@ -231,7 +231,7 @@ func (s Spec) heugTask(t TaskSpec) (*heug.Task, error) {
 		return nil, err
 	}
 	if len(t.Stages) == 0 {
-		st := t.Spuri()
+		st := t.spuri()
 		if n, ok := s.Placement[t.Name]; ok {
 			st.Node = n
 		}
@@ -264,7 +264,7 @@ func (s Spec) AnalysisTasks() []feasibility.Task {
 	out := make([]feasibility.Task, len(s.Tasks))
 	for i, t := range s.Tasks {
 		if len(t.Stages) == 0 {
-			out[i] = feasibility.FromSpuri(t.Spuri())
+			out[i] = feasibility.FromSpuri(t.spuri())
 			continue
 		}
 		var c vtime.Duration

@@ -59,8 +59,8 @@ func (p *PCP) Init(tasks []*heug.Task, prim dispatcher.Primitive) {
 	}
 }
 
-// Ceiling returns a resource's ceiling on a node (test hook).
-func (p *PCP) Ceiling(node int, resource string) int {
+// ceiling returns a resource's ceiling on a node.
+func (p *PCP) ceiling(node int, resource string) int {
 	return p.ceilings[srpKey{node, resource}]
 }
 

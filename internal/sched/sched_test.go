@@ -189,44 +189,6 @@ func TestSRPBoundsInversion(t *testing.T) {
 	}
 }
 
-func TestSRPLevelsAndCeilings(t *testing.T) {
-	a := heug.NewTask("a", heug.SporadicEvery(50*ms)).
-		WithDeadline(10*ms).
-		Code("e", heug.CodeEU{Node: 0, WCET: us,
-			Resources: []heug.ResourceReq{{Resource: "R", Mode: heug.Exclusive}}}).MustBuild()
-	b := heug.NewTask("b", heug.SporadicEvery(50*ms)).
-		WithDeadline(40*ms).
-		Code("e", heug.CodeEU{Node: 0, WCET: us,
-			Resources: []heug.ResourceReq{{Resource: "R", Mode: heug.Exclusive}}}).MustBuild()
-	s := sched.NewSRP()
-	s.Init([]*heug.Task{a, b}, nil)
-	if s.Level("a") <= s.Level("b") {
-		t.Fatal("shorter deadline must have higher preemption level")
-	}
-	if s.Ceiling(0, "R") != s.Level("a") {
-		t.Fatalf("ceiling(R) = %d, want %d (max user level)", s.Ceiling(0, "R"), s.Level("a"))
-	}
-	if s.SystemCeiling(0) != 0 {
-		t.Fatal("system ceiling must start at 0")
-	}
-}
-
-func TestPCPCeilings(t *testing.T) {
-	a := heug.NewTask("a", heug.SporadicEvery(50*ms)).
-		WithDeadline(10*ms).
-		Code("e", heug.CodeEU{Node: 0, WCET: us, Prio: 9,
-			Resources: []heug.ResourceReq{{Resource: "R", Mode: heug.Exclusive}}}).MustBuild()
-	b := heug.NewTask("b", heug.SporadicEvery(50*ms)).
-		WithDeadline(40*ms).
-		Code("e", heug.CodeEU{Node: 0, WCET: us, Prio: 3,
-			Resources: []heug.ResourceReq{{Resource: "R", Mode: heug.Exclusive}}}).MustBuild()
-	p := sched.NewPCP()
-	p.Init([]*heug.Task{a, b}, nil)
-	if p.Ceiling(0, "R") != 9 {
-		t.Fatalf("PCP ceiling = %d, want 9", p.Ceiling(0, "R"))
-	}
-}
-
 func TestSpringAdmissionRejectsOverload(t *testing.T) {
 	sys := cluster.New(cluster.Config{Seed: 3})
 	spring := sched.NewSpring(15*us, 50*us, sys.Engine().Now)

@@ -82,16 +82,16 @@ func deadlineOf(t *heug.Task) vtime.Duration {
 	return vtime.Forever
 }
 
-// Level returns a task's preemption level (test hook).
-func (s *SRP) Level(task string) int { return s.levels[task] }
+// level returns a task's preemption level.
+func (s *SRP) level(task string) int { return s.levels[task] }
 
-// Ceiling returns a resource's ceiling on a node (test hook).
-func (s *SRP) Ceiling(node int, resource string) int {
+// ceiling returns a resource's ceiling on a node.
+func (s *SRP) ceiling(node int, resource string) int {
 	return s.ceilings[srpKey{node, resource}]
 }
 
-// SystemCeiling returns the current system ceiling of a node.
-func (s *SRP) SystemCeiling(node int) int {
+// systemCeiling returns the current system ceiling of a node.
+func (s *SRP) systemCeiling(node int) int {
 	max := 0
 	for _, it := range s.stack[node] {
 		if it.ceiling > max {

@@ -50,8 +50,8 @@ func (p Params) flushInterval() vtime.Duration {
 	return DefaultFlushInterval
 }
 
-// Batching reports whether coalescing is enabled.
-func (p Params) Batching() bool { return p.maxBatch() > 1 }
+// batching reports whether coalescing is enabled.
+func (p Params) batching() bool { return p.maxBatch() > 1 }
 
 // BatchStats counts batcher activity for the Result tables.
 type BatchStats struct {
@@ -284,7 +284,7 @@ func (b *Batcher[T]) flush(laneName string, l *lane[T], full, force bool) {
 		} else {
 			b.Stats.TimerFlushes++
 		}
-		if b.params.Batching() {
+		if b.params.batching() {
 			b.eng.Recordf(monitor.KindBatchFlush, b.node, b.label,
 				"%s flush %d ops (%s, depth %d)", laneName, n, cause, l.inflight)
 		}

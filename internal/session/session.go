@@ -160,14 +160,14 @@ func New(eng *simkern.Engine) *Engine { return &Engine{eng: eng} }
 // WireViews pokes the engine on every installed view of the membership
 // service (failover and merge views both republish ownership).
 func (e *Engine) WireViews(mem *membership.Service) {
-	mem.OnChange(func(membership.View) { e.Poke("view") })
+	mem.OnChange(func(membership.View) { e.poke("view") })
 }
 
 // WireHeals pokes the engine when a network partition heals.
 func (e *Engine) WireHeals(net *netsim.Network) {
 	net.OnPartitionChange(func(partitioned bool) {
 		if !partitioned {
-			e.Poke("heal")
+			e.poke("heal")
 		}
 	})
 }
@@ -316,10 +316,10 @@ func (c *Call) Fail(why string) {
 	c.e.fail(c, why)
 }
 
-// Poke resubmits every parked call — fired on any installed view and on
+// poke resubmits every parked call — fired on any installed view and on
 // partition heals — and compacts retired calls on the way, so the scan
 // stays proportional to the live set.
-func (e *Engine) Poke(why string) {
+func (e *Engine) poke(why string) {
 	e.sweep(func(c *Call) bool {
 		if c.Finished() {
 			return false

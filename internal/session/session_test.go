@@ -39,7 +39,7 @@ func TestCallRetriesThenParksAndResumesOnPoke(t *testing.T) {
 		t.Fatalf("timeouts=%d, want 3", n.Timeouts)
 	}
 	// A poke (view install) resumes with a fresh budget.
-	eng.After(0, eventq.ClassApp, func() { s.Poke("view") })
+	eng.After(0, eventq.ClassApp, func() { s.poke("view") })
 	eng.Run(vtime.Time(4500 * us))
 	if n.Resubmitted != 1 || sends != 4 {
 		t.Fatalf("resubmits=%d sends=%d after poke, want 1/4", n.Resubmitted, sends)
@@ -81,7 +81,7 @@ func TestFinishInvalidatesPendingTimeout(t *testing.T) {
 		t.Fatal("call not finished")
 	}
 	if got := s.Live(); got != 0 {
-		s.Poke("sweep")
+		s.poke("sweep")
 	}
 }
 
@@ -185,7 +185,7 @@ func TestCounters(t *testing.T) {
 		{"budget exhausted parks", func(*simkern.Engine, *Engine, *Call) {},
 			3500 * us, Counters{Timeouts: 3, Retries: 2, Queued: 1}},
 		{"poke resubmits the parked call", func(eng *simkern.Engine, s *Engine, c *Call) {
-			eng.After(3200*us, eventq.ClassApp, func() { s.Poke("view") })
+			eng.After(3200*us, eventq.ClassApp, func() { s.poke("view") })
 			eng.After(3400*us, eventq.ClassApp, c.Finish)
 		}, 10 * ms, Counters{Timeouts: 3, Retries: 2, Queued: 1, Resubmitted: 1}},
 		{"redirect keeps the budget", func(eng *simkern.Engine, _ *Engine, c *Call) {
@@ -433,11 +433,11 @@ func TestBatchStatsHistString(t *testing.T) {
 
 func TestParamsDefaults(t *testing.T) {
 	var p Params
-	if p.Batching() || p.maxBatch() != 1 {
+	if p.batching() || p.maxBatch() != 1 {
 		t.Fatal("zero Params must be unbatched")
 	}
 	p = Params{MaxBatch: 4}
-	if !p.Batching() || p.flushInterval() != DefaultFlushInterval {
+	if !p.batching() || p.flushInterval() != DefaultFlushInterval {
 		t.Fatal("MaxBatch>1 must enable batching with the default interval")
 	}
 }

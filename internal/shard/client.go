@@ -281,7 +281,7 @@ func (c *Client) launch(lane string, ops []*request) {
 			for i, r := range b.ops {
 				env.Ops[i] = batchOp{Key: r.key, Cmd: r.cmd, Seq: r.seq, Trace: r.trace.Ref()}
 			}
-			_, _ = c.net.Send(c.p.Node, b.target, g.ReqPort(), env, 48*len(b.ops))
+			_, _ = c.net.Send(c.p.Node, b.target, g.reqPort, env, 48*len(b.ops))
 		},
 		Counters: &c.Stats.Counters,
 		OnFail:   func() { c.failBatch(b) },

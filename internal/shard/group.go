@@ -254,7 +254,7 @@ func NewGroup(eng *simkern.Engine, net *netsim.Network, mem *membership.Service,
 	g.rep = rep
 	for _, n := range g.nodes {
 		node := n
-		net.Bind(node, g.ReqPort(), func(m *netsim.Message) { g.handleRequest(node, m) })
+		net.Bind(node, g.reqPort, func(m *netsim.Message) { g.handleRequest(node, m) })
 	}
 	net.OnDownChange(func(node int, down bool) {
 		if down && g.rep.Machine(node) != nil {
@@ -288,9 +288,6 @@ func (g *Group) Replication() *replication.Group { return g.rep }
 
 // Membership returns the shard's membership service.
 func (g *Group) Membership() *membership.Service { return g.mem }
-
-// ReqPort returns the port replicas accept client requests on.
-func (g *Group) ReqPort() string { return g.reqPort }
 
 // AuthoritativeNode returns the replica whose apply log is the
 // authoritative history: the current primary, or — if the primary's

@@ -73,7 +73,7 @@ func TestAllocsClockTick(t *testing.T) {
 	p := eng.AddProcessor("n0", 0)
 	p.StartClockTick(200*us, 50*us)
 	gate(t, "clock tick", 0, func() { eng.Run(eng.Now().Add(2000 * us)) })
-	if p.Ticks() == 0 {
+	if p.ticks == 0 {
 		t.Fatal("no tick handled")
 	}
 }

@@ -112,7 +112,7 @@ func TestIRQDuringSwitchCostWindow(t *testing.T) {
 	if done < vtime.Time(125*us) {
 		t.Fatalf("done at %s: work lost across IRQ-in-switch", done)
 	}
-	if th.CPUTime() != 100*us {
-		t.Fatalf("CPU time %s, want exactly 100us", th.CPUTime())
+	if th.cpuTime != 100*us {
+		t.Fatalf("CPU time %s, want exactly 100us", th.cpuTime)
 	}
 }

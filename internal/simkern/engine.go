@@ -58,7 +58,6 @@ type Engine struct {
 	procs   []*Processor
 
 	running  bool
-	stopReq  bool
 	fired    uint64
 	readySeq uint64
 }
@@ -146,9 +145,6 @@ func (e *Engine) checkNotPast(t vtime.Time) {
 // Cancel cancels a Timer.
 func (e *Engine) Cancel(ev *eventq.Event) { e.queue.Cancel(ev) }
 
-// Stop makes Run return after the currently firing event.
-func (e *Engine) Stop() { e.stopReq = true }
-
 // EventsFired returns the total number of events processed so far.
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
@@ -160,11 +156,7 @@ func (e *Engine) Run(until vtime.Time) vtime.Time {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	e.stopReq = false
 	for {
-		if e.stopReq {
-			return e.now
-		}
 		next := e.queue.Peek()
 		if next == nil {
 			return e.now

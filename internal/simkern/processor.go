@@ -115,9 +115,6 @@ func (p *Processor) Switches() int { return p.switches }
 // Preemptions returns the number of preemptions performed.
 func (p *Processor) Preemptions() int { return p.preempts }
 
-// Ticks returns the number of clock-tick interrupts handled.
-func (p *Processor) Ticks() uint64 { return p.ticks }
-
 // IRQBySource returns interrupt statistics per source name. The map is
 // the live map; callers must not mutate it.
 func (p *Processor) IRQBySource() map[string]*IRQStats { return p.irqStats }

@@ -27,7 +27,7 @@ func TestSingleThreadRunsToCompletion(t *testing.T) {
 	if done != vtime.Time(100*us) {
 		t.Fatalf("completion at %s, want 100us", done)
 	}
-	if got := th.CPUTime(); got != 100*us {
+	if got := th.cpuTime; got != 100*us {
 		t.Fatalf("CPUTime = %s, want 100us", got)
 	}
 	if !th.Finished() {
@@ -195,8 +195,8 @@ func TestClockTick(t *testing.T) {
 	// The 10th tick arrives at 10ms and its 5us handler completes just
 	// after; run slightly past the last period boundary.
 	eng.Run(vtime.Time(10*vtime.Millisecond + 10*us))
-	if p.Ticks() != 10 {
-		t.Fatalf("ticks = %d, want 10", p.Ticks())
+	if p.ticks != 10 {
+		t.Fatalf("ticks = %d, want 10", p.ticks)
 	}
 	st := p.IRQBySource()["clock"]
 	if st == nil || st.Count != 10 {
@@ -280,7 +280,7 @@ func TestSuspendPreservesRemainingWork(t *testing.T) {
 	th.Ready()
 	eng.After(30*us, eventq.ClassDispatch, func() { th.Suspend() })
 	eng.RunUntilIdle()
-	if got := th.RemainingWork(); got != 70*us {
+	if got := th.remainingWork(); got != 70*us {
 		t.Fatalf("remaining %s, want 70us", got)
 	}
 	th.Ready()
@@ -324,24 +324,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		eng.At(5, eventq.ClassApp, nil)
 	})
 	eng.RunUntilIdle()
-}
-
-func TestEngineStop(t *testing.T) {
-	eng := newEng()
-	n := 0
-	var evt func()
-	evt = func() {
-		n++
-		if n == 3 {
-			eng.Stop()
-		}
-		eng.After(us, eventq.ClassApp, evt)
-	}
-	eng.After(us, eventq.ClassApp, evt)
-	eng.RunUntilIdle()
-	if n != 3 {
-		t.Fatalf("processed %d events, want 3", n)
-	}
 }
 
 func TestRunUntilHorizon(t *testing.T) {
@@ -493,7 +475,7 @@ func TestSegmentsBeyondInlineBuffer(t *testing.T) {
 	th.AddSegment(Segment{Name: "s3", Work: 10 * us, OnDone: mark("s3")})
 	th.AddSegment(Segment{Name: "s4", Work: 10 * us, OnDone: mark("s4")})
 	th.OnComplete = mark("done")
-	if got := th.RemainingWork(); got != 40*us {
+	if got := th.remainingWork(); got != 40*us {
 		t.Fatalf("RemainingWork = %s, want 40us", got)
 	}
 	th.Ready()
@@ -502,7 +484,7 @@ func TestSegmentsBeyondInlineBuffer(t *testing.T) {
 	if !slices.Equal(order, want) {
 		t.Fatalf("order %v, want %v", order, want)
 	}
-	if eng.Now() != vtime.Time(50*us) || th.CPUTime() != 50*us {
-		t.Fatalf("finished at %s after %s of CPU, want 50us both", eng.Now(), th.CPUTime())
+	if eng.Now() != vtime.Time(50*us) || th.cpuTime != 50*us {
+		t.Fatalf("finished at %s after %s of CPU, want 50us both", eng.Now(), th.cpuTime)
 	}
 }

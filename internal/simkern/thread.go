@@ -71,10 +71,6 @@ func (p *Processor) NewThread(name string, prio int) *Thread {
 // Name returns the thread's name.
 func (t *Thread) Name() string { return t.name }
 
-// Processor returns the processor the thread is bound to. Threads never
-// migrate: Code_EUs are statically placed (§3.1).
-func (t *Thread) Processor() *Processor { return t.proc }
-
 // Priority returns the thread's current priority.
 func (t *Thread) Priority() int { return t.prio }
 
@@ -83,9 +79,6 @@ func (t *Thread) Finished() bool { return t.finished }
 
 // Started reports whether the thread has ever held the CPU.
 func (t *Thread) Started() bool { return t.started }
-
-// CPUTime returns the CPU time consumed so far.
-func (t *Thread) CPUTime() vtime.Duration { return t.cpuTime }
 
 // AddSegment appends a CPU demand to the thread. Must not be called after
 // the thread finished.
@@ -141,8 +134,8 @@ func (t *Thread) SetPriority(prio int) {
 	}
 }
 
-// RemainingWork sums the remaining CPU demand over all segments.
-func (t *Thread) RemainingWork() vtime.Duration {
+// remainingWork sums the remaining CPU demand over all segments.
+func (t *Thread) remainingWork() vtime.Duration {
 	var sum vtime.Duration
 	for i := t.segIdx; i < len(t.segs); i++ {
 		sum += t.segs[i].remaining

@@ -64,10 +64,10 @@ func (h *Hist) Record(v int64) {
 	}
 }
 
-// Merge folds another histogram into this one bucket-by-bucket; the
+// merge folds another histogram into this one bucket-by-bucket; the
 // result is identical to having recorded every observation here
 // (buckets are positional, so no re-binning error is introduced).
-func (h *Hist) Merge(o *Hist) {
+func (h *Hist) merge(o *Hist) {
 	if h == nil || o == nil {
 		return
 	}

@@ -17,7 +17,7 @@ func TestHistMergeEquivalence(t *testing.T) {
 		b.Record(v)
 		all.Record(v)
 	}
-	a.Merge(b)
+	a.merge(b)
 	if a.Count() != all.Count() {
 		t.Fatalf("count %d != %d", a.Count(), all.Count())
 	}
@@ -38,22 +38,22 @@ func TestHistMergeEdgeCases(t *testing.T) {
 	empty, full := NewHist(), NewHist()
 	full.Record(123)
 	full.Record(4_567_890)
-	empty.Merge(full)
+	empty.merge(full)
 	if empty.Count() != 2 || empty.Max() != 4_567_890 {
 		t.Fatalf("merge into empty lost data: count=%d max=%d", empty.Count(), empty.Max())
 	}
 
 	// Merge an empty histogram in: a no-op.
 	before := full.Percentile(0.5)
-	full.Merge(NewHist())
+	full.merge(NewHist())
 	if full.Count() != 2 || full.Percentile(0.5) != before {
 		t.Fatalf("merging empty changed the histogram")
 	}
 
 	// Nil receiver and nil operand are both safe.
 	var nilh *Hist
-	nilh.Merge(full)
-	full.Merge(nilh)
+	nilh.merge(full)
+	full.merge(nilh)
 	if full.Count() != 2 {
 		t.Fatalf("nil merge changed the histogram: %d", full.Count())
 	}
@@ -63,7 +63,7 @@ func TestHistMergeEdgeCases(t *testing.T) {
 	small, large := NewHist(), NewHist()
 	small.Record(1)
 	large.Record(1 << 40)
-	small.Merge(large)
+	small.merge(large)
 	if small.Count() != 2 || small.Max() != 1<<40 {
 		t.Fatalf("bucket growth lost the tail: count=%d max=%d", small.Count(), small.Max())
 	}

@@ -103,12 +103,11 @@ func (lt LayerTimes) Total() vtime.Duration {
 // anything — every op pays to allocate and GC-scan this, so it stays
 // small and flat.
 type span struct {
-	name   string
-	start  vtime.Time
-	end    vtime.Time
-	parent int32
-	layer  Layer
-	open   bool
+	name  string
+	start vtime.Time
+	end   vtime.Time
+	layer Layer
+	open  bool
 }
 
 // SpanRef is a value handle to one timed interval of a trace. The zero
@@ -143,14 +142,6 @@ func (s SpanRef) End() {
 	}
 }
 
-// Child opens a nested span.
-func (s SpanRef) Child(name string, layer Layer) SpanRef {
-	if !s.live() || s.tr.finished {
-		return SpanRef{}
-	}
-	return s.tr.newSpan(name, layer, s.idx)
-}
-
 // Name returns the span's label.
 func (s SpanRef) Name() string {
 	if !s.live() {
@@ -167,15 +158,6 @@ func (s SpanRef) Interval() (vtime.Time, vtime.Time) {
 	}
 	sp := &s.tr.spans[s.idx]
 	return sp.start, sp.end
-}
-
-// Parent returns the index of the parent span within Trace.Spans
-// (-1 for the root).
-func (s SpanRef) Parent() int {
-	if !s.live() {
-		return -1
-	}
-	return int(s.tr.spans[s.idx].parent)
 }
 
 // Ref is a generation-checked trace handle for state whose lifetime
@@ -344,18 +326,17 @@ func (tr *Trace) Span(name string, layer Layer) SpanRef {
 	if tr == nil || tr.finished {
 		return SpanRef{}
 	}
-	return tr.newSpan(name, layer, 0)
+	return tr.newSpan(name, layer)
 }
 
-func (tr *Trace) newSpan(name string, layer Layer, parent int32) SpanRef {
+func (tr *Trace) newSpan(name string, layer Layer) SpanRef {
 	idx := int32(len(tr.spans))
 	tr.spans = append(tr.spans, span{
-		name:   name,
-		layer:  layer,
-		start:  tr.tc.now(),
-		end:    -1,
-		parent: parent,
-		open:   true,
+		name:  name,
+		layer: layer,
+		start: tr.tc.now(),
+		end:   -1,
+		open:  true,
 	})
 	if layer != LayerOther {
 		tr.advance(tr.spans[idx].start)
@@ -412,28 +393,8 @@ func (tr *Trace) Violate(format string, args ...any) {
 	}
 }
 
-// Violating reports whether the trace carries at least one violation.
-func (tr *Trace) Violating() bool { return tr != nil && tr.violating }
-
-// Sampled reports whether the hash-based sampler selected the trace.
-func (tr *Trace) Sampled() bool { return tr != nil && tr.sampled }
-
 // Finished reports whether Finish has run.
 func (tr *Trace) Finished() bool { return tr != nil && tr.finished }
-
-// Spans returns handles to the span tree in creation order (root
-// first). The handle slice is built on demand: spans live by value
-// inside the trace, and only exporters and tests walk them.
-func (tr *Trace) Spans() []SpanRef {
-	if tr == nil {
-		return nil
-	}
-	out := make([]SpanRef, len(tr.spans))
-	for i := range out {
-		out[i] = SpanRef{tr: tr, id: tr.id, idx: int32(i)}
-	}
-	return out
-}
 
 // Violations returns the trace's violation marks.
 func (tr *Trace) Violations() []Mark {
@@ -444,7 +405,7 @@ func (tr *Trace) Violations() []Mark {
 }
 
 // Layers returns the per-layer breakdown (valid after Finish); the six
-// layers sum exactly to Duration.
+// layers sum exactly to the end-to-end latency.
 func (tr *Trace) Layers() LayerTimes {
 	if tr == nil {
 		return LayerTimes{}
@@ -468,8 +429,8 @@ func (tr *Trace) End() vtime.Time {
 	return tr.spans[0].end
 }
 
-// Duration returns the end-to-end latency (valid after Finish).
-func (tr *Trace) Duration() vtime.Duration {
+// duration returns the end-to-end latency (valid after Finish).
+func (tr *Trace) duration() vtime.Duration {
 	if tr == nil {
 		return 0
 	}
@@ -631,7 +592,7 @@ func (t *Tracer) Begin(class string, shard int) *Trace {
 		tr.spans = tr.arena[:0]
 	}
 	tr.sampled = t.sampleID(tr.id)
-	tr.newSpan(class, LayerOther, -1)
+	tr.newSpan(class, LayerOther)
 	return tr
 }
 
@@ -674,7 +635,7 @@ func (t *Tracer) finishTrace(tr *Trace) {
 	if tr.violating {
 		t.violated++
 	}
-	d := tr.Duration()
+	d := tr.duration()
 	// Only the per-shard scope is updated on the hot path; the shard=-1
 	// all-shards rows are synthesized by merging in Stats.
 	t.observe(Scope{Class: tr.class, Shard: tr.shard}, d, tr.layers)
@@ -767,7 +728,7 @@ func (t *Tracer) Stats() []ScopeStats {
 		all.count += agg.count
 		all.total += agg.total
 		all.layers.addAll(agg.layers)
-		all.hist.Merge(agg.hist)
+		all.hist.merge(agg.hist)
 	}
 	for class, agg := range classes {
 		out = append(out, statsRow(class, -1, agg))

@@ -22,16 +22,15 @@ func TestNilSafety(t *testing.T) {
 	}
 	sp := tr.Span("x", LayerQueue)
 	sp.End()
-	sp.Child("y", LayerLock).End()
 	tr.Instant("retry %d", 1)
 	tr.Violate("boom")
 	tr.SetLabel("l")
 	tr.SetClass("c")
 	tr.Finish()
-	if tr.Violating() || tr.Sampled() || tr.Finished() {
+	if tr.Violations() != nil || tr.Finished() {
 		t.Fatal("nil trace reported state")
 	}
-	if tr.ID() != 0 || tr.Duration() != 0 || len(tr.Spans()) != 0 {
+	if tr.ID() != 0 || tr.duration() != 0 {
 		t.Fatal("nil trace reported data")
 	}
 	if got := tc.Stats(); got != nil {
@@ -60,9 +59,9 @@ func TestLayerPartition(t *testing.T) {
 	b.End()
 	w := tr.Span("wire", LayerWire)
 	now = vtime.Time(30 * vtime.Microsecond)
-	r := w.Child("replicate", LayerReplicate)
+	r := tr.Span("replicate", LayerReplicate)
 	now = vtime.Time(40 * vtime.Microsecond)
-	l := r.Child("lock", LayerLock)
+	l := tr.Span("lock", LayerLock)
 	now = vtime.Time(45 * vtime.Microsecond)
 	l.End()
 	now = vtime.Time(50 * vtime.Microsecond)
@@ -78,8 +77,8 @@ func TestLayerPartition(t *testing.T) {
 	if lt != want {
 		t.Fatalf("layers = %+v, want %+v", lt, want)
 	}
-	if lt.Total() != tr.Duration() {
-		t.Fatalf("layer total %v != duration %v", lt.Total(), tr.Duration())
+	if lt.Total() != tr.duration() {
+		t.Fatalf("layer total %v != duration %v", lt.Total(), tr.duration())
 	}
 }
 
@@ -104,7 +103,7 @@ func TestSamplingAndViolationRetention(t *testing.T) {
 	if got := len(tc.Retained()); got != 1 {
 		t.Fatalf("retained %d traces at rate 0, want 1 (the violating one)", got)
 	}
-	if !tc.Retained()[0].Violating() {
+	if len(tc.Retained()[0].Violations()) == 0 {
 		t.Fatal("retained trace is not the violating one")
 	}
 	st := tc.Stats()
@@ -129,7 +128,7 @@ func TestSamplingDeterministicAndProportional(t *testing.T) {
 		tc := New(7, 0.3, clock(&now))
 		out := make([]bool, 1000)
 		for i := range out {
-			out[i] = tc.Begin("c", 0).Sampled()
+			out[i] = tc.Begin("c", 0).sampled
 		}
 		return out
 	}
@@ -196,7 +195,7 @@ func TestChromeExport(t *testing.T) {
 		tr.SetLabel("t6.1")
 		sp := tr.Span("2pc.prepare.s1", LayerWire)
 		now = vtime.Time(5 * vtime.Microsecond)
-		sp.Child("lock.wait.s1", LayerLock).End()
+		tr.Span("lock.wait.s1", LayerLock).End()
 		sp.End()
 		tr.Instant("retry 1/8")
 		tr.Violate("deadline")

@@ -94,9 +94,6 @@ type Txn struct {
 // ID returns the transaction's identity.
 func (t *Txn) ID() ID { return t.id }
 
-// Status returns the transaction's current lifecycle state.
-func (t *Txn) Status() Status { return t.status }
-
 // Reason returns the abort reason (empty for commits).
 func (t *Txn) Reason() string { return t.reason }
 
@@ -159,19 +156,15 @@ func (c *Client) Node() int { return c.c.Node }
 // Params returns the client's parameters.
 func (c *Client) Params() ClientParams { return c.c }
 
-// Begin opens a transaction with the client's default relative
-// deadline.
-func (c *Client) Begin() *Txn { return c.BeginWithDeadline(c.c.Deadline) }
-
-// BeginWithDeadline opens a transaction whose deadline is d from now:
-// if it has not committed by then, it deterministically aborts — locks
-// are never held past it.
-func (c *Client) BeginWithDeadline(d vtime.Duration) *Txn {
+// Begin opens a transaction whose deadline is the client's default
+// relative deadline from now: if it has not committed by then, it
+// deterministically aborts — locks are never held past it.
+func (c *Client) Begin() *Txn {
 	c.nextTxn++
 	c.Stats.Begun++
 	return &Txn{
 		id:       ID{Client: c.c.Node, Num: c.nextTxn},
-		deadline: c.p.eng.Now().Add(d),
+		deadline: c.p.eng.Now().Add(c.c.Deadline),
 		status:   StatusPending,
 	}
 }

@@ -58,9 +58,6 @@ func (t Time) After(u Time) bool { return t > u }
 // Micros returns the instant as a float64 count of microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Millis returns the instant as a float64 count of milliseconds.
-func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
-
 // String renders the instant with a unit chosen for readability.
 func (t Time) String() string {
 	if t == Infinity {
@@ -71,9 +68,6 @@ func (t Time) String() string {
 
 // Micros returns the duration as a float64 count of microseconds.
 func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
-
-// Millis returns the duration as a float64 count of milliseconds.
-func (d Duration) Millis() float64 { return float64(d) / float64(Millisecond) }
 
 // String renders the duration with a unit chosen for readability.
 func (d Duration) String() string {
@@ -113,38 +107,6 @@ func appendTrimmed(b []byte, f float64) []byte {
 	}
 	if b[len(b)-1] == '.' {
 		b = b[:len(b)-1]
-	}
-	return b
-}
-
-// Max returns the later of a and b.
-func Max(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min returns the earlier of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxD returns the longer of a and b.
-func MaxD(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinD returns the shorter of a and b.
-func MinD(a, b Duration) Duration {
-	if a < b {
-		return a
 	}
 	return b
 }

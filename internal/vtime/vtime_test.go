@@ -196,18 +196,6 @@ func TestCeilDivPanicsOnZero(t *testing.T) {
 	CeilDiv(1, 0)
 }
 
-func TestMinMax(t *testing.T) {
-	if Max(3, 5) != 5 || Max(5, 3) != 5 {
-		t.Error("Max wrong")
-	}
-	if Min(3, 5) != 3 || Min(5, 3) != 3 {
-		t.Error("Min wrong")
-	}
-	if MaxD(3, 5) != 5 || MinD(3, 5) != 3 {
-		t.Error("MaxD/MinD wrong")
-	}
-}
-
 // Property: ceil division always covers the dividend, floor never
 // exceeds it, and they differ by at most one.
 func TestCeilFloorDivProperties(t *testing.T) {
