@@ -44,7 +44,7 @@ func (d *Dispatcher) sendRemote(src *Thread, ei int) {
 		}
 	}
 	payload := remotePayload{Task: task.Name, Seq: src.inst.Seq, ToEU: e.To, Params: params}
-	m, err := d.net.Send(from, to, remotePort, payload, 64+16*len(params))
+	id, err := d.net.Send(from, to, remotePort, payload, 64+16*len(params))
 	if err != nil {
 		d.stats.NetworkOmissions++
 		d.eng.Recordf(monitor.KindNetworkOmission, from, src.Name(), "no link to n%d", to)
@@ -54,12 +54,12 @@ func (d *Dispatcher) sendRemote(src *Thread, ei int) {
 	bound := dmax + d.net.WorstCaseReceivePath() + d.OmissionSlack
 	dest := src.inst.Threads[e.To]
 	ev := d.eng.Timer(d.eng.Now().Add(bound), eventq.ClassDispatch, func() {
-		delete(d.pendingRemote, m.ID)
+		delete(d.pendingRemote, id)
 		d.stats.NetworkOmissions++
 		d.eng.Recordf(monitor.KindNetworkOmission, to, dest.name,
 			"remote precedence from %s not satisfied within %s", src.Name(), bound)
 	})
-	d.pendingRemote[m.ID] = ev
+	d.pendingRemote[id] = ev
 }
 
 // receiveRemote satisfies a remote precedence constraint on delivery.

@@ -284,6 +284,13 @@ func (l *Log) Record(e Event) {
 	}
 }
 
+// Keeps reports whether a record of kind made now would be kept: the
+// test Recordf applies before it formats. A caller whose subject costs
+// something to build asks first.
+func (l *Log) Keeps(kind Kind) bool {
+	return l != nil && (l.ring || !l.full() || kind.isViolation() || kind.isFault())
+}
+
 // Recordf appends an event built from the arguments. An event nothing
 // would keep — a full head-mode window, a kind off the side lists — is
 // counted in Dropped before its detail is formatted, not after.
@@ -291,7 +298,7 @@ func (l *Log) Recordf(at vtime.Time, kind Kind, node int, subject, format string
 	if l == nil {
 		return
 	}
-	if !l.ring && l.full() && !kind.isViolation() && !kind.isFault() {
+	if !l.Keeps(kind) {
 		l.dropped++
 		return
 	}

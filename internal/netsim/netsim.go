@@ -23,6 +23,15 @@
 // Sender-side CPU cost (C_trans_data) is deliberately *not* charged here:
 // per §4.1 it is a dispatcher activity, charged by the dispatcher (or
 // included in a service task's WCET).
+//
+// Each message in flight is one recycled record holding the Message by
+// value, its receiver, the NetMsg thread (reinitialised in place, named
+// only if a kept record reads its name) and the receive path's stages,
+// bound once. The record returns to the network's free list when the
+// handler returns or the message is dropped, so a steady-state hop
+// allocates nothing. The contract this puts on a handler: the *Message
+// it receives lives only for the call. Send returns the message id, not
+// the message; a handler copies what it keeps.
 package netsim
 
 import (
@@ -129,6 +138,46 @@ type Network struct {
 	nextID    uint64
 	stats     Stats
 	protoSeq  uint64
+	free      *flight // recycled message records; grows on demand
+}
+
+// flight is the recycled record of one message in flight (see the
+// package doc). Its stages and name closure are bound when it is first
+// allocated.
+type flight struct {
+	n    *Network
+	m    Message
+	to   *simkern.Processor
+	th   simkern.Thread
+	seq  uint64 // the NetMsg thread's number, rendered only if read
+	next *flight
+
+	arrive, atm, done func()
+	name              func() string
+}
+
+// take returns a record from the free list, or a new one with its
+// stages bound.
+func (n *Network) take() *flight {
+	f := n.free
+	if f == nil {
+		f = &flight{n: n}
+		f.arrive, f.atm, f.done = f.onArrive, f.onATM, f.deliver
+		f.name = func() string {
+			var buf [32]byte
+			return string(strconv.AppendUint(append(buf[:0], "NetMsg#"...), f.seq, 10))
+		}
+		return f
+	}
+	n.free, f.next = f.next, nil
+	return f
+}
+
+// release zeroes f's Message, so the payload is not kept reachable, and
+// returns f to the free list.
+func (n *Network) release(f *flight) {
+	f.m = Message{}
+	f.next, n.free = n.free, f
 }
 
 // New creates a network over the engine's processors.
@@ -299,7 +348,9 @@ func (n *Network) DelayBounds(a, b int) (dMin, dMax vtime.Duration, ok bool) {
 }
 
 // Bind registers the handler for messages to proc on port. Binding a
-// port twice replaces the handler.
+// port twice replaces the handler. The *Message a handler receives lives
+// only for the call: its record is recycled when the handler returns, so
+// a handler copies what it keeps (the Message by value, its Payload).
 func (n *Network) Bind(proc int, port string, h func(*Message)) {
 	m := n.handlers[proc]
 	if m == nil {
@@ -309,13 +360,23 @@ func (n *Network) Bind(proc int, port string, h func(*Message)) {
 	m[port] = h
 }
 
-// Local hands m to the handler bound for node on port — the last step
-// of the receive path — and reports whether one was bound. There are no
-// self-links, so a sender co-located with its receiver calls this
-// instead of Send, after whatever delay it charges for the local
-// dispatch; nothing is counted or recorded here.
-func (n *Network) Local(node int, port string, m *Message) bool {
-	h := n.handlers[node][port]
+// Local hands payload from `from` to the handler bound for `to` on
+// port — the last step of the receive path — and reports whether one
+// was bound. There are no self-links, so a sender co-located with its
+// receiver calls this instead of Send, after whatever delay it charges
+// for the local dispatch; nothing is counted or recorded here, and the
+// message carries no id.
+func (n *Network) Local(from, to int, port string, payload any, size int) bool {
+	f := n.take()
+	f.m = Message{From: from, To: to, Port: port, Payload: payload, Size: size, SentAt: n.eng.Now()}
+	ok := n.handle(&f.m)
+	n.release(f)
+	return ok
+}
+
+// handle runs the handler bound for m's receiver and port, if any.
+func (n *Network) handle(m *Message) bool {
+	h := n.handlers[m.To][m.Port]
 	if h != nil {
 		h(m)
 	}
@@ -325,27 +386,30 @@ func (n *Network) Local(node int, port string, m *Message) bool {
 // ErrNoLink is returned when sending between unconnected processors.
 var ErrNoLink = errors.New("netsim: processors not connected")
 
-// Send transmits payload from processor `from` to `to` on port. Delivery
-// (if the message survives injection) raises the ATM interrupt on the
-// receiver, runs the protocol task, and then invokes the bound handler.
-func (n *Network) Send(from, to int, port string, payload any, size int) (*Message, error) {
+// Send transmits payload from processor `from` to `to` on port and
+// returns the message id. Delivery (if the message survives injection)
+// raises the ATM interrupt on the receiver, runs the protocol task, and
+// then invokes the bound handler.
+func (n *Network) Send(from, to int, port string, payload any, size int) (uint64, error) {
 	l, ok := n.links[[2]int{from, to}]
 	if !ok {
-		return nil, ErrNoLink
+		return 0, ErrNoLink
 	}
 	n.nextID++
-	m := &Message{ID: n.nextID, From: from, To: to, Port: port, Payload: payload, Size: size, SentAt: n.eng.Now()}
+	id := n.nextID
+	f := n.take()
+	f.m = Message{ID: id, From: from, To: to, Port: port, Payload: payload, Size: size, SentAt: n.eng.Now()}
 	n.stats.Sent++
-	n.eng.Recordf(monitor.KindMessageSend, from, port, "to=n%d id=%d", to, m.ID)
+	n.eng.Recordf(monitor.KindMessageSend, from, port, "to=n%d id=%d", to, id)
 
 	if n.down[from] || n.down[to] {
-		n.drop(m, "node down")
-		return m, nil
+		n.drop(f, "node down")
+		return id, nil
 	}
 	if n.Partitioned(from, to) {
 		n.stats.PartDropped++
-		n.drop(m, "partitioned")
-		return m, nil
+		n.drop(f, "partitioned")
+		return id, nil
 	}
 
 	delay := l.dMin
@@ -353,10 +417,10 @@ func (n *Network) Send(from, to int, port string, payload any, size int) (*Messa
 		delay += vtime.Duration(n.eng.Rand().Int63n(int64(span) + 1))
 	}
 	if n.fault != nil {
-		switch v := n.fault.Judge(m); v.Fate {
+		switch v := n.fault.Judge(&f.m); v.Fate {
 		case FateDrop:
-			n.drop(m, "omission")
-			return m, nil
+			n.drop(f, "omission")
+			return id, nil
 		case FateDelay:
 			n.stats.Late++
 			delay += v.Extra
@@ -371,52 +435,60 @@ func (n *Network) Send(from, to int, port string, payload any, size int) (*Messa
 		arrive = l.lastDelivery
 	}
 	l.lastDelivery = arrive
-	n.eng.At(arrive, eventq.ClassNetwork, func() { n.receive(m) })
-	return m, nil
+	n.eng.At(arrive, eventq.ClassNetwork, f.arrive)
+	return id, nil
 }
 
-// receive runs the paper's receive path: ATM interrupt, then the NetMsg
-// protocol thread, then the port handler.
-func (n *Network) receive(m *Message) {
+// onArrive runs the paper's receive path: ATM interrupt, then the
+// NetMsg protocol thread, then the port handler.
+func (f *flight) onArrive() {
+	n, m := f.n, &f.m
 	if n.down[m.To] {
-		n.drop(m, "receiver down")
+		n.drop(f, "receiver down")
 		return
 	}
 	if n.Partitioned(m.From, m.To) {
 		// The cut is instantaneous: copies in flight when the partition
 		// starts are lost with the segment.
 		n.stats.PartDropped++
-		n.drop(m, "partitioned in flight")
+		n.drop(f, "partitioned in flight")
 		return
 	}
 	procs := n.eng.Processors()
 	if m.To < 0 || m.To >= len(procs) {
 		panic(fmt.Sprintf("netsim: message to unknown processor %d", m.To))
 	}
-	p := procs[m.To]
-	p.RaiseIRQ("atm", n.cfg.WAtm, func() {
-		if n.cfg.WProto <= 0 {
-			n.deliver(m)
-			return
-		}
-		n.protoSeq++
-		var buf [32]byte
-		name := strconv.AppendUint(append(buf[:0], "NetMsg#"...), n.protoSeq, 10)
-		th := p.NewThread(string(name), n.cfg.PrioNet)
-		th.AddSegment(simkern.Segment{Name: "proto", Work: n.cfg.WProto, PT: simkern.PrioMax})
-		th.OnComplete = func() { n.deliver(m) }
-		th.Ready()
-	})
+	f.to = procs[m.To]
+	f.to.RaiseIRQ("atm", n.cfg.WAtm, f.atm)
 }
 
-func (n *Network) deliver(m *Message) {
+// onATM ends the interrupt: the protocol thread, reinitialised in place
+// and named only if a kept record reads its name.
+func (f *flight) onATM() {
+	n := f.n
+	if n.cfg.WProto <= 0 {
+		f.deliver()
+		return
+	}
+	n.protoSeq++
+	f.seq = n.protoSeq
+	f.to.InitThread(&f.th, f.name, n.cfg.PrioNet)
+	f.th.AddSegment(simkern.Segment{Name: "proto", Work: n.cfg.WProto, PT: simkern.PrioMax})
+	f.th.OnComplete = f.done
+	f.th.Ready()
+}
+
+// deliver hands the message to its handler and recycles the record.
+func (f *flight) deliver() {
+	n, m := f.n, &f.m
 	m.DeliveredAt = n.eng.Now()
 	n.stats.Delivered++
 	n.eng.Recordf(monitor.KindMessageRecv, m.To, m.Port, "from=n%d id=%d lat=%s", m.From, m.ID, m.DeliveredAt.Sub(m.SentAt))
-	if !n.Local(m.To, m.Port, m) {
+	if !n.handle(m) {
 		// Unbound port: drop quietly but record, so tests can assert.
 		n.eng.Recordf(monitor.KindMessageDrop, m.To, m.Port, "id=%d no handler", m.ID)
 	}
+	n.release(f)
 }
 
 // drop accounts one lost message: the counter, the monitor record, and
@@ -425,16 +497,17 @@ func (n *Network) deliver(m *Message) {
 // which forces full-history retention regardless of the sample rate
 // (the "every omission carries its causal history" rule). Purely
 // observational; the retry machinery above this layer is untouched.
-func (n *Network) drop(m *Message, why string) {
+// The record is recycled.
+func (n *Network) drop(f *flight, why string) {
+	m := &f.m
 	n.stats.Dropped++
 	n.eng.Recordf(monitor.KindMessageDrop, m.To, m.Port, "id=%d %s", m.ID, why)
-	c, ok := m.Payload.(trace.Carrier)
-	if !ok {
-		return
+	if c, ok := m.Payload.(trace.Carrier); ok {
+		for _, tr := range c.TraceRefs() {
+			tr.Violate("omission: %s id=%d %s", m.Port, m.ID, why)
+		}
 	}
-	for _, tr := range c.TraceRefs() {
-		tr.Violate("omission: %s id=%d %s", m.Port, m.ID, why)
-	}
+	n.release(f)
 }
 
 // WorstCaseReceivePath returns the CPU cost on the receiver for one

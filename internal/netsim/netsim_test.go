@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
 	"hades/internal/eventq"
@@ -26,8 +27,9 @@ func twoNodes(t *testing.T, cfg Config) (*simkern.Engine, *Network) {
 
 func TestDeliveryWithinBounds(t *testing.T) {
 	eng, n := twoNodes(t, DefaultConfig())
+	// The *Message lives only for the handler call: keep it by value.
 	var got *Message
-	n.Bind(1, "app", func(m *Message) { got = m })
+	n.Bind(1, "app", func(m *Message) { c := *m; got = &c })
 	if _, err := n.Send(0, 1, "app", "payload", 8); err != nil {
 		t.Fatal(err)
 	}
@@ -326,18 +328,105 @@ func TestDropReasons(t *testing.T) {
 	}
 }
 
+// TestEveryPathRecyclesItsRecord: a delivery, an unbound port, each of
+// the five drops and a Local hop all return the message record to the
+// free list with its Message zeroed, so the next message reuses it and
+// no payload stays reachable.
+func TestEveryPathRecyclesItsRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hop  func(eng *simkern.Engine, n *Network)
+	}{
+		{"delivered", func(_ *simkern.Engine, n *Network) { _, _ = n.Send(0, 2, "app", 1, 8) }},
+		{"no handler", func(_ *simkern.Engine, n *Network) { _, _ = n.Send(0, 2, "unbound", 1, 8) }},
+		{"node down", func(_ *simkern.Engine, n *Network) { n.SetNodeDown(2, true); _, _ = n.Send(0, 2, "app", 1, 8) }},
+		{"partitioned", func(_ *simkern.Engine, n *Network) {
+			n.SetPartition([]int{0, 1}, []int{2, 3})
+			_, _ = n.Send(0, 2, "app", 1, 8)
+		}},
+		{"omission", func(_ *simkern.Engine, n *Network) { n.SetFault(alwaysDrop{}); _, _ = n.Send(0, 2, "app", 1, 8) }},
+		{"receiver down", func(eng *simkern.Engine, n *Network) {
+			eng.At(eng.Now().Add(1*us), eventq.ClassApp, func() { n.SetNodeDown(2, true) })
+			_, _ = n.Send(0, 2, "app", 1, 8)
+		}},
+		{"partitioned in flight", func(eng *simkern.Engine, n *Network) {
+			n.PartitionAt(eng.Now().Add(1*us), []int{0, 1}, []int{2, 3})
+			_, _ = n.Send(0, 2, "app", 1, 8)
+		}},
+		{"local", func(_ *simkern.Engine, n *Network) { n.Local(2, 2, "app", 1, 8) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, n := fourNodes(t)
+			n.Bind(2, "app", func(*Message) {})
+			tc.hop(eng, n)
+			eng.RunUntilIdle()
+			f := n.free
+			if f == nil || f.next != nil || f.m != (Message{}) {
+				t.Fatalf("free list after one hop: %+v, want one record with a zero Message", f)
+			}
+			n.SetNodeDown(2, false)
+			n.SetFault(nil)
+			n.Heal()
+			_, _ = n.Send(0, 2, "app", 1, 8)
+			eng.RunUntilIdle()
+			if n.free != f || f.next != nil {
+				t.Fatal("the next message did not reuse the record")
+			}
+		})
+	}
+}
+
+// TestHandlerMessageLivesForTheCall: the *Message a handler receives is
+// recycled when the handler returns; a handler keeps a copy.
+func TestHandlerMessageLivesForTheCall(t *testing.T) {
+	eng, n := twoNodes(t, DefaultConfig())
+	var kept *Message
+	var copied Message
+	n.Bind(1, "app", func(m *Message) { kept, copied = m, *m })
+	id, err := n.Send(0, 1, "app", "payload", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntilIdle()
+	if copied.ID != id || copied.Payload != "payload" || copied.DeliveredAt == 0 {
+		t.Fatalf("copy %+v, want id %d with its payload", copied, id)
+	}
+	if *kept != (Message{}) {
+		t.Fatalf("message after the handler returned: %+v, want zeroed", *kept)
+	}
+}
+
+// TestNetMsgThreadNames: on a log that keeps them, the protocol
+// thread's records carry NetMsg#<n>, numbered per received message.
+func TestNetMsgThreadNames(t *testing.T) {
+	eng, n := twoNodes(t, DefaultConfig())
+	n.Bind(1, "app", func(*Message) {})
+	for i := 0; i < 3; i++ {
+		_, _ = n.Send(0, 1, "app", i, 8)
+		eng.RunUntilIdle()
+	}
+	for _, kind := range []monitor.Kind{monitor.KindThreadReady, monitor.KindThreadStart} {
+		var subjects []string
+		for _, e := range eng.Log().ByKind(kind) {
+			subjects = append(subjects, e.Subject)
+		}
+		if want := []string{"NetMsg#1", "NetMsg#2", "NetMsg#3"}; !slices.Equal(subjects, want) {
+			t.Fatalf("%s subjects %v, want %v", kind, subjects, want)
+		}
+	}
+}
+
 // TestLocalDispatch: Local reaches the handler Bind registered, in the
 // caller's own instant and with no network accounting, and reports an
 // unbound port instead of dropping.
 func TestLocalDispatch(t *testing.T) {
 	eng, n := twoNodes(t, DefaultConfig())
-	var got *Message
-	n.Bind(1, "app", func(m *Message) { got = m })
-	m := &Message{From: 1, To: 1, Port: "app", Payload: "self"}
-	if !n.Local(1, "app", m) || got != m {
+	var got Message
+	n.Bind(1, "app", func(m *Message) { got = *m })
+	if !n.Local(1, 1, "app", "self", 4) || got != (Message{From: 1, To: 1, Port: "app", Payload: "self", Size: 4, SentAt: eng.Now()}) {
 		t.Fatalf("bound handler not reached: got %+v", got)
 	}
-	if n.Local(1, "nobody-listens", m) || n.Local(0, "app", m) {
+	if n.Local(1, 1, "nobody-listens", "self", 4) || n.Local(1, 0, "app", "self", 4) {
 		t.Fatal("Local reported a handler where none is bound")
 	}
 	if st := n.Stats(); st != (Stats{}) || eng.Log().Len() != 0 {

@@ -788,7 +788,7 @@ func (p *Plane) sendDeliver(from int, sub *Subscriber, s Sample, replay bool, sp
 // and with no wire cost (there are no self-links).
 func (p *Plane) send(from, to int, port string, payload any, size int) {
 	if from == to {
-		p.net.Local(to, port, &netsim.Message{From: from, To: to, Port: port, Payload: payload, Size: size})
+		p.net.Local(from, to, port, payload, size)
 		return
 	}
 	_, _ = p.net.Send(from, to, port, payload, size)

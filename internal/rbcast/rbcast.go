@@ -267,13 +267,15 @@ func (s *Service) accept(node int, f flood, deliverAt vtime.Time) bool {
 	return true
 }
 
-// relay floods a copy to every other group member.
+// relay floods a copy to every other group member. The copy is boxed
+// once: every destination's message carries the same payload.
 func (s *Service) relay(from int, f flood) {
+	var payload any = f
 	for _, dst := range s.cfg.Group {
 		if dst == from {
 			continue
 		}
-		if _, err := s.net.Send(from, dst, s.port, f, 32); err != nil {
+		if _, err := s.net.Send(from, dst, s.port, payload, 32); err != nil {
 			continue // unconnected: counts as omission, tolerated up to f
 		}
 		s.mFanout.Inc()

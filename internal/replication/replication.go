@@ -291,6 +291,24 @@ type Group struct {
 	// "repl.open" gauge rather than vanishing.
 	open   int
 	mRound *metrics.Counter
+
+	// runs recycles the execution records of finished batches.
+	runs *execRun
+}
+
+// execRun is one batch executing at one replica: its thread, by value,
+// and the completion bound once when the record is first allocated.
+// The thread's name is rendered from node and id, only if read.
+type execRun struct {
+	g    *Group
+	th   simkern.Thread
+	node int
+	id   uint64
+	msg  batchMsg
+	next *execRun
+
+	name func() string
+	done func()
 }
 
 // Failover records one primary/leader promotion. The failover latency
@@ -717,23 +735,39 @@ func (g *Group) execute(node int, msg batchMsg) {
 	if g.net.NodeDown(node) {
 		return
 	}
-	proc := g.eng.Processors()[node]
-	var buf [64]byte
-	name := append(append(buf[:0], "repl."...), g.cfg.Name...)
-	name = strconv.AppendUint(append(name, ".exec#"...), msg.Ops[0].id, 10)
-	name = strconv.AppendInt(append(name, "@n"...), int64(node), 10)
-	th := proc.NewThread(string(name), simkern.PrioMax-5000)
-	th.AddSegment(simkern.Segment{Name: "exec", Work: g.cfg.WExec, PT: simkern.PrioMax - 5000})
-	th.OnComplete = func() {
-		if g.net.NodeDown(node) {
-			return
+	r := g.runs
+	if r == nil {
+		r = &execRun{g: g}
+		r.name = func() string {
+			var buf [64]byte
+			name := append(append(buf[:0], "repl."...), r.g.cfg.Name...)
+			name = strconv.AppendUint(append(name, ".exec#"...), r.id, 10)
+			return string(strconv.AppendInt(append(name, "@n"...), int64(r.node), 10))
 		}
-		sm := g.machines[node]
-		for i := range msg.Ops {
-			g.applyOne(node, sm, &msg.Ops[i])
-		}
+		r.done = r.finish
+	} else {
+		g.runs, r.next = r.next, nil
 	}
-	th.Ready()
+	r.node, r.id, r.msg = node, msg.Ops[0].id, msg
+	g.eng.Processors()[node].InitThread(&r.th, r.name, simkern.PrioMax-5000)
+	r.th.AddSegment(simkern.Segment{Name: "exec", Work: g.cfg.WExec, PT: simkern.PrioMax - 5000})
+	r.th.OnComplete = r.done
+	r.th.Ready()
+}
+
+// finish applies the batch at its replica. The record is released
+// first, so an execute the applies start can reuse it.
+func (r *execRun) finish() {
+	g, node, msg := r.g, r.node, r.msg
+	r.msg = batchMsg{}
+	r.next, g.runs = g.runs, r
+	if g.net.NodeDown(node) {
+		return
+	}
+	sm := g.machines[node]
+	for i := range msg.Ops {
+		g.applyOne(node, sm, &msg.Ops[i])
+	}
 }
 
 // applyOne applies one batch item at one replica: dedup, apply, record,

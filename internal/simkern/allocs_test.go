@@ -117,6 +117,34 @@ func TestAllocsThreadLifecycle(t *testing.T) {
 	})
 }
 
+// TestAllocsInitThreadLifecycle: a thread kept in caller-owned storage
+// and reinitialised per use costs nothing; its lazy name is never
+// rendered for a record the log refuses.
+func TestAllocsInitThreadLifecycle(t *testing.T) {
+	eng := NewEngine(fullLog(), 1)
+	p := eng.AddProcessor("n0", 10*us)
+	var th Thread
+	seq := 0
+	name := func() string { return fmt.Sprintf("t#%d", seq) }
+	done := 0
+	onDone := func() { done++ }
+	gate(t, "3-segment InitThread lifecycle", 0, func() {
+		seq++
+		p.InitThread(&th, name, PrioMax-2)
+		th.AddSegment(Segment{Name: "start", Work: 10 * us, PT: PrioMax})
+		th.AddSegment(Segment{Name: "body", Work: 100 * us, OnDone: onDone})
+		th.AddSegment(Segment{Name: "end", Work: 10 * us, PT: PrioMax})
+		th.Ready()
+		eng.RunUntilIdle()
+		if !th.Finished() {
+			t.Fatal("thread did not finish")
+		}
+	})
+	if done == 0 || p.Switches() != done {
+		t.Fatalf("%d threads ran with %d switches: each reinitialised thread must pay one", done, p.Switches())
+	}
+}
+
 // TestAllocsRefusedRecord: a record the log refuses costs nothing —
 // every argument type Recordf accepts stays boxed on the caller's stack.
 func TestAllocsRefusedRecord(t *testing.T) {

@@ -16,6 +16,10 @@
 //     preemption thresholds (§3.1.2);
 //   - threads made of segments, each with its own preemption threshold, so
 //     that kernel calls can run with pt = PrioMax as the paper mandates;
+//     two thread doors: NewThread allocates one object, named at once;
+//     InitThread reinitialises caller-owned storage and names the thread
+//     lazily, rendering the name only for a record the log keeps — a
+//     per-message thread kept in a recycled record costs nothing;
 //   - interrupt sources (periodic clock tick, sporadic device interrupts)
 //     that preempt all threads, matching §4.2's background kernel
 //     activities;

@@ -238,7 +238,7 @@ func (p *Processor) haltRunning(preempt bool) {
 	p.lastDispatch = t
 	if preempt {
 		p.preempts++
-		p.eng.Recordf(monitor.KindThreadPreempt, p.id, t.name, "")
+		t.record(monitor.KindThreadPreempt, "")
 		if t.OnPreempt != nil {
 			t.OnPreempt()
 		}
@@ -268,7 +268,7 @@ func (p *Processor) resched() {
 			best := p.pickBest()
 			if best != nil && best != h && best.effPrio() > h.currentPT() {
 				p.preempts++
-				p.eng.Recordf(monitor.KindThreadPreempt, p.id, h.name, "")
+				h.record(monitor.KindThreadPreempt, "")
 				if h.OnPreempt != nil {
 					h.OnPreempt()
 				}
@@ -303,7 +303,7 @@ func (p *Processor) resched() {
 func (p *Processor) dispatch(t *Thread) {
 	seg := t.currentSegment()
 	if seg == nil {
-		panic(fmt.Sprintf("simkern: dispatching thread %q with no segments", t.name))
+		panic(fmt.Sprintf("simkern: dispatching thread %q with no segments", t.Name()))
 	}
 	now := p.eng.now
 	var cost vtime.Duration
@@ -312,21 +312,21 @@ func (p *Processor) dispatch(t *Thread) {
 		p.switches++
 		p.switchTime += cost
 		if p.lastDispatch != nil || cost > 0 {
-			p.eng.Recordf(monitor.KindContextSwitch, p.id, t.name, "%s", cost)
+			t.record(monitor.KindContextSwitch, "%s", cost)
 		}
 	}
 	p.running = t
 	p.effStart = now.Add(cost)
 	if !t.started {
 		t.started = true
-		p.eng.Recordf(monitor.KindThreadStart, p.id, t.name, "prio=%d", t.prio)
+		t.record(monitor.KindThreadStart, "prio=%d", t.prio)
 		if t.OnFirstRun != nil {
 			t.OnFirstRun()
 		}
 	} else if cost > 0 || p.lastDispatch != t {
 		// Continuing the same thread straight after an interrupt is
 		// not a context switch and gets no Resume event.
-		p.eng.Recordf(monitor.KindThreadResume, p.id, t.name, "")
+		t.record(monitor.KindThreadResume, "")
 	}
 	p.armCompletion(t, seg.remaining)
 }

@@ -2,6 +2,7 @@ package simkern
 
 import (
 	"slices"
+	"strconv"
 	"testing"
 
 	"hades/internal/eventq"
@@ -486,5 +487,81 @@ func TestSegmentsBeyondInlineBuffer(t *testing.T) {
 	}
 	if eng.Now() != vtime.Time(50*us) || th.cpuTime != 50*us {
 		t.Fatalf("finished at %s after %s of CPU, want 50us both", eng.Now(), th.cpuTime)
+	}
+}
+
+// chainRun runs five threads back to back on one processor with a
+// switch cost, each readied from its predecessor's OnComplete: fresh
+// NewThreads, or one Thread reinitialised in place. It returns the
+// switch count and the switch and start records.
+func chainRun(recycle bool) (int, []monitor.Event) {
+	eng := newEng()
+	p := eng.AddProcessor("n0", 10*us)
+	var storage Thread
+	n := 0
+	name := func() string { return "w" + strconv.Itoa(n) }
+	var next func()
+	next = func() {
+		if n == 5 {
+			return
+		}
+		n++
+		th := &storage
+		if recycle {
+			p.InitThread(th, name, PrioMax-2)
+		} else {
+			th = p.NewThread(name(), PrioMax-2)
+		}
+		th.AddSegment(Segment{Name: "body", Work: 50 * us})
+		th.OnComplete = next
+		th.Ready()
+	}
+	next()
+	eng.RunUntilIdle()
+	return p.Switches(), eng.Log().ByKind(monitor.KindContextSwitch, monitor.KindThreadStart)
+}
+
+// TestInitThreadIsADifferentThread: storage reinitialised straight
+// after its thread finished is a new thread to the dispatcher — it pays
+// the switch a fresh NewThread pays, with the same records.
+func TestInitThreadIsADifferentThread(t *testing.T) {
+	freshSw, freshEv := chainRun(false)
+	reusedSw, reusedEv := chainRun(true)
+	if freshSw != 5 || reusedSw != freshSw {
+		t.Fatalf("switches: fresh %d, recycled %d; want 5 and 5", freshSw, reusedSw)
+	}
+	if !slices.Equal(freshEv, reusedEv) || len(freshEv) != 10 {
+		t.Fatalf("records differ:\nfresh    %v\nrecycled %v", freshEv, reusedEv)
+	}
+}
+
+// TestLazyNameRenderedOnlyWhenRead: a lazily named thread renders its
+// name once, at the first record a log keeps or the first Name call,
+// and never for records a full log refuses.
+func TestLazyNameRenderedOnlyWhenRead(t *testing.T) {
+	full := monitor.NewLog(1)
+	full.Recordf(0, monitor.KindActivation, 0, "first", "")
+	for _, tc := range []struct {
+		log     *monitor.Log
+		renders int
+	}{{full, 0}, {nil, 0}, {monitor.NewLog(0), 1}, {monitor.NewRingLog(4), 1}} {
+		eng := NewEngine(tc.log, 1)
+		p := eng.AddProcessor("n0", 10*us)
+		renders := 0
+		var th Thread
+		p.InitThread(&th, func() string { renders++; return "lazy" }, PrioMax-2)
+		th.AddSegment(Segment{Work: 50 * us})
+		dropped := tc.log.Dropped()
+		th.Ready()
+		eng.RunUntilIdle()
+		if renders != tc.renders {
+			t.Fatalf("log %p: name rendered %d times, want %d", tc.log, renders, tc.renders)
+		}
+		if tc.log == full && full.Dropped() != dropped+3 {
+			t.Fatalf("full log counted %d refused records, want 3 (ready, switch, start)", full.Dropped()-dropped)
+		}
+		if th.Name() != "lazy" || th.Name() != "lazy" || renders != 1 {
+			t.Fatalf("Name: %q after %d renders, want \"lazy\" rendered once", th.Name(), renders)
+		}
 	}
 }

@@ -30,9 +30,10 @@ type Segment struct {
 // Code_EU instance (§3.2.1: "a given thread being dedicated to the
 // execution of one and only one Code_EU").
 type Thread struct {
-	proc *Processor
-	name string
-	prio int
+	proc  *Processor
+	name  string
+	namer func() string // renders name on first read; nil once rendered
+	prio  int
 
 	// Segments live by value, the first three in segBuf (no caller adds
 	// more before Ready), so a thread is one allocation. A *Segment
@@ -58,18 +59,60 @@ type Thread struct {
 }
 
 // NewThread creates a suspended thread on p with the given base priority.
-// Call AddSegment then Ready to make it eligible for the CPU.
+// Call AddSegment then Ready to make it eligible for the CPU. The thread
+// is one allocation.
 func (p *Processor) NewThread(name string, prio int) *Thread {
-	if prio < PrioMin || prio > PrioMax {
-		panic(fmt.Sprintf("simkern: priority %d out of range for thread %q", prio, name))
-	}
-	t := &Thread{proc: p, name: name, prio: prio, readyIdx: -1}
-	t.segs = t.segBuf[:0]
+	t := new(Thread)
+	p.initThread(t, name, nil, prio)
 	return t
 }
 
-// Name returns the thread's name.
-func (t *Thread) Name() string { return t.name }
+// InitThread (re)initialises caller-owned storage as a suspended thread
+// on p, named by namer when its name is first read. A caller that runs
+// one short thread per event keeps the Thread in a recycled record and
+// allocates nothing per thread; a monitor record the log refuses never
+// renders the name. t must not be ready or running.
+func (p *Processor) InitThread(t *Thread, namer func() string, prio int) {
+	p.initThread(t, "", namer, prio)
+}
+
+// retired stands in as a processor's last dispatch for a thread whose
+// storage InitThread reused. It is never dispatched, so it equals no
+// live thread, and it is non-nil like the thread it replaces.
+var retired Thread
+
+// initThread is the one thread initialiser. Reused storage must still
+// count as a different thread for switch costing: a processor whose
+// last dispatch was the old thread now remembers the retired sentinel.
+func (p *Processor) initThread(t *Thread, name string, namer func() string, prio int) {
+	if old := t.proc; old != nil && old.lastDispatch == t {
+		old.lastDispatch = &retired
+	}
+	*t = Thread{proc: p, name: name, namer: namer, prio: prio, readyIdx: -1}
+	t.segs = t.segBuf[:0]
+	if prio < PrioMin || prio > PrioMax {
+		panic(fmt.Sprintf("simkern: priority %d out of range for thread %q", prio, t.Name()))
+	}
+}
+
+// Name returns the thread's name, rendering a lazy one once.
+func (t *Thread) Name() string {
+	if t.namer != nil {
+		t.name, t.namer = t.namer(), nil
+	}
+	return t.name
+}
+
+// record writes one thread event. A lazily named thread renders its
+// name only for a record the log keeps; every record still reaches
+// Recordf, so a refused one is counted as before.
+func (t *Thread) record(kind monitor.Kind, format string, args ...any) {
+	name := t.name
+	if t.namer != nil && t.proc.eng.log.Keeps(kind) {
+		name = t.Name()
+	}
+	t.proc.eng.Recordf(kind, t.proc.id, name, format, args...)
+}
 
 // Priority returns the thread's current priority.
 func (t *Thread) Priority() int { return t.prio }
@@ -84,10 +127,10 @@ func (t *Thread) Started() bool { return t.started }
 // the thread finished.
 func (t *Thread) AddSegment(s Segment) *Thread {
 	if t.finished {
-		panic(fmt.Sprintf("simkern: adding segment to finished thread %q", t.name))
+		panic(fmt.Sprintf("simkern: adding segment to finished thread %q", t.Name()))
 	}
 	if s.Work < 0 {
-		panic(fmt.Sprintf("simkern: negative segment work for thread %q", t.name))
+		panic(fmt.Sprintf("simkern: negative segment work for thread %q", t.Name()))
 	}
 	s.remaining = s.Work
 	t.segs = append(t.segs, s)
@@ -98,12 +141,12 @@ func (t *Thread) AddSegment(s Segment) *Thread {
 // this once the four runnable conditions of §3.2.1 hold.
 func (t *Thread) Ready() {
 	if t.finished {
-		panic(fmt.Sprintf("simkern: readying finished thread %q", t.name))
+		panic(fmt.Sprintf("simkern: readying finished thread %q", t.Name()))
 	}
 	if t.currentSegment() == nil {
-		panic(fmt.Sprintf("simkern: readying thread %q with no segments", t.name))
+		panic(fmt.Sprintf("simkern: readying thread %q with no segments", t.Name()))
 	}
-	t.proc.eng.Recordf(monitor.KindThreadReady, t.proc.id, t.name, "prio=%d", t.prio)
+	t.record(monitor.KindThreadReady, "prio=%d", t.prio)
 	t.proc.makeReady(t)
 }
 
@@ -118,12 +161,12 @@ func (t *Thread) Suspend() {
 // rescheduling pass.
 func (t *Thread) SetPriority(prio int) {
 	if prio < PrioMin || prio > PrioMax {
-		panic(fmt.Sprintf("simkern: priority %d out of range for thread %q", prio, t.name))
+		panic(fmt.Sprintf("simkern: priority %d out of range for thread %q", prio, t.Name()))
 	}
 	if t.prio == prio {
 		return
 	}
-	t.proc.eng.Recordf(monitor.KindPriorityChange, t.proc.id, t.name, "%d->%d", t.prio, prio)
+	t.record(monitor.KindPriorityChange, "%d->%d", t.prio, prio)
 	t.prio = prio
 	if t.readyIdx >= 0 {
 		if t.proc.running == t {

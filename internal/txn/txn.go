@@ -317,7 +317,7 @@ func (p *Plane) send(from, to int, port string, payload any, size int) {
 		if p.net.NodeDown(to) {
 			return
 		}
-		p.net.Local(to, port, &netsim.Message{From: from, To: to, Port: port, Payload: payload, Size: size, SentAt: p.eng.Now()})
+		p.net.Local(from, to, port, payload, size)
 	})
 }
 
