@@ -35,7 +35,7 @@ func feasCmd(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return cannot(stderr, "feas", err)
 	}
-	ov := &feasibility.Overheads{Book: book, SchedCost: 20 * vtime.Microsecond}
+	ov := expkit.Overheads(book)
 
 	fmt.Fprintf(stdout, "task set %q (n=%d, U=%.4f):\n", spec.Name, len(tasks), feasibility.Utilization(tasks))
 	for _, t := range tasks {

@@ -116,12 +116,6 @@ type linkDecl struct {
 	dMin, dMax vtime.Duration
 }
 
-// spawned is one task to drive from Run per its arrival law.
-type spawned struct {
-	app  *App
-	task *heug.Task
-}
-
 // Cluster is the builder and runtime handle. Declare the topology
 // (AddNode, Connect), the applications (NewApp, Spawn), and the faults
 // (Crash, DropEvery, ...), then Run. Not safe for concurrent use; a
@@ -141,7 +135,7 @@ type Cluster struct {
 	apps []*App
 
 	hooks     fault.Hooks
-	spawns    []spawned
+	spawns    []*heug.Task // driven from Run per their arrival law
 	groups    []*Group
 	shardSets []*ShardSet
 	loads     []*load.Generator
@@ -204,7 +198,6 @@ func New(cfg Config) *Cluster {
 			Capacity: mp.Capacity,
 			TopK:     mp.TopK,
 			Rules:    mp.Rules,
-			Now:      c.eng.Now,
 			Schedule: func(t vtime.Time, fn func()) { c.eng.At(t, eventq.ClassApp, fn) },
 			Log:      log,
 		})
@@ -381,7 +374,7 @@ func (a *App) Spawn(t *heug.Task) error {
 		return err
 	}
 	if t.Arrival.Kind != heug.Aperiodic {
-		a.c.spawns = append(a.c.spawns, spawned{app: a, task: t})
+		a.c.spawns = append(a.c.spawns, t)
 	}
 	return nil
 }
@@ -652,13 +645,13 @@ func (c *Cluster) Run(d vtime.Duration) Result {
 			set.pubsub.Start() // idempotent; arms best-effort bcast + late joiners
 		}
 	}
-	for _, s := range c.spawns {
+	for _, t := range c.spawns {
 		var err error
-		switch s.task.Arrival.Kind {
+		switch t.Arrival.Kind {
 		case heug.Periodic:
-			err = c.StartPeriodic(s.task.Name)
+			err = c.StartPeriodic(t.Name)
 		case heug.Sporadic:
-			err = c.StartSporadicWorstCase(s.task.Name)
+			err = c.StartSporadicWorstCase(t.Name)
 		}
 		if err != nil {
 			panic(err)

@@ -89,7 +89,6 @@ type LatencyResult struct {
 // membership/replication record appears under Groups as usual).
 type ShardResult struct {
 	Name    string
-	Index   int
 	Nodes   []int
 	Primary int
 	// GroupStats is the group's own request-path account (requests,
@@ -187,7 +186,6 @@ type GroupResult struct {
 
 // TaskResult is one task's runtime statistics.
 type TaskResult struct {
-	App         string
 	Name        string
 	Activations int
 	Completions int
@@ -209,7 +207,6 @@ func (c *Cluster) ResultNow() Result {
 	for _, a := range c.apps {
 		for _, tr := range a.app.Tasks() {
 			r.Tasks = append(r.Tasks, TaskResult{
-				App:         a.app.Name,
 				Name:        tr.Task.Name,
 				Activations: tr.Activations,
 				Completions: tr.Completions,
@@ -227,7 +224,6 @@ func (c *Cluster) ResultNow() Result {
 			rep := sg.Replication()
 			sr := ShardResult{
 				Name:       sg.Name(),
-				Index:      sg.Index(),
 				Nodes:      sg.Nodes(),
 				Primary:    rep.Primary(),
 				GroupStats: sg.Stats,

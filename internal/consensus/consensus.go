@@ -75,7 +75,6 @@ type Instance struct {
 	decided map[int]Result
 	done    func(Result)
 	round   int
-	started vtime.Time
 }
 
 // New creates a consensus instance with the given unique name.
@@ -101,7 +100,6 @@ func New(eng *simkern.Engine, net *netsim.Network, name string, cfg Config, onDe
 // by node). Nodes absent from proposals abstain (treated as crashed from
 // the start).
 func (c *Instance) Propose(proposals map[int]int64) {
-	c.started = c.eng.Now()
 	for _, n := range c.cfg.Nodes {
 		if v, ok := proposals[n]; ok {
 			c.sets[n] = map[int64]bool{v: true}

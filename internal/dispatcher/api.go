@@ -64,10 +64,8 @@ func (k NotifKind) String() string {
 
 // Notification is one entry of the dispatcher→scheduler FIFO queue.
 type Notification struct {
-	Kind     NotifKind
-	At       vtime.Time
-	Thread   *Thread
-	Resource string // for Rac/Rre
+	Kind   NotifKind
+	Thread *Thread
 }
 
 // Primitive is the single dispatcher primitive of §3.2.2: it modifies

@@ -20,7 +20,6 @@ type Dispatcher struct {
 	net   *netsim.Network // nil for single-node systems
 	costs CostBook
 
-	apps          []*App
 	tasks         map[string]*TaskRuntime
 	conds         map[string]*condVar
 	nodes         map[int]*nodeState
@@ -177,7 +176,6 @@ func (d *Dispatcher) RegisterApp(name string, sched Scheduler, policy ResourcePo
 		policy = NoPolicy{}
 	}
 	app := &App{Name: name, sched: sched, policy: policy, hosts: make(map[int]*schedHost), disp: d}
-	d.apps = append(d.apps, app)
 	return app
 }
 

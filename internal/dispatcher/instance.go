@@ -101,7 +101,7 @@ func (d *Dispatcher) buildInstance(tr *TaskRuntime) *Instance {
 		// Atv notifications first (Figure 2 ordering), then release.
 		for _, th := range inst.Threads {
 			if th.eu.IsCode() {
-				inst.TR.App.notify(NotifAtv, th, "")
+				inst.TR.App.notify(NotifAtv, th)
 			}
 		}
 		for _, th := range inst.Threads {
@@ -121,7 +121,7 @@ func (d *Dispatcher) buildInstance(tr *TaskRuntime) *Instance {
 func (d *Dispatcher) kernelWork(node int, name string, cost vtime.Duration, done func()) {
 	ns := d.node(node)
 	k := ns.proc.NewThread(name, PrioScheduler)
-	k.AddSegment(simkern.Segment{Name: "dispatch", Work: cost, PT: simkern.PrioMax})
+	k.AddSegment(simkern.Segment{Work: cost, PT: simkern.PrioMax})
 	k.OnComplete = done
 	k.Ready()
 }

@@ -14,7 +14,6 @@ import (
 // modes. State attached to it is readable and writable by actions that
 // hold it.
 type resource struct {
-	name  string
 	holds []hold
 	state any
 }
@@ -43,7 +42,7 @@ func (d *Dispatcher) resourceOn(node int, name string) *resource {
 	ns := d.node(node)
 	r := ns.resources[name]
 	if r == nil {
-		r = &resource{name: name}
+		r = &resource{}
 		ns.resources[name] = r
 	}
 	return r
@@ -97,7 +96,7 @@ func (d *Dispatcher) releaseResources(th *Thread) {
 	}
 	th.held = nil
 	th.inst.TR.App.policy.OnRelease(th)
-	th.inst.TR.App.notify(NotifRre, th, "")
+	th.inst.TR.App.notify(NotifRre, th)
 	d.wakeWaiters(ns)
 }
 

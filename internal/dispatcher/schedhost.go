@@ -24,7 +24,7 @@ type schedHost struct {
 
 // notify enqueues a notification for the application's scheduler if the
 // policy subscribed to its kind, and starts the host if it was idle.
-func (a *App) notify(kind NotifKind, th *Thread, res string) {
+func (a *App) notify(kind NotifKind, th *Thread) {
 	if a.sched == nil || !a.sched.Wants(kind) {
 		return
 	}
@@ -34,7 +34,7 @@ func (a *App) notify(kind NotifKind, th *Thread, res string) {
 		h = &schedHost{app: a, node: node}
 		a.hosts[node] = h
 	}
-	n := Notification{Kind: kind, At: a.disp.eng.Now(), Thread: th, Resource: res}
+	n := Notification{Kind: kind, Thread: th}
 	a.disp.eng.Recordf(monitor.KindNotification, node, kind.String(), "%s", th.Name())
 	h.queue = append(h.queue, n)
 	if !h.busy {
@@ -68,7 +68,6 @@ func (h *schedHost) processNext() {
 	proc := d.node(h.node).proc
 	k := proc.NewThread(string(name), PrioScheduler)
 	k.AddSegment(simkern.Segment{
-		Name: "notif",
 		Work: h.app.sched.Cost(),
 		PT:   simkern.PrioMax,
 		OnDone: func() {
@@ -78,7 +77,7 @@ func (h *schedHost) processNext() {
 			h.app.sched.Handle(n, d)
 		},
 	})
-	k.AddSegment(simkern.Segment{Name: "drain", Work: 0, PT: simkern.PrioMax})
+	k.AddSegment(simkern.Segment{Work: 0, PT: simkern.PrioMax}) // drain
 	k.OnComplete = h.processNext
 	k.Ready()
 }

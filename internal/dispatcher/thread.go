@@ -71,9 +71,8 @@ type Thread struct {
 	racSent  bool
 	waitInst *Instance // sync Inv_EU target
 
-	actual     vtime.Duration // effective body execution time
-	startedAt  vtime.Time
-	finishedAt vtime.Time
+	actual    vtime.Duration // effective body execution time
+	startedAt vtime.Time
 
 	earliestEv, latestEv *eventq.Event
 }
@@ -223,7 +222,7 @@ func (d *Dispatcher) evaluate(th *Thread) {
 	}
 	if len(th.eu.Code.Resources) > 0 && !th.racSent {
 		th.racSent = true
-		th.inst.TR.App.notify(NotifRac, th, resourceList(th.eu.Code.Resources))
+		th.inst.TR.App.notify(NotifRac, th)
 	}
 	if !d.tryGrant(th) {
 		if th.state != threadWaitResources {
@@ -260,9 +259,9 @@ func (d *Dispatcher) startCode(th *Thread) {
 		}
 	}
 	k := ns.proc.NewThread(th.name, th.prio)
-	k.AddSegment(simkern.Segment{Name: "start", Work: d.costs.StartAction, PT: simkern.PrioMax})
-	k.AddSegment(simkern.Segment{Name: "body", Work: th.actual, PT: c.PT})
-	k.AddSegment(simkern.Segment{Name: "end", Work: endWork, PT: simkern.PrioMax})
+	k.AddSegment(simkern.Segment{Work: d.costs.StartAction, PT: simkern.PrioMax}) // start
+	k.AddSegment(simkern.Segment{Work: th.actual, PT: c.PT})                      // body
+	k.AddSegment(simkern.Segment{Work: endWork, PT: simkern.PrioMax})             // end
 	k.OnFirstRun = func() { th.startedAt = d.eng.Now() }
 	k.OnComplete = func() { d.finishCode(th) }
 	th.kthread = k
@@ -277,9 +276,7 @@ func (d *Dispatcher) finishCode(th *Thread) {
 	if th.state != threadReady {
 		return // orphaned while running
 	}
-	now := d.eng.Now()
 	th.state = threadDone
-	th.finishedAt = now
 	c := th.eu.Code
 
 	if c.ActualWork != nil && th.actual < c.WCET {
@@ -301,7 +298,7 @@ func (d *Dispatcher) finishCode(th *Thread) {
 	// 3. Cross outgoing precedence constraints.
 	d.crossEdges(th)
 	// 4. Trm notification.
-	th.inst.TR.App.notify(NotifTrm, th, "")
+	th.inst.TR.App.notify(NotifTrm, th)
 	d.eng.Recordf(monitor.KindThreadFinish, th.Node(), th.Name(), "")
 	// 5. Instance bookkeeping.
 	d.threadFinished(th)
@@ -343,7 +340,6 @@ func (d *Dispatcher) startInv(th *Thread) {
 	th.prio = prio
 	k := ns.proc.NewThread(th.name, prio)
 	k.AddSegment(simkern.Segment{
-		Name: "startinv",
 		Work: d.costs.StartInv,
 		PT:   simkern.PrioMax,
 		OnDone: func() {
@@ -365,7 +361,7 @@ func (d *Dispatcher) startInv(th *Thread) {
 			}
 		},
 	})
-	k.AddSegment(simkern.Segment{Name: "endinv", Work: d.costs.EndInv, PT: simkern.PrioMax})
+	k.AddSegment(simkern.Segment{Work: d.costs.EndInv, PT: simkern.PrioMax})
 	k.OnComplete = func() { d.finishInv(th) }
 	th.kthread = k
 	th.state = threadReady
@@ -421,7 +417,6 @@ func (d *Dispatcher) finishInv(th *Thread) {
 		return
 	}
 	th.state = threadDone
-	th.finishedAt = d.eng.Now()
 	d.crossEdges(th)
 	d.eng.Recordf(monitor.KindThreadFinish, th.Node(), th.Name(), "inv")
 	d.threadFinished(th)
@@ -512,22 +507,5 @@ func (a *actionCtx) ResourceState(name string) any {
 }
 
 func (a *actionCtx) SetResourceState(name string, v any) {
-	ns := a.d.node(a.th.Node())
-	r := ns.resources[name]
-	if r == nil {
-		r = &resource{name: name}
-		ns.resources[name] = r
-	}
-	r.state = v
-}
-
-func resourceList(reqs []heug.ResourceReq) string {
-	s := ""
-	for i, r := range reqs {
-		if i > 0 {
-			s += ","
-		}
-		s += r.Resource
-	}
-	return s
+	a.d.resourceOn(a.th.Node(), name).state = v
 }

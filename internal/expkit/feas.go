@@ -21,8 +21,9 @@ func init() {
 // feasibility experiments (C_sched in §5.3).
 const schedCost = 20 * us
 
-// overheads builds the §5.3 Overheads matching SimulateEDFSRP's setup.
-func overheads(book dispatcher.CostBook) *feasibility.Overheads {
+// Overheads builds the §5.3 Overheads matching SimulateEDFSRP's setup:
+// the analysis side of a task set SimulateEDFSRP runs under book.
+func Overheads(book dispatcher.CostBook) *feasibility.Overheads {
 	return &feasibility.Overheads{Book: book, SchedCost: schedCost}
 }
 
@@ -56,7 +57,7 @@ func SimulateEDFSRP(tasks []feasibility.Task, book dispatcher.CostBook, horizon 
 // only by the naive test can and do miss.
 func runS5(opts Options) Table {
 	book := dispatcher.DefaultCostBook()
-	ov := overheads(book)
+	ov := Overheads(book)
 	sets := 40
 	horizon := 500 * ms
 	if opts.Quick {
@@ -163,7 +164,7 @@ func runX1(opts Options) Table {
 // estimates reject task sets that precise costs admit — "forbidding the
 // execution of the application in spite of its actual feasibility".
 func runX6(opts Options) Table {
-	precise := overheads(dispatcher.DefaultCostBook())
+	precise := Overheads(dispatcher.DefaultCostBook())
 	sets := 120
 	if opts.Quick {
 		sets = 30

@@ -41,10 +41,9 @@ func DefaultDetectorConfig(nodes []int) DetectorConfig {
 
 // Suspicion is one detection record.
 type Suspicion struct {
-	Observer  int
-	Suspect   int
-	At        vtime.Time
-	SinceLast vtime.Duration
+	Observer int
+	Suspect  int
+	At       vtime.Time
 }
 
 // Rehabilitation is one un-suspicion record: the observer saw a
@@ -190,7 +189,7 @@ func (d *Detector) beatAndCheck() {
 
 func (d *Detector) suspect(obs, peer int, silent vtime.Duration) {
 	d.suspected[obs][peer] = true
-	s := Suspicion{Observer: obs, Suspect: peer, At: d.eng.Now(), SinceLast: silent}
+	s := Suspicion{Observer: obs, Suspect: peer, At: d.eng.Now()}
 	d.Suspicions = append(d.Suspicions, s)
 	d.eng.Recordf(monitor.KindFailureDetected, obs, fmt.Sprintf("n%d", peer), "silent=%s", silent)
 	if d.onSuspect != nil {

@@ -380,7 +380,7 @@ func (g *Generator) Start(s Sinks) {
 
 // submit issues one op at the current instant, invoking done when the
 // op completes. Returns false when the window closed or the cap hit.
-func (g *Generator) submit(at vtime.Time, pick func(vtime.Time) string, rng *rand.Rand, done func()) bool {
+func (g *Generator) submit(at vtime.Time, pick func(vtime.Time) string, done func()) bool {
 	if at >= g.cfg.End {
 		return false
 	}
@@ -407,7 +407,7 @@ func (g *Generator) submit(at vtime.Time, pick func(vtime.Time) string, rng *ran
 	switch g.cfg.Workload {
 	case Txn:
 		from := pick(at)
-		to := g.otherKey(from, rng)
+		to := g.otherKey(from)
 		g.s.Transfer(from, to, 1, onDone)
 	case Pub:
 		g.s.Publish(pick(at), g.Stats.Offered, onDone)
@@ -419,7 +419,7 @@ func (g *Generator) submit(at vtime.Time, pick func(vtime.Time) string, rng *ran
 
 // otherKey picks a second, distinct key for a transfer: the next key
 // in declaration order (deterministic, no extra draw).
-func (g *Generator) otherKey(from string, _ *rand.Rand) string {
+func (g *Generator) otherKey(from string) string {
 	keys := g.cfg.Keys
 	for i, k := range keys {
 		if k == from {
@@ -446,7 +446,7 @@ func (g *Generator) startSession(i int) {
 	first := g.cfg.Start.Add(vtime.Duration(rng.Int63n(int64(window) + 1)))
 	var fireAt func(at vtime.Time)
 	fireAt = func(at vtime.Time) {
-		g.submit(at, pick, rng, func() {
+		g.submit(at, pick, func() {
 			// The ack callback runs at the ack instant inside the
 			// engine: think from here, then go again.
 			think := vtime.Duration(0)
@@ -497,7 +497,7 @@ func (g *Generator) layoutOpen() {
 		}
 		n++
 		at := t
-		g.s.At(at, func() { g.submit(at, pick, rng, nil) })
+		g.s.At(at, func() { g.submit(at, pick, nil) })
 	}
 }
 

@@ -133,19 +133,16 @@ type Install struct {
 	Node int
 	View View
 	At   vtime.Time
-	// TriggeredAt is the suspicion/rehabilitation instant that caused
-	// the change; Latency is At - TriggeredAt (zero for the initial
-	// view).
-	TriggeredAt vtime.Time
-	Latency     vtime.Duration
-	Reason      string
+	// Latency is At minus the suspicion/rehabilitation instant that
+	// caused the change (zero for the initial view).
+	Latency vtime.Duration
+	Reason  string
 }
 
 // Transfer records one state-transfer message of the join protocol.
 type Transfer struct {
 	Key      string
 	From, To int
-	At       vtime.Time
 }
 
 // Merge records one partition merge: a view that re-admitted members
@@ -915,7 +912,7 @@ func (s *Service) install(node int, v View, at, trigger vtime.Time, reason strin
 	delete(s.blockedMark, node)
 	s.current[node] = v
 	s.history[node] = append(s.history[node], v)
-	in := Install{Node: node, View: v, At: at, TriggeredAt: trigger, Latency: at.Sub(trigger), Reason: reason}
+	in := Install{Node: node, View: v, At: at, Latency: at.Sub(trigger), Reason: reason}
 	s.Installs = append(s.Installs, in)
 	if v.ID != 1 {
 		s.mInstallLat.ObserveD(in.Latency) // initial view: no change latency
@@ -964,8 +961,7 @@ func (s *Service) receiveTransfer(node int, m *netsim.Message) {
 			continue
 		}
 		h.restore(node, xm.Data)
-		tr := Transfer{Key: xm.Key, From: m.From, To: node, At: s.eng.Now()}
-		s.Transfers = append(s.Transfers, tr)
+		s.Transfers = append(s.Transfers, Transfer{Key: xm.Key, From: m.From, To: node})
 		s.eng.Recordf(monitor.KindStateTransfer, node, s.cfg.Name, "key=%s from=n%d view=%d", xm.Key, m.From, xm.ViewID)
 	}
 }

@@ -52,7 +52,8 @@ type Options struct {
 	// Rules are the declarative SLO threshold rules evaluated each
 	// interval.
 	Rules []Rule
-	// Now reads the virtual clock (required).
+	// Now is not read: the registry scrapes at the instants it hands
+	// Schedule. It stays because bench/layers/kernel.go sets it.
 	Now func() vtime.Time
 	// Schedule arranges fn to run at absolute virtual instant t
 	// (required for scraping; the cluster wires the engine's App class).

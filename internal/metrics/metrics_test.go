@@ -12,15 +12,13 @@ import (
 // sim is a miniature deterministic scheduler standing in for the
 // engine: Schedule enqueues, runTo fires everything due in time order.
 type sim struct {
-	now vtime.Time
-	q   map[vtime.Time][]func()
+	q map[vtime.Time][]func()
 }
 
 func newSim() *sim { return &sim{q: map[vtime.Time][]func(){}} }
 
 func (s *sim) opts() Options {
 	return Options{
-		Now:      func() vtime.Time { return s.now },
 		Schedule: func(t vtime.Time, fn func()) { s.q[t] = append(s.q[t], fn) },
 	}
 }
@@ -34,13 +32,11 @@ func (s *sim) runTo(until vtime.Time) {
 	}
 	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
 	for _, t := range due {
-		s.now = t
 		for _, fn := range s.q[t] {
 			fn()
 		}
 		delete(s.q, t)
 	}
-	s.now = until
 }
 
 func findSeries(ex *Export, name string) *SeriesData {

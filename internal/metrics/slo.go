@@ -107,7 +107,6 @@ func (r Rule) Validate() error {
 // clear instant (zero while still open at run end), the number of
 // violating intervals it spanned and the worst observed value.
 type Breach struct {
-	Rule      string
 	Onset     vtime.Time
 	Clear     vtime.Time
 	Intervals int
@@ -201,7 +200,7 @@ func (r *Registry) evaluate(p *probe, t vtime.Time) {
 	if ok && !p.holds(v) {
 		p.bad++
 		if p.open == 0 && p.bad >= p.r.For {
-			p.breaches = append(p.breaches, Breach{Rule: p.r.Name, Onset: t, Intervals: p.bad, Worst: v})
+			p.breaches = append(p.breaches, Breach{Onset: t, Intervals: p.bad, Worst: v})
 			p.open = len(p.breaches)
 			r.opt.Log.Recordf(t, monitor.KindSLOBreach, -1, p.r.Name,
 				"%s: observed %g (%d violating intervals)", p.r.Expr(), v, p.bad)

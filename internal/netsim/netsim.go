@@ -107,7 +107,6 @@ func DefaultConfig() Config {
 }
 
 type link struct {
-	from, to     int
 	dMin, dMax   vtime.Duration
 	lastDelivery vtime.Time // FIFO enforcement
 }
@@ -313,8 +312,8 @@ func (n *Network) Connect(a, b int, dMin, dMax vtime.Duration) {
 	if dMin < 0 || dMax < dMin {
 		panic(fmt.Sprintf("netsim: bad delay bounds [%s,%s]", dMin, dMax))
 	}
-	n.links[[2]int{a, b}] = &link{from: a, to: b, dMin: dMin, dMax: dMax}
-	n.links[[2]int{b, a}] = &link{from: b, to: a, dMin: dMin, dMax: dMax}
+	n.links[[2]int{a, b}] = &link{dMin: dMin, dMax: dMax}
+	n.links[[2]int{b, a}] = &link{dMin: dMin, dMax: dMax}
 }
 
 // ConnectAll fully connects the given processors with the same bounds.
@@ -473,7 +472,7 @@ func (f *flight) onATM() {
 	n.protoSeq++
 	f.seq = n.protoSeq
 	f.to.InitThread(&f.th, f.name, n.cfg.PrioNet)
-	f.th.AddSegment(simkern.Segment{Name: "proto", Work: n.cfg.WProto, PT: simkern.PrioMax})
+	f.th.AddSegment(simkern.Segment{Work: n.cfg.WProto, PT: simkern.PrioMax})
 	f.th.OnComplete = f.done
 	f.th.Ready()
 }

@@ -134,8 +134,6 @@ type groupState struct {
 	// that applied the same prefix; state transfer ships a donor's
 	// copy to rejoiners.
 	hist map[int]map[string][]Sample
-
-	requests, blocked, redirects, dups int
 }
 
 // Messages. Payload structs carry attempt pointers: the plane is a
@@ -145,7 +143,6 @@ type (
 	pubMsg struct {
 		Topic string
 		Value int64
-		From  int
 		Att   *pubAttempt
 	}
 	ackMsg struct {
@@ -161,11 +158,9 @@ type (
 	catchupMsg struct {
 		Topic string
 		Sub   int
-		From  int
 	}
 	catchupAck struct {
-		Topic string
-		Sub   int
+		Sub int
 	}
 	beMsg struct {
 		S   Sample
@@ -497,7 +492,7 @@ func (pub *Publisher) PublishDone(value int64, done func()) uint64 {
 func (pub *Publisher) send(att *pubAttempt) {
 	p := pub.p
 	target := pub.t.gs.g.Replication().Primary()
-	p.send(pub.node, target, p.reqPort, pubMsg{Topic: pub.t.name, Value: att.s.Value, From: pub.node, Att: att}, 48)
+	p.send(pub.node, target, p.reqPort, pubMsg{Topic: pub.t.name, Value: att.s.Value, Att: att}, 48)
 }
 
 // ---------------------------------------------------------------------
@@ -580,7 +575,7 @@ func (s *Subscriber) join() {
 func (s *Subscriber) catchup() {
 	p := s.p
 	target := s.t.gs.g.Replication().Primary()
-	p.send(s.node, target, p.reqPort, catchupMsg{Topic: s.t.name, Sub: s.id, From: s.node}, 24)
+	p.send(s.node, target, p.reqPort, catchupMsg{Topic: s.t.name, Sub: s.id}, 24)
 }
 
 // deliver records one sample arrival (dedup first, then deadline QoS,
@@ -600,9 +595,8 @@ func (s *Subscriber) deliver(sample Sample, replay bool, att *pubAttempt) {
 	}
 	s.seen[k] = true
 	p := s.p
-	now := p.eng.Now()
-	lat := now.Sub(sample.PublishedAt)
-	d := Delivery{Sample: sample, At: now, Latency: lat, Replay: replay}
+	lat := p.eng.Now().Sub(sample.PublishedAt)
+	d := Delivery{Sample: sample, Latency: lat, Replay: replay}
 	s.deliveries = append(s.deliveries, d)
 	s.t.delivered++
 	s.t.mDeliver.Inc()
@@ -651,16 +645,13 @@ func (p *Plane) handlePub(gs *groupState, node int, env pubMsg) {
 	if t == nil || att == nil {
 		return
 	}
-	gs.requests++
 	// A refused publish gets no reply: the publisher's retry loop finds
 	// the majority primary. (Never Down: handleReq dropped that.)
 	switch verdict, prim := gs.g.Gate(node); verdict {
 	case shard.NoQuorum:
-		gs.blocked++
 		att.ref.Instant("blocked at n%d: no quorum", node)
 		return
 	case shard.NotPrimary:
-		gs.redirects++
 		att.ref.Instant("not primary at n%d (primary n%d)", node, prim)
 		return
 	}
@@ -672,7 +663,6 @@ func (p *Plane) handlePub(gs *groupState, node int, env pubMsg) {
 			// from the dedup table, never re-apply. The entry must be
 			// this plane's: a tag present without an apply behind it is
 			// another writer's, and the sample was never fanned out.
-			gs.dups++
 			if !att.applied {
 				t.ackedUnapplied++
 			}
@@ -710,7 +700,7 @@ func (p *Plane) handleCatchup(gs *groupState, node int, env catchupMsg) {
 	}
 	p.eng.Recordf(monitor.KindCatchUp, node, "pubsub."+env.Topic,
 		"replayed %d samples to late joiner %d@n%d", len(h), env.Sub, sub.node)
-	p.send(node, sub.node, p.subPort, catchupAck{Topic: env.Topic, Sub: env.Sub}, 16)
+	p.send(node, sub.node, p.subPort, catchupAck{Sub: env.Sub}, 16)
 }
 
 // onApply is the plane's side of a sample's apply: every replica that

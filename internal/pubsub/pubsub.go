@@ -136,8 +136,7 @@ type sampleKey struct {
 // Delivery is one sample's arrival at one subscriber.
 type Delivery struct {
 	Sample
-	// At is the delivery instant, Latency the publish→deliver time.
-	At      vtime.Time
+	// Latency is the publish→deliver time.
 	Latency vtime.Duration
 	// Replay marks a history replay (late-joiner catch-up or a
 	// partition-merge replay) rather than a live fan-out delivery.

@@ -750,7 +750,7 @@ func (g *Group) execute(node int, msg batchMsg) {
 	}
 	r.node, r.id, r.msg = node, msg.Ops[0].id, msg
 	g.eng.Processors()[node].InitThread(&r.th, r.name, simkern.PrioMax-5000)
-	r.th.AddSegment(simkern.Segment{Name: "exec", Work: g.cfg.WExec, PT: simkern.PrioMax - 5000})
+	r.th.AddSegment(simkern.Segment{Work: g.cfg.WExec, PT: simkern.PrioMax - 5000})
 	r.th.OnComplete = r.done
 	r.th.Ready()
 }

@@ -76,12 +76,10 @@ func (s ClientStats) AvgLatency() vtime.Duration {
 
 // Ack records one acknowledged request.
 type Ack struct {
-	Key     string
-	Seq     uint64
-	Cmd     int64
-	Result  int64
-	At      vtime.Time
-	Latency vtime.Duration
+	Key    string
+	Seq    uint64
+	Result int64
+	At     vtime.Time
 }
 
 // reqState tracks one request through the client.
@@ -153,11 +151,10 @@ type Client struct {
 	batches map[uint64]*batch
 	order   []uint64 // live batch ids, emission order
 
-	// Stats counts outcomes; Acks and Failed record them for the
-	// harness (Verify checks Acks against the shard apply logs).
-	Stats  ClientStats
-	Acks   []Ack
-	Failed []uint64
+	// Stats counts outcomes; Acks records them for the harness
+	// (Verify checks Acks against the shard apply logs).
+	Stats ClientStats
+	Acks  []Ack
 
 	// mAck is the per-interval ack-latency histogram (nil-safe when
 	// the metrics plane is off).
@@ -332,7 +329,6 @@ func (c *Client) failBatch(b *batch) {
 		r.state = stFailed
 		delete(c.reqs, r.seq)
 		c.Stats.FailedFast++
-		c.Failed = append(c.Failed, r.seq)
 		r.trace.Violate("failed fast: retry budget exhausted")
 		r.trace.Finish()
 		c.finishKey(r)
@@ -397,7 +393,7 @@ func (c *Client) handleResp(m *netsim.Message) {
 			if lat > c.Stats.MaxLatency {
 				c.Stats.MaxLatency = lat
 			}
-			c.Acks = append(c.Acks, Ack{Key: r.key, Seq: r.seq, Cmd: r.cmd, Result: res.Result, At: now, Latency: lat})
+			c.Acks = append(c.Acks, Ack{Key: r.key, Seq: r.seq, Result: res.Result, At: now})
 			r.wspan.End()
 			r.trace.Finish()
 			c.finishKey(r)

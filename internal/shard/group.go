@@ -10,7 +10,6 @@ import (
 	"hades/internal/replication"
 	"hades/internal/simkern"
 	"hades/internal/trace"
-	"hades/internal/vtime"
 )
 
 // respPort is the default port client replies arrive on (one client
@@ -77,7 +76,6 @@ type opResult struct {
 // by the client; a late OK is accepted from any attempt — the commands
 // landed).
 type respEnv struct {
-	Shard   string
 	Batch   uint64
 	Attempt int
 	Kind    respKind
@@ -93,7 +91,6 @@ type Applied struct {
 	Seq    uint64
 	Cmd    int64
 	Result int64
-	At     vtime.Time
 }
 
 // GroupStats counts the routing outcomes at one shard's replicas.
@@ -375,12 +372,12 @@ func (g *Group) handleRequest(node int, m *netsim.Message) {
 		for _, op := range env.Ops {
 			op.Trace.Instant("blocked at n%d: no quorum", node)
 		}
-		g.respond(node, m.From, respEnv{Shard: g.name, Batch: env.Batch, Attempt: env.Attempt, Kind: respBlocked})
+		g.respond(node, m.From, respEnv{Batch: env.Batch, Attempt: env.Attempt, Kind: respBlocked})
 		return
 	case NotPrimary:
 		g.Stats.Redirects++
 		g.eng.Recordf(monitor.KindRedirect, node, g.name, "c%d b%d -> n%d", env.Client, env.Batch, primary)
-		g.respond(node, m.From, respEnv{Shard: g.name, Batch: env.Batch, Attempt: env.Attempt, Kind: respRedirect, Primary: primary})
+		g.respond(node, m.From, respEnv{Batch: env.Batch, Attempt: env.Attempt, Kind: respRedirect, Primary: primary})
 		return
 	}
 	pb := &pendingBatch{env: env, from: m.From, remaining: len(env.Ops), results: make([]opResult, len(env.Ops))}
@@ -413,7 +410,6 @@ func (g *Group) recordApply(node int, po *pendingOp, result int64) {
 		Seq:    po.op.Seq,
 		Cmd:    po.op.Cmd,
 		Result: result,
-		At:     g.eng.Now(),
 	})
 	view := g.kv[node]
 	if view == nil {
@@ -470,8 +466,7 @@ func (g *Group) finish(po *pendingOp, result int64) {
 	}
 	pb.responded = true
 	g.respond(g.rep.Primary(), pb.from, respEnv{
-		Shard: g.name, Batch: pb.env.Batch, Attempt: pb.env.Attempt,
-		Kind: respOK, Results: pb.results,
+		Batch: pb.env.Batch, Attempt: pb.env.Attempt, Kind: respOK, Results: pb.results,
 	})
 }
 

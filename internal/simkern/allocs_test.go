@@ -106,9 +106,9 @@ func TestAllocsThreadLifecycle(t *testing.T) {
 	onDone := func() { done++ }
 	gate(t, "3-segment thread lifecycle", 1, func() {
 		th := p.NewThread("t", PrioMax-2)
-		th.AddSegment(Segment{Name: "start", Work: 10 * us, PT: PrioMax})
-		th.AddSegment(Segment{Name: "body", Work: 100 * us, OnDone: onDone})
-		th.AddSegment(Segment{Name: "end", Work: 10 * us, PT: PrioMax})
+		th.AddSegment(Segment{Work: 10 * us, PT: PrioMax})
+		th.AddSegment(Segment{Work: 100 * us, OnDone: onDone})
+		th.AddSegment(Segment{Work: 10 * us, PT: PrioMax})
 		th.Ready()
 		eng.RunUntilIdle()
 		if !th.Finished() {
@@ -131,9 +131,9 @@ func TestAllocsInitThreadLifecycle(t *testing.T) {
 	gate(t, "3-segment InitThread lifecycle", 0, func() {
 		seq++
 		p.InitThread(&th, name, PrioMax-2)
-		th.AddSegment(Segment{Name: "start", Work: 10 * us, PT: PrioMax})
-		th.AddSegment(Segment{Name: "body", Work: 100 * us, OnDone: onDone})
-		th.AddSegment(Segment{Name: "end", Work: 10 * us, PT: PrioMax})
+		th.AddSegment(Segment{Work: 10 * us, PT: PrioMax})
+		th.AddSegment(Segment{Work: 100 * us, OnDone: onDone})
+		th.AddSegment(Segment{Work: 10 * us, PT: PrioMax})
 		th.Ready()
 		eng.RunUntilIdle()
 		if !th.Finished() {

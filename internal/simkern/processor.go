@@ -58,7 +58,6 @@ type Processor struct {
 }
 
 type irq struct {
-	source  string
 	wcet    vtime.Duration
 	handler func()
 }
@@ -160,7 +159,7 @@ func (p *Processor) RaiseIRQ(source string, wcet vtime.Duration, handler func())
 		st.MaxWCET = wcet
 	}
 	p.eng.Recordf(monitor.KindInterrupt, p.id, source, "%s", wcet)
-	p.irqs = append(p.irqs, irq{source: source, wcet: wcet, handler: handler})
+	p.irqs = append(p.irqs, irq{wcet: wcet, handler: handler})
 	p.resched()
 }
 

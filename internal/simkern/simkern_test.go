@@ -21,7 +21,7 @@ func TestSingleThreadRunsToCompletion(t *testing.T) {
 	p := eng.AddProcessor("n0", 0)
 	done := vtime.Time(-1)
 	th := p.NewThread("a", 5)
-	th.AddSegment(Segment{Name: "body", Work: 100 * us})
+	th.AddSegment(Segment{Work: 100 * us})
 	th.OnComplete = func() { done = eng.Now() }
 	th.Ready()
 	eng.RunUntilIdle()
@@ -241,8 +241,8 @@ func TestSegmentSequencingAndCallbacks(t *testing.T) {
 	p := eng.AddProcessor("n0", 0)
 	var marks []string
 	th := p.NewThread("t", 5)
-	th.AddSegment(Segment{Name: "s1", Work: 10 * us, OnDone: func() { marks = append(marks, "s1") }})
-	th.AddSegment(Segment{Name: "s2", Work: 20 * us, OnDone: func() { marks = append(marks, "s2") }})
+	th.AddSegment(Segment{Work: 10 * us, OnDone: func() { marks = append(marks, "s1") }})
+	th.AddSegment(Segment{Work: 20 * us, OnDone: func() { marks = append(marks, "s2") }})
 	th.OnComplete = func() { marks = append(marks, "done") }
 	th.Ready()
 	end := eng.RunUntilIdle()
@@ -468,13 +468,13 @@ func TestSegmentsBeyondInlineBuffer(t *testing.T) {
 	var order []string
 	th := p.NewThread("five", 5)
 	mark := func(s string) func() { return func() { order = append(order, s) } }
-	th.AddSegment(Segment{Name: "s1", Work: 10 * us, OnDone: mark("s1")})
-	th.AddSegment(Segment{Name: "s2", Work: 10 * us, OnDone: func() {
+	th.AddSegment(Segment{Work: 10 * us, OnDone: mark("s1")})
+	th.AddSegment(Segment{Work: 10 * us, OnDone: func() {
 		order = append(order, "s2")
-		th.AddSegment(Segment{Name: "s5", Work: 10 * us, OnDone: mark("s5")})
+		th.AddSegment(Segment{Work: 10 * us, OnDone: mark("s5")})
 	}})
-	th.AddSegment(Segment{Name: "s3", Work: 10 * us, OnDone: mark("s3")})
-	th.AddSegment(Segment{Name: "s4", Work: 10 * us, OnDone: mark("s4")})
+	th.AddSegment(Segment{Work: 10 * us, OnDone: mark("s3")})
+	th.AddSegment(Segment{Work: 10 * us, OnDone: mark("s4")})
 	th.OnComplete = mark("done")
 	if got := th.remainingWork(); got != 40*us {
 		t.Fatalf("RemainingWork = %s, want 40us", got)
@@ -512,7 +512,7 @@ func chainRun(recycle bool) (int, []monitor.Event) {
 		} else {
 			th = p.NewThread(name(), PrioMax-2)
 		}
-		th.AddSegment(Segment{Name: "body", Work: 50 * us})
+		th.AddSegment(Segment{Work: 50 * us})
 		th.OnComplete = next
 		th.Ready()
 	}

@@ -13,8 +13,6 @@ import (
 // dispatching work, reproducing the paper's rule that kernel calls cannot
 // be preempted by application tasks (§3.1.2).
 type Segment struct {
-	// Name tags the segment in traces ("start", "body", "end", ...).
-	Name string
 	// Work is the segment's WCET on the CPU.
 	Work vtime.Duration
 	// PT is the preemption threshold while this segment runs: only

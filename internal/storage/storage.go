@@ -40,7 +40,6 @@ type Store struct {
 	writeLat vtime.Duration // latency per physical copy write
 	records  map[string]*[2]copyRec
 	crashed  bool
-	pending  int
 
 	// Writes and Recoveries count operations for the harness.
 	Writes     int
@@ -86,19 +85,16 @@ func (s *Store) Write(key string, value any, done func(error)) {
 		s.records[key] = rec
 	}
 	newVersion := maxVersion(rec) + 1
-	s.pending++
 	// Copy A first...
 	s.eng.After(s.writeLat, eventq.ClassApp, func() {
 		if s.crashed {
 			rec[0].valid = false // torn write on copy A
-			s.pending--
 			done(ErrCrashed)
 			return
 		}
 		rec[0] = copyRec{version: newVersion, data: data, crc: crc32.ChecksumIEEE(data), valid: true}
 		// ...then copy B.
 		s.eng.After(s.writeLat, eventq.ClassApp, func() {
-			s.pending--
 			if s.crashed {
 				rec[1].valid = false
 				done(ErrCrashed)

@@ -56,9 +56,7 @@ func (s ClientStats) AvgLatency() vtime.Duration {
 type Record struct {
 	ID        ID
 	Ops       []Op
-	Deadline  vtime.Time
 	Status    Status
-	Reason    string
 	Reads     map[string]int64
 	DecidedAt vtime.Time
 }
@@ -72,7 +70,6 @@ type Txn struct {
 	ops      []Op
 	status   Status
 	reason   string
-	reads    map[string]int64
 
 	committedCall bool
 	submittedAt   vtime.Time
@@ -314,7 +311,6 @@ func (c *Client) finish(t *Txn, committed bool, reason string, byDeadline bool, 
 		}
 	}
 	t.reason = reason
-	t.reads = reads
 	if t.call != nil {
 		t.call.Finish()
 	}
@@ -338,9 +334,7 @@ func (c *Client) finish(t *Txn, committed bool, reason string, byDeadline bool, 
 	rec := Record{
 		ID:        t.id,
 		Ops:       append([]Op(nil), t.ops...),
-		Deadline:  t.deadline,
 		Status:    t.status,
-		Reason:    reason,
 		Reads:     reads,
 		DecidedAt: now,
 	}

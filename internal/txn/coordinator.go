@@ -21,10 +21,6 @@ import (
 type CoordStats struct {
 	// Begins counts transaction submissions accepted (first receipt).
 	Begins int
-	// Redirects and Blocked count submissions bounced to the current
-	// primary and stale-view rejections.
-	Redirects int
-	Blocked   int
 	// Commits and Aborts count decisions; DeadlineAborts the subset
 	// aborted because the deadline passed undecided.
 	Commits        int
@@ -40,7 +36,6 @@ type partState struct {
 	ops      []Op
 	voted    bool
 	yes      bool
-	reason   string
 	acked    bool
 	prepared bool // prepare loop started
 	// prepSpan times PREPARE-to-vote; decSpan times decision-to-ack.
@@ -54,7 +49,6 @@ type partState struct {
 // machine.
 type coordTxn struct {
 	id       ID
-	ops      []Op
 	deadline vtime.Time
 	client   int
 	attempt  int
@@ -66,7 +60,6 @@ type coordTxn struct {
 	reason      string
 	byDeadline  bool
 	distributed bool
-	decidedAt   vtime.Time
 
 	// trace is the transaction's causal trace (shipped in by the client's
 	// submission); logSpan times the replicated decision-log round.
@@ -208,11 +201,9 @@ func (c *Coordinator) handle(node int, m *netsim.Message) {
 func (c *Coordinator) handleBegin(node, from int, env beginEnv) {
 	switch verdict, primary := c.g.Gate(node); verdict { // never Down: handle dropped that
 	case shard.NoQuorum:
-		c.Stats.Blocked++
 		c.p.send(node, from, c.p.respPort, outcomeEnv{ID: env.ID, Attempt: env.Attempt, Kind: respBlocked}, 32)
 		return
 	case shard.NotPrimary:
-		c.Stats.Redirects++
 		c.p.send(node, from, c.p.respPort, outcomeEnv{ID: env.ID, Attempt: env.Attempt, Kind: respRedirect, Primary: primary}, 32)
 		return
 	}
@@ -254,7 +245,6 @@ func (ct *coordTxn) replyable() bool {
 func (c *Coordinator) admit(env beginEnv) *coordTxn {
 	ct := &coordTxn{
 		id:       env.ID,
-		ops:      env.Ops,
 		deadline: env.Deadline,
 		client:   env.Client,
 		attempt:  env.Attempt,
@@ -297,7 +287,7 @@ func (c *Coordinator) sendPrepare(ct *coordTxn, ps *partState) {
 	}
 	ps.prepared = true
 	ps.prepSpan = ct.trace.Span(fmt.Sprintf("2pc.prepare.s%d", ps.shard), trace.LayerWire)
-	env := prepareEnv{ID: ct.id, Shard: ps.shard, Ops: ps.ops, Deadline: ct.deadline, Coord: c.shard, Trace: ct.trace}
+	env := prepareEnv{ID: ct.id, Ops: ps.ops, Deadline: ct.deadline, Coord: c.shard, Trace: ct.trace}
 	c.p.protoLoop(fmt.Sprintf("prep.%s.s%d", ct.id, ps.shard), c.g.Replication().Primary(),
 		func() {
 			from := c.g.Replication().Primary()
@@ -318,7 +308,7 @@ func (c *Coordinator) handleVote(node int, env voteEnv) {
 	if ps == nil || ps.voted {
 		return
 	}
-	ps.voted, ps.yes, ps.reason = true, env.Yes, env.Reason
+	ps.voted, ps.yes = true, env.Yes
 	ps.prepSpan.End()
 	if ct.reads == nil {
 		ct.reads = maps.Clone(env.Reads) // no reads, no map
@@ -359,7 +349,6 @@ func (c *Coordinator) decide(ct *coordTxn, commit bool, reason string) {
 		return
 	}
 	ct.decided, ct.commit, ct.reason = true, commit, reason
-	ct.decidedAt = c.p.eng.Now()
 	verdict := "abort"
 	if commit {
 		verdict = "commit"

@@ -57,13 +57,11 @@ type prep struct {
 	deadline vtime.Time
 	coord    int
 	state    prepState
-	votedYes bool
 	commit   bool
 	// applying counts outstanding write applies; the commit is acked
 	// once it reaches zero (writes visibly in the primary's history).
 	applying int
 	acked    bool
-	lockedAt vtime.Time
 	// trace is the owning transaction's causal trace; lockSpan times a
 	// prepare's wait behind a held lock.
 	trace    trace.Ref
@@ -212,7 +210,6 @@ func (pa *Participant) tryAcquire(pr *prep) bool {
 	for _, k := range pr.keys {
 		pa.locks[k] = pr.id
 	}
-	pr.lockedAt = pa.p.eng.Now()
 	return true
 }
 
@@ -220,7 +217,6 @@ func (pa *Participant) tryAcquire(pr *prep) bool {
 // its reads from the primary's keyed view under those locks.
 func (pa *Participant) granted(node, from int, pr *prep) {
 	pr.state = prepHeld
-	pr.votedYes = true
 	pr.lockSpan.End()
 	pa.p.eng.Recordf(monitor.KindPrepare, node, pr.id.String(), "shard %d: locked %v", pa.shard, pr.keys)
 	pa.vote(node, from, pr, true, "", false)
@@ -283,7 +279,7 @@ func (pa *Participant) atDeadline(pr *prep) {
 		pa.Stats.DeadlineReleases++
 		pa.p.eng.Recordf(monitor.KindLockWait, pa.g.Replication().Primary(), pr.id.String(),
 			"shard %d: released at deadline, decision pending", pa.shard)
-		env := queryEnv{ID: pr.id, Shard: pa.shard, Deadline: pr.deadline}
+		env := queryEnv{ID: pr.id, Deadline: pr.deadline}
 		pa.p.protoLoop(fmt.Sprintf("query.%s.s%d", pr.id, pa.shard), pa.g.Replication().Primary(),
 			func() {
 				from := pa.g.Replication().Primary()

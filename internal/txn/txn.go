@@ -169,7 +169,6 @@ type outcomeEnv struct {
 // prepareEnv asks one owning shard to lock and vote.
 type prepareEnv struct {
 	ID       ID
-	Shard    int
 	Ops      []Op
 	Deadline vtime.Time
 	// Coord is the coordinator shard index (decision queries resolve
@@ -215,7 +214,6 @@ type ackEnv struct {
 // YES-voted transaction whose decision had not arrived by the deadline.
 type queryEnv struct {
 	ID       ID
-	Shard    int
 	Deadline vtime.Time
 }
 
