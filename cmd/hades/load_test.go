@@ -43,7 +43,7 @@ func TestRunBuiltinWritesValidReport(t *testing.T) {
 			}
 			for _, l := range doc.Latency {
 				if l.Count > 0 && l.P999Ns == 0 {
-					t.Fatalf("latency row %q has observations but no p999", l.Key())
+					t.Fatalf("latency row %s shard %d has observations but no p999", l.Class, l.Shard)
 				}
 			}
 		})

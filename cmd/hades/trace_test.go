@@ -24,7 +24,7 @@ func writeTraceSample(t *testing.T) string {
 	s.End()
 	w := tc.Span("rpc.txn", trace.LayerWire)
 	tick(200 * vtime.Microsecond)
-	tc.Instant("retry after timeout")
+	tc.Ref().Instant("retry after timeout")
 	tick(100 * vtime.Microsecond)
 	w.End()
 	tc.SetClass("txn.abort")

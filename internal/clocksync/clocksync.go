@@ -69,7 +69,6 @@ const port = "clocksync"
 // NodeClock is one node's hardware clock plus the correction the
 // algorithm maintains.
 type NodeClock struct {
-	node       int
 	offset     vtime.Duration // initial offset
 	drift      float64        // actual drift in [-ρ, ρ]
 	correction vtime.Duration
@@ -90,9 +89,6 @@ func (c *NodeClock) hardware(t vtime.Time) vtime.Time {
 func (c *NodeClock) logical(t vtime.Time) vtime.Time {
 	return c.hardware(t).Add(c.correction)
 }
-
-// Node returns the processor ID.
-func (c *NodeClock) Node() int { return c.node }
 
 // Service is the clock synchronisation service instance.
 type Service struct {
@@ -116,7 +112,6 @@ func New(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Service, error)
 	rng := eng.Rand()
 	for _, n := range cfg.Nodes {
 		s.clocks[n] = &NodeClock{
-			node:      n,
 			offset:    vtime.Duration(rng.Int63n(int64(vtime.Millisecond))) - 500*vtime.Microsecond,
 			drift:     (rng.Float64()*2 - 1) * cfg.MaxDrift,
 			estimates: make(map[int]vtime.Time),

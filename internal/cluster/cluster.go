@@ -318,11 +318,6 @@ func (c *Cluster) At(t vtime.Time, fn func()) {
 	c.eng.At(t, eventq.ClassApp, fn)
 }
 
-// After schedules an application-level callback d from now.
-func (c *Cluster) After(d vtime.Duration, fn func()) {
-	c.eng.After(d, eventq.ClassApp, fn)
-}
-
 // App is one application on the cluster: a scheduler, a resource
 // policy, and its tasks.
 type App struct {

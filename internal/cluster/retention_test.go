@@ -55,7 +55,7 @@ func TestOpRecordsDieWithTheirMessages(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 29})
 	c.AddNodes(6) // one shard × 3 replicas, kv client, txn client, publisher
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(1, 3)
+	set := c.ShardsWith(1, 3, cluster.ShardConfig{})
 	kv := set.ClientAt(3)
 	tx := set.TxnClientAt(4)
 	if _, err := set.Topic("telemetry", pubsub.QoS{Reliability: pubsub.Reliable}); err != nil {

@@ -33,7 +33,7 @@ func TestShardsHappyPath(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 11})
 	c.AddNodes(5) // 2 shards × 2 replicas + client
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(2, 2)
+	set := c.ShardsWith(2, 2, cluster.ShardConfig{})
 	cl := set.ClientAt(4)
 	submitEvery(c, cl, 2*ms, 0, vtime.Time(100*ms))
 	res := c.Run(200 * ms)
@@ -64,7 +64,7 @@ func TestShardsCrashFailover(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 13})
 	c.AddNodes(7) // 2 shards × 3 replicas + client
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(2, 3)
+	set := c.ShardsWith(2, 3, cluster.ShardConfig{})
 	cl := set.ClientAt(6)
 	submitEvery(c, cl, 2*ms, 0, vtime.Time(200*ms))
 	c.Crash(0, vtime.Time(50*ms), 0) // shard0's initial primary, no recovery
@@ -99,7 +99,7 @@ func TestShardsMinorityClientQueuesAndResubmits(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 17})
 	c.AddNodes(4) // 1 shard × 3 replicas + client
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(1, 3)
+	set := c.ShardsWith(1, 3, cluster.ShardConfig{})
 	cl := set.ClientAt(3)
 	submitEvery(c, cl, 2*ms, vtime.Time(10*ms), vtime.Time(250*ms))
 	// The client is segmented with follower 2; the primary (0) and the
@@ -134,7 +134,7 @@ func TestShardsFailFastPolicy(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 19})
 	c.AddNodes(4)
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(1, 3)
+	set := c.ShardsWith(1, 3, cluster.ShardConfig{})
 	cl := set.ClientWith(shard.ClientParams{Node: 3, Policy: shard.FailFast, MaxRetries: 2})
 	submitEvery(c, cl, 2*ms, vtime.Time(10*ms), vtime.Time(100*ms))
 	c.PartitionAt(vtime.Time(20*ms), []int{2, 3}, []int{0, 1})
@@ -165,7 +165,7 @@ func TestShardsStaleViewRejection(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 23})
 	c.AddNodes(4)
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(1, 3)
+	set := c.ShardsWith(1, 3, cluster.ShardConfig{})
 	cl := set.ClientAt(3)
 	submitEvery(c, cl, 2*ms, 0, vtime.Time(250*ms))
 	// The client is segmented with the PRIMARY (0); the majority {1,2}
@@ -200,7 +200,7 @@ func TestShardsDeterministic(t *testing.T) {
 		c := cluster.New(cluster.Config{Seed: 29})
 		c.AddNodes(7)
 		c.ConnectAll(100*us, 300*us)
-		set := c.Shards(2, 3)
+		set := c.ShardsWith(2, 3, cluster.ShardConfig{})
 		cl := set.ClientAt(6)
 		submitEvery(c, cl, 2*ms, 0, vtime.Time(150*ms))
 		c.Crash(0, vtime.Time(40*ms), vtime.Time(200*ms))
@@ -269,7 +269,7 @@ func TestAuthoritativeNodeSkipsViewExcludedReplica(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 37})
 	c.AddNodes(4)
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(1, 3)
+	set := c.ShardsWith(1, 3, cluster.ShardConfig{})
 	cl := set.ClientAt(3)
 	submitEvery(c, cl, 2*ms, 0, vtime.Time(250*ms))
 	// Isolate the primary (node 0); the majority promotes node 1 and
@@ -315,7 +315,7 @@ func TestShardsLateResponsesDoNotBurnBudget(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 41})
 	c.AddNodes(3) // 1 shard × 2 replicas + client
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(1, 2)
+	set := c.ShardsWith(1, 2, cluster.ShardConfig{})
 	// Every response arrives ~2ms after the 5ms timeout fired.
 	c.InjectFault(&slowPort{port: "shard.shard.resp", extra: 7 * ms})
 	cl := set.ClientWith(shard.ClientParams{Node: 2, Policy: shard.FailFast, MaxRetries: 2})

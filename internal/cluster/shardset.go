@@ -63,18 +63,12 @@ type ShardSet struct {
 	groupCommit session.Params
 }
 
-// Shards declares a sharded data plane of n replication groups with
+// ShardsWith declares a sharded data plane of n replication groups with
 // replicasPer replicas each, laid out over consecutive nodes (shard i
-// owns nodes [i·replicasPer, (i+1)·replicasPer)), semi-active style.
-// It finalizes the platform and needs a network. Submit keyed
-// requests through ClientAt.
-func (c *Cluster) Shards(n, replicasPer int) *ShardSet {
-	return c.ShardsWith(n, replicasPer, ShardConfig{})
-}
-
-// ShardsWith is Shards with explicit configuration; cfg.Groups
-// overrides the consecutive layout (n and replicasPer are then
-// ignored).
+// owns nodes [i·replicasPer, (i+1)·replicasPer)), semi-active style
+// unless cfg says otherwise; cfg.Groups overrides the consecutive
+// layout (n and replicasPer are then ignored). It finalizes the
+// platform and needs a network. Submit keyed requests through ClientAt.
 func (c *Cluster) ShardsWith(n, replicasPer int, cfg ShardConfig) *ShardSet {
 	c.build()
 	if c.net == nil {
@@ -197,9 +191,6 @@ const (
 	replicaWExec          = 100 * vtime.Microsecond
 	replicaStorageLatency = 20 * vtime.Microsecond
 )
-
-// Name returns the set's name prefix.
-func (s *ShardSet) Name() string { return s.name }
 
 // ShardSets returns the cluster's sharded data planes, creation order.
 func (c *Cluster) ShardSets() []*ShardSet { return c.shardSets }

@@ -35,7 +35,7 @@ func TestTxnHappyPath(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 101})
 	c.AddNodes(5) // 2 shards × 2 replicas + txn client
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(2, 2)
+	set := c.ShardsWith(2, 2, cluster.ShardConfig{})
 	cl := set.TxnClientAt(4)
 	transferEvery(c, cl, accounts, 4*ms, 0, vtime.Time(100*ms))
 	res := c.Run(200 * ms)
@@ -46,9 +46,9 @@ func TestTxnHappyPath(t *testing.T) {
 	if err := set.CheckTxns(); err != nil {
 		t.Fatalf("atomicity check: %v", err)
 	}
-	for _, pa := range set.TxnPlane().Participants() {
+	for i, pa := range set.TxnPlane().Participants() {
 		if pa.LockedKeys() != 0 {
-			t.Fatalf("shard %d still holds %d locks at end of run", pa.Shard(), pa.LockedKeys())
+			t.Fatalf("shard %d still holds %d locks at end of run", i, pa.LockedKeys())
 		}
 	}
 	// Both shards participated (accounts spread over the ring).
@@ -70,7 +70,7 @@ func TestTxnReadsReturnCommittedValues(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 103})
 	c.AddNodes(5)
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(2, 2)
+	set := c.ShardsWith(2, 2, cluster.ShardConfig{})
 	cl := set.TxnClientAt(4)
 
 	var got map[string]int64
@@ -107,7 +107,7 @@ func TestTxnLockConflictWaitsThenCommits(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 107})
 	c.AddNodes(6) // 2 shards × 2 replicas + 2 txn clients
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(2, 2)
+	set := c.ShardsWith(2, 2, cluster.ShardConfig{})
 	cl1 := set.TxnClientAt(4)
 	cl2 := set.TxnClientAt(5)
 	// Same instant, same accounts: one of them must wait for the lock.
@@ -149,7 +149,7 @@ func TestTxnDeadlineAbortReleasesLocks(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 109})
 	c.AddNodes(8) // 2 shards × 3 replicas + 2 txn clients
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(2, 3)
+	set := c.ShardsWith(2, 3, cluster.ShardConfig{})
 	cl1 := set.TxnClientWith(txn.ClientParams{Node: 7, Deadline: 50 * ms})
 	cl2 := set.TxnClientWith(txn.ClientParams{Node: 6, Deadline: 10 * ms})
 	// Warm up cl2's transaction counter so its conflicting transaction
@@ -189,9 +189,9 @@ func TestTxnDeadlineAbortReleasesLocks(t *testing.T) {
 	if err := set.CheckTxns(); err != nil {
 		t.Fatalf("atomicity check: %v", err)
 	}
-	for _, pa := range set.TxnPlane().Participants() {
+	for i, pa := range set.TxnPlane().Participants() {
 		if pa.LockedKeys() != 0 {
-			t.Fatalf("shard %d still holds %d locks", pa.Shard(), pa.LockedKeys())
+			t.Fatalf("shard %d still holds %d locks", i, pa.LockedKeys())
 		}
 	}
 }
@@ -206,7 +206,7 @@ func TestTxnSurvivesCoordinatorCrash(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 113})
 	c.AddNodes(7) // 2 shards × 3 replicas + txn client
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(2, 3)
+	set := c.ShardsWith(2, 3, cluster.ShardConfig{})
 	cl := set.TxnClientAt(6)
 	transferEvery(c, cl, accounts, 3*ms, 0, vtime.Time(200*ms))
 	c.Crash(0, vtime.Time(50*ms), 0) // shard0's primary, no recovery
@@ -234,7 +234,7 @@ func TestTxnRedirectsCountedOnce(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 113})
 	c.AddNodes(7) // 2 shards × 3 replicas + txn client
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(2, 3)
+	set := c.ShardsWith(2, 3, cluster.ShardConfig{})
 	cl := set.TxnClientAt(6)
 	transferEvery(c, cl, accounts, 3*ms, 0, vtime.Time(200*ms))
 	c.Crash(0, vtime.Time(50*ms), 0) // shard0's primary, no recovery
@@ -262,7 +262,7 @@ func TestTxnPartitionWindowAborts(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 127})
 	c.AddNodes(7)
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(2, 3)
+	set := c.ShardsWith(2, 3, cluster.ShardConfig{})
 	cl := set.TxnClientAt(6)
 	transferEvery(c, cl, accounts, 3*ms, 0, vtime.Time(300*ms))
 	// Shard 1's serving quorum {3,4} is segmented away from the client:
@@ -295,7 +295,7 @@ func TestTxnDeterministic(t *testing.T) {
 		c := cluster.New(cluster.Config{Seed: 131})
 		c.AddNodes(7)
 		c.ConnectAll(100*us, 300*us)
-		set := c.Shards(2, 3)
+		set := c.ShardsWith(2, 3, cluster.ShardConfig{})
 		cl := set.TxnClientAt(6)
 		transferEvery(c, cl, accounts, 3*ms, 0, vtime.Time(150*ms))
 		c.Crash(0, vtime.Time(40*ms), vtime.Time(200*ms))
@@ -323,7 +323,7 @@ func TestTxnClientCollisionsRejected(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 1})
 	c.AddNodes(6)
 	c.ConnectAll(100*us, 300*us)
-	set := c.Shards(2, 2)
+	set := c.ShardsWith(2, 2, cluster.ShardConfig{})
 	set.ClientAt(4)
 	for name, node := range map[string]int{"replica node": 0, "request-client node": 4} {
 		func() {

@@ -145,12 +145,6 @@ func New(eng *simkern.Engine, net *netsim.Network, costs CostBook) *Dispatcher {
 	return d
 }
 
-// Engine returns the underlying engine.
-func (d *Dispatcher) Engine() *simkern.Engine { return d.eng }
-
-// Costs returns the active cost book.
-func (d *Dispatcher) Costs() CostBook { return d.costs }
-
 // Stats returns a snapshot of the dispatcher counters.
 func (d *Dispatcher) Stats() Stats { return d.stats }
 
@@ -178,12 +172,6 @@ func (d *Dispatcher) RegisterApp(name string, sched Scheduler, policy ResourcePo
 	app := &App{Name: name, sched: sched, policy: policy, hosts: make(map[int]*schedHost), disp: d}
 	return app
 }
-
-// Scheduler returns the application's scheduling policy.
-func (a *App) Scheduler() Scheduler { return a.sched }
-
-// Policy returns the application's resource policy.
-func (a *App) Policy() ResourcePolicy { return a.policy }
 
 // Tasks returns the application's task runtimes in registration order.
 func (a *App) Tasks() []*TaskRuntime { return a.tasks }
@@ -292,9 +280,9 @@ func (tr *TaskRuntime) checkArrival(now vtime.Time) (bool, string) {
 // not tied to a specific thread.
 func (tr *TaskRuntime) primaryNode() int { return tr.Task.EUs[0].NodeOf() }
 
-// SetCond sets a system-wide condition variable, re-evaluates every
+// setCond sets a system-wide condition variable, re-evaluates every
 // thread waiting on it (§3.1.1) and fires registered watchers.
-func (d *Dispatcher) SetCond(name string) {
+func (d *Dispatcher) setCond(name string) {
 	cv := d.cond(name)
 	if cv.set {
 		return
@@ -321,8 +309,8 @@ func (d *Dispatcher) WatchCond(name string, fn func()) {
 	cv.watchers = append(cv.watchers, fn)
 }
 
-// ClearCond clears a condition variable.
-func (d *Dispatcher) ClearCond(name string) {
+// clearCond clears a condition variable.
+func (d *Dispatcher) clearCond(name string) {
 	cv := d.cond(name)
 	if !cv.set {
 		return

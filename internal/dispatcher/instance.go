@@ -32,12 +32,9 @@ type Instance struct {
 	inputs     map[string]any // parameters handed by an invoking Inv_EU
 }
 
-// Name returns "task#seq".
-func (in *Instance) Name() string { return in.name }
-
-// OnComplete registers a callback fired when the instance completes
+// whenComplete registers a callback fired when the instance completes
 // (successfully or cancelled). Fired immediately if already complete.
-func (in *Instance) OnComplete(f func(*Instance)) {
+func (in *Instance) whenComplete(f func(*Instance)) {
 	if in.completed {
 		f(in)
 		return
@@ -71,7 +68,7 @@ func (d *Dispatcher) buildInstance(tr *TaskRuntime) *Instance {
 		inst.AbsDeadline = now.Add(task.Deadline)
 	}
 	d.live[instKey{task.Name, inst.Seq}] = inst
-	d.eng.Recordf(monitor.KindActivation, tr.primaryNode(), inst.Name(), "D=%s", task.Deadline)
+	d.eng.Recordf(monitor.KindActivation, tr.primaryNode(), inst.name, "D=%s", task.Deadline)
 
 	inst.Threads = make([]*Thread, len(task.EUs))
 	for i, eu := range task.EUs {
@@ -91,7 +88,7 @@ func (d *Dispatcher) buildInstance(tr *TaskRuntime) *Instance {
 				t.latestEv = nil
 				if !t.started() && t.state != threadDone && t.state != threadOrphaned {
 					d.stats.LatestMisses++
-					d.eng.Recordf(monitor.KindLatestStartMiss, t.Node(), t.Name(), "latest=%s", t.latest)
+					d.eng.Recordf(monitor.KindLatestStartMiss, t.Node(), t.name, "latest=%s", t.latest)
 				}
 			})
 		}
@@ -109,7 +106,7 @@ func (d *Dispatcher) buildInstance(tr *TaskRuntime) *Instance {
 		}
 	}
 	if d.costs.StartInv > 0 {
-		d.kernelWork(tr.primaryNode(), inst.Name()+".startinv", d.costs.StartInv, start)
+		d.kernelWork(tr.primaryNode(), inst.name+".startinv", d.costs.StartInv, start)
 	} else {
 		start()
 	}
@@ -134,7 +131,7 @@ func (d *Dispatcher) deadlinePassed(inst *Instance) {
 	inst.missed = true
 	inst.TR.Misses++
 	d.stats.DeadlineMisses++
-	d.eng.Recordf(monitor.KindDeadlineMiss, inst.TR.primaryNode(), inst.Name(),
+	d.eng.Recordf(monitor.KindDeadlineMiss, inst.TR.primaryNode(), inst.name,
 		"deadline=%s", inst.AbsDeadline)
 	if d.CancelOnMiss {
 		d.cancelInstance(inst, "deadline miss")
@@ -157,7 +154,7 @@ func (d *Dispatcher) cancelInstance(inst *Instance, reason string) {
 		}
 		th.state = threadOrphaned
 		d.stats.Orphans++
-		d.eng.Recordf(monitor.KindOrphanThread, th.Node(), th.Name(), "%s", reason)
+		d.eng.Recordf(monitor.KindOrphanThread, th.Node(), th.name, "%s", reason)
 		if th.kthread != nil && !th.kthread.Finished() {
 			th.kthread.Suspend()
 		}
@@ -202,7 +199,7 @@ func (d *Dispatcher) threadFinished(th *Thread) {
 	inst.remaining--
 	if inst.remaining == 0 && !inst.completed && !inst.cancelled {
 		if d.costs.EndInv > 0 {
-			d.kernelWork(inst.TR.primaryNode(), inst.Name()+".endinv", d.costs.EndInv, func() {
+			d.kernelWork(inst.TR.primaryNode(), inst.name+".endinv", d.costs.EndInv, func() {
 				d.finalizeInstance(inst)
 			})
 		} else {
@@ -234,7 +231,7 @@ func (d *Dispatcher) finalizeInstance(inst *Instance) {
 		}
 		// A completion after the deadline that the deadline timer
 		// already flagged is not double-counted.
-		d.eng.Recordf(monitor.KindTaskComplete, tr.primaryNode(), inst.Name(), "resp=%s", resp)
+		d.eng.Recordf(monitor.KindTaskComplete, tr.primaryNode(), inst.name, "resp=%s", resp)
 	}
 	cbs := inst.onComplete
 	inst.onComplete = nil

@@ -47,7 +47,7 @@ func (d *Dispatcher) sendRemote(src *Thread, ei int) {
 	id, err := d.net.Send(from, to, remotePort, payload, 64+16*len(params))
 	if err != nil {
 		d.stats.NetworkOmissions++
-		d.eng.Recordf(monitor.KindNetworkOmission, from, src.Name(), "no link to n%d", to)
+		d.eng.Recordf(monitor.KindNetworkOmission, from, src.name, "no link to n%d", to)
 		return
 	}
 	dmax, _ := d.net.DelayBound(from, to)
@@ -57,7 +57,7 @@ func (d *Dispatcher) sendRemote(src *Thread, ei int) {
 		delete(d.pendingRemote, id)
 		d.stats.NetworkOmissions++
 		d.eng.Recordf(monitor.KindNetworkOmission, to, dest.name,
-			"remote precedence from %s not satisfied within %s", src.Name(), bound)
+			"remote precedence from %s not satisfied within %s", src.name, bound)
 	})
 	d.pendingRemote[id] = ev
 }

@@ -66,7 +66,7 @@ func (d *Dispatcher) tryGrant(th *Thread) bool {
 		r := d.resourceOn(th.Node(), req.Resource)
 		r.holds = append(r.holds, hold{th: th, mode: req.Mode})
 		th.held = append(th.held, req.Resource)
-		d.eng.Recordf(monitor.KindResourceGrant, th.Node(), req.Resource, "%s %s", th.Name(), req.Mode.String())
+		d.eng.Recordf(monitor.KindResourceGrant, th.Node(), req.Resource, "%s %s", th.name, req.Mode.String())
 	}
 	th.inst.TR.App.policy.OnGrant(th)
 	d.removeWaiter(th)
@@ -92,7 +92,7 @@ func (d *Dispatcher) releaseResources(th *Thread) {
 				break
 			}
 		}
-		d.eng.Recordf(monitor.KindResourceRelease, th.Node(), name, "%s", th.Name())
+		d.eng.Recordf(monitor.KindResourceRelease, th.Node(), name, "%s", th.name)
 	}
 	th.held = nil
 	th.inst.TR.App.policy.OnRelease(th)
@@ -230,10 +230,10 @@ func (d *Dispatcher) checkDeadlock(start *Thread) {
 	if dfs(start) && len(cycle) > 0 {
 		names := make([]string, len(cycle))
 		for i, t := range cycle {
-			names[i] = t.Name()
+			names[i] = t.name
 		}
 		d.stats.Deadlocks++
-		d.eng.Recordf(monitor.KindDeadlock, start.Node(), start.Name(),
+		d.eng.Recordf(monitor.KindDeadlock, start.Node(), start.name,
 			"cycle: %s", strings.Join(names, " -> "))
 	}
 }

@@ -1,6 +1,7 @@
 package dispatcher
 
 import (
+	"slices"
 	"strconv"
 
 	"hades/internal/monitor"
@@ -35,7 +36,7 @@ func (a *App) notify(kind NotifKind, th *Thread) {
 		a.hosts[node] = h
 	}
 	n := Notification{Kind: kind, Thread: th}
-	a.disp.eng.Recordf(monitor.KindNotification, node, kind.String(), "%s", th.Name())
+	a.disp.eng.Recordf(monitor.KindNotification, node, kind.String(), "%s", th.name)
 	h.queue = append(h.queue, n)
 	if !h.busy {
 		h.busy = true
@@ -72,8 +73,10 @@ func (h *schedHost) processNext() {
 		PT:   simkern.PrioMax,
 		OnDone: func() {
 			n := h.queue[0]
-			h.queue = h.queue[1:]
-			d.eng.Recordf(monitor.KindSchedulerRun, h.node, h.app.sched.Name(), "%s %s", n.Kind.String(), n.Thread.Name())
+			// Shift in place: the backing array is reused, so a steady
+			// notify/process cycle appends without allocating.
+			h.queue = slices.Delete(h.queue, 0, 1)
+			d.eng.Recordf(monitor.KindSchedulerRun, h.node, h.app.sched.Name(), "%s %s", n.Kind.String(), n.Thread.name)
 			h.app.sched.Handle(n, d)
 		},
 	})

@@ -77,9 +77,6 @@ type Thread struct {
 	earliestEv, latestEv *eventq.Event
 }
 
-// Name returns "task#seq.eu".
-func (th *Thread) Name() string { return th.name }
-
 // Node returns the processor the thread is bound to.
 func (th *Thread) Node() int { return th.eu.NodeOf() }
 
@@ -117,10 +114,6 @@ func (th *Thread) SeqNo() uint64 { return th.seqNo }
 // (§3.2.1's orphan-thread event). Schedulers prune such threads from
 // their live sets.
 func (th *Thread) Orphaned() bool { return th.state == threadOrphaned }
-
-// Blocked reports whether the thread is waiting for resources or the
-// resource policy's start gate.
-func (th *Thread) Blocked() bool { return th.state == threadWaitResources }
 
 // HeldResources returns the names of resources the thread holds.
 func (th *Thread) HeldResources() []string {
@@ -281,7 +274,7 @@ func (d *Dispatcher) finishCode(th *Thread) {
 
 	if c.ActualWork != nil && th.actual < c.WCET {
 		d.stats.EarlyTerminations++
-		d.eng.Recordf(monitor.KindEarlyTermination, th.Node(), th.Name(),
+		d.eng.Recordf(monitor.KindEarlyTermination, th.Node(), th.name,
 			"actual=%s wcet=%s", th.actual, c.WCET)
 	}
 	if th.latestEv != nil {
@@ -299,7 +292,7 @@ func (d *Dispatcher) finishCode(th *Thread) {
 	d.crossEdges(th)
 	// 4. Trm notification.
 	th.inst.TR.App.notify(NotifTrm, th)
-	d.eng.Recordf(monitor.KindThreadFinish, th.Node(), th.Name(), "")
+	d.eng.Recordf(monitor.KindThreadFinish, th.Node(), th.name, "")
 	// 5. Instance bookkeeping.
 	d.threadFinished(th)
 }
@@ -345,13 +338,13 @@ func (d *Dispatcher) startInv(th *Thread) {
 		OnDone: func() {
 			inst, err := d.activateFrom(inv.Target, th.inputs)
 			if err != nil {
-				d.eng.Recordf(monitor.KindNotification, inv.Node, th.Name(), "invocation failed: %s", err.Error())
+				d.eng.Recordf(monitor.KindNotification, inv.Node, th.name, "invocation failed: %s", err.Error())
 				return
 			}
 			if inv.Sync && !inst.completed {
 				th.waitInst = inst
 				th.state = threadWaitInstance
-				inst.OnComplete(func(*Instance) {
+				inst.whenComplete(func(*Instance) {
 					if th.state == threadWaitInstance {
 						th.state = threadReady
 						k.Ready()
@@ -418,7 +411,7 @@ func (d *Dispatcher) finishInv(th *Thread) {
 	}
 	th.state = threadDone
 	d.crossEdges(th)
-	d.eng.Recordf(monitor.KindThreadFinish, th.Node(), th.Name(), "inv")
+	d.eng.Recordf(monitor.KindThreadFinish, th.Node(), th.name, "inv")
 	d.threadFinished(th)
 }
 
@@ -437,7 +430,7 @@ func (d *Dispatcher) SetPriority(th *Thread, prio int) {
 	if th.kthread != nil && !th.kthread.Finished() {
 		th.kthread.SetPriority(prio)
 	} else {
-		d.eng.Recordf(monitor.KindPriorityChange, th.Node(), th.Name(), "->%d (waiting)", prio)
+		d.eng.Recordf(monitor.KindPriorityChange, th.Node(), th.name, "->%d (waiting)", prio)
 	}
 }
 
@@ -452,7 +445,7 @@ func (d *Dispatcher) SetPriority(th *Thread, prio int) {
 // beyond the analysed bound); one that has already started cannot be.
 func (d *Dispatcher) SetEarliest(th *Thread, at vtime.Time) {
 	th.earliest = at
-	d.eng.Recordf(monitor.KindEarliestChange, th.Node(), th.Name(), "%s", at)
+	d.eng.Recordf(monitor.KindEarliestChange, th.Node(), th.name, "%s", at)
 	if th.earliestEv != nil {
 		d.eng.Cancel(th.earliestEv)
 		th.earliestEv = nil
@@ -495,8 +488,8 @@ func (a *actionCtx) In(param string) (any, bool) {
 
 func (a *actionCtx) Out(param string, value any) { a.th.outputs[param] = value }
 
-func (a *actionCtx) SetCond(name string)   { a.d.SetCond(name) }
-func (a *actionCtx) ClearCond(name string) { a.d.ClearCond(name) }
+func (a *actionCtx) SetCond(name string)   { a.d.setCond(name) }
+func (a *actionCtx) ClearCond(name string) { a.d.clearCond(name) }
 
 func (a *actionCtx) ResourceState(name string) any {
 	r := a.d.node(a.th.Node()).resources[name]

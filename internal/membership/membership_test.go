@@ -284,8 +284,8 @@ func TestPartitionMinorityBlocksAndMerges(t *testing.T) {
 	r.svc.Start()
 	splitAt := vtime.Time(40 * ms)
 	healAt := vtime.Time(150 * ms)
-	r.net.PartitionAt(splitAt, []int{0}, []int{1, 2})
-	r.net.HealAt(healAt)
+	fault.PartitionAt(r.eng, r.net, splitAt, 0, []int{0}, []int{1, 2})
+	fault.HealAt(r.eng, r.net, healAt)
 	r.eng.Run(vtime.Time(300 * ms))
 
 	want := []View{
@@ -338,8 +338,8 @@ func TestPartitionMinorityBlocksAndMerges(t *testing.T) {
 func TestSymmetricSplitBlocksEverySide(t *testing.T) {
 	r := rig(t, 4, 1)
 	r.svc.Start()
-	r.net.PartitionAt(vtime.Time(40*ms), []int{0, 1}, []int{2, 3})
-	r.net.HealAt(vtime.Time(150 * ms))
+	fault.PartitionAt(r.eng, r.net, vtime.Time(40*ms), 0, []int{0, 1}, []int{2, 3})
+	fault.HealAt(r.eng, r.net, vtime.Time(150*ms))
 	r.eng.Run(vtime.Time(300 * ms))
 
 	if got := viewIDs(r.svc.AgreedViews()); !reflect.DeepEqual(got, []uint64{1}) {
@@ -376,9 +376,9 @@ func TestPartitionDuringConsensusRetriesAfterHeal(t *testing.T) {
 	fault.CrashAt(eng, net, 3, vtime.Time(40*ms), 0)
 	// Suspicion ~50ms starts the v2 consensus (rounds 50→80ms); at
 	// 65ms every survivor is isolated alone.
-	net.PartitionAt(vtime.Time(65*ms), []int{0}, []int{1}, []int{2})
+	fault.PartitionAt(eng, net, vtime.Time(65*ms), 0, []int{0}, []int{1}, []int{2})
 	healAt := vtime.Time(150 * ms)
-	net.HealAt(healAt)
+	fault.HealAt(eng, net, healAt)
 	eng.Run(vtime.Time(300 * ms))
 
 	// No view may have installed before the heal.
@@ -462,9 +462,9 @@ func TestCascadedViewChangesSerialise(t *testing.T) {
 func TestBlockedNodeCrashAndRecoveryStaysAMerge(t *testing.T) {
 	r := rig(t, 3, 1)
 	r.svc.Start()
-	r.net.PartitionAt(vtime.Time(40*ms), []int{0}, []int{1, 2})
+	fault.PartitionAt(r.eng, r.net, vtime.Time(40*ms), 0, []int{0}, []int{1, 2})
 	fault.CrashAt(r.eng, r.net, 0, vtime.Time(80*ms), vtime.Time(120*ms))
-	r.net.HealAt(vtime.Time(150 * ms))
+	fault.HealAt(r.eng, r.net, vtime.Time(150*ms))
 	r.eng.Run(vtime.Time(300 * ms))
 
 	if got := viewIDs(r.svc.History(0)); !reflect.DeepEqual(got, []uint64{1, 3}) {
@@ -527,8 +527,8 @@ func TestOnMergeFires(t *testing.T) {
 	var merges []Merge
 	r.svc.OnMerge(func(m Merge) { merges = append(merges, m) })
 	r.svc.Start()
-	r.net.PartitionAt(vtime.Time(20*ms), []int{0}, []int{1, 2})
-	r.net.HealAt(vtime.Time(120 * ms))
+	fault.PartitionAt(r.eng, r.net, vtime.Time(20*ms), 0, []int{0}, []int{1, 2})
+	fault.HealAt(r.eng, r.net, vtime.Time(120*ms))
 	r.eng.Run(vtime.Time(250 * ms))
 	if len(merges) != 1 {
 		t.Fatalf("merge hook fired %d times, want 1", len(merges))

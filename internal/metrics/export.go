@@ -88,7 +88,7 @@ func (r *Registry) Export() *Export {
 	}
 	for _, p := range r.probes {
 		rd := RuleData{
-			Name: p.r.Name, Expr: p.r.Expr(), Metric: p.r.Metric,
+			Name: p.r.Name, Expr: p.r.expr(), Metric: p.r.Metric,
 			Stat: string(p.r.Stat), Op: string(p.r.Op),
 			Threshold: p.r.Threshold, For: p.r.For, Evals: p.evals,
 		}
@@ -103,9 +103,9 @@ func (r *Registry) Export() *Export {
 	return doc
 }
 
-// Breaches returns every recorded breach window, rule order then
+// breaches returns every recorded breach window, rule order then
 // onset order.
-func (r *Registry) Breaches() []Breach {
+func (r *Registry) breaches() []Breach {
 	if r == nil {
 		return nil
 	}

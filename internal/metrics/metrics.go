@@ -276,14 +276,6 @@ func New(opt Options) *Registry {
 	return r
 }
 
-// Interval returns the scrape period.
-func (r *Registry) Interval() vtime.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.opt.Interval
-}
-
 // Scrapes returns how many scrape ticks have fired.
 func (r *Registry) Scrapes() int {
 	if r == nil {

@@ -170,12 +170,12 @@ func TestSLOStreakOnsetClear(t *testing.T) {
 
 	q = 50 // interval 1: violating (bad=1, no breach yet)
 	s.runTo(vtime.Time(vtime.Millisecond))
-	if n := len(r.Breaches()); n != 0 {
+	if n := len(r.breaches()); n != 0 {
 		t.Fatalf("breach before the For streak: %d", n)
 	}
 	q = 60 // interval 2: violating (bad=2 → breach opens)
 	s.runTo(vtime.Time(2 * vtime.Millisecond))
-	br := r.Breaches()
+	br := r.breaches()
 	if len(br) != 1 || br[0].Onset != vtime.Time(2*vtime.Millisecond) || br[0].Clear != 0 {
 		t.Fatalf("breach not opened at the second violating interval: %+v", br)
 	}
@@ -184,7 +184,7 @@ func TestSLOStreakOnsetClear(t *testing.T) {
 	q = 5 // interval 4: holds → clears
 	s.runTo(vtime.Time(4 * vtime.Millisecond))
 
-	br = r.Breaches()
+	br = r.breaches()
 	if len(br) != 1 {
 		t.Fatalf("want one breach window: %+v", br)
 	}
@@ -219,7 +219,7 @@ func TestSLONoDataClears(t *testing.T) {
 	s.runTo(vtime.Time(vtime.Millisecond))
 	// Interval 2: no observations → vacuous hold, breach clears.
 	s.runTo(vtime.Time(2 * vtime.Millisecond))
-	br := r.Breaches()
+	br := r.breaches()
 	if len(br) != 1 || br[0].Onset != vtime.Time(vtime.Millisecond) || br[0].Clear != vtime.Time(2*vtime.Millisecond) {
 		t.Fatalf("no-data interval did not clear the breach: %+v", br)
 	}

@@ -73,8 +73,8 @@ type Rule struct {
 	For int
 }
 
-// Expr renders the rule as its declarative form.
-func (r Rule) Expr() string {
+// expr renders the rule as its declarative form.
+func (r Rule) expr() string {
 	expr := fmt.Sprintf("%s(%s) %s %g", r.Stat, r.Metric, r.Op, r.Threshold)
 	if r.For > 1 {
 		expr += fmt.Sprintf(" for %d intervals", r.For)
@@ -203,7 +203,7 @@ func (r *Registry) evaluate(p *probe, t vtime.Time) {
 			p.breaches = append(p.breaches, Breach{Onset: t, Intervals: p.bad, Worst: v})
 			p.open = len(p.breaches)
 			r.opt.Log.Recordf(t, monitor.KindSLOBreach, -1, p.r.Name,
-				"%s: observed %g (%d violating intervals)", p.r.Expr(), v, p.bad)
+				"%s: observed %g (%d violating intervals)", p.r.expr(), v, p.bad)
 			return
 		}
 		if p.open > 0 {
@@ -223,7 +223,7 @@ func (r *Registry) evaluate(p *probe, t vtime.Time) {
 		p.open = 0
 		r.opt.Log.Recordf(t, monitor.KindSLOClear, -1, p.r.Name,
 			"%s: cleared after %s (onset %s, %d intervals, worst %g)",
-			p.r.Expr(), b.Clear.Sub(b.Onset), b.Onset, b.Intervals, b.Worst)
+			p.r.expr(), b.Clear.Sub(b.Onset), b.Onset, b.Intervals, b.Worst)
 	}
 }
 

@@ -252,10 +252,6 @@ func NewLog(limit int) *Log { return &Log{capLimit: limit} }
 // counts non-violation events pushed out of the ring.
 func NewRingLog(limit int) *Log { return &Log{capLimit: limit, ring: true} }
 
-// Ring reports whether the log retains the most recent events (ring
-// mode) rather than the first.
-func (l *Log) Ring() bool { return l != nil && l.ring }
-
 // full reports whether the window has reached its bound.
 func (l *Log) full() bool { return l.capLimit > 0 && len(l.events) >= l.capLimit }
 

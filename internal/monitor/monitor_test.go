@@ -43,7 +43,7 @@ func TestLogLimit(t *testing.T) {
 	if ev := l.Events(); ev[0].At != 0 || ev[1].At != 1 {
 		t.Fatalf("head mode retained %v, want the first two", ev)
 	}
-	if l.Ring() {
+	if l.ring {
 		t.Fatal("NewLog must not be ring mode")
 	}
 }
@@ -100,8 +100,8 @@ func TestRingLogRetainsRecent(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		l.Record(Event{At: vtime.Time(i), Kind: KindActivation})
 	}
-	if !l.Ring() || l.Len() != 3 || l.Dropped() != 5 {
-		t.Fatalf("Ring=%v Len=%d Dropped=%d", l.Ring(), l.Len(), l.Dropped())
+	if !l.ring || l.Len() != 3 || l.Dropped() != 5 {
+		t.Fatalf("Ring=%v Len=%d Dropped=%d", l.ring, l.Len(), l.Dropped())
 	}
 	ev := l.Events()
 	for i, e := range ev {

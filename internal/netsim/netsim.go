@@ -190,9 +190,6 @@ func New(eng *simkern.Engine, cfg Config) *Network {
 	}
 }
 
-// Engine returns the owning engine.
-func (n *Network) Engine() *simkern.Engine { return n.eng }
-
 // Stats returns a snapshot of the network counters.
 func (n *Network) Stats() Stats { return n.stats }
 
@@ -254,16 +251,6 @@ func (n *Network) SetPartition(sides ...[]int) {
 	for _, w := range n.partWatch {
 		w(true)
 	}
-}
-
-// PartitionAt schedules a partition into the given sides at instant t.
-func (n *Network) PartitionAt(t vtime.Time, sides ...[]int) {
-	n.eng.At(t, eventq.ClassApp, func() { n.SetPartition(sides...) })
-}
-
-// HealAt schedules the heal of the partition at instant t.
-func (n *Network) HealAt(t vtime.Time) {
-	n.eng.At(t, eventq.ClassApp, func() { n.Heal() })
 }
 
 // Heal removes the partition: full declared connectivity is restored

@@ -235,7 +235,7 @@ func TestPartitionDropsInFlightCopies(t *testing.T) {
 	// Send just before the cut: the copy is in flight (>= 100us of
 	// link delay) when the partition lands at +1us.
 	_, _ = n.Send(0, 2, "app", 1, 8)
-	n.PartitionAt(eng.Now().Add(1*us), []int{0, 1}, []int{2, 3})
+	eng.At(eng.Now().Add(1*us), eventq.ClassApp, func() { n.SetPartition([]int{0, 1}, []int{2, 3}) })
 	eng.RunUntilIdle()
 	if delivered != 0 {
 		t.Fatal("in-flight copy survived the cut")
@@ -268,8 +268,8 @@ func TestPartitionChangeHooksFire(t *testing.T) {
 	eng, n := fourNodes(t)
 	var transitions []bool
 	n.OnPartitionChange(func(p bool) { transitions = append(transitions, p) })
-	n.PartitionAt(vtime.Time(1*ms), []int{0}, []int{1, 2, 3})
-	n.HealAt(vtime.Time(2 * ms))
+	eng.At(vtime.Time(1*ms), eventq.ClassApp, func() { n.SetPartition([]int{0}, []int{1, 2, 3}) })
+	eng.At(vtime.Time(2*ms), eventq.ClassApp, n.Heal)
 	eng.RunUntilIdle()
 	if len(transitions) != 2 || !transitions[0] || transitions[1] {
 		t.Fatalf("transitions %v, want [true false]", transitions)
@@ -308,7 +308,7 @@ func TestDropReasons(t *testing.T) {
 			eng.At(eng.Now().Add(1*us), eventq.ClassApp, func() { n.SetNodeDown(2, true) })
 		}},
 		{"partitioned in flight", 1, func(eng *simkern.Engine, n *Network) {
-			n.PartitionAt(eng.Now().Add(1*us), []int{0, 1}, []int{2, 3})
+			eng.At(eng.Now().Add(1*us), eventq.ClassApp, func() { n.SetPartition([]int{0, 1}, []int{2, 3}) })
 		}},
 	} {
 		t.Run(tc.why, func(t *testing.T) {
@@ -350,7 +350,7 @@ func TestEveryPathRecyclesItsRecord(t *testing.T) {
 			_, _ = n.Send(0, 2, "app", 1, 8)
 		}},
 		{"partitioned in flight", func(eng *simkern.Engine, n *Network) {
-			n.PartitionAt(eng.Now().Add(1*us), []int{0, 1}, []int{2, 3})
+			eng.At(eng.Now().Add(1*us), eventq.ClassApp, func() { n.SetPartition([]int{0, 1}, []int{2, 3}) })
 			_, _ = n.Send(0, 2, "app", 1, 8)
 		}},
 		{"local", func(_ *simkern.Engine, n *Network) { n.Local(2, 2, "app", 1, 8) }},

@@ -64,12 +64,6 @@ type Topic struct {
 // Name returns the topic name.
 func (t *Topic) Name() string { return t.name }
 
-// QoS returns the topic's contract.
-func (t *Topic) QoS() QoS { return t.qos }
-
-// Shard returns the topic's ring position.
-func (t *Topic) Shard() int { return t.shard }
-
 // pubAttempt tracks one publish end to end: the publisher owns it, the
 // serving replica and the subscribers advance it (single-process
 // simulation: the struct pointer is the cross-node handoff). It is the
@@ -408,9 +402,6 @@ func (p *Plane) Start() {
 	}
 }
 
-// Started reports whether the plane has been armed.
-func (p *Plane) Started() bool { return p.started }
-
 // Topics returns the declared topics, declaration order.
 func (p *Plane) Topics() []*Topic { return append([]*Topic(nil), p.order...) }
 
@@ -428,21 +419,6 @@ type Publisher struct {
 	published []Sample
 	acked     int
 }
-
-// Node returns the publisher's node.
-func (pub *Publisher) Node() int { return pub.node }
-
-// Topic returns the publisher's topic.
-func (pub *Publisher) Topic() *Topic { return pub.t }
-
-// ID returns the plane-wide publisher id.
-func (pub *Publisher) ID() uint64 { return pub.id }
-
-// Published returns every sample this publisher produced, in order.
-func (pub *Publisher) Published() []Sample { return append([]Sample(nil), pub.published...) }
-
-// Acked returns the count of completed publishes.
-func (pub *Publisher) Acked() int { return pub.acked }
 
 // unacked returns the count of publishes still in flight.
 func (pub *Publisher) unacked() int { return len(pub.published) - pub.acked }
@@ -515,18 +491,11 @@ type Subscriber struct {
 	suppressed int
 	// backlog counts fan-out sends skipped because this subscriber's
 	// node was down; the next view install drops (and records) it.
-	backlog   int
-	onDeliver func(Delivery)
+	backlog int
 }
 
 // Node returns the subscriber's node.
 func (s *Subscriber) Node() int { return s.node }
-
-// Topic returns the subscriber's topic.
-func (s *Subscriber) Topic() *Topic { return s.t }
-
-// ID returns the plane-wide subscriber id.
-func (s *Subscriber) ID() int { return s.id }
 
 // Deliveries returns the recorded deliveries, arrival order.
 func (s *Subscriber) Deliveries() []Delivery { return append([]Delivery(nil), s.deliveries...) }
@@ -536,9 +505,6 @@ func (s *Subscriber) Suppressed() int { return s.suppressed }
 
 // JoinTime returns the subscriber's join instant (zero = from start).
 func (s *Subscriber) JoinTime() vtime.Time { return s.joinAt }
-
-// OnDeliver registers a delivery callback.
-func (s *Subscriber) OnDeliver(fn func(Delivery)) { s.onDeliver = fn }
 
 // SetJoinAt turns the subscriber into a late joiner: inactive until t,
 // then registered live, and — on durable topics — caught up from the
@@ -614,9 +580,6 @@ func (s *Subscriber) deliver(sample Sample, replay bool, att *pubAttempt) {
 			att.outstanding--
 		}
 		att.maybeFinish()
-	}
-	if s.onDeliver != nil {
-		s.onDeliver(d)
 	}
 }
 
@@ -935,16 +898,6 @@ func (gs *groupState) restore(node int, data any) {
 	gs.hist[node] = in
 }
 
-// History returns one replica's durable ring for a topic (oldest
-// first).
-func (p *Plane) History(topic string, node int) []Sample {
-	t := p.topics[topic]
-	if t == nil || t.gs == nil {
-		return nil
-	}
-	return append([]Sample(nil), t.gs.hist[node][topic]...)
-}
-
 // ---------------------------------------------------------------------
 // Stats
 
@@ -979,15 +932,6 @@ func (p *Plane) Subscribers(topic string) []*Subscriber {
 		return nil
 	}
 	return append([]*Subscriber(nil), t.subs...)
-}
-
-// Publishers returns a topic's publishers, registration order.
-func (p *Plane) Publishers(topic string) []*Publisher {
-	t := p.topics[topic]
-	if t == nil {
-		return nil
-	}
-	return append([]*Publisher(nil), t.pubs...)
 }
 
 // sortedTopicNames returns the declared topic names, sorted (for

@@ -16,11 +16,12 @@ import (
 // publish as a retry — acked, never fanned out — and Verify names it;
 // without the plant the same run passes.
 func TestVerifyAckedImpliesApplied(t *testing.T) {
-	run := func(plant bool) (*pubsub.Plane, *pubsub.Publisher, *pubsub.Subscriber) {
+	run := func(plant bool) (*pubsub.Plane, *pubsub.Topic, *pubsub.Subscriber) {
 		c := cluster.New(cluster.Config{Seed: 7})
 		c.AddNodes(4)
-		set := c.Shards(1, 3)
-		if _, err := set.Topic("t", pubsub.QoS{Reliability: pubsub.Reliable}); err != nil {
+		set := c.ShardsWith(1, 3, cluster.ShardConfig{})
+		tp, err := set.Topic("t", pubsub.QoS{Reliability: pubsub.Reliable})
+		if err != nil {
 			t.Fatal(err)
 		}
 		pub, err := set.PublisherAt("t", 3)
@@ -40,18 +41,18 @@ func TestVerifyAckedImpliesApplied(t *testing.T) {
 		c.At(vtime.Time(5*vtime.Millisecond), func() { pub.Publish(1) })
 		c.At(vtime.Time(10*vtime.Millisecond), func() { pub.Publish(2) })
 		c.Run(50 * vtime.Millisecond)
-		return set.PubSubPlane(), pub, sub
+		return set.PubSubPlane(), tp, sub
 	}
 
-	p, pub, sub := run(false)
-	if err := p.Verify(); err != nil || pub.Acked() != 2 || len(sub.Deliveries()) != 2 {
-		t.Fatalf("clean run: acked %d, delivered %d, Verify %v", pub.Acked(), len(sub.Deliveries()), err)
+	p, tp, sub := run(false)
+	if err := p.Verify(); err != nil || tp.Stats().Acked != 2 || len(sub.Deliveries()) != 2 {
+		t.Fatalf("clean run: acked %d, delivered %d, Verify %v", tp.Stats().Acked, len(sub.Deliveries()), err)
 	}
 
-	p, pub, sub = run(true)
-	if pub.Acked() != 2 || len(sub.Deliveries()) != 1 {
+	p, tp, sub = run(true)
+	if tp.Stats().Acked != 2 || len(sub.Deliveries()) != 1 {
 		t.Fatalf("planted run: acked %d, delivered %d; want the second sample acked from the foreign entry and never delivered",
-			pub.Acked(), len(sub.Deliveries()))
+			tp.Stats().Acked, len(sub.Deliveries()))
 	}
 	err := p.Verify()
 	if err == nil || !strings.Contains(err.Error(), "2 publishes acked but only 1 applied (1 answered from a dedup entry") {

@@ -177,9 +177,6 @@ func (s *Service) SetEpoch(epoch uint64, members []int) {
 	}
 }
 
-// Epoch returns the current flushing epoch (0 = flushing disabled).
-func (s *Service) Epoch() uint64 { return s.epoch }
-
 // Delta returns the delivery bound Δ = (f+1)·R.
 func (s *Service) Delta() vtime.Duration {
 	return vtime.Duration(s.cfg.F+1) * s.cfg.Round

@@ -217,8 +217,8 @@ func TestEpochMemberRestriction(t *testing.T) {
 	if delivered[0] != 1 || delivered[1] != 1 || delivered[2] != 1 {
 		t.Fatalf("members missed delivery: %v", delivered)
 	}
-	if svc.Epoch() != 2 {
-		t.Fatalf("epoch %d, want 2", svc.Epoch())
+	if svc.epoch != 2 {
+		t.Fatalf("epoch %d, want 2", svc.epoch)
 	}
 }
 

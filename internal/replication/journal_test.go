@@ -157,8 +157,8 @@ func TestJournalMatchesFullCopyOracle(t *testing.T) {
 							rest = append(rest, n)
 						}
 					}
-					r.net.PartitionAt(at, []int{victim}, rest)
-					r.net.HealAt(back)
+					fault.PartitionAt(r.eng, r.net, at, 0, []int{victim}, rest)
+					fault.HealAt(r.eng, r.net, back)
 				}
 			}
 			// Ops all along, one in five a resubmission of an earlier tag
@@ -211,7 +211,7 @@ func TestStaleLineageRebuilds(t *testing.T) {
 			for i := 1; i <= 7; i++ {
 				submit(vtime.Duration(i)*ms, i)
 			}
-			r.net.PartitionAt(vtime.Time(9*ms), []int{0}, []int{1, 2, 3})
+			fault.PartitionAt(r.eng, r.net, vtime.Time(9*ms), 0, []int{0}, []int{1, 2, 3})
 			r.eng.Run(vtime.Time(10 * ms))
 			old := g.Machine(0)
 			if old.seenLen() != 7 || g.Machine(1).seenLen() != 5 {
@@ -225,7 +225,7 @@ func TestStaleLineageRebuilds(t *testing.T) {
 			for i := 8; i < 8+served; i++ {
 				submit(100*ms+vtime.Duration(i)*ms, i)
 			}
-			r.net.HealAt(vtime.Time(150 * ms))
+			fault.HealAt(r.eng, r.net, vtime.Time(150*ms))
 			r.eng.Run(vtime.Time(300 * ms))
 			if g.Primary() != 1 || len(r.mem.Transfers) != 1 || r.mem.Transfers[0].To != 0 {
 				t.Fatalf("primary n%d, transfers %+v: want n1 and one transfer to n0", g.Primary(), r.mem.Transfers)
@@ -271,7 +271,7 @@ func TestPromotedBackupDoesNotAliasJournal(t *testing.T) {
 			g.SubmitTagged(3, int64(seq), ClientSeq{Client: 4, Seq: seq})
 		})
 	}
-	r.net.PartitionAt(vtime.Time(8*ms), []int{0}, []int{1, 2, 3})
+	fault.PartitionAt(r.eng, r.net, vtime.Time(8*ms), 0, []int{0}, []int{1, 2, 3})
 	r.eng.Run(vtime.Time(100 * ms))
 	old, promoted, third := g.Machine(0), g.Machine(1), g.Machine(2)
 	if g.Primary() != 1 || len(promoted.journal) != 5 || len(third.journal) != 5 {

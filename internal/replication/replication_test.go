@@ -312,8 +312,8 @@ func TestPartitionSplitBrainSafety(t *testing.T) {
 	splitAt := vtime.Time(30 * ms)
 	healAt := vtime.Time(150 * ms)
 	// The client (node 3) stays with the majority side.
-	r.net.PartitionAt(splitAt, []int{0}, []int{1, 2, 3})
-	r.net.HealAt(healAt)
+	fault.PartitionAt(r.eng, r.net, splitAt, 0, []int{0}, []int{1, 2, 3})
+	fault.HealAt(r.eng, r.net, healAt)
 	drive(r, g, 3, 300)
 	r.eng.Run(vtime.Time(400 * ms))
 
@@ -362,8 +362,8 @@ func TestPartitionSplitBrainSafety(t *testing.T) {
 func TestStaleCheckpointFlushedAtViewBoundary(t *testing.T) {
 	r := rig(t, 4)
 	g, _ := newGroup(t, r, Passive, []int{0, 1, 2})
-	r.net.PartitionAt(vtime.Time(10*ms), []int{0}, []int{1, 2, 3})
-	r.net.HealAt(vtime.Time(100 * ms))
+	fault.PartitionAt(r.eng, r.net, vtime.Time(10*ms), 0, []int{0}, []int{1, 2, 3})
+	fault.HealAt(r.eng, r.net, vtime.Time(100*ms))
 	drive(r, g, 3, 40)
 	r.eng.Run(vtime.Time(100 * ms)) // v2{1,2,3} installed, 0 excluded
 	// Immediately after the heal — before the merge view re-admits
@@ -475,8 +475,8 @@ func TestDedupSurvivesJoinTransferThenMergeView(t *testing.T) {
 	// Immediately partition the same replica off; the majority excludes
 	// it, and the heal re-admits it through a merge view with a second
 	// state transfer.
-	r.net.PartitionAt(vtime.Time(151*ms), []int{2}, []int{0, 1, 3})
-	r.net.HealAt(vtime.Time(220 * ms))
+	fault.PartitionAt(r.eng, r.net, vtime.Time(151*ms), 0, []int{2}, []int{0, 1, 3})
+	fault.HealAt(r.eng, r.net, vtime.Time(220*ms))
 	r.eng.Run(vtime.Time(300 * ms))
 	if len(r.mem.Merges) != 1 {
 		t.Fatalf("merges %+v, want 1", r.mem.Merges)

@@ -105,11 +105,11 @@ func Diff(old, new *Report, th Thresholds) *DiffReport {
 
 	oldRows := make(map[string]LatencyStat, len(old.Latency))
 	for _, l := range old.Latency {
-		oldRows[l.Key()] = l
+		oldRows[l.key()] = l
 	}
 	newKeys := make(map[string]bool, len(new.Latency))
 	for _, l := range new.Latency {
-		k := l.Key()
+		k := l.key()
 		newKeys[k] = true
 		o, ok := oldRows[k]
 		if !ok {

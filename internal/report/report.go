@@ -80,8 +80,8 @@ type LatencyStat struct {
 	MeanNs int64  `json:"mean_ns"`
 }
 
-// Key names the row for diffing ("class/s0", "class/all").
-func (l LatencyStat) Key() string {
+// key names the row for diffing ("class/s0", "class/all").
+func (l LatencyStat) key() string {
 	if l.Shard < 0 {
 		return l.Class + "/all"
 	}
@@ -221,7 +221,7 @@ func (r *Report) Validate() error {
 		if l.Class == "" {
 			return fmt.Errorf("latency row without a class")
 		}
-		k := l.Key()
+		k := l.key()
 		if seen[k] {
 			return fmt.Errorf("duplicate latency row %q", k)
 		}

@@ -153,7 +153,8 @@ func TestLatencyRowsPerShardAndClass(t *testing.T) {
 			// The exact invariant holds at the ScopeStats level: layers
 			// partition every trace's root interval with no gap.
 			for _, st := range clu.Tracer().Stats() {
-				if got, want := st.Layers.Total(), st.Total; got != want {
+				l := st.Layers
+				if got, want := l.Queue+l.Batch+l.Wire+l.Replicate+l.Lock+l.Other, st.Total; got != want {
 					t.Errorf("%s shard %d: layer total %s != trace total %s", st.Class, st.Shard, got, want)
 				}
 			}
@@ -184,9 +185,9 @@ func TestZeroRateStillRetainsViolations(t *testing.T) {
 		t.Fatalf("at rate 0 only violating traces should be retained: retained=%d violating=%d", retained, violating)
 	}
 	aborts := 0
-	for _, trc := range tr.Retained() {
+	for i, trc := range tr.Retained() {
 		if len(trc.Violations()) == 0 {
-			t.Fatalf("non-violating trace %d retained at rate 0", trc.ID())
+			t.Fatalf("non-violating retained trace %d at rate 0", i)
 		}
 		if trc.Class() == "txn.abort" {
 			aborts++

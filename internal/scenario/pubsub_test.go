@@ -274,8 +274,8 @@ func TestSensorFanOutDeterministic(t *testing.T) {
 		}
 		var deliveries strings.Builder
 		for _, tp := range p.Topics() {
-			for _, s := range p.Subscribers(tp.Name()) {
-				fmt.Fprintf(&deliveries, "sub %d topic %s node %d: %+v\n", s.ID(), tp.Name(), s.Node(), s.Deliveries())
+			for i, s := range p.Subscribers(tp.Name()) {
+				fmt.Fprintf(&deliveries, "sub %d topic %s node %d: %+v\n", i, tp.Name(), s.Node(), s.Deliveries())
 			}
 		}
 		return deliveries.String(), log.Bytes(), tr.Bytes()
@@ -486,9 +486,9 @@ func TestReliablePublishParksThroughPartition(t *testing.T) {
 		if err := p.CheckComplete("t"); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for _, sub := range p.Subscribers("t") {
+		for i, sub := range p.Subscribers("t") {
 			if got := len(sub.Deliveries()); got != 2 {
-				t.Fatalf("seed %d: subscriber %d took %d deliveries of 2 samples", seed, sub.ID(), got)
+				t.Fatalf("seed %d: subscriber %d took %d deliveries of 2 samples", seed, i, got)
 			}
 		}
 	}

@@ -50,7 +50,7 @@ func TestRegressCorpus(t *testing.T) {
 					continue
 				}
 				for _, topic := range ps.Topics() {
-					if topic.QoS().Reliability != pubsub.Reliable {
+					if topic.Stats().QoS.Reliability != pubsub.Reliable {
 						continue
 					}
 					if err := ps.CheckComplete(topic.Name()); err != nil {

@@ -920,9 +920,9 @@ func TestBankTransferAtomicAcrossSeeds(t *testing.T) {
 					t.Fatalf("shard %s coordinated nothing (ring placement degenerate): %+v", name, sr.Txn)
 				}
 			}
-			for _, pa := range plane.Participants() {
+			for i, pa := range plane.Participants() {
 				if pa.LockedKeys() != 0 {
-					t.Fatalf("shard %d still holds %d locks at end of run", pa.Shard(), pa.LockedKeys())
+					t.Fatalf("shard %d still holds %d locks at end of run", i, pa.LockedKeys())
 				}
 			}
 		})

@@ -91,7 +91,3 @@ func (e *EDF) reorder(node int, prim dispatcher.Primitive) {
 		}
 	}
 }
-
-// Live returns the number of live threads EDF tracks on a node (test
-// hook).
-func (e *EDF) Live(node int) int { return len(e.live[node]) }

@@ -183,9 +183,6 @@ func NewBatcher[T any](eng *simkern.Engine, params Params, label string, node in
 	}
 }
 
-// Params returns the effective knobs.
-func (b *Batcher[T]) Params() Params { return b.params }
-
 // lane returns (creating) the named lane.
 func (b *Batcher[T]) lane(name string) *lane[T] {
 	l := b.lanes[name]
@@ -308,9 +305,6 @@ func (b *Batcher[T]) Complete(laneName string) {
 		b.flush(laneName, l, true, false)
 	}
 }
-
-// Inflight returns a lane's current pipeline occupancy.
-func (b *Batcher[T]) Inflight(laneName string) int { return b.lane(laneName).inflight }
 
 // MaxInflight returns the deepest pipeline each lane reached,
 // lane-name sorted iteration left to the caller.

@@ -135,8 +135,8 @@ func (c *Call) Attempt() int { return c.attempt }
 // Inflight reports whether an attempt is outstanding.
 func (c *Call) Inflight() bool { return c.state == csInflight }
 
-// Finished reports whether the call retired (done or failed).
-func (c *Call) Finished() bool { return c.state == csDone || c.state == csFailed }
+// finished reports whether the call retired (done or failed).
+func (c *Call) finished() bool { return c.state == csDone || c.state == csFailed }
 
 // Engine runs the session discipline for one adapter (a client or a
 // protocol role): it owns the live calls and resubmits parked ones on
@@ -184,7 +184,7 @@ func (e *Engine) Go(s Spec) *Call {
 		s.Counters = &e.uncounted
 	}
 	if len(e.calls) >= e.compactAt {
-		e.sweep(func(c *Call) bool { return !c.Finished() })
+		e.sweep(func(c *Call) bool { return !c.finished() })
 	}
 	c := &Call{e: e, s: s}
 	e.calls = append(e.calls, c)
@@ -212,7 +212,7 @@ func (e *Engine) sweep(keep func(*Call) bool) {
 
 // dispatch fires one attempt and arms its reply timeout.
 func (e *Engine) dispatch(c *Call) {
-	if c.Finished() {
+	if c.finished() {
 		return
 	}
 	if c.s.Done != nil && c.s.Done() {
@@ -286,7 +286,7 @@ func (e *Engine) resume(c *Call, why string) {
 // Finish retires the call (its reply landed). Idempotent; late
 // duplicate replies are the adapter's to discard.
 func (c *Call) Finish() {
-	if !c.Finished() {
+	if !c.finished() {
 		c.state = csDone
 	}
 }
@@ -296,7 +296,7 @@ func (c *Call) Finish() {
 // path for server redirects and router republications. detail feeds
 // the monitor record.
 func (c *Call) Redirect(detail string) {
-	if c.Finished() || c.state == csParked {
+	if c.finished() || c.state == csParked {
 		return
 	}
 	c.s.Counters.Redirects++
@@ -321,7 +321,7 @@ func (c *Call) Fail(why string) {
 // stays proportional to the live set.
 func (e *Engine) poke(why string) {
 	e.sweep(func(c *Call) bool {
-		if c.Finished() {
+		if c.finished() {
 			return false
 		}
 		if c.s.Done != nil && c.s.Done() {
@@ -339,7 +339,7 @@ func (e *Engine) poke(why string) {
 func (e *Engine) Live() int {
 	n := 0
 	for _, c := range e.calls {
-		if !c.Finished() {
+		if !c.finished() {
 			n++
 		}
 	}

@@ -77,7 +77,7 @@ func TestFinishInvalidatesPendingTimeout(t *testing.T) {
 	if n.Timeouts != 0 {
 		t.Fatalf("timeouts=%d after Finish, want 0", n.Timeouts)
 	}
-	if !c.Finished() {
+	if !c.finished() {
 		t.Fatal("call not finished")
 	}
 	if got := s.Live(); got != 0 {
@@ -124,8 +124,8 @@ func TestFailFastAbandonsAfterBudget(t *testing.T) {
 		Counters: &n,
 	})
 	eng.Run(vtime.Time(10 * ms))
-	if fails != 1 || n.Queued != 0 || !c.Finished() {
-		t.Fatalf("fails=%d parks=%d finished=%v, want 1/0/true", fails, n.Queued, c.Finished())
+	if fails != 1 || n.Queued != 0 || !c.finished() {
+		t.Fatalf("fails=%d parks=%d finished=%v, want 1/0/true", fails, n.Queued, c.finished())
 	}
 }
 
@@ -342,8 +342,8 @@ func TestBatcherPipelineDepthStallsAndDrains(t *testing.T) {
 	})
 	eng.Run(vtime.Time(1 * ms))
 	// 8 items / batch 2 = 4 batches, but only 2 slots: two emit, two wait.
-	if len(emitted) != 2 || b.Inflight("s0") != 2 {
-		t.Fatalf("emitted=%d inflight=%d, want 2/2", len(emitted), b.Inflight("s0"))
+	if len(emitted) != 2 || b.lane("s0").inflight != 2 {
+		t.Fatalf("emitted=%d inflight=%d, want 2/2", len(emitted), b.lane("s0").inflight)
 	}
 	if b.Stats.Stalls == 0 {
 		t.Fatal("depth-limited flush recorded no stall")

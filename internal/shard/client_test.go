@@ -15,7 +15,7 @@ func TestClientRetiresRequests(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 5, Metrics: &cluster.MetricsParams{Disabled: true},
 		Trace: &cluster.TraceParams{Disabled: true}})
 	c.AddNodes(5) // 2 shards × 2 replicas + client
-	set := c.Shards(2, 2)
+	set := c.ShardsWith(2, 2, cluster.ShardConfig{})
 	cl := set.ClientAt(4)
 	every := 200 * vtime.Microsecond
 	for i := 0; i < ops; i++ {

@@ -103,9 +103,6 @@ func NewRing(shards, vnodes int) *Ring {
 	return r
 }
 
-// Shards returns the number of shards on the ring.
-func (r *Ring) Shards() int { return r.shards }
-
 // Shard returns the shard owning key.
 func (r *Ring) Shard(key string) int {
 	h := hashKey(key)

@@ -31,8 +31,8 @@ type Router struct {
 // pins keys to shard indices, bypassing the ring (explicit placement);
 // a route to an undeclared shard is a configuration error.
 func NewRouter(eng *simkern.Engine, ring *Ring, groups []*Group, routes map[string]int) (*Router, error) {
-	if ring.Shards() != len(groups) {
-		return nil, fmt.Errorf("shard: ring has %d shards but %d groups given", ring.Shards(), len(groups))
+	if ring.shards != len(groups) {
+		return nil, fmt.Errorf("shard: ring has %d shards but %d groups given", ring.shards, len(groups))
 	}
 	for key, idx := range routes {
 		if idx < 0 || idx >= len(groups) {

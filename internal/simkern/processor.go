@@ -93,12 +93,6 @@ func (e *Engine) AddProcessor(name string, switchCost vtime.Duration) *Processor
 // ID returns the processor's index within the engine.
 func (p *Processor) ID() int { return p.id }
 
-// Name returns the processor's name.
-func (p *Processor) Name() string { return p.name }
-
-// Engine returns the owning engine.
-func (p *Processor) Engine() *Engine { return p.eng }
-
 // BusyTime returns the cumulative CPU time consumed by thread segments.
 func (p *Processor) BusyTime() vtime.Duration { return p.busyTime }
 
@@ -302,7 +296,7 @@ func (p *Processor) resched() {
 func (p *Processor) dispatch(t *Thread) {
 	seg := t.currentSegment()
 	if seg == nil {
-		panic(fmt.Sprintf("simkern: dispatching thread %q with no segments", t.Name()))
+		panic(fmt.Sprintf("simkern: dispatching thread %q with no segments", t.renderName()))
 	}
 	now := p.eng.now
 	var cost vtime.Duration

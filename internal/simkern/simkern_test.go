@@ -560,8 +560,8 @@ func TestLazyNameRenderedOnlyWhenRead(t *testing.T) {
 		if tc.log == full && full.Dropped() != dropped+3 {
 			t.Fatalf("full log counted %d refused records, want 3 (ready, switch, start)", full.Dropped()-dropped)
 		}
-		if th.Name() != "lazy" || th.Name() != "lazy" || renders != 1 {
-			t.Fatalf("Name: %q after %d renders, want \"lazy\" rendered once", th.Name(), renders)
+		if th.renderName() != "lazy" || th.renderName() != "lazy" || renders != 1 {
+			t.Fatalf("Name: %q after %d renders, want \"lazy\" rendered once", th.renderName(), renders)
 		}
 	}
 }

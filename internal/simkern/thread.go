@@ -89,12 +89,12 @@ func (p *Processor) initThread(t *Thread, name string, namer func() string, prio
 	*t = Thread{proc: p, name: name, namer: namer, prio: prio, readyIdx: -1}
 	t.segs = t.segBuf[:0]
 	if prio < PrioMin || prio > PrioMax {
-		panic(fmt.Sprintf("simkern: priority %d out of range for thread %q", prio, t.Name()))
+		panic(fmt.Sprintf("simkern: priority %d out of range for thread %q", prio, t.renderName()))
 	}
 }
 
-// Name returns the thread's name, rendering a lazy one once.
-func (t *Thread) Name() string {
+// renderName returns the thread's name, rendering a lazy one once.
+func (t *Thread) renderName() string {
 	if t.namer != nil {
 		t.name, t.namer = t.namer(), nil
 	}
@@ -107,13 +107,10 @@ func (t *Thread) Name() string {
 func (t *Thread) record(kind monitor.Kind, format string, args ...any) {
 	name := t.name
 	if t.namer != nil && t.proc.eng.log.Keeps(kind) {
-		name = t.Name()
+		name = t.renderName()
 	}
 	t.proc.eng.Recordf(kind, t.proc.id, name, format, args...)
 }
-
-// Priority returns the thread's current priority.
-func (t *Thread) Priority() int { return t.prio }
 
 // Finished reports whether all segments have completed.
 func (t *Thread) Finished() bool { return t.finished }
@@ -125,10 +122,10 @@ func (t *Thread) Started() bool { return t.started }
 // the thread finished.
 func (t *Thread) AddSegment(s Segment) *Thread {
 	if t.finished {
-		panic(fmt.Sprintf("simkern: adding segment to finished thread %q", t.Name()))
+		panic(fmt.Sprintf("simkern: adding segment to finished thread %q", t.renderName()))
 	}
 	if s.Work < 0 {
-		panic(fmt.Sprintf("simkern: negative segment work for thread %q", t.Name()))
+		panic(fmt.Sprintf("simkern: negative segment work for thread %q", t.renderName()))
 	}
 	s.remaining = s.Work
 	t.segs = append(t.segs, s)
@@ -139,10 +136,10 @@ func (t *Thread) AddSegment(s Segment) *Thread {
 // this once the four runnable conditions of §3.2.1 hold.
 func (t *Thread) Ready() {
 	if t.finished {
-		panic(fmt.Sprintf("simkern: readying finished thread %q", t.Name()))
+		panic(fmt.Sprintf("simkern: readying finished thread %q", t.renderName()))
 	}
 	if t.currentSegment() == nil {
-		panic(fmt.Sprintf("simkern: readying thread %q with no segments", t.Name()))
+		panic(fmt.Sprintf("simkern: readying thread %q with no segments", t.renderName()))
 	}
 	t.record(monitor.KindThreadReady, "prio=%d", t.prio)
 	t.proc.makeReady(t)
@@ -159,7 +156,7 @@ func (t *Thread) Suspend() {
 // rescheduling pass.
 func (t *Thread) SetPriority(prio int) {
 	if prio < PrioMin || prio > PrioMax {
-		panic(fmt.Sprintf("simkern: priority %d out of range for thread %q", prio, t.Name()))
+		panic(fmt.Sprintf("simkern: priority %d out of range for thread %q", prio, t.renderName()))
 	}
 	if t.prio == prio {
 		return

@@ -28,7 +28,7 @@ func TestPropertyCrashAnywhereIsAtomic(t *testing.T) {
 		crashAt := vtime.Time(200 * us).Add(offsetNs)
 		eng.At(crashAt, eventq.ClassApp, func() { s.Crash() })
 		eng.RunUntilIdle()
-		s.Recover()
+		s.recover()
 		var v string
 		if err := s.Read("k", &v); err != nil {
 			return false // committed record lost

@@ -36,7 +36,6 @@ func (c *copyRec) ok() bool {
 // Store is one node's stable storage device.
 type Store struct {
 	eng      *simkern.Engine
-	node     int
 	writeLat vtime.Duration // latency per physical copy write
 	records  map[string]*[2]copyRec
 	crashed  bool
@@ -46,12 +45,12 @@ type Store struct {
 	Recoveries int
 }
 
-// New creates a stable store on a node with the given per-copy write
-// latency.
-func New(eng *simkern.Engine, node int, writeLat vtime.Duration) *Store {
+// New creates a stable store with the given per-copy write latency.
+// The store does not keep its node argument: callers key their stores
+// by node themselves (bench/layers pins the three-argument signature).
+func New(eng *simkern.Engine, _ int, writeLat vtime.Duration) *Store {
 	return &Store{
 		eng:      eng,
-		node:     node,
 		writeLat: writeLat,
 		records:  make(map[string]*[2]copyRec),
 	}
@@ -136,15 +135,12 @@ func (s *Store) Read(key string, out any) error {
 // Crash marks the store crashed: in-flight writes tear, operations fail.
 func (s *Store) Crash() { s.crashed = true }
 
-// Recover brings the store back; torn copies are repaired from their
+// recover brings the store back; torn copies are repaired from their
 // surviving sibling on the next Read.
-func (s *Store) Recover() { s.crashed = false }
+func (s *Store) recover() { s.crashed = false }
 
-// Crashed reports the crash state.
-func (s *Store) Crashed() bool { return s.crashed }
-
-// Node returns the owning processor ID.
-func (s *Store) Node() int { return s.node }
+// isCrashed reports the crash state.
+func (s *Store) isCrashed() bool { return s.crashed }
 
 func maxVersion(rec *[2]copyRec) uint64 {
 	v := rec[0].version

@@ -82,7 +82,7 @@ func TestCrashBetweenCopiesRecovers(t *testing.T) {
 	if !errors.Is(gotErr, ErrCrashed) {
 		t.Fatalf("write error = %v, want ErrCrashed", gotErr)
 	}
-	s.Recover()
+	s.recover()
 	var v string
 	if err := s.Read("k", &v); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestCrashBeforeAnyCopy(t *testing.T) {
 	s.Write("k", "new", func(error) {})
 	eng.At(vtime.Time(250*us), eventq.ClassApp, func() { s.Crash() })
 	eng.RunUntilIdle()
-	s.Recover()
+	s.recover()
 	var v string
 	if err := s.Read("k", &v); err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestOpsOnCrashedStore(t *testing.T) {
 	if err := s.Read("k", &v); !errors.Is(err, ErrCrashed) {
 		t.Fatal("read on crashed store accepted")
 	}
-	if !s.Crashed() {
+	if !s.isCrashed() {
 		t.Fatal("Crashed() false")
 	}
 }

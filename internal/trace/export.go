@@ -57,7 +57,7 @@ func WriteChrome(w io.Writer, traces []*Trace) error {
 			continue
 		}
 		title := fmt.Sprintf("%s #%d", tr.class, tr.id)
-		if lb := tr.Label(); lb != "" {
+		if lb := tr.resolvedLabel(); lb != "" {
 			title += " " + lb
 		}
 		events = append(events, ChromeEvent{

@@ -92,8 +92,8 @@ func (lt *LayerTimes) addAll(o LayerTimes) {
 	lt.Other += o.Other
 }
 
-// Total sums all layers; for one trace this equals the root duration.
-func (lt LayerTimes) Total() vtime.Duration {
+// total sums all layers; for one trace this equals the root duration.
+func (lt LayerTimes) total() vtime.Duration {
 	return lt.Queue + lt.Batch + lt.Wire + lt.Replicate + lt.Lock + lt.Other
 }
 
@@ -142,24 +142,6 @@ func (s SpanRef) End() {
 	}
 }
 
-// Name returns the span's label.
-func (s SpanRef) Name() string {
-	if !s.live() {
-		return ""
-	}
-	return s.tr.spans[s.idx].name
-}
-
-// Interval returns the span's start and end times (end is meaningful
-// once closed).
-func (s SpanRef) Interval() (vtime.Time, vtime.Time) {
-	if !s.live() {
-		return 0, 0
-	}
-	sp := &s.tr.spans[s.idx]
-	return sp.start, sp.end
-}
-
 // Ref is a generation-checked trace handle for state whose lifetime
 // can exceed the trace's: wire envelopes, server-side pending tables,
 // 2PC coordinator and participant records. A trace that finishes
@@ -194,7 +176,7 @@ func (r Ref) Span(name string, layer Layer) SpanRef {
 // Instant records a point event on the trace unless the ref is stale.
 func (r Ref) Instant(format string, args ...any) {
 	if r.live() {
-		r.tr.Instant(format, args...)
+		r.tr.instant(format, args...)
 	}
 }
 
@@ -258,17 +240,9 @@ type Trace struct {
 // up because every op pays to zero the arena.
 const spanArena = 6
 
-// ID returns the trace's submission-ordered identifier (0 for nil).
-func (tr *Trace) ID() uint64 {
-	if tr == nil {
-		return 0
-	}
-	return tr.id
-}
-
-// Label returns the caller-set label (a txn ID, a key), formatting a
+// resolvedLabel returns the caller-set label (a txn ID, a key), formatting a
 // deferred SetLabelKey label on first use.
-func (tr *Trace) Label() string {
+func (tr *Trace) resolvedLabel() string {
 	if tr == nil {
 		return ""
 	}
@@ -313,14 +287,6 @@ func (tr *Trace) SetClass(class string) {
 	tr.class = class
 }
 
-// Shard returns the shard the trace is attributed to.
-func (tr *Trace) Shard() int {
-	if tr == nil {
-		return -1
-	}
-	return tr.shard
-}
-
 // Span opens a child of the root span.
 func (tr *Trace) Span(name string, layer Layer) SpanRef {
 	if tr == nil || tr.finished {
@@ -363,8 +329,8 @@ func (tr *Trace) advance(now vtime.Time) {
 	tr.lastAt = now
 }
 
-// Instant records a point event (retry, redirect, park) on the trace.
-func (tr *Trace) Instant(format string, args ...any) {
+// instant records a point event (retry, redirect, park) on the trace.
+func (tr *Trace) instant(format string, args ...any) {
 	if tr == nil || tr.finished {
 		return
 	}
@@ -393,40 +359,12 @@ func (tr *Trace) Violate(format string, args ...any) {
 	}
 }
 
-// Finished reports whether Finish has run.
-func (tr *Trace) Finished() bool { return tr != nil && tr.finished }
-
 // Violations returns the trace's violation marks.
 func (tr *Trace) Violations() []Mark {
 	if tr == nil {
 		return nil
 	}
 	return tr.viols
-}
-
-// Layers returns the per-layer breakdown (valid after Finish); the six
-// layers sum exactly to the end-to-end latency.
-func (tr *Trace) Layers() LayerTimes {
-	if tr == nil {
-		return LayerTimes{}
-	}
-	return tr.layers
-}
-
-// Start returns the root span's start time.
-func (tr *Trace) Start() vtime.Time {
-	if tr == nil {
-		return 0
-	}
-	return tr.spans[0].start
-}
-
-// End returns the root span's end time (valid after Finish).
-func (tr *Trace) End() vtime.Time {
-	if tr == nil {
-		return 0
-	}
-	return tr.spans[0].end
 }
 
 // duration returns the end-to-end latency (valid after Finish).
@@ -496,7 +434,7 @@ type ScopeStats struct {
 	P99   vtime.Duration
 	P999  vtime.Duration
 	Max   vtime.Duration
-	// Layers sums the per-trace breakdowns; Layers.Total() == Total.
+	// Layers sums the per-trace breakdowns; Layers.total() == Total.
 	Layers LayerTimes
 	// Total sums end-to-end latency over Count traces.
 	Total vtime.Duration

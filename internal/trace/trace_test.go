@@ -22,15 +22,15 @@ func TestNilSafety(t *testing.T) {
 	}
 	sp := tr.Span("x", LayerQueue)
 	sp.End()
-	tr.Instant("retry %d", 1)
+	tr.instant("retry %d", 1)
 	tr.Violate("boom")
 	tr.SetLabel("l")
 	tr.SetClass("c")
 	tr.Finish()
-	if tr.Violations() != nil || tr.Finished() {
+	if tr.Violations() != nil {
 		t.Fatal("nil trace reported state")
 	}
-	if tr.ID() != 0 || tr.duration() != 0 {
+	if tr.duration() != 0 {
 		t.Fatal("nil trace reported data")
 	}
 	if got := tc.Stats(); got != nil {
@@ -71,14 +71,14 @@ func TestLayerPartition(t *testing.T) {
 	now = vtime.Time(70 * vtime.Microsecond)
 	tr.Finish()
 
-	lt := tr.Layers()
+	lt := tr.layers
 	us := vtime.Microsecond
 	want := LayerTimes{Queue: 10 * us, Batch: 10 * us, Wire: 20 * us, Replicate: 15 * us, Lock: 5 * us, Other: 10 * us}
 	if lt != want {
 		t.Fatalf("layers = %+v, want %+v", lt, want)
 	}
-	if lt.Total() != tr.duration() {
-		t.Fatalf("layer total %v != duration %v", lt.Total(), tr.duration())
+	if lt.total() != tr.duration() {
+		t.Fatalf("layer total %v != duration %v", lt.total(), tr.duration())
 	}
 }
 
@@ -197,7 +197,7 @@ func TestChromeExport(t *testing.T) {
 		now = vtime.Time(5 * vtime.Microsecond)
 		tr.Span("lock.wait.s1", LayerLock).End()
 		sp.End()
-		tr.Instant("retry 1/8")
+		tr.instant("retry 1/8")
 		tr.Violate("deadline")
 		now = vtime.Time(9 * vtime.Microsecond)
 		tr.Finish()

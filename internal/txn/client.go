@@ -69,7 +69,6 @@ type Txn struct {
 	deadline vtime.Time
 	ops      []Op
 	status   Status
-	reason   string
 
 	committedCall bool
 	submittedAt   vtime.Time
@@ -87,15 +86,6 @@ type Txn struct {
 	// OnDone, when set, observes the decided transaction.
 	OnDone func(Record)
 }
-
-// ID returns the transaction's identity.
-func (t *Txn) ID() ID { return t.id }
-
-// Reason returns the abort reason (empty for commits).
-func (t *Txn) Reason() string { return t.reason }
-
-// Deadline returns the transaction's absolute virtual-time deadline.
-func (t *Txn) Deadline() vtime.Time { return t.deadline }
 
 // Read batches one keyed read; the value (the key's last committed
 // write, 0 if none) is delivered with the commit outcome.
@@ -149,9 +139,6 @@ func NewClient(p *Plane, params ClientParams) *Client {
 
 // Node returns the client's processor.
 func (c *Client) Node() int { return c.c.Node }
-
-// Params returns the client's parameters.
-func (c *Client) Params() ClientParams { return c.c }
 
 // Begin opens a transaction whose deadline is the client's default
 // relative deadline from now: if it has not committed by then, it
@@ -310,7 +297,6 @@ func (c *Client) finish(t *Txn, committed bool, reason string, byDeadline bool, 
 			c.Stats.DeadlineAborts++
 		}
 	}
-	t.reason = reason
 	if t.call != nil {
 		t.call.Finish()
 	}

@@ -155,9 +155,6 @@ func newCoordinator(p *Plane, g *shard.Group, idx int) *Coordinator {
 	return c
 }
 
-// Shard returns the coordinator's shard index.
-func (c *Coordinator) Shard() int { return c.shard }
-
 // Group returns the underlying shard group.
 func (c *Coordinator) Group() *shard.Group { return c.g }
 

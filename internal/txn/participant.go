@@ -137,12 +137,6 @@ func newParticipant(p *Plane, g *shard.Group, idx int) *Participant {
 	return pa
 }
 
-// Shard returns the participant's shard index.
-func (pa *Participant) Shard() int { return pa.shard }
-
-// Group returns the underlying shard group.
-func (pa *Participant) Group() *shard.Group { return pa.g }
-
 // LockedKeys returns the number of currently held locks (harness and
 // Verify use it to assert the end-of-run lock table drained).
 func (pa *Participant) LockedKeys() int { return len(pa.locks) }

@@ -66,8 +66,8 @@ func (id ID) String() string {
 	return string(strconv.AppendUint(append(b, '.'), id.Num, 10))
 }
 
-// Key returns the ring key the coordinator shard is chosen by.
-func (id ID) Key() string { return "txn:" + id.String() }
+// key returns the ring key the coordinator shard is chosen by.
+func (id ID) key() string { return "txn:" + id.String() }
 
 // OpKind classifies one keyed operation.
 type OpKind uint8
@@ -231,7 +231,6 @@ type Plane struct {
 	eng    *simkern.Engine
 	net    *netsim.Network
 	router *shard.Router
-	name   string
 	// coordPort, partPort and respPort scope the plane's wire protocol
 	// per shard set, so coexisting data planes do not collide.
 	coordPort, partPort, respPort string
@@ -257,7 +256,6 @@ func NewPlane(eng *simkern.Engine, net *netsim.Network, router *shard.Router, na
 		eng:    eng,
 		net:    net,
 		router: router,
-		name:   name,
 		sess:   session.New(eng),
 
 		coordPort: "txn." + name + ".coord",
@@ -280,12 +278,6 @@ func NewPlane(eng *simkern.Engine, net *netsim.Network, router *shard.Router, na
 // round per decision).
 func (p *Plane) SetGroupCommit(params session.Params) { p.groupCommit = params }
 
-// Name returns the plane's scope name (the shard set's name).
-func (p *Plane) Name() string { return p.name }
-
-// Router returns the underlying shard router.
-func (p *Plane) Router() *shard.Router { return p.router }
-
 // Coordinators returns the per-shard coordinator roles, ring order.
 func (p *Plane) Coordinators() []*Coordinator { return append([]*Coordinator(nil), p.coords...) }
 
@@ -298,7 +290,7 @@ func (p *Plane) Clients() []*Client { return append([]*Client(nil), p.clients...
 // coordShard returns the coordinator shard index for a transaction:
 // its id hashed on the existing ring (pinned key routes do not apply —
 // coordinator placement is not key ownership).
-func (p *Plane) coordShard(id ID) int { return p.router.Ring().Shard(id.Key()) }
+func (p *Plane) coordShard(id ID) int { return p.router.Ring().Shard(id.key()) }
 
 // send transmits one protocol message, falling back to a loopback
 // dispatch (netsim has no self-links) when sender and receiver are the

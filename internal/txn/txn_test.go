@@ -17,8 +17,8 @@ func TestIDStrings(t *testing.T) {
 	if id.String() != "t6.3" {
 		t.Fatalf("String %q", id.String())
 	}
-	if id.Key() != "txn:t6.3" {
-		t.Fatalf("Key %q", id.Key())
+	if id.key() != "txn:t6.3" {
+		t.Fatalf("Key %q", id.key())
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,6 +18,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -26,6 +28,7 @@ import (
 var stateAllowlist = map[string]string{
 	"metrics.Options.Now":         "bench/layers/kernel.go sets it",
 	"netsim.Message.Size":         "the size argument of Send, whose signature bench/layers/kernel.go pins until ROADMAP item 1(b)",
+	"simkern.Processor.name":      "the name argument of AddProcessor, whose signature bench/layers pins",
 	"replication.ckptRecord.View": "storage.Write encodes it by reflection; the record is recovery data for ROADMAP item 6",
 }
 
@@ -40,19 +43,14 @@ const maxStateAllowed = 4
 // through promotion and instantiation. What counts as a write, and which
 // fields are exempt, is unreadFields'.
 func TestOnlyStateSomethingReads(t *testing.T) {
-	fset := token.NewFileSet()
-	var pkgs []typedPkg
-	for _, dir := range []string{".", "bench"} {
-		ps, err := loadTypedPackages(fset, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs = append(pkgs, ps...)
+	tree, err := typedTree()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(stateAllowlist) > maxStateAllowed {
 		t.Errorf("stateAllowlist has %d entries, at most %d", len(stateAllowlist), maxStateAllowed)
 	}
-	offenders, stale := unreadFields(fset, pkgs, stateAllowlist)
+	offenders, stale := unreadFields(tree.fset, tree.pkgs, stateAllowlist)
 	if len(offenders) > 0 {
 		t.Errorf("%d struct fields under internal/ that nothing reads:\n\t%s\n"+
 			"for each: delete it with the code that only maintains it, give it a reader in the same change, "+
@@ -66,8 +64,29 @@ func TestOnlyStateSomethingReads(t *testing.T) {
 
 // typedPkg is one package type-checked from source.
 type typedPkg struct {
+	pkg   *types.Package
 	files []*ast.File
 	info  *types.Info
+}
+
+// typedTree type-checks the root module and bench/ (a module of its own)
+// once per test binary; the names and state guards both read it.
+var typedTree = sync.OnceValues(func() (typedLoad, error) {
+	fset := token.NewFileSet()
+	var pkgs []typedPkg
+	for _, dir := range []string{".", "bench"} {
+		ps, err := loadTypedPackages(fset, dir)
+		if err != nil {
+			return typedLoad{}, err
+		}
+		pkgs = append(pkgs, ps...)
+	}
+	return typedLoad{fset, pkgs}, nil
+})
+
+type typedLoad struct {
+	fset *token.FileSet
+	pkgs []typedPkg
 }
 
 // listedPkg is the part of go list -json's output the loader reads.
@@ -139,12 +158,29 @@ func loadTypedPackages(fset *token.FileSet, dir string) ([]typedPkg, error) {
 			return os.Open(dep.Export)
 		})
 		info := newTypesInfo()
-		if _, err := (&types.Config{Importer: imp}).Check(path, fset, files, info); err != nil {
+		pkg, err := (&types.Config{Importer: imp}).Check(path, fset, files, info)
+		if err != nil {
 			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
-		pkgs = append(pkgs, typedPkg{files, info})
+		pkgs = append(pkgs, typedPkg{pkg, files, info})
 	}
 	return pkgs, nil
+}
+
+// checkSource type-checks one in-memory package from its files (name ->
+// source), resolving imports through imp.
+func checkSource(fset *token.FileSet, path string, srcs map[string]string, imp types.Importer) (typedPkg, error) {
+	var files []*ast.File
+	for _, name := range slices.Sorted(maps.Keys(srcs)) {
+		f, err := parser.ParseFile(fset, name, srcs[name], 0)
+		if err != nil {
+			return typedPkg{}, err
+		}
+		files = append(files, f)
+	}
+	info := newTypesInfo()
+	pkg, err := (&types.Config{Importer: imp}).Check(path, fset, files, info)
+	return typedPkg{pkg, files, info}, err
 }
 
 func newTypesInfo() *types.Info {
@@ -434,19 +470,11 @@ func use(x *S, o *Outer, sh *Shell, m map[Key]int, p, q Pair) bool {
 func sameProbe(a, b Probe) bool { return a == b && a != Probe{} }
 `
 	fset := token.NewFileSet()
-	var files []*ast.File
-	for name, src := range map[string]string{"internal/lib/lib.go": src, "internal/lib/lib_test.go": testSrc} {
-		f, err := parser.ParseFile(fset, name, src, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	info := newTypesInfo()
-	if _, err := (&types.Config{}).Check("hades/internal/lib", fset, files, info); err != nil {
+	p, err := checkSource(fset, "hades/internal/lib", map[string]string{"internal/lib/lib.go": src, "internal/lib/lib_test.go": testSrc}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs := []typedPkg{{files, info}}
+	pkgs := []typedPkg{p}
 	writes := []string{
 		"lib.Box.spare", "lib.Inner.unused", "lib.Outer.own", "lib.Probe.v",
 		"lib.S.added", "lib.S.appended", "lib.S.assigned", "lib.S.cleared", "lib.S.decremented",
