@@ -38,6 +38,7 @@ func TestCommittedBaselines(t *testing.T) {
 	for _, path := range paths {
 		name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "LOAD_"), ".json")
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -62,59 +63,77 @@ func TestCommittedBaselines(t *testing.T) {
 // record renderer met an argument it does not format. Regenerate
 // the digests only with -update, and only when behaviour is meant to
 // move.
+//
+// Each run is a parallel subtest, named by its golden key, that fills
+// its own slot; the digests are compared once both groups have returned.
+// Runs execute side by side, so state two of them share shows here as a
+// digest change, and under go test -race as a race.
 func TestRunGolden(t *testing.T) {
-	got := map[string]string{}
-	var keys []string
-	record := func(key string, fill func(w io.Writer)) {
-		h := sha256.New()
-		fill(h)
-		got[key] = fmt.Sprintf("%x", h.Sum(nil))
-		keys = append(keys, key)
+	type slot struct{ key, digest string }
+	var slots []*slot
+	record := func(t *testing.T, group, name string, fill func(t *testing.T, w io.Writer)) {
+		s := &slot{key: group + "/" + name}
+		slots = append(slots, s)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			h := sha256.New()
+			fill(t, h)
+			s.digest = fmt.Sprintf("%x", h.Sum(nil))
+		})
 	}
 	seeds := 5
 	if testing.Short() && !*update {
 		seeds = 1
 	}
-	for _, name := range scenario.BuiltinNames() {
-		record("run/"+name, func(w io.Writer) {
-			var stderr bytes.Buffer
-			args := append([]string{"run", "-builtin", name}, everyReport...)
-			if code := run(args, w, &stderr); code != 0 {
-				t.Fatalf("hades %s exited %d: %s", strings.Join(args, " "), code, stderr.String())
-			}
-		})
-		for seed := 1; seed <= seeds; seed++ {
-			record(fmt.Sprintf("log/%s/seed%d", name, seed), func(w io.Writer) {
-				spec, err := scenario.Builtin(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				spec.Seed = int64(seed)
-				clu, err := spec.Build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				clu.Run(spec.Horizon())
-				if err := clu.Log().WriteTrace(w); err != nil {
-					t.Fatal(err)
-				}
-				if err := clu.Verify(); err != nil {
-					t.Errorf("%s at seed %d: audits failed: %v", name, seed, err)
-				}
-				log := clu.Log()
-				for _, e := range slices.Concat(log.Events(), log.Violations(), log.Faults()) {
-					if strings.Contains(e.Detail, "%!") {
-						t.Errorf("%s at seed %d: malformed detail in %q", name, seed, e)
-					}
+	t.Run("run", func(t *testing.T) {
+		for _, name := range scenario.BuiltinNames() {
+			record(t, "run", name, func(t *testing.T, w io.Writer) {
+				var stderr bytes.Buffer
+				args := append([]string{"run", "-builtin", name}, everyReport...)
+				if code := run(args, w, &stderr); code != 0 {
+					t.Fatalf("hades %s exited %d: %s", strings.Join(args, " "), code, stderr.String())
 				}
 			})
 		}
-	}
+	})
+	t.Run("log", func(t *testing.T) {
+		for _, name := range scenario.BuiltinNames() {
+			for seed := 1; seed <= seeds; seed++ {
+				record(t, "log", fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T, w io.Writer) {
+					spec, err := scenario.Builtin(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					spec.Seed = int64(seed)
+					clu, err := spec.Build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					clu.Run(spec.Horizon())
+					if err := clu.Log().WriteTrace(w); err != nil {
+						t.Fatal(err)
+					}
+					if err := clu.Verify(); err != nil {
+						t.Errorf("%s at seed %d: audits failed: %v", name, seed, err)
+					}
+					log := clu.Log()
+					for _, e := range slices.Concat(log.Events(), log.Violations(), log.Faults()) {
+						if strings.Contains(e.Detail, "%!") {
+							t.Errorf("%s at seed %d: malformed detail in %q", name, seed, e)
+						}
+					}
+				})
+			}
+		}
+	})
 	if *update {
-		sort.Strings(keys)
+		if t.Failed() {
+			return
+		}
+		sort.Slice(slots, func(i, j int) bool { return slots[i].key < slots[j].key })
 		var out bytes.Buffer
-		for _, key := range keys {
-			fmt.Fprintf(&out, "%s %s\n", key, got[key])
+		for _, s := range slots {
+			fmt.Fprintf(&out, "%s %s\n", s.key, s.digest)
 		}
 		if err := os.WriteFile(goldenPath, out.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -130,15 +149,17 @@ func TestRunGolden(t *testing.T) {
 		key, digest, _ := strings.Cut(line, " ")
 		want[key] = digest
 	}
-	for _, key := range keys {
+	for _, s := range slots {
 		switch {
-		case want[key] == "":
-			t.Errorf("%s: no golden digest (a new builtin? record it with -update)", key)
-		case want[key] != got[key]:
-			t.Errorf("%s: output changed (digest %s, golden %s)", key, got[key], want[key])
+		case s.digest == "":
+			// its run stopped early and said why
+		case want[s.key] == "":
+			t.Errorf("%s: no golden digest (a new builtin? record it with -update)", s.key)
+		case want[s.key] != s.digest:
+			t.Errorf("%s: output changed (digest %s, golden %s)", s.key, s.digest, want[s.key])
 		}
 	}
-	if !testing.Short() && len(want) != len(keys) {
-		t.Errorf("golden.txt holds %d digests, this build produced %d (a retired builtin? drop it with -update)", len(want), len(keys))
+	if !testing.Short() && len(want) != len(slots) {
+		t.Errorf("golden.txt holds %d digests, this build produced %d (a retired builtin? drop it with -update)", len(want), len(slots))
 	}
 }

@@ -169,12 +169,12 @@ func ShardLayout(count, replicasPer int, explicit [][]int, nodes int) ([][]int, 
 		if len(g) < 2 {
 			return nil, fmt.Errorf("shard group %d needs at least 2 replicas (got %d)", i, len(g))
 		}
+		if len(g) > membership.MaxMembers {
+			return nil, fmt.Errorf("shard group %d has %d replicas, at most %d", i, len(g), membership.MaxMembers)
+		}
 		for _, node := range g {
 			if node < 0 || node >= nodes {
 				return nil, fmt.Errorf("shard group %d names unknown node %d (have %d)", i, node, nodes)
-			}
-			if node > membership.MaxNode {
-				return nil, fmt.Errorf("shard group %d on node %d: replication groups span nodes 0–%d", i, node, membership.MaxNode)
 			}
 			if prev, dup := owner[node]; dup {
 				return nil, fmt.Errorf("node %d is a replica of shard groups %d and %d (overlapping group membership)", node, prev, i)

@@ -34,7 +34,8 @@ type Dispatcher struct {
 	// before declaring a network omission failure.
 	OmissionSlack vtime.Duration
 
-	stats Stats
+	stats     Stats
+	threadSeq uint64 // last Thread.seqNo handed out
 }
 
 // Stats aggregates dispatcher-level counters for the harness.

@@ -54,7 +54,7 @@ type Thread struct {
 	euIdx int
 	eu    *heug.EU
 	name  string
-	seqNo uint64 // global creation order, deterministic tie-break
+	seqNo uint64 // creation order on its dispatcher, deterministic tie-break
 
 	prio     int
 	earliest vtime.Time // absolute
@@ -106,8 +106,9 @@ func (th *Thread) Finished() bool { return th.state == threadDone }
 // Started reports whether the thread has ever held the CPU.
 func (th *Thread) Started() bool { return th.started() }
 
-// SeqNo returns the thread's global creation sequence number, a
-// deterministic tie-break for policies that must order threads.
+// SeqNo returns the thread's creation sequence number on its
+// dispatcher, a deterministic tie-break for policies that must order
+// threads.
 func (th *Thread) SeqNo() uint64 { return th.seqNo }
 
 // Orphaned reports whether the unit was aborted with its instance
@@ -126,17 +127,15 @@ func (th *Thread) started() bool {
 	return th.startedAt != 0 || (th.kthread != nil && th.kthread.Started())
 }
 
-var threadSeq uint64
-
 // newThread builds the runtime thread for EU index i of inst.
 func (d *Dispatcher) newThread(inst *Instance, i int, eu *heug.EU) *Thread {
-	threadSeq++
+	d.threadSeq++
 	th := &Thread{
 		inst:      inst,
 		euIdx:     i,
 		eu:        eu,
 		name:      inst.name + "." + eu.Name,
-		seqNo:     threadSeq,
+		seqNo:     d.threadSeq,
 		state:     threadWaitPreds,
 		predsLeft: len(inst.TR.Task.Preds(i)),
 		earliest:  inst.ActivatedAt,

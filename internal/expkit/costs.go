@@ -10,11 +10,6 @@ import (
 	"hades/internal/vtime"
 )
 
-func init() {
-	register("T1", runT1)
-	register("T2", runT2)
-}
-
 // measureOverhead runs one aperiodic single-activation scenario under
 // the given cost book and returns the CPU time consumed beyond the pure
 // action WCETs on node 0 (busy + switch time minus useful work).

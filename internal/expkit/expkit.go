@@ -73,9 +73,10 @@ type Options struct {
 type Runner func(Options) Table
 
 // registry maps experiment IDs to runners.
-var registry = map[string]Runner{}
-
-func register(id string, r Runner) { registry[id] = r }
+var registry = map[string]Runner{
+	"F1": runF1, "F2": runF2, "F3": runF3, "S5": runS5, "T1": runT1, "T2": runT2,
+	"X1": runX1, "X2": runX2, "X3": runX3, "X4": runX4, "X5": runX5, "X6": runX6, "X7": runX7,
+}
 
 // IDs returns the registered experiment IDs, sorted.
 func IDs() []string {

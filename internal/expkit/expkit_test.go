@@ -309,16 +309,25 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// TestRunAll also holds determinism: two runs of the registry at one
-// seed render byte-identical tables.
+// TestRunAll also holds determinism: RunAll renders one table per
+// experiment, and a second run of each experiment at the same seed,
+// every one a parallel subtest beside the others, renders the same bytes.
 func TestRunAll(t *testing.T) {
-	first, second := RunAll(quickOpts), RunAll(quickOpts)
-	if len(first) != len(IDs()) {
+	first := RunAll(quickOpts)
+	ids := IDs()
+	if len(first) != len(ids) {
 		t.Fatalf("RunAll returned %d tables", len(first))
 	}
-	for i := range first {
-		if a, b := first[i].String(), second[i].String(); a != b {
-			t.Errorf("%s differs between two runs at seed %d:\n%s\n---\n%s", first[i].ID, quickOpts.Seed, a, b)
-		}
+	for i, id := range ids {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			second, err := Run(id, quickOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := first[i].String(), second.String(); a != b {
+				t.Errorf("%s differs between two runs at seed %d:\n%s\n---\n%s", id, quickOpts.Seed, a, b)
+			}
+		})
 	}
 }

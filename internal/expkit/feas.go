@@ -11,12 +11,6 @@ import (
 	"hades/internal/vtime"
 )
 
-func init() {
-	register("S5", runS5)
-	register("X1", runX1)
-	register("X6", runX6)
-}
-
 // schedCost is the EDF per-notification cost used throughout the
 // feasibility experiments (C_sched in §5.3).
 const schedCost = 20 * us

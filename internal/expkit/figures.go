@@ -17,12 +17,6 @@ const (
 	ms = vtime.Millisecond
 )
 
-func init() {
-	register("F1", runF1)
-	register("F2", runF2)
-	register("F3", runF3)
-}
-
 // runF1 reproduces Figure 1's layering claim operationally: multiple
 // applications with different schedulers (RM, EDF, best-effort) run on
 // the same generic dispatcher and COTS substrate, simultaneously, with

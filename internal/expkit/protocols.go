@@ -10,10 +10,6 @@ import (
 	"hades/internal/vtime"
 )
 
-func init() {
-	register("X2", runX2)
-}
-
 // inversionRun executes the canonical L/M/H priority-inversion workload
 // repeatedly under one resource policy, returning H's worst response,
 // the preemption count and the priority-change count.

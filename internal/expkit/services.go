@@ -17,13 +17,6 @@ import (
 	"hades/internal/vtime"
 )
 
-func init() {
-	register("X3", runX3)
-	register("X4", runX4)
-	register("X5", runX5)
-	register("X7", runX7)
-}
-
 // serviceRig builds an n-node platform for service experiments through
 // the cluster layer: full mesh with the testbed delay bounds, a 2 µs
 // context switch, an unbounded trace log.

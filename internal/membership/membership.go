@@ -68,17 +68,17 @@ import (
 	"hades/internal/vtime"
 )
 
-// MaxNode is the largest node id a group may span: views are encoded
-// as int64 bitmasks for consensus.
-const MaxNode = 62
+// MaxMembers is the largest universe a group may have: a view proposal
+// is an int64 bitmask for consensus whose bit i is the i-th node of the
+// sorted universe, and the sign bit stays clear.
+const MaxMembers = 63
 
 // Config parameterises one membership group.
 type Config struct {
 	// Name scopes the group's network ports; distinct groups need
 	// distinct names.
 	Name string
-	// Nodes is the universe of potential members (node ids must be in
-	// [0, MaxNode]).
+	// Nodes is the universe of potential members (at most MaxMembers).
 	Nodes []int
 	// F is the number of crash/omission failures tolerated per
 	// agreement round; 0 selects 1.
@@ -187,8 +187,11 @@ type Service struct {
 	eng *simkern.Engine
 	net *netsim.Network
 	cfg Config
-	det *fault.Detector
-	rb  *rbcast.Service
+	// universe is cfg.Nodes sorted: bit i of a view proposal is
+	// universe[i].
+	universe []int
+	det      *fault.Detector
+	rb       *rbcast.Service
 	// xferPort carries state transfers to joining replicas.
 	xferPort string
 	// beat is the detector's heartbeat period: the check period in
@@ -238,15 +241,14 @@ func New(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Service, error)
 	if len(cfg.Nodes) < 2 {
 		return nil, fmt.Errorf("membership: group %q needs at least 2 nodes", cfg.Name)
 	}
-	seen := make(map[int]bool, len(cfg.Nodes))
-	for _, n := range cfg.Nodes {
-		if n < 0 || n > MaxNode {
-			return nil, fmt.Errorf("membership: node id %d outside [0,%d]", n, MaxNode)
+	if len(cfg.Nodes) > MaxMembers {
+		return nil, fmt.Errorf("membership: group %q has %d nodes, at most %d", cfg.Name, len(cfg.Nodes), MaxMembers)
+	}
+	universe := slices.Sorted(slices.Values(cfg.Nodes))
+	for i := 1; i < len(universe); i++ {
+		if universe[i] == universe[i-1] {
+			return nil, fmt.Errorf("membership: duplicate node id %d in group %q", universe[i], cfg.Name)
 		}
-		if seen[n] {
-			return nil, fmt.Errorf("membership: duplicate node id %d in group %q", n, cfg.Name)
-		}
-		seen[n] = true
 	}
 	if cfg.F <= 0 {
 		cfg.F = 1
@@ -266,6 +268,7 @@ func New(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Service, error)
 		eng:           eng,
 		net:           net,
 		cfg:           cfg,
+		universe:      universe,
 		xferPort:      "m." + cfg.Name + ".xfer",
 		beat:          dcfg.Period,
 		rb:            rbcast.New(eng, net, "m."+cfg.Name, rcfg),
@@ -322,7 +325,7 @@ func (s *Service) Start() {
 	}
 	s.started = true
 	now := s.eng.Now()
-	v0 := View{ID: 1, Members: slices.Sorted(slices.Values(s.cfg.Nodes))}
+	v0 := View{ID: 1, Members: slices.Clone(s.universe)}
 	s.agreed = append(s.agreed, v0)
 	s.rb.SetEpoch(v0.ID, v0.Members)
 	for _, n := range v0.Members {
@@ -721,10 +724,10 @@ func (s *Service) maybeChange() {
 			if x != m && s.det.Suspected(m, x) {
 				continue
 			}
-			mask |= 1 << uint(x)
+			mask |= s.bit(x)
 		}
 		for _, a := range adds {
-			mask |= 1 << uint(a)
+			mask |= s.bit(a)
 		}
 		proposals[m] = mask
 	}
@@ -762,7 +765,7 @@ func (s *Service) maybeChange() {
 			return
 		}
 		decided = true
-		s.finishChange(newID, membersOf(res.Decision), trig, reason)
+		s.finishChange(newID, s.membersOf(res.Decision), trig, reason)
 	})
 	inst.Propose(proposals)
 	// A partition striking mid-round can leave every decision rejected
@@ -988,12 +991,21 @@ func changeReason(removes, adds []int) string {
 	return out
 }
 
-// membersOf decodes a consensus decision bitmask into a member list.
-func membersOf(mask int64) []int {
+// bit is node n's bit in a view proposal: its index in the sorted
+// universe. Index order is node-id order, so consensus, which decides
+// the smallest proposal, orders views as a bitset over node ids would.
+func (s *Service) bit(n int) int64 {
+	i, _ := slices.BinarySearch(s.universe, n)
+	return 1 << i
+}
+
+// membersOf decodes a consensus decision bitmask into a member list,
+// ascending.
+func (s *Service) membersOf(mask int64) []int {
 	var out []int
-	for i := 0; i < 63; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			out = append(out, i)
+	for i, n := range s.universe {
+		if mask&(1<<i) != 0 {
+			out = append(out, n)
 		}
 	}
 	return out

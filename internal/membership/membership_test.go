@@ -263,14 +263,48 @@ func TestValidation(t *testing.T) {
 	if _, err := New(eng, net, Config{Name: "x", Nodes: []int{0}}); err == nil {
 		t.Fatal("single-node group accepted")
 	}
-	if _, err := New(eng, net, Config{Name: "x", Nodes: []int{0, 63}}); err == nil {
-		t.Fatal("node id 63 accepted (bitmask overflow)")
+	wide := make([]int, MaxMembers+1)
+	for i := range wide {
+		wide[i] = i
+	}
+	if _, err := New(eng, net, Config{Name: "x", Nodes: wide}); err == nil {
+		t.Fatalf("%d-node group accepted (bitmask overflow)", len(wide))
 	}
 	if _, err := New(eng, net, Config{Name: "x", Nodes: []int{0, 0}}); err == nil {
 		t.Fatal("duplicate node id accepted")
 	}
 	if _, err := New(eng, net, Config{Name: "x", Nodes: []int{0, 1}, F: 2}); err == nil {
 		t.Fatal("F >= n accepted")
+	}
+}
+
+// TestViewsEncodeMembersByIndex: bit i of a view proposal is the i-th
+// node of the group's sorted universe, not node i, so node ids past 62
+// (the width of the int64 bitmask) build, and a member crash installs
+// the next view at every live member.
+func TestViewsEncodeMembersByIndex(t *testing.T) {
+	eng := simkern.NewEngine(monitor.NewLog(0), 1)
+	for range 101 {
+		eng.AddProcessor("n", 0)
+	}
+	nodes := []int{100, 0, 63}
+	net := netsim.New(eng, netsim.Config{WAtm: 5 * us, WProto: 5 * us, PrioNet: simkern.PrioMax - 2})
+	net.ConnectAll(nodes, 50*us, 150*us)
+	svc, err := New(eng, net, Config{Name: "g", Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	fault.CrashAt(eng, net, 63, vtime.Time(40*ms), 0)
+	eng.Run(vtime.Time(200 * ms))
+	want := []View{
+		{ID: 1, Members: []int{0, 63, 100}},
+		{ID: 2, Members: []int{0, 100}},
+	}
+	for _, n := range []int{0, 100} {
+		if got := svc.History(n); !reflect.DeepEqual(got, want) {
+			t.Fatalf("node %d view history %v, want %v", n, got, want)
+		}
 	}
 }
 

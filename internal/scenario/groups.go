@@ -71,13 +71,13 @@ func (s Spec) validateGroups(loadNames map[string]bool) error {
 		if len(g.Nodes) < 2 {
 			return fmt.Errorf("scenario %q: group %q needs at least 2 nodes", s.Name, g.Name)
 		}
+		if len(g.Nodes) > membership.MaxMembers {
+			return fmt.Errorf("scenario %q: group %q has %d nodes, at most %d", s.Name, g.Name, len(g.Nodes), membership.MaxMembers)
+		}
 		members := map[int]bool{}
 		for _, n := range g.Nodes {
 			if err := s.knownNode(n, "group %q member", g.Name); err != nil {
 				return err
-			}
-			if n > membership.MaxNode {
-				return fmt.Errorf("scenario %q: group %q member %d: groups span nodes 0–%d", s.Name, g.Name, n, membership.MaxNode)
 			}
 			if members[n] {
 				return fmt.Errorf("scenario %q: group %q lists member %d twice", s.Name, g.Name, n)

@@ -265,7 +265,7 @@ func (c *Client) launch(lane string, ops []*request) {
 		r.wspan = r.trace.Span("rpc.batch", trace.LayerWire)
 		traces[i] = r.trace.Ref()
 	}
-	g := c.router.group(b.shard)
+	g := c.router.Groups()[b.shard]
 	b.call = c.sess.Go(session.Spec{
 		Label:      c.batchLabel(b),
 		Node:       c.p.Node,

@@ -334,7 +334,7 @@ const (
 // it would send the client to a primary the majority may have replaced.
 // Only a replica that can reach a majority of its view knows who the
 // primary is. (A stale primary whose detector has not yet timed out
-// still passes — the fencing window ROADMAP item 4(a)'s lease closes,
+// still passes — the fencing window ROADMAP item 7(a)'s lease closes,
 // here and nowhere else.)
 func (g *Group) Gate(node int) (Verdict, int) {
 	p := g.rep.Primary()

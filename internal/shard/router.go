@@ -72,12 +72,10 @@ func (r *Router) OnRepublish(fn func(*Group)) { r.subs = append(r.subs, fn) }
 // Ring returns the router's consistent-hash ring.
 func (r *Router) Ring() *Ring { return r.ring }
 
-// Groups returns the shard groups, ring-index order.
-func (r *Router) Groups() []*Group { return append([]*Group(nil), r.groups...) }
-
-// group returns one shard group without copying the slice (the client
-// dispatch hot path).
-func (r *Router) group(i int) *Group { return r.groups[i] }
+// Groups returns the shard groups, ring-index order. The slice is the
+// router's own, not a copy: callers index and range over it and must
+// not modify it.
+func (r *Router) Groups() []*Group { return r.groups }
 
 // ShardFor resolves the shard index owning key: a pinned route if one
 // exists, the ring otherwise.

@@ -62,6 +62,83 @@ func TestOnlyStateSomethingReads(t *testing.T) {
 	}
 }
 
+// TestOnlyStateARunOwns holds a run to the state it owns: no package-level
+// var declared in a non-test file under internal/ or cmd/ may be written
+// by non-test code, anywhere after its declaration (an init function
+// included). Two clusters built in one process then share nothing, so a
+// run is a function of its spec and seed alone, and the golden sweep can
+// run them side by side. A write is what markWrites says, the field
+// guard's definition; &x reads, so a sentinel compared by address passes,
+// and so does a test seam only tests assign. There is no allowlist: move
+// the state onto the value that owns it, or make the var a literal table
+// nothing writes.
+func TestOnlyStateARunOwns(t *testing.T) {
+	tree, err := typedTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if offenders := writtenGlobals(tree.fset, tree.pkgs); len(offenders) > 0 {
+		t.Errorf("%d package-level vars under internal/ or cmd/ that non-test code writes:\n\t%s\n"+
+			"for each: move the state onto the value that owns it (a dispatcher, a cluster, a service), "+
+			"or declare it as a table nothing writes",
+			len(offenders), strings.Join(offenders, "\n\t"))
+	}
+}
+
+// writtenGlobals returns, as "pkg.name file:line", each package-level var
+// declared in a non-test file under internal/ or cmd/ that a non-test file
+// of some package in pkgs writes.
+func writtenGlobals(fset *token.FileSet, pkgs []typedPkg) []string {
+	declared := map[string]string{} // "path.name" -> "pkg.name file:line"
+	written := map[string]bool{}
+	key := func(obj types.Object) string {
+		if v, ok := obj.(*types.Var); !ok || v.Pkg() == nil || v.Pkg().Scope().Lookup(v.Name()) != v {
+			return "" // not a package-level var
+		}
+		return obj.Pkg().Path() + "." + obj.Name()
+	}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			if isTestFile(fset, f.Pos()) {
+				continue
+			}
+			if name := fset.Position(f.Pos()).Filename; strings.HasPrefix(name, "internal/") || strings.HasPrefix(name, "cmd/") {
+				for _, d := range f.Decls {
+					if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+						for _, spec := range gd.Specs {
+							for _, id := range spec.(*ast.ValueSpec).Names {
+								if k := key(p.info.Defs[id]); k != "" {
+									pos := fset.Position(id.Pos())
+									declared[k] = fmt.Sprintf("%s.%s %s:%d", p.pkg.Name(), id.Name, pos.Filename, pos.Line)
+								}
+							}
+						}
+					}
+				}
+			}
+			writes := map[ast.Expr]bool{}
+			markWrites(p, f, writes)
+			for e := range writes {
+				id, ok := e.(*ast.Ident)
+				if sel, isSel := e.(*ast.SelectorExpr); isSel && p.info.Selections[sel] == nil {
+					id, ok = sel.Sel, true
+				}
+				if ok {
+					written[key(p.info.Uses[id])] = true
+				}
+			}
+		}
+	}
+	var out []string
+	for k, where := range declared {
+		if written[k] {
+			out = append(out, where)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // typedPkg is one package type-checked from source.
 type typedPkg struct {
 	pkg   *types.Package
@@ -197,13 +274,9 @@ func newTypesInfo() *types.Info {
 // in pkgs reads and the allowlist does not hold, and the allowlist keys
 // that name no such field.
 //
-// A selector x.f writes f when it is assigned (=, op=, ++, --, a range
-// key or value), when it is the first argument of delete or clear, when
-// it is append's first argument in x.f = append(x.f, ...), and when an
-// element or field stored inside it is written (x.f[i] = v; x.f.g = v
-// with f a struct value). A keyed or positional composite-literal entry
-// writes. Every other selector reads, &x.f and x.f.M() included. A
-// promoted field is charged to the struct that declares it, and a use
+// A selector x.f writes f where markWrites says it does, and a keyed or
+// positional composite-literal entry writes; every other selector reads,
+// &x.f and x.f.M() included. A promoted field is charged to the struct that declares it, and a use
 // through promotion reads each embedded field on the way. A generic
 // struct's fields count by its origin type. Exempt are fields with a
 // struct tag (an encoder reads them) and every field of a struct type
@@ -266,63 +339,14 @@ func unreadFields(fset *token.FileSet, pkgs []typedPkg, allow map[string]string)
 
 	for _, p := range pkgs {
 		writes := map[ast.Expr]bool{}
-		var write func(e ast.Expr)
-		write = func(e ast.Expr) {
-			switch e := ast.Unparen(e).(type) {
-			case *ast.IndexExpr:
-				write(e.X)
-			case *ast.SelectorExpr:
-				if p.info.Selections[e] == nil {
-					return
-				}
-				writes[e] = true
-				if _, isStruct := p.info.TypeOf(e.X).Underlying().(*types.Struct); isStruct {
-					write(e.X)
-				}
-			}
-		}
-		builtin := func(call *ast.CallExpr, name string) bool {
-			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-			if !ok {
-				return false
-			}
-			b, ok := p.info.Uses[id].(*types.Builtin)
-			return ok && b.Name() == name
-		}
 		for _, f := range p.files {
-			inTest := isTestFile(fset, f.Pos())
+			markWrites(p, f, writes)
+			if isTestFile(fset, f.Pos()) {
+				continue
+			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for i, lhs := range n.Lhs {
-						write(lhs)
-						if len(n.Rhs) != len(n.Lhs) {
-							continue
-						}
-						if call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr); ok && builtin(call, "append") &&
-							len(call.Args) > 0 && types.ExprString(call.Args[0]) == types.ExprString(lhs) {
-							write(call.Args[0])
-						}
-					}
-				case *ast.IncDecStmt:
-					write(n.X)
-				case *ast.RangeStmt:
-					if n.Tok == token.ASSIGN {
-						if n.Key != nil {
-							write(n.Key)
-						}
-						if n.Value != nil {
-							write(n.Value)
-						}
-					}
-				case *ast.CallExpr:
-					if (builtin(n, "delete") || builtin(n, "clear")) && len(n.Args) > 0 {
-						write(n.Args[0])
-					}
-				case *ast.BinaryExpr:
-					if !inTest && (n.Op == token.EQL || n.Op == token.NEQ) {
-						compared(p.info.TypeOf(n.X))
-					}
+				if n, ok := n.(*ast.BinaryExpr); ok && (n.Op == token.EQL || n.Op == token.NEQ) {
+					compared(p.info.TypeOf(n.X))
 				}
 				return true
 			})
@@ -380,6 +404,74 @@ func unreadFields(fset *token.FileSet, pkgs []typedPkg, allow map[string]string)
 	sort.Strings(offenders)
 	sort.Strings(stale)
 	return offenders, stale
+}
+
+// markWrites adds to writes each expression file f of p writes. This is
+// the one definition of a write both state guards share. An expression
+// is written when it is assigned (=, op=, ++, --, a range key or value),
+// when it is the first argument of delete or clear, when it is append's
+// first argument in x = append(x, ...), and when an element or field
+// stored inside it is written: x[i] = v writes x, and x.f = v writes x
+// when x is a struct value (through a pointer it reads x). Every other
+// use reads, &x and x.M() included. Marked are the unparenthesised
+// identifiers, qualified identifiers and field selectors on the way.
+func markWrites(p typedPkg, f *ast.File, writes map[ast.Expr]bool) {
+	var write func(e ast.Expr)
+	write = func(e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			writes[e] = true
+		case *ast.IndexExpr:
+			write(e.X)
+		case *ast.SelectorExpr:
+			writes[e] = true
+			if p.info.Selections[e] == nil {
+				return // a qualified identifier
+			}
+			if _, isStruct := p.info.TypeOf(e.X).Underlying().(*types.Struct); isStruct {
+				write(e.X)
+			}
+		}
+	}
+	builtin := func(call *ast.CallExpr, name string) bool {
+		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+		if !ok {
+			return false
+		}
+		b, ok := p.info.Uses[id].(*types.Builtin)
+		return ok && b.Name() == name
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				write(lhs)
+				if len(n.Rhs) != len(n.Lhs) {
+					continue
+				}
+				if call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr); ok && builtin(call, "append") &&
+					len(call.Args) > 0 && types.ExprString(call.Args[0]) == types.ExprString(lhs) {
+					write(call.Args[0])
+				}
+			}
+		case *ast.IncDecStmt:
+			write(n.X)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				if n.Key != nil {
+					write(n.Key)
+				}
+				if n.Value != nil {
+					write(n.Value)
+				}
+			}
+		case *ast.CallExpr:
+			if (builtin(n, "delete") || builtin(n, "clear")) && len(n.Args) > 0 {
+				write(n.Args[0])
+			}
+		}
+		return true
+	})
 }
 
 func isTestFile(fset *token.FileSet, pos token.Pos) bool {
@@ -506,5 +598,104 @@ func sameProbe(a, b Probe) bool { return a == b && a != Probe{} }
 				t.Errorf("got %v\nwant %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestSharedStateGuard runs the package-var guard over in-memory packages:
+// each kind of write by non-test code flags its var, a write through a
+// qualified name or inside init counts, and these pass: the same writes in
+// a _test.go file (a test seam, in internal/ and in cmd/), a local that
+// shadows a global, a sentinel whose address is stored and compared, and
+// a table that is only read.
+func TestSharedStateGuard(t *testing.T) {
+	const lib = `package lib
+
+type rec struct{ f int }
+
+var (
+	Counter, assigned, added int
+	table, seen              = map[string]int{}, map[int]bool{}
+	cfg                      rec
+	log                      []int
+	registry                 = map[string]int{}
+	Exported                 int
+
+	seam, seamSum int
+	seamTable     = map[string]int{}
+	seamSeen      = map[int]bool{}
+	seamCfg       rec
+	seamLog       []int
+
+	shadowed, sentinel int
+	names              = map[string]int{"a": 1}
+)
+
+func init() { registry["a"] = 1 }
+
+func touch(k string) bool {
+	Counter++
+	assigned = 1
+	added += 2
+	table[k] = 1
+	cfg.f = 3
+	delete(seen, 1)
+	log = append(log, 1)
+	shadowed := 0
+	shadowed++
+	p := &sentinel
+	return p == &sentinel && names[k] > shadowed
+}
+`
+	const libTest = `package lib
+
+func reset(k string) {
+	seam = 1
+	seam++
+	seamSum += 2
+	seamTable[k] = 1
+	seamCfg.f = 3
+	delete(seamSeen, 1)
+	seamLog = append(seamLog, 1)
+}
+`
+	const app = `package main
+
+import "hades/internal/lib"
+
+var verify = func() error { return nil }
+
+func main() {
+	lib.Exported = 1
+	_ = verify()
+}
+`
+	const appTest = `package main
+
+func force() { verify = func() error { return nil } }
+`
+	fset := token.NewFileSet()
+	imp := fixtureImporter{}
+	var pkgs []typedPkg
+	for _, p := range []struct {
+		path string
+		srcs map[string]string
+	}{
+		{"hades/internal/lib", map[string]string{"internal/lib/lib.go": lib, "internal/lib/lib_test.go": libTest}},
+		{"hades/cmd/app", map[string]string{"cmd/app/main.go": app, "cmd/app/main_test.go": appTest}},
+	} {
+		tp, err := checkSource(fset, p.path, p.srcs, imp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imp[p.path] = tp.pkg
+		pkgs = append(pkgs, tp)
+	}
+	got := []string{}
+	for _, o := range writtenGlobals(fset, pkgs) {
+		got = append(got, strings.Fields(o)[0])
+	}
+	want := []string{"lib.Counter", "lib.Exported", "lib.added", "lib.assigned", "lib.cfg", "lib.log", "lib.registry", "lib.seen", "lib.table"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("got %v\nwant %v", got, want)
 	}
 }
