@@ -106,7 +106,6 @@ func BenchmarkHighFanoutTxn(b *testing.B) {
 		c.AddNodes(12) // 4 shards × 2 replicas + 4 txn clients
 		c.ConnectAll(100*us, 300*us)
 		set := c.ShardsWith(4, 2, cluster.ShardConfig{Session: params, GroupCommit: params})
-		plane := set.TxnPlane()
 		committed := 0
 		for cn := 0; cn < 4; cn++ {
 			tc := set.TxnClientAt(8 + cn)
@@ -120,9 +119,8 @@ func BenchmarkHighFanoutTxn(b *testing.B) {
 				})
 			}
 		}
-		c.Run(200 * ms)
-		for _, tc := range plane.Clients() {
-			committed += tc.Stats.Committed
+		for _, tc := range c.Run(200 * ms).TxnClients {
+			committed += tc.Committed
 		}
 		if committed == 0 {
 			b.Fatal("no transaction committed")

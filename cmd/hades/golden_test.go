@@ -24,8 +24,9 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.txt from this b
 
 const goldenPath = "testdata/golden.txt"
 
-// everyReport is hades run with every report that prints to stdout on.
-var everyReport = []string{"-views", "-partition", "-shards", "-txns", "-pubsub", "-percentiles", "-gantt", "-events"}
+// everyReport is hades run with every optional section it prints to
+// stdout on: the CPU chart and the full monitor event trace.
+var everyReport = []string{"-gantt", "-events"}
 
 // TestCommittedBaselines: hades load reproduces every committed
 // baselines/LOAD_<name>.json byte for byte. CI's thresholded hades diff
@@ -56,7 +57,7 @@ func TestCommittedBaselines(t *testing.T) {
 }
 
 // TestRunGolden holds, as SHA-256 digests in testdata/golden.txt, the
-// stdout of hades run with every report on for every builtin, and the
+// stdout of hades run -gantt -events for every builtin, and the
 // monitor log alone for every builtin at seeds 1–5 (-short: seed 1);
 // each of those seeded runs must also pass Cluster.Verify, and no
 // retained, violation or fault detail may hold a "%!" marker — the

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	hades list                                       # built-in scenarios
-//	hades run -builtin sharded-kv -shards -percentiles
+//	hades run -builtin sharded-kv -gantt
 //	hades run -scenario myset.json -trace t.json -metrics m.json
 //	hades load -builtin load-ramp -out LOAD_load-ramp.json
 //	hades diff -threshold 0.25 old.json new.json
@@ -51,8 +51,8 @@ type command struct {
 
 // commands is the dispatch table, in the order the usage text lists it.
 var commands = []command{
-	{"run", "run a scenario and print its report (-views -shards -txns -pubsub -percentiles -gantt -events, -trace/-metrics exports)", runCmd},
-	{"load", "run a scenario and persist its per-run performance report (-out -sha -baseline -threshold)", loadCmd},
+	{"run", "run a scenario and print its account and audit verdict (-gantt -events, -trace/-metrics exports)", runCmd},
+	{"load", "run a scenario and persist its per-run performance report (-out)", loadCmd},
 	{"diff", "compare two persisted reports: diff [-threshold f] old.json new.json", diffCmd},
 	{"check", "validate exported artifacts (trace, metrics timeline, load report): check file...", checkCmd},
 	{"trace", "slowest traces of a trace export as waterfalls (-top)", traceCmd},

@@ -14,7 +14,8 @@ import (
 )
 
 // TestRunFlags table-tests hades run: exit codes, error text and
-// success output for the observability flags.
+// success output for the observability flags; and a run that declares
+// no transactions prints no transaction row, whatever reports are on.
 func TestRunFlags(t *testing.T) {
 	tmp := t.TempDir()
 	cases := []cliCase{
@@ -50,9 +51,9 @@ func TestRunFlags(t *testing.T) {
 		},
 		{
 			name:       "percentiles report",
-			args:       []string{"run", "-builtin", "bank-transfer", "-percentiles"},
+			args:       []string{"run", "-builtin", "bank-transfer"},
 			wantCode:   0,
-			wantStdout: "latency percentiles",
+			wantStdout: "lat txn.commit  all  n=",
 		},
 		{
 			name:       "metrics export",
@@ -74,6 +75,17 @@ func TestRunFlags(t *testing.T) {
 		},
 	}
 	runCases(t, cases)
+
+	var stdout, stderr bytes.Buffer
+	args := append([]string{"run", "-builtin", "sensor-fan-out"}, everyReport...)
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("hades %s exited %d: %s", strings.Join(args, " "), code, stderr.String())
+	}
+	for _, row := range []string{"coord", "txn"} {
+		if strings.Contains(stdout.String(), row) {
+			t.Errorf("sensor-fan-out declares no transactions, yet its run prints %q:\n%s", row, stdout.String())
+		}
+	}
 }
 
 // TestTraceExportIsLoadable runs a builtin with -trace and checks the
@@ -156,8 +168,9 @@ func TestTraceExportDeterminism(t *testing.T) {
 	}
 }
 
-// TestAuditGatesExitCode: a failed end-of-run audit exits 1 whatever
-// reports were requested, and only after the exports were written.
+// TestAuditGatesExitCode: a failed end-of-run audit exits 1, is the
+// run's one audit verdict on stdout, and comes only after the exports
+// were written.
 func TestAuditGatesExitCode(t *testing.T) {
 	defer func(v func(*cluster.Cluster) error) { verify = v }(verify)
 	verify = func(*cluster.Cluster) error { return errors.New("torn transaction (forced)") }
@@ -171,6 +184,9 @@ func TestAuditGatesExitCode(t *testing.T) {
 	if !strings.Contains(stderr.String(), "torn transaction (forced)") {
 		t.Errorf("stderr does not name the failed audit:\n%s", stderr.String())
 	}
+	if got := strings.Count(stdout.String(), "audits: "); got != 1 || !strings.Contains(stdout.String(), "audits: FAILED: torn transaction (forced)\n") {
+		t.Errorf("stdout holds %d audit verdicts, want the one failure:\n%s", got, stdout.String())
+	}
 	for _, path := range []string{tracePath, metricsPath} {
 		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 			t.Errorf("%s not written before the audit failed the run (%v)", filepath.Base(path), err)
@@ -179,7 +195,9 @@ func TestAuditGatesExitCode(t *testing.T) {
 }
 
 // TestPassiveShardsExitZero: passive shards lose acknowledged work by
-// design, so the exactly-once audit does not gate their exit code.
+// design, so the exactly-once audit neither runs on them nor gates their
+// exit code: the run's account names the style and its one verdict
+// passes.
 func TestPassiveShardsExitZero(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "passive.json")
 	spec := `{"name":"passive-kv","nodes":3,"seed":1,"scheduler":"EDF","horizonMs":100,
@@ -189,10 +207,13 @@ func TestPassiveShardsExitZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"run", "-scenario", path, "-shards"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"run", "-scenario", path}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "style=passive") {
 		t.Errorf("the run was not passive:\n%s", stdout.String())
+	}
+	if !strings.Contains(stdout.String(), "audits: ok\n") || strings.Contains(stdout.String(), "VIOLATION") {
+		t.Errorf("a passive run is not one passing audit verdict:\n%s", stdout.String())
 	}
 }

@@ -518,9 +518,6 @@ func (c *Cluster) Group(name string, nodes ...int) *Group {
 // bounds, detector access).
 func (g *Group) Membership() *membership.Service { return g.svc }
 
-// Replicas returns the replica groups attached with Replicate.
-func (g *Group) Replicas() []*replication.Group { return g.rep }
-
 // Groups returns the cluster's membership groups, in creation order.
 func (c *Cluster) Groups() []*Group { return c.groups }
 

@@ -109,7 +109,7 @@ func (s *ShardSet) kvClientFor(node int) *shard.Client {
 // txnClientFor returns this set's transaction client on the node,
 // creating one with default parameters when the node has none yet.
 func (s *ShardSet) txnClientFor(node int) *txn.Client {
-	for _, cl := range s.TxnPlane().Clients() {
+	for _, cl := range s.txnPlane().Clients() {
 		if cl.Node() == node {
 			return cl
 		}

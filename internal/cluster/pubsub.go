@@ -5,7 +5,7 @@ import (
 )
 
 // pubsubPlane returns the set's publish-subscribe data-distribution plane,
-// creating it on first use (like TxnPlane). The plane maps topics onto
+// creating it on first use (like txnPlane). The plane maps topics onto
 // the set's consistent-hash ring: the shard a topic name hashes to owns
 // its reliable delivery and durable history. A set that never touches
 // a topic, publisher or subscriber carries no plane at all — no ports,

@@ -13,6 +13,7 @@ import (
 	"hades/internal/monitor"
 	"hades/internal/netsim"
 	"hades/internal/pubsub"
+	"hades/internal/replication"
 	"hades/internal/session"
 	"hades/internal/shard"
 	"hades/internal/trace"
@@ -42,8 +43,14 @@ type Result struct {
 	// Loads records each attached load generator's account.
 	Loads []LoadResult
 	// PubSub records each declared pub/sub topic's delivery account,
-	// declaration order (empty when no set created a plane).
-	PubSub []pubsub.TopicStats
+	// declaration order (empty when no set created a plane), and
+	// Subscribers each subscriber's, topic then registration order.
+	PubSub      []pubsub.TopicStats
+	Subscribers []SubscriberResult
+	// Traces counts the causal traces the tracer started, finished,
+	// retained and saw violate a deadline, at its sample rate (zero
+	// when tracing is disabled).
+	Traces TraceResult
 	// Faults is the run's fault timeline: the monitor events recording
 	// injected failures, detections, failovers, partitions, merges and
 	// SLO breach boundaries, in record order — complete whatever the
@@ -85,12 +92,32 @@ type LatencyResult struct {
 	Other       vtime.Duration
 }
 
+// TraceResult is the tracer's account: what Tracer.Counts returns and
+// the sample rate it ran at.
+type TraceResult struct {
+	Started, Finished, Retained, Violating int
+	Rate                                   float64
+}
+
+// SubscriberResult is one pub/sub subscriber's delivery record.
+type SubscriberResult struct {
+	Topic string
+	Node  int
+	// Delivered counts the samples handed to the subscriber and
+	// Suppressed the redundant copies its dedup collapsed.
+	Delivered  int
+	Suppressed int
+	// JoinAt is the late joiner's join instant (zero = from start).
+	JoinAt vtime.Time
+}
+
 // ShardResult is one shard group's routing and service record (its
 // membership/replication record appears under Groups as usual).
 type ShardResult struct {
 	Name    string
 	Nodes   []int
 	Primary int
+	Style   replication.Style
 	// GroupStats is the group's own request-path account (requests,
 	// OK responses, redirects, stale-view rejections).
 	shard.GroupStats
@@ -109,16 +136,25 @@ type ShardResult struct {
 // would make Txn.Commits ambiguous.
 type TxnShardResult struct {
 	// Begins, Commits, Aborts and DeadlineAborts count this shard's
-	// coordinator decisions (transactions hashed onto it).
+	// coordinator decisions (transactions hashed onto it); Queries the
+	// decision-resolution requests it served.
 	Begins         int
 	Commits        int
 	Aborts         int
 	DeadlineAborts int
-	// Prepares, LockWaits and DeadlineReleases count this shard's
-	// participant activity (transactions touching its keys).
+	Queries        int
+	// Prepares, LockWaits, VotesYes, VotesNo, PartCommits, PartAborts
+	// and DeadlineReleases count this shard's participant activity
+	// (transactions touching its keys); LocksHeld is the keys it still
+	// holds locked.
 	Prepares         int
 	LockWaits        int
+	VotesYes         int
+	VotesNo          int
+	PartCommits      int
+	PartAborts       int
 	DeadlineReleases int
+	LocksHeld        int
 	// GroupCommits counts decision-log rounds this coordinator
 	// submitted; with group commit on it is smaller than
 	// Commits+Aborts and MaxDecisionBatch reports the largest batch of
@@ -130,7 +166,8 @@ type TxnShardResult struct {
 // ClientResult is one shard client's request-layer record: the client's
 // own counters and its batcher's, as the planes keep them.
 type ClientResult struct {
-	Node int
+	Node   int
+	Policy shard.Policy
 	shard.ClientStats
 	session.BatchStats
 	// Depth renders the deepest pipeline reached per shard lane
@@ -226,44 +263,61 @@ func (c *Cluster) ResultNow() Result {
 				Name:       sg.Name(),
 				Nodes:      sg.Nodes(),
 				Primary:    rep.Primary(),
+				Style:      rep.Style(),
 				GroupStats: sg.Stats,
 				Duplicates: rep.Duplicates,
 				Applied:    rep.Machine(rep.Primary()).Applied,
 			}
-			if set.txnPlane != nil {
-				co := set.txnPlane.Coordinators()[sg.Index()]
-				pa := set.txnPlane.Participants()[sg.Index()]
+			if set.txn != nil {
+				co := set.txn.Coordinators()[sg.Index()]
+				pa := set.txn.Participants()[sg.Index()]
 				sr.Txn = TxnShardResult{
 					Begins:           co.Stats.Begins,
 					Commits:          co.Stats.Commits,
 					Aborts:           co.Stats.Aborts,
 					DeadlineAborts:   co.Stats.DeadlineAborts,
+					Queries:          co.Stats.Queries,
 					Prepares:         pa.Stats.Prepares,
 					LockWaits:        pa.Stats.LockWaits,
+					VotesYes:         pa.Stats.VotesYes,
+					VotesNo:          pa.Stats.VotesNo,
+					PartCommits:      pa.Stats.Commits,
+					PartAborts:       pa.Stats.Aborts,
 					DeadlineReleases: pa.Stats.DeadlineReleases,
+					LocksHeld:        pa.LockedKeys(),
 					GroupCommits:     co.GroupCommits,
 					MaxDecisionBatch: co.MaxDecisionBatch,
 				}
 			}
 			r.Shards = append(r.Shards, sr)
 		}
-		if set.txnPlane != nil {
-			for _, tc := range set.txnPlane.Clients() {
+		if set.txn != nil {
+			for _, tc := range set.txn.Clients() {
 				r.TxnClients = append(r.TxnClients, TxnClientResult{Node: tc.Node(), ClientStats: tc.Stats})
 			}
 		}
-		if set.pubsub != nil {
-			r.PubSub = append(r.PubSub, set.pubsub.Stats()...)
+		if p := set.pubsub; p != nil {
+			r.PubSub = append(r.PubSub, p.Stats()...)
+			for _, t := range p.Topics() {
+				for _, sub := range p.Subscribers(t.Name()) {
+					r.Subscribers = append(r.Subscribers, SubscriberResult{
+						Topic: t.Name(), Node: sub.Node(),
+						Delivered: sub.Delivered(), Suppressed: sub.Suppressed(), JoinAt: sub.JoinTime(),
+					})
+				}
+			}
 		}
 		for _, cl := range set.clients {
 			bs := cl.BatchStats()
 			bs.SizeHist = maps.Clone(bs.SizeHist) // a snapshot, not the live batcher's map
 			r.Clients = append(r.Clients, ClientResult{
-				Node: cl.Node(), ClientStats: cl.Stats, BatchStats: bs,
+				Node: cl.Node(), Policy: cl.Params().Policy, ClientStats: cl.Stats, BatchStats: bs,
 				Depth: depthString(cl.MaxInflight()),
 			})
 		}
 	}
+	r.Traces.Started, r.Traces.Finished, r.Traces.Retained, r.Traces.Violating = c.tracer.Counts()
+	r.Traces.Rate = c.tracer.Rate()
 	for _, st := range c.tracer.Stats() {
 		r.Latency = append(r.Latency, latencyFromScope(st))
 	}
@@ -429,22 +483,24 @@ func (r Result) String() string {
 		}
 	}
 	for _, s := range r.Shards {
-		out += fmt.Sprintf("  shard %-10s nodes=%v primary=n%d req=%-5d served=%-5d redirect=%-4d blocked=%-4d dup=%-4d applied=%d\n",
-			s.Name, s.Nodes, s.Primary, s.Requests, s.Served, s.Redirects, s.Blocked, s.Duplicates, s.Applied)
+		out += fmt.Sprintf("  shard %-10s nodes=%v primary=n%d style=%s req=%-5d served=%-5d redirect=%-4d blocked=%-4d dup=%-4d applied=%d\n",
+			s.Name, s.Nodes, s.Primary, s.Style, s.Requests, s.Served, s.Redirects, s.Blocked, s.Duplicates, s.Applied)
 		if t := s.Txn; t.Begins > 0 || t.Prepares > 0 {
-			out += fmt.Sprintf("    txn: coord begins=%d commits=%d aborts=%d (deadline=%d); part prepares=%d lockWaits=%d deadlineReleases=%d\n",
-				t.Begins, t.Commits, t.Aborts, t.DeadlineAborts, t.Prepares, t.LockWaits, t.DeadlineReleases)
+			out += fmt.Sprintf("    txn: coord begins=%d commits=%d aborts=%d (deadline=%d) queries=%d\n",
+				t.Begins, t.Commits, t.Aborts, t.DeadlineAborts, t.Queries)
+			out += fmt.Sprintf("    txn: part prepares=%d lockWaits=%d votes=%d/%d commits=%d aborts=%d deadlineReleases=%d locksHeld=%d\n",
+				t.Prepares, t.LockWaits, t.VotesYes, t.VotesNo, t.PartCommits, t.PartAborts, t.DeadlineReleases, t.LocksHeld)
 			if t.GroupCommits > 0 {
 				out += fmt.Sprintf("    txn: groupCommits=%d maxDecisionBatch=%d\n", t.GroupCommits, t.MaxDecisionBatch)
 			}
 		}
 	}
 	for _, c := range r.Clients {
-		out += fmt.Sprintf("  client n%-3d sub=%-5d ack=%-5d redirect=%-4d retry=%-4d queued=%-4d resub=%-4d failed=%-4d avgLat=%-12s maxLat=%s\n",
-			c.Node, c.Submitted, c.Acked, c.Redirects, c.Retries, c.Queued, c.Resubmitted, c.FailedFast, c.AvgLatency(), c.MaxLatency)
+		out += fmt.Sprintf("  client n%-3d %-9s sub=%-5d ack=%-5d redirect=%-4d retry=%-4d queued=%-4d resub=%-4d failed=%-4d blocked=%-4d avgLat=%-12s maxLat=%s\n",
+			c.Node, c.Policy, c.Submitted, c.Acked, c.Redirects, c.Retries, c.Queued, c.Resubmitted, c.FailedFast, c.Blocked, c.AvgLatency(), c.MaxLatency)
 		if c.Batches > 0 {
-			out += fmt.Sprintf("    batch: flushed=%d maxOps=%d stalls=%d hist=[%s] depth=[%s]\n",
-				c.Batches, c.MaxBatchOps, c.Stalls, c.HistString(), c.Depth)
+			out += fmt.Sprintf("    batch: flushed=%d ops=%d full=%d timer=%d maxOps=%d stalls=%d hist=[%s] depth=[%s]\n",
+				c.Batches, c.Ops, c.FullFlushes, c.TimerFlushes, c.MaxBatchOps, c.Stalls, c.HistString(), c.Depth)
 		}
 	}
 	for _, t := range r.TxnClients {
@@ -466,13 +522,25 @@ func (r Result) String() string {
 	for _, t := range r.PubSub {
 		out += fmt.Sprintf("  pubsub %s\n", t)
 	}
+	for _, s := range r.Subscribers {
+		late := ""
+		if s.JoinAt > 0 {
+			late = fmt.Sprintf(" joinAt=%s", s.JoinAt)
+		}
+		out += fmt.Sprintf("  sub n%-3d %-12s delivered=%-5d suppressed=%d%s\n",
+			s.Node, s.Topic, s.Delivered, s.Suppressed, late)
+	}
+	if t := r.Traces; t.Started > 0 {
+		out += fmt.Sprintf("  traces: started=%d finished=%d retained=%d violating=%d rate=%g\n",
+			t.Started, t.Finished, t.Retained, t.Violating, t.Rate)
+	}
 	for _, l := range r.Latency {
 		shard := fmt.Sprintf("s%d", l.Shard)
 		if l.Shard < 0 {
 			shard = "all"
 		}
-		out += fmt.Sprintf("  lat %-11s %-4s n=%-5d p50=%-10s p99=%-10s p999=%-10s max=%-10s | queue=%s batch=%s wire=%s repl=%s lock=%s other=%s\n",
-			l.Class, shard, l.Count, l.P50, l.P99, l.P999, l.Max,
+		out += fmt.Sprintf("  lat %-11s %-4s n=%-5d p50=%-10s p99=%-10s p999=%-10s max=%-10s mean=%-10s | queue=%s batch=%s wire=%s repl=%s lock=%s other=%s\n",
+			l.Class, shard, l.Count, l.P50, l.P99, l.P999, l.Max, l.Mean,
 			l.Queued, l.Batched, l.Wire, l.Replicating, l.Locked, l.Other)
 	}
 	if m := r.Metrics; m != nil && m.Scrapes > 0 {

@@ -47,7 +47,7 @@ func TestBatchedExactlyOnceAcrossPrimaryCrash(t *testing.T) {
 	// table op-by-op, never re-applied.
 	c.Crash(0, vtime.Time(50*ms), vtime.Time(250*ms))
 	c.DropEvery(20, "shard.shard.resp")
-	c.Run(400 * ms)
+	res := c.Run(400 * ms)
 
 	if cl.Stats.Acked != cl.Stats.Submitted {
 		t.Fatalf("acked %d of %d across the failover (%+v)", cl.Stats.Acked, cl.Stats.Submitted, cl.Stats)
@@ -59,8 +59,7 @@ func TestBatchedExactlyOnceAcrossPrimaryCrash(t *testing.T) {
 	if int(bs.Ops) != cl.Stats.Submitted {
 		t.Fatalf("batcher carried %d ops, client submitted %d", bs.Ops, cl.Stats.Submitted)
 	}
-	rep := set.Groups()[0].Replication()
-	if rep.Duplicates == 0 {
+	if res.Shards[0].Duplicates == 0 {
 		t.Fatalf("no retried batch was answered from the replicated dedup cache (retries=%d) — the crash window never exercised the Seen table", cl.Stats.Retries)
 	}
 	if err := set.Check(); err != nil {
@@ -81,7 +80,6 @@ func TestGroupCommitCoalescesBurstDecisions(t *testing.T) {
 	set := c.ShardsWith(2, 2, cluster.ShardConfig{
 		GroupCommit: session.Params{MaxBatch: 8, FlushInterval: 500 * us},
 	})
-	plane := set.TxnPlane()
 	clients := make([]*txn.Client, 8)
 	for i := range clients {
 		cl := set.TxnClientAt(4 + i)
@@ -92,7 +90,7 @@ func TestGroupCommitCoalescesBurstDecisions(t *testing.T) {
 		dst := fmt.Sprintf("acct-%02d", 2*i+1)
 		c.At(0, func() { cl.Transfer(src, dst, 1) })
 	}
-	c.Run(50 * ms)
+	res := c.Run(50 * ms)
 
 	for _, cl := range clients {
 		if cl.Stats.Committed != 1 {
@@ -100,12 +98,10 @@ func TestGroupCommitCoalescesBurstDecisions(t *testing.T) {
 		}
 	}
 	decisions, rounds, maxBatch := 0, 0, 0
-	for _, co := range plane.Coordinators() {
-		decisions += co.Stats.Commits + co.Stats.Aborts
-		rounds += co.GroupCommits
-		if co.MaxDecisionBatch > maxBatch {
-			maxBatch = co.MaxDecisionBatch
-		}
+	for _, sr := range res.Shards {
+		decisions += sr.Txn.Commits + sr.Txn.Aborts
+		rounds += sr.Txn.GroupCommits
+		maxBatch = max(maxBatch, sr.Txn.MaxDecisionBatch)
 	}
 	if decisions != 8 {
 		t.Fatalf("decided %d transactions, want 8", decisions)

@@ -57,7 +57,7 @@ type ShardSet struct {
 	shards      []*shard.Group
 	clients     []*shard.Client
 	clientNodes map[int]bool
-	txnPlane    *txn.Plane
+	txn         *txn.Plane
 	pubsub      *pubsub.Plane
 	session     session.Params
 	groupCommit session.Params
@@ -195,12 +195,6 @@ const (
 // ShardSets returns the cluster's sharded data planes, creation order.
 func (c *Cluster) ShardSets() []*ShardSet { return c.shardSets }
 
-// Router returns the set's key → shard → primary resolver.
-func (s *ShardSet) Router() *shard.Router { return s.router }
-
-// Groups returns the shard groups, ring-index order.
-func (s *ShardSet) Groups() []*shard.Group { return append([]*shard.Group(nil), s.shards...) }
-
 // Clients returns the clients created with ClientAt, creation order.
 func (s *ShardSet) Clients() []*shard.Client { return append([]*shard.Client(nil), s.clients...) }
 
@@ -249,14 +243,14 @@ func (c *Cluster) Verify() error {
 	return errors.Join(errs...)
 }
 
-// TxnPlane returns the set's transaction layer (coordinator and
+// txnPlane returns the set's transaction layer (coordinator and
 // participant roles on every shard group), creating it on first use.
-func (s *ShardSet) TxnPlane() *txn.Plane {
-	if s.txnPlane == nil {
-		s.txnPlane = txn.NewPlane(s.c.eng, s.c.net, s.router, s.name)
-		s.txnPlane.SetGroupCommit(s.groupCommit)
+func (s *ShardSet) txnPlane() *txn.Plane {
+	if s.txn == nil {
+		s.txn = txn.NewPlane(s.c.eng, s.c.net, s.router, s.name)
+		s.txn.SetGroupCommit(s.groupCommit)
 	}
-	return s.txnPlane
+	return s.txn
 }
 
 // TxnClientAt creates a transaction client on the given node with
@@ -271,7 +265,7 @@ func (s *ShardSet) TxnClientAt(node int) *txn.Client {
 // collide on serving duties.
 func (s *ShardSet) TxnClientWith(p txn.ClientParams) *txn.Client {
 	s.place(p.Node, "txn client")
-	return txn.NewClient(s.TxnPlane(), p)
+	return txn.NewClient(s.txnPlane(), p)
 }
 
 // place claims node for one client of this set: an existing node that
@@ -296,8 +290,8 @@ func (s *ShardSet) place(node int, what string) {
 // ones leaving no partial writes, no lock held past its deadline (see
 // txn.Verify). A set without transactions passes vacuously.
 func (s *ShardSet) CheckTxns() error {
-	if s.txnPlane == nil {
+	if s.txn == nil {
 		return nil
 	}
-	return txn.Verify(s.txnPlane)
+	return txn.Verify(s.txn)
 }

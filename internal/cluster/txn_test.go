@@ -46,9 +46,9 @@ func TestTxnHappyPath(t *testing.T) {
 	if err := set.CheckTxns(); err != nil {
 		t.Fatalf("atomicity check: %v", err)
 	}
-	for i, pa := range set.TxnPlane().Participants() {
-		if pa.LockedKeys() != 0 {
-			t.Fatalf("shard %d still holds %d locks at end of run", i, pa.LockedKeys())
+	for _, sr := range res.Shards {
+		if sr.Txn.LocksHeld != 0 {
+			t.Fatalf("%s still holds %d locks at end of run", sr.Name, sr.Txn.LocksHeld)
 		}
 	}
 	// Both shards participated (accounts spread over the ring).
@@ -189,9 +189,9 @@ func TestTxnDeadlineAbortReleasesLocks(t *testing.T) {
 	if err := set.CheckTxns(); err != nil {
 		t.Fatalf("atomicity check: %v", err)
 	}
-	for i, pa := range set.TxnPlane().Participants() {
-		if pa.LockedKeys() != 0 {
-			t.Fatalf("shard %d still holds %d locks", i, pa.LockedKeys())
+	for _, sr := range res.Shards {
+		if sr.Txn.LocksHeld != 0 {
+			t.Fatalf("%s still holds %d locks", sr.Name, sr.Txn.LocksHeld)
 		}
 	}
 }

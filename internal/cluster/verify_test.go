@@ -27,28 +27,65 @@ func runBuiltin(t *testing.T, name string) (*cluster.Cluster, cluster.Result) {
 }
 
 // TestResultRowsArePlaneStats: the Result rows carry the planes' own
-// stat structs, not a re-typed copy of them.
+// stat structs, not a re-typed copy of them, and the counters a row
+// copies out of a plane — a shard's coordinator and participant stats,
+// a subscriber's deliveries, the tracer's counts — equal the plane's.
 func TestResultRowsArePlaneStats(t *testing.T) {
-	for _, name := range []string{"sharded-kv", "bank-transfer"} {
+	for _, name := range []string{"sharded-kv", "bank-transfer", "sensor-fan-out"} {
 		c, res := runBuiltin(t, name)
 		set := c.ShardSets()[0]
-		if len(res.Shards) == 0 || len(res.Clients)+len(res.TxnClients) == 0 {
-			t.Fatalf("%s: no shard or client rows in %+v", name, res)
+		if len(res.Shards) == 0 || len(res.Clients)+len(res.TxnClients)+len(res.Subscribers) == 0 {
+			t.Fatalf("%s: no shard, client or subscriber rows in %+v", name, res)
 		}
 		for i, cl := range set.Clients() {
-			if res.Clients[i].ClientStats != cl.Stats {
-				t.Errorf("%s client %d: row %+v, plane %+v", name, i, res.Clients[i].ClientStats, cl.Stats)
-			}
-		}
-		for i, tc := range set.TxnPlane().Clients() {
-			if res.TxnClients[i].ClientStats != tc.Stats {
-				t.Errorf("%s txn client %d: row %+v, plane %+v", name, i, res.TxnClients[i].ClientStats, tc.Stats)
+			if res.Clients[i].ClientStats != cl.Stats || res.Clients[i].Policy != cl.Params().Policy {
+				t.Errorf("%s client %d: row %+v, plane %+v", name, i, res.Clients[i], cl.Stats)
 			}
 		}
 		for i, g := range set.Groups() {
-			if res.Shards[i].GroupStats != g.Stats {
-				t.Errorf("%s shard %d: row %+v, plane %+v", name, i, res.Shards[i].GroupStats, g.Stats)
+			if res.Shards[i].GroupStats != g.Stats || res.Shards[i].Style != g.Replication().Style() {
+				t.Errorf("%s shard %d: row %+v, plane %+v", name, i, res.Shards[i], g.Stats)
 			}
+		}
+		if plane := set.TxnPlane(); plane != nil {
+			for i, tc := range plane.Clients() {
+				if res.TxnClients[i].ClientStats != tc.Stats {
+					t.Errorf("%s txn client %d: row %+v, plane %+v", name, i, res.TxnClients[i].ClientStats, tc.Stats)
+				}
+			}
+			for i, co := range plane.Coordinators() {
+				pa, row := plane.Participants()[i], res.Shards[i].Txn
+				cs, ps := co.Stats, pa.Stats
+				if row.Begins != cs.Begins || row.Commits != cs.Commits || row.Aborts != cs.Aborts ||
+					row.DeadlineAborts != cs.DeadlineAborts || row.Queries != cs.Queries ||
+					row.Prepares != ps.Prepares || row.LockWaits != ps.LockWaits ||
+					row.VotesYes != ps.VotesYes || row.VotesNo != ps.VotesNo ||
+					row.PartCommits != ps.Commits || row.PartAborts != ps.Aborts ||
+					row.DeadlineReleases != ps.DeadlineReleases || row.LocksHeld != pa.LockedKeys() {
+					t.Errorf("%s shard %d txn row %+v, coordinator %+v, participant %+v (locks %d)",
+						name, i, row, cs, ps, pa.LockedKeys())
+				}
+			}
+		} else if len(res.TxnClients) > 0 || slices.ContainsFunc(res.Shards, func(s cluster.ShardResult) bool { return s.Txn != cluster.TxnShardResult{} }) {
+			t.Errorf("%s declares no transactions but has transaction rows", name)
+		}
+		var subs []cluster.SubscriberResult
+		if p := set.PubSubPlane(); p != nil {
+			for _, tp := range p.Topics() {
+				for _, sub := range p.Subscribers(tp.Name()) {
+					subs = append(subs, cluster.SubscriberResult{Topic: tp.Name(), Node: sub.Node(),
+						Delivered: len(sub.Deliveries()), Suppressed: sub.Suppressed(), JoinAt: sub.JoinTime()})
+				}
+			}
+		}
+		if !slices.Equal(res.Subscribers, subs) {
+			t.Errorf("%s subscriber rows %+v, plane %+v", name, res.Subscribers, subs)
+		}
+		tr := c.Tracer()
+		started, finished, retained, violating := tr.Counts()
+		if want := (cluster.TraceResult{Started: started, Finished: finished, Retained: retained,
+			Violating: violating, Rate: tr.Rate()}); res.Traces != want || started == 0 {
+			t.Errorf("%s trace row %+v, tracer %+v", name, res.Traces, want)
 		}
 	}
 }

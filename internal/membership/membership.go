@@ -136,7 +136,6 @@ type Install struct {
 	// Latency is At minus the suspicion/rehabilitation instant that
 	// caused the change (zero for the initial view).
 	Latency vtime.Duration
-	Reason  string
 }
 
 // Transfer records one state-transfer message of the join protocol.
@@ -148,7 +147,6 @@ type Transfer struct {
 // Merge records one partition merge: a view that re-admitted members
 // which had been excluded while alive (a blocked minority side).
 type Merge struct {
-	View View
 	// At is the merge view's install instant; HealAt the heal instant
 	// of the partition that had excluded the members (zero when the
 	// heal was never observed); Latency is At - HealAt.
@@ -201,7 +199,6 @@ type Service struct {
 	started bool
 	agreed  []View          // the totally ordered agreed view sequence
 	current map[int]View    // per-node installed view
-	history map[int][]View  // per-node install sequence
 	done    map[uint64]bool // agreed-view completion guard
 
 	inProgress    bool
@@ -273,7 +270,6 @@ func New(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Service, error)
 		beat:          dcfg.Period,
 		rb:            rbcast.New(eng, net, "m."+cfg.Name, rcfg),
 		current:       make(map[int]View),
-		history:       make(map[int][]View),
 		done:          make(map[uint64]bool),
 		pendingRemove: make(map[int]map[int]vtime.Time),
 		pendingJoin:   make(map[int]vtime.Time),
@@ -299,7 +295,7 @@ func New(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Service, error)
 		switch {
 		case down:
 			s.closeBlocked(node, eng.Now())
-		case s.started && s.blockedMark[node] && !s.Agreed().Contains(node):
+		case s.started && s.blockedMark[node] && !s.latest().Contains(node):
 			if _, open := s.blockedSince[node]; !open {
 				s.blockedSince[node] = eng.Now()
 			}
@@ -353,8 +349,8 @@ func (s *Service) AgreedViews() []View {
 	return out
 }
 
-// Agreed returns the latest agreed view (zero View before Start).
-func (s *Service) Agreed() View {
+// latest returns the latest agreed view (zero View before Start).
+func (s *Service) latest() View {
 	if len(s.agreed) == 0 {
 		return View{}
 	}
@@ -365,7 +361,7 @@ func (s *Service) Agreed() View {
 // right now to install the next view under the primary-partition rule
 // — counted, like the rule itself, over the latest agreed view's
 // members that are not known-crashed.
-func (s *Service) Quorum() int { return len(liveOf(s.net, s.Agreed()))/2 + 1 }
+func (s *Service) Quorum() int { return len(liveOf(s.net, s.latest()))/2 + 1 }
 
 // NoQuorumTime returns the accumulated time during which membership
 // changes were pending but no side held a majority quorum (a total
@@ -378,9 +374,9 @@ func (s *Service) NoQuorumTime() vtime.Duration {
 	return total
 }
 
-// BlockedTime returns the time node spent excluded from the agreed
+// blockedTime returns the time node spent excluded from the agreed
 // view while alive (a partitioned minority member), up to now.
-func (s *Service) BlockedTime(node int) vtime.Duration {
+func (s *Service) blockedTime(node int) vtime.Duration {
 	total := s.blockedTotal[node]
 	if since, open := s.blockedSince[node]; open {
 		total += s.eng.Now().Sub(since)
@@ -388,11 +384,11 @@ func (s *Service) BlockedTime(node int) vtime.Duration {
 	return total
 }
 
-// TotalBlockedTime sums BlockedTime over the universe.
+// TotalBlockedTime sums blockedTime over the universe.
 func (s *Service) TotalBlockedTime() vtime.Duration {
 	var total vtime.Duration
 	for _, n := range s.cfg.Nodes {
-		total += s.BlockedTime(n)
+		total += s.blockedTime(n)
 	}
 	return total
 }
@@ -404,13 +400,6 @@ func (s *Service) FlushedMessages() int { return s.rb.Flushed }
 // CurrentView returns node's currently installed view (zero View if
 // the node never installed one).
 func (s *Service) CurrentView(node int) View { return s.current[node] }
-
-// History returns the views node installed, in order.
-func (s *Service) History(node int) []View {
-	out := make([]View, len(s.history[node]))
-	copy(out, s.history[node])
-	return out
-}
 
 // OnChange registers a handler fired once per agreed view, at the
 // install instant (and once for the initial view at Start).
@@ -890,7 +879,7 @@ func (s *Service) completeChange(v View, vm viewMsg, at vtime.Time) {
 		}
 	}
 	if len(readmitted) > 0 {
-		mg := Merge{View: v, At: at, HealAt: s.lastHeal, Readmitted: readmitted}
+		mg := Merge{At: at, HealAt: s.lastHeal, Readmitted: readmitted}
 		if mg.HealAt > 0 && at >= mg.HealAt {
 			mg.Latency = at.Sub(mg.HealAt)
 		}
@@ -914,8 +903,7 @@ func (s *Service) install(node int, v View, at, trigger vtime.Time, reason strin
 	s.closeBlocked(node, at)
 	delete(s.blockedMark, node)
 	s.current[node] = v
-	s.history[node] = append(s.history[node], v)
-	in := Install{Node: node, View: v, At: at, Latency: at.Sub(trigger), Reason: reason}
+	in := Install{Node: node, View: v, At: at, Latency: at.Sub(trigger)}
 	s.Installs = append(s.Installs, in)
 	if v.ID != 1 {
 		s.mInstallLat.ObserveD(in.Latency) // initial view: no change latency

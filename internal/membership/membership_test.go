@@ -40,6 +40,17 @@ func rig(t *testing.T, n int, seed int64) rigT {
 	return rigT{eng: eng, net: net, svc: svc}
 }
 
+// history returns the views node installed, in order.
+func history(s *Service, node int) []View {
+	var out []View
+	for _, in := range s.Installs {
+		if in.Node == node {
+			out = append(out, in.View)
+		}
+	}
+	return out
+}
+
 func viewIDs(vs []View) []uint64 {
 	out := make([]uint64, len(vs))
 	for i, v := range vs {
@@ -77,7 +88,7 @@ func TestCrashInstallsAgreedViewWithinBound(t *testing.T) {
 	}
 	var installAt vtime.Time
 	for _, n := range []int{0, 1, 3} {
-		got := r.svc.History(n)
+		got := history(r.svc, n)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("node %d view history %v, want %v", n, got, want)
 		}
@@ -104,7 +115,7 @@ func TestCrashInstallsAgreedViewWithinBound(t *testing.T) {
 		t.Fatal("no installs of view 2 recorded")
 	}
 	// The crashed node must not have installed view 2.
-	if got := viewIDs(r.svc.History(2)); !reflect.DeepEqual(got, []uint64{1}) {
+	if got := viewIDs(history(r.svc, 2)); !reflect.DeepEqual(got, []uint64{1}) {
 		t.Fatalf("crashed node history %v", got)
 	}
 }
@@ -124,12 +135,12 @@ func TestRecoveredNodeRejoins(t *testing.T) {
 		{ID: 3, Members: []int{0, 1, 2}},
 	}
 	for _, n := range []int{1, 2} {
-		if got := r.svc.History(n); !reflect.DeepEqual(got, want) {
+		if got := history(r.svc, n); !reflect.DeepEqual(got, want) {
 			t.Fatalf("node %d history %v, want %v", n, got, want)
 		}
 	}
 	// The joiner installed the initial view and the join view only.
-	if got := r.svc.History(0); !reflect.DeepEqual(got, []View{want[0], want[2]}) {
+	if got := history(r.svc, 0); !reflect.DeepEqual(got, []View{want[0], want[2]}) {
 		t.Fatalf("joiner history %v", got)
 	}
 	if got := r.svc.AgreedViews(); !reflect.DeepEqual(got, want) {
@@ -181,7 +192,7 @@ func TestSequentialCrashesSerialise(t *testing.T) {
 		t.Fatalf("final view %v, want members [0 1] (agreed %v)", last, agreed)
 	}
 	for _, n := range []int{0, 1} {
-		h := r.svc.History(n)
+		h := history(r.svc, n)
 		if !reflect.DeepEqual(h, agreed) {
 			t.Fatalf("node %d history %v diverges from agreed %v", n, h, agreed)
 		}
@@ -302,7 +313,7 @@ func TestViewsEncodeMembersByIndex(t *testing.T) {
 		{ID: 2, Members: []int{0, 100}},
 	}
 	for _, n := range []int{0, 100} {
-		if got := svc.History(n); !reflect.DeepEqual(got, want) {
+		if got := history(svc, n); !reflect.DeepEqual(got, want) {
 			t.Fatalf("node %d view history %v, want %v", n, got, want)
 		}
 	}
@@ -331,13 +342,13 @@ func TestPartitionMinorityBlocksAndMerges(t *testing.T) {
 		t.Fatalf("agreed views %v, want %v", got, want)
 	}
 	for _, n := range []int{1, 2} {
-		if got := r.svc.History(n); !reflect.DeepEqual(got, want) {
+		if got := history(r.svc, n); !reflect.DeepEqual(got, want) {
 			t.Fatalf("majority node %d history %v, want %v", n, got, want)
 		}
 	}
 	// The minority member held its old view for the whole split: no
 	// install between the split and the merge.
-	if got := r.svc.History(0); !reflect.DeepEqual(got, []View{want[0], want[2]}) {
+	if got := history(r.svc, 0); !reflect.DeepEqual(got, []View{want[0], want[2]}) {
 		t.Fatalf("minority history %v, want [v1 v3]", got)
 	}
 	for _, in := range r.svc.Installs {
@@ -345,7 +356,7 @@ func TestPartitionMinorityBlocksAndMerges(t *testing.T) {
 			t.Fatalf("minority installed %v while partitioned", in)
 		}
 	}
-	if b := r.svc.BlockedTime(0); b == 0 {
+	if b := r.svc.blockedTime(0); b == 0 {
 		t.Fatal("minority blocked time not recorded")
 	}
 	if q := r.svc.NoQuorumTime(); q != 0 {
@@ -360,7 +371,7 @@ func TestPartitionMinorityBlocksAndMerges(t *testing.T) {
 	}
 	// The merge ran the state-transfer path (via the join protocol):
 	// the blocked span closed at the merge install.
-	if r.svc.BlockedTime(0) != mg.At.Sub(r.svc.Installs[3].At) && r.svc.BlockedTime(0) == 0 {
+	if r.svc.blockedTime(0) != mg.At.Sub(r.svc.Installs[3].At) && r.svc.blockedTime(0) == 0 {
 		t.Fatalf("blocked span not closed at merge")
 	}
 }
@@ -380,7 +391,7 @@ func TestSymmetricSplitBlocksEverySide(t *testing.T) {
 		t.Fatalf("agreed views %v, want only the initial view", got)
 	}
 	for n := 0; n < 4; n++ {
-		if got := r.svc.History(n); len(got) != 1 {
+		if got := history(r.svc, n); len(got) != 1 {
 			t.Fatalf("node %d installed %v during/after a symmetric split", n, got)
 		}
 	}
@@ -429,7 +440,7 @@ func TestPartitionDuringConsensusRetriesAfterHeal(t *testing.T) {
 		t.Fatalf("agreed views %v, want %v", got, want)
 	}
 	for _, n := range []int{0, 1, 2} {
-		if got := svc.History(n); !reflect.DeepEqual(got, want) {
+		if got := history(svc, n); !reflect.DeepEqual(got, want) {
 			t.Fatalf("node %d history %v, want %v", n, got, want)
 		}
 	}
@@ -472,7 +483,7 @@ func TestCascadedViewChangesSerialise(t *testing.T) {
 	// Every survivor installed the same total order, and each view at
 	// one instant everywhere.
 	for _, n := range []int{0, 1, 2} {
-		if got := svc.History(n); !reflect.DeepEqual(got, want) {
+		if got := history(svc, n); !reflect.DeepEqual(got, want) {
 			t.Fatalf("node %d history %v diverges from agreed %v", n, got, want)
 		}
 	}
@@ -501,7 +512,7 @@ func TestBlockedNodeCrashAndRecoveryStaysAMerge(t *testing.T) {
 	fault.HealAt(r.eng, r.net, vtime.Time(150*ms))
 	r.eng.Run(vtime.Time(300 * ms))
 
-	if got := viewIDs(r.svc.History(0)); !reflect.DeepEqual(got, []uint64{1, 3}) {
+	if got := viewIDs(history(r.svc, 0)); !reflect.DeepEqual(got, []uint64{1, 3}) {
 		t.Fatalf("minority history %v, want [1 3]", got)
 	}
 	if len(r.svc.Merges) != 1 || !reflect.DeepEqual(r.svc.Merges[0].Readmitted, []int{0}) {
@@ -509,7 +520,7 @@ func TestBlockedNodeCrashAndRecoveryStaysAMerge(t *testing.T) {
 	}
 	// Blocked for ~(80-72)ms before the crash plus ~(152-120)ms after
 	// recovery: well above either segment alone.
-	if b := r.svc.BlockedTime(0); b < 30*ms {
+	if b := r.svc.blockedTime(0); b < 30*ms {
 		t.Fatalf("blocked time %s too small — recovery span not reopened", b)
 	}
 }

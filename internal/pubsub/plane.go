@@ -500,6 +500,9 @@ func (s *Subscriber) Node() int { return s.node }
 // Deliveries returns the recorded deliveries, arrival order.
 func (s *Subscriber) Deliveries() []Delivery { return append([]Delivery(nil), s.deliveries...) }
 
+// Delivered counts the recorded deliveries without copying them.
+func (s *Subscriber) Delivered() int { return len(s.deliveries) }
+
 // Suppressed returns the count of redundant copies dedup collapsed.
 func (s *Subscriber) Suppressed() int { return s.suppressed }
 

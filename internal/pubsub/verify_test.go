@@ -33,7 +33,7 @@ func TestVerifyAckedImpliesApplied(t *testing.T) {
 			t.Fatal(err)
 		}
 		if plant {
-			rep := set.Groups()[0].Replication()
+			rep := tp.Group().Replication()
 			c.At(0, func() {
 				rep.SubmitTagged(rep.Primary(), 99, replication.Tag(replication.TagPubSub, pub.ID(), 2))
 			})

@@ -326,11 +326,16 @@ func TestPartitionSplitBrainSafety(t *testing.T) {
 		t.Fatalf("failover %+v", fo)
 	}
 	// The isolated minority installed nothing during the split.
-	hist := r.mem.History(0)
-	if len(hist) != 2 || hist[0].ID != 1 || hist[1].ID != 3 {
+	var hist []uint64
+	for _, in := range r.mem.Installs {
+		if in.Node == 0 {
+			hist = append(hist, in.View.ID)
+		}
+	}
+	if len(hist) != 2 || hist[0] != 1 || hist[1] != 3 {
 		t.Fatalf("minority history %v, want [v1 v3]", hist)
 	}
-	if b := r.mem.BlockedTime(0); b == 0 {
+	if b := r.mem.TotalBlockedTime(); b == 0 {
 		t.Fatal("minority blocked time not recorded")
 	}
 	// The merge re-admitted the ex-primary as a backup with the

@@ -22,8 +22,6 @@ import (
 type Report struct {
 	// Name labels the run (scenario or builtin name).
 	Name string `json:"name"`
-	// SHA is the commit the run measured (empty outside CI).
-	SHA string `json:"sha,omitempty"`
 	// Seed is the run's determinism seed.
 	Seed int64 `json:"seed"`
 	// HorizonNs is the virtual-time horizon of the run.

@@ -119,8 +119,9 @@ func (s Spec) validateGroups(loadNames map[string]bool) error {
 
 // attachGroups lowers the membership groups, declaration order: the
 // group, its replicated machine when it has a style, the fixed-interval
-// request driver, then the group's generators.
-func (s Spec) attachGroups(c *cluster.Cluster) {
+// request driver, then the group's generators. It returns the
+// replicated machines.
+func (s Spec) attachGroups(c *cluster.Cluster) (reps []*replication.Group) {
 	for gi, gs := range s.Groups {
 		g := c.Group(gs.Name, gs.Nodes...)
 		if gs.Style == "" {
@@ -131,6 +132,7 @@ func (s Spec) attachGroups(c *cluster.Cluster) {
 			Style:           groupStyles[gs.Style],
 			CheckpointEvery: gs.CheckpointEvery,
 		}, nil)
+		reps = append(reps, rep)
 		if gs.SubmitEveryMs > 0 {
 			from := gs.SubmitFrom
 			s.every(c, gs.SubmitEveryMs, 0, func(i int) func() {
@@ -141,4 +143,5 @@ func (s Spec) attachGroups(c *cluster.Cluster) {
 		s.attachLoads(groupLoads, gs.Load, func(j int) int64 { return groupLoadSeed(s.Seed, gi, j) },
 			func(cfg load.Config, _ []int) *load.Generator { return g.AttachLoad(cfg) })
 	}
+	return reps
 }

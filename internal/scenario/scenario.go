@@ -42,6 +42,7 @@ import (
 
 	"hades/internal/cluster"
 	"hades/internal/load"
+	"hades/internal/replication"
 	"hades/internal/vtime"
 )
 
@@ -193,22 +194,28 @@ func (s Spec) withDefaults() (Spec, error) {
 // by insertion order, and port-bind and metric-registration order show
 // in the exports.
 func (s Spec) Build() (*cluster.Cluster, error) {
+	c, _, err := s.build()
+	return c, err
+}
+
+// build is Build that also returns the replica group of each group
+// declaring a style, declaration order.
+func (s Spec) build() (*cluster.Cluster, []*replication.Group, error) {
 	costs, err := s.CostBook()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	c := cluster.New(s.Observe.configure(cluster.Config{Seed: s.Seed, Costs: costs}))
 	if err := s.attachTasks(c); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.attachFaults(c); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.attachShards(c); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	s.attachGroups(c)
-	return c, nil
+	return c, s.attachGroups(c), nil
 }
 
 // named resolves one enum value. Each enum is a single name→value

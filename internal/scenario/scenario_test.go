@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hades/internal/feasibility"
+	"hades/internal/membership"
 	"hades/internal/vtime"
 )
 
@@ -327,6 +328,17 @@ func TestDistributedValidation(t *testing.T) {
 	}
 }
 
+// installed returns the views node installed, in order.
+func installed(mem *membership.Service, node int) []membership.View {
+	var out []membership.View
+	for _, in := range mem.Installs {
+		if in.Node == node {
+			out = append(out, in.View)
+		}
+	}
+	return out
+}
+
 // TestMembershipChurnBuiltin is the end-to-end acceptance test of the
 // membership subsystem as pure data: the builtin's crashed-then-
 // recovered primary is removed by an agreed view, failover happens in
@@ -337,7 +349,7 @@ func TestMembershipChurnBuiltin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clu, err := spec.Build()
+	clu, reps, err := spec.build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,13 +376,13 @@ func TestMembershipChurnBuiltin(t *testing.T) {
 	// All live members installed the same view sequence.
 	mem := clu.Groups()[0].Membership()
 	for _, n := range []int{1, 2} {
-		if got := mem.History(n); !reflect.DeepEqual(got, gr.Views) {
+		if got := installed(mem, n); !reflect.DeepEqual(got, gr.Views) {
 			t.Fatalf("node %d history %v diverges from agreed %v", n, got, gr.Views)
 		}
 	}
 	// The rejoined ex-primary was restored and is tracking the new
 	// primary within one checkpoint interval: state intact.
-	rep := clu.Groups()[0].Replicas()[0]
+	rep := reps[0]
 	if rep.Primary() != 1 {
 		t.Fatalf("primary %d, want 1", rep.Primary())
 	}
@@ -400,7 +412,7 @@ func TestMembershipChurnDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clu, err := spec.Build()
+		clu, reps, err := spec.build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +422,7 @@ func TestMembershipChurnDeterministic(t *testing.T) {
 		for _, in := range mem.Installs {
 			s += fmt.Sprintf("%d:%s@%s;", in.Node, in.View, in.At)
 		}
-		sm := clu.Groups()[0].Replicas()[0].Machine(1)
+		sm := reps[0].Machine(1)
 		return outcome{installs: s, state: sm.State, applied: sm.Applied}
 	}
 	a, b := run(), run()
@@ -445,7 +457,7 @@ func TestCrashAndRecoverScheduleFromJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clu, err := spec.Build()
+	clu, reps, err := spec.build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +481,7 @@ func TestCrashAndRecoverScheduleFromJSON(t *testing.T) {
 	}
 	// Semi-active: no lost work, and the recovered follower executes
 	// requests again after the rejoin (not just the state transfer).
-	rep := clu.Groups()[0].Replicas()[0]
+	rep := reps[0]
 	if rep.LostWork != 0 {
 		t.Fatalf("semi-active lost %d requests", rep.LostWork)
 	}
@@ -632,7 +644,7 @@ func TestPartitionSplitBuiltinIsSplitBrainSafe(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec.Seed = seed
-			clu, err := spec.Build()
+			clu, reps, err := spec.build()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -640,9 +652,12 @@ func TestPartitionSplitBuiltinIsSplitBrainSafe(t *testing.T) {
 			splitAt := vtime.Time(msd(60))
 			healAt := vtime.Time(msd(200))
 
-			g := clu.Groups()[0]
-			mem := g.Membership()
-			rep := g.Replicas()[0]
+			mem := clu.Groups()[0].Membership()
+			rep := reps[0]
+			gr, ok := res.Group("sm")
+			if !ok {
+				t.Fatal("no group result")
+			}
 			// The minority (node 0) installed nothing during the split.
 			for _, in := range mem.Installs {
 				if in.Node == 0 && in.At > splitAt && in.At < healAt {
@@ -657,7 +672,7 @@ func TestPartitionSplitBuiltinIsSplitBrainSafe(t *testing.T) {
 				t.Fatalf("failover %+v promotes the minority", fo)
 			}
 			// Merge view re-admitted the minority with a state transfer.
-			final := mem.Agreed()
+			final := gr.Views[len(gr.Views)-1]
 			if !final.Contains(0) {
 				t.Fatalf("final view %v lacks the healed minority", final)
 			}
@@ -682,8 +697,7 @@ func TestPartitionSplitBuiltinIsSplitBrainSafe(t *testing.T) {
 			if lag := primary.Applied - rejoined.Applied; lag < 0 || lag > int64(spec.Groups[0].CheckpointEvery) {
 				t.Fatalf("re-admitted replica lag %d outside [0, checkpoint interval]", lag)
 			}
-			gr, ok := res.Group("sm")
-			if !ok || gr.BlockedTime == 0 || gr.Merges != 1 {
+			if gr.BlockedTime == 0 || gr.Merges != 1 {
 				t.Fatalf("partition stats missing from Result: %+v", gr)
 			}
 		})
@@ -897,16 +911,15 @@ func TestBankTransferAtomicAcrossSeeds(t *testing.T) {
 			if err := set.CheckTxns(); err != nil {
 				t.Fatalf("atomicity/isolation check: %v", err)
 			}
-			plane := set.TxnPlane()
 			deadlineAborts := 0
-			for _, cl := range plane.Clients() {
-				if cl.Stats.Committed == 0 {
-					t.Fatalf("client n%d committed nothing: %+v", cl.Node(), cl.Stats)
+			for _, cl := range res.TxnClients {
+				if cl.Committed == 0 {
+					t.Fatalf("client n%d committed nothing: %+v", cl.Node, cl.ClientStats)
 				}
-				if cl.Stats.Aborted == 0 {
-					t.Fatalf("client n%d aborted nothing across the fault windows: %+v", cl.Node(), cl.Stats)
+				if cl.Aborted == 0 {
+					t.Fatalf("client n%d aborted nothing across the fault windows: %+v", cl.Node, cl.ClientStats)
 				}
-				deadlineAborts += cl.Stats.DeadlineAborts
+				deadlineAborts += cl.DeadlineAborts
 			}
 			if deadlineAborts == 0 {
 				t.Fatal("no deadline aborts — the fault windows never forced the deadline discipline")
@@ -920,9 +933,9 @@ func TestBankTransferAtomicAcrossSeeds(t *testing.T) {
 					t.Fatalf("shard %s coordinated nothing (ring placement degenerate): %+v", name, sr.Txn)
 				}
 			}
-			for i, pa := range plane.Participants() {
-				if pa.LockedKeys() != 0 {
-					t.Fatalf("shard %d still holds %d locks at end of run", i, pa.LockedKeys())
+			for _, sr := range res.Shards {
+				if sr.Txn.LocksHeld != 0 {
+					t.Fatalf("%s still holds %d locks at end of run", sr.Name, sr.Txn.LocksHeld)
 				}
 			}
 		})

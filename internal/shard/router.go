@@ -21,10 +21,6 @@ type Router struct {
 	groups []*Group
 	routes map[string]int
 	subs   []func(*Group)
-
-	// Republishes counts ownership republications (one per view change
-	// on any shard).
-	Republishes int
 }
 
 // NewRouter builds a router over index-aligned shard groups. routes
@@ -58,7 +54,6 @@ func NewRouter(eng *simkern.Engine, ring *Ring, groups []*Group, routes map[stri
 // promotion at this same instant), so subscribers re-resolve.
 func (r *Router) republish(idx int, v membership.View) {
 	g := r.groups[idx]
-	r.Republishes++
 	r.eng.Recordf(monitor.KindRepublish, g.Replication().Primary(), g.Name(), "%s primary=n%d", v.String(), g.Replication().Primary())
 	for _, fn := range r.subs {
 		fn(g)

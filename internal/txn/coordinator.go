@@ -155,9 +155,6 @@ func newCoordinator(p *Plane, g *shard.Group, idx int) *Coordinator {
 	return c
 }
 
-// Group returns the underlying shard group.
-func (c *Coordinator) Group() *shard.Group { return c.g }
-
 // snapshotDecided and restoreDecided move the decision mirror with the
 // membership state-transfer path (donor's view → joiner).
 func (c *Coordinator) snapshotDecided(donor, joiner int) any {
