@@ -58,7 +58,10 @@ func checkDoc(data []byte) (string, error) {
 		if err := json.Unmarshal(data, &doc); err != nil {
 			return "", fmt.Errorf("is not Chrome trace JSON: %v", err)
 		}
-		traces, spans := regroup(doc)
+		traces, spans, err := regroup(doc)
+		if err != nil {
+			return "", err
+		}
 		if spans == 0 {
 			return "", errors.New("parses but holds no spans")
 		}

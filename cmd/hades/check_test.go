@@ -19,11 +19,12 @@ func TestCheck(t *testing.T) {
 		}
 		return path
 	}
-	traceDoc, metricsDoc := writeTraceSample(t), writeMetricsSample(t)
+	traceDoc, metricsDoc := writeTraceSample(t, 0), writeMetricsSample(t)
 	reportDoc := genReport(t, "load-ramp", "r.json")
 	garbage := write("garbage.json", "not json at all")
 	emptyTrace := write("empty-trace.json", `{"traceEvents":[],"displayTimeUnit":"ms"}`)
 	badTrace := write("bad-trace.json", `{"traceEvents":"soon"}`)
+	rootless := write("rootless-trace.json", `{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":1,"pid":0,"tid":1}]}`)
 	emptyMetrics := write("empty-metrics.json", `{"interval_ns":5000000,"capacity":256,"scrapes":0,"series":[]}`)
 	badMetrics := write("bad-metrics.json", `{"scrapes":"many","series":[]}`)
 	badReport := write("bad-report.json", `{"name":"x","throughput":{}}`)
@@ -34,6 +35,7 @@ func TestCheck(t *testing.T) {
 		{"trace ok", []string{"check", traceDoc}, 0, "ok: 1 trace(s)", ""},
 		{"trace empty", []string{"check", emptyTrace}, 1, "", "holds no spans"},
 		{"trace malformed", []string{"check", badTrace}, 1, "", "not Chrome trace JSON"},
+		{"trace without its layers", []string{"check", rootless}, 1, "", "trace 1 with no root span carrying its layers"},
 		{"metrics ok", []string{"check", metricsDoc}, 0, "ok: 2 series, 3 scrapes", ""},
 		{"metrics empty", []string{"check", emptyMetrics}, 1, "", "holds no scraped series"},
 		{"metrics malformed", []string{"check", badMetrics}, 1, "", "not a metrics export"},

@@ -79,7 +79,7 @@ func diffCmd(args []string, stdout, stderr io.Writer) int {
 // gate prints the movement from old to cur and turns a regression into
 // the exit code.
 func gate(stdout io.Writer, old, cur *report.Report, threshold float64) int {
-	d := report.Diff(old, cur, report.UniformThresholds(threshold))
+	d := report.Diff(old, cur, threshold)
 	fmt.Fprint(stdout, d)
 	if d.HasRegressions() {
 		return exitBad

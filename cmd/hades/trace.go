@@ -3,10 +3,13 @@ package main
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
 	"hades/internal/trace"
+	"hades/internal/vtime"
 )
 
 // span is one X event regrouped under its trace.
@@ -17,28 +20,29 @@ type span struct {
 	dur   float64 // µs
 }
 
+// mark is one instant regrouped under its trace.
+type mark struct {
+	name string
+	ts   float64 // µs since run start
+}
+
 // traceRec is one trace reassembled from the event stream.
 type traceRec struct {
 	id    uint64
 	shard int
 	title string // thread_name metadata: "<class> #<id> <label>"
-	spans []span
-	marks []string
-	viols []string
+	// root is the span carrying the tracer's sealed breakdown, layers;
+	// its name is the trace's op class.
+	root   span
+	layers *trace.LayerTimes
+	spans  []span
+	marks  []mark
+	viols  []string
 }
 
-// root returns the trace's end-to-end duration: its widest span (the
-// root span covers the whole trace by construction).
-func (t *traceRec) root() (span, bool) {
-	var best span
-	found := false
-	for _, s := range t.spans {
-		if !found || s.dur > best.dur {
-			best, found = s, true
-		}
-	}
-	return best, found
-}
+// latency is the trace's end-to-end duration: the sum of its sealed
+// layers, which partition the root exactly.
+func (t *traceRec) latency() vtime.Duration { return t.layers.Total() }
 
 // traceCmd inspects Chrome trace-event JSON exported by hades run
 // -trace: it lists the slowest traces and renders a per-trace waterfall
@@ -54,56 +58,66 @@ func traceCmd(args []string, stdout, stderr io.Writer) int {
 	if err := readOperand(fs, "trace", &doc); err != nil {
 		return cannot(stderr, "trace", err)
 	}
-	traces, spans := regroup(doc)
+	traces, spans, err := regroup(doc)
+	if err != nil {
+		fmt.Fprintf(stderr, "hades trace: %s %v\n", fs.Arg(0), err)
+		return exitBad
+	}
 	if len(traces) == 0 {
 		fmt.Fprintf(stderr, "hades trace: %s holds no traces\n", fs.Arg(0))
 		return exitBad
 	}
 	sort.Slice(traces, func(i, j int) bool {
-		ri, _ := traces[i].root()
-		rj, _ := traces[j].root()
-		if ri.dur != rj.dur {
-			return ri.dur > rj.dur
+		if li, lj := traces[i].latency(), traces[j].latency(); li != lj {
+			return li > lj
 		}
 		return traces[i].id < traces[j].id
 	})
 	n := max(0, min(*top, len(traces)))
-	fmt.Fprintf(stdout, "%d trace(s), %d span(s); %s; slowest %d:\n", len(traces), spans, rootSummary(traces), n)
+	fmt.Fprintf(stdout, "%d trace(s), %d span(s); slowest %d:\n", len(traces), spans, n)
+	for _, r := range classRows(traces) {
+		fmt.Fprintf(stdout, "  root %-15s n=%-5d p50=%-10s p99=%-10s p999=%-10s max=%s\n",
+			r.Class, r.Count, r.P50, r.P99, r.P999, r.Max)
+	}
 	for _, t := range traces[:n] {
 		waterfall(stdout, t)
 	}
 	return exitOK
 }
 
-// rootSummary renders end-to-end latency percentiles over the traces'
-// root-span durations. Traces arrive sorted by root duration
-// descending, so the nearest-rank percentile indexes from the tail.
-func rootSummary(traces []*traceRec) string {
-	durs := make([]float64, 0, len(traces))
+// classRows is one end-to-end latency row per op class over the
+// traces' roots, by class name: trace.Hist percentiles, the rule behind
+// hades run's lat rows, so at sample rate 1 each row equals its class's
+// all-shards lat row.
+func classRows(traces []*traceRec) []trace.ScopeStats {
+	hists := map[string]*trace.Hist{}
 	for _, t := range traces {
-		if r, ok := t.root(); ok {
-			durs = append(durs, r.dur)
+		h := hists[t.root.name]
+		if h == nil {
+			h = trace.NewHist()
+			hists[t.root.name] = h
 		}
+		h.Record(int64(t.latency()))
 	}
-	if len(durs) == 0 {
-		return "no root spans"
+	rows := make([]trace.ScopeStats, 0, len(hists))
+	for _, class := range slices.Sorted(maps.Keys(hists)) {
+		h := hists[class]
+		rows = append(rows, trace.ScopeStats{
+			Class: class, Shard: -1, Count: int(h.Count()),
+			P50:  vtime.Duration(h.Percentile(0.50)),
+			P99:  vtime.Duration(h.Percentile(0.99)),
+			P999: vtime.Duration(h.Percentile(0.999)),
+			Max:  vtime.Duration(h.Max()),
+		})
 	}
-	pct := func(p float64) float64 {
-		// durs is descending: rank r from the top picks the value below
-		// which a fraction p of the population falls.
-		idx := len(durs) - 1 - int(p*float64(len(durs)-1)+0.5)
-		if idx < 0 {
-			idx = 0
-		}
-		return durs[idx]
-	}
-	return fmt.Sprintf("root p50=%.1fus p99=%.1fus p999=%.1fus max=%.1fus",
-		pct(0.5), pct(0.99), pct(0.999), durs[0])
+	return rows
 }
 
 // regroup reassembles traces from the flat event stream: X events by
-// tid, thread_name metadata for titles, instants for marks/violations.
-func regroup(doc trace.ChromeDoc) ([]*traceRec, int) {
+// tid, the root by the breakdown it carries, thread_name metadata for
+// titles, instants for marks/violations. A trace with no root, or whose
+// root's duration is not the sum of its layers, is an error.
+func regroup(doc trace.ChromeDoc) ([]*traceRec, int, error) {
 	byID := make(map[uint64]*traceRec)
 	order := []uint64{}
 	get := func(id uint64, shard int) *traceRec {
@@ -117,13 +131,14 @@ func regroup(doc trace.ChromeDoc) ([]*traceRec, int) {
 	}
 	spans := 0
 	for _, e := range doc.TraceEvents {
+		var args trace.ChromeArgs
+		if e.Args != nil {
+			args = *e.Args
+		}
 		switch e.Ph {
 		case "M":
-			if e.Name != "thread_name" {
-				continue
-			}
-			if name, ok := e.Args["name"].(string); ok {
-				get(e.Tid, e.Pid).title = name
+			if e.Name == "thread_name" {
+				get(e.Tid, e.Pid).title = args.Name
 			}
 		case "X":
 			t := get(e.Tid, e.Pid)
@@ -131,32 +146,40 @@ func regroup(doc trace.ChromeDoc) ([]*traceRec, int) {
 			if e.Dur != nil {
 				dur = *e.Dur
 			}
-			layer, _ := e.Args["layer"].(string)
-			t.spans = append(t.spans, span{name: e.Name, layer: layer, ts: e.Ts, dur: dur})
+			s := span{name: e.Name, layer: args.Layer, ts: e.Ts, dur: dur}
+			t.spans = append(t.spans, s)
+			if args.Layers != nil {
+				t.root, t.layers = s, args.Layers
+			}
 			spans++
 		case "i":
 			t := get(e.Tid, e.Pid)
 			if e.S == "g" {
 				t.viols = append(t.viols, e.Name)
 			} else {
-				t.marks = append(t.marks, fmt.Sprintf("%.1fus %s", e.Ts, e.Name))
+				t.marks = append(t.marks, mark{name: e.Name, ts: e.Ts})
 			}
 		}
 	}
 	out := make([]*traceRec, 0, len(order))
 	for _, id := range order {
-		out = append(out, byID[id])
+		t := byID[id]
+		if t.layers == nil {
+			return nil, 0, fmt.Errorf("has trace %d with no root span carrying its layers", id)
+		}
+		if sum := t.latency().Micros(); sum != t.root.dur {
+			return nil, 0, fmt.Errorf("has trace %d whose root lasts %.3fus but whose layers sum to %.3fus", id, t.root.dur, sum)
+		}
+		out = append(out, t)
 	}
-	return out, spans
+	return out, spans, nil
 }
 
 // waterfall renders one trace: a line per span, offset and scaled bar
-// against the trace's end-to-end window, plus marks and violations.
+// against the root's window, then marks and violations offset the same
+// way, then the tracer's per-layer breakdown.
 func waterfall(w io.Writer, t *traceRec) {
-	root, ok := t.root()
-	if !ok {
-		return
-	}
+	root := t.root
 	title := t.title
 	if title == "" {
 		title = fmt.Sprintf("trace %d", t.id)
@@ -196,78 +219,24 @@ func waterfall(w io.Writer, t *traceRec) {
 		fmt.Fprintf(w, "  %-44s |%-*s| +%-10.1f %10.1fus  %s\n", s.name, cols, bar, s.ts-root.ts, s.dur, s.layer)
 	}
 	for _, m := range t.marks {
-		fmt.Fprintf(w, "  * %s\n", m)
+		fmt.Fprintf(w, "  * +%.1fus %s\n", m.ts-root.ts, m.name)
 	}
 	for _, v := range t.viols {
 		fmt.Fprintf(w, "  ! %s\n", v)
 	}
-	if rows := layerBreakdown(sorted); len(rows) > 0 {
-		fmt.Fprint(w, "  layers:")
-		for _, lr := range rows {
-			pct := 0.0
-			if root.dur > 0 {
-				pct = lr.self / root.dur * 100
-			}
-			fmt.Fprintf(w, "  %s %.1fus (%.0f%%)", lr.layer, lr.self, pct)
-		}
-		fmt.Fprintln(w)
+	if t.latency() == 0 {
+		return
 	}
-}
-
-// layerRow is one layer's share of a trace's end-to-end time.
-type layerRow struct {
-	layer string
-	self  float64 // µs of self-time attributed to the layer
-}
-
-// layerBreakdown attributes each span's self-time (its duration minus
-// its immediate children's) to the span's layer, so the rows sum to
-// the trace's end-to-end duration without double-counting nesting.
-// Spans must already be sorted by start time, widest first on ties.
-func layerBreakdown(sorted []span) []layerRow {
-	type open struct {
-		end float64
-		idx int
+	l := t.layers
+	rows := []struct {
+		layer string
+		d     vtime.Duration
+	}{{"queue", l.Queue}, {"batch", l.Batch}, {"wire", l.Wire}, {"replicate", l.Replicate}, {"lock", l.Lock}, {"other", l.Other}}
+	fmt.Fprint(w, "  layers:")
+	for _, r := range rows {
+		if r.d > 0 {
+			fmt.Fprintf(w, "  %s %.1fus (%.0f%%)", r.layer, r.d.Micros(), float64(r.d)/float64(t.latency())*100)
+		}
 	}
-	self := make([]float64, len(sorted))
-	layer := make([]string, len(sorted))
-	var stack []open
-	for i, s := range sorted {
-		self[i] = s.dur
-		layer[i] = s.layer
-		if layer[i] == "" {
-			layer[i] = "other"
-		}
-		// Tolerate float µs rounding at containment boundaries.
-		const eps = 1e-6
-		for len(stack) > 0 && s.ts >= stack[len(stack)-1].end-eps {
-			stack = stack[:len(stack)-1]
-		}
-		if len(stack) > 0 {
-			self[stack[len(stack)-1].idx] -= s.dur
-		}
-		stack = append(stack, open{end: s.ts + s.dur, idx: i})
-	}
-	sums := map[string]float64{}
-	order := []string{}
-	for i := range sorted {
-		if self[i] < 0 {
-			self[i] = 0
-		}
-		if _, seen := sums[layer[i]]; !seen {
-			order = append(order, layer[i])
-		}
-		sums[layer[i]] += self[i]
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if sums[order[i]] != sums[order[j]] {
-			return sums[order[i]] > sums[order[j]]
-		}
-		return order[i] < order[j]
-	})
-	rows := make([]layerRow, 0, len(order))
-	for _, l := range order {
-		rows = append(rows, layerRow{layer: l, self: sums[l]})
-	}
-	return rows
+	fmt.Fprintln(w)
 }

@@ -250,9 +250,7 @@ type Generator struct {
 	s     Sinks
 	Stats Stats
 
-	mOffered *metrics.Counter
-	mAcked   *metrics.Counter
-	mLat     *metrics.Hist
+	mLat *metrics.Hist
 	// lat records each completion's submit→ack latency in completion
 	// order (requires Sinks.Now; per-generator attribution in reports).
 	lat    []vtime.Duration
@@ -366,8 +364,8 @@ func (g *Generator) Start(s Sinks) {
 		panic("load: closed-loop needs Sinks.Now")
 	}
 	g.s = s
-	g.mOffered = s.Metrics.Counter("load." + g.cfg.Name + ".offered")
-	g.mAcked = s.Metrics.Counter("load." + g.cfg.Name + ".acked")
+	s.Metrics.CounterFunc("load."+g.cfg.Name+".offered", func() int64 { return g.Stats.Offered })
+	s.Metrics.CounterFunc("load."+g.cfg.Name+".acked", func() int64 { return g.Stats.Acked })
 	g.mLat = s.Metrics.Hist("load." + g.cfg.Name + ".latency")
 	if g.cfg.Mode == Open {
 		g.layoutOpen()
@@ -389,10 +387,8 @@ func (g *Generator) submit(at vtime.Time, pick func(vtime.Time) string, done fun
 		return false
 	}
 	g.Stats.Offered++
-	g.mOffered.Inc()
 	onDone := func() {
 		g.Stats.Acked++
-		g.mAcked.Inc()
 		if g.s.Now != nil {
 			// at is the submission instant: the callback fires inside the
 			// engine, so Now minus at is the op's true completion latency.

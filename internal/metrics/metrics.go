@@ -124,15 +124,15 @@ type Counter struct {
 	s    series
 }
 
-// Add increments the counter.
-func (c *Counter) Add(n int64) {
+// add increments the counter.
+func (c *Counter) add(n int64) {
 	if c != nil {
 		c.v += n
 	}
 }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
+func (c *Counter) Inc() { c.add(1) }
 
 func (c *Counter) sample() int64 {
 	v := c.v

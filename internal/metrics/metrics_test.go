@@ -63,10 +63,10 @@ func TestCounterDeltaGaugeLevelFuncSum(t *testing.T) {
 	r.GaugeFunc("fanned", func() int64 { return a })
 	r.GaugeFunc("fanned", func() int64 { return b })
 
-	c.Add(5)
+	c.add(5)
 	r.ArmUntil(vtime.Time(2 * vtime.Millisecond))
 	s.runTo(vtime.Time(vtime.Millisecond))
-	c.Add(2)
+	c.add(2)
 	depth -= 3
 	a = 10
 	s.runTo(vtime.Time(2 * vtime.Millisecond))
@@ -97,7 +97,7 @@ func TestSeriesRingWraparound(t *testing.T) {
 	c := r.Counter("ops")
 	r.ArmUntil(vtime.Time(10 * vtime.Millisecond))
 	for i := 1; i <= 10; i++ {
-		c.Add(int64(i)) // interval i's delta is i
+		c.add(int64(i)) // interval i's delta is i
 		s.runTo(vtime.Time(vtime.Duration(i) * vtime.Millisecond))
 	}
 	ex := r.Export()
@@ -271,7 +271,7 @@ func TestNilRegistrySafe(t *testing.T) {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
 	c.Inc()
-	c.Add(3)
+	c.add(3)
 	h.Observe(1)
 	h.ObserveD(vtime.Millisecond)
 	k.Touch("a", 0)

@@ -50,8 +50,6 @@ type Topic struct {
 	delivered, suppressed int
 	replayed, dropped     int
 	deadlineMiss          int
-	mPub, mDeliver, mDrop *metrics.Counter
-	mMiss                 *metrics.Counter
 	mLat                  *metrics.Hist
 
 	// applied counts the samples this plane's publish attempts saw apply
@@ -251,10 +249,10 @@ func (p *Plane) Topic(name string, qos QoS) (*Topic, error) {
 	}
 	t := &Topic{name: name, qos: qos, shard: p.cfg.ShardFor(name)}
 	m := p.eng.Metrics()
-	t.mPub = m.Counter("pubsub." + name + ".published")
-	t.mDeliver = m.Counter("pubsub." + name + ".delivered")
-	t.mDrop = m.Counter("pubsub." + name + ".dropped")
-	t.mMiss = m.Counter("pubsub." + name + ".deadline_miss")
+	m.CounterFunc("pubsub."+name+".published", func() int64 { return int64(t.published) })
+	m.CounterFunc("pubsub."+name+".delivered", func() int64 { return int64(t.delivered) })
+	m.CounterFunc("pubsub."+name+".dropped", func() int64 { return int64(t.dropped) })
+	m.CounterFunc("pubsub."+name+".deadline_miss", func() int64 { return int64(t.deadlineMiss) })
 	t.mLat = m.Hist("pubsub." + name + ".latency")
 	if qos.Reliability == Reliable {
 		gs, err := p.group(t.shard)
@@ -438,7 +436,6 @@ func (pub *Publisher) PublishDone(value int64, done func()) uint64 {
 	s := Sample{Topic: pub.t.name, Pub: pub.id, Seq: pub.seq, Value: value, PublishedAt: p.eng.Now()}
 	pub.published = append(pub.published, s)
 	pub.t.published++
-	pub.t.mPub.Inc()
 
 	tr := p.eng.Tracer().Begin("pubsub.publish", pub.t.shard)
 	tr.SetLabelKey(pub.t.name, s.Seq, pub.node)
@@ -568,13 +565,11 @@ func (s *Subscriber) deliver(sample Sample, replay bool, att *pubAttempt) {
 	d := Delivery{Sample: sample, Latency: lat, Replay: replay}
 	s.deliveries = append(s.deliveries, d)
 	s.t.delivered++
-	s.t.mDeliver.Inc()
 	s.t.mLat.Observe(int64(lat))
 	if replay {
 		s.t.replayed++
 	} else if dl := s.t.qos.Deadline; dl > 0 && lat > dl {
 		s.t.deadlineMiss++
-		s.t.mMiss.Inc()
 		p.eng.Recordf(monitor.KindDeadlineMiss, s.node, "pubsub."+s.t.name,
 			"sample p%d#%d latency %s > bound %s", sample.Pub, sample.Seq, lat, dl)
 	}
@@ -833,7 +828,6 @@ func (gs *groupState) onView(v membership.View) {
 		for _, sub := range t.subs {
 			if sub.backlog > 0 && p.net.NodeDown(sub.node) {
 				t.dropped += sub.backlog
-				t.mDrop.Add(int64(sub.backlog))
 				p.eng.Recordf(monitor.KindSampleDrop, sub.node, "pubsub."+t.name,
 					"dropped %d backlogged samples at %s (subscriber %d down)", sub.backlog, v.String(), sub.id)
 				sub.backlog = 0

@@ -6,24 +6,6 @@ import (
 	"strings"
 )
 
-// Thresholds are the per-stat fractional regression bounds: an
-// achieved-throughput drop, or a latency-percentile increase, must
-// exceed its stat's threshold strictly to count as a regression (a
-// change landing exactly on the boundary passes, mirroring the
-// benchmark diff).
-type Thresholds struct {
-	Throughput float64 // fractional achieved-ops/sec drop
-	P50        float64 // fractional p50 increase
-	P99        float64 // fractional p99 increase
-	P999       float64 // fractional p999 increase
-	Max        float64 // fractional max increase
-}
-
-// UniformThresholds sets every stat's bound to frac.
-func UniformThresholds(frac float64) Thresholds {
-	return Thresholds{Throughput: frac, P50: frac, P99: frac, P999: frac, Max: frac}
-}
-
 // Delta is one compared stat.
 type Delta struct {
 	// Stat names the compared quantity ("throughput.achieved_per_sec",
@@ -92,16 +74,19 @@ func (d *DiffReport) classify(stat string, old, new, threshold float64, higherIs
 	}
 }
 
-// Diff compares a new report against a baseline under the given
-// per-stat thresholds. Compared stats: achieved throughput (ops/sec,
+// Diff compares a new report against a baseline. threshold is the
+// fractional regression bound every stat shares: an achieved-throughput
+// drop, or a latency-percentile increase, must exceed it strictly to
+// count as a regression (a change landing exactly on the boundary
+// passes, mirroring the benchmark diff). Compared stats: achieved throughput (ops/sec,
 // a drop regresses) and every shared latency row's p50/p99/p999/max
 // (an increase regresses). Latency rows only in the baseline land in
 // Removed, rows only in the new report in Added; neither is a
 // regression — workloads grow ops classes and shards legitimately.
-func Diff(old, new *Report, th Thresholds) *DiffReport {
+func Diff(old, new *Report, threshold float64) *DiffReport {
 	d := &DiffReport{}
 	d.classify("throughput.achieved_per_sec",
-		old.Throughput.AchievedPerSec, new.Throughput.AchievedPerSec, th.Throughput, false)
+		old.Throughput.AchievedPerSec, new.Throughput.AchievedPerSec, threshold, false)
 
 	oldRows := make(map[string]LatencyStat, len(old.Latency))
 	for _, l := range old.Latency {
@@ -119,10 +104,10 @@ func Diff(old, new *Report, th Thresholds) *DiffReport {
 		// Rows with no observations on either side have nothing to
 		// judge; a side going to zero ops is handled per-stat.
 		pre := "latency." + k + "."
-		d.classify(pre+"p50_ns", float64(o.P50Ns), float64(l.P50Ns), th.P50, true)
-		d.classify(pre+"p99_ns", float64(o.P99Ns), float64(l.P99Ns), th.P99, true)
-		d.classify(pre+"p999_ns", float64(o.P999Ns), float64(l.P999Ns), th.P999, true)
-		d.classify(pre+"max_ns", float64(o.MaxNs), float64(l.MaxNs), th.Max, true)
+		d.classify(pre+"p50_ns", float64(o.P50Ns), float64(l.P50Ns), threshold, true)
+		d.classify(pre+"p99_ns", float64(o.P99Ns), float64(l.P99Ns), threshold, true)
+		d.classify(pre+"p999_ns", float64(o.P999Ns), float64(l.P999Ns), threshold, true)
+		d.classify(pre+"max_ns", float64(o.MaxNs), float64(l.MaxNs), threshold, true)
 	}
 	for k := range oldRows {
 		if !newKeys[k] {
@@ -131,7 +116,7 @@ func Diff(old, new *Report, th Thresholds) *DiffReport {
 	}
 
 	// Per-generator attribution rows: shared load rows compare their
-	// own percentiles under the same latency thresholds. Baselines
+	// own percentiles under the same threshold. Baselines
 	// written before load rows carried latency hold zeros there, which
 	// classify as Added — an enriched report never regresses an old
 	// baseline structurally.
@@ -148,10 +133,10 @@ func Diff(old, new *Report, th Thresholds) *DiffReport {
 			continue
 		}
 		pre := "loads." + l.Name + "."
-		d.classify(pre+"p50_ns", float64(o.P50Ns), float64(l.P50Ns), th.P50, true)
-		d.classify(pre+"p99_ns", float64(o.P99Ns), float64(l.P99Ns), th.P99, true)
-		d.classify(pre+"p999_ns", float64(o.P999Ns), float64(l.P999Ns), th.P999, true)
-		d.classify(pre+"max_ns", float64(o.MaxNs), float64(l.MaxNs), th.Max, true)
+		d.classify(pre+"p50_ns", float64(o.P50Ns), float64(l.P50Ns), threshold, true)
+		d.classify(pre+"p99_ns", float64(o.P99Ns), float64(l.P99Ns), threshold, true)
+		d.classify(pre+"p999_ns", float64(o.P999Ns), float64(l.P999Ns), threshold, true)
+		d.classify(pre+"max_ns", float64(o.MaxNs), float64(l.MaxNs), threshold, true)
 	}
 	for name := range oldLoads {
 		if !newLoads[name] {

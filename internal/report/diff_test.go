@@ -22,7 +22,7 @@ func hasStat(ds []Delta, stat string) bool {
 
 func TestDiffIdenticalReports(t *testing.T) {
 	old, new := pair()
-	d := Diff(old, new, UniformThresholds(0.10))
+	d := Diff(old, new, 0.10)
 	if d.HasRegressions() {
 		t.Fatalf("identical reports regressed: %v", d.Regressions)
 	}
@@ -38,7 +38,7 @@ func TestDiffIdenticalReports(t *testing.T) {
 func TestDiffCatchesP99Regression(t *testing.T) {
 	old, new := pair()
 	new.Latency[0].P99Ns = old.Latency[0].P99Ns * 2
-	d := Diff(old, new, UniformThresholds(0.10))
+	d := Diff(old, new, 0.10)
 	if !d.HasRegressions() {
 		t.Fatal("doubled p99 not flagged")
 	}
@@ -52,7 +52,7 @@ func TestDiffThroughputDirection(t *testing.T) {
 	// A 50% achieved-throughput DROP is the regression direction.
 	new.Throughput.Achieved = old.Throughput.Achieved / 2
 	new.Finalize()
-	d := Diff(old, new, UniformThresholds(0.10))
+	d := Diff(old, new, 0.10)
 	if !hasStat(d.Regressions, "throughput.achieved_per_sec") {
 		t.Fatalf("halved throughput not a regression: %+v", d)
 	}
@@ -60,7 +60,7 @@ func TestDiffThroughputDirection(t *testing.T) {
 	old2, new2 := pair()
 	new2.Throughput.Achieved = old2.Throughput.Achieved * 2
 	new2.Finalize()
-	d = Diff(old2, new2, UniformThresholds(0.10))
+	d = Diff(old2, new2, 0.10)
 	if d.HasRegressions() {
 		t.Fatalf("doubled throughput regressed: %v", d.Regressions)
 	}
@@ -76,7 +76,7 @@ func TestDiffThresholdBoundary(t *testing.T) {
 	old, new := pair()
 	// Exactly +10% on a 0.10 threshold: 4_000_000 → 4_400_000.
 	new.Latency[0].P99Ns = 4_400_000
-	d := Diff(old, new, UniformThresholds(0.10))
+	d := Diff(old, new, 0.10)
 	if d.HasRegressions() {
 		t.Fatalf("boundary change flagged as regression: %v", d.Regressions)
 	}
@@ -84,7 +84,7 @@ func TestDiffThresholdBoundary(t *testing.T) {
 		t.Fatalf("boundary change not judged unchanged: %+v", d)
 	}
 	new.Latency[0].P99Ns = 4_400_001
-	d = Diff(old, new, UniformThresholds(0.10))
+	d = Diff(old, new, 0.10)
 	if !d.HasRegressions() {
 		t.Fatal("change just past the threshold passed")
 	}
@@ -98,7 +98,7 @@ func TestDiffMissingRowInBaseline(t *testing.T) {
 		Class: "txn.commit", Shard: -1, Count: 10,
 		P50Ns: 1, P99Ns: 2, P999Ns: 3, MaxNs: 4,
 	})
-	d := Diff(old, new, UniformThresholds(0.10))
+	d := Diff(old, new, 0.10)
 	if d.HasRegressions() {
 		t.Fatalf("added row regressed: %v", d.Regressions)
 	}
@@ -106,7 +106,7 @@ func TestDiffMissingRowInBaseline(t *testing.T) {
 		t.Fatalf("added = %v, want [latency.txn.commit/all]", d.Added)
 	}
 	// Reverse direction: the row vanishes from the new report.
-	d = Diff(new, old, UniformThresholds(0.10))
+	d = Diff(new, old, 0.10)
 	if d.HasRegressions() {
 		t.Fatalf("removed row regressed: %v", d.Regressions)
 	}
@@ -123,7 +123,7 @@ func TestDiffZeroBaseline(t *testing.T) {
 	old.Throughput.Achieved = 0
 	old.Throughput.AchievedPerSec = 0
 	old.Latency[0].P999Ns = 0 // empty-tail baseline histogram
-	d := Diff(old, new, UniformThresholds(0.10))
+	d := Diff(old, new, 0.10)
 	if d.HasRegressions() {
 		t.Fatalf("zero baseline produced regressions: %v", d.Regressions)
 	}
@@ -140,7 +140,7 @@ func TestDiffZeroBaseline(t *testing.T) {
 	}
 	// Both sides zero: skipped entirely.
 	new.Latency[0].P999Ns = 0
-	d = Diff(old, new, UniformThresholds(0.10))
+	d = Diff(old, new, 0.10)
 	for _, a := range d.Added {
 		if a == "latency.kv.ack/all.p999_ns" {
 			t.Fatal("both-zero stat reported as added")
@@ -153,7 +153,7 @@ func TestDiffZeroBaseline(t *testing.T) {
 func TestDiffVanishingLatency(t *testing.T) {
 	old, new := pair()
 	new.Latency[0].MaxNs = 0
-	d := Diff(old, new, UniformThresholds(0.10))
+	d := Diff(old, new, 0.10)
 	if hasStat(d.Improvements, "latency.kv.ack/all.max_ns") {
 		t.Fatal("vanished max judged an improvement")
 	}
@@ -171,7 +171,7 @@ func TestDiffVanishingLatency(t *testing.T) {
 func TestDiffStringSections(t *testing.T) {
 	old, new := pair()
 	new.Latency[0].P99Ns *= 3
-	out := Diff(old, new, UniformThresholds(0.10)).String()
+	out := Diff(old, new, 0.10).String()
 	for _, want := range []string{"REGRESSIONS (1):", "latency.kv.ack/all.p99_ns", "within threshold"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("diff rendering missing %q:\n%s", want, out)

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"hades/internal/cluster"
+	"hades/internal/trace"
 )
 
 // latencyOf returns the latency row of one op class on one shard (-1
@@ -184,12 +187,35 @@ func TestZeroRateStillRetainsViolations(t *testing.T) {
 	if retained != violating {
 		t.Fatalf("at rate 0 only violating traces should be retained: retained=%d violating=%d", retained, violating)
 	}
-	aborts := 0
-	for i, trc := range tr.Retained() {
-		if len(trc.Violations()) == 0 {
-			t.Fatalf("non-violating retained trace %d at rate 0", i)
+	// Read the retained traces the way hades trace does: the root span,
+	// the one carrying the layers, names the class; a violation is a
+	// global "VIOLATION:" instant.
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, tr.Retained()); err != nil {
+		t.Fatal(err)
+	}
+	var doc trace.ChromeDoc
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	class, violated := map[uint64]string{}, map[uint64]bool{}
+	for _, e := range doc.TraceEvents {
+		switch {
+		case e.Ph == "X" && e.Args.Layers != nil:
+			class[e.Tid] = e.Name
+		case e.Ph == "i" && e.S == "g" && strings.HasPrefix(e.Name, "VIOLATION: "):
+			violated[e.Tid] = true
 		}
-		if trc.Class() == "txn.abort" {
+	}
+	if len(class) != retained {
+		t.Fatalf("export holds %d roots, tracer retained %d", len(class), retained)
+	}
+	aborts := 0
+	for id, c := range class {
+		if !violated[id] {
+			t.Fatalf("non-violating retained trace %d at rate 0", id)
+		}
+		if c == "txn.abort" {
 			aborts++
 		}
 	}

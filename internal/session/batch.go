@@ -162,25 +162,25 @@ type Batcher[T any] struct {
 	EagerIdle bool
 	Stats     BatchStats
 
-	// Metrics-plane instruments (nil-safe when the plane is off):
-	// per-interval batch fill and pipeline-depth stalls.
-	mFill   *metrics.Hist
-	mStalls *metrics.Counter
+	// mFill is the metrics plane's per-interval batch fill (nil-safe
+	// when the plane is off); its session.stalls counter reads Stats.
+	mFill *metrics.Hist
 }
 
 // NewBatcher builds a batcher over the simulation kernel. emit ships a
 // flushed batch; the adapter must call Complete once per emitted batch.
 func NewBatcher[T any](eng *simkern.Engine, params Params, label string, node int, emit func(lane string, items []T)) *Batcher[T] {
-	return &Batcher[T]{
-		eng:     eng,
-		params:  params,
-		emit:    emit,
-		lanes:   make(map[string]*lane[T]),
-		label:   label,
-		node:    node,
-		mFill:   eng.Metrics().HistUnit("session.batch.fill", "ops"),
-		mStalls: eng.Metrics().Counter("session.stalls"),
+	b := &Batcher[T]{
+		eng:    eng,
+		params: params,
+		emit:   emit,
+		lanes:  make(map[string]*lane[T]),
+		label:  label,
+		node:   node,
+		mFill:  eng.Metrics().HistUnit("session.batch.fill", "ops"),
 	}
+	eng.Metrics().CounterFunc("session.stalls", func() int64 { return int64(b.Stats.Stalls) })
+	return b
 }
 
 // lane returns (creating) the named lane.
@@ -255,7 +255,6 @@ func (b *Batcher[T]) flush(laneName string, l *lane[T], full, force bool) {
 	for len(l.pending) > 0 {
 		if !force && depth > 0 && l.inflight >= depth {
 			b.Stats.Stalls++
-			b.mStalls.Inc()
 			b.eng.Recordf(monitor.KindPipeline, b.node, b.label,
 				"%s stalled at depth %d (%d pending)", laneName, l.inflight, len(l.pending))
 			b.tryFlushTimer(laneName, l)

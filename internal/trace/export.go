@@ -12,15 +12,28 @@ import (
 // events grouped pid=shard / tid=trace, point events as instants, and
 // metadata "M" events name the tracks.
 type ChromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  uint64         `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+	Name string      `json:"name"`
+	Cat  string      `json:"cat,omitempty"`
+	Ph   string      `json:"ph"`
+	Ts   float64     `json:"ts"`
+	Dur  *float64    `json:"dur,omitempty"`
+	Pid  int         `json:"pid"`
+	Tid  uint64      `json:"tid"`
+	S    string      `json:"s,omitempty"`
+	Args *ChromeArgs `json:"args,omitempty"`
+}
+
+// ChromeArgs are the event arguments the exporter writes.
+type ChromeArgs struct {
+	// Name is a metadata event's track name.
+	Name string `json:"name,omitempty"`
+	// Layer is a span's attribution layer.
+	Layer string `json:"layer,omitempty"`
+	// Layers is the sealed per-layer breakdown, on a trace's root span
+	// only: integer virtual nanoseconds that sum exactly to the root's
+	// duration. It marks the root; readers take it, not a re-derivation
+	// from the spans, as the trace's account.
+	Layers *LayerTimes `json:"layers,omitempty"`
 }
 
 // ChromeDoc is the exported document shape.
@@ -49,7 +62,7 @@ func WriteChrome(w io.Writer, traces []*Trace) error {
 	for _, sh := range order {
 		events = append(events, ChromeEvent{
 			Name: "process_name", Ph: "M", Pid: sh,
-			Args: map[string]any{"name": fmt.Sprintf("shard %d", sh)},
+			Args: &ChromeArgs{Name: fmt.Sprintf("shard %d", sh)},
 		})
 	}
 	for _, tr := range traces {
@@ -62,15 +75,18 @@ func WriteChrome(w io.Writer, traces []*Trace) error {
 		}
 		events = append(events, ChromeEvent{
 			Name: "thread_name", Ph: "M", Pid: tr.shard, Tid: tr.id,
-			Args: map[string]any{"name": title},
+			Args: &ChromeArgs{Name: title},
 		})
-		for _, s := range tr.spans {
+		for i, s := range tr.spans {
 			dur := s.end.Sub(s.start).Micros()
+			args := &ChromeArgs{Layer: s.layer.String()}
+			if i == 0 {
+				args.Layers = &tr.layers
+			}
 			events = append(events, ChromeEvent{
 				Name: s.name, Cat: "hades", Ph: "X",
 				Ts: s.start.Micros(), Dur: &dur,
-				Pid: tr.shard, Tid: tr.id,
-				Args: map[string]any{"layer": s.layer.String(), "trace": tr.id},
+				Pid: tr.shard, Tid: tr.id, Args: args,
 			})
 		}
 		for _, m := range tr.marks {

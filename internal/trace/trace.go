@@ -58,12 +58,12 @@ func (l Layer) String() string {
 // the six fields partition the root span exactly: every instant is
 // charged to precisely one layer.
 type LayerTimes struct {
-	Queue     vtime.Duration
-	Batch     vtime.Duration
-	Wire      vtime.Duration
-	Replicate vtime.Duration
-	Lock      vtime.Duration
-	Other     vtime.Duration
+	Queue     vtime.Duration `json:"queue"`
+	Batch     vtime.Duration `json:"batch"`
+	Wire      vtime.Duration `json:"wire"`
+	Replicate vtime.Duration `json:"replicate"`
+	Lock      vtime.Duration `json:"lock"`
+	Other     vtime.Duration `json:"other"`
 }
 
 func (lt *LayerTimes) add(l Layer, d vtime.Duration) {
@@ -92,8 +92,8 @@ func (lt *LayerTimes) addAll(o LayerTimes) {
 	lt.Other += o.Other
 }
 
-// total sums all layers; for one trace this equals the root duration.
-func (lt LayerTimes) total() vtime.Duration {
+// Total sums all layers; for one trace this equals the root duration.
+func (lt LayerTimes) Total() vtime.Duration {
 	return lt.Queue + lt.Batch + lt.Wire + lt.Replicate + lt.Lock + lt.Other
 }
 
@@ -270,14 +270,6 @@ func (tr *Trace) SetLabel(label string) {
 	tr.label = label
 }
 
-// Class returns the op class ("kv.write", "txn.commit", "txn.abort").
-func (tr *Trace) Class() string {
-	if tr == nil {
-		return ""
-	}
-	return tr.class
-}
-
 // SetClass rewrites the op class; outcome-dependent classes (commit vs
 // abort) are fixed just before Finish.
 func (tr *Trace) SetClass(class string) {
@@ -359,14 +351,6 @@ func (tr *Trace) Violate(format string, args ...any) {
 	}
 }
 
-// Violations returns the trace's violation marks.
-func (tr *Trace) Violations() []Mark {
-	if tr == nil {
-		return nil
-	}
-	return tr.viols
-}
-
 // duration returns the end-to-end latency (valid after Finish).
 func (tr *Trace) duration() vtime.Duration {
 	if tr == nil {
@@ -434,7 +418,7 @@ type ScopeStats struct {
 	P99   vtime.Duration
 	P999  vtime.Duration
 	Max   vtime.Duration
-	// Layers sums the per-trace breakdowns; Layers.total() == Total.
+	// Layers sums the per-trace breakdowns; Layers.Total() == Total.
 	Layers LayerTimes
 	// Total sums end-to-end latency over Count traces.
 	Total vtime.Duration

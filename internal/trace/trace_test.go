@@ -27,9 +27,6 @@ func TestNilSafety(t *testing.T) {
 	tr.SetLabel("l")
 	tr.SetClass("c")
 	tr.Finish()
-	if tr.Violations() != nil {
-		t.Fatal("nil trace reported state")
-	}
 	if tr.duration() != 0 {
 		t.Fatal("nil trace reported data")
 	}
@@ -77,8 +74,8 @@ func TestLayerPartition(t *testing.T) {
 	if lt != want {
 		t.Fatalf("layers = %+v, want %+v", lt, want)
 	}
-	if lt.total() != tr.duration() {
-		t.Fatalf("layer total %v != duration %v", lt.total(), tr.duration())
+	if lt.Total() != tr.duration() {
+		t.Fatalf("layer total %v != duration %v", lt.Total(), tr.duration())
 	}
 }
 
@@ -103,7 +100,7 @@ func TestSamplingAndViolationRetention(t *testing.T) {
 	if got := len(tc.Retained()); got != 1 {
 		t.Fatalf("retained %d traces at rate 0, want 1 (the violating one)", got)
 	}
-	if len(tc.Retained()[0].Violations()) == 0 {
+	if len(tc.Retained()[0].viols) == 0 {
 		t.Fatal("retained trace is not the violating one")
 	}
 	st := tc.Stats()
@@ -185,18 +182,28 @@ func TestHistBucketsMonotonic(t *testing.T) {
 	}
 }
 
-// TestChromeExport: exported JSON parses, carries the span tree and
-// violation instants, and is byte-identical across identical inputs.
+// TestChromeExport: exported JSON parses, carries the span tree, the
+// violation instants and, on the root alone, the sealed layer breakdown,
+// and is byte-identical across identical inputs.
 func TestChromeExport(t *testing.T) {
 	build := func() *Tracer {
 		now := vtime.Time(0)
 		tc := New(3, 1, clock(&now))
 		tr := tc.Begin("txn.commit", 1)
 		tr.SetLabel("t6.1")
-		sp := tr.Span("2pc.prepare.s1", LayerWire)
+		// Parallel prepares open at the same instant, and a lock wait
+		// inside one outlives the other: no nesting of the spans
+		// reproduces the breakdown, only the tracer's sweep does.
+		s0 := tr.Span("2pc.prepare.s0", LayerWire)
+		s1 := tr.Span("2pc.prepare.s1", LayerWire)
+		now = vtime.Time(2 * vtime.Microsecond)
+		lk := tr.Span("lock.wait.s1", LayerLock)
 		now = vtime.Time(5 * vtime.Microsecond)
-		tr.Span("lock.wait.s1", LayerLock).End()
-		sp.End()
+		s0.End()
+		now = vtime.Time(6 * vtime.Microsecond)
+		lk.End()
+		now = vtime.Time(7 * vtime.Microsecond)
+		s1.End()
 		tr.instant("retry 1/8")
 		tr.Violate("deadline")
 		now = vtime.Time(9 * vtime.Microsecond)
@@ -221,13 +228,25 @@ func TestChromeExport(t *testing.T) {
 	for _, ev := range doc.TraceEvents {
 		switch ev.Ph {
 		case "X":
+			if got := ev.Args.Layers; spans == 0 {
+				us := vtime.Microsecond
+				want := LayerTimes{Wire: 3 * us, Lock: 4 * us, Other: 2 * us}
+				if got == nil || *got != want {
+					t.Fatalf("root layers = %+v, want %+v", got, want)
+				}
+				if got.Total().Micros() != *ev.Dur {
+					t.Fatalf("root layers sum to %gus, root lasts %gus", got.Total().Micros(), *ev.Dur)
+				}
+			} else if got != nil {
+				t.Fatalf("span %s carries layers %+v; only the root does", ev.Name, got)
+			}
 			spans++
 		case "i":
 			instants++
 		}
 	}
-	if spans != 3 {
-		t.Fatalf("exported %d spans, want 3 (root + prepare + lock)", spans)
+	if spans != 4 {
+		t.Fatalf("exported %d spans, want 4 (root + two prepares + lock)", spans)
 	}
 	if instants != 2 {
 		t.Fatalf("exported %d instants, want 2 (retry + violation)", instants)

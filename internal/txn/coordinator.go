@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"hades/internal/eventq"
-	"hades/internal/metrics"
 	"hades/internal/monitor"
 	"hades/internal/netsim"
 	"hades/internal/replication"
@@ -118,11 +117,6 @@ type Coordinator struct {
 	// many COMMIT/ABORT records (built lazily from the plane's knobs).
 	gc *session.Batcher[decisionEntry]
 
-	// Metrics-plane decision counters (nil-safe when the plane is
-	// off); the abort rate is the per-interval delta of mAborts.
-	mCommits *metrics.Counter
-	mAborts  *metrics.Counter
-
 	// Stats counts outcomes for the harness.
 	Stats CoordStats
 	// GroupCommits counts decision-log rounds submitted; with batching
@@ -136,14 +130,17 @@ type Coordinator struct {
 // binds its port on every replica.
 func newCoordinator(p *Plane, g *shard.Group, idx int) *Coordinator {
 	c := &Coordinator{
-		p:        p,
-		g:        g,
-		shard:    idx,
-		pending:  make(map[ID]*coordTxn),
-		decided:  make(map[int]map[ID]bool),
-		mCommits: p.eng.Metrics().Counter("txn.commits"),
-		mAborts:  p.eng.Metrics().Counter("txn.aborts"),
+		p:       p,
+		g:       g,
+		shard:   idx,
+		pending: make(map[ID]*coordTxn),
+		decided: make(map[int]map[ID]bool),
 	}
+	// The metrics plane's decision counters read Stats; the abort rate
+	// is the per-interval delta of txn.aborts.
+	m := p.eng.Metrics()
+	m.CounterFunc("txn.commits", func() int64 { return int64(c.Stats.Commits) })
+	m.CounterFunc("txn.aborts", func() int64 { return int64(c.Stats.Aborts) })
 	for _, n := range g.Nodes() {
 		node := n
 		p.net.Bind(node, p.coordPort, func(m *netsim.Message) { c.handle(node, m) })
@@ -347,10 +344,8 @@ func (c *Coordinator) decide(ct *coordTxn, commit bool, reason string) {
 	if commit {
 		verdict = "commit"
 		c.Stats.Commits++
-		c.mCommits.Inc()
 	} else {
 		c.Stats.Aborts++
-		c.mAborts.Inc()
 		if ct.byDeadline {
 			c.Stats.DeadlineAborts++
 		}

@@ -30,15 +30,13 @@ var namesAllowlist = map[string]string{
 	"simkern.Processor.IRQTime":     "netsim tests measure the receive-path interrupt cost",
 	"storage.Store.Crash":           "stable-storage surface: replication tests crash a replica's store; recovery is ROADMAP item 6",
 	"storage.Store.Read":            "stable-storage surface: replication tests read a persisted checkpoint back; recovery is ROADMAP item 6",
-	"trace.Trace.Class":             "scenario's zero-rate sampling test counts the retained abort traces",
-	"trace.Trace.Violations":        "scenario's zero-rate sampling test checks every retained trace is violating",
 	"txn.Client.Begin":              "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
 	"txn.Client.Commit":             "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
 	"txn.Client.Write":              "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
 	"txn.Txn.Read":                  "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
 }
 
-const maxNamesAllowed = 17
+const maxNamesAllowed = 15
 
 // TestOnlyNamesSomethingCalls holds the exported surface of internal/ to
 // what something calls. Every exported func, and every exported method of
