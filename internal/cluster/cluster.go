@@ -60,19 +60,10 @@ type TraceParams struct {
 }
 
 // MetricsParams tunes the virtual-time metrics plane. A nil
-// Config.Metrics enables the plane with the package defaults (5ms
-// scrape interval, 256-point series); a non-nil value is used
-// verbatim with zero fields defaulting, so scenarios pin the interval
-// and declare SLO rules without restating the rest.
+// Config.Metrics enables the plane with no SLO rules. The plane's
+// sizes are the metrics package's constants (5ms scrape interval,
+// 256-point series, 16-key hotness sketch).
 type MetricsParams struct {
-	// Interval is the virtual-time scrape period (0 selects
-	// metrics.DefaultInterval).
-	Interval vtime.Duration
-	// Capacity bounds each series' ring buffer (0 selects
-	// metrics.DefaultCapacity).
-	Capacity int
-	// TopK bounds the key-hotness sketch (0 selects metrics.DefaultTopK).
-	TopK int
 	// Rules are the declarative SLO threshold rules evaluated each
 	// scrape interval; breaches and clears land in the monitor stream.
 	Rules []metrics.Rule
@@ -93,11 +84,6 @@ type Config struct {
 	// LogLimit bounds the event log: 0 selects a generous default,
 	// negative disables the bound entirely.
 	LogLimit int
-	// RingLog keeps the most recent LogLimit events instead of the
-	// first; the default head mode preserves the run's prefix. Every
-	// violation and fault-timeline event is retained in both modes,
-	// outside the bound.
-	RingLog bool
 	// CancelOnMiss aborts instances at their deadline (orphan
 	// handling); the default false records misses only.
 	CancelOnMiss bool
@@ -170,9 +156,6 @@ func New(cfg Config) *Cluster {
 		limit = 0 // monitor.NewLog(0) = unbounded
 	}
 	log := monitor.NewLog(limit)
-	if cfg.RingLog {
-		log = monitor.NewRingLog(limit)
-	}
 	c := &Cluster{
 		cfg:     cfg,
 		log:     log,
@@ -194,9 +177,6 @@ func New(cfg Config) *Cluster {
 	}
 	if !mp.Disabled {
 		c.metrics = metrics.New(metrics.Options{
-			Interval: mp.Interval,
-			Capacity: mp.Capacity,
-			TopK:     mp.TopK,
 			Rules:    mp.Rules,
 			Schedule: func(t vtime.Time, fn func()) { c.eng.At(t, eventq.ClassApp, fn) },
 			Log:      log,

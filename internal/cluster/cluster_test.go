@@ -188,7 +188,7 @@ func TestGroupLifecycleViaCluster(t *testing.T) {
 		return res, hist
 	}
 	res, hist1 := run()
-	gr, ok := res.Group("trio")
+	gr, ok := groupOf(res, "trio")
 	if !ok {
 		t.Fatal("group missing from Result")
 	}
@@ -237,7 +237,7 @@ func TestPartitionViaCluster(t *testing.T) {
 	c.HealAt(vtime.Time(150 * ms))
 	res := c.Run(300 * ms)
 
-	gr, ok := res.Group("pp")
+	gr, ok := groupOf(res, "pp")
 	if !ok {
 		t.Fatal("group missing from Result")
 	}

@@ -5,7 +5,6 @@ import (
 
 	"hades/internal/load"
 	"hades/internal/pubsub"
-	"hades/internal/replication"
 	"hades/internal/shard"
 	"hades/internal/txn"
 )
@@ -116,55 +115,3 @@ func (s *ShardSet) txnClientFor(node int) *txn.Client {
 	}
 	return s.TxnClientAt(node)
 }
-
-// AttachLoad attaches a load generator to this membership group's
-// first replica group: KV-shaped commands are submitted straight to
-// the current primary, and an op completes at its first fresh
-// state-machine apply anywhere in the group. Non-sharded scenarios get
-// workloads and per-run reports this way; only the kv shape applies (a
-// plain replica group has no router, transaction plane or topics).
-func (g *Group) AttachLoad(cfg load.Config) *load.Generator {
-	if cfg.Workload != load.KV {
-		panic(fmt.Sprintf("cluster: group load %q: only the kv workload drives a plain replication group (got %s)",
-			cfg.Name, cfg.Workload))
-	}
-	if len(g.rep) == 0 {
-		panic(fmt.Sprintf("cluster: group load %q needs a replica group (call Replicate first)", cfg.Name))
-	}
-	if len(cfg.Keys) == 0 {
-		// Replicated state is keyless here; the generator still wants a
-		// keyspace, so synthesize the single command stream.
-		cfg.Keys = []string{"cmd"}
-	}
-	gen, err := load.New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	rep := g.rep[0]
-	sinks := load.Sinks{At: g.c.At, Now: g.c.eng.Now, Metrics: g.c.metrics}
-	sinks.SubmitKV = func(_ string, cmd int64, done func()) {
-		if done == nil {
-			rep.Submit(rep.Primary(), cmd)
-			return
-		}
-		rep.SubmitOwned(rep.Primary(), []replication.BatchItem{{Cmd: cmd, Owner: &firstApply{done: done}}})
-	}
-	gen.Start(sinks)
-	g.c.loads = append(g.c.loads, gen)
-	return gen
-}
-
-// firstApply completes a group-load op at its first fresh apply
-// anywhere in the group.
-type firstApply struct{ done func() }
-
-// Applied runs done once.
-func (f *firstApply) Applied(int, int64) {
-	if done := f.done; done != nil {
-		f.done = nil
-		done()
-	}
-}
-
-// Replied is not the op's completion: the apply is.
-func (*firstApply) Replied(int64, bool) {}

@@ -440,16 +440,6 @@ func (r Result) Task(name string) (TaskResult, bool) {
 	return find(r.Tasks, func(t TaskResult) bool { return t.Name == name })
 }
 
-// Shard returns the named shard group's record.
-func (r Result) Shard(name string) (ShardResult, bool) {
-	return find(r.Shards, func(s ShardResult) bool { return s.Name == name })
-}
-
-// Group returns the named membership group's record.
-func (r Result) Group(name string) (GroupResult, bool) {
-	return find(r.Groups, func(g GroupResult) bool { return g.Name == name })
-}
-
 // String renders the result as a compact table.
 func (r Result) String() string {
 	out := fmt.Sprintf("t=%s activations=%d completions=%d misses=%d rejections=%d violations=%d\n",

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,6 +15,24 @@ import (
 // shardKeys spreads a keyed workload over enough distinct keys that
 // both shards of a two-shard ring own part of it.
 var shardKeys = []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}
+
+// shardOf and groupOf look a shard's or a membership group's record up
+// by name.
+func shardOf(res cluster.Result, name string) (cluster.ShardResult, bool) {
+	i := slices.IndexFunc(res.Shards, func(s cluster.ShardResult) bool { return s.Name == name })
+	if i < 0 {
+		return cluster.ShardResult{}, false
+	}
+	return res.Shards[i], true
+}
+
+func groupOf(res cluster.Result, name string) (cluster.GroupResult, bool) {
+	i := slices.IndexFunc(res.Groups, func(g cluster.GroupResult) bool { return g.Name == name })
+	if i < 0 {
+		return cluster.GroupResult{}, false
+	}
+	return res.Groups[i], true
+}
 
 // submitEvery drives one request per interval, round-robin over keys.
 func submitEvery(c *cluster.Cluster, cl *shard.Client, every vtime.Duration, from, until vtime.Time) {
@@ -45,7 +64,7 @@ func TestShardsHappyPath(t *testing.T) {
 		t.Fatalf("faultless run needed retries=%d queued=%d", cl.Stats.Retries, cl.Stats.Queued)
 	}
 	for _, name := range []string{"shard0", "shard1"} {
-		sr, ok := res.Shard(name)
+		sr, ok := shardOf(res, name)
 		if !ok || sr.Requests == 0 {
 			t.Fatalf("shard %s got no requests (keys all hashed to one shard?): %+v", name, res.Shards)
 		}
@@ -70,11 +89,11 @@ func TestShardsCrashFailover(t *testing.T) {
 	c.Crash(0, vtime.Time(50*ms), 0) // shard0's initial primary, no recovery
 	res := c.Run(300 * ms)
 
-	s0, _ := res.Shard("shard0")
+	s0, _ := shardOf(res, "shard0")
 	if s0.Primary == 0 {
 		t.Fatal("shard0 primary still the crashed node")
 	}
-	gr, _ := res.Group("shard0")
+	gr, _ := groupOf(res, "shard0")
 	if gr.Failovers != 1 {
 		t.Fatalf("failovers %d, want 1", gr.Failovers)
 	}
@@ -118,7 +137,7 @@ func TestShardsMinorityClientQueuesAndResubmits(t *testing.T) {
 		t.Fatalf("acked %d of %d — split-window requests were lost (%+v)",
 			cl.Stats.Acked, cl.Stats.Submitted, cl.Stats)
 	}
-	gr, _ := res.Group("shard0")
+	gr, _ := groupOf(res, "shard0")
 	if gr.Merges != 1 {
 		t.Fatalf("merges %d, want 1", gr.Merges)
 	}
@@ -177,7 +196,7 @@ func TestShardsStaleViewRejection(t *testing.T) {
 	if cl.Stats.Blocked == 0 {
 		t.Fatalf("stale ex-primary never rejected with a blocked response: %+v", cl.Stats)
 	}
-	gr, _ := res.Group("shard0")
+	gr, _ := groupOf(res, "shard0")
 	if gr.Failovers != 1 {
 		t.Fatalf("majority side failovers %d, want 1", gr.Failovers)
 	}

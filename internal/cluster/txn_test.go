@@ -53,7 +53,7 @@ func TestTxnHappyPath(t *testing.T) {
 	}
 	// Both shards participated (accounts spread over the ring).
 	for _, name := range []string{"shard0", "shard1"} {
-		sr, ok := res.Shard(name)
+		sr, ok := shardOf(res, name)
 		if !ok || sr.Txn.Prepares == 0 {
 			t.Fatalf("shard %s prepared nothing: %+v", name, sr.Txn)
 		}
@@ -179,7 +179,7 @@ func TestTxnDeadlineAbortReleasesLocks(t *testing.T) {
 	if cl2.Stats.Aborted != 1 || cl2.Stats.Committed != 5 {
 		t.Fatalf("cl2 (lock wait past deadline): %+v", cl2.Stats)
 	}
-	s0, _ := res.Shard("shard0")
+	s0, _ := shardOf(res, "shard0")
 	if s0.Txn.LockWaits == 0 {
 		t.Fatalf("no lock wait recorded on shard0: %+v", s0.Txn)
 	}

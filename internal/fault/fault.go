@@ -95,27 +95,19 @@ func (o *OmissionFrom) Judge(m *netsim.Message) netsim.Verdict {
 	return netsim.Verdict{Fate: netsim.FateDeliver}
 }
 
-// RandomFaults drops or delays messages with the given probabilities,
-// drawing from the engine's seeded source (deterministic per run).
+// RandomFaults drops each message with probability DropProb, drawing
+// from the engine's seeded source (deterministic per run).
 type RandomFaults struct {
-	Eng       *simkern.Engine
-	DropProb  float64
-	DelayProb float64
-	MaxExtra  vtime.Duration
+	Eng      *simkern.Engine
+	DropProb float64
 }
 
 // Judge implements netsim.FaultHook.
 func (r *RandomFaults) Judge(*netsim.Message) netsim.Verdict {
-	x := r.Eng.Rand().Float64()
-	switch {
-	case x < r.DropProb:
+	if r.Eng.Rand().Float64() < r.DropProb {
 		return netsim.Verdict{Fate: netsim.FateDrop}
-	case x < r.DropProb+r.DelayProb:
-		extra := vtime.Duration(r.Eng.Rand().Int63n(int64(r.MaxExtra) + 1))
-		return netsim.Verdict{Fate: netsim.FateDelay, Extra: extra}
-	default:
-		return netsim.Verdict{Fate: netsim.FateDeliver}
 	}
+	return netsim.Verdict{Fate: netsim.FateDeliver}
 }
 
 // Hooks chains fault hooks: the first non-deliver verdict wins.

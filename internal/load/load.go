@@ -117,9 +117,8 @@ type Config struct {
 	// Seed derives the generator's local random sources (never the
 	// engine's stream).
 	Seed int64
-	// Start and End bound the submission window.
-	Start vtime.Time
-	End   vtime.Time
+	// End closes the submission window, which opens at time zero.
+	End vtime.Time
 	// MaxOps caps total submissions (0 = DefaultMaxOps), a guard
 	// against runaway open-loop schedules.
 	MaxOps int
@@ -143,8 +142,8 @@ func (c Config) Validate() error {
 	if c.ZipfSkew < 0 {
 		return fmt.Errorf("load %q: negative zipfSkew %g", c.Name, c.ZipfSkew)
 	}
-	if c.End <= c.Start {
-		return fmt.Errorf("load %q: empty submission window [%s, %s)", c.Name, c.Start, c.End)
+	if c.End <= 0 {
+		return fmt.Errorf("load %q: empty submission window [0, %s)", c.Name, c.End)
 	}
 	switch c.Mode {
 	case Closed:
@@ -434,12 +433,12 @@ func (g *Generator) startSession(i int) {
 	pick := g.keyPicker(rng)
 	// Stagger session starts uniformly across one think interval (or
 	// 1ms when thinkless) so thousands of sessions do not arrive as
-	// one spike at Start.
+	// one spike at time zero.
 	window := g.cfg.Think
 	if window <= 0 {
 		window = vtime.Millisecond
 	}
-	first := g.cfg.Start.Add(vtime.Duration(rng.Int63n(int64(window) + 1)))
+	first := vtime.Time(rng.Int63n(int64(window) + 1))
 	var fireAt func(at vtime.Time)
 	fireAt = func(at vtime.Time) {
 		g.submit(at, pick, func() {
@@ -465,7 +464,7 @@ func (g *Generator) startSession(i int) {
 func (g *Generator) layoutOpen() {
 	rng := rand.New(rand.NewSource(g.sessionSeed(-1)))
 	pick := g.keyPicker(rng)
-	t := g.cfg.Start
+	t := vtime.Time(0)
 	n := 0
 	for {
 		r := g.rateAt(t)

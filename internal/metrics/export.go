@@ -69,8 +69,8 @@ func (r *Registry) Export() *Export {
 		return nil
 	}
 	doc := &Export{
-		IntervalNs: int64(r.opt.Interval),
-		Capacity:   r.opt.Capacity,
+		IntervalNs: int64(DefaultInterval),
+		Capacity:   DefaultCapacity,
 		Scrapes:    r.scrapes,
 		Series:     make([]SeriesData, 0, len(r.order)),
 	}

@@ -32,9 +32,10 @@ import (
 	"hades/internal/vtime"
 )
 
-// Defaults: the interval is short against the millisecond-scale
-// horizons of the builtins (a 400ms run yields 80 points) and the
-// capacity generously covers second-scale runs before the ring wraps.
+// The plane's sizes, constants of the model: the interval is short
+// against the millisecond-scale horizons of the builtins (a 400ms run
+// yields 80 points) and the capacity generously covers second-scale
+// runs before a series' ring wraps.
 const (
 	DefaultInterval = 5 * vtime.Millisecond
 	DefaultCapacity = 256
@@ -43,12 +44,6 @@ const (
 
 // Options parameterises a Registry.
 type Options struct {
-	// Interval is the virtual-time scrape period (0 = DefaultInterval).
-	Interval vtime.Duration
-	// Capacity bounds each series' ring buffer (0 = DefaultCapacity).
-	Capacity int
-	// TopK bounds the space-saving key-hotness sketch (0 = DefaultTopK).
-	TopK int
 	// Rules are the declarative SLO threshold rules evaluated each
 	// interval.
 	Rules []Rule
@@ -75,21 +70,20 @@ type Point struct {
 	Max  int64
 }
 
-// series is a fixed-capacity ring of points.
+// series is a ring of the most recent DefaultCapacity points.
 type series struct {
 	pts     []Point
 	start   int
 	dropped int
-	capn    int
 }
 
 func (s *series) push(p Point) {
-	if len(s.pts) < s.capn {
+	if len(s.pts) < DefaultCapacity {
 		s.pts = append(s.pts, p)
 		return
 	}
 	s.pts[s.start] = p
-	s.start = (s.start + 1) % s.capn
+	s.start = (s.start + 1) % DefaultCapacity
 	s.dropped++
 }
 
@@ -254,21 +248,12 @@ type Registry struct {
 	scrapes    int
 }
 
-// New builds a registry. Zero option fields default.
+// New builds a registry.
 func New(opt Options) *Registry {
-	if opt.Interval <= 0 {
-		opt.Interval = DefaultInterval
-	}
-	if opt.Capacity <= 0 {
-		opt.Capacity = DefaultCapacity
-	}
-	if opt.TopK <= 0 {
-		opt.TopK = DefaultTopK
-	}
 	r := &Registry{
 		opt:    opt,
 		byName: make(map[string]*entry),
-		topk:   newTopK(opt.TopK),
+		topk:   newTopK(DefaultTopK),
 	}
 	for _, rule := range opt.Rules {
 		r.probes = append(r.probes, newProbe(rule))
@@ -297,11 +282,11 @@ func (r *Registry) get(name string, kind instKind) *entry {
 	e = &entry{name: name, kind: kind}
 	switch kind {
 	case kindCounter:
-		e.c = &Counter{s: series{capn: r.opt.Capacity}}
+		e.c = &Counter{}
 	case kindGauge:
-		e.g = &Gauge{s: series{capn: r.opt.Capacity}}
+		e.g = &Gauge{}
 	case kindHist:
-		e.h = &Hist{h: trace.NewHist(), unit: "ns", s: series{capn: r.opt.Capacity}}
+		e.h = &Hist{h: trace.NewHist(), unit: "ns"}
 	}
 	r.byName[name] = e
 	r.order = append(r.order, e)
@@ -374,12 +359,12 @@ func (r *Registry) ArmUntil(until vtime.Time) {
 		return
 	}
 	if r.nextTick == 0 {
-		r.nextTick = vtime.Time(r.opt.Interval)
+		r.nextTick = vtime.Time(DefaultInterval)
 	}
-	for t := r.nextTick; t <= until; t = t.Add(r.opt.Interval) {
+	for t := r.nextTick; t <= until; t = t.Add(DefaultInterval) {
 		tick := t
 		r.opt.Schedule(tick, func() { r.scrapeAt(tick) })
-		r.nextTick = t.Add(r.opt.Interval)
+		r.nextTick = t.Add(DefaultInterval)
 	}
 	if until > r.armedUntil {
 		r.armedUntil = until

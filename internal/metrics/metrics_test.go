@@ -53,9 +53,7 @@ func findSeries(ex *Export, name string) *SeriesData {
 // funcs registered under one name sum.
 func TestCounterDeltaGaugeLevelFuncSum(t *testing.T) {
 	s := newSim()
-	opt := s.opts()
-	opt.Interval = vtime.Millisecond
-	r := New(opt)
+	r := New(s.opts())
 	c := r.Counter("ops")
 	depth := int64(7)
 	r.GaugeFunc("depth", func() int64 { return depth })
@@ -64,12 +62,12 @@ func TestCounterDeltaGaugeLevelFuncSum(t *testing.T) {
 	r.GaugeFunc("fanned", func() int64 { return b })
 
 	c.add(5)
-	r.ArmUntil(vtime.Time(2 * vtime.Millisecond))
-	s.runTo(vtime.Time(vtime.Millisecond))
+	r.ArmUntil(vtime.Time(2 * DefaultInterval))
+	s.runTo(vtime.Time(DefaultInterval))
 	c.add(2)
 	depth -= 3
 	a = 10
-	s.runTo(vtime.Time(2 * vtime.Millisecond))
+	s.runTo(vtime.Time(2 * DefaultInterval))
 
 	ex := r.Export()
 	ops := findSeries(ex, "ops")
@@ -87,18 +85,17 @@ func TestCounterDeltaGaugeLevelFuncSum(t *testing.T) {
 }
 
 // TestSeriesRingWraparound: a full ring drops the oldest points, keeps
-// the newest Capacity in chronological order and counts the evictions.
+// the newest DefaultCapacity in chronological order and counts the
+// evictions.
 func TestSeriesRingWraparound(t *testing.T) {
+	const scrapes = DefaultCapacity + 6
 	s := newSim()
-	opt := s.opts()
-	opt.Interval = vtime.Millisecond
-	opt.Capacity = 4
-	r := New(opt)
+	r := New(s.opts())
 	c := r.Counter("ops")
-	r.ArmUntil(vtime.Time(10 * vtime.Millisecond))
-	for i := 1; i <= 10; i++ {
+	r.ArmUntil(vtime.Time(scrapes * DefaultInterval))
+	for i := 1; i <= scrapes; i++ {
 		c.add(int64(i)) // interval i's delta is i
-		s.runTo(vtime.Time(vtime.Duration(i) * vtime.Millisecond))
+		s.runTo(vtime.Time(vtime.Duration(i) * DefaultInterval))
 	}
 	ex := r.Export()
 	ops := findSeries(ex, "ops")
@@ -108,11 +105,11 @@ func TestSeriesRingWraparound(t *testing.T) {
 	if ops.Dropped != 6 {
 		t.Fatalf("dropped = %d, want 6", ops.Dropped)
 	}
-	if len(ops.Points) != 4 {
-		t.Fatalf("retained %d points, want 4", len(ops.Points))
+	if len(ops.Points) != DefaultCapacity {
+		t.Fatalf("retained %d points, want %d", len(ops.Points), DefaultCapacity)
 	}
 	for i, p := range ops.Points {
-		wantT := int64(vtime.Duration(7+i) * vtime.Millisecond)
+		wantT := int64(vtime.Duration(7+i) * DefaultInterval)
 		if p.T != wantT || p.V != int64(7+i) {
 			t.Fatalf("point %d = {T:%d V:%d}, want {T:%d V:%d} (chronological unwind)", i, p.T, p.V, wantT, 7+i)
 		}
@@ -123,18 +120,16 @@ func TestSeriesRingWraparound(t *testing.T) {
 // observations; an empty interval exports a zero point.
 func TestHistIntervalReset(t *testing.T) {
 	s := newSim()
-	opt := s.opts()
-	opt.Interval = vtime.Millisecond
-	r := New(opt)
+	r := New(s.opts())
 	h := r.Hist("lat")
-	r.ArmUntil(vtime.Time(3 * vtime.Millisecond))
+	r.ArmUntil(vtime.Time(3 * DefaultInterval))
 	h.Observe(100)
 	h.Observe(200)
-	s.runTo(vtime.Time(vtime.Millisecond))
+	s.runTo(vtime.Time(DefaultInterval))
 	// Interval 2: nothing observed.
-	s.runTo(vtime.Time(2 * vtime.Millisecond))
+	s.runTo(vtime.Time(2 * DefaultInterval))
 	h.ObserveD(5 * vtime.Microsecond)
-	s.runTo(vtime.Time(3 * vtime.Millisecond))
+	s.runTo(vtime.Time(3 * DefaultInterval))
 
 	lat := findSeries(r.Export(), "lat")
 	if lat == nil || len(lat.Points) != 3 {
@@ -160,36 +155,35 @@ func TestSLOStreakOnsetClear(t *testing.T) {
 	s := newSim()
 	log := monitor.NewLog(100)
 	opt := s.opts()
-	opt.Interval = vtime.Millisecond
 	opt.Log = log
 	opt.Rules = []Rule{{Name: "depth", Metric: "q", Op: OpLE, Threshold: 10, For: 2}}
 	r := New(opt)
 	var q int64
 	r.GaugeFunc("q", func() int64 { return q })
-	r.ArmUntil(vtime.Time(5 * vtime.Millisecond))
+	r.ArmUntil(vtime.Time(5 * DefaultInterval))
 
 	q = 50 // interval 1: violating (bad=1, no breach yet)
-	s.runTo(vtime.Time(vtime.Millisecond))
+	s.runTo(vtime.Time(DefaultInterval))
 	if n := len(r.breaches()); n != 0 {
 		t.Fatalf("breach before the For streak: %d", n)
 	}
 	q = 60 // interval 2: violating (bad=2 → breach opens)
-	s.runTo(vtime.Time(2 * vtime.Millisecond))
+	s.runTo(vtime.Time(2 * DefaultInterval))
 	br := r.breaches()
-	if len(br) != 1 || br[0].Onset != vtime.Time(2*vtime.Millisecond) || br[0].Clear != 0 {
+	if len(br) != 1 || br[0].Onset != vtime.Time(2*DefaultInterval) || br[0].Clear != 0 {
 		t.Fatalf("breach not opened at the second violating interval: %+v", br)
 	}
 	q = 70 // interval 3: still violating (extends, worst=70)
-	s.runTo(vtime.Time(3 * vtime.Millisecond))
+	s.runTo(vtime.Time(3 * DefaultInterval))
 	q = 5 // interval 4: holds → clears
-	s.runTo(vtime.Time(4 * vtime.Millisecond))
+	s.runTo(vtime.Time(4 * DefaultInterval))
 
 	br = r.breaches()
 	if len(br) != 1 {
 		t.Fatalf("want one breach window: %+v", br)
 	}
 	b := br[0]
-	if b.Clear != vtime.Time(4*vtime.Millisecond) || b.Intervals != 3 || b.Worst != 70 {
+	if b.Clear != vtime.Time(4*DefaultInterval) || b.Intervals != 3 || b.Worst != 70 {
 		t.Fatalf("clear/intervals/worst wrong: %+v", b)
 	}
 	if n := log.CountKind(monitor.KindSLOBreach); n != 1 {
@@ -209,18 +203,17 @@ func TestSLOStreakOnsetClear(t *testing.T) {
 func TestSLONoDataClears(t *testing.T) {
 	s := newSim()
 	opt := s.opts()
-	opt.Interval = vtime.Millisecond
 	opt.Rules = []Rule{{Name: "lat", Metric: "lat", Stat: StatP99, Op: OpLE, Threshold: 1000}}
 	r := New(opt)
 	h := r.Hist("lat")
-	r.ArmUntil(vtime.Time(3 * vtime.Millisecond))
+	r.ArmUntil(vtime.Time(3 * DefaultInterval))
 
 	h.Observe(5000) // interval 1: p99 violates → breach (For defaults to 1)
-	s.runTo(vtime.Time(vtime.Millisecond))
+	s.runTo(vtime.Time(DefaultInterval))
 	// Interval 2: no observations → vacuous hold, breach clears.
-	s.runTo(vtime.Time(2 * vtime.Millisecond))
+	s.runTo(vtime.Time(2 * DefaultInterval))
 	br := r.breaches()
-	if len(br) != 1 || br[0].Onset != vtime.Time(vtime.Millisecond) || br[0].Clear != vtime.Time(2*vtime.Millisecond) {
+	if len(br) != 1 || br[0].Onset != vtime.Time(DefaultInterval) || br[0].Clear != vtime.Time(2*DefaultInterval) {
 		t.Fatalf("no-data interval did not clear the breach: %+v", br)
 	}
 	// Evals counted only intervals with data.

@@ -222,35 +222,23 @@ func (e Event) String() string {
 // Log collects events in order. It is not safe for concurrent use: a HADES
 // run is single-threaded by design (determinism), so the log needs no lock.
 //
-// A positive limit bounds the retained *window* in one of two modes.
-// Head mode (NewLog) keeps the first limit events — right for
-// regenerating a figure from a run's opening. Ring mode (NewRingLog)
-// keeps the most recent limit events — right for diagnosing a long
-// run's tail. In both modes every violation and every fault-timeline
-// event is also kept on a side list the bound never touches, so
-// Violations and Faults are complete however full the window is or
-// however far the ring has churned.
+// A positive limit bounds the retained *window* to the first limit
+// events. Every violation and every fault-timeline event is also kept
+// on a side list the bound never touches, so Violations and Faults are
+// complete however full the window is.
 type Log struct {
 	events   []Event
 	capLimit int // 0 = unlimited
 	dropped  int
-	ring     bool
-	start    int // ring mode: index of the oldest retained event
-	// Never evicted, in record order.
+	// Never dropped, in record order.
 	viol   []Event
 	faults []Event
 }
 
-// NewLog returns an empty head-mode log. limit, when positive, bounds
-// the window to the first limit events; what arrives later is counted
-// in Dropped and, unless it is a violation or a fault-timeline event,
-// discarded.
+// NewLog returns an empty log. limit, when positive, bounds the window
+// to the first limit events; what arrives later is counted in Dropped
+// and, unless it is a violation or a fault-timeline event, discarded.
 func NewLog(limit int) *Log { return &Log{capLimit: limit} }
-
-// NewRingLog returns an empty ring-mode log: limit, when positive,
-// bounds the window to the most recent limit events. The drop counter
-// counts non-violation events pushed out of the ring.
-func NewRingLog(limit int) *Log { return &Log{capLimit: limit, ring: true} }
 
 // full reports whether the window has reached its bound.
 func (l *Log) full() bool { return l.capLimit > 0 && len(l.events) >= l.capLimit }
@@ -266,29 +254,22 @@ func (l *Log) Record(e Event) {
 	case e.Kind.isFault():
 		l.faults = append(l.faults, e)
 	}
-	switch {
-	case !l.full():
-		l.events = append(l.events, e)
-	case l.ring:
-		if !l.events[l.start].Kind.isViolation() {
-			l.dropped++
-		}
-		l.events[l.start] = e
-		l.start = (l.start + 1) % l.capLimit
-	default:
+	if l.full() {
 		l.dropped++
+		return
 	}
+	l.events = append(l.events, e)
 }
 
 // Keeps reports whether a record of kind made now would be kept: the
 // test Recordf applies before it formats. A caller whose subject costs
 // something to build asks first.
 func (l *Log) Keeps(kind Kind) bool {
-	return l != nil && (l.ring || !l.full() || kind.isViolation() || kind.isFault())
+	return l != nil && (!l.full() || kind.isViolation() || kind.isFault())
 }
 
 // Recordf appends an event built from the arguments. An event nothing
-// would keep — a full head-mode window, a kind off the side lists — is
+// would keep — a full window, a kind off the side lists — is
 // counted in Dropped before its detail is formatted, not after.
 func (l *Log) Recordf(at vtime.Time, kind Kind, node int, subject, format string, args ...any) {
 	if l == nil {
@@ -323,20 +304,7 @@ func (l *Log) Events() []Event {
 	if l == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(l.events))
-	l.each(func(e Event) { out = append(out, e) })
-	return out
-}
-
-// each visits retained events in chronological order (unwinding the
-// ring when it has wrapped).
-func (l *Log) each(visit func(Event)) {
-	for _, e := range l.events[l.start:] { // start is 0 until a ring wraps
-		visit(e)
-	}
-	for _, e := range l.events[:l.start] {
-		visit(e)
-	}
+	return append(make([]Event, 0, len(l.events)), l.events...)
 }
 
 // ByKind returns the retained events of the given kinds, in order. The
@@ -350,20 +318,16 @@ func (l *Log) ByKind(kinds ...Kind) []Event {
 		want[k] = true
 	}
 	var out []Event
-	scan := func(seg []Event) {
-		for i := range seg {
-			if want[seg[i].Kind] {
-				out = append(out, seg[i])
-			}
+	for i := range l.events {
+		if want[l.events[i].Kind] {
+			out = append(out, l.events[i])
 		}
 	}
-	scan(l.events[l.start:])
-	scan(l.events[:l.start])
 	return out
 }
 
 // Violations returns every recorded property violation, in record
-// order — including those the window refused or has since evicted.
+// order — including those the window refused.
 func (l *Log) Violations() []Event {
 	if l == nil {
 		return nil
@@ -392,25 +356,16 @@ func (l *Log) CountKind(k Kind) int {
 }
 
 // WriteTrace writes every retained event to w in chronological order,
-// one per line. In ring mode the drop note leads: the missing events
-// precede the retained window.
+// one per line, then a note of how many the limit dropped.
 func (l *Log) WriteTrace(w io.Writer) error {
-	var err error
-	note := func() {
-		if l.dropped > 0 && err == nil {
-			_, err = fmt.Fprintf(w, "... %d events dropped (log limit)\n", l.dropped)
+	for _, e := range l.events {
+		if _, err := fmt.Fprintln(w, e.String()); err != nil {
+			return err
 		}
 	}
-	if l.ring {
-		note()
+	if l.dropped > 0 {
+		_, err := fmt.Fprintf(w, "... %d events dropped (log limit)\n", l.dropped)
+		return err
 	}
-	l.each(func(e Event) {
-		if err == nil {
-			_, err = fmt.Fprintln(w, e.String())
-		}
-	})
-	if !l.ring {
-		note()
-	}
-	return err
+	return nil
 }

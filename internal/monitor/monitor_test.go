@@ -30,8 +30,8 @@ func TestRecordAndFilter(t *testing.T) {
 	}
 }
 
-// TestLogLimit pins head-mode semantics: the first limit events are
-// retained, the tail is dropped and counted.
+// TestLogLimit pins the window: the first limit events are retained,
+// the tail is dropped and counted, and the trace ends with the count.
 func TestLogLimit(t *testing.T) {
 	l := NewLog(2)
 	for i := 0; i < 5; i++ {
@@ -41,15 +41,19 @@ func TestLogLimit(t *testing.T) {
 		t.Fatalf("Len=%d Dropped=%d", l.Len(), l.Dropped())
 	}
 	if ev := l.Events(); ev[0].At != 0 || ev[1].At != 1 {
-		t.Fatalf("head mode retained %v, want the first two", ev)
+		t.Fatalf("retained %v, want the first two", ev)
 	}
-	if l.ring {
-		t.Fatal("NewLog must not be ring mode")
+	var sb strings.Builder
+	if err := l.WriteTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(sb.String(), "... 3 events dropped (log limit)\n") {
+		t.Fatalf("trace missing trailing drop note: %q", sb.String())
 	}
 }
 
 // TestHeadLogKeepsLateViolationsAndFaults: a violation or a
-// fault-timeline event that arrives after the head window filled is
+// fault-timeline event that arrives after the window filled is
 // refused by the window — counted in Dropped like any other — but kept
 // on the side lists, so Violations and Faults stay complete.
 func TestHeadLogKeepsLateViolationsAndFaults(t *testing.T) {
@@ -78,10 +82,10 @@ func TestHeadLogKeepsLateViolationsAndFaults(t *testing.T) {
 	}
 }
 
-// TestFaultsSurviveRingChurn: the fault timeline is complete in ring
-// mode too, and in-window faults are not reported twice.
-func TestFaultsSurviveRingChurn(t *testing.T) {
-	l := NewRingLog(2)
+// TestFaultsSurviveFullWindow: the fault timeline holds a fault the
+// window kept and one it refused once it was full, each once.
+func TestFaultsSurviveFullWindow(t *testing.T) {
+	l := NewLog(2)
 	l.Record(Event{At: 1, Kind: KindFailureInjected, Subject: "crash"})
 	for i := 0; i < 5; i++ {
 		l.Record(Event{At: vtime.Time(10 + i), Kind: KindActivation})
@@ -89,45 +93,14 @@ func TestFaultsSurviveRingChurn(t *testing.T) {
 	l.Record(Event{At: 99, Kind: KindPartition, Subject: "net"})
 	f := l.Faults()
 	if len(f) != 2 || f[0].Subject != "crash" || f[1].Subject != "net" {
-		t.Fatalf("Faults = %v, want the churned-out crash then the partition", f)
+		t.Fatalf("Faults = %v, want the in-window crash then the refused partition", f)
 	}
 }
 
-// TestRingLogRetainsRecent: ring mode keeps the most recent limit
-// events in chronological order and counts the churned-out ones.
-func TestRingLogRetainsRecent(t *testing.T) {
-	l := NewRingLog(3)
-	for i := 0; i < 8; i++ {
-		l.Record(Event{At: vtime.Time(i), Kind: KindActivation})
-	}
-	if !l.ring || l.Len() != 3 || l.Dropped() != 5 {
-		t.Fatalf("Ring=%v Len=%d Dropped=%d", l.ring, l.Len(), l.Dropped())
-	}
-	ev := l.Events()
-	for i, e := range ev {
-		if e.At != vtime.Time(5+i) {
-			t.Fatalf("ring retained %v, want the last three in order", ev)
-		}
-	}
-	// A kind scan unwinds the wrapped ring the same way.
-	l.Record(Event{At: 8, Kind: KindThreadFinish})
-	got := l.ByKind(KindActivation)
-	if len(got) != 2 || got[0].At != 6 || got[1].At != 7 {
-		t.Fatalf("ByKind on a wrapped ring = %v, want t=6 then t=7", got)
-	}
-	var sb strings.Builder
-	if err := l.WriteTrace(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "6 events dropped") {
-		t.Fatalf("trace missing drop note: %q", sb.String())
-	}
-}
-
-// TestRingLogKeepsViolations: violations survive any amount of ring
-// churn and are not counted as dropped when overwritten.
-func TestRingLogKeepsViolations(t *testing.T) {
-	l := NewRingLog(2)
+// TestFullLogKeepsViolations: violations survive any amount of window
+// overflow, the one the window kept and the one it refused alike.
+func TestFullLogKeepsViolations(t *testing.T) {
+	l := NewLog(2)
 	l.Record(Event{At: 1, Kind: KindDeadlineMiss, Subject: "early"})
 	for i := 0; i < 10; i++ {
 		l.Record(Event{At: vtime.Time(10 + i), Kind: KindActivation})
@@ -135,12 +108,12 @@ func TestRingLogKeepsViolations(t *testing.T) {
 	l.Record(Event{At: 99, Kind: KindNetworkOmission, Subject: "late"})
 	v := l.Violations()
 	if len(v) != 2 || v[0].Subject != "early" || v[1].Subject != "late" {
-		t.Fatalf("Violations = %v, want the churned-out miss plus the late omission", v)
+		t.Fatalf("Violations = %v, want the in-window miss plus the late omission", v)
 	}
-	// Ten overwrites pushed events out of the 2-slot ring: the one
-	// that evicted the violation must not count as a drop.
-	if l.Dropped() != 9 {
-		t.Fatalf("Dropped = %d, want 9 (violation eviction not counted)", l.Dropped())
+	// Nine activations and the late omission found the 2-slot window
+	// full.
+	if l.Dropped() != 10 {
+		t.Fatalf("Dropped = %d, want 10", l.Dropped())
 	}
 }
 

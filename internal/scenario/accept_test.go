@@ -29,6 +29,8 @@ func TestRejectCorpus(t *testing.T) {
 		"policy-typo.json":                 `unknown policy "SRPP" (want one of PCP, SRP, none)`,
 		"group-shard-name.json":            `group "shard0" takes the name of one of the shards block's own groups`,
 		"retired-key.json":                 `unknown field "vnodes"`,
+		"retired-observe-key.json":         `unknown field "retainViolations"`,
+		"group-load.json":                  `unknown field "load"`,
 	}
 	files, err := filepath.Glob("testdata/reject/*.json")
 	if err != nil {

@@ -15,15 +15,15 @@ func TestBuiltinReturnsFreshSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Shards.Count = 9
-	a.Observe.RetainViolations = false
+	*a.Observe.TraceSampleRate = 0.5
 	a.Tasks[0].Stages[0].Node = 5
 	b, err := Builtin("sharded-kv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Shards.Count != 2 || !b.Observe.RetainViolations || b.Tasks[0].Stages[0].Node != 6 {
-		t.Fatalf("a caller's mutation leaked into the catalogue: shards.count=%d retainViolations=%v stage node=%d",
-			b.Shards.Count, b.Observe.RetainViolations, b.Tasks[0].Stages[0].Node)
+	if b.Shards.Count != 2 || *b.Observe.TraceSampleRate != 1 || b.Tasks[0].Stages[0].Node != 6 {
+		t.Fatalf("a caller's mutation leaked into the catalogue: shards.count=%d traceSampleRate=%g stage node=%d",
+			b.Shards.Count, *b.Observe.TraceSampleRate, b.Tasks[0].Stages[0].Node)
 	}
 	c, err := Builtin("sharded-kv")
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hades/internal/cluster"
-	"hades/internal/load"
 	"hades/internal/membership"
 	"hades/internal/replication"
 )
@@ -28,11 +27,6 @@ type GroupSpec struct {
 	CheckpointEvery int     `json:"checkpointEvery,omitempty"`
 	SubmitEveryMs   float64 `json:"submitEveryMs,omitempty"`
 	SubmitFrom      int     `json:"submitFrom,omitempty"`
-	// Load attaches declarative generators straight to the group's
-	// replicated machine (kv shape only: submissions go to the current
-	// primary, an op completes at its first fresh apply) — the load
-	// harness without a sharded data plane. Requires a Style.
-	Load []LoadSpec `json:"load,omitempty"`
 }
 
 // groupStyles is the group replication-style enum's single source (see
@@ -44,9 +38,9 @@ var groupStyles = map[string]replication.Style{
 // validateGroups rejects malformed membership groups — names that
 // collide (with each other or with the shard set's own groups, whose
 // membership ports they would share), members off the platform,
-// replicas outside the membership, a driver or generators with nothing
-// replicated to drive. loadNames collects the generator names.
-func (s Spec) validateGroups(loadNames map[string]bool) error {
+// replicas outside the membership, a driver with nothing replicated to
+// drive.
+func (s Spec) validateGroups() error {
 	names, minted := map[string]bool{}, map[string]bool{}
 	if s.Shards != nil {
 		for i := 0; i < s.Shards.Count; i++ {
@@ -88,8 +82,8 @@ func (s Spec) validateGroups(loadNames map[string]bool) error {
 			if _, err := named(s, groupStyles, g.Style, "group %q has unknown style", g.Name); err != nil {
 				return err
 			}
-		} else if g.SubmitEveryMs > 0 || len(g.Load) > 0 {
-			return fmt.Errorf("scenario %q: group %q submits requests or attaches load but has no replication style (nothing to drive)", s.Name, g.Name)
+		} else if g.SubmitEveryMs > 0 {
+			return fmt.Errorf("scenario %q: group %q submits requests but has no replication style (nothing to drive)", s.Name, g.Name)
 		}
 		for _, r := range g.Replicas { // each member at most once: a replica leaves the set
 			if !members[r] {
@@ -108,21 +102,15 @@ func (s Spec) validateGroups(loadNames map[string]bool) error {
 				return err
 			}
 		}
-		block := groupLoads
-		block.kind = fmt.Sprintf("group %q load", g.Name)
-		if err := s.validateLoads(block, g.Load, loadNames); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
 // attachGroups lowers the membership groups, declaration order: the
-// group, its replicated machine when it has a style, the fixed-interval
-// request driver, then the group's generators. It returns the
-// replicated machines.
+// group, its replicated machine when it has a style, then the
+// fixed-interval request driver. It returns the replicated machines.
 func (s Spec) attachGroups(c *cluster.Cluster) (reps []*replication.Group) {
-	for gi, gs := range s.Groups {
+	for _, gs := range s.Groups {
 		g := c.Group(gs.Name, gs.Nodes...)
 		if gs.Style == "" {
 			continue
@@ -140,8 +128,6 @@ func (s Spec) attachGroups(c *cluster.Cluster) (reps []*replication.Group) {
 				return func() { rep.Submit(from, cmd) }
 			})
 		}
-		s.attachLoads(groupLoads, gs.Load, func(j int) int64 { return groupLoadSeed(s.Seed, gi, j) },
-			func(cfg load.Config, _ []int) *load.Generator { return g.AttachLoad(cfg) })
 	}
 	return reps
 }

@@ -65,18 +65,16 @@ type LoadSpec struct {
 	// mid-run (requires a skew).
 	ZipfSkew     float64            `json:"zipfSkew,omitempty"`
 	HotspotShift []HotspotShiftSpec `json:"hotspotShift,omitempty"`
-	// StartMs and EndMs bound the submission window (EndMs 0 = the
-	// horizon).
-	StartMs float64 `json:"startMs,omitempty"`
-	EndMs   float64 `json:"endMs,omitempty"`
-	// MaxOps caps total submissions (0 = the generator default).
-	MaxOps int `json:"maxOps,omitempty"`
+	// EndMs closes the submission window, which opens at time zero
+	// (0 = the horizon). Each generator submits at most
+	// load.DefaultMaxOps ops.
+	EndMs float64 `json:"endMs,omitempty"`
 	// Disabled keeps the block in the file but attaches nothing.
 	Disabled bool `json:"disabled,omitempty"`
 }
 
-// loadBlock is where a load generator is declared. The shards, pubsub
-// and groups blocks share one LoadSpec, one validator and one lowering;
+// loadBlock is where a load generator is declared. The shards and
+// pubsub blocks share one LoadSpec, one validator and one lowering;
 // this carries what differs between them.
 type loadBlock struct {
 	// kind is the subject of the block's error messages.
@@ -89,12 +87,8 @@ type loadBlock struct {
 	// publishes marks the pubsub block: its generators' Keys must name
 	// topics.
 	publishes bool
-	// endpoint names what Nodes host ("client", "publisher"); empty
-	// means the block takes no nodes at all.
+	// endpoint names what Nodes host ("client", "publisher").
 	endpoint string
-	// keyless lets Keys stay empty (replicated group state is keyless;
-	// the cluster synthesizes the single command stream).
-	keyless bool
 
 	// Filled in per spec, for validation only: the shards block's
 	// node-role ledger, through which its generators claim their client
@@ -112,12 +106,6 @@ var (
 	// node — publishers co-locate with replicas legally.
 	pubsubLoads = loadBlock{kind: "pubsub load", workloads: map[string]load.Workload{"": load.Pub, "pubsub": load.Pub},
 		otherwise: "a pubsub-block load always publishes", publishes: true, endpoint: "publisher"}
-	// groupLoads: a group load drives the group's replicated machine
-	// directly (submit at the current primary, complete at the first
-	// fresh apply), so it only speaks the kv shape and names no client
-	// nodes.
-	groupLoads = loadBlock{kind: "group load", workloads: map[string]load.Workload{"": load.KV, "kv": load.KV},
-		otherwise: "a plain replication group only serves kv commands", keyless: true}
 )
 
 // loadModes is the arrival-discipline enum's single source (see named).
@@ -141,9 +129,7 @@ func (b loadBlock) config(ls LoadSpec, seed int64, horizon vtime.Duration) load.
 		Keys:     ls.Keys,
 		ZipfSkew: ls.ZipfSkew,
 		Seed:     seed,
-		Start:    vtime.Time(msd(ls.StartMs)),
 		End:      end,
-		MaxOps:   ls.MaxOps,
 	}
 	for _, st := range ls.Ramp {
 		cfg.Ramp = append(cfg.Ramp, load.RampStep{At: vtime.Time(msd(st.AtMs)), Rate: st.Rate})
@@ -172,10 +158,7 @@ func (s Spec) validateLoads(b loadBlock, loads []LoadSpec, names map[string]bool
 		if !ok {
 			return fmt.Errorf("scenario %q: %s %q has unknown workload %q (%s)", s.Name, b.kind, ls.Name, ls.Workload, b.otherwise)
 		}
-		if b.endpoint == "" && len(ls.Nodes) > 0 {
-			return fmt.Errorf("scenario %q: %s %q names client nodes (it submits at the group's current primary; drop the nodes field)", s.Name, b.kind, ls.Name)
-		}
-		if b.endpoint != "" && len(ls.Nodes) == 0 {
+		if len(ls.Nodes) == 0 {
 			return fmt.Errorf("scenario %q: %s %q names no %s nodes", s.Name, b.kind, ls.Name, b.endpoint)
 		}
 		if b.publishes {
@@ -188,14 +171,10 @@ func (s Spec) validateLoads(b loadBlock, loads []LoadSpec, names map[string]bool
 				}
 			}
 		}
-		if ls.StartMs < 0 || ls.EndMs < 0 {
-			return fmt.Errorf("scenario %q: %s %q has a negative window bound [%gms, %gms]", s.Name, b.kind, ls.Name, ls.StartMs, ls.EndMs)
+		if ls.EndMs < 0 {
+			return fmt.Errorf("scenario %q: %s %q has a negative window end %gms", s.Name, b.kind, ls.Name, ls.EndMs)
 		}
-		cfg := b.config(ls, 1, s.Horizon())
-		if b.keyless && len(cfg.Keys) == 0 {
-			cfg.Keys = []string{"cmd"}
-		}
-		if err := cfg.Validate(); err != nil {
+		if err := b.config(ls, 1, s.Horizon()).Validate(); err != nil {
 			return fmt.Errorf("scenario %q: %s: %v", s.Name, b.kind, err)
 		}
 		seen := map[int]bool{}
@@ -233,10 +212,4 @@ func (s Spec) attachLoads(b loadBlock, loads []LoadSpec, seedOf func(i int) int6
 // from there.
 func loadSeed(seed int64, i int) int64 {
 	return seed*1000003 + int64(i+1)*104729
-}
-
-// groupLoadSeed derives a group generator's seed: a stream disjoint
-// from the shard-plane loads' (loadSeed) and the client pickers'.
-func groupLoadSeed(seed int64, group, i int) int64 {
-	return seed*1000003 + int64(group+1)*15485863 + int64(i+1)*104729
 }

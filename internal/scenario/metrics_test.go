@@ -16,9 +16,6 @@ func TestMetricsSpecValidation(t *testing.T) {
 		m       *MetricsSpec
 		wantErr string // "" = accepted
 	}{
-		{"negative interval", &MetricsSpec{IntervalMs: -1}, "intervalMs must not be negative"},
-		{"negative capacity", &MetricsSpec{Capacity: -8}, "capacity must not be negative"},
-		{"negative topk", &MetricsSpec{TopK: -2}, "topK must not be negative"},
 		{"rules on disabled plane", &MetricsSpec{Disabled: true,
 			SLO: []SLORuleSpec{{Name: "r", Metric: "m", Op: "<=", Threshold: 1}}},
 			"slo rules but the plane is disabled"},
@@ -40,7 +37,7 @@ func TestMetricsSpecValidation(t *testing.T) {
 		{"missing name", &MetricsSpec{
 			SLO: []SLORuleSpec{{Metric: "m", Op: "<=", Threshold: 1}}},
 			"needs a name"},
-		{"valid block", &MetricsSpec{IntervalMs: 2, Capacity: 64, TopK: 8,
+		{"valid block", &MetricsSpec{
 			SLO: []SLORuleSpec{
 				{Name: "lat", Metric: "kv.ack.latency", Stat: "p99", Op: "<=", ThresholdMs: 10, ForIntervals: 3},
 				{Name: "drops", Metric: "net.drops", Op: "<=", Threshold: 0},

@@ -9,8 +9,10 @@ import (
 )
 
 // ObserveSpec tunes the run's observability plane: causal-trace
-// sampling and the monitor event-log retention policy. All fields are
-// optional; a malformed value is rejected loudly rather than clamped.
+// sampling and the metrics plane. All fields are optional; a malformed
+// value is rejected loudly rather than clamped. The monitor log keeps
+// the cluster's default window; its violations and fault timeline are
+// complete whatever the window holds.
 type ObserveSpec struct {
 	// TraceSampleRate is the fraction of finished traces retained with
 	// full span trees, within [0,1] (violating traces — deadline
@@ -19,30 +21,16 @@ type ObserveSpec struct {
 	// builtins pin 1.0 so every exported run is fully walkable.
 	// Percentile aggregation observes every trace whatever the rate.
 	TraceSampleRate *float64 `json:"traceSampleRate,omitempty"`
-	// LogLimit bounds the monitor event log (must be positive; omitted
-	// selects the cluster default).
-	LogLimit *int `json:"logLimit,omitempty"`
-	// RetainViolations switches the log to ring mode: the most recent
-	// LogLimit events are kept instead of the first. Violations and
-	// fault-timeline events are never dropped in either mode.
-	RetainViolations bool `json:"retainViolations,omitempty"`
 	// Metrics tunes the virtual-time metrics plane (omitted keeps the
 	// plane on with its defaults).
 	Metrics *MetricsSpec `json:"metrics,omitempty"`
 }
 
-// MetricsSpec tunes the metrics plane from the scenario file: the
-// scrape interval, the series ring capacity, the key-hotness sketch
-// width and the declarative SLO rules. Malformed values are rejected
-// loudly at load time rather than clamped.
+// MetricsSpec tunes the metrics plane from the scenario file: whether
+// it runs and its declarative SLO rules. Its sizes are the metrics
+// package's constants. Malformed rules are rejected loudly at load
+// time rather than clamped.
 type MetricsSpec struct {
-	// IntervalMs is the virtual-time scrape period (omitted or 0
-	// selects the 5ms default).
-	IntervalMs float64 `json:"intervalMs,omitempty"`
-	// Capacity bounds each series' ring buffer (0 = default 256).
-	Capacity int `json:"capacity,omitempty"`
-	// TopK bounds the key-hotness sketch (0 = default 16).
-	TopK int `json:"topK,omitempty"`
 	// Disabled turns the plane off entirely (no instruments, no
 	// scrapes, no export).
 	Disabled bool `json:"disabled,omitempty"`
@@ -97,21 +85,9 @@ func (s Spec) validateObserve() error {
 	if o.TraceSampleRate != nil && (*o.TraceSampleRate < 0 || *o.TraceSampleRate > 1) {
 		return fmt.Errorf("scenario %q: observe traceSampleRate must be within [0,1] (got %g)", s.Name, *o.TraceSampleRate)
 	}
-	if o.LogLimit != nil && *o.LogLimit <= 0 {
-		return fmt.Errorf("scenario %q: observe logLimit must be positive (got %d)", s.Name, *o.LogLimit)
-	}
 	m := o.Metrics
 	if m == nil {
 		return nil
-	}
-	if m.IntervalMs < 0 {
-		return fmt.Errorf("scenario %q: observe metrics intervalMs must not be negative (got %g)", s.Name, m.IntervalMs)
-	}
-	if m.Capacity < 0 {
-		return fmt.Errorf("scenario %q: observe metrics capacity must not be negative (got %d)", s.Name, m.Capacity)
-	}
-	if m.TopK < 0 {
-		return fmt.Errorf("scenario %q: observe metrics topK must not be negative (got %d)", s.Name, m.TopK)
 	}
 	if m.Disabled && len(m.SLO) > 0 {
 		return fmt.Errorf("scenario %q: observe metrics declares %d slo rules but the plane is disabled", s.Name, len(m.SLO))
@@ -139,17 +115,8 @@ func (o *ObserveSpec) configure(cfg cluster.Config) cluster.Config {
 	if o.TraceSampleRate != nil {
 		cfg.Trace = &cluster.TraceParams{SampleRate: *o.TraceSampleRate}
 	}
-	if o.LogLimit != nil {
-		cfg.LogLimit = *o.LogLimit
-	}
-	cfg.RingLog = o.RetainViolations
 	if m := o.Metrics; m != nil {
-		mp := &cluster.MetricsParams{
-			Interval: msd(m.IntervalMs),
-			Capacity: m.Capacity,
-			TopK:     m.TopK,
-			Disabled: m.Disabled,
-		}
+		mp := &cluster.MetricsParams{Disabled: m.Disabled}
 		for _, r := range m.SLO {
 			mp.Rules = append(mp.Rules, r.rule())
 		}

@@ -23,6 +23,24 @@ func latencyOf(rep cluster.Result, class string, shard int) (cluster.LatencyResu
 	return rep.Latency[i], true
 }
 
+// shardOf and groupOf look a shard's or a membership group's record up
+// by name.
+func shardOf(res cluster.Result, name string) (cluster.ShardResult, bool) {
+	i := slices.IndexFunc(res.Shards, func(s cluster.ShardResult) bool { return s.Name == name })
+	if i < 0 {
+		return cluster.ShardResult{}, false
+	}
+	return res.Shards[i], true
+}
+
+func groupOf(res cluster.Result, name string) (cluster.GroupResult, bool) {
+	i := slices.IndexFunc(res.Groups, func(g cluster.GroupResult) bool { return g.Name == name })
+	if i < 0 {
+		return cluster.GroupResult{}, false
+	}
+	return res.Groups[i], true
+}
+
 // TestObserveValidation rejects out-of-range observe blocks loudly and
 // accepts well-formed ones.
 func TestObserveValidation(t *testing.T) {
@@ -40,9 +58,7 @@ func TestObserveValidation(t *testing.T) {
 	}{
 		{"rate above one", &ObserveSpec{TraceSampleRate: fptr(1.5)}, "traceSampleRate must be within [0,1]"},
 		{"negative rate", &ObserveSpec{TraceSampleRate: fptr(-0.1)}, "traceSampleRate must be within [0,1]"},
-		{"zero log limit", &ObserveSpec{LogLimit: iptr(0)}, "logLimit must be positive"},
-		{"negative log limit", &ObserveSpec{LogLimit: iptr(-5)}, "logLimit must be positive"},
-		{"valid block", &ObserveSpec{TraceSampleRate: fptr(0.25), LogLimit: iptr(100), RetainViolations: true}, ""},
+		{"valid block", &ObserveSpec{TraceSampleRate: fptr(0.25)}, ""},
 		{"boundary rates", &ObserveSpec{TraceSampleRate: fptr(0)}, ""},
 	}
 	for _, tc := range cases {
@@ -73,7 +89,7 @@ func TestObserveJSONRoundTrip(t *testing.T) {
 	good := filepath.Join(dir, "good.json")
 	data := `{
 		"name": "observe-test", "nodes": 2, "seed": 3, "scheduler": "RM", "horizonMs": 50,
-		"observe": {"traceSampleRate": 0.5, "logLimit": 200, "retainViolations": true},
+		"observe": {"traceSampleRate": 0.5},
 		"tasks": [{"name": "a", "node": 0, "cBeforeUs": 500, "deadlineMs": 10, "periodMs": 10, "law": "periodic"}]
 	}`
 	if err := os.WriteFile(good, []byte(data), 0o644); err != nil {
@@ -84,8 +100,7 @@ func TestObserveJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := spec.Observe
-	if o == nil || o.TraceSampleRate == nil || *o.TraceSampleRate != 0.5 ||
-		o.LogLimit == nil || *o.LogLimit != 200 || !o.RetainViolations {
+	if o == nil || o.TraceSampleRate == nil || *o.TraceSampleRate != 0.5 {
 		t.Fatalf("observe block not parsed: %+v", o)
 	}
 	clu, err := spec.Build()
@@ -173,7 +188,7 @@ func TestZeroRateStillRetainsViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Observe = &ObserveSpec{TraceSampleRate: fptr(0), RetainViolations: true}
+	spec.Observe = &ObserveSpec{TraceSampleRate: fptr(0)}
 	clu, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +242,5 @@ func TestZeroRateStillRetainsViolations(t *testing.T) {
 		t.Fatal("histograms lost the unsampled commits")
 	}
 }
-
-func iptr(i int) *int { return &i }
 
 func fptr(f float64) *float64 { return &f }

@@ -119,38 +119,6 @@ func TestPubSubSpecValidation(t *testing.T) {
 	}
 }
 
-// TestGroupLoadRuns: a generator attached to a plain replication group
-// (no sharded plane) drives real commands through the primary and its
-// account — with per-generator latency — reaches the Result.
-func TestGroupLoadRuns(t *testing.T) {
-	spec, err := Builtin("membership-churn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Groups = append([]GroupSpec(nil), spec.Groups...)
-	spec.Groups[0].Load = []LoadSpec{{Name: "churn-load", Sessions: 8, ThinkMs: 2}}
-	spec, err = spec.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Run(spec.Horizon())
-	res := sys.ResultNow()
-	if len(res.Loads) != 1 {
-		t.Fatalf("got %d load accounts, want 1", len(res.Loads))
-	}
-	l := res.Loads[0]
-	if l.Name != "churn-load" || l.Offered == 0 || l.Acked == 0 {
-		t.Fatalf("group load account empty: %+v", l)
-	}
-	if l.Latency.Count == 0 || l.Latency.P50 <= 0 || l.Latency.Max < l.Latency.P50 {
-		t.Fatalf("group load latency attribution missing: %+v", l.Latency)
-	}
-}
-
 // runSensorFanOut builds and runs the builtin at the given seed and
 // returns the cluster plus its (single) pub/sub plane.
 func runSensorFanOut(t *testing.T, seed int64) (*cluster.Cluster, *pubsub.Plane) {
@@ -339,7 +307,7 @@ func TestLateJoinerThroughPartitionMerge(t *testing.T) {
 	base := Spec{
 		Name: "merge-replay", Nodes: 6, Costs: "default",
 		Scheduler: "EDF", Policy: "none", HorizonMs: 500,
-		Observe: &ObserveSpec{TraceSampleRate: fptr(1.0), RetainViolations: true},
+		Observe: &ObserveSpec{TraceSampleRate: fptr(1.0)},
 		Shards: &ShardsSpec{
 			Count: 1, ReplicasPer: 3, Style: "semi-active",
 			Routes: map[string]int{"t": 0},

@@ -21,7 +21,7 @@
 // The package is one lowering per plane, one file each: tasks.go
 // (platform, task set, scheduler / policy / costs / law), faults.go,
 // shards.go (replica layout, kv and txn clients, session knobs),
-// load.go (the generators the shards, pubsub and groups blocks share),
+// load.go (the generators the shards and pubsub blocks share),
 // pubsub.go, groups.go and observe.go each hold the plane's spec types,
 // its validateX and its attachX side by side, reading the same name
 // tables, so what validation accepts is what Build can lower. This file
@@ -173,12 +173,12 @@ func (s Spec) withDefaults() (Spec, error) {
 		return s, err
 	}
 	// Generator names key metric series and report rows, so they are
-	// unique across the shards, groups and pubsub blocks.
+	// unique across the shards and pubsub blocks.
 	loadNames := map[string]bool{}
 	if err := s.validateShards(loadNames); err != nil {
 		return s, err
 	}
-	if err := s.validateGroups(loadNames); err != nil {
+	if err := s.validateGroups(); err != nil {
 		return s, err
 	}
 	if err := s.validatePubSub(loadNames); err != nil {

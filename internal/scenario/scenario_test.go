@@ -355,7 +355,7 @@ func TestMembershipChurnBuiltin(t *testing.T) {
 	}
 	res := clu.Run(spec.Horizon())
 
-	gr, ok := res.Group("sm")
+	gr, ok := groupOf(res, "sm")
 	if !ok {
 		t.Fatal("no group result")
 	}
@@ -469,7 +469,7 @@ func TestCrashAndRecoverScheduleFromJSON(t *testing.T) {
 		t.Fatal("node 0 still down after recoverMs")
 	}
 	// ...and drove a removal view and a rejoin view.
-	gr, _ := res.Group("g")
+	gr, _ := groupOf(res, "g")
 	if len(gr.Views) != 3 {
 		t.Fatalf("agreed views %v, want removal + rejoin", gr.Views)
 	}
@@ -654,7 +654,7 @@ func TestPartitionSplitBuiltinIsSplitBrainSafe(t *testing.T) {
 
 			mem := clu.Groups()[0].Membership()
 			rep := reps[0]
-			gr, ok := res.Group("sm")
+			gr, ok := groupOf(res, "sm")
 			if !ok {
 				t.Fatal("no group result")
 			}
@@ -834,18 +834,18 @@ func TestShardedKVLinearizablePerKeyAcrossSeeds(t *testing.T) {
 				t.Fatal("fault windows produced neither retries nor redirects")
 			}
 			for _, name := range []string{"shard0", "shard1"} {
-				sr, ok := res.Shard(name)
+				sr, ok := shardOf(res, name)
 				if !ok || sr.Requests == 0 {
 					t.Fatalf("shard %s served no requests: %+v", name, res.Shards)
 				}
-				gr, _ := res.Group(name)
+				gr, _ := groupOf(res, name)
 				if gr.Failovers != 1 {
 					t.Fatalf("%s failovers %d, want 1", name, gr.Failovers)
 				}
 			}
 			// The split window really was a split: shard1's isolated
 			// primary was blocked and re-admitted through a merge.
-			gr1, _ := res.Group("shard1")
+			gr1, _ := groupOf(res, "shard1")
 			if gr1.BlockedTime == 0 || gr1.Merges != 1 {
 				t.Fatalf("shard1 partition stats: %+v", gr1)
 			}
@@ -925,7 +925,7 @@ func TestBankTransferAtomicAcrossSeeds(t *testing.T) {
 				t.Fatal("no deadline aborts — the fault windows never forced the deadline discipline")
 			}
 			for _, name := range []string{"shard0", "shard1"} {
-				sr, ok := res.Shard(name)
+				sr, ok := shardOf(res, name)
 				if !ok || sr.Txn.Prepares == 0 {
 					t.Fatalf("shard %s prepared nothing: %+v", name, sr.Txn)
 				}
@@ -963,8 +963,8 @@ func TestShardRoutesPinKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := clu.Run(s.Horizon())
-	s0, _ := res.Shard("shard0")
-	s1, _ := res.Shard("shard1")
+	s0, _ := shardOf(res, "shard0")
+	s1, _ := shardOf(res, "shard1")
 	if s0.Requests != 0 || s1.Requests == 0 {
 		t.Fatalf("pinned routes ignored: shard0=%+v shard1=%+v", s0, s1)
 	}

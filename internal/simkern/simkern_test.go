@@ -375,8 +375,8 @@ func TestBusyAccounting(t *testing.T) {
 
 // TestRecordfFormatsOnlyWhatIsKept: the one record door stamps the
 // firing instant and renders the detail of what the log keeps — with
-// room, in ring mode, or a kind the side lists keep — while a full head
-// window counts the rest as dropped. That a refused record is never
+// room, or a kind the side lists keep — while a full window counts the
+// rest as dropped. That a refused record is never
 // formatted is held by TestAllocsRefusedRecord: it costs nothing.
 func TestRecordfFormatsOnlyWhatIsKept(t *testing.T) {
 	arg := 1500 * us
@@ -401,12 +401,12 @@ func TestRecordfFormatsOnlyWhatIsKept(t *testing.T) {
 		t.Fatalf("late violation: Violations %v, Dropped=%d", v, head.Dropped())
 	}
 
-	ring := monitor.NewRingLog(1)
-	eng = NewEngine(ring, 1)
+	all := monitor.NewLog(0)
+	eng = NewEngine(all, 1)
 	at(eng, monitor.KindMessageSend)
 	eng.Recordf(monitor.KindMessageRecv, 2, "subj", "x=%s", arg)
-	if ev := ring.Events(); len(ev) != 1 || ev[0].Kind != monitor.KindMessageRecv || ev[0].Detail != "x=1.5ms" || ring.Dropped() != 1 {
-		t.Fatalf("ring log: events %v, Dropped=%d; want the newest kept", ev, ring.Dropped())
+	if ev := all.Events(); len(ev) != 2 || ev[1].Kind != monitor.KindMessageRecv || ev[1].Detail != "x=1.5ms" || all.Dropped() != 0 {
+		t.Fatalf("unbounded log: events %v, Dropped=%d; want both kept", ev, all.Dropped())
 	}
 
 	at(NewEngine(nil, 1), monitor.KindMessageSend) // a nil log records nothing
@@ -544,7 +544,7 @@ func TestLazyNameRenderedOnlyWhenRead(t *testing.T) {
 	for _, tc := range []struct {
 		log     *monitor.Log
 		renders int
-	}{{full, 0}, {nil, 0}, {monitor.NewLog(0), 1}, {monitor.NewRingLog(4), 1}} {
+	}{{full, 0}, {nil, 0}, {monitor.NewLog(0), 1}} {
 		eng := NewEngine(tc.log, 1)
 		p := eng.AddProcessor("n0", 10*us)
 		renders := 0

@@ -20,8 +20,6 @@ import (
 // maxNamesAllowed entries.
 var namesAllowlist = map[string]string{
 	"cluster.App.Raw":               "dispatcher tests set RejectOnArrivalViolation on the raw dispatcher app",
-	"cluster.Result.Group":          "cluster and scenario tests look a group's record up by name",
-	"cluster.Result.Shard":          "cluster and scenario tests look a shard's record up by name",
 	"heug.Builder.Invoke":           "dispatcher tests build §3.1 invocation units (Inv_EU); no builtin declares one",
 	"pubsub.Plane.CheckComplete":    "the per-topic delivery audit scenario's TestRegressCorpus runs",
 	"scenario.Builtin":              "cmd/hades golden tests and cluster verify tests load builtins by name",
@@ -36,7 +34,7 @@ var namesAllowlist = map[string]string{
 	"txn.Txn.Read":                  "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
 }
 
-const maxNamesAllowed = 15
+const maxNamesAllowed = 13
 
 // TestOnlyNamesSomethingCalls holds the exported surface of internal/ to
 // what something calls. Every exported func, and every exported method of
