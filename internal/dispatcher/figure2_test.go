@@ -1,6 +1,7 @@
 package dispatcher_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -108,10 +109,14 @@ func mustContainInOrder(t *testing.T, trace string, parts ...string) {
 
 // TestFigure2WithCosts re-runs the scenario with the full §4 cost book:
 // the trace keeps its shape and response times grow by the accounted
-// overheads only.
+// overheads only. Every thread that carries dispatcher work is named
+// for the work it carries when it carries it, though a scheduler host
+// and an instance each reuse one kernel thread for all of theirs.
 func TestFigure2WithCosts(t *testing.T) {
+	var log *monitor.Log
 	run := func(costs dispatcher.CostBook) cluster.Result {
 		sys := cluster.New(cluster.Config{Seed: 1, Costs: costs})
+		log = sys.Log()
 		app := sys.NewApp("fig2", sched.NewEDF(20*us), nil)
 		t1 := heug.NewTask("t1", heug.AperiodicLaw()).
 			WithDeadline(20*ms).
@@ -143,5 +148,32 @@ func TestFigure2WithCosts(t *testing.T) {
 			t.Errorf("task %s: overhead exploded: %s vs %s",
 				costed.Tasks[i].Name, costed.Tasks[i].MaxResponse, free.Tasks[i].MaxResponse)
 		}
+	}
+
+	// The costed run's thread starts: each notification's scheduler
+	// thread under its own number, each instance's C_start_inv and
+	// C_end_inv under their own suffix.
+	var sched, kwork []string
+	for _, e := range log.Events() {
+		switch {
+		case e.Kind != monitor.KindThreadStart:
+		case strings.HasPrefix(e.Subject, "sched."):
+			sched = append(sched, e.Subject)
+		case strings.HasSuffix(e.Subject, "inv"):
+			kwork = append(kwork, e.Subject)
+		}
+	}
+	if runs := log.CountKind(monitor.KindSchedulerRun); len(sched) != runs || runs < 3 {
+		t.Fatalf("%d scheduler threads started for %d notifications handled", len(sched), runs)
+	}
+	for i, name := range sched {
+		if want := fmt.Sprintf("sched.fig2@n0#%d", i+1); name != want {
+			t.Errorf("scheduler thread %d started as %q, want %q", i+1, name, want)
+		}
+	}
+	mustContainInOrder(t, strings.Join(kwork, " | "),
+		"t1#1.startinv", "t2#1.startinv", "t2#1.endinv", "t1#1.endinv")
+	if len(kwork) != 4 {
+		t.Errorf("kernel-work threads started: %v, want a start and an end per instance", kwork)
 	}
 }

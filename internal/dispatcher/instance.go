@@ -11,6 +11,11 @@ import (
 
 // Instance is one activation of a task: the unit the dispatcher tracks
 // for deadlines, completion and orphan handling.
+//
+// An instance owns what its activation needs and allocates it once: one
+// array holding its units' threads, and one kernel thread that carries
+// C_start_inv and later C_end_inv (the two never overlap), named and
+// hooked once. A unit's parameter maps are made at its first parameter.
 type Instance struct {
 	TR  *TaskRuntime
 	Seq uint64
@@ -21,7 +26,7 @@ type Instance struct {
 	AbsDeadline vtime.Time // Infinity when the task has no deadline
 	CompletedAt vtime.Time
 
-	Threads []*Thread // parallel to TR.Task.EUs
+	Threads []*Thread // parallel to TR.Task.EUs, into one array
 
 	remaining  int
 	completed  bool
@@ -29,7 +34,13 @@ type Instance struct {
 	cancelled  bool
 	deadlineEv *eventq.Event
 	onComplete []func(*Instance)
-	inputs     map[string]any // parameters handed by an invoking Inv_EU
+
+	// kwork runs the instance's dispatcher activities; kworkEnd says
+	// which one it carries now (C_end_inv when set).
+	kwork     simkern.Thread
+	kworkEnd  bool
+	kworkName func() string
+	kworkDone func()
 }
 
 // whenComplete registers a callback fired when the instance completes
@@ -70,9 +81,12 @@ func (d *Dispatcher) buildInstance(tr *TaskRuntime) *Instance {
 	d.live[instKey{task.Name, inst.Seq}] = inst
 	d.eng.Recordf(monitor.KindActivation, tr.primaryNode(), inst.name, "D=%s", task.Deadline)
 
+	threads := make([]Thread, len(task.EUs))
 	inst.Threads = make([]*Thread, len(task.EUs))
 	for i, eu := range task.EUs {
-		inst.Threads[i] = d.newThread(inst, i, eu)
+		th := &threads[i]
+		d.initThread(th, inst, i, eu)
+		inst.Threads[i] = th
 	}
 
 	if inst.AbsDeadline != vtime.Infinity {
@@ -94,33 +108,53 @@ func (d *Dispatcher) buildInstance(tr *TaskRuntime) *Instance {
 		}
 	}
 
-	start := func() {
-		// Atv notifications first (Figure 2 ordering), then release.
-		for _, th := range inst.Threads {
-			if th.eu.IsCode() {
-				inst.TR.App.notify(NotifAtv, th)
-			}
-		}
-		for _, th := range inst.Threads {
-			d.evaluate(th)
-		}
-	}
 	if d.costs.StartInv > 0 {
-		d.kernelWork(tr.primaryNode(), inst.name+".startinv", d.costs.StartInv, start)
+		d.kernelWork(inst, false, d.costs.StartInv)
 	} else {
-		start()
+		d.releaseUnits(inst)
 	}
 	return inst
 }
 
-// kernelWork runs a dispatcher activity of the given cost on a node at
-// scheduler priority (non-preemptible by applications), then fires done.
-func (d *Dispatcher) kernelWork(node int, name string, cost vtime.Duration, done func()) {
-	ns := d.node(node)
-	k := ns.proc.NewThread(name, PrioScheduler)
-	k.AddSegment(simkern.Segment{Work: cost, PT: simkern.PrioMax})
-	k.OnComplete = done
-	k.Ready()
+// releaseUnits sends the instance's Atv notifications (first, for
+// Figure 2's ordering), then evaluates every unit.
+func (d *Dispatcher) releaseUnits(inst *Instance) {
+	for _, th := range inst.Threads {
+		if th.eu.IsCode() {
+			inst.TR.App.notify(NotifAtv, th)
+		}
+	}
+	for _, th := range inst.Threads {
+		d.evaluate(th)
+	}
+}
+
+// kernelWork runs one of the instance's dispatcher activities on its
+// primary node at scheduler priority (non-preemptible by applications):
+// C_start_inv, which then releases the units, or C_end_inv (end),
+// which then finalizes the instance. Both reuse the instance's kernel
+// thread and the hooks bound on first use.
+func (d *Dispatcher) kernelWork(inst *Instance, end bool, cost vtime.Duration) {
+	if inst.kworkDone == nil {
+		inst.kworkName = func() string {
+			if inst.kworkEnd {
+				return inst.name + ".endinv"
+			}
+			return inst.name + ".startinv"
+		}
+		inst.kworkDone = func() {
+			if inst.kworkEnd {
+				d.finalizeInstance(inst)
+			} else {
+				d.releaseUnits(inst)
+			}
+		}
+	}
+	inst.kworkEnd = end
+	d.node(inst.TR.primaryNode()).proc.InitThread(&inst.kwork, inst.kworkName, PrioScheduler)
+	inst.kwork.AddSegment(simkern.Segment{Work: cost, PT: simkern.PrioMax})
+	inst.kwork.OnComplete = inst.kworkDone
+	inst.kwork.Ready()
 }
 
 // deadlinePassed fires at an instance's absolute deadline.
@@ -199,9 +233,7 @@ func (d *Dispatcher) threadFinished(th *Thread) {
 	inst.remaining--
 	if inst.remaining == 0 && !inst.completed && !inst.cancelled {
 		if d.costs.EndInv > 0 {
-			d.kernelWork(inst.TR.primaryNode(), inst.name+".endinv", d.costs.EndInv, func() {
-				d.finalizeInstance(inst)
-			})
+			d.kernelWork(inst, true, d.costs.EndInv)
 		} else {
 			d.finalizeInstance(inst)
 		}

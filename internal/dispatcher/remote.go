@@ -37,9 +37,12 @@ func (d *Dispatcher) sendRemote(src *Thread, ei int) {
 		panic(fmt.Sprintf("dispatcher: task %q has a remote edge %s->%s but no network is configured",
 			task.Name, task.EUs[e.From].Name, destEU.Name))
 	}
-	params := make(map[string]any, len(e.Params))
+	var params map[string]any // made at the first parameter the source wrote
 	for _, p := range e.Params {
 		if v, ok := src.outputs[p]; ok {
+			if params == nil {
+				params = make(map[string]any, len(e.Params))
+			}
 			params[p] = v
 		}
 	}
@@ -81,7 +84,7 @@ func (d *Dispatcher) receiveRemote(m *netsim.Message) {
 	}
 	dest := inst.Threads[pl.ToEU]
 	for k, v := range pl.Params {
-		dest.inputs[k] = v
+		dest.setInput(k, v)
 	}
 	dest.predsLeft--
 	d.evaluate(dest)

@@ -15,12 +15,37 @@ import (
 // PrioScheduler before Handle's decisions apply — the exact shape of
 // Figure 2, where the EDF thread t_edf preempts the running thread on
 // every Atv/Trm and only then adjusts priorities.
+//
+// A host owns one kernel thread and reinitialises it for every
+// notification: its namer, segment hook and completion hook are bound
+// once, when the host is made, so a notification allocates nothing of
+// its own.
 type schedHost struct {
 	app   *App
 	node  int
+	proc  *simkern.Processor
 	queue []Notification
 	busy  bool
-	seq   uint64
+	seq   uint64 // notifications processed; numbers the thread's name
+
+	th                       simkern.Thread
+	name                     func() string
+	onHandle, onNotification func()
+}
+
+// newSchedHost makes the host for app on node, binding the hooks its
+// thread reuses for every notification.
+func newSchedHost(a *App, node int) *schedHost {
+	h := &schedHost{app: a, node: node, proc: a.disp.node(node).proc}
+	h.name = func() string {
+		var buf [64]byte
+		name := append(append(buf[:0], "sched."...), h.app.Name...)
+		name = strconv.AppendInt(append(name, "@n"...), int64(h.node), 10)
+		return string(strconv.AppendUint(append(name, '#'), h.seq, 10))
+	}
+	h.onHandle = h.handleHead
+	h.onNotification = h.processNext
+	return h
 }
 
 // notify enqueues a notification for the application's scheduler if the
@@ -32,7 +57,7 @@ func (a *App) notify(kind NotifKind, th *Thread) {
 	node := th.Node()
 	h := a.hosts[node]
 	if h == nil {
-		h = &schedHost{app: a, node: node}
+		h = newSchedHost(a, node)
 		a.hosts[node] = h
 	}
 	n := Notification{Kind: kind, Thread: th}
@@ -44,9 +69,11 @@ func (a *App) notify(kind NotifKind, th *Thread) {
 	}
 }
 
-// processNext consumes the queue head: a scheduler thread burns Cost()
+// processNext consumes the queue head: the host's thread burns Cost()
 // of CPU at PrioScheduler, then Handle applies the policy's decisions
-// through the dispatcher primitive.
+// through the dispatcher primitive. It runs as that same thread's
+// completion hook, which is safe: the kernel touches nothing of a
+// finished thread after its hook returns.
 //
 // Handle runs from the *segment* callback, while the scheduler thread
 // still holds the CPU: a batch of priority changes then causes exactly
@@ -60,27 +87,21 @@ func (h *schedHost) processNext() {
 		h.busy = false
 		return
 	}
-	d := h.app.disp
 	h.seq++
-	var buf [64]byte
-	name := append(append(buf[:0], "sched."...), h.app.Name...)
-	name = strconv.AppendInt(append(name, "@n"...), int64(h.node), 10)
-	name = strconv.AppendUint(append(name, '#'), h.seq, 10)
-	proc := d.node(h.node).proc
-	k := proc.NewThread(string(name), PrioScheduler)
-	k.AddSegment(simkern.Segment{
-		Work: h.app.sched.Cost(),
-		PT:   simkern.PrioMax,
-		OnDone: func() {
-			n := h.queue[0]
-			// Shift in place: the backing array is reused, so a steady
-			// notify/process cycle appends without allocating.
-			h.queue = slices.Delete(h.queue, 0, 1)
-			d.eng.Recordf(monitor.KindSchedulerRun, h.node, h.app.sched.Name(), "%s %s", n.Kind.String(), n.Thread.name)
-			h.app.sched.Handle(n, d)
-		},
-	})
-	k.AddSegment(simkern.Segment{Work: 0, PT: simkern.PrioMax}) // drain
-	k.OnComplete = h.processNext
-	k.Ready()
+	h.proc.InitThread(&h.th, h.name, PrioScheduler)
+	h.th.AddSegment(simkern.Segment{Work: h.app.sched.Cost(), PT: simkern.PrioMax, OnDone: h.onHandle})
+	h.th.AddSegment(simkern.Segment{Work: 0, PT: simkern.PrioMax}) // drain
+	h.th.OnComplete = h.onNotification
+	h.th.Ready()
+}
+
+// handleHead pops the queue head and lets the policy handle it.
+func (h *schedHost) handleHead() {
+	d := h.app.disp
+	n := h.queue[0]
+	// Shift in place: the backing array is reused, so a steady
+	// notify/process cycle appends without allocating.
+	h.queue = slices.Delete(h.queue, 0, 1)
+	d.eng.Recordf(monitor.KindSchedulerRun, h.node, h.app.sched.Name(), "%s %s", n.Kind.String(), n.Thread.name)
+	h.app.sched.Handle(n, d)
 }

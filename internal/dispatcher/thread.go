@@ -1,6 +1,8 @@
 package dispatcher
 
 import (
+	"slices"
+
 	"hades/internal/eventq"
 	"hades/internal/heug"
 	"hades/internal/monitor"
@@ -65,14 +67,13 @@ type Thread struct {
 	predsLeft int
 	kthread   *simkern.Thread
 
-	inputs, outputs map[string]any
+	inputs, outputs map[string]any // nil until the first parameter
 
 	held     []string // resources currently held (node-local names)
 	racSent  bool
 	waitInst *Instance // sync Inv_EU target
 
-	actual    vtime.Duration // effective body execution time
-	startedAt vtime.Time
+	actual vtime.Duration // effective body execution time
 
 	earliestEv, latestEv *eventq.Event
 }
@@ -116,21 +117,25 @@ func (th *Thread) SeqNo() uint64 { return th.seqNo }
 // their live sets.
 func (th *Thread) Orphaned() bool { return th.state == threadOrphaned }
 
-// HeldResources returns the names of resources the thread holds.
-func (th *Thread) HeldResources() []string {
-	out := make([]string, len(th.held))
-	copy(out, th.held)
-	return out
+// HeldResources returns the names of resources the thread holds. The
+// slice is read-only; a grant or release replaces rather than mutates
+// it, so a policy may keep it until OnRelease.
+func (th *Thread) HeldResources() []string { return slices.Clip(th.held) }
+
+func (th *Thread) started() bool { return th.kthread != nil && th.kthread.Started() }
+
+// setInput hands parameter k to the thread, making its map on the first.
+func (th *Thread) setInput(k string, v any) {
+	if th.inputs == nil {
+		th.inputs = make(map[string]any)
+	}
+	th.inputs[k] = v
 }
 
-func (th *Thread) started() bool {
-	return th.startedAt != 0 || (th.kthread != nil && th.kthread.Started())
-}
-
-// newThread builds the runtime thread for EU index i of inst.
-func (d *Dispatcher) newThread(inst *Instance, i int, eu *heug.EU) *Thread {
+// initThread fills th, the instance's storage for EU index i.
+func (d *Dispatcher) initThread(th *Thread, inst *Instance, i int, eu *heug.EU) {
 	d.threadSeq++
-	th := &Thread{
+	*th = Thread{
 		inst:      inst,
 		euIdx:     i,
 		eu:        eu,
@@ -141,8 +146,6 @@ func (d *Dispatcher) newThread(inst *Instance, i int, eu *heug.EU) *Thread {
 		earliest:  inst.ActivatedAt,
 		latest:    vtime.Infinity,
 		deadline:  inst.AbsDeadline,
-		inputs:    make(map[string]any),
-		outputs:   make(map[string]any),
 	}
 	if c := eu.Code; c != nil {
 		th.prio = c.Prio
@@ -162,13 +165,6 @@ func (d *Dispatcher) newThread(inst *Instance, i int, eu *heug.EU) *Thread {
 			th.deadline = inst.ActivatedAt.Add(c.Deadline)
 		}
 	}
-	// Inherit parameters handed by an invoking task to root units.
-	if len(inst.inputs) > 0 && th.predsLeft == 0 {
-		for k, v := range inst.inputs {
-			th.inputs[k] = v
-		}
-	}
-	return th
 }
 
 // evaluate advances a thread through the four runnable conditions of
@@ -254,7 +250,6 @@ func (d *Dispatcher) startCode(th *Thread) {
 	k.AddSegment(simkern.Segment{Work: d.costs.StartAction, PT: simkern.PrioMax}) // start
 	k.AddSegment(simkern.Segment{Work: th.actual, PT: c.PT})                      // body
 	k.AddSegment(simkern.Segment{Work: endWork, PT: simkern.PrioMax})             // end
-	k.OnFirstRun = func() { th.startedAt = d.eng.Now() }
 	k.OnComplete = func() { d.finishCode(th) }
 	th.kthread = k
 	th.state = threadReady
@@ -312,7 +307,7 @@ func (d *Dispatcher) crossEdges(th *Thread) {
 		dest := th.inst.Threads[e.To]
 		for _, p := range e.Params {
 			if v, ok := th.outputs[p]; ok {
-				dest.inputs[p] = v
+				dest.setInput(p, v)
 			}
 		}
 		dest.predsLeft--
@@ -394,7 +389,7 @@ func (d *Dispatcher) activateFrom(taskName string, params map[string]any) (*Inst
 			if root.predsLeft == 0 {
 				for k, v := range params {
 					if _, exists := root.inputs[k]; !exists {
-						root.inputs[k] = v
+						root.setInput(k, v)
 					}
 				}
 			}
@@ -485,7 +480,12 @@ func (a *actionCtx) In(param string) (any, bool) {
 	return v, ok
 }
 
-func (a *actionCtx) Out(param string, value any) { a.th.outputs[param] = value }
+func (a *actionCtx) Out(param string, value any) {
+	if a.th.outputs == nil {
+		a.th.outputs = make(map[string]any)
+	}
+	a.th.outputs[param] = value
+}
 
 func (a *actionCtx) SetCond(name string)   { a.d.setCond(name) }
 func (a *actionCtx) ClearCond(name string) { a.d.clearCond(name) }

@@ -313,9 +313,6 @@ func (p *Processor) dispatch(t *Thread) {
 	if !t.started {
 		t.started = true
 		t.record(monitor.KindThreadStart, "prio=%d", t.prio)
-		if t.OnFirstRun != nil {
-			t.OnFirstRun()
-		}
 	} else if cost > 0 || p.lastDispatch != t {
 		// Continuing the same thread straight after an interrupt is
 		// not a context switch and gets no Resume event.
