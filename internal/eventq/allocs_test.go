@@ -38,3 +38,41 @@ func TestAllocsRecycledPushPop(t *testing.T) {
 		t.Errorf("recycled push/pop: %v allocs per cycle, want 0", n)
 	}
 }
+
+// counter is an owner that schedules itself: the payload tells its
+// firings apart.
+type counter struct{ last uint64 }
+
+func (c *counter) Fire(n uint64) { c.last = n }
+
+func TestAllocsHandlerPushPop(t *testing.T) {
+	var q Queue
+	var h counter
+	at := vtime.Time(0)
+	cycle := func() {
+		// The owner-and-payload door on the same standing depth of 64
+		// and one cancel per eight events: what simkern.Engine.AfterTo
+		// schedules for a reply timeout or a flush timer.
+		for i := 0; i < 8; i++ {
+			at++
+			e := q.PushRecycledTo(at+vtime.Time(i*7919%64), ClassApp, &h, uint64(at))
+			if i == 0 {
+				q.Cancel(e)
+			}
+		}
+		for q.Len() > 64 {
+			e := q.Pop()
+			e.Run()
+			q.Release(e)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Errorf("handler push/pop: %v allocs per cycle, want 0", n)
+	}
+	if h.last == 0 {
+		t.Fatal("no handler fired")
+	}
+}

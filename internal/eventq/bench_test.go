@@ -22,7 +22,7 @@ func BenchmarkPushPop(b *testing.B) {
 }
 
 // BenchmarkPushRecycledPop is BenchmarkPushPop through the recycled
-// door, released after each pop as the engine does after Fire: the
+// door, released after each pop as the engine does after Run: the
 // same heap work, no record allocated once the free list is warm.
 func BenchmarkPushRecycledPop(b *testing.B) {
 	var q Queue

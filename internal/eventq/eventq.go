@@ -9,18 +9,29 @@
 // (interrupts before dispatching before application work) and then by
 // insertion sequence, never by map iteration or goroutine scheduling.
 //
+// An event's record names what fires as a handler and a payload: Run
+// calls h.Fire(n). An owner that schedules the same kind of event
+// over and over (a call's reply timeout, a lane's flush timer) passes
+// itself as the Handler and the one number that tells its firings
+// apart (the attempt, the epoch) as the payload, so scheduling it
+// allocates nothing. A closure rides the same record as an unexported
+// Handler over the func value; a func value is pointer-shaped, so that
+// conversion allocates nothing either, and Run is the one firing path.
+//
 // There are two doors in, and they differ only in who owns the record:
 //
 //   - Push returns a handle that may be cancelled at any time, before or
 //     after the event fired. Its record is never reused, so a stale
 //     handle is harmless: "cancel after fire is a no-op" holds for ever.
-//   - PushRecycled draws the record from the queue's free list and
-//     Release puts it back once the event has fired (a cancelled one is
-//     put back when its dead slot is reclaimed). The steady state then
+//   - PushRecycled (a closure) and PushRecycledTo (a handler and its
+//     payload) draw the record from the queue's free list, and Release
+//     puts it back once the event has fired (a cancelled one is put
+//     back when its dead slot is reclaimed). The steady state then
 //     allocates nothing per event. The price is the ownership rule: the
 //     handle dies when the event fires or is cancelled, and whoever
 //     holds it must drop it there. simkern.Engine keeps that rule
-//     behind its fire-and-forget At/After, which return no handle.
+//     behind its fire-and-forget At/After/AfterTo, which return no
+//     handle.
 //
 // Both doors draw seq from the same counter, so mixing them does not
 // disturb the (At, Class, seq) order.
@@ -49,18 +60,31 @@ const (
 	ClassApp
 )
 
-// Event is a scheduled callback. Fire is invoked exactly once when the
+// Handler is what an event fires: Fire(n) runs with the payload the
+// event was scheduled with.
+type Handler interface{ Fire(n uint64) }
+
+// funcHandler carries a closure as a Handler; the payload is unused.
+type funcHandler func()
+
+func (f funcHandler) Fire(uint64) { f() }
+
+// Event is a scheduled callback. Run fires it exactly once when the
 // engine reaches the event's instant, unless the event was cancelled.
 type Event struct {
 	At    vtime.Time
 	Class Class
-	Fire  func()
 
+	dead     bool  // lazily cancelled, possibly still occupying a heap slot
+	recycled bool  // from PushRecycled/To: goes back to the free list, never to the GC
+	index    int32 // heap index, -1 once popped or compacted away, -2 on the free list
+	h        Handler
+	n        uint64 // h's payload
 	seq      uint64
-	index    int  // heap index, -1 once popped or compacted away, -2 on the free list
-	dead     bool // lazily cancelled, possibly still occupying a heap slot
-	recycled bool // from PushRecycled: goes back to the free list, never to the GC
 }
+
+// Run fires the event: its handler with its payload.
+func (e *Event) Run() { e.h.Fire(e.n) }
 
 // Queue is a deterministic min-heap of events. The zero value is ready to
 // use.
@@ -85,40 +109,46 @@ func (q *Queue) Len() int { return len(q.heap) - q.dead }
 // handle that can cancel it. The handle stays safe to cancel for ever:
 // the record is never reused.
 func (q *Queue) Push(at vtime.Time, class Class, fire func()) *Event {
-	return q.push(&Event{}, at, class, fire)
+	return q.push(&Event{}, at, class, funcHandler(fire), 0)
 }
 
 // PushRecycled is Push on a record from the free list. The handle is
 // the caller's only until the event fires or is cancelled; after that
 // the record belongs to the queue again and will be some other event.
 func (q *Queue) PushRecycled(at vtime.Time, class Class, fire func()) *Event {
-	if n := len(q.free); n > 0 {
-		e := q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-		return q.push(e, at, class, fire)
-	}
-	return q.push(&Event{recycled: true}, at, class, fire)
+	return q.PushRecycledTo(at, class, funcHandler(fire), 0)
 }
 
-func (q *Queue) push(e *Event, at vtime.Time, class Class, fire func()) *Event {
+// PushRecycledTo is PushRecycled firing h.Fire(n): an owner that
+// passes itself as h schedules without allocating.
+func (q *Queue) PushRecycledTo(at vtime.Time, class Class, h Handler, n uint64) *Event {
+	if k := len(q.free); k > 0 {
+		e := q.free[k-1]
+		q.free[k-1] = nil
+		q.free = q.free[:k-1]
+		return q.push(e, at, class, h, n)
+	}
+	return q.push(&Event{recycled: true}, at, class, h, n)
+}
+
+func (q *Queue) push(e *Event, at vtime.Time, class Class, h Handler, n uint64) *Event {
 	q.seq++
-	e.At, e.Class, e.Fire, e.seq = at, class, fire, q.seq
+	e.At, e.Class, e.h, e.n, e.seq = at, class, h, n, q.seq
 	q.heap = append(q.heap, e)
-	e.index = len(q.heap) - 1
-	q.up(e.index)
+	e.index = int32(len(q.heap) - 1)
+	q.up(int(e.index))
 	return e
 }
 
 // Release hands a popped event back once it has fired. A PushRecycled
-// record drops its closure and joins the free list; a Push record is
+// record drops its handler and joins the free list; a Push record is
 // left to its handle, and so is anything not just out of the heap
 // (still queued, or released already).
 func (q *Queue) Release(e *Event) {
 	if !e.recycled || e.index != -1 {
 		return
 	}
-	e.Fire = nil
+	e.h = nil
 	e.dead = false
 	e.index = -2
 	q.free = append(q.free, e)
@@ -131,7 +161,7 @@ func (q *Queue) Cancel(e *Event) {
 		return
 	}
 	e.dead = true
-	e.Fire = nil // release the closure now, not at surfacing time
+	e.h = nil // release the handler now, not at surfacing time
 	q.dead++
 	// Bound the garbage: once dead slots dominate a non-trivial heap,
 	// rebuild it from the live events (amortised O(1) per cancel).
@@ -160,7 +190,7 @@ func (q *Queue) compact() {
 	q.heap = live
 	q.dead = 0
 	for i := range q.heap {
-		q.heap[i].index = i
+		q.heap[i].index = int32(i)
 	}
 	for i := len(q.heap)/2 - 1; i >= 0; i-- {
 		q.down(i)
@@ -221,8 +251,8 @@ func (q *Queue) less(i, j int) bool {
 
 func (q *Queue) swap(i, j int) {
 	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.heap[i].index = i
-	q.heap[j].index = j
+	q.heap[i].index = int32(i)
+	q.heap[j].index = int32(j)
 }
 
 func (q *Queue) up(i int) {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hades/internal/vtime"
 )
@@ -16,7 +17,7 @@ func TestPopOrder(t *testing.T) {
 	q.Push(10, ClassApp, func() { got = append(got, 1) })
 	q.Push(20, ClassApp, func() { got = append(got, 2) })
 	for q.Len() > 0 {
-		q.Pop().Fire()
+		q.Pop().Run()
 	}
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -34,7 +35,7 @@ func TestClassOrderingAtSameInstant(t *testing.T) {
 	q.Push(10, ClassDispatch, func() { got = append(got, "disp") })
 	q.Push(10, ClassKernel, func() { got = append(got, "kern") })
 	for q.Len() > 0 {
-		q.Pop().Fire()
+		q.Pop().Run()
 	}
 	want := []string{"irq", "kern", "disp", "app"}
 	for i := range want {
@@ -52,7 +53,7 @@ func TestFIFOWithinClass(t *testing.T) {
 		q.Push(5, ClassApp, func() { got = append(got, n) })
 	}
 	for q.Len() > 0 {
-		q.Pop().Fire()
+		q.Pop().Run()
 	}
 	for i := 0; i < 10; i++ {
 		if got[i] != i {
@@ -87,7 +88,7 @@ func TestCancelMiddle(t *testing.T) {
 	q.Push(3, ClassApp, func() { got = append(got, 3) })
 	q.Cancel(e2)
 	for q.Len() > 0 {
-		q.Pop().Fire()
+		q.Pop().Run()
 	}
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("got %v, want [1 3]", got)
@@ -185,8 +186,8 @@ func TestCancelCompleteness(t *testing.T) {
 }
 
 // Model test for the two doors together: a seeded mix of Push,
-// PushRecycled, Cancel and Pop (+Release, as the engine does after
-// Fire) against a reference that keeps every live event in a slice
+// PushRecycled, PushRecycledTo, Cancel and Pop (+Run and Release, as
+// the engine does) against a reference that keeps every live event in a slice
 // and sorts it. Pops must agree event for event, Len must be exact
 // after every step, and the free list may never hold more records
 // than the heap had slots at its peak — recycling reuses, it does not
@@ -195,7 +196,7 @@ func TestModelAgainstSortedReference(t *testing.T) {
 	type ref struct {
 		at    vtime.Time
 		class Class
-		id    int // payload identity, carried by the Fire closure
+		id    int // payload identity, carried by the closure or the payload
 		ev    *Event
 	}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -211,10 +212,13 @@ func TestModelAgainstSortedReference(t *testing.T) {
 				id := ids
 				ids++
 				fire := func() { fired = id }
-				if rng.Intn(2) == 0 {
+				switch rng.Intn(3) {
+				case 0:
 					r.ev = q.Push(r.at, r.class, fire)
-				} else {
+				case 1:
 					r.ev = q.PushRecycled(r.at, r.class, fire)
+				default:
+					r.ev = q.PushRecycledTo(r.at, r.class, idSink{&fired}, uint64(id))
 				}
 				live = append(live, r)
 			case op < 7 && len(live) > 0: // cancel a live one
@@ -239,7 +243,7 @@ func TestModelAgainstSortedReference(t *testing.T) {
 				if ev != want.ev || ev.At != want.at || ev.Class != want.class {
 					t.Fatalf("seed %d step %d: popped (%d,%d), want (%d,%d)", seed, step, ev.At, ev.Class, want.at, want.class)
 				}
-				ev.Fire()
+				ev.Run()
 				if fired != want.id {
 					t.Fatalf("seed %d step %d: fired payload %d, want %d", seed, step, fired, want.id)
 				}
@@ -256,6 +260,20 @@ func TestModelAgainstSortedReference(t *testing.T) {
 		if q.Pop() == nil != (len(live) == 0) {
 			t.Fatalf("seed %d: queue and reference disagree on empty", seed)
 		}
+	}
+}
+
+// idSink is a Handler that stores its payload as the fired id.
+type idSink struct{ fired *int }
+
+func (s idSink) Fire(n uint64) { *s.fired = int(n) }
+
+// The handler/payload record keeps Event at 48 bytes: the index packs
+// beside the class and the flags, so the interface's second word costs
+// nothing.
+func TestEventRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 48 {
+		t.Fatalf("Event is %d bytes, want 48", n)
 	}
 }
 

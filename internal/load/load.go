@@ -375,8 +375,9 @@ func (g *Generator) Start(s Sinks) {
 	}
 }
 
-// submit issues one op at the current instant, invoking done when the
-// op completes. Returns false when the window closed or the cap hit.
+// submit issues one op at instant at, which is now. The sink runs done
+// when the op completes; done books the op through acked. Returns
+// false when the window closed or the cap hit.
 func (g *Generator) submit(at vtime.Time, pick func(vtime.Time) string, done func()) bool {
 	if at >= g.cfg.End {
 		return false
@@ -386,30 +387,29 @@ func (g *Generator) submit(at vtime.Time, pick func(vtime.Time) string, done fun
 		return false
 	}
 	g.Stats.Offered++
-	onDone := func() {
-		g.Stats.Acked++
-		if g.s.Now != nil {
-			// at is the submission instant: the callback fires inside the
-			// engine, so Now minus at is the op's true completion latency.
-			l := g.s.Now().Sub(at)
-			g.lat = append(g.lat, l)
-			g.mLat.ObserveD(l)
-		}
-		if done != nil {
-			done()
-		}
-	}
 	switch g.cfg.Workload {
 	case Txn:
 		from := pick(at)
 		to := g.otherKey(from)
-		g.s.Transfer(from, to, 1, onDone)
+		g.s.Transfer(from, to, 1, done)
 	case Pub:
-		g.s.Publish(pick(at), g.Stats.Offered, onDone)
+		g.s.Publish(pick(at), g.Stats.Offered, done)
 	default:
-		g.s.SubmitKV(pick(at), 1, onDone)
+		g.s.SubmitKV(pick(at), 1, done)
 	}
 	return true
+}
+
+// acked books one completion of an op submitted at at. It runs inside
+// the engine at the completion instant, so Now minus at is the op's
+// true completion latency.
+func (g *Generator) acked(at vtime.Time) {
+	g.Stats.Acked++
+	if g.s.Now != nil {
+		l := g.s.Now().Sub(at)
+		g.lat = append(g.lat, l)
+		g.mLat.ObserveD(l)
+	}
 }
 
 // otherKey picks a second, distinct key for a transfer: the next key
@@ -424,13 +424,26 @@ func (g *Generator) otherKey(from string) string {
 	return keys[0]
 }
 
+// closedSession is one closed-loop session: a submit→ack→think loop
+// with one op in flight at a time, so the session record holds its
+// submission instant and binds its fire and ack callbacks once.
+type closedSession struct {
+	g    *Generator
+	rng  *rand.Rand
+	pick func(vtime.Time) string
+	at   vtime.Time // the next (or in-flight) submission instant
+	fire func()     // s.submit, bound once
+	ack  func()     // s.acked, bound once
+}
+
 // startSession lays out one closed-loop session: a staggered first
 // submission, then a submit→ack→think loop riding the ack callbacks.
 // All draws come from the session's own source, consumed in the
 // session's causal order — deterministic however sessions interleave.
 func (g *Generator) startSession(i int) {
 	rng := rand.New(rand.NewSource(g.sessionSeed(i)))
-	pick := g.keyPicker(rng)
+	s := &closedSession{g: g, rng: rng, pick: g.keyPicker(rng)}
+	s.fire, s.ack = s.submit, s.acked
 	// Stagger session starts uniformly across one think interval (or
 	// 1ms when thinkless) so thousands of sessions do not arrive as
 	// one spike at time zero.
@@ -438,24 +451,27 @@ func (g *Generator) startSession(i int) {
 	if window <= 0 {
 		window = vtime.Millisecond
 	}
-	first := vtime.Time(rng.Int63n(int64(window) + 1))
-	var fireAt func(at vtime.Time)
-	fireAt = func(at vtime.Time) {
-		g.submit(at, pick, func() {
-			// The ack callback runs at the ack instant inside the
-			// engine: think from here, then go again.
-			think := vtime.Duration(0)
-			if g.cfg.Think > 0 {
-				think = g.cfg.Think/2 + vtime.Duration(rng.Int63n(int64(g.cfg.Think)+1))
-			}
-			next := g.s.Now().Add(think)
-			if next >= g.cfg.End {
-				return // window closed: session retires
-			}
-			g.s.At(next, func() { fireAt(next) })
-		})
+	s.at = vtime.Time(rng.Int63n(int64(window) + 1))
+	g.s.At(s.at, s.fire)
+}
+
+// submit issues the session's next op.
+func (s *closedSession) submit() { s.g.submit(s.at, s.pick, s.ack) }
+
+// acked runs at the ack instant inside the engine: book the op, think
+// from here, then go again.
+func (s *closedSession) acked() {
+	g := s.g
+	g.acked(s.at)
+	think := vtime.Duration(0)
+	if g.cfg.Think > 0 {
+		think = g.cfg.Think/2 + vtime.Duration(s.rng.Int63n(int64(g.cfg.Think)+1))
 	}
-	g.s.At(first, func() { fireAt(first) })
+	s.at = g.s.Now().Add(think)
+	if s.at >= g.cfg.End {
+		return // window closed: session retires
+	}
+	g.s.At(s.at, s.fire)
 }
 
 // layoutOpen precomputes the Poisson arrival schedule: exponential
@@ -492,7 +508,7 @@ func (g *Generator) layoutOpen() {
 		}
 		n++
 		at := t
-		g.s.At(at, func() { g.submit(at, pick, nil) })
+		g.s.At(at, func() { g.submit(at, pick, func() { g.acked(at) }) })
 	}
 }
 

@@ -690,6 +690,13 @@ func (g *Group) SubmitOwned(from int, items []BatchItem) {
 	g.mRound.Inc()
 	g.open += len(items)
 	size := 16 * len(items)
+	var boxed any // msg as a payload: boxed once, at the first remote send
+	send := func(to int) {
+		if boxed == nil {
+			boxed = msg
+		}
+		_, _ = g.net.Send(from, to, g.reqPort, boxed, size)
+	}
 	switch g.cfg.Style {
 	case Active, SemiActive:
 		// All replicas receive and execute.
@@ -698,16 +705,13 @@ func (g *Group) SubmitOwned(from int, items []BatchItem) {
 				g.execute(r, msg)
 				continue
 			}
-			if _, err := g.net.Send(from, r, g.reqPort, msg, size); err != nil {
-				continue
-			}
+			send(r)
 		}
 	case Passive:
-		p := g.Primary()
-		if p == from {
+		if p := g.Primary(); p == from {
 			g.execute(p, msg)
-		} else if _, err := g.net.Send(from, p, g.reqPort, msg, size); err != nil {
-			return
+		} else {
+			send(p)
 		}
 	}
 }

@@ -128,11 +128,14 @@ func itoa(n int) string {
 
 // lane is one batching target (a shard): its accumulating ops, its
 // pipeline occupancy, and the epoch guarding the armed flush timer.
+// The lane is its own flush timer's handler, the epoch its payload.
 type lane[T any] struct {
+	b           *Batcher[T]
+	name        string
 	pending     []T
 	inflight    int
 	maxInflight int
-	timerEpoch  int
+	timerEpoch  uint64
 	timerArmed  bool
 }
 
@@ -187,7 +190,7 @@ func NewBatcher[T any](eng *simkern.Engine, params Params, label string, node in
 func (b *Batcher[T]) lane(name string) *lane[T] {
 	l := b.lanes[name]
 	if l == nil {
-		l = &lane[T]{}
+		l = &lane[T]{b: b, name: name}
 		b.lanes[name] = l
 	}
 	return l
@@ -205,59 +208,58 @@ func (b *Batcher[T]) Add(laneName string, item T) {
 		// the batch is full; otherwise coalesce behind the in-flight
 		// round, with the timer as the lost-completion fallback.
 		if l.inflight == 0 || len(l.pending) >= max {
-			b.flush(laneName, l, true, false)
+			b.flush(l, true, false)
 			return
 		}
-		b.tryFlushTimer(laneName, l)
+		b.armFlushTimer(l)
 		return
 	}
 	if max <= 1 || len(l.pending) >= max {
-		b.flush(laneName, l, true, false)
+		b.flush(l, true, false)
 		return
 	}
-	if b.tryFlushTimer(laneName, l) {
-		return
-	}
+	b.armFlushTimer(l)
 }
 
-// tryFlushTimer arms the flush-interval timer for a lane with a
-// partial batch (no-op when one is already armed). Returns false so
-// Add reads naturally.
-func (b *Batcher[T]) tryFlushTimer(laneName string, l *lane[T]) bool {
+// armFlushTimer arms the flush-interval timer for a lane with a
+// partial batch (no-op when one is already armed).
+func (b *Batcher[T]) armFlushTimer(l *lane[T]) {
 	if l.timerArmed {
-		return false
+		return
 	}
 	l.timerArmed = true
 	l.timerEpoch++
-	epoch := l.timerEpoch
-	b.eng.After(b.params.flushInterval(), eventq.ClassApp, func() {
-		if l.timerEpoch != epoch || !l.timerArmed {
-			return
-		}
-		l.timerArmed = false
-		if len(l.pending) > 0 {
-			// In eager mode the timer only fires when a completion is
-			// overdue (a lost round), so it forces past the depth bound
-			// instead of stalling behind it.
-			b.flush(laneName, l, false, b.EagerIdle)
-		}
-	})
-	return false
+	b.eng.AfterTo(b.params.flushInterval(), eventq.ClassApp, l, l.timerEpoch)
+}
+
+// Fire is the lane's flush timer armed at epoch: a flush or a re-arm
+// since then bumped the epoch and leaves it inert.
+func (l *lane[T]) Fire(epoch uint64) {
+	if l.timerEpoch != epoch || !l.timerArmed {
+		return
+	}
+	l.timerArmed = false
+	if len(l.pending) > 0 {
+		// In eager mode the timer only fires when a completion is
+		// overdue (a lost round), so it forces past the depth bound
+		// instead of stalling behind it.
+		l.b.flush(l, false, l.b.EagerIdle)
+	}
 }
 
 // flush emits pending items in MaxBatch-sized batches while the lane
 // has pipeline slots; leftover items wait for a completion or the
 // timer. full records the flush cause; force bypasses the depth bound
 // (the eager-idle fallback path).
-func (b *Batcher[T]) flush(laneName string, l *lane[T], full, force bool) {
+func (b *Batcher[T]) flush(l *lane[T], full, force bool) {
 	max := b.params.maxBatch()
 	depth := b.params.PipelineDepth
 	for len(l.pending) > 0 {
 		if !force && depth > 0 && l.inflight >= depth {
 			b.Stats.Stalls++
 			b.eng.Recordf(monitor.KindPipeline, b.node, b.label,
-				"%s stalled at depth %d (%d pending)", laneName, l.inflight, len(l.pending))
-			b.tryFlushTimer(laneName, l)
+				"%s stalled at depth %d (%d pending)", l.name, l.inflight, len(l.pending))
+			b.armFlushTimer(l)
 			return
 		}
 		n := len(l.pending)
@@ -282,9 +284,9 @@ func (b *Batcher[T]) flush(laneName string, l *lane[T], full, force bool) {
 		}
 		if b.params.batching() {
 			b.eng.Recordf(monitor.KindBatchFlush, b.node, b.label,
-				"%s flush %d ops (%s, depth %d)", laneName, n, cause, l.inflight)
+				"%s flush %d ops (%s, depth %d)", l.name, n, cause, l.inflight)
 		}
-		b.emit(laneName, batch)
+		b.emit(l.name, batch)
 	}
 	// Everything flushed: a pending timer has nothing to do.
 	if l.timerArmed {
@@ -301,7 +303,7 @@ func (b *Batcher[T]) Complete(laneName string) {
 		l.inflight--
 	}
 	if len(l.pending) > 0 {
-		b.flush(laneName, l, true, false)
+		b.flush(l, true, false)
 	}
 }
 

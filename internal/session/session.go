@@ -221,19 +221,34 @@ func (e *Engine) dispatch(c *Call) {
 	}
 	c.state = csInflight
 	c.attempt++
-	attempt := c.attempt
+	attempt := c.attempt // Send may supersede it synchronously
 	c.s.Send(attempt)
-	e.eng.After(c.s.Timeout, eventq.ClassApp, func() {
-		if c.state != csInflight || c.attempt != attempt {
-			return // answered or re-dispatched in the meantime
-		}
+	e.eng.AfterTo(c.s.Timeout, eventq.ClassApp, replyTimeout{c}, uint64(attempt))
+}
+
+// replyTimeout is a call's timer: a reply timeout while an attempt is
+// in flight, the deep backoff while it is parked. The payload is the
+// attempt the timer was armed for; every dispatch and every park
+// bumps the attempt, so a superseded timer is inert, and an attempt
+// number is never both in flight and parked.
+type replyTimeout struct{ c *Call }
+
+func (t replyTimeout) Fire(attempt uint64) {
+	c := t.c
+	if c.attempt != int(attempt) {
+		return // answered, re-dispatched or resumed in the meantime
+	}
+	switch c.state {
+	case csInflight:
 		if c.s.Done != nil && c.s.Done() {
 			c.state = csDone
 			return
 		}
 		c.s.Counters.Timeouts++
-		e.fail(c, "timeout")
-	})
+		c.e.fail(c, "timeout")
+	case csParked:
+		c.e.resume(c, "backoff")
+	}
 }
 
 // fail handles one failed attempt (timeout or an explicit verdict such
@@ -265,13 +280,7 @@ func (e *Engine) fail(c *Call, why string) {
 	// promptly, but a call can park after the last such trigger (its
 	// retry budget outlasting the merge) — re-probe at a deep backoff so
 	// nothing is stranded.
-	attempt := c.attempt
-	e.eng.After(backoffFactor*c.s.Timeout, eventq.ClassApp, func() {
-		if c.state != csParked || c.attempt != attempt {
-			return
-		}
-		e.resume(c, "backoff")
-	})
+	e.eng.AfterTo(backoffFactor*c.s.Timeout, eventq.ClassApp, replyTimeout{c}, uint64(c.attempt))
 }
 
 // resume re-dispatches one parked call with a fresh retry budget.

@@ -105,10 +105,18 @@ func TestRedirectDoesNotConsumeRetryBudget(t *testing.T) {
 	if sends != 4 || n.Retries != 0 || n.Redirects != 3 {
 		t.Fatalf("sends=%d retries=%d redirects=%d, want 4/0/3", sends, n.Retries, n.Redirects)
 	}
-	// Superseded attempts' timeouts must not fire.
-	eng.Run(vtime.Time(1200 * us))
-	if n.Retries > 1 {
-		t.Fatalf("stale timeouts fired: retries=%d", n.Retries)
+	// Attempts 1–3 were armed at 0, 100 and 200us and superseded: their
+	// timeouts come due at 1000, 1100 and 1200us and must be inert.
+	eng.Run(vtime.Time(1250 * us))
+	if n.Timeouts != 0 || n.Retries != 0 || sends != 4 || c.Attempt() != 4 {
+		t.Fatalf("stale timeouts fired: timeouts=%d retries=%d sends=%d attempt=%d, want 0/0/4/4",
+			n.Timeouts, n.Retries, sends, c.Attempt())
+	}
+	// The live attempt's timeout (armed at 300us) is the one that counts.
+	eng.Run(vtime.Time(1350 * us))
+	if n.Timeouts != 1 || n.Retries != 1 || sends != 5 || c.Attempt() != 5 {
+		t.Fatalf("live timeout: timeouts=%d retries=%d sends=%d attempt=%d, want 1/1/5/5",
+			n.Timeouts, n.Retries, sends, c.Attempt())
 	}
 }
 

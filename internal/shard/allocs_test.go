@@ -1,0 +1,52 @@
+//go:build !race
+
+// The allocation gates live apart from the other tests because the race
+// detector instruments allocation: under -race they would measure the
+// detector, so that job does not build them (CI runs them by name in
+// build-and-test, step "engine core and record door allocate nothing").
+
+package shard_test
+
+import (
+	"testing"
+
+	"hades/internal/cluster"
+	"hades/internal/monitor"
+	"hades/internal/vtime"
+)
+
+// TestAllocsKeyedWrite: a warm keyed write from Submit to ack, through
+// one unbatched client and one 3-replica semi-active shard, on a full
+// head-mode log with tracing and metrics off, costs what the op and its
+// batch own and nothing per hop or per timer. At the client: the
+// request (1); the batcher's slice (1); the batch record, its trace
+// refs and its Send closure (3); its label (1); its Call (1); per
+// attempt the envelope's ops and their boxing (2). At the primary: the
+// pending batch, its results and its op records (3); the round's ops
+// and their one boxing for both backups (2). The reply timeout, the
+// OK response and the per-key queue cost nothing.
+func TestAllocsKeyedWrite(t *testing.T) {
+	c := cluster.New(cluster.Config{Seed: 7, LogLimit: 1,
+		Metrics: &cluster.MetricsParams{Disabled: true}, Trace: &cluster.TraceParams{Disabled: true}})
+	c.AddNodes(4)
+	cl := c.ShardsWith(1, 3, cluster.ShardConfig{}).ClientAt(3)
+	eng := c.Engine()
+	eng.Recordf(monitor.KindActivation, 0, "first", "") // the window is full
+	c.Run(20 * vtime.Millisecond)                       // membership installs its first view
+	keys := []string{"k0", "k1", "k2", "k3"}
+	i := 0
+	cycle := func() {
+		cl.Submit(keys[i%len(keys)], int64(i+1))
+		i++
+		eng.Run(eng.Now().Add(3 * vtime.Millisecond))
+	}
+	for j := 0; j < 100; j++ {
+		cycle() // warm-up: maps, logs, call list and free lists reach size
+	}
+	if got := testing.AllocsPerRun(200, cycle); got != 14 {
+		t.Errorf("keyed write: %v allocs per run, want 14", got)
+	}
+	if cl.Stats.Acked != i || cl.Stats.Retries != 0 {
+		t.Fatalf("acked %d of %d writes, %d retries", cl.Stats.Acked, i, cl.Stats.Retries)
+	}
+}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"strconv"
 
 	"hades/internal/metrics"
 	"hades/internal/netsim"
@@ -109,6 +110,9 @@ type request struct {
 	state       reqState
 	// done, when set, runs at the request's ack.
 	done func()
+	// behind is the next request on the same key, waiting for this
+	// one's outcome (the per-key FIFO's link).
+	behind *request
 
 	// trace is the request's causal trace; the spans mark its layer
 	// transitions (per-key queue → batcher → wire) on the client side,
@@ -130,6 +134,10 @@ type batch struct {
 	done   bool
 }
 
+// keyQueue is one key's unfinished requests, a FIFO linked through
+// request.behind: head holds the turn, tail is the latest submitted.
+type keyQueue struct{ head, tail *request }
+
 // Client is the session layer of the sharded data plane: it submits
 // keyed requests, coalesces ops bound for the same shard into batched
 // submissions (pipelined up to the configured depth), follows the ring
@@ -145,7 +153,8 @@ type Client struct {
 
 	seq     uint64
 	reqs    map[uint64]*request
-	perKey  map[string][]*request // unfinished requests per key, FIFO
+	perKey  map[string]keyQueue // unfinished requests per key
+	lanes   []string            // batcher lane name per shard index
 	batcher *session.Batcher[*request]
 	nextBat uint64
 	batches map[uint64]*batch
@@ -172,9 +181,13 @@ func NewClient(eng *simkern.Engine, net *netsim.Network, router *Router, params 
 	c := &Client{eng: eng, net: net, router: router, p: params,
 		sess:    session.New(eng),
 		reqs:    make(map[uint64]*request),
-		perKey:  make(map[string][]*request),
+		perKey:  make(map[string]keyQueue),
 		batches: make(map[uint64]*batch),
 		mAck:    eng.Metrics().Hist("kv.ack.latency"),
+	}
+	c.lanes = make([]string, len(router.Groups()))
+	for i := range c.lanes {
+		c.lanes[i] = fmt.Sprintf("s%d", i)
 	}
 	c.batcher = session.NewBatcher[*request](eng, params.Session,
 		fmt.Sprintf("shard.client@n%d", params.Node), params.Node, c.launch)
@@ -226,13 +239,15 @@ func (c *Client) SubmitDone(key string, cmd int64, done func()) uint64 {
 	c.Stats.Submitted++
 	r.trace = c.eng.Tracer().Begin("kv.write", r.shard)
 	r.trace.SetLabelKey(key, r.seq, c.p.Node)
-	q := c.perKey[key]
-	c.perKey[key] = append(q, r)
-	if len(q) > 0 {
+	if q, busy := c.perKey[key]; busy {
+		q.tail.behind = r
+		q.tail = r
+		c.perKey[key] = q
 		r.state = stWaiting // an earlier request on key holds the turn
 		r.qspan = r.trace.Span("queue.key", trace.LayerQueue)
 		return r.seq
 	}
+	c.perKey[key] = keyQueue{head: r, tail: r}
 	c.enqueue(r)
 	return r.seq
 }
@@ -244,11 +259,8 @@ func (c *Client) enqueue(r *request) {
 	r.state = stBatching
 	r.qspan.End()
 	r.bspan = r.trace.Span("batch.wait", trace.LayerBatch)
-	c.batcher.Add(laneName(r.shard), r)
+	c.batcher.Add(c.lanes[r.shard], r)
 }
-
-// laneName renders a shard index as a batcher lane.
-func laneName(shard int) string { return fmt.Sprintf("s%d", shard) }
 
 // launch emits one flushed batch: it becomes a session call whose
 // attempts send the batch envelope at the owning group's current
@@ -266,11 +278,10 @@ func (c *Client) launch(lane string, ops []*request) {
 		traces[i] = r.trace.Ref()
 	}
 	g := c.router.Groups()[b.shard]
-	b.call = c.sess.Go(session.Spec{
-		Label:      c.batchLabel(b),
+	spec := session.Spec{
+		Label:      batchLabel(b),
 		Node:       c.p.Node,
 		MaxRetries: c.p.MaxRetries,
-		FailFast:   c.p.Policy == FailFast,
 		Traces:     traces,
 		Send: func(attempt int) {
 			b.target = g.Replication().Primary()
@@ -281,33 +292,53 @@ func (c *Client) launch(lane string, ops []*request) {
 			_, _ = c.net.Send(c.p.Node, b.target, g.reqPort, env, 48*len(b.ops))
 		},
 		Counters: &c.Stats.Counters,
-		OnFail:   func() { c.failBatch(b) },
-	})
+	}
+	if c.p.Policy == FailFast {
+		spec.FailFast = true
+		spec.OnFail = func() { c.failBatch(b) }
+	}
+	b.call = c.sess.Go(spec)
 }
 
 // batchLabel renders a batch for the monitor log: singletons keep the
-// per-request label, real batches carry their size.
-func (c *Client) batchLabel(b *batch) string {
+// per-request label ("shard.k7#12"), real batches carry their size
+// ("shard.b3@s1[4]"). It appends into a stack buffer, so the label
+// string is its one allocation.
+func batchLabel(b *batch) string {
+	var buf [64]byte
+	out := append(buf[:0], "shard."...)
 	if len(b.ops) == 1 {
-		return fmt.Sprintf("shard.%s#%d", b.ops[0].key, b.ops[0].seq)
+		out = append(out, b.ops[0].key...)
+		out = append(out, '#')
+		out = strconv.AppendUint(out, b.ops[0].seq, 10)
+		return string(out)
 	}
-	return fmt.Sprintf("shard.b%d@s%d[%d]", b.id, b.shard, len(b.ops))
+	out = append(out, 'b')
+	out = strconv.AppendUint(out, b.id, 10)
+	out = append(out, "@s"...)
+	out = strconv.AppendInt(out, int64(b.shard), 10)
+	out = append(out, '[')
+	out = strconv.AppendInt(out, int64(len(b.ops)), 10)
+	out = append(out, ']')
+	return string(out)
 }
 
 // finishKey retires the head request of its key's session (acked or
 // abandoned) and hands the turn to the next waiting request.
 func (c *Client) finishKey(r *request) {
 	q := c.perKey[r.key]
-	if len(q) == 0 || q[0] != r {
+	if q.head != r {
 		return
 	}
-	q = q[1:]
-	if len(q) == 0 {
+	next := r.behind
+	r.behind = nil
+	if next == nil {
 		delete(c.perKey, r.key)
 		return
 	}
+	q.head = next
 	c.perKey[r.key] = q
-	c.enqueue(q[0])
+	c.enqueue(next)
 }
 
 // retire marks one batch done and frees its pipeline slot (after the
@@ -317,7 +348,7 @@ func (c *Client) retire(b *batch) {
 	b.done = true
 	b.call.Finish()
 	delete(c.batches, b.id)
-	c.batcher.Complete(laneName(b.shard))
+	c.batcher.Complete(c.lanes[b.shard])
 }
 
 // failBatch abandons every op of a batch (fail-fast exhaustion).
@@ -367,7 +398,7 @@ func (c *Client) redirectInflight(g *Group) {
 
 // handleResp consumes one server response.
 func (c *Client) handleResp(m *netsim.Message) {
-	env, ok := m.Payload.(respEnv)
+	env, ok := m.Payload.(*respEnv)
 	if !ok {
 		return
 	}

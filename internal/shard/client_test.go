@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hades/internal/cluster"
+	"hades/internal/shard"
 	"hades/internal/vtime"
 )
 
@@ -36,5 +37,48 @@ func TestClientRetiresRequests(t *testing.T) {
 	}
 	if live := cl.LiveRequests(); live != 0 {
 		t.Fatalf("client still tracks %d requests after every ack", live)
+	}
+}
+
+// TestPerKeyFIFOAfterFailFastHead: three requests on one key, the head
+// abandoned by the fail-fast policy inside a partition window. The
+// other two take their turns in submission order once it is
+// abandoned, both apply and ack, and no key is left queued.
+func TestPerKeyFIFOAfterFailFastHead(t *testing.T) {
+	const ms = vtime.Millisecond
+	c := cluster.New(cluster.Config{Seed: 3, Metrics: &cluster.MetricsParams{Disabled: true},
+		Trace: &cluster.TraceParams{Disabled: true}})
+	c.AddNodes(4) // one shard × 3 replicas + client
+	set := c.ShardsWith(1, 3, cluster.ShardConfig{})
+	cl := set.ClientWith(shard.ClientParams{Node: 3, MaxRetries: 1, Policy: shard.FailFast})
+	// The head's two attempts (at 1 and 6ms) fall in the split and it is
+	// abandoned at 11ms; its successor's first attempt is lost too, its
+	// retry lands after the heal.
+	c.PartitionAt(vtime.Time(500*vtime.Microsecond), []int{0, 1, 2}, []int{3})
+	c.HealAt(vtime.Time(12 * ms))
+	var seqs []uint64
+	c.At(vtime.Time(1*ms), func() {
+		for cmd := int64(1); cmd <= 3; cmd++ {
+			seqs = append(seqs, cl.Submit("k", cmd))
+		}
+		if cl.QueuedKeys() != 1 {
+			t.Errorf("%d keys queued after three submissions on one, want 1", cl.QueuedKeys())
+		}
+	})
+	c.Run(100 * ms)
+	if cl.Stats.FailedFast != 1 || cl.Stats.Acked != 2 {
+		t.Fatalf("failed fast %d, acked %d; want 1 and 2", cl.Stats.FailedFast, cl.Stats.Acked)
+	}
+	if len(cl.Acks) != 2 || cl.Acks[0].Seq != seqs[1] || cl.Acks[1].Seq != seqs[2] {
+		t.Fatalf("acks %+v, want seqs %d then %d", cl.Acks, seqs[1], seqs[2])
+	}
+	if n := cl.QueuedKeys(); n != 0 {
+		t.Fatalf("%d keys still queued after every request finished", n)
+	}
+	if live := cl.LiveRequests(); live != 0 {
+		t.Fatalf("client still tracks %d requests", live)
+	}
+	if err := set.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -107,12 +107,12 @@ type GroupStats struct {
 
 // pendingBatch tracks one accepted client batch until every op's
 // authoritative reply lands, at which point one response answers the
-// whole batch.
+// whole batch: resp, the OK answer its ops fill in as they retire,
+// sent by pointer.
 type pendingBatch struct {
-	env       batchEnv
+	resp      respEnv
 	from      int // client node to answer
 	remaining int
-	results   []opResult
 	responded bool
 }
 
@@ -194,6 +194,10 @@ type Group struct {
 
 	// Stats counts the routing outcomes for the harness.
 	Stats GroupStats
+
+	// items is handleRequest's scratch: SubmitOwned copies the items
+	// it is handed, so one slice serves every admitted batch.
+	items []replication.BatchItem
 
 	// open counts admitted ops not yet retired by an authoritative
 	// reply (the metrics plane samples it as the shard's queue depth);
@@ -372,27 +376,33 @@ func (g *Group) handleRequest(node int, m *netsim.Message) {
 		for _, op := range env.Ops {
 			op.Trace.Instant("blocked at n%d: no quorum", node)
 		}
-		g.respond(node, m.From, respEnv{Batch: env.Batch, Attempt: env.Attempt, Kind: respBlocked})
+		g.respond(node, m.From, &respEnv{Batch: env.Batch, Attempt: env.Attempt, Kind: respBlocked})
 		return
 	case NotPrimary:
 		g.Stats.Redirects++
 		g.eng.Recordf(monitor.KindRedirect, node, g.name, "c%d b%d -> n%d", env.Client, env.Batch, primary)
-		g.respond(node, m.From, respEnv{Batch: env.Batch, Attempt: env.Attempt, Kind: respRedirect, Primary: primary})
+		g.respond(node, m.From, &respEnv{Batch: env.Batch, Attempt: env.Attempt, Kind: respRedirect, Primary: primary})
 		return
 	}
-	pb := &pendingBatch{env: env, from: m.From, remaining: len(env.Ops), results: make([]opResult, len(env.Ops))}
-	items := make([]replication.BatchItem, len(env.Ops))
+	pb := &pendingBatch{
+		resp:      respEnv{Batch: env.Batch, Attempt: env.Attempt, Kind: respOK, Results: make([]opResult, len(env.Ops))},
+		from:      m.From,
+		remaining: len(env.Ops),
+	}
+	items := g.items[:0]
 	ops := make([]pendingOp, len(env.Ops))
 	for i, op := range env.Ops {
 		ops[i] = pendingOp{g: g, op: op, client: env.Client, batch: pb, idx: i}
-		items[i] = replication.BatchItem{
+		items = append(items, replication.BatchItem{
 			Cmd:   op.Cmd,
 			Tag:   replication.Tag(replication.TagKV, uint64(env.Client), op.Seq),
 			Owner: &ops[i],
-		}
-		pb.results[i].Seq = op.Seq
+		})
+		pb.resp.Results[i].Seq = op.Seq
 	}
 	g.rep.SubmitOwned(node, items)
+	clear(items)
+	g.items = items
 	for i, op := range env.Ops {
 		ops[i].span = op.Trace.Span(g.replSpan, trace.LayerReplicate)
 		g.open++
@@ -458,20 +468,18 @@ func (g *Group) finish(po *pendingOp, result int64) {
 	if pb == nil || pb.responded {
 		return
 	}
-	pb.results[po.idx].Result = result
+	pb.resp.Results[po.idx].Result = result
 	g.Stats.Served++
 	pb.remaining--
 	if pb.remaining > 0 {
 		return
 	}
 	pb.responded = true
-	g.respond(g.rep.Primary(), pb.from, respEnv{
-		Batch: pb.env.Batch, Attempt: pb.env.Attempt, Kind: respOK, Results: pb.results,
-	})
+	g.respond(g.rep.Primary(), pb.from, &pb.resp)
 }
 
 // respond sends one response back to the client node (never the
 // replica's own: clients and replicas do not share nodes).
-func (g *Group) respond(from, to int, env respEnv) {
+func (g *Group) respond(from, to int, env *respEnv) {
 	_, _ = g.net.Send(from, to, g.respPort, env, 32)
 }

@@ -41,14 +41,24 @@ func fullLog() *monitor.Log {
 	return l
 }
 
+// fired is an owner scheduling itself through AfterTo.
+type fired struct{ n uint64 }
+
+func (f *fired) Fire(n uint64) { f.n = n }
+
 func TestAllocsAfterFire(t *testing.T) {
 	eng := NewEngine(fullLog(), 1)
 	fn := func() {}
+	var h fired
 	gate(t, "After -> fire", 0, func() {
 		eng.After(100, eventq.ClassApp, fn)
 		eng.At(eng.Now().Add(50), eventq.ClassKernel, fn)
+		eng.AfterTo(75, eventq.ClassApp, &h, h.n+1)
 		eng.RunUntilIdle()
 	})
+	if h.n == 0 {
+		t.Fatal("AfterTo never fired")
+	}
 }
 
 func TestAllocsRaiseIRQDrain(t *testing.T) {

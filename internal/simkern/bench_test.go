@@ -9,7 +9,7 @@ import (
 
 // BenchmarkEngineDoors prices the two ways into the event queue on a
 // self-rescheduling event at a standing depth of 64: At/After recycle
-// the record after Fire, Timer allocates one per event and leaves it
+// the record once it fires, Timer allocates one per event and leaves it
 // to its handle.
 func BenchmarkEngineDoors(b *testing.B) {
 	run := func(b *testing.B, schedule func(eng *Engine, fn func())) {

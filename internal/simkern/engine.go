@@ -9,9 +9,9 @@
 //
 //   - a virtual clock and event queue (predictability becomes determinism:
 //     a run is a pure function of its inputs and seed), with two doors:
-//     At/After are fire-and-forget and their record is recycled after
-//     Fire; Timer is cancellable, its record is never reused, and the
-//     holder drops the handle when it fires;
+//     At/After/AfterTo are fire-and-forget and their record is recycled
+//     after it fires; Timer is cancellable, its record is never reused,
+//     and the holder drops the handle when it fires;
 //   - mono-processor nodes with preemptive priority scheduling and
 //     preemption thresholds (§3.1.2);
 //   - threads made of segments, each with its own preemption threshold, so
@@ -123,6 +123,16 @@ func (e *Engine) After(d vtime.Duration, class eventq.Class, fn func()) {
 	e.at(e.now.Add(d), class, fn)
 }
 
+// AfterTo schedules h.Fire(n) d from now, fire and forget like After.
+// An owner that passes itself as h, with the payload telling its
+// firings apart, schedules without allocating a closure.
+func (e *Engine) AfterTo(d vtime.Duration, class eventq.Class, h eventq.Handler, n uint64) {
+	if d < 0 {
+		panic(fmt.Sprintf("simkern: negative delay %s", d))
+	}
+	e.queue.PushRecycledTo(e.now.Add(d), class, h, n)
+}
+
 // Timer schedules fn at absolute instant t and returns a handle for
 // Cancel. A timer's record is never recycled, so cancelling after it
 // fired is a no-op however late; the holder drops the handle when the
@@ -172,7 +182,7 @@ func (e *Engine) Run(until vtime.Time) vtime.Time {
 		ev := e.queue.Pop()
 		e.now = ev.At
 		e.fired++
-		ev.Fire()
+		ev.Run()
 		e.queue.Release(ev)
 	}
 }

@@ -232,9 +232,6 @@ func (p *Processor) haltRunning(preempt bool) {
 	if preempt {
 		p.preempts++
 		t.record(monitor.KindThreadPreempt, "")
-		if t.OnPreempt != nil {
-			t.OnPreempt()
-		}
 	}
 }
 
@@ -262,9 +259,6 @@ func (p *Processor) resched() {
 			if best != nil && best != h && best.effPrio() > h.currentPT() {
 				p.preempts++
 				h.record(monitor.KindThreadPreempt, "")
-				if h.OnPreempt != nil {
-					h.OnPreempt()
-				}
 				p.dispatch(best)
 			} else {
 				p.dispatch(h)

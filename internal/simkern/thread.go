@@ -48,8 +48,6 @@ type Thread struct {
 	finished bool
 	cpuTime  vtime.Duration
 
-	// OnPreempt fires each time the thread loses the CPU to preemption.
-	OnPreempt func()
 	// OnComplete fires when the last segment's CPU demand completes.
 	OnComplete func()
 }
