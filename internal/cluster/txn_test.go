@@ -346,3 +346,57 @@ func TestTxnClientCollisionsRejected(t *testing.T) {
 		set.ClientAt(5)
 	}()
 }
+
+// TestTxnClientQueueDeadline: a transaction queued behind its client's
+// in-flight one aborts at its own deadline without ever reaching a
+// coordinator. The client is cut off from every shard group, so its
+// first transaction's submission retries and parks; the second waits
+// in the client queue until its deadline and aborts there, on that
+// instant. After the heal only the first reaches a coordinator.
+func TestTxnClientQueueDeadline(t *testing.T) {
+	c := cluster.New(cluster.Config{Seed: 137})
+	c.AddNodes(7) // 2 shards × 3 replicas + txn client
+	c.ConnectAll(100*us, 300*us)
+	set := c.ShardsWith(2, 3, cluster.ShardConfig{})
+	cl := set.TxnClientAt(6)
+	c.PartitionAt(vtime.Time(2*ms), []int{6}, []int{0, 1, 2, 3, 4, 5})
+	c.HealAt(vtime.Time(80 * ms))
+	c.At(vtime.Time(5*ms), func() {
+		cl.Transfer("acct-a", "acct-b", 1)
+		cl.Transfer("acct-c", "acct-d", 2)
+	})
+	begins := func(res cluster.Result) int {
+		n := 0
+		for _, sr := range res.Shards {
+			n += sr.Txn.Begins
+		}
+		return n
+	}
+
+	deadline := vtime.Time(5*ms + txn.DefaultDeadline)
+	res := c.Run(deadline.Sub(0) + 1*ms)
+	if cl.Stats.Aborted != 1 || cl.Stats.DeadlineAborts != 1 || len(cl.Done) != 1 {
+		t.Fatalf("at the second's deadline: %+v, %d records", cl.Stats, len(cl.Done))
+	}
+	rec := cl.Done[0]
+	if rec.ID != (txn.ID{Client: 6, Num: 2}) || rec.Status != txn.StatusAborted || rec.DecidedAt != deadline {
+		t.Fatalf("record %s %s at %s, want t6.2 aborted at %s", rec.ID, rec.Status, rec.DecidedAt, deadline)
+	}
+	if n := begins(res); n != 0 {
+		t.Fatalf("coordinators admitted %d transactions through the partition", n)
+	}
+
+	res = c.Run(200 * ms)
+	if cl.Stats.Aborted != 2 || cl.Stats.DeadlineAborts != 2 {
+		t.Fatalf("after the heal: %+v", cl.Stats)
+	}
+	if n := begins(res); n != 1 {
+		t.Fatalf("coordinators admitted %d transactions, want the first only", n)
+	}
+	if cl.Done[1].ID.Num != 1 {
+		t.Fatalf("records %+v", cl.Done)
+	}
+	if err := set.CheckTxns(); err != nil {
+		t.Fatalf("atomicity check: %v", err)
+	}
+}

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"slices"
 
 	"hades/internal/eventq"
 	"hades/internal/metrics"
@@ -65,7 +66,9 @@ type Record struct {
 // with Read/Write, submit it with Commit; the outcome lands in the
 // client's Done records (and OnDone, when set).
 type Txn struct {
+	c        *Client
 	id       ID
+	label    string // the rendered id, from Commit on
 	deadline vtime.Time
 	ops      []Op
 	status   Status
@@ -85,6 +88,19 @@ type Txn struct {
 
 	// OnDone, when set, observes the decided transaction.
 	OnDone func(Record)
+}
+
+// queueDeadline is a transaction's client-queue deadline timer: one
+// still queued behind the session when its deadline passes aborts
+// without ever acquiring a lock.
+type queueDeadline struct{ t *Txn }
+
+func (q queueDeadline) Fire(uint64) {
+	t, c := q.t, q.t.c
+	if t.status == StatusPending && c.inflight != t {
+		c.removeQueued(t)
+		c.finish(t, false, "deadline passed in client queue", true, nil)
+	}
 }
 
 // Read batches one keyed read; the value (the key's last committed
@@ -147,11 +163,17 @@ func (c *Client) Begin() *Txn {
 	c.nextTxn++
 	c.Stats.Begun++
 	return &Txn{
+		c:        c,
 		id:       ID{Client: c.c.Node, Num: c.nextTxn},
 		deadline: c.p.eng.Now().Add(c.c.Deadline),
+		ops:      make([]Op, 0, transferOps),
 		status:   StatusPending,
 	}
 }
+
+// transferOps is the op count Begin makes room for: a Transfer's two
+// reads and two writes.
+const transferOps = 4
 
 // Write batches one keyed write into the transaction, assigning its
 // client-wide sequence number (its identity in the shard histories).
@@ -180,19 +202,13 @@ func (c *Client) Commit(t *Txn) {
 		t.ops[i].Shard = c.p.router.ShardFor(t.ops[i].Key)
 	}
 	t.coordShard = c.p.coordShard(t.id)
+	t.label = t.id.String()
 	t.trace = c.p.eng.Tracer().Begin("txn", t.coordShard)
-	t.trace.SetLabel(t.id.String())
+	t.trace.SetLabel(t.label)
 	t.qspan = t.trace.Span("queue.txn", trace.LayerQueue)
 	c.queue = append(c.queue, t)
-	// Deadline-aware admission at the client: a transaction still
-	// queued behind the session when its deadline passes aborts without
-	// ever acquiring a lock.
-	c.p.eng.At(t.deadline, eventq.ClassApp, func() {
-		if t.status == StatusPending && c.inflight != t {
-			c.removeQueued(t)
-			c.finish(t, false, "deadline passed in client queue", true, nil)
-		}
-	})
+	// Deadline-aware admission at the client (queueDeadline).
+	c.p.eng.AfterTo(t.deadline.Sub(t.submittedAt), eventq.ClassApp, queueDeadline{t}, 0)
 	c.pump()
 }
 
@@ -202,7 +218,7 @@ func (c *Client) pump() {
 		return
 	}
 	t := c.queue[0]
-	c.queue = c.queue[1:]
+	c.queue = slices.Delete(c.queue, 0, 1) // keeps the array for the next append
 	c.inflight = t
 	c.dispatch(t)
 }
@@ -223,13 +239,13 @@ func (c *Client) removeQueued(t *Txn) {
 // shared retry discipline (timeout/retry, park-and-resubmit on view
 // installs and heals — a transaction submission is never abandoned;
 // the coordinator's deadline discipline decides it, and the outcome
-// query is idempotent).
+// query is idempotent). The call retires in finish.
 func (c *Client) dispatch(t *Txn) {
 	g := c.p.router.Groups()[t.coordShard]
 	t.qspan.End()
 	t.wspan = t.trace.Span("rpc.txn", trace.LayerWire)
 	t.call = c.p.sess.Go(session.Spec{
-		Label: t.id.String(),
+		Label: t.label,
 		Node:  c.c.Node,
 		Send: func(attempt int) {
 			t.target = g.Replication().Primary()
@@ -237,7 +253,6 @@ func (c *Client) dispatch(t *Txn) {
 			c.p.send(c.c.Node, t.target, c.p.coordPort, env, 64)
 		},
 		Traces:   []trace.Ref{t.trace.Ref()},
-		Done:     func() bool { return t.status != StatusPending },
 		Counters: &c.Stats.Counters,
 	})
 }
@@ -319,7 +334,7 @@ func (c *Client) finish(t *Txn, committed bool, reason string, byDeadline bool, 
 	}
 	rec := Record{
 		ID:        t.id,
-		Ops:       append([]Op(nil), t.ops...),
+		Ops:       t.ops, // nothing writes them after Commit
 		Status:    t.status,
 		Reads:     reads,
 		DecidedAt: now,

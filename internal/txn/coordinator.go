@@ -47,11 +47,12 @@ type partState struct {
 // the decision itself is additionally logged through the replicated
 // machine.
 type coordTxn struct {
+	c        *Coordinator
 	id       ID
 	deadline vtime.Time
 	client   int
 	attempt  int
-	parts    []*partState // ascending shard order (deterministic sends)
+	parts    []partState // ascending shard order (deterministic sends)
 	reads    map[string]int64
 
 	decided     bool
@@ -68,12 +69,44 @@ type coordTxn struct {
 
 // part returns the participant state of one shard index.
 func (ct *coordTxn) part(idx int) *partState {
-	for _, ps := range ct.parts {
-		if ps.shard == idx {
-			return ps
+	for i := range ct.parts {
+		if ct.parts[i].shard == idx {
+			return &ct.parts[i]
 		}
 	}
 	return nil
+}
+
+// Fire is the transaction's deadline timer: votes still incomplete at
+// the deadline abort it.
+func (ct *coordTxn) Fire(uint64) {
+	if !ct.decided {
+		ct.c.abortByDeadline(ct, "deadline: votes incomplete")
+	}
+}
+
+// splitByShard groups ops by owning shard: one partState per shard, in
+// ascending shard order, each holding its ops in their original order.
+// The states share one array and their ops one more.
+func splitByShard(ops []Op) []partState {
+	grouped := slices.Clone(ops)
+	slices.SortStableFunc(grouped, func(a, b Op) int { return cmp.Compare(a.Shard, b.Shard) })
+	n := 0
+	for i := range grouped {
+		if i == 0 || grouped[i].Shard != grouped[i-1].Shard {
+			n++
+		}
+	}
+	parts := make([]partState, 0, n)
+	for lo := 0; lo < len(grouped); {
+		hi := lo + 1
+		for hi < len(grouped) && grouped[hi].Shard == grouped[lo].Shard {
+			hi++
+		}
+		parts = append(parts, partState{shard: grouped[lo].Shard, ops: grouped[lo:hi:hi]})
+		lo = hi
+	}
+	return parts
 }
 
 // logRound is one group-commit round of the decision log: left counts
@@ -221,8 +254,8 @@ func (ct *coordTxn) replyable() bool {
 	if !ct.commit {
 		return true
 	}
-	for _, ps := range ct.parts {
-		if !ps.acked {
+	for i := range ct.parts {
+		if !ct.parts[i].acked {
 			return false
 		}
 	}
@@ -235,23 +268,14 @@ func (ct *coordTxn) replyable() bool {
 // transaction that cannot commit in time).
 func (c *Coordinator) admit(env beginEnv) *coordTxn {
 	ct := &coordTxn{
+		c:        c,
 		id:       env.ID,
 		deadline: env.Deadline,
 		client:   env.Client,
 		attempt:  env.Attempt,
+		parts:    splitByShard(env.Ops),
 		trace:    env.Trace,
 	}
-	byShard := make(map[int]*partState)
-	for _, op := range env.Ops {
-		ps := byShard[op.Shard]
-		if ps == nil {
-			ps = &partState{shard: op.Shard}
-			byShard[op.Shard] = ps
-			ct.parts = append(ct.parts, ps)
-		}
-		ps.ops = append(ps.ops, op)
-	}
-	slices.SortFunc(ct.parts, func(a, b *partState) int { return cmp.Compare(a.shard, b.shard) })
 	c.pending[env.ID] = ct
 	c.Stats.Begins++
 	now := c.p.eng.Now()
@@ -259,14 +283,10 @@ func (c *Coordinator) admit(env beginEnv) *coordTxn {
 		c.abortByDeadline(ct, "deadline passed before prepare")
 		return ct
 	}
-	for _, ps := range ct.parts {
-		c.sendPrepare(ct, ps)
+	for i := range ct.parts {
+		c.sendPrepare(ct, &ct.parts[i])
 	}
-	c.p.eng.At(ct.deadline, eventq.ClassApp, func() {
-		if !ct.decided {
-			c.abortByDeadline(ct, "deadline: votes incomplete")
-		}
-	})
+	c.p.eng.AfterTo(ct.deadline.Sub(now), eventq.ClassApp, ct, 0)
 	return ct
 }
 
@@ -277,13 +297,13 @@ func (c *Coordinator) sendPrepare(ct *coordTxn, ps *partState) {
 		return
 	}
 	ps.prepared = true
-	ps.prepSpan = ct.trace.Span(fmt.Sprintf("2pc.prepare.s%d", ps.shard), trace.LayerWire)
+	ps.prepSpan = ct.trace.Span(c.p.parts[ps.shard].spanPrepare, trace.LayerWire)
 	env := prepareEnv{ID: ct.id, Ops: ps.ops, Deadline: ct.deadline, Coord: c.shard, Trace: ct.trace}
-	c.p.protoLoop(fmt.Sprintf("prep.%s.s%d", ct.id, ps.shard), c.g.Replication().Primary(),
-		func() {
+	c.p.protoLoop(loopLabel("prep", ct.id, ps.shard), c.g.Replication().Primary(),
+		func(int) {
 			from := c.g.Replication().Primary()
 			to := c.p.router.Groups()[ps.shard].Replication().Primary()
-			c.p.eng.Recordf(monitor.KindPrepare, from, ct.id.String(), "-> shard %d (n%d)", ps.shard, to)
+			c.p.record(monitor.KindPrepare, from, ct.id, "-> shard %d (n%d)", ps.shard, to)
 			c.p.send(from, to, c.p.partPort, env, 48)
 		},
 		func() bool { return ps.voted || ct.decided })
@@ -311,8 +331,8 @@ func (c *Coordinator) handleVote(node int, env voteEnv) {
 		c.decide(ct, false, fmt.Sprintf("shard %d voted no: %s", env.Shard, env.Reason))
 		return
 	}
-	for _, p := range ct.parts {
-		if !p.voted || !p.yes {
+	for i := range ct.parts {
+		if !ct.parts[i].voted || !ct.parts[i].yes {
 			return
 		}
 	}
@@ -350,7 +370,7 @@ func (c *Coordinator) decide(ct *coordTxn, commit bool, reason string) {
 			c.Stats.DeadlineAborts++
 		}
 	}
-	c.p.eng.Recordf(monitor.KindDecide, c.g.Replication().Primary(), ct.id.String(), "%s %s", verdict, reason)
+	c.p.record(monitor.KindDecide, c.g.Replication().Primary(), ct.id, "%s %s", verdict, reason)
 	ct.logSpan = ct.trace.Span("2pc.decision.log", trace.LayerReplicate)
 	c.logDecision(decisionEntry{id: ct.id, commit: commit})
 }
@@ -438,11 +458,11 @@ func (c *Coordinator) distribute(ct *coordTxn) {
 	}
 	ct.distributed = true
 	env := decisionEnv{ID: ct.id, Commit: ct.commit}
-	for _, ps := range ct.parts {
-		p := ps
-		p.decSpan = ct.trace.Span(fmt.Sprintf("2pc.decide.s%d", p.shard), trace.LayerWire)
-		c.p.protoLoop(fmt.Sprintf("dec.%s.s%d", ct.id, p.shard), c.g.Replication().Primary(),
-			func() {
+	for i := range ct.parts {
+		p := &ct.parts[i]
+		p.decSpan = ct.trace.Span(c.p.parts[p.shard].spanDecide, trace.LayerWire)
+		c.p.protoLoop(loopLabel("dec", ct.id, p.shard), c.g.Replication().Primary(),
+			func(int) {
 				from := c.g.Replication().Primary()
 				to := c.p.router.Groups()[p.shard].Replication().Primary()
 				c.p.send(from, to, c.p.partPort, env, 24)
@@ -480,8 +500,8 @@ func (c *Coordinator) handleAck(env ackEnv) {
 	}
 	ps.acked = true
 	ps.decSpan.End()
-	for _, p := range ct.parts {
-		if !p.acked {
+	for i := range ct.parts {
+		if !ct.parts[i].acked {
 			return
 		}
 	}

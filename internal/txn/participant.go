@@ -1,7 +1,7 @@
 package txn
 
 import (
-	"fmt"
+	"strconv"
 
 	"hades/internal/eventq"
 	"hades/internal/monitor"
@@ -50,6 +50,7 @@ const (
 
 // prep tracks one transaction at one participant shard.
 type prep struct {
+	pa  *Participant
 	id  ID
 	ops []Op
 	// keys is the lock set: the distinct keys of ops, in op order.
@@ -67,6 +68,9 @@ type prep struct {
 	trace    trace.Ref
 	lockSpan trace.SpanRef
 }
+
+// Fire is the prepare's deadline timer (see Participant.atDeadline).
+func (pr *prep) Fire(uint64) { pr.pa.atDeadline(pr) }
 
 // distinctKeys returns the lock set of ops in op order (already
 // deterministic: the client recorded ops in call order).
@@ -111,6 +115,10 @@ type Participant struct {
 	// only updates when the replication apply lands).
 	overlay map[string]overlayVal
 
+	// spanPrepare, spanDecide and spanLockWait name the trace spans of
+	// this shard's protocol legs, rendered once.
+	spanPrepare, spanDecide, spanLockWait string
+
 	// Stats counts outcomes for the harness.
 	Stats PartStats
 }
@@ -125,6 +133,10 @@ func newParticipant(p *Plane, g *shard.Group, idx int) *Participant {
 		locks:   make(map[string]ID),
 		preps:   make(map[ID]*prep),
 		overlay: make(map[string]overlayVal),
+
+		spanPrepare:  "2pc.prepare.s" + strconv.Itoa(idx),
+		spanDecide:   "2pc.decide.s" + strconv.Itoa(idx),
+		spanLockWait: "lock.wait.s" + strconv.Itoa(idx),
 	}
 	for _, n := range g.Nodes() {
 		node := n
@@ -178,18 +190,18 @@ func (pa *Participant) handlePrepare(node, from int, env prepareEnv) {
 			voteEnv{ID: env.ID, Shard: pa.shard, Yes: false, Reason: "deadline passed", Deadline: true}, 32)
 		return
 	}
-	pr = &prep{id: env.ID, ops: env.Ops, keys: distinctKeys(env.Ops), deadline: env.Deadline, coord: env.Coord, state: prepWaiting, trace: env.Trace}
+	pr = &prep{pa: pa, id: env.ID, ops: env.Ops, keys: distinctKeys(env.Ops), deadline: env.Deadline, coord: env.Coord, state: prepWaiting, trace: env.Trace}
 	pa.preps[env.ID] = pr
 	pa.Stats.Prepares++
 	if pa.tryAcquire(pr) {
 		pa.granted(node, from, pr)
 	} else {
 		pa.Stats.LockWaits++
-		pr.lockSpan = pr.trace.Span(fmt.Sprintf("lock.wait.s%d", pa.shard), trace.LayerLock)
+		pr.lockSpan = pr.trace.Span(pa.spanLockWait, trace.LayerLock)
 		pa.waiters = append(pa.waiters, pr)
-		pa.p.eng.Recordf(monitor.KindLockWait, node, pr.id.String(), "shard %d: conflict on %v", pa.shard, pr.keys)
+		pa.p.record(monitor.KindLockWait, node, pr.id, "shard %d: conflict on %v", pa.shard, pr.keys)
 	}
-	pa.p.eng.At(env.Deadline, eventq.ClassApp, func() { pa.atDeadline(pr) })
+	pa.p.eng.AfterTo(env.Deadline.Sub(now), eventq.ClassApp, pr, 0)
 }
 
 // tryAcquire takes every lock of the prepare if all are free (locks
@@ -212,7 +224,7 @@ func (pa *Participant) tryAcquire(pr *prep) bool {
 func (pa *Participant) granted(node, from int, pr *prep) {
 	pr.state = prepHeld
 	pr.lockSpan.End()
-	pa.p.eng.Recordf(monitor.KindPrepare, node, pr.id.String(), "shard %d: locked %v", pa.shard, pr.keys)
+	pa.p.record(monitor.KindPrepare, node, pr.id, "shard %d: locked %v", pa.shard, pr.keys)
 	pa.vote(node, from, pr, true, "", false)
 }
 
@@ -264,18 +276,18 @@ func (pa *Participant) atDeadline(pr *prep) {
 		pr.trace.Instant("shard %d: lock wait exceeded deadline", pa.shard)
 		pa.Stats.Aborts++
 		node := pa.g.Replication().Primary()
-		pa.p.eng.Recordf(monitor.KindTxnAbort, node, pr.id.String(), "shard %d: lock wait exceeded deadline", pa.shard)
+		pa.p.record(monitor.KindTxnAbort, node, pr.id, "shard %d: lock wait exceeded deadline", pa.shard)
 		coordPrimary := pa.p.router.Groups()[pr.coord].Replication().Primary()
 		pa.vote(node, coordPrimary, pr, false, "lock wait exceeded deadline", true)
 	case prepHeld:
 		pa.release(pr)
 		pr.state = prepReleased
 		pa.Stats.DeadlineReleases++
-		pa.p.eng.Recordf(monitor.KindLockWait, pa.g.Replication().Primary(), pr.id.String(),
+		pa.p.record(monitor.KindLockWait, pa.g.Replication().Primary(), pr.id,
 			"shard %d: released at deadline, decision pending", pa.shard)
 		env := queryEnv{ID: pr.id, Deadline: pr.deadline}
-		pa.p.protoLoop(fmt.Sprintf("query.%s.s%d", pr.id, pa.shard), pa.g.Replication().Primary(),
-			func() {
+		pa.p.protoLoop(loopLabel("query", pr.id, pa.shard), pa.g.Replication().Primary(),
+			func(int) {
 				from := pa.g.Replication().Primary()
 				to := pa.p.router.Groups()[pr.coord].Replication().Primary()
 				pa.p.send(from, to, pa.p.coordPort, env, 32)
@@ -369,7 +381,7 @@ func (pa *Participant) handleDecision(node, from int, env decisionEnv) {
 	if !env.Commit {
 		pa.release(pr)
 		pa.Stats.Aborts++
-		pa.p.eng.Recordf(monitor.KindTxnAbort, node, pr.id.String(), "shard %d: decision abort", pa.shard)
+		pa.p.record(monitor.KindTxnAbort, node, pr.id, "shard %d: decision abort", pa.shard)
 		pa.p.send(node, from, pa.p.coordPort, ackEnv{ID: env.ID, Shard: pa.shard}, 24)
 		return
 	}

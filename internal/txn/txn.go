@@ -44,6 +44,7 @@ import (
 	"strconv"
 
 	"hades/internal/eventq"
+	"hades/internal/monitor"
 	"hades/internal/netsim"
 	"hades/internal/session"
 	"hades/internal/shard"
@@ -62,12 +63,26 @@ type ID struct {
 // String renders the id ("t6.3").
 func (id ID) String() string {
 	var buf [48]byte
-	b := strconv.AppendInt(append(buf[:0], 't'), int64(id.Client), 10)
-	return string(strconv.AppendUint(append(b, '.'), id.Num, 10))
+	return string(id.append(buf[:0]))
 }
 
-// key returns the ring key the coordinator shard is chosen by.
-func (id ID) key() string { return "txn:" + id.String() }
+// append appends the rendered id to b.
+func (id ID) append(b []byte) []byte {
+	b = strconv.AppendInt(append(b, 't'), int64(id.Client), 10)
+	return strconv.AppendUint(append(b, '.'), id.Num, 10)
+}
+
+// key appends the ring key the coordinator shard is chosen by
+// ("txn:t6.3").
+func (id ID) key(b []byte) []byte { return id.append(append(b, "txn:"...)) }
+
+// loopLabel renders a protocol loop's label ("prep.t6.3.s2") into one
+// string, without fmt.
+func loopLabel(kind string, id ID, shard int) string {
+	var buf [64]byte
+	b := id.append(append(append(buf[:0], kind...), '.'))
+	return string(strconv.AppendInt(append(b, ".s"...), int64(shard), 10))
+}
 
 // OpKind classifies one keyed operation.
 type OpKind uint8
@@ -290,7 +305,21 @@ func (p *Plane) Clients() []*Client { return append([]*Client(nil), p.clients...
 // coordShard returns the coordinator shard index for a transaction:
 // its id hashed on the existing ring (pinned key routes do not apply —
 // coordinator placement is not key ownership).
-func (p *Plane) coordShard(id ID) int { return p.router.Ring().Shard(id.key()) }
+func (p *Plane) coordShard(id ID) int {
+	var buf [64]byte
+	return p.router.Ring().Shard(string(id.key(buf[:0])))
+}
+
+// record logs one protocol event about transaction id. The subject is
+// rendered only for a record the log keeps; a refused one is still
+// offered, so the log counts it as dropped.
+func (p *Plane) record(kind monitor.Kind, node int, id ID, format string, args ...any) {
+	subject := ""
+	if p.eng.Log().Keeps(kind) {
+		subject = id.String()
+	}
+	p.eng.Recordf(kind, node, subject, format, args...)
+}
 
 // send transmits one protocol message, falling back to a loopback
 // dispatch (netsim has no self-links) when sender and receiver are the
@@ -315,11 +344,6 @@ func (p *Plane) send(from, to int, port string, payload any, size int) {
 // decision distribution, decision query) on the plane's session
 // engine: the shared retry discipline at the session calibration, with
 // completion observed out-of-band through done.
-func (p *Plane) protoLoop(label string, node int, send func(), done func() bool) {
-	p.sess.Go(session.Spec{
-		Label: label,
-		Node:  node,
-		Send:  func(int) { send() },
-		Done:  done,
-	})
+func (p *Plane) protoLoop(label string, node int, send func(int), done func() bool) {
+	p.sess.Go(session.Spec{Label: label, Node: node, Send: send, Done: done})
 }

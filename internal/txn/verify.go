@@ -2,8 +2,11 @@ package txn
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"hades/internal/shard"
+	"hades/internal/vtime"
 )
 
 // Verify audits the atomic-commitment contract of a run against the
@@ -67,11 +70,21 @@ func Verify(p *Plane) error {
 		if pa.Stats.HeldPastDeadline > 0 {
 			return fmt.Errorf("txn: shard %d released %d lock set(s) after their transaction deadlines", pa.shard, pa.Stats.HeldPastDeadline)
 		}
-		for key, id := range pa.locks {
-			pr := pa.preps[id]
-			if pr != nil && now.After(pr.deadline) {
-				return fmt.Errorf("txn: shard %d still holds lock %q for %s past its deadline %s", pa.shard, key, id, pr.deadline)
-			}
+		if err := pa.lockPastDeadline(now); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// lockPastDeadline reports a lock still held at now for a transaction
+// whose deadline passed. Keys are scanned in sorted order, so of
+// several such locks the report names the smallest key.
+func (pa *Participant) lockPastDeadline(now vtime.Time) error {
+	for _, key := range slices.Sorted(maps.Keys(pa.locks)) {
+		id := pa.locks[key]
+		if pr := pa.preps[id]; pr != nil && now.After(pr.deadline) {
+			return fmt.Errorf("txn: shard %d still holds lock %q for %s past its deadline %s", pa.shard, key, id, pr.deadline)
 		}
 	}
 	return nil

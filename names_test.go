@@ -24,7 +24,6 @@ var namesAllowlist = map[string]string{
 	"pubsub.Plane.CheckComplete":    "the per-topic delivery audit scenario's TestRegressCorpus runs",
 	"scenario.Builtin":              "cmd/hades golden tests and cluster verify tests load builtins by name",
 	"shard.Group.AuthoritativeNode": "cluster shard tests check which replica's apply log is authoritative",
-	"simkern.Engine.Log":            "fault, membership, netsim, rbcast and replication tests read the log their engine records into",
 	"simkern.Processor.IRQTime":     "netsim tests measure the receive-path interrupt cost",
 	"storage.Store.Crash":           "stable-storage surface: replication tests crash a replica's store; recovery is ROADMAP item 6",
 	"storage.Store.Read":            "stable-storage surface: replication tests read a persisted checkpoint back; recovery is ROADMAP item 6",
@@ -34,7 +33,7 @@ var namesAllowlist = map[string]string{
 	"txn.Txn.Read":                  "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
 }
 
-const maxNamesAllowed = 13
+const maxNamesAllowed = 12
 
 // TestOnlyNamesSomethingCalls holds the exported surface of internal/ to
 // what something calls. Every exported func, and every exported method of
