@@ -85,22 +85,28 @@ func (l *Log) Gantt(node int, from, to vtime.Time, width int) string {
 // intervals reconstructs execution intervals from Start/Resume →
 // Preempt/Trm event pairs on one node.
 func (l *Log) intervals(node int) []interval {
+	if l == nil {
+		return nil
+	}
 	running := map[string]vtime.Time{}
 	var out []interval
-	for _, e := range l.events {
-		if e.Node != node {
-			continue
-		}
-		switch e.Kind {
-		case KindThreadStart, KindThreadResume:
-			if _, on := running[e.Subject]; !on {
-				running[e.Subject] = e.At
+	for _, c := range l.chunks {
+		for i := range c {
+			e := &c[i]
+			if e.Node != node {
+				continue
 			}
-		case KindThreadPreempt, KindThreadFinish:
-			if since, on := running[e.Subject]; on {
-				delete(running, e.Subject)
-				if e.At > since {
-					out = append(out, interval{thread: e.Subject, from: since, to: e.At})
+			switch e.Kind {
+			case KindThreadStart, KindThreadResume:
+				if _, on := running[e.Subject]; !on {
+					running[e.Subject] = e.At
+				}
+			case KindThreadPreempt, KindThreadFinish:
+				if since, on := running[e.Subject]; on {
+					delete(running, e.Subject)
+					if e.At > since {
+						out = append(out, interval{thread: e.Subject, from: since, to: e.At})
+					}
 				}
 			}
 		}

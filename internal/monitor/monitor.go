@@ -226,14 +226,32 @@ func (e Event) String() string {
 // events. Every violation and every fault-timeline event is also kept
 // on a side list the bound never touches, so Violations and Faults are
 // complete however full the window is.
+//
+// The window is stored in blocks, so keeping an event never copies the
+// ones kept before it. Events go into chunks of chunkLen: the first
+// grows by append, so a short run holds only what it keeps, and every
+// later one is allocated whole; a full chunk is never touched again.
+// The details Recordf renders are packed into an arena of byte blocks,
+// each detail a substring of its block, which starts small and doubles
+// up to maxBlock.
 type Log struct {
-	events   []Event
-	capLimit int // 0 = unlimited
+	chunks   [][]Event       // full chunks, then the open one
+	n        int             // retained events
+	arena    strings.Builder // the current block
+	capLimit int             // 0 = unlimited
 	dropped  int
 	// Never dropped, in record order.
 	viol   []Event
 	faults []Event
 }
+
+// Storage block sizes: events per chunk, and the first and largest
+// arena block in bytes.
+const (
+	chunkLen = 4096
+	minBlock = 512
+	maxBlock = 64 << 10
+)
 
 // NewLog returns an empty log. limit, when positive, bounds the window
 // to the first limit events; what arrives later is counted in Dropped
@@ -241,7 +259,7 @@ type Log struct {
 func NewLog(limit int) *Log { return &Log{capLimit: limit} }
 
 // full reports whether the window has reached its bound.
-func (l *Log) full() bool { return l.capLimit > 0 && len(l.events) >= l.capLimit }
+func (l *Log) full() bool { return l.capLimit > 0 && l.n >= l.capLimit }
 
 // Record appends an event.
 func (l *Log) Record(e Event) {
@@ -258,7 +276,33 @@ func (l *Log) Record(e Event) {
 		l.dropped++
 		return
 	}
-	l.events = append(l.events, e)
+	last := len(l.chunks) - 1
+	switch {
+	case last < 0:
+		l.chunks = append(l.chunks, nil)
+		last = 0
+	case len(l.chunks[last]) == chunkLen:
+		l.chunks = append(l.chunks, make([]Event, 0, chunkLen))
+		last++
+	}
+	l.chunks[last] = append(l.chunks[last], e)
+	l.n++
+}
+
+// intern copies a rendered detail into the arena and returns it. A
+// strings.Builder never moves the bytes it holds while a write fits its
+// capacity, so every detail handed out stays valid and unchanged; a
+// detail that does not fit starts a new block twice the size of the
+// last, one of its own if it is longer than that.
+func (l *Log) intern(b []byte) string {
+	if l.arena.Cap()-l.arena.Len() < len(b) {
+		size := min(max(2*l.arena.Cap(), minBlock), maxBlock)
+		l.arena = strings.Builder{}
+		l.arena.Grow(max(size, len(b)))
+	}
+	from := l.arena.Len()
+	l.arena.Write(b)
+	return l.arena.String()[from:]
 }
 
 // Keeps reports whether a record of kind made now would be kept: the
@@ -279,7 +323,7 @@ func (l *Log) Recordf(at vtime.Time, kind Kind, node int, subject, format string
 		l.dropped++
 		return
 	}
-	l.Record(Event{At: at, Kind: kind, Node: node, Subject: subject, Detail: render(format, args)})
+	l.Record(Event{At: at, Kind: kind, Node: node, Subject: subject, Detail: l.render(format, args)})
 }
 
 // Len returns the number of retained events.
@@ -287,7 +331,7 @@ func (l *Log) Len() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.events)
+	return l.n
 }
 
 // Dropped returns how many events were discarded due to the limit.
@@ -304,7 +348,11 @@ func (l *Log) Events() []Event {
 	if l == nil {
 		return nil
 	}
-	return append(make([]Event, 0, len(l.events)), l.events...)
+	out := make([]Event, 0, l.n)
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // ByKind returns the retained events of the given kinds, in order. The
@@ -318,9 +366,11 @@ func (l *Log) ByKind(kinds ...Kind) []Event {
 		want[k] = true
 	}
 	var out []Event
-	for i := range l.events {
-		if want[l.events[i].Kind] {
-			out = append(out, l.events[i])
+	for _, c := range l.chunks {
+		for i := range c {
+			if want[c[i].Kind] {
+				out = append(out, c[i])
+			}
 		}
 	}
 	return out
@@ -344,12 +394,17 @@ func (l *Log) Faults() []Event {
 	return slices.Clone(l.faults)
 }
 
-// CountKind returns the number of events of kind k.
+// CountKind returns the number of retained events of kind k.
 func (l *Log) CountKind(k Kind) int {
+	if l == nil {
+		return 0
+	}
 	n := 0
-	for _, e := range l.events {
-		if e.Kind == k {
-			n++
+	for _, c := range l.chunks {
+		for i := range c {
+			if c[i].Kind == k {
+				n++
+			}
 		}
 	}
 	return n
@@ -358,9 +413,14 @@ func (l *Log) CountKind(k Kind) int {
 // WriteTrace writes every retained event to w in chronological order,
 // one per line, then a note of how many the limit dropped.
 func (l *Log) WriteTrace(w io.Writer) error {
-	for _, e := range l.events {
-		if _, err := fmt.Fprintln(w, e.String()); err != nil {
-			return err
+	if l == nil {
+		return nil
+	}
+	for _, c := range l.chunks {
+		for i := range c {
+			if _, err := fmt.Fprintln(w, c[i].String()); err != nil {
+				return err
+			}
 		}
 	}
 	if l.dropped > 0 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -183,8 +184,128 @@ func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
 	l.Record(Event{})
 	l.Recordf(0, KindActivation, 0, "x", "y")
-	if l.Len() != 0 || l.Dropped() != 0 || l.Events() != nil || l.Violations() != nil || l.Faults() != nil {
+	if l.Len() != 0 || l.Dropped() != 0 || l.Events() != nil || l.Violations() != nil || l.Faults() != nil ||
+		l.ByKind(KindActivation) != nil || l.CountKind(KindActivation) != 0 || l.Keeps(KindDeadlineMiss) {
 		t.Fatal("nil log must be inert")
+	}
+	var sb strings.Builder
+	if err := l.WriteTrace(&sb); err != nil || sb.Len() != 0 {
+		t.Fatalf("nil log wrote trace %q, err %v", sb.String(), err)
+	}
+	if g := l.Gantt(0, 0, 0, 10); g != "(no execution on node)\n" {
+		t.Fatalf("nil log Gantt = %q", g)
+	}
+}
+
+// recordMix records n events through Recordf into l and returns what a
+// plain []Event holding the same records looks like. Threads on two
+// nodes start, get preempted, resume and finish, so Gantt intervals
+// straddle chunk boundaries. Details vary in length; one record in ten
+// is a bare format and one a ready-made string, and record number long
+// (none if negative) carries a detail longer than an arena block.
+func recordMix(l *Log, n, long int) []Event {
+	var ref []Event
+	kinds := []Kind{KindThreadStart, KindMessageRecv, KindThreadPreempt, KindThreadResume, KindActivation, KindThreadFinish}
+	big := strings.Repeat("x", maxBlock+100)
+	for i := range n {
+		at, kind, node := vtime.Time(vtime.Duration(i)*vtime.Microsecond), kinds[i%len(kinds)], (i/len(kinds))%2
+		subject := fmt.Sprintf("th%d", i%7)
+		var format string
+		var args []any
+		switch {
+		case i == long:
+			format, args = "big=%s!", []any{big}
+		case i%10 == 3:
+			format = "bare"
+		case i%10 == 7:
+			format, args = "%s", []any{subject}
+		default:
+			format, args = "from=n%d id=%d lat=%s tag=%s", []any{node, i, vtime.Duration(i), strings.Repeat("y", i%40)}
+		}
+		l.Recordf(at, kind, node, subject, format, args...)
+		detail := format
+		if len(args) > 0 {
+			detail = fmt.Sprintf(format, args...)
+		}
+		ref = append(ref, Event{At: at, Kind: kind, Node: node, Subject: subject, Detail: detail})
+	}
+	return ref
+}
+
+// TestChunkedLogMatchesPlainSlice: a log recorded past two chunk
+// boundaries and many arena blocks, one detail longer than a block
+// among them, reads back exactly what a plain []Event holds, through
+// every reader.
+func TestChunkedLogMatchesPlainSlice(t *testing.T) {
+	l := NewLog(0)
+	ref := recordMix(l, 2*chunkLen+500, chunkLen+3)
+	if len(l.chunks) != 3 || l.arena.Cap() != maxBlock {
+		t.Fatalf("%d chunks, arena block %d: want 3 chunks and a %d-byte block", len(l.chunks), l.arena.Cap(), maxBlock)
+	}
+	if l.Len() != len(ref) || !slices.Equal(l.Events(), ref) {
+		t.Fatal("Events differ from the plain slice")
+	}
+	kinds := []Kind{KindThreadStart, KindThreadFinish, KindActivation, KindMessageRecv, KindDeadlineMiss}
+	for _, k := range kinds {
+		var want []Event
+		for _, e := range ref {
+			if e.Kind == k {
+				want = append(want, e)
+			}
+		}
+		if got := l.ByKind(k); !slices.Equal(got, want) {
+			t.Errorf("ByKind(%s): %d events, want %d", k, len(got), len(want))
+		}
+		if got := l.CountKind(k); got != len(want) {
+			t.Errorf("CountKind(%s) = %d, want %d", k, got, len(want))
+		}
+	}
+	if got := l.ByKind(KindThreadStart, KindThreadResume); len(got) != l.CountKind(KindThreadStart)+l.CountKind(KindThreadResume) {
+		t.Errorf("ByKind of two kinds: %d events", len(got))
+	}
+	var got, want strings.Builder
+	if err := l.WriteTrace(&got); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ref {
+		want.WriteString(e.String() + "\n")
+	}
+	if got.String() != want.String() {
+		t.Error("WriteTrace differs from the plain slice's lines")
+	}
+	plain := &Log{chunks: [][]Event{ref}, n: len(ref)}
+	for node := range 2 {
+		if g, w := l.Gantt(node, 0, 0, 60), plain.Gantt(node, 0, 0, 60); g != w || !strings.Contains(g, "#") {
+			t.Errorf("Gantt(n%d):\n%s\nwant\n%s", node, g, w)
+		}
+	}
+}
+
+// TestChunkedLogLimit: a limit one past a chunk keeps exactly that many
+// events, the first ones, and counts the rest in Dropped.
+func TestChunkedLogLimit(t *testing.T) {
+	l := NewLog(chunkLen + 1)
+	ref := recordMix(l, chunkLen+40, -1)
+	if l.Len() != chunkLen+1 || l.Dropped() != 39 || len(l.chunks) != 2 {
+		t.Fatalf("Len=%d Dropped=%d chunks=%d, want %d, 39 and 2", l.Len(), l.Dropped(), len(l.chunks), chunkLen+1)
+	}
+	if !slices.Equal(l.Events(), ref[:chunkLen+1]) {
+		t.Fatal("window is not the first chunkLen+1 records")
+	}
+}
+
+// TestArenaDetailsNeverChange: a detail read from the log is the same
+// bytes after 100k more records have filled block after block.
+func TestArenaDetailsNeverChange(t *testing.T) {
+	l := NewLog(0)
+	l.Recordf(0, KindActivation, 0, "s", "first id=%d tag=%s", 42, "abc")
+	d := l.Events()[0].Detail
+	want := strings.Clone(d)
+	for i := range 100_000 {
+		l.Recordf(vtime.Time(i), KindMessageRecv, 1, "s", "id=%d lat=%s", i, vtime.Duration(i))
+	}
+	if d != want || l.Events()[0].Detail != want {
+		t.Fatalf("detail %q changed to %q (log holds %q)", want, d, l.Events()[0].Detail)
 	}
 }
 

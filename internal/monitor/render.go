@@ -32,9 +32,9 @@ import (
 //
 // A bare format is the detail, and ("%s", s) with a ready-made string
 // is s itself: a retained event then shares the caller's string.
-// Anything else renders into a stack buffer, so a kept detail costs one
-// allocation, its string.
-func render(format string, args []any) string {
+// Anything else renders into a stack buffer and is copied into the
+// log's arena, so a kept detail costs CPU and no allocation of its own.
+func (l *Log) render(format string, args []any) string {
 	switch {
 	case len(args) == 0:
 		return format
@@ -86,7 +86,7 @@ func render(format string, args []any) string {
 		}
 		b = append(b, ')')
 	}
-	return string(b)
+	return l.intern(b)
 }
 
 // appendArg appends one argument under one verb. Nothing it calls

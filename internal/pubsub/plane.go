@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"hades/internal/eventq"
@@ -331,7 +332,8 @@ func (p *Plane) SubscriberAt(topic string, node int) (*Subscriber, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Subscriber{p: p, t: t, id: len(p.subs), node: node, active: true, seen: make(map[sampleKey]bool)}
+	s := &Subscriber{p: p, t: t, id: len(p.subs), node: node, fanout: "fanout.n" + strconv.Itoa(node),
+		active: true, seen: make(map[sampleKey]bool)}
 	if !p.subBound[node] {
 		p.subBound[node] = true
 		n := node
@@ -451,13 +453,22 @@ func (pub *Publisher) PublishDone(value int64, done func()) uint64 {
 
 	att.wire = att.ref.Span("pub.wire", trace.LayerWire)
 	p.sess.Go(session.Spec{
-		Label:  fmt.Sprintf("pubsub.%s.p%d#%d", s.Topic, s.Pub, s.Seq),
+		Label:  publishLabel(s),
 		Node:   pub.node,
 		Traces: []trace.Ref{att.ref},
 		Send:   func(int) { pub.send(att) },
 		Done:   func() bool { return att.acked },
 	})
 	return s.Seq
+}
+
+// publishLabel renders a reliable publish's call label
+// ("pubsub.telemetry.p2#17") into one string, without fmt.
+func publishLabel(s Sample) string {
+	var buf [64]byte
+	b := append(append(append(buf[:0], "pubsub."...), s.Topic...), ".p"...)
+	b = strconv.AppendUint(b, s.Pub, 10)
+	return string(strconv.AppendUint(append(b, '#'), s.Seq, 10))
 }
 
 // send transmits (or retransmits) one reliable publish to the owning
@@ -477,6 +488,9 @@ type Subscriber struct {
 	t    *Topic
 	id   int
 	node int
+	// fanout names the publish-trace span of a fan-out send to this
+	// subscriber ("fanout.n3"), rendered once.
+	fanout string
 
 	joinAt vtime.Time
 	active bool
@@ -715,7 +729,7 @@ func (p *Plane) onApply(node int, att *pubAttempt) {
 		}
 		var span trace.SpanRef
 		if serving {
-			span = att.ref.Span(fmt.Sprintf("fanout.n%d", sub.node), trace.LayerWire)
+			span = att.ref.Span(sub.fanout, trace.LayerWire)
 		}
 		p.sendDeliver(node, sub, att.s, false, span, att)
 	}
