@@ -184,7 +184,8 @@ func New(cfg Config) *Cluster {
 		c.eng.SetMetrics(c.metrics)
 		// Kernel-plane signals: live event-queue depth and events
 		// retired per interval, sampled from statistics the engine
-		// already keeps.
+		// already keeps. The depth counts scheduled events only: a
+		// chain (Chain) holds its next event, not the rest of it.
 		c.metrics.GaugeFunc("eventq.depth", func() int64 { return int64(c.eng.QueueLen()) })
 		c.metrics.CounterFunc("eventq.events", func() int64 { return int64(c.eng.EventsFired()) })
 	}
@@ -296,6 +297,27 @@ func (c *Cluster) Now() vtime.Time { return c.eng.Now() }
 // (workload feeding, measurement probes).
 func (c *Cluster) At(t vtime.Time, fn func()) {
 	c.eng.At(t, eventq.ClassApp, fn)
+}
+
+// Chain returns an At door for one chain of application callbacks,
+// each scheduled by its predecessor at a strictly later instant (an
+// open-loop arrival schedule, a fixed-interval driver). The chain
+// takes its place in the event order on its first call and keeps it
+// for every event, so the run is the one an eager layout of the whole
+// chain at that call would give, with one event queued at a time.
+func (c *Cluster) Chain() func(t vtime.Time, fn func()) {
+	var slot eventq.Slot
+	last := vtime.Time(-1)
+	return func(t vtime.Time, fn func()) {
+		if t <= last {
+			panic(fmt.Sprintf("cluster: chain instant %s not after %s", t, last))
+		}
+		if last < 0 {
+			slot = c.eng.Slot()
+		}
+		last = t
+		c.eng.AtSlot(slot, t, eventq.ClassApp, fn)
+	}
 }
 
 // App is one application on the cluster: a scheduler, a resource

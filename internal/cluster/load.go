@@ -32,7 +32,8 @@ type LoadResult struct {
 // sessions multiplex round-robin over clients on the given nodes
 // (reusing a client already created there, creating one otherwise —
 // transaction clients for Txn workloads). The generator lays out its
-// workload immediately; its account lands in Result.Loads.
+// workload immediately (an open-loop one as a chain that holds one
+// queued arrival); its account lands in Result.Loads.
 func (s *ShardSet) AttachLoad(cfg load.Config, nodes []int) *load.Generator {
 	gen, err := load.New(cfg)
 	if err != nil {
@@ -42,6 +43,9 @@ func (s *ShardSet) AttachLoad(cfg load.Config, nodes []int) *load.Generator {
 		panic(fmt.Sprintf("cluster: load %q needs at least one client node", cfg.Name))
 	}
 	sinks := load.Sinks{At: s.c.At, Now: s.c.eng.Now, Metrics: s.c.metrics}
+	if cfg.Mode == load.Open {
+		sinks.At = s.c.Chain()
+	}
 	switch cfg.Workload {
 	case load.KV:
 		clients := make([]*shard.Client, 0, len(nodes))

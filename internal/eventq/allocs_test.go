@@ -76,3 +76,30 @@ func TestAllocsHandlerPushPop(t *testing.T) {
 		t.Fatal("no handler fired")
 	}
 }
+
+func TestAllocsSlotPushPop(t *testing.T) {
+	var q Queue
+	fire := func() {}
+	// A standing depth of 64 behind the chain, so every push sifts.
+	for i := 0; i < 64; i++ {
+		q.PushRecycled(1<<40+vtime.Time(i), ClassApp, fire)
+	}
+	s := q.Slot()
+	at := vtime.Time(0)
+	q.PushSlot(s, at, ClassApp, fire)
+	cycle := func() {
+		// The chain's door: its event fires and pushes the next at its
+		// slot, one instant on.
+		e := q.Pop()
+		e.Run()
+		q.Release(e)
+		at++
+		q.PushSlot(s, at, ClassApp, fire)
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Errorf("slot push/pop: %v allocs per cycle, want 0", n)
+	}
+}

@@ -35,6 +35,14 @@
 //
 // Both doors draw seq from the same counter, so mixing them does not
 // disturb the (At, Class, seq) order.
+//
+// A chain of events, each scheduled by its predecessor, can keep the
+// place a full layout would have had: Slot takes one seq now, and
+// PushSlot pushes a recycled record at that seq later. An eager layout
+// of the chain made at slot time would have taken consecutive seqs
+// from that point on, so every other event sorts on the same side of
+// each chain event as it would have there, as long as the chain's
+// instants strictly increase and so never tie on seq among themselves.
 package eventq
 
 import "hades/internal/vtime"
@@ -109,7 +117,8 @@ func (q *Queue) Len() int { return len(q.heap) - q.dead }
 // handle that can cancel it. The handle stays safe to cancel for ever:
 // the record is never reused.
 func (q *Queue) Push(at vtime.Time, class Class, fire func()) *Event {
-	return q.push(&Event{}, at, class, funcHandler(fire), 0)
+	q.seq++
+	return q.push(&Event{}, at, class, funcHandler(fire), 0, q.seq)
 }
 
 // PushRecycled is Push on a record from the free list. The handle is
@@ -122,18 +131,42 @@ func (q *Queue) PushRecycled(at vtime.Time, class Class, fire func()) *Event {
 // PushRecycledTo is PushRecycled firing h.Fire(n): an owner that
 // passes itself as h schedules without allocating.
 func (q *Queue) PushRecycledTo(at vtime.Time, class Class, h Handler, n uint64) *Event {
+	q.seq++
+	return q.pushFree(at, class, h, n, q.seq)
+}
+
+// Slot is a place in the (At, Class, seq) order, taken now for events
+// pushed later with PushSlot.
+type Slot uint64
+
+// Slot takes the next seq for a chain of events pushed later with
+// PushSlot, each at a strictly later instant than the one before.
+func (q *Queue) Slot() Slot {
+	q.seq++
+	return Slot(q.seq)
+}
+
+// PushSlot is PushRecycled at the seq s took instead of a fresh one.
+// Events pushed at one slot must not tie on (At, Class); a chain whose
+// instants strictly increase never does.
+func (q *Queue) PushSlot(s Slot, at vtime.Time, class Class, fire func()) *Event {
+	return q.pushFree(at, class, funcHandler(fire), 0, uint64(s))
+}
+
+// pushFree pushes at seq on a record from the free list, or a new
+// recycled one when the list is empty.
+func (q *Queue) pushFree(at vtime.Time, class Class, h Handler, n, seq uint64) *Event {
 	if k := len(q.free); k > 0 {
 		e := q.free[k-1]
 		q.free[k-1] = nil
 		q.free = q.free[:k-1]
-		return q.push(e, at, class, h, n)
+		return q.push(e, at, class, h, n, seq)
 	}
-	return q.push(&Event{recycled: true}, at, class, h, n)
+	return q.push(&Event{recycled: true}, at, class, h, n, seq)
 }
 
-func (q *Queue) push(e *Event, at vtime.Time, class Class, h Handler, n uint64) *Event {
-	q.seq++
-	e.At, e.Class, e.h, e.n, e.seq = at, class, h, n, q.seq
+func (q *Queue) push(e *Event, at vtime.Time, class Class, h Handler, n, seq uint64) *Event {
+	e.At, e.Class, e.h, e.n, e.seq = at, class, h, n, seq
 	q.heap = append(q.heap, e)
 	e.index = int32(len(q.heap) - 1)
 	q.up(int(e.index))

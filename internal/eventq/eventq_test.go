@@ -1,7 +1,9 @@
 package eventq
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -311,5 +313,75 @@ func TestRecycledRecordReuse(t *testing.T) {
 	q.Cancel(p) // cancel after fire stays a no-op
 	if q.PushRecycled(4, ClassApp, nil) == p {
 		t.Fatal("Push record recycled")
+	}
+}
+
+// A chain pushed lazily at its slot, each event by its predecessor,
+// pops in exactly the order an eager layout of the whole chain made at
+// slot time gives: against same-instant, same-class ties pushed before
+// the slot, after it at build and during the run, and across a
+// compaction while the chain is half fired.
+func TestSlotKeepsOrder(t *testing.T) {
+	chain := []vtime.Time{10, 20, 30, 40, 50}
+	run := func(lazy bool) []string {
+		var q Queue
+		var got []string
+		rec := func(label string, at vtime.Time) func() {
+			return func() { got = append(got, fmt.Sprintf("%s@%d", label, at)) }
+		}
+		for _, at := range chain {
+			q.PushRecycled(at, ClassApp, rec("before", at))
+			q.Push(at, ClassNetwork, rec("before-net", at))
+		}
+		if lazy {
+			s := q.Slot()
+			k := 0
+			var next func()
+			next = func() {
+				rec("chain", chain[k])()
+				if k++; k < len(chain) {
+					q.PushSlot(s, chain[k], ClassApp, next)
+				}
+			}
+			q.PushSlot(s, chain[0], ClassApp, next)
+		} else {
+			for _, at := range chain {
+				q.PushRecycled(at, ClassApp, rec("chain", at))
+			}
+		}
+		for _, at := range chain {
+			q.PushRecycled(at, ClassApp, rec("after", at))
+		}
+		// At 20, ahead of the chain's own event there: ties for the
+		// chain's later instants, pushed before the lazy chain reaches
+		// them, then a burst of cancelled timers that compacts the heap.
+		q.PushRecycled(20, ClassDispatch, func() {
+			got = append(got, "run@20")
+			for _, at := range chain[2:] {
+				q.PushRecycled(at, ClassApp, rec("during", at))
+			}
+			burst := make([]*Event, 200)
+			for i := range burst {
+				burst[i] = q.Push(1000+vtime.Time(i), ClassApp, rec("burst", 1000))
+			}
+			for _, e := range burst {
+				q.Cancel(e)
+			}
+			if len(q.heap) >= len(burst) {
+				t.Errorf("lazy=%v: the cancelled burst left %d heap slots, want a compaction", lazy, len(q.heap))
+			}
+		})
+		for e := q.Pop(); e != nil; e = q.Pop() {
+			e.Run()
+			q.Release(e)
+		}
+		return got
+	}
+	eager, lazy := run(false), run(true)
+	if !slices.Equal(eager, lazy) {
+		t.Fatalf("lazy chain pops\n%v\nwant the eager layout's\n%v", lazy, eager)
+	}
+	if want := 5*4 + 3 + 1; len(eager) != want {
+		t.Fatalf("popped %d events, want %d: %v", len(eager), want, eager)
 	}
 }

@@ -6,26 +6,26 @@
 // clients: each session submits one operation, waits for its
 // acknowledgment, thinks for a sampled interval, and submits the
 // next — offered load tracks the system's capacity, the classic
-// interactive discipline. Open-loop mode precomputes a Poisson
-// arrival schedule (exponential inter-arrivals, piecewise rate from
-// the ramp schedule) and submits regardless of completions — offered
-// load is exogenous, the discipline that exposes saturation.
+// interactive discipline. Open-loop mode submits on a Poisson arrival
+// schedule (exponential inter-arrivals, piecewise rate from the ramp
+// schedule) regardless of completions — offered load is exogenous, the
+// discipline that exposes saturation. The schedule is a chain: each
+// arrival schedules the next, so the run holds one pending arrival.
 //
 // Determinism contract: every random draw (keys, think times,
 // inter-arrivals) comes from a local source seeded by the generator's
-// derived seed, consumed either at build time (open-loop schedule,
-// laid out before the run starts) or in per-session order (closed
-// loop, one source per session) — the engine's random stream is never
-// touched, so attaching a generator changes only the workload it
-// submits, and the same description plus the same seed replays the
-// identical run.
+// derived seed, consumed in a fixed order — open loop: every gap, then
+// one key per arrival in arrival order; closed loop: per-session order,
+// one source per session. The engine's random stream is never touched,
+// so attaching a generator changes only the workload it submits, and
+// the same description plus the same seed replays the identical run.
 package load
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"hades/internal/metrics"
 	"hades/internal/vtime"
@@ -37,7 +37,8 @@ type Mode uint8
 const (
 	// Closed runs Sessions concurrent submit→ack→think loops.
 	Closed Mode = iota
-	// Open submits on a precomputed Poisson schedule.
+	// Open submits on a Poisson schedule, one arrival chained to the
+	// next.
 	Open
 )
 
@@ -222,7 +223,9 @@ type Sinks struct {
 	// publish completes (reliable: the replication ack; best-effort:
 	// the broadcast's origin delivery — a dropped sample never does).
 	Publish func(topic string, value int64, done func())
-	// At schedules fn at absolute virtual instant t.
+	// At schedules fn at absolute virtual instant t. An open-loop
+	// generator calls it once from Start, then once from each arrival
+	// for the next, at strictly increasing instants.
 	At func(t vtime.Time, fn func())
 	// Now reads the virtual clock (required closed-loop: the think
 	// interval starts at the ack instant).
@@ -248,6 +251,8 @@ type Generator struct {
 	cfg   Config
 	s     Sinks
 	Stats Stats
+	// zipf weighs the keys when skewed; every session shares it.
+	zipf Zipf
 
 	mLat *metrics.Hist
 	// lat records each completion's submit→ack latency in completion
@@ -261,7 +266,11 @@ func New(cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Generator{cfg: cfg, maxOps: cfg.maxOps()}, nil
+	g := &Generator{cfg: cfg, maxOps: cfg.maxOps()}
+	if cfg.ZipfSkew != 0 && len(cfg.Keys) >= 2 {
+		g.zipf = NewZipf(len(cfg.Keys), cfg.ZipfSkew)
+	}
+	return g, nil
 }
 
 // Config returns the generator's configuration.
@@ -325,9 +334,8 @@ func (g *Generator) keyPicker(rng *rand.Rand) func(at vtime.Time) string {
 			return k
 		}
 	}
-	z := NewZipf(len(keys), g.cfg.ZipfSkew)
 	return func(at vtime.Time) string {
-		return keys[(z.Rank(rng)+g.shiftAt(at))%len(keys)]
+		return keys[(g.zipf.Rank(rng)+g.shiftAt(at))%len(keys)]
 	}
 }
 
@@ -339,8 +347,9 @@ func (g *Generator) sessionSeed(i int) int64 {
 }
 
 // Start wires the sinks and lays out the workload: closed-loop
-// sessions schedule their first submissions; the open-loop arrival
-// schedule is computed in full (build time — before the engine runs).
+// sessions schedule their first submissions; the open-loop chain
+// schedules its first arrival, once a counting pass has drawn every
+// gap (so Capped is known now, and keys follow the gaps in the source).
 func (g *Generator) Start(s Sinks) {
 	if s.At == nil {
 		panic("load: Sinks.At is required")
@@ -367,7 +376,7 @@ func (g *Generator) Start(s Sinks) {
 	s.Metrics.CounterFunc("load."+g.cfg.Name+".acked", func() int64 { return g.Stats.Acked })
 	g.mLat = s.Metrics.Hist("load." + g.cfg.Name + ".latency")
 	if g.cfg.Mode == Open {
-		g.layoutOpen()
+		g.startOpen()
 		return
 	}
 	for i := 0; i < g.cfg.Sessions; i++ {
@@ -474,42 +483,96 @@ func (s *closedSession) acked() {
 	g.s.At(s.at, s.fire)
 }
 
-// layoutOpen precomputes the Poisson arrival schedule: exponential
+// arrivals steps the open-loop Poisson schedule: exponential
 // inter-arrivals at the piecewise rate the ramp declares, every draw
-// from the schedule's own source at build time.
-func (g *Generator) layoutOpen() {
-	rng := rand.New(rand.NewSource(g.sessionSeed(-1)))
-	pick := g.keyPicker(rng)
-	t := vtime.Time(0)
-	n := 0
+// from its own source, until the window closes or the cap hits.
+type arrivals struct {
+	g      *Generator
+	rng    *rand.Rand
+	t      vtime.Time // the last arrival (or plateau end) reached
+	n      int        // arrivals returned so far
+	capped bool       // the cap stopped the schedule
+}
+
+// newArrivals starts the schedule on a fresh source: two of them step
+// through the same instants.
+func (g *Generator) newArrivals() arrivals {
+	return arrivals{g: g, rng: rand.New(rand.NewSource(g.sessionSeed(-1)))}
+}
+
+// next returns the next arrival instant, or false once the schedule is
+// over; it is not called again after that.
+func (a *arrivals) next() (vtime.Time, bool) {
+	g := a.g
 	for {
-		r := g.rateAt(t)
+		r := g.rateAt(a.t)
 		if r <= 0 {
 			// A zero-rate plateau: jump to the next ramp step, if any.
-			next, ok := g.nextRampAfter(t)
+			next, ok := g.nextRampAfter(a.t)
 			if !ok {
-				break
+				return 0, false
 			}
-			t = next
+			a.t = next
 			continue
 		}
 		// Exponential inter-arrival at rate r ops/sec.
-		gap := vtime.Duration(rng.ExpFloat64() / r * float64(vtime.Second))
+		gap := vtime.Duration(a.rng.ExpFloat64() / r * float64(vtime.Second))
 		if gap < 1 {
 			gap = 1
 		}
-		t = t.Add(gap)
-		if t >= g.cfg.End {
-			break
+		a.t = a.t.Add(gap)
+		if a.t >= g.cfg.End {
+			return 0, false
 		}
-		if n >= g.maxOps {
-			g.Stats.Capped = true
-			break
+		if a.n >= g.maxOps {
+			a.capped = true
+			return 0, false
 		}
-		n++
-		at := t
-		g.s.At(at, func() { g.submit(at, pick, func() { g.acked(at) }) })
+		a.n++
+		return a.t, true
 	}
+}
+
+// openChain is the open-loop arrival chain: each arrival submits its
+// op and schedules the next, whose instant a twin of the counting
+// pass's source replays.
+type openChain struct {
+	g    *Generator
+	gaps arrivals
+	pick func(vtime.Time) string // over the counting pass's source
+	at   vtime.Time              // the pending arrival's instant
+	fire func()                  // c.arrive, bound once
+}
+
+// startOpen runs the counting pass, which draws every gap and pushes
+// nothing, then schedules the first arrival. Keys come from the
+// counting source after its last gap, one per arrival in order.
+func (g *Generator) startOpen() {
+	count := g.newArrivals()
+	for {
+		if _, ok := count.next(); !ok {
+			break
+		}
+	}
+	g.Stats.Capped = count.capped
+	c := &openChain{g: g, gaps: g.newArrivals(), pick: g.keyPicker(count.rng)}
+	c.fire = c.arrive
+	c.schedule()
+}
+
+// schedule queues the next arrival, if the schedule has one.
+func (c *openChain) schedule() {
+	if at, ok := c.gaps.next(); ok {
+		c.at = at
+		c.g.s.At(at, c.fire)
+	}
+}
+
+// arrive submits the pending arrival's op, then chains the next.
+func (c *openChain) arrive() {
+	g, at := c.g, c.at
+	g.submit(at, c.pick, func() { g.acked(at) })
+	c.schedule()
 }
 
 // rateAt returns the arrival rate in force at t.
@@ -540,8 +603,8 @@ func (g *Generator) LatencyStats() LatencyStats {
 	if n == 0 {
 		return LatencyStats{}
 	}
-	sorted := append([]vtime.Duration(nil), g.lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(g.lat)
+	slices.Sort(sorted)
 	var sum vtime.Duration
 	for _, l := range sorted {
 		sum += l

@@ -123,10 +123,7 @@ func (s Spec) attachGroups(c *cluster.Cluster) (reps []*replication.Group) {
 		reps = append(reps, rep)
 		if gs.SubmitEveryMs > 0 {
 			from := gs.SubmitFrom
-			s.every(c, gs.SubmitEveryMs, 0, func(i int) func() {
-				cmd := int64(i + 1)
-				return func() { rep.Submit(from, cmd) }
-			})
+			s.every(c, gs.SubmitEveryMs, 0, func(i int) { rep.Submit(from, int64(i+1)) })
 		}
 	}
 	return reps

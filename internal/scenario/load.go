@@ -30,8 +30,9 @@ type HotspotShiftSpec struct {
 // round-robin over the clients on Nodes (a node with a declared
 // client reuses it; one without gets a default client — a transaction
 // client for txn workloads). Closed-loop sessions submit, wait for
-// the ack, think, and go again; open-loop arrivals come on a
-// precomputed Poisson schedule regardless of completions. All
+// the ack, think, and go again; open-loop arrivals come on a Poisson
+// schedule, each arrival scheduling the next, regardless of
+// completions. All
 // randomness is drawn from seeds derived from the scenario seed — the
 // engine's stream is never touched, so the load plane is behaviorally
 // passive: a run with a Disabled generator is identical to one with

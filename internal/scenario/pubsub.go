@@ -171,10 +171,7 @@ func (s Spec) attachPubSub(c *cluster.Cluster, set *cluster.ShardSet) error {
 		if err != nil {
 			return fmt.Errorf("scenario %q: %v", s.Name, err)
 		}
-		s.every(c, pb.SubmitEveryMs, pb.Count, func(i int) func() {
-			v := int64(i + 1)
-			return func() { pub.Publish(v) }
-		})
+		s.every(c, pb.SubmitEveryMs, pb.Count, func(i int) { pub.Publish(int64(i + 1)) })
 	}
 	for _, sb := range ps.Subscribers {
 		sub, err := set.SubscriberAt(sb.Topic, sb.Node)

@@ -277,17 +277,40 @@ func (s Spec) fixedDriver(everyMs float64, count int, who string, args ...any) e
 	return nil
 }
 
-// every lays out one fixed-interval driver: lay(i) is called at build
-// time, in order, for each instant i·everyMs before the horizon (at
-// most count of them when count > 0) and returns the submission to run
-// at that instant.
-func (s Spec) every(c *cluster.Cluster, everyMs float64, count int, lay func(i int) func()) {
-	step := msd(everyMs)
-	i := 0
-	for t := vtime.Duration(0); t < s.Horizon() && (count <= 0 || i < count); t += step {
-		c.At(vtime.Time(t), lay(i))
-		i++
+// every lays out one fixed-interval driver as a chain: fire(i) runs
+// at instant i·everyMs for each such instant before the horizon (at
+// most count of them when count > 0), and each firing schedules the
+// next, so the queue holds one of its submissions at a time.
+func (s Spec) every(c *cluster.Cluster, everyMs float64, count int, fire func(i int)) {
+	d := &ticker{at: c.Chain(), fire: fire, step: msd(everyMs), end: s.Horizon(), count: count}
+	d.tick = d.run
+	d.schedule()
+}
+
+// ticker is one fixed-interval driver; i is its next submission.
+type ticker struct {
+	at    func(vtime.Time, func())
+	fire  func(i int)
+	step  vtime.Duration
+	end   vtime.Duration
+	count int
+	i     int
+	tick  func() // d.run, bound once
+}
+
+// schedule queues submission i at i·step, unless the horizon or the
+// count ends the driver first.
+func (d *ticker) schedule() {
+	if t := vtime.Duration(d.i) * d.step; t < d.end && (d.count <= 0 || d.i < d.count) {
+		d.at(vtime.Time(t), d.tick)
 	}
+}
+
+// run fires submission i, then chains the next.
+func (d *ticker) run() {
+	d.fire(d.i)
+	d.i++
+	d.schedule()
 }
 
 // Horizon returns the simulation horizon.

@@ -255,9 +255,9 @@ func (s Spec) validateShards(loadNames map[string]bool) error {
 // With ZipfSkew zero it is the round-robin default; otherwise keys are
 // drawn from a Zipf distribution over Keys (declaration order = rank,
 // so the first key is the hottest) over a local source seeded from the
-// scenario seed and the client node. The draw happens at build time,
-// while the submission schedule is being laid out, so it never touches
-// the engine's random stream.
+// scenario seed and the client node. The draw happens at each
+// submission, in i order from that source, so it never touches the
+// engine's random stream.
 func (cs ShardClientSpec) picker(seed int64, node int) func(i int) string {
 	keys := cs.Keys
 	if cs.ZipfSkew == 0 || len(keys) < 2 {
@@ -298,19 +298,14 @@ func (s Spec) attachShards(c *cluster.Cluster) error {
 			node := cs.Node + k
 			cl := set.ClientWith(shard.ClientParams{Node: node, Policy: clientPolicies[cs.Policy]})
 			pick := cs.picker(s.Seed, node)
-			s.every(c, cs.SubmitEveryMs, 0, func(i int) func() {
-				key, cmd := pick(i), int64(i+1)
-				return func() { cl.Submit(key, cmd) }
-			})
+			s.every(c, cs.SubmitEveryMs, 0, func(i int) { cl.Submit(pick(i), int64(i+1)) })
 		}
 	}
 	for _, ts := range sp.Txns {
 		tc := set.TxnClientWith(txn.ClientParams{Node: ts.Node, Deadline: msd(ts.DeadlineMs)})
 		accounts := ts.Accounts
-		s.every(c, ts.SubmitEveryMs, 0, func(i int) func() {
-			src, dst := accounts[i%len(accounts)], accounts[(i+1)%len(accounts)]
-			amount := int64(i + 1)
-			return func() { tc.Transfer(src, dst, amount) }
+		s.every(c, ts.SubmitEveryMs, 0, func(i int) {
+			tc.Transfer(accounts[i%len(accounts)], accounts[(i+1)%len(accounts)], int64(i+1))
 		})
 	}
 	s.attachLoads(shardsLoads, sp.Load, func(i int) int64 { return loadSeed(s.Seed, i) }, set.AttachLoad)

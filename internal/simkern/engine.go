@@ -10,8 +10,10 @@
 //   - a virtual clock and event queue (predictability becomes determinism:
 //     a run is a pure function of its inputs and seed), with two doors:
 //     At/After/AfterTo are fire-and-forget and their record is recycled
-//     after it fires; Timer is cancellable, its record is never reused,
-//     and the holder drops the handle when it fires;
+//     after it fires (AtSlot too, at a place Slot took earlier, for a
+//     chain whose events each schedule the next); Timer is cancellable,
+//     its record is never reused, and the holder drops the handle when
+//     it fires;
 //   - mono-processor nodes with preemptive priority scheduling and
 //     preemption thresholds (§3.1.2);
 //   - threads made of segments, each with its own preemption threshold, so
@@ -131,6 +133,18 @@ func (e *Engine) AfterTo(d vtime.Duration, class eventq.Class, h eventq.Handler,
 		panic(fmt.Sprintf("simkern: negative delay %s", d))
 	}
 	e.queue.PushRecycledTo(e.now.Add(d), class, h, n)
+}
+
+// Slot takes a place in the event order now for a chain scheduled
+// later with AtSlot, each event by its predecessor: the chain sorts
+// against every other event as if all of it had been pushed here.
+func (e *Engine) Slot() eventq.Slot { return e.queue.Slot() }
+
+// AtSlot is At at slot s: fire and forget, no allocation. The chain's
+// instants must strictly increase (see eventq.Queue.PushSlot).
+func (e *Engine) AtSlot(s eventq.Slot, t vtime.Time, class eventq.Class, fn func()) {
+	e.checkNotPast(t)
+	e.queue.PushSlot(s, t, class, fn)
 }
 
 // Timer schedules fn at absolute instant t and returns a handle for
