@@ -177,15 +177,17 @@ func New(cfg Config) *Cluster {
 	}
 	if !mp.Disabled {
 		c.metrics = metrics.New(metrics.Options{
-			Rules:    mp.Rules,
-			Schedule: func(t vtime.Time, fn func()) { c.eng.At(t, eventq.ClassApp, fn) },
-			Log:      log,
+			Rules: mp.Rules,
+			Chain: c.Chain,
+			Log:   log,
 		})
 		c.eng.SetMetrics(c.metrics)
 		// Kernel-plane signals: live event-queue depth and events
 		// retired per interval, sampled from statistics the engine
 		// already keeps. The depth counts scheduled events only: a
-		// chain (Chain) holds its next event, not the rest of it.
+		// chain (Chain) holds its next event, not the rest of it, and
+		// the scrape chain's own next tick is pushed after the scrape
+		// reads the depth, so scrapes do not count at all.
 		c.metrics.GaugeFunc("eventq.depth", func() int64 { return int64(c.eng.QueueLen()) })
 		c.metrics.CounterFunc("eventq.events", func() int64 { return int64(c.eng.EventsFired()) })
 	}
@@ -653,8 +655,9 @@ func (c *Cluster) Run(d vtime.Duration) Result {
 	}
 	c.spawns = nil
 	until := c.eng.Now().Add(d)
-	// Pre-arm the scrape ticks for this window: no self-rearming
-	// chains, so runs that drain the queue to idle terminate.
+	// The window's scrape ticks ride one chain that takes its place
+	// here, where an eager layout of them would have been pushed, and
+	// stops at until, so a run that drains the queue to idle ends.
 	c.metrics.ArmUntil(until)
 	c.eng.Run(until)
 	return c.ResultNow()

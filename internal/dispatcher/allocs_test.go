@@ -50,12 +50,13 @@ func engine(n int) *simkern.Engine {
 
 // TestAllocsInstance: one EDF+SRP instance of a 3-stage pipeline across
 // two nodes, from activation to completion, costs what the instance
-// owns and nothing per notification: its record and name (2), one
-// thread array and its index (2), the deadline timer and its hook (2),
-// per unit a name, a kernel thread and its completion hook (9), the
-// two hooks of its kernel-work thread (2), per remote crossing the
-// boxed payload, the omission timer and its hook (6), and the held list
-// of the unit that takes the resource (1).
+// owns and nothing per notification or watchdog: its record and name
+// (2), one thread array and its index (2), per unit a name, a kernel
+// thread and its completion hook (9), the two hooks of its kernel-work
+// thread (2), per remote crossing the boxed payload (2), and the held
+// list of the unit that takes the resource (1). The deadline and
+// omission watchdogs fire their owners from recycled records, so they
+// cost nothing.
 func TestAllocsInstance(t *testing.T) {
 	eng := engine(2)
 	net := netsim.New(eng, netsim.DefaultConfig())
@@ -72,7 +73,7 @@ func TestAllocsInstance(t *testing.T) {
 		Precede("fuse", "commit").
 		MustBuild())
 	app.Seal()
-	gate(t, "EDF+SRP pipeline instance", 24, func() {
+	gate(t, "EDF+SRP pipeline instance", 18, func() {
 		if _, err := d.Activate("pipe"); err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"hades/internal/eventq"
 	"hades/internal/heug"
 	"hades/internal/monitor"
 	"hades/internal/netsim"
@@ -24,7 +23,7 @@ type Dispatcher struct {
 	conds         map[string]*condVar
 	nodes         map[int]*nodeState
 	live          map[instKey]*Instance
-	pendingRemote map[uint64]*eventq.Event // omission monitors by message ID
+	pendingRemote map[uint64]pendingCrossing // omission watchdogs by message ID
 
 	// CancelOnMiss aborts an instance's remaining threads when its
 	// deadline passes, marking them orphans (§3.2.1 monitoring; the
@@ -128,7 +127,7 @@ func New(eng *simkern.Engine, net *netsim.Network, costs CostBook) *Dispatcher {
 		conds:         make(map[string]*condVar),
 		nodes:         make(map[int]*nodeState),
 		live:          make(map[instKey]*Instance),
-		pendingRemote: make(map[uint64]*eventq.Event),
+		pendingRemote: make(map[uint64]pendingCrossing),
 		OmissionSlack: 100 * vtime.Microsecond,
 	}
 	for _, p := range eng.Processors() {

@@ -28,12 +28,12 @@ type Instance struct {
 
 	Threads []*Thread // parallel to TR.Task.EUs, into one array
 
-	remaining  int
-	completed  bool
-	missed     bool
-	cancelled  bool
-	deadlineEv *eventq.Event
-	onComplete []func(*Instance)
+	remaining     int
+	completed     bool
+	missed        bool
+	cancelled     bool
+	watchDeadline eventq.Handle // fires the instance as instanceWatch
+	onComplete    []func(*Instance)
 
 	// kwork runs the instance's dispatcher activities; kworkEnd says
 	// which one it carries now (C_end_inv when set).
@@ -42,6 +42,13 @@ type Instance struct {
 	kworkName func() string
 	kworkDone func()
 }
+
+// instanceWatch is the instance as the handler of its deadline
+// watchdog; one pointer wide, it converts to a Handler without
+// allocating.
+type instanceWatch struct{ inst *Instance }
+
+func (w instanceWatch) Fire(uint64) { w.inst.TR.App.disp.deadlinePassed(w.inst) }
 
 // whenComplete registers a callback fired when the instance completes
 // (successfully or cancelled). Fired immediately if already complete.
@@ -90,21 +97,11 @@ func (d *Dispatcher) buildInstance(tr *TaskRuntime) *Instance {
 	}
 
 	if inst.AbsDeadline != vtime.Infinity {
-		inst.deadlineEv = d.eng.Timer(inst.AbsDeadline, eventq.ClassDispatch, func() {
-			inst.deadlineEv = nil
-			d.deadlinePassed(inst)
-		})
+		inst.watchDeadline = d.eng.Arm(inst.AbsDeadline, eventq.ClassDispatch, instanceWatch{inst}, 0)
 	}
 	for _, th := range inst.Threads {
 		if th.latest != vtime.Infinity {
-			t := th
-			t.latestEv = d.eng.Timer(t.latest, eventq.ClassDispatch, func() {
-				t.latestEv = nil
-				if !t.started() && t.state != threadDone && t.state != threadOrphaned {
-					d.stats.LatestMisses++
-					d.eng.Recordf(monitor.KindLatestStartMiss, t.Node(), t.name, "latest=%s", t.latest)
-				}
-			})
+			th.watchLatest = d.eng.Arm(th.latest, eventq.ClassDispatch, threadWatch{th}, latestStart)
 		}
 	}
 
@@ -193,14 +190,8 @@ func (d *Dispatcher) cancelInstance(inst *Instance, reason string) {
 			th.kthread.Suspend()
 		}
 		d.releaseResources(th)
-		if th.latestEv != nil {
-			d.eng.Cancel(th.latestEv)
-			th.latestEv = nil
-		}
-		if th.earliestEv != nil {
-			d.eng.Cancel(th.earliestEv)
-			th.earliestEv = nil
-		}
+		d.eng.Cancel(th.watchLatest)
+		d.eng.Cancel(th.watchEarliest)
 	}
 	d.finalizeInstance(inst)
 }
@@ -247,10 +238,7 @@ func (d *Dispatcher) finalizeInstance(inst *Instance) {
 	}
 	inst.completed = true
 	inst.CompletedAt = d.eng.Now()
-	if inst.deadlineEv != nil {
-		d.eng.Cancel(inst.deadlineEv)
-		inst.deadlineEv = nil
-	}
+	d.eng.Cancel(inst.watchDeadline)
 	delete(d.live, instKey{inst.TR.Task.Name, inst.Seq})
 	if !inst.cancelled {
 		tr := inst.TR

@@ -6,6 +6,7 @@ import (
 	"hades/internal/eventq"
 	"hades/internal/monitor"
 	"hades/internal/netsim"
+	"hades/internal/vtime"
 )
 
 // remotePort is the netsim port carrying remote precedence constraints.
@@ -19,6 +20,28 @@ type remotePayload struct {
 	Seq    uint64
 	ToEU   int
 	Params map[string]any
+}
+
+// pendingCrossing is the omission watchdog of one remote crossing in
+// flight: its handle, and what the omission record names.
+type pendingCrossing struct {
+	watch     eventq.Handle
+	src, dest string // the units at the edge's two ends
+	to        int    // the destination node
+	bound     vtime.Duration
+}
+
+// omissionWatch is the dispatcher as the handler of its omission
+// watchdogs; the payload is the crossing's message ID.
+type omissionWatch struct{ d *Dispatcher }
+
+func (w omissionWatch) Fire(id uint64) {
+	d := w.d
+	p := d.pendingRemote[id]
+	delete(d.pendingRemote, id)
+	d.stats.NetworkOmissions++
+	d.eng.Recordf(monitor.KindNetworkOmission, p.to, p.dest,
+		"remote precedence from %s not satisfied within %s", p.src, p.bound)
 }
 
 // sendRemote crosses a remote precedence constraint: the data was
@@ -55,20 +78,16 @@ func (d *Dispatcher) sendRemote(src *Thread, ei int) {
 	}
 	dmax, _ := d.net.DelayBound(from, to)
 	bound := dmax + d.net.WorstCaseReceivePath() + d.OmissionSlack
-	dest := src.inst.Threads[e.To]
-	ev := d.eng.Timer(d.eng.Now().Add(bound), eventq.ClassDispatch, func() {
-		delete(d.pendingRemote, id)
-		d.stats.NetworkOmissions++
-		d.eng.Recordf(monitor.KindNetworkOmission, to, dest.name,
-			"remote precedence from %s not satisfied within %s", src.name, bound)
-	})
-	d.pendingRemote[id] = ev
+	d.pendingRemote[id] = pendingCrossing{
+		watch: d.eng.Arm(d.eng.Now().Add(bound), eventq.ClassDispatch, omissionWatch{d}, id),
+		src:   src.name, dest: src.inst.Threads[e.To].name, to: to, bound: bound,
+	}
 }
 
 // receiveRemote satisfies a remote precedence constraint on delivery.
 func (d *Dispatcher) receiveRemote(m *netsim.Message) {
-	if ev, ok := d.pendingRemote[m.ID]; ok {
-		d.eng.Cancel(ev)
+	if p, ok := d.pendingRemote[m.ID]; ok {
+		d.eng.Cancel(p.watch)
 		delete(d.pendingRemote, m.ID)
 	}
 	pl, ok := m.Payload.(remotePayload)

@@ -75,7 +75,37 @@ type Thread struct {
 
 	actual vtime.Duration // effective body execution time
 
-	earliestEv, latestEv *eventq.Event
+	watchEarliest, watchLatest eventq.Handle // fire the thread as threadWatch
+}
+
+// threadWatch is the thread as the handler of its start watchdogs; the
+// payload says which one fired.
+type threadWatch struct{ th *Thread }
+
+// The start watchdogs, by payload.
+const (
+	latestStart   uint64 = iota // the latest start time passed
+	earliestStart               // the earliest start time came: evaluate again
+	deferredStart               // the instant SetEarliest deferred a ready thread to
+)
+
+func (w threadWatch) Fire(kind uint64) {
+	th := w.th
+	d := th.inst.TR.App.disp
+	switch kind {
+	case latestStart:
+		if !th.started() && th.state != threadDone && th.state != threadOrphaned {
+			d.stats.LatestMisses++
+			d.eng.Recordf(monitor.KindLatestStartMiss, th.Node(), th.name, "latest=%s", th.latest)
+		}
+	case earliestStart:
+		d.evaluate(th)
+	case deferredStart:
+		if th.state == threadWaitEarliest && !th.inst.cancelled {
+			th.state = threadReady
+			th.kthread.Ready()
+		}
+	}
 }
 
 // Node returns the processor the thread is bound to.
@@ -186,11 +216,8 @@ func (d *Dispatcher) evaluate(th *Thread) {
 	now := d.eng.Now()
 	if now < th.earliest {
 		th.state = threadWaitEarliest
-		if th.earliestEv == nil {
-			th.earliestEv = d.eng.Timer(th.earliest, eventq.ClassDispatch, func() {
-				th.earliestEv = nil
-				d.evaluate(th)
-			})
+		if !th.watchEarliest.Pending() {
+			th.watchEarliest = d.eng.Arm(th.earliest, eventq.ClassDispatch, threadWatch{th}, earliestStart)
 		}
 		return
 	}
@@ -271,10 +298,7 @@ func (d *Dispatcher) finishCode(th *Thread) {
 		d.eng.Recordf(monitor.KindEarlyTermination, th.Node(), th.name,
 			"actual=%s wcet=%s", th.actual, c.WCET)
 	}
-	if th.latestEv != nil {
-		d.eng.Cancel(th.latestEv)
-		th.latestEv = nil
-	}
+	d.eng.Cancel(th.watchLatest)
 
 	// 1. Action effects, applied atomically at the completion instant.
 	if c.Action != nil {
@@ -440,10 +464,7 @@ func (d *Dispatcher) SetPriority(th *Thread, prio int) {
 func (d *Dispatcher) SetEarliest(th *Thread, at vtime.Time) {
 	th.earliest = at
 	d.eng.Recordf(monitor.KindEarliestChange, th.Node(), th.name, "%s", at)
-	if th.earliestEv != nil {
-		d.eng.Cancel(th.earliestEv)
-		th.earliestEv = nil
-	}
+	d.eng.Cancel(th.watchEarliest)
 	switch th.state {
 	case threadWaitEarliest:
 		th.state = threadWaitPreds // re-derive through evaluate
@@ -454,13 +475,7 @@ func (d *Dispatcher) SetEarliest(th *Thread, at vtime.Time) {
 		}
 		th.kthread.Suspend()
 		th.state = threadWaitEarliest
-		th.earliestEv = d.eng.Timer(at, eventq.ClassDispatch, func() {
-			th.earliestEv = nil
-			if th.state == threadWaitEarliest && !th.inst.cancelled {
-				th.state = threadReady
-				th.kthread.Ready()
-			}
-		})
+		th.watchEarliest = d.eng.Arm(at, eventq.ClassDispatch, threadWatch{th}, deferredStart)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestAllocsRecycledPushPop(t *testing.T) {
 			at++
 			e := q.PushRecycled(at+vtime.Time(i*7919%64), ClassApp, fire)
 			if i == 0 {
-				q.Cancel(e)
+				q.CancelHandle(e)
 			}
 		}
 		for q.Len() > 64 {
@@ -57,7 +57,7 @@ func TestAllocsHandlerPushPop(t *testing.T) {
 			at++
 			e := q.PushRecycledTo(at+vtime.Time(i*7919%64), ClassApp, &h, uint64(at))
 			if i == 0 {
-				q.Cancel(e)
+				q.CancelHandle(e)
 			}
 		}
 		for q.Len() > 64 {

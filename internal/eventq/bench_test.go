@@ -55,7 +55,7 @@ func BenchmarkPushRecycledCancel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := q.PushRecycled(vtime.Time(i), ClassKernel, nil)
-		q.Cancel(e)
+		q.CancelHandle(e)
 		q.Peek()
 	}
 }

@@ -20,18 +20,19 @@
 //
 // There are two doors in, and they differ only in who owns the record:
 //
-//   - Push returns a handle that may be cancelled at any time, before or
-//     after the event fired. Its record is never reused, so a stale
-//     handle is harmless: "cancel after fire is a no-op" holds for ever.
+//   - Push returns the record itself as its handle, for Cancel. The
+//     record is never reused, so cancelling it stays harmless for ever.
 //   - PushRecycled (a closure) and PushRecycledTo (a handler and its
 //     payload) draw the record from the queue's free list, and Release
 //     puts it back once the event has fired (a cancelled one is put
 //     back when its dead slot is reclaimed). The steady state then
-//     allocates nothing per event. The price is the ownership rule: the
-//     handle dies when the event fires or is cancelled, and whoever
-//     holds it must drop it there. simkern.Engine keeps that rule
-//     behind its fire-and-forget At/After/AfterTo, which return no
-//     handle.
+//     allocates nothing per event. They return a Handle: the record and
+//     the seq it was pushed at. A non-slot push stamps a seq no other
+//     push shares, so CancelHandle on a handle whose record has fired,
+//     been released or been reused by another event finds a different
+//     seq, or a record out of the heap, and does nothing. A holder
+//     keeps its handle as long as it likes; cancelling after fire is a
+//     no-op however late.
 //
 // Both doors draw seq from the same counter, so mixing them does not
 // disturb the (At, Class, seq) order.
@@ -113,26 +114,39 @@ type Queue struct {
 // Len returns the number of pending (non-cancelled) events.
 func (q *Queue) Len() int { return len(q.heap) - q.dead }
 
-// Push schedules fire at instant at with the given class and returns a
-// handle that can cancel it. The handle stays safe to cancel for ever:
-// the record is never reused.
+// Push schedules fire at instant at with the given class and returns
+// its record for Cancel. The record is never reused, so it stays safe
+// to cancel for ever.
 func (q *Queue) Push(at vtime.Time, class Class, fire func()) *Event {
 	q.seq++
 	return q.push(&Event{}, at, class, funcHandler(fire), 0, q.seq)
 }
 
-// PushRecycled is Push on a record from the free list. The handle is
-// the caller's only until the event fires or is cancelled; after that
-// the record belongs to the queue again and will be some other event.
-func (q *Queue) PushRecycled(at vtime.Time, class Class, fire func()) *Event {
+// Handle names one recycled push for CancelHandle: its record and the
+// seq it was pushed at. The zero Handle names no event.
+type Handle struct {
+	e   *Event
+	seq uint64
+}
+
+// Pending reports whether h's event is still queued: not fired, not
+// cancelled, and its record not handed to another event.
+func (h Handle) Pending() bool {
+	return h.e != nil && h.e.seq == h.seq && h.e.index >= 0 && !h.e.dead
+}
+
+// PushRecycled is Push on a record from the free list; once the event
+// fires or is cancelled the record belongs to the queue again and will
+// be some other event, which the returned Handle never reaches.
+func (q *Queue) PushRecycled(at vtime.Time, class Class, fire func()) Handle {
 	return q.PushRecycledTo(at, class, funcHandler(fire), 0)
 }
 
 // PushRecycledTo is PushRecycled firing h.Fire(n): an owner that
 // passes itself as h schedules without allocating.
-func (q *Queue) PushRecycledTo(at vtime.Time, class Class, h Handler, n uint64) *Event {
+func (q *Queue) PushRecycledTo(at vtime.Time, class Class, h Handler, n uint64) Handle {
 	q.seq++
-	return q.pushFree(at, class, h, n, q.seq)
+	return Handle{q.pushFree(at, class, h, n, q.seq), q.seq}
 }
 
 // Slot is a place in the (At, Class, seq) order, taken now for events
@@ -148,9 +162,11 @@ func (q *Queue) Slot() Slot {
 
 // PushSlot is PushRecycled at the seq s took instead of a fresh one.
 // Events pushed at one slot must not tie on (At, Class); a chain whose
-// instants strictly increase never does.
-func (q *Queue) PushSlot(s Slot, at vtime.Time, class Class, fire func()) *Event {
-	return q.pushFree(at, class, funcHandler(fire), 0, uint64(s))
+// instants strictly increase never does. It returns no Handle: every
+// event of the chain shares the seq, so a handle could not tell them
+// apart.
+func (q *Queue) PushSlot(s Slot, at vtime.Time, class Class, fire func()) {
+	q.pushFree(at, class, funcHandler(fire), 0, uint64(s))
 }
 
 // pushFree pushes at seq on a record from the free list, or a new
@@ -187,8 +203,18 @@ func (q *Queue) Release(e *Event) {
 	q.free = append(q.free, e)
 }
 
-// Cancel marks e dead; its heap slot is reclaimed lazily. Cancelling
-// an already-fired or already-cancelled event is a no-op.
+// CancelHandle cancels h's event if it is still queued; on a handle
+// whose event fired or was cancelled it does nothing, even once the
+// record carries another event.
+func (q *Queue) CancelHandle(h Handle) {
+	if h.e != nil && h.e.seq == h.seq {
+		q.Cancel(h.e)
+	}
+}
+
+// Cancel marks e, a Push record, dead; its heap slot is reclaimed
+// lazily. Cancelling an already-fired or already-cancelled event is a
+// no-op.
 func (q *Queue) Cancel(e *Event) {
 	if e == nil || e.index < 0 || e.dead {
 		return

@@ -188,23 +188,33 @@ func TestCancelCompleteness(t *testing.T) {
 }
 
 // Model test for the two doors together: a seeded mix of Push,
-// PushRecycled, PushRecycledTo, Cancel and Pop (+Run and Release, as
-// the engine does) against a reference that keeps every live event in a slice
-// and sorts it. Pops must agree event for event, Len must be exact
-// after every step, and the free list may never hold more records
-// than the heap had slots at its peak — recycling reuses, it does not
-// hoard.
+// PushRecycled, PushRecycledTo, Cancel, CancelHandle and Pop (+Run and
+// Release, as the engine does) against a reference that keeps every
+// live event in a slice and sorts it. Handles of events already fired
+// or cancelled are cancelled again at random, long after their records
+// went back to the free list and on to other events: that must change
+// nothing. Pops must agree event for event, Len must be exact after
+// every step, and the free list may never hold more records than the
+// heap had slots at its peak — recycling reuses, it does not hoard.
 func TestModelAgainstSortedReference(t *testing.T) {
 	type ref struct {
 		at    vtime.Time
 		class Class
 		id    int // payload identity, carried by the closure or the payload
 		ev    *Event
+		h     Handle // zero for a Push record
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var q Queue
-		var live []ref
+		var live, gone []ref
+		cancel := func(r ref) {
+			if r.h == (Handle{}) {
+				q.Cancel(r.ev)
+			} else {
+				q.CancelHandle(r.h)
+			}
+		}
 		fired := -1
 		ids, peak := 0, 0
 		for step := 0; step < 4000; step++ {
@@ -218,14 +228,20 @@ func TestModelAgainstSortedReference(t *testing.T) {
 				case 0:
 					r.ev = q.Push(r.at, r.class, fire)
 				case 1:
-					r.ev = q.PushRecycled(r.at, r.class, fire)
+					r.h = q.PushRecycled(r.at, r.class, fire)
 				default:
-					r.ev = q.PushRecycledTo(r.at, r.class, idSink{&fired}, uint64(id))
+					r.h = q.PushRecycledTo(r.at, r.class, idSink{&fired}, uint64(id))
+				}
+				if r.ev == nil {
+					r.ev = r.h.e
 				}
 				live = append(live, r)
+			case op < 6 && len(gone) > 0: // cancel a stale one: no-op
+				cancel(gone[rng.Intn(len(gone))])
 			case op < 7 && len(live) > 0: // cancel a live one
 				i := rng.Intn(len(live))
-				q.Cancel(live[i].ev)
+				cancel(live[i])
+				gone = append(gone, live[i])
 				live = append(live[:i], live[i+1:]...)
 			case len(live) > 0: // pop: the reference picks by sort
 				// live is in push order and the sort is stable, so ties
@@ -241,6 +257,10 @@ func TestModelAgainstSortedReference(t *testing.T) {
 				})
 				want := live[0]
 				live = live[1:]
+				gone = append(gone, want)
+				if want.h != (Handle{}) && !want.h.Pending() {
+					t.Fatalf("seed %d step %d: the event due next is not pending", seed, step)
+				}
 				ev := q.Pop()
 				if ev != want.ev || ev.At != want.at || ev.Class != want.class {
 					t.Fatalf("seed %d step %d: popped (%d,%d), want (%d,%d)", seed, step, ev.At, ev.Class, want.at, want.class)
@@ -285,23 +305,24 @@ func TestEventRecordSize(t *testing.T) {
 func TestRecycledRecordReuse(t *testing.T) {
 	var q Queue
 	a := q.PushRecycled(1, ClassApp, nil)
-	q.Release(a) // still queued: not released
-	if q.Pop() != a {
+	q.Release(a.e) // still queued: not released
+	if q.Pop() != a.e {
 		t.Fatal("released a queued event")
 	}
-	q.Release(a)
-	q.Release(a) // twice: one free-list entry
+	q.Release(a.e)
+	q.Release(a.e) // twice: one free-list entry
 	if len(q.free) != 1 {
 		t.Fatalf("free list = %d after double release, want 1", len(q.free))
 	}
-	q.Cancel(a) // stale handle on a free record: no-op
+	q.CancelHandle(a) // stale handle on a free record: no-op
 	if q.Len() != 0 {
 		t.Fatal("cancelling a free record changed Len")
 	}
-	if b := q.PushRecycled(2, ClassApp, nil); b != a {
+	b := q.PushRecycled(2, ClassApp, nil)
+	if b.e != a.e {
 		t.Fatal("free record not reused")
 	}
-	q.Cancel(a) // cancelled in the heap: reclaimed when it surfaces
+	q.CancelHandle(b) // cancelled in the heap: reclaimed when it surfaces
 	if q.Pop() != nil || len(q.free) != 1 {
 		t.Fatalf("cancelled recycled record not reclaimed (free=%d)", len(q.free))
 	}
@@ -311,10 +332,63 @@ func TestRecycledRecordReuse(t *testing.T) {
 		t.Fatal("a Push record reached the free list")
 	}
 	q.Cancel(p) // cancel after fire stays a no-op
-	if q.PushRecycled(4, ClassApp, nil) == p {
+	if q.PushRecycled(4, ClassApp, nil).e == p {
 		t.Fatal("Push record recycled")
 	}
 }
+
+// A handle outlives its event: once the record has fired and been
+// reused by another event, cancelling the old handle leaves the new
+// event alone, and so does a cancel long after, through many reuses.
+func TestStaleHandleSparesReuser(t *testing.T) {
+	var q Queue
+	var fired []uint64
+	h := recorder{&fired}
+	old := q.PushRecycledTo(10, ClassDispatch, h, 1)
+	e := q.Pop()
+	e.Run()
+	q.Release(e)
+	reuser := q.PushRecycledTo(10, ClassDispatch, h, 2) // same instant, same class
+	if reuser.e != old.e {
+		t.Fatal("the fired record was not reused")
+	}
+	if old.Pending() || !reuser.Pending() {
+		t.Fatal("Pending does not tell the fired event from its reuser")
+	}
+	q.CancelHandle(old)
+	if q.Len() != 1 || !reuser.Pending() {
+		t.Fatal("a stale handle cancelled the event now holding its record")
+	}
+	// A record cancelled, reclaimed and reused: the cancelled handle is
+	// as stale as a fired one.
+	dead := q.PushRecycledTo(20, ClassDispatch, h, 3)
+	q.CancelHandle(dead)
+	for e := q.Pop(); e != nil; e = q.Pop() {
+		e.Run()
+		q.Release(e)
+	}
+	for i := uint64(0); i < 100; i++ {
+		next := q.PushRecycledTo(vtime.Time(30+i), ClassDispatch, h, 4+i)
+		q.CancelHandle(old)
+		q.CancelHandle(dead)
+		q.CancelHandle(reuser)
+		if !next.Pending() {
+			t.Fatalf("reuse %d: a stale cancel reached the live event", i)
+		}
+		e := q.Pop()
+		e.Run()
+		q.Release(e)
+	}
+	if len(fired) != 102 || fired[1] != 2 || fired[2] != 4 || fired[101] != 103 {
+		t.Fatalf("fired %v, want payloads 1, 2 and 4..103", fired)
+	}
+	q.CancelHandle(Handle{}) // names no event
+}
+
+// recorder is a Handler that appends each payload it fires with.
+type recorder struct{ got *[]uint64 }
+
+func (r recorder) Fire(n uint64) { *r.got = append(*r.got, n) }
 
 // A chain pushed lazily at its slot, each event by its predecessor,
 // pops in exactly the order an eager layout of the whole chain made at

@@ -48,10 +48,17 @@ type Options struct {
 	// interval.
 	Rules []Rule
 	// Now is not read: the registry scrapes at the instants it hands
-	// Schedule. It stays because bench/layers/kernel.go sets it.
+	// its door. It stays because bench/layers/kernel.go sets it.
 	Now func() vtime.Time
-	// Schedule arranges fn to run at absolute virtual instant t
-	// (required for scraping; the cluster wires the engine's App class).
+	// Chain returns a door for one chain of scrape ticks, each
+	// scheduled by its predecessor at a strictly later instant; a
+	// fresh one per ArmUntil call (the cluster wires Cluster.Chain,
+	// whose chain keeps the place an eager layout made at the call
+	// would have had).
+	Chain func() func(t vtime.Time, fn func())
+	// Schedule arranges fn to run at absolute virtual instant t: the
+	// door every window uses when Chain is unset. One of the two is
+	// required for scraping.
 	Schedule func(t vtime.Time, fn func())
 	// Log, when set, receives SLO breach/clear events.
 	Log *monitor.Log
@@ -243,9 +250,13 @@ type Registry struct {
 	topk   *TopK
 	probes []*probe
 
-	nextTick   vtime.Time
-	armedUntil vtime.Time
-	scrapes    int
+	// The scrape schedule is one chain per ArmUntil window: the
+	// pending tick scrapes boundary tickAt (0 when none is pending)
+	// and schedules its successor through door while it is <= until.
+	until, tickAt vtime.Time
+	door          func(t vtime.Time, fn func())
+	tick          func() // scrapeTick, bound once
+	scrapes       int
 }
 
 // New builds a registry.
@@ -258,6 +269,7 @@ func New(opt Options) *Registry {
 	for _, rule := range opt.Rules {
 		r.probes = append(r.probes, newProbe(rule))
 	}
+	r.tick = r.scrapeTick
 	return r
 }
 
@@ -350,25 +362,44 @@ func (r *Registry) Keys() *TopK {
 	return r.topk
 }
 
-// ArmUntil schedules scrape ticks on every interval boundary up to and
-// including until (idempotent per boundary; repeated runs extend the
-// schedule). Scrape callbacks read instruments and never mutate
-// simulation state, keeping the plane passive.
+// ArmUntil arranges a scrape tick on every interval boundary up to and
+// including until that no earlier call covered (repeated runs extend
+// the schedule). It schedules only the window's first tick, through a
+// fresh Chain door taken now; each tick schedules the next while it is
+// still within until, so the queue holds one tick, not the window, and
+// a run that drains to idle still ends. A call while the previous
+// window's chain is still pending extends that chain. Scrape callbacks
+// read instruments and never mutate simulation state, keeping the
+// plane passive.
 func (r *Registry) ArmUntil(until vtime.Time) {
-	if r == nil || r.opt.Schedule == nil {
+	if r == nil || (r.opt.Chain == nil && r.opt.Schedule == nil) || until <= r.until {
 		return
 	}
-	if r.nextTick == 0 {
-		r.nextTick = vtime.Time(DefaultInterval)
+	step := vtime.Time(DefaultInterval)
+	first := (r.until/step + 1) * step
+	r.until = until
+	if r.tickAt != 0 || first > until {
+		return
 	}
-	for t := r.nextTick; t <= until; t = t.Add(DefaultInterval) {
-		tick := t
-		r.opt.Schedule(tick, func() { r.scrapeAt(tick) })
-		r.nextTick = t.Add(DefaultInterval)
+	r.door = r.opt.Schedule
+	if r.opt.Chain != nil {
+		r.door = r.opt.Chain()
 	}
-	if until > r.armedUntil {
-		r.armedUntil = until
+	r.tickAt = first
+	r.door(first, r.tick)
+}
+
+// scrapeTick is one tick of the chain: it scrapes its boundary, then
+// schedules the next one while that is within the window.
+func (r *Registry) scrapeTick() {
+	t := r.tickAt
+	r.scrapeAt(t)
+	if next := t.Add(DefaultInterval); next <= r.until {
+		r.tickAt = next
+		r.door(next, r.tick)
+		return
 	}
+	r.tickAt, r.door = 0, nil
 }
 
 // scrapeAt samples every instrument into its series and evaluates the

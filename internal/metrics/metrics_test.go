@@ -2,7 +2,7 @@ package metrics
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 	"testing"
 
 	"hades/internal/monitor"
@@ -23,19 +23,26 @@ func (s *sim) opts() Options {
 	}
 }
 
+// runTo fires, earliest instant first, every callback due by until,
+// those the callbacks schedule included (each scrape tick schedules
+// the next).
 func (s *sim) runTo(until vtime.Time) {
-	var due []vtime.Time
-	for t := range s.q {
-		if t <= until {
-			due = append(due, t)
+	for {
+		var due []vtime.Time
+		for t := range s.q {
+			if t <= until {
+				due = append(due, t)
+			}
 		}
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
-	for _, t := range due {
-		for _, fn := range s.q[t] {
+		if len(due) == 0 {
+			return
+		}
+		t := slices.Min(due)
+		fns := s.q[t]
+		delete(s.q, t)
+		for _, fn := range fns {
 			fn()
 		}
-		delete(s.q, t)
 	}
 }
 
@@ -295,4 +302,29 @@ func TestKindClashPanics(t *testing.T) {
 		}
 	}()
 	r.GaugeFunc("x", func() int64 { return 0 })
+}
+
+// TestArmUntilChainsEachBoundaryOnce: windows armed back to back, one
+// with no boundary of its own and one armed while the previous chain
+// is still pending, scrape every boundary once, in order, and the
+// chain stops at the last window's end.
+func TestArmUntilChainsEachBoundaryOnce(t *testing.T) {
+	s := newSim()
+	r := New(s.opts())
+	var at []vtime.Time
+	r.GaugeFunc("g", func() int64 { return 0 })
+	r.ArmUntil(vtime.Time(7 * vtime.Millisecond)) // 5ms
+	s.runTo(vtime.Time(7 * vtime.Millisecond))
+	r.ArmUntil(vtime.Time(9 * vtime.Millisecond))  // no new boundary
+	r.ArmUntil(vtime.Time(12 * vtime.Millisecond)) // 10ms
+	r.ArmUntil(vtime.Time(20 * vtime.Millisecond)) // pending: 15ms, 20ms
+	s.runTo(vtime.Time(vtime.Second))
+	for _, p := range findSeries(r.Export(), "g").Points {
+		at = append(at, vtime.Time(p.T))
+	}
+	want := []vtime.Time{vtime.Time(5 * vtime.Millisecond), vtime.Time(10 * vtime.Millisecond),
+		vtime.Time(15 * vtime.Millisecond), vtime.Time(20 * vtime.Millisecond)}
+	if !slices.Equal(at, want) || r.Scrapes() != len(want) || len(s.q) != 0 {
+		t.Fatalf("scraped at %v (%d scrapes, %d instants queued), want %v", at, r.Scrapes(), len(s.q), want)
+	}
 }

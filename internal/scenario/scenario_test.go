@@ -1026,3 +1026,40 @@ func TestOpen(t *testing.T) {
 		}
 	}
 }
+
+// TestValidationNamesFirstKeyInOrder: a spec with two bad map entries
+// is refused naming the lexically first key every time, not whichever
+// one map iteration happens to reach first.
+func TestValidationNamesFirstKeyInOrder(t *testing.T) {
+	routes := Spec{Name: "r", Nodes: 7, Shards: &ShardsSpec{
+		Count: 2, ReplicasPer: 3,
+		Clients: []ShardClientSpec{{Node: 6, Keys: []string{"a", "b"}, SubmitEveryMs: 2}},
+		Routes:  map[string]int{"b": 0, "zeta": 9, "alpha": 5, "c": 1},
+	}}
+	placements := Spec{Name: "p", Nodes: 2,
+		Tasks:     []TaskSpec{{Name: "t", Node: 0, CBeforeUs: 100, DeadlineMs: 10, PeriodMs: 10}},
+		Placement: map[string]int{"t": 1, "zulu": 1, "bravo": 1},
+	}
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{routes, `key "alpha" routed`},
+		{placements, `placement "bravo" names no task`},
+	} {
+		data, err := json.Marshal(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), tc.spec.Name+".json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			_, err := Load(path)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("load %d of %s: %v, want an error naming %s", i, tc.spec.Name, err, tc.want)
+			}
+		}
+	}
+}

@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"hades/internal/cluster"
 	"hades/internal/load"
@@ -185,8 +187,8 @@ func (s Spec) validateShards(loadNames map[string]bool) error {
 	if _, err := named(s, shardStyles, sp.Style, "unknown shard style"); err != nil {
 		return err
 	}
-	for key, idx := range sp.Routes {
-		if idx < 0 || idx >= sp.Count {
+	for _, key := range slices.Sorted(maps.Keys(sp.Routes)) {
+		if idx := sp.Routes[key]; idx < 0 || idx >= sp.Count {
 			return fmt.Errorf("scenario %q: key %q routed to undeclared shard group %d (have %d)", s.Name, key, idx, sp.Count)
 		}
 	}

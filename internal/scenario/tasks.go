@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"hades/internal/cluster"
 	"hades/internal/dispatcher"
@@ -137,8 +139,8 @@ func (s Spec) validateTasks() error {
 			}
 		}
 	}
-	for key, node := range s.Placement {
-		if err := s.knownNode(node, "placement %q on", key); err != nil {
+	for _, key := range slices.Sorted(maps.Keys(s.Placement)) {
+		if err := s.knownNode(s.Placement[key], "placement %q on", key); err != nil {
 			return err
 		}
 		if !placeable[key] {

@@ -32,10 +32,17 @@ func BenchmarkEngineDoors(b *testing.B) {
 	b.Run("After", func(b *testing.B) {
 		run(b, func(eng *Engine, fn func()) { eng.After(vtime.Microsecond, eventq.ClassApp, fn) })
 	})
-	b.Run("Timer", func(b *testing.B) {
-		run(b, func(eng *Engine, fn func()) { eng.Timer(eng.Now().Add(vtime.Microsecond), eventq.ClassApp, fn) })
+	b.Run("Arm", func(b *testing.B) {
+		run(b, func(eng *Engine, fn func()) {
+			eng.Arm(eng.Now().Add(vtime.Microsecond), eventq.ClassApp, fnHandler(fn), 0)
+		})
 	})
 }
+
+// fnHandler fires a closure through the handler door.
+type fnHandler func()
+
+func (f fnHandler) Fire(uint64) { f() }
 
 // BenchmarkContextSwitchStorm measures the kernel's preemption path: two
 // threads alternating via priority flips.

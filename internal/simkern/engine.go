@@ -8,12 +8,14 @@
 // deterministic discrete-event engine:
 //
 //   - a virtual clock and event queue (predictability becomes determinism:
-//     a run is a pure function of its inputs and seed), with two doors:
-//     At/After/AfterTo are fire-and-forget and their record is recycled
-//     after it fires (AtSlot too, at a place Slot took earlier, for a
-//     chain whose events each schedule the next); Timer is cancellable,
-//     its record is never reused, and the holder drops the handle when
-//     it fires;
+//     a run is a pure function of its inputs and seed). Every door draws
+//     its record from the queue's free list and recycles it once the
+//     event fires: At/After/AfterTo are fire-and-forget (AtSlot too, at
+//     a place Slot took earlier, for a chain whose events each schedule
+//     the next); Arm fires an owner and returns the handle Cancel takes.
+//     A handle checks the seq its event was pushed at, so it may be
+//     kept, and cancelled, long after the event fired and its record
+//     went on to another event;
 //   - mono-processor nodes with preemptive priority scheduling and
 //     preemption thresholds (§3.1.2);
 //   - threads made of segments, each with its own preemption threshold, so
@@ -115,14 +117,17 @@ func (e *Engine) Processors() []*Processor { return e.procs }
 // and the steady state allocates nothing per event. Scheduling in the
 // past panics: in a predictable system causality violations are
 // programming errors.
-func (e *Engine) At(t vtime.Time, class eventq.Class, fn func()) { e.at(t, class, fn) }
+func (e *Engine) At(t vtime.Time, class eventq.Class, fn func()) {
+	e.checkNotPast(t)
+	e.queue.PushRecycled(t, class, fn)
+}
 
 // After schedules fn d from now, fire and forget like At.
 func (e *Engine) After(d vtime.Duration, class eventq.Class, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("simkern: negative delay %s", d))
 	}
-	e.at(e.now.Add(d), class, fn)
+	e.queue.PushRecycled(e.now.Add(d), class, fn)
 }
 
 // AfterTo schedules h.Fire(n) d from now, fire and forget like After.
@@ -147,21 +152,14 @@ func (e *Engine) AtSlot(s eventq.Slot, t vtime.Time, class eventq.Class, fn func
 	e.queue.PushSlot(s, t, class, fn)
 }
 
-// Timer schedules fn at absolute instant t and returns a handle for
-// Cancel. A timer's record is never recycled, so cancelling after it
-// fired is a no-op however late; the holder drops the handle when the
-// timer fires.
-func (e *Engine) Timer(t vtime.Time, class eventq.Class, fn func()) *eventq.Event {
+// Arm schedules h.Fire(n) at absolute instant t, on a recycled record
+// like AfterTo, and returns the handle Cancel takes: the cancellable
+// door (a watchdog, a segment completion). Cancelling after the event
+// fired is a no-op however late, even once its record carries another
+// event, so the holder never has to drop the handle.
+func (e *Engine) Arm(t vtime.Time, class eventq.Class, h eventq.Handler, n uint64) eventq.Handle {
 	e.checkNotPast(t)
-	return e.queue.Push(t, class, fn)
-}
-
-// at is At with the recycled record's handle, for a holder that drops
-// it both when the event fires and when it cancels (the processor's
-// segment completion).
-func (e *Engine) at(t vtime.Time, class eventq.Class, fn func()) *eventq.Event {
-	e.checkNotPast(t)
-	return e.queue.PushRecycled(t, class, fn)
+	return e.queue.PushRecycledTo(t, class, h, n)
 }
 
 func (e *Engine) checkNotPast(t vtime.Time) {
@@ -170,8 +168,8 @@ func (e *Engine) checkNotPast(t vtime.Time) {
 	}
 }
 
-// Cancel cancels a Timer.
-func (e *Engine) Cancel(ev *eventq.Event) { e.queue.Cancel(ev) }
+// Cancel cancels an armed event if it is still pending.
+func (e *Engine) Cancel(h eventq.Handle) { e.queue.CancelHandle(h) }
 
 // EventsFired returns the total number of events processed so far.
 func (e *Engine) EventsFired() uint64 { return e.fired }

@@ -23,7 +23,7 @@ type Processor struct {
 	// progress (after any context-switch cost). If the segment is
 	// preempted before effStart, it made no progress.
 	effStart     vtime.Time
-	completion   *eventq.Event // recycled record: dropped on fire and on cancel
+	completion   eventq.Handle // the running segment's end, armed with segEnd
 	completing   *Thread       // whose segment the pending completion ends
 	lastDispatch *Thread       // previously running thread, to decide switch cost
 
@@ -52,10 +52,16 @@ type Processor struct {
 	// Periodic clock tick (the §4.2 clock interrupt).
 	ticks uint64
 
-	// Bound once here so that a dispatch, an interrupt and a tick
-	// schedule their kernel events without building a closure each.
-	onSegDone, onIRQDone, onTick func()
+	// Bound once here so that an interrupt and a tick schedule their
+	// kernel events without building a closure each.
+	onIRQDone, onTick func()
 }
+
+// segEnd is the processor as the handler of its segment completions;
+// one pointer wide, it converts to a Handler without allocating.
+type segEnd struct{ p *Processor }
+
+func (s segEnd) Fire(uint64) { s.p.segmentDone() }
 
 type irq struct {
 	wcet    vtime.Duration
@@ -83,7 +89,6 @@ func (e *Engine) AddProcessor(name string, switchCost vtime.Duration) *Processor
 		switchCost: switchCost,
 		irqStats:   make(map[string]*IRQStats),
 	}
-	p.onSegDone = p.segmentDone
 	p.onIRQDone = p.irqDone
 	p.onTick = func() { p.ticks++ }
 	e.procs = append(e.procs, p)
@@ -210,10 +215,7 @@ func (p *Processor) haltRunning(preempt bool) {
 	if t == nil {
 		return
 	}
-	if p.completion != nil {
-		p.eng.Cancel(p.completion)
-		p.completion = nil
-	}
+	p.eng.Cancel(p.completion)
 	now := p.eng.now
 	if now > p.effStart {
 		progress := now.Sub(p.effStart)
@@ -319,7 +321,7 @@ func (p *Processor) dispatch(t *Thread) {
 // from effStart.
 func (p *Processor) armCompletion(t *Thread, remaining vtime.Duration) {
 	p.completing = t
-	p.completion = p.eng.at(p.effStart.Add(remaining), eventq.ClassKernel, p.onSegDone)
+	p.completion = p.eng.Arm(p.effStart.Add(remaining), eventq.ClassKernel, segEnd{p}, 0)
 }
 
 // segmentDone fires when the running thread finishes its current segment.
@@ -332,7 +334,6 @@ func (p *Processor) segmentDone() {
 	p.busyTime += seg.remaining
 	t.cpuTime += seg.remaining
 	seg.remaining = 0
-	p.completion = nil
 	cb := seg.OnDone
 	t.segIdx++
 	if t.currentSegment() == nil {

@@ -412,16 +412,29 @@ func TestRecordfFormatsOnlyWhatIsKept(t *testing.T) {
 	at(NewEngine(nil, 1), monitor.KindMessageSend) // a nil log records nothing
 }
 
-// A Timer's record is never recycled, so a handle kept past its fire
-// cannot reach one of the records At/After reuse: cancelling it late
-// cancels nothing.
+// tally is a Handler that counts its firings by payload.
+type tally map[uint64]int
+
+func (c tally) Fire(n uint64) { c[n]++ }
+
+// A timer (an armed event) has its record recycled like any other, and
+// its handle checks the seq it was armed at: kept past the fire, through many
+// reuses of the record by At/After, it cancels nothing.
 func TestTimerCancelAfterFireIsNoOp(t *testing.T) {
 	eng := newEng()
-	timerFired := 0
-	stale := eng.Timer(vtime.Time(us), eventq.ClassApp, func() { timerFired++ })
+	armed := tally{}
+	stale := eng.Arm(vtime.Time(us), eventq.ClassApp, armed, 0)
 	eng.RunUntilIdle()
-	if timerFired != 1 {
-		t.Fatalf("timer fired %d times, want 1", timerFired)
+	// The free list holds the one record stale named: this event takes
+	// it, at the same instant and class a stale cancel would hit.
+	reuser := eng.Arm(eng.Now(), eventq.ClassApp, armed, 1)
+	eng.Cancel(stale)
+	if !reuser.Pending() {
+		t.Fatal("a stale handle cancelled the event reusing its record")
+	}
+	eng.RunUntilIdle()
+	if armed[0] != 1 || armed[1] != 1 {
+		t.Fatalf("armed events fired %v, want each once", armed)
 	}
 	const n = 10000
 	fired := make([]int, n)
@@ -430,6 +443,8 @@ func TestTimerCancelAfterFireIsNoOp(t *testing.T) {
 		// forget records are recycled many times over.
 		eng.After(vtime.Duration(1+i%7)*us, eventq.ClassApp, func() { fired[i]++ })
 		if i%100 == 99 {
+			eng.Cancel(stale)
+			eng.Cancel(reuser)
 			eng.Run(eng.Now().Add(3 * us))
 		}
 	}
@@ -441,21 +456,21 @@ func TestTimerCancelAfterFireIsNoOp(t *testing.T) {
 			t.Fatalf("event %d fired %d times, want 1", i, c)
 		}
 	}
-	if timerFired != 1 {
-		t.Fatalf("timer fired again (%d)", timerFired)
+	if armed[0] != 1 || armed[1] != 1 {
+		t.Fatalf("armed events fired again (%v)", armed)
 	}
 }
 
-// A cancelled Timer does not fire, and cancelling it twice is a no-op.
+// A cancelled timer does not fire, and cancelling it twice is a no-op.
 func TestTimerCancel(t *testing.T) {
 	eng := newEng()
-	fired := false
-	ev := eng.Timer(vtime.Time(10*us), eventq.ClassDispatch, func() { fired = true })
-	eng.Cancel(ev)
-	eng.Cancel(ev)
+	fired := tally{}
+	h := eng.Arm(vtime.Time(10*us), eventq.ClassDispatch, fired, 7)
+	eng.Cancel(h)
+	eng.Cancel(h)
 	eng.RunUntilIdle()
-	if fired {
-		t.Fatal("cancelled timer fired")
+	if len(fired) != 0 {
+		t.Fatal("cancelled event fired")
 	}
 }
 
