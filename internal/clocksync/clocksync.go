@@ -3,7 +3,7 @@
 // and Lynch [LL88] that Figure 1 names explicitly.
 //
 // Every node owns a drifting hardware clock; a synchronisation round
-// runs every Period: nodes exchange clock readings, estimate every
+// runs every resyncPeriod: nodes exchange clock readings, estimate every
 // peer's clock (compensating the expected link delay), discard the f
 // lowest and f highest estimates and slew the logical clock to the
 // midpoint of the surviving range. With n ≥ 3f+1 nodes the algorithm
@@ -30,6 +30,19 @@ import (
 	"hades/internal/vtime"
 )
 
+// A round's timing and cost are constants of the model.
+const (
+	// resyncPeriod is the resynchronisation period P.
+	resyncPeriod = 100 * vtime.Millisecond
+	// collectWindow is how long after a round starts readings are
+	// accepted before the correction applies; it exceeds the worst-case
+	// link delay of every network the service runs on.
+	collectWindow = 2 * vtime.Millisecond
+	// wSync is the CPU cost of one round's processing on each node,
+	// charged at interrupt level like any kernel activity (§4.2).
+	wSync = 20 * vtime.Microsecond
+)
+
 // Config parameterises the service.
 type Config struct {
 	// Nodes lists the participating processor IDs.
@@ -37,15 +50,6 @@ type Config struct {
 	// F is the number of Byzantine clocks tolerated; requires
 	// len(Nodes) ≥ 3F+1.
 	F int
-	// Period is the resynchronisation period P.
-	Period vtime.Duration
-	// CollectWindow is how long after a round starts readings are
-	// accepted before the correction applies; it must exceed the
-	// worst-case link delay.
-	CollectWindow vtime.Duration
-	// WSync is the CPU cost of one round's processing on each node,
-	// charged at interrupt level like any kernel activity (§4.2).
-	WSync vtime.Duration
 	// MaxDrift is the drift bound ρ (e.g. 1e-5 = 10 µs/s).
 	MaxDrift float64
 }
@@ -53,14 +57,7 @@ type Config struct {
 // DefaultConfig returns a configuration for n nodes tolerating f
 // Byzantine clocks.
 func DefaultConfig(nodes []int, f int) Config {
-	return Config{
-		Nodes:         nodes,
-		F:             f,
-		Period:        100 * vtime.Millisecond,
-		CollectWindow: 2 * vtime.Millisecond,
-		WSync:         20 * vtime.Microsecond,
-		MaxDrift:      1e-5,
-	}
+	return Config{Nodes: nodes, F: f, MaxDrift: 1e-5}
 }
 
 // port carries clock readings.
@@ -150,9 +147,9 @@ func (s *Service) Start() {
 	var round func()
 	round = func() {
 		s.beginRound()
-		s.eng.After(s.cfg.Period, eventq.ClassApp, round)
+		s.eng.After(resyncPeriod, eventq.ClassApp, round)
 	}
-	s.eng.After(s.cfg.Period, eventq.ClassApp, round)
+	s.eng.After(resyncPeriod, eventq.ClassApp, round)
 }
 
 // beginRound: every node broadcasts its reading, then applies the
@@ -180,7 +177,7 @@ func (s *Service) beginRound() {
 			}
 		}
 	}
-	s.eng.After(s.cfg.CollectWindow, eventq.ClassApp, func() { s.converge() })
+	s.eng.After(collectWindow, eventq.ClassApp, func() { s.converge() })
 }
 
 // receive stores the estimate of the sender's logical clock: the
@@ -199,9 +196,7 @@ func (s *Service) receive(node int, m *netsim.Message) {
 	est := reading.Add((dmin + dmax) / 2) // midpoint estimator, error ≤ ε/2
 	c.estimates[m.From] = est
 	// Charge the processing cost like a kernel activity.
-	if s.cfg.WSync > 0 {
-		s.eng.Processors()[node].RaiseIRQ("clocksync", s.cfg.WSync, nil)
-	}
+	s.eng.Processors()[node].RaiseIRQ("clocksync", wSync, nil)
 }
 
 // converge applies the fault-tolerant midpoint to every correct node.
@@ -271,6 +266,6 @@ func (s *Service) Bound() vtime.Duration {
 			}
 		}
 	}
-	drift := vtime.Duration(4 * s.cfg.MaxDrift * float64(s.cfg.Period))
+	drift := vtime.Duration(4 * s.cfg.MaxDrift * float64(resyncPeriod))
 	return 4*eps + drift
 }

@@ -177,17 +177,19 @@ func New(cfg Config) *Cluster {
 	}
 	if !mp.Disabled {
 		c.metrics = metrics.New(metrics.Options{
-			Rules: mp.Rules,
-			Chain: c.Chain,
-			Log:   log,
+			Rules:    mp.Rules,
+			Schedule: c.Chain(),
+			Log:      log,
 		})
 		c.eng.SetMetrics(c.metrics)
 		// Kernel-plane signals: live event-queue depth and events
 		// retired per interval, sampled from statistics the engine
 		// already keeps. The depth counts scheduled events only: a
 		// chain (Chain) holds its next event, not the rest of it, and
-		// the scrape chain's own next tick is pushed after the scrape
-		// reads the depth, so scrapes do not count at all.
+		// the scrape chain (one for the cluster's life) pushes its next
+		// tick after the scrape reads the depth, so scrapes do not
+		// count at all. Its one place in the event order makes each
+		// point the same however the horizon is split into runs.
 		c.metrics.GaugeFunc("eventq.depth", func() int64 { return int64(c.eng.QueueLen()) })
 		c.metrics.CounterFunc("eventq.events", func() int64 { return int64(c.eng.EventsFired()) })
 	}
@@ -655,9 +657,11 @@ func (c *Cluster) Run(d vtime.Duration) Result {
 	}
 	c.spawns = nil
 	until := c.eng.Now().Add(d)
-	// The window's scrape ticks ride one chain that takes its place
-	// here, where an eager layout of them would have been pushed, and
-	// stops at until, so a run that drains the queue to idle ends.
+	// The scrape ticks ride the registry's one chain, which took its
+	// place in the event order at the first Run, where an eager layout
+	// of them would have been pushed; each window stops at until, so a
+	// run that drains the queue to idle ends, and a horizon split into
+	// several runs scrapes as one run would.
 	c.metrics.ArmUntil(until)
 	c.eng.Run(until)
 	return c.ResultNow()

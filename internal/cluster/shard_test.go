@@ -154,7 +154,7 @@ func TestShardsFailFastPolicy(t *testing.T) {
 	c.AddNodes(4)
 	c.ConnectAll(100*us, 300*us)
 	set := c.ShardsWith(1, 3, cluster.ShardConfig{})
-	cl := set.ClientWith(shard.ClientParams{Node: 3, Policy: shard.FailFast, MaxRetries: 2})
+	cl := set.ClientWith(shard.ClientParams{Node: 3, Policy: shard.FailFast})
 	submitEvery(c, cl, 2*ms, vtime.Time(10*ms), vtime.Time(100*ms))
 	c.PartitionAt(vtime.Time(20*ms), []int{2, 3}, []int{0, 1})
 	c.HealAt(vtime.Time(150 * ms))
@@ -328,8 +328,9 @@ func (s *slowPort) Judge(m *netsim.Message) netsim.Verdict {
 // TestShardsLateResponsesDoNotBurnBudget: responses slower than the
 // retry timeout straddle attempts — the late OK of a superseded
 // attempt must still ack the request (the command landed; dedup makes
-// the live copy a cache hit), and no request may be abandoned under a
-// tight fail-fast budget just because verdicts arrived late.
+// the live copy a cache hit), and no request may be abandoned by the
+// fail-fast policy just because every verdict arrived late: were late
+// verdicts dropped, each attempt would time out and the budget run dry.
 func TestShardsLateResponsesDoNotBurnBudget(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 41})
 	c.AddNodes(3) // 1 shard × 2 replicas + client
@@ -337,7 +338,7 @@ func TestShardsLateResponsesDoNotBurnBudget(t *testing.T) {
 	set := c.ShardsWith(1, 2, cluster.ShardConfig{})
 	// Every response arrives ~2ms after the 5ms timeout fired.
 	c.InjectFault(&slowPort{port: "shard.shard.resp", extra: 7 * ms})
-	cl := set.ClientWith(shard.ClientParams{Node: 2, Policy: shard.FailFast, MaxRetries: 2})
+	cl := set.ClientWith(shard.ClientParams{Node: 2, Policy: shard.FailFast})
 	submitEvery(c, cl, 10*ms, 0, vtime.Time(100*ms))
 	c.Run(300 * ms)
 

@@ -204,15 +204,13 @@ func (s *ShardSet) ClientAt(node int) *shard.Client {
 	return s.ClientWith(shard.ClientParams{Node: node})
 }
 
-// ClientWith creates a request client with explicit parameters. One
-// client per node; clients may not be co-located with shard replicas
+// ClientWith creates a request client with explicit parameters; its
+// session knobs and response port are the set's. One client per node; clients may not be co-located with shard replicas
 // (a split would then cut the client's own shard in two ways at once
 // and the response port would collide with serving duties).
 func (s *ShardSet) ClientWith(p shard.ClientParams) *shard.Client {
-	if p.Session == (session.Params{}) {
-		p.Session = s.session // set-level default; explicit knobs win
-	}
 	s.place(p.Node, "shard client")
+	p.Session = s.session
 	p.RespPort = s.respPort
 	cl := shard.NewClient(s.c.eng, s.c.net, s.router, p)
 	s.clients = append(s.clients, cl)

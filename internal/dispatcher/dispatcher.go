@@ -29,9 +29,6 @@ type Dispatcher struct {
 	// deadline passes, marking them orphans (§3.2.1 monitoring; the
 	// "switching of modes of operation in case of failure" hook).
 	CancelOnMiss bool
-	// OmissionSlack is added to the worst-case remote-delivery bound
-	// before declaring a network omission failure.
-	OmissionSlack vtime.Duration
 
 	stats     Stats
 	threadSeq uint64 // last Thread.seqNo handed out
@@ -128,7 +125,6 @@ func New(eng *simkern.Engine, net *netsim.Network, costs CostBook) *Dispatcher {
 		nodes:         make(map[int]*nodeState),
 		live:          make(map[instKey]*Instance),
 		pendingRemote: make(map[uint64]pendingCrossing),
-		OmissionSlack: 100 * vtime.Microsecond,
 	}
 	for _, p := range eng.Processors() {
 		d.nodes[p.ID()] = &nodeState{proc: p, resources: make(map[string]*resource)}

@@ -12,6 +12,10 @@ import (
 // remotePort is the netsim port carrying remote precedence constraints.
 const remotePort = "heug.prec"
 
+// omissionSlack is added to the worst-case remote-delivery bound before
+// declaring a network omission failure.
+const omissionSlack = 100 * vtime.Microsecond
+
 // remotePayload is the datagram for one remote precedence crossing: it
 // identifies the destination unit of a live instance and carries the
 // edge's parameters.
@@ -77,7 +81,7 @@ func (d *Dispatcher) sendRemote(src *Thread, ei int) {
 		return
 	}
 	dmax, _ := d.net.DelayBound(from, to)
-	bound := dmax + d.net.WorstCaseReceivePath() + d.OmissionSlack
+	bound := dmax + d.net.WorstCaseReceivePath() + omissionSlack
 	d.pendingRemote[id] = pendingCrossing{
 		watch: d.eng.Arm(d.eng.Now().Add(bound), eventq.ClassDispatch, omissionWatch{d}, id),
 		src:   src.name, dest: src.inst.Threads[e.To].name, to: to, bound: bound,

@@ -10,17 +10,24 @@ import (
 	"hades/internal/vtime"
 )
 
+// The detector's timing is a constant of the model: every run beats at
+// the same period and charges the same handling cost.
+const (
+	// HeartbeatPeriod is the heartbeat period: each monitored node sends
+	// one heartbeat to every other and checks its timeouts once per
+	// period.
+	HeartbeatPeriod = 10 * vtime.Millisecond
+	// heartbeatMargin is added to HeartbeatPeriod plus the link delay
+	// bound to form the suspicion timeout.
+	heartbeatMargin = 500 * vtime.Microsecond
+	// heartbeatWProc is the CPU cost of handling one heartbeat.
+	heartbeatWProc = 5 * vtime.Microsecond
+)
+
 // DetectorConfig parameterises the heartbeat fault detector.
 type DetectorConfig struct {
 	// Nodes lists the monitored processors.
 	Nodes []int
-	// Period is the heartbeat period.
-	Period vtime.Duration
-	// Margin is added to Period plus the link delay bound to form the
-	// suspicion timeout.
-	Margin vtime.Duration
-	// WProc is the CPU cost of handling one heartbeat.
-	WProc vtime.Duration
 	// Port scopes the heartbeat traffic. Detectors coexisting on the
 	// same nodes (e.g. one per membership group) need distinct ports —
 	// netsim binds one handler per (node, port), so a shared port
@@ -29,14 +36,10 @@ type DetectorConfig struct {
 	Port string
 }
 
-// DefaultDetectorConfig returns a detector with a 10 ms heartbeat.
+// DefaultDetectorConfig returns a detector monitoring nodes on the
+// default heartbeat port.
 func DefaultDetectorConfig(nodes []int) DetectorConfig {
-	return DetectorConfig{
-		Nodes:  nodes,
-		Period: 10 * vtime.Millisecond,
-		Margin: 500 * vtime.Microsecond,
-		WProc:  5 * vtime.Microsecond,
-	}
+	return DetectorConfig{Nodes: nodes}
 }
 
 // Suspicion is one detection record.
@@ -133,7 +136,7 @@ func (d *Detector) observerRecovered(node int) {
 // Timeout returns the suspicion timeout an observer applies to a peer.
 func (d *Detector) Timeout(observer, peer int) vtime.Duration {
 	dmax, _ := d.net.DelayBound(peer, observer)
-	return d.cfg.Period + dmax + d.net.WorstCaseReceivePath() + d.cfg.Margin
+	return HeartbeatPeriod + dmax + d.net.WorstCaseReceivePath() + heartbeatMargin
 }
 
 // Start begins heartbeating and monitoring.
@@ -149,9 +152,9 @@ func (d *Detector) Start() {
 	var tick func()
 	tick = func() {
 		d.beatAndCheck()
-		d.eng.After(d.cfg.Period, eventq.ClassApp, tick)
+		d.eng.After(HeartbeatPeriod, eventq.ClassApp, tick)
 	}
-	d.eng.After(d.cfg.Period, eventq.ClassApp, tick)
+	d.eng.After(HeartbeatPeriod, eventq.ClassApp, tick)
 }
 
 func (d *Detector) beatAndCheck() {
@@ -201,9 +204,7 @@ func (d *Detector) receive(node int, m *netsim.Message) {
 	if d.net.NodeDown(node) {
 		return
 	}
-	if d.cfg.WProc > 0 {
-		d.eng.Processors()[node].RaiseIRQ("heartbeat", d.cfg.WProc, nil)
-	}
+	d.eng.Processors()[node].RaiseIRQ("heartbeat", heartbeatWProc, nil)
 	peer, ok := m.Payload.(int)
 	if !ok {
 		return

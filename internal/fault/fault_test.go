@@ -104,7 +104,7 @@ func TestDetectorDetectsCrash(t *testing.T) {
 			t.Fatalf("false suspicion of node %d", s.Suspect)
 		}
 		lat := s.At.Sub(crashAt)
-		bound := det.cfg.Period + det.Timeout(s.Observer, 2) + det.cfg.Period
+		bound := HeartbeatPeriod + det.Timeout(s.Observer, 2) + HeartbeatPeriod
 		if lat > bound {
 			t.Fatalf("detection latency %s above bound %s", lat, bound)
 		}

@@ -247,7 +247,7 @@ func TestGenerateRespectsConfig(t *testing.T) {
 		t.Fatalf("n = %d", len(tasks))
 	}
 	for _, task := range tasks {
-		if task.T < cfg.PeriodMin || task.T > cfg.PeriodMax {
+		if task.T < genPeriodMin || task.T > genPeriodMax {
 			t.Fatalf("period %s out of range", task.T)
 		}
 		if task.D > task.T || task.D < task.C {

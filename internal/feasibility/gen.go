@@ -9,6 +9,21 @@ import (
 	"hades/internal/vtime"
 )
 
+// The period range, the resource pool and the critical-section bound
+// of a generated task set are constants of the paper's application
+// domain.
+const (
+	// genPeriodMin and genPeriodMax bound log-uniform periods.
+	genPeriodMin = 5 * vtime.Millisecond
+	genPeriodMax = 100 * vtime.Millisecond
+	// genCSFraction bounds the critical section to this fraction of C.
+	genCSFraction = 0.3
+)
+
+// genResources is the pool of resource names a critical section draws
+// from.
+var genResources = [...]string{"S1", "S2"}
+
 // GenConfig controls random task-set generation for the schedulability
 // sweeps (experiments E-S5, E-X1, E-X6).
 type GenConfig struct {
@@ -16,33 +31,18 @@ type GenConfig struct {
 	N int
 	// U is the target total utilisation (split by UUniFast).
 	U float64
-	// PeriodMin and PeriodMax bound log-uniform periods.
-	PeriodMin, PeriodMax vtime.Duration
 	// DeadlineFactor places D in [C + f·(T−C), T]: 1 gives implicit
 	// deadlines, smaller values constrained ones.
 	DeadlineFactor float64
 	// ResourceProb is the probability a task has a critical section.
 	ResourceProb float64
-	// Resources is the pool of resource names to draw from.
-	Resources []string
-	// CSFraction bounds the critical section to this fraction of C.
-	CSFraction float64
 }
 
 // DefaultGenConfig returns a configuration representative of the
 // paper's application domain: periods 5–100 ms, constrained deadlines,
 // a third of the tasks sharing one of two resources.
 func DefaultGenConfig(n int, u float64) GenConfig {
-	return GenConfig{
-		N:              n,
-		U:              u,
-		PeriodMin:      5 * vtime.Millisecond,
-		PeriodMax:      100 * vtime.Millisecond,
-		DeadlineFactor: 0.8,
-		ResourceProb:   0.33,
-		Resources:      []string{"S1", "S2"},
-		CSFraction:     0.3,
-	}
+	return GenConfig{N: n, U: u, DeadlineFactor: 0.8, ResourceProb: 0.33}
 }
 
 // uuniFast splits total utilisation u over n tasks without bias
@@ -64,7 +64,7 @@ func uuniFast(rng *rand.Rand, n int, u float64) []float64 {
 func Generate(rng *rand.Rand, cfg GenConfig) []Task {
 	us := uuniFast(rng, cfg.N, cfg.U)
 	tasks := make([]Task, cfg.N)
-	logMin, logMax := math.Log(float64(cfg.PeriodMin)), math.Log(float64(cfg.PeriodMax))
+	logMin, logMax := math.Log(float64(genPeriodMin)), math.Log(float64(genPeriodMax))
 	for i := range tasks {
 		period := vtime.Duration(math.Exp(logMin + rng.Float64()*(logMax-logMin)))
 		c := vtime.Duration(us[i] * float64(period))
@@ -83,9 +83,9 @@ func Generate(rng *rand.Rand, cfg GenConfig) []Task {
 			T:     period,
 			NumEU: 1,
 		}
-		if len(cfg.Resources) > 0 && rng.Float64() < cfg.ResourceProb {
-			t.Resource = cfg.Resources[rng.Intn(len(cfg.Resources))]
-			cs := vtime.Duration(cfg.CSFraction * rng.Float64() * float64(c))
+		if rng.Float64() < cfg.ResourceProb {
+			t.Resource = genResources[rng.Intn(len(genResources))]
+			cs := vtime.Duration(genCSFraction * rng.Float64() * float64(c))
 			if cs < vtime.Microsecond {
 				cs = vtime.Microsecond
 			}

@@ -54,15 +54,16 @@ func TestOpenLoopChainMatchesLayout(t *testing.T) {
 	ms := func(n int) vtime.Time { return vtime.Time(vtime.Duration(n) * vtime.Millisecond) }
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	cases := []struct {
-		name string
-		cfg  Config
+		name   string
+		cfg    Config
+		maxOps int // the generator's cap when lowered, else 0
 	}{
-		{"plain rate", Config{Rate: 2000, ZipfSkew: 0.9}},
+		{"plain rate", Config{Rate: 2000, ZipfSkew: 0.9}, 0},
 		{"ramp with a zero-rate plateau", Config{Rate: 300, ZipfSkew: 1.1, Ramp: []RampStep{
-			{At: ms(200), Rate: 0}, {At: ms(400), Rate: 1000}, {At: ms(550), Rate: 0}, {At: ms(700), Rate: 200}}}},
+			{At: ms(200), Rate: 0}, {At: ms(400), Rate: 1000}, {At: ms(550), Rate: 0}, {At: ms(700), Rate: 200}}}, 0},
 		{"hotspot shift", Config{Rate: 4000, ZipfSkew: 1.5, HotspotShift: []HotspotShift{
-			{At: ms(300), Shift: 1}, {At: ms(600), Shift: 5}}}},
-		{"truncating maxOps", Config{Rate: 100000, MaxOps: 50}},
+			{At: ms(300), Shift: 1}, {At: ms(600), Shift: 5}}}, 0},
+		{"truncating maxOps", Config{Rate: 100000}, 50},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,17 +73,23 @@ func TestOpenLoopChainMatchesLayout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.maxOps > 0 {
+				ref.maxOps = tc.maxOps
+			}
 			want, capped := layoutReference(ref)
 			if len(want) == 0 {
 				t.Fatal("the reference laid out no arrivals")
 			}
-			if capped != (cfg.MaxOps > 0) {
-				t.Fatalf("reference capped=%v, want a truncating cap only where MaxOps is set", capped)
+			if capped != (tc.maxOps > 0) {
+				t.Fatalf("reference capped=%v, want a truncating cap only where maxOps is lowered", capped)
 			}
 
 			g, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.maxOps > 0 {
+				g.maxOps = tc.maxOps
 			}
 			s := &sim{}
 			var got []arrival

@@ -120,14 +120,11 @@ type Config struct {
 	Seed int64
 	// End closes the submission window, which opens at time zero.
 	End vtime.Time
-	// MaxOps caps total submissions (0 = DefaultMaxOps), a guard
-	// against runaway open-loop schedules.
-	MaxOps int
 }
 
-// DefaultMaxOps bounds a generator's total submissions when the
-// config leaves the cap zero.
-const DefaultMaxOps = 1_000_000
+// MaxOps caps a generator's total submissions, a guard against runaway
+// open-loop schedules.
+const MaxOps = 1_000_000
 
 // Validate checks the configuration loudly.
 func (c Config) Validate() error {
@@ -193,21 +190,10 @@ func (c Config) Validate() error {
 	if len(c.HotspotShift) > 0 && c.ZipfSkew == 0 {
 		return fmt.Errorf("load %q: hotspotShift without zipfSkew moves nothing (set a skew)", c.Name)
 	}
-	if c.MaxOps < 0 {
-		return fmt.Errorf("load %q: negative maxOps %d", c.Name, c.MaxOps)
-	}
-	if c.Mode == Closed && c.Sessions > c.maxOps() {
-		return fmt.Errorf("load %q: %d sessions but at most %d ops (every session submits at least once; raise maxOps)", c.Name, c.Sessions, c.maxOps())
+	if c.Mode == Closed && c.Sessions > MaxOps {
+		return fmt.Errorf("load %q: %d sessions but at most %d ops (every session submits at least once)", c.Name, c.Sessions, MaxOps)
 	}
 	return nil
-}
-
-// maxOps is the cap in force: MaxOps, or DefaultMaxOps when left zero.
-func (c Config) maxOps() int {
-	if c.MaxOps == 0 {
-		return DefaultMaxOps
-	}
-	return c.MaxOps
 }
 
 // Sinks wire a generator into the cluster. The cluster layer supplies
@@ -257,7 +243,8 @@ type Generator struct {
 	mLat *metrics.Hist
 	// lat records each completion's submit→ack latency in completion
 	// order (requires Sinks.Now; per-generator attribution in reports).
-	lat    []vtime.Duration
+	lat []vtime.Duration
+	// maxOps is the submission cap, MaxOps; a test lowers it.
 	maxOps int
 }
 
@@ -266,7 +253,7 @@ func New(cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Generator{cfg: cfg, maxOps: cfg.maxOps()}
+	g := &Generator{cfg: cfg, maxOps: MaxOps}
 	if cfg.ZipfSkew != 0 && len(cfg.Keys) >= 2 {
 		g.zipf = NewZipf(len(cfg.Keys), cfg.ZipfSkew)
 	}

@@ -65,6 +65,12 @@ func runKV(t *testing.T, cfg Config, ackAfter vtime.Duration, until vtime.Time) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g, driveKV(g, ackAfter, until)
+}
+
+// driveKV starts g against a sim whose keyed writes ack after ackAfter
+// and runs it to until, returning the submissions.
+func driveKV(g *Generator, ackAfter vtime.Duration, until vtime.Time) []arrival {
 	s := &sim{}
 	var got []arrival
 	g.Start(Sinks{
@@ -78,7 +84,7 @@ func runKV(t *testing.T, cfg Config, ackAfter vtime.Duration, until vtime.Time) 
 		},
 	})
 	s.run(until)
-	return g, got
+	return got
 }
 
 func TestValidate(t *testing.T) {
@@ -114,7 +120,6 @@ func TestValidate(t *testing.T) {
 			HotspotShift: []HotspotShift{{At: 9, Shift: 1}, {At: 3, Shift: 2}}}), "strictly ascend"},
 		{"shift without skew", window(Config{Name: "g", Keys: keys, Sessions: 1,
 			HotspotShift: []HotspotShift{{At: 1, Shift: 1}}}), "without zipfSkew"},
-		{"negative maxOps", window(Config{Name: "g", Keys: keys, Sessions: 1, MaxOps: -1}), "negative maxOps"},
 		{"valid closed", window(Config{Name: "g", Keys: keys, Sessions: 8, Think: vtime.Millisecond}), ""},
 		{"valid open", window(Config{Name: "g", Mode: Open, Keys: keys, Rate: 100, ZipfSkew: 1.1,
 			Ramp:         []RampStep{{At: 10, Rate: 0}, {At: 20, Rate: 50}},
@@ -298,13 +303,16 @@ func TestClosedLoop(t *testing.T) {
 // TestMaxOpsCap: the open-loop guard truncates a runaway schedule and
 // says so.
 func TestMaxOpsCap(t *testing.T) {
-	cfg := Config{
+	g, err := New(Config{
 		Name: "g", Mode: Open, Rate: 100000, Seed: 1,
-		Keys:   []string{"a"},
-		End:    vtime.Time(vtime.Second),
-		MaxOps: 50,
+		Keys: []string{"a"},
+		End:  vtime.Time(vtime.Second),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	g, got := runKV(t, cfg, 0, vtime.Time(2*vtime.Second))
+	g.maxOps = 50
+	got := driveKV(g, 0, vtime.Time(2*vtime.Second))
 	if !g.Stats.Capped {
 		t.Fatal("cap hit but not reported")
 	}

@@ -80,13 +80,12 @@ type Config struct {
 	Name string
 	// Nodes is the universe of potential members (at most MaxMembers).
 	Nodes []int
-	// F is the number of crash/omission failures tolerated per
-	// agreement round; 0 selects 1.
-	F int
-	// ConsensusRound overrides the consensus round length (0 = sized
-	// from the network delay bounds).
-	ConsensusRound vtime.Duration
 }
+
+// tolerated is f, the number of crash/omission failures one agreement
+// round tolerates. The consensus round that carries a view change is
+// sized from the network's delay bounds (consensus.DefaultConfig).
+const tolerated = 1
 
 // viewChangeWProc is the per-message CPU cost a view change's relays
 // and consensus rounds charge on members. It is zero: view changes are
@@ -192,9 +191,6 @@ type Service struct {
 	rb       *rbcast.Service
 	// xferPort carries state transfers to joining replicas.
 	xferPort string
-	// beat is the detector's heartbeat period: the check period in
-	// detectionBound and the retry delay of a blocked change.
-	beat vtime.Duration
 
 	started bool
 	agreed  []View          // the totally ordered agreed view sequence
@@ -247,18 +243,12 @@ func New(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Service, error)
 			return nil, fmt.Errorf("membership: duplicate node id %d in group %q", universe[i], cfg.Name)
 		}
 	}
-	if cfg.F <= 0 {
-		cfg.F = 1
-	}
-	if cfg.F >= len(cfg.Nodes) {
-		return nil, fmt.Errorf("membership: F=%d needs more than F nodes (have %d)", cfg.F, len(cfg.Nodes))
-	}
 	dcfg := fault.DefaultDetectorConfig(cfg.Nodes)
 	// Scope the heartbeats per group: two groups sharing a node must not
 	// steal each other's heartbeat bindings.
 	dcfg.Port = "m." + cfg.Name + ".beat"
 
-	rcfg := rbcast.DefaultConfig(net, cfg.Nodes, cfg.F)
+	rcfg := rbcast.DefaultConfig(net, cfg.Nodes, tolerated)
 	rcfg.WProc = viewChangeWProc
 
 	s := &Service{
@@ -267,7 +257,6 @@ func New(eng *simkern.Engine, net *netsim.Network, cfg Config) (*Service, error)
 		cfg:           cfg,
 		universe:      universe,
 		xferPort:      "m." + cfg.Name + ".xfer",
-		beat:          dcfg.Period,
 		rb:            rbcast.New(eng, net, "m."+cfg.Name, rcfg),
 		current:       make(map[int]View),
 		done:          make(map[uint64]bool),
@@ -449,7 +438,8 @@ func (s *Service) RegisterState(key string, snapshot func(donor, joiner int) any
 }
 
 // detectionBound returns the worst-case crash-to-suspicion latency:
-// the largest pairwise suspicion timeout plus one check period.
+// the largest pairwise suspicion timeout plus one check period (the
+// heartbeat period).
 func (s *Service) detectionBound() vtime.Duration {
 	var worst vtime.Duration
 	for _, o := range s.cfg.Nodes {
@@ -462,14 +452,14 @@ func (s *Service) detectionBound() vtime.Duration {
 			}
 		}
 	}
-	return worst + s.beat
+	return worst + fault.HeartbeatPeriod
 }
 
 // agreementBound returns the suspicion-to-install latency of one
 // uncontended view change: the consensus decision bound plus the
 // broadcast delivery bound Δ.
 func (s *Service) agreementBound() vtime.Duration {
-	return vtime.Duration(s.cfg.F+1)*s.consensusRound() + s.rb.Delta()
+	return vtime.Duration(tolerated+1)*s.consensusRound() + s.rb.Delta()
 }
 
 // Bound returns the provable crash-to-install bound of one uncontended
@@ -481,10 +471,7 @@ func (s *Service) Bound() vtime.Duration {
 }
 
 func (s *Service) consensusRound() vtime.Duration {
-	if s.cfg.ConsensusRound > 0 {
-		return s.cfg.ConsensusRound
-	}
-	return consensus.DefaultConfig(s.net, s.cfg.Nodes, s.cfg.F).Round
+	return consensus.DefaultConfig(s.net, s.cfg.Nodes, tolerated).Round
 }
 
 // handleSuspicion queues a removal when a member suspects a member.
@@ -574,14 +561,14 @@ func (s *Service) majorityCohort(v View) []int {
 	return best
 }
 
-// armRetry schedules one maybeChange retry a detector period from now
+// armRetry schedules one maybeChange retry a heartbeat period from now
 // (deduplicated: at most one armed retry at a time).
 func (s *Service) armRetry() {
 	if s.retryArmed {
 		return
 	}
 	s.retryArmed = true
-	s.eng.After(s.beat, eventq.ClassApp, func() {
+	s.eng.After(fault.HeartbeatPeriod, eventq.ClassApp, func() {
 		s.retryArmed = false
 		s.maybeChange()
 	})
@@ -730,7 +717,7 @@ func (s *Service) maybeChange() {
 	s.inProgress = true
 	newID := cur.ID + 1
 	reason := changeReason(removes, adds)
-	f := s.cfg.F
+	f := tolerated
 	if f > len(cur.Members)-1 {
 		f = len(cur.Members) - 1
 	}

@@ -16,8 +16,8 @@ import (
 	"hades/internal/vtime"
 )
 
-// plane is a registry scraping through a real engine, each window on a
-// chain at its own slot as the cluster wires it, with one instrument of
+// plane is a registry scraping through a real engine, every window on
+// one chain at one slot as the cluster wires it, with one instrument of
 // each kind and an SLO rule, every series' ring already full.
 type plane struct {
 	eng   *simkern.Engine
@@ -30,12 +30,10 @@ type plane struct {
 func newPlane(t *testing.T) *plane {
 	t.Helper()
 	eng := simkern.NewEngine(nil, 1)
+	slot := eng.Slot()
 	reg := metrics.New(metrics.Options{
-		Rules: []metrics.Rule{{Name: "lat", Metric: "lat", Stat: metrics.StatP99, Op: metrics.OpLE, Threshold: 1e9, For: 1}},
-		Chain: func() func(vtime.Time, func()) {
-			s := eng.Slot()
-			return func(t vtime.Time, fn func()) { eng.AtSlot(s, t, eventq.ClassApp, fn) }
-		},
+		Rules:    []metrics.Rule{{Name: "lat", Metric: "lat", Stat: metrics.StatP99, Op: metrics.OpLE, Threshold: 1e9, For: 1}},
+		Schedule: func(t vtime.Time, fn func()) { eng.AtSlot(slot, t, eventq.ClassApp, fn) },
 	})
 	depth := int64(3)
 	reg.GaugeFunc("depth", func() int64 { return depth })
@@ -74,7 +72,8 @@ func TestAllocsScrapeTick(t *testing.T) {
 }
 
 // TestAllocsArmUntil: arming a window costs the same however many ticks
-// it spans: the window's chain door, not a record and a closure per tick.
+// it spans: one chain through the registry's door, not a record and a
+// closure per tick.
 func TestAllocsArmUntil(t *testing.T) {
 	cost := func(ticks int) float64 {
 		p := newPlane(t)

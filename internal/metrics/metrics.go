@@ -50,15 +50,12 @@ type Options struct {
 	// Now is not read: the registry scrapes at the instants it hands
 	// its door. It stays because bench/layers/kernel.go sets it.
 	Now func() vtime.Time
-	// Chain returns a door for one chain of scrape ticks, each
-	// scheduled by its predecessor at a strictly later instant; a
-	// fresh one per ArmUntil call (the cluster wires Cluster.Chain,
-	// whose chain keeps the place an eager layout made at the call
-	// would have had).
-	Chain func() func(t vtime.Time, fn func())
-	// Schedule arranges fn to run at absolute virtual instant t: the
-	// door every window uses when Chain is unset. One of the two is
-	// required for scraping.
+	// Schedule arranges fn to run at absolute virtual instant t, always
+	// later than the instant it last arranged: the registry's one door
+	// for its whole life, every scrape tick of every ArmUntil window
+	// through it (the cluster passes a Cluster.Chain, so the ticks keep
+	// the place in the event order the first window took). Required for
+	// scraping.
 	Schedule func(t vtime.Time, fn func())
 	// Log, when set, receives SLO breach/clear events.
 	Log *monitor.Log
@@ -250,11 +247,10 @@ type Registry struct {
 	topk   *TopK
 	probes []*probe
 
-	// The scrape schedule is one chain per ArmUntil window: the
+	// The scrape schedule is one chain through opt.Schedule: the
 	// pending tick scrapes boundary tickAt (0 when none is pending)
-	// and schedules its successor through door while it is <= until.
+	// and schedules its successor while it is <= until.
 	until, tickAt vtime.Time
-	door          func(t vtime.Time, fn func())
 	tick          func() // scrapeTick, bound once
 	scrapes       int
 }
@@ -364,15 +360,16 @@ func (r *Registry) Keys() *TopK {
 
 // ArmUntil arranges a scrape tick on every interval boundary up to and
 // including until that no earlier call covered (repeated runs extend
-// the schedule). It schedules only the window's first tick, through a
-// fresh Chain door taken now; each tick schedules the next while it is
-// still within until, so the queue holds one tick, not the window, and
-// a run that drains to idle still ends. A call while the previous
-// window's chain is still pending extends that chain. Scrape callbacks
-// read instruments and never mutate simulation state, keeping the
-// plane passive.
+// the schedule). It schedules only the window's first tick through the
+// Schedule door; each tick schedules the next while it is still within
+// until, so the queue holds one tick, not the window, and a run that
+// drains to idle still ends. A call while the previous window's chain
+// is still pending extends that chain. Every window rides the one door,
+// so a horizon split into several calls scrapes as one call covering it
+// would. Scrape callbacks read instruments and never mutate simulation
+// state, keeping the plane passive.
 func (r *Registry) ArmUntil(until vtime.Time) {
-	if r == nil || (r.opt.Chain == nil && r.opt.Schedule == nil) || until <= r.until {
+	if r == nil || r.opt.Schedule == nil || until <= r.until {
 		return
 	}
 	step := vtime.Time(DefaultInterval)
@@ -381,12 +378,8 @@ func (r *Registry) ArmUntil(until vtime.Time) {
 	if r.tickAt != 0 || first > until {
 		return
 	}
-	r.door = r.opt.Schedule
-	if r.opt.Chain != nil {
-		r.door = r.opt.Chain()
-	}
 	r.tickAt = first
-	r.door(first, r.tick)
+	r.opt.Schedule(first, r.tick)
 }
 
 // scrapeTick is one tick of the chain: it scrapes its boundary, then
@@ -396,10 +389,10 @@ func (r *Registry) scrapeTick() {
 	r.scrapeAt(t)
 	if next := t.Add(DefaultInterval); next <= r.until {
 		r.tickAt = next
-		r.door(next, r.tick)
+		r.opt.Schedule(next, r.tick)
 		return
 	}
-	r.tickAt, r.door = 0, nil
+	r.tickAt = 0
 }
 
 // scrapeAt samples every instrument into its series and evaluates the

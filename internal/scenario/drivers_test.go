@@ -89,11 +89,10 @@ func TestRunHoldsOneScrapeTick(t *testing.T) {
 
 // TestQuarterRunsScrapeAsOneRun: four Run(H/4) calls scrape as often,
 // at the same instants and into the same series, as one Run(H), and
-// through the first quarter the points are identical. Past it they may
-// not be: each Run's window takes its place in the event order at that
-// call, as an eager layout of it made there would, so a scrape that
-// ties at its instant with an application event pushed in an earlier
-// quarter runs after that event, where one Run's scrape runs before it.
+// every point is identical: the scrape chain keeps the place in the
+// event order the first window took, so a scrape that ties at its
+// instant with an application event orders against it the same however
+// the horizon is split into runs.
 func TestQuarterRunsScrapeAsOneRun(t *testing.T) {
 	const h = 400 * vtime.Millisecond
 	export := func(parts int) (int, []metrics.SeriesData) {
@@ -121,7 +120,7 @@ func TestQuarterRunsScrapeAsOneRun(t *testing.T) {
 				i, s.Name, len(s.Points), q.Name, len(q.Points))
 		}
 		for j, p := range s.Points {
-			if q.Points[j].T != p.T || p.T <= int64(h/4) && q.Points[j] != p {
+			if q.Points[j] != p {
 				t.Fatalf("%s point %d: %+v in four quarters, %+v in one run", s.Name, j, q.Points[j], p)
 			}
 		}

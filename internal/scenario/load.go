@@ -68,7 +68,7 @@ type LoadSpec struct {
 	HotspotShift []HotspotShiftSpec `json:"hotspotShift,omitempty"`
 	// EndMs closes the submission window, which opens at time zero
 	// (0 = the horizon). Each generator submits at most
-	// load.DefaultMaxOps ops.
+	// load.MaxOps ops.
 	EndMs float64 `json:"endMs,omitempty"`
 	// Disabled keeps the block in the file but attaches nothing.
 	Disabled bool `json:"disabled,omitempty"`

@@ -258,7 +258,7 @@ func msd(f float64) vtime.Duration {
 
 // fixedDriver rejects a submission interval every cannot lay out: one
 // that lowers to under a nanosecond (every would never advance), or
-// one that puts more than load.DefaultMaxOps submissions before the
+// one that puts more than load.MaxOps submissions before the
 // horizon — the guard open-loop generators already have. count, when
 // positive, caps the submissions first. who is the driver's owner.
 func (s Spec) fixedDriver(everyMs float64, count int, who string, args ...any) error {
@@ -270,9 +270,9 @@ func (s Spec) fixedDriver(everyMs float64, count int, who string, args ...any) e
 	if count > 0 && int64(count) < n {
 		n = int64(count)
 	}
-	if n > load.DefaultMaxOps {
+	if n > load.MaxOps {
 		return fmt.Errorf("scenario %q: %s submitting every %gms lays out %d submissions before the %gms horizon (at most %d)",
-			s.Name, fmt.Sprintf(who, args...), everyMs, n, s.HorizonMs, load.DefaultMaxOps)
+			s.Name, fmt.Sprintf(who, args...), everyMs, n, s.HorizonMs, load.MaxOps)
 	}
 	return nil
 }

@@ -40,17 +40,13 @@ type ClientParams struct {
 	// data plane).
 	Node int
 	// RespPort is the port responses arrive on; it must match the
-	// shard groups' response port (empty selects the shared default).
+	// shard groups' response port.
 	RespPort string
-	// MaxRetries is the consecutive timeouts before the policy applies
-	// (0 selects the session calibration, which also sets the reply
-	// timeout).
-	MaxRetries int
 	// Policy selects queueing or failing fast on exhaustion.
 	Policy Policy
 	// Session sets the throughput knobs: op batching per shard and
-	// pipelined in-flight batches. The zero value is the unbatched,
-	// unpipelined discipline.
+	// pipelined in-flight batches (the cluster layer passes its shard
+	// set's). The zero value is the unbatched, unpipelined discipline.
 	Session session.Params
 }
 
@@ -175,9 +171,6 @@ type Client struct {
 // redirect), and the resubmission triggers for parked batches (any
 // new agreed view on any shard, and partition heals).
 func NewClient(eng *simkern.Engine, net *netsim.Network, router *Router, params ClientParams) *Client {
-	if params.RespPort == "" {
-		params.RespPort = respPort
-	}
 	c := &Client{eng: eng, net: net, router: router, p: params,
 		sess:    session.New(eng),
 		reqs:    make(map[uint64]*request),
@@ -279,10 +272,9 @@ func (c *Client) launch(lane string, ops []*request) {
 	}
 	g := c.router.Groups()[b.shard]
 	spec := session.Spec{
-		Label:      batchLabel(b),
-		Node:       c.p.Node,
-		MaxRetries: c.p.MaxRetries,
-		Traces:     traces,
+		Label:  batchLabel(b),
+		Node:   c.p.Node,
+		Traces: traces,
 		Send: func(attempt int) {
 			b.target = g.Replication().Primary()
 			env := batchEnv{Client: c.p.Node, Batch: b.id, Attempt: attempt, Ops: make([]batchOp, len(b.ops))}

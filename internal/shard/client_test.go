@@ -50,12 +50,12 @@ func TestPerKeyFIFOAfterFailFastHead(t *testing.T) {
 		Trace: &cluster.TraceParams{Disabled: true}})
 	c.AddNodes(4) // one shard × 3 replicas + client
 	set := c.ShardsWith(1, 3, cluster.ShardConfig{})
-	cl := set.ClientWith(shard.ClientParams{Node: 3, MaxRetries: 1, Policy: shard.FailFast})
-	// The head's two attempts (at 1 and 6ms) fall in the split and it is
-	// abandoned at 11ms; its successor's first attempt is lost too, its
-	// retry lands after the heal.
+	cl := set.ClientWith(shard.ClientParams{Node: 3, Policy: shard.FailFast})
+	// The head's nine attempts (the session budget: at 1, 6, …, 41ms)
+	// fall in the split and it is abandoned at 46ms; its successor's
+	// first attempt is lost too, its retry lands after the heal.
 	c.PartitionAt(vtime.Time(500*vtime.Microsecond), []int{0, 1, 2}, []int{3})
-	c.HealAt(vtime.Time(12 * ms))
+	c.HealAt(vtime.Time(47 * ms))
 	var seqs []uint64
 	c.At(vtime.Time(1*ms), func() {
 		for cmd := int64(1); cmd <= 3; cmd++ {

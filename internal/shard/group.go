@@ -12,10 +12,6 @@ import (
 	"hades/internal/trace"
 )
 
-// respPort is the default port client replies arrive on (one client
-// per node and per data plane; the cluster layer scopes it per set).
-const respPort = "shard.resp"
-
 // batchOp is one keyed operation inside a batched client submission.
 // Trace rides the envelope so the server opens the replication span on
 // the op's own causal trace (single-process simulation: the
@@ -152,9 +148,9 @@ type GroupConfig struct {
 	Name string
 	// Index is the shard's position on the ring.
 	Index int
-	// RespPort is the port client responses are sent to (empty selects
-	// the default; data planes coexisting on one cluster need distinct
-	// ports, which the cluster layer derives from the set name).
+	// RespPort is the port client responses are sent to (data planes
+	// coexisting on one cluster need distinct ports, which the cluster
+	// layer derives from the set name).
 	RespPort string
 	// Replication configures the underlying replica group. Replicas
 	// must be members of the membership service's universe.
@@ -215,20 +211,8 @@ func NewGroup(eng *simkern.Engine, net *netsim.Network, mem *membership.Service,
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("shard: group needs a name")
 	}
-	if cfg.Replication.Name == "" {
-		cfg.Replication.Name = cfg.Name
-	}
-	if cfg.Replication.Style == 0 {
-		cfg.Replication.Style = replication.SemiActive
-	}
 	if cfg.Replication.Style == replication.Active {
 		return nil, fmt.Errorf("shard: group %q: active replication has no primary to route to", cfg.Name)
-	}
-	if len(cfg.Replication.Replicas) == 0 {
-		cfg.Replication.Replicas = mem.Nodes()
-	}
-	if cfg.RespPort == "" {
-		cfg.RespPort = respPort
 	}
 	g := &Group{
 		eng:      eng,
