@@ -30,7 +30,10 @@ func feasCmd(args []string, stdout, stderr io.Writer) int {
 		return cannot(stderr, "feas", err)
 	}
 
-	tasks := spec.AnalysisTasks()
+	tasks, err := spec.AnalysisTasks()
+	if err != nil {
+		return cannot(stderr, "feas", err)
+	}
 	book, err := spec.CostBook()
 	if err != nil {
 		return cannot(stderr, "feas", err)

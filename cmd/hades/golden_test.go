@@ -57,8 +57,9 @@ func TestCommittedBaselines(t *testing.T) {
 }
 
 // TestRunGolden holds, as SHA-256 digests in testdata/golden.txt, the
-// stdout of hades run -gantt -events for every builtin, and the
-// monitor log alone for every builtin at seeds 1–5 (-short: seed 1);
+// stdout of hades run -gantt -events and of hades feas -validate for
+// every builtin, and the monitor log alone for every builtin at seeds
+// 1–5 (-short: seed 1);
 // each of those seeded runs must also pass Cluster.Verify, and no
 // retained, violation or fault detail may hold a "%!" marker — the
 // record renderer met an argument it does not format. Regenerate
@@ -91,6 +92,17 @@ func TestRunGolden(t *testing.T) {
 			record(t, "run", name, func(t *testing.T, w io.Writer) {
 				var stderr bytes.Buffer
 				args := append([]string{"run", "-builtin", name}, everyReport...)
+				if code := run(args, w, &stderr); code != 0 {
+					t.Fatalf("hades %s exited %d: %s", strings.Join(args, " "), code, stderr.String())
+				}
+			})
+		}
+	})
+	t.Run("feas", func(t *testing.T) {
+		for _, name := range scenario.BuiltinNames() {
+			record(t, "feas", name, func(t *testing.T, w io.Writer) {
+				var stderr bytes.Buffer
+				args := []string{"feas", "-builtin", name, "-validate"}
 				if code := run(args, w, &stderr); code != 0 {
 					t.Fatalf("hades %s exited %d: %s", strings.Join(args, " "), code, stderr.String())
 				}

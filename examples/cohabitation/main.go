@@ -41,8 +41,12 @@ func main() {
 	}
 	var analysis []feasibility.Task
 	for _, st := range specs {
-		must(guaranteed.SpawnSpuri(st)) // sporadic → worst-case arrivals
-		analysis = append(analysis, feasibility.FromSpuri(st))
+		task, err := st.ToHEUG()
+		must(err)
+		must(guaranteed.Spawn(task)) // sporadic → worst-case arrivals
+		at, err := feasibility.FromHEUG(task)
+		must(err)
+		analysis = append(analysis, at)
 	}
 
 	ov := &feasibility.Overheads{Book: costs, SchedCost: 20 * us}

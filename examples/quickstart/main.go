@@ -57,16 +57,20 @@ func main() {
 			Resources: []heug.ResourceReq{{Resource: "bus", Mode: heug.Shared}}}).
 		MustBuild()
 
-	// Spawn registers each task and drives it per its arrival law.
-	app.MustSpawn(control)
-	app.MustSpawn(logger)
+	// Spawn registers each task and drives it per its arrival law; the
+	// analysis reads the same task, so it charges what the run does.
+	var analysis []feasibility.Task
+	for _, task := range []*heug.Task{control, logger} {
+		app.MustSpawn(task)
+		at, err := feasibility.FromHEUG(task)
+		if err != nil {
+			panic(err)
+		}
+		analysis = append(analysis, at)
+	}
 
 	// 3. Feasibility first (the §5.3 cost-integrated test): a
 	// safety-critical system refuses to launch unguaranteed work.
-	analysis := []feasibility.Task{
-		{Name: "control", C: 1500 * us, D: 10 * ms, T: 10 * ms, CS: 1200 * us, Resource: "bus", NumEU: 2, LocalEdges: 1},
-		{Name: "logger", C: 3 * ms, D: 40 * ms, T: 40 * ms, CS: 3 * ms, Resource: "bus", NumEU: 1},
-	}
 	ov := &feasibility.Overheads{Book: costs, SchedCost: 20 * us}
 	verdict := feasibility.EDFSpuri(analysis, ov)
 	fmt.Printf("feasibility (cost-integrated): %v\n", verdict.Feasible)

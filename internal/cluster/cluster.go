@@ -407,9 +407,6 @@ func (a *App) Seal() {
 	a.app.Seal()
 }
 
-// Raw returns the underlying dispatcher.App (advanced use).
-func (a *App) Raw() *dispatcher.App { return a.app }
-
 // StartPeriodic installs a timer-driven activation source following
 // the task's declared periodic arrival law (offset, then every
 // period). Spawn does this automatically for periodic tasks.

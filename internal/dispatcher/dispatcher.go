@@ -62,10 +62,6 @@ type App struct {
 	tasks  []*TaskRuntime
 	hosts  map[int]*schedHost // per node
 	disp   *Dispatcher
-
-	// RejectOnArrivalViolation refuses activations that violate the
-	// declared arrival law instead of merely recording the violation.
-	RejectOnArrivalViolation bool
 }
 
 // TaskRuntime carries the per-task runtime state and statistics.
@@ -221,7 +217,6 @@ func (d *Dispatcher) Task(name string) (*TaskRuntime, bool) {
 var (
 	ErrUnknownTask       = errors.New("dispatcher: unknown task")
 	ErrAdmissionRejected = errors.New("dispatcher: activation rejected by admission test")
-	ErrArrivalViolation  = errors.New("dispatcher: activation violates arrival law")
 )
 
 // Activate requests the activation of a task instance now, as triggered
@@ -238,10 +233,6 @@ func (d *Dispatcher) Activate(taskName string) (*Instance, error) {
 	if viol, detail := tr.checkArrival(now); viol {
 		d.stats.ArrivalViolations++
 		d.eng.Recordf(monitor.KindArrivalLawViolation, tr.primaryNode(), taskName, "%s", detail)
-		if tr.App.RejectOnArrivalViolation {
-			d.stats.Rejections++
-			return nil, fmt.Errorf("%w: task %q: %s", ErrArrivalViolation, taskName, detail)
-		}
 	}
 	tr.lastArrival, tr.haveArrival = now, true
 

@@ -266,27 +266,6 @@ func TestArrivalLawViolationSporadic(t *testing.T) {
 	}
 }
 
-func TestArrivalLawRejection(t *testing.T) {
-	task := heug.NewTask("spo2", heug.SporadicEvery(10*ms)).
-		WithDeadline(5*ms).
-		Code("s", heug.CodeEU{Node: 0, WCET: 100 * us}).
-		MustBuild()
-	sys := cluster.New(cluster.Config{Seed: 7})
-	app := sys.NewApp("app", sched.NewRM(), nil)
-	app.MustAddTask(task)
-	app.Raw().RejectOnArrivalViolation = true
-	app.Seal()
-	sys.ActivateAt("spo2", 0)
-	sys.ActivateAt("spo2", vtime.Time(2*ms))
-	rep := sys.Run(50 * ms)
-	if rep.Stats.Completions != 1 {
-		t.Fatalf("completions %d, want 1 (second activation rejected)", rep.Stats.Completions)
-	}
-	if rep.Stats.Rejections != 1 {
-		t.Fatalf("rejections %d, want 1", rep.Stats.Rejections)
-	}
-}
-
 func TestEarlyTerminationDetected(t *testing.T) {
 	task := heug.NewTask("early", heug.AperiodicLaw()).
 		WithDeadline(50*ms).

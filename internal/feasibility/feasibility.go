@@ -38,38 +38,50 @@ type Task struct {
 	CS vtime.Duration
 	// Resource is the resource guarded by the critical section.
 	Resource string
-	// NumEU is the number of Code_EUs after HEUG translation (Figure 3
-	// yields 3 for resource users, 1 otherwise).
+	// NumEU is the number of Code_EUs of the task's HEUG (the Figure 3
+	// translation yields one per non-empty c_before, cs, c_after).
 	NumEU int
-	// LocalEdges is the number of local precedence constraints in the
-	// translated HEUG (2 for resource users, 0 otherwise).
+	// LocalEdges is the number of its precedence constraints whose two
+	// ends share a node.
 	LocalEdges int
 }
 
-// FromSpuri converts a §5.1 task to the analysis model.
-func FromSpuri(s heug.SpuriTask) Task {
-	n, edges := 0, 0
-	for _, w := range []vtime.Duration{s.CBefore, s.CS, s.CAfter} {
-		if w > 0 {
-			n++
+// FromHEUG derives the §5.1 analysis task from the HEUG task the
+// dispatcher runs. It is the one derivation of the analysis model, so
+// the §5.3 inflation charges exactly the units and edges execution
+// accounts: C sums the Code_EUs' WCETs and NumEU counts them;
+// LocalEdges counts the precedence edges whose two ends share a node (a
+// remote edge is a NetMsg invocation, not a C_prec_local); CS and
+// Resource come from the one unit that holds a resource; D is the task
+// deadline and T its arrival period. A task outside §5.1 — aperiodic,
+// with an Inv_EU, or with more than one critical section — is an
+// error. A task spread over nodes still sums into one uniprocessor task.
+func FromHEUG(h *heug.Task) (Task, error) {
+	if h.Arrival.Kind == heug.Aperiodic {
+		return Task{}, fmt.Errorf("feasibility: task %q is aperiodic, outside the §5.1 model", h.Name)
+	}
+	t := Task{Name: h.Name, D: h.Deadline, T: h.Arrival.Period, NumEU: len(h.EUs)}
+	held := false
+	for _, eu := range h.EUs {
+		if !eu.IsCode() {
+			return Task{}, fmt.Errorf("feasibility: task %q: unit %q is an Inv_EU, outside the §5.1 model", h.Name, eu.Name)
+		}
+		t.C += eu.Code.WCET
+		if len(eu.Code.Resources) == 0 {
+			continue
+		}
+		if held || len(eu.Code.Resources) > 1 {
+			return Task{}, fmt.Errorf("feasibility: task %q holds more than one critical section, outside the §5.1 model", h.Name)
+		}
+		held = true
+		t.CS, t.Resource = eu.Code.WCET, eu.Code.Resources[0].Resource
+	}
+	for _, e := range h.Edges {
+		if h.EUs[e.From].NodeOf() == h.EUs[e.To].NodeOf() {
+			t.LocalEdges++
 		}
 	}
-	if n > 1 {
-		edges = n - 1
-	}
-	if n == 0 {
-		n = 1
-	}
-	return Task{
-		Name:       s.Name,
-		C:          s.C(),
-		D:          s.Deadline,
-		T:          s.PseudoPeriod,
-		CS:         s.CS,
-		Resource:   s.Resource,
-		NumEU:      n,
-		LocalEdges: edges,
-	}
+	return t, nil
 }
 
 // Utilization returns the total utilisation of a task set.

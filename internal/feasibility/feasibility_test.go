@@ -266,24 +266,93 @@ func TestGenerateRespectsConfig(t *testing.T) {
 	}
 }
 
-func TestFromSpuriAndBack(t *testing.T) {
-	st := heug.SpuriTask{
-		Name: "tau", CBefore: 300 * us, CS: 200 * us, CAfter: 500 * us,
-		Resource: "S", Deadline: 5 * ms, PseudoPeriod: 10 * ms,
+// Property: the one derivation inverts ToSpuri's split. A generated
+// analysis task, translated to the Figure 3 HEUG the simulator runs on
+// the node asked for, derives back to itself, unit count and local
+// edges included.
+func TestFromHEUGInvertsToSpuri(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for set := 0; set < 500; set++ {
+		all := Generate(rng, DefaultGenConfig(5, 0.6))
+		node := set % 3
+		for _, want := range all {
+			h, err := ToSpuri(want, all, node).ToHEUG()
+			if err != nil {
+				t.Fatalf("%+v: %v", want, err)
+			}
+			for _, eu := range h.EUs {
+				if eu.NodeOf() != node {
+					t.Fatalf("%s: unit %s on node %d, want %d", want.Name, eu.Name, eu.NodeOf(), node)
+				}
+			}
+			got, err := FromHEUG(h)
+			if err != nil {
+				t.Fatalf("%+v: %v", want, err)
+			}
+			if got != want {
+				t.Fatalf("round trip changed the task:\n got %+v\nwant %+v", got, want)
+			}
+		}
 	}
-	ft := FromSpuri(st)
-	if ft.C != 1*ms || ft.NumEU != 3 || ft.LocalEdges != 2 {
-		t.Fatalf("FromSpuri: %+v", ft)
+}
+
+func TestFromHEUG(t *testing.T) {
+	bus := func(mode heug.AccessMode) []heug.ResourceReq {
+		return []heug.ResourceReq{{Resource: "bus", Mode: mode}}
 	}
-	back := ToSpuri(ft, []Task{ft}, 2)
-	if back.C() != ft.C || back.Node != 2 || back.Resource != "S" {
-		t.Fatalf("ToSpuri: %+v", back)
+	cases := []struct {
+		task *heug.Task
+		want Task
+	}{
+		{ // a sensor read, then the control law holding the bus
+			heug.NewTask("control", heug.PeriodicEvery(10*ms)).WithDeadline(10*ms).
+				Code("read", heug.CodeEU{Node: 0, WCET: 300 * us}).
+				Code("law", heug.CodeEU{Node: 0, WCET: 1200 * us, Resources: bus(heug.Exclusive)}).
+				Precede("read", "law", "sample").MustBuild(),
+			Task{Name: "control", C: 1500 * us, D: 10 * ms, T: 10 * ms, CS: 1200 * us, Resource: "bus", NumEU: 2, LocalEdges: 1},
+		},
+		{ // one unit sharing the bus
+			heug.NewTask("logger", heug.PeriodicEvery(40*ms)).WithDeadline(40*ms).
+				Code("dump", heug.CodeEU{Node: 0, WCET: 3 * ms, Resources: bus(heug.Shared)}).MustBuild(),
+			Task{Name: "logger", C: 3 * ms, D: 40 * ms, T: 40 * ms, CS: 3 * ms, Resource: "bus", NumEU: 1},
+		},
+		{ // a pipeline crossing nodes: only the same-node edge is local
+			heug.NewTask("pipe", heug.SporadicEvery(20*ms)).WithDeadline(18*ms).
+				Code("a", heug.CodeEU{Node: 0, WCET: 400 * us}).
+				Code("b", heug.CodeEU{Node: 1, WCET: 700 * us}).
+				Code("c", heug.CodeEU{Node: 1, WCET: 500 * us}).
+				Precede("a", "b").Precede("b", "c").MustBuild(),
+			Task{Name: "pipe", C: 1600 * us, D: 18 * ms, T: 20 * ms, NumEU: 3, LocalEdges: 1},
+		},
 	}
-	if back.CS != ft.CS {
-		t.Fatal("critical section lost")
+	for _, c := range cases {
+		got, err := FromHEUG(c.task)
+		if err != nil {
+			t.Fatalf("%s: %v", c.task.Name, err)
+		}
+		if got != c.want {
+			t.Errorf("%s:\n got %+v\nwant %+v", c.task.Name, got, c.want)
+		}
 	}
-	if _, err := back.ToHEUG(); err != nil {
-		t.Fatalf("round-trip task invalid: %v", err)
+}
+
+func TestFromHEUGRefusesShapesOutsideTheModel(t *testing.T) {
+	excl := func(r string) []heug.ResourceReq { return []heug.ResourceReq{{Resource: r, Mode: heug.Exclusive}} }
+	for _, task := range []*heug.Task{
+		heug.NewTask("inv", heug.SporadicEvery(10*ms)).WithDeadline(10*ms).
+			Code("a", heug.CodeEU{Node: 0, WCET: 100 * us}).
+			Invoke("call", heug.InvEU{Node: 0, Target: "other", Sync: true}).
+			Precede("a", "call").MustBuild(),
+		heug.NewTask("twocs", heug.SporadicEvery(10*ms)).WithDeadline(10*ms).
+			Code("a", heug.CodeEU{Node: 0, WCET: 100 * us, Resources: excl("S1")}).
+			Code("b", heug.CodeEU{Node: 0, WCET: 100 * us, Resources: excl("S2")}).
+			Precede("a", "b").MustBuild(),
+		heug.NewTask("aper", heug.AperiodicLaw()).WithDeadline(10*ms).
+			Code("a", heug.CodeEU{Node: 0, WCET: 100 * us}).MustBuild(),
+	} {
+		if got, err := FromHEUG(task); err == nil {
+			t.Errorf("%s: derived %+v, want an error", task.Name, got)
+		}
 	}
 }
 

@@ -121,7 +121,7 @@ func Generate(rng *rand.Rand, cfg GenConfig) []Task {
 // c_before); one with a critical section splits into the Figure 3
 // three-unit chain. The elementary-unit count is what the §5.3 cost
 // inflation charges per-unit overheads for, so analysis and simulation
-// must agree on it.
+// must agree on it: FromHEUG of the translated task gives t back.
 func ToSpuri(t Task, all []Task, node int) heug.SpuriTask {
 	var before, after vtime.Duration
 	if t.CS > 0 {

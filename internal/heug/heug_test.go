@@ -291,13 +291,13 @@ func TestSpuriTranslationPreservesWCET(t *testing.T) {
 			st.Resource = "S"
 		}
 		task, err := st.ToHEUG()
-		if st.C() == 0 {
+		if st.c() == 0 {
 			return err != nil
 		}
 		if err != nil {
 			return false
 		}
-		return task.TotalWCET() == st.C()
+		return task.TotalWCET() == st.c()
 	}
 	if !f(0xc4ea, 0x40f5, 0xf251) {
 		t.Error("property fails at (0xc4ea, 0x40f5, 0xf251)")

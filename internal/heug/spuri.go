@@ -28,13 +28,13 @@ type SpuriTask struct {
 	Blocking vtime.Duration
 }
 
-// C returns the task's total worst-case computation time.
-func (s SpuriTask) C() vtime.Duration { return s.CBefore + s.CS + s.CAfter }
+// c returns the task's total worst-case computation time.
+func (s SpuriTask) c() vtime.Duration { return s.CBefore + s.CS + s.CAfter }
 
 // Validate checks the shape ToHEUG can translate: some computation
 // time, and a critical section exactly when a resource is named.
 func (s SpuriTask) Validate() error {
-	if s.C() <= 0 {
+	if s.c() <= 0 {
 		return fmt.Errorf("heug: spuri task %q has no computation time", s.Name)
 	}
 	if s.CS > 0 && s.Resource == "" {

@@ -68,7 +68,11 @@ func TestOverloadMisses(t *testing.T) {
 		t.Fatal("overload scenario missed nothing")
 	}
 	// And the analysis agrees.
-	if feasibility.EDFSpuri(spec.AnalysisTasks(), nil).Feasible {
+	tasks, err := spec.AnalysisTasks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if feasibility.EDFSpuri(tasks, nil).Feasible {
 		t.Fatal("overloaded set declared feasible")
 	}
 }

@@ -260,31 +260,19 @@ func (s Spec) CostBook() (dispatcher.CostBook, error) {
 	return named(s, costBooks, s.Costs, "unknown costs")
 }
 
-// AnalysisTasks converts the scenario to the feasibility model. Staged
-// tasks contribute their summed WCET, EU count and same-node edges.
-func (s Spec) AnalysisTasks() []feasibility.Task {
+// AnalysisTasks derives the feasibility model from the HEUG tasks
+// attachTasks spawns: each spec entry through heugTask, placement
+// applied, then feasibility.FromHEUG.
+func (s Spec) AnalysisTasks() ([]feasibility.Task, error) {
 	out := make([]feasibility.Task, len(s.Tasks))
-	for i, t := range s.Tasks {
-		if len(t.Stages) == 0 {
-			out[i] = feasibility.FromSpuri(t.spuri())
-			continue
+	for i, ts := range s.Tasks {
+		task, err := s.heugTask(ts)
+		if err != nil {
+			return nil, err
 		}
-		var c vtime.Duration
-		edges := 0
-		for j, stage := range t.Stages {
-			c += us(stage.WCETUs)
-			if j > 0 && s.stageNode(t, stage) == s.stageNode(t, t.Stages[j-1]) {
-				edges++
-			}
-		}
-		out[i] = feasibility.Task{
-			Name:       t.Name,
-			C:          c,
-			D:          msd(t.DeadlineMs),
-			T:          msd(t.PeriodMs),
-			NumEU:      len(t.Stages),
-			LocalEdges: edges,
+		if out[i], err = feasibility.FromHEUG(task); err != nil {
+			return nil, fmt.Errorf("scenario %q: %v", s.Name, err)
 		}
 	}
-	return out
+	return out, nil
 }

@@ -19,7 +19,6 @@ import (
 // stable-storage recovery surface. One reason each; at most
 // maxNamesAllowed entries.
 var namesAllowlist = map[string]string{
-	"cluster.App.Raw":               "dispatcher tests set RejectOnArrivalViolation on the raw dispatcher app",
 	"heug.Builder.Invoke":           "dispatcher tests build §3.1 invocation units (Inv_EU); no builtin declares one",
 	"pubsub.Plane.CheckComplete":    "the per-topic delivery audit scenario's TestRegressCorpus runs",
 	"scenario.Builtin":              "cmd/hades golden tests and cluster verify tests load builtins by name",
@@ -33,7 +32,7 @@ var namesAllowlist = map[string]string{
 	"txn.Txn.Read":                  "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
 }
 
-const maxNamesAllowed = 12
+const maxNamesAllowed = 11
 
 // TestOnlyNamesSomethingCalls holds the exported surface of internal/ to
 // what something calls. Every exported func, and every exported method of
