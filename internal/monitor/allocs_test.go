@@ -16,11 +16,11 @@ import (
 	"hades/internal/vtime"
 )
 
-// TestAllocsLogGrowth: recording N kept events allocates the chunks
-// they fill, the arena blocks their details fill, and the first chunk's
-// and the chunk list's growth by append — and nothing else: the bytes
-// allocated stay within 1.3x the bytes the log retains, so nothing the
-// log keeps is copied again as it grows.
+// TestAllocsLogGrowth: recording N kept events allocates the record
+// chunks they fill, the text blocks their subjects and details fill,
+// and the first chunk's and the chunk list's growth by append — and
+// nothing else: the bytes allocated stay within 1.3x the bytes the log
+// retains, so nothing the log keeps is copied again as it grows.
 func TestAllocsLogGrowth(t *testing.T) {
 	const n = 16*chunkLen + 100
 	record := func(l *Log, n int) {
@@ -36,15 +36,16 @@ func TestAllocsLogGrowth(t *testing.T) {
 	record(l, n)
 	runtime.ReadMemStats(&after)
 
-	// A full arena block wastes at most its last detail's length.
-	details, longest := 0, 0
+	text := 0
 	for _, e := range l.Events() {
-		details += len(e.Detail)
-		longest = max(longest, len(e.Detail))
+		text += len(e.Subject) + len(e.Detail)
 	}
-	retained := uint64(l.Len())*uint64(unsafe.Sizeof(Event{})) + uint64(details)
+	retained := uint64(l.Len())*uint64(unsafe.Sizeof(rec{})) + uint64(text)
 	chunks := (n + chunkLen - 1) / chunkLen
-	blocks := bits.Len(maxBlock/minBlock) + (details+maxBlock-longest-1)/(maxBlock-longest)
+	// The first chunk's text doubles from minText; every later chunk's
+	// starts sized from the one before it, and grows at most once here,
+	// where each chunk's text differs from the last by a few percent.
+	blocks := bits.Len(uint(len(l.chunks[0].text)/minText)) + 1 + 2*(chunks-1)
 	bound := uint64(chunks + blocks + 2*bits.Len(chunkLen) + bits.Len(uint(chunks)))
 	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 	t.Logf("%d kept events: %d allocations (bound %d), %d bytes for %d retained", n, allocs, bound, bytes, retained)

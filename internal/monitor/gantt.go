@@ -20,10 +20,14 @@ type interval struct {
 // cell covers (to−from)/width of virtual time; '█' marks occupancy.
 // Threads are ordered by first execution.
 func (l *Log) Gantt(node int, from, to vtime.Time, width int) string {
+	return chart(l.intervals(node), node, from, to, width)
+}
+
+// chart renders a node's intervals, sorted by start, as Gantt does.
+func chart(intervals []interval, node int, from, to vtime.Time, width int) string {
 	if width <= 0 {
 		width = 72
 	}
-	intervals := l.intervals(node)
 	if len(intervals) == 0 {
 		return "(no execution on node)\n"
 	}
@@ -91,17 +95,19 @@ func (l *Log) intervals(node int) []interval {
 	running := map[string]vtime.Time{}
 	var out []interval
 	for _, c := range l.chunks {
-		for i := range c {
-			e := &c[i]
-			if e.Node != node {
+		for i := range c.recs {
+			r := &c.recs[i]
+			if int(r.node) != node {
 				continue
 			}
-			switch e.Kind {
+			switch r.kind {
 			case KindThreadStart, KindThreadResume:
+				e := c.event(i)
 				if _, on := running[e.Subject]; !on {
 					running[e.Subject] = e.At
 				}
 			case KindThreadPreempt, KindThreadFinish:
+				e := c.event(i)
 				if since, on := running[e.Subject]; on {
 					delete(running, e.Subject)
 					if e.At > since {

@@ -13,6 +13,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"hades/internal/vtime"
 )
@@ -227,30 +228,54 @@ func (e Event) String() string {
 // on a side list the bound never touches, so Violations and Faults are
 // complete however full the window is.
 //
-// The window is stored in blocks, so keeping an event never copies the
-// ones kept before it. Events go into chunks of chunkLen: the first
-// grows by append, so a short run holds only what it keeps, and every
-// later one is allocated whole; a full chunk is never touched again.
-// The details Recordf renders are packed into an arena of byte blocks,
-// each detail a substring of its block, which starts small and doubles
-// up to maxBlock.
+// The window holds no pointers. Each event is a 24-byte rec in a chunk
+// of chunkLen; its subject and detail are bytes of the chunk's text,
+// each record's starting where the one before it ended. Records and
+// text are memory the collector never scans, and keeping an event
+// never copies the ones kept before it: the first chunk grows by
+// append, so a short run holds only what it keeps, and every later one
+// is allocated whole. Text is only ever appended, so the Subject and
+// Detail of an Event handed out are substrings of it that stay
+// unchanged for as long as they are held.
 type Log struct {
-	chunks   [][]Event       // full chunks, then the open one
-	n        int             // retained events
-	arena    strings.Builder // the current block
-	capLimit int             // 0 = unlimited
+	chunks   []chunk // full chunks, then the open one
+	n        int     // retained events
+	capLimit int     // 0 = unlimited
 	dropped  int
 	// Never dropped, in record order.
 	viol   []Event
 	faults []Event
+	// spill holds the details of side-list events the full window
+	// refused, appended to like a chunk's text.
+	spill []byte
 }
 
-// Storage block sizes: events per chunk, and the first and largest
-// arena block in bytes.
+// rec is one retained event without its text. Its subject is
+// text[start:subjEnd] of its chunk, where start is the previous
+// record's end (0 for a chunk's first), and its detail is
+// text[subjEnd:end].
+type rec struct {
+	at      vtime.Time
+	node    int32
+	subjEnd uint32
+	end     uint32
+	kind    Kind
+}
+
+// chunk is a run of consecutive records and the text they own. Bytes
+// below len(text) are never written again: a text that outgrows its
+// capacity moves to a new array, and the old one lives on for as long
+// as an Event handed out refers to it.
+type chunk struct {
+	recs []rec
+	text []byte
+}
+
+// Storage sizes: records per chunk, and the first chunk's first text
+// block in bytes.
 const (
 	chunkLen = 4096
-	minBlock = 512
-	maxBlock = 64 << 10
+	minText  = 512
 )
 
 // NewLog returns an empty log. limit, when positive, bounds the window
@@ -261,48 +286,92 @@ func NewLog(limit int) *Log { return &Log{capLimit: limit} }
 // full reports whether the window has reached its bound.
 func (l *Log) full() bool { return l.capLimit > 0 && l.n >= l.capLimit }
 
-// Record appends an event.
-func (l *Log) Record(e Event) {
-	if l == nil {
-		return
-	}
+// side puts e on the side list its kind belongs to, if any.
+func (l *Log) side(e Event) {
 	switch {
 	case e.Kind.isViolation():
 		l.viol = append(l.viol, e)
 	case e.Kind.isFault():
 		l.faults = append(l.faults, e)
 	}
+}
+
+// Record appends an event, copying its subject and detail into the
+// window.
+func (l *Log) Record(e Event) {
+	if l == nil {
+		return
+	}
+	l.side(e)
 	if l.full() {
 		l.dropped++
 		return
 	}
+	l.keep(e.At, e.Kind, e.Node, e.Subject, e.Detail, nil)
+}
+
+// keep appends a record to the window, its detail format rendered with
+// args (see AppendDetail), and returns the chunk it went into.
+func (l *Log) keep(at vtime.Time, kind Kind, node int, subject, format string, args []any) *chunk {
+	// The reservation is a guess at the rendered size; a detail longer
+	// than it grows the text by append.
+	c := l.open(len(subject) + len(format) + 16*len(args))
+	c.text = append(c.text, subject...)
+	subjEnd := len(c.text)
+	c.text = AppendDetail(c.text, format, args)
+	c.recs = append(c.recs, rec{at: at, node: int32(node), subjEnd: uint32(subjEnd), end: uint32(len(c.text)), kind: kind})
+	l.n++
+	return c
+}
+
+// open returns the chunk the next record goes into, with room in its
+// text for n more bytes. The first chunk's text doubles, as nothing is
+// known yet of how much a run writes. A later chunk's starts at what
+// the chunk before it filled plus a sixteenth and, past that, grows by a
+// quarter, so the window's text carries little unused capacity.
+func (l *Log) open(n int) *chunk {
 	last := len(l.chunks) - 1
 	switch {
 	case last < 0:
-		l.chunks = append(l.chunks, nil)
+		l.chunks = append(l.chunks, chunk{})
 		last = 0
-	case len(l.chunks[last]) == chunkLen:
-		l.chunks = append(l.chunks, make([]Event, 0, chunkLen))
+	case len(l.chunks[last].recs) == chunkLen:
+		prev := len(l.chunks[last].text)
+		l.chunks = append(l.chunks, chunk{recs: make([]rec, 0, chunkLen), text: make([]byte, 0, prev+prev/16+n)})
 		last++
 	}
-	l.chunks[last] = append(l.chunks[last], e)
-	l.n++
+	c := &l.chunks[last]
+	if cap(c.text)-len(c.text) < n {
+		step := cap(c.text)
+		if last > 0 {
+			step /= 4
+		}
+		text := make([]byte, len(c.text), max(len(c.text)+n, cap(c.text)+step, minText))
+		copy(text, c.text)
+		c.text = text
+	}
+	return c
 }
 
-// intern copies a rendered detail into the arena and returns it. A
-// strings.Builder never moves the bytes it holds while a write fits its
-// capacity, so every detail handed out stays valid and unchanged; a
-// detail that does not fit starts a new block twice the size of the
-// last, one of its own if it is longer than that.
-func (l *Log) intern(b []byte) string {
-	if l.arena.Cap()-l.arena.Len() < len(b) {
-		size := min(max(2*l.arena.Cap(), minBlock), maxBlock)
-		l.arena = strings.Builder{}
-		l.arena.Grow(max(size, len(b)))
+// event returns record i of c as an Event whose Subject and Detail
+// share c's text.
+func (c *chunk) event(i int) Event {
+	r := &c.recs[i]
+	start := uint32(0)
+	if i > 0 {
+		start = c.recs[i-1].end
 	}
-	from := l.arena.Len()
-	l.arena.Write(b)
-	return l.arena.String()[from:]
+	return Event{At: r.at, Kind: r.kind, Node: int(r.node),
+		Subject: view(c.text, int(start), int(r.subjEnd)), Detail: view(c.text, int(r.subjEnd), int(r.end))}
+}
+
+// view returns text[from:to] as a string sharing text's bytes: they
+// are never written again, so the string never changes.
+func view(text []byte, from, to int) string {
+	if from == to {
+		return ""
+	}
+	return unsafe.String(&text[from], to-from)
 }
 
 // Keeps reports whether a record of kind made now would be kept: the
@@ -312,9 +381,10 @@ func (l *Log) Keeps(kind Kind) bool {
 	return l != nil && (!l.full() || kind.isViolation() || kind.isFault())
 }
 
-// Recordf appends an event built from the arguments. An event nothing
-// would keep — a full window, a kind off the side lists — is
-// counted in Dropped before its detail is formatted, not after.
+// Recordf appends an event built from the arguments, rendering its
+// detail straight into the window's text. An event nothing would keep
+// — a full window, a kind off the side lists — is counted in Dropped
+// before its detail is formatted, not after.
 func (l *Log) Recordf(at vtime.Time, kind Kind, node int, subject, format string, args ...any) {
 	if l == nil {
 		return
@@ -323,7 +393,17 @@ func (l *Log) Recordf(at vtime.Time, kind Kind, node int, subject, format string
 		l.dropped++
 		return
 	}
-	l.Record(Event{At: at, Kind: kind, Node: node, Subject: subject, Detail: l.render(format, args)})
+	if l.full() {
+		l.dropped++
+		from := len(l.spill)
+		l.spill = AppendDetail(l.spill, format, args)
+		l.side(Event{At: at, Kind: kind, Node: node, Subject: subject, Detail: view(l.spill, from, len(l.spill))})
+		return
+	}
+	c := l.keep(at, kind, node, subject, format, args)
+	if kind.isViolation() || kind.isFault() {
+		l.side(c.event(len(c.recs) - 1))
+	}
 }
 
 // Len returns the number of retained events.
@@ -343,20 +423,22 @@ func (l *Log) Dropped() int {
 }
 
 // Events returns the retained events in chronological order. The
-// returned slice is a copy.
+// returned slice is a copy; its strings share the window's text.
 func (l *Log) Events() []Event {
 	if l == nil {
 		return nil
 	}
 	out := make([]Event, 0, l.n)
 	for _, c := range l.chunks {
-		out = append(out, c...)
+		for i := range c.recs {
+			out = append(out, c.event(i))
+		}
 	}
 	return out
 }
 
 // ByKind returns the retained events of the given kinds, in order. The
-// scan reads events in place — a full window is tens of megabytes.
+// scan reads records in place — a full window is megabytes.
 func (l *Log) ByKind(kinds ...Kind) []Event {
 	if l == nil {
 		return nil
@@ -367,9 +449,9 @@ func (l *Log) ByKind(kinds ...Kind) []Event {
 	}
 	var out []Event
 	for _, c := range l.chunks {
-		for i := range c {
-			if want[c[i].Kind] {
-				out = append(out, c[i])
+		for i := range c.recs {
+			if want[c.recs[i].kind] {
+				out = append(out, c.event(i))
 			}
 		}
 	}
@@ -401,8 +483,8 @@ func (l *Log) CountKind(k Kind) int {
 	}
 	n := 0
 	for _, c := range l.chunks {
-		for i := range c {
-			if c[i].Kind == k {
+		for i := range c.recs {
+			if c.recs[i].kind == k {
 				n++
 			}
 		}
@@ -417,8 +499,8 @@ func (l *Log) WriteTrace(w io.Writer) error {
 		return nil
 	}
 	for _, c := range l.chunks {
-		for i := range c {
-			if _, err := fmt.Fprintln(w, c[i].String()); err != nil {
+		for i := range c.recs {
+			if _, err := fmt.Fprintln(w, c.event(i).String()); err != nil {
 				return err
 			}
 		}

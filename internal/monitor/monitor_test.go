@@ -4,9 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"hades/internal/vtime"
 )
@@ -197,86 +201,219 @@ func TestNilLogIsSafe(t *testing.T) {
 	}
 }
 
-// recordMix records n events through Recordf into l and returns what a
-// plain []Event holding the same records looks like. Threads on two
-// nodes start, get preempted, resume and finish, so Gantt intervals
-// straddle chunk boundaries. Details vary in length; one record in ten
-// is a bare format and one a ready-made string, and record number long
-// (none if negative) carries a detail longer than an arena block.
-func recordMix(l *Log, n, long int) []Event {
-	var ref []Event
-	kinds := []Kind{KindThreadStart, KindMessageRecv, KindThreadPreempt, KindThreadResume, KindActivation, KindThreadFinish}
-	big := strings.Repeat("x", maxBlock+100)
-	for i := range n {
-		at, kind, node := vtime.Time(vtime.Duration(i)*vtime.Microsecond), kinds[i%len(kinds)], (i/len(kinds))%2
-		subject := fmt.Sprintf("th%d", i%7)
-		var format string
-		var args []any
-		switch {
-		case i == long:
-			format, args = "big=%s!", []any{big}
-		case i%10 == 3:
-			format = "bare"
-		case i%10 == 7:
-			format, args = "%s", []any{subject}
-		default:
-			format, args = "from=n%d id=%d lat=%s tag=%s", []any{node, i, vtime.Duration(i), strings.Repeat("y", i%40)}
-		}
-		l.Recordf(at, kind, node, subject, format, args...)
-		detail := format
-		if len(args) > 0 {
-			detail = fmt.Sprintf(format, args...)
-		}
-		ref = append(ref, Event{At: at, Kind: kind, Node: node, Subject: subject, Detail: detail})
-	}
-	return ref
+// op is one record offered to a log: e is the event the log must hand
+// back, made through Record when direct and otherwise through Recordf
+// with format and args.
+type op struct {
+	e      Event
+	format string
+	args   []any
+	direct bool
 }
 
-// TestChunkedLogMatchesPlainSlice: a log recorded past two chunk
-// boundaries and many arena blocks, one detail longer than a block
-// among them, reads back exactly what a plain []Event holds, through
-// every reader.
-func TestChunkedLogMatchesPlainSlice(t *testing.T) {
-	l := NewLog(0)
-	ref := recordMix(l, 2*chunkLen+500, chunkLen+3)
-	if len(l.chunks) != 3 || l.arena.Cap() != maxBlock {
-		t.Fatalf("%d chunks, arena block %d: want 3 chunks and a %d-byte block", len(l.chunks), l.arena.Cap(), maxBlock)
+func (o op) apply(l *Log) {
+	if o.direct {
+		l.Record(o.e)
+		return
 	}
-	if l.Len() != len(ref) || !slices.Equal(l.Events(), ref) {
-		t.Fatal("Events differ from the plain slice")
-	}
-	kinds := []Kind{KindThreadStart, KindThreadFinish, KindActivation, KindMessageRecv, KindDeadlineMiss}
-	for _, k := range kinds {
-		var want []Event
-		for _, e := range ref {
-			if e.Kind == k {
-				want = append(want, e)
+	l.Recordf(o.e.At, o.e.Kind, o.e.Node, o.e.Subject, o.format, o.args...)
+}
+
+// mixOps draws n seeded records: every Kind in turn and then at random,
+// half of them the thread kinds Gantt reads; nodes from -1 to 1<<20;
+// empty and non-empty subjects and details; bare formats, one with a
+// literal '%'; ready-made strings; formatted arguments; events made
+// whole through Record; and at index huge (none if negative) a detail
+// longer than 64 KiB.
+func mixOps(seed int64, n, huge int) []op {
+	rng := rand.New(rand.NewSource(seed))
+	nodes := []int{-1, 0, 1, 3, 1 << 20}
+	threads := []Kind{KindThreadStart, KindThreadPreempt, KindThreadResume, KindThreadFinish}
+	ops := make([]op, n)
+	for i := range ops {
+		kind := Kind(i%int(KindCatchUp) + 1)
+		if i >= int(KindCatchUp) {
+			kind = Kind(rng.Intn(int(KindCatchUp)) + 1)
+			if rng.Intn(2) == 0 {
+				kind = threads[rng.Intn(len(threads))]
 			}
 		}
-		if got := l.ByKind(k); !slices.Equal(got, want) {
-			t.Errorf("ByKind(%s): %d events, want %d", k, len(got), len(want))
+		o := op{e: Event{At: vtime.Time(vtime.Duration(i) * vtime.Microsecond), Kind: kind, Node: nodes[rng.Intn(len(nodes))]}}
+		if rng.Intn(8) > 0 {
+			o.e.Subject = fmt.Sprintf("th%d", rng.Intn(7))
 		}
-		if got := l.CountKind(k); got != len(want) {
-			t.Errorf("CountKind(%s) = %d, want %d", k, got, len(want))
+		switch r := rng.Intn(6); {
+		case i == huge:
+			o.format, o.args = "big=%s!", []any{strings.Repeat("x", 64<<10+100)}
+		case r == 0:
+			o.format = ""
+		case r == 1:
+			o.format = "bare, 100% literal"
+		case r == 2:
+			o.format, o.args = "%s", []any{strings.Repeat("s", rng.Intn(20))}
+		case r == 3:
+			o.direct, o.e.Detail = true, strings.Repeat("d", rng.Intn(50))
+		default:
+			o.format, o.args = "from=n%d id=%d lat=%s tag=%q", []any{o.e.Node, uint64(i), vtime.Duration(rng.Int63n(1e12)), strings.Repeat("y", rng.Intn(40))}
+		}
+		if !o.direct {
+			o.e.Detail = o.format
+			if len(o.args) > 0 {
+				o.e.Detail = fmt.Sprintf(o.format, o.args...)
+			}
+		}
+		ops[i] = o
+	}
+	return ops
+}
+
+// plainLog is the reference the chunked log is held against: a window
+// in a plain []Event and side lists, kept the obvious way.
+type plainLog struct {
+	limit        int
+	events       []Event
+	viol, faults []Event
+	dropped      int
+}
+
+func (p *plainLog) record(e Event) {
+	switch {
+	case e.Kind.isViolation():
+		p.viol = append(p.viol, e)
+	case e.Kind.isFault():
+		p.faults = append(p.faults, e)
+	}
+	if p.limit > 0 && len(p.events) >= p.limit {
+		p.dropped++
+		return
+	}
+	p.events = append(p.events, e)
+}
+
+// intervals reconstructs a node's execution intervals from the
+// reference window, sorted by start.
+func (p *plainLog) intervals(node int) []interval {
+	running := map[string]vtime.Time{}
+	var out []interval
+	for _, e := range p.events {
+		if e.Node != node {
+			continue
+		}
+		since, on := running[e.Subject]
+		switch e.Kind {
+		case KindThreadStart, KindThreadResume:
+			if !on {
+				running[e.Subject] = e.At
+			}
+		case KindThreadPreempt, KindThreadFinish:
+			if on {
+				delete(running, e.Subject)
+				if e.At > since {
+					out = append(out, interval{thread: e.Subject, from: since, to: e.At})
+				}
+			}
 		}
 	}
-	if got := l.ByKind(KindThreadStart, KindThreadResume); len(got) != l.CountKind(KindThreadStart)+l.CountKind(KindThreadResume) {
-		t.Errorf("ByKind of two kinds: %d events", len(got))
+	sort.SliceStable(out, func(i, j int) bool { return out[i].from < out[j].from })
+	return out
+}
+
+// cloneEvents copies events with strings of their own.
+func cloneEvents(events []Event) []Event {
+	out := slices.Clone(events)
+	for i := range out {
+		out[i].Subject, out[i].Detail = strings.Clone(out[i].Subject), strings.Clone(out[i].Detail)
 	}
-	var got, want strings.Builder
-	if err := l.WriteTrace(&got); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ref {
-		want.WriteString(e.String() + "\n")
-	}
-	if got.String() != want.String() {
-		t.Error("WriteTrace differs from the plain slice's lines")
-	}
-	plain := &Log{chunks: [][]Event{ref}, n: len(ref)}
-	for node := range 2 {
-		if g, w := l.Gantt(node, 0, 0, 60), plain.Gantt(node, 0, 0, 60); g != w || !strings.Contains(g, "#") {
-			t.Errorf("Gantt(n%d):\n%s\nwant\n%s", node, g, w)
+	return out
+}
+
+// TestChunkedLogMatchesPlainSlice: seeded streams of records, past
+// three chunk boundaries with a detail longer than 64 KiB among them,
+// read back through every reader exactly what a plain []Event holds —
+// in an unbounded window and in one that fills a record past its first
+// chunk and then refuses some 12k records, keeping the violations and
+// faults among them on the side lists. Events, violations and faults
+// handed out in the second chunk are the same bytes after 10k more
+// records.
+func TestChunkedLogMatchesPlainSlice(t *testing.T) {
+	const n, early = 4 * chunkLen, chunkLen + 500
+	for seed := int64(1); seed <= 3; seed++ {
+		ops := mixOps(seed, n, chunkLen+3)
+		for _, limit := range []int{0, chunkLen + 1} {
+			l, ref := NewLog(limit), &plainLog{limit: limit}
+			var handed [3][]Event
+			var want [3][]Event
+			for i, o := range ops {
+				o.apply(l)
+				ref.record(o.e)
+				if i == early {
+					handed = [3][]Event{l.Events(), l.Violations(), l.Faults()}
+					for k := range handed {
+						want[k] = cloneEvents(handed[k])
+					}
+				}
+			}
+			name := fmt.Sprintf("seed %d, limit %d", seed, limit)
+			for k := range handed {
+				if !slices.Equal(handed[k], want[k]) {
+					t.Errorf("%s: events handed out after %d records changed as %d more were kept", name, early, n-early-1)
+				}
+			}
+			if l.Len() != len(ref.events) || l.Dropped() != ref.dropped {
+				t.Errorf("%s: Len=%d Dropped=%d, want %d and %d", name, l.Len(), l.Dropped(), len(ref.events), ref.dropped)
+			}
+			if !slices.Equal(l.Events(), ref.events) {
+				t.Errorf("%s: Events differ from the plain slice", name)
+			}
+			if !slices.Equal(l.Violations(), ref.viol) || !slices.Equal(l.Faults(), ref.faults) {
+				t.Errorf("%s: side lists differ: %d violations and %d faults, want %d and %d",
+					name, len(l.Violations()), len(l.Faults()), len(ref.viol), len(ref.faults))
+			}
+			for k := KindActivation; k <= KindCatchUp; k++ {
+				var want []Event
+				for _, e := range ref.events {
+					if e.Kind == k {
+						want = append(want, e)
+					}
+				}
+				if got := l.ByKind(k); !slices.Equal(got, want) {
+					t.Errorf("%s: ByKind(%s): %d events, want %d", name, k, len(got), len(want))
+				}
+				if got := l.CountKind(k); got != len(want) {
+					t.Errorf("%s: CountKind(%s) = %d, want %d", name, k, got, len(want))
+				}
+			}
+			var two []Event
+			for _, e := range ref.events {
+				if e.Kind == KindThreadStart || e.Kind == KindDeadlineMiss {
+					two = append(two, e)
+				}
+			}
+			if got := l.ByKind(KindDeadlineMiss, KindThreadStart); !slices.Equal(got, two) {
+				t.Errorf("%s: ByKind of two kinds: %d events, want %d", name, len(got), len(two))
+			}
+			var got, trace strings.Builder
+			if err := l.WriteTrace(&got); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ref.events {
+				trace.WriteString(e.String() + "\n")
+			}
+			if ref.dropped > 0 {
+				fmt.Fprintf(&trace, "... %d events dropped (log limit)\n", ref.dropped)
+			}
+			if got.String() != trace.String() {
+				t.Errorf("%s: WriteTrace differs from the plain slice's lines", name)
+			}
+			for _, node := range []int{-1, 0, 1 << 20} {
+				iv := ref.intervals(node)
+				if !slices.Equal(l.intervals(node), iv) {
+					t.Errorf("%s: node %d: %d intervals, want %d", name, node, len(l.intervals(node)), len(iv))
+				}
+				if g, w := l.Gantt(node, 0, 0, 60), chart(iv, node, 0, 0, 60); g != w || !strings.Contains(g, "#") {
+					t.Errorf("%s: Gantt(n%d):\n%s\nwant\n%s", name, node, g, w)
+				}
+			}
 		}
 	}
 }
@@ -285,28 +422,43 @@ func TestChunkedLogMatchesPlainSlice(t *testing.T) {
 // events, the first ones, and counts the rest in Dropped.
 func TestChunkedLogLimit(t *testing.T) {
 	l := NewLog(chunkLen + 1)
-	ref := recordMix(l, chunkLen+40, -1)
+	ops := mixOps(1, chunkLen+40, -1)
+	for _, o := range ops {
+		o.apply(l)
+	}
 	if l.Len() != chunkLen+1 || l.Dropped() != 39 || len(l.chunks) != 2 {
 		t.Fatalf("Len=%d Dropped=%d chunks=%d, want %d, 39 and 2", l.Len(), l.Dropped(), len(l.chunks), chunkLen+1)
 	}
-	if !slices.Equal(l.Events(), ref[:chunkLen+1]) {
-		t.Fatal("window is not the first chunkLen+1 records")
+	for i, e := range l.Events() {
+		if e != ops[i].e {
+			t.Fatalf("event %d = %v, want %v: the window is not the first chunkLen+1 records", i, e, ops[i].e)
+		}
 	}
 }
 
-// TestArenaDetailsNeverChange: a detail read from the log is the same
-// bytes after 100k more records have filled block after block.
-func TestArenaDetailsNeverChange(t *testing.T) {
-	l := NewLog(0)
-	l.Recordf(0, KindActivation, 0, "s", "first id=%d tag=%s", 42, "abc")
-	d := l.Events()[0].Detail
-	want := strings.Clone(d)
-	for i := range 100_000 {
-		l.Recordf(vtime.Time(i), KindMessageRecv, 1, "s", "id=%d lat=%s", i, vtime.Duration(i))
+// TestMonitorRecordIsPointerFree: a retained record is 24 bytes and
+// holds nothing the collector would trace, so the window's chunks are
+// memory it never scans.
+func TestMonitorRecordIsPointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(rec{}); n != 24 {
+		t.Fatalf("rec is %d bytes, want 24", n)
 	}
-	if d != want || l.Events()[0].Detail != want {
-		t.Fatalf("detail %q changed to %q (log holds %q)", want, d, l.Events()[0].Detail)
+	var walk func(reflect.Type, string)
+	walk = func(ty reflect.Type, path string) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				f := ty.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		case reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is a %s: rec must hold no pointer", path, ty.Kind())
+		}
 	}
+	walk(reflect.TypeOf(rec{}), "rec")
 }
 
 func TestEventString(t *testing.T) {

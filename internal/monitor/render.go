@@ -8,9 +8,9 @@ import (
 	"hades/internal/vtime"
 )
 
-// render formats an event detail into the bytes fmt.Sprintf(format,
-// args...) would produce, for the closed set of argument types the
-// record sites pass:
+// AppendDetail appends to b the bytes fmt.Sprintf(format, args...)
+// would produce, for the closed set of argument types the record sites
+// pass:
 //
 //   - unnamed integers under %d and %v, float64 under %g and %v,
 //     strings under %s, %v and %q;
@@ -28,23 +28,12 @@ import (
 // the set renders a visible marker and never panics: a known type under
 // a verb it does not take prints fmt's own "%!verb(type=value)", an
 // unknown type "%!verb(type)", and missing or extra arguments print
-// fmt's MISSING and EXTRA notes.
-//
-// A bare format is the detail, and ("%s", s) with a ready-made string
-// is s itself: a retained event then shares the caller's string.
-// Anything else renders into a stack buffer and is copied into the
-// log's arena, so a kept detail costs CPU and no allocation of its own.
-func (l *Log) render(format string, args []any) string {
-	switch {
-	case len(args) == 0:
-		return format
-	case len(args) == 1 && format == "%s":
-		if s, ok := args[0].(string); ok {
-			return s
-		}
+// fmt's MISSING and EXTRA notes. A format with no arguments is appended
+// as it stands.
+func AppendDetail(b []byte, format string, args []any) []byte {
+	if len(args) == 0 {
+		return append(b, format...)
 	}
-	var buf [256]byte
-	b := buf[:0]
 	next := 0
 	for i := 0; i < len(format); {
 		if format[i] != '%' {
@@ -86,12 +75,12 @@ func (l *Log) render(format string, args []any) string {
 		}
 		b = append(b, ')')
 	}
-	return l.intern(b)
+	return b
 }
 
 // appendArg appends one argument under one verb. Nothing it calls
-// calls it back: a recursive cycle makes the escape analysis move
-// render's buffer to the heap.
+// calls it back: a recursive cycle makes the escape analysis move the
+// arguments to the heap.
 func appendArg(b []byte, verb rune, a any) []byte {
 	switch x := a.(type) {
 	case nil:

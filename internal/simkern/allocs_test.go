@@ -175,10 +175,10 @@ func TestAllocsRefusedRecord(t *testing.T) {
 }
 
 // TestAllocsKeptRecord: a record the log keeps costs no allocation of
-// its own, however many arguments it formats: its detail is copied into
-// the log's arena and the event into the open chunk. The window is
-// unbounded; the chunks and arena blocks it grows into amortise to
-// under one allocation per run.
+// its own, however many arguments it formats: its record goes into the
+// open chunk and its subject and detail render into that chunk's text.
+// The window is unbounded; the chunks and text blocks it grows into
+// amortise to under one allocation per run.
 func TestAllocsKeptRecord(t *testing.T) {
 	eng := NewEngine(monitor.NewLog(0), 1)
 	n, id, lat := 1000, uint64(1<<40), 1500*us

@@ -13,10 +13,10 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 
+	"hades/internal/monitor"
 	"hades/internal/vtime"
 )
 
@@ -326,7 +326,15 @@ func (tr *Trace) instant(format string, args ...any) {
 	if tr == nil || tr.finished {
 		return
 	}
-	tr.marks = append(tr.marks, Mark{At: tr.tc.now(), Name: fmt.Sprintf(format, args...)})
+	tr.marks = append(tr.marks, Mark{At: tr.tc.now(), Name: markName(format, args)})
+}
+
+// markName renders a mark through the monitor's detail renderer: the
+// arguments stay on the caller's stack, and the name is the one
+// allocation.
+func markName(format string, args []any) string {
+	var buf [128]byte
+	return string(monitor.AppendDetail(buf[:0], format, args))
 }
 
 // Violate marks the trace violating (abort, failure, omission): it is
@@ -337,7 +345,7 @@ func (tr *Trace) Violate(format string, args ...any) {
 	if tr == nil {
 		return
 	}
-	tr.viols = append(tr.viols, Mark{At: tr.tc.now(), Name: fmt.Sprintf(format, args...)})
+	tr.viols = append(tr.viols, Mark{At: tr.tc.now(), Name: markName(format, args)})
 	if tr.violating {
 		return
 	}

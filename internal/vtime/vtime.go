@@ -79,6 +79,13 @@ func (d Duration) String() string {
 
 // Append appends the String form of d to b and returns the extended
 // slice, so a caller building a longer text renders d in place.
+//
+// The form is d in the largest unit it reaches, rounded to three
+// decimals with trailing zeros dropped. It is worked out in integers:
+// a microsecond count's decimals are exact, and a millisecond or second
+// count rounds half a thousandth up. Only where integer and float
+// rounding could part — a remainder of exactly half a thousandth, or a
+// count too large for a float64 to hold — does the float form decide.
 func (d Duration) Append(b []byte) []byte {
 	if d == Forever {
 		return append(b, "+inf"...)
@@ -90,12 +97,32 @@ func (d Duration) Append(b []byte) []byte {
 	case d < Microsecond:
 		return append(strconv.AppendInt(b, int64(d), 10), "ns"...)
 	case d < Millisecond:
-		return append(appendTrimmed(b, float64(d)/float64(Microsecond)), "us"...)
+		return append(appendThousandths(b, int64(d)), "us"...)
 	case d < Second:
-		return append(appendTrimmed(b, float64(d)/float64(Millisecond)), "ms"...)
-	default:
+		if d%1000 == 500 {
+			return append(appendTrimmed(b, float64(d)/float64(Millisecond)), "ms"...)
+		}
+		return append(appendThousandths(b, int64(d+500)/1000), "ms"...)
+	case d%1_000_000 == 500_000 || d >= 1<<53:
 		return append(appendTrimmed(b, float64(d)/float64(Second)), "s"...)
+	default:
+		return append(appendThousandths(b, int64(d+500_000)/1_000_000), "s"...)
 	}
+}
+
+// appendThousandths appends v/1000 with three decimals, then drops
+// trailing zeros and a bare decimal point, as appendTrimmed does.
+func appendThousandths(b []byte, v int64) []byte {
+	b = strconv.AppendInt(b, v/1000, 10)
+	frac := v % 1000
+	if frac == 0 {
+		return b
+	}
+	b = append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+	for b[len(b)-1] == '0' {
+		b = b[:len(b)-1]
+	}
+	return b
 }
 
 // appendTrimmed appends f with three decimals, then drops trailing

@@ -67,39 +67,40 @@ func TestDurationString(t *testing.T) {
 	}
 }
 
-// oracleString is Duration.String as it was before it rendered into a
-// stack buffer: FormatFloat, trim, concatenate. Every monitor log and
-// golden was written through it, so String must agree with it byte for
-// byte.
-func oracleString(d Duration) string {
+// oracleString is Duration.String as it was before it rendered in
+// integers: the value in its unit as a float64, formatted with three
+// decimals, trailing zeros trimmed. Every monitor log and golden was
+// written through it, so String must agree with it byte for byte.
+func oracleString(d Duration) string { return string(oracleAppend(nil, d)) }
+
+func oracleAppend(b []byte, d Duration) []byte {
 	if d == Forever {
-		return "+inf"
+		return append(b, "+inf"...)
 	}
-	neg := ""
 	if d < 0 {
-		neg, d = "-", -d
+		b, d = append(b, '-'), -d
 	}
 	switch {
 	case d < Microsecond:
-		return neg + strconv.FormatInt(int64(d), 10) + "ns"
+		return append(strconv.AppendInt(b, int64(d), 10), "ns"...)
 	case d < Millisecond:
-		return neg + oracleTrimFloat(float64(d)/float64(Microsecond)) + "us"
+		return append(oracleTrimFloat(b, float64(d)/float64(Microsecond)), "us"...)
 	case d < Second:
-		return neg + oracleTrimFloat(float64(d)/float64(Millisecond)) + "ms"
+		return append(oracleTrimFloat(b, float64(d)/float64(Millisecond)), "ms"...)
 	default:
-		return neg + oracleTrimFloat(float64(d)/float64(Second)) + "s"
+		return append(oracleTrimFloat(b, float64(d)/float64(Second)), "s"...)
 	}
 }
 
-func oracleTrimFloat(f float64) string {
-	s := strconv.FormatFloat(f, 'f', 3, 64)
-	for len(s) > 0 && s[len(s)-1] == '0' {
-		s = s[:len(s)-1]
+func oracleTrimFloat(b []byte, f float64) []byte {
+	b = strconv.AppendFloat(b, f, 'f', 3, 64)
+	for b[len(b)-1] == '0' {
+		b = b[:len(b)-1]
 	}
-	if len(s) > 0 && s[len(s)-1] == '.' {
-		s = s[:len(s)-1]
+	if b[len(b)-1] == '.' {
+		b = b[:len(b)-1]
 	}
-	return s
+	return b
 }
 
 func TestDurationStringMatchesOracle(t *testing.T) {
@@ -130,15 +131,32 @@ func TestDurationStringMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	// A dense sweep through the nanosecond and microsecond ranges, then
-	// seeded samples at every magnitude.
-	for d := Duration(-3000); d <= 30_000; d++ {
-		check(d)
+	// Every value below 3ms, then a million seeded values at every
+	// magnitude, each with the half-thousandth tie of its unit and the
+	// tie's two neighbours: the one place integer rounding and the
+	// oracle's float rounding could part.
+	var got, want [32]byte
+	same := func(d Duration) {
+		if g, w := d.Append(got[:0]), oracleAppend(want[:0], d); string(g) != string(w) {
+			t.Fatalf("(%d).Append = %q, oracle %q", int64(d), g, w)
+		}
 	}
-	for d := Duration(30_000); d <= 2_100_000; d += 37 {
-		check(d)
+	for d := Duration(-3000); d < 3_000_000; d++ {
+		same(d)
 	}
 	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		d := Duration(rng.Int63() >> uint(rng.Intn(63)))
+		same(d)
+		same(-d)
+		unit := Millisecond / 1000
+		if d >= Second {
+			unit = Second / 1000
+		}
+		for tie := d - d%unit + unit/2 - 1; tie <= d-d%unit+unit/2+1; tie++ {
+			same(tie)
+		}
+	}
 	for i := 0; i < 20_000; i++ {
 		d := Duration(rng.Int63() >> uint(rng.Intn(63)))
 		check(d)
