@@ -102,16 +102,16 @@ func (l *Log) intervals(node int) []interval {
 			}
 			switch r.kind {
 			case KindThreadStart, KindThreadResume:
-				e := c.event(i)
-				if _, on := running[e.Subject]; !on {
-					running[e.Subject] = e.At
+				thread := c.subject(i)
+				if _, on := running[thread]; !on {
+					running[thread] = r.at
 				}
 			case KindThreadPreempt, KindThreadFinish:
-				e := c.event(i)
-				if since, on := running[e.Subject]; on {
-					delete(running, e.Subject)
-					if e.At > since {
-						out = append(out, interval{thread: e.Subject, from: since, to: e.At})
+				thread := c.subject(i)
+				if since, on := running[thread]; on {
+					delete(running, thread)
+					if r.at > since {
+						out = append(out, interval{thread: thread, from: since, to: r.at})
 					}
 				}
 			}

@@ -9,10 +9,10 @@
 package monitor
 
 import (
-	"fmt"
+	"encoding/binary"
 	"io"
 	"slices"
-	"strings"
+	"strconv"
 	"unsafe"
 
 	"hades/internal/vtime"
@@ -108,7 +108,8 @@ const (
 	KindCatchUp
 )
 
-var kindNames = map[Kind]string{
+// kindNames holds each kind's mnemonic at its own index.
+var kindNames = [...]string{
 	KindActivation:          "Atv",
 	KindThreadReady:         "Ready",
 	KindThreadStart:         "Start",
@@ -168,10 +169,10 @@ var kindNames = map[Kind]string{
 
 // String returns the short mnemonic for the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
+	return "Kind(" + strconv.Itoa(int(k)) + ")"
 }
 
 // isViolation reports whether the kind records a detected property
@@ -208,35 +209,62 @@ type Event struct {
 
 // String renders the event as one trace line.
 func (e Event) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "[%12s]", e.At)
-	if e.Node >= 0 {
-		fmt.Fprintf(&b, " n%d", e.Node)
-	}
-	fmt.Fprintf(&b, " %-18s %s", e.Kind, e.Subject)
+	var buf [128]byte
+	b := appendHead(buf[:0], e.At, e.Node, e.Kind, e.Subject)
 	if e.Detail != "" {
-		fmt.Fprintf(&b, " (%s)", e.Detail)
+		b = append(append(append(b, " ("...), e.Detail...), ')')
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendHead appends a trace line up to its detail: the instant
+// right-aligned in 12 columns, the node, the kind left-aligned in 18,
+// and the subject.
+func appendHead(b []byte, at vtime.Time, node int, kind Kind, subject string) []byte {
+	var buf [24]byte
+	// Infinity and Forever share one bit pattern: "+inf" either way.
+	t := vtime.Duration(at).Append(buf[:0])
+	b = append(append(pad(append(b, '['), 12-len(t)), t...), ']')
+	if node >= 0 {
+		b = strconv.AppendInt(append(b, " n"...), int64(node), 10)
+	}
+	name := kind.String()
+	b = pad(append(append(b, ' '), name...), 18-len(name))
+	return append(append(b, ' '), subject...)
+}
+
+// pad appends n spaces, none if n is not positive.
+func pad(b []byte, n int) []byte {
+	for range n {
+		b = append(b, ' ')
+	}
+	return b
 }
 
 // Log collects events in order. It is not safe for concurrent use: a HADES
 // run is single-threaded by design (determinism), so the log needs no lock.
 //
 // A positive limit bounds the retained *window* to the first limit
-// events. Every violation and every fault-timeline event is also kept
-// on a side list the bound never touches, so Violations and Faults are
-// complete however full the window is.
+// events. Every violation and every fault-timeline event is also kept,
+// its detail rendered, on a side list the bound never touches, so
+// Violations and Faults are complete however full the window is.
 //
 // The window holds no pointers. Each event is a 24-byte rec in a chunk
-// of chunkLen; its subject and detail are bytes of the chunk's text,
-// each record's starting where the one before it ended. Records and
-// text are memory the collector never scans, and keeping an event
-// never copies the ones kept before it: the first chunk grows by
-// append, so a short run holds only what it keeps, and every later one
-// is allocated whole. Text is only ever appended, so the Subject and
-// Detail of an Event handed out are substrings of it that stay
-// unchanged for as long as they are held.
+// of chunkLen; its subject and detail are bytes of the chunk's text. A
+// subject the chunk already holds is not written again: the record
+// points at the earlier bytes, found through a small cache that is
+// cleared when a chunk opens. A detail is stored typed (encode.go): the
+// index of its form, a format and the argument types of one call site,
+// then each argument as a varint, eight float bytes or a string. It is
+// rendered only when read, through AppendDetail, to the bytes the
+// record site's format gives. Records and text are memory the collector
+// never scans, and keeping an event never copies the ones kept before
+// it: the first chunk doubles, so a short run holds only what it keeps,
+// and every later one is allocated whole, the last of a bounded window
+// only as large as the bound leaves. Text is only ever appended, so the
+// Subject of an Event handed out is a substring of it that stays
+// unchanged for as long as it is held; a rendered Detail shares a
+// buffer of the call that read it.
 type Log struct {
 	chunks   []chunk // full chunks, then the open one
 	n        int     // retained events
@@ -245,20 +273,26 @@ type Log struct {
 	// Never dropped, in record order.
 	viol   []Event
 	faults []Event
-	// spill holds the details of side-list events the full window
-	// refused, appended to like a chunk's text.
+	// spill holds the rendered details of side-list events, appended
+	// to like a chunk's text.
 	spill []byte
+	forms formTable
+	// seen is the open chunk's subject cache: where in its text
+	// strings it holds lie, by slotOf.
+	seen [seenSlots]span
 }
 
 // rec is one retained event without its text. Its subject is
-// text[start:subjEnd] of its chunk, where start is the previous
-// record's end (0 for a chunk's first), and its detail is
-// text[subjEnd:end].
+// text[subj:subj+subjLen] of its chunk; a subject of longSubj bytes or
+// more is stored at subj behind its uvarint length. Its detail runs to
+// end from where the later of that subject and the previous record (0
+// for a chunk's first) ends.
 type rec struct {
 	at      vtime.Time
 	node    int32
-	subjEnd uint32
+	subj    uint32
 	end     uint32
+	subjLen uint16
 	kind    Kind
 }
 
@@ -271,10 +305,11 @@ type chunk struct {
 	text []byte
 }
 
-// Storage sizes: records per chunk, and the first chunk's first text
-// block in bytes.
+// Storage sizes: records per chunk, the first chunk's first record
+// block, and its first text block in bytes.
 const (
 	chunkLen = 4096
+	minRecs  = 64
 	minText  = 512
 )
 
@@ -296,8 +331,8 @@ func (l *Log) side(e Event) {
 	}
 }
 
-// Record appends an event, copying its subject and detail into the
-// window.
+// Record appends an event, copying its subject and its ready-made
+// detail into the window.
 func (l *Log) Record(e Event) {
 	if l == nil {
 		return
@@ -310,25 +345,48 @@ func (l *Log) Record(e Event) {
 	l.keep(e.At, e.Kind, e.Node, e.Subject, e.Detail, nil)
 }
 
-// keep appends a record to the window, its detail format rendered with
-// args (see AppendDetail), and returns the chunk it went into.
+// keep appends a record to the window, its detail format and args
+// stored as l.detail stores them, and returns the chunk it went into.
 func (l *Log) keep(at vtime.Time, kind Kind, node int, subject, format string, args []any) *chunk {
-	// The reservation is a guess at the rendered size; a detail longer
+	// The reservation is a guess at the stored size; a detail longer
 	// than it grows the text by append.
 	c := l.open(len(subject) + len(format) + 16*len(args))
-	c.text = append(c.text, subject...)
-	subjEnd := len(c.text)
-	c.text = AppendDetail(c.text, format, args)
-	c.recs = append(c.recs, rec{at: at, node: int32(node), subjEnd: uint32(subjEnd), end: uint32(len(c.text)), kind: kind})
+	r := rec{at: at, node: int32(node), kind: kind}
+	r.subj, r.subjLen = l.subject(c, subject)
+	c.text = l.detail(c.text, format, args)
+	r.end = uint32(len(c.text))
+	c.recs = append(c.recs, r)
 	l.n++
 	return c
 }
 
+// subject stores s as the subject of the record c is about to keep,
+// and returns the record's subj and subjLen.
+func (l *Log) subject(c *chunk, s string) (uint32, uint16) {
+	at := len(c.text)
+	switch {
+	case s == "":
+	case len(s) >= longSubj:
+		c.text = append(binary.AppendUvarint(c.text, uint64(len(s))), s...)
+		return uint32(at), longSubj
+	default:
+		e, ok := l.find(c.text, s)
+		if ok {
+			return e.off, uint16(len(s))
+		}
+		c.text = append(c.text, s...)
+		*e = span{off: uint32(at), n: uint32(len(s))}
+	}
+	return uint32(at), uint16(len(s))
+}
+
 // open returns the chunk the next record goes into, with room in its
-// text for n more bytes. The first chunk's text doubles, as nothing is
-// known yet of how much a run writes. A later chunk's starts at what
-// the chunk before it filled plus a sixteenth and, past that, grows by a
-// quarter, so the window's text carries little unused capacity.
+// text for n more bytes. The first chunk's records and text double, as
+// nothing is known yet of how much a run writes. A later chunk's text
+// starts at what the chunk before it filled plus a sixteenth and, past
+// that, grows by a quarter, so the window's text carries little unused
+// capacity. The last chunk of a bounded window holds only the records
+// the bound leaves, and text to match.
 func (l *Log) open(n int) *chunk {
 	last := len(l.chunks) - 1
 	switch {
@@ -336,11 +394,23 @@ func (l *Log) open(n int) *chunk {
 		l.chunks = append(l.chunks, chunk{})
 		last = 0
 	case len(l.chunks[last].recs) == chunkLen:
+		recs := chunkLen
+		if l.capLimit > 0 {
+			recs = min(recs, l.capLimit-l.n)
+		}
 		prev := len(l.chunks[last].text)
-		l.chunks = append(l.chunks, chunk{recs: make([]rec, 0, chunkLen), text: make([]byte, 0, prev+prev/16+n)})
+		l.chunks = append(l.chunks, chunk{recs: make([]rec, 0, recs), text: make([]byte, 0, (prev+prev/16)*recs/chunkLen+n)})
 		last++
+		l.seen = [seenSlots]span{}
 	}
 	c := &l.chunks[last]
+	if len(c.recs) == cap(c.recs) { // only the first chunk grows
+		grown := min(max(2*cap(c.recs), minRecs), chunkLen)
+		if l.capLimit > 0 {
+			grown = min(grown, l.capLimit)
+		}
+		c.recs = append(make([]rec, 0, grown), c.recs...)
+	}
 	if cap(c.text)-len(c.text) < n {
 		step := cap(c.text)
 		if last > 0 {
@@ -353,16 +423,31 @@ func (l *Log) open(n int) *chunk {
 	return c
 }
 
-// event returns record i of c as an Event whose Subject and Detail
-// share c's text.
-func (c *chunk) event(i int) Event {
+// subjectAt returns where record i's subject lies in c's text.
+func (c *chunk) subjectAt(i int) (from, to int) {
 	r := &c.recs[i]
-	start := uint32(0)
-	if i > 0 {
-		start = c.recs[i-1].end
+	from = int(r.subj)
+	if r.subjLen == longSubj {
+		n, k := binary.Uvarint(c.text[from:])
+		return from + k, from + k + int(n)
 	}
-	return Event{At: r.at, Kind: r.kind, Node: int(r.node),
-		Subject: view(c.text, int(start), int(r.subjEnd)), Detail: view(c.text, int(r.subjEnd), int(r.end))}
+	return from, from + int(r.subjLen)
+}
+
+// subject returns record i's subject, sharing c's text.
+func (c *chunk) subject(i int) string {
+	from, to := c.subjectAt(i)
+	return view(c.text, from, to)
+}
+
+// detailAt returns where record i's stored detail lies in c's text:
+// from the later of the previous record's end and its subject's.
+func (c *chunk) detailAt(i int) (from, to int) {
+	if i > 0 {
+		from = int(c.recs[i-1].end)
+	}
+	_, subj := c.subjectAt(i)
+	return max(from, subj), int(c.recs[i].end)
 }
 
 // view returns text[from:to] as a string sharing text's bytes: they
@@ -374,6 +459,32 @@ func view(text []byte, from, to int) string {
 	return unsafe.String(&text[from], to-from)
 }
 
+// reader reads a log's records back as Events. The details it renders
+// share buf, which is only ever appended to; args is scratch for one
+// detail's arguments.
+type reader struct {
+	l    *Log
+	buf  []byte
+	args []any
+}
+
+// event returns record i of c as an Event. Its Subject shares c's
+// text, and so does its Detail when the text holds it rendered.
+func (rd *reader) event(c *chunk, i int) Event {
+	r := &c.recs[i]
+	e := Event{At: r.at, Kind: r.kind, Node: int(r.node), Subject: c.subject(i)}
+	switch from, to := c.detailAt(i); {
+	case from == to:
+	case c.text[from] == literal:
+		e.Detail = view(c.text, from+1, to)
+	default:
+		start := len(rd.buf)
+		rd.buf = rd.appendDetail(rd.buf, c.text[:to], from)
+		e.Detail = view(rd.buf, start, len(rd.buf))
+	}
+	return e
+}
+
 // Keeps reports whether a record of kind made now would be kept: the
 // test Recordf applies before it formats. A caller whose subject costs
 // something to build asks first.
@@ -381,10 +492,10 @@ func (l *Log) Keeps(kind Kind) bool {
 	return l != nil && (!l.full() || kind.isViolation() || kind.isFault())
 }
 
-// Recordf appends an event built from the arguments, rendering its
-// detail straight into the window's text. An event nothing would keep
-// — a full window, a kind off the side lists — is counted in Dropped
-// before its detail is formatted, not after.
+// Recordf appends an event built from the arguments, storing its
+// detail typed in the window's text (see Log). An event nothing would
+// keep — a full window, a kind off the side lists — is counted in
+// Dropped before its detail is stored, not after.
 func (l *Log) Recordf(at vtime.Time, kind Kind, node int, subject, format string, args ...any) {
 	if l == nil {
 		return
@@ -393,16 +504,18 @@ func (l *Log) Recordf(at vtime.Time, kind Kind, node int, subject, format string
 		l.dropped++
 		return
 	}
+	e := Event{At: at, Kind: kind, Node: node, Subject: subject}
 	if l.full() {
 		l.dropped++
+	} else {
+		c := l.keep(at, kind, node, subject, format, args)
+		e.Subject = c.subject(len(c.recs) - 1)
+	}
+	if kind.isViolation() || kind.isFault() {
 		from := len(l.spill)
 		l.spill = AppendDetail(l.spill, format, args)
-		l.side(Event{At: at, Kind: kind, Node: node, Subject: subject, Detail: view(l.spill, from, len(l.spill))})
-		return
-	}
-	c := l.keep(at, kind, node, subject, format, args)
-	if kind.isViolation() || kind.isFault() {
-		l.side(c.event(len(c.recs) - 1))
+		e.Detail = view(l.spill, from, len(l.spill))
+		l.side(e)
 	}
 }
 
@@ -423,22 +536,25 @@ func (l *Log) Dropped() int {
 }
 
 // Events returns the retained events in chronological order. The
-// returned slice is a copy; its strings share the window's text.
+// returned slice is a copy; its subjects share the window's text.
 func (l *Log) Events() []Event {
 	if l == nil {
 		return nil
 	}
 	out := make([]Event, 0, l.n)
-	for _, c := range l.chunks {
+	rd := reader{l: l}
+	for ci := range l.chunks {
+		c := &l.chunks[ci]
 		for i := range c.recs {
-			out = append(out, c.event(i))
+			out = append(out, rd.event(c, i))
 		}
 	}
 	return out
 }
 
 // ByKind returns the retained events of the given kinds, in order. The
-// scan reads records in place — a full window is megabytes.
+// scan reads records in place — a full window is megabytes — and
+// renders only the details of the events it returns.
 func (l *Log) ByKind(kinds ...Kind) []Event {
 	if l == nil {
 		return nil
@@ -448,10 +564,12 @@ func (l *Log) ByKind(kinds ...Kind) []Event {
 		want[k] = true
 	}
 	var out []Event
-	for _, c := range l.chunks {
+	rd := reader{l: l}
+	for ci := range l.chunks {
+		c := &l.chunks[ci]
 		for i := range c.recs {
 			if want[c.recs[i].kind] {
-				out = append(out, c.event(i))
+				out = append(out, rd.event(c, i))
 			}
 		}
 	}
@@ -493,20 +611,37 @@ func (l *Log) CountKind(k Kind) int {
 }
 
 // WriteTrace writes every retained event to w in chronological order,
-// one per line, then a note of how many the limit dropped.
+// one per line as Event.String renders it, then a note of how many the
+// limit dropped. Each line is rendered into one reused buffer.
 func (l *Log) WriteTrace(w io.Writer) error {
 	if l == nil {
 		return nil
 	}
-	for _, c := range l.chunks {
+	rd := reader{l: l}
+	var line []byte
+	for ci := range l.chunks {
+		c := &l.chunks[ci]
 		for i := range c.recs {
-			if _, err := fmt.Fprintln(w, c.event(i).String()); err != nil {
+			r := &c.recs[i]
+			line = appendHead(line[:0], r.at, int(r.node), r.kind, c.subject(i))
+			if from, to := c.detailAt(i); from < to {
+				n := len(line)
+				line = rd.appendDetail(append(line, " ("...), c.text[:to], from)
+				if len(line) == n+2 {
+					line = line[:n]
+				} else {
+					line = append(line, ')')
+				}
+			}
+			line = append(line, '\n')
+			if _, err := w.Write(line); err != nil {
 				return err
 			}
 		}
 	}
 	if l.dropped > 0 {
-		_, err := fmt.Fprintf(w, "... %d events dropped (log limit)\n", l.dropped)
+		line = strconv.AppendInt(append(line[:0], "... "...), int64(l.dropped), 10)
+		_, err := w.Write(append(line, " events dropped (log limit)\n"...))
 		return err
 	}
 	return nil

@@ -221,14 +221,43 @@ func (o op) apply(l *Log) {
 
 // mixOps draws n seeded records: every Kind in turn and then at random,
 // half of them the thread kinds Gantt reads; nodes from -1 to 1<<20;
-// empty and non-empty subjects and details; bare formats, one with a
-// literal '%'; ready-made strings; formatted arguments; events made
-// whole through Record; and at index huge (none if negative) a detail
-// longer than 64 KiB.
+// subjects built afresh from a recurring pool that holds two pairs
+// sharing a subject-cache slot, one pair of equal length, with empty
+// ones among them, and at huge+1 and huge+2 subjects of 64 KiB and
+// more. Details are bare formats, one with a literal '%'; every
+// argument type the typed detail stores, each integer width and
+// uintptr, float64, Duration and Time, and strings under %s, %q and %v,
+// the record's own subject and the colliding pairs among them; each
+// fallback — slices, a nil, an unknown type, a type switch left
+// half-way, more than maxArgs arguments — and missing and extra
+// arguments, wrong verbs and %%; 200 formats, past the one-byte form
+// indices; events made whole through Record; and at index huge (none
+// if negative) a detail longer than 64 KiB. Each record's Detail is
+// its eager render.
 func mixOps(seed int64, n, huge int) []op {
 	rng := rand.New(rand.NewSource(seed))
 	nodes := []int{-1, 0, 1, 3, 1 << 20}
 	threads := []Kind{KindThreadStart, KindThreadPreempt, KindThreadResume, KindThreadFinish}
+	sameLen, otherLen := collidingSubjects()
+	pool := []string{"th0", "th1", "th2", "th3", "th4", "th5", "th6", "", "shard3.req",
+		sameLen[0], sameLen[1], otherLen[0], otherLen[1], "quote\"d\n", "h\u00e9llo, w\u00f6rld"}
+	forms := make([]string, 200)
+	for k := range forms {
+		forms[k] = fmt.Sprintf("k%03d=%%d v=%%s", k)
+	}
+	// A word is a pool string as it is, or its bytes at an address of
+	// their own.
+	word := func() string {
+		w := pool[rng.Intn(len(pool))]
+		if rng.Intn(2) == 0 {
+			w = strings.Clone(w)
+		}
+		return w
+	}
+	var many [maxArgs + 1]any
+	for k := range many {
+		many[k] = k
+	}
 	ops := make([]op, n)
 	for i := range ops {
 		kind := Kind(i%int(KindCatchUp) + 1)
@@ -239,10 +268,18 @@ func mixOps(seed int64, n, huge int) []op {
 			}
 		}
 		o := op{e: Event{At: vtime.Time(vtime.Duration(i) * vtime.Microsecond), Kind: kind, Node: nodes[rng.Intn(len(nodes))]}}
-		if rng.Intn(8) > 0 {
+		switch {
+		case huge >= 0 && i == huge+1:
+			o.e.Subject = strings.Repeat("S", 64<<10+7)
+		case huge >= 0 && i == huge+2:
+			o.e.Subject = strings.Repeat("T", longSubj)
+		case rng.Intn(4) > 0:
 			o.e.Subject = fmt.Sprintf("th%d", rng.Intn(7))
+		default:
+			o.e.Subject = word()
 		}
-		switch r := rng.Intn(6); {
+		u := rng.Uint64()
+		switch r := rng.Intn(12); {
 		case i == huge:
 			o.format, o.args = "big=%s!", []any{strings.Repeat("x", 64<<10+100)}
 		case r == 0:
@@ -253,18 +290,66 @@ func mixOps(seed int64, n, huge int) []op {
 			o.format, o.args = "%s", []any{strings.Repeat("s", rng.Intn(20))}
 		case r == 3:
 			o.direct, o.e.Detail = true, strings.Repeat("d", rng.Intn(50))
-		default:
+		case r == 4:
 			o.format, o.args = "from=n%d id=%d lat=%s tag=%q", []any{o.e.Node, uint64(i), vtime.Duration(rng.Int63n(1e12)), strings.Repeat("y", rng.Intn(40))}
+		case r == 5:
+			o.format = "i=%d i8=%d i16=%d i32=%d i64=%v u=%d u8=%d u16=%d u32=%d u64=%v up=%d"
+			if rng.Intn(2) == 0 { // wrong verbs: fmt's notes name each type
+				o.format = "%s %s %q %s %x %s %s %q %s %x %s %d %d %x %d"
+			}
+			o.args = []any{int(u), int8(u), int16(u), int32(u), int64(u), uint(u), uint8(u), uint16(u), uint32(u), u, uintptr(u),
+				"s", float64(u), vtime.Duration(u), vtime.Time(u)}
+		case r == 6:
+			f := [...]float64{rng.NormFloat64() * 1e6, math.NaN(), math.Inf(-1), math.Copysign(0, -1), 1e-300, 0.1}[rng.Intn(6)]
+			d := [...]vtime.Duration{vtime.Duration(u), vtime.Duration(rng.Int63n(1e9)), vtime.Forever, -vtime.Duration(rng.Int63n(1e6))}[rng.Intn(4)]
+			at := [...]vtime.Time{vtime.Time(rng.Int63n(1e12)), vtime.Infinity, vtime.Time(u)}[rng.Intn(3)]
+			o.format, o.args = "%g %v d=%s %v %d t=%s %d", []any{f, f, d, d, d, at, at}
+		case r == 7:
+			o.format, o.args = "%s|%q|%v|%s", []any{word(), word(), word(), strings.Clone(o.e.Subject)}
+		case r == 8:
+			fallbacks := [][]any{{[]int{1, -2}, 3}, {[]string{"a", word()}}, {[][]int{{1}, {}}}, {nil, 4}, {KindDeadlock, "x"},
+				{word(), nil}, {word(), uint8(3), []int(nil)}, many[:]}
+			o.format, o.args = "%v %d %s", fallbacks[rng.Intn(len(fallbacks))]
+			if len(o.args) > 3 {
+				o.format = strings.Repeat("%d,", len(o.args))
+			}
+		case r == 9:
+			notes := [...]struct {
+				format string
+				args   []any
+			}{{"%d and %s", []any{i}}, {"%d", []any{i, word(), vtime.Duration(u)}}, {"100%% of %d%%", []any{i}},
+				{"%s %d %g %q", []any{i, word(), vtime.Duration(i), 2.5}}, {"trailing %", []any{i}}}
+			k := rng.Intn(len(notes))
+			o.format, o.args = notes[k].format, notes[k].args
+		default:
+			o.format, o.args = forms[rng.Intn(len(forms))], []any{int(u >> 40), word()}
 		}
 		if !o.direct {
-			o.e.Detail = o.format
-			if len(o.args) > 0 {
-				o.e.Detail = fmt.Sprintf(o.format, o.args...)
-			}
+			o.e.Detail = string(AppendDetail(nil, o.format, o.args))
 		}
 		ops[i] = o
 	}
 	return ops
+}
+
+// collidingSubjects returns two strings of one length that share a
+// subject-cache slot, and two of different lengths that share one — as
+// these very strings: a copy lies elsewhere and may hash elsewhere.
+func collidingSubjects() (sameLen, otherLen [2]string) {
+	bySlot := map[uint8]string{}
+	for k := 0; sameLen[1] == ""; k++ {
+		s := fmt.Sprintf("sub%04d", k)
+		if prev, ok := bySlot[slotOf(s)]; ok {
+			sameLen = [2]string{prev, s}
+		}
+		bySlot[slotOf(s)] = s
+	}
+	for k := 0; otherLen[1] == ""; k++ {
+		if s := fmt.Sprintf("other-subject-%d", k); slotOf(s) == slotOf(sameLen[0]) {
+			otherLen = [2]string{sameLen[0], s}
+		}
+	}
+	return sameLen, otherLen
 }
 
 // plainLog is the reference the chunked log is held against: a window
@@ -397,7 +482,7 @@ func TestChunkedLogMatchesPlainSlice(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, e := range ref.events {
-				trace.WriteString(e.String() + "\n")
+				trace.WriteString(sprintEvent(e) + "\n")
 			}
 			if ref.dropped > 0 {
 				fmt.Fprintf(&trace, "... %d events dropped (log limit)\n", ref.dropped)
@@ -418,6 +503,40 @@ func TestChunkedLogMatchesPlainSlice(t *testing.T) {
 	}
 }
 
+// TestFormTableFull: once the form table holds maxForms forms, a
+// detail of a new form is stored rendered, and the forms it already
+// holds are still stored typed; every detail reads back as its eager
+// render.
+func TestFormTableFull(t *testing.T) {
+	l := NewLog(0)
+	var want []string
+	record := func(format string, args ...any) {
+		l.Recordf(0, KindActivation, 0, "s", format, args...)
+		want = append(want, string(AppendDetail(nil, format, args)))
+	}
+	for k := range maxForms + 10 {
+		record(fmt.Sprintf("f%d=%%d %%s", k), k, "v")
+	}
+	record("from=n%d lat=%s", 1, vtime.Duration(2500))
+	if len(l.forms.list) != maxForms {
+		t.Fatalf("%d forms, want the table full at %d", len(l.forms.list), maxForms)
+	}
+	record("f7=%d %s", 8, "w") // a form the table holds, with a format built afresh
+	c := &l.chunks[len(l.chunks)-1]
+	last := len(c.recs) - 1
+	if from, _ := c.detailAt(last); c.text[from] == literal {
+		t.Errorf("a form the full table holds was stored rendered")
+	}
+	if from, _ := c.detailAt(last - 1); c.text[from] != literal {
+		t.Errorf("a form the full table lacks was stored typed")
+	}
+	for i, e := range l.Events() {
+		if e.Detail != want[i] {
+			t.Fatalf("event %d: detail %q, want %q", i, e.Detail, want[i])
+		}
+	}
+}
+
 // TestChunkedLogLimit: a limit one past a chunk keeps exactly that many
 // events, the first ones, and counts the rest in Dropped.
 func TestChunkedLogLimit(t *testing.T) {
@@ -433,6 +552,33 @@ func TestChunkedLogLimit(t *testing.T) {
 		if e != ops[i].e {
 			t.Fatalf("event %d = %v, want %v: the window is not the first chunkLen+1 records", i, e, ops[i].e)
 		}
+	}
+}
+
+// TestBoundedWindowHoldsItsLimit: a full bounded window has room for
+// exactly its limit of records — the first chunk grows no further than
+// the limit, the last holds only what the limit leaves — and the last
+// chunk's text is sized to its share of records.
+func TestBoundedWindowHoldsItsLimit(t *testing.T) {
+	for _, limit := range []int{1, 100, chunkLen, chunkLen + 1, 2*chunkLen + 288} {
+		l := NewLog(limit)
+		for _, o := range mixOps(1, limit+50, -1) {
+			o.apply(l)
+		}
+		room := 0
+		for _, c := range l.chunks {
+			room += cap(c.recs)
+		}
+		if l.Len() != limit || room != limit {
+			t.Errorf("limit %d: %d events kept in room for %d records, want both %d", limit, l.Len(), room, limit)
+		}
+	}
+	l := NewLog(2*chunkLen + 288)
+	for _, o := range mixOps(2, 2*chunkLen+288, -1) {
+		o.apply(l)
+	}
+	if last, prev := cap(l.chunks[2].text), cap(l.chunks[1].text); last > prev/4 {
+		t.Errorf("a 288-record last chunk has %d bytes of text room, a full chunk %d: want under a quarter", last, prev)
 	}
 }
 
@@ -461,12 +607,34 @@ func TestMonitorRecordIsPointerFree(t *testing.T) {
 	walk(reflect.TypeOf(rec{}), "rec")
 }
 
+// sprintEvent is the trace line of e as fmt builds it: the reference
+// Event.String and WriteTrace are held to.
+func sprintEvent(e Event) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "[%12s]", e.At)
+	if e.Node >= 0 {
+		fmt.Fprintf(&b, " n%d", e.Node)
+	}
+	fmt.Fprintf(&b, " %-18s %s", e.Kind, e.Subject)
+	if e.Detail != "" {
+		fmt.Fprintf(&b, " (%s)", e.Detail)
+	}
+	return b.String()
+}
+
 func TestEventString(t *testing.T) {
 	e := Event{At: vtime.Time(1500), Kind: KindDeadlineMiss, Node: 2, Subject: "taskX", Detail: "late"}
 	s := e.String()
 	for _, want := range []string{"1.5us", "n2", "DEADLINE-MISS", "taskX", "late"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("event string %q missing %q", s, want)
+		}
+	}
+	for _, e := range []Event{e, {}, {At: vtime.Infinity, Kind: KindCatchUp + 1, Node: -1, Subject: "s"},
+		{At: vtime.Time(-1 << 62), Kind: KindArrivalLawViolation, Node: 1 << 20, Subject: strings.Repeat("x", 200), Detail: "d"},
+		{At: vtime.Time(123456789012), Kind: KindThreadStart, Detail: "(nested)"}} {
+		if got, want := e.String(), sprintEvent(e); got != want {
+			t.Errorf("Event.String = %q, want %q", got, want)
 		}
 	}
 }
@@ -510,11 +678,19 @@ func TestWriteTrace(t *testing.T) {
 
 func TestKindStringsAreUnique(t *testing.T) {
 	seen := map[string]Kind{}
-	for k := range kindNames {
+	for k := KindActivation; k <= KindCatchUp; k++ {
 		s := k.String()
-		if prev, dup := seen[s]; dup {
-			t.Errorf("kinds %d and %d share name %q", prev, k, s)
+		if prev, dup := seen[s]; dup || strings.HasPrefix(s, "Kind(") {
+			t.Errorf("kinds %d and %d share name %q, or %d has none", prev, k, s, k)
 		}
 		seen[s] = k
+	}
+	if len(kindNames) != int(KindCatchUp)+1 {
+		t.Errorf("%d kind names for %d kinds", len(kindNames)-1, KindCatchUp)
+	}
+	for _, k := range []Kind{0, KindCatchUp + 1, 255} {
+		if got, want := k.String(), fmt.Sprintf("Kind(%d)", uint8(k)); got != want {
+			t.Errorf("unnamed kind: %q, want %q", got, want)
+		}
 	}
 }

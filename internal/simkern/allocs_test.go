@@ -176,7 +176,7 @@ func TestAllocsRefusedRecord(t *testing.T) {
 
 // TestAllocsKeptRecord: a record the log keeps costs no allocation of
 // its own, however many arguments it formats: its record goes into the
-// open chunk and its subject and detail render into that chunk's text.
+// open chunk and its subject and typed detail into that chunk's text.
 // The window is unbounded; the chunks and text blocks it grows into
 // amortise to under one allocation per run.
 func TestAllocsKeptRecord(t *testing.T) {
