@@ -241,8 +241,9 @@ type Generator struct {
 	zipf Zipf
 
 	mLat *metrics.Hist
-	// lat records each completion's submit→ack latency in completion
-	// order (requires Sinks.Now; per-generator attribution in reports).
+	// lat records each completion's submit→ack latency (requires
+	// Sinks.Now; per-generator attribution in reports). LatencyStats
+	// sorts it in place.
 	lat []vtime.Duration
 	// maxOps is the submission cap, MaxOps; a test lowers it.
 	maxOps int
@@ -584,16 +585,17 @@ type LatencyStats struct {
 }
 
 // LatencyStats distills the recorded completion latencies. Zero when
-// nothing completed (or the sinks carried no clock).
+// nothing completed (or the sinks carried no clock). It sorts the
+// recorded latencies in place (nothing reads them in arrival order), so
+// a second call finds them sorted.
 func (g *Generator) LatencyStats() LatencyStats {
 	n := len(g.lat)
 	if n == 0 {
 		return LatencyStats{}
 	}
-	sorted := slices.Clone(g.lat)
-	slices.Sort(sorted)
+	slices.Sort(g.lat)
 	var sum vtime.Duration
-	for _, l := range sorted {
+	for _, l := range g.lat {
 		sum += l
 	}
 	pct := func(q float64) vtime.Duration {
@@ -601,14 +603,14 @@ func (g *Generator) LatencyStats() LatencyStats {
 		if i >= n {
 			i = n - 1
 		}
-		return sorted[i]
+		return g.lat[i]
 	}
 	return LatencyStats{
 		Count: n,
 		P50:   pct(0.50),
 		P99:   pct(0.99),
 		P999:  pct(0.999),
-		Max:   sorted[n-1],
+		Max:   g.lat[n-1],
 		Mean:  sum / vtime.Duration(n),
 	}
 }

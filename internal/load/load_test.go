@@ -1,6 +1,8 @@
 package load
 
 import (
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -382,4 +384,46 @@ func TestStartPanics(t *testing.T) {
 	expectPanic("closed without Now", func() {
 		mk(base).Start(Sinks{At: func(vtime.Time, func()) {}, SubmitKV: func(string, int64, func()) {}})
 	})
+}
+
+// TestLatencyStatsSortsInPlace: LatencyStats sorts the recorded
+// latencies where they lie. Two calls in a row, and a call after more
+// completions landed, each read what a sorted copy of everything
+// recorded reads, with the percentile indexing reports depend on.
+func TestLatencyStatsSortsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	g := &Generator{}
+	var all []vtime.Duration
+	record := func(n int) {
+		for range n {
+			l := vtime.Duration(rng.IntN(1_000_000))
+			all = append(all, l)
+			g.lat = append(g.lat, l)
+		}
+	}
+	// want is the stats of a sorted copy, indexed as q·n truncated.
+	want := func() LatencyStats {
+		sorted := slices.Sorted(slices.Values(all))
+		n := len(sorted)
+		pct := func(q float64) vtime.Duration { return sorted[min(int(q*float64(n)), n-1)] }
+		var sum vtime.Duration
+		for _, l := range sorted {
+			sum += l
+		}
+		return LatencyStats{Count: n, P50: pct(0.50), P99: pct(0.99), P999: pct(0.999),
+			Max: sorted[n-1], Mean: sum / vtime.Duration(n)}
+	}
+	if got := g.LatencyStats(); got != (LatencyStats{}) {
+		t.Fatalf("no completions: %+v, want zero", got)
+	}
+	record(1001)
+	for call := 1; call <= 2; call++ {
+		if got, w := g.LatencyStats(), want(); got != w {
+			t.Fatalf("call %d: %+v, want %+v", call, got, w)
+		}
+	}
+	record(499)
+	if got, w := g.LatencyStats(), want(); got != w {
+		t.Fatalf("after more completions: %+v, want %+v", got, w)
+	}
 }

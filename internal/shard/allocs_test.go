@@ -50,3 +50,23 @@ func TestAllocsKeyedWrite(t *testing.T) {
 		t.Fatalf("acked %d of %d writes, %d retries", cl.Stats.Acked, i, cl.Stats.Retries)
 	}
 }
+
+// TestAllocsVerify: the exactly-once and per-key-order audit allocates
+// per group (its history's index and per-key table) and per client, not
+// per request: over a 4-shard, 4-client history of 64 keys, ten times
+// the writes cost the same allocations.
+func TestAllocsVerify(t *testing.T) {
+	allocs := func(ops int) float64 {
+		set := auditRun(t, 4, 4, ops)
+		return testing.AllocsPerRun(5, func() {
+			if err := set.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(200), allocs(2000)
+	t.Logf("Verify: %v allocs over 800 writes, %v over 8000", small, large)
+	if large != small {
+		t.Errorf("Verify: %v allocs over 8000 writes, %v over 800: the audit allocates per request", large, small)
+	}
+}

@@ -157,7 +157,7 @@ type Client struct {
 	order   []uint64 // live batch ids, emission order
 
 	// Stats counts outcomes; Acks records them for the harness
-	// (Verify checks Acks against the shard apply logs).
+	// (Verify checks Acks against the shard groups' apply histories).
 	Stats ClientStats
 	Acks  []Ack
 

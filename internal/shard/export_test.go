@@ -1,10 +1,52 @@
 package shard
 
+import (
+	"slices"
+
+	"hades/internal/vtime"
+)
+
 // LiveRequests reports how many requests the client still tracks.
 func (c *Client) LiveRequests() int { return len(c.reqs) }
 
 // QueuedKeys reports how many keys still have unfinished requests.
 func (c *Client) QueuedKeys() int { return len(c.perKey) }
 
-// Group returns the shard group at ring index i of the client's router.
-func (c *Client) Group(i int) *Group { return c.router.groups[i] }
+// Groups returns the shard groups of the client's router, ring order.
+func (c *Client) Groups() []*Group { return c.router.groups }
+
+// NewHistory indexes log the way Group.History indexes a group's
+// authoritative log.
+func NewHistory(log []Applied) *History { return newHistory(log) }
+
+// TamperHistory replaces the group's shared history with what edit
+// returns and points every replica's log at all of it, so a test can
+// hand the audits a history no correct run writes.
+func (g *Group) TamperHistory(edit func([]Applied) []Applied) {
+	g.hist = edit(slices.Clone(g.hist))
+	for i := range g.reps {
+		g.reps[i].pos, g.reps[i].own = len(g.hist), nil
+	}
+}
+
+// Fork is one replica's departure from its group's shared history: at
+// log position At, at virtual time When.
+type Fork struct {
+	Group string
+	Node  int
+	At    int
+	When  vtime.Time
+}
+
+// RecordForks collects every replica's departure from its group's
+// shared history until the returned stop is called.
+func RecordForks() (stop func() []Fork) {
+	var forks []Fork
+	testHookFork = func(g *Group, node, at int) {
+		forks = append(forks, Fork{Group: g.name, Node: node, At: at, When: g.eng.Now()})
+	}
+	return func() []Fork {
+		testHookFork = nil
+		return forks
+	}
+}

@@ -17,7 +17,7 @@ func TestGateOrder(t *testing.T) {
 	const ms = vtime.Millisecond
 	c := cluster.New(cluster.Config{Seed: 31})
 	c.AddNodes(6)
-	g := c.ShardsWith(1, 5, cluster.ShardConfig{}).ClientAt(5).Group(0) // replicas 0–4, primary 0
+	g := c.ShardsWith(1, 5, cluster.ShardConfig{}).ClientAt(5).Groups()[0] // replicas 0–4, primary 0
 	c.Crash(4, vtime.Time(20*ms), 0)
 	c.PartitionAt(vtime.Time(100*ms), []int{0, 1, 2}, []int{3})
 

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"hades/internal/membership"
 	"hades/internal/metrics"
@@ -79,8 +80,9 @@ type respEnv struct {
 	Results []opResult // respOK only, op order
 }
 
-// Applied records one fresh state-machine apply at one replica — the
-// per-replica log Verify checks exactly-once and per-key order against.
+// Applied records one fresh state-machine apply at one replica — an
+// entry of the group's apply history, which Verify checks exactly-once
+// and per-key order against.
 type Applied struct {
 	Key    string
 	Client int
@@ -113,7 +115,7 @@ type pendingBatch struct {
 }
 
 // pendingOp is one accepted op's record, the replication.Owner its
-// group hands the op back to: its identity for the apply logs, and the
+// group hands the op back to: its identity for the apply history, and the
 // batch its reply completes (nil for transaction-layer submissions,
 // which answer their own client — applied is then the transaction
 // layer's continuation, run once after the first apply is logged, with
@@ -160,7 +162,8 @@ type GroupConfig struct {
 // Group is the server side of one shard: a replicated state machine
 // whose replicas accept keyed client requests, redirect non-primaries
 // to the current primary, reject service without a local quorum, and
-// keep per-replica apply logs for verification.
+// keep an apply history for verification: one log the replicas share
+// while they agree, so each replica's log is recoverable.
 type Group struct {
 	eng *simkern.Engine
 	net *netsim.Network
@@ -177,16 +180,11 @@ type Group struct {
 	replSpan  string
 	applySpan string
 
-	logs map[int][]Applied
-	// kv is each replica's keyed view: the last applied write's command
-	// per key, derived from the apply log (the transaction layer reads
-	// it at prepare time).
-	kv map[int]map[string]int64
-	// holed marks replicas whose apply log has a hole: they were down,
-	// or excluded from an agreed view while alive (a partition-isolated
-	// replica misses the majority's applies, and the merge state
-	// transfer restores the state and dedup table but not the log).
-	holed map[int]bool
+	// hist is the apply history the replicas share: each replica's log
+	// is a prefix of it until the replica first applies something else.
+	hist []Applied
+	// reps holds each replica's audit state, aligned with nodes.
+	reps []replica
 
 	// Stats counts the routing outcomes for the harness.
 	Stats GroupStats
@@ -223,9 +221,10 @@ func NewGroup(eng *simkern.Engine, net *netsim.Network, mem *membership.Service,
 		reqPort:  "shard." + cfg.Name + ".req",
 		respPort: cfg.RespPort,
 		nodes:    append([]int(nil), cfg.Replication.Replicas...),
-		logs:     make(map[int][]Applied),
-		kv:       make(map[int]map[string]int64),
-		holed:    make(map[int]bool),
+	}
+	g.reps = make([]replica, len(g.nodes))
+	for i := range g.reps {
+		g.reps[i].kv = make(map[string]int64)
 	}
 	g.replSpan = "replicate." + g.name
 	g.applySpan = "apply." + g.name
@@ -242,17 +241,17 @@ func NewGroup(eng *simkern.Engine, net *netsim.Network, mem *membership.Service,
 		net.Bind(node, g.reqPort, func(m *netsim.Message) { g.handleRequest(node, m) })
 	}
 	net.OnDownChange(func(node int, down bool) {
-		if down && g.rep.Machine(node) != nil {
-			g.holed[node] = true
+		if r := g.replica(node); down && r != nil {
+			r.holed = true
 		}
 	})
 	// A replica excluded from an agreed view while alive (a blocked
 	// minority) misses every apply of that view: its log is holed even
 	// though it was never down.
 	mem.OnChange(func(v membership.View) {
-		for _, n := range g.nodes {
+		for i, n := range g.nodes {
 			if !v.Contains(n) {
-				g.holed[n] = true
+				g.reps[i].holed = true
 			}
 		}
 	})
@@ -281,11 +280,11 @@ func (g *Group) Membership() *membership.Service { return g.mem }
 // hole-free replica in promotion order.
 func (g *Group) AuthoritativeNode() (int, bool) {
 	p := g.rep.Primary()
-	if !g.holed[p] {
+	if r := g.replica(p); r != nil && !r.holed {
 		return p, true
 	}
-	for _, n := range g.nodes {
-		if !g.holed[n] {
+	for i, n := range g.nodes {
+		if !g.reps[i].holed {
 			return n, true
 		}
 	}
@@ -395,36 +394,87 @@ func (g *Group) handleRequest(node int, m *netsim.Message) {
 	}
 }
 
-// recordApply appends one fresh apply to node's log (suppressed
-// duplicates never reach it).
-func (g *Group) recordApply(node int, po *pendingOp, result int64) {
-	g.logs[node] = append(g.logs[node], Applied{
-		Key:    po.op.Key,
-		Client: po.client,
-		Seq:    po.op.Seq,
-		Cmd:    po.op.Cmd,
-		Result: result,
-	})
-	view := g.kv[node]
-	if view == nil {
-		view = make(map[string]int64)
-		g.kv[node] = view
+// replica is one replica's audit state. Its apply log is hist[:pos]
+// until its first apply that differs from the shared entry at pos;
+// from then on it is own, a copy of that prefix the replica extends
+// alone.
+type replica struct {
+	pos int
+	own []Applied
+	// kv is the replica's keyed view: the last applied write's command
+	// per key (the transaction layer reads it at prepare time).
+	kv map[string]int64
+	// holed marks a replica whose apply log has a hole: it was down, or
+	// excluded from an agreed view while alive (a partition-isolated
+	// replica misses the majority's applies, and the merge state
+	// transfer restores the state and dedup table but not the log).
+	holed bool
+}
+
+// replica returns node's audit state, nil when node is no replica.
+func (g *Group) replica(node int) *replica {
+	if i := slices.Index(g.nodes, node); i >= 0 {
+		return &g.reps[i]
 	}
-	view[po.op.Key] = po.op.Cmd
+	return nil
+}
+
+// recordApply logs one fresh apply at node (suppressed duplicates
+// never reach it). A holed replica's log is never authoritative again,
+// so it stops logging; its keyed view still follows its applies.
+func (g *Group) recordApply(node int, po *pendingOp, result int64) {
+	r := g.replica(node)
+	r.kv[po.op.Key] = po.op.Cmd
+	if r.holed {
+		return
+	}
+	a := Applied{Key: po.op.Key, Client: po.client, Seq: po.op.Seq, Cmd: po.op.Cmd, Result: result}
+	switch {
+	case r.own != nil:
+		r.own = append(r.own, a)
+	case r.pos == len(g.hist):
+		g.hist = append(g.hist, a)
+		r.pos++
+	case g.hist[r.pos] == a:
+		r.pos++
+	default:
+		// The replica departs from the shared history: appending to its
+		// clipped prefix copies that into a log of its own.
+		r.own = append(g.hist[:r.pos:r.pos], a)
+		if testHookFork != nil {
+			testHookFork(g, node, r.pos)
+		}
+	}
+}
+
+// testHookFork, when set, sees each replica's departure from its
+// group's shared history, at the log position where it departs.
+var testHookFork func(g *Group, node, at int)
+
+// log returns r's apply log, capacity clipped so that a caller's
+// append cannot write into the shared history.
+func (g *Group) log(r *replica) []Applied {
+	if r.own != nil {
+		return slices.Clip(r.own)
+	}
+	return g.hist[:r.pos:r.pos]
 }
 
 // KeyValue returns node's view of the last applied write command on
 // key (false if the key was never written there). The transaction
 // layer serves reads from the primary's view under the key's lock.
 func (g *Group) KeyValue(node int, key string) (int64, bool) {
-	v, ok := g.kv[node][key]
-	return v, ok
+	if r := g.replica(node); r != nil {
+		v, ok := r.kv[key]
+		return v, ok
+	}
+	return 0, false
 }
 
 // SubmitKeyed routes one keyed command into the shard's replicated
 // machine on behalf of the transaction layer: submitted at the current
 // primary, deduplicated in the transaction-write tag space, and recorded
-// in the per-replica apply logs under the owning client's identity —
+// in the group's apply history under the owning client's identity —
 // the same histories Verify and txn.Verify audit. applied(key, seq)
 // runs once, right after the write's first apply anywhere is logged.
 func (g *Group) SubmitKeyed(key string, cmd int64, client int, seq uint64, tr trace.Ref, applied func(key string, seq uint64)) {

@@ -16,7 +16,7 @@
 // Delivery contract: tagged requests are exactly-once as far as the
 // surviving state lineage reaches — the replication layer's replicated
 // dedup table answers retried requests from cache instead of applying
-// them twice, and the per-replica apply logs let a harness assert
+// them twice, and each group's apply history lets a harness assert
 // per-key linearizability (Verify). A primary stranded on a minority
 // side stops serving once its detector reveals it cannot reach a
 // majority (Group.Gate — the stale-view rejection); inside
