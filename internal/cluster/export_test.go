@@ -15,3 +15,6 @@ func (c *Cluster) InjectFault(h netsim.FaultHook) { c.injectFault(h) }
 // audits read; TxnPlane is nil when the set declared no transactions.
 func (s *ShardSet) Groups() []*shard.Group { return s.shards }
 func (s *ShardSet) TxnPlane() *txn.Plane   { return s.txn }
+
+// Histories indexes the set's groups' histories as Verify does.
+func (s *ShardSet) Histories() *shard.Histories { return shard.NewHistories(s.router) }

@@ -221,22 +221,26 @@ func (s *ShardSet) ClientWith(p shard.ClientParams) *shard.Client {
 // acknowledged request applied exactly once in the owning shard's
 // authoritative history, in per-key submission order (see
 // shard.Verify).
-func (s *ShardSet) Check() error { return shard.Verify(s.router, s.clients) }
+func (s *ShardSet) Check() error { return s.check(shard.NewHistories(s.router)) }
+
+func (s *ShardSet) check(hs *shard.Histories) error { return shard.Verify(s.router, s.clients, hs) }
 
 // Verify audits the run so far against every data plane's safety
 // contract and joins what fails: per shard set, the exactly-once audit
 // (Check — semi-active sets only, since passive replication loses
 // acknowledged work since the last checkpoint by design and
 // shard.Verify rejects it by contract), the atomic-commitment audit
-// (CheckTxns) and the pub/sub delivery audit (CheckPubSub). A cluster
-// without shard sets passes vacuously.
+// (CheckTxns) and the pub/sub delivery audit (CheckPubSub). The first
+// two read one index of each group's history. A cluster without shard
+// sets passes vacuously.
 func (c *Cluster) Verify() error {
 	var errs []error
 	for _, s := range c.shardSets {
+		hs := shard.NewHistories(s.router)
 		if s.shards[0].Replication().Style() == replication.SemiActive {
-			errs = append(errs, s.Check())
+			errs = append(errs, s.check(hs))
 		}
-		errs = append(errs, s.CheckTxns(), s.CheckPubSub())
+		errs = append(errs, s.checkTxns(hs), s.CheckPubSub())
 	}
 	return errors.Join(errs...)
 }
@@ -287,9 +291,11 @@ func (s *ShardSet) place(node int, what string) {
 // far: committed transactions all-or-nothing across shards, aborted
 // ones leaving no partial writes, no lock held past its deadline (see
 // txn.Verify). A set without transactions passes vacuously.
-func (s *ShardSet) CheckTxns() error {
+func (s *ShardSet) CheckTxns() error { return s.checkTxns(shard.NewHistories(s.router)) }
+
+func (s *ShardSet) checkTxns(hs *shard.Histories) error {
 	if s.txn == nil {
 		return nil
 	}
-	return txn.Verify(s.txn)
+	return txn.Verify(s.txn, hs)
 }

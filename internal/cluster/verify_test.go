@@ -127,7 +127,7 @@ func TestClusterVerify(t *testing.T) {
 	}
 
 	// Both audits read one index of the authoritative histories
-	// (shard.Group.History): the atomic-commitment audit still names a
+	// (shard.Histories): the atomic-commitment audit still names a
 	// committed write the history contradicts, and one the history lost.
 	c, _ = runBuiltin(t, "bank-transfer")
 	set := c.ShardSets()[0]
@@ -145,8 +145,8 @@ func TestClusterVerify(t *testing.T) {
 	if err := c.Verify(); err != nil {
 		t.Errorf("restored records: %v", err)
 	}
-	for _, g := range set.Groups() {
-		h, err := g.History()
+	for i, g := range set.Groups() {
+		h, err := set.Histories().Of(i)
 		if err != nil || len(h.Log) == 0 {
 			t.Fatalf("%s: history of %d applies, err %v", g.Name(), len(h.Log), err)
 		}

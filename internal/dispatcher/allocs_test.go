@@ -50,13 +50,12 @@ func engine(n int) *simkern.Engine {
 
 // TestAllocsInstance: one EDF+SRP instance of a 3-stage pipeline across
 // two nodes, from activation to completion, costs what the instance
-// owns and nothing per notification or watchdog: its record and name
-// (2), one thread array and its index (2), per unit a name, a kernel
-// thread and its completion hook (9), the two hooks of its kernel-work
-// thread (2), per remote crossing the boxed payload (2), and the held
-// list of the unit that takes the resource (1). The deadline and
-// omission watchdogs fire their owners from recycled records, so they
-// cost nothing.
+// owns and nothing per notification or watchdog: its block (1: the
+// record, the three units with their kernel threads, the index), its
+// one name string (1), and per remote crossing the boxed payload (2).
+// Every thread's hooks are one-pointer owners, the held list is the
+// task's, and the deadline and omission watchdogs fire their owners
+// from recycled records.
 func TestAllocsInstance(t *testing.T) {
 	eng := engine(2)
 	net := netsim.New(eng, netsim.DefaultConfig())
@@ -73,11 +72,70 @@ func TestAllocsInstance(t *testing.T) {
 		Precede("fuse", "commit").
 		MustBuild())
 	app.Seal()
-	gate(t, "EDF+SRP pipeline instance", 18, func() {
+	gate(t, "EDF+SRP pipeline instance", 4, func() {
 		if _, err := d.Activate("pipe"); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run(eng.Now().Add(20 * ms))
+	})
+	if st := d.Stats(); st.Completions != st.Activations || st.DeadlineMisses != 0 {
+		t.Fatalf("%d of %d instances completed, %d missed", st.Completions, st.Activations, st.DeadlineMisses)
+	}
+}
+
+// TestAllocsSpuriInstance: the instance that makes up most of
+// rt-pipeline, a Spuri task under EDF+SRP (Figure 3's chain: three
+// units on one node, the middle one holding the resource), costs its
+// block and its name string (2), nothing else.
+func TestAllocsSpuriInstance(t *testing.T) {
+	eng := engine(1)
+	d := dispatcher.New(eng, nil, dispatcher.DefaultCostBook())
+	app := d.RegisterApp("rt", sched.NewEDF(20*us), sched.NewSRP())
+	task, err := heug.SpuriTask{Name: "fast0", Node: 0, Resource: "S0",
+		CBefore: 200 * us, CS: 150 * us, CAfter: 250 * us,
+		Deadline: 5 * ms, PseudoPeriod: 5 * ms}.ToHEUG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	app.AddTask(task)
+	app.Seal()
+	gate(t, "EDF+SRP Spuri instance", 2, func() {
+		if _, err := d.Activate("fast0"); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run(eng.Now().Add(5 * ms))
+	})
+	if st := d.Stats(); st.Completions != st.Activations || st.DeadlineMisses != 0 || len(task.EUs) != 3 {
+		t.Fatalf("%d of %d instances of %d units completed, %d missed", st.Completions, st.Activations, len(task.EUs), st.DeadlineMisses)
+	}
+}
+
+// TestAllocsSyncInvocation: a caller whose Inv_EU synchronously invokes
+// a one-unit service costs the two instances' blocks and name strings
+// (4) and the hook that activates the target at the end of C_start_inv
+// (1). Waiting costs nothing: the target names its one invoker.
+func TestAllocsSyncInvocation(t *testing.T) {
+	eng := engine(1)
+	d := dispatcher.New(eng, nil, dispatcher.DefaultCostBook())
+	app := d.RegisterApp("rt", sched.NewEDF(20*us), nil)
+	app.AddTask(heug.NewTask("svc", heug.AperiodicLaw()).
+		WithDeadline(5*ms).
+		Code("serve", heug.CodeEU{Node: 0, WCET: 300 * us}).
+		MustBuild())
+	app.AddTask(heug.NewTask("call", heug.AperiodicLaw()).
+		WithDeadline(5*ms).
+		Code("pre", heug.CodeEU{Node: 0, WCET: 100 * us}).
+		Invoke("inv", heug.InvEU{Node: 0, Target: "svc", Sync: true}).
+		Code("post", heug.CodeEU{Node: 0, WCET: 100 * us}).
+		Precede("pre", "inv").
+		Precede("inv", "post").
+		MustBuild())
+	app.Seal()
+	gate(t, "sync Inv_EU instance", 5, func() {
+		if _, err := d.Activate("call"); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run(eng.Now().Add(5 * ms))
 	})
 	if st := d.Stats(); st.Completions != st.Activations || st.DeadlineMisses != 0 {
 		t.Fatalf("%d of %d instances completed, %d missed", st.Completions, st.Activations, st.DeadlineMisses)
@@ -96,7 +154,7 @@ func (idle) Handle(dispatcher.Notification, dispatcher.Primitive) {}
 
 // TestAllocsSchedHostNotification: a notification processed by a warm
 // scheduler host costs nothing — the host reinitialises its one thread,
-// whose name, segment hook and completion hook were bound once.
+// owns it, and bound its segment hook once.
 func TestAllocsSchedHostNotification(t *testing.T) {
 	eng := engine(1)
 	d := dispatcher.New(eng, nil, dispatcher.DefaultCostBook())

@@ -72,6 +72,10 @@ type TaskRuntime struct {
 	seq         uint64
 	lastArrival vtime.Time
 	haveArrival bool
+	// grants holds, per EU, the names of the resources the unit takes:
+	// its held list once granted, one read-only slice every instance
+	// shares.
+	grants [][]string
 
 	// Admission hook (planning-based scheduling): when non-nil and
 	// returning false, an activation is rejected. Set by schedulers
@@ -183,7 +187,14 @@ func (a *App) AddTask(t *heug.Task) (*TaskRuntime, error) {
 			return nil, fmt.Errorf("dispatcher: task %q EU %q priority %d above application band %d", t.Name, e.Name, e.Code.Prio, PrioAppMax)
 		}
 	}
-	tr := &TaskRuntime{Task: t, App: a}
+	tr := &TaskRuntime{Task: t, App: a, grants: make([][]string, len(t.EUs))}
+	for i, e := range t.EUs {
+		if e.Code != nil {
+			for _, req := range e.Code.Resources {
+				tr.grants[i] = append(tr.grants[i], req.Resource)
+			}
+		}
+	}
 	a.tasks = append(a.tasks, tr)
 	a.disp.tasks[t.Name] = tr
 	return tr, nil

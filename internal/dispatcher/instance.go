@@ -2,8 +2,10 @@ package dispatcher
 
 import (
 	"strconv"
+	"strings"
 
 	"hades/internal/eventq"
+	"hades/internal/heug"
 	"hades/internal/monitor"
 	"hades/internal/simkern"
 	"hades/internal/vtime"
@@ -12,35 +14,62 @@ import (
 // Instance is one activation of a task: the unit the dispatcher tracks
 // for deadlines, completion and orphan handling.
 //
-// An instance owns what its activation needs and allocates it once: one
-// array holding its units' threads, and one kernel thread that carries
-// C_start_inv and later C_end_inv (the two never overlap), named and
-// hooked once. A unit's parameter maps are made at its first parameter.
+// An activation of a task of up to inlineUnits units allocates:
+//
+//   - one block: the record, its units' Threads (each with its kernel
+//     thread inline), the Threads index, and the kernel thread that
+//     carries C_start_inv and later C_end_inv (the two never overlap);
+//   - one string holding every name: the units' "task#seq.eu" back to
+//     back, the instance's "task#seq" a prefix of the first.
+//
+// A task of more units gets its Threads and their index as two arrays
+// of their own. Nothing else is per instance: every kernel thread is
+// owned by the instance or its unit through a one-pointer adapter, a
+// unit's held list is its task's, and the deadline and start watchdogs
+// fire their owners from recycled event records. A unit adds what it
+// does: its parameter maps at its first parameter, a boxed payload per
+// remote precedence crossing, and for an Inv_EU the hook that activates
+// its target. The gates in allocs_test.go hold a Spuri instance at 2, a
+// 3-stage pipeline crossing nodes twice at 4, a sync Inv_EU caller with
+// its one-unit target at 5.
+//
+// A record is never reused for a later instance, so an *Instance and
+// its Threads stay valid for as long as anyone holds them.
 type Instance struct {
 	TR  *TaskRuntime
 	Seq uint64
 
-	name string // "task#seq", rendered once
+	name string // "task#seq", a prefix of the instance's one name string
 
 	ActivatedAt vtime.Time
 	AbsDeadline vtime.Time // Infinity when the task has no deadline
 	CompletedAt vtime.Time
 
-	Threads []*Thread // parallel to TR.Task.EUs, into one array
+	Threads []*Thread // parallel to TR.Task.EUs
 
 	remaining     int
 	completed     bool
 	missed        bool
 	cancelled     bool
 	watchDeadline eventq.Handle // fires the instance as instanceWatch
-	onComplete    []func(*Instance)
+	invoker       *Thread       // the sync Inv_EU unit waiting for this instance
 
 	// kwork runs the instance's dispatcher activities; kworkEnd says
 	// which one it carries now (C_end_inv when set).
-	kwork     simkern.Thread
-	kworkEnd  bool
-	kworkName func() string
-	kworkDone func()
+	kworkEnd bool
+	kwork    simkern.Thread
+}
+
+// inlineUnits is how many units an instance block holds: the three of
+// Figure 3's Spuri chain and of a 3-stage pipeline.
+const inlineUnits = 3
+
+// instanceBlock is an instance of up to inlineUnits units in one
+// allocation.
+type instanceBlock struct {
+	inst    Instance
+	threads [inlineUnits]Thread
+	index   [inlineUnits]*Thread
 }
 
 // instanceWatch is the instance as the handler of its deadline
@@ -50,14 +79,24 @@ type instanceWatch struct{ inst *Instance }
 
 func (w instanceWatch) Fire(uint64) { w.inst.TR.App.disp.deadlinePassed(w.inst) }
 
-// whenComplete registers a callback fired when the instance completes
-// (successfully or cancelled). Fired immediately if already complete.
-func (in *Instance) whenComplete(f func(*Instance)) {
-	if in.completed {
-		f(in)
-		return
+// instanceWork is the instance as the owner of its kernel-work thread,
+// one pointer wide like instanceWatch.
+type instanceWork struct{ inst *Instance }
+
+func (w instanceWork) ThreadName() string {
+	if w.inst.kworkEnd {
+		return w.inst.name + ".endinv"
 	}
-	in.onComplete = append(in.onComplete, f)
+	return w.inst.name + ".startinv"
+}
+
+func (w instanceWork) ThreadDone() {
+	d := w.inst.TR.App.disp
+	if w.inst.kworkEnd {
+		d.finalizeInstance(w.inst)
+	} else {
+		d.releaseUnits(w.inst)
+	}
 }
 
 // buildInstance creates the instance, its threads, the deadline and
@@ -72,27 +111,36 @@ func (d *Dispatcher) buildInstance(tr *TaskRuntime) *Instance {
 	d.stats.Activations++
 	task := tr.Task
 
-	var buf [64]byte
-	name := strconv.AppendUint(append(append(buf[:0], task.Name...), '#'), tr.seq, 10)
-	inst := &Instance{
-		TR:          tr,
-		Seq:         tr.seq,
-		name:        string(name),
-		ActivatedAt: now,
-		AbsDeadline: vtime.Infinity,
-		remaining:   len(task.EUs),
+	n := len(task.EUs)
+	var inst *Instance
+	var threads []Thread
+	if n <= inlineUnits {
+		b := new(instanceBlock)
+		inst, threads = &b.inst, b.threads[:n]
+		inst.Threads = b.index[:n]
+	} else {
+		inst, threads = new(Instance), make([]Thread, n)
+		inst.Threads = make([]*Thread, n)
 	}
+
+	names, prefix := instanceNames(task, tr.seq)
+	inst.TR = tr
+	inst.Seq = tr.seq
+	inst.name = names[:prefix]
+	inst.ActivatedAt = now
+	inst.AbsDeadline = vtime.Infinity
+	inst.remaining = n
 	if task.Deadline > 0 {
 		inst.AbsDeadline = now.Add(task.Deadline)
 	}
 	d.live[instKey{task.Name, inst.Seq}] = inst
 	d.eng.Recordf(monitor.KindActivation, tr.primaryNode(), inst.name, "D=%s", task.Deadline)
 
-	threads := make([]Thread, len(task.EUs))
-	inst.Threads = make([]*Thread, len(task.EUs))
 	for i, eu := range task.EUs {
 		th := &threads[i]
-		d.initThread(th, inst, i, eu)
+		end := prefix + 1 + len(eu.Name)
+		d.initThread(th, inst, i, eu, names[:end])
+		names = names[end:]
 		inst.Threads[i] = th
 	}
 
@@ -113,6 +161,29 @@ func (d *Dispatcher) buildInstance(tr *TaskRuntime) *Instance {
 	return inst
 }
 
+// instanceNames renders every name of instance seq of task into one
+// string: the units' "task#seq.eu" back to back. The instance's own
+// "task#seq" is the first prefix bytes.
+func instanceNames(task *heug.Task, seq uint64) (names string, prefix int) {
+	var num [20]byte
+	n := strconv.AppendUint(num[:0], seq, 10)
+	prefix = len(task.Name) + 1 + len(n)
+	size := 0
+	for _, eu := range task.EUs {
+		size += prefix + 1 + len(eu.Name)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, eu := range task.EUs {
+		b.WriteString(task.Name)
+		b.WriteByte('#')
+		b.Write(n)
+		b.WriteByte('.')
+		b.WriteString(eu.Name)
+	}
+	return b.String(), prefix
+}
+
 // releaseUnits sends the instance's Atv notifications (first, for
 // Figure 2's ordering), then evaluates every unit.
 func (d *Dispatcher) releaseUnits(inst *Instance) {
@@ -130,27 +201,11 @@ func (d *Dispatcher) releaseUnits(inst *Instance) {
 // primary node at scheduler priority (non-preemptible by applications):
 // C_start_inv, which then releases the units, or C_end_inv (end),
 // which then finalizes the instance. Both reuse the instance's kernel
-// thread and the hooks bound on first use.
+// thread, owned through instanceWork.
 func (d *Dispatcher) kernelWork(inst *Instance, end bool, cost vtime.Duration) {
-	if inst.kworkDone == nil {
-		inst.kworkName = func() string {
-			if inst.kworkEnd {
-				return inst.name + ".endinv"
-			}
-			return inst.name + ".startinv"
-		}
-		inst.kworkDone = func() {
-			if inst.kworkEnd {
-				d.finalizeInstance(inst)
-			} else {
-				d.releaseUnits(inst)
-			}
-		}
-	}
 	inst.kworkEnd = end
-	d.node(inst.TR.primaryNode()).proc.InitThread(&inst.kwork, inst.kworkName, PrioScheduler)
+	d.node(inst.TR.primaryNode()).proc.InitThread(&inst.kwork, instanceWork{inst}, PrioScheduler)
 	inst.kwork.AddSegment(simkern.Segment{Work: cost, PT: simkern.PrioMax})
-	inst.kwork.OnComplete = inst.kworkDone
 	inst.kwork.Ready()
 }
 
@@ -186,8 +241,8 @@ func (d *Dispatcher) cancelInstance(inst *Instance, reason string) {
 		th.state = threadOrphaned
 		d.stats.Orphans++
 		d.eng.Recordf(monitor.KindOrphanThread, th.Node(), th.name, "%s", reason)
-		if th.kthread != nil && !th.kthread.Finished() {
-			th.kthread.Suspend()
+		if th.inKernel && !th.kt.Finished() {
+			th.kt.Suspend()
 		}
 		d.releaseResources(th)
 		d.eng.Cancel(th.watchLatest)
@@ -253,9 +308,8 @@ func (d *Dispatcher) finalizeInstance(inst *Instance) {
 		// already flagged is not double-counted.
 		d.eng.Recordf(monitor.KindTaskComplete, tr.primaryNode(), inst.name, "resp=%s", resp)
 	}
-	cbs := inst.onComplete
-	inst.onComplete = nil
-	for _, f := range cbs {
-		f(inst)
+	if th := inst.invoker; th != nil && th.state == threadWaitInstance {
+		th.state = threadReady
+		th.kt.Ready()
 	}
 }

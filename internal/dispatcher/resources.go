@@ -65,9 +65,9 @@ func (d *Dispatcher) tryGrant(th *Thread) bool {
 	for _, req := range reqs {
 		r := d.resourceOn(th.Node(), req.Resource)
 		r.holds = append(r.holds, hold{th: th, mode: req.Mode})
-		th.held = append(th.held, req.Resource)
 		d.eng.Recordf(monitor.KindResourceGrant, th.Node(), req.Resource, "%s %s", th.name, req.Mode.String())
 	}
+	th.held = th.inst.TR.grants[th.euIdx]
 	th.inst.TR.App.policy.OnGrant(th)
 	d.removeWaiter(th)
 	return true

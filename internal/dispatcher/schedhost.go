@@ -17,9 +17,9 @@ import (
 // every Atv/Trm and only then adjusts priorities.
 //
 // A host owns one kernel thread and reinitialises it for every
-// notification: its namer, segment hook and completion hook are bound
-// once, when the host is made, so a notification allocates nothing of
-// its own.
+// notification. The host is the thread's owner, and its segment hook is
+// bound once, when the host is made, so a notification allocates
+// nothing of its own.
 type schedHost struct {
 	app   *App
 	node  int
@@ -28,25 +28,29 @@ type schedHost struct {
 	busy  bool
 	seq   uint64 // notifications processed; numbers the thread's name
 
-	th                       simkern.Thread
-	name                     func() string
-	onHandle, onNotification func()
+	th       simkern.Thread
+	onHandle func()
 }
 
-// newSchedHost makes the host for app on node, binding the hooks its
-// thread reuses for every notification.
+// newSchedHost makes the host for app on node, binding the segment hook
+// its thread reuses for every notification.
 func newSchedHost(a *App, node int) *schedHost {
 	h := &schedHost{app: a, node: node, proc: a.disp.node(node).proc}
-	h.name = func() string {
-		var buf [64]byte
-		name := append(append(buf[:0], "sched."...), h.app.Name...)
-		name = strconv.AppendInt(append(name, "@n"...), int64(h.node), 10)
-		return string(strconv.AppendUint(append(name, '#'), h.seq, 10))
-	}
 	h.onHandle = h.handleHead
-	h.onNotification = h.processNext
 	return h
 }
+
+// ThreadName names the host's thread for the notification it serves,
+// when a kept record reads it.
+func (h *schedHost) ThreadName() string {
+	var buf [64]byte
+	name := append(append(buf[:0], "sched."...), h.app.Name...)
+	name = strconv.AppendInt(append(name, "@n"...), int64(h.node), 10)
+	return string(strconv.AppendUint(append(name, '#'), h.seq, 10))
+}
+
+// ThreadDone ends a notification: the host goes on to the next.
+func (h *schedHost) ThreadDone() { h.processNext() }
 
 // notify enqueues a notification for the application's scheduler if the
 // policy subscribed to its kind, and starts the host if it was idle.
@@ -88,10 +92,9 @@ func (h *schedHost) processNext() {
 		return
 	}
 	h.seq++
-	h.proc.InitThread(&h.th, h.name, PrioScheduler)
+	h.proc.InitThread(&h.th, h, PrioScheduler)
 	h.th.AddSegment(simkern.Segment{Work: h.app.sched.Cost(), PT: simkern.PrioMax, OnDone: h.onHandle})
 	h.th.AddSegment(simkern.Segment{Work: 0, PT: simkern.PrioMax}) // drain
-	h.th.OnComplete = h.onNotification
 	h.th.Ready()
 }
 

@@ -64,13 +64,14 @@ type Thread struct {
 	deadline vtime.Time // absolute unit deadline (monitoring)
 
 	state     threadState
+	racSent   bool
+	inKernel  bool // kt initialised: the unit was handed to the kernel
 	predsLeft int
-	kthread   *simkern.Thread
+	kt        simkern.Thread // the unit's kernel thread, initialised in place
 
 	inputs, outputs map[string]any // nil until the first parameter
 
-	held     []string // resources currently held (node-local names)
-	racSent  bool
+	held     []string  // resources currently held (node-local names)
 	waitInst *Instance // sync Inv_EU target
 
 	actual vtime.Duration // effective body execution time
@@ -103,8 +104,23 @@ func (w threadWatch) Fire(kind uint64) {
 	case deferredStart:
 		if th.state == threadWaitEarliest && !th.inst.cancelled {
 			th.state = threadReady
-			th.kthread.Ready()
+			th.kt.Ready()
 		}
+	}
+}
+
+// unitWork is the unit as the owner of its kernel thread, one pointer
+// wide like threadWatch.
+type unitWork struct{ th *Thread }
+
+func (w unitWork) ThreadName() string { return w.th.name }
+
+func (w unitWork) ThreadDone() {
+	d := w.th.inst.TR.App.disp
+	if w.th.eu.Inv != nil {
+		d.finishInv(w.th)
+	} else {
+		d.finishCode(w.th)
 	}
 }
 
@@ -152,7 +168,7 @@ func (th *Thread) Orphaned() bool { return th.state == threadOrphaned }
 // it, so a policy may keep it until OnRelease.
 func (th *Thread) HeldResources() []string { return slices.Clip(th.held) }
 
-func (th *Thread) started() bool { return th.kthread != nil && th.kthread.Started() }
+func (th *Thread) started() bool { return th.kt.Started() }
 
 // setInput hands parameter k to the thread, making its map on the first.
 func (th *Thread) setInput(k string, v any) {
@@ -162,14 +178,15 @@ func (th *Thread) setInput(k string, v any) {
 	th.inputs[k] = v
 }
 
-// initThread fills th, the instance's storage for EU index i.
-func (d *Dispatcher) initThread(th *Thread, inst *Instance, i int, eu *heug.EU) {
+// initThread fills th, the instance's storage for EU index i, named
+// name.
+func (d *Dispatcher) initThread(th *Thread, inst *Instance, i int, eu *heug.EU, name string) {
 	d.threadSeq++
 	*th = Thread{
 		inst:      inst,
 		euIdx:     i,
 		eu:        eu,
-		name:      inst.name + "." + eu.Name,
+		name:      name,
 		seqNo:     d.threadSeq,
 		state:     threadWaitPreds,
 		predsLeft: len(inst.TR.Task.Preds(i)),
@@ -273,12 +290,12 @@ func (d *Dispatcher) startCode(th *Thread) {
 			endWork += d.costs.PrecLocal
 		}
 	}
-	k := ns.proc.NewThread(th.name, th.prio)
+	k := &th.kt
+	ns.proc.InitThread(k, unitWork{th}, th.prio)
 	k.AddSegment(simkern.Segment{Work: d.costs.StartAction, PT: simkern.PrioMax}) // start
 	k.AddSegment(simkern.Segment{Work: th.actual, PT: c.PT})                      // body
 	k.AddSegment(simkern.Segment{Work: endWork, PT: simkern.PrioMax})             // end
-	k.OnComplete = func() { d.finishCode(th) }
-	th.kthread = k
+	th.inKernel = true
 	th.state = threadReady
 	k.Ready()
 }
@@ -349,7 +366,8 @@ func (d *Dispatcher) startInv(th *Thread) {
 	ns := d.node(inv.Node)
 	prio := d.invPriority(th)
 	th.prio = prio
-	k := ns.proc.NewThread(th.name, prio)
+	k := &th.kt
+	ns.proc.InitThread(k, unitWork{th}, prio)
 	k.AddSegment(simkern.Segment{
 		Work: d.costs.StartInv,
 		PT:   simkern.PrioMax,
@@ -362,19 +380,13 @@ func (d *Dispatcher) startInv(th *Thread) {
 			if inv.Sync && !inst.completed {
 				th.waitInst = inst
 				th.state = threadWaitInstance
-				inst.whenComplete(func(*Instance) {
-					if th.state == threadWaitInstance {
-						th.state = threadReady
-						k.Ready()
-					}
-				})
+				inst.invoker = th // resumed by finalizeInstance
 				k.Suspend()
 			}
 		},
 	})
 	k.AddSegment(simkern.Segment{Work: d.costs.EndInv, PT: simkern.PrioMax})
-	k.OnComplete = func() { d.finishInv(th) }
-	th.kthread = k
+	th.inKernel = true
 	th.state = threadReady
 	k.Ready()
 }
@@ -445,8 +457,8 @@ func (d *Dispatcher) SetPriority(th *Thread, prio int) {
 		return
 	}
 	th.prio = prio
-	if th.kthread != nil && !th.kthread.Finished() {
-		th.kthread.SetPriority(prio)
+	if th.inKernel && !th.kt.Finished() {
+		th.kt.SetPriority(prio)
 	} else {
 		d.eng.Recordf(monitor.KindPriorityChange, th.Node(), th.name, "->%d (waiting)", prio)
 	}
@@ -470,10 +482,10 @@ func (d *Dispatcher) SetEarliest(th *Thread, at vtime.Time) {
 		th.state = threadWaitPreds // re-derive through evaluate
 		d.evaluate(th)
 	case threadReady:
-		if th.kthread == nil || th.kthread.Started() || len(th.held) > 0 || at <= d.eng.Now() {
+		if !th.inKernel || th.kt.Started() || len(th.held) > 0 || at <= d.eng.Now() {
 			return
 		}
-		th.kthread.Suspend()
+		th.kt.Suspend()
 		th.state = threadWaitEarliest
 		th.watchEarliest = d.eng.Arm(at, eventq.ClassDispatch, threadWatch{th}, deferredStart)
 	}

@@ -278,20 +278,15 @@ func (q *Queue) removeRoot() *Event {
 	return e
 }
 
-// Peek returns the next live event without removing it, or nil if
-// empty.
-func (q *Queue) Peek() *Event {
-	q.skipDead()
-	if len(q.heap) == 0 {
-		return nil
-	}
-	return q.heap[0]
-}
-
 // Pop removes and returns the next live event, or nil if empty.
-func (q *Queue) Pop() *Event {
+func (q *Queue) Pop() *Event { return q.PopUntil(vtime.Infinity) }
+
+// PopUntil removes and returns the next live event if it is due at or
+// before until; otherwise it returns nil and leaves the queue as it
+// was, so Len tells an empty queue from one whose next event is later.
+func (q *Queue) PopUntil(until vtime.Time) *Event {
 	q.skipDead()
-	if len(q.heap) == 0 {
+	if len(q.heap) == 0 || q.heap[0].At > until {
 		return nil
 	}
 	return q.removeRoot()

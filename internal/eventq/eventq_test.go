@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -97,18 +98,24 @@ func TestCancelMiddle(t *testing.T) {
 	}
 }
 
-func TestPeek(t *testing.T) {
+// PopUntil takes only what is due by its bound and leaves a later
+// event queued, so Len tells the two kinds of nil apart.
+func TestPopUntil(t *testing.T) {
 	var q Queue
-	if q.Peek() != nil {
-		t.Error("Peek on empty queue should be nil")
+	if q.PopUntil(vtime.Infinity) != nil {
+		t.Error("PopUntil on empty queue should be nil")
 	}
 	q.Push(5, ClassApp, nil)
 	q.Push(3, ClassApp, nil)
-	if q.Peek().At != 3 {
-		t.Errorf("Peek.At = %d, want 3", q.Peek().At)
+	if e := q.PopUntil(2); e != nil || q.Len() != 2 {
+		t.Errorf("PopUntil(2) = %v with Len %d, want nil and 2 left", e, q.Len())
 	}
-	if q.Len() != 2 {
-		t.Error("Peek must not remove")
+	if e := q.PopUntil(3); e == nil || e.At != 3 {
+		t.Errorf("PopUntil(3) = %v, want the event at 3", e)
+	}
+	q.Cancel(q.Push(4, ClassApp, nil))
+	if e := q.PopUntil(4); e != nil || q.Len() != 1 {
+		t.Errorf("PopUntil(4) = %v with Len %d, want the dead event skipped and 1 left", e, q.Len())
 	}
 }
 
@@ -187,108 +194,184 @@ func TestCancelCompleteness(t *testing.T) {
 	}
 }
 
-// Model test for the two doors together: a seeded mix of Push,
-// PushRecycled, PushRecycledTo, Cancel, CancelHandle and Pop (+Run and
-// Release, as the engine does) against a reference that keeps every
-// live event in a slice and sorts it. Handles of events already fired
-// or cancelled are cancelled again at random, long after their records
-// went back to the free list and on to other events: that must change
-// nothing. Pops must agree event for event, Len must be exact after
-// every step, and the free list may never hold more records than the
-// heap had slots at its peak — recycling reuses, it does not hoard.
+// Model test for every door together, at standing depths from 1 to
+// 4096: a seeded mix of Push, PushRecycled, PushRecycledTo, Slot then
+// PushSlot chains, Cancel, CancelHandle and Pop (+Run and Release, as
+// the engine does) holds the queue near each depth, against a reference
+// kept sorted by (At, Class, seq) with its own seq count. Bursts of
+// cancelled timers force bulk compactions, and handles of fired or
+// cancelled events are cancelled again, many once their records carry
+// other events: Pending must say false and nothing may change, while
+// the handle of each event due next must still say true. Pops must
+// agree event for event and Len after every step, and the free
+// list may never hold more records than the heap had slots at its peak
+// — recycling reuses, it does not hoard.
 func TestModelAgainstSortedReference(t *testing.T) {
-	type ref struct {
+	type key struct {
 		at    vtime.Time
 		class Class
-		id    int // payload identity, carried by the closure or the payload
-		ev    *Event
-		h     Handle // zero for a Push record
+		seq   uint64
 	}
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+	type ref struct {
+		key
+		id uint64 // the payload the event fires with
+		ev *Event // nil for a chain event, which has no handle
+		h  Handle // zero for a Push record
+	}
+	type chain struct {
+		s    Slot
+		seq  uint64
+		last vtime.Time
+	}
+	const (
+		byPush = iota
+		byClosure
+		byHandler
+		byChain
+		doors
+	)
+	for _, depth := range []int{1, 2, 3, 4, 5, 17, 64, 255, 1024, 4096} {
+		rng := rand.New(rand.NewSource(int64(depth)))
 		var q Queue
-		var live, gone []ref
-		cancel := func(r ref) {
+		var live, gone []ref // live sorted by key; gone fired or cancelled
+		var chains []chain
+		var seq, ids, fired uint64
+		var now vtime.Time
+		compactions, reusedHits, peak := 0, 0, 0
+		push := func(door int) {
+			ids++
+			id := ids
+			fire := func() { fired = id }
+			r := ref{key: key{at: now + vtime.Time(rng.Int63n(3*int64(depth)+8)), class: Class(1 + rng.Intn(5))}, id: id}
+			switch door {
+			case byPush:
+				seq++
+				r.seq = seq
+				r.ev = q.Push(r.at, r.class, fire)
+			case byClosure:
+				seq++
+				r.seq = seq
+				r.h = q.PushRecycled(r.at, r.class, fire)
+				r.ev = r.h.e
+			case byHandler:
+				seq++
+				r.seq = seq
+				r.h = q.PushRecycledTo(r.at, r.class, payloadSink{&fired}, id)
+				r.ev = r.h.e
+			case byChain: // the chain's next event, strictly after its last
+				if len(chains) < 4 {
+					seq++
+					chains = append(chains, chain{s: q.Slot(), seq: seq, last: -1})
+				}
+				c := &chains[rng.Intn(len(chains))]
+				r.at = max(r.at, c.last+1)
+				c.last, r.seq = r.at, c.seq
+				q.PushSlot(c.s, r.at, r.class, fire)
+			}
+			i, _ := slices.BinarySearchFunc(live, r.key, func(x ref, k key) int {
+				return cmp.Or(cmp.Compare(x.at, k.at), cmp.Compare(x.class, k.class), cmp.Compare(x.seq, k.seq))
+			})
+			live = slices.Insert(live, i, r)
+			peak = max(peak, len(q.heap)) // slots, lazily cancelled ones included
+		}
+		cancel := func(i int) bool {
+			r := live[i]
+			if r.ev == nil {
+				return false // a chain event cannot be cancelled
+			}
 			if r.h == (Handle{}) {
 				q.Cancel(r.ev)
 			} else {
 				q.CancelHandle(r.h)
 			}
+			live = slices.Delete(live, i, i+1)
+			gone = append(gone, r)
+			return true
 		}
-		fired := -1
-		ids, peak := 0, 0
-		for step := 0; step < 4000; step++ {
-			switch op := rng.Intn(10); {
-			case op < 5: // schedule, through either door
-				r := ref{at: vtime.Time(rng.Int63n(200)), class: Class(1 + rng.Intn(5)), id: ids}
-				id := ids
-				ids++
-				fire := func() { fired = id }
-				switch rng.Intn(3) {
-				case 0:
-					r.ev = q.Push(r.at, r.class, fire)
-				case 1:
-					r.h = q.PushRecycled(r.at, r.class, fire)
-				default:
-					r.h = q.PushRecycledTo(r.at, r.class, idSink{&fired}, uint64(id))
+		for len(live) < depth {
+			push(rng.Intn(doors))
+		}
+		for step := 0; step < 2000+2*depth; step++ {
+			if step%1500 == 750 { // a burst of timers, all disarmed
+				n, dead := len(q.heap)+65, q.dead
+				for range n {
+					push(byHandler)
 				}
-				if r.ev == nil {
-					r.ev = r.h.e
+				for k := n; k > 0; {
+					if cancel(rng.Intn(len(live))) {
+						k--
+					}
 				}
-				live = append(live, r)
-			case op < 6 && len(gone) > 0: // cancel a stale one: no-op
-				cancel(gone[rng.Intn(len(gone))])
-			case op < 7 && len(live) > 0: // cancel a live one
-				i := rng.Intn(len(live))
-				cancel(live[i])
-				gone = append(gone, live[i])
-				live = append(live[:i], live[i+1:]...)
-			case len(live) > 0: // pop: the reference picks by sort
-				// live is in push order and the sort is stable, so ties
-				// on (At, Class) resolve by seq as the heap's do.
-				sort.SliceStable(live, func(i, j int) bool {
-					if live[i].at != live[j].at {
-						return live[i].at < live[j].at
-					}
-					if live[i].class != live[j].class {
-						return live[i].class < live[j].class
-					}
-					return live[i].id < live[j].id
-				})
+				if q.dead < dead+n {
+					compactions++
+				}
+			}
+			switch op := rng.Intn(20); {
+			case op < 8 && (len(live) < depth || op < 4):
+				push(rng.Intn(doors))
+			case op < 9 && len(live) > 0:
+				cancel(rng.Intn(len(live)))
+			case op < 11 && len(gone) > 0: // a stale handle: a no-op
+				r := gone[rng.Intn(len(gone))]
+				if r.h.Pending() {
+					t.Fatalf("depth %d step %d: a fired or cancelled event is pending", depth, step)
+				}
+				if r.h != (Handle{}) && r.h.e.index >= 0 {
+					reusedHits++
+				}
+				if r.h == (Handle{}) && r.ev != nil {
+					q.Cancel(r.ev)
+				} else {
+					q.CancelHandle(r.h)
+				}
+			case len(live) > 0:
 				want := live[0]
 				live = live[1:]
 				gone = append(gone, want)
 				if want.h != (Handle{}) && !want.h.Pending() {
-					t.Fatalf("seed %d step %d: the event due next is not pending", seed, step)
+					t.Fatalf("depth %d step %d: the event due next is not pending", depth, step)
 				}
 				ev := q.Pop()
-				if ev != want.ev || ev.At != want.at || ev.Class != want.class {
-					t.Fatalf("seed %d step %d: popped (%d,%d), want (%d,%d)", seed, step, ev.At, ev.Class, want.at, want.class)
+				if ev == nil || ev.At != want.at || ev.Class != want.class || want.ev != nil && ev != want.ev {
+					t.Fatalf("depth %d step %d: popped %v, want (%d,%d)", depth, step, ev, want.at, want.class)
 				}
+				now = ev.At
 				ev.Run()
 				if fired != want.id {
-					t.Fatalf("seed %d step %d: fired payload %d, want %d", seed, step, fired, want.id)
+					t.Fatalf("depth %d step %d: fired %d, want %d", depth, step, fired, want.id)
 				}
 				q.Release(ev)
 			}
 			if q.Len() != len(live) {
-				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, q.Len(), len(live))
+				t.Fatalf("depth %d step %d: Len = %d, want %d", depth, step, q.Len(), len(live))
 			}
-			peak = max(peak, len(q.heap)) // slots, lazily cancelled ones included
 			if len(q.free) > peak {
-				t.Fatalf("seed %d step %d: free list %d longer than peak depth %d", seed, step, len(q.free), peak)
+				t.Fatalf("depth %d step %d: free list %d longer than peak depth %d", depth, step, len(q.free), peak)
 			}
 		}
-		if q.Pop() == nil != (len(live) == 0) {
-			t.Fatalf("seed %d: queue and reference disagree on empty", seed)
+		if compactions == 0 || reusedHits == 0 {
+			t.Errorf("depth %d: %d compactions, %d stale cancels on reused records; want some of each", depth, compactions, reusedHits)
+		}
+		for _, want := range live {
+			ev := q.Pop()
+			if ev == nil || ev.At != want.at || ev.Class != want.class {
+				t.Fatalf("depth %d: drain popped %v, want (%d,%d)", depth, ev, want.at, want.class)
+			}
+			ev.Run()
+			if fired != want.id {
+				t.Fatalf("depth %d: drain fired %d, want %d", depth, fired, want.id)
+			}
+		}
+		if q.Pop() != nil || q.Len() != 0 {
+			t.Fatalf("depth %d: queue not empty after the reference drained", depth)
 		}
 	}
 }
 
-// idSink is a Handler that stores its payload as the fired id.
-type idSink struct{ fired *int }
+// payloadSink is a Handler that stores its payload as the fired id.
+type payloadSink struct{ fired *uint64 }
 
-func (s idSink) Fire(n uint64) { *s.fired = int(n) }
+func (s payloadSink) Fire(n uint64) { *s.fired = n }
 
 // The handler/payload record keeps Event at 48 bytes: the index packs
 // beside the class and the flags, so the interface's second word costs

@@ -141,8 +141,8 @@ type Network struct {
 }
 
 // flight is the recycled record of one message in flight (see the
-// package doc). Its stages and name closure are bound when it is first
-// allocated.
+// package doc). Its stages are bound when it is first allocated; it is
+// the owner of its NetMsg thread itself.
 type flight struct {
 	n    *Network
 	m    Message
@@ -151,9 +151,17 @@ type flight struct {
 	seq  uint64 // the NetMsg thread's number, rendered only if read
 	next *flight
 
-	arrive, atm, done func()
-	name              func() string
+	arrive, atm func()
 }
+
+// ThreadName names the NetMsg thread, when a kept record reads it.
+func (f *flight) ThreadName() string {
+	var buf [32]byte
+	return string(strconv.AppendUint(append(buf[:0], "NetMsg#"...), f.seq, 10))
+}
+
+// ThreadDone ends the NetMsg thread by delivering the message.
+func (f *flight) ThreadDone() { f.deliver() }
 
 // take returns a record from the free list, or a new one with its
 // stages bound.
@@ -161,11 +169,7 @@ func (n *Network) take() *flight {
 	f := n.free
 	if f == nil {
 		f = &flight{n: n}
-		f.arrive, f.atm, f.done = f.onArrive, f.onATM, f.deliver
-		f.name = func() string {
-			var buf [32]byte
-			return string(strconv.AppendUint(append(buf[:0], "NetMsg#"...), f.seq, 10))
-		}
+		f.arrive, f.atm = f.onArrive, f.onATM
 		return f
 	}
 	n.free, f.next = f.next, nil
@@ -458,9 +462,8 @@ func (f *flight) onATM() {
 	}
 	n.protoSeq++
 	f.seq = n.protoSeq
-	f.to.InitThread(&f.th, f.name, n.cfg.PrioNet)
+	f.to.InitThread(&f.th, f, n.cfg.PrioNet)
 	f.th.AddSegment(simkern.Segment{Work: n.cfg.WProto, PT: simkern.PrioMax})
-	f.th.OnComplete = f.done
 	f.th.Ready()
 }
 

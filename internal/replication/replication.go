@@ -297,8 +297,7 @@ type Group struct {
 }
 
 // execRun is one batch executing at one replica: its thread, by value,
-// and the completion bound once when the record is first allocated.
-// The thread's name is rendered from node and id, only if read.
+// whose owner it is.
 type execRun struct {
 	g    *Group
 	th   simkern.Thread
@@ -306,9 +305,15 @@ type execRun struct {
 	id   uint64
 	msg  batchMsg
 	next *execRun
+}
 
-	name func() string
-	done func()
+// ThreadName names the execution thread from node and id, when a kept
+// record reads it.
+func (r *execRun) ThreadName() string {
+	var buf [64]byte
+	name := append(append(buf[:0], "repl."...), r.g.cfg.Name...)
+	name = strconv.AppendUint(append(name, ".exec#"...), r.id, 10)
+	return string(strconv.AppendInt(append(name, "@n"...), int64(r.node), 10))
 }
 
 // Failover records one primary/leader promotion. The failover latency
@@ -742,26 +747,19 @@ func (g *Group) execute(node int, msg batchMsg) {
 	r := g.runs
 	if r == nil {
 		r = &execRun{g: g}
-		r.name = func() string {
-			var buf [64]byte
-			name := append(append(buf[:0], "repl."...), r.g.cfg.Name...)
-			name = strconv.AppendUint(append(name, ".exec#"...), r.id, 10)
-			return string(strconv.AppendInt(append(name, "@n"...), int64(r.node), 10))
-		}
-		r.done = r.finish
 	} else {
 		g.runs, r.next = r.next, nil
 	}
 	r.node, r.id, r.msg = node, msg.Ops[0].id, msg
-	g.eng.Processors()[node].InitThread(&r.th, r.name, simkern.PrioMax-5000)
+	g.eng.Processors()[node].InitThread(&r.th, r, simkern.PrioMax-5000)
 	r.th.AddSegment(simkern.Segment{Work: g.cfg.WExec, PT: simkern.PrioMax - 5000})
-	r.th.OnComplete = r.done
 	r.th.Ready()
 }
 
-// finish applies the batch at its replica. The record is released
-// first, so an execute the applies start can reuse it.
-func (r *execRun) finish() {
+// ThreadDone ends the execution thread: it applies the batch at its
+// replica. The record is released first, so an execute the applies
+// start can reuse it.
+func (r *execRun) ThreadDone() {
 	g, node, msg := r.g, r.node, r.msg
 	r.msg = batchMsg{}
 	r.next, g.runs = g.runs, r

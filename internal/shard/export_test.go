@@ -19,6 +19,10 @@ func (c *Client) Groups() []*Group { return c.router.groups }
 // authoritative log.
 func NewHistory(log []Applied) *History { return newHistory(log) }
 
+// History indexes the group's authoritative apply log, as Verify's
+// Histories do.
+func (g *Group) History() (*History, error) { return g.history() }
+
 // TamperHistory replaces the group's shared history with what edit
 // returns and points every replica's log at all of it, so a test can
 // hand the audits a history no correct run writes.
@@ -48,5 +52,16 @@ func RecordForks() (stop func() []Fork) {
 	return func() []Fork {
 		testHookFork = nil
 		return forks
+	}
+}
+
+// CountIndexes counts the history indexes made, per group name, until
+// the returned stop is called.
+func CountIndexes() (stop func() map[string]int) {
+	n := map[string]int{}
+	testHookIndex = func(g *Group) { n[g.name]++ }
+	return func() map[string]int {
+		testHookIndex = nil
+		return n
 	}
 }

@@ -22,10 +22,11 @@ import (
 // The authoritative history is a hole-free replica's log — one never
 // down and never view-excluded (semi-active followers execute
 // everything, so any replica that stayed in every view holds the full
-// lineage). Verify requires semi-active shards: under passive
-// replication acknowledged work since the last checkpoint is lost on
-// failover by design, so the exactly-once clause cannot hold.
-func Verify(r *Router, clients []*Client) error {
+// lineage). hs indexes r's groups; Verify requires semi-active shards:
+// under passive replication acknowledged work since the last checkpoint
+// is lost on failover by design, so the exactly-once clause cannot
+// hold.
+func Verify(r *Router, clients []*Client, hs *Histories) error {
 	for _, g := range r.Groups() {
 		if s := g.Replication().Style(); s != replication.SemiActive {
 			return fmt.Errorf("shard: verify needs semi-active shards (group %q is %s)", g.Name(), s)
@@ -37,7 +38,7 @@ func Verify(r *Router, clients []*Client) error {
 		client int
 	}
 	for i, g := range r.Groups() {
-		h, err := g.History()
+		h, err := hs.Of(i)
 		if err != nil {
 			return fmt.Errorf("shard: %w", err)
 		}
@@ -122,14 +123,46 @@ type seqPos struct {
 	pos int
 }
 
-// History indexes the group's authoritative apply log. It fails when
+// history indexes the group's authoritative apply log. It fails when
 // no replica's log is hole-free.
-func (g *Group) History() (*History, error) {
+func (g *Group) history() (*History, error) {
+	if testHookIndex != nil {
+		testHookIndex(g)
+	}
 	node, ok := g.AuthoritativeNode()
 	if !ok {
 		return nil, fmt.Errorf("group %q has no hole-free replica to verify against", g.Name())
 	}
 	return newHistory(g.log(g.replica(node))), nil
+}
+
+// testHookIndex, when set, sees every history index made.
+var testHookIndex func(g *Group)
+
+// Histories holds a router's groups' histories, each indexed when an
+// audit first asks for it, so the audits of one verdict (Verify and
+// txn.Verify) share one index per group.
+type Histories struct {
+	groups []*Group
+	hist   []*History
+	errs   []error
+}
+
+// NewHistories returns r's groups' histories, none indexed yet. They
+// are the histories as of the first read: make new ones after the run
+// moves on.
+func NewHistories(r *Router) *Histories {
+	n := len(r.Groups())
+	return &Histories{groups: r.Groups(), hist: make([]*History, n), errs: make([]error, n)}
+}
+
+// Of returns group i's history, or why it has none, indexing it on the
+// first call.
+func (hs *Histories) Of(i int) (*History, error) {
+	if hs.hist[i] == nil && hs.errs[i] == nil {
+		hs.hist[i], hs.errs[i] = hs.groups[i].history()
+	}
+	return hs.hist[i], hs.errs[i]
 }
 
 // newHistory indexes log with a counting sort into each client's

@@ -9,6 +9,7 @@ import (
 
 	"hades/internal/cluster"
 	"hades/internal/replication"
+	"hades/internal/scenario"
 	"hades/internal/shard"
 	"hades/internal/vtime"
 )
@@ -290,6 +291,38 @@ func TestFindMatchesMapIndex(t *testing.T) {
 		}
 		probe(-1, 0)
 		probe(0, math.MaxUint64)
+	}
+}
+
+// TestClusterVerifyIndexesEachGroupOnce: on bank-transfer, where both
+// the exactly-once and the atomic-commitment audit read every group's
+// history, Cluster.Verify indexes each group once.
+func TestClusterVerifyIndexesEachGroupOnce(t *testing.T) {
+	spec, err := scenario.Builtin("bank-transfer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := c.Run(spec.Horizon())
+	if len(res.TxnClients) == 0 || len(res.Shards) < 2 || res.Shards[0].Style != replication.SemiActive {
+		t.Fatalf("bank-transfer runs %d txn clients on %d shards; want both audits to apply", len(res.TxnClients), len(res.Shards))
+	}
+	stop := shard.CountIndexes()
+	err = c.Verify()
+	built := stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(built) != len(res.Shards) {
+		t.Fatalf("indexed %d of %d groups: %v", len(built), len(res.Shards), built)
+	}
+	for _, g := range res.Shards {
+		if built[g.Name] != 1 {
+			t.Errorf("group %q indexed %d times, want 1", g.Name, built[g.Name])
+		}
 	}
 }
 

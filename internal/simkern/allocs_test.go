@@ -135,12 +135,12 @@ func TestAllocsInitThreadLifecycle(t *testing.T) {
 	p := eng.AddProcessor("n0", 10*us)
 	var th Thread
 	seq := 0
-	name := func() string { return fmt.Sprintf("t#%d", seq) }
+	owner := &funcOwner{name: func() string { return fmt.Sprintf("t#%d", seq) }}
 	done := 0
 	onDone := func() { done++ }
 	gate(t, "3-segment InitThread lifecycle", 0, func() {
 		seq++
-		p.InitThread(&th, name, PrioMax-2)
+		p.InitThread(&th, owner, PrioMax-2)
 		th.AddSegment(Segment{Work: 10 * us, PT: PrioMax})
 		th.AddSegment(Segment{Work: 100 * us, OnDone: onDone})
 		th.AddSegment(Segment{Work: 10 * us, PT: PrioMax})

@@ -17,7 +17,7 @@ func TestThresholdSurvivesInterrupt(t *testing.T) {
 	var order []string
 	shielded := p.NewThread("shielded", 10)
 	shielded.AddSegment(Segment{Work: 100 * us, PT: 25})
-	shielded.OnComplete = func() { order = append(order, "shielded") }
+	onComplete(shielded, func() { order = append(order, "shielded") })
 	shielded.Ready()
 	// Interrupt at 50us; contender (prio 20 < pt 25) readied during
 	// the handler.
@@ -25,7 +25,7 @@ func TestThresholdSurvivesInterrupt(t *testing.T) {
 		p.RaiseIRQ("test", 5*us, func() {
 			c := p.NewThread("contender", 20)
 			c.AddSegment(Segment{Work: 10 * us})
-			c.OnComplete = func() { order = append(order, "contender") }
+			onComplete(c, func() { order = append(order, "contender") })
 			c.Ready()
 		})
 	})
@@ -43,13 +43,13 @@ func TestThresholdExceededAfterInterrupt(t *testing.T) {
 	var order []string
 	running := p.NewThread("running", 10)
 	running.AddSegment(Segment{Work: 100 * us, PT: 25})
-	running.OnComplete = func() { order = append(order, "running") }
+	onComplete(running, func() { order = append(order, "running") })
 	running.Ready()
 	eng.After(50*us, eventq.ClassInterrupt, func() {
 		p.RaiseIRQ("test", 5*us, func() {
 			c := p.NewThread("urgent", 30) // above pt 25
 			c.AddSegment(Segment{Work: 10 * us})
-			c.OnComplete = func() { order = append(order, "urgent") }
+			onComplete(c, func() { order = append(order, "urgent") })
 			c.Ready()
 		})
 	})
@@ -73,10 +73,10 @@ func TestUnstartedThreadUsesPlainPriority(t *testing.T) {
 	// Both created before the engine runs: neither has started.
 	low := p.NewThread("low", 5)
 	low.AddSegment(Segment{Work: 10 * us, PT: 100}) // huge threshold, unstarted
-	low.OnComplete = func() { order = append(order, "low") }
+	onComplete(low, func() { order = append(order, "low") })
 	hi := p.NewThread("hi", 9)
 	hi.AddSegment(Segment{Work: 10 * us})
-	hi.OnComplete = func() { order = append(order, "hi") }
+	onComplete(hi, func() { order = append(order, "hi") })
 	low.Ready()
 	hi.Ready()
 	eng.RunUntilIdle()
@@ -98,7 +98,7 @@ func TestIRQDuringSwitchCostWindow(t *testing.T) {
 	var done vtime.Time
 	th := p.NewThread("t", 5)
 	th.AddSegment(Segment{Work: 100 * us})
-	th.OnComplete = func() { done = eng.Now() }
+	onComplete(th, func() { done = eng.Now() })
 	th.Ready()
 	// IRQ at 5us: inside the 10us switch window.
 	eng.After(5*us, eventq.ClassInterrupt, func() {

@@ -21,9 +21,10 @@
 //   - threads made of segments, each with its own preemption threshold, so
 //     that kernel calls can run with pt = PrioMax as the paper mandates;
 //     two thread doors: NewThread allocates one object, named at once;
-//     InitThread reinitialises caller-owned storage and names the thread
-//     lazily, rendering the name only for a record the log keeps — a
-//     per-message thread kept in a recycled record costs nothing;
+//     InitThread reinitialises caller-owned storage hooked to an Owner,
+//     which names the thread only for a record the log keeps and hears
+//     it complete — a per-message thread kept in a recycled record, or
+//     a unit's kept in its instance, costs nothing;
 //   - interrupt sources (periodic clock tick, sporadic device interrupts)
 //     that preempt all threads, matching §4.2's background kernel
 //     activities;
@@ -183,15 +184,13 @@ func (e *Engine) Run(until vtime.Time) vtime.Time {
 	e.running = true
 	defer func() { e.running = false }()
 	for {
-		next := e.queue.Peek()
-		if next == nil {
+		ev := e.queue.PopUntil(until)
+		if ev == nil {
+			if e.queue.Len() > 0 {
+				e.now = until
+			}
 			return e.now
 		}
-		if next.At > until {
-			e.now = until
-			return e.now
-		}
-		ev := e.queue.Pop()
 		e.now = ev.At
 		e.fired++
 		ev.Run()

@@ -345,8 +345,8 @@ func (p *Processor) segmentDone() {
 		if cb != nil {
 			cb()
 		}
-		if t.OnComplete != nil {
-			t.OnComplete()
+		if t.owner != nil {
+			t.owner.ThreadDone()
 		}
 		p.resched()
 		return

@@ -22,7 +22,7 @@ func TestSingleThreadRunsToCompletion(t *testing.T) {
 	done := vtime.Time(-1)
 	th := p.NewThread("a", 5)
 	th.AddSegment(Segment{Work: 100 * us})
-	th.OnComplete = func() { done = eng.Now() }
+	onComplete(th, func() { done = eng.Now() })
 	th.Ready()
 	eng.RunUntilIdle()
 	if done != vtime.Time(100*us) {
@@ -42,13 +42,13 @@ func TestPriorityPreemption(t *testing.T) {
 	var finish []string
 	lo := p.NewThread("lo", 1)
 	lo.AddSegment(Segment{Work: 100 * us})
-	lo.OnComplete = func() { finish = append(finish, "lo") }
+	onComplete(lo, func() { finish = append(finish, "lo") })
 	lo.Ready()
 
 	eng.After(10*us, eventq.ClassDispatch, func() {
 		hi := p.NewThread("hi", 9)
 		hi.AddSegment(Segment{Work: 20 * us})
-		hi.OnComplete = func() { finish = append(finish, "hi") }
+		onComplete(hi, func() { finish = append(finish, "hi") })
 		hi.Ready()
 	})
 	end := eng.RunUntilIdle()
@@ -73,7 +73,7 @@ func TestEqualPriorityIsFIFO(t *testing.T) {
 		n := name
 		th := p.NewThread(n, 5)
 		th.AddSegment(Segment{Work: 10 * us})
-		th.OnComplete = func() { finish = append(finish, n) }
+		onComplete(th, func() { finish = append(finish, n) })
 		th.Ready()
 	}
 	eng.RunUntilIdle()
@@ -88,12 +88,12 @@ func TestPreemptionThresholdBlocksPreemption(t *testing.T) {
 	var order []string
 	lo := p.NewThread("lo", 1)
 	lo.AddSegment(Segment{Work: 100 * us, PT: 9}) // threshold above hi
-	lo.OnComplete = func() { order = append(order, "lo") }
+	onComplete(lo, func() { order = append(order, "lo") })
 	lo.Ready()
 	eng.After(10*us, eventq.ClassDispatch, func() {
 		hi := p.NewThread("hi", 8) // 8 <= pt 9: must NOT preempt
 		hi.AddSegment(Segment{Work: 20 * us})
-		hi.OnComplete = func() { order = append(order, "hi") }
+		onComplete(hi, func() { order = append(order, "hi") })
 		hi.Ready()
 	})
 	eng.RunUntilIdle()
@@ -111,12 +111,12 @@ func TestPreemptionThresholdExceeded(t *testing.T) {
 	var order []string
 	lo := p.NewThread("lo", 1)
 	lo.AddSegment(Segment{Work: 100 * us, PT: 5})
-	lo.OnComplete = func() { order = append(order, "lo") }
+	onComplete(lo, func() { order = append(order, "lo") })
 	lo.Ready()
 	eng.After(10*us, eventq.ClassDispatch, func() {
 		hi := p.NewThread("hi", 6) // 6 > pt 5: preempts
 		hi.AddSegment(Segment{Work: 20 * us})
-		hi.OnComplete = func() { order = append(order, "hi") }
+		onComplete(hi, func() { order = append(order, "hi") })
 		hi.Ready()
 	})
 	eng.RunUntilIdle()
@@ -131,11 +131,11 @@ func TestDynamicPriorityChangeCausesPreemption(t *testing.T) {
 	var order []string
 	a := p.NewThread("a", 5)
 	a.AddSegment(Segment{Work: 100 * us})
-	a.OnComplete = func() { order = append(order, "a") }
+	onComplete(a, func() { order = append(order, "a") })
 	a.Ready()
 	b := p.NewThread("b", 5)
 	b.AddSegment(Segment{Work: 10 * us})
-	b.OnComplete = func() { order = append(order, "b") }
+	onComplete(b, func() { order = append(order, "b") })
 	b.Ready() // FIFO: a runs first
 	eng.After(20*us, eventq.ClassDispatch, func() {
 		b.SetPriority(7) // EDF-style raise: b must now preempt a
@@ -152,11 +152,11 @@ func TestPriorityLoweringOfRunningThread(t *testing.T) {
 	var order []string
 	a := p.NewThread("a", 7)
 	a.AddSegment(Segment{Work: 100 * us})
-	a.OnComplete = func() { order = append(order, "a") }
+	onComplete(a, func() { order = append(order, "a") })
 	a.Ready()
 	b := p.NewThread("b", 5)
 	b.AddSegment(Segment{Work: 10 * us})
-	b.OnComplete = func() { order = append(order, "b") }
+	onComplete(b, func() { order = append(order, "b") })
 	b.Ready()
 	eng.After(20*us, eventq.ClassDispatch, func() {
 		a.SetPriority(3) // Figure 2: lowering the running thread
@@ -217,11 +217,11 @@ func TestContextSwitchCost(t *testing.T) {
 	var doneA, doneB vtime.Time
 	a := p.NewThread("a", 5)
 	a.AddSegment(Segment{Work: 50 * us})
-	a.OnComplete = func() { doneA = eng.Now() }
+	onComplete(a, func() { doneA = eng.Now() })
 	a.Ready()
 	b := p.NewThread("b", 5)
 	b.AddSegment(Segment{Work: 50 * us})
-	b.OnComplete = func() { doneB = eng.Now() }
+	onComplete(b, func() { doneB = eng.Now() })
 	b.Ready()
 	eng.RunUntilIdle()
 	// a: switch 10 + 50 = 60; b: switch 10 + 50 => 120.
@@ -243,7 +243,7 @@ func TestSegmentSequencingAndCallbacks(t *testing.T) {
 	th := p.NewThread("t", 5)
 	th.AddSegment(Segment{Work: 10 * us, OnDone: func() { marks = append(marks, "s1") }})
 	th.AddSegment(Segment{Work: 20 * us, OnDone: func() { marks = append(marks, "s2") }})
-	th.OnComplete = func() { marks = append(marks, "done") }
+	onComplete(th, func() { marks = append(marks, "done") })
 	th.Ready()
 	end := eng.RunUntilIdle()
 	if end != vtime.Time(30*us) {
@@ -264,7 +264,7 @@ func TestSuspendResumeMidThread(t *testing.T) {
 	th := p.NewThread("t", 5)
 	th.AddSegment(Segment{Work: 10 * us, OnDone: func() { th.Suspend() }})
 	th.AddSegment(Segment{Work: 10 * us})
-	th.OnComplete = func() { done = eng.Now() }
+	onComplete(th, func() { done = eng.Now() })
 	th.Ready()
 	eng.After(100*us, eventq.ClassDispatch, func() { th.Ready() })
 	eng.RunUntilIdle()
@@ -350,7 +350,7 @@ func TestZeroWorkSegment(t *testing.T) {
 	var done bool
 	th := p.NewThread("z", 5)
 	th.AddSegment(Segment{Work: 0})
-	th.OnComplete = func() { done = true }
+	onComplete(th, func() { done = true })
 	th.Ready()
 	eng.RunUntilIdle()
 	if !done {
@@ -490,7 +490,7 @@ func TestSegmentsBeyondInlineBuffer(t *testing.T) {
 	}})
 	th.AddSegment(Segment{Work: 10 * us, OnDone: mark("s3")})
 	th.AddSegment(Segment{Work: 10 * us, OnDone: mark("s4")})
-	th.OnComplete = mark("done")
+	onComplete(th, mark("done"))
 	if got := th.remainingWork(); got != 40*us {
 		t.Fatalf("RemainingWork = %s, want 40us", got)
 	}
@@ -505,8 +505,27 @@ func TestSegmentsBeyondInlineBuffer(t *testing.T) {
 	}
 }
 
+// funcOwner is a test's Owner over closures: name renders the name of
+// an InitThread thread, done hears completion and may be nil.
+type funcOwner struct {
+	name func() string
+	done func()
+}
+
+func (o *funcOwner) ThreadName() string { return o.name() }
+
+func (o *funcOwner) ThreadDone() {
+	if o.done != nil {
+		o.done()
+	}
+}
+
+// onComplete hooks f to the completion of th, a NewThread: its name was
+// given, so its owner is never asked for one.
+func onComplete(th *Thread, f func()) { th.owner = &funcOwner{done: f} }
+
 // chainRun runs five threads back to back on one processor with a
-// switch cost, each readied from its predecessor's OnComplete: fresh
+// switch cost, each readied from its predecessor's completion: fresh
 // NewThreads, or one Thread reinitialised in place. It returns the
 // switch count and the switch and start records.
 func chainRun(recycle bool) (int, []monitor.Event) {
@@ -523,12 +542,12 @@ func chainRun(recycle bool) (int, []monitor.Event) {
 		n++
 		th := &storage
 		if recycle {
-			p.InitThread(th, name, PrioMax-2)
+			p.InitThread(th, &funcOwner{name, next}, PrioMax-2)
 		} else {
 			th = p.NewThread(name(), PrioMax-2)
+			onComplete(th, next)
 		}
 		th.AddSegment(Segment{Work: 50 * us})
-		th.OnComplete = next
 		th.Ready()
 	}
 	next()
@@ -564,7 +583,7 @@ func TestLazyNameRenderedOnlyWhenRead(t *testing.T) {
 		p := eng.AddProcessor("n0", 10*us)
 		renders := 0
 		var th Thread
-		p.InitThread(&th, func() string { renders++; return "lazy" }, PrioMax-2)
+		p.InitThread(&th, &funcOwner{name: func() string { renders++; return "lazy" }}, PrioMax-2)
 		th.AddSegment(Segment{Work: 50 * us})
 		dropped := tc.log.Dropped()
 		th.Ready()

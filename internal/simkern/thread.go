@@ -24,13 +24,24 @@ type Segment struct {
 	remaining vtime.Duration
 }
 
+// Owner is what a thread's owner implements to hook it, the way an
+// eventq.Handler hooks an event: ThreadName renders the thread's name
+// when it is first read, and ThreadDone fires when its last segment
+// completes. An owner one pointer wide (its record, or a struct holding
+// only the record's pointer) converts to an Owner without allocating,
+// so a hooked thread costs nothing beyond its storage.
+type Owner interface {
+	ThreadName() string
+	ThreadDone()
+}
+
 // Thread is a kernel-level thread. In HADES a thread executes exactly one
 // Code_EU instance (§3.2.1: "a given thread being dedicated to the
 // execution of one and only one Code_EU").
 type Thread struct {
 	proc  *Processor
 	name  string
-	namer func() string // renders name on first read; nil once rendered
+	owner Owner // names the thread when first read, hears it complete; may be nil
 	prio  int
 
 	// Segments live by value, the first three in segBuf (no caller adds
@@ -46,15 +57,13 @@ type Thread struct {
 
 	started  bool
 	finished bool
+	named    bool // name rendered, or given at NewThread
 	cpuTime  vtime.Duration
-
-	// OnComplete fires when the last segment's CPU demand completes.
-	OnComplete func()
 }
 
-// NewThread creates a suspended thread on p with the given base priority.
-// Call AddSegment then Ready to make it eligible for the CPU. The thread
-// is one allocation.
+// NewThread creates a suspended thread on p with the given base priority
+// and no owner. Call AddSegment then Ready to make it eligible for the
+// CPU. The thread is one allocation.
 func (p *Processor) NewThread(name string, prio int) *Thread {
 	t := new(Thread)
 	p.initThread(t, name, nil, prio)
@@ -62,12 +71,13 @@ func (p *Processor) NewThread(name string, prio int) *Thread {
 }
 
 // InitThread (re)initialises caller-owned storage as a suspended thread
-// on p, named by namer when its name is first read. A caller that runs
-// one short thread per event keeps the Thread in a recycled record and
-// allocates nothing per thread; a monitor record the log refuses never
-// renders the name. t must not be ready or running.
-func (p *Processor) InitThread(t *Thread, namer func() string, prio int) {
-	p.initThread(t, "", namer, prio)
+// on p, hooked to o: o names it when its name is first read and hears
+// it complete. A caller that runs one short thread per event keeps the
+// Thread in its record and allocates nothing per thread; a monitor
+// record the log refuses never renders the name. t must not be ready
+// or running.
+func (p *Processor) InitThread(t *Thread, o Owner, prio int) {
+	p.initThread(t, "", o, prio)
 }
 
 // retired stands in as a processor's last dispatch for a thread whose
@@ -78,11 +88,12 @@ var retired Thread
 // initThread is the one thread initialiser. Reused storage must still
 // count as a different thread for switch costing: a processor whose
 // last dispatch was the old thread now remembers the retired sentinel.
-func (p *Processor) initThread(t *Thread, name string, namer func() string, prio int) {
+func (p *Processor) initThread(t *Thread, name string, o Owner, prio int) {
 	if old := t.proc; old != nil && old.lastDispatch == t {
 		old.lastDispatch = &retired
 	}
-	*t = Thread{proc: p, name: name, namer: namer, prio: prio, readyIdx: -1}
+	// A thread with no owner keeps the name it was given.
+	*t = Thread{proc: p, name: name, owner: o, named: o == nil, prio: prio, readyIdx: -1}
 	t.segs = t.segBuf[:0]
 	if prio < PrioMin || prio > PrioMax {
 		panic(fmt.Sprintf("simkern: priority %d out of range for thread %q", prio, t.renderName()))
@@ -91,8 +102,8 @@ func (p *Processor) initThread(t *Thread, name string, namer func() string, prio
 
 // renderName returns the thread's name, rendering a lazy one once.
 func (t *Thread) renderName() string {
-	if t.namer != nil {
-		t.name, t.namer = t.namer(), nil
+	if !t.named {
+		t.name, t.named = t.owner.ThreadName(), true
 	}
 	return t.name
 }
@@ -102,7 +113,7 @@ func (t *Thread) renderName() string {
 // Recordf, so a refused one is counted as before.
 func (t *Thread) record(kind monitor.Kind, format string, args ...any) {
 	name := t.name
-	if t.namer != nil && t.proc.eng.log.Keeps(kind) {
+	if !t.named && t.proc.eng.log.Keeps(kind) {
 		name = t.renderName()
 	}
 	t.proc.eng.Recordf(kind, t.proc.id, name, format, args...)

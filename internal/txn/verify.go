@@ -24,12 +24,12 @@ import (
 // The authoritative history is the same hole-free-replica log the
 // data-plane verifier uses (shard.Verify), so a plane that passes both
 // checks has single-key linearizability AND multi-key atomicity on one
-// set of histories.
-func Verify(p *Plane) error {
+// set of histories: hs, which indexes the plane router's groups.
+func Verify(p *Plane, hs *shard.Histories) error {
 	groups := p.router.Groups()
 	hist := make([]*shard.History, len(groups))
-	for i, g := range groups {
-		h, err := g.History()
+	for i := range groups {
+		h, err := hs.Of(i)
 		if err != nil {
 			return fmt.Errorf("txn: %w", err)
 		}
