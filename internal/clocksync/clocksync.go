@@ -144,17 +144,17 @@ func TwoFacedByzantine(spread vtime.Duration, rng *rand.Rand) func(int, vtime.Ti
 
 // Start schedules the periodic resynchronisation.
 func (s *Service) Start() {
-	var round func()
-	round = func() {
-		s.beginRound()
-		s.eng.After(resyncPeriod, eventq.ClassApp, round)
-	}
-	s.eng.After(resyncPeriod, eventq.ClassApp, round)
+	s.eng.Arm(s.eng.Now().Add(resyncPeriod), eventq.ClassApp, resync{s}, 0)
 }
 
-// beginRound: every node broadcasts its reading, then applies the
-// convergence function after the collect window.
-func (s *Service) beginRound() {
+// resync is the service as the handler of its periodic rounds.
+type resync struct{ s *Service }
+
+// Fire begins a round: every node broadcasts its reading, then applies
+// the convergence function after the collect window. It arms the next
+// round.
+func (r resync) Fire(uint64) {
+	s := r.s
 	now := s.eng.Now()
 	for _, src := range s.cfg.Nodes {
 		c := s.clocks[src]
@@ -177,7 +177,8 @@ func (s *Service) beginRound() {
 			}
 		}
 	}
-	s.eng.After(collectWindow, eventq.ClassApp, func() { s.converge() })
+	s.eng.Arm(now.Add(collectWindow), eventq.ClassApp, eventq.Func(s.converge), 0)
+	s.eng.Arm(now.Add(resyncPeriod), eventq.ClassApp, r, 0)
 }
 
 // receive stores the estimate of the sender's logical clock: the
@@ -196,7 +197,7 @@ func (s *Service) receive(node int, m *netsim.Message) {
 	est := reading.Add((dmin + dmax) / 2) // midpoint estimator, error ≤ ε/2
 	c.estimates[m.From] = est
 	// Charge the processing cost like a kernel activity.
-	s.eng.Processors()[node].RaiseIRQ("clocksync", wSync, nil)
+	s.eng.Processors()[node].RaiseIRQ("clocksync", wSync, nil, 0)
 }
 
 // converge applies the fault-tolerant midpoint to every correct node.

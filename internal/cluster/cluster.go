@@ -300,7 +300,7 @@ func (c *Cluster) Now() vtime.Time { return c.eng.Now() }
 // At schedules an application-level callback at absolute instant t
 // (workload feeding, measurement probes).
 func (c *Cluster) At(t vtime.Time, fn func()) {
-	c.eng.At(t, eventq.ClassApp, fn)
+	c.eng.Arm(t, eventq.ClassApp, eventq.Func(fn), 0)
 }
 
 // Chain returns an At door for one chain of application callbacks,
@@ -320,7 +320,7 @@ func (c *Cluster) Chain() func(t vtime.Time, fn func()) {
 			slot = c.eng.Slot()
 		}
 		last = t
-		c.eng.AtSlot(slot, t, eventq.ClassApp, fn)
+		c.eng.AtSlot(slot, t, eventq.ClassApp, eventq.Func(fn), 0)
 	}
 }
 
@@ -445,21 +445,32 @@ func (c *Cluster) start(task string, kind heug.ArrivalKind, extraGap func(k uint
 // then one every period plus extraGap(k) after the k-th (nil = none),
 // for as long as live holds (nil = for the whole run).
 func (c *Cluster) drive(task string, delay, period vtime.Duration, extraGap func(k uint64) vtime.Duration, live func() bool) {
-	var k uint64
-	var fire func()
-	fire = func() {
-		if live != nil && !live() {
-			return
-		}
-		_, _ = c.disp.Activate(task) // arrival-law monitoring inside
-		k++
-		gap := period
-		if extraGap != nil {
-			gap += extraGap(k)
-		}
-		c.eng.After(gap, eventq.ClassDispatch, fire)
+	d := &driver{c: c, task: task, period: period, extraGap: extraGap, live: live}
+	c.eng.Arm(c.eng.Now().Add(delay), eventq.ClassDispatch, d, 0)
+}
+
+// driver is one activation loop of drive, the handler of its own
+// activations; k counts them.
+type driver struct {
+	c        *Cluster
+	task     string
+	period   vtime.Duration
+	extraGap func(k uint64) vtime.Duration
+	live     func() bool
+	k        uint64
+}
+
+func (d *driver) Fire(uint64) {
+	if d.live != nil && !d.live() {
+		return
 	}
-	c.eng.After(delay, eventq.ClassDispatch, fire)
+	_, _ = d.c.disp.Activate(d.task) // arrival-law monitoring inside
+	d.k++
+	gap := d.period
+	if d.extraGap != nil {
+		gap += d.extraGap(d.k)
+	}
+	d.c.eng.Arm(d.c.eng.Now().Add(gap), eventq.ClassDispatch, d, 0)
 }
 
 // StartSporadicWorstCase activates a sporadic task at its maximum
@@ -473,7 +484,7 @@ func (c *Cluster) StartSporadicWorstCase(task string) error {
 // (aperiodic arrivals, interrupt-triggered tasks).
 func (c *Cluster) ActivateAt(task string, at vtime.Time) {
 	c.build()
-	c.eng.At(at, eventq.ClassDispatch, func() { _, _ = c.disp.Activate(task) })
+	c.eng.Arm(at, eventq.ClassDispatch, eventq.Func(func() { _, _ = c.disp.Activate(task) }), 0)
 }
 
 // ActivateOnCond activates the task whenever the named condition

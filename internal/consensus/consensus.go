@@ -127,13 +127,13 @@ func (c *Instance) runRound(r int) {
 			}
 		}
 	}
-	c.eng.After(c.cfg.Round, eventq.ClassApp, func() {
+	c.eng.Arm(c.eng.Now().Add(c.cfg.Round), eventq.ClassApp, eventq.Func(func() {
 		if r < c.cfg.F+1 {
 			c.runRound(r + 1)
 			return
 		}
 		c.decide()
-	})
+	}), 0)
 }
 
 // receive merges a peer's value set.
@@ -146,7 +146,7 @@ func (c *Instance) receive(node int, m *netsim.Message) {
 		return
 	}
 	if c.cfg.WProc > 0 {
-		c.eng.Processors()[node].RaiseIRQ("consensus", c.cfg.WProc, nil)
+		c.eng.Processors()[node].RaiseIRQ("consensus", c.cfg.WProc, nil, 0)
 	}
 	for _, v := range vals {
 		c.sets[node][v] = true

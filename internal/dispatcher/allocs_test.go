@@ -50,12 +50,12 @@ func engine(n int) *simkern.Engine {
 
 // TestAllocsInstance: one EDF+SRP instance of a 3-stage pipeline across
 // two nodes, from activation to completion, costs what the instance
-// owns and nothing per notification or watchdog: its block (1: the
-// record, the three units with their kernel threads, the index), its
-// one name string (1), and per remote crossing the boxed payload (2).
-// Every thread's hooks are one-pointer owners, the held list is the
-// task's, and the deadline and omission watchdogs fire their owners
-// from recycled records.
+// owns and nothing per notification, watchdog or remote crossing: its
+// block (1: the record, the three units with their kernel threads, the
+// index) and its one name string (1). Every thread's hooks are
+// one-pointer owners, the held list is the task's, the deadline and
+// omission watchdogs fire their owners from recycled records, and a
+// crossing's datagram is the destination unit's pointer.
 func TestAllocsInstance(t *testing.T) {
 	eng := engine(2)
 	net := netsim.New(eng, netsim.DefaultConfig())
@@ -72,7 +72,7 @@ func TestAllocsInstance(t *testing.T) {
 		Precede("fuse", "commit").
 		MustBuild())
 	app.Seal()
-	gate(t, "EDF+SRP pipeline instance", 4, func() {
+	gate(t, "EDF+SRP pipeline instance", 2, func() {
 		if _, err := d.Activate("pipe"); err != nil {
 			t.Fatal(err)
 		}

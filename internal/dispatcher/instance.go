@@ -26,12 +26,13 @@ import (
 // of their own. Nothing else is per instance: every kernel thread is
 // owned by the instance or its unit through a one-pointer adapter, a
 // unit's held list is its task's, and the deadline and start watchdogs
-// fire their owners from recycled event records. A unit adds what it
-// does: its parameter maps at its first parameter, a boxed payload per
-// remote precedence crossing, and for an Inv_EU the hook that activates
-// its target. The gates in allocs_test.go hold a Spuri instance at 2, a
-// 3-stage pipeline crossing nodes twice at 4, a sync Inv_EU caller with
-// its one-unit target at 5.
+// fire their owners from recycled event records. A remote precedence
+// crossing sends the destination unit's pointer, which boxes for free.
+// A unit adds what it does: its parameter maps at its first parameter,
+// and for an Inv_EU the hook that activates its target. The gates in
+// allocs_test.go hold a Spuri instance at 2, a 3-stage pipeline
+// crossing nodes twice at 2, a sync Inv_EU caller with its one-unit
+// target at 5.
 //
 // A record is never reused for a later instance, so an *Instance and
 // its Threads stay valid for as long as anyone holds them.

@@ -16,16 +16,6 @@ const remotePort = "heug.prec"
 // declaring a network omission failure.
 const omissionSlack = 100 * vtime.Microsecond
 
-// remotePayload is the datagram for one remote precedence crossing: it
-// identifies the destination unit of a live instance and carries the
-// edge's parameters.
-type remotePayload struct {
-	Task   string
-	Seq    uint64
-	ToEU   int
-	Params map[string]any
-}
-
 // pendingCrossing is the omission watchdog of one remote crossing in
 // flight: its handle, and what the omission record names.
 type pendingCrossing struct {
@@ -55,6 +45,11 @@ func (w omissionWatch) Fire(id uint64) {
 // has not satisfied the constraint within the link's worst-case bound
 // plus the receive path and slack, a network omission failure is
 // declared.
+//
+// The datagram is the destination unit itself: a pointer, so boxing it
+// allocates nothing, and valid for as long as anyone holds it, since an
+// instance is never reused. The edge's parameters are read from the
+// source's outputs at delivery.
 func (d *Dispatcher) sendRemote(src *Thread, ei int) {
 	task := src.inst.TR.Task
 	e := task.Edges[ei]
@@ -64,17 +59,8 @@ func (d *Dispatcher) sendRemote(src *Thread, ei int) {
 		panic(fmt.Sprintf("dispatcher: task %q has a remote edge %s->%s but no network is configured",
 			task.Name, task.EUs[e.From].Name, destEU.Name))
 	}
-	var params map[string]any // made at the first parameter the source wrote
-	for _, p := range e.Params {
-		if v, ok := src.outputs[p]; ok {
-			if params == nil {
-				params = make(map[string]any, len(e.Params))
-			}
-			params[p] = v
-		}
-	}
-	payload := remotePayload{Task: task.Name, Seq: src.inst.Seq, ToEU: e.To, Params: params}
-	id, err := d.net.Send(from, to, remotePort, payload, 64+16*len(params))
+	dest := src.inst.Threads[e.To]
+	id, err := d.net.Send(from, to, remotePort, dest, 64+16*len(e.Params))
 	if err != nil {
 		d.stats.NetworkOmissions++
 		d.eng.Recordf(monitor.KindNetworkOmission, from, src.name, "no link to n%d", to)
@@ -84,30 +70,33 @@ func (d *Dispatcher) sendRemote(src *Thread, ei int) {
 	bound := dmax + d.net.WorstCaseReceivePath() + omissionSlack
 	d.pendingRemote[id] = pendingCrossing{
 		watch: d.eng.Arm(d.eng.Now().Add(bound), eventq.ClassDispatch, omissionWatch{d}, id),
-		src:   src.name, dest: src.inst.Threads[e.To].name, to: to, bound: bound,
+		src:   src.name, dest: dest.name, to: to, bound: bound,
 	}
 }
 
 // receiveRemote satisfies a remote precedence constraint on delivery.
+// The payload is the destination unit; the parameters it receives are
+// those of its in-edges from finished sources on the sending node.
 func (d *Dispatcher) receiveRemote(m *netsim.Message) {
 	if p, ok := d.pendingRemote[m.ID]; ok {
 		d.eng.Cancel(p.watch)
 		delete(d.pendingRemote, m.ID)
 	}
-	pl, ok := m.Payload.(remotePayload)
+	dest, ok := m.Payload.(*Thread)
 	if !ok {
 		panic("dispatcher: foreign payload on heug.prec port")
 	}
-	inst := d.live[instKey{pl.Task, pl.Seq}]
-	if inst == nil || inst.cancelled {
+	inst := dest.inst
+	if inst.completed || inst.cancelled {
 		// The instance is gone (completed late, cancelled, or orphaned):
 		// the delivery is an orphan message.
-		d.eng.Recordf(monitor.KindMessageDrop, m.To, pl.Task, "#%d orphan delivery", pl.Seq)
+		d.eng.Recordf(monitor.KindMessageDrop, m.To, inst.TR.Task.Name, "#%d orphan delivery", inst.Seq)
 		return
 	}
-	dest := inst.Threads[pl.ToEU]
-	for k, v := range pl.Params {
-		dest.setInput(k, v)
+	for _, e := range inst.TR.Task.Edges {
+		if src := inst.Threads[e.From]; e.To == dest.euIdx && src.state == threadDone && src.Node() == m.From {
+			dest.takeParams(src, e)
+		}
 	}
 	dest.predsLeft--
 	d.evaluate(dest)

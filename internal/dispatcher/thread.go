@@ -178,6 +178,16 @@ func (th *Thread) setInput(k string, v any) {
 	th.inputs[k] = v
 }
 
+// takeParams hands the thread the parameters of edge e that its source
+// src wrote.
+func (th *Thread) takeParams(src *Thread, e heug.Edge) {
+	for _, p := range e.Params {
+		if v, ok := src.outputs[p]; ok {
+			th.setInput(p, v)
+		}
+	}
+}
+
 // initThread fills th, the instance's storage for EU index i, named
 // name.
 func (d *Dispatcher) initThread(th *Thread, inst *Instance, i int, eu *heug.EU, name string) {
@@ -346,11 +356,7 @@ func (d *Dispatcher) crossEdges(th *Thread) {
 			continue
 		}
 		dest := th.inst.Threads[e.To]
-		for _, p := range e.Params {
-			if v, ok := th.outputs[p]; ok {
-				dest.setInput(p, v)
-			}
-		}
+		dest.takeParams(th, e)
 		dest.predsLeft--
 		d.evaluate(dest)
 	}

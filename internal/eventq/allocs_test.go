@@ -22,7 +22,7 @@ func TestAllocsRecycledPushPop(t *testing.T) {
 		// sift, lazy reclaim and the free list are all on the path.
 		for i := 0; i < 8; i++ {
 			at++
-			e := q.PushRecycled(at+vtime.Time(i*7919%64), ClassApp, fire)
+			e := q.PushRecycledTo(at+vtime.Time(i*7919%64), ClassApp, Func(fire), 0)
 			if i == 0 {
 				q.CancelHandle(e)
 			}
@@ -51,7 +51,7 @@ func TestAllocsHandlerPushPop(t *testing.T) {
 	at := vtime.Time(0)
 	cycle := func() {
 		// The owner-and-payload door on the same standing depth of 64
-		// and one cancel per eight events: what simkern.Engine.AfterTo
+		// and one cancel per eight events: what simkern.Engine.Arm
 		// schedules for a reply timeout or a flush timer.
 		for i := 0; i < 8; i++ {
 			at++
@@ -82,11 +82,11 @@ func TestAllocsSlotPushPop(t *testing.T) {
 	fire := func() {}
 	// A standing depth of 64 behind the chain, so every push sifts.
 	for i := 0; i < 64; i++ {
-		q.PushRecycled(1<<40+vtime.Time(i), ClassApp, fire)
+		q.PushRecycledTo(1<<40+vtime.Time(i), ClassApp, Func(fire), 0)
 	}
 	s := q.Slot()
 	at := vtime.Time(0)
-	q.PushSlot(s, at, ClassApp, fire)
+	q.PushSlot(s, at, ClassApp, Func(fire), 0)
 	cycle := func() {
 		// The chain's door: its event fires and pushes the next at its
 		// slot, one instant on.
@@ -94,7 +94,7 @@ func TestAllocsSlotPushPop(t *testing.T) {
 		e.Run()
 		q.Release(e)
 		at++
-		q.PushSlot(s, at, ClassApp, fire)
+		q.PushSlot(s, at, ClassApp, Func(fire), 0)
 	}
 	for i := 0; i < 100; i++ {
 		cycle()

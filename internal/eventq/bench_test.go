@@ -34,7 +34,7 @@ func BenchmarkPushRecycledPop(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				q.PushRecycled(vtime.Time(rng.Int63n(1000000)), ClassApp, nil)
+				q.PushRecycledTo(vtime.Time(rng.Int63n(1000000)), ClassApp, nil, 0)
 				if q.Len() > depth {
 					for q.Len() > 0 {
 						q.Release(q.Pop())
@@ -61,7 +61,7 @@ func BenchmarkPushRecycledCancel(b *testing.B) {
 	var q Queue
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := q.PushRecycled(vtime.Time(i), ClassKernel, nil)
+		e := q.PushRecycledTo(vtime.Time(i), ClassKernel, nil, 0)
 		q.CancelHandle(e)
 		q.Pop()
 	}

@@ -14,28 +14,25 @@
 // over and over (a call's reply timeout, a lane's flush timer) passes
 // itself as the Handler and the one number that tells its firings
 // apart (the attempt, the epoch) as the payload, so scheduling it
-// allocates nothing. A closure rides the same record as an unexported
-// Handler over the func value; a func value is pointer-shaped, so that
-// conversion allocates nothing either, and Run is the one firing path.
+// allocates nothing. Func is the one closure adapter: a func value is
+// pointer-shaped, so converting it to a Handler allocates nothing
+// either, and Run is the one firing path.
 //
-// There are two doors in, and they differ only in who owns the record:
+// There is one door in for a program: PushRecycledTo (and PushSlot,
+// its form for chains) draws the record from the queue's free list,
+// and Release puts it back once the event has fired (a cancelled one
+// is put back when its dead slot is reclaimed). The steady state then
+// allocates nothing per event. It returns a Handle: the record and the
+// seq it was pushed at. A non-slot push stamps a seq no other push
+// shares, so CancelHandle on a handle whose record has fired, been
+// released or been reused by another event finds a different seq, or a
+// record out of the heap, and does nothing. A holder keeps its handle
+// as long as it likes; cancelling after fire is a no-op however late.
 //
-//   - Push returns the record itself as its handle, for Cancel. The
-//     record is never reused, so cancelling it stays harmless for ever.
-//   - PushRecycled (a closure) and PushRecycledTo (a handler and its
-//     payload) draw the record from the queue's free list, and Release
-//     puts it back once the event has fired (a cancelled one is put
-//     back when its dead slot is reclaimed). The steady state then
-//     allocates nothing per event. They return a Handle: the record and
-//     the seq it was pushed at. A non-slot push stamps a seq no other
-//     push shares, so CancelHandle on a handle whose record has fired,
-//     been released or been reused by another event finds a different
-//     seq, or a record out of the heap, and does nothing. A holder
-//     keeps its handle as long as it likes; cancelling after fire is a
-//     no-op however late.
-//
-// Both doors draw seq from the same counter, so mixing them does not
-// disturb the (At, Class, seq) order.
+// Push and Cancel, a record per event that is never reused and is its
+// own handle, stay for the benchmark's queue driver and the queue's
+// tests. Both doors draw seq from the same counter, so mixing them
+// does not disturb the (At, Class, seq) order.
 //
 // A chain of events, each scheduled by its predecessor, can keep the
 // place a full layout would have had: Slot takes one seq now, and
@@ -73,10 +70,10 @@ const (
 // event was scheduled with.
 type Handler interface{ Fire(n uint64) }
 
-// funcHandler carries a closure as a Handler; the payload is unused.
-type funcHandler func()
+// Func carries a closure as a Handler; the payload is unused.
+type Func func()
 
-func (f funcHandler) Fire(uint64) { f() }
+func (f Func) Fire(uint64) { f() }
 
 // Event is a scheduled callback. Run fires it exactly once when the
 // engine reaches the event's instant, unless the event was cancelled.
@@ -85,7 +82,7 @@ type Event struct {
 	Class Class
 
 	dead     bool  // lazily cancelled, possibly still occupying a heap slot
-	recycled bool  // from PushRecycled/To: goes back to the free list, never to the GC
+	recycled bool  // not from Push: goes back to the free list, never to the GC
 	index    int32 // heap index, -1 once popped or compacted away, -2 on the free list
 	h        Handler
 	n        uint64 // h's payload
@@ -108,7 +105,7 @@ type Queue struct {
 	heap []*Event
 	seq  uint64
 	dead int      // cancelled events still occupying heap slots
-	free []*Event // recycled records out of the heap, ready for PushRecycled
+	free []*Event // recycled records out of the heap, ready for reuse
 }
 
 // Len returns the number of pending (non-cancelled) events.
@@ -119,7 +116,7 @@ func (q *Queue) Len() int { return len(q.heap) - q.dead }
 // to cancel for ever.
 func (q *Queue) Push(at vtime.Time, class Class, fire func()) *Event {
 	q.seq++
-	return q.push(&Event{}, at, class, funcHandler(fire), 0, q.seq)
+	return q.push(&Event{}, at, class, Func(fire), 0, q.seq)
 }
 
 // Handle names one recycled push for CancelHandle: its record and the
@@ -135,15 +132,11 @@ func (h Handle) Pending() bool {
 	return h.e != nil && h.e.seq == h.seq && h.e.index >= 0 && !h.e.dead
 }
 
-// PushRecycled is Push on a record from the free list; once the event
-// fires or is cancelled the record belongs to the queue again and will
-// be some other event, which the returned Handle never reaches.
-func (q *Queue) PushRecycled(at vtime.Time, class Class, fire func()) Handle {
-	return q.PushRecycledTo(at, class, funcHandler(fire), 0)
-}
-
-// PushRecycledTo is PushRecycled firing h.Fire(n): an owner that
-// passes itself as h schedules without allocating.
+// PushRecycledTo schedules h.Fire(n) at instant at on a record from
+// the free list; once the event fires or is cancelled the record
+// belongs to the queue again and will be some other event, which the
+// returned Handle never reaches. An owner that passes itself as h
+// schedules without allocating.
 func (q *Queue) PushRecycledTo(at vtime.Time, class Class, h Handler, n uint64) Handle {
 	q.seq++
 	return Handle{q.pushFree(at, class, h, n, q.seq), q.seq}
@@ -160,13 +153,13 @@ func (q *Queue) Slot() Slot {
 	return Slot(q.seq)
 }
 
-// PushSlot is PushRecycled at the seq s took instead of a fresh one.
+// PushSlot is PushRecycledTo at the seq s took instead of a fresh one.
 // Events pushed at one slot must not tie on (At, Class); a chain whose
 // instants strictly increase never does. It returns no Handle: every
 // event of the chain shares the seq, so a handle could not tell them
 // apart.
-func (q *Queue) PushSlot(s Slot, at vtime.Time, class Class, fire func()) {
-	q.pushFree(at, class, funcHandler(fire), 0, uint64(s))
+func (q *Queue) PushSlot(s Slot, at vtime.Time, class Class, h Handler, n uint64) {
+	q.pushFree(at, class, h, n, uint64(s))
 }
 
 // pushFree pushes at seq on a record from the free list, or a new
@@ -189,7 +182,7 @@ func (q *Queue) push(e *Event, at vtime.Time, class Class, h Handler, n, seq uin
 	return e
 }
 
-// Release hands a popped event back once it has fired. A PushRecycled
+// Release hands a popped event back once it has fired. A recycled
 // record drops its handler and joins the free list; a Push record is
 // left to its handle, and so is anything not just out of the heap
 // (still queued, or released already).
@@ -203,20 +196,12 @@ func (q *Queue) Release(e *Event) {
 	q.free = append(q.free, e)
 }
 
-// CancelHandle cancels h's event if it is still queued; on a handle
-// whose event fired or was cancelled it does nothing, even once the
-// record carries another event.
+// CancelHandle cancels h's event if it is still queued; its heap slot
+// is reclaimed lazily. On a handle whose event fired or was cancelled
+// it does nothing, even once the record carries another event.
 func (q *Queue) CancelHandle(h Handle) {
-	if h.e != nil && h.e.seq == h.seq {
-		q.Cancel(h.e)
-	}
-}
-
-// Cancel marks e, a Push record, dead; its heap slot is reclaimed
-// lazily. Cancelling an already-fired or already-cancelled event is a
-// no-op.
-func (q *Queue) Cancel(e *Event) {
-	if e == nil || e.index < 0 || e.dead {
+	e := h.e
+	if e == nil || e.seq != h.seq || e.index < 0 || e.dead {
 		return
 	}
 	e.dead = true
@@ -226,6 +211,14 @@ func (q *Queue) Cancel(e *Event) {
 	// rebuild it from the live events (amortised O(1) per cancel).
 	if q.dead > 64 && q.dead > len(q.heap)/2 {
 		q.compact()
+	}
+}
+
+// Cancel cancels e, a Push record and so its own handle. Cancelling an
+// already-fired or already-cancelled event is a no-op.
+func (q *Queue) Cancel(e *Event) {
+	if e != nil {
+		q.CancelHandle(Handle{e, e.seq})
 	}
 }
 

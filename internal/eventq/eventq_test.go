@@ -195,8 +195,8 @@ func TestCancelCompleteness(t *testing.T) {
 }
 
 // Model test for every door together, at standing depths from 1 to
-// 4096: a seeded mix of Push, PushRecycled, PushRecycledTo, Slot then
-// PushSlot chains, Cancel, CancelHandle and Pop (+Run and Release, as
+// 4096: a seeded mix of Push, PushRecycledTo (on a Func and on an
+// owner), Slot then PushSlot chains, Cancel, CancelHandle and Pop (+Run and Release, as
 // the engine does) holds the queue near each depth, against a reference
 // kept sorted by (At, Class, seq) with its own seq count. Bursts of
 // cancelled timers force bulk compactions, and handles of fired or
@@ -251,7 +251,7 @@ func TestModelAgainstSortedReference(t *testing.T) {
 			case byClosure:
 				seq++
 				r.seq = seq
-				r.h = q.PushRecycled(r.at, r.class, fire)
+				r.h = q.PushRecycledTo(r.at, r.class, Func(fire), 0)
 				r.ev = r.h.e
 			case byHandler:
 				seq++
@@ -266,7 +266,7 @@ func TestModelAgainstSortedReference(t *testing.T) {
 				c := &chains[rng.Intn(len(chains))]
 				r.at = max(r.at, c.last+1)
 				c.last, r.seq = r.at, c.seq
-				q.PushSlot(c.s, r.at, r.class, fire)
+				q.PushSlot(c.s, r.at, r.class, Func(fire), 0)
 			}
 			i, _ := slices.BinarySearchFunc(live, r.key, func(x ref, k key) int {
 				return cmp.Or(cmp.Compare(x.at, k.at), cmp.Compare(x.class, k.class), cmp.Compare(x.seq, k.seq))
@@ -387,7 +387,7 @@ func TestEventRecordSize(t *testing.T) {
 // record.
 func TestRecycledRecordReuse(t *testing.T) {
 	var q Queue
-	a := q.PushRecycled(1, ClassApp, nil)
+	a := q.PushRecycledTo(1, ClassApp, nil, 0)
 	q.Release(a.e) // still queued: not released
 	if q.Pop() != a.e {
 		t.Fatal("released a queued event")
@@ -401,7 +401,7 @@ func TestRecycledRecordReuse(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatal("cancelling a free record changed Len")
 	}
-	b := q.PushRecycled(2, ClassApp, nil)
+	b := q.PushRecycledTo(2, ClassApp, nil, 0)
 	if b.e != a.e {
 		t.Fatal("free record not reused")
 	}
@@ -415,7 +415,7 @@ func TestRecycledRecordReuse(t *testing.T) {
 		t.Fatal("a Push record reached the free list")
 	}
 	q.Cancel(p) // cancel after fire stays a no-op
-	if q.PushRecycled(4, ClassApp, nil).e == p {
+	if q.PushRecycledTo(4, ClassApp, nil, 0).e == p {
 		t.Fatal("Push record recycled")
 	}
 }
@@ -487,7 +487,7 @@ func TestSlotKeepsOrder(t *testing.T) {
 			return func() { got = append(got, fmt.Sprintf("%s@%d", label, at)) }
 		}
 		for _, at := range chain {
-			q.PushRecycled(at, ClassApp, rec("before", at))
+			q.PushRecycledTo(at, ClassApp, Func(rec("before", at)), 0)
 			q.Push(at, ClassNetwork, rec("before-net", at))
 		}
 		if lazy {
@@ -497,25 +497,25 @@ func TestSlotKeepsOrder(t *testing.T) {
 			next = func() {
 				rec("chain", chain[k])()
 				if k++; k < len(chain) {
-					q.PushSlot(s, chain[k], ClassApp, next)
+					q.PushSlot(s, chain[k], ClassApp, Func(next), 0)
 				}
 			}
-			q.PushSlot(s, chain[0], ClassApp, next)
+			q.PushSlot(s, chain[0], ClassApp, Func(next), 0)
 		} else {
 			for _, at := range chain {
-				q.PushRecycled(at, ClassApp, rec("chain", at))
+				q.PushRecycledTo(at, ClassApp, Func(rec("chain", at)), 0)
 			}
 		}
 		for _, at := range chain {
-			q.PushRecycled(at, ClassApp, rec("after", at))
+			q.PushRecycledTo(at, ClassApp, Func(rec("after", at)), 0)
 		}
 		// At 20, ahead of the chain's own event there: ties for the
 		// chain's later instants, pushed before the lazy chain reaches
 		// them, then a burst of cancelled timers that compacts the heap.
-		q.PushRecycled(20, ClassDispatch, func() {
+		q.PushRecycledTo(20, ClassDispatch, Func(func() {
 			got = append(got, "run@20")
 			for _, at := range chain[2:] {
-				q.PushRecycled(at, ClassApp, rec("during", at))
+				q.PushRecycledTo(at, ClassApp, Func(rec("during", at)), 0)
 			}
 			burst := make([]*Event, 200)
 			for i := range burst {
@@ -527,7 +527,7 @@ func TestSlotKeepsOrder(t *testing.T) {
 			if len(q.heap) >= len(burst) {
 				t.Errorf("lazy=%v: the cancelled burst left %d heap slots, want a compaction", lazy, len(q.heap))
 			}
-		})
+		}), 0)
 		for e := q.Pop(); e != nil; e = q.Pop() {
 			e.Run()
 			q.Release(e)

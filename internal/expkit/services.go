@@ -167,7 +167,7 @@ func runX5(opts Options) Table {
 		fault.CrashAt(eng, net, 0, crashAt, 0)
 		for i := 0; i < requests; i++ {
 			cmd := int64(i + 1)
-			eng.At(vtime.Time(vtime.Duration(i)*ms), eventq.ClassApp, func() { g.Submit(3, cmd) })
+			eng.Arm(vtime.Time(vtime.Duration(i)*ms), eventq.ClassApp, eventq.Func(func() { g.Submit(3, cmd) }), 0)
 		}
 		eng.Run(vtime.Time(500 * ms))
 

@@ -149,15 +149,16 @@ func (d *Detector) Start() {
 			}
 		}
 	}
-	var tick func()
-	tick = func() {
-		d.beatAndCheck()
-		d.eng.After(HeartbeatPeriod, eventq.ClassApp, tick)
-	}
-	d.eng.After(HeartbeatPeriod, eventq.ClassApp, tick)
+	d.eng.Arm(now.Add(HeartbeatPeriod), eventq.ClassApp, heartbeat{d}, 0)
 }
 
-func (d *Detector) beatAndCheck() {
+// heartbeat is the detector as the handler of its periodic round.
+type heartbeat struct{ d *Detector }
+
+// Fire sends every live node's heartbeats, checks every timeout and
+// arms the next round.
+func (h heartbeat) Fire(uint64) {
+	d := h.d
 	now := d.eng.Now()
 	// Send heartbeats.
 	for _, src := range d.cfg.Nodes {
@@ -188,6 +189,7 @@ func (d *Detector) beatAndCheck() {
 			}
 		}
 	}
+	d.eng.Arm(now.Add(HeartbeatPeriod), eventq.ClassApp, h, 0)
 }
 
 func (d *Detector) suspect(obs, peer int, silent vtime.Duration) {
@@ -204,7 +206,7 @@ func (d *Detector) receive(node int, m *netsim.Message) {
 	if d.net.NodeDown(node) {
 		return
 	}
-	d.eng.Processors()[node].RaiseIRQ("heartbeat", heartbeatWProc, nil)
+	d.eng.Processors()[node].RaiseIRQ("heartbeat", heartbeatWProc, nil, 0)
 	peer, ok := m.Payload.(int)
 	if !ok {
 		return

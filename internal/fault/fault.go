@@ -25,15 +25,15 @@ import (
 // non-zero the node comes back then. Crashed nodes neither send nor
 // receive (netsim drops their traffic).
 func CrashAt(eng *simkern.Engine, net *netsim.Network, node int, t, recoverAt vtime.Time) {
-	eng.At(t, eventq.ClassApp, func() {
+	eng.Arm(t, eventq.ClassApp, eventq.Func(func() {
 		net.SetNodeDown(node, true)
 		eng.Recordf(monitor.KindFailureInjected, node, "crash", "")
-	})
+	}), 0)
 	if recoverAt > t {
-		eng.At(recoverAt, eventq.ClassApp, func() {
+		eng.Arm(recoverAt, eventq.ClassApp, eventq.Func(func() {
 			net.SetNodeDown(node, false)
 			eng.Recordf(monitor.KindFailureInjected, node, "recover", "")
-		})
+		}), 0)
 	}
 }
 
@@ -42,10 +42,10 @@ func CrashAt(eng *simkern.Engine, net *netsim.Network, node int, t, recoverAt vt
 // between different sides (including copies in flight) are dropped for
 // the whole window.
 func PartitionAt(eng *simkern.Engine, net *netsim.Network, t, healAt vtime.Time, sides ...[]int) {
-	eng.At(t, eventq.ClassApp, func() {
+	eng.Arm(t, eventq.ClassApp, eventq.Func(func() {
 		net.SetPartition(sides...)
 		eng.Recordf(monitor.KindFailureInjected, -1, "partition", "%v", sides)
-	})
+	}), 0)
 	if healAt > t {
 		HealAt(eng, net, healAt)
 	}
@@ -53,10 +53,10 @@ func PartitionAt(eng *simkern.Engine, net *netsim.Network, t, healAt vtime.Time,
 
 // HealAt schedules the heal of the network partition at instant t.
 func HealAt(eng *simkern.Engine, net *netsim.Network, t vtime.Time) {
-	eng.At(t, eventq.ClassApp, func() {
+	eng.Arm(t, eventq.ClassApp, eventq.Func(func() {
 		net.Heal()
 		eng.Recordf(monitor.KindFailureInjected, -1, "heal", "")
-	})
+	}), 0)
 }
 
 // OmissionEvery drops every k-th message matching the filter — a

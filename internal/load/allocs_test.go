@@ -26,7 +26,7 @@ func TestAllocsOpenArrival(t *testing.T) {
 	}
 	slot := eng.Slot()
 	g.Start(Sinks{
-		At:  func(at vtime.Time, fn func()) { eng.AtSlot(slot, at, eventq.ClassApp, fn) },
+		At:  func(at vtime.Time, fn func()) { eng.AtSlot(slot, at, eventq.ClassApp, eventq.Func(fn), 0) },
 		Now: eng.Now,
 		SubmitKV: func(_ string, _ int64, done func()) {
 			eng.After(vtime.Millisecond, eventq.ClassApp, done)

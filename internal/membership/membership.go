@@ -568,10 +568,10 @@ func (s *Service) armRetry() {
 		return
 	}
 	s.retryArmed = true
-	s.eng.After(fault.HeartbeatPeriod, eventq.ClassApp, func() {
+	s.eng.Arm(s.eng.Now().Add(fault.HeartbeatPeriod), eventq.ClassApp, eventq.Func(func() {
 		s.retryArmed = false
 		s.maybeChange()
-	})
+	}), 0)
 }
 
 // beginQuorumOutage opens the no-quorum span (idempotent).
@@ -747,12 +747,12 @@ func (s *Service) maybeChange() {
 	// A partition striking mid-round can leave every decision rejected
 	// by the gate above; re-arm so the change is retried rather than
 	// wedged behind a dead consensus instance.
-	s.eng.After(vtime.Duration(f+1)*ccfg.Round+vtime.Microsecond, eventq.ClassApp, func() {
+	s.eng.Arm(s.eng.Now().Add(vtime.Duration(f+1)*ccfg.Round+vtime.Microsecond), eventq.ClassApp, eventq.Func(func() {
 		if !decided {
 			s.inProgress = false
 			s.maybeChange()
 		}
-	})
+	}), 0)
 }
 
 // finishChange runs at the consensus decision instant: the agreed view

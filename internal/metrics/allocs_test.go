@@ -33,7 +33,7 @@ func newPlane(t *testing.T) *plane {
 	slot := eng.Slot()
 	reg := metrics.New(metrics.Options{
 		Rules:    []metrics.Rule{{Name: "lat", Metric: "lat", Stat: metrics.StatP99, Op: metrics.OpLE, Threshold: 1e9, For: 1}},
-		Schedule: func(t vtime.Time, fn func()) { eng.AtSlot(slot, t, eventq.ClassApp, fn) },
+		Schedule: func(t vtime.Time, fn func()) { eng.AtSlot(slot, t, eventq.ClassApp, eventq.Func(fn), 0) },
 	})
 	depth := int64(3)
 	reg.GaugeFunc("depth", func() int64 { return depth })

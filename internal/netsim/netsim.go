@@ -25,13 +25,15 @@
 // included in a service task's WCET).
 //
 // Each message in flight is one recycled record holding the Message by
-// value, its receiver, the NetMsg thread (reinitialised in place, named
-// only if a kept record reads its name) and the receive path's stages,
-// bound once. The record returns to the network's free list when the
-// handler returns or the message is dropped, so a steady-state hop
-// allocates nothing. The contract this puts on a handler: the *Message
-// it receives lives only for the call. Send returns the message id, not
-// the message; a handler copies what it keeps.
+// value, its receiver and the NetMsg thread (reinitialised in place,
+// named only if a kept record reads its name). The record owns every
+// stage of the receive path: its arrival event and its ATM interrupt
+// fire it with the stage as the payload. It returns to the network's
+// free list when the handler returns or the message is dropped, so a
+// steady-state hop allocates nothing. The contract this puts on a
+// handler: the *Message it receives lives only for the call. Send
+// returns the message id, not the message; a handler copies what it
+// keeps.
 package netsim
 
 import (
@@ -141,8 +143,8 @@ type Network struct {
 }
 
 // flight is the recycled record of one message in flight (see the
-// package doc). Its stages are bound when it is first allocated; it is
-// the owner of its NetMsg thread itself.
+// package doc): the owner of its receive path's events and of its
+// NetMsg thread.
 type flight struct {
 	n    *Network
 	m    Message
@@ -150,8 +152,21 @@ type flight struct {
 	th   simkern.Thread
 	seq  uint64 // the NetMsg thread's number, rendered only if read
 	next *flight
+}
 
-	arrive, atm func()
+// The receive path's stages, by payload.
+const (
+	stageArrive uint64 = iota // the message reaches the receiver's card
+	stageATM                  // the ATM interrupt's handler has run
+)
+
+// Fire runs the receive path's stage.
+func (f *flight) Fire(stage uint64) {
+	if stage == stageArrive {
+		f.onArrive()
+	} else {
+		f.onATM()
+	}
 }
 
 // ThreadName names the NetMsg thread, when a kept record reads it.
@@ -163,14 +178,11 @@ func (f *flight) ThreadName() string {
 // ThreadDone ends the NetMsg thread by delivering the message.
 func (f *flight) ThreadDone() { f.deliver() }
 
-// take returns a record from the free list, or a new one with its
-// stages bound.
+// take returns a record from the free list, or a new one.
 func (n *Network) take() *flight {
 	f := n.free
 	if f == nil {
-		f = &flight{n: n}
-		f.arrive, f.atm = f.onArrive, f.onATM
-		return f
+		return &flight{n: n}
 	}
 	n.free, f.next = f.next, nil
 	return f
@@ -425,7 +437,7 @@ func (n *Network) Send(from, to int, port string, payload any, size int) (uint64
 		arrive = l.lastDelivery
 	}
 	l.lastDelivery = arrive
-	n.eng.At(arrive, eventq.ClassNetwork, f.arrive)
+	n.eng.Arm(arrive, eventq.ClassNetwork, f, stageArrive)
 	return id, nil
 }
 
@@ -449,7 +461,7 @@ func (f *flight) onArrive() {
 		panic(fmt.Sprintf("netsim: message to unknown processor %d", m.To))
 	}
 	f.to = procs[m.To]
-	f.to.RaiseIRQ("atm", n.cfg.WAtm, f.atm)
+	f.to.RaiseIRQ("atm", n.cfg.WAtm, f, stageATM)
 }
 
 // onATM ends the interrupt: the protocol thread, reinitialised in place

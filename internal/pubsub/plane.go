@@ -396,8 +396,7 @@ func (p *Plane) Start() {
 	for _, s := range p.subs {
 		if s.joinAt > 0 {
 			s.active = false
-			sub := s
-			p.eng.At(s.joinAt, eventq.ClassApp, func() { sub.join() })
+			p.eng.Arm(s.joinAt, eventq.ClassApp, eventq.Func(s.join), 0)
 		}
 	}
 }

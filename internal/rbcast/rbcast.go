@@ -205,7 +205,7 @@ func (s *Service) receive(node int, m *netsim.Message) {
 		return
 	}
 	if s.cfg.WProc > 0 {
-		s.eng.Processors()[node].RaiseIRQ("rbcast", s.cfg.WProc, nil)
+		s.eng.Processors()[node].RaiseIRQ("rbcast", s.cfg.WProc, nil, 0)
 	}
 	deliverAt := f.SentAt.Add(s.Delta())
 	if !s.accept(node, f, deliverAt) {
@@ -235,7 +235,7 @@ func (s *Service) accept(node int, f flood, deliverAt vtime.Time) bool {
 			"origin=n%d seq=%d copy arrived %s past the delivery bound", f.Origin, f.Seq, now.Sub(deliverAt))
 		deliverAt = now
 	}
-	s.eng.At(deliverAt, eventq.ClassApp, func() {
+	s.eng.Arm(deliverAt, eventq.ClassApp, eventq.Func(func() {
 		if s.net.NodeDown(node) {
 			return
 		}
@@ -260,7 +260,7 @@ func (s *Service) accept(node int, f flood, deliverAt vtime.Time) bool {
 		if h := s.handlers[node]; h != nil {
 			h(d)
 		}
-	})
+	}), 0)
 	return true
 }
 

@@ -2,6 +2,7 @@ package session
 
 import (
 	"sort"
+	"strconv"
 
 	"hades/internal/eventq"
 	"hades/internal/metrics"
@@ -93,37 +94,16 @@ func (s BatchStats) HistString() string {
 		sizes = append(sizes, n)
 	}
 	sort.Ints(sizes)
-	out := ""
+	var out []byte
 	for i, n := range sizes {
 		if i > 0 {
-			out += " "
+			out = append(out, ' ')
 		}
-		out += itoa(n) + ":" + itoa(s.SizeHist[n])
+		out = strconv.AppendInt(out, int64(n), 10)
+		out = append(out, ':')
+		out = strconv.AppendInt(out, int64(s.SizeHist[n]), 10)
 	}
-	return out
-}
-
-// itoa is a minimal strconv.Itoa to keep the import set small.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return string(out)
 }
 
 // lane is one batching target (a shard): its accumulating ops, its
@@ -229,7 +209,7 @@ func (b *Batcher[T]) armFlushTimer(l *lane[T]) {
 	}
 	l.timerArmed = true
 	l.timerEpoch++
-	b.eng.AfterTo(b.params.flushInterval(), eventq.ClassApp, l, l.timerEpoch)
+	b.eng.Arm(b.eng.Now().Add(b.params.flushInterval()), eventq.ClassApp, l, l.timerEpoch)
 }
 
 // Fire is the lane's flush timer armed at epoch: a flush or a re-arm

@@ -223,7 +223,7 @@ func (e *Engine) dispatch(c *Call) {
 	c.attempt++
 	attempt := c.attempt // Send may supersede it synchronously
 	c.s.Send(attempt)
-	e.eng.AfterTo(c.s.Timeout, eventq.ClassApp, replyTimeout{c}, uint64(attempt))
+	e.eng.Arm(e.eng.Now().Add(c.s.Timeout), eventq.ClassApp, replyTimeout{c}, uint64(attempt))
 }
 
 // replyTimeout is a call's timer: a reply timeout while an attempt is
@@ -280,7 +280,7 @@ func (e *Engine) fail(c *Call, why string) {
 	// promptly, but a call can park after the last such trigger (its
 	// retry budget outlasting the merge) — re-probe at a deep backoff so
 	// nothing is stranded.
-	e.eng.AfterTo(backoffFactor*c.s.Timeout, eventq.ClassApp, replyTimeout{c}, uint64(c.attempt))
+	e.eng.Arm(e.eng.Now().Add(backoffFactor*c.s.Timeout), eventq.ClassApp, replyTimeout{c}, uint64(c.attempt))
 }
 
 // resume re-dispatches one parked call with a fresh retry budget.

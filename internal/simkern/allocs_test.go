@@ -41,7 +41,7 @@ func fullLog() *monitor.Log {
 	return l
 }
 
-// fired is an owner scheduling itself through AfterTo.
+// fired is an owner scheduled through Arm.
 type fired struct{ n uint64 }
 
 func (f *fired) Fire(n uint64) { f.n = n }
@@ -53,11 +53,11 @@ func TestAllocsAfterFire(t *testing.T) {
 	gate(t, "After -> fire", 0, func() {
 		eng.After(100, eventq.ClassApp, fn)
 		eng.At(eng.Now().Add(50), eventq.ClassKernel, fn)
-		eng.AfterTo(75, eventq.ClassApp, &h, h.n+1)
+		eng.Arm(eng.Now().Add(75), eventq.ClassApp, &h, h.n+1)
 		eng.RunUntilIdle()
 	})
 	if h.n == 0 {
-		t.Fatal("AfterTo never fired")
+		t.Fatal("Arm never fired")
 	}
 }
 
@@ -65,12 +65,12 @@ func TestAllocsRaiseIRQDrain(t *testing.T) {
 	eng := NewEngine(fullLog(), 1)
 	p := eng.AddProcessor("n0", 0)
 	handled := 0
-	h := func() { handled++ }
+	h := eventq.Func(func() { handled++ })
 	gate(t, "RaiseIRQ -> drain", 0, func() {
 		// Three at once: the second and third wait in the queue.
-		p.RaiseIRQ("atm", 100*us, h)
-		p.RaiseIRQ("atm", 100*us, h)
-		p.RaiseIRQ("clock", 50*us, nil)
+		p.RaiseIRQ("atm", 100*us, h, 0)
+		p.RaiseIRQ("atm", 100*us, h, 0)
+		p.RaiseIRQ("clock", 50*us, nil, 0)
 		eng.RunUntilIdle()
 	})
 	if handled == 0 || p.irqHead != 0 || len(p.irqs) != 0 {

@@ -7,10 +7,10 @@ import (
 	"hades/internal/vtime"
 )
 
-// BenchmarkEngineDoors prices the two ways into the event queue on a
-// self-rescheduling event at a standing depth of 64: At/After recycle
-// the record once it fires, Timer allocates one per event and leaves it
-// to its handle.
+// BenchmarkEngineDoors prices the door into the event queue and its
+// closure adapter on a self-rescheduling event at a standing depth of
+// 64: Arm on an eventq.Func, and After, the adapter the benchmark
+// module and tests call. Both recycle the record once it fires.
 func BenchmarkEngineDoors(b *testing.B) {
 	run := func(b *testing.B, schedule func(eng *Engine, fn func())) {
 		eng := NewEngine(nil, 1)
@@ -34,15 +34,10 @@ func BenchmarkEngineDoors(b *testing.B) {
 	})
 	b.Run("Arm", func(b *testing.B) {
 		run(b, func(eng *Engine, fn func()) {
-			eng.Arm(eng.Now().Add(vtime.Microsecond), eventq.ClassApp, fnHandler(fn), 0)
+			eng.Arm(eng.Now().Add(vtime.Microsecond), eventq.ClassApp, eventq.Func(fn), 0)
 		})
 	})
 }
-
-// fnHandler fires a closure through the handler door.
-type fnHandler func()
-
-func (f fnHandler) Fire(uint64) { f() }
 
 // BenchmarkContextSwitchStorm measures the kernel's preemption path: two
 // threads alternating via priority flips.

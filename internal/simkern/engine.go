@@ -8,14 +8,16 @@
 // deterministic discrete-event engine:
 //
 //   - a virtual clock and event queue (predictability becomes determinism:
-//     a run is a pure function of its inputs and seed). Every door draws
-//     its record from the queue's free list and recycles it once the
-//     event fires: At/After/AfterTo are fire-and-forget (AtSlot too, at
-//     a place Slot took earlier, for a chain whose events each schedule
-//     the next); Arm fires an owner and returns the handle Cancel takes.
-//     A handle checks the seq its event was pushed at, so it may be
-//     kept, and cancelled, long after the event fired and its record
-//     went on to another event;
+//     a run is a pure function of its inputs and seed). There is one
+//     door in, Arm: every event and interrupt fires an owner and its
+//     payload (or an eventq.Func closure) from a record the queue
+//     recycles once the event fires, and returns the handle Cancel
+//     takes. A handle checks the seq its event was pushed at, so it may
+//     be kept, and cancelled, long after the event fired and its record
+//     went on to another event. AtSlot is its form for a chain whose
+//     events each schedule the next, at a place Slot took earlier. The
+//     closure adapters At and After stay only because the benchmark
+//     module and tests call them;
 //   - mono-processor nodes with preemptive priority scheduling and
 //     preemption thresholds (§3.1.2);
 //   - threads made of segments, each with its own preemption threshold, so
@@ -113,32 +115,18 @@ func (e *Engine) QueueLen() int { return e.queue.Len() }
 // Processors returns the registered processors in creation order.
 func (e *Engine) Processors() []*Processor { return e.procs }
 
-// At schedules fn at absolute instant t, fire and forget: there is no
-// handle, so the event's record can be recycled the moment fn returns
-// and the steady state allocates nothing per event. Scheduling in the
-// past panics: in a predictable system causality violations are
-// programming errors.
-func (e *Engine) At(t vtime.Time, class eventq.Class, fn func()) {
+// Arm schedules h.Fire(n) at absolute instant t and returns the handle
+// Cancel takes. It is the one door into the event queue, besides AtSlot
+// for chains: every event is an owner and its payload, or an
+// eventq.Func. The record is recycled once the event fires, so the
+// steady state allocates nothing per event, and cancelling after fire
+// is a no-op however late, even once the record carries another event:
+// a holder never has to drop its handle, and a fire-and-forget caller
+// drops it at once. Scheduling in the past panics: in a predictable
+// system causality violations are programming errors.
+func (e *Engine) Arm(t vtime.Time, class eventq.Class, h eventq.Handler, n uint64) eventq.Handle {
 	e.checkNotPast(t)
-	e.queue.PushRecycled(t, class, fn)
-}
-
-// After schedules fn d from now, fire and forget like At.
-func (e *Engine) After(d vtime.Duration, class eventq.Class, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("simkern: negative delay %s", d))
-	}
-	e.queue.PushRecycled(e.now.Add(d), class, fn)
-}
-
-// AfterTo schedules h.Fire(n) d from now, fire and forget like After.
-// An owner that passes itself as h, with the payload telling its
-// firings apart, schedules without allocating a closure.
-func (e *Engine) AfterTo(d vtime.Duration, class eventq.Class, h eventq.Handler, n uint64) {
-	if d < 0 {
-		panic(fmt.Sprintf("simkern: negative delay %s", d))
-	}
-	e.queue.PushRecycledTo(e.now.Add(d), class, h, n)
+	return e.queue.PushRecycledTo(t, class, h, n)
 }
 
 // Slot takes a place in the event order now for a chain scheduled
@@ -146,27 +134,27 @@ func (e *Engine) AfterTo(d vtime.Duration, class eventq.Class, h eventq.Handler,
 // against every other event as if all of it had been pushed here.
 func (e *Engine) Slot() eventq.Slot { return e.queue.Slot() }
 
-// AtSlot is At at slot s: fire and forget, no allocation. The chain's
-// instants must strictly increase (see eventq.Queue.PushSlot).
-func (e *Engine) AtSlot(s eventq.Slot, t vtime.Time, class eventq.Class, fn func()) {
+// AtSlot is Arm at slot s, with no handle. The chain's instants must
+// strictly increase (see eventq.Queue.PushSlot).
+func (e *Engine) AtSlot(s eventq.Slot, t vtime.Time, class eventq.Class, h eventq.Handler, n uint64) {
 	e.checkNotPast(t)
-	e.queue.PushSlot(s, t, class, fn)
-}
-
-// Arm schedules h.Fire(n) at absolute instant t, on a recycled record
-// like AfterTo, and returns the handle Cancel takes: the cancellable
-// door (a watchdog, a segment completion). Cancelling after the event
-// fired is a no-op however late, even once its record carries another
-// event, so the holder never has to drop the handle.
-func (e *Engine) Arm(t vtime.Time, class eventq.Class, h eventq.Handler, n uint64) eventq.Handle {
-	e.checkNotPast(t)
-	return e.queue.PushRecycledTo(t, class, h, n)
+	e.queue.PushSlot(s, t, class, h, n)
 }
 
 func (e *Engine) checkNotPast(t vtime.Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("simkern: scheduling event in the past (%s < %s)", t, e.now))
 	}
+}
+
+// At is Arm on a closure at absolute instant t, with no handle. The
+// program schedules through Arm; At and After stay for the benchmark
+// module's drivers and for tests.
+func (e *Engine) At(t vtime.Time, class eventq.Class, fn func()) { e.Arm(t, class, eventq.Func(fn), 0) }
+
+// After is At d from now.
+func (e *Engine) After(d vtime.Duration, class eventq.Class, fn func()) {
+	e.Arm(e.now.Add(d), class, eventq.Func(fn), 0)
 }
 
 // Cancel cancels an armed event if it is still pending.

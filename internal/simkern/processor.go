@@ -23,17 +23,17 @@ type Processor struct {
 	// progress (after any context-switch cost). If the segment is
 	// preempted before effStart, it made no progress.
 	effStart     vtime.Time
-	completion   eventq.Handle // the running segment's end, armed with segEnd
+	completion   eventq.Handle // the running segment's end, armed as a kernelEvent
 	completing   *Thread       // whose segment the pending completion ends
 	lastDispatch *Thread       // previously running thread, to decide switch cost
 
 	// Pending interrupts are irqs[irqHead:], by value; a popped slot is
-	// zeroed so the queue does not keep its handler (and the message
-	// that captured) reachable, and a drained queue starts over at 0.
-	irqs       []irq
-	irqHead    int
-	inIRQ      bool
-	irqHandler func() // handler of the interrupt in service
+	// zeroed so the queue does not keep its handler (and the message it
+	// carries) reachable, and a drained queue starts over at 0.
+	irqs    []irq
+	irqHead int
+	inIRQ   bool
+	serving irq // the interrupt in service
 	// irqHalted remembers the thread an interrupt displaced: after the
 	// drain it resumes unless a ready thread exceeds its preemption
 	// threshold — an interrupt must not defeat threshold semantics.
@@ -50,22 +50,43 @@ type Processor struct {
 	irqStats   map[string]*IRQStats
 
 	// Periodic clock tick (the §4.2 clock interrupt).
-	ticks uint64
-
-	// Bound once here so that an interrupt and a tick schedule their
-	// kernel events without building a closure each.
-	onIRQDone, onTick func()
+	ticks                uint64
+	tickPeriod, tickWCET vtime.Duration
 }
 
-// segEnd is the processor as the handler of its segment completions;
-// one pointer wide, it converts to a Handler without allocating.
-type segEnd struct{ p *Processor }
+// kernelEvent is the processor as the handler of its own kernel
+// events, told apart by payload; one pointer wide, it converts to a
+// Handler without allocating.
+type kernelEvent struct{ p *Processor }
 
-func (s segEnd) Fire(uint64) { s.p.segmentDone() }
+// The processor's kernel events, by payload.
+const (
+	segmentEnd  uint64 = iota // the running segment's CPU demand is met
+	irqEnd                    // the interrupt in service ends its handler
+	tickArrive                // the clock interrupt arrives
+	tickHandled               // the clock interrupt's handler has run
+)
 
+func (k kernelEvent) Fire(ev uint64) {
+	switch p := k.p; ev {
+	case segmentEnd:
+		p.segmentDone()
+	case irqEnd:
+		p.irqDone()
+	case tickArrive:
+		p.RaiseIRQ("clock", p.tickWCET, k, tickHandled)
+		p.eng.Arm(p.eng.now.Add(p.tickPeriod), eventq.ClassInterrupt, k, tickArrive)
+	case tickHandled:
+		p.ticks++
+	}
+}
+
+// irq is one interrupt: its handler's WCET, and the hook fired, with
+// its payload, when the handler's CPU segment completes (nil: none).
 type irq struct {
-	wcet    vtime.Duration
-	handler func()
+	wcet vtime.Duration
+	h    eventq.Handler
+	n    uint64
 }
 
 // IRQStats aggregates interrupt handling per source, reproducing the §4.2
@@ -89,8 +110,6 @@ func (e *Engine) AddProcessor(name string, switchCost vtime.Duration) *Processor
 		switchCost: switchCost,
 		irqStats:   make(map[string]*IRQStats),
 	}
-	p.onIRQDone = p.irqDone
-	p.onTick = func() { p.ticks++ }
 	e.procs = append(e.procs, p)
 	return p
 }
@@ -117,25 +136,23 @@ func (p *Processor) Preemptions() int { return p.preempts }
 // the live map; callers must not mutate it.
 func (p *Processor) IRQBySource() map[string]*IRQStats { return p.irqStats }
 
-// StartClockTick installs the periodic clock interrupt of §4.2 (period
-// P_clk, handler WCET w_clk). The first tick fires one period from now.
+// StartClockTick installs the processor's periodic clock interrupt of
+// §4.2 (period P_clk, handler WCET w_clk). The first tick fires one
+// period from now.
 func (p *Processor) StartClockTick(period, wcet vtime.Duration) {
-	if period <= 0 {
-		panic("simkern: clock tick period must be positive")
+	if period <= 0 || p.tickPeriod > 0 {
+		panic("simkern: clock tick period must be positive, and set once")
 	}
-	var tick func()
-	tick = func() {
-		p.RaiseIRQ("clock", wcet, p.onTick)
-		p.eng.After(period, eventq.ClassInterrupt, tick)
-	}
-	p.eng.After(period, eventq.ClassInterrupt, tick)
+	p.tickPeriod, p.tickWCET = period, wcet
+	p.eng.Arm(p.eng.now.Add(period), eventq.ClassInterrupt, kernelEvent{p}, tickArrive)
 }
 
 // RaiseIRQ queues an interrupt from the named source with the given
-// handler WCET. The handler callback fires when the handler's CPU segment
-// completes. Interrupts preempt any thread, regardless of preemption
-// thresholds, reproducing the paper's prio_max kernel activities.
-func (p *Processor) RaiseIRQ(source string, wcet vtime.Duration, handler func()) {
+// handler WCET. h.Fire(n) runs when the handler's CPU segment completes
+// (a nil h: nothing does). Interrupts preempt any thread, regardless of
+// preemption thresholds, reproducing the paper's prio_max kernel
+// activities.
+func (p *Processor) RaiseIRQ(source string, wcet vtime.Duration, h eventq.Handler, n uint64) {
 	if wcet < 0 {
 		panic("simkern: negative IRQ WCET")
 	}
@@ -158,7 +175,7 @@ func (p *Processor) RaiseIRQ(source string, wcet vtime.Duration, handler func())
 		st.MaxWCET = wcet
 	}
 	p.eng.Recordf(monitor.KindInterrupt, p.id, source, "%s", wcet)
-	p.irqs = append(p.irqs, irq{wcet: wcet, handler: handler})
+	p.irqs = append(p.irqs, irq{wcet, h, n})
 	p.resched()
 }
 
@@ -321,7 +338,7 @@ func (p *Processor) dispatch(t *Thread) {
 // from effStart.
 func (p *Processor) armCompletion(t *Thread, remaining vtime.Duration) {
 	p.completing = t
-	p.completion = p.eng.Arm(p.effStart.Add(remaining), eventq.ClassKernel, segEnd{p}, 0)
+	p.completion = p.eng.Arm(p.effStart.Add(remaining), eventq.ClassKernel, kernelEvent{p}, segmentEnd)
 }
 
 // segmentDone fires when the running thread finishes its current segment.
@@ -403,16 +420,16 @@ func (p *Processor) startIRQ() {
 	}
 	p.inIRQ = true
 	p.irqTime += q.wcet
-	p.irqHandler = q.handler
-	p.eng.After(q.wcet, eventq.ClassKernel, p.onIRQDone)
+	p.serving = q
+	p.eng.Arm(p.eng.now.Add(q.wcet), eventq.ClassKernel, kernelEvent{p}, irqEnd)
 }
 
 // irqDone fires when the interrupt in service finishes its CPU segment.
 func (p *Processor) irqDone() {
 	p.inIRQ = false
-	if h := p.irqHandler; h != nil {
-		p.irqHandler = nil
-		h()
+	if q := p.serving; q.h != nil {
+		p.serving = irq{}
+		q.h.Fire(q.n)
 	}
 	// lastDispatch is preserved: resuming the interrupted thread
 	// costs a switch only if a different thread is chosen.

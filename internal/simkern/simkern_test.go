@@ -1,6 +1,7 @@
 package simkern
 
 import (
+	"math/rand"
 	"slices"
 	"strconv"
 	"testing"
@@ -175,7 +176,7 @@ func TestInterruptPreemptsEverything(t *testing.T) {
 	th.AddSegment(Segment{Work: 100 * us, PT: PrioMax}) // even kernel-call segments
 	th.Ready()
 	eng.After(10*us, eventq.ClassInterrupt, func() {
-		p.RaiseIRQ("test", 5*us, func() { irqAt = eng.Now() })
+		p.RaiseIRQ("test", 5*us, eventq.Func(func() { irqAt = eng.Now() }), 0)
 	})
 	end := eng.RunUntilIdle()
 	if irqAt != vtime.Time(15*us) {
@@ -325,6 +326,97 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		eng.At(5, eventq.ClassApp, nil)
 	})
 	eng.RunUntilIdle()
+}
+
+// One seeded schedule runs twice: once through every door (At, After,
+// Arm, and chains pushed lazily at their slot with AtSlot, as
+// cluster.Chain does) and once through Arm alone, each chain laid out
+// whole where it took its slot. The adapters add nothing of their own,
+// so both runs fire the same (instant, class, seq) sequence, seq being
+// an event's number in the schedule.
+func TestAdaptersFireAsArm(t *testing.T) {
+	type firing struct {
+		at    vtime.Time
+		class eventq.Class
+		seq   int
+	}
+	run := func(armOnly bool) []firing {
+		eng := NewEngine(nil, 1)
+		rng := rand.New(rand.NewSource(59))
+		var got []firing
+		seq := 0
+		var schedule func()
+		fire := func(class eventq.Class, n int, next func()) func() {
+			return func() {
+				got = append(got, firing{eng.Now(), class, n})
+				if next != nil {
+					next()
+				}
+				if seq < 4000 {
+					schedule()
+					if rng.Intn(3) == 0 {
+						schedule()
+					}
+				}
+			}
+		}
+		schedule = func() {
+			now := eng.Now()
+			at := now.Add(vtime.Duration(rng.Intn(20)))
+			class := eventq.Class(1 + rng.Intn(5))
+			switch door := rng.Intn(4); {
+			case door == 3: // a chain, each event scheduling the next
+				ats := []vtime.Time{at}
+				for k := rng.Intn(5); k > 0; k-- {
+					ats = append(ats, ats[len(ats)-1].Add(vtime.Duration(1+rng.Intn(30))))
+				}
+				first := seq + 1
+				seq += len(ats)
+				if armOnly {
+					for k, at := range ats {
+						eng.Arm(at, class, eventq.Func(fire(class, first+k, nil)), 0)
+					}
+					return
+				}
+				slot := eng.Slot()
+				var push func(k int)
+				push = func(k int) {
+					var next func()
+					if k+1 < len(ats) {
+						next = func() { push(k + 1) }
+					}
+					eng.AtSlot(slot, ats[k], class, eventq.Func(fire(class, first+k, next)), 0)
+				}
+				push(0)
+			case armOnly || door == 0:
+				seq++
+				eng.Arm(at, class, eventq.Func(fire(class, seq, nil)), 0)
+			case door == 1:
+				seq++
+				eng.At(at, class, fire(class, seq, nil))
+			default:
+				seq++
+				eng.After(at.Sub(now), class, fire(class, seq, nil))
+			}
+		}
+		for range 50 {
+			schedule()
+		}
+		eng.RunUntilIdle()
+		return got
+	}
+	doors, armed := run(false), run(true)
+	if len(armed) < 4000 {
+		t.Fatalf("the schedule fired %d events, want at least 4000", len(armed))
+	}
+	for i := range min(len(doors), len(armed)) {
+		if doors[i] != armed[i] {
+			t.Fatalf("firing %d: through the adapters %+v, through Arm alone %+v", i, doors[i], armed[i])
+		}
+	}
+	if len(doors) != len(armed) {
+		t.Fatalf("%d firings through the adapters, %d through Arm alone", len(doors), len(armed))
+	}
 }
 
 func TestRunUntilHorizon(t *testing.T) {

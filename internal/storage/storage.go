@@ -85,7 +85,7 @@ func (s *Store) Write(key string, value any, done func(error)) {
 	}
 	newVersion := maxVersion(rec) + 1
 	// Copy A first...
-	s.eng.After(s.writeLat, eventq.ClassApp, func() {
+	s.eng.Arm(s.eng.Now().Add(s.writeLat), eventq.ClassApp, eventq.Func(func() {
 		if s.crashed {
 			rec[0].valid = false // torn write on copy A
 			done(ErrCrashed)
@@ -93,7 +93,7 @@ func (s *Store) Write(key string, value any, done func(error)) {
 		}
 		rec[0] = copyRec{version: newVersion, data: data, crc: crc32.ChecksumIEEE(data), valid: true}
 		// ...then copy B.
-		s.eng.After(s.writeLat, eventq.ClassApp, func() {
+		s.eng.Arm(s.eng.Now().Add(s.writeLat), eventq.ClassApp, eventq.Func(func() {
 			if s.crashed {
 				rec[1].valid = false
 				done(ErrCrashed)
@@ -102,8 +102,8 @@ func (s *Store) Write(key string, value any, done func(error)) {
 			rec[1] = copyRec{version: newVersion, data: data, crc: crc32.ChecksumIEEE(data), valid: true}
 			s.Writes++
 			done(nil)
-		})
-	})
+		}), 0)
+	}), 0)
 }
 
 // Read returns the newest valid copy of key, decoded into out (a

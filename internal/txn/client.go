@@ -208,7 +208,7 @@ func (c *Client) Commit(t *Txn) {
 	t.qspan = t.trace.Span("queue.txn", trace.LayerQueue)
 	c.queue = append(c.queue, t)
 	// Deadline-aware admission at the client (queueDeadline).
-	c.p.eng.AfterTo(t.deadline.Sub(t.submittedAt), eventq.ClassApp, queueDeadline{t}, 0)
+	c.p.eng.Arm(t.deadline, eventq.ClassApp, queueDeadline{t}, 0)
 	c.pump()
 }
 

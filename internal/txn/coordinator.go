@@ -286,7 +286,7 @@ func (c *Coordinator) admit(env beginEnv) *coordTxn {
 	for i := range ct.parts {
 		c.sendPrepare(ct, &ct.parts[i])
 	}
-	c.p.eng.AfterTo(ct.deadline.Sub(now), eventq.ClassApp, ct, 0)
+	c.p.eng.Arm(ct.deadline, eventq.ClassApp, ct, 0)
 	return ct
 }
 

@@ -201,7 +201,7 @@ func (pa *Participant) handlePrepare(node, from int, env prepareEnv) {
 		pa.waiters = append(pa.waiters, pr)
 		pa.p.record(monitor.KindLockWait, node, pr.id, "shard %d: conflict on %v", pa.shard, pr.keys)
 	}
-	pa.p.eng.AfterTo(env.Deadline.Sub(now), eventq.ClassApp, pr, 0)
+	pa.p.eng.Arm(env.Deadline, eventq.ClassApp, pr, 0)
 }
 
 // tryAcquire takes every lock of the prepare if all are free (locks

@@ -332,12 +332,12 @@ func (p *Plane) send(from, to int, port string, payload any, size int) {
 	if p.net.NodeDown(from) {
 		return
 	}
-	p.eng.After(loopbackDelay, eventq.ClassApp, func() {
+	p.eng.Arm(p.eng.Now().Add(loopbackDelay), eventq.ClassApp, eventq.Func(func() {
 		if p.net.NodeDown(to) {
 			return
 		}
 		p.net.Local(from, to, port, payload, size)
-	})
+	}), 0)
 }
 
 // protoLoop starts one fire-and-observe protocol loop (PREPARE,
