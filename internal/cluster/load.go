@@ -67,10 +67,7 @@ func (s *ShardSet) AttachLoad(cfg load.Config, nodes []int) *load.Generator {
 		sinks.Transfer = func(from, to string, amount int64, done func()) {
 			cl := clients[rr%len(clients)]
 			rr++
-			t := cl.Transfer(from, to, amount)
-			if done != nil {
-				t.OnDone = func(txn.Record) { done() }
-			}
+			cl.Transfer(from, to, amount).OnDone = done
 		}
 	case load.Pub:
 		// One publisher per (node, topic): the generator's Keys are

@@ -73,7 +73,6 @@ func TestTxnReadsReturnCommittedValues(t *testing.T) {
 	set := c.ShardsWith(2, 2, cluster.ShardConfig{})
 	cl := set.TxnClientAt(4)
 
-	var got map[string]int64
 	c.At(0, func() {
 		tx := cl.Begin()
 		cl.Write(tx, "acct-a", 77)
@@ -84,7 +83,6 @@ func TestTxnReadsReturnCommittedValues(t *testing.T) {
 		tx.Read("acct-a")
 		tx.Read("acct-never-written")
 		cl.Write(tx, "acct-b", 5)
-		tx.OnDone = func(r txn.Record) { got = r.Reads }
 		cl.Commit(tx)
 	})
 	c.Run(100 * ms)
@@ -92,7 +90,7 @@ func TestTxnReadsReturnCommittedValues(t *testing.T) {
 	if cl.Stats.Committed != 2 {
 		t.Fatalf("committed %d of 2 (aborted=%d)", cl.Stats.Committed, cl.Stats.Aborted)
 	}
-	if got == nil || got["acct-a"] != 77 || got["acct-never-written"] != 0 {
+	if got := cl.Done[1].Reads; got == nil || got["acct-a"] != 77 || got["acct-never-written"] != 0 {
 		t.Fatalf("reads %v, want acct-a=77 and acct-never-written=0", got)
 	}
 	if err := set.CheckTxns(); err != nil {

@@ -88,6 +88,8 @@ type pubAttempt struct {
 	acked       bool
 	finished    bool
 	done        func()
+	// call is a reliable publish's session call, until the ack lands.
+	call *session.Call
 
 	// applied is set the first time the sample applies anywhere — the
 	// plane's own account of what it admitted, as opposed to the tag
@@ -102,6 +104,23 @@ func (a *pubAttempt) Applied(node int, _ int64) { a.pub.p.onApply(node, a) }
 // Replied: a publish is acked from its serving replica's apply, not from
 // the replication reply.
 func (*pubAttempt) Replied(int64, bool) {}
+
+// complete lands the publish's ack (reliable) or origin delivery
+// (best-effort): the one place a publish completes and its call ends.
+func (a *pubAttempt) complete() {
+	if a.acked {
+		return
+	}
+	a.acked = true
+	a.pub.acked++
+	a.pub.t.acked++
+	a.call.Finish()
+	a.call = nil
+	a.maybeFinish()
+	if a.done != nil {
+		a.done()
+	}
+}
 
 // maybeFinish closes the publish trace once the ack landed and every
 // counted fan-out delivery arrived. Exactly one path flips finished,
@@ -451,12 +470,11 @@ func (pub *Publisher) PublishDone(value int64, done func()) uint64 {
 	}
 
 	att.wire = att.ref.Span("pub.wire", trace.LayerWire)
-	p.sess.Go(session.Spec{
+	att.call = p.sess.Go(session.Spec{
 		Label:  publishLabel(s),
 		Node:   pub.node,
 		Traces: []trace.Ref{att.ref},
 		Send:   func(int) { pub.send(att) },
-		Done:   func() bool { return att.acked },
 	})
 	return s.Seq
 }
@@ -493,8 +511,9 @@ type Subscriber struct {
 
 	joinAt vtime.Time
 	active bool
-	// caughtUp retires the late joiner's catch-up call.
-	caughtUp bool
+	// catchupCall re-sends a late joiner's catch-up until caughtUp.
+	caughtUp    bool
+	catchupCall *session.Call
 
 	seen       map[sampleKey]bool
 	deliveries []Delivery
@@ -540,12 +559,15 @@ func (s *Subscriber) join() {
 	p.eng.Recordf(monitor.KindCatchUp, s.node, "pubsub."+s.t.name,
 		"subscriber %d joined late", s.id)
 	if s.t.qos.Durable {
-		p.sess.Go(session.Spec{
+		s.catchupCall = p.sess.Go(session.Spec{
 			Label: fmt.Sprintf("pubsub.%s.catchup#%d", s.t.name, s.id),
 			Node:  s.node,
 			Send:  func(int) { s.catchup() },
-			Done:  func() bool { return s.caughtUp },
 		})
+		if s.caughtUp { // a co-located primary answered the first attempt in place
+			s.catchupCall.Finish()
+			s.catchupCall = nil
+		}
 	}
 }
 
@@ -764,18 +786,7 @@ func (p *Plane) handleAck(node int, m *netsim.Message) {
 	if !ok || env.Att == nil || p.net.NodeDown(node) {
 		return
 	}
-	att := env.Att
-	if att.acked {
-		return
-	}
-	att.acked = true
-	pub := att.pub
-	pub.acked++
-	pub.t.acked++
-	att.maybeFinish()
-	if att.done != nil {
-		att.done()
-	}
+	env.Att.complete()
 }
 
 // handleDeliver dispatches one fan-out (or replay) arrival at a
@@ -793,7 +804,10 @@ func (p *Plane) handleDeliver(node int, m *netsim.Message) {
 		p.subs[env.Sub].deliver(env.S, env.Replay, env.Att)
 	case catchupAck:
 		if env.Sub >= 0 && env.Sub < len(p.subs) {
-			p.subs[env.Sub].caughtUp = true
+			s := p.subs[env.Sub]
+			s.caughtUp = true
+			s.catchupCall.Finish()
+			s.catchupCall = nil
 		}
 	}
 }
@@ -808,14 +822,8 @@ func (p *Plane) onBE(node int, d rbcast.Delivery) {
 	}
 	if att := env.Att; node == d.Origin && !att.acked {
 		att.wire.End()
-		att.acked = true
 		att.outstanding = 0
-		att.maybeFinish()
-		att.pub.acked++
-		att.pub.t.acked++
-		if att.done != nil {
-			att.done()
-		}
+		att.complete()
 	}
 	for _, sub := range p.subsAt[node] {
 		if sub.t.name == env.S.Topic {

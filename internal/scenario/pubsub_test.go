@@ -461,3 +461,35 @@ func TestReliablePublishParksThroughPartition(t *testing.T) {
 		}
 	}
 }
+
+// TestCoLocatedLateJoinerCatchUpEnds: a late joiner on the owning
+// primary's node is answered in place — its catch-up request, the
+// replay and the ack are local hops inside the call's first attempt —
+// and its catch-up call still ends there: no retry, park or
+// resubmission is ever recorded for it.
+func TestCoLocatedLateJoinerCatchUpEnds(t *testing.T) {
+	spec := pubsubBase(t)
+	// telemetry is shard 0, served by n0 until the crash at 300 ms.
+	spec.PubSub.Subscribers = append(spec.PubSub.Subscribers,
+		SubscriberSpec{Topic: "telemetry", Node: 0, JoinAtMs: 200})
+	clu, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clu.Run(spec.Horizon())
+	replayed := false
+	for _, ev := range clu.Log().Events() {
+		switch {
+		case ev.Kind == monitor.KindCatchUp && ev.Node == 0 && strings.HasSuffix(ev.Detail, "@n0"):
+			replayed = true
+		case (ev.Kind == monitor.KindRetry || ev.Kind == monitor.KindResubmit) && strings.Contains(ev.Subject, ".catchup#"):
+			t.Fatalf("catch-up call still live: %s", ev)
+		}
+	}
+	if !replayed {
+		t.Fatal("the co-located late joiner was never replayed to by n0")
+	}
+	if err := clu.ShardSets()[0].PubSubPlane().Verify(); err != nil {
+		t.Fatal(err)
+	}
+}

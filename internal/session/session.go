@@ -19,7 +19,10 @@
 //     without consuming the retry budget;
 //   - attempt counters invalidate armed timers and let adapters discard
 //     failure verdicts of superseded attempts, while a late OK is
-//     always acceptable (the command landed).
+//     always acceptable (the command landed);
+//   - a call ends when its owner calls Finish, at the one place its
+//     answer lands (or when fail-fast abandons it): the engine never
+//     asks whether a call is done.
 //
 // The package also provides the throughput machinery layered on the
 // same calls: Batcher coalesces per-key operations bound for the same
@@ -86,10 +89,6 @@ type Spec struct {
 	FailFast bool
 	// Send fires one attempt (the adapter's wire send).
 	Send func(attempt int)
-	// Done, when set, reports the call completed: checked before every
-	// (re)send and at every timeout, so loops whose completion is
-	// observed out-of-band (votes, acks) retire without a Finish call.
-	Done func() bool
 	// Counters, when set, receives the call's state-machine counts.
 	Counters *Counters
 	// OnFail, when set, runs when fail-fast abandons the call.
@@ -115,8 +114,7 @@ type callState uint8
 const (
 	csInflight callState = iota + 1
 	csParked
-	csDone
-	csFailed
+	csDone // finished by its owner, or abandoned under fail-fast
 )
 
 // Call is one retried submission owned by an Engine.
@@ -135,8 +133,8 @@ func (c *Call) Attempt() int { return c.attempt }
 // Inflight reports whether an attempt is outstanding.
 func (c *Call) Inflight() bool { return c.state == csInflight }
 
-// finished reports whether the call retired (done or failed).
-func (c *Call) finished() bool { return c.state == csDone || c.state == csFailed }
+// finished reports whether the call retired.
+func (c *Call) finished() bool { return c.state == csDone }
 
 // Engine runs the session discipline for one adapter (a client or a
 // protocol role): it owns the live calls and resubmits parked ones on
@@ -212,13 +210,6 @@ func (e *Engine) sweep(keep func(*Call) bool) {
 
 // dispatch fires one attempt and arms its reply timeout.
 func (e *Engine) dispatch(c *Call) {
-	if c.finished() {
-		return
-	}
-	if c.s.Done != nil && c.s.Done() {
-		c.state = csDone
-		return
-	}
 	c.state = csInflight
 	c.attempt++
 	attempt := c.attempt // Send may supersede it synchronously
@@ -240,10 +231,6 @@ func (t replyTimeout) Fire(attempt uint64) {
 	}
 	switch c.state {
 	case csInflight:
-		if c.s.Done != nil && c.s.Done() {
-			c.state = csDone
-			return
-		}
 		c.s.Counters.Timeouts++
 		c.e.fail(c, "timeout")
 	case csParked:
@@ -264,7 +251,7 @@ func (e *Engine) fail(c *Call, why string) {
 		return
 	}
 	if c.s.FailFast {
-		c.state = csFailed
+		c.state = csDone
 		c.attempt++
 		if c.s.OnFail != nil {
 			c.s.OnFail()
@@ -292,10 +279,11 @@ func (e *Engine) resume(c *Call, why string) {
 	e.dispatch(c)
 }
 
-// Finish retires the call (its reply landed). Idempotent; late
+// Finish retires the call (its reply landed): its armed timer and any
+// later poke send nothing. Idempotent, and a no-op on a nil call; late
 // duplicate replies are the adapter's to discard.
 func (c *Call) Finish() {
-	if !c.finished() {
+	if c != nil {
 		c.state = csDone
 	}
 }
@@ -331,10 +319,6 @@ func (c *Call) Fail(why string) {
 func (e *Engine) poke(why string) {
 	e.sweep(func(c *Call) bool {
 		if c.finished() {
-			return false
-		}
-		if c.s.Done != nil && c.s.Done() {
-			c.state = csDone
 			return false
 		}
 		if c.state == csParked {

@@ -137,21 +137,31 @@ func TestFailFastAbandonsAfterBudget(t *testing.T) {
 	}
 }
 
-func TestDonePredicateRetiresWithoutFinish(t *testing.T) {
+// TestFinishWhileParkedSendsNothing: a call its owner finishes while
+// it is parked is over — the backoff timer armed at the park and a
+// later poke neither send nor count nor record a resubmission.
+func TestFinishWhileParkedSendsNothing(t *testing.T) {
 	eng := testEngine()
 	s := New(eng)
-	done := false
 	var sends int
-	s.Go(Spec{
-		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 8,
-		Send: func(int) { sends++ },
-		Done: func() bool { return done },
+	var n Counters
+	c := s.Go(Spec{
+		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 1,
+		Send:     func(int) { sends++ },
+		Counters: &n,
 	})
-	eng.After(1500*us, eventq.ClassApp, func() { done = true })
+	// Parks at 2ms with its backoff armed for 7ms.
+	eng.After(3*ms, eventq.ClassApp, c.Finish)
+	eng.After(4*ms, eventq.ClassApp, func() { s.poke("view") })
 	eng.Run(vtime.Time(20 * ms))
-	// 1 initial send + 1 retry at 1ms; the 2ms timeout sees done.
-	if sends != 2 {
-		t.Fatalf("sends=%d, want 2", sends)
+	if sends != 2 || n.Queued != 1 || n.Resubmitted != 0 {
+		t.Fatalf("sends=%d parks=%d resubmits=%d, want 2/1/0", sends, n.Queued, n.Resubmitted)
+	}
+	if got := eng.Log().ByKind(monitor.KindResubmit); len(got) != 0 {
+		t.Fatalf("resubmit records after Finish: %v", got)
+	}
+	if got := s.Live(); got != 0 {
+		t.Fatalf("%d calls live, want 0", got)
 	}
 }
 
@@ -204,6 +214,10 @@ func TestCounters(t *testing.T) {
 			eng.After(200*us, eventq.ClassApp, func() { c.Fail("blocked") })
 			eng.After(400*us, eventq.ClassApp, c.Finish)
 		}, 10 * ms, Counters{Blocked: 1, Retries: 1}},
+		{"finished while parked resubmits nothing", func(eng *simkern.Engine, s *Engine, c *Call) {
+			eng.After(3200*us, eventq.ClassApp, c.Finish)
+			eng.After(3400*us, eventq.ClassApp, func() { s.poke("view") })
+		}, 20 * ms, Counters{Timeouts: 3, Retries: 2, Queued: 1}},
 		{"verdicts on a parked call count nothing", func(eng *simkern.Engine, _ *Engine, c *Call) {
 			eng.After(3200*us, eventq.ClassApp, func() { c.Redirect("late"); c.Fail("late") })
 		}, 3500 * us, Counters{Timeouts: 3, Retries: 2, Queued: 1}},

@@ -86,8 +86,8 @@ type Txn struct {
 	qspan trace.SpanRef
 	wspan trace.SpanRef
 
-	// OnDone, when set, observes the decided transaction.
-	OnDone func(Record)
+	// OnDone, when set, runs once the transaction is decided.
+	OnDone func()
 }
 
 // queueDeadline is a transaction's client-queue deadline timer: one
@@ -312,9 +312,7 @@ func (c *Client) finish(t *Txn, committed bool, reason string, byDeadline bool, 
 			c.Stats.DeadlineAborts++
 		}
 	}
-	if t.call != nil {
-		t.call.Finish()
-	}
+	t.call.Finish()
 	t.wspan.End()
 	if committed {
 		t.trace.SetClass("txn.commit")
@@ -332,16 +330,15 @@ func (c *Client) finish(t *Txn, committed bool, reason string, byDeadline bool, 
 	if lat > c.Stats.MaxLatency {
 		c.Stats.MaxLatency = lat
 	}
-	rec := Record{
+	c.Done = append(c.Done, Record{
 		ID:        t.id,
 		Ops:       t.ops, // nothing writes them after Commit
 		Status:    t.status,
 		Reads:     reads,
 		DecidedAt: now,
-	}
-	c.Done = append(c.Done, rec)
+	})
 	if t.OnDone != nil {
-		t.OnDone(rec)
+		t.OnDone()
 	}
 	if c.inflight == t {
 		c.inflight = nil

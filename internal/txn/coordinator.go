@@ -31,15 +31,23 @@ type CoordStats struct {
 
 // partState tracks one participant shard through a transaction.
 type partState struct {
-	shard    int
-	ops      []Op
-	voted    bool
-	yes      bool
-	acked    bool
-	prepared bool // prepare loop started
+	shard int
+	ops   []Op
+	voted bool
+	yes   bool
+	acked bool
+	// call is the live loop towards the shard: PREPARE until the vote or
+	// the decision, then the decision until the ack (never both at once).
+	call *session.Call
 	// prepSpan times PREPARE-to-vote; decSpan times decision-to-ack.
 	prepSpan trace.SpanRef
 	decSpan  trace.SpanRef
+}
+
+// finish ends the shard's live protocol loop, if any, and lets go of it.
+func (ps *partState) finish() {
+	ps.call.Finish()
+	ps.call = nil
 }
 
 // coordTxn is one transaction's coordinator-side state. It lives on the
@@ -293,20 +301,18 @@ func (c *Coordinator) admit(env beginEnv) *coordTxn {
 // sendPrepare starts the retrying PREPARE loop towards one participant
 // shard's current primary.
 func (c *Coordinator) sendPrepare(ct *coordTxn, ps *partState) {
-	if ps.prepared {
-		return
-	}
-	ps.prepared = true
 	ps.prepSpan = ct.trace.Span(c.p.parts[ps.shard].spanPrepare, trace.LayerWire)
 	env := prepareEnv{ID: ct.id, Ops: ps.ops, Deadline: ct.deadline, Coord: c.shard, Trace: ct.trace}
-	c.p.protoLoop(loopLabel("prep", ct.id, ps.shard), c.g.Replication().Primary(),
-		func(int) {
+	ps.call = c.p.sess.Go(session.Spec{
+		Label: loopLabel("prep", ct.id, ps.shard),
+		Node:  c.g.Replication().Primary(),
+		Send: func(int) {
 			from := c.g.Replication().Primary()
 			to := c.p.router.Groups()[ps.shard].Replication().Primary()
 			c.p.record(monitor.KindPrepare, from, ct.id, "-> shard %d (n%d)", ps.shard, to)
 			c.p.send(from, to, c.p.partPort, env, 48)
 		},
-		func() bool { return ps.voted || ct.decided })
+	})
 }
 
 // handleVote records one participant vote.
@@ -320,6 +326,7 @@ func (c *Coordinator) handleVote(node int, env voteEnv) {
 		return
 	}
 	ps.voted, ps.yes = true, env.Yes
+	ps.finish()
 	ps.prepSpan.End()
 	if ct.reads == nil {
 		ct.reads = maps.Clone(env.Reads) // no reads, no map
@@ -360,6 +367,9 @@ func (c *Coordinator) decide(ct *coordTxn, commit bool, reason string) {
 		return
 	}
 	ct.decided, ct.commit, ct.reason = true, commit, reason
+	for i := range ct.parts {
+		ct.parts[i].finish() // a PREPARE loop still waiting for its vote
+	}
 	verdict := "abort"
 	if commit {
 		verdict = "commit"
@@ -450,24 +460,24 @@ func (e *decisionEntry) Applied(node int, _ int64) {
 // Replied: the decision's answer is its apply, not the primary's reply.
 func (*decisionEntry) Replied(int64, bool) {}
 
-// distribute starts (once) the retrying decision sends towards every
-// participant and, for aborts, towards any shard that never voted.
+// distribute starts the retrying decision sends towards every
+// participant and, for aborts, towards any shard that never voted. Its
+// one caller runs it once, at the decision's first apply.
 func (c *Coordinator) distribute(ct *coordTxn) {
-	if ct.distributed {
-		return
-	}
 	ct.distributed = true
 	env := decisionEnv{ID: ct.id, Commit: ct.commit}
 	for i := range ct.parts {
 		p := &ct.parts[i]
 		p.decSpan = ct.trace.Span(c.p.parts[p.shard].spanDecide, trace.LayerWire)
-		c.p.protoLoop(loopLabel("dec", ct.id, p.shard), c.g.Replication().Primary(),
-			func(int) {
+		p.call = c.p.sess.Go(session.Spec{
+			Label: loopLabel("dec", ct.id, p.shard),
+			Node:  c.g.Replication().Primary(),
+			Send: func(int) {
 				from := c.g.Replication().Primary()
 				to := c.p.router.Groups()[p.shard].Replication().Primary()
 				c.p.send(from, to, c.p.partPort, env, 24)
 			},
-			func() bool { return p.acked })
+		})
 	}
 }
 
@@ -499,6 +509,7 @@ func (c *Coordinator) handleAck(env ackEnv) {
 		return
 	}
 	ps.acked = true
+	ps.finish()
 	ps.decSpan.End()
 	for i := range ct.parts {
 		if !ct.parts[i].acked {

@@ -6,6 +6,7 @@ import (
 	"hades/internal/eventq"
 	"hades/internal/monitor"
 	"hades/internal/netsim"
+	"hades/internal/session"
 	"hades/internal/shard"
 	"hades/internal/trace"
 	"hades/internal/vtime"
@@ -63,6 +64,8 @@ type prep struct {
 	// once it reaches zero (writes visibly in the primary's history).
 	applying int
 	acked    bool
+	// call re-queries the decision of a prepare released at its deadline.
+	call *session.Call
 	// trace is the owning transaction's causal trace; lockSpan times a
 	// prepare's wait behind a held lock.
 	trace    trace.Ref
@@ -286,13 +289,15 @@ func (pa *Participant) atDeadline(pr *prep) {
 		pa.p.record(monitor.KindLockWait, pa.g.Replication().Primary(), pr.id,
 			"shard %d: released at deadline, decision pending", pa.shard)
 		env := queryEnv{ID: pr.id, Deadline: pr.deadline}
-		pa.p.protoLoop(loopLabel("query", pr.id, pa.shard), pa.g.Replication().Primary(),
-			func(int) {
+		pr.call = pa.p.sess.Go(session.Spec{
+			Label: loopLabel("query", pr.id, pa.shard),
+			Node:  pa.g.Replication().Primary(),
+			Send: func(int) {
 				from := pa.g.Replication().Primary()
 				to := pa.p.router.Groups()[pr.coord].Replication().Primary()
 				pa.p.send(from, to, pa.p.coordPort, env, 32)
 			},
-			func() bool { return pr.state == prepDone })
+		})
 	}
 }
 
@@ -378,6 +383,8 @@ func (pa *Participant) handleDecision(node, from int, env decisionEnv) {
 	prev := pr.state
 	pr.state = prepDone
 	pr.commit = env.Commit
+	pr.call.Finish()
+	pr.call = nil
 	if !env.Commit {
 		pa.release(pr)
 		pa.Stats.Aborts++

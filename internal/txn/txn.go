@@ -339,11 +339,3 @@ func (p *Plane) send(from, to int, port string, payload any, size int) {
 		p.net.Local(from, to, port, payload, size)
 	}), 0)
 }
-
-// protoLoop starts one fire-and-observe protocol loop (PREPARE,
-// decision distribution, decision query) on the plane's session
-// engine: the shared retry discipline at the session calibration, with
-// completion observed out-of-band through done.
-func (p *Plane) protoLoop(label string, node int, send func(int), done func() bool) {
-	p.sess.Go(session.Spec{Label: label, Node: node, Send: send, Done: done})
-}
