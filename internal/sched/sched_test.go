@@ -271,3 +271,74 @@ func TestBestEffortCohabitation(t *testing.T) {
 		}
 	}
 }
+
+// TestSRPStartTestSeesOnlyItsApp: two apps on one node share resource
+// R, each under its own SRP. App b's hold on R does not enter app a's
+// system ceiling, so a's resource-free job, whose preemption level does
+// not exceed a's ceiling of R, starts while b holds R.
+func TestSRPStartTestSeesOnlyItsApp(t *testing.T) {
+	useR := []heug.ResourceReq{{Resource: "R", Mode: heug.Exclusive}}
+	sys := cluster.New(cluster.Config{Seed: 3})
+	a := sys.NewApp("a", sched.NewDM(), sched.NewSRP())
+	a.MustAddTask(heug.NewTask("a.user", heug.SporadicEvery(100*ms)).
+		WithDeadline(10*ms).
+		Code("cs", heug.CodeEU{Node: 0, WCET: 1 * ms, Resources: useR}).
+		MustBuild())
+	a.MustAddTask(heug.NewTask("a.free", heug.SporadicEvery(100*ms)).
+		WithDeadline(40*ms).
+		Code("work", heug.CodeEU{Node: 0, WCET: 1 * ms}).
+		MustBuild())
+	a.Seal()
+	b := sys.NewApp("b", sched.NewBestEffort(0), sched.NewSRP())
+	b.MustAddTask(heug.NewTask("b.holder", heug.SporadicEvery(100*ms)).
+		WithDeadline(90*ms).
+		Code("cs", heug.CodeEU{Node: 0, WCET: 10 * ms, Resources: useR}).
+		MustBuild())
+	b.Seal()
+	sys.ActivateAt("b.holder", 0)
+	sys.ActivateAt("a.free", vtime.Time(1*ms))
+	rep := sys.Run(50 * ms)
+	for _, tr := range rep.Tasks {
+		if tr.Completions != 1 && tr.Name != "a.user" {
+			t.Fatalf("%s completed %d instances, want 1", tr.Name, tr.Completions)
+		}
+		// Waiting out b's 10 ms critical section would take 9 ms or more.
+		if tr.Name == "a.free" && tr.MaxResponse > 2*ms {
+			t.Fatalf("a.free responded in %s: b's hold on R blocked a's start test", tr.MaxResponse)
+		}
+	}
+}
+
+// TestPCPInheritsThroughTheCeiling: under PCP a job blocked by the
+// ceiling gate alone, with no mode conflict, still raises the priority
+// of the holder in its way. mid needs only R1, which is free, but low
+// holds R2, whose ceiling is high's priority: mid waits out low's
+// critical section, and low runs it at mid's priority.
+func TestPCPInheritsThroughTheCeiling(t *testing.T) {
+	use := func(r string) []heug.ResourceReq { return []heug.ResourceReq{{Resource: r, Mode: heug.Exclusive}} }
+	sys := cluster.New(cluster.Config{Seed: 3})
+	app := sys.NewApp("pcp", sched.NewDM(), sched.NewPCP())
+	for _, task := range []struct {
+		name string
+		d    vtime.Duration
+		wcet vtime.Duration
+		r    string
+	}{{"low", 90 * ms, 10 * ms, "R2"}, {"mid", 50 * ms, 1 * ms, "R1"}, {"high", 10 * ms, 1 * ms, "R2"}} {
+		app.MustAddTask(heug.NewTask(task.name, heug.SporadicEvery(100*ms)).
+			WithDeadline(task.d).
+			Code("cs", heug.CodeEU{Node: 0, WCET: task.wcet, Resources: use(task.r)}).
+			MustBuild())
+	}
+	app.Seal()
+	sys.ActivateAt("low", 0)
+	sys.ActivateAt("mid", vtime.Time(1*ms))
+	rep := sys.Run(50 * ms)
+	for _, tr := range rep.Tasks {
+		if tr.Name == "mid" && tr.MaxResponse < 9*ms {
+			t.Fatalf("mid responded in %s: it started under low's hold on R2", tr.MaxResponse)
+		}
+	}
+	if n := sys.Log().CountKind(monitor.KindPriorityChange); n == 0 {
+		t.Error("low never inherited mid's priority")
+	}
+}
