@@ -59,7 +59,7 @@ func main() {
 
 	// Two best-effort applications that would need ~130% CPU alone.
 	for i, period := range []vtime.Duration{7 * ms, 9 * ms} {
-		be := c.NewApp(fmt.Sprintf("besteffort%d", i+1), sched.NewBestEffort(0), nil)
+		be := c.NewApp(fmt.Sprintf("besteffort%d", i+1), sched.NewBestEffort(), nil)
 		be.MustSpawn(heug.NewTask(fmt.Sprintf("be%d", i+1), heug.PeriodicEvery(period)).
 			Code("churn", heug.CodeEU{Node: 0, WCET: 5 * ms}).
 			MustBuild())

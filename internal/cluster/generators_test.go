@@ -99,7 +99,7 @@ func TestMultiAppIsolationBands(t *testing.T) {
 	g := sys.NewApp("g", sched.NewEDF(10*us), nil)
 	g.MustAddTask(simpleTask("crit", heug.PeriodicEvery(10*ms), 0, 3*ms, 10*ms))
 	g.Seal()
-	be := sys.NewApp("be", sched.NewBestEffort(0), nil)
+	be := sys.NewApp("be", sched.NewBestEffort(), nil)
 	be.MustAddTask(heug.NewTask("noise", heug.PeriodicEvery(4*ms)).
 		Code("eu", heug.CodeEU{Node: 0, WCET: 3 * ms}).
 		MustBuild())

@@ -280,37 +280,6 @@ func TestTwoShardSetsCoexist(t *testing.T) {
 	}
 }
 
-// TestAuthoritativeNodeSkipsViewExcludedReplica: a replica isolated by
-// a partition (never down) has an apply-log hole; the verifier must
-// not adopt its log as the authoritative history even when it is
-// re-promoted later.
-func TestAuthoritativeNodeSkipsViewExcludedReplica(t *testing.T) {
-	c := cluster.New(cluster.Config{Seed: 37})
-	c.AddNodes(4)
-	c.ConnectAll(100*us, 300*us)
-	set := c.ShardsWith(1, 3, cluster.ShardConfig{})
-	cl := set.ClientAt(3)
-	submitEvery(c, cl, 2*ms, 0, vtime.Time(250*ms))
-	// Isolate the primary (node 0); the majority promotes node 1 and
-	// keeps serving; the heal re-admits 0 with a state transfer but
-	// cannot backfill its apply log.
-	c.PartitionAt(vtime.Time(40*ms), []int{0}, []int{1, 2, 3})
-	c.HealAt(vtime.Time(120 * ms))
-	c.Run(400 * ms)
-
-	g := set.Groups()[0]
-	node, ok := g.AuthoritativeNode()
-	if !ok {
-		t.Fatal("no hole-free replica")
-	}
-	if node == 0 {
-		t.Fatal("verifier adopted the view-excluded replica's holed log")
-	}
-	if err := set.Check(); err != nil {
-		t.Fatalf("consistency check: %v", err)
-	}
-}
-
 // slowPort delays every message on one port past the client's retry
 // timeout — a deterministic performance fault on the response path.
 type slowPort struct {

@@ -15,6 +15,8 @@
 package dispatcher
 
 import (
+	"math"
+
 	"hades/internal/heug"
 	"hades/internal/vtime"
 )
@@ -68,9 +70,11 @@ type Notification struct {
 	Thread *Thread
 }
 
-// Primitive is the single dispatcher primitive of §3.2.2: it modifies
-// the earliest start time of a thread and/or its priority. Schedulers
-// receive it with every notification.
+// Primitive is the dispatcher's side of the §3.2.2 cooperation
+// protocol: the single primitive that modifies the earliest start time
+// and/or the priority of a thread, and the clock a policy decides
+// against. Schedulers receive it with every notification; resource
+// policies receive it once, at Init.
 type Primitive interface {
 	// SetPriority changes th's priority (both while waiting and while
 	// ready/running; a change triggers an immediate rescheduling pass).
@@ -78,6 +82,8 @@ type Primitive interface {
 	// SetEarliest changes th's earliest start time (absolute). Lowering
 	// it below now makes the thread immediately eligible.
 	SetEarliest(th *Thread, at vtime.Time)
+	// Now returns the current virtual time.
+	Now() vtime.Time
 }
 
 // Scheduler is a scheduling policy: the application-domain-dependent
@@ -100,62 +106,59 @@ type Scheduler interface {
 	Handle(n Notification, prim Primitive)
 }
 
-// ResourcePolicy is the pluggable resource-access protocol consulted by
-// the dispatcher when granting resources, enabling PCP and SRP (§3.3,
-// footnote 2). The dispatcher enforces mode compatibility itself; the
-// policy adds protocol-specific gating and priority adjustments.
-type ResourcePolicy interface {
-	// Name identifies the protocol ("SRP", "PCP", "none").
-	Name() string
-	// Init is called once with the application's tasks so the protocol
-	// can compute preemption levels and resource ceilings. prim allows
-	// protocols with priority inheritance (PCP) to adjust thread
-	// priorities later.
-	Init(tasks []*heug.Task, prim Primitive)
-	// CanStart reports whether th may begin execution on its node. It
-	// is consulted for every Code_EU thread, resource user or not:
-	// under SRP the preemption-level vs system-ceiling test gates all
-	// job starts, which is what bounds priority inversion to a single
-	// critical section. th's resources are all grantable mode-wise
-	// when this is called.
-	CanStart(th *Thread) bool
-	// OnGrant records that th acquired all its resources.
-	OnGrant(th *Thread)
-	// OnRelease records that th released all its resources.
-	OnRelease(th *Thread)
-	// OnBlocked informs the protocol that blocked cannot proceed
-	// because of the given holders; PCP uses it for priority
-	// inheritance (via the primitive handed at construction).
-	OnBlocked(blocked *Thread, holders []*Thread)
-}
-
 // Admitter is an optional Scheduler extension: policies with a dynamic
 // guarantee test (planning-based scheduling, e.g. Spring [RSS90]) admit
 // or reject each activation request before the dispatcher builds the
-// instance. The dispatcher wires it to every task at Seal.
+// instance. Activate asks the App's scheduler when it is one.
 type Admitter interface {
 	Admit(task *heug.Task, at vtime.Time) bool
 }
 
+// ResourcePolicy is a resource-access protocol (§3.3, footnote 2: SRP
+// and PCP) as the static tables the dispatcher's start test reads. The
+// dispatcher alone records who holds what. It grants a Code_EU its
+// resources, all at once, only when every one is free in a compatible
+// mode and the thread's Level strictly exceeds its node's system
+// ceiling: the highest Ceiling among the resources that other threads
+// of the same App hold there (none held: no bound). The test runs when
+// the thread becomes ready (§3.2.1's fourth runnable condition), for
+// every Code_EU, resource user or not. One policy instance serves one
+// App.
+type ResourcePolicy interface {
+	// Init is called once at Seal, after the scheduler's Init, with the
+	// application's tasks, so the protocol can compute its levels and
+	// ceilings from the declared use sets. A protocol with priority
+	// inheritance (an Inheritor) keeps prim.
+	Init(tasks []*heug.Task, prim Primitive)
+	// Level is th's side of the start test.
+	Level(th *Thread) int
+	// Ceiling is the ceiling of resource r on node.
+	Ceiling(node int, r string) int
+}
+
+// Inheritor is an optional ResourcePolicy extension for protocols with
+// priority inheritance (PCP): the dispatcher tells it who blocks whom
+// and who released.
+type Inheritor interface {
+	// OnBlocked reports that blocked may not start, with the threads in
+	// its way in creation order: those holding one of its resources in
+	// a conflicting mode, and those of its App whose holds raise the
+	// system ceiling to its level.
+	OnBlocked(blocked *Thread, holders []*Thread)
+	// OnRelease reports that th released all its resources.
+	OnRelease(th *Thread)
+}
+
 // NoPolicy is the protocol-free resource policy: plain mode-compatible
-// locking with no extra gating (subject to priority-inversion anomalies;
+// locking with no start test (subject to priority-inversion anomalies;
 // experiment E-X2 demonstrates them).
 type NoPolicy struct{}
-
-// Name implements ResourcePolicy.
-func (NoPolicy) Name() string { return "none" }
 
 // Init implements ResourcePolicy.
 func (NoPolicy) Init([]*heug.Task, Primitive) {}
 
-// CanStart implements ResourcePolicy.
-func (NoPolicy) CanStart(*Thread) bool { return true }
+// Level implements ResourcePolicy: above every ceiling.
+func (NoPolicy) Level(*Thread) int { return math.MaxInt }
 
-// OnGrant implements ResourcePolicy.
-func (NoPolicy) OnGrant(*Thread) {}
-
-// OnRelease implements ResourcePolicy.
-func (NoPolicy) OnRelease(*Thread) {}
-
-// OnBlocked implements ResourcePolicy.
-func (NoPolicy) OnBlocked(*Thread, []*Thread) {}
+// Ceiling implements ResourcePolicy.
+func (NoPolicy) Ceiling(int, string) int { return 0 }

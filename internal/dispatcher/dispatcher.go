@@ -31,7 +31,8 @@ type Dispatcher struct {
 	CancelOnMiss bool
 
 	stats     Stats
-	threadSeq uint64 // last Thread.seqNo handed out
+	threadSeq uint64    // last Thread.seqNo handed out
+	holders   []*Thread // the start test's scratch
 }
 
 // Stats aggregates dispatcher-level counters for the harness.
@@ -77,11 +78,6 @@ type TaskRuntime struct {
 	// shares.
 	grants [][]string
 
-	// Admission hook (planning-based scheduling): when non-nil and
-	// returning false, an activation is rejected. Set by schedulers
-	// that implement a dynamic guarantee test (Spring, §1).
-	Admit func(at vtime.Time) bool
-
 	// Statistics.
 	Activations int
 	Completions int
@@ -107,6 +103,7 @@ type condVar struct {
 type nodeState struct {
 	proc      *simkern.Processor
 	resources map[string]*resource
+	ordered   []*resource // the same resources, in creation order
 	// waiters are threads blocked on resource acquisition on this node,
 	// re-evaluated at every release in deterministic order.
 	waiters []*Thread
@@ -140,6 +137,9 @@ func New(eng *simkern.Engine, net *netsim.Network, costs CostBook) *Dispatcher {
 	}
 	return d
 }
+
+// Now implements the Primitive interface: the current virtual time.
+func (d *Dispatcher) Now() vtime.Time { return d.eng.Now() }
 
 // Stats returns a snapshot of the dispatcher counters.
 func (d *Dispatcher) Stats() Stats { return d.stats }
@@ -210,12 +210,6 @@ func (a *App) Seal() {
 	}
 	a.sched.Init(ts)
 	a.policy.Init(ts, a.disp)
-	if adm, ok := a.sched.(Admitter); ok {
-		for _, tr := range a.tasks {
-			task := tr.Task
-			tr.Admit = func(at vtime.Time) bool { return adm.Admit(task, at) }
-		}
-	}
 }
 
 // Task returns the runtime for a registered task name.
@@ -232,8 +226,9 @@ var (
 
 // Activate requests the activation of a task instance now, as triggered
 // by a timer, an interrupt or an Inv_EU (§3.1.2). It performs the
-// arrival-law monitoring of §3.2.1 and the admission hook, then builds
-// the instance and charges C_start_inv before any unit runs.
+// arrival-law monitoring of §3.2.1 and asks an Admitter scheduler to
+// admit the request, then builds the instance and charges C_start_inv
+// before any unit runs.
 func (d *Dispatcher) Activate(taskName string) (*Instance, error) {
 	tr, ok := d.tasks[taskName]
 	if !ok {
@@ -247,7 +242,7 @@ func (d *Dispatcher) Activate(taskName string) (*Instance, error) {
 	}
 	tr.lastArrival, tr.haveArrival = now, true
 
-	if tr.Admit != nil && !tr.Admit(now) {
+	if adm, ok := tr.App.sched.(Admitter); ok && !adm.Admit(tr.Task, now) {
 		d.stats.Rejections++
 		d.eng.Recordf(monitor.KindNotification, tr.primaryNode(), taskName, "activation rejected by guarantee test")
 		return nil, fmt.Errorf("%w: task %q at %s", ErrAdmissionRejected, taskName, now)

@@ -295,7 +295,7 @@ func TestLatestStartMissDetected(t *testing.T) {
 		Code("w", heug.CodeEU{Node: 0, WCET: 1 * ms, Prio: 1, Latest: 2 * ms}).
 		MustBuild()
 	sys := cluster.New(cluster.Config{Seed: 7})
-	app := sys.NewApp("app", sched.NewBestEffort(0), nil)
+	app := sys.NewApp("app", sched.NewBestEffort(), nil)
 	app.MustAddTask(blocker)
 	app.MustAddTask(watched)
 	app.Seal()

@@ -143,7 +143,7 @@ func TestPropertyResponseLowerBound(t *testing.T) {
 func TestPreemptionThresholdAblation(t *testing.T) {
 	run := func(pt int) (pingResp vtime.Duration, longDone int) {
 		sys := cluster.New(cluster.Config{Seed: 9, Costs: dispatcher.DefaultCostBook()})
-		app := sys.NewApp("a", sched.NewBestEffort(0), nil)
+		app := sys.NewApp("a", sched.NewBestEffort(), nil)
 		long := heug.NewTask("long", heug.PeriodicEvery(50*ms)).
 			WithDeadline(50*ms).
 			Code("body", heug.CodeEU{Node: 0, WCET: 20 * ms, Prio: 10, PT: pt}).
@@ -193,7 +193,7 @@ func TestKernelCallNonPreemptible(t *testing.T) {
 		StartAction: 1 * ms, // grotesquely long kernel call, to probe
 		EndAction:   1 * ms,
 	}})
-	app := sys.NewApp("a", sched.NewBestEffort(0), nil)
+	app := sys.NewApp("a", sched.NewBestEffort(), nil)
 	lo := heug.NewTask("lo", heug.AperiodicLaw()).
 		WithDeadline(50*ms).
 		Code("eu", heug.CodeEU{Node: 0, WCET: 1 * ms, Prio: 1}).

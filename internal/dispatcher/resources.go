@@ -14,6 +14,7 @@ import (
 // modes. State attached to it is readable and writable by actions that
 // hold it.
 type resource struct {
+	name  string
 	holds []hold
 	state any
 }
@@ -42,16 +43,17 @@ func (d *Dispatcher) resourceOn(node int, name string) *resource {
 	ns := d.node(node)
 	r := ns.resources[name]
 	if r == nil {
-		r = &resource{}
+		r = &resource{name: name}
 		ns.resources[name] = r
+		ns.ordered = append(ns.ordered, r)
 	}
 	return r
 }
 
 // tryGrant atomically grants all of th's resources if every one is
-// mode-compatible and the application's resource policy allows the
-// thread to start. All-or-nothing acquisition before the unit starts is
-// what makes worst-case blocking analysable (§3.3).
+// mode-compatible and th passes the start test. All-or-nothing
+// acquisition before the unit starts is what makes worst-case blocking
+// analysable (§3.3).
 func (d *Dispatcher) tryGrant(th *Thread) bool {
 	reqs := th.eu.Code.Resources
 	for _, req := range reqs {
@@ -59,7 +61,7 @@ func (d *Dispatcher) tryGrant(th *Thread) bool {
 			return false
 		}
 	}
-	if !th.inst.TR.App.policy.CanStart(th) {
+	if d.holders = d.ceilingHolders(d.holders[:0], th); len(d.holders) > 0 {
 		return false
 	}
 	for _, req := range reqs {
@@ -68,9 +70,27 @@ func (d *Dispatcher) tryGrant(th *Thread) bool {
 		d.eng.Recordf(monitor.KindResourceGrant, th.Node(), req.Resource, "%s %s", th.name, req.Mode.String())
 	}
 	th.held = th.inst.TR.grants[th.euIdx]
-	th.inst.TR.App.policy.OnGrant(th)
 	d.removeWaiter(th)
 	return true
+}
+
+// ceilingHolders is the start test of SRP and PCP (§3.3), and the one
+// place it runs. It appends to out the other threads of th's App whose
+// holds on th's node have a Ceiling, under that App's policy, at or
+// above th's Level. th may start only when there is none: when its
+// Level strictly exceeds the system ceiling, the highest Ceiling among
+// the resources the App's other threads hold on the node.
+func (d *Dispatcher) ceilingHolders(out []*Thread, th *Thread) []*Thread {
+	app := th.inst.TR.App
+	level := app.policy.Level(th)
+	for _, r := range d.node(th.Node()).ordered {
+		for _, h := range r.holds {
+			if h.th != th && h.th.inst.TR.App == app && level <= app.policy.Ceiling(th.Node(), r.name) {
+				out = append(out, h.th)
+			}
+		}
+	}
+	return out
 }
 
 // releaseResources releases everything th holds, notifies Rre, and
@@ -95,7 +115,9 @@ func (d *Dispatcher) releaseResources(th *Thread) {
 		d.eng.Recordf(monitor.KindResourceRelease, th.Node(), name, "%s", th.name)
 	}
 	th.held = nil
-	th.inst.TR.App.policy.OnRelease(th)
+	if inh, ok := th.inst.TR.App.policy.(Inheritor); ok {
+		inh.OnRelease(th)
+	}
 	th.inst.TR.App.notify(NotifRre, th)
 	d.wakeWaiters(ns)
 }
@@ -134,25 +156,33 @@ func (d *Dispatcher) removeWaiter(th *Thread) {
 	}
 }
 
-// conflictingHolders returns the distinct threads holding resources that
-// block th, in deterministic order.
-func (d *Dispatcher) conflictingHolders(th *Thread) []*Thread {
-	seen := map[*Thread]bool{}
-	var out []*Thread
+// conflictingHolders appends to out the threads holding, in a
+// conflicting mode, resources th needs.
+func (d *Dispatcher) conflictingHolders(out []*Thread, th *Thread) []*Thread {
 	for _, req := range th.eu.Code.Resources {
 		r := d.resourceOn(th.Node(), req.Resource)
 		if r.compatible(req.Mode) {
 			continue
 		}
 		for _, h := range r.holds {
-			if h.th != th && !seen[h.th] {
-				seen[h.th] = true
+			if h.th != th {
 				out = append(out, h.th)
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b *Thread) int { return cmp.Compare(a.seqNo, b.seqNo) })
 	return out
+}
+
+// blockers returns the distinct threads in th's way, in creation order:
+// its conflicting holders and its ceiling holders.
+func (d *Dispatcher) blockers(th *Thread) []*Thread {
+	return byCreation(d.ceilingHolders(d.conflictingHolders(nil, th), th))
+}
+
+// byCreation sorts ts by creation order and drops repeats.
+func byCreation(ts []*Thread) []*Thread {
+	slices.SortFunc(ts, func(a, b *Thread) int { return cmp.Compare(a.seqNo, b.seqNo) })
+	return slices.Compact(ts)
 }
 
 // checkDeadlock searches the wait-for graph for a cycle reachable from
@@ -176,7 +206,7 @@ func (d *Dispatcher) checkDeadlock(start *Thread) {
 	succ = func(t *Thread) []*Thread {
 		switch t.state {
 		case threadWaitResources:
-			return d.conflictingHolders(t)
+			return byCreation(d.conflictingHolders(nil, t))
 		case threadWaitInstance:
 			if t.waitInst == nil {
 				return nil

@@ -1,8 +1,6 @@
 package dispatcher
 
 import (
-	"slices"
-
 	"hades/internal/eventq"
 	"hades/internal/heug"
 	"hades/internal/monitor"
@@ -153,20 +151,10 @@ func (th *Thread) Finished() bool { return th.state == threadDone }
 // Started reports whether the thread has ever held the CPU.
 func (th *Thread) Started() bool { return th.started() }
 
-// SeqNo returns the thread's creation sequence number on its
-// dispatcher, a deterministic tie-break for policies that must order
-// threads.
-func (th *Thread) SeqNo() uint64 { return th.seqNo }
-
 // Orphaned reports whether the unit was aborted with its instance
 // (§3.2.1's orphan-thread event). Schedulers prune such threads from
 // their live sets.
 func (th *Thread) Orphaned() bool { return th.state == threadOrphaned }
-
-// HeldResources returns the names of resources the thread holds. The
-// slice is read-only; a grant or release replaces rather than mutates
-// it, so a policy may keep it until OnRelease.
-func (th *Thread) HeldResources() []string { return slices.Clip(th.held) }
 
 func (th *Thread) started() bool { return th.kt.Started() }
 
@@ -272,8 +260,9 @@ func (d *Dispatcher) evaluate(th *Thread) {
 			ns := d.node(th.Node())
 			ns.waiters = append(ns.waiters, th)
 		}
-		holders := d.conflictingHolders(th)
-		th.inst.TR.App.policy.OnBlocked(th, holders)
+		if inh, ok := th.inst.TR.App.policy.(Inheritor); ok {
+			inh.OnBlocked(th, d.blockers(th))
+		}
 		d.checkDeadlock(th)
 		return
 	}

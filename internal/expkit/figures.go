@@ -50,7 +50,7 @@ func runF1(opts Options) Table {
 		MustBuild())
 	edfApp.Seal()
 
-	beApp := sys.NewApp("appli3-BE", sched.NewBestEffort(0), nil)
+	beApp := sys.NewApp("appli3-BE", sched.NewBestEffort(), nil)
 	beApp.MustAddTask(heug.NewTask("be.logger", heug.PeriodicEvery(5*ms)).
 		Code("log", heug.CodeEU{Node: 0, WCET: 1 * ms}).
 		MustBuild())

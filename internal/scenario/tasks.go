@@ -54,16 +54,13 @@ type LinkSpec struct {
 
 // The name tables below are each enum's single source (see named).
 var (
-	// schedulers build the scheduling policy; Spring reads the cluster
-	// clock.
-	schedulers = map[string]func(now func() vtime.Time) dispatcher.Scheduler{
-		"EDF": func(func() vtime.Time) dispatcher.Scheduler { return sched.NewEDF(20 * vtime.Microsecond) },
-		"RM":  func(func() vtime.Time) dispatcher.Scheduler { return sched.NewRM() },
-		"DM":  func(func() vtime.Time) dispatcher.Scheduler { return sched.NewDM() },
-		"Spring": func(now func() vtime.Time) dispatcher.Scheduler {
-			return sched.NewSpring(15*vtime.Microsecond, 100*vtime.Microsecond, now)
-		},
-		"best-effort": func(func() vtime.Time) dispatcher.Scheduler { return sched.NewBestEffort(0) },
+	// schedulers build the scheduling policy.
+	schedulers = map[string]func() dispatcher.Scheduler{
+		"EDF":         func() dispatcher.Scheduler { return sched.NewEDF(20 * vtime.Microsecond) },
+		"RM":          func() dispatcher.Scheduler { return sched.NewRM() },
+		"DM":          func() dispatcher.Scheduler { return sched.NewDM() },
+		"Spring":      func() dispatcher.Scheduler { return sched.NewSpring(15*vtime.Microsecond, 100*vtime.Microsecond) },
+		"best-effort": func() dispatcher.Scheduler { return sched.NewBestEffort() },
 	}
 	// policies build the resource protocol; none is plain locking.
 	policies = map[string]func() dispatcher.ResourcePolicy{
@@ -179,7 +176,7 @@ func (s Spec) attachTasks(c *cluster.Cluster) error {
 	if err != nil {
 		return err
 	}
-	app := c.NewApp(s.Name, scheduler(c.Now), policy())
+	app := c.NewApp(s.Name, scheduler(), policy())
 	for _, ts := range s.Tasks {
 		task, err := s.heugTask(ts)
 		if err != nil {

@@ -18,14 +18,11 @@ func TestSRPLevelsAndCeilings(t *testing.T) {
 			Resources: []heug.ResourceReq{{Resource: "R", Mode: heug.Exclusive}}}).MustBuild()
 	s := NewSRP()
 	s.Init([]*heug.Task{a, b}, nil)
-	if s.level("a") <= s.level("b") {
+	if s.levels["a"] <= s.levels["b"] {
 		t.Fatal("shorter deadline must have higher preemption level")
 	}
-	if s.ceiling(0, "R") != s.level("a") {
-		t.Fatalf("ceiling(R) = %d, want %d (max user level)", s.ceiling(0, "R"), s.level("a"))
-	}
-	if s.systemCeiling(0) != 0 {
-		t.Fatal("system ceiling must start at 0")
+	if s.Ceiling(0, "R") != s.levels["a"] {
+		t.Fatalf("ceiling(R) = %d, want %d (max user level)", s.Ceiling(0, "R"), s.levels["a"])
 	}
 }
 
@@ -40,7 +37,7 @@ func TestPCPCeilings(t *testing.T) {
 			Resources: []heug.ResourceReq{{Resource: "R", Mode: heug.Exclusive}}}).MustBuild()
 	p := NewPCP()
 	p.Init([]*heug.Task{a, b}, nil)
-	if p.ceiling(0, "R") != 9 {
-		t.Fatalf("PCP ceiling = %d, want 9", p.ceiling(0, "R"))
+	if p.Ceiling(0, "R") != 9 {
+		t.Fatalf("PCP ceiling = %d, want 9", p.Ceiling(0, "R"))
 	}
 }

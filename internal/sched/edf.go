@@ -41,11 +41,7 @@ func (*EDF) Wants(k dispatcher.NotifKind) bool {
 // floor; ordering is established dynamically.
 func (*EDF) Init(tasks []*heug.Task) {
 	for _, t := range tasks {
-		for _, e := range t.EUs {
-			if e.Code != nil {
-				e.Code.Prio = BaseGuaranteed
-			}
-		}
+		setPriority(t, BaseGuaranteed)
 	}
 }
 

@@ -1,24 +1,31 @@
 // Package sched provides the application-domain-dependent half of HADES:
 // scheduling policies and resource-access protocols, all built on the
 // dispatcher's cooperation interface of §3.2.2 (notification FIFO +
-// attribute-change primitive).
+// the one primitive).
 //
-// Implemented policies, matching the paper's §3.3 inventory:
+// Scheduling policies, matching the paper's §3.3 inventory:
 //
-//   - RM and DM: static priority assignment at Init [LL73];
+//   - Static: priorities assigned once at Init, with no notification
+//     traffic — Rate Monotonic and Deadline Monotonic [LL73] (NewRM,
+//     NewDM), and the fixed best-effort band for cohabitation (§2.2.1,
+//     NewBestEffort);
 //   - EDF: dynamic priorities driven by Atv/Trm notifications,
 //     reproducing Figure 2's cooperation protocol;
-//   - FIFO/best-effort: a fixed low band for cohabitation (§2.2.1);
 //   - Spring-style planning (§1, [RSS90]): a dynamic guarantee test at
-//     each activation plus plan-driven earliest start times;
+//     each activation plus plan-driven earliest start times.
 //
-// and the anti-priority-inversion protocols of footnote 2:
+// The anti-priority-inversion protocols of footnote 2 are static tables
+// of levels and ceilings; the dispatcher holds the resources and runs
+// their one start test:
 //
 //   - SRP (Stack Resource Policy [Bak91]);
-//   - PCP-style dynamic priority ceilings with inheritance [CL90].
+//   - PCP-style priority ceilings with inheritance [CL90].
 package sched
 
 import (
+	"cmp"
+	"slices"
+
 	"hades/internal/dispatcher"
 	"hades/internal/heug"
 	"hades/internal/vtime"
@@ -33,118 +40,73 @@ const (
 	BaseBestEffort = 10
 )
 
-// assignStaticByRank sets every Code_EU of each task to a priority
-// derived from the task's rank under less (rank 0 = highest priority).
-func assignStaticByRank(tasks []*heug.Task, base int, less func(a, b *heug.Task) bool) {
-	order := make([]*heug.Task, len(tasks))
-	copy(order, tasks)
-	// Insertion sort: deterministic, stable, tiny n.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && less(order[j], order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	for rank, t := range order {
-		prio := base + len(order) - rank
-		for _, e := range t.EUs {
-			if e.Code != nil {
-				e.Code.Prio = prio
-			}
+// ranked returns tasks sorted by order, first ranked first; ties keep
+// their declaration order.
+func ranked(tasks []*heug.Task, order func(a, b *heug.Task) int) []*heug.Task {
+	out := slices.Clone(tasks)
+	slices.SortStableFunc(out, order)
+	return out
+}
+
+// setPriority sets every Code_EU of t to prio.
+func setPriority(t *heug.Task, prio int) {
+	for _, e := range t.EUs {
+		if e.Code != nil {
+			e.Code.Prio = prio
 		}
 	}
 }
 
-// RM is the Rate Monotonic policy [LL73]: static priorities ordered by
-// period (shorter period → higher priority), assigned once at Init. It
-// needs no runtime notifications, so its scheduling cost is zero — the
-// §5.3 overhead comparison between static and dynamic policies rests on
-// exactly this difference.
-type RM struct{}
+// Static is a fixed-priority policy: Init assigns every Code_EU its
+// priority once, and the policy wants no notification, so its
+// scheduling cost is zero — the §5.3 overhead comparison between static
+// and dynamic policies rests on exactly this difference.
+type Static struct {
+	name string
+	// order ranks tasks, highest priority first, one step apart above
+	// BaseGuaranteed; nil puts every task at BaseBestEffort.
+	order func(a, b *heug.Task) int
+}
 
-// NewRM returns the Rate Monotonic policy.
-func NewRM() *RM { return &RM{} }
+// NewRM returns the Rate Monotonic policy [LL73]: shorter period,
+// higher priority.
+func NewRM() *Static {
+	return &Static{name: "RM", order: func(a, b *heug.Task) int { return cmp.Compare(a.Arrival.Period, b.Arrival.Period) }}
+}
+
+// NewDM returns the Deadline Monotonic policy: shorter relative
+// deadline, higher priority.
+func NewDM() *Static {
+	return &Static{name: "DM", order: func(a, b *heug.Task) int { return cmp.Compare(a.Deadline, b.Deadline) }}
+}
+
+// NewBestEffort returns the best-effort policy: every task at the floor
+// of the best-effort band with no guarantees, the cohabitation partner
+// of §2.2.1's second option (one scheduler with a feasibility test plus
+// any number of best-effort schedulers).
+func NewBestEffort() *Static { return &Static{name: "best-effort"} }
 
 // Name implements dispatcher.Scheduler.
-func (*RM) Name() string { return "RM" }
+func (s *Static) Name() string { return s.name }
 
 // Cost implements dispatcher.Scheduler.
-func (*RM) Cost() vtime.Duration { return 0 }
+func (*Static) Cost() vtime.Duration { return 0 }
 
-// Wants implements dispatcher.Scheduler: RM is fully static.
-func (*RM) Wants(dispatcher.NotifKind) bool { return false }
-
-// Init implements dispatcher.Scheduler.
-func (*RM) Init(tasks []*heug.Task) {
-	assignStaticByRank(tasks, BaseGuaranteed, func(a, b *heug.Task) bool {
-		return a.Arrival.Period < b.Arrival.Period
-	})
-}
-
-// Handle implements dispatcher.Scheduler.
-func (*RM) Handle(dispatcher.Notification, dispatcher.Primitive) {}
-
-// DM is the Deadline Monotonic policy: static priorities ordered by
-// relative deadline (shorter deadline → higher priority).
-type DM struct{}
-
-// NewDM returns the Deadline Monotonic policy.
-func NewDM() *DM { return &DM{} }
-
-// Name implements dispatcher.Scheduler.
-func (*DM) Name() string { return "DM" }
-
-// Cost implements dispatcher.Scheduler.
-func (*DM) Cost() vtime.Duration { return 0 }
-
-// Wants implements dispatcher.Scheduler.
-func (*DM) Wants(dispatcher.NotifKind) bool { return false }
+// Wants implements dispatcher.Scheduler: the policy is fully static.
+func (*Static) Wants(dispatcher.NotifKind) bool { return false }
 
 // Init implements dispatcher.Scheduler.
-func (*DM) Init(tasks []*heug.Task) {
-	assignStaticByRank(tasks, BaseGuaranteed, func(a, b *heug.Task) bool {
-		return a.Deadline < b.Deadline
-	})
-}
-
-// Handle implements dispatcher.Scheduler.
-func (*DM) Handle(dispatcher.Notification, dispatcher.Primitive) {}
-
-// BestEffort runs every task at one fixed low priority with no
-// guarantees: the cohabitation partner of §2.2.1's second option (one
-// scheduler with a feasibility test plus any number of best-effort
-// schedulers).
-type BestEffort struct {
-	prio int
-}
-
-// NewBestEffort returns a best-effort policy at the given priority
-// within the best-effort band (0 selects the band floor).
-func NewBestEffort(prio int) *BestEffort {
-	if prio <= 0 {
-		prio = BaseBestEffort
-	}
-	return &BestEffort{prio: prio}
-}
-
-// Name implements dispatcher.Scheduler.
-func (*BestEffort) Name() string { return "best-effort" }
-
-// Cost implements dispatcher.Scheduler.
-func (*BestEffort) Cost() vtime.Duration { return 0 }
-
-// Wants implements dispatcher.Scheduler.
-func (*BestEffort) Wants(dispatcher.NotifKind) bool { return false }
-
-// Init implements dispatcher.Scheduler.
-func (b *BestEffort) Init(tasks []*heug.Task) {
-	for _, t := range tasks {
-		for _, e := range t.EUs {
-			if e.Code != nil {
-				e.Code.Prio = b.prio
-			}
+func (s *Static) Init(tasks []*heug.Task) {
+	if s.order == nil {
+		for _, t := range tasks {
+			setPriority(t, BaseBestEffort)
 		}
+		return
+	}
+	for rank, t := range ranked(tasks, s.order) {
+		setPriority(t, BaseGuaranteed+len(tasks)-rank)
 	}
 }
 
 // Handle implements dispatcher.Scheduler.
-func (*BestEffort) Handle(dispatcher.Notification, dispatcher.Primitive) {}
+func (*Static) Handle(dispatcher.Notification, dispatcher.Primitive) {}

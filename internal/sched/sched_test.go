@@ -191,7 +191,7 @@ func TestSRPBoundsInversion(t *testing.T) {
 
 func TestSpringAdmissionRejectsOverload(t *testing.T) {
 	sys := cluster.New(cluster.Config{Seed: 3})
-	spring := sched.NewSpring(15*us, 50*us, sys.Engine().Now)
+	spring := sched.NewSpring(15*us, 50*us)
 	app := sys.NewApp("plan", spring, nil)
 	mk := func(name string, c, d vtime.Duration) *heug.Task {
 		return heug.NewTask(name, heug.AperiodicLaw()).
@@ -220,7 +220,7 @@ func TestSpringAdmissionRejectsOverload(t *testing.T) {
 
 func TestSpringGuaranteedJobsAllComplete(t *testing.T) {
 	sys := cluster.New(cluster.Config{Seed: 3})
-	spring := sched.NewSpring(15*us, 50*us, sys.Engine().Now)
+	spring := sched.NewSpring(15*us, 50*us)
 	app := sys.NewApp("plan", spring, nil)
 	for i := 0; i < 5; i++ {
 		name := string(rune('a' + i))
@@ -253,7 +253,7 @@ func TestBestEffortCohabitation(t *testing.T) {
 		MustBuild())
 	guaranteed.Seal()
 
-	besteffort := sys.NewApp("bg", sched.NewBestEffort(0), nil)
+	besteffort := sys.NewApp("bg", sched.NewBestEffort(), nil)
 	besteffort.MustAddTask(heug.NewTask("noise", heug.PeriodicEvery(5*ms)).
 		Code("e", heug.CodeEU{Node: 0, WCET: 4 * ms}).
 		MustBuild())
@@ -289,7 +289,7 @@ func TestSRPStartTestSeesOnlyItsApp(t *testing.T) {
 		Code("work", heug.CodeEU{Node: 0, WCET: 1 * ms}).
 		MustBuild())
 	a.Seal()
-	b := sys.NewApp("b", sched.NewBestEffort(0), sched.NewSRP())
+	b := sys.NewApp("b", sched.NewBestEffort(), sched.NewSRP())
 	b.MustAddTask(heug.NewTask("b.holder", heug.SporadicEvery(100*ms)).
 		WithDeadline(90*ms).
 		Code("cs", heug.CodeEU{Node: 0, WCET: 10 * ms, Resources: useR}).

@@ -29,7 +29,6 @@ import (
 type Spring struct {
 	cost     vtime.Duration
 	overhead vtime.Duration // per-job dispatching overhead folded into the plan
-	now      func() vtime.Time
 
 	jobs []*springJob // admitted, unfinished
 }
@@ -42,11 +41,11 @@ type springJob struct {
 	threads  []*dispatcher.Thread
 }
 
-// NewSpring returns a planning policy. now must report current virtual
-// time (wire it to the engine); overhead is added to each job's planned
-// work to account for dispatching costs.
-func NewSpring(cost, overhead vtime.Duration, now func() vtime.Time) *Spring {
-	return &Spring{cost: cost, overhead: overhead, now: now}
+// NewSpring returns a planning policy whose per-notification cost is
+// cost; overhead is added to each job's planned work to account for
+// dispatching costs.
+func NewSpring(cost, overhead vtime.Duration) *Spring {
+	return &Spring{cost: cost, overhead: overhead}
 }
 
 // Name implements dispatcher.Scheduler.
@@ -64,11 +63,7 @@ func (*Spring) Wants(k dispatcher.NotifKind) bool {
 // earliest times; priorities are uniform.
 func (*Spring) Init(tasks []*heug.Task) {
 	for _, t := range tasks {
-		for _, e := range t.EUs {
-			if e.Code != nil {
-				e.Code.Prio = BaseGuaranteed
-			}
-		}
+		setPriority(t, BaseGuaranteed)
 	}
 }
 
@@ -140,8 +135,8 @@ func (s *Spring) Handle(n dispatcher.Notification, prim dispatcher.Primitive) {
 		inst := n.Thread.Instance()
 		job := s.findJob(inst, n.Thread.TaskName(), n.Thread.AbsDeadline())
 		if job == nil {
-			// Activation without a prior Admit (e.g. admission hook not
-			// wired): register the job now.
+			// No reservation matches the thread's (task, deadline):
+			// register the job now.
 			job = &springJob{
 				task:     n.Thread.TaskName(),
 				deadline: n.Thread.AbsDeadline(),
@@ -181,7 +176,7 @@ func (s *Spring) replan(prim dispatcher.Primitive) {
 	sorted := make([]*springJob, len(s.jobs))
 	copy(sorted, s.jobs)
 	slices.SortStableFunc(sorted, byDeadline)
-	t := s.now()
+	t := prim.Now()
 	for _, j := range sorted {
 		if anyStarted(j.threads) {
 			j.started = true

@@ -10,8 +10,8 @@
 //
 //   - an attempt is sent and a reply timeout armed; a timeout consumes
 //     one retry and re-sends;
-//   - an exhausted budget parks the call (or fails it, under the
-//     fail-fast option) — parked calls resubmit with a fresh budget on
+//   - an exhausted budget parks the call (or fails it, when the Spec
+//     sets OnFail) — parked calls resubmit with a fresh budget on
 //     any installed membership view and on partition heals (ownership
 //     can have changed), plus a deep deterministic backoff so nothing
 //     is stranded when the trigger raced the park itself;
@@ -85,13 +85,12 @@ type Spec struct {
 	// MaxRetries bounds consecutive timeouts before the policy applies
 	// (0 selects DefaultMaxRetries).
 	MaxRetries int
-	// FailFast abandons the call on exhaustion instead of parking it.
-	FailFast bool
 	// Send fires one attempt (the adapter's wire send).
 	Send func(attempt int)
 	// Counters, when set, receives the call's state-machine counts.
 	Counters *Counters
-	// OnFail, when set, runs when fail-fast abandons the call.
+	// OnFail, when set, makes the call fail-fast: it is abandoned, not
+	// parked, when its retries run out, and OnFail runs.
 	OnFail func()
 	// Traces are the causal traces riding this call (one per op in a
 	// batched submission): the engine records retries, parks,
@@ -250,12 +249,10 @@ func (e *Engine) fail(c *Call, why string) {
 		e.dispatch(c)
 		return
 	}
-	if c.s.FailFast {
+	if c.s.OnFail != nil {
 		c.state = csDone
 		c.attempt++
-		if c.s.OnFail != nil {
-			c.s.OnFail()
-		}
+		c.s.OnFail()
 		return
 	}
 	c.state = csParked

@@ -126,7 +126,7 @@ func TestFailFastAbandonsAfterBudget(t *testing.T) {
 	var fails int
 	var n Counters
 	c := s.Go(Spec{
-		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 1, FailFast: true,
+		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 1,
 		Send:     func(int) {},
 		OnFail:   func() { fails++ },
 		Counters: &n,

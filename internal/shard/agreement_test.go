@@ -67,3 +67,41 @@ func TestPassiveFailoverForksAtPromotion(t *testing.T) {
 		t.Fatalf("acked %d of %d", cl.Stats.Acked, cl.Stats.Submitted)
 	}
 }
+
+// TestAuthoritativeNodeSkipsViewExcludedReplica: a replica isolated by
+// a partition (never down) has an apply-log hole; the verifier must
+// not adopt its log as the authoritative history even when it is
+// re-promoted later.
+func TestAuthoritativeNodeSkipsViewExcludedReplica(t *testing.T) {
+	const (
+		us = vtime.Microsecond
+		ms = vtime.Millisecond
+	)
+	c := cluster.New(cluster.Config{Seed: 37})
+	c.AddNodes(4)
+	c.ConnectAll(100*us, 300*us)
+	set := c.ShardsWith(1, 3, cluster.ShardConfig{})
+	cl := set.ClientAt(3)
+	keys := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}
+	for i, at := 0, vtime.Time(0); at < vtime.Time(250*ms); i, at = i+1, at.Add(2*ms) {
+		k, cmd := keys[i%len(keys)], int64(i+1)
+		c.At(at, func() { cl.Submit(k, cmd) })
+	}
+	// Isolate the primary (node 0); the majority promotes node 1 and
+	// keeps serving; the heal re-admits 0 with a state transfer but
+	// cannot backfill its apply log.
+	c.PartitionAt(vtime.Time(40*ms), []int{0}, []int{1, 2, 3})
+	c.HealAt(vtime.Time(120 * ms))
+	c.Run(400 * ms)
+
+	node, ok := groupsOf(set)[0].AuthoritativeNode()
+	if !ok {
+		t.Fatal("no hole-free replica")
+	}
+	if node == 0 {
+		t.Fatal("verifier adopted the view-excluded replica's holed log")
+	}
+	if err := set.Check(); err != nil {
+		t.Fatalf("consistency check: %v", err)
+	}
+}

@@ -286,7 +286,6 @@ func (c *Client) launch(lane string, ops []*request) {
 		Counters: &c.Stats.Counters,
 	}
 	if c.p.Policy == FailFast {
-		spec.FailFast = true
 		spec.OnFail = func() { c.failBatch(b) }
 	}
 	b.call = c.sess.Go(spec)

@@ -15,6 +15,9 @@ func (c *Client) QueuedKeys() int { return len(c.perKey) }
 // Groups returns the shard groups of the client's router, ring order.
 func (c *Client) Groups() []*Group { return c.router.groups }
 
+// AuthoritativeNode returns the replica whose apply log Verify reads.
+func (g *Group) AuthoritativeNode() (int, bool) { return g.authoritativeNode() }
+
 // NewHistory indexes log the way Group.History indexes a group's
 // authoritative log.
 func NewHistory(log []Applied) *History { return newHistory(log) }

@@ -273,12 +273,12 @@ func (g *Group) Replication() *replication.Group { return g.rep }
 // Membership returns the shard's membership service.
 func (g *Group) Membership() *membership.Service { return g.mem }
 
-// AuthoritativeNode returns the replica whose apply log is the
+// authoritativeNode returns the replica whose apply log is the
 // authoritative history: the current primary, or — if the primary's
 // log is holed (it was down, or view-excluded while partitioned;
 // rejoin state transfers restore state, not logs) — the first
 // hole-free replica in promotion order.
-func (g *Group) AuthoritativeNode() (int, bool) {
+func (g *Group) authoritativeNode() (int, bool) {
 	p := g.rep.Primary()
 	if r := g.replica(p); r != nil && !r.holed {
 		return p, true

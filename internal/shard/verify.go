@@ -129,7 +129,7 @@ func (g *Group) history() (*History, error) {
 	if testHookIndex != nil {
 		testHookIndex(g)
 	}
-	node, ok := g.AuthoritativeNode()
+	node, ok := g.authoritativeNode()
 	if !ok {
 		return nil, fmt.Errorf("group %q has no hole-free replica to verify against", g.Name())
 	}

@@ -19,20 +19,19 @@ import (
 // stable-storage recovery surface. One reason each; at most
 // maxNamesAllowed entries.
 var namesAllowlist = map[string]string{
-	"heug.Builder.Invoke":           "dispatcher tests build §3.1 invocation units (Inv_EU); no builtin declares one",
-	"pubsub.Plane.CheckComplete":    "the per-topic delivery audit scenario's TestRegressCorpus runs",
-	"scenario.Builtin":              "cmd/hades golden tests and cluster verify tests load builtins by name",
-	"shard.Group.AuthoritativeNode": "cluster shard tests check which replica's apply log is authoritative",
-	"simkern.Processor.IRQTime":     "netsim tests measure the receive-path interrupt cost",
-	"storage.Store.Crash":           "stable-storage surface: replication tests crash a replica's store; recovery is ROADMAP item 6",
-	"storage.Store.Read":            "stable-storage surface: replication tests read a persisted checkpoint back; recovery is ROADMAP item 6",
-	"txn.Client.Begin":              "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
-	"txn.Client.Commit":             "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
-	"txn.Client.Write":              "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
-	"txn.Txn.Read":                  "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
+	"heug.Builder.Invoke":        "dispatcher tests build §3.1 invocation units (Inv_EU); no builtin declares one",
+	"pubsub.Plane.CheckComplete": "the per-topic delivery audit scenario's TestRegressCorpus runs",
+	"scenario.Builtin":           "cmd/hades golden tests and cluster verify tests load builtins by name",
+	"simkern.Processor.IRQTime":  "netsim tests measure the receive-path interrupt cost",
+	"storage.Store.Crash":        "stable-storage surface: replication tests crash a replica's store; recovery is ROADMAP item 6",
+	"storage.Store.Read":         "stable-storage surface: replication tests read a persisted checkpoint back; recovery is ROADMAP item 6",
+	"txn.Client.Begin":           "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
+	"txn.Client.Commit":          "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
+	"txn.Client.Write":           "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
+	"txn.Txn.Read":               "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
 }
 
-const maxNamesAllowed = 11
+const maxNamesAllowed = 10
 
 // TestOnlyNamesSomethingCalls holds the exported surface of internal/ to
 // what something calls. Every exported func, and every exported method of
