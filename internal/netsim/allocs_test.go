@@ -84,3 +84,19 @@ func TestAllocsLocal(t *testing.T) {
 		t.Fatal("handler not reached")
 	}
 }
+
+// TestAllocsLocalAfter: a delayed local hop rides a recycled record armed
+// as its own event, so it costs nothing either.
+func TestAllocsLocalAfter(t *testing.T) {
+	eng, n := fullNodes()
+	got := 0
+	n.Bind(1, "app", func(*Message) { got++ })
+	var payload any = 1 << 20
+	gate(t, "delayed Local hop", func() {
+		n.LocalAfter(10*us, 1, 1, "app", payload, 8)
+		eng.RunUntilIdle()
+	})
+	if got == 0 {
+		t.Fatal("handler not reached")
+	}
+}

@@ -158,14 +158,18 @@ type flight struct {
 const (
 	stageArrive uint64 = iota // the message reaches the receiver's card
 	stageATM                  // the ATM interrupt's handler has run
+	stageLocal                // a delayed local hop lands (LocalAfter)
 )
 
 // Fire runs the receive path's stage.
 func (f *flight) Fire(stage uint64) {
-	if stage == stageArrive {
+	switch stage {
+	case stageArrive:
 		f.onArrive()
-	} else {
+	case stageATM:
 		f.onATM()
+	default:
+		f.onLocal()
 	}
 }
 
@@ -374,6 +378,29 @@ func (n *Network) Local(from, to int, port string, payload any, size int) bool {
 	ok := n.handle(&f.m)
 	n.release(f)
 	return ok
+}
+
+// LocalAfter is Local after delay, for a co-located sender that charges
+// a local dispatch cost: unless from is down now, the hop is armed on a
+// recycled record as an application-class event, and it reaches the
+// handler bound for to on port unless to is down when it lands. A
+// steady-state hop allocates nothing.
+func (n *Network) LocalAfter(delay vtime.Duration, from, to int, port string, payload any, size int) {
+	if n.down[from] {
+		return
+	}
+	f := n.take()
+	f.m = Message{From: from, To: to, Port: port, Payload: payload, Size: size, SentAt: n.eng.Now()}
+	n.eng.Arm(n.eng.Now().Add(delay), eventq.ClassApp, f, stageLocal)
+}
+
+// onLocal lands a LocalAfter hop and recycles its record.
+func (f *flight) onLocal() {
+	n, m := f.n, &f.m
+	if !n.down[m.To] {
+		n.handle(m)
+	}
+	n.release(f)
 }
 
 // handle runs the handler bound for m's receiver and port, if any.

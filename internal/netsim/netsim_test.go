@@ -433,3 +433,40 @@ func TestLocalDispatch(t *testing.T) {
 		t.Fatalf("Local touched the network's books: %+v, %d events", st, eng.Log().Len())
 	}
 }
+
+// TestLocalAfterChecksBothEnds: a delayed local hop lands after its
+// delay, is not armed while its sender is down, and is dropped quietly
+// when its receiver is down as it lands; it touches no counter and
+// records nothing, as Local does.
+func TestLocalAfterChecksBothEnds(t *testing.T) {
+	eng, n := twoNodes(t, DefaultConfig())
+	var got []vtime.Time
+	n.Bind(1, "app", func(m *Message) { got = append(got, eng.Now()) })
+	n.LocalAfter(10*us, 1, 1, "app", "self", 4)
+	eng.Run(vtime.Time(9 * us))
+	if len(got) != 0 {
+		t.Fatal("landed before its delay")
+	}
+	eng.RunUntilIdle()
+	if len(got) != 1 || got[0] != vtime.Time(10*us) {
+		t.Fatalf("landed at %v, want once at 10us", got)
+	}
+	n.SetNodeDown(1, true)
+	n.LocalAfter(10*us, 1, 1, "app", "self", 4) // sender down: never armed
+	if pending := eng.QueueLen(); pending != 0 {
+		t.Fatalf("%d events armed by a down sender", pending)
+	}
+	n.SetNodeDown(1, false)
+	n.LocalAfter(10*us, 1, 1, "app", "self", 4)
+	n.SetNodeDown(1, true) // receiver down as it lands
+	eng.RunUntilIdle()
+	if len(got) != 1 {
+		t.Fatalf("%d hops handled, want 1", len(got))
+	}
+	if st := n.Stats(); st != (Stats{}) || eng.Log().Len() != 0 {
+		t.Fatalf("LocalAfter touched the network's books: %+v, %d events", st, eng.Log().Len())
+	}
+	if n.free == nil || n.free.next != nil {
+		t.Fatal("the delayed hops did not share one recycled record")
+	}
+}

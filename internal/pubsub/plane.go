@@ -89,7 +89,7 @@ type pubAttempt struct {
 	finished    bool
 	done        func()
 	// call is a reliable publish's session call, until the ack lands.
-	call *session.Call
+	call session.Handle
 
 	// applied is set the first time the sample applies anywhere — the
 	// plane's own account of what it admitted, as opposed to the tag
@@ -114,8 +114,7 @@ func (a *pubAttempt) complete() {
 	a.acked = true
 	a.pub.acked++
 	a.pub.t.acked++
-	a.call.Finish()
-	a.call = nil
+	a.pub.p.sess.Finish(a.call)
 	a.maybeFinish()
 	if a.done != nil {
 		a.done()
@@ -470,14 +469,18 @@ func (pub *Publisher) PublishDone(value int64, done func()) uint64 {
 	}
 
 	att.wire = att.ref.Span("pub.wire", trace.LayerWire)
-	att.call = p.sess.Go(session.Spec{
-		Label:  publishLabel(s),
-		Node:   pub.node,
-		Traces: []trace.Ref{att.ref},
-		Send:   func(int) { pub.send(att) },
-	})
+	att.call = p.sess.Start(att, 0, pub.node, nil)
 	return s.Seq
 }
+
+// Send fires one attempt of a reliable publish (Publisher.send).
+func (a *pubAttempt) Send(uint64, int) { a.pub.send(a) }
+
+// Label names the publish's call (see publishLabel).
+func (a *pubAttempt) Label(uint64) string { return publishLabel(a.s) }
+
+// Trace hands the engine the publish trace.
+func (a *pubAttempt) Trace(_ uint64, i int) (trace.Ref, bool) { return a.ref, i == 0 }
 
 // publishLabel renders a reliable publish's call label
 // ("pubsub.telemetry.p2#17") into one string, without fmt.
@@ -513,7 +516,7 @@ type Subscriber struct {
 	active bool
 	// catchupCall re-sends a late joiner's catch-up until caughtUp.
 	caughtUp    bool
-	catchupCall *session.Call
+	catchupCall session.Handle
 
 	seen       map[sampleKey]bool
 	deliveries []Delivery
@@ -559,25 +562,26 @@ func (s *Subscriber) join() {
 	p.eng.Recordf(monitor.KindCatchUp, s.node, "pubsub."+s.t.name,
 		"subscriber %d joined late", s.id)
 	if s.t.qos.Durable {
-		s.catchupCall = p.sess.Go(session.Spec{
-			Label: fmt.Sprintf("pubsub.%s.catchup#%d", s.t.name, s.id),
-			Node:  s.node,
-			Send:  func(int) { s.catchup() },
-		})
+		s.catchupCall = p.sess.Start(catchup{s}, 0, s.node, nil)
 		if s.caughtUp { // a co-located primary answered the first attempt in place
-			s.catchupCall.Finish()
-			s.catchupCall = nil
+			p.sess.Finish(s.catchupCall)
 		}
 	}
 }
 
-// catchup requests the durable history from the owning primary; the
-// session call re-sends it until the catch-up ack lands.
-func (s *Subscriber) catchup() {
-	p := s.p
+// catchup is a late joiner as the owner of its catch-up call, which
+// re-sends the request until the catch-up ack lands.
+type catchup struct{ s *Subscriber }
+
+// Send requests the durable history from the owning primary.
+func (c catchup) Send(uint64, int) {
+	s, p := c.s, c.s.p
 	target := s.t.gs.g.Replication().Primary()
 	p.send(s.node, target, p.reqPort, catchupMsg{Topic: s.t.name, Sub: s.id}, 24)
 }
+
+// Label names the catch-up call ("pubsub.telemetry.catchup#3").
+func (c catchup) Label(uint64) string { return fmt.Sprintf("pubsub.%s.catchup#%d", c.s.t.name, c.s.id) }
 
 // deliver records one sample arrival (dedup first, then deadline QoS,
 // then the fan-out completion bookkeeping).
@@ -806,8 +810,7 @@ func (p *Plane) handleDeliver(node int, m *netsim.Message) {
 		if env.Sub >= 0 && env.Sub < len(p.subs) {
 			s := p.subs[env.Sub]
 			s.caughtUp = true
-			s.catchupCall.Finish()
-			s.catchupCall = nil
+			p.sess.Finish(s.catchupCall)
 		}
 	}
 }

@@ -20,20 +20,41 @@ func testEngine() *simkern.Engine {
 	return eng
 }
 
+// testOwner is a call's owner in the tests: it counts its sends, the
+// labels the engine asked for and its fail-fast verdicts.
+type testOwner struct {
+	sends, labels, fails int
+	onSend               func(attempt int)
+}
+
+func (o *testOwner) Send(_ uint64, attempt int) {
+	o.sends++
+	if o.onSend != nil {
+		o.onSend(attempt)
+	}
+}
+
+func (o *testOwner) Label(uint64) string { o.labels++; return "call" }
+func (o *testOwner) Failed(uint64)       { o.fails++ }
+
+// testSession is an engine at a short calibration: 1ms reply timeouts
+// and the given retry budget.
+func testSession(eng *simkern.Engine, retries int) *Engine {
+	s := New(eng)
+	s.timeout, s.maxRetries = 1*ms, retries
+	return s
+}
+
 func TestCallRetriesThenParksAndResumesOnPoke(t *testing.T) {
 	eng := testEngine()
-	s := New(eng)
-	var sends int
+	s := testSession(eng, 2)
+	var o testOwner
 	var n Counters
-	s.Go(Spec{
-		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 2,
-		Send:     func(int) { sends++ },
-		Counters: &n,
-	})
+	s.Start(&o, 0, 0, &n)
 	// No reply ever arrives: 1 initial + 2 retries, then park.
 	eng.Run(vtime.Time(4 * ms))
-	if sends != 3 || n.Retries != 2 || n.Queued != 1 {
-		t.Fatalf("sends=%d retries=%d parks=%d, want 3/2/1", sends, n.Retries, n.Queued)
+	if o.sends != 3 || n.Retries != 2 || n.Queued != 1 {
+		t.Fatalf("sends=%d retries=%d parks=%d, want 3/2/1", o.sends, n.Retries, n.Queued)
 	}
 	if n.Timeouts != 3 {
 		t.Fatalf("timeouts=%d, want 3", n.Timeouts)
@@ -41,99 +62,86 @@ func TestCallRetriesThenParksAndResumesOnPoke(t *testing.T) {
 	// A poke (view install) resumes with a fresh budget.
 	eng.After(0, eventq.ClassApp, func() { s.poke("view") })
 	eng.Run(vtime.Time(4500 * us))
-	if n.Resubmitted != 1 || sends != 4 {
-		t.Fatalf("resubmits=%d sends=%d after poke, want 1/4", n.Resubmitted, sends)
+	if n.Resubmitted != 1 || o.sends != 4 {
+		t.Fatalf("resubmits=%d sends=%d after poke, want 1/4", n.Resubmitted, o.sends)
 	}
 }
 
 func TestParkedCallResumesOnBackoffWithoutPoke(t *testing.T) {
 	eng := testEngine()
-	s := New(eng)
-	var sends int
+	s := testSession(eng, 1)
+	var o testOwner
 	var n Counters
-	s.Go(Spec{
-		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 1,
-		Send:     func(int) { sends++ },
-		Counters: &n,
-	})
+	s.Start(&o, 0, 0, &n)
 	// Parks at 2ms; the 5×timeout backoff re-probes at 7ms.
 	eng.Run(vtime.Time(10 * ms))
 	if n.Resubmitted == 0 {
-		t.Fatalf("parked call never resumed via backoff (sends=%d)", sends)
+		t.Fatalf("parked call never resumed via backoff (sends=%d)", o.sends)
 	}
 }
 
 func TestFinishInvalidatesPendingTimeout(t *testing.T) {
 	eng := testEngine()
-	s := New(eng)
+	s := testSession(eng, 3)
+	var o testOwner
 	var n Counters
-	c := s.Go(Spec{
-		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 3,
-		Send:     func(int) {},
-		Counters: &n,
-	})
-	eng.After(500*us, eventq.ClassApp, func() { c.Finish() })
+	h := s.Start(&o, 0, 0, &n)
+	eng.After(500*us, eventq.ClassApp, func() { s.Finish(h) })
 	eng.Run(vtime.Time(10 * ms))
 	if n.Timeouts != 0 {
 		t.Fatalf("timeouts=%d after Finish, want 0", n.Timeouts)
 	}
-	if !c.finished() {
+	if s.live(h) != nil || s.Inflight(h) || s.Attempt(h) != 0 {
 		t.Fatal("call not finished")
 	}
 	if got := s.Live(); got != 0 {
-		s.poke("sweep")
+		t.Fatalf("%d calls live, want 0", got)
 	}
 }
 
 func TestRedirectDoesNotConsumeRetryBudget(t *testing.T) {
 	eng := testEngine()
-	s := New(eng)
-	var sends int
+	s := testSession(eng, 1)
+	var o testOwner
 	var n Counters
-	var c *Call
-	c = s.Go(Spec{
-		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 1,
-		Send:     func(int) { sends++ },
-		Counters: &n,
-	})
+	h := s.Start(&o, 0, 0, &n)
 	// Redirect three times quickly: each re-dispatches without touching
 	// the retry counter.
 	for i := 1; i <= 3; i++ {
-		eng.At(vtime.Time(vtime.Duration(i)*100*us), eventq.ClassApp, func() { c.Redirect("redirect") })
+		eng.At(vtime.Time(vtime.Duration(i)*100*us), eventq.ClassApp, func() { s.Redirect(h, "redirect") })
 	}
 	eng.Run(vtime.Time(350 * us))
-	if sends != 4 || n.Retries != 0 || n.Redirects != 3 {
-		t.Fatalf("sends=%d retries=%d redirects=%d, want 4/0/3", sends, n.Retries, n.Redirects)
+	if o.sends != 4 || n.Retries != 0 || n.Redirects != 3 {
+		t.Fatalf("sends=%d retries=%d redirects=%d, want 4/0/3", o.sends, n.Retries, n.Redirects)
 	}
 	// Attempts 1–3 were armed at 0, 100 and 200us and superseded: their
 	// timeouts come due at 1000, 1100 and 1200us and must be inert.
 	eng.Run(vtime.Time(1250 * us))
-	if n.Timeouts != 0 || n.Retries != 0 || sends != 4 || c.Attempt() != 4 {
+	if n.Timeouts != 0 || n.Retries != 0 || o.sends != 4 || s.Attempt(h) != 4 {
 		t.Fatalf("stale timeouts fired: timeouts=%d retries=%d sends=%d attempt=%d, want 0/0/4/4",
-			n.Timeouts, n.Retries, sends, c.Attempt())
+			n.Timeouts, n.Retries, o.sends, s.Attempt(h))
 	}
 	// The live attempt's timeout (armed at 300us) is the one that counts.
 	eng.Run(vtime.Time(1350 * us))
-	if n.Timeouts != 1 || n.Retries != 1 || sends != 5 || c.Attempt() != 5 {
+	if n.Timeouts != 1 || n.Retries != 1 || o.sends != 5 || s.Attempt(h) != 5 {
 		t.Fatalf("live timeout: timeouts=%d retries=%d sends=%d attempt=%d, want 1/1/5/5",
-			n.Timeouts, n.Retries, sends, c.Attempt())
+			n.Timeouts, n.Retries, o.sends, s.Attempt(h))
 	}
 }
 
 func TestFailFastAbandonsAfterBudget(t *testing.T) {
 	eng := testEngine()
-	s := New(eng)
-	var fails int
+	s := NewFailFast(eng)
+	s.timeout, s.maxRetries = 1*ms, 1
+	var o testOwner
 	var n Counters
-	c := s.Go(Spec{
-		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 1,
-		Send:     func(int) {},
-		OnFail:   func() { fails++ },
-		Counters: &n,
-	})
+	h := s.Start(&o, 0, 0, &n)
 	eng.Run(vtime.Time(10 * ms))
-	if fails != 1 || n.Queued != 0 || !c.finished() {
-		t.Fatalf("fails=%d parks=%d finished=%v, want 1/0/true", fails, n.Queued, c.finished())
+	if o.fails != 1 || n.Queued != 0 || s.live(h) != nil {
+		t.Fatalf("fails=%d parks=%d live=%v, want 1/0/false", o.fails, n.Queued, s.live(h) != nil)
+	}
+	if o.sends != 2 || s.Live() != 0 {
+		t.Fatalf("sends=%d live=%d, want 2/0", o.sends, s.Live())
 	}
 }
 
@@ -142,20 +150,16 @@ func TestFailFastAbandonsAfterBudget(t *testing.T) {
 // later poke neither send nor count nor record a resubmission.
 func TestFinishWhileParkedSendsNothing(t *testing.T) {
 	eng := testEngine()
-	s := New(eng)
-	var sends int
+	s := testSession(eng, 1)
+	var o testOwner
 	var n Counters
-	c := s.Go(Spec{
-		Label: "call", Node: 0, Timeout: 1 * ms, MaxRetries: 1,
-		Send:     func(int) { sends++ },
-		Counters: &n,
-	})
+	h := s.Start(&o, 0, 0, &n)
 	// Parks at 2ms with its backoff armed for 7ms.
-	eng.After(3*ms, eventq.ClassApp, c.Finish)
+	eng.After(3*ms, eventq.ClassApp, func() { s.Finish(h) })
 	eng.After(4*ms, eventq.ClassApp, func() { s.poke("view") })
 	eng.Run(vtime.Time(20 * ms))
-	if sends != 2 || n.Queued != 1 || n.Resubmitted != 0 {
-		t.Fatalf("sends=%d parks=%d resubmits=%d, want 2/1/0", sends, n.Queued, n.Resubmitted)
+	if o.sends != 2 || n.Queued != 1 || n.Resubmitted != 0 {
+		t.Fatalf("sends=%d parks=%d resubmits=%d, want 2/1/0", o.sends, n.Queued, n.Resubmitted)
 	}
 	if got := eng.Log().ByKind(monitor.KindResubmit); len(got) != 0 {
 		t.Fatalf("resubmit records after Finish: %v", got)
@@ -168,19 +172,15 @@ func TestFinishWhileParkedSendsNothing(t *testing.T) {
 func TestExplicitFailConsumesBudgetLikeTimeout(t *testing.T) {
 	eng := testEngine()
 	s := New(eng)
-	var sends int
+	s.maxRetries = 1
+	var o testOwner
 	var n Counters
-	var c *Call
-	c = s.Go(Spec{
-		Label: "call", Node: 0, Timeout: 10 * ms, MaxRetries: 1,
-		Send:     func(int) { sends++ },
-		Counters: &n,
-	})
-	eng.After(1*ms, eventq.ClassApp, func() { c.Fail("blocked") })
-	eng.After(2*ms, eventq.ClassApp, func() { c.Fail("blocked") })
-	eng.Run(vtime.Time(5 * ms))
-	if sends != 2 || n.Queued != 1 {
-		t.Fatalf("sends=%d parks=%d, want 2/1", sends, n.Queued)
+	h := s.Start(&o, 0, 0, &n)
+	eng.After(1*ms, eventq.ClassApp, func() { s.Fail(h, "blocked") })
+	eng.After(2*ms, eventq.ClassApp, func() { s.Fail(h, "blocked") })
+	eng.Run(vtime.Time(4 * ms))
+	if o.sends != 2 || n.Queued != 1 || n.Blocked != 2 || n.Timeouts != 0 {
+		t.Fatalf("sends=%d parks=%d blocked=%d timeouts=%d, want 2/1/2/0", o.sends, n.Queued, n.Blocked, n.Timeouts)
 	}
 }
 
@@ -190,47 +190,45 @@ func TestExplicitFailConsumesBudgetLikeTimeout(t *testing.T) {
 func TestCounters(t *testing.T) {
 	cases := []struct {
 		name  string
-		drive func(eng *simkern.Engine, s *Engine, c *Call)
+		drive func(eng *simkern.Engine, s *Engine, h Handle)
 		until vtime.Duration
 		want  Counters
 	}{
-		{"answered in time", func(eng *simkern.Engine, _ *Engine, c *Call) {
-			eng.After(500*us, eventq.ClassApp, c.Finish)
+		{"answered in time", func(eng *simkern.Engine, s *Engine, h Handle) {
+			eng.After(500*us, eventq.ClassApp, func() { s.Finish(h) })
 		}, 10 * ms, Counters{}},
-		{"one timeout, one retry", func(eng *simkern.Engine, _ *Engine, c *Call) {
-			eng.After(1500*us, eventq.ClassApp, c.Finish)
+		{"one timeout, one retry", func(eng *simkern.Engine, s *Engine, h Handle) {
+			eng.After(1500*us, eventq.ClassApp, func() { s.Finish(h) })
 		}, 10 * ms, Counters{Timeouts: 1, Retries: 1}},
-		{"budget exhausted parks", func(*simkern.Engine, *Engine, *Call) {},
+		{"budget exhausted parks", func(*simkern.Engine, *Engine, Handle) {},
 			3500 * us, Counters{Timeouts: 3, Retries: 2, Queued: 1}},
-		{"poke resubmits the parked call", func(eng *simkern.Engine, s *Engine, c *Call) {
+		{"poke resubmits the parked call", func(eng *simkern.Engine, s *Engine, h Handle) {
 			eng.After(3200*us, eventq.ClassApp, func() { s.poke("view") })
-			eng.After(3400*us, eventq.ClassApp, c.Finish)
+			eng.After(3400*us, eventq.ClassApp, func() { s.Finish(h) })
 		}, 10 * ms, Counters{Timeouts: 3, Retries: 2, Queued: 1, Resubmitted: 1}},
-		{"redirect keeps the budget", func(eng *simkern.Engine, _ *Engine, c *Call) {
-			eng.After(200*us, eventq.ClassApp, func() { c.Redirect("server: n0 -> n1") })
-			eng.After(400*us, eventq.ClassApp, c.Finish)
+		{"redirect keeps the budget", func(eng *simkern.Engine, s *Engine, h Handle) {
+			eng.After(200*us, eventq.ClassApp, func() { s.Redirect(h, "server: n0 -> n1") })
+			eng.After(400*us, eventq.ClassApp, func() { s.Finish(h) })
 		}, 10 * ms, Counters{Redirects: 1}},
-		{"blocked verdict consumes a retry", func(eng *simkern.Engine, _ *Engine, c *Call) {
-			eng.After(200*us, eventq.ClassApp, func() { c.Fail("blocked") })
-			eng.After(400*us, eventq.ClassApp, c.Finish)
+		{"blocked verdict consumes a retry", func(eng *simkern.Engine, s *Engine, h Handle) {
+			eng.After(200*us, eventq.ClassApp, func() { s.Fail(h, "blocked") })
+			eng.After(400*us, eventq.ClassApp, func() { s.Finish(h) })
 		}, 10 * ms, Counters{Blocked: 1, Retries: 1}},
-		{"finished while parked resubmits nothing", func(eng *simkern.Engine, s *Engine, c *Call) {
-			eng.After(3200*us, eventq.ClassApp, c.Finish)
+		{"finished while parked resubmits nothing", func(eng *simkern.Engine, s *Engine, h Handle) {
+			eng.After(3200*us, eventq.ClassApp, func() { s.Finish(h) })
 			eng.After(3400*us, eventq.ClassApp, func() { s.poke("view") })
 		}, 20 * ms, Counters{Timeouts: 3, Retries: 2, Queued: 1}},
-		{"verdicts on a parked call count nothing", func(eng *simkern.Engine, _ *Engine, c *Call) {
-			eng.After(3200*us, eventq.ClassApp, func() { c.Redirect("late"); c.Fail("late") })
+		{"verdicts on a parked call count nothing", func(eng *simkern.Engine, s *Engine, h Handle) {
+			eng.After(3200*us, eventq.ClassApp, func() { s.Redirect(h, "late"); s.Fail(h, "late") })
 		}, 3500 * us, Counters{Timeouts: 3, Retries: 2, Queued: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := testEngine()
-			s := New(eng)
+			s := testSession(eng, 2)
 			var got Counters
-			spec := Spec{Label: "call", Timeout: 1 * ms, MaxRetries: 2, Send: func(int) {}}
-			s.Go(spec) // unobserved twin: same path, no Counters
-			spec.Counters = &got
-			tc.drive(eng, s, s.Go(spec))
+			s.Start(&testOwner{}, 0, 0, nil) // unobserved twin: same path, no Counters
+			tc.drive(eng, s, s.Start(&testOwner{}, 0, 0, &got))
 			eng.Run(vtime.Time(tc.until))
 			if got != tc.want {
 				t.Fatalf("counters %+v, want %+v", got, tc.want)
@@ -240,35 +238,49 @@ func TestCounters(t *testing.T) {
 }
 
 // TestZeroSpecSelectsTheCalibration: a Spec that names no timeout and
-// no budget runs at the one session calibration.
+// no budget runs at the one session calibration, the one every Start
+// runs at.
 func TestZeroSpecSelectsTheCalibration(t *testing.T) {
 	eng := testEngine()
 	s := New(eng)
 	var n Counters
-	s.Go(Spec{Label: "call", Send: func(int) {}, Counters: &n})
+	s.Go(Spec{Label: "call", Send: func(int) {}})
+	s.Start(&testOwner{}, 0, 0, &n)
 	eng.Run(vtime.Time(DefaultTimeout*vtime.Duration(DefaultMaxRetries+1)) - 1)
-	if n.Timeouts != DefaultMaxRetries || n.Queued != 0 {
-		t.Fatalf("before the last timeout: %+v, want %d timeouts and no park", n, DefaultMaxRetries)
+	for _, c := range []Counters{s.uncounted, n} {
+		if c.Timeouts != DefaultMaxRetries || c.Queued != 0 {
+			t.Fatalf("before the last timeout: %+v, want %d timeouts and no park", c, DefaultMaxRetries)
+		}
 	}
 	eng.Run(vtime.Time(DefaultTimeout * vtime.Duration(DefaultMaxRetries+1)))
-	if n.Retries != DefaultMaxRetries || n.Queued != 1 {
-		t.Fatalf("after the last timeout: %+v, want %d retries then one park", n, DefaultMaxRetries)
+	for _, c := range []Counters{s.uncounted, n} {
+		if c.Retries != DefaultMaxRetries || c.Queued != 1 {
+			t.Fatalf("after the last timeout: %+v, want %d retries then one park", c, DefaultMaxRetries)
+		}
 	}
 }
 
 // TestGoCompactsWithoutPoke: a fault-free run never pokes (no views, no
-// heals), so Go itself must let go of retired calls — the backing slice
-// tracks the live set, not the run's history.
+// heals), so starting a call must itself let go of retired calls — the
+// backing slice tracks the live set, not the run's history, and the
+// Start slots recycle instead of growing with it.
 func TestGoCompactsWithoutPoke(t *testing.T) {
 	eng := testEngine()
 	s := New(eng)
 	const total = 10_000
+	owners := make([]testOwner, total)
 	for i := 0; i < total; i++ {
 		eng.At(vtime.Time(vtime.Duration(i)*20*us), eventq.ClassApp, func() {
-			var c *Call
-			c = s.Go(Spec{Label: "call", Send: func(int) {
-				eng.After(300*us, eventq.ClassApp, func() { c.Finish() })
-			}})
+			if i%2 == 0 {
+				var c *Call
+				c = s.Go(Spec{Label: "call", Send: func(int) {
+					eng.After(300*us, eventq.ClassApp, func() { c.Finish() })
+				}})
+				return
+			}
+			var h Handle
+			owners[i].onSend = func(int) { eng.After(300*us, eventq.ClassApp, func() { s.Finish(h) }) }
+			h = s.Start(&owners[i], 0, 0, nil)
 		})
 	}
 	peak := 0
@@ -283,10 +295,89 @@ func TestGoCompactsWithoutPoke(t *testing.T) {
 	if peak > bound || cap(s.calls) > bound {
 		t.Fatalf("backing slice holds %d slots mid-run, %d at the end, for ~15 live calls (want <= %d)", peak, cap(s.calls), bound)
 	}
+	if slots := len(s.free) + len(s.calls); slots > bound {
+		t.Fatalf("%d Start slots for ~8 live ones (want <= %d)", slots, bound)
+	}
 	for _, c := range s.calls[len(s.calls):cap(s.calls)] {
 		if c != nil {
 			t.Fatal("swept slot still references a retired call")
 		}
+	}
+}
+
+// TestStaleHandleSparesSuccessor: once a finished call's slot serves
+// another call, the old handle's Finish, Redirect and Fail do nothing,
+// and the old call's armed reply timer does not time out its successor
+// — the slot's attempt counter kept running.
+func TestStaleHandleSparesSuccessor(t *testing.T) {
+	eng := testEngine()
+	s := testSession(eng, 3)
+	var a, b testOwner
+	var n Counters
+	old := s.Start(&a, 0, 0, &n) // its timer comes due at 1000us
+	var cur Handle
+	eng.After(100*us, eventq.ClassApp, func() { s.Finish(old) })
+	eng.After(200*us, eventq.ClassApp, func() { s.poke("view") }) // sweeps the slot free
+	eng.After(300*us, eventq.ClassApp, func() { cur = s.Start(&b, 0, 0, &n) })
+	eng.Run(vtime.Time(400 * us))
+	if cur.slot != old.slot || cur == old {
+		t.Fatalf("the successor did not reuse the finished call's slot: %+v then %+v", old, cur)
+	}
+	s.Finish(old)
+	s.Redirect(old, "stale")
+	s.Fail(old, "stale")
+	if !s.Inflight(cur) || b.sends != 1 || n != (Counters{}) || s.Inflight(old) || s.Attempt(old) != 0 {
+		t.Fatalf("stale handle reached the successor: inflight=%v sends=%d counters=%+v", s.Inflight(cur), b.sends, n)
+	}
+	eng.Run(vtime.Time(1200 * us)) // past the old timer, short of the successor's (1300us)
+	if !s.Inflight(cur) || b.sends != 1 || n.Timeouts != 0 {
+		t.Fatalf("stale timer fired the successor: sends=%d timeouts=%d", b.sends, n.Timeouts)
+	}
+	eng.Run(vtime.Time(1350 * us)) // the successor's own timer counts
+	if b.sends != 2 || n.Timeouts != 1 || a.sends != 1 {
+		t.Fatalf("successor's timer: sends=%d timeouts=%d old sends=%d, want 2/1/1", b.sends, n.Timeouts, a.sends)
+	}
+	s.Finish(cur)
+	if s.Live() != 0 || s.Inflight(Handle{}) {
+		t.Fatalf("%d calls live after both finished, or the zero Handle names one", s.Live())
+	}
+}
+
+// TestLabelOnlyForKeptRecords: a call forced through retries, a park
+// and a resubmission asks its owner for no label while the window is
+// full, and names every Retry and Resubmit record with it while the
+// window is open.
+func TestLabelOnlyForKeptRecords(t *testing.T) {
+	drive := func(log *monitor.Log) (*testOwner, *simkern.Engine) {
+		eng := simkern.NewEngine(log, 1)
+		eng.AddProcessor("n", 0)
+		s := testSession(eng, 2)
+		var o testOwner
+		h := s.Start(&o, 0, 0, nil)
+		eng.After(3500*us, eventq.ClassApp, func() { s.poke("view") })
+		eng.After(3700*us, eventq.ClassApp, func() { s.Redirect(h, "server: n0 -> n1") })
+		eng.After(3900*us, eventq.ClassApp, func() { s.Finish(h) })
+		eng.Run(vtime.Time(10 * ms))
+		return &o, eng
+	}
+	full := monitor.NewLog(1)
+	full.Recordf(0, monitor.KindActivation, 0, "first", "")
+	if o, _ := drive(full); o.labels != 0 || o.sends != 5 {
+		t.Fatalf("full window: %d labels for %d sends, want 0 for 5", o.labels, o.sends)
+	}
+	o, eng := drive(monitor.NewLog(0))
+	var kept int
+	for _, k := range []monitor.Kind{monitor.KindRetry, monitor.KindResubmit, monitor.KindRedirect} {
+		for _, ev := range eng.Log().ByKind(k) {
+			kept++
+			if ev.Subject != "call" {
+				t.Errorf("%v record names %q, want the owner's label %q", k, ev.Subject, "call")
+			}
+		}
+	}
+	// Two retries and the park, the resubmission, the redirect.
+	if kept != 5 || o.labels != kept {
+		t.Fatalf("open window: %d records, %d labels, want 5 of each", kept, o.labels)
 	}
 }
 

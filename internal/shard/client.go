@@ -122,13 +122,45 @@ type request struct {
 // batch is one emitted batched submission: its ops, its session call
 // (the retry discipline), and the target its live attempt was sent to.
 type batch struct {
+	c      *Client
 	id     uint64
 	shard  int
 	ops    []*request
-	call   *session.Call
+	call   session.Handle
 	target int
 	done   bool
 }
+
+// Send fires one attempt of the batch at the owning group's current
+// primary.
+func (b *batch) Send(_ uint64, attempt int) {
+	c := b.c
+	g := c.router.Groups()[b.shard]
+	b.target = g.Replication().Primary()
+	env := batchEnv{Client: c.p.Node, Batch: b.id, Attempt: attempt, Ops: make([]batchOp, len(b.ops))}
+	for i, r := range b.ops {
+		env.Ops[i] = batchOp{Key: r.key, Cmd: r.cmd, Seq: r.seq, Trace: r.trace.Ref()}
+	}
+	_, _ = c.net.Send(c.p.Node, b.target, g.reqPort, env, 48*len(b.ops))
+}
+
+// Label names the batch (see batchLabel).
+func (b *batch) Label(uint64) string { return batchLabel(b) }
+
+// Trace hands the engine the trace of the batch's i-th op while the op
+// is in flight (an acked or failed op's trace is finished).
+func (b *batch) Trace(_ uint64, i int) (trace.Ref, bool) {
+	if i >= len(b.ops) {
+		return trace.Ref{}, false
+	}
+	if r := b.ops[i]; r.state == stInflight {
+		return r.trace.Ref(), true
+	}
+	return trace.Ref{}, true
+}
+
+// Failed abandons the batch when a fail-fast client's retries ran out.
+func (b *batch) Failed(uint64) { b.c.failBatch(b) }
 
 // keyQueue is one key's unfinished requests, a FIFO linked through
 // request.behind: head holds the turn, tail is the latest submitted.
@@ -171,8 +203,12 @@ type Client struct {
 // redirect), and the resubmission triggers for parked batches (any
 // new agreed view on any shard, and partition heals).
 func NewClient(eng *simkern.Engine, net *netsim.Network, router *Router, params ClientParams) *Client {
+	newSession := session.New
+	if params.Policy == FailFast {
+		newSession = session.NewFailFast // an exhausted batch fails (batch.Failed)
+	}
 	c := &Client{eng: eng, net: net, router: router, p: params,
-		sess:    session.New(eng),
+		sess:    newSession(eng),
 		reqs:    make(map[uint64]*request),
 		perKey:  make(map[string]keyQueue),
 		batches: make(map[uint64]*batch),
@@ -260,35 +296,15 @@ func (c *Client) enqueue(r *request) {
 // primary.
 func (c *Client) launch(lane string, ops []*request) {
 	c.nextBat++
-	b := &batch{id: c.nextBat, shard: ops[0].shard, ops: ops}
+	b := &batch{c: c, id: c.nextBat, shard: ops[0].shard, ops: ops}
 	c.batches[b.id] = b
 	c.order = append(c.order, b.id)
-	traces := make([]trace.Ref, len(ops))
-	for i, r := range ops {
+	for _, r := range ops {
 		r.state = stInflight
 		r.bspan.End()
 		r.wspan = r.trace.Span("rpc.batch", trace.LayerWire)
-		traces[i] = r.trace.Ref()
 	}
-	g := c.router.Groups()[b.shard]
-	spec := session.Spec{
-		Label:  batchLabel(b),
-		Node:   c.p.Node,
-		Traces: traces,
-		Send: func(attempt int) {
-			b.target = g.Replication().Primary()
-			env := batchEnv{Client: c.p.Node, Batch: b.id, Attempt: attempt, Ops: make([]batchOp, len(b.ops))}
-			for i, r := range b.ops {
-				env.Ops[i] = batchOp{Key: r.key, Cmd: r.cmd, Seq: r.seq, Trace: r.trace.Ref()}
-			}
-			_, _ = c.net.Send(c.p.Node, b.target, g.reqPort, env, 48*len(b.ops))
-		},
-		Counters: &c.Stats.Counters,
-	}
-	if c.p.Policy == FailFast {
-		spec.OnFail = func() { c.failBatch(b) }
-	}
-	b.call = c.sess.Go(spec)
+	b.call = c.sess.Start(b, 0, c.p.Node, &c.Stats.Counters)
 }
 
 // batchLabel renders a batch for the monitor log: singletons keep the
@@ -337,7 +353,7 @@ func (c *Client) finishKey(r *request) {
 // ride the freed slot).
 func (c *Client) retire(b *batch) {
 	b.done = true
-	b.call.Finish()
+	c.sess.Finish(b.call)
 	delete(c.batches, b.id)
 	c.batcher.Complete(c.lanes[b.shard])
 }
@@ -380,10 +396,10 @@ func (c *Client) sweepLive(fn func(*batch)) {
 func (c *Client) redirectInflight(g *Group) {
 	p := g.Replication().Primary()
 	c.sweepLive(func(b *batch) {
-		if !b.call.Inflight() || b.shard != g.Index() || b.target == p {
+		if !c.sess.Inflight(b.call) || b.shard != g.Index() || b.target == p {
 			return
 		}
-		b.call.Redirect(fmt.Sprintf("republish: n%d -> n%d", b.target, p))
+		c.sess.Redirect(b.call, fmt.Sprintf("republish: n%d -> n%d", b.target, p))
 	})
 }
 
@@ -425,14 +441,14 @@ func (c *Client) handleResp(m *netsim.Message) {
 		}
 		c.retire(b)
 	case respRedirect:
-		if !b.call.Inflight() || env.Attempt != b.call.Attempt() {
+		if !c.sess.Inflight(b.call) || env.Attempt != c.sess.Attempt(b.call) {
 			return // a superseded attempt's verdict; the live one decides
 		}
-		b.call.Redirect(fmt.Sprintf("server: n%d -> n%d", b.target, env.Primary))
+		c.sess.Redirect(b.call, fmt.Sprintf("server: n%d -> n%d", b.target, env.Primary))
 	case respBlocked:
-		if !b.call.Inflight() || env.Attempt != b.call.Attempt() {
+		if !c.sess.Inflight(b.call) || env.Attempt != c.sess.Attempt(b.call) {
 			return // a superseded attempt's verdict; the live one decides
 		}
-		b.call.Fail("blocked")
+		c.sess.Fail(b.call, "blocked")
 	}
 }

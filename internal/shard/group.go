@@ -118,8 +118,8 @@ type pendingBatch struct {
 // group hands the op back to: its identity for the apply history, and the
 // batch its reply completes (nil for transaction-layer submissions,
 // which answer their own client — applied is then the transaction
-// layer's continuation, run once after the first apply is logged, with
-// the write's key and sequence number).
+// layer's record, told once after the first apply is logged, with the
+// write's key and sequence number).
 type pendingOp struct {
 	g       *Group
 	op      batchOp
@@ -128,16 +128,23 @@ type pendingOp struct {
 	idx     int
 	done    bool
 	span    trace.SpanRef // the op's replication-round span
-	applied func(key string, seq uint64)
+	applied WriteOwner
 }
 
-// Applied logs one fresh apply at node, then runs the transaction
-// layer's continuation on the op's first apply anywhere.
+// WriteOwner is the transaction-layer record a SubmitKeyed write
+// serves: the group calls WriteApplied once, at the write's first apply
+// anywhere, after it is logged.
+type WriteOwner interface {
+	WriteApplied(key string, seq uint64)
+}
+
+// Applied logs one fresh apply at node, then tells the transaction
+// layer's record on the op's first apply anywhere.
 func (po *pendingOp) Applied(node int, result int64) {
 	po.g.recordApply(node, po, result)
-	if fn := po.applied; fn != nil {
+	if o := po.applied; o != nil {
 		po.applied = nil
-		fn(po.op.Key, po.op.Seq)
+		o.WriteApplied(po.op.Key, po.op.Seq)
 	}
 }
 
@@ -475,9 +482,10 @@ func (g *Group) KeyValue(node int, key string) (int64, bool) {
 // machine on behalf of the transaction layer: submitted at the current
 // primary, deduplicated in the transaction-write tag space, and recorded
 // in the group's apply history under the owning client's identity —
-// the same histories Verify and txn.Verify audit. applied(key, seq)
-// runs once, right after the write's first apply anywhere is logged.
-func (g *Group) SubmitKeyed(key string, cmd int64, client int, seq uint64, tr trace.Ref, applied func(key string, seq uint64)) {
+// the same histories Verify and txn.Verify audit. applied hears
+// WriteApplied(key, seq) once, right after the write's first apply
+// anywhere is logged.
+func (g *Group) SubmitKeyed(key string, cmd int64, client int, seq uint64, tr trace.Ref, applied WriteOwner) {
 	// No batch: the transaction layer answers its own client.
 	po := &pendingOp{g: g, op: batchOp{Key: key, Cmd: cmd, Seq: seq}, client: client, applied: applied}
 	g.rep.SubmitOwned(g.rep.Primary(), []replication.BatchItem{{

@@ -19,22 +19,23 @@ import (
 // TestAllocsTransfer: a warm two-key transfer from Transfer to its
 // decided record, across two 3-replica semi-active shards with no
 // faults, on a full head-mode log with tracing and metrics off, costs
-// what the transaction owns and nothing per deadline timer, span name
-// or refused record. Whichever shard the id hashes onto coordinates,
-// it is one of the two participants, so every transfer takes the same
-// path. At the client: the Txn and its ops (2); its label (1); its
-// Call, Send closure and trace refs (3); the boxed submission (1). At
-// the coordinator: the record, its parts and their ops (3); a PREPARE
-// and a decision loop per participant, each a label, a Call and a Send
-// closure (12), and per send a boxed envelope (4); the reads
-// gathered from the votes and their copy in the reply (4); the
-// decision-log round, its items and the batcher's slice (3) and the
-// replicated round (2); the boxed outcome (1). At each participant:
-// the prepare and its lock set (2); the reads map and its entries (2);
-// the boxed vote (1); the write's apply hook and pending op (2), its
-// replicated round (2) and the boxed ack (1). The local participant's
-// four loopback hops (prepare, vote, decision, ack) cost a closure each
-// (4).
+// what the transaction owns and nothing per deadline timer, span name,
+// refused record, session call or loopback hop. Whichever shard the id
+// hashes onto coordinates, it is one of the two participants, so every
+// transfer takes the same path. At the client: the Txn and its ops (2);
+// the boxed submission (1). At the coordinator: the record, its parts
+// and their ops (3); per PREPARE and decision send a boxed envelope
+// (4); the reads gathered from the votes and their copy in the reply
+// (4); the decision-log round, its items and the batcher's slice (3)
+// and the replicated round (2); the boxed outcome (1). At each
+// participant: the prepare and its lock set (2); the reads map and its
+// entries (2); the boxed vote (1); the write's pending op (1), its
+// replicated round (2) and the boxed ack (1). Every session call (the
+// submission, a PREPARE and a decision loop per participant) takes a
+// recycled slot and fires its owning record, which renders its label
+// only for a record the log keeps; the write's first apply fires its
+// prepare; the local participant's four loopback hops (prepare, vote,
+// decision, ack) ride recycled netsim records.
 func TestAllocsTransfer(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 7, LogLimit: 1,
 		Metrics: &cluster.MetricsParams{Disabled: true}, Trace: &cluster.TraceParams{Disabled: true}})
@@ -53,7 +54,7 @@ func TestAllocsTransfer(t *testing.T) {
 	for j := 0; j < 100; j++ {
 		cycle() // warm-up: maps, logs, call lists and free lists reach size
 	}
-	const want = 60 // 102 while timers, loop wrappers and labels each allocated, 64 with a Done closure per loop
+	const want = 38 // 102 while timers, loop wrappers and labels each allocated, 60 while each session call had a label, a Call and a Send closure
 	if got := testing.AllocsPerRun(200, cycle); got != want {
 		t.Errorf("transfer: %v allocs per run, want %d", got, want)
 	}

@@ -68,7 +68,6 @@ type Record struct {
 type Txn struct {
 	c        *Client
 	id       ID
-	label    string // the rendered id, from Commit on
 	deadline vtime.Time
 	ops      []Op
 	status   Status
@@ -78,8 +77,8 @@ type Txn struct {
 	target        int
 	coordShard    int
 	// call is the submission's session call (the shared retry
-	// discipline; nil until dispatched).
-	call *session.Call
+	// discipline; the zero Handle until dispatched).
+	call session.Handle
 	// trace is the transaction's causal trace; qspan and wspan time the
 	// client-queue wait and the submission round trip.
 	trace *trace.Trace
@@ -202,9 +201,10 @@ func (c *Client) Commit(t *Txn) {
 		t.ops[i].Shard = c.p.router.ShardFor(t.ops[i].Key)
 	}
 	t.coordShard = c.p.coordShard(t.id)
-	t.label = t.id.String()
 	t.trace = c.p.eng.Tracer().Begin("txn", t.coordShard)
-	t.trace.SetLabel(t.label)
+	if t.trace != nil {
+		t.trace.SetLabel(t.id.String())
+	}
 	t.qspan = t.trace.Span("queue.txn", trace.LayerQueue)
 	c.queue = append(c.queue, t)
 	// Deadline-aware admission at the client (queueDeadline).
@@ -241,31 +241,38 @@ func (c *Client) removeQueued(t *Txn) {
 // the coordinator's deadline discipline decides it, and the outcome
 // query is idempotent). The call retires in finish.
 func (c *Client) dispatch(t *Txn) {
-	g := c.p.router.Groups()[t.coordShard]
 	t.qspan.End()
 	t.wspan = t.trace.Span("rpc.txn", trace.LayerWire)
-	t.call = c.p.sess.Go(session.Spec{
-		Label: t.label,
-		Node:  c.c.Node,
-		Send: func(attempt int) {
-			t.target = g.Replication().Primary()
-			env := beginEnv{ID: t.id, Ops: t.ops, Deadline: t.deadline, Client: c.c.Node, Attempt: attempt, Trace: t.trace.Ref()}
-			c.p.send(c.c.Node, t.target, c.p.coordPort, env, 64)
-		},
-		Traces:   []trace.Ref{t.trace.Ref()},
-		Counters: &c.Stats.Counters,
-	})
+	t.call = c.p.sess.Start(submission{t}, 0, c.c.Node, &c.Stats.Counters)
 }
+
+// submission is a transaction as the owner of its session call.
+type submission struct{ t *Txn }
+
+// Send fires one attempt at the coordinator group's current primary.
+func (s submission) Send(_ uint64, attempt int) {
+	t, c := s.t, s.t.c
+	t.target = c.p.router.Groups()[t.coordShard].Replication().Primary()
+	env := beginEnv{ID: t.id, Ops: t.ops, Deadline: t.deadline, Client: c.c.Node, Attempt: attempt, Trace: t.trace.Ref()}
+	c.p.send(c.c.Node, t.target, c.p.coordPort, env, 64)
+}
+
+// Label names the call by the transaction id ("t6.3").
+func (s submission) Label(uint64) string { return s.t.id.String() }
+
+// Trace hands the engine the transaction's trace, which lives as long
+// as the call does.
+func (s submission) Trace(_ uint64, i int) (trace.Ref, bool) { return s.t.trace.Ref(), i == 0 }
 
 // redirectInflight re-resolves the in-flight submission when its
 // coordinator shard republishes ownership.
 func (c *Client) redirectInflight(g *shard.Group) {
 	t := c.inflight
-	if t == nil || t.status != StatusPending || t.call == nil || !t.call.Inflight() || t.coordShard != g.Index() {
+	if t == nil || t.status != StatusPending || !c.p.sess.Inflight(t.call) || t.coordShard != g.Index() {
 		return
 	}
 	if p := g.Replication().Primary(); p != t.target {
-		t.call.Redirect(fmt.Sprintf("republish: n%d -> n%d", t.target, p))
+		c.p.sess.Redirect(t.call, fmt.Sprintf("republish: n%d -> n%d", t.target, p))
 	}
 }
 
@@ -283,15 +290,15 @@ func (c *Client) handleResp(m *netsim.Message) {
 	case respOutcome:
 		c.finish(t, env.Committed, env.Reason, env.Deadline, env.Reads)
 	case respRedirect:
-		if !t.call.Inflight() || env.Attempt != t.call.Attempt() {
+		if !c.p.sess.Inflight(t.call) || env.Attempt != c.p.sess.Attempt(t.call) {
 			return // a superseded attempt's verdict
 		}
-		t.call.Redirect(fmt.Sprintf("server: n%d -> n%d", t.target, env.Primary))
+		c.p.sess.Redirect(t.call, fmt.Sprintf("server: n%d -> n%d", t.target, env.Primary))
 	case respBlocked:
-		if !t.call.Inflight() || env.Attempt != t.call.Attempt() {
+		if !c.p.sess.Inflight(t.call) || env.Attempt != c.p.sess.Attempt(t.call) {
 			return
 		}
-		t.call.Fail("blocked")
+		c.p.sess.Fail(t.call, "blocked")
 	}
 }
 
@@ -312,7 +319,7 @@ func (c *Client) finish(t *Txn, committed bool, reason string, byDeadline bool, 
 			c.Stats.DeadlineAborts++
 		}
 	}
-	t.call.Finish()
+	c.p.sess.Finish(t.call)
 	t.wspan.End()
 	if committed {
 		t.trace.SetClass("txn.commit")

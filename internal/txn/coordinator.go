@@ -38,16 +38,10 @@ type partState struct {
 	acked bool
 	// call is the live loop towards the shard: PREPARE until the vote or
 	// the decision, then the decision until the ack (never both at once).
-	call *session.Call
+	call session.Handle
 	// prepSpan times PREPARE-to-vote; decSpan times decision-to-ack.
 	prepSpan trace.SpanRef
 	decSpan  trace.SpanRef
-}
-
-// finish ends the shard's live protocol loop, if any, and lets go of it.
-func (ps *partState) finish() {
-	ps.call.Finish()
-	ps.call = nil
 }
 
 // coordTxn is one transaction's coordinator-side state. It lives on the
@@ -91,6 +85,41 @@ func (ct *coordTxn) Fire(uint64) {
 	if !ct.decided {
 		ct.c.abortByDeadline(ct, "deadline: votes incomplete")
 	}
+}
+
+// A coordinator loop's payload: the part's index, shifted, with the
+// loop's kind in the low bit.
+const (
+	loopPrepare uint64 = iota
+	loopDecision
+)
+
+// loop is the payload of the kind loop towards a transaction's i-th
+// part.
+func loop(i int, kind uint64) uint64 { return uint64(i)<<1 | kind }
+
+// Send fires one attempt of loop n towards its shard's current
+// primary: a PREPARE or a decision.
+func (ct *coordTxn) Send(n uint64, _ int) {
+	c, ps := ct.c, &ct.parts[n>>1]
+	from := c.g.Replication().Primary()
+	to := c.p.router.Groups()[ps.shard].Replication().Primary()
+	if n&1 == loopPrepare {
+		c.p.record(monitor.KindPrepare, from, ct.id, "-> shard %d (n%d)", ps.shard, to)
+		env := prepareEnv{ID: ct.id, Ops: ps.ops, Deadline: ct.deadline, Coord: c.shard, Trace: ct.trace}
+		c.p.send(from, to, c.p.partPort, env, 48)
+		return
+	}
+	c.p.send(from, to, c.p.partPort, decisionEnv{ID: ct.id, Commit: ct.commit}, 24)
+}
+
+// Label names loop n ("prep.t6.3.s2", "dec.t6.3.s2").
+func (ct *coordTxn) Label(n uint64) string {
+	kind := "prep"
+	if n&1 == loopDecision {
+		kind = "dec"
+	}
+	return loopLabel(kind, ct.id, ct.parts[n>>1].shard)
 }
 
 // splitByShard groups ops by owning shard: one partState per shard, in
@@ -292,27 +321,18 @@ func (c *Coordinator) admit(env beginEnv) *coordTxn {
 		return ct
 	}
 	for i := range ct.parts {
-		c.sendPrepare(ct, &ct.parts[i])
+		c.sendPrepare(ct, i)
 	}
 	c.p.eng.Arm(ct.deadline, eventq.ClassApp, ct, 0)
 	return ct
 }
 
-// sendPrepare starts the retrying PREPARE loop towards one participant
-// shard's current primary.
-func (c *Coordinator) sendPrepare(ct *coordTxn, ps *partState) {
+// sendPrepare starts the retrying PREPARE loop towards ct's i-th
+// participant shard's current primary.
+func (c *Coordinator) sendPrepare(ct *coordTxn, i int) {
+	ps := &ct.parts[i]
 	ps.prepSpan = ct.trace.Span(c.p.parts[ps.shard].spanPrepare, trace.LayerWire)
-	env := prepareEnv{ID: ct.id, Ops: ps.ops, Deadline: ct.deadline, Coord: c.shard, Trace: ct.trace}
-	ps.call = c.p.sess.Go(session.Spec{
-		Label: loopLabel("prep", ct.id, ps.shard),
-		Node:  c.g.Replication().Primary(),
-		Send: func(int) {
-			from := c.g.Replication().Primary()
-			to := c.p.router.Groups()[ps.shard].Replication().Primary()
-			c.p.record(monitor.KindPrepare, from, ct.id, "-> shard %d (n%d)", ps.shard, to)
-			c.p.send(from, to, c.p.partPort, env, 48)
-		},
-	})
+	ps.call = c.p.sess.Start(ct, loop(i, loopPrepare), c.g.Replication().Primary(), nil)
 }
 
 // handleVote records one participant vote.
@@ -326,7 +346,7 @@ func (c *Coordinator) handleVote(node int, env voteEnv) {
 		return
 	}
 	ps.voted, ps.yes = true, env.Yes
-	ps.finish()
+	c.p.sess.Finish(ps.call)
 	ps.prepSpan.End()
 	if ct.reads == nil {
 		ct.reads = maps.Clone(env.Reads) // no reads, no map
@@ -368,7 +388,7 @@ func (c *Coordinator) decide(ct *coordTxn, commit bool, reason string) {
 	}
 	ct.decided, ct.commit, ct.reason = true, commit, reason
 	for i := range ct.parts {
-		ct.parts[i].finish() // a PREPARE loop still waiting for its vote
+		c.p.sess.Finish(ct.parts[i].call) // a PREPARE loop still waiting for its vote
 	}
 	verdict := "abort"
 	if commit {
@@ -465,19 +485,10 @@ func (*decisionEntry) Replied(int64, bool) {}
 // one caller runs it once, at the decision's first apply.
 func (c *Coordinator) distribute(ct *coordTxn) {
 	ct.distributed = true
-	env := decisionEnv{ID: ct.id, Commit: ct.commit}
 	for i := range ct.parts {
 		p := &ct.parts[i]
 		p.decSpan = ct.trace.Span(c.p.parts[p.shard].spanDecide, trace.LayerWire)
-		p.call = c.p.sess.Go(session.Spec{
-			Label: loopLabel("dec", ct.id, p.shard),
-			Node:  c.g.Replication().Primary(),
-			Send: func(int) {
-				from := c.g.Replication().Primary()
-				to := c.p.router.Groups()[p.shard].Replication().Primary()
-				c.p.send(from, to, c.p.partPort, env, 24)
-			},
-		})
+		p.call = c.p.sess.Start(ct, loop(i, loopDecision), c.g.Replication().Primary(), nil)
 	}
 }
 
@@ -509,7 +520,7 @@ func (c *Coordinator) handleAck(env ackEnv) {
 		return
 	}
 	ps.acked = true
-	ps.finish()
+	c.p.sess.Finish(ps.call)
 	ps.decSpan.End()
 	for i := range ct.parts {
 		if !ct.parts[i].acked {

@@ -65,7 +65,7 @@ type prep struct {
 	applying int
 	acked    bool
 	// call re-queries the decision of a prepare released at its deadline.
-	call *session.Call
+	call session.Handle
 	// trace is the owning transaction's causal trace; lockSpan times a
 	// prepare's wait behind a held lock.
 	trace    trace.Ref
@@ -74,6 +74,22 @@ type prep struct {
 
 // Fire is the prepare's deadline timer (see Participant.atDeadline).
 func (pr *prep) Fire(uint64) { pr.pa.atDeadline(pr) }
+
+// Send fires one attempt of the prepare's decision query, from the
+// shard's primary to the coordinator group's.
+func (pr *prep) Send(uint64, int) {
+	pa := pr.pa
+	from := pa.g.Replication().Primary()
+	to := pa.p.router.Groups()[pr.coord].Replication().Primary()
+	pa.p.send(from, to, pa.p.coordPort, queryEnv{ID: pr.id, Deadline: pr.deadline}, 32)
+}
+
+// Label names the query loop ("query.t6.3.s2").
+func (pr *prep) Label(uint64) string { return loopLabel("query", pr.id, pr.pa.shard) }
+
+// WriteApplied retires one of the prepare's writes at its first apply
+// (see Participant.writeApplied).
+func (pr *prep) WriteApplied(key string, seq uint64) { pr.pa.writeApplied(pr, key, seq) }
 
 // distinctKeys returns the lock set of ops in op order (already
 // deterministic: the client recorded ops in call order).
@@ -288,16 +304,7 @@ func (pa *Participant) atDeadline(pr *prep) {
 		pa.Stats.DeadlineReleases++
 		pa.p.record(monitor.KindLockWait, pa.g.Replication().Primary(), pr.id,
 			"shard %d: released at deadline, decision pending", pa.shard)
-		env := queryEnv{ID: pr.id, Deadline: pr.deadline}
-		pr.call = pa.p.sess.Go(session.Spec{
-			Label: loopLabel("query", pr.id, pa.shard),
-			Node:  pa.g.Replication().Primary(),
-			Send: func(int) {
-				from := pa.g.Replication().Primary()
-				to := pa.p.router.Groups()[pr.coord].Replication().Primary()
-				pa.p.send(from, to, pa.p.coordPort, env, 32)
-			},
-		})
+		pr.call = pa.p.sess.Start(pr, 0, pa.g.Replication().Primary(), nil)
 	}
 }
 
@@ -383,8 +390,7 @@ func (pa *Participant) handleDecision(node, from int, env decisionEnv) {
 	prev := pr.state
 	pr.state = prepDone
 	pr.commit = env.Commit
-	pr.call.Finish()
-	pr.call = nil
+	pa.p.sess.Finish(pr.call)
 	if !env.Commit {
 		pa.release(pr)
 		pa.Stats.Aborts++
@@ -402,12 +408,11 @@ func (pa *Participant) handleDecision(node, from int, env decisionEnv) {
 	// overlay) BEFORE releasing the locks: a waiter granted by the
 	// release must read this transaction's committed values, not the
 	// pre-apply state.
-	applied := func(key string, seq uint64) { pa.writeApplied(pr, key, seq) }
 	for _, op := range pr.ops {
 		if op.Kind != OpWrite {
 			continue
 		}
-		pa.g.SubmitKeyed(op.Key, op.Cmd, pr.id.Client, op.Seq, pr.trace, applied)
+		pa.g.SubmitKeyed(op.Key, op.Cmd, pr.id.Client, op.Seq, pr.trace, pr)
 		pa.overlay[op.Key] = overlayVal{cmd: op.Cmd, client: pr.id.Client, seq: op.Seq}
 		pr.applying++
 	}

@@ -43,7 +43,6 @@ package txn
 import (
 	"strconv"
 
-	"hades/internal/eventq"
 	"hades/internal/monitor"
 	"hades/internal/netsim"
 	"hades/internal/session"
@@ -322,20 +321,12 @@ func (p *Plane) record(kind monitor.Kind, node int, id ID, format string, args .
 }
 
 // send transmits one protocol message, falling back to a loopback
-// dispatch (netsim has no self-links) when sender and receiver are the
-// same node.
+// dispatch after loopbackDelay (netsim has no self-links) when sender
+// and receiver are the same node.
 func (p *Plane) send(from, to int, port string, payload any, size int) {
 	if from != to {
 		_, _ = p.net.Send(from, to, port, payload, size)
 		return
 	}
-	if p.net.NodeDown(from) {
-		return
-	}
-	p.eng.Arm(p.eng.Now().Add(loopbackDelay), eventq.ClassApp, eventq.Func(func() {
-		if p.net.NodeDown(to) {
-			return
-		}
-		p.net.Local(from, to, port, payload, size)
-	}), 0)
+	p.net.LocalAfter(loopbackDelay, from, to, port, payload, size)
 }

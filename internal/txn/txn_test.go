@@ -24,6 +24,22 @@ func TestIDStrings(t *testing.T) {
 	if l := loopLabel("prep", id, 2); l != "prep.t6.3.s2" {
 		t.Fatalf("loop label %q", l)
 	}
+	// The session calls' owners name them with the same text.
+	ct := &coordTxn{id: id, parts: []partState{{shard: 0}, {shard: 2}}}
+	for _, c := range []struct {
+		owner session.Owner
+		n     uint64
+		want  string
+	}{
+		{submission{&Txn{id: id}}, 0, "t6.3"},
+		{ct, loop(1, loopPrepare), "prep.t6.3.s2"},
+		{ct, loop(0, loopDecision), "dec.t6.3.s0"},
+		{&prep{pa: &Participant{shard: 2}, id: id}, 0, "query.t6.3.s2"},
+	} {
+		if got := c.owner.Label(c.n); got != c.want {
+			t.Errorf("%T label %q, want %q", c.owner, got, c.want)
+		}
+	}
 }
 
 func TestStatusStrings(t *testing.T) {
