@@ -176,3 +176,35 @@ func TestAllocsSchedHostNotification(t *testing.T) {
 		t.Fatal("the unit never ran between notifications")
 	}
 }
+
+// TestAllocsBlockedGrant: a holder and a waiter refused its resource,
+// one DM node, under plain locking and under SRP, cost the two
+// instances' blocks and name strings (4) and nothing else: the refusal
+// checks the no-hold-and-wait rule over a scratch list of holders, and
+// the release wakes the waiter from a scratch list too.
+func TestAllocsBlockedGrant(t *testing.T) {
+	for _, tc := range holdPairPolicies {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := engine(1)
+			d := holdPair(eng, tc.pol())
+			cycle := func() {
+				if _, err := d.Activate("holder"); err != nil {
+					t.Fatal(err)
+				}
+				waiter, err := d.Activate("waiter")
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.Run(eng.Now().Add(ms))
+				if waiter.Threads[0].Started() {
+					t.Fatal("the waiter started while the holder held R")
+				}
+				eng.Run(eng.Now().Add(20 * ms))
+			}
+			gate(t, "a refused grant and its wake, "+tc.name, 4, cycle)
+			if st := d.Stats(); st.Completions != st.Activations || st.DeadlineMisses != 0 || st.Deadlocks != 0 {
+				t.Fatalf("%d of %d instances completed, %d missed, %d deadlocks", st.Completions, st.Activations, st.DeadlineMisses, st.Deadlocks)
+			}
+		})
+	}
+}

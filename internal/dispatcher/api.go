@@ -3,8 +3,9 @@
 // The dispatcher is the application-domain-independent half of the
 // scheduling machinery: it allocates resources (CPU included) to tasks,
 // enforces the four runnable conditions of §3.2.1, monitors execution
-// (deadlines, arrival laws, early terminations, orphans, deadlocks,
-// network omissions) and charges every §4.1 dispatcher activity on the
+// (deadlines, arrival laws, early terminations, orphans, network
+// omissions), checks §3.3's no-hold-and-wait rule where a unit is
+// refused its resources, and charges every §4.1 dispatcher activity on the
 // simulated CPU timeline. Scheduling *policy* lives outside, behind the
 // Scheduler interface: the dispatcher feeds each scheduler a FIFO of
 // notifications (Atv, Trm, Rac, Rre) and exposes a single primitive to
@@ -122,7 +123,9 @@ type Admitter interface {
 // ceiling: the highest Ceiling among the resources that other threads
 // of the same App hold there (none held: no bound). The test runs when
 // the thread becomes ready (§3.2.1's fourth runnable condition), for
-// every Code_EU, resource user or not. One policy instance serves one
+// every Code_EU, resource user or not. Where it refuses one, it checks
+// §3.3's no-hold-and-wait rule: no thread in the way waits while it
+// holds, else a DEADLOCK is recorded. One policy instance serves one
 // App.
 type ResourcePolicy interface {
 	// Init is called once at Seal, after the scheduler's Init, with the

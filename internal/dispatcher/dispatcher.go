@@ -33,6 +33,7 @@ type Dispatcher struct {
 	stats     Stats
 	threadSeq uint64    // last Thread.seqNo handed out
 	holders   []*Thread // the start test's scratch
+	wake      []*Thread // wakeWaiters' scratch
 }
 
 // Stats aggregates dispatcher-level counters for the harness.

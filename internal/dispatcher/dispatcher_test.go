@@ -10,6 +10,7 @@ import (
 	"hades/internal/monitor"
 	"hades/internal/netsim"
 	"hades/internal/sched"
+	"hades/internal/simkern"
 	"hades/internal/vtime"
 )
 
@@ -432,6 +433,75 @@ func TestNoFalseDeadlockWithSyncInvocation(t *testing.T) {
 	}
 	if rep.Stats.Completions != 2 {
 		t.Fatalf("completions %d, want 2", rep.Stats.Completions)
+	}
+}
+
+// holdPair registers, on one DM node at the default cost book, a
+// holder that keeps R for 5 ms and a waiter that needs R, under pol.
+func holdPair(eng *simkern.Engine, pol dispatcher.ResourcePolicy) *dispatcher.Dispatcher {
+	d := dispatcher.New(eng, nil, dispatcher.DefaultCostBook())
+	app := d.RegisterApp("rt", sched.NewDM(), pol)
+	r := []heug.ResourceReq{{Resource: "R", Mode: heug.Exclusive}}
+	app.AddTask(heug.NewTask("holder", heug.AperiodicLaw()).
+		WithDeadline(20*ms).
+		Code("h", heug.CodeEU{Node: 0, WCET: 5 * ms, Resources: r}).
+		MustBuild())
+	app.AddTask(heug.NewTask("waiter", heug.AperiodicLaw()).
+		WithDeadline(10*ms).
+		Code("w", heug.CodeEU{Node: 0, WCET: 100 * us, Resources: r}).
+		MustBuild())
+	app.Seal()
+	return d
+}
+
+// holdPairPolicies are the policies a refused grant is checked under:
+// plain locking refuses the waiter on R's mode, SRP on R's ceiling too.
+var holdPairPolicies = []struct {
+	name string
+	pol  func() dispatcher.ResourcePolicy
+}{
+	{"plain", func() dispatcher.ResourcePolicy { return nil }},
+	{"SRP", func() dispatcher.ResourcePolicy { return sched.NewSRP() }},
+}
+
+// TestHoldAndWaitRecordsDeadlock: a holder left in a wait state breaks
+// §3.3's no-hold-and-wait rule, and the unit refused its resource
+// records exactly one DEADLOCK naming the holder, its state and what it
+// holds. Once the holder runs on, both units complete and nothing more
+// is recorded.
+func TestHoldAndWaitRecordsDeadlock(t *testing.T) {
+	for _, tc := range holdPairPolicies {
+		t.Run(tc.name, func(t *testing.T) {
+			log := monitor.NewLog(0)
+			eng := simkern.NewEngine(log, 1)
+			eng.AddProcessor("n", dispatcher.DefaultCostBook().SwitchCost)
+			d := holdPair(eng, tc.pol())
+			inst, err := d.Activate("holder")
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Run(vtime.Time(ms))
+			unpark := inst.Threads[0].Park()
+			if _, err := d.Activate("waiter"); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run(vtime.Time(2 * ms))
+			unpark()
+			eng.Run(vtime.Time(20 * ms))
+
+			evs := log.ByKind(monitor.KindDeadlock)
+			if st := d.Stats(); st.Deadlocks != 1 || len(evs) != 1 {
+				t.Fatalf("%d deadlocks counted, %d recorded, want 1", st.Deadlocks, len(evs))
+			}
+			if e := evs[0]; !strings.Contains(e.Subject, "waiter") ||
+				!strings.Contains(e.Detail, "holder") || !strings.Contains(e.Detail, "[R] in wait-conds") {
+				t.Fatalf("record %s %q does not name the holder, R and its state", e.Subject, e.Detail)
+			}
+			t.Logf("%s: %s", evs[0].Subject, evs[0].Detail)
+			if st := d.Stats(); st.Completions != 2 {
+				t.Fatalf("%d of %d instances completed", st.Completions, st.Activations)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package dispatcher
 import (
 	"cmp"
 	"slices"
-	"strings"
 
 	"hades/internal/heug"
 	"hades/internal/monitor"
@@ -129,7 +128,11 @@ func (d *Dispatcher) wakeWaiters(ns *nodeState) {
 	if len(ns.waiters) == 0 {
 		return
 	}
-	pending := make([]*Thread, 0, len(ns.waiters))
+	// The list is taken while in use, so a wake nested in an evaluate
+	// (none is: a grant or a refusal only arms kernel events) would
+	// make its own rather than clobber this one.
+	pending := d.wake[:0]
+	d.wake = nil
 	for _, w := range ns.waiters {
 		if w.state == threadWaitResources {
 			pending = append(pending, w)
@@ -143,6 +146,7 @@ func (d *Dispatcher) wakeWaiters(ns *nodeState) {
 			d.evaluate(w)
 		}
 	}
+	d.wake = pending[:0]
 }
 
 // removeWaiter drops th from its node's blocked list.
@@ -185,85 +189,20 @@ func byCreation(ts []*Thread) []*Thread {
 	return slices.Compact(ts)
 }
 
-// checkDeadlock searches the wait-for graph for a cycle reachable from
-// th (§3.2.1 lists deadlock among the events the dispatcher detects).
-// Edges: blocked thread → holders of its conflicting resources; a
-// synchronous Inv_EU thread → unfinished threads of the invoked
-// instance; a thread → its unfinished precedence predecessors. Cycles
-// arise, e.g., when a task holding a resource synchronously invokes a
-// task that needs that resource.
-func (d *Dispatcher) checkDeadlock(start *Thread) {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[*Thread]int{}
-	var stack []*Thread
-	var cycle []*Thread
-
-	var succ func(t *Thread) []*Thread
-	succ = func(t *Thread) []*Thread {
-		switch t.state {
-		case threadWaitResources:
-			return byCreation(d.conflictingHolders(nil, t))
-		case threadWaitInstance:
-			if t.waitInst == nil {
-				return nil
-			}
-			var out []*Thread
-			for _, w := range t.waitInst.Threads {
-				if w.state != threadDone && w.state != threadOrphaned {
-					out = append(out, w)
-				}
-			}
-			return out
-		case threadWaitPreds:
-			var out []*Thread
-			for _, pi := range t.inst.TR.Task.Preds(t.euIdx) {
-				w := t.inst.Threads[pi]
-				if w.state != threadDone && w.state != threadOrphaned {
-					out = append(out, w)
-				}
-			}
-			return out
+// checkHoldAndWait checks §3.3's no-hold-and-wait rule where th is
+// refused (§3.2.1 lists deadlock among the events the dispatcher
+// detects). A Code_EU takes all its resources at once before it starts
+// and never waits while it holds them, so no wait-for cycle can form:
+// every thread in th's way, conflicting holder or ceiling holder, must
+// be ready or finishing. One parked in a wait state records DEADLOCK.
+func (d *Dispatcher) checkHoldAndWait(th *Thread) {
+	d.holders = d.ceilingHolders(d.conflictingHolders(d.holders[:0], th), th)
+	for _, h := range d.holders {
+		if h.state.waiting() {
+			d.stats.Deadlocks++
+			d.eng.Recordf(monitor.KindDeadlock, th.Node(), th.name,
+				"%s holds %v in %s", h.name, h.held, h.state.String())
+			return
 		}
-		return nil
-	}
-
-	var dfs func(t *Thread) bool
-	dfs = func(t *Thread) bool {
-		color[t] = gray
-		stack = append(stack, t)
-		for _, n := range succ(t) {
-			switch color[n] {
-			case white:
-				if dfs(n) {
-					return true
-				}
-			case gray:
-				// Found a cycle: slice it out of the stack.
-				for i, s := range stack {
-					if s == n {
-						cycle = append(cycle, stack[i:]...)
-						break
-					}
-				}
-				return true
-			}
-		}
-		stack = stack[:len(stack)-1]
-		color[t] = black
-		return false
-	}
-
-	if dfs(start) && len(cycle) > 0 {
-		names := make([]string, len(cycle))
-		for i, t := range cycle {
-			names[i] = t.name
-		}
-		d.stats.Deadlocks++
-		d.eng.Recordf(monitor.KindDeadlock, start.Node(), start.name,
-			"cycle: %s", strings.Join(names, " -> "))
 	}
 }

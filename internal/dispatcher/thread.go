@@ -22,6 +22,10 @@ const (
 	threadOrphaned
 )
 
+// waiting reports whether s is one of the five states a unit waits in
+// before it is handed to the kernel: wait-preds up to wait-instance.
+func (s threadState) waiting() bool { return s < threadReady }
+
 func (s threadState) String() string {
 	switch s {
 	case threadWaitPreds:
@@ -69,8 +73,7 @@ type Thread struct {
 
 	inputs, outputs map[string]any // nil until the first parameter
 
-	held     []string  // resources currently held (node-local names)
-	waitInst *Instance // sync Inv_EU target
+	held []string // resources currently held (node-local names)
 
 	actual vtime.Duration // effective body execution time
 
@@ -263,7 +266,7 @@ func (d *Dispatcher) evaluate(th *Thread) {
 		if inh, ok := th.inst.TR.App.policy.(Inheritor); ok {
 			inh.OnBlocked(th, d.blockers(th))
 		}
-		d.checkDeadlock(th)
+		d.checkHoldAndWait(th)
 		return
 	}
 	d.startCode(th)
@@ -373,7 +376,6 @@ func (d *Dispatcher) startInv(th *Thread) {
 				return
 			}
 			if inv.Sync && !inst.completed {
-				th.waitInst = inst
 				th.state = threadWaitInstance
 				inst.invoker = th // resumed by finalizeInstance
 				k.Suspend()

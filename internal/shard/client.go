@@ -134,14 +134,18 @@ type batch struct {
 // Send fires one attempt of the batch at the owning group's current
 // primary.
 func (b *batch) Send(_ uint64, attempt int) {
+	b.sendTo(b.c.router.Groups()[b.shard].Replication().Primary(), attempt)
+}
+
+// sendTo fires the attempt at the group's replica on node.
+func (b *batch) sendTo(node, attempt int) {
 	c := b.c
-	g := c.router.Groups()[b.shard]
-	b.target = g.Replication().Primary()
+	b.target = node
 	env := batchEnv{Client: c.p.Node, Batch: b.id, Attempt: attempt, Ops: make([]batchOp, len(b.ops))}
 	for i, r := range b.ops {
 		env.Ops[i] = batchOp{Key: r.key, Cmd: r.cmd, Seq: r.seq, Trace: r.trace.Ref()}
 	}
-	_, _ = c.net.Send(c.p.Node, b.target, g.reqPort, env, 48*len(b.ops))
+	_, _ = c.net.Send(c.p.Node, node, c.router.Groups()[b.shard].reqPort, env, 48*len(b.ops))
 }
 
 // Label names the batch (see batchLabel).

@@ -2,9 +2,11 @@ package shard_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"hades/internal/cluster"
+	"hades/internal/monitor"
 	"hades/internal/shard"
 	"hades/internal/vtime"
 )
@@ -79,6 +81,44 @@ func TestPerKeyFIFOAfterFailFastHead(t *testing.T) {
 		t.Fatalf("client still tracks %d requests", live)
 	}
 	if err := set.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServerRedirectResendsOnce: an attempt that lands on a backup is
+// refused with the primary's address, the client follows it at once,
+// and the op still applies exactly once. The client counts the one
+// redirect.
+func TestServerRedirectResendsOnce(t *testing.T) {
+	const ms = vtime.Millisecond
+	c := cluster.New(cluster.Config{Seed: 9})
+	c.AddNodes(4) // one shard × 3 replicas + client
+	c.ConnectAll(100*vtime.Microsecond, 300*vtime.Microsecond)
+	set := c.ShardsWith(1, 3, cluster.ShardConfig{})
+	cl := set.ClientAt(3)
+	c.At(vtime.Time(20*ms), func() { cl.Submit("k", 7) })
+	aimed := 0
+	c.At(vtime.Time(20*ms+50*vtime.Microsecond), func() {
+		g := cl.Groups()[0]
+		aimed = cl.AimLiveAt((g.Replication().Primary() + 1) % 3)
+	})
+	c.Run(100 * ms)
+	if aimed != 1 {
+		t.Fatalf("%d batches in flight to aim, want 1", aimed)
+	}
+	if cl.Stats.Acked != 1 || cl.Stats.Redirects != 1 {
+		t.Fatalf("acked %d, %d redirects, want 1 and 1", cl.Stats.Acked, cl.Stats.Redirects)
+	}
+	var followed []string
+	for _, e := range c.Log().ByKind(monitor.KindRedirect) {
+		if e.Node == cl.Node() {
+			followed = append(followed, e.Detail)
+		}
+	}
+	if len(followed) != 1 || !strings.HasPrefix(followed[0], "server: ") {
+		t.Fatalf("the client followed %q, want one server redirect", followed)
+	}
+	if err := c.Verify(); err != nil {
 		t.Fatal(err)
 	}
 }

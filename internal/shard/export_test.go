@@ -68,3 +68,17 @@ func CountIndexes() (stop func() map[string]int) {
 		return n
 	}
 }
+
+// AimLiveAt sends the live attempt of every in-flight batch again, at
+// node instead of its group's primary: where an attempt routed on a
+// stale view lands. It returns how many it sent.
+func (c *Client) AimLiveAt(node int) int {
+	n := 0
+	c.sweepLive(func(b *batch) {
+		if c.sess.Inflight(b.call) {
+			b.sendTo(node, c.sess.Attempt(b.call))
+			n++
+		}
+	})
+	return n
+}

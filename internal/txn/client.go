@@ -251,10 +251,15 @@ type submission struct{ t *Txn }
 
 // Send fires one attempt at the coordinator group's current primary.
 func (s submission) Send(_ uint64, attempt int) {
+	s.sendTo(s.t.c.p.router.Groups()[s.t.coordShard].Replication().Primary(), attempt)
+}
+
+// sendTo fires the attempt at the coordinator group's replica on node.
+func (s submission) sendTo(node, attempt int) {
 	t, c := s.t, s.t.c
-	t.target = c.p.router.Groups()[t.coordShard].Replication().Primary()
+	t.target = node
 	env := beginEnv{ID: t.id, Ops: t.ops, Deadline: t.deadline, Client: c.c.Node, Attempt: attempt, Trace: t.trace.Ref()}
-	c.p.send(c.c.Node, t.target, c.p.coordPort, env, 64)
+	c.p.send(c.c.Node, node, c.p.coordPort, env, 64)
 }
 
 // Label names the call by the transaction id ("t6.3").

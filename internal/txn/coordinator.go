@@ -348,8 +348,11 @@ func (c *Coordinator) handleVote(node int, env voteEnv) {
 	ps.voted, ps.yes = true, env.Yes
 	c.p.sess.Finish(ps.call)
 	ps.prepSpan.End()
+	// The first vote's map is adopted, not copied: each vote builds a
+	// fresh one (Participant.vote), and a repeat from the same shard is
+	// dropped above before anything reads it.
 	if ct.reads == nil {
-		ct.reads = maps.Clone(env.Reads) // no reads, no map
+		ct.reads = env.Reads // no reads, no map
 	} else {
 		maps.Copy(ct.reads, env.Reads)
 	}
@@ -492,7 +495,10 @@ func (c *Coordinator) distribute(ct *coordTxn) {
 	}
 }
 
-// reply answers the transaction's client from the decided state.
+// reply answers the transaction's client from the decided state. Every
+// reply ships the one reads map: nothing writes it after the decision
+// (handleVote returns once ct.decided), and the client keeps only the
+// first outcome it receives.
 func (c *Coordinator) reply(from int, ct *coordTxn) {
 	env := outcomeEnv{
 		ID:        ct.id,
@@ -501,7 +507,7 @@ func (c *Coordinator) reply(from int, ct *coordTxn) {
 		Committed: ct.commit,
 		Reason:    ct.reason,
 		Deadline:  ct.byDeadline,
-		Reads:     maps.Clone(ct.reads), // frozen for shipping
+		Reads:     ct.reads, // shared: frozen at the decision
 	}
 	c.p.send(from, ct.client, c.p.respPort, env, 40)
 }
