@@ -28,7 +28,7 @@ func writeMetricsSample(t *testing.T) string {
 		},
 		SLO: []metrics.RuleData{
 			{Name: "ack-p99", Expr: "p99(kv.ack.latency) <= 5e+06", Metric: "kv.ack.latency",
-				Stat: "p99", Op: "<=", Threshold: 5_000_000, For: 1, Evals: 3,
+				Stat: "p99", Op: "<=", Threshold: 5_000_000, Evals: 3,
 				Breaches: []metrics.BreachData{{Onset: 10_000_000, Clear: 15_000_000, Intervals: 1, Worst: 9_000_000}}},
 		},
 		TopKeys: []metrics.HotKey{

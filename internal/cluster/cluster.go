@@ -628,13 +628,6 @@ func (c *Cluster) DropFrom(nodes []int, port string) {
 	c.injectFault(&fault.OmissionFrom{Nodes: set, Port: port})
 }
 
-// DropRandom drops each message with the given probability, drawing
-// from the engine's seeded source (deterministic per run).
-func (c *Cluster) DropRandom(dropProb float64) {
-	c.build()
-	c.injectFault(&fault.RandomFaults{Eng: c.eng, DropProb: dropProb})
-}
-
 // Run seals every application, starts the generators of spawned
 // tasks, executes the cluster for the given virtual duration and
 // reports. It may be called repeatedly to advance further.

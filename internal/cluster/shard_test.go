@@ -244,13 +244,14 @@ func TestShardsDeterministic(t *testing.T) {
 // TestTwoShardSetsCoexist: two data planes on one cluster need
 // distinct names (same-name sets would collide on group and response
 // ports — rejected loudly); with distinct names their clients work
-// independently, even from the same node.
+// independently, even from the same node and over the same replica
+// nodes.
 func TestTwoShardSetsCoexist(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 31})
-	c.AddNodes(9) // 2×2 replicas per set + shared client node 8
+	c.AddNodes(9) // 2×2 replicas, shared by both sets, + client node 8
 	c.ConnectAll(100*us, 300*us)
 	kv := c.ShardsWith(2, 2, cluster.ShardConfig{Name: "kv"})
-	idx := c.ShardsWith(0, 0, cluster.ShardConfig{Name: "idx", Groups: [][]int{{4, 5}, {6, 7}}})
+	idx := c.ShardsWith(2, 2, cluster.ShardConfig{Name: "idx"})
 
 	func() {
 		defer func() {
@@ -325,16 +326,16 @@ func TestShardsLateResponsesDoNotBurnBudget(t *testing.T) {
 	}
 }
 
-// TestShardsWithExplicitGroupsValidated: the direct cluster API
-// rejects the same malformed explicit layouts the JSON path does.
-func TestShardsWithExplicitGroupsValidated(t *testing.T) {
+// TestShardsWithLayoutValidated: the direct cluster API rejects the
+// same malformed layouts the JSON path does.
+func TestShardsWithLayoutValidated(t *testing.T) {
 	cases := []struct {
-		name   string
-		groups [][]int
+		name               string
+		count, replicasPer int
 	}{
-		{"overlapping groups", [][]int{{0, 1, 2}, {2, 3, 4}}},
-		{"single-replica group", [][]int{{0}, {1, 2}}},
-		{"node off platform", [][]int{{0, 1}, {2, 9}}},
+		{"zero shards", 0, 3},
+		{"single-replica group", 2, 1},
+		{"node off platform", 3, 3}, // nodes 6..8 on a 6-node platform
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -346,7 +347,7 @@ func TestShardsWithExplicitGroupsValidated(t *testing.T) {
 					t.Fatalf("%s accepted", tc.name)
 				}
 			}()
-			c.ShardsWith(0, 0, cluster.ShardConfig{Groups: tc.groups})
+			c.ShardsWith(tc.count, tc.replicasPer, cluster.ShardConfig{})
 		})
 	}
 }

@@ -15,16 +15,13 @@ import (
 )
 
 // ShardConfig tunes a sharded data plane declared with ShardsWith.
-// The zero value selects semi-active replication, consecutive node
-// layout and the replication defaults. The ring always holds
-// shard.DefaultVNodes points per shard, and every replica costs 100 µs
-// per execution and 20 µs per stable-storage write.
+// The zero value selects semi-active replication and the replication
+// defaults. The ring always holds shard.DefaultVNodes points per shard,
+// and every replica costs 100 µs per execution and 20 µs per
+// stable-storage write.
 type ShardConfig struct {
 	// Name prefixes the shard group names ("shard" → shard0, shard1…).
 	Name string
-	// Groups pins the replica node sets explicitly (promotion order =
-	// declaration order); empty selects consecutive layout.
-	Groups [][]int
 	// Style selects the replication protocol (default SemiActive; the
 	// client layer's exactly-once verification requires it).
 	Style replication.Style
@@ -66,9 +63,8 @@ type ShardSet struct {
 // ShardsWith declares a sharded data plane of n replication groups with
 // replicasPer replicas each, laid out over consecutive nodes (shard i
 // owns nodes [i·replicasPer, (i+1)·replicasPer)), semi-active style
-// unless cfg says otherwise; cfg.Groups overrides the consecutive
-// layout (n and replicasPer are then ignored). It finalizes the
-// platform and needs a network. Submit keyed requests through ClientAt.
+// unless cfg says otherwise. It finalizes the platform and needs a
+// network. Submit keyed requests through ClientAt.
 func (c *Cluster) ShardsWith(n, replicasPer int, cfg ShardConfig) *ShardSet {
 	c.build()
 	if c.net == nil {
@@ -88,10 +84,7 @@ func (c *Cluster) ShardsWith(n, replicasPer int, cfg ShardConfig) *ShardSet {
 	if cfg.Style == 0 {
 		cfg.Style = replication.SemiActive
 	}
-	if len(cfg.Groups) > 0 {
-		n = len(cfg.Groups)
-	}
-	groups, err := ShardLayout(n, replicasPer, cfg.Groups, len(c.nodes))
+	groups, err := ShardLayout(n, replicasPer, len(c.nodes))
 	if err != nil {
 		panic(fmt.Sprintf("cluster: %v", err))
 	}
@@ -137,49 +130,28 @@ func ShardGroupName(set string, i int) string { return fmt.Sprintf("%s%d", set, 
 
 // ShardLayout is the one rule for where a sharded data plane's replicas
 // sit: count shards of replicasPer consecutive nodes each (shard i owns
-// [i·replicasPer, (i+1)·replicasPer)), or the explicit sets when given —
-// which must then number count and be disjoint. Every set holds at
-// least two nodes of the platform that a membership group can span.
-// ShardsWith panics with its error; the scenario layer reports it
-// against the file.
-func ShardLayout(count, replicasPer int, explicit [][]int, nodes int) ([][]int, error) {
+// [i·replicasPer, (i+1)·replicasPer)), so the sets are disjoint by
+// construction. Every set holds at least two nodes of the platform and
+// no more than a membership group can span. ShardsWith panics with its
+// error; the scenario layer reports it against the file.
+func ShardLayout(count, replicasPer, nodes int) ([][]int, error) {
 	if count < 1 {
 		return nil, fmt.Errorf("shards spec declares zero shards (count=%d)", count)
 	}
-	groups := explicit
-	if len(groups) == 0 {
-		if replicasPer < 2 {
-			return nil, fmt.Errorf("shards need replicasPer >= 2 (got %d)", replicasPer)
-		}
-		// Dividing keeps a huge count from overflowing the product.
-		if count > nodes/replicasPer {
-			return nil, fmt.Errorf("%d shards × %d replicas need %d nodes, have %d", count, replicasPer, count*replicasPer, nodes)
-		}
-		groups = make([][]int, count)
-		for i := range groups {
-			for r := 0; r < replicasPer; r++ {
-				groups[i] = append(groups[i], i*replicasPer+r)
-			}
-		}
-	} else if len(groups) != count {
-		return nil, fmt.Errorf("shards declare count=%d but %d explicit groups", count, len(groups))
+	if replicasPer < 2 {
+		return nil, fmt.Errorf("shards need replicasPer >= 2 (got %d)", replicasPer)
 	}
-	owner := make(map[int]int)
-	for i, g := range groups {
-		if len(g) < 2 {
-			return nil, fmt.Errorf("shard group %d needs at least 2 replicas (got %d)", i, len(g))
-		}
-		if len(g) > membership.MaxMembers {
-			return nil, fmt.Errorf("shard group %d has %d replicas, at most %d", i, len(g), membership.MaxMembers)
-		}
-		for _, node := range g {
-			if node < 0 || node >= nodes {
-				return nil, fmt.Errorf("shard group %d names unknown node %d (have %d)", i, node, nodes)
-			}
-			if prev, dup := owner[node]; dup {
-				return nil, fmt.Errorf("node %d is a replica of shard groups %d and %d (overlapping group membership)", node, prev, i)
-			}
-			owner[node] = i
+	if replicasPer > membership.MaxMembers {
+		return nil, fmt.Errorf("shard groups of %d replicas, at most %d", replicasPer, membership.MaxMembers)
+	}
+	// Dividing keeps a huge count from overflowing the product.
+	if count > nodes/replicasPer {
+		return nil, fmt.Errorf("%d shards × %d replicas need %d nodes, have %d", count, replicasPer, count*replicasPer, nodes)
+	}
+	groups := make([][]int, count)
+	for i := range groups {
+		for r := 0; r < replicasPer; r++ {
+			groups[i] = append(groups[i], i*replicasPer+r)
 		}
 	}
 	return groups, nil

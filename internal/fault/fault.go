@@ -95,21 +95,6 @@ func (o *OmissionFrom) Judge(m *netsim.Message) netsim.Verdict {
 	return netsim.Verdict{Fate: netsim.FateDeliver}
 }
 
-// RandomFaults drops each message with probability DropProb, drawing
-// from the engine's seeded source (deterministic per run).
-type RandomFaults struct {
-	Eng      *simkern.Engine
-	DropProb float64
-}
-
-// Judge implements netsim.FaultHook.
-func (r *RandomFaults) Judge(*netsim.Message) netsim.Verdict {
-	if r.Eng.Rand().Float64() < r.DropProb {
-		return netsim.Verdict{Fate: netsim.FateDrop}
-	}
-	return netsim.Verdict{Fate: netsim.FateDeliver}
-}
-
 // Hooks chains fault hooks: the first non-deliver verdict wins.
 type Hooks []netsim.FaultHook
 

@@ -238,24 +238,3 @@ func TestDetectorCallbackFires(t *testing.T) {
 		t.Fatalf("callback fired %+v", fired)
 	}
 }
-
-func TestRandomFaultsDeterministic(t *testing.T) {
-	run := func() int {
-		eng, net, _ := rig(t, 2)
-		delivered := 0
-		net.Bind(1, "p", func(*netsim.Message) { delivered++ })
-		net.SetFault(&RandomFaults{Eng: eng, DropProb: 0.3})
-		for i := 0; i < 100; i++ {
-			_, _ = net.Send(0, 1, "p", i, 8)
-		}
-		eng.RunUntilIdle()
-		return delivered
-	}
-	d1, d2 := run(), run()
-	if d1 != d2 {
-		t.Fatalf("seeded fault injection not deterministic: %d vs %d delivered", d1, d2)
-	}
-	if d1 == 100 || d1 == 0 {
-		t.Fatalf("drop probability had no effect: delivered %d", d1)
-	}
-}

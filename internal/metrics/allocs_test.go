@@ -32,7 +32,7 @@ func newPlane(t *testing.T) *plane {
 	eng := simkern.NewEngine(nil, 1)
 	slot := eng.Slot()
 	reg := metrics.New(metrics.Options{
-		Rules:    []metrics.Rule{{Name: "lat", Metric: "lat", Stat: metrics.StatP99, Op: metrics.OpLE, Threshold: 1e9, For: 1}},
+		Rules:    []metrics.Rule{{Name: "lat", Metric: "lat", Stat: metrics.StatP99, Op: metrics.OpLE, Threshold: 1e9}},
 		Schedule: func(t vtime.Time, fn func()) { eng.AtSlot(slot, t, eventq.ClassApp, eventq.Func(fn), 0) },
 	})
 	depth := int64(3)

@@ -48,7 +48,6 @@ type RuleData struct {
 	Stat      string       `json:"stat"`
 	Op        string       `json:"op"`
 	Threshold float64      `json:"threshold"`
-	For       int          `json:"for"`
 	Evals     int          `json:"evals"`
 	Breaches  []BreachData `json:"breaches,omitempty"`
 }
@@ -90,7 +89,7 @@ func (r *Registry) Export() *Export {
 		rd := RuleData{
 			Name: p.r.Name, Expr: p.r.expr(), Metric: p.r.Metric,
 			Stat: string(p.r.Stat), Op: string(p.r.Op),
-			Threshold: p.r.Threshold, For: p.r.For, Evals: p.evals,
+			Threshold: p.r.Threshold, Evals: p.evals,
 		}
 		for _, b := range p.breaches {
 			rd.Breaches = append(rd.Breaches, BreachData{

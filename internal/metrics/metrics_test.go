@@ -154,31 +154,35 @@ func TestHistIntervalReset(t *testing.T) {
 	}
 }
 
-// TestSLOStreakOnsetClear drives a For=2 rule through the full cycle:
-// one violating interval is not a breach, the second opens one (with
-// the onset instant and a monitor event), further violations extend
-// it, and a holding interval clears it with the clear instant.
+// TestSLOStreakOnsetClear drives a rule through the full cycle: a
+// holding interval opens nothing, the first violating one opens a
+// breach (with the onset instant and a monitor event), further
+// violations extend it, and a holding interval clears it with the
+// clear instant.
 func TestSLOStreakOnsetClear(t *testing.T) {
 	s := newSim()
 	log := monitor.NewLog(100)
 	opt := s.opts()
 	opt.Log = log
-	opt.Rules = []Rule{{Name: "depth", Metric: "q", Op: OpLE, Threshold: 10, For: 2}}
+	opt.Rules = []Rule{{Name: "depth", Metric: "q", Op: OpLE, Threshold: 10}}
 	r := New(opt)
 	var q int64
 	r.GaugeFunc("q", func() int64 { return q })
 	r.ArmUntil(vtime.Time(5 * DefaultInterval))
 
-	q = 50 // interval 1: violating (bad=1, no breach yet)
+	q = 5 // interval 1: holds
 	s.runTo(vtime.Time(DefaultInterval))
 	if n := len(r.breaches()); n != 0 {
-		t.Fatalf("breach before the For streak: %d", n)
+		t.Fatalf("breach on a holding interval: %d", n)
 	}
-	q = 60 // interval 2: violating (bad=2 → breach opens)
+	q = 60 // interval 2: violating → breach opens
 	s.runTo(vtime.Time(2 * DefaultInterval))
 	br := r.breaches()
 	if len(br) != 1 || br[0].Onset != vtime.Time(2*DefaultInterval) || br[0].Clear != 0 {
-		t.Fatalf("breach not opened at the second violating interval: %+v", br)
+		t.Fatalf("breach not opened at the first violating interval: %+v", br)
+	}
+	if ev := log.ByKind(monitor.KindSLOBreach); len(ev) != 1 || ev[0].Detail != "value(q) <= 10: observed 60 (1 violating intervals)" {
+		t.Fatalf("breach events %+v", ev)
 	}
 	q = 70 // interval 3: still violating (extends, worst=70)
 	s.runTo(vtime.Time(3 * DefaultInterval))
@@ -190,7 +194,7 @@ func TestSLOStreakOnsetClear(t *testing.T) {
 		t.Fatalf("want one breach window: %+v", br)
 	}
 	b := br[0]
-	if b.Clear != vtime.Time(4*DefaultInterval) || b.Intervals != 3 || b.Worst != 70 {
+	if b.Clear != vtime.Time(4*DefaultInterval) || b.Intervals != 2 || b.Worst != 70 {
 		t.Fatalf("clear/intervals/worst wrong: %+v", b)
 	}
 	if n := log.CountKind(monitor.KindSLOBreach); n != 1 {

@@ -54,8 +54,8 @@ func (s Stat) valid() bool {
 }
 
 // Rule is one declarative SLO: "stat(metric) op threshold", breached
-// after For consecutive violating intervals. Thresholds are in the
-// series' raw unit (nanoseconds for latency histograms).
+// at the first violating interval. Thresholds are in the series' raw
+// unit (nanoseconds for latency histograms).
 type Rule struct {
 	// Name labels the rule in breach events and reports.
 	Name string
@@ -68,18 +68,11 @@ type Rule struct {
 	Op Op
 	// Threshold is the bound, in the series' raw unit.
 	Threshold float64
-	// For is the number of consecutive violating intervals before the
-	// breach opens (0 and 1 both mean "immediately").
-	For int
 }
 
 // expr renders the rule as its declarative form.
 func (r Rule) expr() string {
-	expr := fmt.Sprintf("%s(%s) %s %g", r.Stat, r.Metric, r.Op, r.Threshold)
-	if r.For > 1 {
-		expr += fmt.Sprintf(" for %d intervals", r.For)
-	}
-	return expr
+	return fmt.Sprintf("%s(%s) %s %g", r.Stat, r.Metric, r.Op, r.Threshold)
 }
 
 // Validate checks the rule's shape (the scenario layer surfaces these
@@ -97,9 +90,6 @@ func (r Rule) Validate() error {
 	if !r.Op.valid() {
 		return fmt.Errorf("slo rule %q: unknown op %q (want <=|<|>=|>)", r.Name, r.Op)
 	}
-	if r.For < 0 {
-		return fmt.Errorf("slo rule %q: negative for-intervals %d", r.Name, r.For)
-	}
 	return nil
 }
 
@@ -116,16 +106,12 @@ type Breach struct {
 // probe is one rule's evaluation state.
 type probe struct {
 	r        Rule
-	bad      int // consecutive violating intervals
 	open     int // index+1 into breaches of the open breach, 0 = none
 	evals    int
 	breaches []Breach
 }
 
 func newProbe(r Rule) *probe {
-	if r.For < 1 {
-		r.For = 1
-	}
 	if r.Stat == "" {
 		r.Stat = StatValue
 	}
@@ -188,35 +174,31 @@ func (p *probe) holds(v float64) bool {
 	return true
 }
 
-// evaluate runs one probe against the interval that just scraped:
-// violating intervals accumulate toward the For bound, opening a
-// breach (and a monitor event) when they reach it; a holding interval
-// clears any open breach with its onset/clear instants.
+// evaluate runs one probe against the interval that just scraped: a
+// violating interval opens a breach (and a monitor event) or extends
+// the open one; a holding interval clears any open breach with its
+// onset/clear instants.
 func (r *Registry) evaluate(p *probe, t vtime.Time) {
 	v, ok := p.extract(r, t)
 	if ok {
 		p.evals++
 	}
 	if ok && !p.holds(v) {
-		p.bad++
-		if p.open == 0 && p.bad >= p.r.For {
-			p.breaches = append(p.breaches, Breach{Onset: t, Intervals: p.bad, Worst: v})
+		if p.open == 0 {
+			p.breaches = append(p.breaches, Breach{Onset: t, Intervals: 1, Worst: v})
 			p.open = len(p.breaches)
 			r.opt.Log.Recordf(t, monitor.KindSLOBreach, -1, p.r.Name,
-				"%s: observed %g (%d violating intervals)", p.r.expr(), v, p.bad)
+				"%s: observed %g (1 violating intervals)", p.r.expr(), v)
 			return
 		}
-		if p.open > 0 {
-			b := &p.breaches[p.open-1]
-			b.Intervals++
-			if worse(p.r.Op, v, b.Worst) {
-				b.Worst = v
-			}
+		b := &p.breaches[p.open-1]
+		b.Intervals++
+		if worse(p.r.Op, v, b.Worst) {
+			b.Worst = v
 		}
 		return
 	}
 	// The rule holds (or has no data to violate): close any open breach.
-	p.bad = 0
 	if p.open > 0 {
 		b := &p.breaches[p.open-1]
 		b.Clear = t

@@ -51,7 +51,7 @@ func TestRejectCorpus(t *testing.T) {
 
 // nodeFields are the spec fields (scalars, and lists by their field
 // name) that hold node indices; every other integer is a count.
-var nodeFields = []string{"Node", "A", "B", "SubmitFrom", "Nodes", "Replicas", "Groups", "Partition", "Placement"}
+var nodeFields = []string{"Node", "A", "B", "SubmitFrom", "Nodes", "Partition"}
 
 // mutations lists the values one field of a spec is tried at: each
 // node reference at -1, the node count, a shard replica's node and a

@@ -12,8 +12,6 @@ import (
 //   - "drop-every": drop every K-th message on Port (omission);
 //   - "drop-from": drop all messages Node sends on Port (a fully
 //     send-omission-faulty process);
-//   - "random": drop each message with probability DropProb, drawn
-//     from the seeded source;
 //   - "crash": node crash at AtMs, recovering at RecoverMs (0 = never);
 //   - "partition": split the declared nodes into Partition sides at
 //     AtMs (cross-side traffic drops, in-flight included), healing at
@@ -27,7 +25,6 @@ type FaultSpec struct {
 	RecoverMs float64 `json:"recoverMs,omitempty"`
 	HealMs    float64 `json:"healMs,omitempty"`
 	Partition [][]int `json:"partition,omitempty"`
-	DropProb  float64 `json:"dropProb,omitempty"`
 }
 
 // faultKinds is the fault-kind enum's single source (see named): each
@@ -48,15 +45,6 @@ var faultKinds = map[string]struct {
 	"drop-from": {
 		func(s Spec, f FaultSpec) error { return s.knownNode(f.Node, "drop-from fault on") },
 		func(c *cluster.Cluster, f FaultSpec) { c.DropFrom([]int{f.Node}, f.Port) },
-	},
-	"random": {
-		func(s Spec, f FaultSpec) error {
-			if f.DropProb < 0 || f.DropProb > 1 {
-				return fmt.Errorf("scenario %q: random fault needs dropProb in [0,1] (got %g)", s.Name, f.DropProb)
-			}
-			return nil
-		},
-		func(c *cluster.Cluster, f FaultSpec) { c.DropRandom(f.DropProb) },
 	},
 	"crash": {
 		func(s Spec, f FaultSpec) error {

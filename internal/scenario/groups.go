@@ -13,17 +13,15 @@ import (
 //
 //   - Nodes is the member universe watched by the group's detector;
 //   - Style ("passive", "semi-active", "active"), when set, attaches a
-//     replica group whose failover follows the installed views;
-//   - Replicas defaults to Nodes (promotion order = declaration order);
-//     their execution and stable-storage costs are the cluster's
-//     constants;
+//     replica group over every member (promotion order = declaration
+//     order) whose failover follows the installed views; the replicas'
+//     execution and stable-storage costs are the cluster's constants;
 //   - SubmitEveryMs, when positive, submits one request every interval
 //     from node SubmitFrom for the whole horizon.
 type GroupSpec struct {
 	Name            string  `json:"name"`
 	Nodes           []int   `json:"nodes"`
 	Style           string  `json:"style,omitempty"`
-	Replicas        []int   `json:"replicas,omitempty"`
 	CheckpointEvery int     `json:"checkpointEvery,omitempty"`
 	SubmitEveryMs   float64 `json:"submitEveryMs,omitempty"`
 	SubmitFrom      int     `json:"submitFrom,omitempty"`
@@ -37,9 +35,8 @@ var groupStyles = map[string]replication.Style{
 
 // validateGroups rejects malformed membership groups — names that
 // collide (with each other or with the shard set's own groups, whose
-// membership ports they would share), members off the platform,
-// replicas outside the membership, a driver with nothing replicated to
-// drive.
+// membership ports they would share), members off the platform, a
+// driver with nothing replicated to drive.
 func (s Spec) validateGroups() error {
 	names, minted := map[string]bool{}, map[string]bool{}
 	if s.Shards != nil {
@@ -85,15 +82,6 @@ func (s Spec) validateGroups() error {
 		} else if g.SubmitEveryMs > 0 {
 			return fmt.Errorf("scenario %q: group %q submits requests but has no replication style (nothing to drive)", s.Name, g.Name)
 		}
-		for _, r := range g.Replicas { // each member at most once: a replica leaves the set
-			if !members[r] {
-				return fmt.Errorf("scenario %q: group %q replica %d not a member, or listed twice", s.Name, g.Name, r)
-			}
-			delete(members, r)
-		}
-		if len(g.Replicas) == 1 {
-			return fmt.Errorf("scenario %q: group %q needs at least 2 replicas (or none: every member)", s.Name, g.Name)
-		}
 		if err := s.knownNode(g.SubmitFrom, "group %q submits from", g.Name); err != nil {
 			return err
 		}
@@ -116,7 +104,6 @@ func (s Spec) attachGroups(c *cluster.Cluster) (reps []*replication.Group) {
 			continue
 		}
 		rep := g.Replicate(replication.Config{
-			Replicas:        gs.Replicas,
 			Style:           groupStyles[gs.Style],
 			CheckpointEvery: gs.CheckpointEvery,
 		}, nil)

@@ -34,9 +34,7 @@ type HotspotShiftSpec struct {
 // schedule, each arrival scheduling the next, regardless of
 // completions. All
 // randomness is drawn from seeds derived from the scenario seed — the
-// engine's stream is never touched, so the load plane is behaviorally
-// passive: a run with a Disabled generator is identical to one with
-// no load block at all.
+// engine's stream is never touched.
 type LoadSpec struct {
 	// Name labels the generator in reports and metric series
 	// (load.<name>.offered / load.<name>.acked); names must be unique.
@@ -70,8 +68,6 @@ type LoadSpec struct {
 	// (0 = the horizon). Each generator submits at most
 	// load.MaxOps ops.
 	EndMs float64 `json:"endMs,omitempty"`
-	// Disabled keeps the block in the file but attaches nothing.
-	Disabled bool `json:"disabled,omitempty"`
 }
 
 // loadBlock is where a load generator is declared. The shards and
@@ -195,14 +191,11 @@ func (s Spec) validateLoads(b loadBlock, loads []LoadSpec, names map[string]bool
 }
 
 // attachLoads lowers one block's generators, declaration order: each
-// enabled one is configured under its derived seed and handed to the
+// is configured under its derived seed and handed to the
 // block's sink with its own copy of the node list. The seeds are part
 // of the run description.
 func (s Spec) attachLoads(b loadBlock, loads []LoadSpec, seedOf func(i int) int64, attach func(load.Config, []int) *load.Generator) {
 	for i, ls := range loads {
-		if ls.Disabled {
-			continue
-		}
 		attach(b.config(ls, seedOf(i), s.Horizon()), append([]int(nil), ls.Nodes...))
 	}
 }

@@ -63,8 +63,6 @@ func TestLoadSpecValidation(t *testing.T) {
 		{name: "closed with arrival", edit: func(ls *LoadSpec) { ls.Arrival = 100 }, wantErr: "rate is open-loop only"},
 		{name: "open without rate", edit: func(ls *LoadSpec) { ls.Mode, ls.Sessions = "open", 0 },
 			wantErr: "positive rate or a ramp"},
-		{name: "disabled still validated", edit: func(ls *LoadSpec) { ls.Disabled, ls.Mode = true, "half-open" },
-			wantErr: "unknown mode"},
 
 		{in: "shards", name: "duplicate names", load: []LoadSpec{closed("g", 7), closed("g", 6)}, wantErr: "duplicate load"},
 		{in: "shards", name: "no nodes", load: []LoadSpec{{Name: "g", Sessions: 1, Keys: keys}}, wantErr: "names no client nodes"},
@@ -86,7 +84,6 @@ func TestLoadSpecValidation(t *testing.T) {
 			Arrival: 200, ZipfSkew: 1.1, Keys: keys,
 			Ramp:         []RampStepSpec{{AtMs: 100, Rate: 800}},
 			HotspotShift: []HotspotShiftSpec{{AtMs: 150, Shift: 1}}}}},
-		{in: "shards", name: "valid disabled", load: []LoadSpec{{Name: "g", Disabled: true, Nodes: []int{7}, Sessions: 1, Keys: keys}}},
 
 		{in: "pubsub", name: "undeclared topic", edit: func(ls *LoadSpec) { ls.Keys = []string{"ghost"} },
 			wantErr: "undeclared topic \"ghost\""},
@@ -131,40 +128,6 @@ func TestLoadSpecValidation(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestLoadPlanePassive: a disabled load block attaches nothing — the
-// run's monitor log is byte-identical to one with no load block at
-// all (the passivity contract: describing load must not perturb the
-// simulation).
-func TestLoadPlanePassive(t *testing.T) {
-	trace := func(spec Spec) []byte {
-		t.Helper()
-		spec, err := spec.withDefaults()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys, err := spec.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.Run(spec.Horizon())
-		var buf bytes.Buffer
-		if err := sys.Log().WriteTrace(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	plain := trace(loadBase(t))
-	withDisabled := loadBase(t)
-	withDisabled.Shards.Load = []LoadSpec{{
-		Name: "ghost", Disabled: true, Nodes: []int{7},
-		Sessions: 64, ThinkMs: 1,
-		Keys: []string{"alpha", "bravo"},
-	}}
-	if got := trace(withDisabled); !bytes.Equal(plain, got) {
-		t.Fatal("disabled load block changed the run's monitor log")
 	}
 }
 

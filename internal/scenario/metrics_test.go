@@ -22,9 +22,6 @@ func TestMetricsSpecValidation(t *testing.T) {
 		{"both thresholds", &MetricsSpec{
 			SLO: []SLORuleSpec{{Name: "r", Metric: "m", Op: "<=", Threshold: 1, ThresholdMs: 2}}},
 			"sets both threshold and thresholdMs"},
-		{"negative for", &MetricsSpec{
-			SLO: []SLORuleSpec{{Name: "r", Metric: "m", Op: "<=", Threshold: 1, ForIntervals: -1}}},
-			"negative forIntervals"},
 		{"unknown stat", &MetricsSpec{
 			SLO: []SLORuleSpec{{Name: "r", Metric: "m", Stat: "p42", Op: "<=", Threshold: 1}}},
 			"unknown stat"},
@@ -39,7 +36,7 @@ func TestMetricsSpecValidation(t *testing.T) {
 			"needs a name"},
 		{"valid block", &MetricsSpec{
 			SLO: []SLORuleSpec{
-				{Name: "lat", Metric: "kv.ack.latency", Stat: "p99", Op: "<=", ThresholdMs: 10, ForIntervals: 3},
+				{Name: "lat", Metric: "kv.ack.latency", Stat: "p99", Op: "<=", ThresholdMs: 10},
 				{Name: "drops", Metric: "net.drops", Op: "<=", Threshold: 0},
 			}}, ""},
 		{"disabled plane", &MetricsSpec{Disabled: true}, ""},

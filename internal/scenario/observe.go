@@ -39,7 +39,7 @@ type MetricsSpec struct {
 }
 
 // SLORuleSpec is one declarative SLO rule: "stat(metric) op threshold",
-// breached after ForIntervals consecutive violating scrape intervals.
+// breached at the first violating scrape interval.
 // Exactly one of Threshold (raw series units) and ThresholdMs
 // (milliseconds, for the nanosecond latency histograms) may be set.
 type SLORuleSpec struct {
@@ -54,9 +54,6 @@ type SLORuleSpec struct {
 	// same bound in milliseconds (latency histograms record ns).
 	Threshold   float64 `json:"threshold,omitempty"`
 	ThresholdMs float64 `json:"thresholdMs,omitempty"`
-	// ForIntervals is the consecutive violating intervals before the
-	// breach opens (0 and 1 both mean "immediately").
-	ForIntervals int `json:"forIntervals,omitempty"`
 }
 
 // rule lowers the spec form to the metrics-plane rule.
@@ -71,7 +68,7 @@ func (r SLORuleSpec) rule() metrics.Rule {
 	}
 	return metrics.Rule{
 		Name: r.Name, Metric: r.Metric, Stat: metrics.Stat(stat),
-		Op: metrics.Op(r.Op), Threshold: th, For: r.ForIntervals,
+		Op: metrics.Op(r.Op), Threshold: th,
 	}
 }
 
@@ -95,9 +92,6 @@ func (s Spec) validateObserve() error {
 	for i, r := range m.SLO {
 		if r.Threshold != 0 && r.ThresholdMs != 0 {
 			return fmt.Errorf("scenario %q: slo rule %d (%q) sets both threshold and thresholdMs", s.Name, i, r.Name)
-		}
-		if r.ForIntervals < 0 {
-			return fmt.Errorf("scenario %q: slo rule %d (%q) has negative forIntervals %d", s.Name, i, r.Name, r.ForIntervals)
 		}
 		if err := r.rule().Validate(); err != nil {
 			return fmt.Errorf("scenario %q: slo rule %d: %v", s.Name, i, err)

@@ -1,13 +1,13 @@
 // Package scenario defines the JSON scenario format the hades command
 // runs, reports on and analyses: a §5.1-style task set plus platform,
-// topology, placement, fault-injection and policy choices, loadable
+// topology, fault-injection and policy choices, loadable
 // from a file or from the built-in catalogue (builtins/*.json, read
 // through the same strict decoder).
 //
 // A scenario builds onto the cluster runtime layer, so distributed and
 // faulty workloads are data, not code: "nodes" sizes the platform,
 // "links" declares bounded-delay point-to-point links (omit for a full
-// mesh), "placement" pins tasks or stages to nodes, "faults" schedules
+// mesh), each task and stage names its node, "faults" schedules
 // deterministic omission/delay/crash(/recover) injection, "groups"
 // declares view-synchronous membership groups with optional replicated
 // state machines and a request driver, and "shards" declares a sharded
@@ -69,9 +69,6 @@ type Spec struct {
 	// PubSub declares a QoS-aware publish-subscribe plane over the
 	// sharded data plane (requires Shards).
 	PubSub *PubSubSpec `json:"pubsub,omitempty"`
-	// Placement overrides node assignments: "task" pins a Spuri task
-	// (or every stage of a pipeline), "task/stage" pins one stage.
-	Placement map[string]int `json:"placement,omitempty"`
 	// Observe tunes trace sampling and event-log retention.
 	Observe *ObserveSpec `json:"observe,omitempty"`
 }
@@ -188,7 +185,7 @@ func (s Spec) withDefaults() (Spec, error) {
 }
 
 // Build assembles a runnable cluster from the scenario: platform,
-// topology, application, task placement, activation sources, fault
+// topology, application, activation sources, fault
 // schedules and data planes. Run it with c.Run(spec.Horizon()). The
 // attach order is part of the run description: event-queue ties break
 // by insertion order, and port-bind and metric-registration order show

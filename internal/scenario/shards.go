@@ -84,12 +84,9 @@ type SessionSpec struct {
 type ShardsSpec struct {
 	// Count is the number of shards (>= 1 — zero shards is an error).
 	Count int `json:"count"`
-	// ReplicasPer sizes each shard's replica set under the consecutive
-	// default layout (shard i owns nodes [i·ReplicasPer,(i+1)·ReplicasPer)).
+	// ReplicasPer sizes each shard's replica set: shard i owns nodes
+	// [i·ReplicasPer,(i+1)·ReplicasPer).
 	ReplicasPer int `json:"replicasPer,omitempty"`
-	// Groups pins the replica node sets explicitly (len must equal
-	// Count; sets must be disjoint — overlapping membership is an error).
-	Groups [][]int `json:"groups,omitempty"`
 	// Style is "semi-active" (default) or "passive"; "active" has no
 	// primary to route to and is rejected.
 	Style string `json:"style,omitempty"`
@@ -177,7 +174,7 @@ func (s Spec) validateShards(loadNames map[string]bool) error {
 	if err := s.networked("shards need"); err != nil {
 		return err
 	}
-	layout, err := cluster.ShardLayout(sp.Count, sp.ReplicasPer, sp.Groups, s.Nodes)
+	layout, err := cluster.ShardLayout(sp.Count, sp.ReplicasPer, s.Nodes)
 	if err != nil {
 		return fmt.Errorf("scenario %q: %v", s.Name, err)
 	}
@@ -280,7 +277,6 @@ func (s Spec) attachShards(c *cluster.Cluster) error {
 	}
 	cfg := cluster.ShardConfig{
 		Name:            shardSet,
-		Groups:          sp.Groups,
 		Style:           shardStyles[sp.Style],
 		Routes:          sp.Routes,
 		CheckpointEvery: sp.CheckpointEvery,

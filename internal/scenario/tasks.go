@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"hades/internal/cluster"
 	"hades/internal/dispatcher"
@@ -76,8 +74,8 @@ var (
 )
 
 // validateTasks rejects a malformed platform or task set: unknown
-// scheduler, policy, cost book or arrival law, tasks, stages, links and
-// placements on nodes the platform does not have, and timing fields
+// scheduler, policy, cost book or arrival law, tasks, stages and links
+// on nodes the platform does not have, and timing fields
 // that lower to nothing (a zero period would activate forever at one
 // instant).
 func (s Spec) validateTasks() error {
@@ -90,15 +88,15 @@ func (s Spec) validateTasks() error {
 	if _, err := s.CostBook(); err != nil {
 		return err
 	}
-	placeable := map[string]bool{} // "task" and "task/stage": what placement may pin
+	seen := map[string]bool{}
 	for i, t := range s.Tasks {
 		if t.Name == "" {
 			return fmt.Errorf("scenario %q: task %d unnamed", s.Name, i)
 		}
-		if placeable[t.Name] {
+		if seen[t.Name] {
 			return fmt.Errorf("scenario %q: duplicate task %q", s.Name, t.Name)
 		}
-		placeable[t.Name] = true
+		seen[t.Name] = true
 		if msd(t.PeriodMs) <= 0 || msd(t.DeadlineMs) <= 0 {
 			return fmt.Errorf("scenario %q: task %q needs positive period and deadline (at least 1ns)", s.Name, t.Name)
 		}
@@ -119,29 +117,21 @@ func (s Spec) validateTasks() error {
 				return fmt.Errorf("scenario %q: %v", s.Name, err)
 			}
 		}
+		stages := map[string]bool{}
 		for j, st := range t.Stages {
 			if st.Name == "" {
 				return fmt.Errorf("scenario %q: task %q stage %d unnamed", s.Name, t.Name, j)
 			}
-			key := t.Name + "/" + st.Name
-			if placeable[key] {
+			if stages[st.Name] {
 				return fmt.Errorf("scenario %q: task %q has two stages %q", s.Name, t.Name, st.Name)
 			}
-			placeable[key] = true
+			stages[st.Name] = true
 			if us(st.WCETUs) <= 0 {
 				return fmt.Errorf("scenario %q: task %q stage %q needs positive wcet (at least 1ns)", s.Name, t.Name, st.Name)
 			}
 			if err := s.knownNode(st.Node, "task %q stage %q on", t.Name, st.Name); err != nil {
 				return err
 			}
-		}
-	}
-	for _, key := range slices.Sorted(maps.Keys(s.Placement)) {
-		if err := s.knownNode(s.Placement[key], "placement %q on", key); err != nil {
-			return err
-		}
-		if !placeable[key] {
-			return fmt.Errorf("scenario %q: placement %q names no task or task/stage", s.Name, key)
 		}
 	}
 	for _, l := range s.Links {
@@ -212,29 +202,14 @@ func (s Spec) law(t TaskSpec) (heug.Arrival, error) {
 	return every(msd(t.PeriodMs)), nil
 }
 
-// stageNode resolves the node of one stage under the placement map.
-func (s Spec) stageNode(task TaskSpec, stage StageSpec) int {
-	if n, ok := s.Placement[task.Name+"/"+stage.Name]; ok {
-		return n
-	}
-	if n, ok := s.Placement[task.Name]; ok {
-		return n
-	}
-	return stage.Node
-}
-
-// heugTask builds the HEUG task for one spec entry, applying placement.
+// heugTask builds the HEUG task for one spec entry.
 func (s Spec) heugTask(t TaskSpec) (*heug.Task, error) {
 	law, err := s.law(t)
 	if err != nil {
 		return nil, err
 	}
 	if len(t.Stages) == 0 {
-		st := t.spuri()
-		if n, ok := s.Placement[t.Name]; ok {
-			st.Node = n
-		}
-		task, err := st.ToHEUG()
+		task, err := t.spuri().ToHEUG()
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +218,7 @@ func (s Spec) heugTask(t TaskSpec) (*heug.Task, error) {
 	}
 	b := heug.NewTask(t.Name, law).WithDeadline(msd(t.DeadlineMs))
 	for _, stage := range t.Stages {
-		b = b.Code(stage.Name, heug.CodeEU{Node: s.stageNode(t, stage), WCET: us(stage.WCETUs)})
+		b = b.Code(stage.Name, heug.CodeEU{Node: stage.Node, WCET: us(stage.WCETUs)})
 	}
 	for i := 1; i < len(t.Stages); i++ {
 		b = b.Precede(t.Stages[i-1].Name, t.Stages[i].Name)
@@ -258,8 +233,8 @@ func (s Spec) CostBook() (dispatcher.CostBook, error) {
 }
 
 // AnalysisTasks derives the feasibility model from the HEUG tasks
-// attachTasks spawns: each spec entry through heugTask, placement
-// applied, then feasibility.FromHEUG.
+// attachTasks spawns: each spec entry through heugTask, then
+// feasibility.FromHEUG.
 func (s Spec) AnalysisTasks() ([]feasibility.Task, error) {
 	out := make([]feasibility.Task, len(s.Tasks))
 	for i, ts := range s.Tasks {

@@ -508,6 +508,16 @@ func (e *Engine) poke(why string) {
 	})
 }
 
+// EachLive calls fn with the owner of every unretired call, in start
+// order. fn may redirect or fail calls, not start one.
+func (e *Engine) EachLive(fn func(Owner)) {
+	for _, c := range e.calls {
+		if c.state != csDone {
+			fn(c.o)
+		}
+	}
+}
+
 // Live returns the number of unretired calls (test hook).
 func (e *Engine) Live() int {
 	n := 0

@@ -128,7 +128,6 @@ type batch struct {
 	ops    []*request
 	call   session.Handle
 	target int
-	done   bool
 }
 
 // Send fires one attempt of the batch at the owning group's current
@@ -189,8 +188,7 @@ type Client struct {
 	lanes   []string            // batcher lane name per shard index
 	batcher *session.Batcher[*request]
 	nextBat uint64
-	batches map[uint64]*batch
-	order   []uint64 // live batch ids, emission order
+	batches map[uint64]*batch // live batches by id; sess lists their calls, emission order
 
 	// Stats counts outcomes; Acks records them for the harness
 	// (Verify checks Acks against the shard groups' apply histories).
@@ -302,7 +300,6 @@ func (c *Client) launch(lane string, ops []*request) {
 	c.nextBat++
 	b := &batch{c: c, id: c.nextBat, shard: ops[0].shard, ops: ops}
 	c.batches[b.id] = b
-	c.order = append(c.order, b.id)
 	for _, r := range ops {
 		r.state = stInflight
 		r.bspan.End()
@@ -352,11 +349,10 @@ func (c *Client) finishKey(r *request) {
 	c.enqueue(next)
 }
 
-// retire marks one batch done and frees its pipeline slot (after the
+// retire ends one batch and frees its pipeline slot (after the
 // per-op bookkeeping ran, so freshly unblocked per-key successors can
 // ride the freed slot).
 func (c *Client) retire(b *batch) {
-	b.done = true
 	c.sess.Finish(b.call)
 	delete(c.batches, b.id)
 	c.batcher.Complete(c.lanes[b.shard])
@@ -364,9 +360,6 @@ func (c *Client) retire(b *batch) {
 
 // failBatch abandons every op of a batch (fail-fast exhaustion).
 func (c *Client) failBatch(b *batch) {
-	if b.done {
-		return
-	}
 	for _, r := range b.ops {
 		r.state = stFailed
 		delete(c.reqs, r.seq)
@@ -378,28 +371,15 @@ func (c *Client) failBatch(b *batch) {
 	c.retire(b)
 }
 
-// sweepLive iterates the live batches in emission order, compacting
-// retired ids on the way — the scan fires on every republish, so it
-// must stay proportional to the live set, not the run's history.
-func (c *Client) sweepLive(fn func(*batch)) {
-	live := c.order[:0]
-	for _, id := range c.order {
-		b := c.batches[id]
-		if b == nil || b.done {
-			continue
-		}
-		live = append(live, id)
-		fn(b)
-	}
-	c.order = live
-}
-
 // redirectInflight re-resolves in-flight batches of a republished
-// shard: when the new primary differs from the attempt's target the
-// batch redirects immediately instead of waiting out its timeout.
+// shard, in emission order: when the new primary differs from the
+// attempt's target the batch redirects immediately instead of waiting
+// out its timeout. The client's engine owns only its batches' calls
+// and keeps them proportional to the live set, so the scan is too.
 func (c *Client) redirectInflight(g *Group) {
 	p := g.Replication().Primary()
-	c.sweepLive(func(b *batch) {
+	c.sess.EachLive(func(o session.Owner) {
+		b := o.(*batch)
 		if !c.sess.Inflight(b.call) || b.shard != g.Index() || b.target == p {
 			return
 		}
@@ -414,7 +394,7 @@ func (c *Client) handleResp(m *netsim.Message) {
 		return
 	}
 	b := c.batches[env.Batch]
-	if b == nil || b.done {
+	if b == nil {
 		return // late duplicate of an answered batch
 	}
 	switch env.Kind {

@@ -42,6 +42,40 @@ func TestClientRetiresRequests(t *testing.T) {
 	}
 }
 
+// TestClientRetiresBatches: the client keeps an entry for a batch only
+// while the batch's session call is live, so over a long fault-free run
+// (no republish ever sweeps anything) what it tracks stays the live
+// set; the engine's own call list is bounded by its compaction
+// (session's TestGoCompactsWithoutPoke).
+func TestClientRetiresBatches(t *testing.T) {
+	const ops = 600
+	c := cluster.New(cluster.Config{Seed: 5, Metrics: &cluster.MetricsParams{Disabled: true},
+		Trace: &cluster.TraceParams{Disabled: true}})
+	c.AddNodes(5) // 2 shards × 2 replicas + client
+	set := c.ShardsWith(2, 2, cluster.ShardConfig{})
+	cl := set.ClientAt(4)
+	every := 200 * vtime.Microsecond
+	for i := 0; i < ops; i++ {
+		key, cmd := fmt.Sprintf("k%d", i%64), int64(i+1)
+		c.At(vtime.Time(i)*vtime.Time(every), func() { cl.Submit(key, cmd) })
+	}
+	horizon := vtime.Duration(ops)*every + 100*vtime.Millisecond
+	for at := vtime.Time(0); at < vtime.Time(horizon); at = at.Add(5 * vtime.Millisecond) {
+		c.At(at, func() {
+			if tracked, live := cl.TrackedBatches(); tracked != live {
+				t.Errorf("at %s: client tracks %d batches, %d calls are live", c.Now(), tracked, live)
+			}
+		})
+	}
+	c.Run(horizon)
+	if n := cl.BatchStats().Batches; n < 500 {
+		t.Fatalf("%d batches, want at least 500", n)
+	}
+	if tracked, live := cl.TrackedBatches(); tracked != 0 || live != 0 {
+		t.Fatalf("client tracks %d batches, %d calls live, after every ack", tracked, live)
+	}
+}
+
 // TestPerKeyFIFOAfterFailFastHead: three requests on one key, the head
 // abandoned by the fail-fast policy inside a partition window. The
 // other two take their turns in submission order once it is

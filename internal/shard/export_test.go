@@ -3,11 +3,16 @@ package shard
 import (
 	"slices"
 
+	"hades/internal/session"
 	"hades/internal/vtime"
 )
 
 // LiveRequests reports how many requests the client still tracks.
 func (c *Client) LiveRequests() int { return len(c.reqs) }
+
+// TrackedBatches reports how many batches the client keeps an entry
+// for, and how many calls its session engine holds live.
+func (c *Client) TrackedBatches() (tracked, live int) { return len(c.batches), c.sess.Live() }
 
 // QueuedKeys reports how many keys still have unfinished requests.
 func (c *Client) QueuedKeys() int { return len(c.perKey) }
@@ -74,8 +79,8 @@ func CountIndexes() (stop func() map[string]int) {
 // stale view lands. It returns how many it sent.
 func (c *Client) AimLiveAt(node int) int {
 	n := 0
-	c.sweepLive(func(b *batch) {
-		if c.sess.Inflight(b.call) {
+	c.sess.EachLive(func(o session.Owner) {
+		if b := o.(*batch); c.sess.Inflight(b.call) {
 			b.sendTo(node, c.sess.Attempt(b.call))
 			n++
 		}

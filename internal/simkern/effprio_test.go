@@ -116,3 +116,37 @@ func TestIRQDuringSwitchCostWindow(t *testing.T) {
 		t.Fatalf("CPU time %s, want exactly 100us", th.cpuTime)
 	}
 }
+
+// TestLoweredRunnerYieldsToThreshold: lowering the running thread's
+// priority takes the same decision as every other reschedule. A
+// preempted thread that has started competes at its threshold
+// (pickBest's dual-priority rule), so once the thread that preempted
+// it drops below that threshold, the preempted one resumes.
+func TestLoweredRunnerYieldsToThreshold(t *testing.T) {
+	eng := newEng()
+	p := eng.AddProcessor("n0", 0)
+	var order []string
+	low := p.NewThread("low", 3)
+	low.AddSegment(Segment{Work: 100 * us, PT: 10})
+	onComplete(low, func() { order = append(order, "low") })
+	low.Ready()
+	high := p.NewThread("high", 12)
+	high.AddSegment(Segment{Work: 100 * us})
+	onComplete(high, func() { order = append(order, "high") })
+	eng.After(10*us, eventq.ClassApp, func() {
+		high.Ready() // 12 > low's threshold 10: preempts
+		if p.running != high {
+			t.Errorf("high (prio 12) did not preempt low (threshold 10)")
+		}
+	})
+	eng.After(20*us, eventq.ClassApp, func() {
+		high.SetPriority(5) // below low's threshold 10
+		if p.running != low {
+			t.Errorf("lowered to 5, high kept the CPU against low's threshold 10")
+		}
+	})
+	eng.RunUntilIdle()
+	if len(order) != 2 || order[0] != "low" {
+		t.Fatalf("order %v, want low first", order)
+	}
+}

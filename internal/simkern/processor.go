@@ -195,12 +195,7 @@ func (p *Processor) removeReady(t *Thread) {
 	if t.readyIdx < 0 {
 		return
 	}
-	i := t.readyIdx
-	last := len(p.ready) - 1
-	p.ready[i] = p.ready[last]
-	p.ready[i].readyIdx = i
-	p.ready = p.ready[:last]
-	t.readyIdx = -1
+	p.removeReadyNoResched(t)
 	if p.running == t {
 		p.haltRunning(false)
 	}
@@ -369,7 +364,7 @@ func (p *Processor) segmentDone() {
 		return
 	}
 	// Continue with the next segment of the same thread: no switch cost,
-	// but re-evaluate preemption since the threshold may have dropped.
+	// but reschedule since the threshold may have dropped.
 	// effStart is reset first so that a halt from inside the callback
 	// accrues zero progress against the new segment.
 	p.effStart = p.eng.now
@@ -379,26 +374,13 @@ func (p *Processor) segmentDone() {
 	if p.running == t { // callback may have suspended t
 		p.effStart = p.eng.now
 		p.armCompletion(t, t.currentSegment().remaining)
-		p.resched0()
-	}
-}
-
-// resched0 re-evaluates preemption for the current running thread without
-// treating same-thread continuation as a switch.
-func (p *Processor) resched0() {
-	if p.running == nil {
 		p.resched()
-		return
-	}
-	best := p.pickBest()
-	if best != nil && best != p.running && best.prio > p.running.currentPT() {
-		p.haltRunning(true)
-		p.dispatch(best)
 	}
 }
 
 // removeReadyNoResched removes t from the ready set without triggering a
-// scheduling pass (used on completion, where resched follows explicitly).
+// scheduling pass (removeReady's unlink, and completion's, where resched
+// follows explicitly).
 func (p *Processor) removeReadyNoResched(t *Thread) {
 	if t.readyIdx < 0 {
 		return

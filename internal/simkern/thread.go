@@ -171,11 +171,7 @@ func (t *Thread) SetPriority(prio int) {
 	t.record(monitor.KindPriorityChange, "%d->%d", t.prio, prio)
 	t.prio = prio
 	if t.readyIdx >= 0 {
-		if t.proc.running == t {
-			t.proc.resched0()
-		} else {
-			t.proc.resched()
-		}
+		t.proc.resched()
 	}
 }
 
