@@ -110,38 +110,6 @@ func TestAllocsSpuriInstance(t *testing.T) {
 	}
 }
 
-// TestAllocsSyncInvocation: a caller whose Inv_EU synchronously invokes
-// a one-unit service costs the two instances' blocks and name strings
-// (4) and the hook that activates the target at the end of C_start_inv
-// (1). Waiting costs nothing: the target names its one invoker.
-func TestAllocsSyncInvocation(t *testing.T) {
-	eng := engine(1)
-	d := dispatcher.New(eng, nil, dispatcher.DefaultCostBook())
-	app := d.RegisterApp("rt", sched.NewEDF(20*us), nil)
-	app.AddTask(heug.NewTask("svc", heug.AperiodicLaw()).
-		WithDeadline(5*ms).
-		Code("serve", heug.CodeEU{Node: 0, WCET: 300 * us}).
-		MustBuild())
-	app.AddTask(heug.NewTask("call", heug.AperiodicLaw()).
-		WithDeadline(5*ms).
-		Code("pre", heug.CodeEU{Node: 0, WCET: 100 * us}).
-		Invoke("inv", heug.InvEU{Node: 0, Target: "svc", Sync: true}).
-		Code("post", heug.CodeEU{Node: 0, WCET: 100 * us}).
-		Precede("pre", "inv").
-		Precede("inv", "post").
-		MustBuild())
-	app.Seal()
-	gate(t, "sync Inv_EU instance", 5, func() {
-		if _, err := d.Activate("call"); err != nil {
-			t.Fatal(err)
-		}
-		eng.Run(eng.Now().Add(5 * ms))
-	})
-	if st := d.Stats(); st.Completions != st.Activations || st.DeadlineMisses != 0 {
-		t.Fatalf("%d of %d instances completed, %d missed", st.Completions, st.Activations, st.DeadlineMisses)
-	}
-}
-
 // idle is a scheduler that pays a notification's cost and decides
 // nothing, so a gate on it counts the host's work alone.
 type idle struct{}

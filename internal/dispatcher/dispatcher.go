@@ -184,16 +184,14 @@ func (a *App) AddTask(t *heug.Task) (*TaskRuntime, error) {
 		return nil, fmt.Errorf("dispatcher: task %q already registered", t.Name)
 	}
 	for _, e := range t.EUs {
-		if e.Code != nil && e.Code.Prio > PrioAppMax {
+		if e.Code.Prio > PrioAppMax {
 			return nil, fmt.Errorf("dispatcher: task %q EU %q priority %d above application band %d", t.Name, e.Name, e.Code.Prio, PrioAppMax)
 		}
 	}
 	tr := &TaskRuntime{Task: t, App: a, grants: make([][]string, len(t.EUs))}
 	for i, e := range t.EUs {
-		if e.Code != nil {
-			for _, req := range e.Code.Resources {
-				tr.grants[i] = append(tr.grants[i], req.Resource)
-			}
+		for _, req := range e.Code.Resources {
+			tr.grants[i] = append(tr.grants[i], req.Resource)
 		}
 	}
 	a.tasks = append(a.tasks, tr)
@@ -226,7 +224,7 @@ var (
 )
 
 // Activate requests the activation of a task instance now, as triggered
-// by a timer, an interrupt or an Inv_EU (§3.1.2). It performs the
+// by a timer or an interrupt (§3.1.2). It performs the
 // arrival-law monitoring of §3.2.1 and asks an Admitter scheduler to
 // admit the request, then builds the instance and charges C_start_inv
 // before any unit runs.

@@ -312,130 +312,6 @@ func TestLatestStartMissDetected(t *testing.T) {
 	}
 }
 
-func TestAsyncInvocationActivatesTarget(t *testing.T) {
-	callee := heug.NewTask("callee", heug.AperiodicLaw()).
-		WithDeadline(20*ms).
-		Code("c", heug.CodeEU{Node: 0, WCET: 500 * us}).
-		MustBuild()
-	caller := heug.NewTask("caller", heug.AperiodicLaw()).
-		WithDeadline(20*ms).
-		Code("pre", heug.CodeEU{Node: 0, WCET: 100 * us}).
-		Invoke("inv", heug.InvEU{Node: 0, Target: "callee", Sync: false}).
-		Code("post", heug.CodeEU{Node: 0, WCET: 100 * us}).
-		Precede("pre", "inv").Precede("inv", "post").
-		MustBuild()
-	sys, _ := newSingleNode(t, dispatcher.DefaultCostBook(), callee, caller)
-	sys.ActivateAt("caller", 0)
-	rep := sys.Run(100 * ms)
-	if rep.Stats.Completions != 2 {
-		t.Fatalf("completions %d, want 2 (caller + callee)", rep.Stats.Completions)
-	}
-	var calleeResp, callerResp vtime.Duration
-	for _, tr := range rep.Tasks {
-		switch tr.Name {
-		case "callee":
-			calleeResp = tr.MaxResponse
-			if tr.Activations != 1 {
-				t.Fatalf("callee activations %d", tr.Activations)
-			}
-		case "caller":
-			callerResp = tr.MaxResponse
-		}
-	}
-	// Async: the caller need not wait for the callee; but here the
-	// callee (activated mid-caller) finishes later than caller start.
-	if calleeResp == 0 || callerResp == 0 {
-		t.Fatal("missing responses")
-	}
-}
-
-func TestSyncInvocationWaitsForTarget(t *testing.T) {
-	callee := heug.NewTask("callee", heug.AperiodicLaw()).
-		WithDeadline(20*ms).
-		Code("c", heug.CodeEU{Node: 0, WCET: 3 * ms}).
-		MustBuild()
-	mkCaller := func(syncMode bool, name string) *heug.Task {
-		return heug.NewTask(name, heug.AperiodicLaw()).
-			WithDeadline(20*ms).
-			Invoke("inv", heug.InvEU{Node: 0, Target: "callee", Sync: syncMode}).
-			Code("post", heug.CodeEU{Node: 0, WCET: 100 * us}).
-			Precede("inv", "post").
-			MustBuild()
-	}
-	// Synchronous: caller completes after callee's 3ms.
-	sysS, _ := newSingleNode(t, dispatcher.ZeroCostBook(), callee, mkCaller(true, "scall"))
-	sysS.ActivateAt("scall", 0)
-	repS := sysS.Run(100 * ms)
-	var syncResp vtime.Duration
-	for _, tr := range repS.Tasks {
-		if tr.Name == "scall" {
-			syncResp = tr.MaxResponse
-		}
-	}
-	if syncResp < 3*ms {
-		t.Fatalf("sync caller finished in %s, before callee", syncResp)
-	}
-
-	// Asynchronous: caller completes without waiting.
-	calleeB := heug.NewTask("callee2", heug.AperiodicLaw()).
-		WithDeadline(20*ms).
-		Code("c", heug.CodeEU{Node: 0, WCET: 3 * ms}).
-		MustBuild()
-	caller := heug.NewTask("acall", heug.AperiodicLaw()).
-		WithDeadline(20*ms).
-		Invoke("inv", heug.InvEU{Node: 0, Target: "callee2", Sync: false}).
-		Code("post", heug.CodeEU{Node: 0, WCET: 100 * us}).
-		Precede("inv", "post").
-		MustBuild()
-	// Register the caller first: RM's stable rank then gives its units
-	// the higher priority, so "post" preempts the freshly activated
-	// callee — isolating the async-invocation semantics from priority
-	// effects.
-	sysA, _ := newSingleNode(t, dispatcher.ZeroCostBook(), caller, calleeB)
-	sysA.ActivateAt("acall", 0)
-	repA := sysA.Run(100 * ms)
-	var asyncResp vtime.Duration
-	for _, tr := range repA.Tasks {
-		if tr.Name == "acall" {
-			asyncResp = tr.MaxResponse
-		}
-	}
-	if asyncResp >= 3*ms {
-		t.Fatalf("async caller waited for callee: %s", asyncResp)
-	}
-}
-
-// TestNoFalseDeadlockWithSyncInvocation verifies a structural property
-// of the HEUG task model that §3.3 argues for: because every Code_EU
-// acquires all its resources before starting and never blocks while
-// holding them, resource wait-for cycles cannot form — a task that held
-// a resource and then synchronously invokes a task needing that same
-// resource has already released it when the invocation runs. The
-// dispatcher's deadlock detector must stay silent here.
-func TestNoFalseDeadlockWithSyncInvocation(t *testing.T) {
-	callee := heug.NewTask("needsR", heug.AperiodicLaw()).
-		WithDeadline(100*ms).
-		Code("c", heug.CodeEU{Node: 0, WCET: 100 * us,
-			Resources: []heug.ResourceReq{{Resource: "R", Mode: heug.Exclusive}}}).
-		MustBuild()
-	task := heug.NewTask("straight", heug.AperiodicLaw()).
-		WithDeadline(100*ms).
-		Code("holdR", heug.CodeEU{Node: 0, WCET: 5 * ms,
-			Resources: []heug.ResourceReq{{Resource: "R", Mode: heug.Exclusive}}}).
-		Invoke("inv", heug.InvEU{Node: 0, Target: "needsR", Sync: true}).
-		Precede("holdR", "inv").
-		MustBuild()
-	sys, _ := newSingleNode(t, dispatcher.ZeroCostBook(), callee, task)
-	sys.ActivateAt("straight", 0)
-	rep := sys.Run(200 * ms)
-	if rep.Stats.Deadlocks != 0 {
-		t.Fatalf("false deadlock detected")
-	}
-	if rep.Stats.Completions != 2 {
-		t.Fatalf("completions %d, want 2", rep.Stats.Completions)
-	}
-}
-
 // holdPair registers, on one DM node at the default cost book, a
 // holder that keeps R for 5 ms and a waiter that needs R, under pol.
 func holdPair(eng *simkern.Engine, pol dispatcher.ResourcePolicy) *dispatcher.Dispatcher {

@@ -28,11 +28,9 @@ import (
 // unit's held list is its task's, and the deadline and start watchdogs
 // fire their owners from recycled event records. A remote precedence
 // crossing sends the destination unit's pointer, which boxes for free.
-// A unit adds what it does: its parameter maps at its first parameter,
-// and for an Inv_EU the hook that activates its target. The gates in
-// allocs_test.go hold a Spuri instance at 2, a 3-stage pipeline
-// crossing nodes twice at 2, a sync Inv_EU caller with its one-unit
-// target at 5.
+// A unit adds what it does: its parameter maps at its first parameter.
+// The gates in allocs_test.go hold a Spuri instance at 2 and a 3-stage
+// pipeline crossing nodes twice at 2.
 //
 // A record is never reused for a later instance, so an *Instance and
 // its Threads stay valid for as long as anyone holds them.
@@ -53,7 +51,6 @@ type Instance struct {
 	missed        bool
 	cancelled     bool
 	watchDeadline eventq.Handle // fires the instance as instanceWatch
-	invoker       *Thread       // the sync Inv_EU unit waiting for this instance
 
 	// kwork runs the instance's dispatcher activities; kworkEnd says
 	// which one it carries now (C_end_inv when set).
@@ -189,9 +186,7 @@ func instanceNames(task *heug.Task, seq uint64) (names string, prefix int) {
 // Figure 2's ordering), then evaluates every unit.
 func (d *Dispatcher) releaseUnits(inst *Instance) {
 	for _, th := range inst.Threads {
-		if th.eu.IsCode() {
-			inst.TR.App.notify(NotifAtv, th)
-		}
+		inst.TR.App.notify(NotifAtv, th)
 	}
 	for _, th := range inst.Threads {
 		d.evaluate(th)
@@ -226,8 +221,8 @@ func (d *Dispatcher) deadlinePassed(inst *Instance) {
 }
 
 // cancelInstance aborts the instance: every unfinished thread becomes an
-// orphan (§3.2.1's orphan-thread event), its resources are reclaimed and
-// sync invokers are resumed. This is the low-level fault-tolerance hook
+// orphan (§3.2.1's orphan-thread event) and its resources are
+// reclaimed. This is the low-level fault-tolerance hook
 // the paper attributes to the dispatcher ("switching of modes of
 // operation in case of failure").
 func (d *Dispatcher) cancelInstance(inst *Instance, reason string) {
@@ -308,9 +303,5 @@ func (d *Dispatcher) finalizeInstance(inst *Instance) {
 		// A completion after the deadline that the deadline timer
 		// already flagged is not double-counted.
 		d.eng.Recordf(monitor.KindTaskComplete, tr.primaryNode(), inst.name, "resp=%s", resp)
-	}
-	if th := inst.invoker; th != nil && th.state == threadWaitInstance {
-		th.state = threadReady
-		th.kt.Ready()
 	}
 }

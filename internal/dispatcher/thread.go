@@ -16,14 +16,13 @@ const (
 	threadWaitEarliest
 	threadWaitConds
 	threadWaitResources
-	threadWaitInstance // sync Inv_EU awaiting the invoked instance
-	threadReady        // handed to the kernel (runnable or running)
+	threadReady // handed to the kernel (runnable or running)
 	threadDone
 	threadOrphaned
 )
 
-// waiting reports whether s is one of the five states a unit waits in
-// before it is handed to the kernel: wait-preds up to wait-instance.
+// waiting reports whether s is one of the four states a unit waits in
+// before it is handed to the kernel: wait-preds up to wait-resources.
 func (s threadState) waiting() bool { return s < threadReady }
 
 func (s threadState) String() string {
@@ -36,8 +35,6 @@ func (s threadState) String() string {
 		return "wait-conds"
 	case threadWaitResources:
 		return "wait-resources"
-	case threadWaitInstance:
-		return "wait-instance"
 	case threadReady:
 		return "ready"
 	case threadDone:
@@ -50,9 +47,7 @@ func (s threadState) String() string {
 }
 
 // Thread executes one elementary unit of one task instance. Per §3.2.1
-// a kernel thread is dedicated to one and only one Code_EU; Inv_EUs get
-// a lightweight kernel thread that only carries the C_start_inv /
-// C_end_inv dispatching work.
+// a kernel thread is dedicated to one and only one Code_EU.
 type Thread struct {
 	inst  *Instance
 	euIdx int
@@ -116,14 +111,7 @@ type unitWork struct{ th *Thread }
 
 func (w unitWork) ThreadName() string { return w.th.name }
 
-func (w unitWork) ThreadDone() {
-	d := w.th.inst.TR.App.disp
-	if w.th.eu.Inv != nil {
-		d.finishInv(w.th)
-	} else {
-		d.finishCode(w.th)
-	}
-}
+func (w unitWork) ThreadDone() { w.th.inst.TR.App.disp.finishCode(w.th) }
 
 // Node returns the processor the thread is bound to.
 func (th *Thread) Node() int { return th.eu.NodeOf() }
@@ -195,23 +183,22 @@ func (d *Dispatcher) initThread(th *Thread, inst *Instance, i int, eu *heug.EU, 
 		latest:    vtime.Infinity,
 		deadline:  inst.AbsDeadline,
 	}
-	if c := eu.Code; c != nil {
-		th.prio = c.Prio
-		th.actual = c.WCET
-		if c.ActualWork != nil {
-			if a := c.ActualWork(inst.Seq); a > 0 {
-				th.actual = a
-			}
+	c := eu.Code
+	th.prio = c.Prio
+	th.actual = c.WCET
+	if c.ActualWork != nil {
+		if a := c.ActualWork(inst.Seq); a > 0 {
+			th.actual = a
 		}
-		if c.Earliest > 0 {
-			th.earliest = inst.ActivatedAt.Add(c.Earliest)
-		}
-		if c.Latest > 0 {
-			th.latest = inst.ActivatedAt.Add(c.Latest)
-		}
-		if c.Deadline > 0 {
-			th.deadline = inst.ActivatedAt.Add(c.Deadline)
-		}
+	}
+	if c.Earliest > 0 {
+		th.earliest = inst.ActivatedAt.Add(c.Earliest)
+	}
+	if c.Latest > 0 {
+		th.latest = inst.ActivatedAt.Add(c.Latest)
+	}
+	if c.Deadline > 0 {
+		th.deadline = inst.ActivatedAt.Add(c.Deadline)
 	}
 }
 
@@ -221,7 +208,7 @@ func (d *Dispatcher) initThread(th *Thread, inst *Instance, i int, eu *heug.EU, 
 // whenever any of those inputs may have changed.
 func (d *Dispatcher) evaluate(th *Thread) {
 	switch th.state {
-	case threadReady, threadDone, threadOrphaned, threadWaitInstance:
+	case threadReady, threadDone, threadOrphaned:
 		return
 	}
 	if th.inst.cancelled {
@@ -239,19 +226,13 @@ func (d *Dispatcher) evaluate(th *Thread) {
 		}
 		return
 	}
-	if c := th.eu.Code; c != nil {
-		for _, name := range c.WaitConds {
-			cv := d.cond(name)
-			if !cv.set {
-				th.state = threadWaitConds
-				cv.waiters = append(cv.waiters, th)
-				return
-			}
+	for _, name := range th.eu.Code.WaitConds {
+		cv := d.cond(name)
+		if !cv.set {
+			th.state = threadWaitConds
+			cv.waiters = append(cv.waiters, th)
+			return
 		}
-	}
-	if th.eu.Inv != nil {
-		d.startInv(th)
-		return
 	}
 	if len(th.eu.Code.Resources) > 0 && !th.racSent {
 		th.racSent = true
@@ -352,94 +333,6 @@ func (d *Dispatcher) crossEdges(th *Thread) {
 		dest.predsLeft--
 		d.evaluate(dest)
 	}
-}
-
-// startInv runs an Inv_EU: C_start_inv of dispatching work, the target
-// activation, then C_end_inv. A synchronous invocation parks between the
-// two until the invoked instance completes (§3.1). The invocation thread
-// inherits the priority of the action that invoked it — the paper's
-// dynamic-priority rule for avoiding priority inversion in services.
-func (d *Dispatcher) startInv(th *Thread) {
-	inv := th.eu.Inv
-	ns := d.node(inv.Node)
-	prio := d.invPriority(th)
-	th.prio = prio
-	k := &th.kt
-	ns.proc.InitThread(k, unitWork{th}, prio)
-	k.AddSegment(simkern.Segment{
-		Work: d.costs.StartInv,
-		PT:   simkern.PrioMax,
-		OnDone: func() {
-			inst, err := d.activateFrom(inv.Target, th.inputs)
-			if err != nil {
-				d.eng.Recordf(monitor.KindNotification, inv.Node, th.name, "invocation failed: %s", err.Error())
-				return
-			}
-			if inv.Sync && !inst.completed {
-				th.state = threadWaitInstance
-				inst.invoker = th // resumed by finalizeInstance
-				k.Suspend()
-			}
-		},
-	})
-	k.AddSegment(simkern.Segment{Work: d.costs.EndInv, PT: simkern.PrioMax})
-	th.inKernel = true
-	th.state = threadReady
-	k.Ready()
-}
-
-// invPriority resolves the priority an Inv_EU thread runs at: the
-// highest priority among its predecessor units, falling back to the
-// task's first Code_EU priority.
-func (d *Dispatcher) invPriority(th *Thread) int {
-	best := -1
-	for _, pi := range th.inst.TR.Task.Preds(th.euIdx) {
-		p := th.inst.Threads[pi]
-		if p.prio > best {
-			best = p.prio
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	for _, e := range th.inst.TR.Task.EUs {
-		if e.Code != nil {
-			return e.Code.Prio
-		}
-	}
-	return 0
-}
-
-// activateFrom is Activate with parameters handed to the new instance's
-// root units, used by Inv_EUs to transfer data into the invoked task.
-func (d *Dispatcher) activateFrom(taskName string, params map[string]any) (*Instance, error) {
-	inst, err := d.Activate(taskName)
-	if err != nil {
-		return nil, err
-	}
-	if len(params) > 0 {
-		for _, root := range inst.Threads {
-			if root.predsLeft == 0 {
-				for k, v := range params {
-					if _, exists := root.inputs[k]; !exists {
-						root.setInput(k, v)
-					}
-				}
-			}
-		}
-	}
-	return inst, nil
-}
-
-// finishInv completes an Inv_EU thread.
-func (d *Dispatcher) finishInv(th *Thread) {
-	if th.state == threadOrphaned {
-		return
-	}
-	th.state = threadDone
-	d.crossEdges(th)
-	d.eng.Recordf(monitor.KindThreadFinish, th.Node(), th.name, "inv")
-	d.threadFinished(th)
 }
 
 // SetPriority implements the Primitive interface (§3.2.2).

@@ -54,8 +54,8 @@ type Task struct {
 // remote edge is a NetMsg invocation, not a C_prec_local); CS and
 // Resource come from the one unit that holds a resource; D is the task
 // deadline and T its arrival period. A task outside §5.1 — aperiodic,
-// with an Inv_EU, or with more than one critical section — is an
-// error. A task spread over nodes still sums into one uniprocessor task.
+// or with more than one critical section — is an error. A task spread
+// over nodes still sums into one uniprocessor task.
 func FromHEUG(h *heug.Task) (Task, error) {
 	if h.Arrival.Kind == heug.Aperiodic {
 		return Task{}, fmt.Errorf("feasibility: task %q is aperiodic, outside the §5.1 model", h.Name)
@@ -63,9 +63,6 @@ func FromHEUG(h *heug.Task) (Task, error) {
 	t := Task{Name: h.Name, D: h.Deadline, T: h.Arrival.Period, NumEU: len(h.EUs)}
 	held := false
 	for _, eu := range h.EUs {
-		if !eu.IsCode() {
-			return Task{}, fmt.Errorf("feasibility: task %q: unit %q is an Inv_EU, outside the §5.1 model", h.Name, eu.Name)
-		}
 		t.C += eu.Code.WCET
 		if len(eu.Code.Resources) == 0 {
 			continue

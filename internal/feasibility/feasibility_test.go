@@ -339,10 +339,6 @@ func TestFromHEUG(t *testing.T) {
 func TestFromHEUGRefusesShapesOutsideTheModel(t *testing.T) {
 	excl := func(r string) []heug.ResourceReq { return []heug.ResourceReq{{Resource: r, Mode: heug.Exclusive}} }
 	for _, task := range []*heug.Task{
-		heug.NewTask("inv", heug.SporadicEvery(10*ms)).WithDeadline(10*ms).
-			Code("a", heug.CodeEU{Node: 0, WCET: 100 * us}).
-			Invoke("call", heug.InvEU{Node: 0, Target: "other", Sync: true}).
-			Precede("a", "call").MustBuild(),
 		heug.NewTask("twocs", heug.SporadicEvery(10*ms)).WithDeadline(10*ms).
 			Code("a", heug.CodeEU{Node: 0, WCET: 100 * us, Resources: excl("S1")}).
 			Code("b", heug.CodeEU{Node: 0, WCET: 100 * us, Resources: excl("S2")}).

@@ -42,17 +42,6 @@ func (b *Builder) Code(name string, eu CodeEU) *Builder {
 	return b
 }
 
-// Invoke appends an Inv_EU under the given unit name.
-func (b *Builder) Invoke(name string, eu InvEU) *Builder {
-	if b.task.euIndex(name) >= 0 {
-		b.errs = append(b.errs, fmt.Errorf("duplicate EU name %q", name))
-		return b
-	}
-	c := eu
-	b.task.EUs = append(b.task.EUs, &EU{Name: name, Inv: &c})
-	return b
-}
-
 // Precede adds a precedence constraint from unit `from` to unit `to`,
 // transferring the named parameters.
 func (b *Builder) Precede(from, to string, params ...string) *Builder {

@@ -27,11 +27,9 @@ func ExampleBuilder() {
 		panic(err)
 	}
 	fmt.Println("EUs:", len(task.EUs))
-	fmt.Println("nodes:", task.Nodes())
 	fmt.Println("remote edges:", countRemote(task))
 	// Output:
 	// EUs: 4
-	// nodes: [0 1 2]
 	// remote edges: 4
 }
 

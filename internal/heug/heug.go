@@ -2,11 +2,11 @@
 //
 // Every activity in HADES — application task, middleware service, or
 // scheduler — is a task: a directed acyclic graph of elementary units
-// (a "HEUG", Hades Elementary Unit Graph). An elementary unit is either
-// a Code_EU (a sequence of code with a known worst-case execution time,
+// (a "HEUG", Hades Elementary Unit Graph). An elementary unit here is a
+// Code_EU: a sequence of code with a known worst-case execution time,
 // statically assigned to a processor, touching only processor-local
-// resources) or an Inv_EU (a synchronous or asynchronous request to
-// execute another task). Edges are precedence constraints, optionally
+// resources. (The paper's Inv_EU, a request to execute another task,
+// is not modelled; no run declares one.) Edges are precedence constraints, optionally
 // carrying named parameters that transfer data between units; a
 // constraint whose endpoints live on different processors is *remote*
 // and models an invocation of the NetMsg communication task.
@@ -177,35 +177,14 @@ type CodeEU struct {
 	Action Action
 }
 
-// InvEU is a request to execute another task (§3.1). A synchronous
-// invocation completes when the invoked task instance completes; an
-// asynchronous one completes immediately after triggering the activation.
-type InvEU struct {
-	// Node is the processor issuing the invocation.
-	Node int
-	// Target is the name of the task to activate.
-	Target string
-	// Sync selects synchronous (true) or asynchronous (false) semantics.
-	Sync bool
-}
-
-// EU is one elementary unit: exactly one of Code / Inv is non-nil.
+// EU is one elementary unit, a Code_EU.
 type EU struct {
 	Name string
 	Code *CodeEU
-	Inv  *InvEU
 }
-
-// IsCode reports whether the unit is a Code_EU.
-func (e *EU) IsCode() bool { return e.Code != nil }
 
 // NodeOf returns the processor the unit is assigned to.
-func (e *EU) NodeOf() int {
-	if e.Code != nil {
-		return e.Code.Node
-	}
-	return e.Inv.Node
-}
+func (e *EU) NodeOf() int { return e.Code.Node }
 
 // Edge is a precedence constraint between two units of the same task,
 // identified by EU index. Params names the values transferred from the
@@ -248,25 +227,6 @@ func (t *Task) euIndex(name string) int {
 	return -1
 }
 
-// Nodes returns the sorted set of processors the task touches.
-func (t *Task) Nodes() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, e := range t.EUs {
-		n := e.NodeOf()
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // IsRemote reports whether the i-th edge crosses processors (a remote
 // precedence constraint, which the dispatcher turns into a NetMsg
 // invocation).
@@ -280,9 +240,7 @@ func (t *Task) IsRemote(edge int) bool {
 func (t *Task) TotalWCET() vtime.Duration {
 	var sum vtime.Duration
 	for _, e := range t.EUs {
-		if e.Code != nil {
-			sum += e.Code.WCET
-		}
+		sum += e.Code.WCET
 	}
 	return sum
 }

@@ -24,8 +24,8 @@ var (
 //   - ActualWork, if present, is bounded by WCET for a correct unit —
 //     this cannot be checked statically, so only WCET > 0 is enforced;
 //   - edges reference valid units; no self-loops; no duplicate edges;
-//   - resource requests name distinct resources within one unit;
-//   - an Inv_EU names a non-empty target task.
+//   - every unit is a Code_EU, and its resource requests name distinct
+//     resources.
 func (t *Task) Validate() error {
 	if len(t.EUs) == 0 {
 		return fmt.Errorf("task %q: %w", t.Name, ErrEmptyTask)
@@ -53,48 +53,37 @@ func (t *Task) Validate() error {
 			return fmt.Errorf("task %q: duplicate EU name %q", t.Name, e.Name)
 		}
 		names[e.Name] = true
-		switch {
-		case e.Code != nil && e.Inv != nil:
-			return fmt.Errorf("task %q: EU %q is both Code and Inv", t.Name, e.Name)
-		case e.Code != nil:
-			c := e.Code
-			if c.WCET <= 0 {
-				return fmt.Errorf("task %q: Code_EU %q must have a positive WCET", t.Name, e.Name)
+		c := e.Code
+		if c == nil {
+			return fmt.Errorf("task %q: EU %q has no Code_EU", t.Name, e.Name)
+		}
+		if c.WCET <= 0 {
+			return fmt.Errorf("task %q: Code_EU %q must have a positive WCET", t.Name, e.Name)
+		}
+		if c.Node < 0 {
+			return fmt.Errorf("task %q: Code_EU %q has negative node", t.Name, e.Name)
+		}
+		if c.Prio < 0 {
+			return fmt.Errorf("task %q: Code_EU %q has negative priority", t.Name, e.Name)
+		}
+		if c.PT != 0 && c.PT < c.Prio {
+			return fmt.Errorf("task %q: Code_EU %q preemption threshold %d below priority %d", t.Name, e.Name, c.PT, c.Prio)
+		}
+		if c.Earliest < 0 || c.Latest < 0 || c.Deadline < 0 {
+			return fmt.Errorf("task %q: Code_EU %q has negative timing attribute", t.Name, e.Name)
+		}
+		seen := map[string]bool{}
+		for _, r := range c.Resources {
+			if r.Resource == "" {
+				return fmt.Errorf("task %q: Code_EU %q requests unnamed resource", t.Name, e.Name)
 			}
-			if c.Node < 0 {
-				return fmt.Errorf("task %q: Code_EU %q has negative node", t.Name, e.Name)
+			if r.Mode != Shared && r.Mode != Exclusive {
+				return fmt.Errorf("task %q: Code_EU %q resource %q has invalid mode", t.Name, e.Name, r.Resource)
 			}
-			if c.Prio < 0 {
-				return fmt.Errorf("task %q: Code_EU %q has negative priority", t.Name, e.Name)
+			if seen[r.Resource] {
+				return fmt.Errorf("task %q: Code_EU %q requests resource %q twice", t.Name, e.Name, r.Resource)
 			}
-			if c.PT != 0 && c.PT < c.Prio {
-				return fmt.Errorf("task %q: Code_EU %q preemption threshold %d below priority %d", t.Name, e.Name, c.PT, c.Prio)
-			}
-			if c.Earliest < 0 || c.Latest < 0 || c.Deadline < 0 {
-				return fmt.Errorf("task %q: Code_EU %q has negative timing attribute", t.Name, e.Name)
-			}
-			seen := map[string]bool{}
-			for _, r := range c.Resources {
-				if r.Resource == "" {
-					return fmt.Errorf("task %q: Code_EU %q requests unnamed resource", t.Name, e.Name)
-				}
-				if r.Mode != Shared && r.Mode != Exclusive {
-					return fmt.Errorf("task %q: Code_EU %q resource %q has invalid mode", t.Name, e.Name, r.Resource)
-				}
-				if seen[r.Resource] {
-					return fmt.Errorf("task %q: Code_EU %q requests resource %q twice", t.Name, e.Name, r.Resource)
-				}
-				seen[r.Resource] = true
-			}
-		case e.Inv != nil:
-			if e.Inv.Target == "" {
-				return fmt.Errorf("task %q: Inv_EU %q has no target task", t.Name, e.Name)
-			}
-			if e.Inv.Target == t.Name {
-				return fmt.Errorf("task %q: Inv_EU %q invokes its own task", t.Name, e.Name)
-			}
-		default:
-			return fmt.Errorf("task %q: EU %q is neither Code nor Inv", t.Name, e.Name)
+			seen[r.Resource] = true
 		}
 	}
 

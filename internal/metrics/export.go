@@ -102,19 +102,6 @@ func (r *Registry) Export() *Export {
 	return doc
 }
 
-// breaches returns every recorded breach window, rule order then
-// onset order.
-func (r *Registry) breaches() []Breach {
-	if r == nil {
-		return nil
-	}
-	var out []Breach
-	for _, p := range r.probes {
-		out = append(out, p.breaches...)
-	}
-	return out
-}
-
 // WriteJSON writes the export document to w.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	doc := r.Export()

@@ -332,3 +332,16 @@ func TestArmUntilChainsEachBoundaryOnce(t *testing.T) {
 		t.Fatalf("scraped at %v (%d scrapes, %d instants queued), want %v", at, r.Scrapes(), len(s.q), want)
 	}
 }
+
+// breaches returns every recorded breach window, rule order then
+// onset order.
+func (r *Registry) breaches() []Breach {
+	if r == nil {
+		return nil
+	}
+	var out []Breach
+	for _, p := range r.probes {
+		out = append(out, p.breaches...)
+	}
+	return out
+}

@@ -3,7 +3,6 @@ package pubsub
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -436,9 +435,6 @@ type Publisher struct {
 	published []Sample
 	acked     int
 }
-
-// unacked returns the count of publishes still in flight.
-func (pub *Publisher) unacked() int { return len(pub.published) - pub.acked }
 
 // Publish produces one sample. Reliable topics submit it to the
 // owning group as a session call that retires at the ack; best-effort
@@ -953,15 +949,4 @@ func (p *Plane) Subscribers(topic string) []*Subscriber {
 		return nil
 	}
 	return append([]*Subscriber(nil), t.subs...)
-}
-
-// sortedTopicNames returns the declared topic names, sorted (for
-// deterministic error text).
-func (p *Plane) sortedTopicNames() []string {
-	names := make([]string, 0, len(p.topics))
-	for n := range p.topics {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -2,6 +2,8 @@ package pubsub
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -94,14 +96,14 @@ func (p *Plane) CheckComplete(topic string) error {
 	t := p.topics[topic]
 	if t == nil {
 		return fmt.Errorf("pubsub: CheckComplete on undeclared topic %q (declared: %s)",
-			topic, strings.Join(p.sortedTopicNames(), ", "))
+			topic, strings.Join(slices.Sorted(maps.Keys(p.topics)), ", "))
 	}
 	if t.qos.Reliability != Reliable {
 		return fmt.Errorf("pubsub: CheckComplete on best-effort topic %q (no completeness contract)", topic)
 	}
 	var errs []string
 	for _, pub := range t.pubs {
-		if n := pub.unacked(); n > 0 {
+		if n := len(pub.published) - pub.acked; n > 0 {
 			errs = append(errs, fmt.Sprintf("publisher %d has %d unacked publishes", pub.id, n))
 		}
 	}

@@ -202,9 +202,6 @@ func (sm *StateMachine) Lookup(tag ClientSeq) (result int64, ok bool) {
 	return result, ok
 }
 
-// seenLen returns the number of entries in the dedup table.
-func (sm *StateMachine) seenLen() int { return len(sm.seen) }
-
 // Apply executes one command.
 func (sm *StateMachine) Apply(cmd int64) int64 {
 	sm.State = sm.State*31 + cmd

@@ -540,3 +540,6 @@ func TestDedupTravelsWithPassiveCheckpoint(t *testing.T) {
 		t.Fatalf("promoted backup applied %d, want 5 (checkpointed retry suppressed)", got)
 	}
 }
+
+// seenLen returns the number of entries in the dedup table.
+func (sm *StateMachine) seenLen() int { return len(sm.seen) }

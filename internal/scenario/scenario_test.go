@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"hades/internal/cluster"
 	"hades/internal/feasibility"
 	"hades/internal/membership"
 	"hades/internal/vtime"
@@ -74,6 +75,36 @@ func TestOverloadMisses(t *testing.T) {
 	}
 	if feasibility.EDFSpuri(tasks, nil).Feasible {
 		t.Fatal("overloaded set declared feasible")
+	}
+}
+
+// TestSpringRefusesWhatEDFMisses pins what spring-overload is for: the
+// planner refuses at admission the job no plan can fit, so nothing it
+// admitted misses, while the same task set under EDF misses at run time.
+func TestSpringRefusesWhatEDFMisses(t *testing.T) {
+	spec, err := Builtin("spring-overload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(spec Spec) cluster.Result {
+		sys, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys.Run(spec.Horizon())
+	}
+	rep := run(spec)
+	if rep.Stats.DeadlineMisses != 0 || rep.Stats.Rejections == 0 {
+		t.Errorf("Spring: %d misses and %d rejections, want none and some", rep.Stats.DeadlineMisses, rep.Stats.Rejections)
+	}
+	for _, name := range []string{"a", "c"} {
+		if tr, _ := rep.Task(name); tr.Completions < 30 {
+			t.Errorf("Spring: %s completed %d instances, want at least 30", name, tr.Completions)
+		}
+	}
+	spec.Scheduler = "EDF"
+	if rep := run(spec); rep.Stats.DeadlineMisses == 0 {
+		t.Error("EDF: the spring-overload task set missed nothing")
 	}
 }
 

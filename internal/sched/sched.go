@@ -51,9 +51,7 @@ func ranked(tasks []*heug.Task, order func(a, b *heug.Task) int) []*heug.Task {
 // setPriority sets every Code_EU of t to prio.
 func setPriority(t *heug.Task, prio int) {
 	for _, e := range t.EUs {
-		if e.Code != nil {
-			e.Code.Prio = prio
-		}
+		e.Code.Prio = prio
 	}
 }
 

@@ -71,9 +71,6 @@ func ceilingsOf(tasks []*heug.Task, value func(t *heug.Task, c *heug.CodeEU) int
 	out := make(map[resourceKey]int)
 	for _, t := range tasks {
 		for _, e := range t.EUs {
-			if e.Code == nil {
-				continue
-			}
 			for _, r := range e.Code.Resources {
 				k := resourceKey{e.Code.Node, r.Resource}
 				if v := value(t, e.Code); v > out[k] {

@@ -691,3 +691,12 @@ func TestLazyNameRenderedOnlyWhenRead(t *testing.T) {
 		}
 	}
 }
+
+// remainingWork sums the remaining CPU demand over all segments.
+func (t *Thread) remainingWork() vtime.Duration {
+	var sum vtime.Duration
+	for i := t.segIdx; i < len(t.segs); i++ {
+		sum += t.segs[i].remaining
+	}
+	return sum
+}

@@ -175,15 +175,6 @@ func (t *Thread) SetPriority(prio int) {
 	}
 }
 
-// remainingWork sums the remaining CPU demand over all segments.
-func (t *Thread) remainingWork() vtime.Duration {
-	var sum vtime.Duration
-	for i := t.segIdx; i < len(t.segs); i++ {
-		sum += t.segs[i].remaining
-	}
-	return sum
-}
-
 // currentSegment returns the segment in progress, or nil when done.
 func (t *Thread) currentSegment() *Segment {
 	if t.segIdx >= len(t.segs) {

@@ -369,8 +369,3 @@ func (c *Client) Transfer(from, to string, amount int64) *Txn {
 	c.Commit(t)
 	return t
 }
-
-// String renders the client for debugging.
-func (c *Client) String() string {
-	return fmt.Sprintf("txn.Client{n%d begun=%d committed=%d aborted=%d}", c.c.Node, c.Stats.Begun, c.Stats.Committed, c.Stats.Aborted)
-}

@@ -19,7 +19,6 @@ import (
 // stable-storage recovery surface. One reason each; at most
 // maxNamesAllowed entries.
 var namesAllowlist = map[string]string{
-	"heug.Builder.Invoke":        "dispatcher tests build §3.1 invocation units (Inv_EU); no builtin declares one",
 	"pubsub.Plane.CheckComplete": "the per-topic delivery audit scenario's TestRegressCorpus runs",
 	"scenario.Builtin":           "cmd/hades golden tests and cluster verify tests load builtins by name",
 	"simkern.Processor.IRQTime":  "netsim tests measure the receive-path interrupt cost",
@@ -31,7 +30,7 @@ var namesAllowlist = map[string]string{
 	"txn.Txn.Read":               "interactive transaction API (Begin/Write/Read/Commit) cluster txn tests drive",
 }
 
-const maxNamesAllowed = 10
+const maxNamesAllowed = 9
 
 // TestOnlyNamesSomethingCalls holds the exported surface of internal/ to
 // what something calls. Every exported func, and every exported method of
