@@ -57,7 +57,6 @@ func main() {
 			Resources: []heug.ResourceReq{{Resource: "state", Mode: heug.Exclusive}},
 			Action: func(ctx heug.ActionContext) {
 				v, _ := ctx.In("imu")
-				ctx.SetResourceState("state", v)
 				ctx.Out("attitude", v)
 			}}).
 		Code("law", heug.CodeEU{Node: 1, WCET: 900 * us,

@@ -41,12 +41,7 @@ func main() {
 			ctx.Out("sample", int64(ctx.Instance())) // pretend sensor value
 		}}).
 		Code("law", heug.CodeEU{Node: 0, WCET: 1200 * us,
-			Resources: []heug.ResourceReq{{Resource: "bus", Mode: heug.Exclusive}},
-			Action: func(ctx heug.ActionContext) {
-				if v, ok := ctx.In("sample"); ok {
-					ctx.SetResourceState("bus", v)
-				}
-			}}).
+			Resources: []heug.ResourceReq{{Resource: "bus", Mode: heug.Exclusive}}}).
 		Precede("read", "law", "sample").
 		MustBuild()
 

@@ -197,7 +197,7 @@ func (s *Service) receive(node int, m *netsim.Message) {
 	est := reading.Add((dmin + dmax) / 2) // midpoint estimator, error ≤ ε/2
 	c.estimates[m.From] = est
 	// Charge the processing cost like a kernel activity.
-	s.eng.Processors()[node].RaiseIRQ("clocksync", wSync, nil, 0)
+	s.eng.Processors()[node].RaiseIRQ(simkern.IRQClockSync, wSync, nil, 0)
 }
 
 // converge applies the fault-tolerant midpoint to every correct node.

@@ -146,7 +146,7 @@ func (c *Instance) receive(node int, m *netsim.Message) {
 		return
 	}
 	if c.cfg.WProc > 0 {
-		c.eng.Processors()[node].RaiseIRQ("consensus", c.cfg.WProc, nil, 0)
+		c.eng.Processors()[node].RaiseIRQ(simkern.IRQConsensus, c.cfg.WProc, nil, 0)
 	}
 	for _, v := range vals {
 		c.sets[node][v] = true

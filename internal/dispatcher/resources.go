@@ -15,7 +15,6 @@ import (
 type resource struct {
 	name  string
 	holds []hold
-	state any
 }
 
 type hold struct {

@@ -387,10 +387,7 @@ type actionCtx struct {
 	th *Thread
 }
 
-func (a *actionCtx) Now() vtime.Time  { return a.d.eng.Now() }
-func (a *actionCtx) Node() int        { return a.th.Node() }
 func (a *actionCtx) Instance() uint64 { return a.th.inst.Seq }
-func (a *actionCtx) TaskName() string { return a.th.TaskName() }
 
 func (a *actionCtx) In(param string) (any, bool) {
 	v, ok := a.th.inputs[param]
@@ -406,15 +403,3 @@ func (a *actionCtx) Out(param string, value any) {
 
 func (a *actionCtx) SetCond(name string)   { a.d.setCond(name) }
 func (a *actionCtx) ClearCond(name string) { a.d.clearCond(name) }
-
-func (a *actionCtx) ResourceState(name string) any {
-	r := a.d.node(a.th.Node()).resources[name]
-	if r == nil {
-		return nil
-	}
-	return r.state
-}
-
-func (a *actionCtx) SetResourceState(name string, v any) {
-	a.d.resourceOn(a.th.Node(), name).state = v
-}

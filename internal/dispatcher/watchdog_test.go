@@ -94,7 +94,7 @@ func TestCancelledOmissionWatchdogRecordReused(t *testing.T) {
 	app.AddTask(heug.NewTask("pipe", heug.AperiodicLaw()).
 		WithDeadline(100*vtime.Millisecond).
 		Code("a", heug.CodeEU{Node: 0, WCET: 100 * vtime.Microsecond,
-			Action: func(ctx heug.ActionContext) { sentAt = ctx.Now() }}).
+			Action: func(heug.ActionContext) { sentAt = eng.Now() }}).
 		Code("b", heug.CodeEU{Node: 1, WCET: 100 * vtime.Microsecond}).
 		Precede("a", "b").
 		MustBuild())

@@ -22,13 +22,19 @@ func BenchmarkPushPop(b *testing.B) {
 	}
 }
 
+// benchDepths are the queue depths the benchmarks hold: the deepest
+// heap a full-horizon run reaches (dead slots counted) is 104 events on
+// rt-pipeline, 179-184 on the kv workloads, 361 on txn-contended and
+// 391 on pubsub-fanout (seed 1), with means of 83-232.
+var benchDepths = []int{128, 256, 512}
+
 // BenchmarkPushRecycledPop is BenchmarkPushPop through the recycled
 // door, released after each pop as the engine does after Run: the
 // same heap work, no record allocated once the free list is warm. The
 // queue fills to each depth and drains, so it works at half the depth
-// on average; 4096 is what the data-plane workloads hold.
+// on average.
 func BenchmarkPushRecycledPop(b *testing.B) {
-	for _, depth := range []int{64, 256, 1024, 4096} {
+	for _, depth := range benchDepths {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			var q Queue
 			rng := rand.New(rand.NewSource(1))
@@ -40,6 +46,29 @@ func BenchmarkPushRecycledPop(b *testing.B) {
 						q.Release(q.Pop())
 					}
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkHold is the classic hold model, what Engine.Run does between
+// a run's start and drain: the queue stays at depth, and each step pops
+// the earliest event and pushes one at a drawn instant after it.
+func BenchmarkHold(b *testing.B) {
+	for _, depth := range benchDepths {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			var q Queue
+			rng := rand.New(rand.NewSource(1))
+			for range depth {
+				q.PushRecycledTo(vtime.Time(rng.Int63n(1000000)), ClassApp, nil, 0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := q.Pop()
+				at := e.At
+				q.Release(e)
+				q.PushRecycledTo(at.Add(vtime.Duration(rng.Int63n(1000000))), ClassApp, nil, 0)
 			}
 		})
 	}

@@ -206,7 +206,7 @@ func (d *Detector) receive(node int, m *netsim.Message) {
 	if d.net.NodeDown(node) {
 		return
 	}
-	d.eng.Processors()[node].RaiseIRQ("heartbeat", heartbeatWProc, nil, 0)
+	d.eng.Processors()[node].RaiseIRQ(simkern.IRQHeartbeat, heartbeatWProc, nil, 0)
 	peer, ok := m.Payload.(int)
 	if !ok {
 		return

@@ -105,19 +105,13 @@ type ResourceReq struct {
 }
 
 // ActionContext is the execution context handed to an action. It is
-// implemented by the dispatcher. All effects (parameter writes, condition
-// variable updates, resource-state updates) are applied at the unit's
-// completion instant, on the unit's processor.
+// implemented by the dispatcher. All effects (parameter writes and
+// condition variable updates) are applied at the unit's completion
+// instant, on the unit's processor.
 type ActionContext interface {
-	// Now returns the current virtual time.
-	Now() vtime.Time
-	// Node returns the processor the unit runs on.
-	Node() int
 	// Instance returns the activation sequence number (1-based) of the
 	// task instance this unit belongs to.
 	Instance() uint64
-	// TaskName returns the owning task's name.
-	TaskName() string
 	// In returns the value carried by the named in-edge parameter,
 	// or (nil, false) when absent.
 	In(param string) (any, bool)
@@ -127,12 +121,6 @@ type ActionContext interface {
 	SetCond(name string)
 	// ClearCond clears a system-wide condition variable.
 	ClearCond(name string)
-	// ResourceState reads the local state attached to a resource the
-	// unit holds.
-	ResourceState(name string) any
-	// SetResourceState updates the local state attached to a resource
-	// the unit holds.
-	SetResourceState(name string, v any)
 }
 
 // Action is the effect function of a Code_EU. It must not block — the

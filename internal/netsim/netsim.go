@@ -488,7 +488,7 @@ func (f *flight) onArrive() {
 		panic(fmt.Sprintf("netsim: message to unknown processor %d", m.To))
 	}
 	f.to = procs[m.To]
-	f.to.RaiseIRQ("atm", n.cfg.WAtm, f, stageATM)
+	f.to.RaiseIRQ(simkern.IRQATM, n.cfg.WAtm, f, stageATM)
 }
 
 // onATM ends the interrupt: the protocol thread, reinitialised in place

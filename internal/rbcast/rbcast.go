@@ -205,7 +205,7 @@ func (s *Service) receive(node int, m *netsim.Message) {
 		return
 	}
 	if s.cfg.WProc > 0 {
-		s.eng.Processors()[node].RaiseIRQ("rbcast", s.cfg.WProc, nil, 0)
+		s.eng.Processors()[node].RaiseIRQ(simkern.IRQRBcast, s.cfg.WProc, nil, 0)
 	}
 	deliverAt := f.SentAt.Add(s.Delta())
 	if !s.accept(node, f, deliverAt) {

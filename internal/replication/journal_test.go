@@ -470,8 +470,12 @@ func TestRepliesOnlyKeptForVoting(t *testing.T) {
 			t.Fatalf("%s: %d results over %d records, want 10 and 10", c.style, len(*results), len(records))
 		}
 		for o := range records {
-			if len(o.votes) != c.votes || !o.answered {
-				t.Fatalf("%s: op %d kept %d votes (answered %v), want %d", c.style, o.id, len(o.votes), o.answered, c.votes)
+			votes := 0
+			if o.votes != nil {
+				votes = len(*o.votes)
+			}
+			if votes != c.votes || !o.answered {
+				t.Fatalf("%s: op %d kept %d votes (answered %v), want %d", c.style, o.id, votes, o.answered, c.votes)
 			}
 		}
 	}

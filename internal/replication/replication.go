@@ -48,11 +48,21 @@
 // space is partitioned here and nowhere else (Tag is the only
 // constructor of a non-zero ClientSeq):
 //
-//	space           owner                        id               seq
-//	TagKV           shard.Group.handleRequest    client node      the client's op number
-//	TagTxnWrite     shard.Group.SubmitKeyed      txn client node  the client-wide write number
-//	TagTxnDecision  txn.Coordinator.decide       txn client node  the transaction number
-//	TagPubSub       pubsub.Plane.handlePub       publisher id     the sample number
+//	space           owner                        id               seq                           floor
+//	TagKV           shard.Group.handleRequest    client node      the client's op number        the client's
+//	TagTxnWrite     shard.Group.SubmitKeyed      txn client node  the client-wide write number  none yet
+//	TagTxnDecision  txn.Coordinator.decide       txn client node  the transaction number        none yet
+//	TagPubSub       pubsub.Plane.handlePub       publisher id     the sample number             none yet
+//
+// A writer's floor (BatchItem.Floor) is the highest seq at or below
+// which it has retired every request it numbered — acked or given up —
+// so it will send none of them again (the client sessions of Ongaro's
+// Raft dissertation, §6.3). A replica keeps one floor per writer, raises
+// it at every item that carries one and forgets the writer's entries at
+// or below it, so the table holds only what a writer may still retry; a
+// late copy of a retired request at or below the floor is answered as a
+// dedup hit. Floors move with the table, on checkpoints and transfers. A
+// space whose writers send floor 0 keeps every entry for the run.
 //
 // A dedup hit answers from the table and never reaches the op's Owner's
 // Applied: to the machine it is a retry of work already done. That is
@@ -73,6 +83,7 @@ package replication
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -166,21 +177,28 @@ type StateMachine struct {
 	State   int64
 	Applied int64
 	// seen is the replicated deduplication table: the result of every
-	// tagged request this machine has applied, so a retried request
-	// (client timeout racing a slow reply, a redirect after failover)
-	// is answered from the cache instead of applied twice. It moves
-	// with the state: checkpoints and join state transfers carry it, so
-	// exactly-once survives exactly as far as the state itself does.
+	// tagged request this machine has applied above its writer's floor,
+	// so a retried request (client timeout racing a slow reply, a
+	// redirect after failover) is answered from the cache instead of
+	// applied twice. It moves with the state: checkpoints and join state
+	// transfers carry it, so exactly-once survives exactly as far as the
+	// state itself does.
 	seen map[ClientSeq]int64
-	// journal lists seen in apply order. Only replicas of a passive
-	// group keep it, so that a checkpoint ships the table as a slice
-	// header and a backup inserts just the suffix it lacks. epoch names
-	// the journal's lineage: two journals of one epoch are prefixes of
-	// one another, so (epoch, length) identifies a table exactly. owns
-	// is set on the machine that minted the epoch, the only one whose
-	// appends may land in the journal's backing array; every other
-	// holder has a slice clipped to its length, and takes a fresh epoch
-	// (and, through append, a fresh array) before it adds an entry.
+	// floors holds each writer's floor; the rows are shared with the
+	// checkpoints and transfers that carried them until floorsOwn says
+	// this machine copied them.
+	floors    floorTable
+	floorsOwn bool
+	// journal lists seen in apply order, entries since forgotten
+	// included until it compacts. Only replicas of a passive group keep
+	// it, so that a checkpoint ships the table as a slice header and a
+	// backup inserts just the suffix it lacks. epoch names the journal's
+	// lineage: two journals of one epoch are prefixes of one another, so
+	// (epoch, length) identifies a table exactly. owns is set on the
+	// machine that minted the epoch, the only one whose appends may land
+	// in the journal's backing array; every other holder has a slice
+	// clipped to its length, and takes a fresh epoch (and, through
+	// append, a fresh array) before it adds an entry.
 	journal []seenEntry
 	epoch   uint64
 	owns    bool
@@ -200,6 +218,68 @@ type seenEntry struct {
 func (sm *StateMachine) Lookup(tag ClientSeq) (result int64, ok bool) {
 	result, ok = sm.seen[tag]
 	return result, ok
+}
+
+// floorTable holds each writer's floor, a row per tag space indexed by
+// writer id: a table of writers, not of requests, grown to the largest
+// id that has sent a floor — a kv client's node number. A space none of
+// whose writers sends one keeps a nil row.
+type floorTable [numTagSpaces][]uint64
+
+// writer returns the space and id Tag laid tag out from.
+func (t ClientSeq) writer() (TagSpace, uint64) {
+	sp := TagKV
+	if hi := t.Client >> 32; hi != 0 {
+		sp = TagSpace(bits.TrailingZeros64(hi) + 1)
+	}
+	return sp, t.Client&(1<<32-1) - 1
+}
+
+// floor returns the floor of tag's writer, 0 if it never sent one.
+func (sm *StateMachine) floor(tag ClientSeq) uint64 {
+	sp, id := tag.writer()
+	if row := sm.floors[sp]; id < uint64(len(row)) {
+		return row[id]
+	}
+	return 0
+}
+
+// retired reports whether tag lies at or below its writer's floor.
+func (sm *StateMachine) retired(tag ClientSeq) bool {
+	f := sm.floor(tag)
+	return f > 0 && tag.Seq <= f
+}
+
+// raiseFloor lifts the floor of tag's writer to f, if that is higher,
+// and forgets the writer's entries at or below it: one probe per seq
+// the floor passes, whichever shard the writer sent it to.
+func (sm *StateMachine) raiseFloor(tag ClientSeq, f uint64) {
+	old := sm.floor(tag)
+	if f <= old {
+		return
+	}
+	if !sm.floorsOwn {
+		for sp, row := range sm.floors {
+			sm.floors[sp] = slices.Clone(row)
+		}
+		sm.floorsOwn = true
+	}
+	sp, id := tag.writer()
+	if row := sm.floors[sp]; id >= uint64(len(row)) {
+		sm.floors[sp] = append(row, make([]uint64, id+1-uint64(len(row)))...)
+	}
+	sm.floors[sp][id] = f
+	sm.forget(tag.Client, old, f)
+}
+
+// forget drops writer client's entries with seq in (from, to].
+func (sm *StateMachine) forget(client, from, to uint64) {
+	if len(sm.seen) == 0 {
+		return
+	}
+	for s := from + 1; s <= to; s++ {
+		delete(sm.seen, ClientSeq{Client: client, Seq: s})
+	}
 }
 
 // Apply executes one command.
@@ -325,17 +405,19 @@ type Failover struct {
 }
 
 // op is one request's record. Tag carries the client identity for
-// exactly-once dedup (zero = untracked); owner is the plane's record,
-// nil for submissions NewGroup's onReply answers. answered is set at
-// the first authoritative answer and votes collects the active style's
-// per-replica results.
+// exactly-once dedup (zero = untracked) and floor its writer's floor;
+// owner is the plane's record, nil for submissions NewGroup's onReply
+// answers. answered is set at the first authoritative answer and votes
+// collects the active style's per-replica results, boxed so the other
+// styles' records stay a word short of the next size class.
 type op struct {
 	id       uint64
 	cmd      int64
 	tag      ClientSeq
+	floor    uint64
 	owner    Owner
 	answered bool
-	votes    []int64
+	votes    *[]int64
 }
 
 // batchMsg crosses the wire for request dissemination: one envelope,
@@ -364,6 +446,9 @@ type ckptMsg struct {
 	View    uint64
 	Epoch   uint64
 	Seen    []seenEntry
+	// Floors are the sender's writer floors at the same instant; an
+	// entry of Seen at or below its writer's is no longer in the table.
+	Floors floorTable
 }
 
 // ckptRecord is what a checkpoint leaves on stable storage: the state
@@ -376,11 +461,20 @@ type ckptRecord struct {
 	SeenLen int
 }
 
+// compactAt is the shortest passive journal that compacts: below it,
+// dead entries cost less than the copy.
+const compactAt = 64
+
 // remember enters one fresh tagged apply into sm's dedup table. On a
 // passive group it also journals it, first taking a fresh epoch if the
 // journal at hand is another machine's (a promoted backup, a restored
 // ex-primary): the append then reallocates, because a foreign journal
-// is clipped to its length, so the lineages never share a tail.
+// is clipped to its length, so the lineages never share a tail. A
+// journal at least half of whose entries lie at or below their writers'
+// floors is compacted first: its live entries — exactly those the table
+// holds — move to a fresh array under a fresh epoch, which the next
+// checkpoint ships whole. Table and journal both stay in the entries
+// above the floors.
 func (g *Group) remember(sm *StateMachine, tag ClientSeq, res int64) {
 	if sm.seen == nil {
 		sm.seen = make(map[ClientSeq]int64)
@@ -389,7 +483,17 @@ func (g *Group) remember(sm *StateMachine, tag ClientSeq, res int64) {
 	if g.cfg.Style != Passive {
 		return
 	}
-	if !sm.owns {
+	switch live := len(sm.seen) - 1; {
+	case len(sm.journal) >= compactAt && 2*live <= len(sm.journal):
+		kept := make([]seenEntry, 0, max(2*live, compactAt))
+		for _, e := range sm.journal {
+			if !sm.retired(e.Tag) {
+				kept = append(kept, e)
+			}
+		}
+		g.epochs++
+		sm.journal, sm.epoch, sm.owns = kept, g.epochs, true
+	case !sm.owns:
 		g.epochs++
 		sm.epoch, sm.owns = g.epochs, true
 	}
@@ -397,10 +501,12 @@ func (g *Group) remember(sm *StateMachine, tag ClientSeq, res int64) {
 }
 
 // freeze captures node's state and dedup table for shipping, tagged
-// with its installed view.
+// with its installed view. The floor rows are shipped as they are: the
+// machine copies them before it next raises one.
 func (g *Group) freeze(node int) ckptMsg {
 	sm := g.machines[node]
-	ck := ckptMsg{State: sm.State, Applied: sm.Applied, View: g.viewAt(node), Epoch: sm.epoch}
+	ck := ckptMsg{State: sm.State, Applied: sm.Applied, View: g.viewAt(node), Epoch: sm.epoch, Floors: sm.floors}
+	sm.floorsOwn = false
 	if g.cfg.Style == Passive {
 		ck.Seen = sm.journal[:len(sm.journal):len(sm.journal)]
 		return ck
@@ -417,29 +523,38 @@ func (g *Group) freeze(node int) ckptMsg {
 	return ck
 }
 
-// adopt makes a shipped checkpoint node's state and dedup table. A
-// passive replica whose table is a prefix of the same lineage inserts
-// only the entries it lacks; one that is ahead of it (a checkpoint
-// overtaken on the wire, a donor that trails the joiner) drops its own
-// tail; any other lineage — the first checkpoint, a newly promoted
-// primary's, a transfer to a stale ex-primary — is rebuilt from the
-// whole journal.
+// adopt makes a shipped checkpoint node's state, dedup table and
+// floors. A passive replica whose table is a prefix of the same lineage
+// forgets what the shipped floors retire and inserts only the live
+// entries it lacks; one that is ahead of it (a checkpoint overtaken on
+// the wire, a donor that trails the joiner) drops its own tail; any
+// other lineage — the first checkpoint, a newly promoted primary's, a
+// compacted journal, a transfer to a stale ex-primary, floors below the
+// replica's own — is rebuilt from the whole journal.
 func (g *Group) adopt(node int, ck ckptMsg) {
 	sm := g.machines[node]
 	sm.State, sm.Applied = ck.State, ck.Applied
 	have, n := len(sm.journal), len(ck.Seen)
+	rebuild := g.cfg.Style != Passive || ck.Epoch != sm.epoch || !sm.floors.under(&ck.Floors)
+	if !rebuild {
+		sm.liftFloors(&ck.Floors)
+	}
+	sm.floors, sm.floorsOwn = ck.Floors, false
 	switch {
-	case g.cfg.Style != Passive || ck.Epoch != sm.epoch:
-		sm.seen = nil
-		if n > 0 {
+	case rebuild:
+		if clear(sm.seen); sm.seen == nil && n > 0 {
 			sm.seen = make(map[ClientSeq]int64, n)
 		}
 		for _, e := range ck.Seen {
-			sm.seen[e.Tag] = e.Result
+			if !sm.retired(e.Tag) {
+				sm.seen[e.Tag] = e.Result
+			}
 		}
 	case n >= have:
 		for _, e := range ck.Seen[have:] {
-			sm.seen[e.Tag] = e.Result
+			if !sm.retired(e.Tag) {
+				sm.seen[e.Tag] = e.Result
+			}
 		}
 	default:
 		for _, e := range sm.journal[n:] {
@@ -448,6 +563,40 @@ func (g *Group) adopt(node int, ck ckptMsg) {
 	}
 	if g.cfg.Style == Passive {
 		sm.journal, sm.epoch, sm.owns = ck.Seen, ck.Epoch, false
+	}
+}
+
+// under reports whether no floor of t is above the same writer's in u.
+func (t *floorTable) under(u *floorTable) bool {
+	for sp, row := range t {
+		for id, f := range row {
+			if id >= len(u[sp]) {
+				if f > 0 {
+					return false
+				}
+				continue
+			}
+			if f > u[sp][id] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// liftFloors forgets the entries that floors at or under u retire and
+// the machine's own floors do not; the caller then adopts u.
+func (sm *StateMachine) liftFloors(u *floorTable) {
+	for sp, row := range u {
+		for id, f := range row {
+			var old uint64
+			if own := sm.floors[sp]; id < len(own) {
+				old = own[id]
+			}
+			if f > old {
+				sm.forget(Tag(TagSpace(sp), uint64(id), 0).Client, old, f)
+			}
+		}
 	}
 }
 
@@ -655,10 +804,16 @@ func (g *Group) SubmitTagged(from int, cmd int64, tag ClientSeq) uint64 {
 // BatchItem is one request of a batched submission. Owner, when set,
 // is handed the request back at its applies and answers (NewGroup's
 // onReply is then not called for it).
+//
+// Floor is the floor of the item's writer (see the package comment) as
+// the writer sent it, 0 for none: every request the writer numbered at
+// or below it is retired, so a replica forgets their entries and
+// answers a late copy of one as a dedup hit.
 type BatchItem struct {
 	Cmd   int64
 	Tag   ClientSeq
 	Owner Owner
+	Floor uint64
 }
 
 // SubmitBatch issues many requests as ONE replicated round: one wire
@@ -687,7 +842,7 @@ func (g *Group) SubmitOwned(from int, items []BatchItem) {
 	msg := batchMsg{Ops: make([]op, len(items)), View: g.viewAt(from)}
 	for i, it := range items {
 		g.nextReq++
-		msg.Ops[i] = op{id: g.nextReq, cmd: it.Cmd, tag: it.Tag, owner: it.Owner}
+		msg.Ops[i] = op{id: g.nextReq, cmd: it.Cmd, tag: it.Tag, floor: it.Floor, owner: it.Owner}
 	}
 	g.mRound.Inc()
 	g.open += len(items)
@@ -769,11 +924,15 @@ func (r *execRun) ThreadDone() {
 	}
 }
 
-// applyOne applies one batch item at one replica: dedup, apply, record,
-// owner, reply, passive checkpoint cadence.
+// applyOne applies one batch item at one replica: floor, dedup, apply,
+// record, owner, reply, passive checkpoint cadence. An item its
+// writer's floor retires is a dedup hit whose result nobody reads: the
+// writer has retired the request its reply answers.
 func (g *Group) applyOne(node int, sm *StateMachine, o *op) {
 	if o.tag != (ClientSeq{}) {
-		if cached, dup := sm.Lookup(o.tag); dup {
+		sm.raiseFloor(o.tag, o.floor)
+		cached, dup := sm.Lookup(o.tag)
+		if dup || sm.retired(o.tag) {
 			g.Duplicates++
 			g.reply(node, o, cached)
 			return
@@ -804,12 +963,15 @@ func (g *Group) applyOne(node int, sm *StateMachine, o *op) {
 func (g *Group) reply(node int, o *op, result int64) {
 	switch g.cfg.Style {
 	case Active:
-		o.votes = append(o.votes, result)
+		if o.votes == nil {
+			o.votes = new([]int64)
+		}
+		*o.votes = append(*o.votes, result)
 		if o.answered {
 			return
 		}
 		need := len(g.cfg.Replicas)/2 + 1
-		if winner, n, distinct := tally(o.votes); n >= need {
+		if winner, n, distinct := tally(*o.votes); n >= need {
 			o.answered = true
 			g.open--
 			// unanimous reflects the replies seen at vote time; a
@@ -866,11 +1028,12 @@ func tally(votes []int64) (winner int64, count, distinct int) {
 func (g *Group) checkpoint(primary int) {
 	ck := g.freeze(primary)
 	g.persist(primary, ck)
+	var boxed any = ck // one payload for every backup
 	for _, r := range g.cfg.Replicas {
 		if r == primary {
 			continue
 		}
-		if _, err := g.net.Send(primary, r, g.ckptPort, ck, 24); err != nil {
+		if _, err := g.net.Send(primary, r, g.ckptPort, boxed, 24); err != nil {
 			continue
 		}
 	}

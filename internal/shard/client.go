@@ -140,7 +140,7 @@ func (b *batch) Send(_ uint64, attempt int) {
 func (b *batch) sendTo(node, attempt int) {
 	c := b.c
 	b.target = node
-	env := batchEnv{Client: c.p.Node, Batch: b.id, Attempt: attempt, Ops: make([]batchOp, len(b.ops))}
+	env := batchEnv{Client: c.p.Node, Batch: b.id, Attempt: attempt, Floor: c.floor, Ops: make([]batchOp, len(b.ops))}
 	for i, r := range b.ops {
 		env.Ops[i] = batchOp{Key: r.key, Cmd: r.cmd, Seq: r.seq, Trace: r.trace.Ref()}
 	}
@@ -189,6 +189,10 @@ type Client struct {
 	batcher *session.Batcher[*request]
 	nextBat uint64
 	batches map[uint64]*batch // live batches by id; sess lists their calls, emission order
+	// floor is the highest seq at or below which every request is acked
+	// or failed fast — out of reqs, never sent again. Every attempt
+	// carries it, so the replicas forget what it retires.
+	floor uint64
 
 	// Stats counts outcomes; Acks records them for the harness
 	// (Verify checks Acks against the shard groups' apply histories).
@@ -368,7 +372,16 @@ func (c *Client) failBatch(b *batch) {
 		r.trace.Finish()
 		c.finishKey(r)
 	}
+	c.raiseFloor()
 	c.retire(b)
+}
+
+// raiseFloor advances the floor over the seqs no longer in reqs: one
+// probe per request over the run.
+func (c *Client) raiseFloor() {
+	for c.floor < c.seq && c.reqs[c.floor+1] == nil {
+		c.floor++
+	}
 }
 
 // redirectInflight re-resolves in-flight batches of a republished
@@ -423,6 +436,7 @@ func (c *Client) handleResp(m *netsim.Message) {
 				r.done()
 			}
 		}
+		c.raiseFloor()
 		c.retire(b)
 	case respRedirect:
 		if !c.sess.Inflight(b.call) || env.Attempt != c.sess.Attempt(b.call) {

@@ -87,3 +87,11 @@ func (c *Client) AimLiveAt(node int) int {
 	})
 	return n
 }
+
+// Floor returns the client's floor: every request numbered at or below
+// it is acked or failed fast.
+func (c *Client) Floor() uint64 { return c.floor }
+
+// ShardFor returns the index of the shard owning key on the client's
+// ring.
+func (c *Client) ShardFor(key string) int { return c.router.ShardFor(key) }

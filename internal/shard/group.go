@@ -30,10 +30,12 @@ type batchOp struct {
 // as one routing decision. Unbatched clients send batches of one.
 // Attempt is the client's attempt counter for the batch, echoed back
 // in failure responses so superseded attempts' verdicts are discarded.
+// Floor is the client's floor when the attempt left (Client.floor).
 type batchEnv struct {
 	Client  int // client node id
 	Batch   uint64
 	Attempt int
+	Floor   uint64
 	Ops     []batchOp
 }
 
@@ -387,6 +389,7 @@ func (g *Group) handleRequest(node int, m *netsim.Message) {
 			Cmd:   op.Cmd,
 			Tag:   replication.Tag(replication.TagKV, uint64(env.Client), op.Seq),
 			Owner: &ops[i],
+			Floor: env.Floor,
 		})
 		pb.resp.Results[i].Seq = op.Seq
 	}

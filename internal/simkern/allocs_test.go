@@ -68,9 +68,9 @@ func TestAllocsRaiseIRQDrain(t *testing.T) {
 	h := eventq.Func(func() { handled++ })
 	gate(t, "RaiseIRQ -> drain", 0, func() {
 		// Three at once: the second and third wait in the queue.
-		p.RaiseIRQ("atm", 100*us, h, 0)
-		p.RaiseIRQ("atm", 100*us, h, 0)
-		p.RaiseIRQ("clock", 50*us, nil, 0)
+		p.RaiseIRQ(IRQATM, 100*us, h, 0)
+		p.RaiseIRQ(IRQATM, 100*us, h, 0)
+		p.RaiseIRQ(IRQClock, 50*us, nil, 0)
 		eng.RunUntilIdle()
 	})
 	if handled == 0 || p.irqHead != 0 || len(p.irqs) != 0 {

@@ -22,7 +22,7 @@ func TestThresholdSurvivesInterrupt(t *testing.T) {
 	// Interrupt at 50us; contender (prio 20 < pt 25) readied during
 	// the handler.
 	eng.After(50*us, eventq.ClassInterrupt, func() {
-		p.RaiseIRQ("test", 5*us, eventq.Func(func() {
+		p.RaiseIRQ(IRQATM, 5*us, eventq.Func(func() {
 			c := p.NewThread("contender", 20)
 			c.AddSegment(Segment{Work: 10 * us})
 			onComplete(c, func() { order = append(order, "contender") })
@@ -46,7 +46,7 @@ func TestThresholdExceededAfterInterrupt(t *testing.T) {
 	onComplete(running, func() { order = append(order, "running") })
 	running.Ready()
 	eng.After(50*us, eventq.ClassInterrupt, func() {
-		p.RaiseIRQ("test", 5*us, eventq.Func(func() {
+		p.RaiseIRQ(IRQATM, 5*us, eventq.Func(func() {
 			c := p.NewThread("urgent", 30) // above pt 25
 			c.AddSegment(Segment{Work: 10 * us})
 			onComplete(c, func() { order = append(order, "urgent") })
@@ -102,7 +102,7 @@ func TestIRQDuringSwitchCostWindow(t *testing.T) {
 	th.Ready()
 	// IRQ at 5us: inside the 10us switch window.
 	eng.After(5*us, eventq.ClassInterrupt, func() {
-		p.RaiseIRQ("mid-switch", 20*us, nil, 0)
+		p.RaiseIRQ(IRQATM, 20*us, nil, 0)
 	})
 	eng.RunUntilIdle()
 	// Expected: 5us of switch paid, IRQ 20us, then a fresh dispatch

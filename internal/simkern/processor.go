@@ -47,7 +47,10 @@ type Processor struct {
 	switchTime vtime.Duration
 	switches   int
 	preempts   int
-	irqStats   map[string]*IRQStats
+	// irqBy is each source's statistics, resolved once; irqStats names
+	// the same records for IRQBySource.
+	irqBy    [numIRQSources]*IRQStats
+	irqStats map[string]*IRQStats
 
 	// Periodic clock tick (the §4.2 clock interrupt).
 	ticks                uint64
@@ -74,7 +77,7 @@ func (k kernelEvent) Fire(ev uint64) {
 	case irqEnd:
 		p.irqDone()
 	case tickArrive:
-		p.RaiseIRQ("clock", p.tickWCET, k, tickHandled)
+		p.RaiseIRQ(IRQClock, p.tickWCET, k, tickHandled)
 		p.eng.Arm(p.eng.now.Add(p.tickPeriod), eventq.ClassInterrupt, k, tickArrive)
 	case tickHandled:
 		p.ticks++
@@ -87,6 +90,28 @@ type irq struct {
 	wcet vtime.Duration
 	h    eventq.Handler
 	n    uint64
+}
+
+// IRQSource names one of the interrupt sources a processor charges.
+type IRQSource uint8
+
+// The interrupt sources: the §4.2 network and clock interrupts, and the
+// services whose message handling is charged as an interrupt.
+const (
+	IRQATM IRQSource = iota
+	IRQClock
+	IRQHeartbeat
+	IRQRBcast
+	IRQConsensus
+	IRQClockSync
+	numIRQSources
+)
+
+// irqNames are the sources' names, as IRQBySource and the monitor log
+// give them.
+var irqNames = [numIRQSources]string{
+	IRQATM: "atm", IRQClock: "clock", IRQHeartbeat: "heartbeat",
+	IRQRBcast: "rbcast", IRQConsensus: "consensus", IRQClockSync: "clocksync",
 }
 
 // IRQStats aggregates interrupt handling per source, reproducing the §4.2
@@ -152,14 +177,15 @@ func (p *Processor) StartClockTick(period, wcet vtime.Duration) {
 // (a nil h: nothing does). Interrupts preempt any thread, regardless of
 // preemption thresholds, reproducing the paper's prio_max kernel
 // activities.
-func (p *Processor) RaiseIRQ(source string, wcet vtime.Duration, h eventq.Handler, n uint64) {
+func (p *Processor) RaiseIRQ(source IRQSource, wcet vtime.Duration, h eventq.Handler, n uint64) {
 	if wcet < 0 {
 		panic("simkern: negative IRQ WCET")
 	}
-	st := p.irqStats[source]
+	st := p.irqBy[source]
 	if st == nil {
 		st = &IRQStats{MinGap: vtime.Forever}
-		p.irqStats[source] = st
+		p.irqBy[source] = st
+		p.irqStats[irqNames[source]] = st
 	}
 	now := p.eng.now
 	if st.haveArrive {
@@ -174,7 +200,7 @@ func (p *Processor) RaiseIRQ(source string, wcet vtime.Duration, h eventq.Handle
 	if wcet > st.MaxWCET {
 		st.MaxWCET = wcet
 	}
-	p.eng.Recordf(monitor.KindInterrupt, p.id, source, "%s", wcet)
+	p.eng.Recordf(monitor.KindInterrupt, p.id, irqNames[source], "%s", wcet)
 	p.irqs = append(p.irqs, irq{wcet, h, n})
 	p.resched()
 }

@@ -176,7 +176,7 @@ func TestInterruptPreemptsEverything(t *testing.T) {
 	th.AddSegment(Segment{Work: 100 * us, PT: PrioMax}) // even kernel-call segments
 	th.Ready()
 	eng.After(10*us, eventq.ClassInterrupt, func() {
-		p.RaiseIRQ("test", 5*us, eventq.Func(func() { irqAt = eng.Now() }), 0)
+		p.RaiseIRQ(IRQATM, 5*us, eventq.Func(func() { irqAt = eng.Now() }), 0)
 	})
 	end := eng.RunUntilIdle()
 	if irqAt != vtime.Time(15*us) {
