@@ -155,6 +155,11 @@ type TxnShardResult struct {
 	PartAborts       int
 	DeadlineReleases int
 	LocksHeld        int
+	// Pending and Preps are the transaction records the coordinator
+	// and the participant still hold (Coordinator.Retained,
+	// Participant.Retained).
+	Pending int
+	Preps   int
 	// GroupCommits counts decision-log rounds this coordinator
 	// submitted; with group commit on it is smaller than
 	// Commits+Aborts and MaxDecisionBatch reports the largest batch of
@@ -179,6 +184,8 @@ type ClientResult struct {
 type TxnClientResult struct {
 	Node int
 	txn.ClientStats
+	// Open counts the transactions begun and not yet decided.
+	Open int
 }
 
 // GroupResult is one membership group's runtime record: the agreed
@@ -285,6 +292,8 @@ func (c *Cluster) ResultNow() Result {
 					PartAborts:       pa.Stats.Aborts,
 					DeadlineReleases: pa.Stats.DeadlineReleases,
 					LocksHeld:        pa.LockedKeys(),
+					Pending:          co.Retained(),
+					Preps:            pa.Retained(),
 					GroupCommits:     co.GroupCommits,
 					MaxDecisionBatch: co.MaxDecisionBatch,
 				}
@@ -293,7 +302,7 @@ func (c *Cluster) ResultNow() Result {
 		}
 		if set.txn != nil {
 			for _, tc := range set.txn.Clients() {
-				r.TxnClients = append(r.TxnClients, TxnClientResult{Node: tc.Node(), ClientStats: tc.Stats})
+				r.TxnClients = append(r.TxnClients, TxnClientResult{Node: tc.Node(), ClientStats: tc.Stats, Open: tc.Open()})
 			}
 		}
 		if p := set.pubsub; p != nil {

@@ -34,18 +34,28 @@ func (o ledgerOp) Replied(int64, bool)       { o.l.replied[o.seq]++ }
 // kvTag is writer 3's tag in the kv space.
 func kvTag(seq uint64) ClientSeq { return Tag(TagKV, 3, seq) }
 
-// submitAt submits writer 3's op seq, carrying floor, from node 3 at at.
+// submitAt submits writer 3's kv op seq, carrying floor, from node 3
+// at at.
 func submitAt(r rigT, g *Group, l *ledger, at vtime.Duration, seq, floor uint64) {
+	submitIn(r, g, l, TagKV, at, seq, floor)
+}
+
+// submitIn is submitAt in tag space sp.
+func submitIn(r rigT, g *Group, l *ledger, sp TagSpace, at vtime.Duration, seq, floor uint64) {
 	r.eng.At(vtime.Time(at), eventq.ClassApp, func() {
-		g.SubmitOwned(3, []BatchItem{{Cmd: int64(seq), Tag: kvTag(seq), Owner: ledgerOp{l, seq}, Floor: floor}})
+		g.SubmitOwned(3, []BatchItem{{Cmd: int64(seq), Tag: Tag(sp, 3, seq), Owner: ledgerOp{l, seq}, Floor: floor}})
 	})
 }
 
-// kvEntries returns which of writer 3's seqs 1..upTo sm's table holds.
-func kvEntries(sm *StateMachine, upTo uint64) []uint64 {
+// kvEntries returns which of writer 3's kv seqs 1..upTo sm's table
+// holds.
+func kvEntries(sm *StateMachine, upTo uint64) []uint64 { return entriesIn(sm, TagKV, upTo) }
+
+// entriesIn is kvEntries in tag space sp.
+func entriesIn(sm *StateMachine, sp TagSpace, upTo uint64) []uint64 {
 	var held []uint64
 	for s := uint64(1); s <= upTo; s++ {
-		if _, ok := sm.Lookup(kvTag(s)); ok {
+		if _, ok := sm.Lookup(Tag(sp, 3, s)); ok {
 			held = append(held, s)
 		}
 	}
@@ -57,15 +67,33 @@ func kvEntries(sm *StateMachine, upTo uint64) []uint64 {
 // 5. A late attempt of op 4 then reaches every replica: none applies
 // it, each counts a duplicate, the leader answers it, and its owner
 // never hears an apply. The table forgets ops 1-5 everywhere.
-func TestItemAtOrBelowFloorIsADuplicate(t *testing.T) {
+func TestItemAtOrBelowFloorIsADuplicate(t *testing.T) { itemAtOrBelowFloor(t, TagKV) }
+
+// TestTxnItemAtOrBelowFloorIsADuplicate: the transaction spaces follow
+// the same rule. A txn client's write floor rides its writes
+// (TagTxnWrite) and its transaction floor its decisions
+// (TagTxnDecision); a late write or decision at or below it is a
+// duplicate that is answered and never applied.
+func TestTxnItemAtOrBelowFloorIsADuplicate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		sp   TagSpace
+	}{{"write", TagTxnWrite}, {"decision", TagTxnDecision}} {
+		t.Run(c.name, func(t *testing.T) { itemAtOrBelowFloor(t, c.sp) })
+	}
+}
+
+// itemAtOrBelowFloor runs TestItemAtOrBelowFloorIsADuplicate's case in
+// tag space sp.
+func itemAtOrBelowFloor(t *testing.T, sp TagSpace) {
 	r := rig(t, 4)
 	g, _ := newGroup(t, r, SemiActive, []int{0, 1, 2})
 	l := newLedger()
 	for i, seq := range []uint64{1, 2, 3, 5} {
-		submitAt(r, g, l, vtime.Duration(i+1)*ms, seq, 0)
+		submitIn(r, g, l, sp, vtime.Duration(i+1)*ms, seq, 0)
 	}
-	submitAt(r, g, l, 10*ms, 6, 5)
-	submitAt(r, g, l, 15*ms, 4, 3) // the late attempt, with the floor it left with
+	submitIn(r, g, l, sp, 10*ms, 6, 5)
+	submitIn(r, g, l, sp, 15*ms, 4, 3) // the late attempt, with the floor it left with
 	r.eng.Run(vtime.Time(40 * ms))
 
 	if got := l.applied[4]; len(got) != 0 {
@@ -82,7 +110,7 @@ func TestItemAtOrBelowFloorIsADuplicate(t *testing.T) {
 		if sm.Applied != 5 {
 			t.Fatalf("n%d applied %d ops, want 5 (1, 2, 3, 5, 6)", n, sm.Applied)
 		}
-		if held := kvEntries(sm, 6); len(held) != 1 || held[0] != 6 {
+		if held := entriesIn(sm, sp, 6); len(held) != 1 || held[0] != 6 {
 			t.Fatalf("n%d's table holds %v, want only op 6 above floor 5", n, held)
 		}
 	}

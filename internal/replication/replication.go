@@ -50,8 +50,8 @@
 //
 //	space           owner                        id               seq                           floor
 //	TagKV           shard.Group.handleRequest    client node      the client's op number        the client's
-//	TagTxnWrite     shard.Group.SubmitKeyed      txn client node  the client-wide write number  none yet
-//	TagTxnDecision  txn.Coordinator.decide       txn client node  the transaction number        none yet
+//	TagTxnWrite     shard.Group.SubmitKeyed      txn client node  the client-wide write number  the client's write floor, via the participant
+//	TagTxnDecision  txn.Coordinator.decide       txn client node  the transaction number        the client's transaction floor, via the coordinator
 //	TagPubSub       pubsub.Plane.handlePub       publisher id     the sample number             none yet
 //
 // A writer's floor (BatchItem.Floor) is the highest seq at or below

@@ -917,15 +917,16 @@ func TestShardedKVDeterministic(t *testing.T) {
 
 // TestBankTransferAtomicAcrossSeeds is the acceptance gate of the
 // transaction layer: under a combined primary crash (shard 0) and a
-// quorum-segmenting partition (shard 1), across 5 seeds, every
+// quorum-segmenting partition (shard 1), across 10 seeds, every
 // committed transfer is all-or-nothing across both shards'
 // authoritative histories, every aborted transfer leaves no partial
 // write, no lock outlives its transaction's deadline — and the fault
 // windows visibly exercised the deadline discipline (both clients
 // commit AND abort work, locks drain, both shards coordinate and
-// prepare).
+// prepare) — and, after the drain, the retired records stay retired:
+// the late copies the faults make are answered without them.
 func TestBankTransferAtomicAcrossSeeds(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
+	for seed := int64(1); seed <= 10; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			spec, err := Builtin("bank-transfer")
 			if err != nil {
@@ -970,6 +971,20 @@ func TestBankTransferAtomicAcrossSeeds(t *testing.T) {
 			for _, sr := range res.Shards {
 				if sr.Txn.LocksHeld != 0 {
 					t.Fatalf("%s still holds %d locks at end of run", sr.Name, sr.Txn.LocksHeld)
+				}
+			}
+			// The plane keeps only what a late copy can still reach: a
+			// participant the open transactions' prepares, a
+			// coordinator those and, per client, the last one it ran,
+			// whose passing floor that client never sent it.
+			open := 0
+			for _, cl := range res.TxnClients {
+				open += cl.Open
+			}
+			for _, sr := range res.Shards {
+				if sr.Txn.Preps > open || sr.Txn.Pending > open+len(res.TxnClients) {
+					t.Fatalf("%s holds %d prepares and %d coordinator records after %d begins, with %d transactions open",
+						sr.Name, sr.Txn.Preps, sr.Txn.Pending, sr.Txn.Begins, open)
 				}
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"hades/internal/cluster"
 	"hades/internal/replication"
 	"hades/internal/session"
+	"hades/internal/trace"
 	"hades/internal/vtime"
 )
 
@@ -92,6 +93,60 @@ func TestDedupTablesStayAboveTheFloor(t *testing.T) {
 				t.Errorf("%s n%d holds %d entries from op %d, want the %d last ops alone (above %d)",
 					g.Name(), node, n, lowest, last, ops)
 			}
+		}
+	}
+}
+
+// writeLedger is a transaction write's owner: it counts the first
+// applies it hears, per write number.
+type writeLedger map[uint64]int
+
+func (w writeLedger) WriteApplied(_ string, seq uint64) { w[seq]++ }
+
+// TestKeyedWriteAtOrBelowFloorIsADuplicate: SubmitKeyed puts the txn
+// client's write floor on its item. Writes 1-3 land, each carrying the
+// floor below it; write 4's transaction aborted, so write 5 carries
+// floor 4. A late copy of write 4 then reaches the group: no replica
+// applies it, each counts a duplicate, its owner never hears it, the
+// history never holds it, and every table keeps write 5 alone.
+func TestKeyedWriteAtOrBelowFloorIsADuplicate(t *testing.T) {
+	const ms, client = vtime.Millisecond, 9
+	c := cluster.New(cluster.Config{Seed: 1})
+	c.AddNodes(4) // one shard × 3 replicas + a kv client
+	g := c.ShardsWith(1, 3, cluster.ShardConfig{}).ClientAt(3).Groups()[0]
+	heard := writeLedger{}
+	submit := func(at vtime.Duration, seq, floor uint64) {
+		c.At(vtime.Time(at), func() { g.SubmitKeyed("acct", int64(seq), client, seq, floor, trace.Ref{}, heard) })
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		submit(vtime.Duration(20+seq)*ms, seq, seq-1)
+	}
+	submit(30*ms, 5, 4)
+	submit(35*ms, 4, 3) // the late copy, with the floor it left with
+	c.Run(60 * ms)
+
+	if heard[4] != 0 || heard[5] != 1 {
+		t.Fatalf("the owner heard write 4 %d times and write 5 %d times, want 0 and 1", heard[4], heard[5])
+	}
+	if d := g.Replication().Duplicates; d != 3 {
+		t.Fatalf("duplicates %d, want 3 (write 4 at each replica)", d)
+	}
+	h, err := g.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, n := h.Find(client, 4); n != 0 {
+		t.Fatalf("history holds the retired write 4 %d times", n)
+	}
+	for _, node := range g.Nodes() {
+		var held []uint64
+		for s := uint64(1); s <= 5; s++ {
+			if _, ok := g.Replication().Machine(node).Lookup(replication.Tag(replication.TagTxnWrite, client, s)); ok {
+				held = append(held, s)
+			}
+		}
+		if len(held) != 1 || held[0] != 5 {
+			t.Fatalf("n%d's table holds writes %v, want 5 alone above floor 4", node, held)
 		}
 	}
 }

@@ -487,12 +487,14 @@ func (g *Group) KeyValue(node int, key string) (int64, bool) {
 // in the group's apply history under the owning client's identity —
 // the same histories Verify and txn.Verify audit. applied hears
 // WriteApplied(key, seq) once, right after the write's first apply
-// anywhere is logged.
-func (g *Group) SubmitKeyed(key string, cmd int64, client int, seq uint64, tr trace.Ref, applied WriteOwner) {
+// anywhere is logged. floor is the client's write floor (see
+// replication.BatchItem.Floor): every write it numbered at or below it
+// belongs to a transaction the client has decided.
+func (g *Group) SubmitKeyed(key string, cmd int64, client int, seq, floor uint64, tr trace.Ref, applied WriteOwner) {
 	// No batch: the transaction layer answers its own client.
 	po := &pendingOp{g: g, op: batchOp{Key: key, Cmd: cmd, Seq: seq}, client: client, applied: applied}
 	g.rep.SubmitOwned(g.rep.Primary(), []replication.BatchItem{{
-		Cmd: cmd, Tag: replication.Tag(replication.TagTxnWrite, uint64(client), seq), Owner: po,
+		Cmd: cmd, Tag: replication.Tag(replication.TagTxnWrite, uint64(client), seq), Owner: po, Floor: floor,
 	}})
 	po.span = tr.Span(g.applySpan, trace.LayerReplicate)
 	g.open++

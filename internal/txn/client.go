@@ -71,6 +71,9 @@ type Txn struct {
 	deadline vtime.Time
 	ops      []Op
 	status   Status
+	// firstSeq is the first write number the transaction could take:
+	// the client's next one when it began.
+	firstSeq uint64
 
 	committedCall bool
 	submittedAt   vtime.Time
@@ -122,6 +125,9 @@ type Client struct {
 
 	nextTxn uint64
 	nextSeq uint64
+	// open lists the transactions begun and not yet decided, in Begin
+	// order: the oldest bounds the floors every attempt carries.
+	open []*Txn
 
 	queue    []*Txn // commit FIFO: one transaction in flight at a time
 	inflight *Txn
@@ -155,19 +161,37 @@ func NewClient(p *Plane, params ClientParams) *Client {
 // Node returns the client's processor.
 func (c *Client) Node() int { return c.c.Node }
 
+// Open returns how many transactions the client has begun and not
+// yet seen decided.
+func (c *Client) Open() int { return len(c.open) }
+
 // Begin opens a transaction whose deadline is the client's default
 // relative deadline from now: if it has not committed by then, it
 // deterministically aborts — locks are never held past it.
 func (c *Client) Begin() *Txn {
 	c.nextTxn++
 	c.Stats.Begun++
-	return &Txn{
+	t := &Txn{
 		c:        c,
 		id:       ID{Client: c.c.Node, Num: c.nextTxn},
 		deadline: c.p.eng.Now().Add(c.c.Deadline),
 		ops:      make([]Op, 0, transferOps),
 		status:   StatusPending,
+		firstSeq: c.nextSeq + 1,
 	}
+	c.open = append(c.open, t)
+	return t
+}
+
+// floors returns the client's transaction and write floors: the
+// numbers below its oldest open transaction's, or every number it has
+// given out when none is open. A transaction, and a write, at or below
+// them is decided, so the client sends none of them again.
+func (c *Client) floors() (txnFloor, writeFloor uint64) {
+	if len(c.open) == 0 {
+		return c.nextTxn, c.nextSeq
+	}
+	return c.open[0].id.Num - 1, c.open[0].firstSeq - 1
 }
 
 // transferOps is the op count Begin makes room for: a Transfer's two
@@ -259,6 +283,7 @@ func (s submission) sendTo(node, attempt int) {
 	t, c := s.t, s.t.c
 	t.target = node
 	env := beginEnv{ID: t.id, Ops: t.ops, Deadline: t.deadline, Client: c.c.Node, Attempt: attempt, Trace: t.trace.Ref()}
+	env.TxnFloor, env.WriteFloor = c.floors()
 	c.p.send(c.c.Node, node, c.p.coordPort, env, 64)
 }
 
@@ -323,6 +348,9 @@ func (c *Client) finish(t *Txn, committed bool, reason string, byDeadline bool, 
 		if byDeadline {
 			c.Stats.DeadlineAborts++
 		}
+	}
+	if i := slices.Index(c.open, t); i >= 0 {
+		c.open = slices.Delete(c.open, i, i+1)
 	}
 	c.p.sess.Finish(t.call)
 	t.wspan.End()

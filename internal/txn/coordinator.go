@@ -56,6 +56,9 @@ type coordTxn struct {
 	attempt  int
 	parts    []partState // ascending shard order (deterministic sends)
 	reads    map[string]int64
+	// writeFloor is the client's write floor as the admitted submission
+	// carried it; every PREPARE hands it on to the participant.
+	writeFloor uint64
 
 	decided     bool
 	commit      bool
@@ -106,7 +109,7 @@ func (ct *coordTxn) Send(n uint64, _ int) {
 	to := c.p.router.Groups()[ps.shard].Replication().Primary()
 	if n&1 == loopPrepare {
 		c.p.record(monitor.KindPrepare, from, ct.id, "-> shard %d (n%d)", ps.shard, to)
-		env := prepareEnv{ID: ct.id, Ops: ps.ops, Deadline: ct.deadline, Coord: c.shard, Trace: ct.trace}
+		env := prepareEnv{ID: ct.id, Ops: ps.ops, Deadline: ct.deadline, Coord: c.shard, WriteFloor: ct.writeFloor, Trace: ct.trace}
 		c.p.send(from, to, c.p.partPort, env, 48)
 		return
 	}
@@ -167,6 +170,15 @@ type decisionEntry struct {
 	logged bool
 }
 
+// clientFloor is what a coordinator keeps of one client: its
+// transaction floor, raised by the client's submissions, and the
+// numbers of its finished transactions (decided, distributed, acked by
+// every participant) that wait in pending for the floor to pass them.
+type clientFloor struct {
+	floor    uint64
+	finished []uint64
+}
+
 // Coordinator is the transaction-coordinator role of one shard group:
 // it accepts client submissions for transactions hashed onto its
 // shard, drives PREPARE/COMMIT/ABORT, and logs every decision through
@@ -177,6 +189,8 @@ type Coordinator struct {
 	shard int
 
 	pending map[ID]*coordTxn
+	// floors holds each client's floor, indexed by client node.
+	floors []clientFloor
 	// decided mirrors the replicated decision log at every replica:
 	// node → transaction → commit. Maintained from the decision entries'
 	// applies (so it survives primary failover — followers applied the
@@ -222,6 +236,11 @@ func newCoordinator(p *Plane, g *shard.Group, idx int) *Coordinator {
 	return c
 }
 
+// Retained returns how many transaction records the coordinator holds:
+// those not yet finished, and finished ones its client's floor has not
+// yet passed.
+func (c *Coordinator) Retained() int { return len(c.pending) }
+
 // snapshotDecided and restoreDecided move the decision mirror with the
 // membership state-transfer path (donor's view → joiner).
 func (c *Coordinator) snapshotDecided(donor, joiner int) any {
@@ -237,7 +256,7 @@ func (c *Coordinator) snapshotDecided(donor, joiner int) any {
 
 func (c *Coordinator) restoreDecided(node int, data any) {
 	if d, ok := data.(map[ID]bool); ok {
-		c.decided[node] = maps.Clone(d)
+		c.decided[node] = d // snapshotDecided cloned it for this joiner alone
 	}
 }
 
@@ -268,7 +287,15 @@ func (c *Coordinator) handleBegin(node, from int, env beginEnv) {
 		c.p.send(node, from, c.p.respPort, outcomeEnv{ID: env.ID, Attempt: env.Attempt, Kind: respRedirect, Primary: primary}, 32)
 		return
 	}
+	c.raiseFloor(env.ID.Client, env.TxnFloor)
 	ct := c.pending[env.ID]
+	if ct == nil && env.ID.Num <= c.floorOf(env.ID.Client) {
+		// A late copy of a retired transaction: its record would have
+		// answered with the outcome, which the client, having decided
+		// it, drops.
+		c.p.send(node, env.Client, c.p.respPort, outcomeEnv{ID: env.ID, Attempt: env.Attempt, Kind: respOutcome}, 40)
+		return
+	}
 	if ct == nil {
 		ct = c.admit(env)
 	} else {
@@ -312,6 +339,8 @@ func (c *Coordinator) admit(env beginEnv) *coordTxn {
 		attempt:  env.Attempt,
 		parts:    splitByShard(env.Ops),
 		trace:    env.Trace,
+
+		writeFloor: env.WriteFloor,
 	}
 	c.pending[env.ID] = ct
 	c.Stats.Begins++
@@ -436,6 +465,7 @@ func (c *Coordinator) logDecision(e decisionEntry) {
 						Cmd:   cmd,
 						Tag:   replication.Tag(replication.TagTxnDecision, uint64(e.id.Client), e.id.Num),
 						Owner: e,
+						Floor: c.floorOf(e.id.Client),
 					}
 				}
 				c.g.Replication().SubmitOwned(c.g.Replication().Primary(), batch)
@@ -534,6 +564,57 @@ func (c *Coordinator) handleAck(env ackEnv) {
 		}
 	}
 	c.reply(c.g.Replication().Primary(), ct)
+	if ct.decided && ct.distributed {
+		c.finish(ct)
+	}
+}
+
+// floorOf returns client's transaction floor, 0 before its first.
+func (c *Coordinator) floorOf(client int) uint64 {
+	if client < len(c.floors) {
+		return c.floors[client].floor
+	}
+	return 0
+}
+
+// raiseFloor lifts client's floor to f, if that is higher, and retires
+// the finished transactions it passes.
+func (c *Coordinator) raiseFloor(client int, f uint64) {
+	if f <= c.floorOf(client) {
+		return
+	}
+	cf := c.floorRow(client)
+	cf.floor = f
+	waiting := cf.finished[:0]
+	for _, num := range cf.finished {
+		if num <= f {
+			delete(c.pending, ID{Client: client, Num: num})
+		} else {
+			waiting = append(waiting, num)
+		}
+	}
+	cf.finished = waiting
+}
+
+// finish retires a transaction that is decided, distributed and acked
+// by every participant: at once when its client's floor has passed it,
+// or once the floor does. Until then a retried submission draws the
+// outcome from the record.
+func (c *Coordinator) finish(ct *coordTxn) {
+	if ct.id.Num <= c.floorOf(ct.id.Client) {
+		delete(c.pending, ct.id)
+		return
+	}
+	cf := c.floorRow(ct.id.Client)
+	cf.finished = append(cf.finished, ct.id.Num)
+}
+
+// floorRow returns client's row, growing the table to reach it.
+func (c *Coordinator) floorRow(client int) *clientFloor {
+	if client >= len(c.floors) {
+		c.floors = append(c.floors, make([]clientFloor, client+1-len(c.floors))...)
+	}
+	return &c.floors[client]
 }
 
 // handleQuery serves a participant's decision-resolution request: the

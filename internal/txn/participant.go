@@ -58,8 +58,11 @@ type prep struct {
 	keys     []string
 	deadline vtime.Time
 	coord    int
-	state    prepState
-	commit   bool
+	// writeFloor is the client's write floor as the PREPARE carried it;
+	// the transaction's writes carry it into the shard's dedup table.
+	writeFloor uint64
+	state      prepState
+	commit     bool
 	// applying counts outstanding write applies; the commit is acked
 	// once it reaches zero (writes visibly in the primary's history).
 	applying int
@@ -128,6 +131,10 @@ type Participant struct {
 	locks   map[string]ID
 	waiters []*prep
 	preps   map[ID]*prep
+	// retired marks the transactions whose prep this shard has retired:
+	// a late PREPARE for one is silent and a late decision acked, as
+	// the done prep answered them.
+	retired idBits
 	// overlay holds committed-but-not-yet-applied write values: a
 	// waiter granted in the instant a commit releases its locks must
 	// read the committed value, not the pre-apply state (the keyed view
@@ -172,6 +179,10 @@ func newParticipant(p *Plane, g *shard.Group, idx int) *Participant {
 // Verify use it to assert the end-of-run lock table drained).
 func (pa *Participant) LockedKeys() int { return len(pa.locks) }
 
+// Retained returns how many prepares the participant holds: those not
+// yet done, and done commits whose writes are still applying.
+func (pa *Participant) Retained() int { return len(pa.preps) }
+
 // handle dispatches one protocol message arriving at replica node.
 func (pa *Participant) handle(node int, m *netsim.Message) {
 	if pa.p.net.NodeDown(node) {
@@ -192,6 +203,9 @@ func (pa *Participant) handlePrepare(node, from int, env prepareEnv) {
 	if verdict, _ := pa.g.Gate(node); verdict != shard.Serve {
 		return
 	}
+	if pa.retired.has(env.ID) {
+		return // a done prep cast its vote already
+	}
 	pr := pa.preps[env.ID]
 	if pr != nil {
 		// A retry: re-vote for states that already voted (the original
@@ -209,7 +223,8 @@ func (pa *Participant) handlePrepare(node, from int, env prepareEnv) {
 			voteEnv{ID: env.ID, Shard: pa.shard, Yes: false, Reason: "deadline passed", Deadline: true}, 32)
 		return
 	}
-	pr = &prep{pa: pa, id: env.ID, ops: env.Ops, keys: distinctKeys(env.Ops), deadline: env.Deadline, coord: env.Coord, state: prepWaiting, trace: env.Trace}
+	pr = &prep{pa: pa, id: env.ID, ops: env.Ops, keys: distinctKeys(env.Ops), deadline: env.Deadline, coord: env.Coord,
+		writeFloor: env.WriteFloor, state: prepWaiting, trace: env.Trace}
 	pa.preps[env.ID] = pr
 	pa.Stats.Prepares++
 	if pa.tryAcquire(pr) {
@@ -298,6 +313,7 @@ func (pa *Participant) atDeadline(pr *prep) {
 		pa.p.record(monitor.KindTxnAbort, node, pr.id, "shard %d: lock wait exceeded deadline", pa.shard)
 		coordPrimary := pa.p.router.Groups()[pr.coord].Replication().Primary()
 		pa.vote(node, coordPrimary, pr, false, "lock wait exceeded deadline", true)
+		pa.retire(pr)
 	case prepHeld:
 		pa.release(pr)
 		pr.state = prepReleased
@@ -375,8 +391,9 @@ func (pa *Participant) handleDecision(node, from int, env decisionEnv) {
 	pr := pa.preps[env.ID]
 	if pr == nil {
 		// Abort of a transaction never prepared here (prepare lost or
-		// refused): nothing to undo.
-		if !env.Commit {
+		// refused): nothing to undo. A retired prep was acked or
+		// aborted, so it acks again.
+		if !env.Commit || pa.retired.has(env.ID) {
 			pa.p.send(node, from, pa.p.coordPort, ackEnv{ID: env.ID, Shard: pa.shard}, 24)
 		}
 		return
@@ -396,6 +413,7 @@ func (pa *Participant) handleDecision(node, from int, env decisionEnv) {
 		pa.Stats.Aborts++
 		pa.p.record(monitor.KindTxnAbort, node, pr.id, "shard %d: decision abort", pa.shard)
 		pa.p.send(node, from, pa.p.coordPort, ackEnv{ID: env.ID, Shard: pa.shard}, 24)
+		pa.retire(pr)
 		return
 	}
 	if prev == prepWaiting {
@@ -412,7 +430,7 @@ func (pa *Participant) handleDecision(node, from int, env decisionEnv) {
 		if op.Kind != OpWrite {
 			continue
 		}
-		pa.g.SubmitKeyed(op.Key, op.Cmd, pr.id.Client, op.Seq, pr.trace, pr)
+		pa.g.SubmitKeyed(op.Key, op.Cmd, pr.id.Client, op.Seq, pr.writeFloor, pr.trace, pr)
 		pa.overlay[op.Key] = overlayVal{cmd: op.Cmd, client: pr.id.Client, seq: op.Seq}
 		pr.applying++
 	}
@@ -420,6 +438,7 @@ func (pa *Participant) handleDecision(node, from int, env decisionEnv) {
 	if pr.applying == 0 { // read-only at this shard
 		pr.acked = true
 		pa.p.send(node, from, pa.p.coordPort, ackEnv{ID: env.ID, Shard: pa.shard}, 24)
+		pa.retire(pr)
 	}
 }
 
@@ -443,4 +462,39 @@ func (pa *Participant) writeApplied(pr *prep, key string, seq uint64) {
 	from := pa.g.Replication().Primary()
 	to := pa.p.router.Groups()[pr.coord].Replication().Primary()
 	pa.p.send(from, to, pa.p.coordPort, ackEnv{ID: pr.id, Shard: pa.shard}, 24)
+	pa.retire(pr)
+}
+
+// retire forgets a done prep that is acked or no commit: every late
+// copy it could still draw has the answer its retired bit gives.
+func (pa *Participant) retire(pr *prep) {
+	delete(pa.preps, pr.id)
+	pa.retired.add(pr.id)
+}
+
+// idBits is a set of transaction ids, one bit each, indexed by client
+// node and then by transaction number: what a retired prep leaves.
+type idBits [][]uint64
+
+// add puts id in the set.
+func (b *idBits) add(id ID) {
+	c, w := id.Client, id.Num/64
+	if c >= len(*b) {
+		*b = append(*b, make([][]uint64, c+1-len(*b))...)
+	}
+	row := (*b)[c]
+	for w >= uint64(len(row)) {
+		row = append(row, 0)
+	}
+	row[w] |= 1 << (id.Num % 64)
+	(*b)[c] = row
+}
+
+// has reports whether id is in the set.
+func (b idBits) has(id ID) bool {
+	if id.Client >= len(b) {
+		return false
+	}
+	row, w := b[id.Client], id.Num/64
+	return w < uint64(len(row)) && row[w]&(1<<(id.Num%64)) != 0
 }

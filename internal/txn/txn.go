@@ -34,6 +34,42 @@
 //     partition windows and resubmit after the merge view, the same
 //     queue policy the data-plane client uses.
 //
+// The plane forgets what its clients have acknowledged, and answers
+// every late copy exactly as the forgotten record did:
+//
+//   - The client keeps its open transactions (begun, not yet decided)
+//     in Begin order. Every attempt carries two floors: the numbers
+//     below the oldest open transaction's, or every number the client
+//     has given out when none is open — TxnFloor for transactions,
+//     WriteFloor for write sequence numbers. Only the client knows it
+//     will never send one of those again.
+//   - A coordinator keeps each client's transaction floor, raised by
+//     its submissions, and drops a transaction record once it is
+//     decided, distributed, acked by every participant and at or below
+//     that floor. A submission at or below the floor with no record
+//     draws the one outcome message the record would have sent (the
+//     client, having decided it, drops it); votes and acks for it are
+//     dropped and queries answered from the decision mirror, as
+//     before. Its decision-log entries carry the floor, so the
+//     TagTxnDecision dedup space forgets what lies below it. Both
+//     rules rest on the client deciding a submitted transaction only
+//     from its coordinator's outcome, sent once the decision applied
+//     (one that times out in the client queue was never sent): an id
+//     at or below the floor with no record was retired here, and no
+//     decision is logged after the floor passes it, where it would
+//     count as a duplicate.
+//   - A participant drops a prepare once it is done and either acked
+//     or no commit: at the last write apply, at a read-only commit, at
+//     an abort decision and at a deadline NO vote. It keeps one bit per
+//     (client, transaction) for "retired here": a PREPARE for such an
+//     id is silent and a decision acked, as the done prepare answered
+//     them, while an id never prepared keeps its own answers (a NO vote
+//     past the deadline, a fresh prepare before it, an ack for an
+//     abort). A floor could not tell the two apart, so that bit is the
+//     one state left that grows with the run. The writes carry the
+//     prepare's WriteFloor, so the TagTxnWrite dedup space forgets
+//     what lies below it.
+//
 // Verify asserts the atomic-commitment contract after a run: every
 // committed transaction's writes appear exactly once in all owning
 // shards' authoritative histories, every aborted transaction's writes
@@ -155,6 +191,12 @@ type beginEnv struct {
 	Deadline vtime.Time
 	Client   int
 	Attempt  int
+	// TxnFloor and WriteFloor are the client's floors when it sent the
+	// attempt: every transaction numbered at or below TxnFloor, and
+	// every write numbered at or below WriteFloor, belongs to a
+	// transaction the client has decided, so it sends none of them
+	// again.
+	TxnFloor, WriteFloor uint64
 	// Trace is the transaction's causal trace (the generation-checked
 	// ref is the propagation format in the single-process simulation;
 	// the zero ref when tracing is off).
@@ -188,6 +230,9 @@ type prepareEnv struct {
 	// Coord is the coordinator shard index (decision queries resolve
 	// against its current primary).
 	Coord int
+	// WriteFloor is the client's write floor as its submission carried
+	// it; the transaction's writes carry it into the shard's dedup table.
+	WriteFloor uint64
 	// Trace is the owning transaction's causal trace (the zero ref
 	// when tracing is off).
 	Trace trace.Ref
