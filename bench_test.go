@@ -58,10 +58,15 @@ var highFanoutKeys = func() []string {
 // highFanoutKV runs the batching/pipelining workload once under cfg
 // (its Seed is the workload's own, 61): one client bursting 32 keys
 // every 2 ms for 100 ms over a 4-shard plane — the shape where per-op
-// wire messages and replication rounds dominate.
-func highFanoutKV(cfg cluster.Config) (*cluster.Cluster, *cluster.ShardSet, *shard.Client) {
+// wire messages and replication rounds dominate. A non-nil prepare sees
+// the cluster before anything is built on it (a reader of the monitor
+// window asks for its kinds there).
+func highFanoutKV(cfg cluster.Config, prepare func(*cluster.Cluster)) (*cluster.Cluster, *cluster.ShardSet, *shard.Client) {
 	cfg.Seed = 61
 	c := cluster.New(cfg)
+	if prepare != nil {
+		prepare(c)
+	}
 	c.AddNodes(9) // 4 shards × 2 replicas + client
 	c.ConnectAll(100*us, 300*us)
 	set := c.ShardsWith(4, 2, cluster.ShardConfig{Session: highFanoutSession()})
@@ -85,7 +90,7 @@ func highFanoutKV(cfg cluster.Config) (*cluster.Cluster, *cluster.ShardSet, *sha
 // planes-off A/B.
 func BenchmarkHighFanoutKV(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, set, cl := highFanoutKV(cluster.Config{})
+		_, set, cl := highFanoutKV(cluster.Config{}, nil)
 		if cl.Stats.Acked != cl.Stats.Submitted {
 			b.Fatalf("acked %d of %d", cl.Stats.Acked, cl.Stats.Submitted)
 		}

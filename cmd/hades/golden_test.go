@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"hades/internal/monitor"
 	"hades/internal/scenario"
 )
 
@@ -59,9 +60,10 @@ func TestCommittedBaselines(t *testing.T) {
 }
 
 // TestRunGolden holds, as SHA-256 digests in testdata/golden.txt, the
-// stdout of hades run -gantt -events and of hades feas -validate for
-// every builtin, and the monitor log alone for every builtin at seeds
-// 1–5 (-short: seed 1);
+// stdout of hades run -gantt -events, the JSON file of hades run
+// -metrics and the stdout of hades feas -validate for every builtin,
+// and the monitor log alone, every kind kept, for every builtin at
+// seeds 1–5 (-short: seed 1);
 // each of those seeded runs must also pass Cluster.Verify, and no
 // retained, violation or fault detail may hold a "%!" marker — the
 // record renderer met an argument it does not format. Regenerate
@@ -73,7 +75,7 @@ func TestCommittedBaselines(t *testing.T) {
 // Runs execute side by side, so state two of them share shows here as a
 // digest change, and under go test -race as a race.
 func TestRunGolden(t *testing.T) {
-	g := &goldenSet{groups: []string{"run", "feas", "log"}}
+	g := &goldenSet{groups: []string{"run", "feas", "log", "metrics"}}
 	seeds := 5
 	if testing.Short() && !*update {
 		seeds = 1
@@ -92,6 +94,19 @@ func TestRunGolden(t *testing.T) {
 			})
 		}
 	})
+	t.Run("metrics", func(t *testing.T) {
+		for _, name := range scenario.BuiltinNames() {
+			g.record(t, "metrics", name, func(t *testing.T, w io.Writer) {
+				path := filepath.Join(t.TempDir(), "m.json")
+				hades(t, io.Discard, "run", "-builtin", name, "-metrics", path)
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.Write(data)
+			})
+		}
+	})
 	t.Run("log", func(t *testing.T) {
 		for _, name := range scenario.BuiltinNames() {
 			for seed := 1; seed <= seeds; seed++ {
@@ -105,6 +120,7 @@ func TestRunGolden(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					clu.Log().Keep(monitor.Kinds()...)
 					clu.Run(spec.Horizon())
 					if err := clu.Log().WriteTrace(w); err != nil {
 						t.Fatal(err)

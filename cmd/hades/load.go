@@ -25,7 +25,7 @@ func loadCmd(args []string, stdout, stderr io.Writer) int {
 	if fs.Parse(args) != nil {
 		return exitUsage
 	}
-	spec, clu, _, err := simulate(open)
+	spec, clu, _, err := simulate(open, nil)
 	if err != nil {
 		return cannot(stderr, "load", err)
 	}

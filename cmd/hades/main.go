@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"hades/internal/cluster"
+	"hades/internal/monitor"
 	"hades/internal/scenario"
 )
 
@@ -111,9 +112,10 @@ func scenarioFlags(fs *flag.FlagSet) (open func() (scenario.Spec, error)) {
 	return func() (scenario.Spec, error) { return scenario.Open(*builtin, *file) }
 }
 
-// simulate opens the selected scenario, builds its cluster and runs it
-// to the horizon.
-func simulate(open func() (scenario.Spec, error)) (scenario.Spec, *cluster.Cluster, cluster.Result, error) {
+// simulate opens the selected scenario, builds its cluster, asks its
+// monitor window to keep the kinds keep names (nil keeps the cluster's
+// default) and runs it to the horizon.
+func simulate(open func() (scenario.Spec, error), keep []monitor.Kind) (scenario.Spec, *cluster.Cluster, cluster.Result, error) {
 	spec, err := open()
 	if err != nil {
 		return spec, nil, cluster.Result{}, err
@@ -121,6 +123,9 @@ func simulate(open func() (scenario.Spec, error)) (scenario.Spec, *cluster.Clust
 	clu, err := spec.Build()
 	if err != nil {
 		return spec, nil, cluster.Result{}, err
+	}
+	if keep != nil {
+		clu.Log().Keep(keep...)
 	}
 	return spec, clu, clu.Run(spec.Horizon()), nil
 }

@@ -34,7 +34,13 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	if fs.Parse(args) != nil {
 		return exitUsage
 	}
-	spec, clu, rep, err := simulate(open)
+	// The chart and the event listing read the monitor window, so they
+	// ask it to keep every kind; a plain run keeps the cluster's default.
+	var keep []monitor.Kind
+	if *gantt || *events {
+		keep = monitor.Kinds()
+	}
+	spec, clu, rep, err := simulate(open, keep)
 	if err != nil {
 		return cannot(stderr, "run", err)
 	}

@@ -156,6 +156,10 @@ func New(cfg Config) *Cluster {
 		limit = 0 // monitor.NewLog(0) = unbounded
 	}
 	log := monitor.NewLog(limit)
+	// The window keeps, unasked, only the kind the benchmark's
+	// rt-pipeline latency sample reads (TaskDone's resp= details);
+	// every other kind is counted, not kept, until a reader calls Keep.
+	log.Keep(monitor.KindTaskComplete)
 	c := &Cluster{
 		cfg:     cfg,
 		log:     log,
@@ -282,7 +286,8 @@ func (c *Cluster) Network() *netsim.Network {
 	return c.net
 }
 
-// Log returns the shared monitoring event log.
+// Log returns the shared monitoring event log. Its window keeps only
+// TaskComplete records unless a reader calls Keep before the first Run.
 func (c *Cluster) Log() *monitor.Log { return c.log }
 
 // Tracer returns the causal tracing plane (nil when disabled — a valid

@@ -52,6 +52,7 @@ func diamond(joined *[]int64) *heug.Task {
 func diamondRun(seed int64) (cluster.Result, []string, *[]int64) {
 	var joined []int64
 	c := cluster.New(cluster.Config{Seed: seed, Costs: dispatcher.DefaultCostBook()})
+	c.Log().Keep(monitor.Kinds()...)
 	c.AddNodes(3)
 	c.ConnectAll(100*us, 300*us)
 	app := c.NewApp("app", sched.NewEDF(15*us), nil)

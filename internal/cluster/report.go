@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"slices"
 
 	"hades/internal/report"
@@ -97,43 +98,37 @@ func throughputSeries(r Result) []report.ThroughputPoint {
 	if r.Metrics == nil || len(r.Loads) == 0 {
 		return nil
 	}
-	type cell struct{ offered, acked int64 }
-	byT := map[int64]*cell{}
-	order := []int64{}
-	add := func(name string, offered bool) {
+	var out []report.ThroughputPoint
+	for _, l := range r.Loads {
+		offered, acked := "load."+l.Name+".offered", "load."+l.Name+".acked"
 		for _, s := range r.Metrics.Series {
-			if s.Name != name {
-				continue
-			}
-			for _, p := range s.Points {
-				c := byT[p.T]
-				if c == nil {
-					c = &cell{}
-					byT[p.T] = c
-					order = append(order, p.T)
+			switch s.Name {
+			case offered:
+				for _, p := range s.Points {
+					out = append(out, report.ThroughputPoint{T: p.T, Offered: p.V})
 				}
-				if offered {
-					c.offered += p.V
-				} else {
-					c.acked += p.V
+			case acked:
+				for _, p := range s.Points {
+					out = append(out, report.ThroughputPoint{T: p.T, Achieved: p.V})
 				}
 			}
 		}
 	}
-	for _, l := range r.Loads {
-		add("load."+l.Name+".offered", true)
-		add("load."+l.Name+".acked", false)
+	// Each series is in time order, but a ring that evicted one series'
+	// early points leaves the others' earlier: sort, then sum each
+	// instant's points into one.
+	slices.SortStableFunc(out, func(a, b report.ThroughputPoint) int { return cmp.Compare(a.T, b.T) })
+	n := 0
+	for _, p := range out {
+		if n > 0 && out[n-1].T == p.T {
+			out[n-1].Offered += p.Offered
+			out[n-1].Achieved += p.Achieved
+			continue
+		}
+		out[n] = p
+		n++
 	}
-	// Scrape instants arrive in chronological order per series and a
-	// second generator mostly revisits existing instants; sorting covers
-	// partial windows (a ring that evicted one series' early points).
-	slices.Sort(order)
-	out := make([]report.ThroughputPoint, 0, len(order))
-	for _, t := range order {
-		c := byT[t]
-		out = append(out, report.ThroughputPoint{T: t, Offered: c.offered, Achieved: c.acked})
-	}
-	return out
+	return out[:n]
 }
 
 // ReportNow builds the report at the current instant: ResultNow

@@ -230,6 +230,7 @@ func TestTxnSurvivesCoordinatorCrash(t *testing.T) {
 // calls recorded.
 func TestTxnRedirectsCountedOnce(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 113})
+	c.Log().Keep(monitor.KindRedirect)
 	c.AddNodes(7) // 2 shards × 3 replicas + txn client
 	c.ConnectAll(100*us, 300*us)
 	set := c.ShardsWith(2, 3, cluster.ShardConfig{})

@@ -176,3 +176,39 @@ func TestAllocsBlockedGrant(t *testing.T) {
 		})
 	}
 }
+
+// TestAllocsNotificationsOnDefaultWindow: the Spuri instance of
+// TestAllocsSpuriInstance, recorded into a window with room left that
+// keeps what a cluster's keeps by default (TaskDone only), costs its
+// block and its name string (2) and nothing per notification: the
+// scheduler host's thread is named sched.<app>@n<node>#<seq> only for a
+// record a window keeps, and this one keeps no thread event. The same
+// cycle on a window that keeps every kind, as every window did before
+// windows took a keep set, reads 10: the name rendered for each of the
+// host's thread records (six notifications per instance), and the
+// window's growth.
+func TestAllocsNotificationsOnDefaultWindow(t *testing.T) {
+	log := monitor.NewLog(0)
+	log.Keep(monitor.KindTaskComplete)
+	eng := simkern.NewEngine(log, 1)
+	eng.AddProcessor("n", dispatcher.DefaultCostBook().SwitchCost)
+	d := dispatcher.New(eng, nil, dispatcher.DefaultCostBook())
+	app := d.RegisterApp("rt", sched.NewEDF(20*us), sched.NewSRP())
+	task, err := heug.SpuriTask{Name: "fast0", Node: 0, Resource: "S0",
+		CBefore: 200 * us, CS: 150 * us, CAfter: 250 * us,
+		Deadline: 5 * ms, PseudoPeriod: 5 * ms}.ToHEUG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	app.AddTask(task)
+	app.Seal()
+	gate(t, "EDF+SRP Spuri instance on a default window", 2, func() {
+		if _, err := d.Activate("fast0"); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run(eng.Now().Add(5 * ms))
+	})
+	if st := d.Stats(); st.Completions != st.Activations || log.Len() != st.Completions || log.CountKind(monitor.KindNotification) < 2*st.Completions {
+		t.Fatalf("%d of %d instances completed, %d TaskDone kept, %d notifications", st.Completions, st.Activations, log.Len(), log.CountKind(monitor.KindNotification))
+	}
+}

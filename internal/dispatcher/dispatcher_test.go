@@ -15,10 +15,12 @@ import (
 )
 
 // newSingleNode builds a 1-node system with an RM app and the given
-// tasks, returning the system and app.
+// tasks, returning the system and app. Its monitor window keeps every
+// kind, for the tests that read it.
 func newSingleNode(t *testing.T, costs dispatcher.CostBook, tasks ...*heug.Task) (*cluster.Cluster, *cluster.App) {
 	t.Helper()
 	sys := cluster.New(cluster.Config{Seed: 7, Costs: costs})
+	sys.Log().Keep(monitor.Kinds()...)
 	app := sys.NewApp("app", sched.NewRM(), nil)
 	for _, task := range tasks {
 		app.MustAddTask(task)
@@ -452,6 +454,7 @@ func (dropAll) Judge(*netsim.Message) netsim.Verdict {
 func TestDeterministicEndToEnd(t *testing.T) {
 	run := func() string {
 		sys := cluster.New(cluster.Config{Seed: 99, Costs: dispatcher.DefaultCostBook()})
+		sys.Log().Keep(monitor.Kinds()...)
 		sys.AddNodes(2)
 		app := sys.NewApp("app", sched.NewEDF(15*us), sched.NewSRP())
 		for i, p := range []vtime.Duration{5 * ms, 7 * ms, 11 * ms} {

@@ -32,6 +32,7 @@ const (
 //	          the survivors); t1, now highest, resumes and completes.
 func TestFigure2EDFCooperation(t *testing.T) {
 	sys := cluster.New(cluster.Config{Seed: 1})
+	sys.Log().Keep(monitor.Kinds()...)
 	edf := sched.NewEDF(20 * us)
 	app := sys.NewApp("fig2", edf, nil)
 
@@ -117,6 +118,7 @@ func TestFigure2WithCosts(t *testing.T) {
 	run := func(costs dispatcher.CostBook) cluster.Result {
 		sys := cluster.New(cluster.Config{Seed: 1, Costs: costs})
 		log = sys.Log()
+		log.Keep(monitor.Kinds()...)
 		app := sys.NewApp("fig2", sched.NewEDF(20*us), nil)
 		t1 := heug.NewTask("t1", heug.AperiodicLaw()).
 			WithDeadline(20*ms).

@@ -20,6 +20,7 @@ func buildRandomSystem(seed int64, u float64, horizon vtime.Duration) *cluster.C
 	rng := rand.New(rand.NewSource(seed))
 	tasks := feasibility.Generate(rng, feasibility.DefaultGenConfig(4, u))
 	sys := cluster.New(cluster.Config{Seed: seed, Costs: dispatcher.DefaultCostBook()})
+	sys.Log().Keep(monitor.Kinds()...)
 	app := sys.NewApp("w", sched.NewEDF(20*us), sched.NewSRP())
 	for _, ft := range tasks {
 		if err := app.AddSpuri(feasibility.ToSpuri(ft, tasks, 0)); err != nil {
@@ -193,6 +194,7 @@ func TestKernelCallNonPreemptible(t *testing.T) {
 		StartAction: 1 * ms, // grotesquely long kernel call, to probe
 		EndAction:   1 * ms,
 	}})
+	sys.Log().Keep(monitor.KindThreadPreempt)
 	app := sys.NewApp("a", sched.NewBestEffort(), nil)
 	lo := heug.NewTask("lo", heug.AperiodicLaw()).
 		WithDeadline(50*ms).

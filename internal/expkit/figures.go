@@ -109,6 +109,7 @@ func guaranteedMisses(rep cluster.Result) int {
 // event sequence (also used by the F2 golden test and bench).
 func figure2Trace(seed int64) (cluster.Result, []string) {
 	sys := newCluster(1, seed, dispatcher.DefaultCostBook())
+	sys.Log().Keep(figure2Kinds...)
 	app := sys.NewApp("fig2", sched.NewEDF(20*us), nil)
 	t1 := heug.NewTask("t1", heug.AperiodicLaw()).
 		WithDeadline(20*ms).
@@ -127,19 +128,22 @@ func figure2Trace(seed int64) (cluster.Result, []string) {
 
 	var lines []string
 	for _, e := range sys.Log().Events() {
-		switch e.Kind {
-		case monitor.KindNotification, monitor.KindSchedulerRun,
-			monitor.KindPriorityChange, monitor.KindThreadStart,
-			monitor.KindThreadPreempt, monitor.KindThreadResume,
-			monitor.KindThreadFinish, monitor.KindTaskComplete:
-			if strings.HasPrefix(e.Subject, "t1") || strings.HasPrefix(e.Subject, "t2") ||
-				strings.Contains(e.Subject, "EDF") || strings.Contains(e.Detail, "t1") ||
-				strings.Contains(e.Detail, "t2") {
-				lines = append(lines, e.String())
-			}
+		if strings.HasPrefix(e.Subject, "t1") || strings.HasPrefix(e.Subject, "t2") ||
+			strings.Contains(e.Subject, "EDF") || strings.Contains(e.Detail, "t1") ||
+			strings.Contains(e.Detail, "t2") {
+			lines = append(lines, e.String())
 		}
 	}
 	return rep, lines
+}
+
+// figure2Kinds is what the Figure 2 trace shows: the notifications, the
+// scheduler's runs and decisions, and the threads' execution.
+var figure2Kinds = []monitor.Kind{
+	monitor.KindNotification, monitor.KindSchedulerRun,
+	monitor.KindPriorityChange, monitor.KindThreadStart,
+	monitor.KindThreadPreempt, monitor.KindThreadResume,
+	monitor.KindThreadFinish, monitor.KindTaskComplete,
 }
 
 // runF2 reproduces Figure 2: the cooperation between the EDF scheduler

@@ -28,9 +28,10 @@ type SeriesData struct {
 	Points  []PointData `json:"points"`
 }
 
-// PointData is one exported sample. T is the scrape instant (ns); V
-// the counter delta / gauge level / histogram count; the percentile
-// fields carry a histogram's interval summary.
+// PointData is one scraped sample, as the ring keeps it and the
+// export shows it. T is the scrape instant (ns); V the counter delta /
+// gauge level / histogram count; the percentile fields summarise a
+// histogram's interval (zero when the interval observed nothing).
 type PointData struct {
 	T    int64 `json:"t"`
 	V    int64 `json:"v"`
@@ -62,7 +63,10 @@ type BreachData struct {
 }
 
 // Export snapshots the registry into its timeline document. Series
-// sort by name; every ordering in the document is deterministic.
+// sort by name; every ordering in the document is deterministic. Each
+// series' points share its ring rather than copy it (see series), so
+// the document stays as it was while the run goes on, and its readers
+// must not write into it.
 func (r *Registry) Export() *Export {
 	if r == nil {
 		return nil
@@ -76,13 +80,10 @@ func (r *Registry) Export() *Export {
 	for _, name := range r.names() {
 		e := r.byName[name]
 		s := e.series()
-		sd := SeriesData{Name: e.name, Kind: e.kind.String(), Dropped: s.dropped, Points: make([]PointData, 0, len(s.pts))}
+		sd := SeriesData{Name: e.name, Kind: e.kind.String(), Dropped: s.dropped, Points: s.export()}
 		if e.kind == kindHist {
 			sd.Unit = e.h.unit
 		}
-		s.each(func(p Point) {
-			sd.Points = append(sd.Points, PointData{T: int64(p.T), V: p.V, P50: p.P50, P99: p.P99, P999: p.P999, Max: p.Max})
-		})
 		doc.Series = append(doc.Series, sd)
 	}
 	for _, p := range r.probes {

@@ -25,6 +25,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hades/internal/monitor"
@@ -61,48 +62,54 @@ type Options struct {
 	Log *monitor.Log
 }
 
-// Point is one scraped sample of one series. V is the counter delta,
-// gauge value or histogram observation count; P50/P99/P999/Max
-// summarise a histogram's interval (zero when the interval observed
-// nothing).
-type Point struct {
-	T    vtime.Time
-	V    int64
-	P50  int64
-	P99  int64
-	P999 int64
-	Max  int64
-}
-
-// series is a ring of the most recent DefaultCapacity points.
+// series is a ring of the most recent DefaultCapacity points, kept in
+// their exported form. An export hands the ring out, unwound in place,
+// instead of copying it; the ring is then shared, and the next
+// overwrite copies it once before writing (an append past the exported
+// length writes where the clipped export cannot see).
 type series struct {
-	pts     []Point
+	pts     []PointData
 	start   int
 	dropped int
+	shared  bool // pts is an export's backing array
 }
 
-func (s *series) push(p Point) {
+func (s *series) push(p PointData) {
 	if len(s.pts) < DefaultCapacity {
 		s.pts = append(s.pts, p)
 		return
+	}
+	if s.shared {
+		s.pts, s.shared = slices.Clone(s.pts), false
 	}
 	s.pts[s.start] = p
 	s.start = (s.start + 1) % DefaultCapacity
 	s.dropped++
 }
 
-// each visits retained points in chronological order, unwinding the
-// ring when it has wrapped.
-func (s *series) each(visit func(Point)) {
-	for i := 0; i < len(s.pts); i++ {
-		visit(s.pts[(s.start+i)%len(s.pts)])
+// export returns the retained points in chronological order, sharing
+// the ring: it unwinds a wrapped ring in place (a ring that wrapped
+// since the last export owns its array again) and clips the result, so
+// nothing the series writes later shows through it. An empty series
+// exports an empty, non-nil slice.
+func (s *series) export() []PointData {
+	if s.start != 0 {
+		slices.Reverse(s.pts[:s.start])
+		slices.Reverse(s.pts[s.start:])
+		slices.Reverse(s.pts)
+		s.start = 0
 	}
+	if s.pts == nil {
+		return []PointData{}
+	}
+	s.shared = true
+	return slices.Clip(s.pts)
 }
 
 // last returns the newest point.
-func (s *series) last() (Point, bool) {
+func (s *series) last() (PointData, bool) {
 	if len(s.pts) == 0 {
-		return Point{}, false
+		return PointData{}, false
 	}
 	i := s.start - 1
 	if i < 0 {
@@ -209,14 +216,14 @@ func (e *entry) scrape(t vtime.Time) {
 	switch e.kind {
 	case kindCounter:
 		cur := e.c.sample()
-		e.c.s.push(Point{T: t, V: cur - e.c.last})
+		e.c.s.push(PointData{T: int64(t), V: cur - e.c.last})
 		e.c.last = cur
 	case kindGauge:
-		e.g.s.push(Point{T: t, V: e.g.sample()})
+		e.g.s.push(PointData{T: int64(t), V: e.g.sample()})
 	case kindHist:
 		h := e.h.h
-		e.h.s.push(Point{
-			T: t, V: int64(h.Count()),
+		e.h.s.push(PointData{
+			T: int64(t), V: int64(h.Count()),
 			P50: h.Percentile(0.5), P99: h.Percentile(0.99),
 			P999: h.Percentile(0.999), Max: h.Max(),
 		})

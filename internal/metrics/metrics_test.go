@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 
 	"hades/internal/monitor"
@@ -120,6 +121,59 @@ func TestSeriesRingWraparound(t *testing.T) {
 		if p.T != wantT || p.V != int64(7+i) {
 			t.Fatalf("point %d = {T:%d V:%d}, want {T:%d V:%d} (chronological unwind)", i, p.T, p.V, wantT, 7+i)
 		}
+	}
+}
+
+// TestExportSharesNoLaterWrite: an Export shares the rings rather than
+// copying them, yet an export taken mid-run reads the same after more
+// scrapes have appended to its series, wrapped the ring and wrapped it
+// again past a second export; each export reads the points its instant
+// held. A series no scrape has reached exports an empty, non-nil list.
+func TestExportSharesNoLaterWrite(t *testing.T) {
+	s := newSim()
+	r := New(s.opts())
+	c := r.Counter("ops")
+	const scrapes = 3*DefaultCapacity + 17
+	r.ArmUntil(vtime.Time(scrapes * DefaultInterval))
+	type snap struct {
+		at     int
+		points []PointData
+		copied []PointData
+	}
+	var snaps []snap
+	for i := 1; i <= scrapes; i++ {
+		c.add(int64(i))
+		s.runTo(vtime.Time(vtime.Duration(i) * DefaultInterval))
+		switch i {
+		case 5, DefaultCapacity - 1, DefaultCapacity + 3, DefaultCapacity + 4, 2*DefaultCapacity + 9:
+			pts := findSeries(r.Export(), "ops").Points
+			snaps = append(snaps, snap{i, pts, slices.Clone(pts)})
+		}
+	}
+	for _, sn := range snaps {
+		if !slices.Equal(sn.points, sn.copied) {
+			t.Errorf("the export taken after scrape %d changed under later scrapes", sn.at)
+		}
+		first := max(1, sn.at-DefaultCapacity+1)
+		if len(sn.points) != sn.at-first+1 || sn.points[0].V != int64(first) || sn.points[len(sn.points)-1].V != int64(sn.at) {
+			t.Errorf("the export after scrape %d holds %d points from V=%d, want %d from V=%d",
+				sn.at, len(sn.points), sn.points[0].V, sn.at-first+1, first)
+		}
+	}
+	last := findSeries(r.Export(), "ops").Points
+	for i, p := range last {
+		if want := int64(scrapes - DefaultCapacity + 1 + i); p.V != want {
+			t.Fatalf("final export point %d = %d, want %d (chronological unwind)", i, p.V, want)
+		}
+	}
+
+	r.Counter("late") // registered after every scrape
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `{"name":"late","kind":"counter","points":[]}`) {
+		t.Fatalf("an unscraped series must export \"points\":[]; got %s", buf.String())
 	}
 }
 

@@ -129,7 +129,7 @@ func (p *probe) extract(r *Registry, t vtime.Time) (float64, bool) {
 		return 0, false
 	}
 	pt, ok := e.series().last()
-	if !ok || pt.T != t {
+	if !ok || pt.T != int64(t) {
 		return 0, false
 	}
 	switch p.r.Stat {

@@ -6,6 +6,14 @@
 // and network omission failures. This package provides the event log that
 // records those observations, the violation records surfaced to
 // applications, and the trace renderer used to regenerate Figure 2.
+//
+// A Log's window retains only the kinds a reader asked for: NewLog keeps
+// every kind until Keep names a set, which a reader does before the first
+// record. A bounded window covers the first limit records *made*, kept
+// or not, so the set decides which of them the window holds, never which
+// instant it ends at: Dropped, CountKind (a per-kind count of the records
+// made inside the bound) and the violation and fault side lists read the
+// same whatever the set.
 package monitor
 
 import (
@@ -244,10 +252,12 @@ func pad(b []byte, n int) []byte {
 // Log collects events in order. It is not safe for concurrent use: a HADES
 // run is single-threaded by design (determinism), so the log needs no lock.
 //
-// A positive limit bounds the retained *window* to the first limit
-// events. Every violation and every fault-timeline event is also kept,
-// its detail rendered, on a side list the bound never touches, so
-// Violations and Faults are complete however full the window is.
+// A positive limit bounds the *window* to the first limit events made;
+// the window retains those of them whose kinds Keep named (every kind
+// unless Keep was called). Every violation and every fault-timeline event
+// is also kept, its detail rendered, on a side list neither the bound nor
+// the keep set touches, so Violations and Faults are complete however
+// full the window is.
 //
 // The window holds no pointers. Each event is a 24-byte rec in a chunk
 // of chunkLen; its subject and detail are bytes of the chunk's text. A
@@ -268,8 +278,13 @@ func pad(b []byte, n int) []byte {
 type Log struct {
 	chunks   []chunk // full chunks, then the open one
 	n        int     // retained events
+	made     int     // events made inside the bound, retained or not
 	capLimit int     // 0 = unlimited
 	dropped  int
+	// skip marks the kinds the window does not retain; counts holds
+	// the events of each kind made inside the bound.
+	skip   [256]bool
+	counts [256]int
 	// Never dropped, in record order.
 	viol   []Event
 	faults []Event
@@ -313,13 +328,49 @@ const (
 	minText  = 512
 )
 
-// NewLog returns an empty log. limit, when positive, bounds the window
-// to the first limit events; what arrives later is counted in Dropped
-// and, unless it is a violation or a fault-timeline event, discarded.
+// NewLog returns an empty log that keeps every kind. limit, when
+// positive, bounds the window to the first limit events; what arrives
+// later is counted in Dropped and, unless it is a violation or a
+// fault-timeline event, discarded.
 func NewLog(limit int) *Log { return &Log{capLimit: limit} }
 
+// Kinds returns every event kind, for a reader that asks the window to
+// keep them all.
+func Kinds() []Kind {
+	out := make([]Kind, 0, len(kindNames)-1)
+	for k := KindActivation; int(k) < len(kindNames); k++ {
+		out = append(out, k)
+	}
+	return out
+}
+
+// Keep names the kinds the window retains: only these. Events of other
+// kinds are still counted (CountKind, the bound), and violations and
+// faults still reach the side lists. A reader asks before the log
+// records anything, so Keep after the first record panics.
+func (l *Log) Keep(kinds ...Kind) {
+	if l == nil {
+		return
+	}
+	if l.made+l.dropped > 0 {
+		panic("monitor: Keep after the log's first record")
+	}
+	for k := range l.skip {
+		l.skip[k] = true
+	}
+	for _, k := range kinds {
+		l.skip[k] = false
+	}
+}
+
 // full reports whether the window has reached its bound.
-func (l *Log) full() bool { return l.capLimit > 0 && l.n >= l.capLimit }
+func (l *Log) full() bool { return l.capLimit > 0 && l.made >= l.capLimit }
+
+// tally counts one event of kind made inside the bound.
+func (l *Log) tally(kind Kind) {
+	l.made++
+	l.counts[kind]++
+}
 
 // side puts e on the side list its kind belongs to, if any.
 func (l *Log) side(e Event) {
@@ -342,7 +393,10 @@ func (l *Log) Record(e Event) {
 		l.dropped++
 		return
 	}
-	l.keep(e.At, e.Kind, e.Node, e.Subject, e.Detail, nil)
+	if !l.skip[e.Kind] {
+		l.keep(e.At, e.Kind, e.Node, e.Subject, e.Detail, nil)
+	}
+	l.tally(e.Kind)
 }
 
 // keep appends a record to the window, its detail format and args
@@ -396,7 +450,7 @@ func (l *Log) open(n int) *chunk {
 	case len(l.chunks[last].recs) == chunkLen:
 		recs := chunkLen
 		if l.capLimit > 0 {
-			recs = min(recs, l.capLimit-l.n)
+			recs = min(recs, l.capLimit-l.made)
 		}
 		prev := len(l.chunks[last].text)
 		l.chunks = append(l.chunks, chunk{recs: make([]rec, 0, recs), text: make([]byte, 0, (prev+prev/16)*recs/chunkLen+n)})
@@ -485,37 +539,36 @@ func (rd *reader) event(c *chunk, i int) Event {
 	return e
 }
 
-// Keeps reports whether a record of kind made now would be kept: the
-// test Recordf applies before it formats. A caller whose subject costs
-// something to build asks first.
+// Keeps reports whether a record of kind made now would be kept, in the
+// window or on a side list: the test Recordf applies before it formats.
+// A caller whose subject costs something to build asks first, and
+// offers the record with an empty subject when the answer is no, so the
+// log still counts it.
 func (l *Log) Keeps(kind Kind) bool {
-	return l != nil && (!l.full() || kind.isViolation() || kind.isFault())
+	return l != nil && ((!l.skip[kind] && !l.full()) || kind.isViolation() || kind.isFault())
 }
 
 // Recordf appends an event built from the arguments, storing its
-// detail typed in the window's text (see Log). An event nothing would
-// keep — a full window, a kind off the side lists — is counted in
-// Dropped before its detail is stored, not after.
+// detail typed in the window's text (see Log). An event the window does
+// not keep — past the bound, or of a kind Keep left out — is only
+// counted, its detail never stored, unless a side list takes it.
 func (l *Log) Recordf(at vtime.Time, kind Kind, node int, subject, format string, args ...any) {
 	if l == nil {
 		return
 	}
-	if !l.Keeps(kind) {
-		l.dropped++
-		return
-	}
-	e := Event{At: at, Kind: kind, Node: node, Subject: subject}
 	if l.full() {
 		l.dropped++
 	} else {
-		c := l.keep(at, kind, node, subject, format, args)
-		e.Subject = c.subject(len(c.recs) - 1)
+		if !l.skip[kind] {
+			c := l.keep(at, kind, node, subject, format, args)
+			subject = c.subject(len(c.recs) - 1)
+		}
+		l.tally(kind)
 	}
 	if kind.isViolation() || kind.isFault() {
 		from := len(l.spill)
 		l.spill = AppendDetail(l.spill, format, args)
-		e.Detail = view(l.spill, from, len(l.spill))
-		l.side(e)
+		l.side(Event{At: at, Kind: kind, Node: node, Subject: subject, Detail: view(l.spill, from, len(l.spill))})
 	}
 }
 
@@ -527,7 +580,9 @@ func (l *Log) Len() int {
 	return l.n
 }
 
-// Dropped returns how many events were discarded due to the limit.
+// Dropped returns how many events were made past the limit. An event
+// of a kind the window does not keep, made inside the limit, is not
+// dropped: CountKind counts it.
 func (l *Log) Dropped() int {
 	if l == nil {
 		return 0
@@ -594,20 +649,13 @@ func (l *Log) Faults() []Event {
 	return slices.Clone(l.faults)
 }
 
-// CountKind returns the number of retained events of kind k.
+// CountKind returns the number of events of kind k made inside the
+// bound, whether or not the window keeps that kind.
 func (l *Log) CountKind(k Kind) int {
 	if l == nil {
 		return 0
 	}
-	n := 0
-	for _, c := range l.chunks {
-		for i := range c.recs {
-			if c.recs[i].kind == k {
-				n++
-			}
-		}
-	}
-	return n
+	return l.counts[k]
 }
 
 // WriteTrace writes every retained event to w in chronological order,

@@ -186,6 +186,7 @@ func TestRecordfDetailIsSprintf(t *testing.T) {
 
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
+	l.Keep(KindTaskComplete)
 	l.Record(Event{})
 	l.Recordf(0, KindActivation, 0, "x", "y")
 	if l.Len() != 0 || l.Dropped() != 0 || l.Events() != nil || l.Violations() != nil || l.Faults() != nil ||
@@ -693,4 +694,77 @@ func TestKindStringsAreUnique(t *testing.T) {
 			t.Errorf("unnamed kind: %q, want %q", got, want)
 		}
 	}
+}
+
+// TestKeepRetainsOnlyItsKinds: a log that keeps a few kinds holds, of
+// the same records, exactly what a log keeping every kind holds of
+// those kinds, and reads the same everywhere else: the bound counts
+// every record made, so Dropped, the side lists and CountKind are the
+// keep-all log's, at every limit.
+func TestKeepRetainsOnlyItsKinds(t *testing.T) {
+	kept := []Kind{KindTaskComplete, KindThreadStart, KindDeadlineMiss}
+	for _, limit := range []int{0, 1, 100, chunkLen + 1, 2*chunkLen + 288} {
+		all, some := NewLog(limit), NewLog(limit)
+		some.Keep(kept...)
+		ops := mixOps(3, 2*chunkLen+400, -1)
+		for _, o := range ops {
+			o.apply(all)
+			o.apply(some)
+		}
+		want := all.ByKind(kept...)
+		if got := some.Events(); !slices.Equal(got, want) {
+			t.Fatalf("limit %d: window holds %d events, want the keep-all window's %d of the kept kinds", limit, len(got), len(want))
+		}
+		if some.Len() != len(want) || some.Dropped() != all.Dropped() {
+			t.Errorf("limit %d: Len=%d Dropped=%d, want %d and %d", limit, some.Len(), some.Dropped(), len(want), all.Dropped())
+		}
+		if !slices.Equal(some.Violations(), all.Violations()) || !slices.Equal(some.Faults(), all.Faults()) {
+			t.Errorf("limit %d: the side lists differ from the keep-all log's", limit)
+		}
+		for _, k := range Kinds() {
+			if some.CountKind(k) != all.CountKind(k) {
+				t.Errorf("limit %d: CountKind(%s) = %d, want %d", limit, k, some.CountKind(k), all.CountKind(k))
+			}
+		}
+	}
+}
+
+// TestKeepsAnswersPerKind: Keeps says yes to a kept kind while the
+// window has room, and to a violation or a fault whatever the set, so
+// a lazy subject is built only for a record something keeps.
+func TestKeepsAnswersPerKind(t *testing.T) {
+	l := NewLog(1)
+	l.Keep(KindTaskComplete)
+	for _, tc := range []struct {
+		kind Kind
+		want bool
+	}{
+		{KindTaskComplete, true}, {KindNotification, false}, {KindThreadStart, false},
+		{KindDeadlineMiss, true}, {KindFailover, true},
+	} {
+		if got := l.Keeps(tc.kind); got != tc.want {
+			t.Errorf("Keeps(%s) = %v, want %v", tc.kind, got, tc.want)
+		}
+	}
+	l.Recordf(0, KindNotification, 0, "", "") // fills the bound, kept or not
+	if l.Keeps(KindTaskComplete) || !l.Keeps(KindDeadlineMiss) || l.Len() != 0 || l.CountKind(KindNotification) != 1 {
+		t.Fatalf("full window: Keeps(TaskDone)=%v Keeps(DEADLINE-MISS)=%v Len=%d, want false, true, 0",
+			l.Keeps(KindTaskComplete), l.Keeps(KindDeadlineMiss), l.Len())
+	}
+}
+
+// TestKeepAfterFirstRecordPanics: the keep set is a reader's request
+// made before the run; asking once records exist would leave a window
+// that holds some of a kind and not the rest.
+func TestKeepAfterFirstRecordPanics(t *testing.T) {
+	l := NewLog(0)
+	l.Keep(KindTaskComplete) // before any record: fine, and again
+	l.Keep(Kinds()...)
+	l.Recordf(0, KindNotification, 0, "", "")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Keep after the first record did not panic")
+		}
+	}()
+	l.Keep(KindTaskComplete)
 }

@@ -126,6 +126,7 @@ func TestPerKeyFIFOAfterFailFastHead(t *testing.T) {
 func TestServerRedirectResendsOnce(t *testing.T) {
 	const ms = vtime.Millisecond
 	c := cluster.New(cluster.Config{Seed: 9})
+	c.Log().Keep(monitor.KindRedirect)
 	c.AddNodes(4) // one shard × 3 replicas + client
 	c.ConnectAll(100*vtime.Microsecond, 300*vtime.Microsecond)
 	set := c.ShardsWith(1, 3, cluster.ShardConfig{})

@@ -17,6 +17,7 @@ func refusedAttempt(t *testing.T, node int, split ...[]int) (*cluster.Cluster, *
 	t.Helper()
 	const ms = vtime.Millisecond
 	c := cluster.New(cluster.Config{Seed: 19})
+	c.Log().Keep(monitor.KindRedirect)
 	c.AddNodes(4) // one shard × 3 replicas + the client
 	c.ConnectAll(100*vtime.Microsecond, 300*vtime.Microsecond)
 	set := c.ShardsWith(1, 3, cluster.ShardConfig{})

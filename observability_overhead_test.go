@@ -60,7 +60,7 @@ const overheadNoiseAllowance = 0.03
 // wall-clock runtime.
 func timeHighFanoutKV(tp *cluster.TraceParams, mp *cluster.MetricsParams) time.Duration {
 	t0 := time.Now()
-	_, _, cl := highFanoutKV(cluster.Config{Trace: tp, Metrics: mp})
+	_, _, cl := highFanoutKV(cluster.Config{Trace: tp, Metrics: mp}, nil)
 	if cl.Stats.Acked != cl.Stats.Submitted {
 		panic("overhead workload: ack mismatch")
 	}
@@ -120,6 +120,10 @@ func TestObservabilityOverheadGate(t *testing.T) {
 	}
 }
 
+// keepEveryKind asks c's monitor window for every kind: the passivity
+// tests fingerprint the whole log.
+func keepEveryKind(c *cluster.Cluster) { c.Log().Keep(monitor.Kinds()...) }
+
 // TestTracingPassive pins down that tracing is pure observation: the
 // simulation behaves identically with the tracer disabled, sampling
 // nothing, and sampling everything. Any divergence means tracing
@@ -131,7 +135,7 @@ func TestTracingPassive(t *testing.T) {
 		retries int
 	}
 	run := func(tp *cluster.TraceParams) fingerprint {
-		c, _, cl := highFanoutKV(cluster.Config{Trace: tp})
+		c, _, cl := highFanoutKV(cluster.Config{Trace: tp}, keepEveryKind)
 		return fingerprint{events: len(c.Log().Events()), acked: cl.Stats.Acked, retries: cl.Stats.Retries}
 	}
 	off := run(&cluster.TraceParams{Disabled: true})
@@ -158,7 +162,7 @@ func TestMetricsPassive(t *testing.T) {
 		retries int
 	}
 	run := func(mp *cluster.MetricsParams) (fingerprint, *cluster.Cluster) {
-		c, _, cl := highFanoutKV(cluster.Config{Metrics: mp})
+		c, _, cl := highFanoutKV(cluster.Config{Metrics: mp}, keepEveryKind)
 		h := fnv.New64a()
 		events := 0
 		for _, e := range c.Log().Events() {
